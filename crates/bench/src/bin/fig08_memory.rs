@@ -7,8 +7,8 @@
 //! * PRETZEL — white-box runtime with the Object Store;
 //! * PRETZEL (no ObjStore) — same runtime, parameter dedup disabled.
 //!
-//! Memory is live heap bytes from a counting global allocator (see
-//! DESIGN.md: the deterministic analogue of the paper's RSS curves).
+//! Memory is live heap bytes from a counting global allocator — the
+//! deterministic analogue of the paper's RSS curves.
 
 use pretzel_baseline::container::{Container, ContainerConfig};
 use pretzel_baseline::BlackBoxModel;

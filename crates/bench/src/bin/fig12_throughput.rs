@@ -7,18 +7,17 @@
 //! (SA) / 10x (AC) higher throughput.
 
 use pretzel_baseline::BlackBoxModel;
-use pretzel_bench::{env_usize, images_of, print_table, time_it, wire_predict_batch, BenchEntry};
+use pretzel_bench::{env_usize, images_of, print_table, time_it, wire_predict_batch};
 use pretzel_core::frontend::{Client, FrontEnd, FrontEndConfig};
 use pretzel_core::runtime::{Runtime, RuntimeConfig};
 use pretzel_core::scheduler::Record;
 use pretzel_workload::text::{ReviewGen, StructuredGen};
 use std::sync::Arc;
 
-fn pretzel_qps(images: &[Arc<Vec<u8>>], records: &[Record], cores: usize, columnar: bool) -> f64 {
+fn pretzel_qps(images: &[Arc<Vec<u8>>], records: &[Record], cores: usize) -> f64 {
     let runtime = Runtime::new(RuntimeConfig {
         n_executors: cores,
         chunk_size: 64,
-        columnar,
         ..RuntimeConfig::default()
     });
     let ids = pretzel_bench::register_all(&runtime, images).unwrap();
@@ -113,41 +112,22 @@ fn mlnet_qps(images: &[Arc<Vec<u8>>], records: &[Record], cores: usize) -> f64 {
     total as f64 / elapsed.as_secs_f64()
 }
 
-fn run_category(
-    category: &str,
-    images: &[Arc<Vec<u8>>],
-    records: &[Record],
-    cores: &[usize],
-    entries: &mut Vec<BenchEntry>,
-) -> f64 {
+fn run_category(category: &str, images: &[Arc<Vec<u8>>], records: &[Record], cores: &[usize]) {
     let mut rows = Vec::new();
     let mut pretzel_base = 0.0;
     let mut mlnet_base = 0.0;
-    let mut best_columnar_ratio: f64 = 0.0;
     for (i, &c) in cores.iter().enumerate() {
-        let p = pretzel_qps(images, records, c, true);
-        let per_record = pretzel_qps(images, records, c, false);
+        let p = pretzel_qps(images, records, c);
         let wire = wire_qps(images, records, c);
         let m = mlnet_qps(images, records, c);
         if i == 0 {
             pretzel_base = p / c as f64;
             mlnet_base = m / c as f64;
         }
-        best_columnar_ratio = best_columnar_ratio.max(p / per_record);
-        for (mode, v) in [("columnar", p), ("per_record", per_record), ("wire", wire)] {
-            entries.push(BenchEntry {
-                category: category.into(),
-                mode: mode.into(),
-                chunk_size: 64,
-                cores: c,
-                records_per_sec: v,
-            });
-        }
         rows.push(vec![
             c.to_string(),
             format!("{:.0}", p),
             format!("{:.0}", pretzel_base * c as f64),
-            format!("{:.0}", per_record),
             format!("{:.0}", wire),
             format!("{:.0}", m),
             format!("{:.0}", mlnet_base * c as f64),
@@ -161,17 +141,15 @@ fn run_category(
             records.len()
         ),
         &[
-            "cores", "Pretzel", "(ideal)", "per-rec", "wire", "ML.Net", "(ideal)", "speedup",
+            "cores", "Pretzel", "(ideal)", "wire", "ML.Net", "(ideal)", "speedup",
         ],
         &rows,
     );
     println!(
         "  expected shape — Pretzel tracks its ideal line; ML.Net falls \
          away as cores increase (paper: 2.6x SA, 10x AC at 13 cores); \
-         `per-rec` is Pretzel with the columnar data plane disabled and \
          `wire` is the full TCP ingest path (wire-to-columnar assembly)"
     );
-    best_columnar_ratio
 }
 
 fn main() {
@@ -185,68 +163,30 @@ fn main() {
         .collect();
     let batch = env_usize("PRETZEL_BATCH", 200);
 
-    let mut entries: Vec<BenchEntry> = Vec::new();
-    let mut speedups: Vec<(String, f64)> = Vec::new();
-
     let sa = pretzel_bench::sa_workload();
     let mut reviews = ReviewGen::new(51, sa.vocab.len(), 1.2);
     let sa_records: Vec<Record> = (0..batch)
         .map(|_| Record::Text(format!("4,{}", reviews.review(10, 25))))
         .collect();
-    let r = run_category(
-        "SA",
-        &images_of(&sa.graphs),
-        &sa_records,
-        &cores,
-        &mut entries,
-    );
-    speedups.push(("SA".into(), r));
+    run_category("SA", &images_of(&sa.graphs), &sa_records, &cores);
 
     let ac = pretzel_bench::ac_workload();
     let mut gen = StructuredGen::new(53, pretzel_bench::ac_config().input_dim);
     // AC pipelines ingest CSV text ("structured text", paper Table 1).
     let ac_records: Vec<Record> = (0..batch).map(|_| Record::Text(gen.csv_line())).collect();
-    let r = run_category(
-        "AC",
-        &images_of(&ac.graphs),
-        &ac_records,
-        &cores,
-        &mut entries,
-    );
-    speedups.push(("AC".into(), r));
+    run_category("AC", &images_of(&ac.graphs), &ac_records, &cores);
 
     // Dense-ingest AC: the same pipelines fed pre-parsed feature vectors —
-    // the data-plane-bound configuration where the columnar win is not
-    // masked by float parsing.
+    // the data-plane-bound configuration, not masked by float parsing.
     let ac_dense = pretzel_bench::ac_dense_workload();
     let mut dense_gen = StructuredGen::new(53, pretzel_bench::ac_dense_config().input_dim);
     let dense_records: Vec<Record> = (0..batch)
         .map(|_| Record::Dense(dense_gen.record()))
         .collect();
-    let r = run_category(
+    run_category(
         "AC_dense",
         &images_of(&ac_dense.graphs),
         &dense_records,
         &cores,
-        &mut entries,
     );
-    speedups.push(("AC_dense".into(), r));
-
-    // Report both ends so readers see the spread: `headline` is the best
-    // category (dense ingestion, where the data plane is the measured
-    // variable); `min_category` is the worst (text workloads whose cost is
-    // dominated by parsing/matching shared between both data planes).
-    let headline = speedups
-        .iter()
-        .map(|(_, v)| v)
-        .fold(f64::MIN, |a, &b| a.max(b));
-    let min_cat = speedups
-        .iter()
-        .map(|(_, v)| v)
-        .fold(f64::MAX, |a, &b| a.min(b));
-    speedups.push(("min_category".into(), min_cat));
-    speedups.push(("headline".into(), headline));
-    pretzel_bench::write_bench_json("BENCH_columnar.json", "fig12_columnar", &entries, &speedups)
-        .expect("write BENCH_columnar.json");
-    println!("\nwrote BENCH_columnar.json (columnar vs per-record data plane)");
 }

@@ -82,6 +82,6 @@ fn main() {
         "\nPaper Table 1 shape: SA inputs are text with MB-scale n-gram \
          dictionaries; AC inputs are 40-dim structured records with \
          PCA/KMeans/tree ensembles and a wide size spread. Dictionary sizes \
-         here are scaled by PRETZEL_SCALE (see DESIGN.md)."
+         here are scaled by PRETZEL_SCALE (see crates/bench/src/lib.rs)."
     );
 }

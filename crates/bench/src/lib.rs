@@ -1,7 +1,7 @@
 //! Shared harness utilities for the figure/table reproduction binaries.
 //!
 //! Every `src/bin/figXX_*.rs` binary regenerates one table or figure of
-//! the paper's evaluation (see DESIGN.md §3 for the full index). This
+//! the paper's evaluation (README "Build, test, bench" lists them). This
 //! module holds what they share: scaled workload construction, the honest
 //! "load from model file" registration path, table printing, and
 //! environment-variable knobs.

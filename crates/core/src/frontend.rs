@@ -94,10 +94,7 @@ pub use wire::{
 use crate::lru::LruCache;
 use crate::physical::SourceRef;
 use crate::runtime::{PlanId, Runtime};
-use crate::scheduler::Record;
 use parking_lot::Mutex;
-use pretzel_data::hash::content_hash_sparse;
-use pretzel_data::ingest::validate_sparse_indices;
 use pretzel_data::serde_bin::Cursor;
 use pretzel_data::{BatchAssembler, ColumnType, DataError, Result};
 use std::collections::HashMap;
@@ -216,16 +213,12 @@ enum Dispatch {
     Pending,
 }
 
-/// One plan's accumulated delayed-batch requests between flushes.
-enum PendingBatch {
-    /// Record-staged accumulation (`wire_columnar = false`).
-    Records(Vec<(Record, DelayedWaiter)>),
-    /// Wire-assembled accumulation: rows append to one per-plan column
-    /// batch as they arrive; the flush submits it without any re-packing.
-    Assembled {
-        assembler: BatchAssembler,
-        waiters: Vec<DelayedWaiter>,
-    },
+/// One plan's accumulated delayed-batch requests between flushes: rows
+/// append to one per-plan column batch as they arrive; the flush submits it
+/// without any re-packing.
+struct PendingBatch {
+    assembler: BatchAssembler,
+    waiters: Vec<DelayedWaiter>,
 }
 
 /// One delayed-batch requester awaiting the next flush.
@@ -410,20 +403,9 @@ fn flush_pending(batcher: &Batcher, runtime: &Runtime) {
         let mut pending = batcher.pending.lock();
         pending.drain().collect()
     };
-    for (plan, pending) in drained {
-        let (outcome, waiters) = match pending {
-            PendingBatch::Records(entries) => {
-                let (records, waiters): (Vec<Record>, Vec<_>) = entries.into_iter().unzip();
-                (runtime.predict_batch_wait(plan, records), waiters)
-            }
-            PendingBatch::Assembled { assembler, waiters } => {
-                let (rows, hashes) = assembler.finish();
-                (
-                    runtime.predict_batch_assembled_wait(plan, rows, hashes),
-                    waiters,
-                )
-            }
-        };
+    for (plan, PendingBatch { assembler, waiters }) in drained {
+        let (rows, hashes) = assembler.finish();
+        let outcome = runtime.predict_batch_assembled_wait(plan, rows, hashes);
         // A delivery failure means that client disconnected mid-flush.
         // That is its problem alone: log it and keep delivering to the
         // rest of the flush instead of dropping the error (or the flush)
@@ -587,27 +569,6 @@ fn handle_request(shared: &ServerShared, body: &[u8], responder: &Responder) -> 
     serve_records(head, cur, shared, responder)
 }
 
-/// Serves a (plan-id-addressed) prediction request through the engine the
-/// flags select.
-fn serve_records(
-    head: RequestHead,
-    cur: Cursor<'_>,
-    shared: &ServerShared,
-    responder: &Responder,
-) -> Result<Dispatch> {
-    if head.n == 0 {
-        // An empty batch still validates its plan id (as the pre-assembler
-        // path did by reaching the batch engine with zero records).
-        let _ = shared.runtime.plan(head.plan)?;
-        return Ok(Dispatch::Ready(wire::encode_ok(&[])));
-    }
-    if shared.runtime.config().wire_columnar {
-        handle_request_columnar(head, cur, shared, responder)
-    } else {
-        handle_request_staged(head, cur, shared, responder)
-    }
-}
-
 /// Executes one admin verb, returning the verb-specific payload.
 fn handle_admin(head: &RequestHead, mut cur: Cursor<'_>, runtime: &Runtime) -> Result<Vec<u8>> {
     use pretzel_data::serde_bin::wire;
@@ -704,9 +665,10 @@ fn assembler_rows_hint(ty: &ColumnType, n: usize, body_remaining: usize) -> usiz
     }
 }
 
-/// Wire-to-columnar request handling: decode rows straight into a
-/// pool-leased batch, then serve through the engine the flags select.
-fn handle_request_columnar(
+/// Serves a (plan-id-addressed) prediction request: decode the rows
+/// straight into a pool-leased batch, then serve through the engine the
+/// flags select.
+fn serve_records(
     head: RequestHead,
     mut cur: Cursor<'_>,
     shared: &ServerShared,
@@ -719,6 +681,11 @@ fn handle_request_columnar(
         n,
     } = head;
     let runtime = &*shared.runtime;
+    if n == 0 {
+        // An empty batch still validates its plan id.
+        let _ = runtime.plan(plan)?;
+        return Ok(Dispatch::Ready(wire::encode_ok(&[])));
+    }
     let cache = &shared.cache;
     let pool = Arc::clone(runtime.ingest_pool());
     let ty = wire_batch_type(kind, &cur)?;
@@ -728,8 +695,7 @@ fn handle_request_columnar(
     // cache, or this request's result-cache lookup (single-record requests
     // against a configured cache — the only shape the result cache
     // serves). Otherwise decode without it — on matching-bound text
-    // workloads that pass was the wire-columnar path's measurable
-    // overhead vs Record staging.
+    // workloads that pass is measurable overhead.
     let want_hashes = runtime.materialization_cache().is_some()
         || (flags & FLAG_RESULT_CACHE != 0 && n == 1 && cache.is_some());
     let lease = pool.acquire_batch(ty, rows_hint);
@@ -796,7 +762,7 @@ fn handle_request_columnar(
                 // starts unhashed unless the materialization cache needs
                 // hashes; a hashed request appending later upgrades it.
                 let lease = pool.acquire_batch(asm.column_type(), 16);
-                PendingBatch::Assembled {
+                PendingBatch {
                     assembler: if runtime.materialization_cache().is_some() {
                         BatchAssembler::new(lease)
                     } else {
@@ -805,14 +771,10 @@ fn handle_request_columnar(
                     waiters: Vec::new(),
                 }
             });
-            match entry {
-                PendingBatch::Assembled { assembler, waiters } => assembler
-                    .append_assembled(&asm)
-                    .map(|()| waiters.push(waiter)),
-                PendingBatch::Records(_) => Err(DataError::Runtime(
-                    "delayed batcher is accumulating staged records".into(),
-                )),
-            }
+            entry
+                .assembler
+                .append_assembled(&asm)
+                .map(|()| entry.waiters.push(waiter))
         };
         release(asm);
         appended?;
@@ -866,145 +828,6 @@ fn handle_request_columnar(
     }
 }
 
-/// Record-staged request handling (`wire_columnar = false`): the ablation
-/// control, decoding every record into an owned `Record` first.
-fn handle_request_staged(
-    head: RequestHead,
-    mut cur: Cursor<'_>,
-    shared: &ServerShared,
-    responder: &Responder,
-) -> Result<Dispatch> {
-    let RequestHead {
-        plan,
-        kind,
-        flags,
-        n,
-    } = head;
-    let runtime = &*shared.runtime;
-    let cache = &shared.cache;
-    let mut records = Vec::with_capacity(n.min(1 << 16));
-    let mut hashes = Vec::with_capacity(n.min(1 << 16));
-    let decode_start = runtime.metrics_registry().map(|_| Instant::now());
-    for _ in 0..n {
-        match kind {
-            KIND_TEXT => {
-                let s = cur.str()?;
-                hashes.push(pretzel_data::hash::content_hash_text(&s));
-                records.push(Record::Text(s));
-            }
-            KIND_DENSE => {
-                let x = cur.f32s()?;
-                if runtime.config().reject_non_finite {
-                    pretzel_data::ingest::check_finite(&x)?;
-                }
-                hashes.push(pretzel_data::hash::content_hash_dense(&x));
-                records.push(Record::Dense(x));
-            }
-            KIND_SPARSE => {
-                let dim = cur.u32()?;
-                let indices = cur.u32s()?;
-                validate_sparse_indices(&indices, dim)?;
-                let mut values = Vec::with_capacity(indices.len());
-                for _ in 0..indices.len() {
-                    values.push(cur.f32()?);
-                }
-                if runtime.config().reject_non_finite {
-                    pretzel_data::ingest::check_finite(&values)?;
-                }
-                hashes.push(content_hash_sparse(&indices, &values, dim));
-                records.push(Record::Sparse {
-                    indices,
-                    values,
-                    dim,
-                });
-            }
-            k => return Err(DataError::Runtime(format!("bad record kind {k}"))),
-        }
-    }
-    if let (Some(reg), Some(t0)) = (runtime.metrics_registry(), decode_start) {
-        reg.record_decode(t0.elapsed().as_nanos() as u64);
-    }
-
-    // Prediction-result cache: single-record requests only.
-    let use_cache = flags & FLAG_RESULT_CACHE != 0 && records.len() == 1 && cache.is_some();
-    if use_cache {
-        if let Some(cache) = cache {
-            if let Some(&score) = cache.lock().get(&(plan, hashes[0])) {
-                return Ok(Dispatch::Ready(wire::encode_ok(&[score])));
-            }
-        }
-    }
-
-    if flags & FLAG_DELAYED_BATCH != 0 && records.len() == 1 {
-        let Some(batcher) = &shared.batcher else {
-            return Err(DataError::Runtime(
-                "delayed batching not enabled on this front end".into(),
-            ));
-        };
-        let cache_key = use_cache.then(|| (plan, hashes[0]));
-        let (sink, rx) = match responder {
-            Responder::Blocking => {
-                let (tx, rx) = mpsc::channel();
-                (ResultSink::Channel(tx), Some(rx))
-            }
-            Responder::Reactor(handle) => (ResultSink::Reactor(handle.clone()), None),
-        };
-        {
-            let mut pending = batcher.pending.lock();
-            let entry = pending
-                .entry(plan)
-                .or_insert_with(|| PendingBatch::Records(Vec::new()));
-            match entry {
-                PendingBatch::Records(entries) => {
-                    entries.push((
-                        records.pop().expect("one record"),
-                        DelayedWaiter { sink, cache_key },
-                    ));
-                }
-                PendingBatch::Assembled { .. } => {
-                    return Err(DataError::Runtime(
-                        "delayed batcher is accumulating assembled rows".into(),
-                    ))
-                }
-            }
-        }
-        return match rx {
-            Some(rx) => {
-                let score = rx
-                    .recv()
-                    .map_err(|_| DataError::Runtime("batcher dropped request".into()))??;
-                Ok(Dispatch::Ready(wire::encode_ok(&[score])))
-            }
-            None => Ok(Dispatch::Pending),
-        };
-    }
-
-    if records.len() == 1 {
-        // Request-response engine.
-        let score = runtime.predict_source(plan, records[0].as_source())?;
-        if use_cache {
-            if let Some(cache) = cache {
-                cache.lock().insert((plan, hashes[0]), score, 16);
-            }
-        }
-        return Ok(Dispatch::Ready(wire::encode_ok(&[score])));
-    }
-
-    match responder {
-        Responder::Blocking => {
-            let scores = runtime.predict_batch_wait(plan, records)?;
-            Ok(Dispatch::Ready(wire::encode_ok(&scores)))
-        }
-        Responder::Reactor(handle) => {
-            let handle = handle.clone();
-            runtime
-                .predict_batch(plan, records)?
-                .on_complete(move |result| handle.complete_result(result));
-            Ok(Dispatch::Pending)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     #![allow(deprecated)]
@@ -1018,19 +841,6 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     fn serve_sa(config: FrontEndConfig) -> (Arc<Runtime>, FrontEnd, PlanId) {
-        serve_sa_with(
-            config,
-            RuntimeConfig {
-                n_executors: 2,
-                ..RuntimeConfig::default()
-            },
-        )
-    }
-
-    fn serve_sa_with(
-        config: FrontEndConfig,
-        rt_config: RuntimeConfig,
-    ) -> (Arc<Runtime>, FrontEnd, PlanId) {
         let vocab = synth::vocabulary(0, 64);
         let ctx = FlourContext::new();
         let tokens = ctx.csv(',').select_text(1).tokenize();
@@ -1041,7 +851,10 @@ mod tests {
             .classifier_linear(Arc::new(synth::linear(3, 128, LinearKind::Logistic)))
             .plan()
             .unwrap();
-        let rt = Arc::new(Runtime::new(rt_config));
+        let rt = Arc::new(Runtime::new(RuntimeConfig {
+            n_executors: 2,
+            ..RuntimeConfig::default()
+        }));
         let id = rt.register(logical).unwrap();
         let fe = FrontEnd::serve(Arc::clone(&rt), config).unwrap();
         (rt, fe, id)
@@ -1130,28 +943,6 @@ mod tests {
         for h in handles {
             assert!((h.join().unwrap() - local).abs() < 1e-6);
         }
-        fe.stop();
-    }
-
-    #[test]
-    fn delayed_batching_staged_ablation_path() {
-        let (rt, fe, id) = serve_sa_with(
-            FrontEndConfig {
-                batch_delay: Some(Duration::from_millis(2)),
-                ..FrontEndConfig::default()
-            },
-            RuntimeConfig {
-                n_executors: 2,
-                wire_columnar: false,
-                ..RuntimeConfig::default()
-            },
-        );
-        let local = rt.predict(id, "4,pretty good").unwrap();
-        let mut c = Client::connect(fe.addr()).unwrap();
-        let remote = c
-            .predict_text(id, "4,pretty good", FLAG_DELAYED_BATCH)
-            .unwrap();
-        assert_eq!(remote.to_bits(), local.to_bits());
         fe.stop();
     }
 

@@ -65,17 +65,13 @@ pub struct RuntimeConfig {
     pub chunk_size: usize,
     /// Execute batch-engine chunks over columnar working sets (one
     /// [`pretzel_data::ColumnBatch`] per plan slot per chunk) instead of
-    /// per-record vector leases. On by default; off reproduces the
-    /// pre-columnar data plane for the ablation. Composes with sub-plan
-    /// materialization: cacheable steps probe the (per-record-keyed) cache
-    /// at chunk granularity and batch-evaluate only the missing rows.
+    /// per-record vector leases. On by default; off runs the per-record
+    /// chunk loop, which warms (and so holds) fewer pool bytes on text
+    /// plans but is slower on both batch workloads of the benchmark.
+    /// Composes with sub-plan materialization: cacheable steps probe the
+    /// (per-record-keyed) cache at chunk granularity and batch-evaluate
+    /// only the missing rows.
     pub columnar: bool,
-    /// Assemble FrontEnd wire requests straight into a pool-leased
-    /// [`pretzel_data::ColumnBatch`] (no `Vec<Record>` staging copy, no
-    /// per-record allocation between socket and kernel). On by default;
-    /// off keeps the Record-staged ingest path as the ablation control.
-    /// Scores are bitwise-identical either way.
-    pub wire_columnar: bool,
     /// Garbage-collect catalog physical stages whose last plan was
     /// undeployed (on by default, so the catalog returns to baseline after
     /// model churn). Off keeps retired stages resident — the ablation that
@@ -99,29 +95,14 @@ pub struct RuntimeConfig {
     /// Sliding window over which [`Self::fault_quarantine_threshold`]
     /// counts execution faults.
     pub fault_window: std::time::Duration,
-    /// Explicit-SIMD dispatch for the dense kernels and the probe table's
-    /// tag-group scan. `None` (the default) leaves the process setting
-    /// alone — environment `PRETZEL_SIMD` plus hardware detection decide;
-    /// `Some(on)` forces the process knob
-    /// ([`pretzel_data::simd::set_simd`]) when the runtime starts. The
-    /// knob is process-wide because SIMD-on and SIMD-off are
-    /// bitwise-identical by construction — it selects throughput, never
-    /// results — so per-runtime isolation buys nothing.
-    pub simd: Option<bool>,
-    /// Pins the probe-prefetch cache threshold (bytes) instead of the
-    /// one-shot startup calibration
-    /// ([`pretzel_data::calibrate::set_prefetch_threshold`]) — for
-    /// reproducible benches. `None` (the default) calibrates. Applied when
-    /// the runtime starts; only affects dictionaries built afterwards.
-    pub prefetch_threshold_bytes: Option<usize>,
     /// Shard the execution plane per core (on by default): each batch
     /// executor owns a run queue (dry workers steal, two-choice policy)
     /// and a lock-free pool arena fronting one shared fallback arena; the
     /// request-response and ingest pools become lock-free arenas too. Off
-    /// restores the shared-everything plane (one queue, mutex-backed
-    /// pools) as the ablation control. Scores and cache hit/miss counts
-    /// are bitwise-identical either way — sharding moves work and buffers
-    /// around, never the math.
+    /// selects the shared-everything plane (one queue, mutex-backed
+    /// pools, no per-size-class preallocation). Scores and cache hit/miss
+    /// counts are bitwise-identical either way — sharding moves work and
+    /// buffers around, never the math.
     pub sharded: bool,
     /// Runtime telemetry (on by default): sharded per-core recorders for
     /// per-plan queue-wait / stage-execution latency histograms, decode and
@@ -151,13 +132,10 @@ impl Default for RuntimeConfig {
             materialization_budget: 0,
             chunk_size: 64,
             columnar: true,
-            wire_columnar: true,
             catalog_gc: true,
             reject_non_finite: true,
             fault_quarantine_threshold: 3,
             fault_window: std::time::Duration::from_secs(10),
-            simd: None,
-            prefetch_threshold_bytes: None,
             sharded: true,
             telemetry: true,
             tombstone_cap: 1024,
@@ -301,14 +279,6 @@ impl Runtime {
     /// "overheads for instantiating memory and threads are paid upfront at
     /// initialization time" (paper §4).
     pub fn new(config: RuntimeConfig) -> Self {
-        // SIMD selects between bitwise-identical paths, so it stays a
-        // process knob; `None` defers to environment + hardware dispatch.
-        if let Some(simd) = config.simd {
-            pretzel_data::simd::set_simd(Some(simd));
-        }
-        if let Some(bytes) = config.prefetch_threshold_bytes {
-            pretzel_data::calibrate::set_prefetch_threshold(bytes);
-        }
         let cache = (config.materialization_budget > 0)
             .then(|| Arc::new(MaterializationCache::new(config.materialization_budget)));
         let metrics = config.telemetry.then(|| Arc::new(MetricsRegistry::new()));
@@ -397,15 +367,13 @@ impl Runtime {
 
     /// Outstanding pool leases (acquisitions minus returns) summed over
     /// the batch engine's executor pools and the request-response pool.
-    /// At quiescence — no request in flight — this must be stable across
+    /// At quiescence — no request in flight — this is exactly zero after
     /// any amount of traffic, *including contained execution faults*: a
     /// panic that unwound through a chunk without returning its working
-    /// set would show up here as a permanently growing residue. The
-    /// unwind-safety stress test gates on exactly that.
+    /// set would show up here as a permanent residue. The unwind-safety
+    /// stress test gates on exactly that.
     pub fn pool_outstanding(&self) -> i64 {
-        let rr = self.rr_pool.stats();
-        self.scheduler.pool_outstanding() + (rr.hits() + rr.misses()) as i64
-            - (rr.released() + rr.dropped()) as i64
+        self.scheduler.pool_outstanding() + self.rr_pool.stats().outstanding()
     }
 
     /// The telemetry registry, when [`RuntimeConfig::telemetry`] is on.
@@ -536,8 +504,9 @@ impl Runtime {
 
     fn compile(&self, logical: &StagePlan) -> Result<Arc<ModelPlan>> {
         let opts = CompileOptions {
-            // Fused stages embed per-pipeline weights; keep featurizer
-            // outputs materializable when the cache is on (DESIGN.md §3).
+            // Fused stages embed per-pipeline weights, so their featurizer
+            // outputs never exist to be cached: fuse only with the
+            // sub-plan materialization cache off.
             fuse_ngram_dot: self.cache.is_none(),
         };
         // Stage residency probe: signatures are prepared before stages are
@@ -721,10 +690,24 @@ impl Runtime {
         result
     }
 
-    /// Batch engine: submits records to the scheduler, returning a handle.
+    /// Batch engine over owned records: packs them into a batch leased
+    /// from [`Self::ingest_pool`] and submits it through
+    /// [`Self::predict_batch_assembled`]. A record that does not fit the
+    /// plan's source type (wrong kind, wrong width) fails this call itself
+    /// rather than the returned handle.
     pub fn predict_batch(&self, id: PlanId, records: Vec<Record>) -> Result<BatchHandle> {
-        let (plan, pass) = self.admit(id)?;
-        Ok(self.scheduler.submit_batch_gated(id, plan, records, pass))
+        let source_type = self.plan(id)?.source_type;
+        let mut rows = self.ingest_pool.acquire_batch(source_type, records.len());
+        let loaded = records
+            .iter()
+            .try_for_each(|r| r.as_source().load_into_batch(&mut rows));
+        if let Err(e) = loaded {
+            self.ingest_pool.release_batch(rows);
+            return Err(e);
+        }
+        // No ingest-time hashes: the scheduler hashes rows on demand when
+        // a materialization cache consumes them.
+        self.predict_batch_assembled(id, rows, Vec::new())
     }
 
     /// Convenience: batch-predict and wait.
@@ -732,11 +715,10 @@ impl Runtime {
         self.predict_batch(id, records)?.wait()
     }
 
-    /// Batch engine over a wire-assembled request: the rows (and per-row
-    /// content hashes) a [`pretzel_data::BatchAssembler`] built straight
-    /// from the wire are submitted as-is — no `Record` staging copy. The
-    /// batch buffer returns to [`Self::ingest_pool`] when the request
-    /// completes.
+    /// Batch engine over an assembled request: the rows (and per-row
+    /// content hashes, possibly none) a [`pretzel_data::BatchAssembler`]
+    /// built straight from the wire are submitted as-is. The batch buffer
+    /// returns to [`Self::ingest_pool`] when the request completes.
     pub fn predict_batch_assembled(
         &self,
         id: PlanId,

@@ -29,9 +29,10 @@
 //! buffers live in the victim's arena and go home via lock-free cross-core
 //! return). Stolen chunks re-enter the *thief's* queue for later stages,
 //! so a chunk migrates at most once per dry spell. Reserved executors stay
-//! outside the steal set. `sharded = false` keeps the original
-//! shared-everything plane as the measured ablation control; scores and
-//! cache hit/miss counts are bitwise-identical either way.
+//! outside the steal set. `sharded = false` selects the paper's
+//! shared-everything plane — one queue pair every executor blocks on,
+//! mutex-backed pools; scores and cache hit/miss counts are
+//! bitwise-identical either way.
 
 use crate::lifecycle::GatePass;
 use crate::object_store::MaterializationCache;
@@ -170,14 +171,10 @@ impl Drop for AssembledBatch {
     }
 }
 
-/// The source rows a submitted batch executes over: staged `Record`s (the
-/// classic path, and the `wire_columnar = false` ablation control) or a
-/// wire-assembled [`AssembledBatch`].
+/// The source rows a submitted batch executes over.
 #[derive(Debug, Clone)]
 enum BatchInput {
-    /// One owned `Record` per row.
-    Records(Arc<Vec<Record>>),
-    /// All rows packed in one column batch.
+    /// All rows packed in one column batch, shared by the batch's chunks.
     Assembled(Arc<AssembledBatch>),
     /// The rows themselves were *moved* into the chunk's slot 0 (zero-copy
     /// single-chunk ingest); only their count and ingest-time hashes
@@ -212,7 +209,6 @@ enum SlotZero {
 impl BatchInput {
     fn len(&self) -> usize {
         match self {
-            BatchInput::Records(r) => r.len(),
             BatchInput::Assembled(a) => a.len(),
             BatchInput::Moved(m) => m.len,
         }
@@ -221,7 +217,6 @@ impl BatchInput {
     /// Borrows row `i` as a source record.
     fn source_at(&self, i: usize) -> Result<SourceRef<'_>> {
         match self {
-            BatchInput::Records(r) => Ok(r[i].as_source()),
             BatchInput::Assembled(a) => SourceRef::from_row(a.rows.row(i)),
             BatchInput::Moved(_) => Err(DataError::Runtime(
                 "moved batch rows live in the chunk working set".into(),
@@ -230,11 +225,9 @@ impl BatchInput {
     }
 
     /// Content hash of row `i` (assembled inputs carry theirs from ingest
-    /// when recorded; staged records and unhashed assemblies hash on
-    /// demand, as the pre-assembler path always did).
+    /// when recorded; unhashed assemblies hash on demand).
     fn hash_at(&self, i: usize) -> u64 {
         match self {
-            BatchInput::Records(r) => r[i].as_source().content_hash(),
             BatchInput::Assembled(a) => a.hash_of(i),
             // Moves only happen with ingest-time hashes present whenever a
             // cache could consume them (see `prepare_assembled`).
@@ -342,9 +335,8 @@ impl BatchHandle {
 /// `Columnar` is the default data plane: one [`ColumnBatch`] per plan slot
 /// for the whole chunk (with sub-plan materialization on, cacheable steps
 /// probe the cache at chunk granularity). `Records` is the per-record
-/// fallback — one vector working set per record — used when columnar
-/// execution is disabled, and kept as the measured baseline for the
-/// columnar and cache×columnar ablations.
+/// plane — one vector working set per record — used when columnar
+/// execution is disabled.
 enum ChunkWorkingSet {
     /// Not leased yet (before the chunk's first stage runs).
     Unleased,
@@ -551,7 +543,7 @@ pub struct SchedulerConfig {
     /// Sub-plan materialization cache, if enabled.
     pub cache: Option<Arc<MaterializationCache>>,
     /// Per-executor run queues + work stealing + lock-free pool arenas
-    /// (vs the shared-everything plane, kept as the ablation control).
+    /// (vs the shared-everything plane).
     pub sharded: bool,
     /// Telemetry plane: per-plan queue-wait and stage-execution recording
     /// plus cache-probe timing on each executor's `ExecCtx`. `None` (the
@@ -580,7 +572,7 @@ impl std::fmt::Debug for FaultHookCell {
 /// The submission plane: where unreserved chunks go and executors pull.
 #[derive(Debug)]
 enum Plane {
-    /// One queue pair every executor blocks on (ablation control).
+    /// One queue pair every executor blocks on.
     Shared(Arc<DualQueue>),
     /// One queue pair per executor; chunks round-robin across workers and
     /// dry workers steal from each other.
@@ -664,7 +656,7 @@ impl Scheduler {
     /// With `columnar` set (the default data plane), each chunk leases one
     /// columnar working set and stages execute whole-chunk batch kernels;
     /// otherwise chunks carry per-record working sets and stages loop over
-    /// records (the pre-columnar behaviour, kept for the ablation). Sub-plan
+    /// records. Sub-plan
     /// materialization composes with columnar execution: cacheable steps
     /// run the chunk-level cache probe (per-row hash probe, miss sub-batch)
     /// inside [`PhysicalStage::execute_batch`].
@@ -851,24 +843,20 @@ impl Scheduler {
     }
 
     /// Outstanding leases across every executor pool (shared and
-    /// reserved): acquisitions minus returns, where a buffer dropped on a
-    /// full size class counts as returned. At quiescence this is the
-    /// number of leased buffers that never came home — the unwind-safety
-    /// observable: a contained fault that leaked its chunk's working set
-    /// shows up here even though hit/miss ratios look healthy.
+    /// reserved): acquisitions minus returns ([`PoolStats::outstanding`]).
+    /// At quiescence this is exactly the number of leased buffers that
+    /// never came home — the unwind-safety observable: a contained fault
+    /// that leaked its chunk's working set shows up here even though
+    /// hit/miss ratios look healthy.
+    ///
+    /// [`PoolStats::outstanding`]: pretzel_data::pool::PoolStats::outstanding
     pub fn pool_outstanding(&self) -> i64 {
         let reserved = self.reserved.lock();
-        let mut out = 0i64;
-        for pool in self
-            .exec_pools
+        self.exec_pools
             .iter()
             .chain(reserved.values().map(|r| &r.pool))
-        {
-            let s = pool.stats();
-            out += (s.hits() + s.misses()) as i64;
-            out -= (s.released() + s.dropped()) as i64;
-        }
-        out
+            .map(|pool| pool.stats().outstanding())
+            .sum()
     }
 
     /// Tears down a plan's reservation: removes the queue from the routing
@@ -885,7 +873,7 @@ impl Scheduler {
         };
         res.queue.close();
         if let Some(handle) = res.handle.take() {
-            let _ = handle.join();
+            join_unless_current(handle);
         }
         true
     }
@@ -895,46 +883,12 @@ impl Scheduler {
         self.reserved.lock().len()
     }
 
-    /// Submits a batch of records for `plan`; chunks enter the low-priority
-    /// queue (new pipelines) and climb to high priority as they progress.
-    pub fn submit_batch(
-        &self,
-        plan_id: u32,
-        plan: Arc<ModelPlan>,
-        records: Vec<Record>,
-    ) -> BatchHandle {
-        self.submit_input(
-            plan_id,
-            plan,
-            BatchInput::Records(Arc::new(records)),
-            None,
-            None,
-        )
-    }
-
-    /// [`Self::submit_batch`] carrying the submission's lifecycle gate
-    /// pass; the pass is released when the batch's last chunk completes,
-    /// which is the event `undeploy`'s drain waits for.
-    pub fn submit_batch_gated(
-        &self,
-        plan_id: u32,
-        plan: Arc<ModelPlan>,
-        records: Vec<Record>,
-        gate: GatePass,
-    ) -> BatchHandle {
-        self.submit_input(
-            plan_id,
-            plan,
-            BatchInput::Records(Arc::new(records)),
-            Some(gate),
-            None,
-        )
-    }
-
-    /// Submits a wire-assembled request batch: the rows the FrontEnd built
-    /// straight from the wire become the rows chunks bulk-load from —
-    /// no `Record` round-trip. A request that fits one chunk skips even
-    /// the bulk load: its batch is *moved* into the chunk's slot 0.
+    /// Submits an assembled request batch: the rows the FrontEnd built
+    /// straight from the wire become the rows chunks load from. Chunks
+    /// enter the low-priority queue (new pipelines) and climb to high
+    /// priority as they progress. A request that fits one columnar chunk
+    /// skips even the bulk load: its batch is *moved* into the chunk's
+    /// slot 0.
     pub fn submit_assembled(
         &self,
         plan_id: u32,
@@ -1067,13 +1021,24 @@ impl Scheduler {
             r.queue.close();
         }
         for h in self.executors.drain(..) {
-            let _ = h.join();
+            join_unless_current(h);
         }
         for r in &mut reserved {
             if let Some(h) = r.handle.take() {
-                let _ = h.join();
+                join_unless_current(h);
             }
         }
+    }
+}
+
+/// Joins an executor thread — unless it is the calling thread. A
+/// completion callback that drops the last handle on the scheduler runs
+/// teardown *on* an executor; joining itself would deadlock (`EDEADLK`).
+/// Its queue is already closed, so it exits as soon as the callback
+/// returns.
+fn join_unless_current(handle: JoinHandle<()>) {
+    if handle.thread().id() != std::thread::current().id() {
+        let _ = handle.join();
     }
 }
 
@@ -1087,8 +1052,8 @@ impl Drop for Scheduler {
 /// improve locality", paper §4.2.1); the scheduler keeps a handle so
 /// deploy-time warming and stats can reach it. On the sharded plane each
 /// executor fronts the scheduler-wide fallback arena with a lock-free
-/// arena of its own; on the shared plane (and for the ablation control)
-/// each executor gets the mutex-backed pool.
+/// arena of its own; on the shared plane each executor gets the
+/// mutex-backed pool.
 fn build_pool(pooling: bool, fallback: Option<&Arc<VectorPool>>) -> VectorPool {
     if !pooling {
         return VectorPool::disabled();
@@ -1258,13 +1223,9 @@ fn run_chunk_stage(
             } else {
                 let mut slots: Vec<ColumnBatch> =
                     types.iter().map(|&t| pool.acquire_batch(t, n)).collect();
-                // Wire-assembled inputs bulk-copy their row range into
-                // slot 0 (one extend per backing buffer); staged records
-                // append one row each, as before.
+                // Bulk-copy the chunk's row range into slot 0 (one extend
+                // per backing buffer).
                 let loaded = match &task.input {
-                    BatchInput::Records(records) => records[start..end]
-                        .iter()
-                        .try_for_each(|r| r.as_source().load_into_batch(&mut slots[0])),
                     BatchInput::Assembled(a) => slots[0].extend_from_range(a.rows(), start, end),
                     BatchInput::Moved(_) => unreachable!("moved source taken above"),
                 };
@@ -1313,11 +1274,6 @@ fn run_chunk_stage(
             if ctx.cache.is_some() && stage.has_cacheable_steps() {
                 ctx.source_hashes.clear();
                 match &task.input {
-                    BatchInput::Records(records) => ctx.source_hashes.extend(
-                        records[start..end]
-                            .iter()
-                            .map(|r| r.as_source().content_hash()),
-                    ),
                     // Assembled inputs carry their hashes from ingest
                     // (computed over the same bytes with the same shared
                     // helpers, so cache keys are identical); an unhashed
@@ -1531,6 +1487,7 @@ mod tests {
     use crate::flour::FlourContext;
     use crate::object_store::ObjectStore;
     use crate::physical::CompileOptions;
+    use pretzel_data::{ColumnType, Vector};
     use pretzel_ops::linear::LinearKind;
     use pretzel_ops::synth;
 
@@ -1555,12 +1512,30 @@ mod tests {
             .collect()
     }
 
+    /// Packs records into an unhashed assembled batch with no home pool,
+    /// typed by its first record.
+    fn assembled(records: &[Record]) -> AssembledBatch {
+        let ty = match records.first() {
+            Some(Record::Dense(x)) => ColumnType::F32Dense { len: x.len() },
+            _ => ColumnType::Text,
+        };
+        let mut rows = ColumnBatch::with_type(ty);
+        for r in records {
+            r.as_source().load_into_batch(&mut rows).unwrap();
+        }
+        AssembledBatch::new(rows, Vec::new(), None).unwrap()
+    }
+
+    fn submit(sched: &Scheduler, id: u32, plan: &Arc<ModelPlan>, recs: &[Record]) -> BatchHandle {
+        sched.submit_assembled(id, Arc::clone(plan), assembled(recs))
+    }
+
     #[test]
     fn batch_results_match_inline_execution() {
         let plan = sa_plan(3);
         let sched = Scheduler::new(2, true, 4, true, None);
         let recs = records(17);
-        let handle = sched.submit_batch(0, Arc::clone(&plan), recs.clone());
+        let handle = submit(&sched, 0, &plan, &recs);
         let scores = handle.wait().unwrap();
         assert_eq!(scores.len(), 17);
 
@@ -1587,7 +1562,7 @@ mod tests {
     fn empty_batch_completes_immediately() {
         let plan = sa_plan(1);
         let sched = Scheduler::new(1, true, 8, true, None);
-        let scores = sched.submit_batch(0, plan, vec![]).wait().unwrap();
+        let scores = submit(&sched, 0, &plan, &[]).wait().unwrap();
         assert!(scores.is_empty());
         sched.shutdown();
     }
@@ -1599,7 +1574,7 @@ mod tests {
         let handles: Vec<_> = plans
             .iter()
             .enumerate()
-            .map(|(i, p)| sched.submit_batch(i as u32, Arc::clone(p), records(23)))
+            .map(|(i, p)| submit(&sched, i as u32, p, &records(23)))
             .collect();
         for h in handles {
             assert_eq!(h.wait().unwrap().len(), 23);
@@ -1619,7 +1594,7 @@ mod tests {
         let plan = sa_plan(5);
         let sched = Scheduler::new(2, true, 4, true, None);
         // Dense record into a text pipeline: source load fails.
-        let handle = sched.submit_batch(0, plan, vec![Record::Dense(vec![1.0, 2.0])]);
+        let handle = submit(&sched, 0, &plan, &[Record::Dense(vec![1.0, 2.0])]);
         assert!(handle.wait().is_err());
         sched.shutdown();
     }
@@ -1629,10 +1604,10 @@ mod tests {
         let plan = sa_plan(9);
         let sched = Scheduler::new(1, true, 4, true, None);
         sched.reserve(7);
-        let h = sched.submit_batch(7, Arc::clone(&plan), records(5));
+        let h = submit(&sched, 7, &plan, &records(5));
         assert_eq!(h.wait().unwrap().len(), 5);
         // Unreserved traffic still flows through the shared queue.
-        let h2 = sched.submit_batch(1, plan, records(5));
+        let h2 = submit(&sched, 1, &plan, &records(5));
         assert_eq!(h2.wait().unwrap().len(), 5);
         sched.shutdown();
     }
@@ -1643,11 +1618,8 @@ mod tests {
         let recs = records(37);
         let columnar = Scheduler::new(2, true, 8, true, None);
         let per_record = Scheduler::new(2, true, 8, false, None);
-        let a = columnar
-            .submit_batch(0, Arc::clone(&plan), recs.clone())
-            .wait()
-            .unwrap();
-        let b = per_record.submit_batch(0, plan, recs).wait().unwrap();
+        let a = submit(&columnar, 0, &plan, &recs).wait().unwrap();
+        let b = submit(&per_record, 0, &plan, &recs).wait().unwrap();
         assert_eq!(a.len(), b.len());
         for (i, (x, y)) in a.iter().zip(&b).enumerate() {
             assert_eq!(x.to_bits(), y.to_bits(), "record {i}: {x} vs {y}");
@@ -1661,10 +1633,7 @@ mod tests {
         let plan = sa_plan(23);
         let sched = Scheduler::new(2, true, 4, false, None);
         let recs = records(9);
-        let scores = sched
-            .submit_batch(0, Arc::clone(&plan), recs.clone())
-            .wait()
-            .unwrap();
+        let scores = submit(&sched, 0, &plan, &recs).wait().unwrap();
         let pool = Arc::new(VectorPool::new());
         let mut ctx = ExecCtx::new(pool);
         let mut slots: Vec<Vector> = plan
@@ -1684,7 +1653,7 @@ mod tests {
         let plan = sa_plan(25);
         let sched = Scheduler::new(1, true, 4, true, None);
         // Dense record into a text pipeline: batch source load fails.
-        let handle = sched.submit_batch(0, plan, vec![Record::Dense(vec![1.0])]);
+        let handle = submit(&sched, 0, &plan, &[Record::Dense(vec![1.0])]);
         assert!(handle.wait().is_err());
         sched.shutdown();
     }
@@ -1703,14 +1672,8 @@ mod tests {
         let recs = records(11);
         // Two passes each: cold cache, then warm cache.
         for pass in 0..2 {
-            let a = columnar
-                .submit_batch(0, Arc::clone(&plan), recs.clone())
-                .wait()
-                .unwrap();
-            let b = per_record
-                .submit_batch(0, Arc::clone(&plan), recs.clone())
-                .wait()
-                .unwrap();
+            let a = submit(&columnar, 0, &plan, &recs).wait().unwrap();
+            let b = submit(&per_record, 0, &plan, &recs).wait().unwrap();
             for (i, (x, y)) in a.iter().zip(&b).enumerate() {
                 assert_eq!(
                     x.to_bits(),
@@ -1737,7 +1700,7 @@ mod tests {
     fn pooling_disabled_still_correct() {
         let plan = sa_plan(11);
         let sched = Scheduler::new(2, false, 4, true, None);
-        let scores = sched.submit_batch(0, plan, records(9)).wait().unwrap();
+        let scores = submit(&sched, 0, &plan, &records(9)).wait().unwrap();
         assert_eq!(scores.len(), 9);
         sched.shutdown();
     }
@@ -1748,14 +1711,14 @@ mod tests {
         let sched = Scheduler::new(1, true, 4, true, None);
         sched.reserve(3);
         assert_eq!(sched.reserved_count(), 1);
-        let h = sched.submit_batch(3, Arc::clone(&plan), records(13));
+        let h = submit(&sched, 3, &plan, &records(13));
         assert_eq!(h.wait().unwrap().len(), 13);
         assert!(sched.unreserve(3), "reservation existed");
         assert_eq!(sched.reserved_count(), 0);
         assert!(!sched.unreserve(3), "second unreserve is a no-op");
         // Post-unreserve traffic for the plan flows through the shared
         // queue: nothing is lost.
-        let h2 = sched.submit_batch(3, plan, records(5));
+        let h2 = submit(&sched, 3, &plan, &records(5));
         assert_eq!(h2.wait().unwrap().len(), 5);
         sched.shutdown();
     }
@@ -1766,7 +1729,7 @@ mod tests {
         let sched = Scheduler::new(1, true, 4, true, None);
         for round in 0..20u32 {
             sched.reserve(round);
-            let h = sched.submit_batch(round, Arc::clone(&plan), records(3));
+            let h = submit(&sched, round, &plan, &records(3));
             assert_eq!(h.wait().unwrap().len(), 3);
             assert!(sched.unreserve(round));
         }
@@ -1778,7 +1741,7 @@ mod tests {
     fn drop_without_shutdown_joins_cleanly() {
         let plan = sa_plan(13);
         let sched = Scheduler::new(2, true, 4, true, None);
-        let h = sched.submit_batch(0, plan, records(3));
+        let h = submit(&sched, 0, &plan, &records(3));
         let _ = h.wait().unwrap();
         drop(sched);
     }
@@ -1805,14 +1768,8 @@ mod tests {
         let sharded = plane(true, 1, 8);
         let shared = plane(false, 1, 8);
         for pass in 0..2 {
-            let a = sharded
-                .submit_batch(0, Arc::clone(&plan), recs.clone())
-                .wait()
-                .unwrap();
-            let b = shared
-                .submit_batch(0, Arc::clone(&plan), recs.clone())
-                .wait()
-                .unwrap();
+            let a = submit(&sharded, 0, &plan, &recs).wait().unwrap();
+            let b = submit(&shared, 0, &plan, &recs).wait().unwrap();
             assert_eq!(a.len(), b.len());
             for (i, (x, y)) in a.iter().zip(&b).enumerate() {
                 assert_eq!(x.to_bits(), y.to_bits(), "pass {pass} record {i}");
@@ -1842,9 +1799,9 @@ mod tests {
         let mut stole = false;
         for _round in 0..20 {
             let sched = plane(true, 2, 4096);
-            let ha = sched.submit_batch(0, Arc::clone(&plan), heavy.clone());
-            let hd = sched.submit_batch(0, Arc::clone(&plan), records(2));
-            let hc = sched.submit_batch(0, Arc::clone(&plan), records(3));
+            let ha = submit(&sched, 0, &plan, &heavy);
+            let hd = submit(&sched, 0, &plan, &records(2));
+            let hc = submit(&sched, 0, &plan, &records(3));
             assert_eq!(ha.wait().unwrap().len(), 3000);
             assert_eq!(hd.wait().unwrap().len(), 2);
             let scores = hc.wait().unwrap();
@@ -1894,15 +1851,14 @@ mod tests {
                 }
             })
         };
-        let submit = {
+        let submitter = {
             let sched = Arc::clone(&sched);
             let plan = Arc::clone(&plan);
             let tx = tx.clone();
             std::thread::spawn(move || {
                 for _ in 0..BATCHES {
                     let tx = tx.clone();
-                    sched
-                        .submit_batch(9, Arc::clone(&plan), records(PER_BATCH))
+                    submit(&sched, 9, &plan, &records(PER_BATCH))
                         .on_complete(move |r| tx.send(r).unwrap());
                 }
             })
@@ -1915,7 +1871,7 @@ mod tests {
                 .unwrap();
             assert_eq!(scores.len(), PER_BATCH);
         }
-        submit.join().unwrap();
+        submitter.join().unwrap();
         churn.join().unwrap();
         assert_eq!(
             sched.stats().records_done.load(Ordering::Relaxed),

@@ -15,8 +15,7 @@
 //! and tests the threshold can be pinned before first use:
 //!
 //! * `PRETZEL_PREFETCH_BYTES=<n>` in the environment, or
-//! * [`set_prefetch_threshold`] programmatically
-//!   (`RuntimeConfig::prefetch_threshold_bytes` at the runtime layer).
+//! * [`set_prefetch_threshold`] programmatically.
 //!
 //! The override is consulted on every call, so it also wins over an
 //! already-cached measurement — but note tables snapshot the decision at

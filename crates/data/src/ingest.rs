@@ -374,8 +374,8 @@ pub fn check_finite(values: &[f32]) -> Result<()> {
 }
 
 /// Checks that a wire sparse row's indices are strictly increasing and
-/// within the dimensionality — the ingest-boundary validation every decode
-/// path (columnar or Record-staged) applies to CSR triples.
+/// within the dimensionality — the ingest-boundary validation applied to
+/// CSR triples.
 pub fn validate_sparse_indices(indices: &[u32], dim: u32) -> Result<()> {
     for (i, &idx) in indices.iter().enumerate() {
         if idx >= dim {

@@ -16,8 +16,9 @@
 //! Two backends implement the free lists:
 //!
 //! * **Locked** ([`VectorPool::new`]) — mutex-guarded `Vec` free lists per
-//!   size class: the original shared-everything implementation, kept as
-//!   the measured ablation control (`RuntimeConfig::sharded = false`).
+//!   size class: the shared-everything plane's backend
+//!   (`RuntimeConfig::sharded = false`), which allocates nothing per size
+//!   class up front.
 //! * **Arena** ([`VectorPool::arena`]) — per-class lock-free
 //!   [`SlotStack`]s behind a CAS-published class directory: the sharded
 //!   execution plane's per-core arenas. The hot lease/return path is a
@@ -62,14 +63,22 @@ impl PoolStats {
         self.misses.load(Ordering::Relaxed)
     }
 
-    /// Buffers returned to the pool.
+    /// Buffers handed back through `release[_batch]`, whether they were
+    /// parked, spilled to the fallback, or dropped.
     pub fn released(&self) -> u64 {
         self.released.load(Ordering::Relaxed)
     }
 
-    /// Buffers dropped because a size class was already full.
+    /// The subset of [`Self::released`] that was dropped instead of parked:
+    /// the size class (and any fallback) was full, or pooling is disabled.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
+    }
+
+    /// Leases not yet handed back: `hits + misses − released`. Zero at
+    /// quiescence unless a buffer leaked.
+    pub fn outstanding(&self) -> i64 {
+        (self.hits() + self.misses()) as i64 - self.released() as i64
     }
 }
 
@@ -588,18 +597,17 @@ impl VectorPool {
 
     /// Returns a buffer to the pool (or drops it when disabled/full).
     pub fn release(&self, v: Vector) {
-        if !self.enabled {
-            return;
-        }
         self.stats.released.fetch_add(1, Ordering::Relaxed);
-        if let Err(v) = self.store_free(v) {
-            let spilled = self
-                .fallback
-                .as_ref()
-                .is_some_and(|f| f.store_free(v).is_ok());
-            if !spilled {
-                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
-            }
+        let parked = self.enabled
+            && match self.store_free(v) {
+                Ok(()) => true,
+                Err(v) => self
+                    .fallback
+                    .as_ref()
+                    .is_some_and(|f| f.store_free(v).is_ok()),
+            };
+        if !parked {
+            self.stats.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -633,19 +641,19 @@ impl VectorPool {
     /// ([`ColumnBatch::detach_shared`]) drops the share before parking, so
     /// the source's next reuse stays copy-free.
     pub fn release_batch(&self, mut b: ColumnBatch) {
-        if !self.enabled {
-            return;
-        }
-        b.detach_shared();
         self.stats.released.fetch_add(1, Ordering::Relaxed);
-        if let Err(b) = self.store_free_batch(b) {
-            let spilled = self
-                .fallback
-                .as_ref()
-                .is_some_and(|f| f.store_free_batch(b).is_ok());
-            if !spilled {
-                self.stats.dropped.fetch_add(1, Ordering::Relaxed);
+        let parked = self.enabled && {
+            b.detach_shared();
+            match self.store_free_batch(b) {
+                Ok(()) => true,
+                Err(b) => self
+                    .fallback
+                    .as_ref()
+                    .is_some_and(|f| f.store_free_batch(b).is_ok()),
             }
+        };
+        if !parked {
+            self.stats.dropped.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -807,6 +815,28 @@ mod tests {
             pool.release(Vector::Text(String::with_capacity(16)));
         }
         assert_eq!(pool.stats().dropped(), 1);
+    }
+
+    #[test]
+    fn overfilled_class_keeps_lease_accounting_balanced() {
+        // A buffer dropped on a full class is still a returned lease:
+        // `dropped` is a subset of `released`, never an extra return.
+        let ty = ColumnType::F32Dense { len: 4 };
+        for pool in [VectorPool::new(), VectorPool::arena()] {
+            let pool = pool.with_max_per_class(1);
+            let leased: Vec<_> = (0..3).map(|_| pool.acquire_batch(ty, 2)).collect();
+            let vectors: Vec<_> = (0..3).map(|_| pool.acquire(ty)).collect();
+            assert_eq!(pool.stats().outstanding(), 6);
+            leased.into_iter().for_each(|b| pool.release_batch(b));
+            vectors.into_iter().for_each(|v| pool.release(v));
+            assert_eq!(pool.stats().dropped(), 4, "two of each overflow the class");
+            assert_eq!(pool.stats().outstanding(), 0);
+        }
+        // The pooling-off ablation drops everything and balances too.
+        let off = VectorPool::disabled();
+        off.release(off.acquire(ty));
+        off.release_batch(off.acquire_batch(ty, 2));
+        assert_eq!(off.stats().outstanding(), 0);
     }
 
     #[test]

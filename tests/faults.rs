@@ -9,8 +9,8 @@
 //!   `fault_window` is quarantined (gate closed) and each alias bound to
 //!   it rolls back to its most recent live predecessor;
 //! * the unwind path is pool-safe: a multi-threaded fault storm over the
-//!   sharded execution plane leaks no leased buffer
-//!   ([`Runtime::pool_outstanding`] returns to its pre-storm level).
+//!   execution plane leaks no leased buffer
+//!   ([`Runtime::pool_outstanding`] returns to exactly zero).
 //!
 //! These tests enable the `fault-op` feature of `pretzel-ops` (a
 //! dev-dependency of the workspace façade) to build plans that panic on a
@@ -203,8 +203,8 @@ fn manual_rollback_walks_the_version_stack() {
     assert_eq!(rt.resolve("m"), Some(v1));
 }
 
-/// The tentpole stress: a multi-threaded fault storm over the sharded
-/// execution plane (work stealing on) must lose no healthy request, kill
+/// The tentpole stress: a multi-threaded fault storm over the execution
+/// plane (work stealing on) must lose no healthy request, kill
 /// no executor, and leak no pooled buffer through the unwind path.
 #[test]
 fn unwind_safety_stress_keeps_pool_accounting_balanced() {
@@ -217,13 +217,12 @@ fn unwind_safety_stress_keeps_pool_accounting_balanced() {
         .map(|k| rt.register(build(8 + k, false).plan().unwrap()).unwrap())
         .collect();
 
-    // Warm every path once (RR and batch), then take the baseline.
+    // Warm every path once (RR and batch).
     for &id in healthy.iter().chain([&faulty]) {
         rt.predict(id, CLEAN).unwrap();
         rt.predict_batch_wait(id, vec![Record::Text(CLEAN.into()); 3])
             .unwrap();
     }
-    let baseline = rt.pool_outstanding();
 
     let reqs = 120;
     let mut handles = Vec::new();
@@ -286,13 +285,13 @@ fn unwind_safety_stress_keeps_pool_accounting_balanced() {
     // asynchronously after delivering results, so poll briefly.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        if rt.pool_outstanding() == baseline {
+        if rt.pool_outstanding() == 0 {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "pool leases leaked through the unwind path: baseline {baseline}, \
-             now {} after {total_faults} contained faults",
+            "pool leases leaked through the unwind path: {} outstanding \
+             after {total_faults} contained faults",
             rt.pool_outstanding()
         );
         std::thread::sleep(Duration::from_millis(20));

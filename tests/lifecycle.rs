@@ -353,6 +353,47 @@ fn churn_script_replays_cleanly_and_returns_to_baseline() {
     assert_eq!(rt.object_store().unique_bytes(), 0);
     assert_eq!(rt.catalog_size(), 0);
     assert_eq!(rt.plan_count(), 0);
+    assert_eq!(rt.pool_outstanding(), 0, "churn leaves no lease behind");
+}
+
+/// Dropping the last `Arc<Runtime>` inside a completion callback tears the
+/// scheduler down *on* an executor thread; teardown must not join the
+/// thread it runs on.
+#[test]
+fn dropping_the_last_runtime_handle_in_a_completion_callback_is_clean() {
+    // Whether the callback lands on an executor depends on the batch still
+    // being in flight when `on_complete` registers; the batch is sized so
+    // it practically always is, and a few rounds cover the rest.
+    let mut on_executor = false;
+    for round in 0..10 {
+        let rt = Arc::new(Runtime::new(RuntimeConfig {
+            n_executors: 2,
+            chunk_size: 16,
+            ..RuntimeConfig::default()
+        }));
+        let id = rt
+            .deploy(&sa_image(7300 + round), DeployOptions::default())
+            .unwrap();
+        let records: Vec<Record> = (0..4000)
+            .map(|i| Record::Text(format!("4,review number {i} is fine")))
+            .collect();
+        let handle = rt.predict_batch(id, records).unwrap();
+        let (tx, rx) = std::sync::mpsc::channel();
+        handle.on_complete(move |result| {
+            drop(rt); // the only handle: the runtime tears down right here
+            let here = std::thread::current().name().map(str::to_owned);
+            tx.send((result.map(|s| s.len()), here)).unwrap();
+        });
+        let (scored, thread) = rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("teardown inside the callback panicked or hung");
+        assert_eq!(scored.unwrap(), 4000);
+        if thread.is_some_and(|n| n.starts_with("pretzel-exec")) {
+            on_executor = true;
+            break;
+        }
+    }
+    assert!(on_executor, "no round ran the callback on an executor");
 }
 
 /// ObjectStore intern/release property test: random interleavings of

@@ -1,13 +1,10 @@
 //! Wire-to-columnar ingest equivalence sweep.
 //!
-//! The FrontEnd can ingest requests two ways: the Record-staged path
-//! (decode every wire record into an owned `Record`, then re-pack) and
-//! wire-to-columnar assembly (`RuntimeConfig::wire_columnar`, the default:
-//! decode straight into a pool-leased `ColumnBatch`). The contract is that
-//! the two are *bitwise* interchangeable — same scores for every record
-//! kind (text / dense / sparse), every request style (single / batch /
-//! delayed-batch), and every chunk size — with the request-response
-//! engine's per-record scores as the common reference.
+//! The FrontEnd decodes requests straight into a pool-leased
+//! `ColumnBatch`. The contract is that what comes back over the wire is
+//! *bitwise* what the in-process request-response engine scores per record
+//! — for every record kind (text / dense / sparse), every request style
+//! (single / batch / delayed-batch / result-cached), and every chunk size.
 
 use pretzel_core::flour::FlourContext;
 use pretzel_core::frontend::{
@@ -199,7 +196,7 @@ fn assert_bits(label: &str, got: &[f32], want: &[f32]) {
 }
 
 #[test]
-fn wire_columnar_bitwise_matches_record_staged_everywhere() {
+fn wire_scores_bitwise_match_in_process_everywhere() {
     for (name, (plan, kind)) in [
         ("text", text_case()),
         ("dense", dense_case()),
@@ -207,120 +204,123 @@ fn wire_columnar_bitwise_matches_record_staged_everywhere() {
     ] {
         let reference = reference_scores(&plan, &kind);
         for chunk_size in [1usize, 7, 64] {
-            for wire_columnar in [true, false] {
-                let label = format!("{name} chunk={chunk_size} wire_columnar={wire_columnar}");
-                let rt = Arc::new(Runtime::new(RuntimeConfig {
-                    n_executors: 2,
-                    chunk_size,
-                    wire_columnar,
-                    ..RuntimeConfig::default()
-                }));
-                let id = rt.register(plan.clone()).unwrap();
-                let fe = FrontEnd::serve(
-                    Arc::clone(&rt),
-                    FrontEndConfig {
-                        result_cache_bytes: 1 << 14,
-                        batch_delay: Some(Duration::from_millis(1)),
-                        ..FrontEndConfig::default()
-                    },
-                )
-                .unwrap();
-                let mut client = Client::connect(fe.addr()).unwrap();
+            let label = format!("{name} chunk={chunk_size}");
+            let rt = Arc::new(Runtime::new(RuntimeConfig {
+                n_executors: 2,
+                chunk_size,
+                ..RuntimeConfig::default()
+            }));
+            let id = rt.register(plan.clone()).unwrap();
+            let fe = FrontEnd::serve(
+                Arc::clone(&rt),
+                FrontEndConfig {
+                    result_cache_bytes: 1 << 14,
+                    batch_delay: Some(Duration::from_millis(1)),
+                    ..FrontEndConfig::default()
+                },
+            )
+            .unwrap();
+            let mut client = Client::connect(fe.addr()).unwrap();
 
-                assert_bits(
-                    &format!("{label} single"),
-                    &singles(&mut client, id, &kind, 0),
-                    &reference,
-                );
-                assert_bits(
-                    &format!("{label} batch"),
-                    &batch(&mut client, id, &kind),
-                    &reference,
-                );
-                assert_bits(
-                    &format!("{label} delayed"),
-                    &singles(&mut client, id, &kind, FLAG_DELAYED_BATCH),
-                    &reference,
-                );
-                // Delayed batching combined with the result cache: the
-                // first pass populates, the second serves repeats.
-                assert_bits(
-                    &format!("{label} delayed+cached"),
-                    &singles(
-                        &mut client,
-                        id,
-                        &kind,
-                        FLAG_DELAYED_BATCH | FLAG_RESULT_CACHE,
-                    ),
-                    &reference,
-                );
-                assert_bits(
-                    &format!("{label} delayed+cached repeat"),
-                    &singles(
-                        &mut client,
-                        id,
-                        &kind,
-                        FLAG_DELAYED_BATCH | FLAG_RESULT_CACHE,
-                    ),
-                    &reference,
-                );
-                // Result-cached repeats serve the same bits.
-                assert_bits(
-                    &format!("{label} cached"),
-                    &singles(&mut client, id, &kind, FLAG_RESULT_CACHE),
-                    &reference,
-                );
-                assert_bits(
-                    &format!("{label} cached-repeat"),
-                    &singles(&mut client, id, &kind, FLAG_RESULT_CACHE),
-                    &reference,
-                );
-                fe.stop();
-            }
+            assert_bits(
+                &format!("{label} single"),
+                &singles(&mut client, id, &kind, 0),
+                &reference,
+            );
+            assert_bits(
+                &format!("{label} batch"),
+                &batch(&mut client, id, &kind),
+                &reference,
+            );
+            assert_bits(
+                &format!("{label} delayed"),
+                &singles(&mut client, id, &kind, FLAG_DELAYED_BATCH),
+                &reference,
+            );
+            // Delayed batching combined with the result cache: the
+            // first pass populates, the second serves repeats.
+            assert_bits(
+                &format!("{label} delayed+cached"),
+                &singles(
+                    &mut client,
+                    id,
+                    &kind,
+                    FLAG_DELAYED_BATCH | FLAG_RESULT_CACHE,
+                ),
+                &reference,
+            );
+            assert_bits(
+                &format!("{label} delayed+cached repeat"),
+                &singles(
+                    &mut client,
+                    id,
+                    &kind,
+                    FLAG_DELAYED_BATCH | FLAG_RESULT_CACHE,
+                ),
+                &reference,
+            );
+            // Result-cached repeats serve the same bits.
+            assert_bits(
+                &format!("{label} cached"),
+                &singles(&mut client, id, &kind, FLAG_RESULT_CACHE),
+                &reference,
+            );
+            assert_bits(
+                &format!("{label} cached-repeat"),
+                &singles(&mut client, id, &kind, FLAG_RESULT_CACHE),
+                &reference,
+            );
+            fe.stop();
         }
     }
 }
 
 #[test]
 fn wire_ingest_composes_with_materialization_cache() {
-    // The assembled path ships ingest-computed hashes to the scheduler;
-    // the staged path hashes on demand. Both must key the sub-plan
-    // materialization cache identically: same scores AND same hit/miss
-    // counters, cold and warm.
+    // The wire path ships ingest-computed hashes to the scheduler; the
+    // in-process reference hashes each record as it scores it, one at a
+    // time, through the request-response engine. Both must key the
+    // sub-plan materialization cache identically: same scores AND same
+    // hit/miss counters, cold and warm.
     let (plan, kind) = text_case();
     let lines = match &kind {
         Kind::Text(l) => l.clone(),
         _ => unreachable!(),
     };
-    let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-    let mut stats = Vec::new();
-    let mut scores = Vec::new();
-    for wire_columnar in [true, false] {
-        let rt = Arc::new(Runtime::new(RuntimeConfig {
+    let mk = || {
+        Arc::new(Runtime::new(RuntimeConfig {
             n_executors: 1,
             chunk_size: 4,
             materialization_budget: 1 << 20,
-            wire_columnar,
             ..RuntimeConfig::default()
-        }));
-        let id = rt.register(plan.clone()).unwrap();
-        let fe = FrontEnd::serve(Arc::clone(&rt), FrontEndConfig::default()).unwrap();
-        let mut client = Client::connect(fe.addr()).unwrap();
-        let req = PredictRequest::text_batch(refs.iter().copied()).plan(id);
-        let cold = client.predict_many(&req).unwrap();
-        let warm = client.predict_many(&req).unwrap();
-        let s = rt.materialization_cache().unwrap().stats();
-        let (h, m) = (s.hits, s.misses);
-        assert!(h > 0, "warm pass should hit the cache");
-        stats.push((h, m));
-        scores.push((cold, warm));
-        fe.stop();
+        }))
+    };
+    let (rt, reference) = (mk(), mk());
+    let id = rt.register(plan.clone()).unwrap();
+    let ref_id = reference.register(plan).unwrap();
+    let fe = FrontEnd::serve(Arc::clone(&rt), FrontEndConfig::default()).unwrap();
+    let mut client = Client::connect(fe.addr()).unwrap();
+    let req = PredictRequest::text_batch(lines.iter().map(String::as_str)).plan(id);
+    for pass in ["cold", "warm"] {
+        let got = client.predict_many(&req).unwrap();
+        let want: Vec<f32> = lines
+            .iter()
+            .map(|l| reference.predict(ref_id, l).unwrap())
+            .collect();
+        assert_bits(pass, &got, &want);
+        let (s, r) = (
+            rt.materialization_cache().unwrap().stats(),
+            reference.materialization_cache().unwrap().stats(),
+        );
+        assert_eq!(
+            (s.hits, s.misses),
+            (r.hits, r.misses),
+            "{pass}: cache counters diverge between wire and in-process"
+        );
     }
-    assert_eq!(stats[0], stats[1], "cache counters diverge between modes");
-    for ((a_cold, a_warm), (b_cold, b_warm)) in scores.iter().zip(scores.iter().skip(1)) {
-        assert_bits("cold", a_cold, b_cold);
-        assert_bits("warm", a_warm, b_warm);
-    }
+    let hits = rt.materialization_cache().unwrap().stats().hits;
+    assert!(hits > 0, "warm pass should hit the cache");
+    fe.stop();
 }
 
 #[test]
@@ -421,28 +421,23 @@ fn hostile_dense_dim_prefix_rejected_before_allocation() {
 #[test]
 fn empty_requests_still_validate_the_plan() {
     let (plan, _) = text_case();
-    for wire_columnar in [true, false] {
-        let rt = Arc::new(Runtime::new(RuntimeConfig {
-            wire_columnar,
-            ..RuntimeConfig::default()
-        }));
-        let id = rt.register(plan.clone()).unwrap();
-        let fe = FrontEnd::serve(Arc::clone(&rt), FrontEndConfig::default()).unwrap();
-        let mut client = Client::connect(fe.addr()).unwrap();
-        // Empty batch for a registered plan: clean empty response.
-        assert_eq!(
-            client
-                .predict_many(&PredictRequest::batch(Vec::new()).plan(id))
-                .unwrap(),
-            vec![]
-        );
-        // Empty batch for an unknown plan: still an error.
-        let err = client
-            .predict_many(&PredictRequest::batch(Vec::new()).plan(99))
-            .unwrap_err();
-        assert!(err.to_string().contains("unknown plan"), "{err}");
-        fe.stop();
-    }
+    let rt = Arc::new(Runtime::new(RuntimeConfig::default()));
+    let id = rt.register(plan).unwrap();
+    let fe = FrontEnd::serve(Arc::clone(&rt), FrontEndConfig::default()).unwrap();
+    let mut client = Client::connect(fe.addr()).unwrap();
+    // Empty batch for a registered plan: clean empty response.
+    assert_eq!(
+        client
+            .predict_many(&PredictRequest::batch(Vec::new()).plan(id))
+            .unwrap(),
+        vec![]
+    );
+    // Empty batch for an unknown plan: still an error.
+    let err = client
+        .predict_many(&PredictRequest::batch(Vec::new()).plan(99))
+        .unwrap_err();
+    assert!(err.to_string().contains("unknown plan"), "{err}");
+    fe.stop();
 }
 
 #[test]
