@@ -1,5 +1,5 @@
-//! One-shot startup calibration of the cache-size threshold behind
-//! `FlatProbeTable::prefetch_pays`.
+//! One-shot startup calibration of the cache-size threshold above which
+//! `FlatProbeTable`'s bulk probe prefetches its survivors' slots.
 //!
 //! PR 5 gated software prefetch of probe slots on a hard-coded 256 KiB
 //! table size — a guess at "fits in L2". Whether prefetch actually pays

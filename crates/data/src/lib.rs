@@ -27,17 +27,17 @@
 //!   live heap bytes per configuration (paper §5.1).
 //! * [`hash`] — small non-cryptographic hash utilities (feature hashing,
 //!   parameter checksums, input hashing for sub-plan materialization).
-//! * [`probe`] — [`probe::FlatProbeTable`], the bitmap-prefiltered
+//! * [`probe`] — [`probe::FlatProbeTable`], the bit-filtered
 //!   one-line-per-probe open-addressing table behind the n-gram
-//!   dictionary's matching path (with a 16-wide SIMD tag-group scan for
-//!   long chains), and the flat-vs-`HashMap` probe knob (process default
-//!   plus per-thread scoped override).
+//!   dictionary's matching path, with a branch-free bulk probe and a
+//!   16-wide SIMD tag-group scan for long chains.
 //! * [`simd`] — the explicit SIMD kernels of the dense data plane: 8-lane
 //!   f32 dots/distances/affine maps with runtime AVX2 dispatch and a
 //!   bitwise-identical lane-structured scalar fallback, behind the
 //!   process-wide SIMD knob.
 //! * [`calibrate`] — one-shot startup measurement (pointer-chase timing)
-//!   of the cache threshold behind `FlatProbeTable::prefetch_pays`.
+//!   of the cache threshold above which `FlatProbeTable`'s bulk probe
+//!   prefetches.
 //!
 //! [`pretzel-core`]: ../pretzel_core/index.html
 //! [`pretzel-baseline`]: ../pretzel_baseline/index.html

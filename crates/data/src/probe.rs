@@ -10,37 +10,35 @@
 //! the serving path — and optimizes the miss:
 //!
 //! * **power-of-two, load ≤ 0.5** open addressing with linear probing, so
-//!   the home-slot index is one multiply+shift away from the key and most
-//!   misses land on an empty home slot;
-//! * an **occupancy bitmap** (1 bit per slot, 128× denser than the slot
-//!   array) in front: a miss whose home slot is empty — the majority at
-//!   these loads — is rejected by one bit test in a structure small
-//!   enough to stay cache-resident when the slots cannot;
+//!   the home-slot index is one multiply+shift away from the key and
+//!   chains stay short;
+//! * a **one-hash bit filter** in front, ≥ 16 bits per key: the filter bit
+//!   is indexed by the top `log2(capacity) + 3` bits of the key's Fibonacci
+//!   product — the home slot's index bits plus the next three — so it is
+//!   a property of the *key*, not of a slot, and a key displaced down a
+//!   chain still has its own bit. A miss passes it with probability
+//!   ≤ 1/16 (against ≈ load factor for a per-slot occupancy test), so the
+//!   data-dependent branches of the slot walk run almost only for hits;
+//! * [`FlatProbeTable::probe_each`], the bulk entry point, tests the
+//!   filter for a whole block of keys **without branching** (`out[n] = i;
+//!   n += bit`) and confirms only the survivors, in order;
 //! * **interleaved `(hash, value)` slots**: the full 64-bit hash is both
 //!   membership tag and confirmation and shares its cache line with the
-//!   value, so a probe that survives the bitmap touches exactly one slot
-//!   cache line, hit or miss;
-//! * a **byte-tag lane scanned 16 slots at a time** for the chains the
-//!   fast path cannot settle: once a probe survives the bitmap *and*
-//!   mismatches two slots, it is in long-chain territory, where an SSE2
-//!   `_mm_cmpeq_epi8`/`movemask` sweep over a whole 16-slot tag group
-//!   per step beats walking slots one 16-byte line at a time. The tag
-//!   lane is deliberately **not** consulted by the one-/two-slot fast
-//!   path — an earlier always-on byte-tag design was measured and
-//!   rejected because it turned every cold probe into two line fills;
-//!   here the extra lane is only touched when a chain is already long,
-//!   amortizing its line fill across 16 slots per step;
-//! * the slot index is a pure function of the key, which is what lets bulk
-//!   kernels **software-prefetch** the next window's slot while probing the
-//!   current one ([`FlatProbeTable::prefetch`]) — the memory-level
-//!   parallelism a chained `HashMap::get` loop never exposes. Whether a
-//!   table is big enough for prefetch to pay is decided against the
-//!   startup-calibrated cache threshold in [`crate::calibrate`], not a
-//!   hard-coded constant.
-//!
-//! This table is the n-gram kernels' only probe structure; the `HashMap`
-//! control path it was originally ablated against (and the process/thread
-//! knob that selected between them) retired with the ablation era.
+//!   value, so a probe that survives the filter touches exactly one slot
+//!   cache line on the fast path;
+//! * an **occupancy bitmap** (1 bit per slot) that terminates chains and
+//!   a **byte-tag lane scanned 16 slots at a time** for the chains the
+//!   fast path cannot settle: once a probe mismatches two slots it is in
+//!   long-chain territory, where an SSE2 `_mm_cmpeq_epi8`/`movemask`
+//!   sweep over a whole 16-slot tag group per step beats walking slots
+//!   one 16-byte line at a time. The tag lane is deliberately **not**
+//!   consulted by the one-/two-slot fast path — an earlier always-on
+//!   byte-tag design was measured and rejected because it turned every
+//!   cold probe into two line fills;
+//! * the slot index is a pure function of the key, so the bulk probe
+//!   **software-prefetches** every survivor's slot before confirming the
+//!   first one when the table spills cache. Whether it does is decided
+//!   against the startup-calibrated threshold in [`crate::calibrate`].
 
 /// Fibonacci-hashing multiplier (2^64 / φ).
 const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
@@ -48,15 +46,23 @@ const GOLDEN: u64 = 0x9e37_79b9_7f4a_7c15;
 /// Slots per tag-group scan step (one SSE2 register of byte tags).
 const GROUP: usize = 16;
 
+/// log2 of the filter bits per slot: the filter index extends the home
+/// index by this many more bits of the same product.
+const FILTER_SHIFT: u32 = 3;
+
+/// Keys per block of [`FlatProbeTable::probe_each`]: survivor positions
+/// fit a byte, and a block's keys and survivors stay in L1.
+const BLOCK: usize = 256;
+
 /// A build-once, probe-many open-addressing table keyed by prehashed
 /// `u64`s. First insert per key wins (the n-gram dictionary's stable-index
 /// rule); there is no removal, so probe chains never cross tombstones.
 ///
-/// Storage is an interleaved `(hash, value)` slot array behind the
-/// occupancy bitmap, plus a byte-tag lane consulted only by the long-chain
-/// group scan: the fast path (home slot, one overflow slot) touches
-/// exactly **one** slot cache line per probe, hit or miss, exactly as
-/// before the tag lane existed.
+/// Storage is an interleaved `(hash, value)` slot array behind the bit
+/// filter, plus an occupancy bitmap and a byte-tag lane consulted only
+/// down a chain: a miss the filter rejects touches no slot at all, and
+/// the fast path (home slot, one overflow slot) touches exactly **one**
+/// slot cache line.
 #[derive(Debug, Clone)]
 pub struct FlatProbeTable {
     /// `capacity - 1`; capacity is a power of two ≥ 2.
@@ -65,14 +71,21 @@ pub struct FlatProbeTable {
     shift: u32,
     /// Interleaved slots; a slot is occupied iff its bitmap bit is set.
     slots: Box<[Slot]>,
-    /// Occupancy bitmap, one bit per slot: the prefilter (8× denser than
-    /// even a byte-tag lane, so it stays cache-resident when the slot
-    /// array cannot) and the empty-slot oracle for chain termination.
+    /// The bit filter: `1 << FILTER_SHIFT` bits per slot (so ≥ 16 per
+    /// key at load ≤ 0.5), with bit `product >> (shift - FILTER_SHIFT)`
+    /// set for every stored key; a power-of-two word count. 16× smaller
+    /// than the slot array, so it stays cache-resident when the slots
+    /// cannot.
+    filter: Box<[u64]>,
+    /// Occupancy bitmap, one bit per slot: the empty-slot oracle for
+    /// chain termination.
     bitmap: Box<[u64]>,
     /// One tag byte per slot (a secondary byte of the Fibonacci product),
     /// read **only** by the ≥ 2-step chain scan, 16 at a time.
     tags: Box<[u8]>,
-    /// Precomputed: table large enough that bulk probes should prefetch.
+    /// Precomputed: the table spills the fast cache levels — per the
+    /// startup-calibrated threshold of [`crate::calibrate`] — so the bulk
+    /// probe prefetches survivors' slots.
     prefetch_pays: bool,
     len: usize,
 }
@@ -87,9 +100,8 @@ struct Slot {
 impl FlatProbeTable {
     /// Creates a table sized for `entries` keys at load factor ≤ 0.5
     /// (power-of-two snapping keeps typical loads near 0.25–0.5). The low
-    /// load is deliberate and measured: the bitmap prefilter's whole
-    /// mechanism is rejecting empty-home misses with one bit test, and at
-    /// ≤ 0.5 that covers most misses while chains stay short — a tighter
+    /// load is deliberate and measured: chains stay short and the filter,
+    /// sized from the slot count, gets its ≥ 16 bits per key — a tighter
     /// 0.625 variant (hashbrown-parity footprint) cost the matching path
     /// its entire end-to-end win.
     pub fn with_capacity(entries: usize) -> Self {
@@ -99,11 +111,15 @@ impl FlatProbeTable {
     /// Allocates a table with exactly `capacity` slots (power of two ≥ 2).
     fn with_slot_count(capacity: usize) -> Self {
         debug_assert!(capacity.is_power_of_two() && capacity >= 2);
-        let heap = capacity * (std::mem::size_of::<Slot>() + 1) + capacity.div_ceil(64) * 8;
+        let filter_words = (capacity << FILTER_SHIFT).div_ceil(64);
+        debug_assert!(filter_words.is_power_of_two());
+        let heap = capacity * (std::mem::size_of::<Slot>() + 1)
+            + (capacity.div_ceil(64) + filter_words) * 8;
         FlatProbeTable {
             mask: capacity - 1,
             shift: 64 - capacity.trailing_zeros(),
             slots: vec![Slot::default(); capacity].into_boxed_slice(),
+            filter: vec![0u64; filter_words].into_boxed_slice(),
             bitmap: vec![0u64; capacity.div_ceil(64)].into_boxed_slice(),
             tags: vec![0u8; capacity].into_boxed_slice(),
             prefetch_pays: heap > crate::calibrate::prefetch_threshold(),
@@ -113,9 +129,11 @@ impl FlatProbeTable {
 
     /// Builds a table from `(hash, value)` pairs, first pair per hash wins.
     pub fn from_pairs(pairs: impl IntoIterator<Item = (u64, u32)>) -> Self {
-        let iter = pairs.into_iter();
-        let mut t = FlatProbeTable::with_capacity(iter.size_hint().0);
-        for (h, v) in iter {
+        // Sized from the collected length: a filtered or mapped iterator's
+        // lower size hint is 0, which would regrow log2(n) times.
+        let pairs: Vec<(u64, u32)> = pairs.into_iter().collect();
+        let mut t = FlatProbeTable::with_capacity(pairs.len());
+        for (h, v) in pairs {
             t.insert_first(h, v);
         }
         t
@@ -157,10 +175,35 @@ impl FlatProbeTable {
 
     #[inline]
     fn home(&self, hash: u64) -> usize {
-        // Fibonacci hashing: FNV-1a avalanches its high bits well; one
-        // multiply spreads any residual structure across the top `log2(cap)`
-        // bits the index uses.
+        // Fibonacci hashing: one multiply spreads any residual structure
+        // of the key across the top `log2(cap)` bits the index uses.
         (hash.wrapping_mul(GOLDEN) >> self.shift) as usize & self.mask
+    }
+
+    /// The key's filter bit position: the home index bits and the next
+    /// [`FILTER_SHIFT`] bits of the same product.
+    #[inline]
+    fn filter_pos(&self, hash: u64) -> usize {
+        (hash.wrapping_mul(GOLDEN) >> (self.shift - FILTER_SHIFT)) as usize
+    }
+
+    /// The filter's verdict: `false` means `hash` is certainly not stored;
+    /// `true` for every stored key and for ≤ 1/16 of the others.
+    #[inline]
+    pub fn may_contain(&self, hash: u64) -> bool {
+        self.filter_bit(self.filter_pos(hash)) != 0
+    }
+
+    /// The filter bit at `pos`, as 0 or 1 for branch-free counting. A set
+    /// bit implies that slot `pos >> FILTER_SHIFT` is occupied: it is the
+    /// home of some stored key.
+    #[inline]
+    fn filter_bit(&self, pos: usize) -> usize {
+        // The word count is a power of two covering every position, so the
+        // `&` changes no index; it is what lets the bulk loop drop the
+        // bounds check.
+        let word = self.filter[(pos >> 6) & (self.filter.len() - 1)];
+        (word >> (pos & 63)) as usize & 1
     }
 
     /// The group-scan tag: a byte of the same Fibonacci product the home
@@ -191,6 +234,8 @@ impl FlatProbeTable {
     /// [`FlatProbeTable::from_pairs_with_load`] to build beyond load 0.5.
     fn insert_no_grow(&mut self, hash: u64, val: u32) -> bool {
         debug_assert!(self.len < self.capacity(), "no empty slot left");
+        let pos = self.filter_pos(hash);
+        self.filter[pos >> 6] |= 1u64 << (pos & 63);
         let mut i = self.home(hash);
         loop {
             if !self.occupied(i) {
@@ -219,22 +264,56 @@ impl FlatProbeTable {
         *self = bigger;
     }
 
-    /// Probes `hash`, returning its value if present.
-    ///
-    /// The fast path is unchanged from the tag-free design — bitmap
-    /// prefilter, then at most two slot compares — so the overwhelmingly
-    /// common short probes never touch the tag lane. Only a chain that
-    /// survives both compares falls through to [`Self::probe_chain`].
+    /// Probes `hash`, returning its value if present: the filter bit
+    /// first, which rejects ≥ 15 of 16 misses without touching a slot.
     #[inline]
     pub fn probe(&self, hash: u64) -> Option<u32> {
-        let i = self.home(hash);
-        // Prefilter: an empty home slot — the dominant miss at load
-        // ≤ 0.5 — is rejected by one bit of the bitmap without touching
-        // the slot array. The bitmap is 128× denser than the slots, so it
-        // stays cache-resident when they cannot.
-        if !self.occupied(i) {
+        let pos = self.filter_pos(hash);
+        if self.filter_bit(pos) == 0 {
             return None;
         }
+        self.confirm(pos >> FILTER_SHIFT, hash)
+    }
+
+    /// Probes every key of `hashes` and streams the values of the hits in
+    /// order. Per block of [`BLOCK`] keys: the filter bit of every key is
+    /// tested with no branch, compacting the positions of the keys that
+    /// pass; only those — the hits and ≤ 1/16 of the misses — take the
+    /// slot walk and its data-dependent branches, their slots prefetched
+    /// first when the table spills cache.
+    #[inline]
+    pub fn probe_each(&self, hashes: &[u64], mut f: impl FnMut(u32)) {
+        for block in hashes.chunks(BLOCK) {
+            let mut pass = [0u8; BLOCK];
+            let mut n = 0usize;
+            for (i, &h) in block.iter().enumerate() {
+                pass[n % BLOCK] = i as u8; // n <= i < BLOCK
+                n += self.filter_bit(self.filter_pos(h));
+            }
+            let pass = &pass[..n];
+            if self.prefetch_pays {
+                for &i in pass {
+                    self.prefetch(block[i as usize]);
+                }
+            }
+            for &i in pass {
+                let hash = block[i as usize];
+                if let Some(val) = self.confirm(self.home(hash), hash) {
+                    f(val);
+                }
+            }
+        }
+    }
+
+    /// The slot walk behind the filter, from `hash`'s home slot `i`: at
+    /// most two slot compares on the fast path, so the overwhelmingly
+    /// common short probes never touch the tag lane; only a chain that
+    /// survives both falls through to [`Self::probe_chain`]. `hash`'s
+    /// filter bit must be set — that is what makes the home slot known to
+    /// be occupied.
+    #[inline]
+    fn confirm(&self, i: usize, hash: u64) -> Option<u32> {
+        debug_assert!(i == self.home(hash) && self.occupied(i));
         if self.slots[i].hash == hash {
             return Some(self.slots[i].val);
         }
@@ -334,23 +413,13 @@ impl FlatProbeTable {
         }
     }
 
-    /// True when bulk probe loops should software-prefetch ahead: the
-    /// table spills the fast cache levels — per the startup-calibrated
-    /// threshold of [`crate::calibrate`] — so overlapping the next
-    /// window's load hides latency instead of wasting an instruction.
+    /// Prefetches the home slot of `hash` into L1, so the dependent loads
+    /// of a block's survivors overlap. (The tag lane is not prefetched:
+    /// only ≥ 2-step chains read it, and prefetching it for every
+    /// survivor would recreate the two-line-fill cost the lazy tag design
+    /// exists to avoid.)
     #[inline]
-    pub fn prefetch_pays(&self) -> bool {
-        self.prefetch_pays
-    }
-
-    /// Prefetches the home slot of `hash` into L1. Bulk probe loops call
-    /// this a few windows ahead so the dependent loads of
-    /// [`FlatProbeTable::probe`] overlap across windows. (The tag lane is
-    /// not prefetched: only ≥ 2-step chains read it, and prefetching it
-    /// for every window would recreate the two-line-fill cost the lazy
-    /// tag design exists to avoid.)
-    #[inline]
-    pub fn prefetch(&self, hash: u64) {
+    fn prefetch(&self, hash: u64) {
         let i = self.home(hash);
         #[cfg(target_arch = "x86_64")]
         // SAFETY: `i <= mask`, so the pointer is in-bounds of the slot
@@ -373,9 +442,11 @@ impl FlatProbeTable {
         let _ = i;
     }
 
-    /// Heap bytes of the table (slot array + bitmap + tag lane).
+    /// Heap bytes of the table (slot array + filter + bitmap + tag lane).
     pub fn heap_bytes(&self) -> usize {
-        self.slots.len() * std::mem::size_of::<Slot>() + self.bitmap.len() * 8 + self.tags.len()
+        self.slots.len() * std::mem::size_of::<Slot>()
+            + (self.filter.len() + self.bitmap.len()) * 8
+            + self.tags.len()
     }
 }
 
@@ -459,6 +530,61 @@ mod tests {
         assert_eq!(t.probe(1), Some(10));
         assert_eq!(t.probe(2), Some(20));
         assert_eq!(t.len(), 2);
+    }
+
+    #[test]
+    fn from_pairs_sizes_from_the_collected_length() {
+        // A filtered iterator's lower size hint is 0; the table must still
+        // come out at the capacity its final length asks for.
+        let pairs = (0..3000u64)
+            .filter(|k| k % 3 == 0)
+            .map(|k| (splitmix64(k), k as u32));
+        assert_eq!(pairs.size_hint().0, 0);
+        let t = FlatProbeTable::from_pairs(pairs);
+        assert_eq!(t.len(), 1000);
+        assert_eq!(t.capacity(), FlatProbeTable::with_capacity(1000).capacity());
+    }
+
+    #[test]
+    fn probe_each_streams_exactly_the_hits_of_probe_in_order() {
+        // Sizes around the block length, on a table small enough to chain
+        // and one large enough to prefetch.
+        for entries in [0usize, 1, 40, 5000, 200_000] {
+            let t =
+                FlatProbeTable::from_pairs((0..entries as u64).map(|k| (splitmix64(k), k as u32)));
+            for n in [0usize, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7] {
+                // Every third key present (while they last), the rest not.
+                let hashes: Vec<u64> = (0..n as u64)
+                    .map(|i| splitmix64(if i % 3 == 0 { i } else { i + (1 << 40) }))
+                    .collect();
+                let expect: Vec<u32> = hashes.iter().filter_map(|&h| t.probe(h)).collect();
+                let mut got = Vec::new();
+                t.probe_each(&hashes, |v| got.push(v));
+                assert_eq!(got, expect, "entries={entries} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn filter_passes_every_key_and_few_others() {
+        // Every size class down to the one-word filters of the smallest
+        // tables: no stored key may be filtered out, whatever its chain
+        // position; at load <= 0.5 a random miss passes <= 1 time in 16.
+        for entries in [1usize, 2, 3, 5, 17, 1000, 5000] {
+            let t =
+                FlatProbeTable::from_pairs((0..entries as u64).map(|k| (splitmix64(k), k as u32)));
+            for k in 0..entries as u64 {
+                assert!(t.may_contain(splitmix64(k)), "entries={entries} key {k}");
+            }
+            let misses = 20_000u64;
+            let passed = (0..misses)
+                .filter(|&k| t.may_contain(splitmix64(k + (1 << 40))))
+                .count();
+            assert!(
+                passed as u64 * 16 <= misses + misses / 10,
+                "entries={entries}: {passed}"
+            );
+        }
     }
 
     /// Multiplicative inverse of [`GOLDEN`] mod 2^64 (odd → invertible),

@@ -7,79 +7,129 @@
 //! (Figure 3) dominates the memory experiments.
 //!
 //! The kernel is allocation-free after warm-up: candidate n-grams are
-//! hashed with streaming FNV-1a over case-folded bytes and probed against a
-//! `hash → dictionary index` table; matches accumulate counts into a sparse
-//! output vector. Distinct n-grams colliding on the 64-bit hash would share
-//! a count slot; at dictionary sizes up to 2^20 the collision probability is
-//! below 2^-24 and has no effect on the systems behaviour being measured.
+//! hashed over case-folded bytes and probed against a `hash → dictionary
+//! index` table; matches accumulate counts into a sparse output vector.
+//! Distinct n-grams colliding on the 64-bit hash would share a count slot;
+//! segments of up to 8 bytes hash exactly (no collisions within a length),
+//! and beyond that the collision probability at dictionary sizes up to
+//! 2^20 is below 2^-24.
 //!
-//! **Matching path** (the SA bottleneck, paper Figure 1/Table 1): by
-//! default the kernels run a three-phase row loop —
+//! **Matching path** (the SA bottleneck, paper Figure 1/Table 1). Both
+//! levels have one shape — *keys for the whole row → branch-free filter →
+//! confirm only the survivors, in window order*:
 //!
-//! 1. **fold once**: the row's bytes are case-folded once into a pooled
-//!    (thread-local) scratch buffer instead of branch-folding every byte
-//!    of every window in the hot loop;
-//! 2. **incremental window hashing** into a scratch ring: FNV-1a is
-//!    prefix-extendable, so with `all_lengths = true` a start position's
-//!    length-`k` hash extends its length-`k−1` hash — all lengths `1..=n`
-//!    per position cost one pass (`O(n)` byte-steps per position instead
-//!    of `O(n²)`). Hashes land grouped by length so emission order stays
-//!    identical to the classic per-length window sweep;
-//! 3. **bulk probing** of the [`pretzel_data::probe::FlatProbeTable`] in a
-//!    tight loop that software-prefetches the slot a few windows ahead —
-//!    the probe loop is ILP/cache-friendly instead of dependency-chained
-//!    per window.
+//! 1. **fold once**: the row's bytes are case-folded into a thread-local
+//!    scratch buffer with [`SLACK`] zero bytes behind them, so any 8-byte
+//!    load that starts inside the row is in bounds;
+//! 2. **keys**: a segment of `k ≤ 8` bytes hashes as one unaligned load,
+//!    one mask and one multiply ([`seg`]) — every character window and
+//!    every token is independent of its neighbours, no multiply chain. A
+//!    word k-gram joins its (k−1)-gram with the next token's hash
+//!    ([`join`]), so each token is hashed once however many n-grams
+//!    contain it;
+//! 3. **filter, then confirm**: each block of keys goes through
+//!    [`FlatProbeTable::probe_each`], which tests a one-hash bit filter
+//!    for every key without branching and walks slots only for the keys
+//!    that pass — the hits and a few percent of the misses. The cost of
+//!    this path was never the hash arithmetic; it was two unpredictable
+//!    branches per window in the probe.
 //!
-//! The classic per-window `HashMap` kernel that served as the ablation
-//! control for this path was retired once the ablation era closed; the
-//! flat kernels are the only matching path. Their contract is unchanged:
-//! same FNV-1a values, same first-index-wins duplicate semantics, same
-//! per-row match order as the classic sweep (locked in by the
-//! `ngram_probe` integration tests against an in-test reference).
+//! The contract: first-index-wins duplicate keys, and hits stream lengths
+//! ascending, then window starts ascending (locked in by the `ngram_probe`
+//! integration tests against a string-keyed in-test reference). Hash
+//! *values* are not part of it; nothing persists them.
 
 use crate::annotations::Annotations;
 use crate::params::ParamBlob;
-use pretzel_data::hash::Fnv1a;
 use pretzel_data::probe::FlatProbeTable;
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::vector::Span;
 use pretzel_data::{ColRef, ColumnBatch, DataError, Result, Vector};
 
-/// Separator byte between tokens when hashing word n-grams.
-const WORD_SEP: u8 = 0x1f;
+/// Zero bytes kept behind the folded row, so an 8-byte load at any row
+/// offset stays inside the buffer.
+const SLACK: usize = 8;
 
-/// How many windows ahead the bulk probe loop prefetches. Far enough to
-/// cover a memory load's latency at one probe per iteration, near enough
-/// that the prefetched line is still resident when its turn comes.
-const PREFETCH_AHEAD: usize = 8;
+/// Character windows hashed per [`FlatProbeTable::probe_each`] call.
+const KEY_BLOCK: usize = 256;
+
+/// Multiplier of [`mix`] (odd, so the multiply is a bijection).
+const MIX: u64 = 0xd6e8_feb8_6659_fd93;
+
+/// Per-length salt of [`seg`]: keeps `"a"` and `"a\0"` apart.
+const LEN_SALT: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// `LOW_BYTES[k]` keeps the low `k` bytes of a little-endian word.
+const LOW_BYTES: [u64; 9] = [
+    0,
+    0xff,
+    0xffff,
+    0xff_ffff,
+    0xffff_ffff,
+    0xff_ffff_ffff,
+    0xffff_ffff_ffff,
+    0xff_ffff_ffff_ffff,
+    u64::MAX,
+];
 
 #[inline]
 fn fold(b: u8, fold_case: bool) -> u8 {
-    if fold_case && b.is_ascii_uppercase() {
-        b | 0x20
-    } else {
-        b
-    }
+    b | (u8::from(fold_case & b.is_ascii_uppercase()) << 5)
 }
 
-/// Per-thread matching scratch: the case-folded row and the window-hash
-/// ring, reused across rows so the three-phase kernel is allocation-free
-/// after warm-up.
+/// One multiply-xorshift round, a bijection on `u64`: the multiply
+/// carries every input bit upward and the shift folds the mixed high half
+/// back over the low, so the probe table's own multiply draws its index
+/// and filter bits from all of the key.
+#[inline]
+fn mix(x: u64) -> u64 {
+    let y = x.wrapping_mul(MIX);
+    y ^ (y >> 32)
+}
+
+/// Hash of one segment (a character window or a token) of `len` bytes,
+/// read through `word_at(off)` = the 8 bytes at `off`, little-endian;
+/// bytes past `len` are masked off, so they may hold anything. Up to 8
+/// bytes the segment is packed whole into one word — exact, and one
+/// [`mix`] — and longer segments take 8 bytes per step.
+#[inline(always)]
+fn seg(len: usize, word_at: impl Fn(usize) -> u64) -> u64 {
+    let mut h = (len as u64).wrapping_mul(LEN_SALT);
+    let mut off = 0;
+    while len - off > 8 {
+        h = mix(h ^ word_at(off));
+        off += 8;
+    }
+    mix(h ^ (word_at(off) & LOW_BYTES[len - off]))
+}
+
+/// Hash of an n-gram from the hash of its first `k−1` segments and the
+/// hash of its last one; the rotate makes it order-sensitive.
+#[inline]
+fn join(head: u64, last: u64) -> u64 {
+    mix(head.rotate_left(23) ^ last)
+}
+
+/// The 8 bytes of `buf` at `at`, little-endian.
+#[inline(always)]
+fn load_word(buf: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(buf[at..at + 8].try_into().expect("8-byte slice"))
+}
+
+/// Per-thread matching scratch, reused across rows so the kernels are
+/// allocation-free after warm-up.
 #[derive(Debug, Default)]
 struct MatchScratch {
-    /// The row's bytes, case-folded once.
+    /// The row's bytes, case-folded once, then [`SLACK`] zero bytes.
     folded: Vec<u8>,
-    /// Window hashes, grouped by n-gram length. Grow-only: every slot in
-    /// `0..` the active length is overwritten by hash generation before
-    /// the probe pass reads it, so stale tails are never re-zeroed.
+    /// Word kernel: the row's token hashes, then its current k-gram
+    /// hashes. Grow-only: every active slot is written before it is read,
+    /// so stale tails are never re-zeroed.
     hashes: Vec<u64>,
-    /// `(offset, len)` of each length group inside `hashes`, in ascending
-    /// length order (the classic emission order).
-    groups: Vec<(usize, usize)>,
 }
 
-/// Retention bound on the thread-local hash ring, in entries (8 MiB).
-/// Typical rows need a few hundred slots; one pathological row (a frame
+/// Retention bound on the thread-local hash scratch, in entries (8 MiB).
+/// Typical rows need a few dozen slots; one pathological row (a frame
 /// body can be up to 64 MiB of text) must not pin its high-water mark on
 /// the executor thread forever.
 const SCRATCH_RETAIN_HASHES: usize = 1 << 20;
@@ -87,13 +137,14 @@ const SCRATCH_RETAIN_HASHES: usize = 1 << 20;
 /// Retention bound on the thread-local folded-row buffer, in bytes.
 const SCRATCH_RETAIN_FOLDED: usize = 1 << 20;
 
-/// Makes `hashes[..len]` addressable without re-zeroing the prefix on
-/// every row (each active slot is written before it is read).
+/// Folds `text` into `folded` and returns the buffer: the row's bytes
+/// followed by [`SLACK`] zeros.
 #[inline]
-fn reserve_hashes(hashes: &mut Vec<u64>, len: usize) {
-    if hashes.len() < len {
-        hashes.resize(len, 0);
-    }
+fn fold_row<'a>(folded: &'a mut Vec<u8>, text: &str, fold_case: bool) -> &'a [u8] {
+    folded.clear();
+    folded.extend(text.bytes().map(|b| fold(b, fold_case)));
+    folded.extend_from_slice(&[0; SLACK]);
+    folded
 }
 
 impl MatchScratch {
@@ -119,7 +170,7 @@ std::thread_local! {
 
 /// Runs `f` with the thread's matching scratch. A plain `borrow_mut` —
 /// the kernels never re-enter (callbacks only accumulate), and this runs
-/// once per row per kernel, so the borrow must not cost a 3-vec move the
+/// once per row per kernel, so the borrow must not cost a vec move the
 /// way a take/put-back would. A hypothetical re-entrant kernel panics
 /// loudly here instead of corrupting state.
 #[inline]
@@ -130,79 +181,6 @@ fn with_scratch<R>(f: impl FnOnce(&mut MatchScratch) -> R) -> R {
         scratch.trim();
         out
     })
-}
-
-/// The row bytes the matching kernels hash: case-folded once into the
-/// scratch buffer (one pass, no per-window branch) — or, when the
-/// dictionary is case-sensitive, borrowed straight from the input with no
-/// copy at all.
-#[inline]
-fn folded_bytes<'a>(folded: &'a mut Vec<u8>, text: &'a str, fold_case: bool) -> &'a [u8] {
-    if fold_case {
-        folded.clear();
-        folded.extend(
-            text.bytes()
-                .map(|b| if b.is_ascii_uppercase() { b | 0x20 } else { b }),
-        );
-        folded
-    } else {
-        text.as_bytes()
-    }
-}
-
-/// Probes one length group's hashes against the flat table in a tight
-/// loop and streams the hit indices in window order. When the table is
-/// large enough to spill cache, the loop prefetches [`PREFETCH_AHEAD`]
-/// windows ahead so the probes' loads overlap; for cache-resident tables
-/// the prefetch instruction would be pure overhead and is skipped.
-#[inline]
-fn probe_group(table: &FlatProbeTable, hashes: &[u64], f: &mut impl FnMut(u32)) {
-    let n = hashes.len();
-    if table.prefetch_pays() && n > PREFETCH_AHEAD {
-        for j in 0..n - PREFETCH_AHEAD {
-            table.prefetch(hashes[j + PREFETCH_AHEAD]);
-            if let Some(idx) = table.probe(hashes[j]) {
-                f(idx);
-            }
-        }
-        for &h in &hashes[n - PREFETCH_AHEAD..] {
-            if let Some(idx) = table.probe(h) {
-                f(idx);
-            }
-        }
-    } else {
-        for &h in hashes {
-            if let Some(idx) = table.probe(h) {
-                f(idx);
-            }
-        }
-    }
-}
-
-/// Fills `hashes[..windows]` with the FNV-1a hash of every length-`k` byte
-/// window of `bytes`, monomorphized per small `k` so the byte steps fully
-/// unroll (adjacent windows are independent, so the multiply chains of
-/// several windows retire in parallel).
-#[inline]
-fn hash_exact_windows<const K: usize>(bytes: &[u8], hashes: &mut [u64]) {
-    for (w, out) in bytes.windows(K).zip(hashes.iter_mut()) {
-        let mut h = Fnv1a::new();
-        for &b in w {
-            h.push_byte(b);
-        }
-        *out = h.finish();
-    }
-}
-
-/// Generic-`k` fallback of [`hash_exact_windows`].
-fn hash_exact_windows_dyn(bytes: &[u8], k: usize, hashes: &mut [u64]) {
-    for (w, out) in bytes.windows(k).zip(hashes.iter_mut()) {
-        let mut h = Fnv1a::new();
-        for &b in w {
-            h.push_byte(b);
-        }
-        *out = h.finish();
-    }
 }
 
 /// A trained n-gram dictionary: the keys (owned, for size realism and
@@ -268,20 +246,28 @@ impl NgramDict {
     }
 
     /// Hashes a dictionary key the same way the kernels hash input windows:
-    /// tokens separated by `WORD_SEP`, bytes case-folded.
+    /// the key is split on `' '`, each segment hashed over its case-folded
+    /// bytes and the segment hashes joined in order. A space-free key is
+    /// one segment — a character window's hash; `"not good"` is the word
+    /// kernel's join of two token hashes.
+    ///
+    /// The level is not known here, so a space always separates segments:
+    /// a *character-level* key containing one (`"e t"`) hashes as a word
+    /// bigram and can never match a text window.
     pub fn hash_key(key: &str, fold_case: bool) -> u64 {
-        let mut h = Fnv1a::new();
-        let mut first = true;
-        for tok in key.split(' ') {
-            if !first {
-                h.write(&[WORD_SEP]);
-            }
-            first = false;
-            for &b in tok.as_bytes() {
-                h.write(&[fold(b, fold_case)]);
-            }
-        }
-        h.finish()
+        let mut segments = key.as_bytes().split(|&b| b == b' ').map(|tok| {
+            seg(tok.len(), |off| {
+                // Packed in a register: byte stores read back as one word
+                // would stall on store forwarding.
+                tok[off..]
+                    .iter()
+                    .take(8)
+                    .rev()
+                    .fold(0, |word, &b| word << 8 | u64::from(fold(b, fold_case)))
+            })
+        });
+        let first = segments.next().expect("split yields a segment");
+        segments.fold(first, join)
     }
 
     /// Heap bytes: key storage plus the flat probe table that serves
@@ -326,165 +312,79 @@ impl NgramParams {
         Annotations::featurizer()
     }
 
+    /// The n-gram lengths to extract, ascending (none when `n` is 0).
+    fn lengths(&self) -> std::ops::RangeInclusive<usize> {
+        let n = self.n as usize;
+        if self.all_lengths {
+            1..=n
+        } else {
+            n.max(1)..=n
+        }
+    }
+
     /// Streams every dictionary hit in `text` at character level.
     ///
     /// This is the fusion hook (paper §2): a fused `ngram → dot-product`
     /// physical stage accumulates `weights[offset + idx]` directly in the
     /// callback and never materializes the sparse feature vector at all.
     ///
-    /// Hits stream in the classic order — lengths ascending, window start
-    /// positions ascending — so every consumer (sparse accumulation,
-    /// fused f32 dot) sees the same match sequence the per-window sweep
-    /// produced.
+    /// Hits stream lengths ascending, then window start positions
+    /// ascending, so every consumer (sparse accumulation, fused f32 dot)
+    /// sees the match sequence of a per-window sweep.
+    ///
+    /// The kernel: fold once, then per length hash a block of windows —
+    /// independent loads off the folded row — and bulk-probe it.
     #[inline]
     pub fn for_each_char_match(&self, text: &str, mut f: impl FnMut(u32)) {
-        self.char_match_flat(text, &mut f);
+        with_scratch(|s| {
+            let buf = fold_row(&mut s.folded, text, self.fold_case);
+            let m = buf.len() - SLACK;
+            let mut keys = [0u64; KEY_BLOCK];
+            for k in self.lengths().take_while(|&k| k <= m) {
+                for base in (0..=m - k).step_by(KEY_BLOCK) {
+                    let cnt = KEY_BLOCK.min(m - k + 1 - base);
+                    for (i, key) in keys[..cnt].iter_mut().enumerate() {
+                        *key = seg(k, |off| load_word(buf, base + i + off));
+                    }
+                    self.dict.flat.probe_each(&keys[..cnt], &mut f);
+                }
+            }
+        });
     }
 
     /// Streams every dictionary hit at word level (`spans` over `text`).
     ///
-    /// Fusion hook, see [`Self::for_each_char_match`].
+    /// Fusion hook, see [`Self::for_each_char_match`]. The kernel: fold
+    /// once, hash each token once, then per length extend every start
+    /// token's (k−1)-gram by one join and bulk-probe.
     #[inline]
     pub fn for_each_word_match(&self, text: &str, spans: &[Span], mut f: impl FnMut(u32)) {
-        self.word_match_flat(text, spans, &mut f);
-    }
-
-    /// Character kernel, flat path: fold once → hash every window of every
-    /// length into the scratch ring (incrementally across lengths when
-    /// `all_lengths`) → bulk-probe per length group with prefetch.
-    ///
-    /// The split hash-then-probe structure exists to overlap probe loads
-    /// across windows, which only pays when the table spills cache; for a
-    /// cache-resident table the exact-length kernel takes a fused
-    /// single pass over the folded row instead (same hashes, same window
-    /// order, no scratch-ring traffic).
-    fn char_match_flat(&self, text: &str, f: &mut impl FnMut(u32)) {
-        if !self.all_lengths && !self.dict.flat.prefetch_pays() {
-            return self.char_match_flat_resident(text, f);
-        }
         with_scratch(|s| {
-            let MatchScratch {
-                folded,
-                hashes,
-                groups,
-            } = s;
-            let bytes = folded_bytes(folded, text, self.fold_case);
-            let m = bytes.len();
-            groups.clear();
-            if self.all_lengths {
-                // One group per length 1..=n; group k starts at `off` and
-                // holds the hashes of windows starting at 0..=(m-k).
-                let n = self.n as usize;
-                let mut off = 0usize;
-                for k in 1..=n {
-                    let cnt = m.saturating_sub(k - 1);
-                    groups.push((off, cnt));
-                    off += cnt;
-                }
-                reserve_hashes(hashes, off);
-                // Incremental hashing: position i's length-k hash extends
-                // its length-(k-1) hash by one byte — O(n) steps per
-                // position for all n lengths.
-                for i in 0..m {
-                    let mut h = Fnv1a::new();
-                    let kmax = n.min(m - i);
-                    for k in 1..=kmax {
-                        h.push_byte(bytes[i + k - 1]);
-                        let (goff, _) = groups[k - 1];
-                        hashes[goff + i] = h.finish();
-                    }
-                }
-            } else {
-                // Exact length: FNV cannot roll a window, so each window
-                // hashes its k bytes — but over the pre-folded buffer, with
-                // adjacent windows independent (ILP), into the same ring.
-                let k = self.n as usize;
-                let cnt = if k > 0 && m >= k { m - k + 1 } else { 0 };
-                groups.push((0, cnt));
-                reserve_hashes(hashes, cnt);
-                let hashes = &mut hashes[..cnt];
-                if cnt > 0 {
-                    match k {
-                        1 => hash_exact_windows::<1>(bytes, hashes),
-                        2 => hash_exact_windows::<2>(bytes, hashes),
-                        3 => hash_exact_windows::<3>(bytes, hashes),
-                        4 => hash_exact_windows::<4>(bytes, hashes),
-                        5 => hash_exact_windows::<5>(bytes, hashes),
-                        _ => hash_exact_windows_dyn(bytes, k, hashes),
-                    }
-                }
-            }
-            for &(off, cnt) in groups.iter() {
-                probe_group(&self.dict.flat, &hashes[off..off + cnt], f);
-            }
-        });
-    }
-
-    /// Exact-length character kernel over a cache-resident flat table:
-    /// fold once, then hash + probe each window in one pass (adjacent
-    /// windows stay independent, so the multiply chains still overlap) —
-    /// no scratch ring, no prefetch, same emission order.
-    fn char_match_flat_resident(&self, text: &str, f: &mut impl FnMut(u32)) {
-        with_scratch(|s| {
-            let bytes = folded_bytes(&mut s.folded, text, self.fold_case);
-            let k = self.n as usize;
-            if k == 0 || bytes.len() < k {
-                return;
-            }
-            let table = &self.dict.flat;
-            for w in bytes.windows(k) {
-                let mut h = Fnv1a::new();
-                for &b in w {
-                    h.push_byte(b);
-                }
-                if let Some(idx) = table.probe(h.finish()) {
-                    f(idx);
-                }
-            }
-        });
-    }
-
-    /// Word kernel, flat path: fold the row once, extend each start
-    /// token's hash across window lengths (separator + next token per
-    /// step), then bulk-probe per length group with prefetch.
-    fn word_match_flat(&self, text: &str, spans: &[Span], f: &mut impl FnMut(u32)) {
-        with_scratch(|s| {
-            let MatchScratch {
-                folded,
-                hashes,
-                groups,
-            } = s;
-            let bytes = folded_bytes(folded, text, self.fold_case);
+            let MatchScratch { folded, hashes } = s;
+            let buf = fold_row(folded, text, self.fold_case);
+            let m = buf.len() - SLACK;
             let t = spans.len();
-            groups.clear();
-            let n = self.n as usize;
-            let (k_lo, k_hi) = if self.all_lengths { (1, n) } else { (n, n) };
-            let mut off = 0usize;
-            for k in k_lo..=k_hi {
-                let cnt = if k > 0 && t >= k { t - k + 1 } else { 0 };
-                groups.push((off, cnt));
-                off += cnt;
+            if hashes.len() < 2 * t {
+                hashes.resize(2 * t, 0);
             }
-            reserve_hashes(hashes, off);
-            for i in 0..t {
-                let mut h = Fnv1a::new();
-                let kmax = k_hi.min(t - i);
-                for k in 1..=kmax {
-                    if k > 1 {
-                        h.push_byte(WORD_SEP);
-                    }
-                    let sp = spans[i + k - 1];
-                    for &b in &bytes[sp.start as usize..sp.end as usize] {
-                        h.push_byte(b);
-                    }
-                    if k >= k_lo {
-                        let (goff, _) = groups[k - k_lo];
-                        hashes[goff + i] = h.finish();
+            let (tokens, grams) = hashes[..2 * t].split_at_mut(t);
+            for (h, sp) in tokens.iter_mut().zip(spans) {
+                let (start, end) = (sp.start as usize, sp.end as usize);
+                assert!(start <= end && end <= m, "token span outside its text");
+                *h = seg(end - start, |off| load_word(buf, start + off));
+            }
+            grams.copy_from_slice(tokens);
+            let lengths = self.lengths();
+            for k in 1..=(*lengths.end()).min(t) {
+                let cnt = t - k + 1;
+                if k > 1 {
+                    for (g, &last) in grams[..cnt].iter_mut().zip(&tokens[k - 1..]) {
+                        *g = join(*g, last);
                     }
                 }
-            }
-            for &(off, cnt) in groups.iter() {
-                probe_group(&self.dict.flat, &hashes[off..off + cnt], f);
+                if lengths.contains(&k) {
+                    self.dict.flat.probe_each(&grams[..cnt], &mut f);
+                }
             }
         });
     }
@@ -602,7 +502,7 @@ impl ParamBlob for NgramParams {
         let count = cur.u32()? as usize;
         let mut keys = Vec::with_capacity(count.min(1 << 22));
         for _ in 0..count {
-            keys.push(cur.str()?.into_boxed_str());
+            keys.push(Box::from(cur.str_ref()?));
         }
         Ok(NgramParams::new(n, all_lengths, fold_case, keys))
     }
@@ -691,6 +591,15 @@ mod tests {
         let mut out = Vector::with_type(ColumnType::F32Sparse { len: 1 });
         p.apply_char("ab", &mut out).unwrap();
         assert_eq!(sparse_pairs(&out), vec![]);
+        // n = 0 extracts nothing at either level, in either mode.
+        for all_lengths in [true, false] {
+            let p = NgramParams::new(0, all_lengths, true, keys(&["a"]));
+            p.apply_char("a a", &mut out).unwrap();
+            assert_eq!(sparse_pairs(&out), vec![]);
+            let spans = [Span::new(0, 1), Span::new(2, 3)];
+            p.apply_word("a a", &spans, &mut out).unwrap();
+            assert_eq!(sparse_pairs(&out), vec![]);
+        }
     }
 
     #[test]
@@ -704,6 +613,56 @@ mod tests {
     fn duplicate_keys_keep_first_index() {
         let d = NgramDict::new(keys(&["AB", "ab"]), true);
         assert_eq!(d.probe(NgramDict::hash_key("ab", true)), Some(0));
+    }
+
+    #[test]
+    fn a_space_in_a_key_always_separates_word_segments() {
+        // `hash_key` cannot know the level, so "e t" is the word bigram
+        // (e, t) even in a character dictionary: the character window
+        // "e t" of a text never matches it. Pinned so a change of key
+        // scheme cannot alter it silently either way.
+        let text = "the tree";
+        let chars = NgramParams::new(3, false, true, keys(&["e t", "tre"]));
+        let mut out = Vector::with_type(ColumnType::F32Sparse { len: 2 });
+        chars.apply_char(text, &mut out).unwrap();
+        assert_eq!(sparse_pairs(&out), vec![(1, 1.0)]);
+
+        let words = NgramParams::new(2, false, true, keys(&["e t"]));
+        let mut out = Vector::with_type(ColumnType::F32Sparse { len: 1 });
+        let spans = [Span::new(2, 3), Span::new(4, 5)];
+        words.apply_word(text, &spans, &mut out).unwrap();
+        assert_eq!(sparse_pairs(&out), vec![(0, 1.0)]);
+    }
+
+    #[test]
+    fn the_filter_leaves_few_windows_to_confirm_on_sa_shaped_rows() {
+        // The mechanism, as counts: on an SA-shaped dictionary (5 000
+        // random lowercase trigrams) and vocabulary text, the bit filter
+        // must turn away >= 90 % of the windows that match nothing, and the
+        // windows left for the slot walk — hits included — must stay under
+        // a quarter of all windows.
+        let p = crate::synth::char_ngram(0xc4, 3, 5_000);
+        let vocab = crate::synth::vocabulary(0xfeed, 2_000);
+        let table = p.dict.flat_table();
+        let (mut windows, mut hits, mut survivors) = (0usize, 0usize, 0usize);
+        let mut folded = Vec::new();
+        for row in vocab.chunks(24) {
+            let buf = fold_row(&mut folded, &row.join(" "), true);
+            for at in 0..buf.len() - SLACK - 2 {
+                let key = seg(3, |off| load_word(buf, at + off));
+                windows += 1;
+                hits += usize::from(table.probe(key).is_some());
+                survivors += usize::from(table.may_contain(key));
+            }
+        }
+        let false_positives = survivors - hits;
+        assert!(windows > 10_000 && hits * 10 > windows, "{hits}/{windows}");
+        assert!(
+            false_positives * 10 <= windows - hits,
+            "{false_positives} false positives in {} misses",
+            windows - hits
+        );
+        assert!(survivors * 4 <= windows, "{survivors} of {windows} survive");
     }
 
     #[test]

@@ -79,22 +79,51 @@ impl TokenizerParams {
         Ok(())
     }
 
+    /// The delimiter bitmask of up to 64 bytes: bit `i` is set iff
+    /// `chunk[i]` is a delimiter. Bits past a short chunk's end are set,
+    /// so the end of the text closes an open token like a delimiter.
+    #[inline]
+    fn delim_mask(&self, chunk: &[u8]) -> u64 {
+        let mut mask = if chunk.len() < 64 {
+            u64::MAX << chunk.len()
+        } else {
+            0
+        };
+        for (i, &b) in chunk.iter().enumerate() {
+            mask |= u64::from(self.table[b as usize]) << i;
+        }
+        mask
+    }
+
     /// The core span scan, appending to `spans` — shared by the per-record
     /// and the columnar batch kernel so both emit identical spans.
+    ///
+    /// Bytes are classified 64 at a time into a delimiter bitmask; the
+    /// mask's transitions (`m ^ (m << 1)`) are alternately a token's first
+    /// byte and the delimiter that ends it, so the walk branches once per
+    /// token edge, not once per byte.
     fn tokenize_append(&self, text: &str, spans: &mut Vec<Span>) {
         let bytes = text.as_bytes();
-        let mut start: Option<usize> = None;
-        for (i, &b) in bytes.iter().enumerate() {
-            if self.is_delim(b) {
-                if let Some(s) = start.take() {
-                    spans.push(Span::new(s as u32, i as u32));
+        let mut start = None;
+        // Delimiter state of the byte before the chunk; the text starts
+        // as if behind a delimiter.
+        let mut prev = 1u64;
+        for (word, chunk) in bytes.chunks(64).enumerate() {
+            let mask = self.delim_mask(chunk);
+            let mut edges = mask ^ ((mask << 1) | prev);
+            prev = mask >> 63;
+            while edges != 0 {
+                let at = (word * 64) as u32 + edges.trailing_zeros();
+                edges &= edges - 1;
+                match start.take() {
+                    Some(s) => spans.push(Span::new(s, at)),
+                    None => start = Some(at),
                 }
-            } else if start.is_none() {
-                start = Some(i);
             }
         }
+        // Only a text that ends on a 64-byte boundary inside a token.
         if let Some(s) = start {
-            spans.push(Span::new(s as u32, bytes.len() as u32));
+            spans.push(Span::new(s, bytes.len() as u32));
         }
     }
 
@@ -177,6 +206,62 @@ mod tests {
         assert_eq!(tokens_of(&p, "  hello,,  world  "), vec!["hello", "world"]);
         assert_eq!(tokens_of(&p, ""), Vec::<String>::new());
         assert_eq!(tokens_of(&p, " ., "), Vec::<String>::new());
+    }
+
+    /// The span scan, one branch per byte.
+    fn reference_spans(p: &TokenizerParams, text: &str) -> Vec<Span> {
+        let (mut spans, mut start) = (Vec::new(), None);
+        for (i, &b) in text.as_bytes().iter().enumerate() {
+            if !p.is_delim(b) {
+                start.get_or_insert(i as u32);
+            } else if let Some(s) = start.take() {
+                spans.push(Span::new(s, i as u32));
+            }
+        }
+        spans.extend(start.map(|s| Span::new(s, text.len() as u32)));
+        spans
+    }
+
+    #[test]
+    fn bitmask_scan_emits_the_spans_of_the_byte_scan() {
+        // Lengths 0..=200 cross the 64-byte mask words (and any 16/32-byte
+        // lane under them); the shapes put delimiters on the first and
+        // last byte, in runs, and nowhere at all.
+        const LETTERS: &[char] = &['a', 'Z', '7', '-', 'é', 'ÿ', '日', '€'];
+        const DELIMS: &[char] = &[' ', ',', '.', '\n', '\''];
+        let p = TokenizerParams::whitespace_punct();
+        let mut state = 0x70c3u64;
+        let mut below = |n: usize| {
+            state = pretzel_data::hash::splitmix64(state);
+            (state % n as u64) as usize
+        };
+        for chars in 0..=200usize {
+            for shape in 0..6 {
+                let delim_in = [4, 4, 4, 2, 12, usize::MAX][shape];
+                let mut text: String = (0..chars)
+                    .map(|_| {
+                        if delim_in != usize::MAX && below(delim_in) == 0 {
+                            DELIMS[below(DELIMS.len())]
+                        } else {
+                            LETTERS[below(LETTERS.len())]
+                        }
+                    })
+                    .collect();
+                if shape == 1 {
+                    text.insert(0, ' ');
+                }
+                if shape == 2 {
+                    text.push('.');
+                }
+                let mut out = Vector::with_type(ColumnType::TokenList);
+                p.apply(&text, &mut out).unwrap();
+                assert_eq!(
+                    out.as_tokens().unwrap(),
+                    &reference_spans(&p, &text)[..],
+                    "chars={chars} shape={shape} text={text:?}"
+                );
+            }
+        }
     }
 
     #[test]

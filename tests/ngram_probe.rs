@@ -1,30 +1,33 @@
-//! Flat-probe matching-path equivalence and property suite.
+//! N-gram matching-path contract suite.
 //!
-//! The n-gram matching kernel runs the flat prefiltered table path
-//! (incremental window hashing, bulk prefetched probes). The classic
-//! per-window `HashMap` kernel it was originally ablated against is gone
-//! from the product; the contract it anchored still holds and is locked
-//! in here against an **in-test reference implementation** of the classic
-//! sweep: identical hit indices and duplicate resolution at the
-//! dictionary level, identical match sequences at the kernel level, and
-//! identical `apply` / `eval_batch` / fused-dot scores — over randomized
-//! dictionaries and texts, including the degenerate shapes (empty and
-//! one-entry dictionaries, texts shorter than the window, table sizes
-//! straddling power-of-two resize boundaries).
+//! The n-gram kernels hash windows into packed keys, filter them through
+//! the probe table's bit filter and confirm the survivors. None of that
+//! is the contract. The contract is *which* dictionary indices fire for a
+//! row and *in what order* — lengths ascending, then window starts
+//! ascending, first index winning among duplicate keys — and it is locked
+//! in here against a **string-keyed in-test reference**: a `HashMap` from
+//! folded key bytes to first index, probed with each window's own bytes.
+//! The reference shares no hash with the kernels, so it pins neither the
+//! hash function nor a collision of it.
+//!
+//! One kernel behaviour is part of the reference on purpose: a dictionary
+//! key is split into segments on `' '` (that is how a word n-gram is
+//! written), so a *character* window containing a space never matches —
+//! see `NgramDict::hash_key`.
 
+use pretzel_core::physical::{CompileOptions, ExecCtx, ModelPlan, SourceRef};
 use pretzel_core::plan::StageOp;
-use pretzel_data::hash::{splitmix64, Fnv1a};
+use pretzel_core::{flour::FlourContext, object_store::ObjectStore};
+use pretzel_data::hash::splitmix64;
+use pretzel_data::pool::VectorPool;
 use pretzel_data::vector::Span;
 use pretzel_data::{ColumnBatch, ColumnType, Vector};
+use pretzel_ops::linear::{LinearKind, LinearParams};
 use pretzel_ops::synth;
 use pretzel_ops::text::ngram::{NgramDict, NgramParams};
 use pretzel_ops::text::tokenizer::TokenizerParams;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// Separator byte between tokens when hashing word n-grams (the kernels'
-/// `WORD_SEP` contract, restated here so the reference is independent).
-const WORD_SEP: u8 = 0x1f;
 
 /// Deterministic pseudo-random generator for dictionary/text synthesis.
 struct Rng(u64);
@@ -40,76 +43,90 @@ impl Rng {
     }
 }
 
-/// A random text over a small alphabet (dense dictionary hits) with mixed
-/// case and some punctuation/whitespace.
-fn random_text(rng: &mut Rng, len: usize) -> String {
-    const ALPHABET: &[u8] = b"abcdefgABCDEFG ,.x";
-    (0..len)
-        .map(|_| ALPHABET[rng.below(ALPHABET.len())] as char)
+/// Letters of the synthetic texts and keys: mixed-case ASCII over a small
+/// alphabet (dense dictionary hits) plus 2- and 3-byte code points, so
+/// byte windows cut through characters.
+const LETTERS: &[char] = &[
+    'a', 'b', 'c', 'd', 'e', 'A', 'B', 'C', 'D', 'E', 'x', 'é', 'Ü', '日',
+];
+
+/// Token separators of the synthetic texts.
+const SEPARATORS: &[char] = &[' ', ' ', ',', '.'];
+
+fn random_letters(rng: &mut Rng, chars: usize) -> String {
+    (0..chars)
+        .map(|_| LETTERS[rng.below(LETTERS.len())])
         .collect()
 }
 
-/// A random dictionary of `entries` keys of length `1..=max_len` over the
-/// same alphabet (so texts actually hit), with deliberate duplicates.
-fn random_keys(rng: &mut Rng, entries: usize, max_len: usize) -> Vec<Box<str>> {
-    const ALPHABET: &[u8] = b"abcdefgABCDEFG";
-    (0..entries)
+/// A random text of `chars` characters: letters with about one separator
+/// in five.
+fn random_text(rng: &mut Rng, chars: usize) -> String {
+    (0..chars)
         .map(|_| {
-            let len = 1 + rng.below(max_len);
-            let k: String = (0..len)
-                .map(|_| ALPHABET[rng.below(ALPHABET.len())] as char)
-                .collect();
-            k.into_boxed_str()
+            if rng.below(5) == 0 {
+                SEPARATORS[rng.below(SEPARATORS.len())]
+            } else {
+                LETTERS[rng.below(LETTERS.len())]
+            }
         })
         .collect()
 }
 
-#[inline]
-fn fold(b: u8, fold_case: bool) -> u8 {
-    if fold_case && b.is_ascii_uppercase() {
-        b | 0x20
+/// A random dictionary of `entries` space-free keys of `1..=max_chars`
+/// characters over [`LETTERS`], with the duplicates a small alphabet gives.
+fn random_keys(rng: &mut Rng, entries: usize, max_chars: usize) -> Vec<Box<str>> {
+    (0..entries)
+        .map(|_| {
+            let chars = 1 + rng.below(max_chars);
+            random_letters(rng, chars).into_boxed_str()
+        })
+        .collect()
+}
+
+fn fold(bytes: &[u8], fold_case: bool) -> Vec<u8> {
+    if fold_case {
+        bytes.to_ascii_lowercase()
     } else {
-        b
+        bytes.to_vec()
     }
 }
 
-/// Reference probe structure: a first-index-wins `HashMap` built exactly
-/// the way the retired control path built its map.
-fn reference_map(p: &NgramParams) -> HashMap<u64, u32> {
+/// Reference probe structure: folded key bytes → first index.
+fn reference_map(p: &NgramParams) -> HashMap<Vec<u8>, u32> {
     let mut map = HashMap::with_capacity(p.dict.len());
     for (i, k) in p.dict.keys().iter().enumerate() {
-        map.entry(NgramDict::hash_key(k, p.fold_case))
+        map.entry(fold(k.as_bytes(), p.fold_case))
             .or_insert(i as u32);
     }
     map
 }
 
-fn lengths(p: &NgramParams) -> std::ops::RangeInclusive<u32> {
+fn lengths(p: &NgramParams) -> std::ops::RangeInclusive<usize> {
+    let n = p.n as usize;
     if p.all_lengths {
-        1..=p.n
+        1..=n
     } else {
-        p.n..=p.n
+        n..=n
     }
 }
 
-/// Reference character kernel: the classic per-window sweep — lengths
-/// ascending, start positions ascending, fold + FNV-1a per window,
-/// chained map probe.
+/// Reference character kernel: lengths ascending, start positions
+/// ascending, each window's folded bytes looked up as a string.
 fn reference_char_matches(p: &NgramParams, text: &str) -> Vec<u32> {
     let map = reference_map(p);
-    let bytes = text.as_bytes();
+    let bytes = fold(text.as_bytes(), p.fold_case);
     let mut hits = Vec::new();
     for k in lengths(p) {
-        let k = k as usize;
         if k == 0 || bytes.len() < k {
             continue;
         }
         for w in bytes.windows(k) {
-            let mut h = Fnv1a::new();
-            for &b in w {
-                h.push_byte(fold(b, p.fold_case));
+            // A space in a key separates word segments (module comment).
+            if w.contains(&b' ') {
+                continue;
             }
-            if let Some(&idx) = map.get(&h.finish()) {
+            if let Some(&idx) = map.get(w) {
                 hits.push(idx);
             }
         }
@@ -117,27 +134,22 @@ fn reference_char_matches(p: &NgramParams, text: &str) -> Vec<u32> {
     hits
 }
 
-/// Reference word kernel: the classic per-window sweep over token spans.
+/// Reference word kernel: the same sweep over token windows, a window's
+/// string being its folded tokens joined by single spaces.
 fn reference_word_matches(p: &NgramParams, text: &str, spans: &[Span]) -> Vec<u32> {
     let map = reference_map(p);
-    let bytes = text.as_bytes();
+    let bytes = fold(text.as_bytes(), p.fold_case);
     let mut hits = Vec::new();
     for k in lengths(p) {
-        let k = k as usize;
         if k == 0 || spans.len() < k {
             continue;
         }
         for w in spans.windows(k) {
-            let mut h = Fnv1a::new();
-            for (ti, sp) in w.iter().enumerate() {
-                if ti > 0 {
-                    h.push_byte(WORD_SEP);
-                }
-                for &b in &bytes[sp.start as usize..sp.end as usize] {
-                    h.push_byte(fold(b, p.fold_case));
-                }
-            }
-            if let Some(&idx) = map.get(&h.finish()) {
+            let tokens: Vec<&[u8]> = w
+                .iter()
+                .map(|sp| &bytes[sp.start as usize..sp.end as usize])
+                .collect();
+            if let Some(&idx) = map.get(&tokens.join(&b' ')) {
                 hits.push(idx);
             }
         }
@@ -157,6 +169,14 @@ fn collect_word_matches(p: &NgramParams, text: &str, spans: &[Span]) -> Vec<u32>
     hits
 }
 
+fn tokenize(text: &str) -> Vec<Span> {
+    let mut toks = Vector::with_type(ColumnType::TokenList);
+    TokenizerParams::whitespace_punct()
+        .apply(text, &mut toks)
+        .unwrap();
+    toks.as_tokens().unwrap().to_vec()
+}
+
 #[test]
 fn dict_probe_agrees_with_reference_map_on_keys_and_misses() {
     let mut rng = Rng(0xfeed_face);
@@ -164,34 +184,29 @@ fn dict_probe_agrees_with_reference_map_on_keys_and_misses() {
     // (capacity = next_pow2(2·len)), including the degenerate dictionaries.
     for entries in [0usize, 1, 2, 3, 4, 7, 8, 9, 31, 32, 33, 127, 128, 129, 1000] {
         for fold_case in [true, false] {
-            let dict = NgramDict::new(random_keys(&mut rng, entries, 4), fold_case);
-            let mut reference: HashMap<u64, u32> = HashMap::new();
-            for (i, k) in dict.keys().iter().enumerate() {
-                reference
-                    .entry(NgramDict::hash_key(k, fold_case))
-                    .or_insert(i as u32);
-            }
-            // Every key resolves identically (first-index-wins duplicates
-            // included).
-            for key in dict.keys() {
-                let h = NgramDict::hash_key(key, fold_case);
+            let p = NgramParams::new(4, true, fold_case, random_keys(&mut rng, entries, 4));
+            let reference = reference_map(&p);
+            let probe = |s: &str| p.dict.probe(NgramDict::hash_key(s, fold_case));
+            // Every key resolves to its first index (duplicates included).
+            for key in p.dict.keys() {
                 assert_eq!(
-                    dict.probe(h),
-                    reference.get(&h).copied(),
+                    probe(key),
+                    Some(reference[&fold(key.as_bytes(), fold_case)]),
                     "entries={entries} key={key:?}"
                 );
-                assert!(dict.probe(h).is_some());
             }
-            // Random hashes (overwhelmingly misses) resolve identically.
+            // Random strings — mostly misses, some hits — resolve as the
+            // string map does.
             for _ in 0..500 {
-                let h = rng.next();
+                let chars = 1 + rng.below(5);
+                let s = random_letters(&mut rng, chars);
                 assert_eq!(
-                    dict.probe(h),
-                    reference.get(&h).copied(),
-                    "entries={entries}"
+                    probe(&s),
+                    reference.get(&fold(s.as_bytes(), fold_case)).copied(),
+                    "entries={entries} probe={s:?}"
                 );
             }
-            assert_eq!(dict.flat_table().len(), reference.len());
+            assert_eq!(p.dict.flat_table().len(), reference.len());
         }
     }
 }
@@ -211,36 +226,100 @@ fn duplicate_keys_resolve_first_index_wins() {
 }
 
 #[test]
-fn char_match_sequences_identical_to_reference_sweep() {
+fn char_and_word_match_sequences_identical_to_reference_sweep() {
     let mut rng = Rng(0x1234_5678);
-    let tok = TokenizerParams::whitespace_punct();
-    for case in 0..40 {
-        let entries = [0, 1, 3, 50, 400][case % 5];
-        let n = 1 + (case % 4) as u32;
-        let all_lengths = case % 2 == 0;
-        let fold_case = case % 3 != 0;
-        let p = NgramParams::new(
-            n,
-            all_lengths,
-            fold_case,
-            random_keys(&mut rng, entries, n as usize),
-        );
-        for text_len in [0usize, 1, 2, 5, 40, 300] {
-            let text = random_text(&mut rng, text_len);
-            assert_eq!(
-                collect_char_matches(&p, &text),
-                reference_char_matches(&p, &text),
-                "char case={case} n={n} all={all_lengths} fold={fold_case} len={text_len}"
-            );
-            // Word-level over the same material.
-            let mut toks = Vector::with_type(ColumnType::TokenList);
-            tok.apply(&text, &mut toks).unwrap();
-            let spans = toks.as_tokens().unwrap();
-            assert_eq!(
-                collect_word_matches(&p, &text, spans),
-                reference_word_matches(&p, &text, spans),
-                "word case={case} len={text_len}"
-            );
+    // n crosses the 8-byte packed-key boundary; multi-byte letters put
+    // keys of ≤ 10 characters at up to 30 bytes.
+    for n in 1..=10u32 {
+        for all_lengths in [true, false] {
+            for fold_case in [true, false] {
+                for entries in [0usize, 1, 3, 50, 400] {
+                    let p = NgramParams::new(
+                        n,
+                        all_lengths,
+                        fold_case,
+                        random_keys(&mut rng, entries, n as usize),
+                    );
+                    // Empty rows, rows shorter than n, a zero-token row,
+                    // and rows long enough to span several key blocks.
+                    let mut texts: Vec<String> = [0usize, 1, 2, 5, 40, 300]
+                        .iter()
+                        .map(|&chars| random_text(&mut rng, chars))
+                        .collect();
+                    texts.push(" ., ".to_string());
+                    for text in &texts {
+                        let tag = format!(
+                            "n={n} all={all_lengths} fold={fold_case} \
+                             entries={entries} text={text:?}"
+                        );
+                        assert_eq!(
+                            collect_char_matches(&p, text),
+                            reference_char_matches(&p, text),
+                            "char {tag}"
+                        );
+                        let spans = tokenize(text);
+                        assert_eq!(
+                            collect_word_matches(&p, text, &spans),
+                            reference_word_matches(&p, text, &spans),
+                            "word {tag}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn word_ngrams_of_random_vocabulary_match_reference() {
+    // Word-level dictionaries proper: keys of 1..=n vocabulary words
+    // (1–12 characters, so token hashes cross the packed boundary) joined
+    // by single spaces, texts over the same vocabulary with mixed case.
+    let mut rng = Rng(0x77aa);
+    let vocab: Vec<String> = (0..40)
+        .map(|_| {
+            let chars = 1 + rng.below(12);
+            random_letters(&mut rng, chars)
+        })
+        .collect();
+    for n in 1..=4u32 {
+        for all_lengths in [true, false] {
+            for fold_case in [true, false] {
+                let keys: Vec<Box<str>> = (0..200)
+                    .map(|_| {
+                        let k = 1 + rng.below(n as usize);
+                        let gram: Vec<&str> = (0..k)
+                            .map(|_| vocab[rng.below(vocab.len())].as_str())
+                            .collect();
+                        gram.join(" ").into_boxed_str()
+                    })
+                    .collect();
+                let p = NgramParams::new(n, all_lengths, fold_case, keys);
+                let mut total = 0;
+                for items in [0usize, 1, 2, 3, 8, 25, 400] {
+                    // Half the items are whole keys, so every length hits.
+                    let text: String = (0..items)
+                        .map(|_| {
+                            let item: &str = if rng.below(2) == 0 {
+                                &vocab[rng.below(vocab.len())]
+                            } else {
+                                &p.dict.keys()[rng.below(p.dim())]
+                            };
+                            let sep = SEPARATORS[rng.below(SEPARATORS.len())];
+                            format!("{item}{sep} ")
+                        })
+                        .collect();
+                    let spans = tokenize(&text);
+                    let got = collect_word_matches(&p, &text, &spans);
+                    assert_eq!(
+                        got,
+                        reference_word_matches(&p, &text, &spans),
+                        "n={n} all={all_lengths} fold={fold_case} items={items}"
+                    );
+                    total += got.len();
+                }
+                assert!(total > 0, "n={n}: the sweep never hit");
+            }
         }
     }
 }
@@ -252,23 +331,69 @@ fn word_match_sequences_identical_on_vocabulary_texts() {
     // harder than random misses do.
     let vocab = synth::vocabulary(7, 64);
     let p = Arc::new(synth::word_ngram(9, 2, 128, &vocab));
-    let tok = TokenizerParams::whitespace_punct();
     let mut rng = Rng(0xabcd);
     for sentence_len in [0usize, 1, 2, 3, 8, 25] {
         let sentence: Vec<&str> = (0..sentence_len)
             .map(|_| vocab[rng.below(vocab.len())].as_str())
             .collect();
         let text = sentence.join(" ");
-        let mut toks = Vector::with_type(ColumnType::TokenList);
-        tok.apply(&text, &mut toks).unwrap();
-        let spans = toks.as_tokens().unwrap();
-        let kernel = collect_word_matches(&p, &text, spans);
+        let spans = tokenize(&text);
+        let kernel = collect_word_matches(&p, &text, &spans);
         assert_eq!(
             kernel,
-            reference_word_matches(&p, &text, spans),
+            reference_word_matches(&p, &text, &spans),
             "sentence_len={sentence_len}"
         );
         assert!(sentence_len < 2 || !kernel.is_empty() || p.dim() == 0);
+    }
+}
+
+#[test]
+fn hits_in_the_rows_last_bytes_are_found() {
+    // The kernels read 8 bytes at a time off a folded copy of the row
+    // with slack behind it; a window ending on the row's last byte reads
+    // into that slack. Every suffix of the row, at every length across
+    // the packed boundary, must still match — case-sensitive too, which
+    // folds nothing but still needs the slack.
+    let text = "the quick brown fox jumps over THE LAZY DOG";
+    for fold_case in [true, false] {
+        for k in 1..=12usize {
+            let suffix = &text[text.len() - k..];
+            if suffix.contains(' ') {
+                continue;
+            }
+            let p = NgramParams::new(k as u32, false, fold_case, vec![Box::from(suffix)]);
+            let hits = collect_char_matches(&p, text);
+            assert_eq!(hits, reference_char_matches(&p, text), "k={k}");
+            assert_eq!(hits.last(), Some(&0), "k={k} fold={fold_case}");
+        }
+    }
+    // Word level: the last token, and the last bigram.
+    let spans = tokenize(text);
+    let p = NgramParams::new(2, true, true, vec![Box::from("dog"), Box::from("lazy dog")]);
+    assert_eq!(collect_word_matches(&p, text, &spans), vec![0, 1]);
+}
+
+#[test]
+fn one_70_kib_row_matches_reference_and_leaves_the_scratch_usable() {
+    let mut rng = Rng(0x70_000);
+    let p = NgramParams::new(3, true, true, random_keys(&mut rng, 400, 3));
+    let mut long = String::new();
+    while long.len() < 70 << 10 {
+        long.push_str(&random_text(&mut rng, 512));
+    }
+    let spans = tokenize(&long);
+    assert!(spans.len() > 5_000);
+    for text in [long.as_str(), "abc de"] {
+        assert_eq!(
+            collect_char_matches(&p, text),
+            reference_char_matches(&p, text)
+        );
+        let spans = tokenize(text);
+        assert_eq!(
+            collect_word_matches(&p, text, &spans),
+            reference_word_matches(&p, text, &spans)
+        );
     }
 }
 
@@ -279,7 +404,7 @@ fn apply_and_eval_batch_outputs_match_reference_accumulation() {
     let texts: Vec<String> = (0..17).map(|i| random_text(&mut rng, i * 13)).collect();
 
     for t in &texts {
-        // Reference: accumulate the classic sweep's hit sequence into a
+        // Reference: accumulate the reference sweep's hit sequence into a
         // sorted-by-index sparse pair list (`sparse_accumulate` keeps
         // indices sorted; counts are sums of exact 1.0s, so order of
         // addition cannot perturb them).
@@ -343,11 +468,7 @@ fn fused_dot_scores_match_reference_emission_order() {
     // the strictest consumer: any reordering in the kernel shows up in
     // the last bits of the sum.
     let ngram = Arc::new(synth::char_ngram(5, 3, 512));
-    let lin = Arc::new(synth::linear(
-        6,
-        512,
-        pretzel_ops::linear::LinearKind::Regression,
-    ));
+    let lin = Arc::new(synth::linear(6, 512, LinearKind::Regression));
     let weights = lin.weights.clone();
     let mut rng = Rng(0x9988);
     let step = StageOp::FusedCharNgramDot {
@@ -356,7 +477,9 @@ fn fused_dot_scores_match_reference_emission_order() {
         offset: 0,
     };
     for len in [0usize, 3, 10, 120, 800] {
-        let text_s = random_text(&mut rng, len);
+        let text_s: String = (0..len)
+            .map(|_| (b'a' + rng.below(26) as u8) as char)
+            .collect();
         let mut expect = 0.0f32;
         for idx in reference_char_matches(&ngram, &text_s) {
             expect += weights[idx as usize];
@@ -371,4 +494,88 @@ fn fused_dot_scores_match_reference_emission_order() {
             "fused dot len={len}: {got} vs {expect}"
         );
     }
+}
+
+#[test]
+fn fused_plan_scores_equal_reference_order_accumulation_in_every_engine() {
+    // A whole SA plan with both n-gram·dot steps fused, scored through the
+    // three engines. The expected score accumulates the reference hit
+    // sequences in f32 exactly as the fused steps and `Combine` do.
+    let mut rng = Rng(0xe9e9);
+    let vocab = synth::vocabulary(3, 48);
+    let cgram = Arc::new(synth::char_ngram(11, 3, 800));
+    let wgram = Arc::new(synth::word_ngram(12, 2, 200, &vocab));
+    let weights: Vec<f32> = (0..cgram.dim() + wgram.dim())
+        .map(|_| (rng.below(2001) as f32 - 1000.0) / 977.0)
+        .collect();
+    let lin = Arc::new(LinearParams::new(
+        LinearKind::Regression,
+        weights.clone(),
+        0.125,
+    ));
+    let tokens = FlourContext::new().text_source().tokenize();
+    let graph = tokens
+        .char_ngram(Arc::clone(&cgram))
+        .concat(&tokens.word_ngram(Arc::clone(&wgram)))
+        .classifier_linear(Arc::clone(&lin))
+        .graph();
+    let logical = pretzel_core::oven::optimize(&graph).unwrap().plan;
+    let plan = ModelPlan::compile(
+        logical,
+        &CompileOptions {
+            fuse_ngram_dot: true,
+        },
+        &ObjectStore::new(),
+    )
+    .unwrap();
+
+    let lines: Vec<String> = [0usize, 1, 2, 9, 30, 120]
+        .iter()
+        .map(|&words| {
+            let sentence: Vec<&str> = (0..words)
+                .map(|_| vocab[rng.below(vocab.len())].as_str())
+                .collect();
+            sentence.join(" ")
+        })
+        .collect();
+    let expect: Vec<u32> = lines
+        .iter()
+        .map(|line| {
+            let mut c = 0.0f32;
+            for idx in reference_char_matches(&cgram, line) {
+                c += weights[idx as usize];
+            }
+            let mut w = 0.0f32;
+            for idx in reference_word_matches(&wgram, line, &tokenize(line)) {
+                w += weights[cgram.dim() + idx as usize];
+            }
+            (lin.bias + c + w).to_bits()
+        })
+        .collect();
+    assert!(expect.iter().any(|&e| e != lin.bias.to_bits()));
+
+    let mut ctx = ExecCtx::new(Arc::new(VectorPool::new()));
+    let mut slots: Vec<Vector> = plan
+        .slot_types()
+        .iter()
+        .map(|&t| Vector::with_type(t))
+        .collect();
+    for (line, &e) in lines.iter().zip(&expect) {
+        let src = SourceRef::Text(line);
+        let single = plan.execute(src, &mut slots, &mut ctx).unwrap();
+        assert_eq!(single.to_bits(), e, "execute on {line:?}");
+        let borrowed = plan.execute_borrowed(src, &mut slots, &mut ctx).unwrap();
+        assert_eq!(borrowed.to_bits(), e, "execute_borrowed on {line:?}");
+    }
+    let sources: Vec<SourceRef<'_>> = lines.iter().map(|l| SourceRef::Text(l)).collect();
+    let mut batch_slots: Vec<ColumnBatch> = plan
+        .batch_slot_types()
+        .iter()
+        .map(|&t| ColumnBatch::with_type(t))
+        .collect();
+    let mut scores = vec![0.0f32; lines.len()];
+    plan.execute_batch(&sources, &mut batch_slots, &mut ctx, &mut scores)
+        .unwrap();
+    let got: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
+    assert_eq!(got, expect, "execute_batch");
 }
