@@ -112,7 +112,7 @@ fn serve_connection(
     // Connections to containers opened lazily and kept for this client.
     let mut backends: HashMap<u32, TcpStream> = HashMap::new();
     loop {
-        let body = match container::read_frame(&mut stream)? {
+        let body = match container::read_v1_frame(&mut stream)? {
             Some(b) => b,
             None => return Ok(()),
         };

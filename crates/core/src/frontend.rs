@@ -93,11 +93,13 @@ pub use wire::{
 
 use crate::lru::LruCache;
 use crate::physical::SourceRef;
-use crate::runtime::{PlanId, Runtime};
+use crate::runtime::{PlanId, RrSession, Runtime};
 use parking_lot::Mutex;
+use pretzel_data::ingest::{check_finite, validate_sparse_indices};
 use pretzel_data::serde_bin::Cursor;
 use pretzel_data::{BatchAssembler, ColumnType, DataError, Result};
 use std::collections::HashMap;
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
@@ -194,23 +196,48 @@ struct ServerShared {
 ///
 /// The blocking path computes in place and returns [`Dispatch::Ready`];
 /// the reactor path hands asynchronous work a [`reactor::CompletionHandle`]
-/// and returns [`Dispatch::Pending`] — the completion re-enters the owning
-/// reactor through its queue instead of parking this thread.
-#[derive(Clone)]
-enum Responder {
+/// — built from the frame's [`reactor::Route`] only then, so a request
+/// answered inline never pays for one — and returns [`Dispatch::Pending`]:
+/// the completion re-enters the owning reactor through its queue instead
+/// of parking this thread.
+enum Responder<'a> {
     /// Thread-per-connection: block until the result exists.
     Blocking,
     /// Reactor: push the encoded response to the connection's reactor.
-    Reactor(reactor::CompletionHandle),
+    Reactor(reactor::Route<'a>),
 }
 
 /// Outcome of dispatching one request frame.
+#[derive(Debug, PartialEq)]
 enum Dispatch {
-    /// The encoded response body, ready to write.
-    Ready(Vec<u8>),
+    /// The response body was appended to the caller's output buffer.
+    Ready,
     /// The response will arrive later through the [`Responder`]'s
-    /// completion handle (reactor mode only).
+    /// completion handle (reactor mode only); nothing was appended.
     Pending,
+}
+
+/// What one serving thread (a reactor, or a blocking connection thread)
+/// keeps for the single-row fast lane: its own request-response session,
+/// so an inline request takes none from the runtime's shared pool, and the
+/// scratch a dense or sparse wire row is copied into once (the frame's
+/// bytes are unaligned; a text row is borrowed from the frame as it is).
+struct Lane {
+    session: RrSession,
+    dense: Vec<f32>,
+    indices: Vec<u32>,
+    values: Vec<f32>,
+}
+
+impl Lane {
+    fn new(runtime: &Runtime) -> Lane {
+        Lane {
+            session: runtime.rr_session(),
+            dense: Vec::new(),
+            indices: Vec::new(),
+            values: Vec::new(),
+        }
+    }
 }
 
 /// One plan's accumulated delayed-batch requests between flushes: rows
@@ -449,57 +476,68 @@ fn serve_connection(
     stats: &FrontEndStats,
 ) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
+    let mut frames = wire::FrameReader::default();
+    let mut lane = Lane::new(&shared.runtime);
+    let mut out = Vec::new();
     loop {
-        match wire::read_frame(&mut stream)? {
-            wire::ReadFrame::V1(body) => {
-                let reply = serve_frame_blocking(shared, &body);
-                wire::write_v1(&mut stream, &reply)?;
+        out.clear();
+        match frames.read_next(&mut stream)? {
+            None => return Ok(()),
+            Some(wire::Frame::Complete {
+                version,
+                request_id,
+                body,
+            }) => {
+                let body_start = if version == 1 {
+                    wire::begin_v1(&mut out)
+                } else {
+                    wire::begin_v2(&mut out, request_id)
+                };
+                let dispatch = serve_frame(shared, &mut lane, body, &mut out, &Responder::Blocking);
+                debug_assert_eq!(
+                    dispatch,
+                    Dispatch::Ready,
+                    "blocking dispatch resolves in place"
+                );
+                wire::end_frame(&mut out, body_start);
+                stream.write_all(&out)?;
             }
-            wire::ReadFrame::V2 { request_id, body } => {
-                let reply = serve_frame_blocking(shared, &body);
-                wire::write_v2(&mut stream, request_id, &reply)?;
-            }
-            wire::ReadFrame::Eof => return Ok(()),
-            wire::ReadFrame::Oversized(len) => {
+            Some(wire::Frame::Reject(msg)) => {
                 // Refuse with a protocol error instead of allocating. The
                 // stream cannot be resynchronized past an unread body, so
                 // reply and close.
                 stats.note_protocol_error();
-                let reply = wire::encode_err(&format!(
-                    "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte limit"
-                ));
-                let _ = wire::write_v1(&mut stream, &reply);
-                return Ok(());
-            }
-            wire::ReadFrame::BadVersion(v) => {
-                stats.note_protocol_error();
-                let reply = wire::encode_err(&format!("unsupported wire version {v}"));
-                let _ = wire::write_v1(&mut stream, &reply);
+                wire::encode_v1_into(&mut out, &wire::encode_err(&msg));
+                let _ = stream.write_all(&out);
                 return Ok(());
             }
         }
     }
 }
 
-/// Dispatches one frame on the blocking path, where every request
-/// resolves in place.
-fn serve_frame_blocking(shared: &ServerShared, body: &[u8]) -> Vec<u8> {
-    match serve_frame(shared, body, &Responder::Blocking) {
-        Dispatch::Ready(reply) => reply,
-        Dispatch::Pending => unreachable!("blocking dispatch always resolves in place"),
-    }
-}
-
-/// Dispatches one request frame: the encoded response, or `Pending` when
-/// a reactor responder will receive it asynchronously.
-fn serve_frame(shared: &ServerShared, body: &[u8], responder: &Responder) -> Dispatch {
-    match handle_request(shared, body, responder) {
+/// Dispatches one request frame. On [`Dispatch::Ready`] the response body
+/// — the result, or the error the request ran into — has been appended to
+/// `out`; on [`Dispatch::Pending`] a reactor responder will receive it
+/// asynchronously and `out` is as it was.
+fn serve_frame(
+    shared: &ServerShared,
+    lane: &mut Lane,
+    body: &[u8],
+    out: &mut Vec<u8>,
+    responder: &Responder<'_>,
+) -> Dispatch {
+    let mark = out.len();
+    match handle_request(shared, lane, body, out, responder) {
         Ok(dispatch) => dispatch,
-        Err(e) => Dispatch::Ready(encode_error(&e)),
+        Err(e) => {
+            out.truncate(mark);
+            out.extend_from_slice(&encode_error(&e));
+            Dispatch::Ready
+        }
     }
 }
 
-///// Maps a request error onto its wire status: contained operator panics
+/// Maps a request error onto its wire status: contained operator panics
 /// and quarantined plans get their own statuses so clients can react in
 /// kind; everything else is the generic status-1 error string.
 pub(super) fn encode_error(e: &DataError) -> Vec<u8> {
@@ -519,7 +557,13 @@ struct RequestHead {
     n: usize,
 }
 
-fn handle_request(shared: &ServerShared, body: &[u8], responder: &Responder) -> Result<Dispatch> {
+fn handle_request(
+    shared: &ServerShared,
+    lane: &mut Lane,
+    body: &[u8],
+    out: &mut Vec<u8>,
+    responder: &Responder<'_>,
+) -> Result<Dispatch> {
     let mut cur = Cursor::new(body);
     let plan = cur.u32()?;
     let kind_flags = cur.u32()?;
@@ -538,16 +582,17 @@ fn handle_request(shared: &ServerShared, body: &[u8], responder: &Responder) -> 
             accepted: shared.stats.accepted(),
             protocol_errors: shared.stats.protocol_errors(),
         });
-        let mut payload = Vec::new();
-        snap.encode(&mut payload);
-        return Ok(Dispatch::Ready(wire::encode_admin(&payload)));
+        out.push(wire::STATUS_ADMIN);
+        snap.encode(out);
+        return Ok(Dispatch::Ready);
     }
     if matches!(
         head.kind,
         ADMIN_DEPLOY | ADMIN_UNDEPLOY | ADMIN_SWAP | ADMIN_LIST | ADMIN_ROLLBACK
     ) {
-        return handle_admin(&head, cur, &shared.runtime)
-            .map(|payload| Dispatch::Ready(wire::encode_admin(&payload)));
+        out.push(wire::STATUS_ADMIN);
+        handle_admin(&head, cur, &shared.runtime, out)?;
+        return Ok(Dispatch::Ready);
     }
     if head.flags & FLAG_PLAN_ALIAS != 0 {
         // Alias addressing: resolve per attempt; a request that loses the
@@ -555,24 +600,27 @@ fn handle_request(shared: &ServerShared, body: &[u8], responder: &Responder) -> 
         // re-resolves and lands on the alias's current binding. Admission
         // for batch submissions is synchronous, so a `Pending` dispatch is
         // already past the retirement race by the time it returns.
-        let alias = cur.str()?;
-        let records = cur.clone();
-        return shared.runtime.with_alias(&alias, |id| {
+        let alias = cur.str_ref()?;
+        return shared.runtime.with_alias(alias, |id| {
             let head = RequestHead {
                 plan: id,
                 flags: head.flags & !FLAG_PLAN_ALIAS,
                 ..head
             };
-            serve_records(head, records.clone(), shared, responder)
+            serve_records(head, cur.clone(), shared, lane, out, responder)
         });
     }
-    serve_records(head, cur, shared, responder)
+    serve_records(head, cur, shared, lane, out, responder)
 }
 
-/// Executes one admin verb, returning the verb-specific payload.
-fn handle_admin(head: &RequestHead, mut cur: Cursor<'_>, runtime: &Runtime) -> Result<Vec<u8>> {
+/// Executes one admin verb, appending the verb-specific payload.
+fn handle_admin(
+    head: &RequestHead,
+    mut cur: Cursor<'_>,
+    runtime: &Runtime,
+    payload: &mut Vec<u8>,
+) -> Result<()> {
     use pretzel_data::serde_bin::wire;
-    let mut payload = Vec::new();
     match head.kind {
         ADMIN_DEPLOY => {
             let alias = cur.str()?;
@@ -585,42 +633,42 @@ fn handle_admin(head: &RequestHead, mut cur: Cursor<'_>, runtime: &Runtime) -> R
                     reserved,
                 },
             )?;
-            wire::put_u32(&mut payload, id);
+            wire::put_u32(payload, id);
         }
         ADMIN_UNDEPLOY => {
             let report = runtime.undeploy(head.plan)?;
-            wire::put_u64(&mut payload, report.freed_param_bytes as u64);
-            wire::put_u32(&mut payload, report.freed_params as u32);
-            wire::put_u32(&mut payload, report.dropped_stages as u32);
-            wire::put_u32(&mut payload, report.dropped_aliases as u32);
+            wire::put_u64(payload, report.freed_param_bytes as u64);
+            wire::put_u32(payload, report.freed_params as u32);
+            wire::put_u32(payload, report.dropped_stages as u32);
+            wire::put_u32(payload, report.dropped_aliases as u32);
         }
         ADMIN_SWAP => {
             let alias = cur.str()?;
             let previous = runtime.swap(&alias, head.plan)?;
-            wire::put_u32(&mut payload, previous.unwrap_or(u32::MAX));
+            wire::put_u32(payload, previous.unwrap_or(u32::MAX));
         }
         ADMIN_ROLLBACK => {
             let alias = cur.str()?;
             let now_bound = runtime.rollback(&alias)?;
-            wire::put_u32(&mut payload, now_bound.unwrap_or(u32::MAX));
+            wire::put_u32(payload, now_bound.unwrap_or(u32::MAX));
         }
         ADMIN_LIST => {
             let plans = runtime.list_plans();
-            wire::put_u32(&mut payload, plans.len() as u32);
+            wire::put_u32(payload, plans.len() as u32);
             for info in plans {
-                wire::put_u32(&mut payload, info.id);
-                wire::put_u32(&mut payload, u32::from(info.retired));
-                wire::put_u32(&mut payload, u32::from(info.quarantined));
-                wire::put_u32(&mut payload, info.in_flight as u32);
-                wire::put_u32(&mut payload, info.aliases.len() as u32);
+                wire::put_u32(payload, info.id);
+                wire::put_u32(payload, u32::from(info.retired));
+                wire::put_u32(payload, u32::from(info.quarantined));
+                wire::put_u32(payload, info.in_flight as u32);
+                wire::put_u32(payload, info.aliases.len() as u32);
                 for alias in &info.aliases {
-                    wire::put_str(&mut payload, alias);
+                    wire::put_str(payload, alias);
                 }
             }
         }
         k => return Err(DataError::Runtime(format!("bad admin kind {k:#x}"))),
     }
-    Ok(payload)
+    Ok(())
 }
 
 /// The slot-0 batch type a request's records assemble into. Dense and
@@ -634,17 +682,9 @@ fn handle_admin(head: &RequestHead, mut cur: Cursor<'_>, runtime: &Runtime) -> R
 fn wire_batch_type(kind: u8, cur: &Cursor<'_>) -> Result<ColumnType> {
     match kind {
         KIND_TEXT => Ok(ColumnType::Text),
-        KIND_DENSE => {
-            let mut peek = cur.clone();
-            let len = peek.u32()? as usize;
-            if len.saturating_mul(4) > peek.remaining() {
-                return Err(DataError::Codec(format!(
-                    "dense record claims {len} features, body holds {} bytes",
-                    peek.remaining()
-                )));
-            }
-            Ok(ColumnType::F32Dense { len })
-        }
+        KIND_DENSE => Ok(ColumnType::F32Dense {
+            len: dense_len(&mut cur.clone())?,
+        }),
         KIND_SPARSE => {
             let mut peek = cur.clone();
             Ok(ColumnType::F32Sparse {
@@ -653,6 +693,19 @@ fn wire_batch_type(kind: u8, cur: &Cursor<'_>) -> Result<ColumnType> {
         }
         k => Err(DataError::Runtime(format!("bad record kind {k}"))),
     }
+}
+
+/// Reads a dense record's length prefix, rejecting a claim of more floats
+/// than the body holds.
+fn dense_len(cur: &mut Cursor<'_>) -> Result<usize> {
+    let len = cur.u32()? as usize;
+    if len.saturating_mul(4) > cur.remaining() {
+        return Err(DataError::Codec(format!(
+            "dense record claims {len} features, body holds {} bytes",
+            cur.remaining()
+        )));
+    }
+    Ok(len)
 }
 
 /// Rows to size the assembler's batch lease for: enough for the request,
@@ -665,14 +718,16 @@ fn assembler_rows_hint(ty: &ColumnType, n: usize, body_remaining: usize) -> usiz
     }
 }
 
-/// Serves a (plan-id-addressed) prediction request: decode the rows
-/// straight into a pool-leased batch, then serve through the engine the
-/// flags select.
+/// Serves a (plan-id-addressed) prediction request through the engine its
+/// shape and flags select: the inline lane for one row, the batch engine
+/// (or the delayed batcher) for rows assembled into a pool-leased batch.
 fn serve_records(
     head: RequestHead,
     mut cur: Cursor<'_>,
     shared: &ServerShared,
-    responder: &Responder,
+    lane: &mut Lane,
+    out: &mut Vec<u8>,
+    responder: &Responder<'_>,
 ) -> Result<Dispatch> {
     let RequestHead {
         plan,
@@ -684,7 +739,12 @@ fn serve_records(
     if n == 0 {
         // An empty batch still validates its plan id.
         let _ = runtime.plan(plan)?;
-        return Ok(Dispatch::Ready(wire::encode_ok(&[])));
+        wire::put_ok(out, &[]);
+        return Ok(Dispatch::Ready);
+    }
+    let delayed = flags & FLAG_DELAYED_BATCH != 0 && n == 1;
+    if n == 1 && !delayed {
+        return serve_single(head, cur, shared, lane, out);
     }
     let cache = &shared.cache;
     let pool = Arc::clone(runtime.ingest_pool());
@@ -692,12 +752,12 @@ fn serve_records(
     let rows_hint = assembler_rows_hint(&ty, n, cur.remaining());
     // Per-row content hashing is only worth a pass over every record byte
     // when something will consume the hashes: the sub-plan materialization
-    // cache, or this request's result-cache lookup (single-record requests
-    // against a configured cache — the only shape the result cache
-    // serves). Otherwise decode without it — on matching-bound text
+    // cache, or a delayed request's result-cache lookup (single-record
+    // requests against a configured cache — the only shape the result
+    // cache serves). Otherwise decode without it — on matching-bound text
     // workloads that pass is measurable overhead.
-    let want_hashes = runtime.materialization_cache().is_some()
-        || (flags & FLAG_RESULT_CACHE != 0 && n == 1 && cache.is_some());
+    let use_cache = flags & FLAG_RESULT_CACHE != 0 && delayed && cache.is_some();
+    let want_hashes = runtime.materialization_cache().is_some() || use_cache;
     let lease = pool.acquire_batch(ty, rows_hint);
     let mut asm = if want_hashes {
         BatchAssembler::new(lease)
@@ -722,36 +782,29 @@ fn serve_records(
         reg.record_decode(t0.elapsed().as_nanos() as u64);
     }
 
-    // Prediction-result cache: single-record requests only (multi-record
-    // requests are batch jobs where caching individual rows buys little).
-    // `use_cache` implies `want_hashes` above, so `asm.hash(0)` is always
-    // populated on this path.
-    let use_cache = flags & FLAG_RESULT_CACHE != 0 && n == 1 && cache.is_some();
-    if use_cache {
-        if let Some(cache) = cache {
-            if let Some(&score) = cache.lock().get(&(plan, asm.hash(0))) {
+    if delayed {
+        // Prediction-result cache: `use_cache` implies `want_hashes`
+        // above, so `asm.hash(0)` is populated.
+        let cache_key = use_cache.then(|| (plan, asm.hash(0)));
+        if let (Some(key), Some(cache)) = (&cache_key, cache) {
+            if let Some(&score) = cache.lock().get(key) {
                 release(asm);
-                return Ok(Dispatch::Ready(wire::encode_ok(&[score])));
+                wire::put_ok(out, &[score]);
+                return Ok(Dispatch::Ready);
             }
         }
-    }
-
-    if flags & FLAG_DELAYED_BATCH != 0 && n == 1 {
         let Some(batcher) = &shared.batcher else {
             release(asm);
             return Err(DataError::Runtime(
                 "delayed batching not enabled on this front end".into(),
             ));
         };
-        // Only a flush-time result-cache insert reads this, and
-        // `use_cache` implies the assembler hashed at decode.
-        let cache_key = use_cache.then(|| (plan, asm.hash(0)));
         let (sink, rx) = match responder {
             Responder::Blocking => {
                 let (tx, rx) = mpsc::channel();
                 (ResultSink::Channel(tx), Some(rx))
             }
-            Responder::Reactor(handle) => (ResultSink::Reactor(handle.clone()), None),
+            Responder::Reactor(route) => (ResultSink::Reactor(route.handle()), None),
         };
         let waiter = DelayedWaiter { sink, cache_key };
         let appended = {
@@ -783,30 +836,10 @@ fn serve_records(
                 let score = rx
                     .recv()
                     .map_err(|_| DataError::Runtime("batcher dropped request".into()))??;
-                Ok(Dispatch::Ready(wire::encode_ok(&[score])))
+                wire::put_ok(out, &[score]);
+                Ok(Dispatch::Ready)
             }
             None => Ok(Dispatch::Pending),
-        };
-    }
-
-    if n == 1 {
-        // Request-response engine, straight off the assembled row.
-        let scored = SourceRef::from_row(asm.batch().row(0))
-            .and_then(|src| runtime.predict_source(plan, src));
-        return match scored {
-            Ok(score) => {
-                if use_cache {
-                    if let Some(cache) = cache {
-                        cache.lock().insert((plan, asm.hash(0)), score, 16);
-                    }
-                }
-                release(asm);
-                Ok(Dispatch::Ready(wire::encode_ok(&[score])))
-            }
-            Err(e) => {
-                release(asm);
-                Err(e)
-            }
         };
     }
 
@@ -816,16 +849,104 @@ fn serve_records(
     match responder {
         Responder::Blocking => {
             let scores = runtime.predict_batch_assembled_wait(plan, rows, hashes)?;
-            Ok(Dispatch::Ready(wire::encode_ok(&scores)))
+            wire::put_ok(out, &scores);
+            Ok(Dispatch::Ready)
         }
-        Responder::Reactor(handle) => {
-            let handle = handle.clone();
+        Responder::Reactor(route) => {
+            let handle = route.handle();
             runtime
                 .predict_batch_assembled(plan, rows, hashes)?
                 .on_complete(move |result| handle.complete_result(result));
             Ok(Dispatch::Pending)
         }
     }
+}
+
+/// The single-row fast lane: one record, not delayed. The row is scored
+/// where it lies — a text row borrowed from the frame, a dense or sparse
+/// row copied once into the lane's scratch — on the calling thread's own
+/// request-response session: no ingest lease, no assembler, no copy into
+/// slot 0, and the score is encoded straight into the output buffer.
+fn serve_single(
+    head: RequestHead,
+    mut cur: Cursor<'_>,
+    shared: &ServerShared,
+    lane: &mut Lane,
+    out: &mut Vec<u8>,
+) -> Result<Dispatch> {
+    let runtime = &*shared.runtime;
+    let reject_non_finite = runtime.config().reject_non_finite;
+    let Lane {
+        session,
+        dense,
+        indices,
+        values,
+    } = lane;
+    let decode_start = runtime.metrics_registry().map(|_| Instant::now());
+    let source = match head.kind {
+        KIND_TEXT => SourceRef::Text(cur.str_ref()?),
+        KIND_DENSE => {
+            let len = dense_len(&mut cur)?;
+            dense.clear();
+            for _ in 0..len {
+                dense.push(cur.f32()?);
+            }
+            if reject_non_finite {
+                check_finite(dense)?;
+            }
+            SourceRef::Dense(dense)
+        }
+        KIND_SPARSE => {
+            let dim = cur.u32()?;
+            let nnz = cur.u32()? as usize;
+            if nnz.saturating_mul(8) > cur.remaining() {
+                return Err(DataError::Codec(format!(
+                    "sparse record claims {nnz} entries, body holds {} bytes",
+                    cur.remaining()
+                )));
+            }
+            indices.clear();
+            for _ in 0..nnz {
+                indices.push(cur.u32()?);
+            }
+            validate_sparse_indices(indices, dim)?;
+            values.clear();
+            for _ in 0..nnz {
+                values.push(cur.f32()?);
+            }
+            if reject_non_finite {
+                check_finite(values)?;
+            }
+            SourceRef::Sparse {
+                indices,
+                values,
+                dim,
+            }
+        }
+        k => return Err(DataError::Runtime(format!("bad record kind {k}"))),
+    };
+    if let (Some(reg), Some(t0)) = (runtime.metrics_registry(), decode_start) {
+        reg.record_decode(t0.elapsed().as_nanos() as u64);
+    }
+    // Prediction-result cache, when the request asks and one is configured.
+    let cached = match &shared.cache {
+        Some(cache) if head.flags & FLAG_RESULT_CACHE != 0 => {
+            Some((cache, (head.plan, source.content_hash())))
+        }
+        _ => None,
+    };
+    if let Some((cache, key)) = &cached {
+        if let Some(&score) = cache.lock().get(key) {
+            wire::put_ok(out, &[score]);
+            return Ok(Dispatch::Ready);
+        }
+    }
+    let score = runtime.predict_source_in(session, head.plan, source)?;
+    if let Some((cache, key)) = cached {
+        cache.lock().insert(key, score, 16);
+    }
+    wire::put_ok(out, &[score]);
+    Ok(Dispatch::Ready)
 }
 
 #[cfg(test)]
@@ -1150,6 +1271,130 @@ mod tests {
         }
         assert!(total > 0, "scorers made progress during churn");
         fe.stop();
+    }
+
+    #[test]
+    fn dropped_handles_leave_nothing_filed() {
+        let (rt, fe, id) = serve_sa(FrontEndConfig::default());
+        let session = Session::connect(fe.addr()).unwrap();
+        let request = PredictRequest::text("5,a nice product").plan(id);
+        // Nobody waits on any of these: each response must be discarded,
+        // on arrival or when its handle drops, whichever comes later.
+        for _ in 0..10_000 {
+            drop(session.submit(&request).unwrap());
+        }
+        // Inline responses come back in order, so once this one is in,
+        // every earlier one has been read.
+        let score = session.submit(&request).unwrap().wait_one().unwrap();
+        let local = rt.predict(id, "5,a nice product").unwrap();
+        assert_eq!(score.to_bits(), local.to_bits());
+        assert_eq!(session.filed(), 0, "abandoned responses stayed filed");
+        fe.stop();
+    }
+
+    /// Single-row requests the runtime has served for `id` (the `STATS`
+    /// counter), polled up to `want`.
+    fn await_rr_requests(rt: &Runtime, id: PlanId, want: u64) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let seen = rt.metrics().plan(id).map_or(0, |p| p.rr_requests);
+            if seen == want {
+                return;
+            }
+            assert!(
+                seen < want && Instant::now() < deadline,
+                "server saw {seen} requests, expected {want}"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn unwaited_submits_reach_the_server_on_flush_and_on_drop() {
+        let (rt, fe, id) = serve_sa(FrontEndConfig::default());
+        let session = Session::connect(fe.addr()).unwrap();
+        let request = PredictRequest::text("3,fewer than a group").plan(id);
+        let held: Vec<_> = (0..3).map(|_| session.submit(&request).unwrap()).collect();
+        session.flush().unwrap();
+        await_rr_requests(&rt, id, 3);
+        // Read those answers: a socket closed over unread bytes resets the
+        // connection, and the server may then drop what it has not read.
+        for pending in held {
+            pending.wait_one().unwrap();
+        }
+        // Two more, then every handle on the session goes away unwaited.
+        for _ in 0..2 {
+            session.submit(&request).unwrap();
+        }
+        drop(session);
+        await_rr_requests(&rt, id, 5);
+        fe.stop();
+    }
+
+    #[test]
+    fn a_waiter_flushes_before_it_parks_behind_the_reader() {
+        let delay = Duration::from_millis(800);
+        let (rt, fe, id) = serve_sa(FrontEndConfig {
+            batch_delay: Some(delay),
+            ..FrontEndConfig::default()
+        });
+        let line = "4,pretty good";
+        let local = rt.predict(id, line).unwrap();
+        let session = Session::connect(fe.addr()).unwrap();
+        let slow = session
+            .submit(&PredictRequest::text(line).plan(id).delayed())
+            .unwrap();
+        let started = Instant::now();
+        std::thread::scope(|scope| {
+            // This thread takes the read turn and blocks in `read` until
+            // the delayed batch flushes.
+            let reader = scope.spawn(|| slow.wait_one().unwrap());
+            while !session.reading() {
+                std::thread::yield_now();
+            }
+            // Fewer than a group, so the request sits in the write buffer
+            // until something flushes it — and the reader, blocked on the
+            // socket, will not.
+            let fast = session
+                .submit(&PredictRequest::text(line).plan(id))
+                .unwrap();
+            let score = fast.wait_one().unwrap();
+            assert_eq!(score.to_bits(), local.to_bits());
+            assert!(
+                started.elapsed() < delay / 2,
+                "the inline request waited for the reader's own response"
+            );
+            assert_eq!(reader.join().unwrap().to_bits(), local.to_bits());
+        });
+        fe.stop();
+    }
+
+    #[test]
+    fn a_dead_socket_fails_every_current_and_future_wait() {
+        let (_rt, fe, id) = serve_sa(FrontEndConfig {
+            batch_delay: Some(Duration::from_millis(500)),
+            ..FrontEndConfig::default()
+        });
+        let session = Session::connect(fe.addr()).unwrap();
+        let request = PredictRequest::text("2,never answered").plan(id);
+        let parked: Vec<_> = (0..2)
+            .map(|_| session.submit(&request.clone().delayed()).unwrap())
+            .collect();
+        let unflushed = session.submit(&request).unwrap();
+        // Stopping the front end closes the connection under all three.
+        session.flush().unwrap();
+        fe.stop();
+        for pending in parked {
+            assert!(pending.wait().is_err());
+        }
+        // Answered before the close or not, nothing can be pending now.
+        let _ = unflushed.wait();
+        // Later submits may or may not get their bytes out; none resolves.
+        for _ in 0..20 {
+            if let Ok(pending) = session.submit(&request) {
+                assert!(pending.wait().is_err());
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! The old `predict_*` method family survives as thin deprecated wrappers
 //! over the builder encoding (byte-identical frames).
 
-use super::wire::{self, ReadFrame};
+use super::wire::{self, Frame, FrameReader};
 use super::{FLAG_DELAYED_BATCH, FLAG_PLAN_ALIAS, FLAG_RESULT_CACHE};
 use crate::lifecycle::{PlanInfo, UndeployReport};
 use crate::runtime::PlanId;
@@ -20,7 +20,9 @@ use crate::telemetry::MetricsSnapshot;
 use parking_lot::{Condvar, Mutex};
 use pretzel_data::serde_bin::Cursor;
 use pretzel_data::{DataError, Result};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 
@@ -181,8 +183,9 @@ impl PredictRequest {
         self
     }
 
-    /// Encodes the request body (shared by every transport).
-    pub(super) fn encode(&self) -> Result<Vec<u8>> {
+    /// Appends the request body to `out` (shared by every transport).
+    /// Nothing is written when the request is malformed.
+    pub(super) fn encode_into(&self, out: &mut Vec<u8>) -> Result<()> {
         let target = self.target.as_ref().ok_or_else(|| {
             DataError::Runtime("predict request needs a target: .plan(id) or .alias(name)".into())
         })?;
@@ -214,14 +217,14 @@ impl PredictRequest {
                 (0, Some(a.as_str()))
             }
         };
-        let mut req = wire::request_header(plan, kind, flags, self.payloads.len());
+        wire::put_request_header(out, plan, kind, flags, self.payloads.len());
         if let Some(alias) = alias {
-            pretzel_data::serde_bin::wire::put_str(&mut req, alias);
+            pretzel_data::serde_bin::wire::put_str(out, alias);
         }
         for p in &self.payloads {
-            p.encode_into(&mut req);
+            p.encode_into(out);
         }
-        Ok(req)
+        Ok(())
     }
 }
 
@@ -231,6 +234,9 @@ pub struct Client {
     stream: TcpStream,
     proto: u8,
     next_id: u32,
+    /// The request frame being built or sent.
+    out: Vec<u8>,
+    frames: FrameReader,
 }
 
 impl Client {
@@ -254,6 +260,8 @@ impl Client {
             stream,
             proto,
             next_id: 0,
+            out: Vec::new(),
+            frames: FrameReader::default(),
         })
     }
 
@@ -268,48 +276,61 @@ impl Client {
 
     /// Scores a request with any number of records.
     pub fn predict_many(&mut self, request: &PredictRequest) -> Result<Vec<f32>> {
-        self.roundtrip(&request.encode()?)
+        wire::decode_response(self.roundtrip_with(|out| request.encode_into(out))?)
     }
 
-    fn roundtrip_raw(&mut self, request: &[u8]) -> Result<Vec<u8>> {
-        if self.proto == 1 {
-            wire::write_v1(&mut self.stream, request).map_err(io_err)?;
+    /// One request, one response: frames the body `encode` appends into
+    /// the client's write buffer, sends it with a single `write`, and
+    /// returns the response body, borrowed from the read buffer.
+    fn roundtrip_with(&mut self, encode: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<&[u8]> {
+        self.out.clear();
+        let id = self.next_id;
+        let body_start = if self.proto == 1 {
+            wire::begin_v1(&mut self.out)
         } else {
-            let id = self.next_id;
             self.next_id = self.next_id.wrapping_add(1);
-            wire::write_v2(&mut self.stream, id, request).map_err(io_err)?;
-        }
-        match wire::read_frame(&mut self.stream).map_err(io_err)? {
-            ReadFrame::V1(body) => Ok(body),
-            ReadFrame::V2 { request_id, body } => {
+            wire::begin_v2(&mut self.out, id)
+        };
+        encode(&mut self.out)?;
+        wire::end_frame(&mut self.out, body_start);
+        self.stream.write_all(&self.out).map_err(io_err)?;
+        match self.frames.read_next(&mut self.stream).map_err(io_err)? {
+            Some(Frame::Complete {
+                version: wire::WIRE_V2,
+                request_id,
+                ..
+            }) if request_id != id && request_id != u32::MAX => {
                 // Sequential client: exactly one request in flight, so the
                 // echoed id must be the one just assigned.
-                if request_id != self.next_id.wrapping_sub(1) && request_id != u32::MAX {
-                    return Err(DataError::Runtime(format!(
-                        "response for request {request_id} arrived out of turn"
-                    )));
-                }
-                Ok(body)
+                Err(DataError::Runtime(format!(
+                    "response for request {request_id} arrived out of turn"
+                )))
             }
-            ReadFrame::Eof => Err(DataError::Runtime("frontend closed connection".into())),
-            ReadFrame::Oversized(len) => Err(DataError::Runtime(format!(
-                "frontend sent an oversized {len}-byte frame"
+            Some(Frame::Complete { body, .. }) => Ok(body),
+            Some(Frame::Reject(msg)) => Err(DataError::Runtime(format!(
+                "frontend sent a bad frame: {msg}"
             ))),
-            ReadFrame::BadVersion(v) => Err(DataError::Runtime(format!(
-                "frontend sent unknown wire version {v}"
-            ))),
+            None => Err(DataError::Runtime("frontend closed connection".into())),
         }
+    }
+
+    /// [`Self::roundtrip_with`] for a request body built beforehand.
+    fn roundtrip_body(&mut self, request: &[u8]) -> Result<&[u8]> {
+        self.roundtrip_with(|out| {
+            out.extend_from_slice(request);
+            Ok(())
+        })
     }
 
     fn roundtrip(&mut self, request: &[u8]) -> Result<Vec<f32>> {
-        wire::decode_response(&self.roundtrip_raw(request)?)
+        wire::decode_response(self.roundtrip_body(request)?)
     }
 
     fn roundtrip_admin(&mut self, request: &[u8]) -> Result<Vec<u8>> {
-        let body = self.roundtrip_raw(request)?;
+        let body = self.roundtrip_body(request)?;
         match body.split_first() {
-            Some((2, payload)) => Ok(payload.to_vec()),
-            Some((1, _)) => Err(wire::decode_response(&body).unwrap_err()),
+            Some((&wire::STATUS_ADMIN, payload)) => Ok(payload.to_vec()),
+            Some((1, _)) => Err(wire::decode_response(body).unwrap_err()),
             other => Err(DataError::Runtime(format!(
                 "bad admin response status {:?}",
                 other.map(|(s, _)| s)
@@ -519,14 +540,55 @@ impl Client {
     }
 }
 
+/// Requests queued on a [`Session`] leave in one `write` once this many are
+/// waiting (or [`FLUSH_BYTES`], or a waiter is about to block — see
+/// [`Session`]). Swept over {4, 8, 16} on `sa_single`: see CHANGES.md, PR 19.
+const FLUSH_REQUESTS: usize = 8;
+/// ... or once this many bytes are queued. A 256-row batch frame is larger,
+/// so batch traffic leaves per request.
+const FLUSH_BYTES: usize = 16 * 1024;
+
 struct WriteHalf {
     stream: TcpStream,
     next_id: u32,
+    /// Encoded request frames not yet written to the socket.
+    buf: Vec<u8>,
+    /// How many requests `buf` holds.
+    queued: usize,
+}
+
+impl WriteHalf {
+    fn flush(&mut self) -> std::io::Result<()> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        let sent = self.stream.write_all(&self.buf);
+        // Sent or lost, the bytes are spent: a failed write kills the
+        // session, it is never retried.
+        self.buf.clear();
+        self.queued = 0;
+        sent
+    }
+}
+
+struct ReadHalf {
+    stream: TcpStream,
+    frames: FrameReader,
+    /// Responses decoded by the reader turn in progress, moved under the
+    /// state lock in one go when it ends.
+    turn: Vec<(u32, Result<Vec<f32>>)>,
+}
+
+/// A response slot, keyed by request id.
+enum Filed {
+    /// Decoded, not yet claimed by its waiter.
+    Response(Result<Vec<f32>>),
+    /// The handle was dropped before the response arrived: discard it.
+    Abandoned,
 }
 
 struct SessionState {
-    /// Responses decoded but not yet claimed by their waiter.
-    done: HashMap<u32, Result<Vec<f32>>>,
+    filed: HashMap<u32, Filed>,
     /// Whether some waiter currently holds the read side.
     reading: bool,
     /// Set once the socket dies; every current and future wait fails.
@@ -535,17 +597,110 @@ struct SessionState {
 
 struct SessionInner {
     writer: Mutex<WriteHalf>,
-    reader: Mutex<TcpStream>,
+    reader: Mutex<ReadHalf>,
     state: Mutex<SessionState>,
     cv: Condvar,
+}
+
+impl SessionInner {
+    /// Marks the session dead (first cause wins) and wakes every waiter.
+    fn kill(&self, why: String) {
+        self.state.lock().dead.get_or_insert(why);
+        self.cv.notify_all();
+    }
+
+    /// Writes out whatever is queued; a failure kills the session.
+    fn flush(&self) -> Result<()> {
+        let flushed = self.writer.lock().flush();
+        flushed.map_err(|e| {
+            self.kill(format!("frontend io: {e}"));
+            io_err(e)
+        })
+    }
+
+    /// One reader turn: files every complete frame already buffered; with
+    /// none buffered, flushes (the responses awaited may be to requests
+    /// still queued here) and blocks in one `read` first.
+    fn read_turn(&self) {
+        let mut rd = self.reader.lock();
+        let rd = &mut *rd;
+        let dead = loop {
+            match rd.frames.next_frame() {
+                Some(Frame::Complete {
+                    version: wire::WIRE_V2,
+                    request_id,
+                    body,
+                }) => rd.turn.push((request_id, wire::decode_response(body))),
+                Some(Frame::Complete { .. }) => {
+                    break Some("frontend answered a pipelined request with a v1 frame".into());
+                }
+                Some(Frame::Reject(msg)) => {
+                    break Some(format!("frontend sent a bad frame: {msg}"));
+                }
+                None if !rd.turn.is_empty() => break None,
+                None => {
+                    if let Err(e) = self.flush() {
+                        break Some(e.to_string());
+                    }
+                    match rd.frames.fill(&mut rd.stream) {
+                        Ok(filled) if filled.bytes == 0 => {
+                            break Some("frontend closed connection".into());
+                        }
+                        Ok(_) => {}
+                        Err(e) => break Some(format!("frontend io: {e}")),
+                    }
+                }
+            }
+        };
+        let mut st = self.state.lock();
+        for (id, response) in rd.turn.drain(..) {
+            match st.filed.entry(id) {
+                Entry::Occupied(slot) => {
+                    // Only `Abandoned` can be waiting here: the server
+                    // answers an id once.
+                    slot.remove();
+                }
+                Entry::Vacant(slot) => {
+                    slot.insert(Filed::Response(response));
+                }
+            }
+        }
+        st.reading = false;
+        if let Some(why) = dead {
+            st.dead.get_or_insert(why);
+        }
+        drop(st);
+        self.cv.notify_all();
+    }
+}
+
+impl Drop for SessionInner {
+    fn drop(&mut self) {
+        // Last handle gone: what was submitted still reaches the server.
+        let _ = self.writer.get_mut().flush();
+    }
 }
 
 /// A pipelined v2 connection: submit many requests without waiting,
 /// resolve each [`PendingPredict`] in any order.
 ///
 /// Waiting is cooperative: whichever waiter needs a response next takes
-/// the read side, decodes one frame, files it by request id, and wakes
-/// the others — no dedicated reader thread.
+/// the read side, files every response one `read` brought in by request
+/// id, and wakes the others — no dedicated reader thread.
+///
+/// **When bytes leave.** `submit` encodes into a session-owned buffer; the
+/// buffer is written to the socket, in one `write`,
+///
+/// * when 8 requests or 16 KiB are queued,
+/// * before any waiter blocks — on the socket, or behind another thread
+///   that is reading,
+/// * on [`Session::flush`], and
+/// * when the last handle on the session (the `Session` and every
+///   `PendingPredict`) is dropped.
+///
+/// So a submitted request is never held back by a caller that waits,
+/// flushes or goes away; it is held back, by at most seven later submits,
+/// only while its caller keeps submitting without doing any of those.
 ///
 /// ```no_run
 /// # use pretzel_core::frontend::{PredictRequest, Session};
@@ -575,10 +730,19 @@ impl Session {
         let reader = stream.try_clone()?;
         Ok(Session {
             inner: Arc::new(SessionInner {
-                writer: Mutex::new(WriteHalf { stream, next_id: 0 }),
-                reader: Mutex::new(reader),
+                writer: Mutex::new(WriteHalf {
+                    stream,
+                    next_id: 0,
+                    buf: Vec::new(),
+                    queued: 0,
+                }),
+                reader: Mutex::new(ReadHalf {
+                    stream: reader,
+                    frames: FrameReader::default(),
+                    turn: Vec::new(),
+                }),
                 state: Mutex::new(SessionState {
-                    done: HashMap::new(),
+                    filed: HashMap::new(),
                     reading: false,
                     dead: None,
                 }),
@@ -587,28 +751,57 @@ impl Session {
         })
     }
 
-    /// Sends the request without waiting; the returned handle resolves it.
+    /// Queues the request without waiting; the returned handle resolves
+    /// it. See the type's docs for when queued requests are written.
     pub fn submit(&self, request: &PredictRequest) -> Result<PendingPredict> {
-        let body = request.encode()?;
-        let id = {
-            let mut w = self.inner.writer.lock();
-            let id = w.next_id;
-            w.next_id = w.next_id.wrapping_add(1);
-            wire::write_v2(&mut w.stream, id, &body).map_err(io_err)?;
-            id
-        };
+        let mut w = self.inner.writer.lock();
+        let id = w.next_id;
+        let frame_start = w.buf.len();
+        let body_start = wire::begin_v2(&mut w.buf, id);
+        if let Err(e) = request.encode_into(&mut w.buf) {
+            w.buf.truncate(frame_start);
+            return Err(e);
+        }
+        wire::end_frame(&mut w.buf, body_start);
+        w.next_id = id.wrapping_add(1);
+        w.queued += 1;
+        let group_full = w.queued >= FLUSH_REQUESTS || w.buf.len() >= FLUSH_BYTES;
+        drop(w);
+        if group_full {
+            self.inner.flush()?;
+        }
         Ok(PendingPredict {
             inner: Arc::clone(&self.inner),
             id,
+            claimed: false,
         })
+    }
+
+    /// Writes every queued request to the socket now.
+    pub fn flush(&self) -> Result<()> {
+        self.inner.flush()
+    }
+
+    /// Response slots currently filed (decoded or abandoned).
+    #[cfg(test)]
+    pub(super) fn filed(&self) -> usize {
+        self.inner.state.lock().filed.len()
+    }
+
+    /// Whether some waiter currently holds the read side.
+    #[cfg(test)]
+    pub(super) fn reading(&self) -> bool {
+        self.inner.state.lock().reading
     }
 }
 
 /// One in-flight pipelined request; resolves independently of submission
-/// order.
+/// order. Dropping it unwaited discards its response when that arrives.
 pub struct PendingPredict {
     inner: Arc<SessionInner>,
     id: u32,
+    /// `wait` took the response; nothing is left for `drop` to retire.
+    claimed: bool,
 }
 
 impl std::fmt::Debug for PendingPredict {
@@ -627,49 +820,32 @@ impl PendingPredict {
 
     /// Blocks until this request's response arrives (other waiters'
     /// responses are filed for them along the way).
-    pub fn wait(self) -> Result<Vec<f32>> {
+    pub fn wait(mut self) -> Result<Vec<f32>> {
+        self.claimed = true;
+        let inner = &*self.inner;
+        let mut st = inner.state.lock();
         loop {
-            {
-                let mut st = self.inner.state.lock();
-                loop {
-                    if let Some(result) = st.done.remove(&self.id) {
-                        return result;
-                    }
-                    if let Some(msg) = &st.dead {
-                        return Err(DataError::Runtime(msg.clone()));
-                    }
-                    if !st.reading {
-                        st.reading = true;
-                        break; // become the reader
-                    }
-                    self.inner.cv.wait(&mut st);
-                }
+            if let Some(Filed::Response(result)) = st.filed.remove(&self.id) {
+                return result;
             }
-            // Read exactly one frame outside the state lock, then file it.
-            let frame = {
-                let mut rd = self.inner.reader.lock();
-                wire::read_frame(&mut *rd)
-            };
-            let mut st = self.inner.state.lock();
-            st.reading = false;
-            match frame {
-                Ok(ReadFrame::V2 { request_id, body }) => {
-                    st.done.insert(request_id, wire::decode_response(&body));
-                }
-                Ok(ReadFrame::Eof) => st.dead = Some("frontend closed connection".into()),
-                Ok(ReadFrame::V1(_)) => {
-                    st.dead = Some("frontend answered a pipelined request with a v1 frame".into())
-                }
-                Ok(ReadFrame::Oversized(len)) => {
-                    st.dead = Some(format!("frontend sent an oversized {len}-byte frame"))
-                }
-                Ok(ReadFrame::BadVersion(v)) => {
-                    st.dead = Some(format!("frontend sent unknown wire version {v}"))
-                }
-                Err(e) => st.dead = Some(format!("frontend io: {e}")),
+            if let Some(msg) = &st.dead {
+                return Err(DataError::Runtime(msg.clone()));
             }
-            drop(st);
-            self.inner.cv.notify_all();
+            if st.reading {
+                // About to park behind the reader: this request may still
+                // sit in the write buffer, and the reader cannot know.
+                drop(st);
+                inner.flush()?;
+                st = inner.state.lock();
+                if st.reading && st.dead.is_none() && !st.filed.contains_key(&self.id) {
+                    inner.cv.wait(&mut st);
+                }
+            } else {
+                st.reading = true;
+                drop(st);
+                inner.read_turn();
+                st = inner.state.lock();
+            }
         }
     }
 
@@ -680,5 +856,20 @@ impl PendingPredict {
             .first()
             .copied()
             .ok_or_else(|| DataError::Runtime("empty response".into()))
+    }
+}
+
+impl Drop for PendingPredict {
+    fn drop(&mut self) {
+        if self.claimed {
+            return;
+        }
+        // Retire the id: discard the response if it is already filed,
+        // otherwise leave word for the reader to discard it on arrival. On
+        // a dead session nothing more arrives and the map no longer matters.
+        let mut st = self.inner.state.lock();
+        if st.filed.remove(&self.id).is_none() && st.dead.is_none() {
+            st.filed.insert(self.id, Filed::Abandoned);
+        }
     }
 }

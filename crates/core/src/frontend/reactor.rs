@@ -3,13 +3,20 @@
 //! A fixed set of reactor threads shares one non-blocking listener and a
 //! lock-free [`ConnSlab`] of per-connection state. Each reactor owns an
 //! epoll instance; readiness events drive a per-connection state machine —
-//! read into a buffer, incrementally parse frames ([`wire::parse_frame`]),
+//! read into the connection's [`FrameReader`], parse frames in place,
 //! dispatch through the same request logic the blocking path uses, and
 //! drain a write-back queue under `EPOLLOUT`. Requests whose results
-//! materialize later (batch engine, delayed batcher) register a
+//! materialize later (batch engine, delayed batcher) get a
 //! [`CompletionHandle`]; the completing thread pushes the encoded response
 //! onto the owning reactor's queue and pokes its eventfd, so no thread
 //! ever parks per request.
+//!
+//! **Per wake** a connection costs one `read` (a second only when the
+//! first filled the buffer) and one `write` for every reply the wake
+//! produced. **Per frame** an inline request costs a header parse, the
+//! request itself, and its reply encoded straight into the write queue —
+//! no completion handle, no in-flight bookkeeping, no intermediate reply
+//! buffer: those exist only for a dispatch that goes [`Dispatch::Pending`].
 //!
 //! Completion routing is independent of the scheduler's execution plane:
 //! the handle is keyed by connection token, not by executor, so a chunk
@@ -26,12 +33,12 @@
 
 use super::slab::ConnSlab;
 use super::sys::{self, Epoll, EpollEvent, EventFd};
-use super::wire::{self, Parse};
-use super::{encode_error, serve_frame, Dispatch, FrontEndStats, Responder, ServerShared};
-use crossbeam::queue::SegQueue;
+use super::wire::{self, Frame, FrameReader};
+use super::{encode_error, serve_frame, Dispatch, FrontEndStats, Lane, Responder, ServerShared};
+use parking_lot::Mutex;
 use pretzel_data::Result;
 use std::collections::{BTreeMap, HashSet};
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -46,9 +53,6 @@ const TOKEN_WAKE: u64 = u64::MAX - 1;
 /// Cap on unanswered pipelined requests per v2 connection; beyond it the
 /// peer is violating flow control and the connection closes.
 const MAX_IN_FLIGHT: usize = 4096;
-
-/// Read-side scratch buffer per reactor thread.
-const READ_CHUNK: usize = 64 * 1024;
 
 /// Compact the write queue once this many bytes are already flushed.
 const WRITE_COMPACT_BYTES: usize = 64 * 1024;
@@ -90,7 +94,9 @@ struct Completion {
 
 /// One reactor's inbound completion lane.
 struct ReactorIo {
-    completions: SegQueue<Completion>,
+    /// Multi-producer, drained whole by the owning reactor (it swaps in an
+    /// empty vector and works through the batch outside the lock).
+    completions: Mutex<Vec<Completion>>,
     wake: EventFd,
 }
 
@@ -104,10 +110,31 @@ struct ReactorShared {
     listener: TcpListener,
 }
 
+/// Where one frame's response goes, as known while the frame is being
+/// dispatched on its reactor. Borrowed and free to build; a dispatch that
+/// completes later turns it into an owned [`CompletionHandle`].
+pub(super) struct Route<'a> {
+    shared: &'a Arc<ReactorShared>,
+    reactor: usize,
+    token: u64,
+    tag: ResponseTag,
+}
+
+impl Route<'_> {
+    pub(super) fn handle(&self) -> CompletionHandle {
+        CompletionHandle {
+            shared: Arc::clone(self.shared),
+            reactor: self.reactor,
+            slot: (self.token & 0xffff_ffff) as u32,
+            generation: (self.token >> 32) as u32,
+            tag: self.tag,
+        }
+    }
+}
+
 /// Routes one request's eventual response back to the reactor that owns
 /// its connection. Valid across connection close: a stale handle fails
 /// the slab generation check and the completion is dropped.
-#[derive(Clone)]
 pub(super) struct CompletionHandle {
     shared: Arc<ReactorShared>,
     reactor: usize,
@@ -117,7 +144,10 @@ pub(super) struct CompletionHandle {
 }
 
 impl CompletionHandle {
-    /// Queues an encoded response body and wakes the owning reactor.
+    /// Queues an encoded response body and wakes the owning reactor — with
+    /// a syscall only when the queue was empty: a reactor that has been
+    /// signalled takes everything queued by the time it drains, and one
+    /// that has drained finds the queue empty again.
     fn complete(&self, body: Vec<u8>) {
         let io = &self.shared.ios[self.reactor];
         let enqueued = self
@@ -126,14 +156,21 @@ impl CompletionHandle {
             .runtime
             .metrics_registry()
             .map(|_| Instant::now());
-        io.completions.push(Completion {
-            slot: self.slot,
-            generation: self.generation,
-            tag: self.tag,
-            body,
-            enqueued,
-        });
-        io.wake.signal();
+        let was_empty = {
+            let mut queue = io.completions.lock();
+            let was_empty = queue.is_empty();
+            queue.push(Completion {
+                slot: self.slot,
+                generation: self.generation,
+                tag: self.tag,
+                body,
+                enqueued,
+            });
+            was_empty
+        };
+        if was_empty {
+            io.wake.signal();
+        }
     }
 
     /// Completes with a whole-batch outcome.
@@ -174,6 +211,10 @@ enum Proto {
         ready: BTreeMap<u64, Vec<u8>>,
     },
     /// v2: responses emit as they complete, tagged by request id.
+    /// `in_flight` holds the ids of requests whose dispatch went
+    /// [`Dispatch::Pending`] and has not completed. An inline request has
+    /// answered before the next frame is parsed, so it can never be in
+    /// flight beside a later frame and is never entered.
     V2 { in_flight: HashSet<u32> },
 }
 
@@ -182,7 +223,7 @@ struct Conn {
     stream: TcpStream,
     fd: i32,
     token: u64,
-    read_buf: Vec<u8>,
+    frames: FrameReader,
     write_buf: Vec<u8>,
     write_pos: usize,
     /// Whether `EPOLLOUT` is currently in the epoll interest set.
@@ -190,6 +231,8 @@ struct Conn {
     proto: Proto,
     /// Set on a fatal protocol error: flush queued bytes, then close.
     close_after_flush: bool,
+    /// A completion drain queued output here and has yet to flush it.
+    flush_due: bool,
 }
 
 /// What to do with a connection after handling an event.
@@ -248,7 +291,7 @@ impl ReactorPool {
             ep.add(wake.raw(), sys::EPOLLIN, TOKEN_WAKE)?;
             epolls.push(ep);
             ios.push(ReactorIo {
-                completions: SegQueue::new(),
+                completions: Mutex::new(Vec::new()),
                 wake,
             });
         }
@@ -291,7 +334,8 @@ fn run_reactor(shared: Arc<ReactorShared>, ep: Epoll, me: usize) {
     // Slots this thread accepted; connections never migrate between
     // reactors, which is what makes `slab.with` access exclusive.
     let mut owned: HashSet<u32> = HashSet::new();
-    let mut scratch = vec![0u8; READ_CHUNK];
+    let mut lane = Lane::new(&shared.server.runtime);
+    let mut drain = CompletionDrain::default();
     while !shared.stop.load(Ordering::Acquire) {
         let n = match ep.wait(&mut events, 100) {
             Ok(n) => n,
@@ -314,7 +358,7 @@ fn run_reactor(shared: Arc<ReactorShared>, ep: Epoll, me: usize) {
                     // accessor until `teardown`.
                     let action = unsafe {
                         shared.slab.with(slot, |conn| {
-                            conn_event(&shared, &ep, me, readiness, conn, &mut scratch)
+                            conn_event(&shared, &ep, me, readiness, conn, &mut lane)
                         })
                     };
                     if action == Action::Close {
@@ -323,7 +367,7 @@ fn run_reactor(shared: Arc<ReactorShared>, ep: Epoll, me: usize) {
                 }
             }
         }
-        drain_completions(&shared, &ep, me, &mut owned);
+        drain_completions(&shared, &ep, me, &mut owned, &mut drain);
     }
     // Shutdown: close everything this reactor owns.
     for slot in owned.drain() {
@@ -350,12 +394,13 @@ fn accept_ready(shared: &Arc<ReactorShared>, ep: &Epoll, owned: &mut HashSet<u32
             stream,
             fd,
             token: 0,
-            read_buf: Vec::new(),
+            frames: FrameReader::default(),
             write_buf: Vec::new(),
             write_pos: 0,
             want_write: false,
             proto: Proto::Unknown,
             close_after_flush: false,
+            flush_due: false,
         };
         let Some((slot, generation)) = shared.slab.insert(conn) else {
             // Slab full: refuse by dropping (closing) the socket.
@@ -390,13 +435,13 @@ fn conn_event(
     me: usize,
     readiness: u32,
     conn: &mut Conn,
-    scratch: &mut [u8],
+    lane: &mut Lane,
 ) -> Action {
     if readiness & (sys::EPOLLERR | sys::EPOLLHUP) != 0 {
         return Action::Close;
     }
     if readiness & (sys::EPOLLIN | sys::EPOLLRDHUP) != 0 {
-        if read_ready(shared, me, conn, scratch) == Action::Close {
+        if read_ready(shared, me, conn, lane) == Action::Close {
             return Action::Close;
         }
         // Replies queued by inline dispatch flush eagerly; most round
@@ -411,91 +456,120 @@ fn conn_event(
     Action::Keep
 }
 
-/// Reads everything available, then parses and dispatches every complete
-/// frame in the buffer.
-fn read_ready(
-    shared: &Arc<ReactorShared>,
-    me: usize,
-    conn: &mut Conn,
-    scratch: &mut [u8],
-) -> Action {
-    let mut saw_eof = false;
+/// Reads what the socket holds into the connection's buffer and dispatches
+/// every complete frame, stopping at the first short read: the poller is
+/// level-triggered, so anything that arrives later raises a new event.
+fn read_ready(shared: &Arc<ReactorShared>, me: usize, conn: &mut Conn, lane: &mut Lane) -> Action {
     loop {
-        match conn.stream.read(scratch) {
-            Ok(0) => {
-                saw_eof = true;
-                break;
-            }
-            Ok(n) => conn.read_buf.extend_from_slice(&scratch[..n]),
-            Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+        let filled = match conn.frames.fill(&mut conn.stream) {
+            Ok(filled) => filled,
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Action::Keep,
             Err(e) if e.kind() == ErrorKind::Interrupted => continue,
             Err(_) => return Action::Close,
+        };
+        if filled.bytes == 0 {
+            return Action::Close;
+        }
+        dispatch_frames(shared, me, conn, lane);
+        if !filled.more || conn.close_after_flush {
+            return Action::Keep;
         }
     }
+}
 
-    let mut pos = 0;
-    while !conn.close_after_flush {
-        match wire::parse_frame(&conn.read_buf[pos..]) {
-            Parse::NeedMore => break,
-            Parse::Reject(msg) => {
+/// Parses and dispatches every complete frame in the read buffer. An
+/// inline reply is encoded in place at the tail of the write queue, behind
+/// a frame header opened before the dispatch and closed after it.
+fn dispatch_frames(shared: &Arc<ReactorShared>, me: usize, conn: &mut Conn, lane: &mut Lane) {
+    let Conn {
+        frames,
+        write_buf,
+        proto,
+        close_after_flush,
+        token,
+        ..
+    } = conn;
+    while !*close_after_flush {
+        let (version, request_id, body) = match frames.next_frame() {
+            None => return,
+            Some(Frame::Reject(msg)) => {
                 shared.stats.note_protocol_error();
-                queue_protocol_error(conn, &msg);
-                pos = conn.read_buf.len(); // stream is unrecoverable
+                queue_protocol_error(proto, write_buf, close_after_flush, &msg);
                 break;
             }
-            Parse::Frame {
+            Some(Frame::Complete {
                 version,
                 request_id,
                 body,
-                consumed,
-            } => {
-                let body = pos + body.start..pos + body.end;
-                pos += consumed;
-                let tag = match frame_tag(shared, conn, version, request_id) {
-                    Ok(tag) => tag,
-                    Err(()) => {
-                        pos = conn.read_buf.len();
-                        break;
-                    }
-                };
-                let handle = CompletionHandle {
-                    shared: Arc::clone(shared),
-                    reactor: me,
-                    slot: (conn.token & 0xffff_ffff) as u32,
-                    generation: (conn.token >> 32) as u32,
-                    tag,
-                };
-                let dispatch = serve_frame(
-                    &shared.server,
-                    &conn.read_buf[body],
-                    &Responder::Reactor(handle),
-                );
-                if let Dispatch::Ready(reply) = dispatch {
-                    queue_response(conn, tag, &reply);
+            }) => (version, request_id, body),
+        };
+        let tag = match frame_tag(proto, version, request_id) {
+            Ok(tag) => tag,
+            Err(violation) => {
+                shared.stats.note_protocol_error();
+                queue_protocol_error(proto, write_buf, close_after_flush, &violation);
+                break;
+            }
+        };
+        let frame_start = write_buf.len();
+        let body_start = match tag {
+            ResponseTag::V1 { .. } => wire::begin_v1(write_buf),
+            ResponseTag::V2 { request_id } => wire::begin_v2(write_buf, request_id),
+        };
+        let route = Route {
+            shared,
+            reactor: me,
+            token: *token,
+            tag,
+        };
+        let dispatch = serve_frame(
+            &shared.server,
+            lane,
+            body,
+            write_buf,
+            &Responder::Reactor(route),
+        );
+        match (dispatch, &mut *proto, tag) {
+            (Dispatch::Pending, Proto::V2 { in_flight }, ResponseTag::V2 { request_id }) => {
+                write_buf.truncate(frame_start);
+                in_flight.insert(request_id);
+            }
+            (Dispatch::Pending, ..) => write_buf.truncate(frame_start),
+            (
+                Dispatch::Ready,
+                Proto::V1 {
+                    next_emit, ready, ..
+                },
+                ResponseTag::V1 { seq },
+            ) if seq != *next_emit => {
+                // An earlier v1 request is still pending and v1 clients
+                // read responses in request order: park this one.
+                let reply = write_buf.split_off(body_start);
+                write_buf.truncate(frame_start);
+                ready.insert(seq, reply);
+            }
+            (Dispatch::Ready, proto, _) => {
+                wire::end_frame(write_buf, body_start);
+                if let Proto::V1 { next_emit, .. } = proto {
+                    *next_emit += 1;
                 }
             }
         }
     }
-    if pos > 0 {
-        conn.read_buf.drain(..pos);
-    }
-    if saw_eof {
-        return Action::Close;
-    }
-    Action::Keep
+    // A fatal violation: the stream is unrecoverable past it.
+    frames.discard();
 }
 
 /// Locks in (or validates) the connection's protocol version for one
-/// frame and assigns its response tag. `Err` means a fatal violation was
-/// queued and the rest of the buffer must be discarded.
+/// frame and assigns its response tag. `Err` is a fatal violation to
+/// report before closing.
 fn frame_tag(
-    shared: &ReactorShared,
-    conn: &mut Conn,
+    proto: &mut Proto,
     version: u8,
     request_id: u32,
-) -> std::result::Result<ResponseTag, ()> {
-    if matches!(conn.proto, Proto::Unknown) {
-        conn.proto = if version == 1 {
+) -> std::result::Result<ResponseTag, String> {
+    if matches!(proto, Proto::Unknown) {
+        *proto = if version == 1 {
             Proto::V1 {
                 next_seq: 0,
                 next_emit: 0,
@@ -507,7 +581,7 @@ fn frame_tag(
             }
         };
     }
-    match &mut conn.proto {
+    match proto {
         Proto::V1 {
             next_seq: seq_counter,
             ..
@@ -518,35 +592,24 @@ fn frame_tag(
         }
         Proto::V2 { in_flight } if version != 1 => {
             if in_flight.len() >= MAX_IN_FLIGHT {
-                shared.stats.note_protocol_error();
-                queue_protocol_error(
-                    conn,
-                    &format!("more than {MAX_IN_FLIGHT} pipelined requests in flight"),
-                );
-                return Err(());
+                return Err(format!(
+                    "more than {MAX_IN_FLIGHT} pipelined requests in flight"
+                ));
             }
-            if !in_flight.insert(request_id) {
-                shared.stats.note_protocol_error();
-                queue_protocol_error(
-                    conn,
-                    &format!("duplicate in-flight request id {request_id}"),
-                );
-                return Err(());
+            if in_flight.contains(&request_id) {
+                return Err(format!("duplicate in-flight request id {request_id}"));
             }
             Ok(ResponseTag::V2 { request_id })
         }
-        _ => {
-            // A connection that switches framing mid-stream is confused;
-            // trusting its future prefixes would mis-frame everything.
-            shared.stats.note_protocol_error();
-            queue_protocol_error(conn, "wire version changed mid-connection");
-            Err(())
-        }
+        // A connection that switches framing mid-stream is confused;
+        // trusting its future prefixes would mis-frame everything.
+        _ => Err("wire version changed mid-connection".into()),
     }
 }
 
-/// Queues one response under the connection's ordering discipline.
-fn queue_response(conn: &mut Conn, tag: ResponseTag, body: &[u8]) {
+/// Queues one completed response under the connection's ordering
+/// discipline.
+fn queue_response(conn: &mut Conn, tag: ResponseTag, body: Vec<u8>) {
     match (&mut conn.proto, tag) {
         (
             Proto::V1 {
@@ -556,7 +619,7 @@ fn queue_response(conn: &mut Conn, tag: ResponseTag, body: &[u8]) {
         ) => {
             // v1 clients read responses in request order; park completions
             // until every earlier one has emitted.
-            ready.insert(seq, body.to_vec());
+            ready.insert(seq, body);
             while let Some(b) = ready.remove(next_emit) {
                 wire::encode_v1_into(&mut conn.write_buf, &b);
                 *next_emit += 1;
@@ -564,27 +627,32 @@ fn queue_response(conn: &mut Conn, tag: ResponseTag, body: &[u8]) {
         }
         (Proto::V2 { in_flight }, ResponseTag::V2 { request_id }) => {
             in_flight.remove(&request_id);
-            wire::encode_v2_into(&mut conn.write_buf, request_id, body);
+            wire::encode_v2_into(&mut conn.write_buf, request_id, &body);
         }
         // A completion can race a protocol error that reset expectations;
         // frame it to match its request so the client can still decode it.
-        (_, ResponseTag::V1 { .. }) => wire::encode_v1_into(&mut conn.write_buf, body),
+        (_, ResponseTag::V1 { .. }) => wire::encode_v1_into(&mut conn.write_buf, &body),
         (_, ResponseTag::V2 { request_id }) => {
-            wire::encode_v2_into(&mut conn.write_buf, request_id, body)
+            wire::encode_v2_into(&mut conn.write_buf, request_id, &body)
         }
     }
 }
 
 /// Queues a fatal protocol-error reply (framed per the connection's
 /// locked-in version) and marks the connection to close once flushed.
-fn queue_protocol_error(conn: &mut Conn, msg: &str) {
+fn queue_protocol_error(
+    proto: &Proto,
+    write_buf: &mut Vec<u8>,
+    close_after_flush: &mut bool,
+    msg: &str,
+) {
     let body = wire::encode_err(msg);
-    match &conn.proto {
+    match proto {
         // No request id to echo: `u32::MAX` marks a connection-level error.
-        Proto::V2 { .. } => wire::encode_v2_into(&mut conn.write_buf, u32::MAX, &body),
-        _ => wire::encode_v1_into(&mut conn.write_buf, &body),
+        Proto::V2 { .. } => wire::encode_v2_into(write_buf, u32::MAX, &body),
+        _ => wire::encode_v1_into(write_buf, &body),
     }
-    conn.close_after_flush = true;
+    *close_after_flush = true;
 }
 
 /// Writes as much queued output as the socket accepts, arming or
@@ -626,9 +694,27 @@ fn flush(ep: &Epoll, conn: &mut Conn) -> Action {
     Action::Keep
 }
 
-/// Applies queued completions to their connections' write queues.
-fn drain_completions(shared: &Arc<ReactorShared>, ep: &Epoll, me: usize, owned: &mut HashSet<u32>) {
-    while let Some(c) = shared.ios[me].completions.pop() {
+/// Buffers one reactor reuses across completion drains.
+#[derive(Default)]
+struct CompletionDrain {
+    batch: Vec<Completion>,
+    /// Slots with output queued by the drain in progress.
+    touched: Vec<u32>,
+}
+
+/// Applies queued completions to their connections' write queues, then
+/// flushes each connection touched once, however many of its requests
+/// completed together.
+fn drain_completions(
+    shared: &Arc<ReactorShared>,
+    ep: &Epoll,
+    me: usize,
+    owned: &mut HashSet<u32>,
+    drain: &mut CompletionDrain,
+) {
+    let CompletionDrain { batch, touched } = drain;
+    std::mem::swap(&mut *shared.ios[me].completions.lock(), batch);
+    for c in batch.drain(..) {
         if let (Some(reg), Some(t0)) = (shared.server.runtime.metrics_registry(), c.enqueued) {
             reg.record_completion_flush(t0.elapsed().as_nanos() as u64);
         }
@@ -636,14 +722,26 @@ fn drain_completions(shared: &Arc<ReactorShared>, ep: &Epoll, me: usize, owned: 
             continue; // connection closed while the request ran
         }
         // Safety: this thread owns the slot (checked above).
-        let action = unsafe {
+        unsafe {
             shared.slab.with(c.slot, |conn| {
-                queue_response(conn, c.tag, &c.body);
+                queue_response(conn, c.tag, c.body);
+                if !std::mem::replace(&mut conn.flush_due, true) {
+                    touched.push(c.slot);
+                }
+            })
+        };
+    }
+    for slot in touched.drain(..) {
+        // Safety: still this thread's slot — only the owner tears a slot
+        // down, and nothing above did.
+        let action = unsafe {
+            shared.slab.with(slot, |conn| {
+                conn.flush_due = false;
                 flush(ep, conn)
             })
         };
         if action == Action::Close {
-            teardown(shared, ep, owned, c.slot);
+            teardown(shared, ep, owned, slot);
         }
     }
 }

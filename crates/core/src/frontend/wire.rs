@@ -17,7 +17,7 @@
 //! request's `request_id`.
 
 use pretzel_data::{DataError, Result};
-use std::io::{ErrorKind, Read, Write};
+use std::io::Read;
 
 /// Record kind tag on the wire.
 pub(crate) const KIND_TEXT: u8 = 0;
@@ -62,89 +62,188 @@ pub const WIRE_V2: u8 = 2;
 /// request_id(4) + body_len(4).
 pub const V2_HEADER_BYTES: usize = 16;
 
-/// One frame read off a blocking stream.
+/// How far a read buffer grows by doubling while reads keep filling it;
+/// only a single frame longer than this grows one further.
+const IO_CHUNK: usize = 64 * 1024;
+
+/// Read-buffer size a connection starts with (an idle connection that never
+/// sent a byte holds none at all).
+const MIN_READ: usize = 4 * 1024;
+
+/// What a [`FrameReader`] hands out from the head of its buffer.
 #[derive(Debug)]
-pub(crate) enum ReadFrame {
-    /// A complete v1 body.
-    V1(Vec<u8>),
-    /// A complete v2 body with its request id.
-    V2 { request_id: u32, body: Vec<u8> },
-    /// Clean end of stream at a frame boundary.
-    Eof,
-    /// The length prefix exceeded [`MAX_FRAME_BYTES`]; nothing allocated,
-    /// body unread (the stream cannot be resynchronized past it).
-    Oversized(u64),
-    /// A v2 header with an unknown version byte; body unread.
-    BadVersion(u8),
+pub(crate) enum Frame<'a> {
+    /// One complete frame, consumed from the buffer; `body` stays valid
+    /// until the reader is next touched. v1 frames carry no id
+    /// (`request_id` 0).
+    Complete {
+        version: u8,
+        request_id: u32,
+        body: &'a [u8],
+    },
+    /// Unrecoverable framing violation (see [`Parse::Reject`]).
+    Reject(String),
 }
 
-/// Reads one frame (v1 or v2, autodetected) off a blocking stream.
-pub(crate) fn read_frame(stream: &mut impl Read) -> std::io::Result<ReadFrame> {
-    let mut head = [0u8; 4];
-    match stream.read_exact(&mut head) {
-        Ok(()) => {}
-        Err(e) if e.kind() == ErrorKind::UnexpectedEof => return Ok(ReadFrame::Eof),
-        Err(e) => return Err(e),
+/// Outcome of one [`FrameReader::fill`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Filled {
+    /// Bytes read; 0 is end of stream.
+    pub bytes: usize,
+    /// The read filled all the space it was offered, so the socket may
+    /// hold more. A short read means the socket is drained: a
+    /// level-triggered poller can go back to waiting without a second
+    /// `read` that only fetches `EAGAIN`.
+    pub more: bool,
+}
+
+/// The one buffered frame codec every connection end reads through: one
+/// growable buffer, one `read` per refill, frames parsed in place with
+/// [`parse_frame`].
+#[derive(Debug, Default)]
+pub(crate) struct FrameReader {
+    /// `buf.len()` is the space in use; `buf[pos..end]` holds unparsed bytes.
+    buf: Vec<u8>,
+    pos: usize,
+    end: usize,
+}
+
+impl FrameReader {
+    /// Drops every buffered byte (the stream cannot be resynchronized).
+    pub(crate) fn discard(&mut self) {
+        self.pos = self.end;
     }
-    if head == WIRE_MAGIC {
-        let mut rest = [0u8; V2_HEADER_BYTES - 4];
-        stream.read_exact(&mut rest)?;
-        let version = rest[0];
-        if version != WIRE_V2 {
-            return Ok(ReadFrame::BadVersion(version));
+
+    /// Parses the next complete frame already buffered and consumes it;
+    /// `None` when a whole frame is not buffered yet.
+    pub(crate) fn next_frame(&mut self) -> Option<Frame<'_>> {
+        Some(match parse_frame(&self.buf[self.pos..self.end]) {
+            Parse::NeedMore => return None,
+            Parse::Reject(msg) => Frame::Reject(msg),
+            Parse::Frame {
+                version,
+                request_id,
+                body,
+                consumed,
+            } => {
+                let at = self.pos;
+                self.pos += consumed;
+                Frame::Complete {
+                    version,
+                    request_id,
+                    body: &self.buf[at + body.start..at + body.end],
+                }
+            }
+        })
+    }
+
+    /// Issues one `read` into the buffer's free space, first making room:
+    /// an empty buffer rewinds, a partial frame moves to the front when the
+    /// tail is short, and a frame announced longer than the buffer grows it
+    /// to fit — never past what [`parse_frame`] accepts. Call it only when
+    /// [`Self::next_frame`] has nothing complete left to hand out.
+    pub(crate) fn fill(&mut self, stream: &mut impl Read) -> std::io::Result<Filled> {
+        if self.pos == self.end {
+            self.pos = 0;
+            self.end = 0;
         }
-        let request_id = u32::from_le_bytes([rest[4], rest[5], rest[6], rest[7]]);
-        let len = u32::from_le_bytes([rest[8], rest[9], rest[10], rest[11]]) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Ok(ReadFrame::Oversized(len as u64));
+        let want = announced_len(&self.buf[self.pos..self.end])
+            .map_or(MIN_READ, |total| {
+                total.min(MAX_FRAME_BYTES + V2_HEADER_BYTES)
+            })
+            .max(self.buf.len());
+        if self.buf.len() - self.end < MIN_READ.min(want) || want > self.buf.len() {
+            self.buf.copy_within(self.pos..self.end, 0);
+            self.end -= self.pos;
+            self.pos = 0;
+            if want > self.buf.len() {
+                self.buf.resize(want, 0);
+            }
         }
-        let mut body = vec![0u8; len];
-        stream.read_exact(&mut body)?;
-        return Ok(ReadFrame::V2 { request_id, body });
+        let offered = self.buf.len() - self.end;
+        let bytes = stream.read(&mut self.buf[self.end..])?;
+        self.end += bytes;
+        let more = bytes == offered;
+        if more && self.buf.len() < IO_CHUNK {
+            // Reads keep filling the buffer: offer twice as much next time.
+            let doubled = (self.buf.len() * 2).min(IO_CHUNK);
+            self.buf.resize(doubled, 0);
+        }
+        Ok(Filled { bytes, more })
     }
-    let len = u32::from_le_bytes(head) as usize;
-    if len > MAX_FRAME_BYTES {
-        return Ok(ReadFrame::Oversized(len as u64));
+
+    /// Blocks until one whole frame is buffered, then consumes it. `None`
+    /// is a clean end of stream at a frame boundary; end of stream inside a
+    /// frame is an [`std::io::ErrorKind::UnexpectedEof`] error.
+    pub(crate) fn read_next(
+        &mut self,
+        stream: &mut impl Read,
+    ) -> std::io::Result<Option<Frame<'_>>> {
+        while matches!(parse_frame(&self.buf[self.pos..self.end]), Parse::NeedMore) {
+            match self.fill(stream) {
+                Ok(Filled { bytes: 0, .. }) if self.pos == self.end => return Ok(None),
+                Ok(Filled { bytes: 0, .. }) => {
+                    return Err(std::io::ErrorKind::UnexpectedEof.into());
+                }
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(self.next_frame())
     }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    Ok(ReadFrame::V1(body))
 }
 
-/// Writes one v1 frame.
-pub(crate) fn write_v1(stream: &mut impl Write, body: &[u8]) -> std::io::Result<()> {
-    let mut frame = Vec::with_capacity(4 + body.len());
-    frame.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    frame.extend_from_slice(body);
-    stream.write_all(&frame)
+/// Total size (header + body) the frame at the head of `buf` announces, once
+/// its length prefix is buffered. Sizing only — [`parse_frame`] validates.
+fn announced_len(buf: &[u8]) -> Option<usize> {
+    if buf.len() < 4 {
+        return None;
+    }
+    if buf[..4] == WIRE_MAGIC {
+        let len = buf.get(12..V2_HEADER_BYTES)?;
+        let len = u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize;
+        return Some(V2_HEADER_BYTES + len);
+    }
+    Some(4 + u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize)
 }
 
-/// Writes one v2 frame carrying `request_id`.
-pub(crate) fn write_v2(
-    stream: &mut impl Write,
-    request_id: u32,
-    body: &[u8],
-) -> std::io::Result<()> {
-    let mut frame = Vec::with_capacity(V2_HEADER_BYTES + body.len());
-    encode_v2_into(&mut frame, request_id, body);
-    stream.write_all(&frame)
+/// Opens a v2 frame at the end of `out` with the body length left blank;
+/// the body is then encoded in place behind it and [`end_frame`] closes it.
+/// Returns the offset the body starts at.
+pub(crate) fn begin_v2(out: &mut Vec<u8>, request_id: u32) -> usize {
+    out.extend_from_slice(&WIRE_MAGIC);
+    out.extend_from_slice(&[WIRE_V2, 0, 0, 0]); // version, flags, reserved
+    out.extend_from_slice(&request_id.to_le_bytes());
+    out.extend_from_slice(&[0; 4]);
+    out.len()
+}
+
+/// Opens a v1 frame at the end of `out`; see [`begin_v2`].
+pub(crate) fn begin_v1(out: &mut Vec<u8>) -> usize {
+    out.extend_from_slice(&[0; 4]);
+    out.len()
+}
+
+/// Closes the frame whose body started at `body_start`: both versions keep
+/// the body length in the last four header bytes.
+pub(crate) fn end_frame(out: &mut [u8], body_start: usize) {
+    let len = (out.len() - body_start) as u32;
+    out[body_start - 4..body_start].copy_from_slice(&len.to_le_bytes());
 }
 
 /// Appends one encoded v2 frame to `out` (the reactor's write queue).
 pub(crate) fn encode_v2_into(out: &mut Vec<u8>, request_id: u32, body: &[u8]) {
-    out.extend_from_slice(&WIRE_MAGIC);
-    out.push(WIRE_V2);
-    out.push(0); // flags
-    out.extend_from_slice(&[0, 0]); // reserved
-    out.extend_from_slice(&request_id.to_le_bytes());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    let body_start = begin_v2(out, request_id);
     out.extend_from_slice(body);
+    end_frame(out, body_start);
 }
 
 /// Appends one encoded v1 frame to `out`.
 pub(crate) fn encode_v1_into(out: &mut Vec<u8>, body: &[u8]) {
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    let body_start = begin_v1(out);
     out.extend_from_slice(body);
+    end_frame(out, body_start);
 }
 
 /// Outcome of scanning a connection's read buffer for the next frame.
@@ -217,12 +316,18 @@ pub(crate) fn parse_frame(buf: &[u8]) -> Parse {
 
 // ---- Request/response body codecs (shared by clients and the server) ----
 
-/// Encodes a request header: plan id plus packed kind/flags/record count.
+/// Appends a request header: plan id plus packed kind/flags/record count.
+pub(crate) fn put_request_header(out: &mut Vec<u8>, plan: u32, kind: u8, flags: u8, n: usize) {
+    out.extend_from_slice(&plan.to_le_bytes());
+    let kind_flags = u32::from(kind) | (u32::from(flags) << 8) | ((n as u32) << 16);
+    out.extend_from_slice(&kind_flags.to_le_bytes());
+}
+
+/// A request header as a fresh body (admin verbs and the deprecated
+/// `Client::predict_*` wrappers build theirs this way).
 pub(crate) fn request_header(plan: u32, kind: u8, flags: u8, n: usize) -> Vec<u8> {
     let mut req = Vec::new();
-    req.extend_from_slice(&plan.to_le_bytes());
-    let kind_flags = u32::from(kind) | (u32::from(flags) << 8) | ((n as u32) << 16);
-    req.extend_from_slice(&kind_flags.to_le_bytes());
+    put_request_header(&mut req, plan, kind, flags, n);
     req
 }
 
@@ -276,14 +381,19 @@ pub(crate) fn encode_request_sparse(
     req
 }
 
-/// Encodes a success response body (status 0 + scores).
+/// Appends a success response body (status 0 + scores).
+pub(crate) fn put_ok(out: &mut Vec<u8>, scores: &[f32]) {
+    out.push(0u8);
+    out.extend_from_slice(&(scores.len() as u32).to_le_bytes());
+    for &s in scores {
+        out.extend_from_slice(&s.to_le_bytes());
+    }
+}
+
+/// A success response as an owned body (completions cross threads).
 pub(crate) fn encode_ok(scores: &[f32]) -> Vec<u8> {
     let mut body = Vec::with_capacity(5 + scores.len() * 4);
-    body.push(0u8);
-    body.extend_from_slice(&(scores.len() as u32).to_le_bytes());
-    for &s in scores {
-        body.extend_from_slice(&s.to_le_bytes());
-    }
+    put_ok(&mut body, scores);
     body
 }
 
@@ -296,13 +406,9 @@ pub(crate) fn encode_err(msg: &str) -> Vec<u8> {
     body
 }
 
-/// Encodes an admin response body (status 2 + verb-specific payload).
-pub(crate) fn encode_admin(payload: &[u8]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(1 + payload.len());
-    body.push(2u8);
-    body.extend_from_slice(payload);
-    body
-}
+/// Status byte that opens an admin response body; the verb-specific
+/// payload follows it.
+pub(crate) const STATUS_ADMIN: u8 = 2;
 
 /// Encodes an execution-fault response body (status 3 + panic message).
 /// Distinct from status 1 so clients can tell "the operator crashed on
@@ -431,22 +537,90 @@ mod tests {
     }
 
     #[test]
-    fn blocking_reader_matches_incremental_parser() {
-        let mut buf = Vec::new();
-        encode_v1_into(&mut buf, b"one");
-        encode_v2_into(&mut buf, 7, b"two");
-        let mut cursor = std::io::Cursor::new(buf);
-        match read_frame(&mut cursor).unwrap() {
-            ReadFrame::V1(b) => assert_eq!(b, b"one"),
+    fn frame_reader_matches_incremental_parser() {
+        let mut wire = Vec::new();
+        encode_v1_into(&mut wire, b"one");
+        encode_v2_into(&mut wire, 7, b"two");
+        // A body longer than the reader's first buffer forces the grow path.
+        let big = vec![0xABu8; 3 * MIN_READ + 17];
+        encode_v2_into(&mut wire, 8, &big);
+        let mut cursor = std::io::Cursor::new(wire);
+        let mut frames = FrameReader::default();
+        match frames.read_next(&mut cursor).unwrap() {
+            Some(Frame::Complete {
+                version: 1, body, ..
+            }) => assert_eq!(body, b"one"),
             other => panic!("{other:?}"),
         }
-        match read_frame(&mut cursor).unwrap() {
-            ReadFrame::V2 { request_id, body } => {
-                assert_eq!(request_id, 7);
-                assert_eq!(body, b"two");
+        match frames.read_next(&mut cursor).unwrap() {
+            Some(Frame::Complete {
+                version: WIRE_V2,
+                request_id: 7,
+                body,
+            }) => assert_eq!(body, b"two"),
+            other => panic!("{other:?}"),
+        }
+        match frames.read_next(&mut cursor).unwrap() {
+            Some(Frame::Complete {
+                request_id: 8,
+                body,
+                ..
+            }) => assert_eq!(body, &big[..]),
+            other => panic!("{other:?}"),
+        }
+        assert!(frames.read_next(&mut cursor).unwrap().is_none());
+    }
+
+    /// Hands out at most `step` bytes per `read`, like a socket delivering
+    /// a stream in arbitrary pieces.
+    struct Trickle<'a> {
+        data: &'a [u8],
+        step: usize,
+    }
+
+    impl Read for Trickle<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.step.min(buf.len()).min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    #[test]
+    fn frame_reader_is_indifferent_to_how_the_stream_is_cut() {
+        let mut wire = Vec::new();
+        let bodies: Vec<Vec<u8>> = (0..40usize)
+            .map(|i| vec![i as u8; (i * 397) % 9000])
+            .collect();
+        for (i, body) in bodies.iter().enumerate() {
+            encode_v2_into(&mut wire, i as u32, body);
+        }
+        for step in [1, 3, 15, 16, 17, 4095, 4096, 4097, 70_000] {
+            let mut stream = Trickle { data: &wire, step };
+            let mut frames = FrameReader::default();
+            for (i, want) in bodies.iter().enumerate() {
+                match frames.read_next(&mut stream).unwrap() {
+                    Some(Frame::Complete {
+                        request_id, body, ..
+                    }) => {
+                        assert_eq!(request_id, i as u32, "step {step}");
+                        assert_eq!(body, &want[..], "step {step} frame {i}");
+                    }
+                    other => panic!("step {step} frame {i}: {other:?}"),
+                }
             }
-            other => panic!("{other:?}"),
+            assert!(frames.read_next(&mut stream).unwrap().is_none());
         }
-        assert!(matches!(read_frame(&mut cursor).unwrap(), ReadFrame::Eof));
+    }
+
+    #[test]
+    fn end_of_stream_inside_a_frame_is_an_error() {
+        let mut wire = Vec::new();
+        encode_v2_into(&mut wire, 1, b"whole");
+        wire.truncate(wire.len() - 2);
+        let mut cursor = std::io::Cursor::new(wire);
+        let err = FrameReader::default().read_next(&mut cursor).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
     }
 }

@@ -33,16 +33,16 @@ use crate::runtime::PlanId;
 use parking_lot::{Condvar, Mutex, RwLock};
 use pretzel_data::{DataError, Result};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Per-plan admission state: retired/quarantined flags + in-flight count.
-#[derive(Debug)]
-struct GateState {
-    retired: bool,
-    quarantined: bool,
-    in_flight: usize,
-}
+/// [`PlanGate::state`] flag: the plan was retired.
+const RETIRED: usize = 0b01;
+/// [`PlanGate::state`] flag: the fault policy closed the gate.
+const QUARANTINED: usize = 0b10;
+/// One in-flight submission in [`PlanGate::state`] (the count sits above
+/// the two flag bits).
+const ONE_PASS: usize = 0b100;
 
 /// Admission gate and in-flight counter of one deployed plan.
 ///
@@ -50,9 +50,16 @@ struct GateState {
 /// (failing fast once retired) and hold the returned [`GatePass`] until the
 /// work completes; `retire` + [`PlanGate::wait_drained`] gives the caller a
 /// point in time after which no execution can touch the plan.
+///
+/// Flags and count share one atomic word, so admitting a request and
+/// letting it go are one read-modify-write each — the inline engine pays
+/// both on every request. The mutex and condition variable serve only the
+/// drain wait.
 #[derive(Debug)]
 pub struct PlanGate {
-    state: Mutex<GateState>,
+    /// `in_flight << 2 | QUARANTINED | RETIRED`.
+    state: AtomicUsize,
+    drain_lock: Mutex<()>,
     drained: Condvar,
 }
 
@@ -60,11 +67,8 @@ impl PlanGate {
     /// Creates an open gate with nothing in flight.
     pub fn new() -> Arc<Self> {
         Arc::new(PlanGate {
-            state: Mutex::new(GateState {
-                retired: false,
-                quarantined: false,
-                in_flight: 0,
-            }),
+            state: AtomicUsize::new(0),
+            drain_lock: Mutex::new(()),
             drained: Condvar::new(),
         })
     }
@@ -74,24 +78,38 @@ impl PlanGate {
     /// [`DataError::PlanQuarantined`] once the fault policy closed the
     /// gate). The returned pass decrements the in-flight count when dropped.
     pub fn enter(self: &Arc<Self>, id: PlanId) -> Result<GatePass> {
-        let mut g = self.state.lock();
-        if g.retired {
-            return Err(DataError::PlanRetired(id));
+        // Flags are checked and the count raised in one exchange, so a
+        // pass is never issued after `retire` returned: `SeqCst` on every
+        // access to `state` gives retire, enter and the drain wait one
+        // order to agree on.
+        let mut state = self.state.load(Ordering::SeqCst);
+        loop {
+            if state & RETIRED != 0 {
+                return Err(DataError::PlanRetired(id));
+            }
+            if state & QUARANTINED != 0 {
+                return Err(DataError::PlanQuarantined(id));
+            }
+            match self.state.compare_exchange_weak(
+                state,
+                state + ONE_PASS,
+                Ordering::SeqCst,
+                Ordering::SeqCst,
+            ) {
+                Ok(_) => {
+                    return Ok(GatePass {
+                        gate: Arc::clone(self),
+                    })
+                }
+                Err(now) => state = now,
+            }
         }
-        if g.quarantined {
-            return Err(DataError::PlanQuarantined(id));
-        }
-        g.in_flight += 1;
-        Ok(GatePass {
-            gate: Arc::clone(self),
-        })
     }
 
     /// Marks the plan retired; returns `true` on the first retire (the
     /// caller that wins owns the teardown), `false` if already retired.
     pub fn retire(&self) -> bool {
-        let mut g = self.state.lock();
-        !std::mem::replace(&mut g.retired, true)
+        self.state.fetch_or(RETIRED, Ordering::SeqCst) & RETIRED == 0
     }
 
     /// Closes the gate to new submissions after the fault policy tripped;
@@ -100,31 +118,30 @@ impl PlanGate {
     /// caller owns the recovery action — alias rollback), `false` if the
     /// plan was already quarantined.
     pub fn quarantine(&self) -> bool {
-        let mut g = self.state.lock();
-        !std::mem::replace(&mut g.quarantined, true)
+        self.state.fetch_or(QUARANTINED, Ordering::SeqCst) & QUARANTINED == 0
     }
 
     /// Blocks until every admitted submission has completed.
     pub fn wait_drained(&self) {
-        let mut g = self.state.lock();
-        while g.in_flight > 0 {
+        let mut g = self.drain_lock.lock();
+        while self.in_flight() > 0 {
             self.drained.wait(&mut g);
         }
     }
 
     /// True once [`Self::retire`] ran.
     pub fn is_retired(&self) -> bool {
-        self.state.lock().retired
+        self.state.load(Ordering::SeqCst) & RETIRED != 0
     }
 
     /// True once [`Self::quarantine`] ran.
     pub fn is_quarantined(&self) -> bool {
-        self.state.lock().quarantined
+        self.state.load(Ordering::SeqCst) & QUARANTINED != 0
     }
 
     /// Number of submissions currently holding a pass.
     pub fn in_flight(&self) -> usize {
-        self.state.lock().in_flight
+        self.state.load(Ordering::SeqCst) / ONE_PASS
     }
 }
 
@@ -139,9 +156,12 @@ pub struct GatePass {
 
 impl Drop for GatePass {
     fn drop(&mut self) {
-        let mut g = self.gate.state.lock();
-        g.in_flight -= 1;
-        if g.in_flight == 0 {
+        let before = self.gate.state.fetch_sub(ONE_PASS, Ordering::SeqCst);
+        // Only a drain wait cares, and it starts after `retire`. Taking the
+        // lock before notifying closes the window between the waiter's
+        // check of the count and its wait.
+        if before / ONE_PASS == 1 && before & RETIRED != 0 {
+            let _g = self.gate.drain_lock.lock();
             self.gate.drained.notify_all();
         }
     }

@@ -67,9 +67,11 @@ fn shard_of(checksum: u64) -> usize {
 }
 
 /// One plan's access-recency record: a pair of relaxed atomics bumped per
-/// admitted request, read only at snapshot time.
+/// admitted request, read only at snapshot time. The runtime resolves it
+/// once per plan ([`ObjectStore::plan_access`]) and keeps it beside the
+/// compiled plan, so noting an access takes no map read.
 #[derive(Debug, Default)]
-struct PlanAccess {
+pub struct PlanAccess {
     count: AtomicU64,
     last_epoch: AtomicU64,
 }
@@ -87,9 +89,9 @@ pub struct ObjectStore {
     /// `last_epoch` values order plans by recency without wall-clock reads.
     access_epoch: AtomicU64,
     /// Per-plan hotness (access count + recency epoch) — the signal the
-    /// million-model tiering policy demotes cold parameters on. Read-mostly:
-    /// entries are created on a plan's first noted access, then updated with
-    /// relaxed atomics under the read lock.
+    /// million-model tiering policy demotes cold parameters on. Written
+    /// when a plan's record is resolved or forgotten and read at snapshot
+    /// time; accesses go through the resolved record, not through the map.
     plan_access: RwLock<HashMap<u32, Arc<PlanAccess>>>,
 }
 
@@ -354,20 +356,18 @@ impl ObjectStore {
         self.reused.load(Ordering::Relaxed)
     }
 
-    /// Notes one serving access to `plan`: bumps the global access clock
-    /// and the plan's count/recency pair. Steady state is a read lock plus
-    /// three relaxed atomics; the write lock is taken once per plan life.
-    pub fn note_plan_access(&self, plan: u32) {
+    /// The access record of `plan` (created on first use), for the caller
+    /// to keep and pass to [`Self::note_access`].
+    pub fn plan_access(&self, plan: u32) -> Arc<PlanAccess> {
+        Arc::clone(self.plan_access.write().entry(plan).or_default())
+    }
+
+    /// Notes one serving access: bumps the global access clock and the
+    /// plan's count/recency pair — three relaxed atomics, no lock.
+    pub fn note_access(&self, access: &PlanAccess) {
         let epoch = self.access_epoch.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some(a) = self.plan_access.read().get(&plan) {
-            a.count.fetch_add(1, Ordering::Relaxed);
-            a.last_epoch.store(epoch, Ordering::Relaxed);
-            return;
-        }
-        let mut w = self.plan_access.write();
-        let a = w.entry(plan).or_default();
-        a.count.fetch_add(1, Ordering::Relaxed);
-        a.last_epoch.store(epoch, Ordering::Relaxed);
+        access.count.fetch_add(1, Ordering::Relaxed);
+        access.last_epoch.store(epoch, Ordering::Relaxed);
     }
 
     /// Forgets a plan's access record (undeploy) so snapshots only rank
@@ -376,13 +376,14 @@ impl ObjectStore {
         self.plan_access.write().remove(&plan);
     }
 
-    /// Per-plan access recency, sorted by plan id — the hotness input to
-    /// tiering decisions and the `plan_access` section of the metrics
-    /// snapshot.
+    /// Per-plan access recency of every plan served at least once, sorted
+    /// by plan id — the hotness input to tiering decisions and the
+    /// `plan_access` section of the metrics snapshot.
     pub fn plan_access_snapshot(&self) -> Vec<crate::telemetry::PlanAccessSnapshot> {
         let g = self.plan_access.read();
         let mut out: Vec<_> = g
             .iter()
+            .filter(|(_, a)| a.count.load(Ordering::Relaxed) > 0)
             .map(|(&plan, a)| crate::telemetry::PlanAccessSnapshot {
                 plan,
                 accesses: a.count.load(Ordering::Relaxed),

@@ -23,20 +23,20 @@ use crate::graph::TransformGraph;
 use crate::lifecycle::{
     AliasMap, DeployOptions, GatePass, LifecycleStats, PlanGate, PlanInfo, UndeployReport,
 };
-use crate::object_store::{MaterializationCache, ObjectStore};
+use crate::object_store::{MaterializationCache, ObjectStore, PlanAccess};
 use crate::physical::{CompileOptions, ExecCtx, ModelPlan, PhysicalStage, SourceRef};
 use crate::plan::StagePlan;
 use crate::scheduler::{AssembledBatch, BatchHandle, Record, Scheduler};
 use crate::telemetry::{
-    LifecycleSnapshot, MetricsRegistry, MetricsSnapshot, PoolCounters, SchedulerSnapshot,
-    StoreSnapshot,
+    LifecycleSnapshot, MetricsRegistry, MetricsSnapshot, PlanRecorder, PoolCounters,
+    SchedulerSnapshot, StoreSnapshot,
 };
 use crossbeam::queue::SegQueue;
 use parking_lot::{Mutex, RwLock};
 use pretzel_data::pool::VectorPool;
 use pretzel_data::{DataError, Result, Vector};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU32, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 use std::sync::Arc;
 
 /// Identifier of a registered plan.
@@ -155,17 +155,80 @@ struct RegisteredPlan {
     /// The interned logical plan; taken (and its Object Store references
     /// released) when the plan is undeployed.
     logical: Mutex<Option<StagePlan>>,
-    compiled: RwLock<Option<Arc<ModelPlan>>>,
+    compiled: RwLock<Option<Arc<Serving>>>,
     /// Admission gate + in-flight counter: `undeploy` retires it, then
     /// drains it before reclaiming anything.
     gate: Arc<PlanGate>,
 }
 
-/// A pooled request-response session (context + reusable slot container).
+/// Everything a request needs from its plan, resolved once when the plan
+/// compiles so that admission reads one map (the plan registry) and
+/// nothing else: the executable plan, its telemetry recorder and its
+/// access-recency record. Dropped as a unit by `undeploy`.
 #[derive(Debug)]
-struct RrSession {
+struct Serving {
+    plan: Arc<ModelPlan>,
+    /// `None` with [`RuntimeConfig::telemetry`] off.
+    recorder: Option<Arc<PlanRecorder>>,
+    access: Arc<PlanAccess>,
+}
+
+/// A request-response session: an execution context over the runtime's
+/// request-response pool plus the working set of the last plan it served.
+/// [`Runtime::predict_source`] borrows one from a shared pool per call; a
+/// thread that serves many requests (a FrontEnd reactor) owns one
+/// ([`Runtime::rr_session`]) and passes it to
+/// [`Runtime::predict_source_in`], skipping the pool round trip.
+///
+/// The working set stays leased between requests: a request whose plan has
+/// the same slot layout — every plan of one pipeline family does — clears
+/// and reuses it, where a lease per slot per request cost more than the
+/// rest of admission together. A different layout hands the set back to
+/// the pool and leases its own. [`Runtime::pool_outstanding`] discounts
+/// what sessions hold, and dropping the session returns it.
+#[derive(Debug)]
+pub struct RrSession {
     ctx: ExecCtx,
     slots: Vec<Vector>,
+    /// The runtime's count of slots held by sessions.
+    held: Arc<AtomicI64>,
+}
+
+impl RrSession {
+    /// Makes `slots` a cleared working set for `plan`.
+    fn fit(&mut self, plan: &ModelPlan) {
+        let fits = self.slots.len() == plan.slots.len()
+            && self
+                .slots
+                .iter()
+                .zip(&plan.slots)
+                .all(|(v, def)| v.column_type() == def.ty);
+        if fits {
+            self.slots.iter_mut().for_each(Vector::reset);
+            return;
+        }
+        self.give_back();
+        let pool = &self.ctx.pool;
+        self.slots
+            .extend(plan.slots.iter().map(|def| pool.acquire(def.ty)));
+        self.held
+            .fetch_add(self.slots.len() as i64, Ordering::Relaxed);
+    }
+
+    /// Returns the working set to the pool.
+    fn give_back(&mut self) {
+        self.held
+            .fetch_sub(self.slots.len() as i64, Ordering::Relaxed);
+        for v in self.slots.drain(..) {
+            self.ctx.pool.release(v);
+        }
+    }
+}
+
+impl Drop for RrSession {
+    fn drop(&mut self) {
+        self.give_back();
+    }
 }
 
 /// The runtime's fault-recovery policy, shared with the scheduler's
@@ -266,6 +329,9 @@ pub struct Runtime {
     scheduler: Scheduler,
     rr_pool: Arc<VectorPool>,
     rr_sessions: SegQueue<RrSession>,
+    /// Request-response pool leases parked in [`RrSession`]s between
+    /// requests (see there); not outstanding in the leak-check sense.
+    rr_held: Arc<AtomicI64>,
     ingest_pool: Arc<VectorPool>,
     /// Telemetry registry (None = `RuntimeConfig::telemetry` off).
     metrics: Option<Arc<MetricsRegistry>>,
@@ -332,6 +398,7 @@ impl Runtime {
             scheduler,
             rr_pool,
             rr_sessions: SegQueue::new(),
+            rr_held: Arc::new(AtomicI64::new(0)),
             ingest_pool,
             metrics,
             fault_policy,
@@ -366,14 +433,16 @@ impl Runtime {
     }
 
     /// Outstanding pool leases (acquisitions minus returns) summed over
-    /// the batch engine's executor pools and the request-response pool.
-    /// At quiescence — no request in flight — this is exactly zero after
-    /// any amount of traffic, *including contained execution faults*: a
-    /// panic that unwound through a chunk without returning its working
-    /// set would show up here as a permanent residue. The unwind-safety
-    /// stress test gates on exactly that.
+    /// the batch engine's executor pools and the request-response pool,
+    /// less the working sets request-response sessions keep between
+    /// requests. At quiescence — no request in flight — this is exactly
+    /// zero after any amount of traffic, *including contained execution
+    /// faults*: a panic that unwound through a chunk without returning its
+    /// working set would show up here as a permanent residue. The
+    /// unwind-safety stress test gates on exactly that.
     pub fn pool_outstanding(&self) -> i64 {
         self.scheduler.pool_outstanding() + self.rr_pool.stats().outstanding()
+            - self.rr_held.load(Ordering::Relaxed)
     }
 
     /// The telemetry registry, when [`RuntimeConfig::telemetry`] is on.
@@ -473,7 +542,7 @@ impl Runtime {
                     // request-response pool with this plan's working set,
                     // sized from training statistics (paper §4.2.1).
                     plan.warm_pool(&self.rr_pool);
-                    *registered.compiled.write() = Some(Arc::clone(&plan));
+                    *registered.compiled.write() = Some(self.serving(id, Arc::clone(&plan)));
                     aot_plan = Some(plan);
                 }
                 Err(e) => {
@@ -565,41 +634,52 @@ impl Runtime {
         })
     }
 
-    fn plan_of(&self, id: PlanId, registered: &RegisteredPlan) -> Result<Arc<ModelPlan>> {
-        if let Some(plan) = registered.compiled.read().as_ref() {
-            return Ok(Arc::clone(plan));
+    /// Resolves what requests to a freshly compiled plan will need.
+    fn serving(&self, id: PlanId, plan: Arc<ModelPlan>) -> Arc<Serving> {
+        Arc::new(Serving {
+            plan,
+            recorder: self.metrics.as_ref().map(|m| m.plan_recorder(id)),
+            access: self.store.plan_access(id),
+        })
+    }
+
+    fn serving_of(&self, id: PlanId, registered: &RegisteredPlan) -> Result<Arc<Serving>> {
+        if let Some(serving) = registered.compiled.read().as_ref() {
+            return Ok(Arc::clone(serving));
         }
         // Cold path (AOT off): compile now; double-checked under the write
         // lock so concurrent first predictions compile once.
         let mut slot = registered.compiled.write();
-        if let Some(plan) = slot.as_ref() {
-            return Ok(Arc::clone(plan));
+        if let Some(serving) = slot.as_ref() {
+            return Ok(Arc::clone(serving));
         }
         let logical = registered
             .logical
             .lock()
             .clone()
             .ok_or(DataError::PlanRetired(id))?;
-        let plan = self.compile(&logical)?;
-        *slot = Some(Arc::clone(&plan));
-        Ok(plan)
+        let serving = self.serving(id, self.compile(&logical)?);
+        *slot = Some(Arc::clone(&serving));
+        Ok(serving)
     }
 
     /// Fetches (compiling on first use when AOT is off) the executable plan.
     pub fn plan(&self, id: PlanId) -> Result<Arc<ModelPlan>> {
         let registered = self.entry(id)?;
-        self.plan_of(id, &registered)
+        Ok(Arc::clone(&self.serving_of(id, &registered)?.plan))
     }
 
     /// Admission for one submission: enter the plan's lifecycle gate, then
-    /// fetch the executable plan. Holding the pass guarantees `undeploy`
-    /// cannot reclaim the plan until the pass drops.
-    fn admit(&self, id: PlanId) -> Result<(Arc<ModelPlan>, GatePass)> {
+    /// fetch what serving it needs. Holding the pass guarantees `undeploy`
+    /// cannot reclaim the plan until the pass drops — so the pass comes
+    /// first in the pair: bound in this order it is dropped last, after
+    /// the caller's hold on the plan.
+    fn admit(&self, id: PlanId) -> Result<(GatePass, Arc<Serving>)> {
         let registered = self.entry(id)?;
         let pass = registered.gate.enter(id)?;
-        let plan = self.plan_of(id, &registered)?;
-        self.store.note_plan_access(id);
-        Ok((plan, pass))
+        let serving = self.serving_of(id, &registered)?;
+        self.store.note_access(&serving.access);
+        Ok((pass, serving))
     }
 
     /// The pool wire-to-columnar ingest leases request batches from (the
@@ -643,29 +723,45 @@ impl Runtime {
     /// the request bytes are not copied into it unless some step lacks a
     /// borrowed kernel ([`ModelPlan::execute_borrowed`]).
     pub fn predict_source(&self, id: PlanId, source: SourceRef<'_>) -> Result<f32> {
-        let (plan, _pass) = self.admit(id)?;
-        if let Some(m) = &self.metrics {
-            m.plan_recorder(id).note_rr_request();
-        }
-        let mut sess = self.rr_sessions.pop().unwrap_or_else(|| RrSession {
-            ctx: {
-                let ctx = ExecCtx::new(Arc::clone(&self.rr_pool));
-                match &self.cache {
-                    Some(c) => ctx.with_cache(Arc::clone(c)),
-                    None => ctx,
-                }
+        let mut sess = self.rr_sessions.pop().unwrap_or_else(|| self.rr_session());
+        let result = self.predict_source_in(&mut sess, id, source);
+        self.rr_sessions.push(sess);
+        result
+    }
+
+    /// A fresh request-response session for a thread that will serve many
+    /// requests through [`Self::predict_source_in`].
+    pub fn rr_session(&self) -> RrSession {
+        let ctx = ExecCtx::new(Arc::clone(&self.rr_pool));
+        RrSession {
+            ctx: match &self.cache {
+                Some(c) => ctx.with_cache(Arc::clone(c)),
+                None => ctx,
             },
             slots: Vec::new(),
-        });
-        debug_assert!(sess.slots.is_empty());
-        for def in &plan.slots {
-            sess.slots.push(self.rr_pool.acquire(def.ty));
+            held: Arc::clone(&self.rr_held),
         }
+    }
+
+    /// [`Self::predict_source`] on a session the caller owns. The session
+    /// must come from this runtime's [`Self::rr_session`].
+    pub fn predict_source_in(
+        &self,
+        sess: &mut RrSession,
+        id: PlanId,
+        source: SourceRef<'_>,
+    ) -> Result<f32> {
+        let (_pass, serving) = self.admit(id)?;
+        if let Some(rec) = &serving.recorder {
+            rec.note_rr_request();
+        }
+        let plan = &*serving.plan;
+        sess.fit(plan);
         // Containment boundary for the inline engine: a panicking operator
         // must not unwind through the caller. Scratch held by the session
         // context is recovered (the normal drain at the end of
-        // `execute_with_source` never ran) and the slot leases below are
-        // released on both paths, so the session re-enters the pool clean.
+        // `execute_with_source` never ran); the working set stays with the
+        // session and is cleared before its next use either way.
         let t0 = std::time::Instant::now();
         let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             plan.execute_borrowed(source, &mut sess.slots, &mut sess.ctx)
@@ -673,9 +769,8 @@ impl Runtime {
             Ok(r) => r,
             Err(payload) => {
                 sess.ctx.recover_scratch();
-                if let Some(m) = &self.metrics {
-                    m.plan_recorder(id)
-                        .record_fault(t0.elapsed().as_nanos() as u64);
+                if let Some(rec) = &serving.recorder {
+                    rec.record_fault(t0.elapsed().as_nanos() as u64);
                 }
                 self.fault_policy.on_fault(id);
                 Err(DataError::ExecutionFault(crate::scheduler::panic_message(
@@ -683,10 +778,10 @@ impl Runtime {
                 )))
             }
         };
-        for v in sess.slots.drain(..) {
-            self.rr_pool.release(v);
+        if !self.config.pooling {
+            // The "no vector pooling" ablation allocates per request.
+            sess.give_back();
         }
-        self.rr_sessions.push(sess);
         result
     }
 
@@ -726,7 +821,7 @@ impl Runtime {
         hashes: Vec<u64>,
     ) -> Result<BatchHandle> {
         let (plan, pass) = match self.admit(id) {
-            Ok(admitted) => admitted,
+            Ok((pass, serving)) => (Arc::clone(&serving.plan), pass),
             Err(e) => {
                 // Return the lease before reporting: admission failures are
                 // a request error, not a reason to leak a pooled buffer.

@@ -28,8 +28,10 @@
 //! from its **own** arena) over its high queue (started chunks whose
 //! buffers live in the victim's arena and go home via lock-free cross-core
 //! return). Stolen chunks re-enter the *thief's* queue for later stages,
-//! so a chunk migrates at most once per dry spell. Reserved executors stay
-//! outside the steal set. `sharded = false` selects the paper's
+//! so a chunk migrates at most once per dry spell. A worker that finds
+//! nothing anywhere sleeps until a submission wakes it ([`Sleepers`]): an
+//! idle executor costs no CPU. Reserved executors stay outside the steal
+//! set. `sharded = false` selects the paper's
 //! shared-everything plane — one queue pair every executor blocks on,
 //! mutex-backed pools; scores and cache hit/miss counts are
 //! bitwise-identical either way.
@@ -388,6 +390,9 @@ struct QueueInner {
     high: VecDeque<ChunkTask>,
     low: VecDeque<ChunkTask>,
     closed: bool,
+    /// Threads blocked in [`DualQueue::pop`]; a push signals the condition
+    /// variable only when there is one (a signal is a syscall either way).
+    waiting: usize,
 }
 
 impl std::fmt::Debug for ChunkTask {
@@ -406,14 +411,24 @@ struct DualQueue {
 }
 
 impl DualQueue {
+    /// Enqueues under the lock, then wakes a blocked [`Self::pop`] if any.
+    fn push_with(&self, enqueue: impl FnOnce(&mut QueueInner)) {
+        let wake = {
+            let mut g = self.inner.lock();
+            enqueue(&mut g);
+            g.waiting > 0
+        };
+        if wake {
+            self.cv.notify_one();
+        }
+    }
+
     fn push_high(&self, t: ChunkTask) {
-        self.inner.lock().high.push_back(t);
-        self.cv.notify_one();
+        self.push_with(|g| g.high.push_back(t));
     }
 
     fn push_low(&self, t: ChunkTask) {
-        self.inner.lock().low.push_back(t);
-        self.cv.notify_one();
+        self.push_with(|g| g.low.push_back(t));
     }
 
     /// Enqueues at low priority unless the queue was closed, in which case
@@ -421,13 +436,15 @@ impl DualQueue {
     /// queue (a reserved queue closes when its plan is unreserved; its
     /// executor may already have exited).
     fn try_push_low(&self, t: ChunkTask) -> Option<ChunkTask> {
-        let mut g = self.inner.lock();
-        if g.closed {
-            return Some(t);
-        }
-        g.low.push_back(t);
-        self.cv.notify_one();
-        None
+        let mut rejected = None;
+        self.push_with(|g| {
+            if g.closed {
+                rejected = Some(t);
+            } else {
+                g.low.push_back(t);
+            }
+        });
+        rejected
     }
 
     /// Pops the next event, preferring the high-priority queue; returns
@@ -444,7 +461,9 @@ impl DualQueue {
             if g.closed {
                 return None;
             }
+            g.waiting += 1;
             self.cv.wait(&mut g);
+            g.waiting -= 1;
         }
     }
 
@@ -476,19 +495,11 @@ impl DualQueue {
         g.high.len() + g.low.len()
     }
 
-    /// Parks the owner until new work, a close, or `timeout`. Returns
-    /// `true` when the queue is closed *and* drained — the owner's signal
-    /// to exit (its queue can no longer grow: submissions stop before
-    /// close, and workers only re-push to their own queue).
-    fn park(&self, timeout: std::time::Duration) -> bool {
-        let mut g = self.inner.lock();
-        if !g.high.is_empty() || !g.low.is_empty() {
-            return false;
-        }
-        if g.closed {
-            return true;
-        }
-        self.cv.wait_for(&mut g, timeout);
+    /// True when the queue is closed *and* drained — the owner's signal to
+    /// exit (its queue can no longer grow: submissions stop before close,
+    /// and workers only re-push to their own queue).
+    fn is_finished(&self) -> bool {
+        let g = self.inner.lock();
         g.closed && g.high.is_empty() && g.low.is_empty()
     }
 
@@ -498,10 +509,81 @@ impl DualQueue {
     }
 }
 
-/// How long a dry sharded worker parks before rescanning the steal set.
-/// Short enough that a newly-loaded victim is noticed quickly, long enough
-/// that idle workers cost ~zero CPU.
-const STEAL_RESCAN_PARK: std::time::Duration = std::time::Duration::from_micros(200);
+/// Upper bound on one sleep of an idle sharded worker. Nothing depends on
+/// it for progress — a submission wakes a sleeper — it is the "every wait
+/// is bounded" net under a wake-up lost to a bug. Unit tests stretch it so
+/// that they cannot pass by falling into the net.
+const SAFETY_PARK: std::time::Duration = if cfg!(test) {
+    std::time::Duration::from_secs(10)
+} else {
+    std::time::Duration::from_millis(20)
+};
+
+/// Where the sharded plane's dry workers sleep, and how submitters wake
+/// them.
+///
+/// A worker that found nothing announces itself ([`Self::announce`]),
+/// scans **every** queue once more, and only then sleeps; a submitter
+/// pushes first and checks for announced sleepers second. Whichever order
+/// the two interleave in, either the worker's scan sees the push or the
+/// submitter sees the announcement (both sides use `SeqCst`, and queue
+/// pushes and scans go through the queue's mutex). A wake that lands
+/// between a worker's scan and its sleep is not lost either: it moves
+/// `epoch`, and the worker sleeps only while `epoch` is what it read when
+/// it announced.
+#[derive(Debug, Default)]
+struct Sleepers {
+    /// Workers between [`Self::announce`] and the end of their sleep.
+    announced: AtomicUsize,
+    /// Wake-ups issued so far; written under `lock`.
+    epoch: AtomicU64,
+    lock: Mutex<()>,
+    cv: Condvar,
+}
+
+impl Sleepers {
+    /// Registers the calling worker as about to sleep; returns the epoch
+    /// to hand to [`Self::sleep`]. Must be followed by exactly one
+    /// [`Self::sleep`] or [`Self::retract`].
+    fn announce(&self) -> u64 {
+        let epoch = self.epoch.load(Ordering::SeqCst);
+        self.announced.fetch_add(1, Ordering::SeqCst);
+        epoch
+    }
+
+    /// Takes back an announcement: the post-announcement scan found work.
+    fn retract(&self) {
+        self.announced.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Sleeps until a wake-up issued after the matching
+    /// [`Self::announce`], or [`SAFETY_PARK`].
+    fn sleep(&self, announced_at: u64) {
+        let mut g = self.lock.lock();
+        if self.epoch.load(Ordering::SeqCst) == announced_at {
+            self.cv.wait_for(&mut g, SAFETY_PARK);
+        }
+        drop(g);
+        self.retract();
+    }
+
+    /// Wakes one sleeper if any worker has announced itself; called after
+    /// the work it should find is already in a queue.
+    fn wake_one(&self) {
+        if self.announced.load(Ordering::SeqCst) > 0 {
+            let _g = self.lock.lock();
+            self.epoch.fetch_add(1, Ordering::SeqCst);
+            self.cv.notify_one();
+        }
+    }
+
+    /// Wakes every sleeper (shutdown).
+    fn wake_all(&self) {
+        let _g = self.lock.lock();
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        self.cv.notify_all();
+    }
+}
 
 /// Scheduler counters exposed to benchmarks and tests.
 #[derive(Debug, Default)]
@@ -579,6 +661,7 @@ enum Plane {
     Sharded {
         workers: Vec<Arc<DualQueue>>,
         next: AtomicUsize,
+        sleepers: Arc<Sleepers>,
     },
 }
 
@@ -587,9 +670,16 @@ impl Plane {
     fn push_low(&self, t: ChunkTask) {
         match self {
             Plane::Shared(q) => q.push_low(t),
-            Plane::Sharded { workers, next } => {
+            Plane::Sharded {
+                workers,
+                next,
+                sleepers,
+            } => {
                 let i = next.fetch_add(1, Ordering::Relaxed) % workers.len();
                 workers[i].push_low(t);
+                // Whoever owns queue `i` may be busy: any sleeper can
+                // steal the chunk.
+                sleepers.wake_one();
             }
         }
     }
@@ -597,10 +687,13 @@ impl Plane {
     fn close(&self) {
         match self {
             Plane::Shared(q) => q.close(),
-            Plane::Sharded { workers, .. } => {
+            Plane::Sharded {
+                workers, sleepers, ..
+            } => {
                 for q in workers {
                     q.close();
                 }
+                sleepers.wake_all();
             }
         }
     }
@@ -677,11 +770,13 @@ impl Scheduler {
         let (plane, executors) = if cfg.sharded {
             let workers: Vec<Arc<DualQueue>> =
                 (0..n).map(|_| Arc::new(DualQueue::default())).collect();
+            let sleepers = Arc::new(Sleepers::default());
             let executors = exec_pools
                 .iter()
                 .enumerate()
                 .map(|(i, pool)| {
                     let queues = workers.clone();
+                    let sleepers = Arc::clone(&sleepers);
                     let stats = Arc::clone(&stats);
                     let cache = cfg.cache.clone();
                     let pool = Arc::clone(pool);
@@ -692,7 +787,7 @@ impl Scheduler {
                         .name(format!("pretzel-exec-{i}"))
                         .spawn(move || {
                             sharded_worker_loop(
-                                i, queues, stats, pool, columnar, cache, telemetry, hook,
+                                i, queues, sleepers, stats, pool, columnar, cache, telemetry, hook,
                             )
                         })
                         .expect("spawn executor")
@@ -702,6 +797,7 @@ impl Scheduler {
                 Plane::Sharded {
                     workers,
                     next: AtomicUsize::new(0),
+                    sleepers,
                 },
                 executors,
             )
@@ -1087,14 +1183,15 @@ fn executor_loop(
 }
 
 /// One sharded-plane worker: drain the own queue, then try stealing, then
-/// park briefly and rescan. Chunks always re-enter the queue of the worker
-/// that ran their last stage — including stolen ones, which re-enter the
-/// THIEF's queue — so once submissions stop, a queue that is closed and
-/// empty can never refill and the worker exits.
+/// sleep until a submission wakes it. Chunks always re-enter the queue of
+/// the worker that ran their last stage — including stolen ones, which
+/// re-enter the THIEF's queue — so once submissions stop, a queue that is
+/// closed and empty can never refill and the worker exits.
 #[allow(clippy::too_many_arguments)]
 fn sharded_worker_loop(
     idx: usize,
     queues: Vec<Arc<DualQueue>>,
+    sleepers: Arc<Sleepers>,
     stats: Arc<SchedStats>,
     pool: Arc<VectorPool>,
     columnar: bool,
@@ -1113,23 +1210,47 @@ fn sharded_worker_loop(
     // Per-worker xorshift state, seeded from the worker index so workers
     // probe victims in different orders.
     let mut rng: u64 = 0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(idx as u64 + 1) | 1;
+    // Own queue first, then other workers': two probes on the busy path,
+    // every queue when `thorough`. The flag tells a steal from a pop.
+    let find = |rng: &mut u64, thorough: bool| {
+        own.try_pop().map(|task| (task, false)).or_else(|| {
+            let stolen = if thorough {
+                steal_any(&queues, idx)
+            } else {
+                steal_from(&queues, idx, rng)
+            };
+            stolen.map(|task| (task, true))
+        })
+    };
     loop {
-        if let Some(task) = own.try_pop() {
-            run_chunk_stage(task, &own, &pool, &mut ctx, &stats, columnar, &fault_hook);
-            continue;
+        let mut found = find(&mut rng, false);
+        if found.is_none() {
+            // Announce the sleep, then look at every queue once more: a
+            // chunk pushed before the announcement was visible shows up in
+            // this scan, a later one wakes a sleeper.
+            let announced_at = sleepers.announce();
+            found = find(&mut rng, true);
+            if found.is_none() && !own.is_finished() {
+                sleepers.sleep(announced_at);
+                continue;
+            }
+            sleepers.retract();
         }
-        if let Some(task) = steal_from(&queues, idx, &mut rng) {
+        let Some((task, stolen)) = found else {
+            return; // own queue closed and drained
+        };
+        if stolen {
             stats.steals.fetch_add(1, Ordering::Relaxed);
-            run_chunk_stage(task, &own, &pool, &mut ctx, &stats, columnar, &fault_hook);
-            continue;
         }
-        // Nothing local and every probed victim was dry: park on the own
-        // queue (a push wakes the worker immediately) with a short timeout
-        // so the steal set gets rescanned even without a local push.
-        if own.park(STEAL_RESCAN_PARK) {
-            return;
-        }
+        run_chunk_stage(task, &own, &pool, &mut ctx, &stats, columnar, &fault_hook);
     }
+}
+
+/// Steals from the first other queue that has anything, every queue
+/// tried: the scan a worker makes before it sleeps must not miss work the
+/// way [`steal_from`]'s two probes may.
+fn steal_any(queues: &[Arc<DualQueue>], idx: usize) -> Option<ChunkTask> {
+    (1..queues.len()).find_map(|step| queues[(idx + step) % queues.len()].steal())
 }
 
 /// Two-choice steal: probe two distinct victims, try the longer queue
@@ -1392,7 +1513,7 @@ fn run_chunk_stage(
             m.rec.add_records(n as u64);
         }
         release_leases(&mut task);
-        complete_chunk(task.state);
+        complete_chunk(task);
     }
 }
 
@@ -1456,10 +1577,15 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn finish_chunk_error(mut task: ChunkTask, err: DataError) {
     release_leases(&mut task);
     task.state.error.lock().get_or_insert(err);
-    complete_chunk(task.state);
+    complete_chunk(task);
 }
 
-fn complete_chunk(state: Arc<BatchState>) {
+fn complete_chunk(task: ChunkTask) {
+    // Let go of the plan (and through it the catalog's stages) before the
+    // batch can be seen complete: an `undeploy` that follows the waiter's
+    // wake-up sweeps the catalog for stages nothing else references.
+    let state = Arc::clone(&task.state);
+    drop(task);
     if state.remaining_chunks.fetch_sub(1, Ordering::AcqRel) == 1 {
         // Last chunk: release the plan's lifecycle gate pass before waking
         // the waiter — once the handle observes completion, `undeploy`'s
@@ -1827,6 +1953,81 @@ mod tests {
             }
         }
         assert!(stole, "no round ever exercised the steal path");
+    }
+
+    #[test]
+    fn a_wake_between_announcement_and_sleep_is_not_lost() {
+        // The interleaving a condition variable alone loses, forced: the
+        // wake-up lands after the worker's last scan and before its wait.
+        let sleepers = Sleepers::default();
+        let announced_at = sleepers.announce();
+        sleepers.wake_one();
+        let t0 = Instant::now();
+        sleepers.sleep(announced_at);
+        assert!(t0.elapsed() < SAFETY_PARK / 2, "slept through a wake-up");
+        assert_eq!(sleepers.announced.load(Ordering::SeqCst), 0);
+        // With nobody announced a submitter pays no lock and no syscall.
+        sleepers.wake_one();
+        assert_eq!(sleepers.epoch.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn chunks_pushed_while_workers_go_to_sleep_are_never_stranded() {
+        // The parking protocol under the interleavings it exists for. One
+        // thread keeps a long single-chunk batch in flight, so most of the
+        // time one worker is busy and the chunks round-robin routing puts
+        // in its queue can only be served by a thief; the producers submit
+        // one tiny batch at a time and wait for it, so the other workers
+        // run dry and head for sleep again just as the next chunk arrives.
+        // A wake-up lost anywhere strands a chunk until its queue's owner
+        // is free or the safety park expires — which unit tests stretch to
+        // 10 s, so that a stranded chunk is unmistakable.
+        let plan = sa_plan(59);
+        let sched = Arc::new(plane(true, 3, 4096));
+        let producing = Arc::new(std::sync::atomic::AtomicBool::new(true));
+        let busy = {
+            let (sched, plan, producing) = (
+                Arc::clone(&sched),
+                Arc::clone(&plan),
+                Arc::clone(&producing),
+            );
+            std::thread::spawn(move || {
+                let long = records(2000);
+                while producing.load(Ordering::Acquire) {
+                    assert_eq!(submit(&sched, 0, &plan, &long).wait().unwrap().len(), 2000);
+                }
+            })
+        };
+        let producers: Vec<_> = (0..3)
+            .map(|_| {
+                let (sched, plan) = (Arc::clone(&sched), Arc::clone(&plan));
+                std::thread::spawn(move || {
+                    let tiny = records(1);
+                    let mut slowest = std::time::Duration::ZERO;
+                    for _ in 0..1500 {
+                        let t0 = Instant::now();
+                        assert_eq!(submit(&sched, 0, &plan, &tiny).wait().unwrap().len(), 1);
+                        slowest = slowest.max(t0.elapsed());
+                        if slowest >= SAFETY_PARK / 2 {
+                            break; // already failed; do not sit out more parks
+                        }
+                    }
+                    slowest
+                })
+            })
+            .collect();
+        let slowest = producers
+            .into_iter()
+            .map(|p| p.join().unwrap())
+            .max()
+            .unwrap();
+        producing.store(false, Ordering::Release);
+        busy.join().unwrap();
+        assert!(
+            slowest < SAFETY_PARK / 2,
+            "a chunk waited {slowest:?}: it was served by the safety park, not by a wake-up"
+        );
+        Arc::into_inner(sched).unwrap().shutdown();
     }
 
     #[test]

@@ -467,6 +467,148 @@ fn mid_pipeline_disconnects_leak_no_slab_slots() {
     fe.stop();
 }
 
+// ---- framing equivalence -------------------------------------------------
+
+/// A request body carrying `lines` as text records.
+fn text_batch_body(plan: u32, flags: u8, lines: &[&str]) -> Vec<u8> {
+    let mut body = Vec::new();
+    body.extend_from_slice(&plan.to_le_bytes());
+    let kind_flags = (u32::from(flags) << 8) | ((lines.len() as u32) << 16);
+    body.extend_from_slice(&kind_flags.to_le_bytes());
+    for line in lines {
+        body.extend_from_slice(&(line.len() as u32).to_le_bytes());
+        body.extend_from_slice(line.as_bytes());
+    }
+    body
+}
+
+/// Sends `pieces` as one `write` each on a fresh connection and collects
+/// `expected` v2 responses by request id.
+fn responses_to(
+    addr: SocketAddr,
+    pieces: &[&[u8]],
+    expected: usize,
+) -> std::collections::BTreeMap<u32, Vec<u8>> {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    for piece in pieces {
+        stream.write_all(piece).unwrap();
+    }
+    let mut got = std::collections::BTreeMap::new();
+    for _ in 0..expected {
+        let (id, body) = read_v2_response(&mut stream).expect("connection closed early");
+        assert!(
+            got.insert(id, body).is_none(),
+            "request {id} answered twice"
+        );
+    }
+    got
+}
+
+#[test]
+fn responses_do_not_depend_on_how_the_byte_stream_is_cut() {
+    let (images, lines) = small_workload(2);
+    let (runtime, ids) = serve_runtime(&images);
+    let fe = FrontEnd::serve(
+        Arc::clone(&runtime),
+        FrontEndConfig {
+            batch_delay: Some(Duration::from_millis(2)),
+            ..FrontEndConfig::default()
+        },
+    )
+    .unwrap();
+
+    // One fixed mix. The admin LIST reports in-flight counts, so it goes
+    // before the two requests that complete later (batch, delayed).
+    let batch_lines: Vec<&str> = (0..64).map(|i| lines[i % lines.len()].as_str()).collect();
+    let list_body = {
+        let mut body = 0u32.to_le_bytes().to_vec();
+        body.extend_from_slice(&0x13u32.to_le_bytes()); // kind LIST, no flags, n = 0
+        body
+    };
+    let frames = [
+        v2_frame(1, &text_request_body(ids[0], 0, &lines[0])),
+        v2_frame(2, &text_request_body(ids[1], 0, &lines[1])),
+        v2_frame(3, &list_body),
+        v2_frame(4, &text_request_body(9_999, 0, &lines[2])), // unknown plan
+        v2_frame(5, &text_batch_body(ids[0], 0, &batch_lines)),
+        v2_frame(
+            6,
+            &text_request_body(
+                ids[1],
+                pretzel_core::frontend::FLAG_DELAYED_BATCH,
+                &lines[3],
+            ),
+        ),
+    ];
+    let stream: Vec<u8> = frames.concat();
+
+    // (ii) the whole mix in a single write is the reference.
+    let reference = responses_to(fe.addr(), &[&stream], frames.len());
+    assert_eq!(scores_of(&reference[&1]).len(), 1);
+    assert_eq!(
+        scores_of(&reference[&1])[0].to_bits(),
+        runtime.predict(ids[0], &lines[0]).unwrap().to_bits()
+    );
+    assert_eq!(reference[&3][0], 2, "LIST answers with an admin status");
+    assert_eq!(reference[&4][0], 1, "unknown plan is a request error");
+    assert_eq!(scores_of(&reference[&5]).len(), 64);
+    assert_eq!(
+        scores_of(&reference[&6])[0].to_bits(),
+        runtime.predict(ids[1], &lines[3]).unwrap().to_bits()
+    );
+
+    // (i) one byte per write.
+    let bytes: Vec<&[u8]> = stream.chunks(1).collect();
+    assert_eq!(responses_to(fe.addr(), &bytes, frames.len()), reference);
+
+    // (iii) two writes, cut at every offset from the start of the first
+    // frame to the end of the second: inside a header, inside a body, and
+    // exactly on the boundary between them.
+    for cut in 0..=frames[0].len() + frames[1].len() {
+        let (head, tail) = stream.split_at(cut);
+        assert_eq!(
+            responses_to(fe.addr(), &[head, tail], frames.len()),
+            reference,
+            "cut at byte {cut}"
+        );
+    }
+
+    // An inline request has answered before the next frame is parsed, so
+    // reusing its id straight away is not a duplicate.
+    let mut stream = TcpStream::connect(fe.addr()).unwrap();
+    let mut twice = v2_frame(7, &text_request_body(ids[0], 0, &lines[0]));
+    twice.extend_from_slice(&v2_frame(7, &text_request_body(ids[0], 0, &lines[1])));
+    stream.write_all(&twice).unwrap();
+    for line in &lines[..2] {
+        let (id, body) = read_v2_response(&mut stream).expect("closed on a reused id");
+        assert_eq!(id, 7);
+        assert_eq!(
+            scores_of(&body)[0].to_bits(),
+            runtime.predict(ids[0], line).unwrap().to_bits()
+        );
+    }
+    drop(stream);
+
+    // v1 has no ids: a batch that completes later still answers before
+    // the inline requests pipelined behind it.
+    let mut stream = TcpStream::connect(fe.addr()).unwrap();
+    let mut burst = v1_frame(&text_batch_body(ids[0], 0, &batch_lines));
+    burst.extend_from_slice(&v1_frame(&text_request_body(ids[0], 0, &lines[0])));
+    burst.extend_from_slice(&v1_frame(&text_request_body(ids[1], 0, &lines[1])));
+    stream.write_all(&burst).unwrap();
+    let first = read_v1_response(&mut stream).expect("closed mid-pipeline");
+    assert_eq!(first, reference[&5], "the batch answers first");
+    let second = read_v1_response(&mut stream).expect("closed mid-pipeline");
+    assert_eq!(second, reference[&1]);
+    let third = read_v1_response(&mut stream).expect("closed mid-pipeline");
+    assert_eq!(third, reference[&2]);
+    drop(stream);
+
+    assert_eq!(fe.stats().protocol_errors(), 0);
+    fe.stop();
+}
+
 // ---- lifecycle under pipelined load --------------------------------------
 
 #[test]
