@@ -1053,6 +1053,18 @@ impl<'a> SourceRef<'a> {
     }
 }
 
+/// One pool size class of a plan's working set
+/// ([`ModelPlan::working_set`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ClassNeed {
+    /// The class: pools keep one free list per column type.
+    pub ty: ColumnType,
+    /// Slots plus scratch buffers of the class one execution leases.
+    pub count: usize,
+    /// Largest training-statistics size hint among them.
+    pub max_stored: usize,
+}
+
 /// A compiled, registered model plan: the unit of serving.
 #[derive(Debug)]
 pub struct ModelPlan {
@@ -1253,17 +1265,48 @@ impl ModelPlan {
         Ok(())
     }
 
-    /// Warms a vector pool with this plan's working set, sized from
-    /// training statistics, so the first predictions hit pre-reserved
-    /// buffers (paper §4.2.1: pool allocations are paid at initialization).
-    pub fn warm_pool(&self, pool: &pretzel_data::pool::VectorPool) {
-        for def in &self.slots {
-            pool.warm_sized(def.ty, def.max_stored, 1);
-        }
-        for stage in &self.stages {
-            for def in &stage.scratch {
-                pool.warm_sized(def.ty, def.max_stored, 1);
+    /// The plan's working set by pool size class: for each [`ColumnType`]
+    /// among the slots and scratch buffers, how many buffers of that class
+    /// one execution leases and the largest training-statistics size hint
+    /// among them. Slots are leased together when the plan starts and held
+    /// until it retires; a stage's scratch is out only while that stage
+    /// runs, so counting every stage's scratch is an upper bound on what
+    /// one execution has out at once (exact for plans whose same-class
+    /// scratch sits in one stage, as in every stock pipeline). The one
+    /// description both deploy-time warmers consume ([`Self::warm_pool`],
+    /// `Scheduler::warm_plan`).
+    pub fn working_set(&self) -> Vec<ClassNeed> {
+        let mut need: Vec<ClassNeed> = Vec::new();
+        let defs = self
+            .slots
+            .iter()
+            .chain(self.stages.iter().flat_map(|s| s.scratch.iter()));
+        for def in defs {
+            match need.iter_mut().find(|n| n.ty == def.ty) {
+                Some(n) => {
+                    n.count += 1;
+                    n.max_stored = n.max_stored.max(def.max_stored);
+                }
+                None => need.push(ClassNeed {
+                    ty: def.ty,
+                    count: 1,
+                    max_stored: def.max_stored,
+                }),
             }
+        }
+        need
+    }
+
+    /// Tops `pool` up to one working set of this plan, sized from training
+    /// statistics, so the first predictions hit pre-reserved buffers (paper
+    /// §4.2.1: pool allocations are paid at initialization). The
+    /// request-response engine's warmer: a caller leases one working set
+    /// and keeps it between requests, so plans with the same shapes share
+    /// the same parked buffers and registering the second one allocates
+    /// nothing.
+    pub fn warm_pool(&self, pool: &pretzel_data::pool::VectorPool) {
+        for need in self.working_set() {
+            pool.warm_sized(need.ty, need.max_stored, need.count);
         }
     }
 

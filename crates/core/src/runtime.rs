@@ -66,8 +66,9 @@ pub struct RuntimeConfig {
     /// Execute batch-engine chunks over columnar working sets (one
     /// [`pretzel_data::ColumnBatch`] per plan slot per chunk) instead of
     /// per-record vector leases. On by default; off runs the per-record
-    /// chunk loop, which warms (and so holds) fewer pool bytes on text
-    /// plans but is slower on both batch workloads of the benchmark.
+    /// chunk loop, which is slower on both batch workloads of the
+    /// benchmark and, now that pools are provisioned per size class, holds
+    /// no less memory on either.
     /// Composes with sub-plan materialization: cacheable steps probe the
     /// (per-record-keyed) cache at chunk granularity and batch-evaluate
     /// only the missing rows.
@@ -100,9 +101,10 @@ pub struct RuntimeConfig {
     /// and a lock-free pool arena fronting one shared fallback arena; the
     /// request-response and ingest pools become lock-free arenas too. Off
     /// selects the shared-everything plane (one queue, mutex-backed
-    /// pools, no per-size-class preallocation). Scores and cache hit/miss
-    /// counts are bitwise-identical either way — sharding moves work and
-    /// buffers around, never the math.
+    /// pools, which have no per-class slot arrays — a difference inside
+    /// `rss_mb`'s bound since batch classes keep 32 slots, not 256).
+    /// Scores and cache hit/miss counts are bitwise-identical either way —
+    /// sharding moves work and buffers around, never the math.
     pub sharded: bool,
     /// Runtime telemetry (on by default): sharded per-core recorders for
     /// per-plan queue-wait / stage-execution latency histograms, decode and
@@ -445,6 +447,17 @@ impl Runtime {
             - self.rr_held.load(Ordering::Relaxed)
     }
 
+    /// Heap bytes parked idle in every pool the runtime owns: the executor
+    /// family (per-core arenas, reserved pools, the fallback arena), the
+    /// request-response pool and the ingest pool. Provisioning is per size
+    /// class, so this does not grow with the number of deployed plans that
+    /// share shapes; [`Self::metrics`] breaks it down by family.
+    pub fn pool_retained_bytes(&self) -> u64 {
+        self.scheduler.pool_stats().retained_bytes
+            + self.rr_pool.retained_bytes() as u64
+            + self.ingest_pool.retained_bytes() as u64
+    }
+
     /// The telemetry registry, when [`RuntimeConfig::telemetry`] is on.
     /// The FrontEnd records decode and flush latencies through this.
     pub fn metrics_registry(&self) -> Option<&Arc<MetricsRegistry>> {
@@ -469,14 +482,8 @@ impl Runtime {
             steals: sched.steals.load(Ordering::Relaxed),
         };
         snap.pools.executor = self.scheduler.pool_stats();
-        snap.pools.request_response = PoolCounters {
-            hits: self.rr_pool.stats().hits(),
-            misses: self.rr_pool.stats().misses(),
-        };
-        snap.pools.ingest = PoolCounters {
-            hits: self.ingest_pool.stats().hits(),
-            misses: self.ingest_pool.stats().misses(),
-        };
+        snap.pools.request_response = PoolCounters::of(&self.rr_pool);
+        snap.pools.ingest = PoolCounters::of(&self.ingest_pool);
         let (deploys, undeploys, swaps) = self.lifecycle_stats.counts();
         snap.lifecycle = LifecycleSnapshot {
             deploys,
@@ -538,8 +545,8 @@ impl Runtime {
             };
             match compiled {
                 Ok(plan) => {
-                    // Pay the memory-allocation cost upfront: warm the
-                    // request-response pool with this plan's working set,
+                    // Pay the memory-allocation cost upfront: top the
+                    // request-response pool up to this plan's working set,
                     // sized from training statistics (paper §4.2.1).
                     plan.warm_pool(&self.rr_pool);
                     *registered.compiled.write() = Some(self.serving(id, Arc::clone(&plan)));
@@ -560,7 +567,7 @@ impl Runtime {
             self.scheduler.reserve(id);
         }
         // Batch-engine warming after the (optional) reservation exists, so
-        // a reserved plan warms its own dedicated pool: the first
+        // a reserved plan provisions its own dedicated pool: the first
         // post-deploy chunk leases pre-built working sets instead of
         // paying pool misses. With AOT off there is nothing to size from
         // yet — the deferred compile pays allocation alongside

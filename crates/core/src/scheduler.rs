@@ -606,9 +606,28 @@ struct ReservedExec {
     handle: Option<JoinHandle<()>>,
 }
 
-/// How many working sets deploy-time warming pre-leases per executor pool:
-/// one for the chunk in flight plus one for a chunk whose lease is still
-/// queued between stages.
+/// How many working sets deploy-time warming keeps parked per executor
+/// pool, per size class.
+///
+/// The bound it covers: leases outstanding from one arena, per class, are
+/// at most the chunks that leased from it and have not retired, times the
+/// buffers of that class one chunk leases ([`ModelPlan::working_set`]). An
+/// executor leases only when it runs a chunk's stage 0, and it pops its
+/// high queue — where it parked the chunk it last ran — before anything
+/// else, so it starts a second chunk only after the first retired or was
+/// stolen from that queue; every started chunk is thus either running on
+/// an executor or is the one entry of that executor's high queue, and
+/// there are never more started chunks than executors. Two sets cover the
+/// chunk an executor is running plus one stolen from it, which is every
+/// case on two executors and every common one on more (steals take
+/// unstarted chunks first). Past that — several thieves in a row emptying
+/// one victim's high queue — a lease refills from the fallback arena or
+/// misses, and the buffer it allocated parks in the arena on return, so
+/// the class grows to what the traffic needed and stays there; the number
+/// of deployed plans never enters. A plan nobody is scoring costs no pool
+/// bytes of its own; the classes only a retired plan used keep at most
+/// what was parked in them (≤ 128 classes per arena, ≤ the class cap
+/// each).
 const WARM_WORKING_SETS: usize = 2;
 
 /// Construction parameters of a [`Scheduler`].
@@ -889,41 +908,55 @@ impl Scheduler {
         );
     }
 
-    /// Deploy-time plan warming for the batch engine: pre-leases the
-    /// pools that will actually serve `plan_id` — its dedicated pool when
-    /// the plan is reserved, the shared executor pools otherwise — with
-    /// the plan's working-set and scratch buffers, sized from training
-    /// statistics, so the first post-deploy (or post-swap) chunk pays no
-    /// pool misses. The same upfront-payment discipline the
-    /// request-response pool gets at registration (paper §4.2.1), without
-    /// parking working sets in pools the plan's chunks never lease from.
+    /// Deploy-time plan warming for the batch engine: tops the pools that
+    /// will actually serve `plan_id` — its dedicated pool when the plan is
+    /// reserved, the shared executor pools otherwise — up to
+    /// [`WARM_WORKING_SETS`] working sets of the plan per size class
+    /// ([`ModelPlan::working_set`]), so the first post-deploy (or
+    /// post-swap) chunk pays no pool misses. Provisioning is per class,
+    /// not per plan: a class that already holds enough — because a plan
+    /// with the same shapes was deployed before — gets nothing, so N
+    /// same-shaped plans hold one provision per executor and the N-th
+    /// deploy allocates no buffer.
+    ///
+    /// A provisioned batch is what a missed lease would have built — row
+    /// structures for one chunk, dense rows in full — built early. Element
+    /// storage of variable-length rows (text bytes, tokens, sparse
+    /// entries) is not reserved from the per-row training statistics:
+    /// `chunk_size` × a per-row maximum is a worst case squared, and a
+    /// class would hold it for good (the 250 AC plans of the serving
+    /// benchmark have 99 sparse classes; at 64 rows × 256 entries that is
+    /// 38 MiB never touched). It grows in place inside the first chunks
+    /// that fill the batch and is kept from then on — capacity growth in a
+    /// leased buffer, not a pool miss. The per-record plane leases vectors,
+    /// whose unit the statistics do describe, and sizes them from it.
     pub fn warm_plan(&self, plan_id: u32, plan: &ModelPlan) {
         if !self.pooling {
             return;
         }
         let reserved = self.reserved.lock();
-        let own_reserved = reserved.get(&plan_id).map(|r| &r.pool);
-        let pools: Vec<&Arc<VectorPool>> = match own_reserved {
-            Some(pool) => vec![pool],
-            None => self.exec_pools.iter().collect(),
+        let pools = match reserved.get(&plan_id) {
+            Some(own) => std::slice::from_ref(&own.pool),
+            None => &self.exec_pools[..],
         };
+        let working_set = plan.working_set();
         for pool in pools {
-            let defs = plan
-                .slots
-                .iter()
-                .chain(plan.stages.iter().flat_map(|s| s.scratch.iter()));
-            for def in defs {
+            for need in &working_set {
+                let sets = need.count * WARM_WORKING_SETS;
                 if self.columnar {
-                    pool.warm_batches(def.ty, self.chunk_size, def.max_stored, WARM_WORKING_SETS);
+                    pool.warm_batches(need.ty, self.chunk_size, 0, sets);
                 } else {
-                    pool.warm_sized(def.ty, def.max_stored, self.chunk_size * WARM_WORKING_SETS);
+                    pool.warm_sized(need.ty, need.max_stored, sets * self.chunk_size);
                 }
             }
         }
     }
 
     /// Aggregate lease hit/miss counters across every executor pool (shared
-    /// and reserved) — the observable the deploy-time warming tests gate on.
+    /// and reserved) — the observable the deploy-time warming tests gate on
+    /// — and what the family holds idle, the fallback arena behind the
+    /// per-core arenas included (its own lease counters never move: the
+    /// fronting arena counts the traffic).
     pub fn pool_stats(&self) -> PoolCounters {
         let reserved = self.reserved.lock();
         let mut agg = PoolCounters::default();
@@ -931,9 +964,9 @@ impl Scheduler {
             .exec_pools
             .iter()
             .chain(reserved.values().map(|r| &r.pool))
+            .chain(&self.fallback_pool)
         {
-            agg.hits += pool.stats().hits();
-            agg.misses += pool.stats().misses();
+            agg += PoolCounters::of(pool);
         }
         agg
     }

@@ -492,13 +492,38 @@ impl MetricsRegistry {
     }
 }
 
-/// Named `(hits, misses)` pool counters — the replacement for the old bare
-/// `(u64, u64)` tuples on `Scheduler::pool_stats` and
-/// `Runtime::scheduler_pool_stats`.
+/// One pool family's lease counters and what it holds idle: the answer to
+/// "is warming covering the traffic" (`misses`) and to "which pool is
+/// holding memory" (`retained_bytes`, `parked`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PoolCounters {
     pub hits: u64,
     pub misses: u64,
+    /// Heap bytes of the buffers parked in the family's free lists.
+    pub retained_bytes: u64,
+    /// Buffers (vectors and batches) parked in the family's free lists.
+    pub parked: u64,
+}
+
+impl PoolCounters {
+    /// Reads one pool (not its fallback, which reports its own).
+    pub fn of(pool: &pretzel_data::pool::VectorPool) -> Self {
+        PoolCounters {
+            hits: pool.stats().hits(),
+            misses: pool.stats().misses(),
+            retained_bytes: pool.retained_bytes() as u64,
+            parked: pool.parked_buffers() as u64,
+        }
+    }
+}
+
+impl std::ops::AddAssign for PoolCounters {
+    fn add_assign(&mut self, other: Self) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.retained_bytes += other.retained_bytes;
+        self.parked += other.parked;
+    }
 }
 
 /// Scheduler counters (mirrors `SchedStats`).
@@ -509,15 +534,23 @@ pub struct SchedulerSnapshot {
     pub steals: u64,
 }
 
-/// Lease/miss counters for each pool family.
+/// Lease/miss counters and idle holdings for each pool family.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct PoolsSnapshot {
-    /// Aggregated executor pools (shared + reserved).
+    /// Aggregated executor pools (shared + reserved); the holdings include
+    /// the fallback arena behind them.
     pub executor: PoolCounters,
     /// The request-response engine's registration-warmed pool.
     pub request_response: PoolCounters,
     /// The FrontEnd's wire-ingest assembly pool (zero outside a FrontEnd).
     pub ingest: PoolCounters,
+}
+
+impl PoolsSnapshot {
+    /// The three families in wire order.
+    fn families(&self) -> [PoolCounters; 3] {
+        [self.executor, self.request_response, self.ingest]
+    }
 }
 
 /// Lifecycle counters (mirrors `LifecycleStats`).
@@ -640,11 +673,7 @@ impl MetricsSnapshot {
         put_u64(out, self.scheduler.stage_events);
         put_u64(out, self.scheduler.records_done);
         put_u64(out, self.scheduler.steals);
-        for p in [
-            self.pools.executor,
-            self.pools.request_response,
-            self.pools.ingest,
-        ] {
+        for p in self.pools.families() {
             put_u64(out, p.hits);
             put_u64(out, p.misses);
         }
@@ -701,6 +730,12 @@ impl MetricsSnapshot {
             p.stage_exec_ns.encode(out);
             p.fault_ns.encode(out);
         }
+        // Appended after everything an older reader expects, so a payload
+        // without it still decodes (as zeros).
+        for p in self.pools.families() {
+            put_u64(out, p.retained_bytes);
+            put_u64(out, p.parked);
+        }
     }
 
     fn decode_bool(cur: &mut Cursor<'_>) -> Result<bool> {
@@ -719,9 +754,10 @@ impl MetricsSnapshot {
             Ok(PoolCounters {
                 hits: cur.u64()?,
                 misses: cur.u64()?,
+                ..PoolCounters::default()
             })
         };
-        let pools = PoolsSnapshot {
+        let mut pools = PoolsSnapshot {
             executor: pool()?,
             request_response: pool()?,
             ingest: pool()?,
@@ -790,6 +826,18 @@ impl MetricsSnapshot {
                 fault_ns: Histogram::decode(cur)?,
             });
         }
+        // Pool holdings trail the payload; one from a server that predates
+        // them ends here and they read 0.
+        if cur.remaining() > 0 {
+            for p in [
+                &mut pools.executor,
+                &mut pools.request_response,
+                &mut pools.ingest,
+            ] {
+                p.retained_bytes = cur.u64()?;
+                p.parked = cur.u64()?;
+            }
+        }
         Ok(MetricsSnapshot {
             telemetry,
             scheduler,
@@ -817,7 +865,12 @@ impl MetricsSnapshot {
             self.scheduler.records_done,
             self.scheduler.steals
         ));
-        let pool = |p: &PoolCounters| format!("{{\"hits\":{},\"misses\":{}}}", p.hits, p.misses);
+        let pool = |p: &PoolCounters| {
+            format!(
+                "{{\"hits\":{},\"misses\":{},\"retained_bytes\":{},\"parked\":{}}}",
+                p.hits, p.misses, p.retained_bytes, p.parked
+            )
+        };
         s.push_str(&format!(
             ",\"pools\":{{\"executor\":{},\"request_response\":{},\"ingest\":{}}}",
             pool(&self.pools.executor),
@@ -915,14 +968,17 @@ impl MetricsSnapshot {
             "scheduler: stage_events={} records_done={} steals={}\n",
             self.scheduler.stage_events, self.scheduler.records_done, self.scheduler.steals
         ));
+        let pool = |p: &PoolCounters| {
+            format!(
+                "{}h/{}m {}B/{}buf",
+                p.hits, p.misses, p.retained_bytes, p.parked
+            )
+        };
         s.push_str(&format!(
-            "pools: exec {}h/{}m  rr {}h/{}m  ingest {}h/{}m\n",
-            self.pools.executor.hits,
-            self.pools.executor.misses,
-            self.pools.request_response.hits,
-            self.pools.request_response.misses,
-            self.pools.ingest.hits,
-            self.pools.ingest.misses
+            "pools: exec {}  rr {}  ingest {}\n",
+            pool(&self.pools.executor),
+            pool(&self.pools.request_response),
+            pool(&self.pools.ingest)
         ));
         s.push_str(&format!(
             "lifecycle: deploys={} undeploys={} swaps={} stages_reused={}\n",
@@ -1034,9 +1090,18 @@ mod tests {
             accesses: 1,
             last_access_epoch: 1,
         });
+        snap.pools.ingest.retained_bytes = 4096;
+        snap.pools.ingest.parked = 3;
         let mut buf = Vec::new();
         snap.encode(&mut buf);
         let back = MetricsSnapshot::decode(&mut Cursor::new(&buf)).unwrap();
+        assert_eq!(back.pools.ingest, snap.pools.ingest);
+        // A payload from before pool holdings were reported ends where
+        // they now start: it decodes, and they read 0.
+        let older = &buf[..buf.len() - 3 * 16];
+        let old_back = MetricsSnapshot::decode(&mut Cursor::new(older)).unwrap();
+        assert_eq!(old_back.pools.ingest, PoolCounters::default());
+        assert_eq!(old_back.plans.len(), 1);
         assert!(back.telemetry);
         assert_eq!(back.delayed_drops, 2);
         assert_eq!(back.decode_ns, snap.decode_ns);

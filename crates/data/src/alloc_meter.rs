@@ -22,6 +22,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
+static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
 
 /// A [`GlobalAlloc`] that forwards to [`System`] while tracking live bytes.
 ///
@@ -48,6 +49,7 @@ impl Default for CountingAlloc {
 fn on_alloc(size: usize) {
     let live = LIVE.fetch_add(size, Ordering::Relaxed) + size;
     ALLOCS.fetch_add(1, Ordering::Relaxed);
+    ALLOCATED.fetch_add(size, Ordering::Relaxed);
     // Update the peak with a CAS loop; contention here is rare and bounded.
     let mut peak = PEAK.load(Ordering::Relaxed);
     while live > peak {
@@ -106,6 +108,13 @@ pub fn peak_bytes() -> usize {
 /// Total number of allocation calls observed.
 pub fn alloc_count() -> usize {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Total bytes requested by the allocation calls observed (freed or not):
+/// the difference across a phase is what the phase allocated, including
+/// what it freed again before it ended.
+pub fn allocated_bytes() -> usize {
+    ALLOCATED.load(Ordering::Relaxed)
 }
 
 /// Resets the peak to the current live value.

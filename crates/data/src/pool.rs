@@ -2,11 +2,25 @@
 //!
 //! PRETZEL pays memory- and thread-allocation cost "upfront at initialization
 //! time" (paper §4): when the runtime starts, each executor gets a
-//! [`VectorPool`] warmed with buffers sized from training statistics (max
-//! vector size per stage, §4.1.1). On the prediction path, stages *acquire*
-//! buffers from the pool and *release* them when the pipeline completes —
-//! no global-allocator traffic. Disabling pooling reproduces the paper's
-//! ablation (hot latency +47.1%, §5.2.1).
+//! [`VectorPool`], and every deploy tops the pool's size classes up to the
+//! working set one execution of the plan leases — per-record vectors sized
+//! from training statistics (max vector size per stage, §4.1.1), chunk
+//! batches with their row structures. On the prediction path, stages
+//! *acquire* buffers from the pool and *release* them when the pipeline
+//! completes — no global-allocator traffic. Disabling pooling reproduces
+//! the paper's ablation (hot latency +47.1%, §5.2.1).
+//!
+//! Pools are provisioned **per size class, not per plan**: warming
+//! ([`VectorPool::warm_sized`], [`VectorPool::warm_batches`]) ensures that a
+//! class *holds* a number of buffers and builds only the shortfall, so any
+//! number of plans with the same shapes share one working set per pool and
+//! a deploy into a warm class allocates nothing. That is the discipline
+//! Blelloch & Wei's fixed-size allocator (arXiv:2008.04296) takes its space
+//! bound from — a pool holds a bounded number of blocks per size class,
+//! sized by how many can be in use at once, never by how many clients might
+//! ask. What a class keeps after the plans that used it retire is at most
+//! what was ever parked in it: its warmed count plus one buffer per lease
+//! that missed, capped by the class capacity.
 //!
 //! Vectors are requested **per pipeline**, not per stage (§4.2.2): a
 //! [`Lease`] bundles a pipeline's whole working set and returns it to the
@@ -40,8 +54,24 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Default cap of retained free buffers per size class.
+/// Default cap of retained free buffers per size class. Per-record vector
+/// classes need it: one chunk leases `chunk_size` vectors per slot, and an
+/// executor has up to two chunks' worth parked (`chunk_size × 2 = 128` at
+/// the default chunk size, per slot of the class).
 const DEFAULT_MAX_PER_CLASS: usize = 256;
+
+/// Cap of retained free *batches* per size class, whatever the pool's
+/// per-class cap allows for vectors. A chunk leases one batch per plan slot,
+/// so a class parks at most as many batches as were ever out of it at once:
+/// chunks started and not yet retired — one per executor thread, the
+/// scheduler's invariant — times the slots and scratch buffers of the class
+/// in one plan. Eight executors (the default configuration's ceiling) times
+/// four same-class buffers (the widest stock plan has three) is 32. An
+/// arena class preallocates its slot array, so this is also what bounds the
+/// resident cost of a class nothing is parked in: 32 slots, not 256. Past
+/// the cap a release spills to the fallback arena and then drops, counted
+/// in [`PoolStats::dropped`].
+const MAX_BATCHES_PER_CLASS: usize = 32;
 
 /// Counters describing pool effectiveness; read by benchmarks and tests.
 #[derive(Debug, Default)]
@@ -214,6 +244,18 @@ impl<T> ClassDir<T> {
         }
         None
     }
+
+    /// Values parked across every class (exact at quiescence).
+    fn parked(&self) -> usize {
+        self.stacks
+            .iter()
+            .map(|p| p.load(Ordering::Acquire))
+            .filter(|p| !p.is_null())
+            // SAFETY: a published stack pointer stays valid until `Drop`,
+            // which has exclusive access.
+            .map(|p| unsafe { &*p }.len())
+            .sum()
+    }
 }
 
 impl<T> Drop for ClassDir<T> {
@@ -369,49 +411,93 @@ impl VectorPool {
         &self.stats
     }
 
-    /// Pre-populates the pool with `count` buffers of type `ty`.
-    ///
-    /// Called at runtime initialization from per-plan statistics, so that
-    /// the first requests already hit warm buffers (paper §4.2.1).
+    /// Ensures the pool holds `count` free buffers of type `ty`; see
+    /// [`Self::warm_sized`].
     pub fn warm(&self, ty: ColumnType, count: usize) {
         self.warm_sized(ty, 0, count);
     }
 
-    /// Pre-populates the pool with `count` buffers of type `ty`, each with
-    /// storage reserved for `max_stored` elements (training statistics).
-    /// Warming is the upfront payment made at initialization time, not
-    /// prediction-path traffic: counters stay untouched.
+    /// Ensures `count` free buffers of type `ty` are parked, building only
+    /// the shortfall — each new buffer with storage reserved for
+    /// `max_stored` elements (training statistics) — and never more than
+    /// the class has room for. Idempotent: warming a class that already
+    /// holds `count` allocates nothing, which is what lets every deploy
+    /// call it (paper §4.2.1: the allocation cost is paid at
+    /// initialization). Buffers already parked keep the capacity they
+    /// have; a smaller one grows in place the first time a request needs
+    /// more, inside its lease. Warming is not prediction-path traffic:
+    /// counters stay untouched.
     pub fn warm_sized(&self, ty: ColumnType, max_stored: usize, count: usize) {
-        if !self.enabled {
+        // Scalars are values, never pooled.
+        if !self.enabled || ty == ColumnType::F32Scalar {
             return;
         }
-        for _ in 0..count {
-            if self
-                .store_free(Vector::with_capacity_hint(ty, max_stored))
-                .is_err()
-            {
+        let shortfall = count
+            .min(self.max_per_class)
+            .saturating_sub(self.free_len(ty));
+        for _ in 0..shortfall {
+            let fresh = Vector::with_capacity_hint(ty, max_stored);
+            // Only a concurrent release can have filled the class since.
+            if self.store_free(fresh).is_err() {
                 break;
             }
         }
     }
 
-    /// Pre-populates the batch free list with `count` batches of type
-    /// `ty`, each with storage reserved for `rows` rows of `stored_hint`
-    /// stored elements. Deploy-time plan warming for the batch engine: the
-    /// first post-deploy chunk leases a pre-built working set instead of
-    /// paying a pool miss. Like [`Self::warm_sized`], warming leaves the
-    /// hit/miss/release counters untouched.
+    /// Ensures `count` free batches of type `ty` are parked, building only
+    /// the shortfall — each new batch with storage reserved for `rows` rows
+    /// of `stored_hint` stored elements — and never more than the class has
+    /// room for. Deploy-time warming for the batch engine: the first
+    /// post-deploy chunk leases a pre-built working set instead of paying a
+    /// pool miss. Idempotent and counter-neutral like [`Self::warm_sized`];
+    /// a parked batch with less storage than a chunk needs grows in place
+    /// inside the first chunk that fills it.
     pub fn warm_batches(&self, ty: ColumnType, rows: usize, stored_hint: usize, count: usize) {
         if !self.enabled {
             return;
         }
-        for _ in 0..count {
-            if self
-                .store_free_batch(ColumnBatch::with_capacity_hint(ty, rows, stored_hint))
-                .is_err()
-            {
+        let shortfall = count
+            .min(self.max_batches_per_class())
+            .saturating_sub(self.free_batch_len(ty));
+        for _ in 0..shortfall {
+            let fresh = ColumnBatch::with_capacity_hint(ty, rows, stored_hint);
+            if self.store_free_batch(fresh).is_err() {
                 break;
             }
+        }
+    }
+
+    /// Cap of parked batches per class: [`MAX_BATCHES_PER_CLASS`], or the
+    /// pool's own cap when that is lower.
+    fn max_batches_per_class(&self) -> usize {
+        self.max_per_class.min(MAX_BATCHES_PER_CLASS)
+    }
+
+    /// Free vectors parked in the class of `ty` (exact at quiescence).
+    fn free_len(&self, ty: ColumnType) -> usize {
+        match &self.backend {
+            Backend::Locked(l) => match ty {
+                ColumnType::Text => l.text.lock().len(),
+                ColumnType::TokenList => l.tokens.lock().len(),
+                ColumnType::F32Dense { len } => l.dense.lock().get(&len).map_or(0, Vec::len),
+                ColumnType::F32Sparse { len } => {
+                    l.sparse.lock().get(&(len as u32)).map_or(0, Vec::len)
+                }
+                ColumnType::F32Scalar => 0,
+            },
+            Backend::Arena(a) => a.vectors.find(class_key(ty)).map_or(0, SlotStack::len),
+        }
+    }
+
+    /// Free batches parked in the class of `ty` (exact at quiescence).
+    fn free_batch_len(&self, ty: ColumnType) -> usize {
+        match &self.backend {
+            Backend::Locked(l) => l
+                .batches
+                .lock()
+                .get(&BatchClass::of(ty))
+                .map_or(0, Vec::len),
+            Backend::Arena(a) => a.batches.find(class_key(ty)).map_or(0, SlotStack::len),
         }
     }
 
@@ -551,11 +637,12 @@ impl VectorPool {
     /// Parks a free batch without touching the counters; hands it back
     /// when its class is at capacity.
     fn store_free_batch(&self, b: ColumnBatch) -> Result<(), ColumnBatch> {
+        let cap = self.max_batches_per_class();
         match &self.backend {
             Backend::Locked(l) => {
                 let mut g = l.batches.lock();
                 let class = g.entry(BatchClass::of(b.column_type())).or_default();
-                if class.len() < self.max_per_class {
+                if class.len() < cap {
                     class.push(b);
                     Ok(())
                 } else {
@@ -564,7 +651,7 @@ impl VectorPool {
             }
             Backend::Arena(a) => {
                 let key = class_key(b.column_type());
-                let Some(stack) = a.batches.find_or_insert(key, self.max_per_class) else {
+                let Some(stack) = a.batches.find_or_insert(key, cap) else {
                     return Err(b);
                 };
                 let bytes = b.heap_bytes();
@@ -703,6 +790,22 @@ impl VectorPool {
                 total
             }
             Backend::Arena(a) => a.retained.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Buffers (vectors and batches) currently parked in free lists —
+    /// with [`Self::retained_bytes`], the "which pool is holding memory"
+    /// pair. Excludes any fallback pool, which reports its own.
+    pub fn parked_buffers(&self) -> usize {
+        match &self.backend {
+            Backend::Locked(l) => {
+                l.text.lock().len()
+                    + l.tokens.lock().len()
+                    + l.dense.lock().values().map(Vec::len).sum::<usize>()
+                    + l.sparse.lock().values().map(Vec::len).sum::<usize>()
+                    + l.batches.lock().values().map(Vec::len).sum::<usize>()
+            }
+            Backend::Arena(a) => a.vectors.parked() + a.batches.parked(),
         }
     }
 }
@@ -849,6 +952,79 @@ mod tests {
         }
         assert_eq!(pool.stats().hits(), 4);
         assert_eq!(pool.stats().misses(), 0);
+    }
+
+    /// Both free-list backends, for the contracts that must not differ.
+    fn both_backends() -> [VectorPool; 2] {
+        [VectorPool::new(), VectorPool::arena()]
+    }
+
+    #[test]
+    fn warming_ensures_a_count_and_builds_only_the_shortfall() {
+        let dense = ColumnType::F32Dense { len: 8 };
+        for pool in both_backends() {
+            // Idempotent: the second call finds the class provisioned.
+            pool.warm_batches(dense, 16, 0, 3);
+            pool.warm_sized(ColumnType::Text, 32, 3);
+            let (bytes, parked) = (pool.retained_bytes(), pool.parked_buffers());
+            assert_eq!(parked, 6);
+            pool.warm_batches(dense, 16, 0, 3);
+            pool.warm_sized(ColumnType::Text, 32, 3);
+            assert_eq!(pool.parked_buffers(), parked);
+            assert_eq!(pool.retained_bytes(), bytes);
+            // A smaller request takes nothing away.
+            pool.warm_batches(dense, 16, 0, 1);
+            assert_eq!(pool.parked_buffers(), parked);
+
+            // With leases out, a top-up builds exactly what is missing...
+            let out_b: Vec<_> = (0..2).map(|_| pool.acquire_batch(dense, 16)).collect();
+            let out_v = pool.acquire(ColumnType::Text);
+            assert_eq!(pool.parked_buffers(), 3);
+            pool.warm_batches(dense, 16, 0, 3);
+            pool.warm_sized(ColumnType::Text, 32, 3);
+            assert_eq!(pool.parked_buffers(), 6);
+            // ...and the returning leases park beside it.
+            out_b.into_iter().for_each(|b| pool.release_batch(b));
+            pool.release(out_v);
+            assert_eq!(pool.parked_buffers(), 9);
+
+            // Warming is not traffic: only the three leases were counted.
+            let s = pool.stats();
+            assert_eq!((s.hits(), s.misses(), s.released()), (3, 0, 3));
+            assert_eq!(s.dropped(), 0);
+        }
+    }
+
+    #[test]
+    fn warming_never_exceeds_the_class_capacity() {
+        let dense = ColumnType::F32Dense { len: 4 };
+        for pool in both_backends() {
+            // Batches stop at their own cap, vectors at the pool's.
+            pool.warm_batches(dense, 2, 0, MAX_BATCHES_PER_CLASS + 50);
+            assert_eq!(pool.parked_buffers(), MAX_BATCHES_PER_CLASS);
+            pool.release_batch(ColumnBatch::with_type(dense));
+            assert_eq!(pool.stats().dropped(), 1, "a full class drops, visibly");
+            pool.warm_sized(dense, 0, DEFAULT_MAX_PER_CLASS + 50);
+            assert_eq!(
+                pool.parked_buffers(),
+                MAX_BATCHES_PER_CLASS + DEFAULT_MAX_PER_CLASS
+            );
+        }
+        for pool in both_backends() {
+            let pool = pool.with_max_per_class(2);
+            pool.warm_batches(dense, 2, 0, 5);
+            pool.warm_sized(dense, 0, 5);
+            assert_eq!(pool.parked_buffers(), 4);
+        }
+        // Scalars are values: nothing to park on either vector path.
+        for pool in both_backends() {
+            pool.warm_sized(ColumnType::F32Scalar, 0, 4);
+            assert_eq!(pool.parked_buffers(), 0);
+        }
+        let off = VectorPool::disabled();
+        off.warm_batches(dense, 2, 0, 5);
+        off.warm_sized(dense, 0, 5);
+        assert_eq!(off.parked_buffers(), 0);
     }
 
     #[test]

@@ -127,6 +127,127 @@ fn deploy_warms_batch_engine_pools_to_no_miss() {
 }
 
 #[test]
+fn same_shaped_plans_share_one_pool_provision() {
+    // Pools are provisioned per size class, not per plan: the first deploy
+    // builds the working sets, the next 31 find them parked.
+    let rt = Runtime::new(RuntimeConfig {
+        n_executors: 2,
+        ..RuntimeConfig::default()
+    });
+    rt.deploy(&sa_image(3100), DeployOptions::default())
+        .unwrap();
+    let pooled = rt.pool_retained_bytes();
+    assert!(pooled > 0, "the first deploy provisions its classes");
+    for k in 1..32 {
+        rt.deploy(&sa_image(3100 + k), DeployOptions::default())
+            .unwrap();
+    }
+    assert_eq!(
+        rt.pool_retained_bytes(),
+        pooled,
+        "32 plans hold what one does"
+    );
+}
+
+#[test]
+fn plans_with_several_slots_of_one_class_serve_their_first_batch_warm() {
+    // A Full AC pipeline has two Dense[input_dim] slots and a scratch
+    // buffer of the same class: its chunk leases three buffers from one
+    // class, so provisioning "two per class" would miss. One executor
+    // keeps the lease sequence deterministic.
+    let ac = pretzel_workload::ac::build(&pretzel_workload::ac::AcConfig {
+        n_pipelines: 4,
+        input_dim: 24,
+        dense_input: true,
+        seed: 77,
+    });
+    let rt = Runtime::new(RuntimeConfig {
+        n_executors: 1,
+        chunk_size: 8,
+        ..RuntimeConfig::default()
+    });
+    for graph in &ac.graphs {
+        let id = rt
+            .deploy(&graph.to_model_image(), DeployOptions::default())
+            .unwrap();
+        let widest = rt
+            .plan(id)
+            .unwrap()
+            .working_set()
+            .iter()
+            .map(|need| need.count)
+            .max()
+            .unwrap();
+        assert!(widest >= 2, "AC plans repeat their input class");
+        let misses_after_deploy = rt.scheduler_pool_stats().misses;
+        let records: Vec<Record> = (0..24)
+            .map(|i| Record::Dense((0..24).map(|j| (i * 24 + j) as f32 * 0.1).collect()))
+            .collect();
+        rt.predict_batch_wait(id, records).unwrap();
+        assert_eq!(
+            rt.scheduler_pool_stats().misses,
+            misses_after_deploy,
+            "a plan leasing {widest} buffers of one class missed on its first batch"
+        );
+    }
+    assert_eq!(rt.pool_outstanding(), 0);
+}
+
+#[test]
+fn deploy_undeploy_cycles_leave_the_pools_flat() {
+    let rt = Runtime::new(RuntimeConfig {
+        n_executors: 2,
+        ..RuntimeConfig::default()
+    });
+    let mut pooled_after_first = 0;
+    for cycle in 0..200 {
+        let id = rt
+            .deploy(&sa_image(8800 + cycle), DeployOptions::default())
+            .unwrap();
+        rt.undeploy(id).unwrap();
+        if cycle == 0 {
+            pooled_after_first = rt.pool_retained_bytes();
+            assert!(pooled_after_first > 0);
+        }
+    }
+    assert_eq!(rt.pool_retained_bytes(), pooled_after_first);
+    assert_eq!(rt.pool_outstanding(), 0);
+}
+
+#[test]
+fn a_reserved_plan_provisions_its_own_pool_only() {
+    let rt = Runtime::new(RuntimeConfig {
+        n_executors: 2,
+        chunk_size: 8,
+        ..RuntimeConfig::default()
+    });
+    let executor_bytes = || rt.metrics().pools.executor.retained_bytes;
+    let reserved = rt
+        .deploy(
+            &sa_image(6100),
+            DeployOptions {
+                reserved: true,
+                ..DeployOptions::default()
+            },
+        )
+        .unwrap();
+    let one_pool = executor_bytes();
+    assert!(one_pool > 0, "the dedicated pool is provisioned");
+    // The shared executors got nothing from it: a same-shaped unreserved
+    // plan still has both of their pools to fill.
+    rt.deploy(&sa_image(6101), DeployOptions::default())
+        .unwrap();
+    assert_eq!(executor_bytes(), 3 * one_pool);
+    // And the reserved plan's first batch runs warm out of its own pool.
+    let misses = rt.scheduler_pool_stats().misses;
+    let records: Vec<Record> = (0..24)
+        .map(|i| Record::Text(format!("3,reserved review number {i}")))
+        .collect();
+    rt.predict_batch_wait(reserved, records).unwrap();
+    assert_eq!(rt.scheduler_pool_stats().misses, misses);
+}
+
+#[test]
 fn undeploy_drains_in_flight_batches_before_reclaiming() {
     let rt = Arc::new(Runtime::new(RuntimeConfig {
         n_executors: 2,

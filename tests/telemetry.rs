@@ -270,6 +270,53 @@ fn stats_over_wire_v2_histograms_sum_to_request_counts() {
 }
 
 #[test]
+fn stats_over_wire_reports_what_each_pool_holds() {
+    const DIM: usize = 6;
+    let rt = Arc::new(Runtime::new(RuntimeConfig {
+        n_executors: 2,
+        ..RuntimeConfig::default()
+    }));
+    let id = rt.register(dense_plan(DIM)).unwrap();
+    let fe = FrontEnd::serve(Arc::clone(&rt), FrontEndConfig::default()).unwrap();
+    let mut client = Client::connect_v2(fe.addr()).unwrap();
+    for _ in 0..3 {
+        let req = PredictRequest::dense_batch(dense_rows(5, DIM)).plan(id);
+        client.predict_many(&req).unwrap();
+    }
+    let single = PredictRequest::dense(dense_rows(1, DIM).pop().unwrap()).plan(id);
+    client.predict(&single).unwrap();
+
+    // Quiescent: nothing in flight, so the figure over TCP is the
+    // in-process one, family by family.
+    let wire = client.stats().unwrap().pools;
+    let local = rt.metrics().pools;
+    assert_eq!(wire.executor, local.executor);
+    assert_eq!(wire.request_response, local.request_response);
+    assert_eq!(wire.ingest, local.ingest);
+    assert!(wire.executor.retained_bytes > 0, "deploy provisioned it");
+    assert!(wire.executor.parked > 0);
+    assert!(wire.ingest.parked > 0, "assembled batches came home");
+    assert_eq!(
+        wire.executor.retained_bytes
+            + wire.request_response.retained_bytes
+            + wire.ingest.retained_bytes,
+        rt.pool_retained_bytes()
+    );
+
+    let snap = client.stats().unwrap();
+    let json = snap.to_json();
+    assert!(
+        json.contains(&format!(
+            "\"retained_bytes\":{}",
+            wire.executor.retained_bytes
+        )),
+        "{json}"
+    );
+    assert!(snap.render_text().contains("buf"), "{}", snap.render_text());
+    fe.stop();
+}
+
+#[test]
 fn telemetry_off_serves_counters_but_no_histograms() {
     const DIM: usize = 6;
     let rt = Arc::new(Runtime::new(RuntimeConfig {
