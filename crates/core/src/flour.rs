@@ -180,10 +180,10 @@ impl CsvStream {
     /// Selects a text field by index (`Select("Text")` over the schema).
     pub fn select_text(self, field: u32) -> Flour {
         self.ctx.init(ColumnType::Text);
-        let params = CsvParams {
-            separator: self.separator,
-            output: pretzel_ops::text::csv::CsvOutput::TextField { index: field },
-        };
+        let params = CsvParams::new(
+            self.separator,
+            pretzel_ops::text::csv::CsvOutput::TextField { index: field },
+        );
         self.ctx.push(
             Op::CsvParse(Arc::new(params)),
             vec![Input::Source],
@@ -194,10 +194,10 @@ impl CsvStream {
     /// Decodes all fields as a dense vector of the given dimensionality.
     pub fn dense_features(self, dim: u32) -> Flour {
         self.ctx.init(ColumnType::Text);
-        let params = CsvParams {
-            separator: self.separator,
-            output: pretzel_ops::text::csv::CsvOutput::DenseFields { len: dim },
-        };
+        let params = CsvParams::new(
+            self.separator,
+            pretzel_ops::text::csv::CsvOutput::DenseFields { len: dim },
+        );
         self.ctx.push(
             Op::CsvParse(Arc::new(params)),
             vec![Input::Source],

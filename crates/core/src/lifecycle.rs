@@ -349,9 +349,7 @@ impl LifecycleStats {
     }
 
     /// Records `n` physical stages a compile served from catalog residency
-    /// instead of rebuilding — the redeploy fast path (`catalog_gc=false`
-    /// keeps retired stages resident precisely so this counter moves on
-    /// re-deploys of a recently retired version).
+    /// (a stage another live plan already deployed) instead of rebuilding.
     pub fn note_stages_reused(&self, n: u64) {
         self.stages_reused.fetch_add(n, Ordering::Relaxed);
     }

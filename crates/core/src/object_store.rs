@@ -9,6 +9,15 @@
 //! looking at the checksum of the serialized version of the objects"
 //! (paper §4.1.3).
 //!
+//! That checksum is taken at most once per parameter object and memoised
+//! on it ([`pretzel_ops::params::ParamBlob::checksum`]); an object decoded
+//! from a model image is seeded with the section checksum `read_model_file`
+//! verified and never serialised at all. Every key this store computes —
+//! [`ObjectStore::intern`], [`ObjectStore::retain_plan`] /
+//! [`ObjectStore::release_plan`], [`ObjectStore::release_unreferenced`] —
+//! is therefore a memo read, so a deploy or undeploy touching resident
+//! parameters costs nothing proportional to their size.
+//!
 //! The same component hosts the sub-plan materialization cache (§4.3):
 //! results of cacheable featurizer steps, keyed by `(step checksum, input
 //! hash)`, with LRU eviction under a byte budget.

@@ -213,9 +213,8 @@ fn put_batch(slots: &mut [ColumnBatch], scratch: &mut [ColumnBatch], loc: Loc, b
 
 /// The cheap first half of stage compilation: fused steps plus the stage
 /// signature, computed **before** the full physical stage is built. The
-/// runtime catalog probes the signature and, on a hit, serves the resident
-/// stage and throws this away — the redeploy fast path that makes
-/// `catalog_gc=false` re-deploys skip stage construction entirely.
+/// runtime catalog probes the signature and, on a hit, serves the stage a
+/// live plan already deployed and throws this away.
 #[derive(Debug)]
 pub struct PreparedStage {
     steps: Vec<Step>,
@@ -1091,9 +1090,9 @@ impl ModelPlan {
     /// [`Self::compile`] with a stage-residency probe: each stage's
     /// signature is prepared first and offered to `lookup`; a hit serves
     /// the resident [`PhysicalStage`] (identity and all — warm catalog
-    /// entries survive a redeploy intact) and skips construction. The
-    /// runtime threads its catalog through here so `catalog_gc=false`
-    /// re-deploys of a retired version reuse its resident stages.
+    /// entries are shared intact) and skips construction. The runtime
+    /// threads its catalog through here, so a plan whose stages another
+    /// live plan already deployed builds none of them.
     pub fn compile_with_catalog(
         mut logical: StagePlan,
         opts: &CompileOptions,

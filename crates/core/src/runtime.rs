@@ -73,11 +73,6 @@ pub struct RuntimeConfig {
     /// (per-record-keyed) cache at chunk granularity and batch-evaluate
     /// only the missing rows.
     pub columnar: bool,
-    /// Garbage-collect catalog physical stages whose last plan was
-    /// undeployed (on by default, so the catalog returns to baseline after
-    /// model churn). Off keeps retired stages resident — the ablation that
-    /// trades memory for instant re-deploy of a recently retired version.
-    pub catalog_gc: bool,
     /// Reject non-finite floats (NaN / ±Inf) in dense and CSR wire
     /// payloads at ingest decode with a clean protocol error, before they
     /// can reach kernels (on by default). Off admits them — the kernels
@@ -134,7 +129,6 @@ impl Default for RuntimeConfig {
             materialization_budget: 0,
             chunk_size: 64,
             columnar: true,
-            catalog_gc: true,
             reject_non_finite: true,
             fault_quarantine_threshold: 3,
             fault_window: std::time::Duration::from_secs(10),
@@ -586,9 +580,8 @@ impl Runtime {
             fuse_ngram_dot: self.cache.is_none(),
         };
         // Stage residency probe: signatures are prepared before stages are
-        // built, so a stage already resident in the catalog — deployed by
-        // another plan, or retired but kept by `catalog_gc=false` — is
-        // served as-is and never recompiled (the redeploy fast path).
+        // built, so a stage another live plan already deployed is served
+        // as-is and never rebuilt.
         let mut reused = 0u64;
         let mut plan =
             ModelPlan::compile_with_catalog(logical.clone(), &opts, &self.store, |sig| {
@@ -927,11 +920,7 @@ impl Runtime {
         let (freed_params, freed_param_bytes) = logical
             .map(|l| self.store.release_plan(&l))
             .unwrap_or((0, 0));
-        let dropped_stages = if self.config.catalog_gc {
-            self.sweep_catalog()
-        } else {
-            0
-        };
+        let dropped_stages = self.sweep_catalog();
         let dropped_aliases = self.aliases.drop_plan(id);
         self.scheduler.unreserve(id);
         self.compact_tombstones();
@@ -1141,14 +1130,17 @@ mod tests {
     fn catalog_shares_stages_between_identical_plans() {
         let rt = Runtime::new(RuntimeConfig::default());
         let a = rt.register(sa_logical(7)).unwrap();
+        assert_eq!(rt.lifecycle_stats().stages_reused(), 0);
         let b = rt.register(sa_logical(7)).unwrap();
-        // Identical logical plans compile to catalog-shared stages.
+        // Identical logical plans compile to catalog-shared stages: the
+        // second registration builds none, it probes them all resident.
         let pa = rt.plan(a).unwrap();
         let pb = rt.plan(b).unwrap();
         for (sa, sb) in pa.stages.iter().zip(&pb.stages) {
             assert!(Arc::ptr_eq(sa, sb));
         }
         assert_eq!(rt.catalog_size(), pa.stages.len());
+        assert_eq!(rt.lifecycle_stats().stages_reused(), pa.stages.len() as u64);
     }
 
     #[test]
@@ -1214,47 +1206,6 @@ mod tests {
             )
             .unwrap();
         assert_eq!(scores.len(), 2);
-    }
-
-    #[test]
-    fn catalog_gc_off_redeploy_reuses_resident_stages() {
-        let rt = Runtime::new(RuntimeConfig {
-            catalog_gc: false,
-            ..RuntimeConfig::default()
-        });
-        let a = rt.register(sa_logical(9)).unwrap();
-        let pa = rt.plan(a).unwrap();
-        let n_stages = pa.stages.len();
-        let resident: Vec<_> = pa.stages.iter().map(Arc::clone).collect();
-        let reused_before = rt.lifecycle_stats().stages_reused();
-        rt.undeploy(a).unwrap();
-        assert_eq!(
-            rt.catalog_size(),
-            n_stages,
-            "gc off keeps retired stages resident"
-        );
-        // Re-registering the same model compiles no stage: every signature
-        // is served from residency with its identity intact.
-        let b = rt.register(sa_logical(9)).unwrap();
-        let pb = rt.plan(b).unwrap();
-        for (old, new) in resident.iter().zip(&pb.stages) {
-            assert!(Arc::ptr_eq(old, new), "resident stage identity reused");
-        }
-        assert_eq!(
-            rt.lifecycle_stats().stages_reused() - reused_before,
-            n_stages as u64
-        );
-        let s = rt.predict(b, "5,redeploy is instant").unwrap();
-        assert!(s.is_finite());
-
-        // Control: with gc on, the retired stages are swept and the
-        // redeploy pays full compilation again.
-        let gc = Runtime::new(RuntimeConfig::default());
-        let g = gc.register(sa_logical(9)).unwrap();
-        gc.undeploy(g).unwrap();
-        assert_eq!(gc.catalog_size(), 0, "gc on sweeps retired stages");
-        gc.register(sa_logical(9)).unwrap();
-        assert_eq!(gc.lifecycle_stats().stages_reused(), 0);
     }
 
     #[test]

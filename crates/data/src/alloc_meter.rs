@@ -17,12 +17,40 @@
 //! and then bracket phases with [`MemoryScope`].
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static LIVE: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
 static ALLOCS: AtomicUsize = AtomicUsize::new(0);
 static ALLOCATED: AtomicUsize = AtomicUsize::new(0);
+
+std::thread_local! {
+    // Set while the current thread runs inside `unmetered`. Const-initialized
+    // and drop-free, so reading it from the allocator never allocates and
+    // never fails during thread teardown.
+    static UNMETERED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn metered() -> bool {
+    !UNMETERED.with(Cell::get)
+}
+
+/// Runs `f` with the current thread's allocations left out of every
+/// counter. For debug-build self-checks (the parameter checksum memo's
+/// cross-check) that would otherwise make allocation budgets differ
+/// between debug and release builds. Everything `f` allocates must also be
+/// freed inside `f`, or the live-byte count drifts.
+pub fn unmetered<R>(f: impl FnOnce() -> R) -> R {
+    struct Restore(bool);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            UNMETERED.with(|u| u.set(self.0));
+        }
+    }
+    let _restore = Restore(UNMETERED.with(|u| u.replace(true)));
+    f()
+}
 
 /// A [`GlobalAlloc`] that forwards to [`System`] while tracking live bytes.
 ///
@@ -71,14 +99,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         // SAFETY: forwarded verbatim; caller upholds the layout contract.
         let p = unsafe { System.alloc(layout) };
-        if !p.is_null() {
+        if !p.is_null() && metered() {
             on_alloc(layout.size());
         }
         p
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        on_dealloc(layout.size());
+        if metered() {
+            on_dealloc(layout.size());
+        }
         // SAFETY: forwarded verbatim; `ptr` came from `System.alloc` with
         // the same layout, per the caller's contract.
         unsafe { System.dealloc(ptr, layout) }
@@ -87,7 +117,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         // SAFETY: forwarded verbatim under the caller's contract.
         let p = unsafe { System.realloc(ptr, layout, new_size) };
-        if !p.is_null() {
+        if !p.is_null() && metered() {
             on_dealloc(layout.size());
             on_alloc(new_size);
         }
@@ -224,6 +254,21 @@ mod tests {
         // SAFETY: allocated above with the same layout.
         unsafe { a.dealloc(p, layout) };
         assert_eq!(scope.delta_bytes(), 0);
+    }
+
+    #[test]
+    fn unmetered_scopes_nest_and_restore() {
+        // Asserted on the thread-local flag, not the process-wide counters,
+        // which this binary's other tests move concurrently.
+        assert!(metered());
+        unmetered(|| {
+            assert!(!metered());
+            unmetered(|| assert!(!metered()));
+            assert!(!metered(), "an inner scope restores the outer one");
+        });
+        assert!(metered());
+        let _ = std::panic::catch_unwind(|| unmetered(|| panic!("self-check failed")));
+        assert!(metered(), "a panicking scope still restores metering");
     }
 
     #[test]

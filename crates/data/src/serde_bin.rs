@@ -14,7 +14,7 @@
 //! blob, per container) is transparent, real work.
 
 use crate::error::{DataError, Result};
-use crate::hash::fnv1a;
+use crate::hash::Fnv1a;
 
 /// Magic bytes identifying a model file.
 pub const MAGIC: &[u8; 8] = b"PRTZL1\0\0";
@@ -183,7 +183,7 @@ impl<'a> Cursor<'a> {
 pub struct Section {
     /// Operator-directory name, e.g. `"op3.WordNgram"`.
     pub name: String,
-    /// FNV-1a checksum of the concatenated entry payloads.
+    /// FNV-1a checksum of the entries ([`section_checksum`]).
     pub checksum: u64,
     /// Named parameter blobs.
     pub entries: Vec<(String, Vec<u8>)>,
@@ -205,14 +205,17 @@ impl Section {
     }
 }
 
-/// Computes the dedup checksum of a serialized parameter payload.
+/// Computes the dedup checksum of a serialized parameter payload: FNV-1a
+/// over every entry's length-prefixed name followed by its payload, fed to
+/// the hasher in place rather than concatenated into one buffer first.
 pub fn section_checksum(entries: &[(String, Vec<u8>)]) -> u64 {
-    let mut all = Vec::new();
+    let mut h = Fnv1a::new();
     for (name, bytes) in entries {
-        wire::put_str(&mut all, name);
-        all.extend_from_slice(bytes);
+        h.write(&(name.len() as u32).to_le_bytes());
+        h.write(name.as_bytes());
+        h.write(bytes);
     }
-    fnv1a(&all)
+    h.finish()
 }
 
 /// Builder that serializes sections into a model-file byte image.
@@ -369,6 +372,41 @@ mod tests {
         assert_eq!(a, b);
         let c = section_checksum(&[("w".to_string(), vec![1u8, 2, 4])]);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn streamed_checksum_matches_concatenated_definition() {
+        // The image format's definition: FNV-1a over the concatenation of
+        // every entry's `put_str(name)` and payload.
+        fn concatenated(entries: &[(String, Vec<u8>)]) -> u64 {
+            let mut all = Vec::new();
+            for (name, bytes) in entries {
+                wire::put_str(&mut all, name);
+                all.extend_from_slice(bytes);
+            }
+            crate::hash::fnv1a(&all)
+        }
+        let mut weights = Vec::new();
+        wire::put_f32s(&mut weights, &[0.5, -1.25, 3.0, f32::MIN_POSITIVE]);
+        let cases: Vec<Vec<(String, Vec<u8>)>> = vec![
+            vec![],
+            vec![("".into(), vec![])],
+            vec![("w".into(), vec![1, 2, 3])],
+            vec![
+                ("weights".into(), weights),
+                ("bias".into(), vec![1, 2, 3, 4]),
+                ("kind".into(), vec![]),
+                ("keys".into(), (0..=255u8).cycle().take(3000).collect()),
+            ],
+        ];
+        for entries in &cases {
+            assert_eq!(section_checksum(entries), concatenated(entries));
+        }
+        // Entry boundaries are part of the hash: moving a byte from one
+        // payload to the next changes it.
+        let a = [("a".into(), vec![1u8, 2]), ("b".into(), vec![3u8])];
+        let b = [("a".into(), vec![1u8]), ("b".into(), vec![2u8, 3])];
+        assert_ne!(section_checksum(&a), section_checksum(&b));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! per-class linear models, so it shares the associative-reducer property.
 
 use crate::annotations::Annotations;
-use crate::params::ParamBlob;
+use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::batch::ColRef;
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::{ColumnBatch, DataError, Result, Vector};
@@ -20,6 +20,7 @@ pub struct NaiveBayesParams {
     pub log_lik: Vec<f32>,
     /// Feature dimensionality.
     pub dim: u32,
+    memo: ChecksumMemo,
 }
 
 impl NaiveBayesParams {
@@ -36,6 +37,7 @@ impl NaiveBayesParams {
             log_prior,
             log_lik,
             dim,
+            memo: ChecksumMemo::default(),
         })
     }
 
@@ -146,6 +148,10 @@ impl ParamBlob for NaiveBayesParams {
 
     fn heap_bytes(&self) -> usize {
         (self.log_prior.capacity() + self.log_lik.capacity()) * 4
+    }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
     }
 }
 

@@ -13,7 +13,7 @@
 //! synthetic model generator) never trips over it.
 
 use crate::annotations::Annotations;
-use crate::params::ParamBlob;
+use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::serde_bin::{Cursor, Section};
 use pretzel_data::{ColRef, ColumnBatch, DataError, Result, Vector};
 
@@ -22,6 +22,7 @@ use pretzel_data::{ColRef, ColumnBatch, DataError, Result, Vector};
 pub struct FaultParams {
     /// Records containing this substring panic the executing kernel.
     pub marker: Box<str>,
+    memo: ChecksumMemo,
 }
 
 impl FaultParams {
@@ -29,6 +30,7 @@ impl FaultParams {
     pub fn new(marker: impl Into<Box<str>>) -> Self {
         FaultParams {
             marker: marker.into(),
+            memo: ChecksumMemo::default(),
         }
     }
 
@@ -103,6 +105,10 @@ impl ParamBlob for FaultParams {
 
     fn heap_bytes(&self) -> usize {
         self.marker.len()
+    }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
     }
 }
 

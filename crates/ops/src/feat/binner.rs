@@ -5,7 +5,7 @@
 //! are often trained behind. 1-to-1, memory-bound, fusible.
 
 use crate::annotations::Annotations;
-use crate::params::ParamBlob;
+use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::{ColumnBatch, DataError, Result, Vector};
 
@@ -16,12 +16,16 @@ pub struct BinnerParams {
     /// A value `x` maps to the first bin whose bound is `>= x`, or to
     /// `bounds[d].len()` if above all bounds.
     pub bounds: Vec<Vec<f32>>,
+    memo: ChecksumMemo,
 }
 
 impl BinnerParams {
     /// Creates a binner from per-dimension bounds.
     pub fn new(bounds: Vec<Vec<f32>>) -> Self {
-        BinnerParams { bounds }
+        BinnerParams {
+            bounds,
+            memo: ChecksumMemo::default(),
+        }
     }
 
     /// Input/output dimensionality.
@@ -109,6 +113,10 @@ impl ParamBlob for BinnerParams {
     fn heap_bytes(&self) -> usize {
         self.bounds.capacity() * std::mem::size_of::<Vec<f32>>()
             + self.bounds.iter().map(|b| b.capacity() * 4).sum::<usize>()
+    }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
     }
 }
 

@@ -9,7 +9,7 @@
 //! any other additional transformation".
 
 use crate::annotations::Annotations;
-use crate::params::ParamBlob;
+use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::batch::{ColRef, SparseRowMut};
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::{ColumnBatch, DataError, Result, Vector};
@@ -19,12 +19,16 @@ use pretzel_data::{ColumnBatch, DataError, Result, Vector};
 pub struct ConcatParams {
     /// Input dimensionalities; output dim is their sum.
     pub input_dims: Vec<u32>,
+    memo: ChecksumMemo,
 }
 
 impl ConcatParams {
     /// Creates a Concat over inputs of the given dimensionalities.
     pub fn new(input_dims: Vec<u32>) -> Self {
-        ConcatParams { input_dims }
+        ConcatParams {
+            input_dims,
+            memo: ChecksumMemo::default(),
+        }
     }
 
     /// Output dimensionality.
@@ -214,6 +218,10 @@ impl ParamBlob for ConcatParams {
 
     fn heap_bytes(&self) -> usize {
         self.input_dims.capacity() * 4
+    }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
     }
 }
 

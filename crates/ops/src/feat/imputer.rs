@@ -6,7 +6,7 @@
 //! that fuses with its neighbours.
 
 use crate::annotations::Annotations;
-use crate::params::ParamBlob;
+use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::{ColumnBatch, DataError, Result, Vector};
 
@@ -15,12 +15,16 @@ use pretzel_data::{ColumnBatch, DataError, Result, Vector};
 pub struct ImputerParams {
     /// Value substituted for NaN at each dimension.
     pub fill: Vec<f32>,
+    memo: ChecksumMemo,
 }
 
 impl ImputerParams {
     /// Creates an imputer.
     pub fn new(fill: Vec<f32>) -> Self {
-        ImputerParams { fill }
+        ImputerParams {
+            fill,
+            memo: ChecksumMemo::default(),
+        }
     }
 
     /// Input/output dimensionality.
@@ -94,6 +98,10 @@ impl ParamBlob for ImputerParams {
 
     fn heap_bytes(&self) -> usize {
         self.fill.capacity() * 4
+    }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
     }
 }
 

@@ -5,7 +5,7 @@
 //! in the stage-formation rules.
 
 use crate::annotations::Annotations;
-use crate::params::ParamBlob;
+use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::batch::ColRef;
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::{ColumnBatch, DataError, Result, Vector};
@@ -22,18 +22,23 @@ pub enum NormKind {
 }
 
 /// Normalizer parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NormalizerParams {
     /// Which norm to scale by.
     pub kind: NormKind,
     /// Input/output dimensionality.
     pub dim: u32,
+    memo: ChecksumMemo,
 }
 
 impl NormalizerParams {
     /// Creates a normalizer.
     pub fn new(kind: NormKind, dim: u32) -> Self {
-        NormalizerParams { kind, dim }
+        NormalizerParams {
+            kind,
+            dim,
+            memo: ChecksumMemo::default(),
+        }
     }
 
     /// Operator annotations: aggregate / pipeline breaker.
@@ -190,6 +195,10 @@ impl ParamBlob for NormalizerParams {
 
     fn heap_bytes(&self) -> usize {
         0
+    }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
     }
 }
 

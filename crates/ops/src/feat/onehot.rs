@@ -5,7 +5,7 @@
 //! dimensions through. 1-to-1 in the column sense, memory-bound, fusible.
 
 use crate::annotations::Annotations;
-use crate::params::ParamBlob;
+use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::{ColumnBatch, DataError, Result, Vector};
 
@@ -18,6 +18,7 @@ pub struct OneHotParams {
     /// `cardinality` indicator slots. Values are clamped to the cardinality
     /// (unknown categories map to the last slot).
     pub encoded: Vec<(u32, u32)>,
+    memo: ChecksumMemo,
 }
 
 impl OneHotParams {
@@ -25,7 +26,11 @@ impl OneHotParams {
     pub fn new(input_dim: u32, mut encoded: Vec<(u32, u32)>) -> Self {
         encoded.sort_unstable();
         encoded.dedup_by_key(|(d, _)| *d);
-        OneHotParams { input_dim, encoded }
+        OneHotParams {
+            input_dim,
+            encoded,
+            memo: ChecksumMemo::default(),
+        }
     }
 
     /// Output dimensionality: pass-through dims + indicator blocks.
@@ -142,6 +147,10 @@ impl ParamBlob for OneHotParams {
 
     fn heap_bytes(&self) -> usize {
         self.encoded.capacity() * 8
+    }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
     }
 }
 

@@ -6,7 +6,7 @@
 //! SIMD vectorization (paper §4.1.2, OutputGraphValidatorStep labelling).
 
 use crate::annotations::Annotations;
-use crate::params::ParamBlob;
+use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::{ColumnBatch, DataError, Result, Vector};
 
@@ -17,6 +17,7 @@ pub struct ScalerParams {
     pub offset: Vec<f32>,
     /// Multiplied after offsetting (e.g. 1/σ).
     pub scale: Vec<f32>,
+    memo: ChecksumMemo,
 }
 
 impl ScalerParams {
@@ -28,7 +29,11 @@ impl ScalerParams {
     /// construction-time bug, not a data condition.
     pub fn new(offset: Vec<f32>, scale: Vec<f32>) -> Self {
         assert_eq!(offset.len(), scale.len(), "offset/scale length mismatch");
-        ScalerParams { offset, scale }
+        ScalerParams {
+            offset,
+            scale,
+            memo: ChecksumMemo::default(),
+        }
     }
 
     /// Input/output dimensionality.
@@ -112,11 +117,19 @@ impl ParamBlob for ScalerParams {
                 "scaler offset/scale length mismatch".into(),
             ));
         }
-        Ok(ScalerParams { offset, scale })
+        Ok(ScalerParams {
+            offset,
+            scale,
+            memo: ChecksumMemo::default(),
+        })
     }
 
     fn heap_bytes(&self) -> usize {
         (self.offset.capacity() + self.scale.capacity()) * 4
+    }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
     }
 }
 

@@ -6,7 +6,7 @@
 //! kernel is `k` dense dot products and auto-vectorizes.
 
 use crate::annotations::Annotations;
-use crate::params::ParamBlob;
+use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::{ColumnBatch, DataError, Result, Vector};
 
@@ -19,6 +19,7 @@ pub struct KMeansParams {
     pub k: u32,
     /// Input dimensionality.
     pub dim: u32,
+    memo: ChecksumMemo,
 }
 
 impl KMeansParams {
@@ -30,7 +31,12 @@ impl KMeansParams {
                 centroids.len()
             )));
         }
-        Ok(KMeansParams { centroids, k, dim })
+        Ok(KMeansParams {
+            centroids,
+            k,
+            dim,
+            memo: ChecksumMemo::default(),
+        })
     }
 
     /// Operator annotations: compute-bound, vectorizable.
@@ -140,6 +146,10 @@ impl ParamBlob for KMeansParams {
 
     fn heap_bytes(&self) -> usize {
         self.centroids.capacity() * 4
+    }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
     }
 }
 

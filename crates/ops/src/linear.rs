@@ -11,7 +11,7 @@
 //! apply the link function once at the end.
 
 use crate::annotations::Annotations;
-use crate::params::ParamBlob;
+use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::{ColRef, ColumnBatch, DataError, Result, Vector};
 
@@ -37,6 +37,7 @@ pub struct LinearParams {
     pub weights: Vec<f32>,
     /// Intercept.
     pub bias: f32,
+    memo: ChecksumMemo,
 }
 
 impl LinearParams {
@@ -46,6 +47,7 @@ impl LinearParams {
             kind,
             weights,
             bias,
+            memo: ChecksumMemo::default(),
         }
     }
 
@@ -212,6 +214,10 @@ impl ParamBlob for LinearParams {
 
     fn heap_bytes(&self) -> usize {
         self.weights.capacity() * 4
+    }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
     }
 }
 

@@ -216,6 +216,14 @@ fn one_batch<'a>(inputs: &[&'a ColumnBatch]) -> Result<&'a ColumnBatch> {
     }
 }
 
+/// Decodes one section's parameters, seeding their checksum memo with the
+/// section's checksum (see [`Op::from_section`]).
+fn decode<P: ParamBlob>(section: &Section) -> Result<Arc<P>> {
+    let params = P::from_entries(section)?;
+    params.checksum_memo().seed(section.checksum);
+    Ok(Arc::new(params))
+}
+
 fn batch_at<'a>(inputs: &[&'a ColumnBatch], i: usize) -> Result<&'a ColumnBatch> {
     inputs
         .get(i)
@@ -547,7 +555,9 @@ impl Op {
         }
     }
 
-    /// Dedup checksum of the serialized parameters (paper §4.1.3).
+    /// Dedup checksum of the serialized parameters (paper §4.1.3): the
+    /// parameters' memoised [`ParamBlob::checksum`], salted with the kind
+    /// where two kinds share a params type.
     pub fn checksum(&self) -> u64 {
         match self {
             Op::CsvParse(p) => p.checksum(),
@@ -657,6 +667,11 @@ impl Op {
     }
 
     /// Parses an operator back from a model-file section.
+    ///
+    /// The parameters' checksum memo is seeded with `section.checksum`, the
+    /// value `read_model_file` verified against the payload and the one the
+    /// load fast path already looked up ([`Op::checksum_for_section`]), so a
+    /// decoded operator is never re-serialized to be keyed.
     pub fn from_section(section: &Section) -> Result<Self> {
         let kind = section
             .name
@@ -666,32 +681,26 @@ impl Op {
                 DataError::Codec(format!("section name `{}` has no kind", section.name))
             })?;
         Ok(match kind {
-            "CsvParse" => Op::CsvParse(Arc::new(CsvParams::from_entries(section)?)),
-            "Tokenizer" => Op::Tokenizer(Arc::new(TokenizerParams::from_entries(section)?)),
-            "CharNgram" => Op::CharNgram(Arc::new(NgramParams::from_entries(section)?)),
-            "WordNgram" => Op::WordNgram(Arc::new(NgramParams::from_entries(section)?)),
-            "HashingVectorizer" => {
-                Op::HashingVectorizer(Arc::new(HashingParams::from_entries(section)?))
-            }
-            "Concat" => Op::Concat(Arc::new(ConcatParams::from_entries(section)?)),
-            "Normalizer" => Op::Normalizer(Arc::new(NormalizerParams::from_entries(section)?)),
-            "Scaler" => Op::Scaler(Arc::new(ScalerParams::from_entries(section)?)),
-            "Imputer" => Op::Imputer(Arc::new(ImputerParams::from_entries(section)?)),
-            "Binner" => Op::Binner(Arc::new(BinnerParams::from_entries(section)?)),
-            "OneHot" => Op::OneHot(Arc::new(OneHotParams::from_entries(section)?)),
-            "Linear" => Op::Linear(Arc::new(LinearParams::from_entries(section)?)),
-            "NaiveBayes" => Op::NaiveBayes(Arc::new(NaiveBayesParams::from_entries(section)?)),
-            "TreeEnsemble" => Op::TreeEnsemble(Arc::new(EnsembleParams::from_entries(section)?)),
-            "MulticlassTree" => {
-                Op::MulticlassTree(Arc::new(MulticlassTreeParams::from_entries(section)?))
-            }
-            "TreeFeaturizer" => {
-                Op::TreeFeaturizer(Arc::new(EnsembleParams::from_entries(section)?))
-            }
-            "KMeans" => Op::KMeans(Arc::new(KMeansParams::from_entries(section)?)),
-            "Pca" => Op::Pca(Arc::new(PcaParams::from_entries(section)?)),
+            "CsvParse" => Op::CsvParse(decode(section)?),
+            "Tokenizer" => Op::Tokenizer(decode(section)?),
+            "CharNgram" => Op::CharNgram(decode(section)?),
+            "WordNgram" => Op::WordNgram(decode(section)?),
+            "HashingVectorizer" => Op::HashingVectorizer(decode(section)?),
+            "Concat" => Op::Concat(decode(section)?),
+            "Normalizer" => Op::Normalizer(decode(section)?),
+            "Scaler" => Op::Scaler(decode(section)?),
+            "Imputer" => Op::Imputer(decode(section)?),
+            "Binner" => Op::Binner(decode(section)?),
+            "OneHot" => Op::OneHot(decode(section)?),
+            "Linear" => Op::Linear(decode(section)?),
+            "NaiveBayes" => Op::NaiveBayes(decode(section)?),
+            "TreeEnsemble" => Op::TreeEnsemble(decode(section)?),
+            "MulticlassTree" => Op::MulticlassTree(decode(section)?),
+            "TreeFeaturizer" => Op::TreeFeaturizer(decode(section)?),
+            "KMeans" => Op::KMeans(decode(section)?),
+            "Pca" => Op::Pca(decode(section)?),
             #[cfg(feature = "fault-op")]
-            "FaultInjector" => Op::FaultInjector(Arc::new(FaultParams::from_entries(section)?)),
+            "FaultInjector" => Op::FaultInjector(decode(section)?),
             other => return Err(DataError::Codec(format!("unknown operator kind `{other}`"))),
         })
     }
@@ -706,6 +715,7 @@ mod tests {
     use crate::text::ngram::NgramParams;
     use crate::text::tokenizer::TokenizerParams;
     use crate::tree::{EnsembleMode, EnsembleParams, Tree};
+    use pretzel_data::serde_bin::section_checksum;
 
     fn keys(v: &[&str]) -> Vec<Box<str>> {
         v.iter().map(|s| Box::from(*s)).collect()
@@ -863,13 +873,67 @@ mod tests {
             assert!(section.name.starts_with(&format!("op{i}.")));
             let parsed = Op::from_section(&section).unwrap();
             assert_eq!(parsed.kind(), op.kind(), "kind mismatch at {i}");
+            let kind = op.kind().name();
+            // The decoded operator answers from the memo seeded with the
+            // section checksum...
+            assert_eq!(
+                parsed.checksum(),
+                Op::checksum_for_section(kind, section.checksum),
+                "{kind} was not keyed by its section checksum"
+            );
+            // ...which is what serializing it afresh hashes to, and what
+            // the operator the image was made from reports: Object Store
+            // keys of images made by `to_model_image` are unchanged.
+            let fresh = section_checksum(&parsed.to_section(i).entries);
+            assert_eq!(
+                parsed.checksum(),
+                Op::checksum_for_section(kind, fresh),
+                "{kind}: seeded memo disagrees with its serialized form"
+            );
             assert_eq!(
                 parsed.checksum(),
                 op.checksum(),
-                "checksum mismatch for {}",
-                op.kind().name()
+                "checksum mismatch for {kind}"
             );
         }
+    }
+
+    #[test]
+    fn edited_clone_gets_its_own_checksum() {
+        // Memo filled by use, then the clone is edited through `pub` fields.
+        let original = LinearParams::new(LinearKind::Logistic, vec![1.0; 4], 0.5);
+        let before = original.checksum();
+        let mut edited = original.clone();
+        assert_eq!(edited, original, "a filled and an empty memo compare equal");
+        edited.bias = 1.5;
+        assert_ne!(edited.checksum(), before);
+        assert_eq!(original.checksum(), before);
+        assert_eq!(
+            edited.checksum(),
+            section_checksum(&edited.to_entries()),
+            "an edited clone is keyed by its own serialized form"
+        );
+
+        // Memo seeded by decoding, then a clone is edited.
+        let decoded = Op::from_section(
+            &Op::CharNgram(Arc::new(NgramParams::new(
+                3,
+                false,
+                true,
+                keys(&["abc", "bcd"]),
+            )))
+            .to_section(0),
+        )
+        .unwrap();
+        let Op::CharNgram(seeded) = &decoded else {
+            unreachable!()
+        };
+        let mut longer = NgramParams::clone(seeded);
+        longer.n = 4;
+        assert_ne!(
+            Op::CharNgram(Arc::new(longer)).checksum(),
+            decoded.checksum()
+        );
     }
 
     #[test]

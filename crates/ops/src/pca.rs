@@ -5,7 +5,7 @@
 //! Compute-bound matrix-vector product; auto-vectorizes.
 
 use crate::annotations::Annotations;
-use crate::params::ParamBlob;
+use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::{ColumnBatch, DataError, Result, Vector};
 
@@ -20,6 +20,7 @@ pub struct PcaParams {
     pub m: u32,
     /// Input dimensionality.
     pub dim: u32,
+    memo: ChecksumMemo,
 }
 
 impl PcaParams {
@@ -38,6 +39,7 @@ impl PcaParams {
             components,
             m,
             dim,
+            memo: ChecksumMemo::default(),
         })
     }
 
@@ -141,6 +143,10 @@ impl ParamBlob for PcaParams {
 
     fn heap_bytes(&self) -> usize {
         (self.mean.capacity() + self.components.capacity()) * 4
+    }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
     }
 }
 

@@ -7,7 +7,7 @@
 //! structured input, paper Table 1).
 
 use crate::annotations::Annotations;
-use crate::params::ParamBlob;
+use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::{ColRef, ColumnBatch, ColumnType, DataError, Result, Vector};
 
@@ -33,23 +33,27 @@ pub struct CsvParams {
     pub separator: u8,
     /// Extraction mode.
     pub output: CsvOutput,
+    memo: ChecksumMemo,
 }
 
 impl CsvParams {
+    /// Parser splitting lines on `separator`.
+    pub fn new(separator: u8, output: CsvOutput) -> Self {
+        CsvParams {
+            separator,
+            output,
+            memo: ChecksumMemo::default(),
+        }
+    }
+
     /// Parser that selects text field `index` from comma-separated lines.
     pub fn select_text(index: u32) -> Self {
-        CsvParams {
-            separator: b',',
-            output: CsvOutput::TextField { index },
-        }
+        CsvParams::new(b',', CsvOutput::TextField { index })
     }
 
     /// Parser that decodes `len` comma-separated floats.
     pub fn dense(len: u32) -> Self {
-        CsvParams {
-            separator: b',',
-            output: CsvOutput::DenseFields { len },
-        }
+        CsvParams::new(b',', CsvOutput::DenseFields { len })
     }
 
     /// Output column type.
@@ -216,11 +220,15 @@ impl ParamBlob for CsvParams {
             1 => CsvOutput::DenseFields { len: arg },
             t => return Err(DataError::Codec(format!("bad csv output tag {t}"))),
         };
-        Ok(CsvParams { separator, output })
+        Ok(CsvParams::new(separator, output))
     }
 
     fn heap_bytes(&self) -> usize {
         0
+    }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
     }
 }
 

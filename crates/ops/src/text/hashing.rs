@@ -7,13 +7,13 @@
 //! [`crate::text::ngram`] operators in the memory experiments.
 
 use crate::annotations::Annotations;
-use crate::params::ParamBlob;
+use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::hash::Fnv1a;
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::{ColRef, ColumnBatch, DataError, Result, Vector};
 
 /// Parameters of the hashing vectorizer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashingParams {
     /// N-gram length (character level).
     pub n: u32,
@@ -21,6 +21,7 @@ pub struct HashingParams {
     pub buckets: u32,
     /// Case-insensitive hashing.
     pub fold_case: bool,
+    memo: ChecksumMemo,
 }
 
 impl HashingParams {
@@ -30,6 +31,7 @@ impl HashingParams {
             n,
             buckets,
             fold_case,
+            memo: ChecksumMemo::default(),
         }
     }
 
@@ -129,11 +131,16 @@ impl ParamBlob for HashingParams {
             n: cur.u32()?,
             buckets: cur.u32()?,
             fold_case: cur.u32()? != 0,
+            memo: ChecksumMemo::default(),
         })
     }
 
     fn heap_bytes(&self) -> usize {
         0
+    }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
     }
 }
 

@@ -40,7 +40,7 @@
 //! *values* are not part of it; nothing persists them.
 
 use crate::annotations::Annotations;
-use crate::params::ParamBlob;
+use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::probe::FlatProbeTable;
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::vector::Span;
@@ -289,6 +289,7 @@ pub struct NgramParams {
     pub fold_case: bool,
     /// The trained dictionary.
     pub dict: NgramDict,
+    memo: ChecksumMemo,
 }
 
 impl NgramParams {
@@ -299,6 +300,7 @@ impl NgramParams {
             all_lengths,
             fold_case,
             dict: NgramDict::new(keys, fold_case),
+            memo: ChecksumMemo::default(),
         }
     }
 
@@ -509,6 +511,10 @@ impl ParamBlob for NgramParams {
 
     fn heap_bytes(&self) -> usize {
         self.dict.heap_bytes()
+    }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
     }
 }
 

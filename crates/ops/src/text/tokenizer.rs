@@ -7,7 +7,7 @@
 //! allocation-free (paper §3, end-to-end optimization (1)).
 
 use crate::annotations::Annotations;
-use crate::params::ParamBlob;
+use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::vector::Span;
 use pretzel_data::{ColRef, ColumnBatch, DataError, Result, Vector};
@@ -19,6 +19,7 @@ pub struct TokenizerParams {
     pub delims: Vec<u8>,
     // Derived 256-entry lookup table; rebuilt on deserialization.
     table: [bool; 256],
+    memo: ChecksumMemo,
 }
 
 impl PartialEq for TokenizerParams {
@@ -39,7 +40,11 @@ impl TokenizerParams {
         for &b in &d {
             table[b as usize] = true;
         }
-        TokenizerParams { delims: d, table }
+        TokenizerParams {
+            delims: d,
+            table,
+            memo: ChecksumMemo::default(),
+        }
     }
 
     /// The default word tokenizer: whitespace and common punctuation.
@@ -173,6 +178,10 @@ impl ParamBlob for TokenizerParams {
 
     fn heap_bytes(&self) -> usize {
         self.delims.capacity() + std::mem::size_of::<[bool; 256]>()
+    }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
     }
 }
 

@@ -7,7 +7,7 @@
 //! (paper §5, Table 1). All tree operators share one flat node encoding.
 
 use crate::annotations::Annotations;
-use crate::params::ParamBlob;
+use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::batch::ColRef;
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::{ColumnBatch, DataError, Result, Vector};
@@ -182,6 +182,7 @@ pub struct EnsembleParams {
     pub mode: EnsembleMode,
     /// Expected input dimensionality.
     pub input_dim: u32,
+    memo: ChecksumMemo,
 }
 
 impl EnsembleParams {
@@ -207,6 +208,7 @@ impl EnsembleParams {
             weights,
             mode,
             input_dim,
+            memo: ChecksumMemo::default(),
         })
     }
 
@@ -392,6 +394,10 @@ impl ParamBlob for EnsembleParams {
             + self.trees.capacity() * std::mem::size_of::<Tree>()
             + self.trees.iter().map(Tree::bytes).sum::<usize>()
     }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
+    }
 }
 
 /// Parameters of a one-vs-all multiclass tree classifier.
@@ -402,6 +408,7 @@ impl ParamBlob for EnsembleParams {
 pub struct MulticlassTreeParams {
     /// One scorer per class.
     pub per_class: Vec<EnsembleParams>,
+    memo: ChecksumMemo,
 }
 
 impl MulticlassTreeParams {
@@ -416,7 +423,10 @@ impl MulticlassTreeParams {
                 "multiclass ensembles disagree on input dim".into(),
             ));
         }
-        Ok(MulticlassTreeParams { per_class })
+        Ok(MulticlassTreeParams {
+            per_class,
+            memo: ChecksumMemo::default(),
+        })
     }
 
     /// Number of classes (output dimensionality).
@@ -539,6 +549,10 @@ impl ParamBlob for MulticlassTreeParams {
 
     fn heap_bytes(&self) -> usize {
         self.per_class.iter().map(|e| e.heap_bytes()).sum()
+    }
+
+    fn checksum_memo(&self) -> &ChecksumMemo {
+        &self.memo
     }
 }
 

@@ -11,10 +11,11 @@
 //! cycles every slot through deploy → swap → undeploy while scoring
 //! Zipf-chosen aliases in between.
 //!
-//! The driver (`ablation_model_churn`, `tests/lifecycle.rs`) replays the
-//! script against a runtime and checks the lifecycle invariants: resident
-//! bytes return to baseline after a full cycle, and no alias-addressed
-//! request is lost across a swap.
+//! `tests/lifecycle.rs` replays the script against a runtime and checks the
+//! lifecycle invariants: resident bytes return to baseline after a full
+//! cycle, and no alias-addressed request is lost across a swap. The
+//! serving benchmark's `churn_mixed` workload measures the same shape of
+//! churn from a socket (p99 during churn is its `client.lat_p99_us`).
 
 use crate::load::Zipf;
 use crate::text::ReviewGen;
