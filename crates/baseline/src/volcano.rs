@@ -123,7 +123,7 @@ mod tests {
             &store,
         )
         .unwrap();
-        let pool = Arc::new(VectorPool::new());
+        let pool = Arc::new(VectorPool::arena());
         let mut ctx = ExecCtx::new(pool);
         let mut slots: Vec<Vector> = plan
             .slot_types()

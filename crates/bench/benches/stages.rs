@@ -53,7 +53,7 @@ fn bench_plan_execution(c: &mut Criterion) {
     )
     .unwrap();
 
-    let pool = Arc::new(VectorPool::new());
+    let pool = Arc::new(VectorPool::arena());
     let mut ctx = ExecCtx::new(Arc::clone(&pool));
     let mut slots: Vec<Vector> = fused
         .slot_types()

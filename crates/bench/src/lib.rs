@@ -198,7 +198,7 @@ pub fn time_it<T>(f: impl FnOnce() -> T) -> (T, Duration) {
 pub struct BenchEntry {
     /// Workload category (e.g. `SA`, `AC`).
     pub category: String,
-    /// Execution mode (e.g. `columnar`, `per_record`).
+    /// Execution mode (e.g. `simd`, `scalar`).
     pub mode: String,
     /// Records per batch-engine chunk event.
     pub chunk_size: usize,
@@ -210,7 +210,7 @@ pub struct BenchEntry {
 
 /// Writes a `BENCH_*.json` report (hand-rolled JSON — the build is
 /// registry-less, so no serde). `speedups` carries headline ratios keyed by
-/// label, e.g. `"SA": columnar ÷ per-record`.
+/// label, e.g. `"AC_dense": simd ÷ scalar`.
 pub fn write_bench_json(
     path: &str,
     bench: &str,

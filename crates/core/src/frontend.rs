@@ -22,8 +22,7 @@
 //!   slab slots, not a thread stack each.
 //! * **Thread-per-connection** (`reactor_threads = 0`, and the fallback on
 //!   targets without the raw-syscall reactor): the classic blocking loop —
-//!   one spawned thread per accepted socket. Kept as the ablation control
-//!   for the `ablation_frontend` bench.
+//!   one spawned thread per accepted socket.
 //!
 //! Both modes speak both protocol versions and produce bitwise-identical
 //! scores.
@@ -150,8 +149,8 @@ fn default_reactor_threads() -> usize {
         .clamp(1, 4)
 }
 
-/// Connection-plane counters, exposed for tests and the
-/// `ablation_frontend` bench. All monotone except `open_connections`.
+/// Connection-plane counters, exposed for tests. All monotone except
+/// `open_connections`.
 #[derive(Debug, Default)]
 pub struct FrontEndStats {
     open: AtomicUsize,
@@ -951,8 +950,6 @@ fn serve_single(
 
 #[cfg(test)]
 mod tests {
-    #![allow(deprecated)]
-
     use super::*;
     use crate::flour::FlourContext;
     use crate::runtime::RuntimeConfig;
@@ -985,7 +982,9 @@ mod tests {
     fn client_server_round_trip_matches_local() {
         let (rt, fe, id) = serve_sa(FrontEndConfig::default());
         let mut client = Client::connect(fe.addr()).unwrap();
-        let remote = client.predict_text(id, "5,a nice product", 0).unwrap();
+        let remote = client
+            .predict(&PredictRequest::text("5,a nice product").plan(id))
+            .unwrap();
         let local = rt.predict(id, "5,a nice product").unwrap();
         assert!((remote - local).abs() < 1e-6);
         fe.stop();
@@ -998,7 +997,9 @@ mod tests {
             ..FrontEndConfig::default()
         });
         let mut client = Client::connect(fe.addr()).unwrap();
-        let remote = client.predict_text(id, "5,a nice product", 0).unwrap();
+        let remote = client
+            .predict(&PredictRequest::text("5,a nice product").plan(id))
+            .unwrap();
         let local = rt.predict(id, "5,a nice product").unwrap();
         assert_eq!(remote.to_bits(), local.to_bits());
         fe.stop();
@@ -1009,7 +1010,9 @@ mod tests {
         let (rt, fe, id) = serve_sa(FrontEndConfig::default());
         let mut client = Client::connect(fe.addr()).unwrap();
         let lines = ["1,bad product", "5,wonderful thing", "3,meh"];
-        let scores = client.predict_text_batch(id, &lines, 0).unwrap();
+        let scores = client
+            .predict_many(&PredictRequest::text_batch(lines).plan(id))
+            .unwrap();
         assert_eq!(scores.len(), 3);
         for (line, s) in lines.iter().zip(&scores) {
             assert!((rt.predict(id, line).unwrap() - s).abs() < 1e-6);
@@ -1021,7 +1024,9 @@ mod tests {
     fn server_reports_errors_for_unknown_plan() {
         let (_rt, fe, _id) = serve_sa(FrontEndConfig::default());
         let mut client = Client::connect(fe.addr()).unwrap();
-        let err = client.predict_text(99, "1,x", 0).unwrap_err();
+        let err = client
+            .predict(&PredictRequest::text("1,x").plan(99))
+            .unwrap_err();
         assert!(err.to_string().contains("unknown plan"));
         fe.stop();
     }
@@ -1034,10 +1039,10 @@ mod tests {
         });
         let mut client = Client::connect(fe.addr()).unwrap();
         let a = client
-            .predict_text(id, "5,same line", FLAG_RESULT_CACHE)
+            .predict(&PredictRequest::text("5,same line").plan(id).cached())
             .unwrap();
         let b = client
-            .predict_text(id, "5,same line", FLAG_RESULT_CACHE)
+            .predict(&PredictRequest::text("5,same line").plan(id).cached())
             .unwrap();
         assert_eq!(a, b);
         fe.stop();
@@ -1056,7 +1061,7 @@ mod tests {
             .map(|_| {
                 std::thread::spawn(move || {
                     let mut c = Client::connect(addr).unwrap();
-                    c.predict_text(id, "4,pretty good", FLAG_DELAYED_BATCH)
+                    c.predict(&PredictRequest::text("4,pretty good").plan(id).delayed())
                         .unwrap()
                 })
             })
@@ -1088,7 +1093,9 @@ mod tests {
         let fe = FrontEnd::serve(Arc::clone(&rt), FrontEndConfig::default()).unwrap();
         let mut client = Client::connect(fe.addr()).unwrap();
         let x = vec![0.25f32; dim];
-        let remote = client.predict_dense(id, &x, 0).unwrap();
+        let remote = client
+            .predict(&PredictRequest::dense(x.clone()).plan(id))
+            .unwrap();
         assert!((remote - rt.predict_dense(id, &x).unwrap()).abs() < 1e-6);
         fe.stop();
     }
@@ -1112,14 +1119,26 @@ mod tests {
         let mut client = Client::connect(fe.addr()).unwrap();
         let (indices, values) = (vec![1u32, 7, 12], vec![0.5f32, -2.0, 1.25]);
         let remote = client
-            .predict_sparse(id, &indices, &values, dim, 0)
+            .predict(&PredictRequest::sparse(indices.clone(), values.clone(), dim).plan(id))
             .unwrap();
         let local = rt.predict_sparse(id, &indices, &values, dim).unwrap();
         assert_eq!(remote.to_bits(), local.to_bits());
         // Batch sparse too.
-        let rows: Vec<(&[u32], &[f32])> =
-            vec![(&indices, &values), (&[0u32, 3][..], &[1.0f32, 2.0][..])];
-        let scores = client.predict_sparse_batch(id, &rows, dim, 0).unwrap();
+        let rows = vec![
+            Payload::Sparse {
+                indices,
+                values,
+                dim,
+            },
+            Payload::Sparse {
+                indices: vec![0, 3],
+                values: vec![1.0, 2.0],
+                dim,
+            },
+        ];
+        let scores = client
+            .predict_many(&PredictRequest::batch(rows).plan(id))
+            .unwrap();
         assert_eq!(scores.len(), 2);
         assert_eq!(scores[0].to_bits(), local.to_bits());
         fe.stop();
@@ -1144,10 +1163,10 @@ mod tests {
         let mut client = Client::connect(fe.addr()).unwrap();
         // Out-of-dim index: rejected, connection stays usable.
         let err = client
-            .predict_sparse(id, &[99], &[1.0], dim, 0)
+            .predict(&PredictRequest::sparse(vec![99], vec![1.0], dim).plan(id))
             .unwrap_err();
         assert!(err.to_string().contains("out of dim"));
-        let ok = client.predict_sparse(id, &[2], &[1.0], dim, 0);
+        let ok = client.predict(&PredictRequest::sparse(vec![2], vec![1.0], dim).plan(id));
         assert!(ok.is_ok());
         fe.stop();
     }
@@ -1171,7 +1190,9 @@ mod tests {
         };
         let v1 = client.deploy(&image_of(100), Some("sa"), false).unwrap();
         let line = "5,a really nice product";
-        let v1_score = client.predict_text_alias("sa", line, 0).unwrap();
+        let v1_score = client
+            .predict(&PredictRequest::text(line).alias("sa"))
+            .unwrap();
         assert_eq!(
             v1_score.to_bits(),
             rt.predict(v1, line).unwrap().to_bits(),
@@ -1181,16 +1202,22 @@ mod tests {
         // SWAP: deploy v2, repoint, retire v1.
         let v2 = client.deploy(&image_of(101), None, false).unwrap();
         assert_eq!(client.swap("sa", v2).unwrap(), Some(v1));
-        let v2_score = client.predict_text_alias("sa", line, 0).unwrap();
+        let v2_score = client
+            .predict(&PredictRequest::text(line).alias("sa"))
+            .unwrap();
         assert_eq!(v2_score.to_bits(), rt.predict(v2, line).unwrap().to_bits());
 
         // UNDEPLOY v1: frees its unique weights, keeps shared featurizers.
         let report = client.undeploy(v1).unwrap();
         assert!(report.freed_param_bytes > 0, "v1's linear weights freed");
-        let err = client.predict_text(v1, line, 0).unwrap_err();
+        let err = client
+            .predict(&PredictRequest::text(line).plan(v1))
+            .unwrap_err();
         assert!(err.to_string().contains("retired"), "{err}");
         // The alias still serves v2 without a gap.
-        let again = client.predict_text_alias("sa", line, 0).unwrap();
+        let again = client
+            .predict(&PredictRequest::text(line).alias("sa"))
+            .unwrap();
         assert_eq!(again.to_bits(), v2_score.to_bits());
 
         // LIST reflects the lifecycle state.
@@ -1219,7 +1246,10 @@ mod tests {
                     let mut c = Client::connect(addr).unwrap();
                     let mut scores = Vec::new();
                     while !stop.load(Ordering::Relaxed) {
-                        scores.push(c.predict_text_alias("live", line, 0).unwrap());
+                        scores.push(
+                            c.predict(&PredictRequest::text(line).alias("live"))
+                                .unwrap(),
+                        );
                         scored.fetch_add(1, Ordering::Relaxed);
                     }
                     scores

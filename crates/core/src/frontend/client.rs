@@ -8,9 +8,6 @@
 //! [`Session::submit`] returns immediately with a [`PendingPredict`], and
 //! responses resolve **out of submission order** as the server completes
 //! them, matched by request id.
-//!
-//! The old `predict_*` method family survives as thin deprecated wrappers
-//! over the builder encoding (byte-identical frames).
 
 use super::wire::{self, Frame, FrameReader};
 use super::{FLAG_DELAYED_BATCH, FLAG_PLAN_ALIAS, FLAG_RESULT_CACHE};
@@ -322,10 +319,6 @@ impl Client {
         })
     }
 
-    fn roundtrip(&mut self, request: &[u8]) -> Result<Vec<f32>> {
-        wire::decode_response(self.roundtrip_body(request)?)
-    }
-
     fn roundtrip_admin(&mut self, request: &[u8]) -> Result<Vec<u8>> {
         let body = self.roundtrip_body(request)?;
         match body.split_first() {
@@ -336,118 +329,6 @@ impl Client {
                 other.map(|(s, _)| s)
             ))),
         }
-    }
-
-    /// Scores one text record; `flags` selects external optimizations.
-    #[deprecated(since = "0.1.0", note = "use `predict` with `PredictRequest::text`")]
-    pub fn predict_text(&mut self, plan: PlanId, line: &str, flags: u8) -> Result<f32> {
-        let req = wire::encode_request_text(plan, std::slice::from_ref(&line), flags);
-        let scores = self.roundtrip(&req)?;
-        scores
-            .first()
-            .copied()
-            .ok_or_else(|| DataError::Runtime("empty response".into()))
-    }
-
-    /// Scores a batch of text records.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `predict_many` with `PredictRequest::text_batch`"
-    )]
-    pub fn predict_text_batch(
-        &mut self,
-        plan: PlanId,
-        lines: &[&str],
-        flags: u8,
-    ) -> Result<Vec<f32>> {
-        self.roundtrip(&wire::encode_request_text(plan, lines, flags))
-    }
-
-    /// Scores one dense record.
-    #[deprecated(since = "0.1.0", note = "use `predict` with `PredictRequest::dense`")]
-    pub fn predict_dense(&mut self, plan: PlanId, x: &[f32], flags: u8) -> Result<f32> {
-        let req = wire::encode_request_dense(plan, std::slice::from_ref(&x), flags);
-        let scores = self.roundtrip(&req)?;
-        scores
-            .first()
-            .copied()
-            .ok_or_else(|| DataError::Runtime("empty response".into()))
-    }
-
-    /// Scores a batch of dense records.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `predict_many` with `PredictRequest::dense_batch`"
-    )]
-    pub fn predict_dense_batch(
-        &mut self,
-        plan: PlanId,
-        records: &[&[f32]],
-        flags: u8,
-    ) -> Result<Vec<f32>> {
-        self.roundtrip(&wire::encode_request_dense(plan, records, flags))
-    }
-
-    /// Scores one sparse record (sorted unique `indices` parallel to
-    /// `values`, logical dimensionality `dim`).
-    #[deprecated(since = "0.1.0", note = "use `predict` with `PredictRequest::sparse`")]
-    pub fn predict_sparse(
-        &mut self,
-        plan: PlanId,
-        indices: &[u32],
-        values: &[f32],
-        dim: u32,
-        flags: u8,
-    ) -> Result<f32> {
-        let rows = [(indices, values)];
-        let scores = self.roundtrip(&wire::encode_request_sparse(plan, &rows, dim, flags))?;
-        scores
-            .first()
-            .copied()
-            .ok_or_else(|| DataError::Runtime("empty response".into()))
-    }
-
-    /// Scores a batch of sparse records sharing one dimensionality.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `predict_many` with `PredictRequest::batch` of sparse payloads"
-    )]
-    pub fn predict_sparse_batch(
-        &mut self,
-        plan: PlanId,
-        rows: &[(&[u32], &[f32])],
-        dim: u32,
-        flags: u8,
-    ) -> Result<Vec<f32>> {
-        self.roundtrip(&wire::encode_request_sparse(plan, rows, dim, flags))
-    }
-
-    /// Scores one text record addressed by **alias**.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `predict` with `PredictRequest::text(..).alias(..)`"
-    )]
-    pub fn predict_text_alias(&mut self, alias: &str, line: &str, flags: u8) -> Result<f32> {
-        let req = wire::encode_request_text_alias(alias, std::slice::from_ref(&line), flags);
-        let scores = self.roundtrip(&req)?;
-        scores
-            .first()
-            .copied()
-            .ok_or_else(|| DataError::Runtime("empty response".into()))
-    }
-
-    /// Scores a batch of text records addressed by alias.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `predict_many` with `PredictRequest::text_batch(..).alias(..)`"
-    )]
-    pub fn predict_text_batch_alias(
-        &mut self,
-        alias: &str,
-        lines: &[&str],
-        flags: u8,
-    ) -> Result<Vec<f32>> {
-        self.roundtrip(&wire::encode_request_text_alias(alias, lines, flags))
     }
 
     /// Deploys a serialized model file on the server; optionally binds an

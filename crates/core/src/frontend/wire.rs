@@ -323,61 +323,10 @@ pub(crate) fn put_request_header(out: &mut Vec<u8>, plan: u32, kind: u8, flags: 
     out.extend_from_slice(&kind_flags.to_le_bytes());
 }
 
-/// A request header as a fresh body (admin verbs and the deprecated
-/// `Client::predict_*` wrappers build theirs this way).
+/// A request header as a fresh body (admin verbs build theirs this way).
 pub(crate) fn request_header(plan: u32, kind: u8, flags: u8, n: usize) -> Vec<u8> {
     let mut req = Vec::new();
     put_request_header(&mut req, plan, kind, flags, n);
-    req
-}
-
-pub(crate) fn encode_request_text(plan: u32, lines: &[&str], flags: u8) -> Vec<u8> {
-    let mut req = request_header(plan, KIND_TEXT, flags, lines.len());
-    for line in lines {
-        req.extend_from_slice(&(line.len() as u32).to_le_bytes());
-        req.extend_from_slice(line.as_bytes());
-    }
-    req
-}
-
-pub(crate) fn encode_request_text_alias(alias: &str, lines: &[&str], flags: u8) -> Vec<u8> {
-    let mut req = request_header(0, KIND_TEXT, flags | FLAG_PLAN_ALIAS, lines.len());
-    pretzel_data::serde_bin::wire::put_str(&mut req, alias);
-    for line in lines {
-        req.extend_from_slice(&(line.len() as u32).to_le_bytes());
-        req.extend_from_slice(line.as_bytes());
-    }
-    req
-}
-
-pub(crate) fn encode_request_dense(plan: u32, records: &[&[f32]], flags: u8) -> Vec<u8> {
-    let mut req = request_header(plan, KIND_DENSE, flags, records.len());
-    for x in records {
-        req.extend_from_slice(&(x.len() as u32).to_le_bytes());
-        for v in *x {
-            req.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-    req
-}
-
-pub(crate) fn encode_request_sparse(
-    plan: u32,
-    rows: &[(&[u32], &[f32])],
-    dim: u32,
-    flags: u8,
-) -> Vec<u8> {
-    let mut req = request_header(plan, KIND_SPARSE, flags, rows.len());
-    for (indices, values) in rows {
-        req.extend_from_slice(&dim.to_le_bytes());
-        req.extend_from_slice(&(indices.len() as u32).to_le_bytes());
-        for i in *indices {
-            req.extend_from_slice(&i.to_le_bytes());
-        }
-        for v in *values {
-            req.extend_from_slice(&v.to_le_bytes());
-        }
-    }
     req
 }
 

@@ -926,29 +926,6 @@ pub enum SourceRef<'a> {
 }
 
 impl<'a> SourceRef<'a> {
-    /// Borrows a row of a source [`ColumnBatch`] as a source record (the
-    /// bridge that lets wire-assembled batches feed the per-record engine
-    /// and the per-record scheduler fallback).
-    pub fn from_row(row: ColRef<'a>) -> Result<Self> {
-        match row {
-            ColRef::Text(s) => Ok(SourceRef::Text(s)),
-            ColRef::Dense(x) => Ok(SourceRef::Dense(x)),
-            ColRef::Sparse {
-                indices,
-                values,
-                dim,
-            } => Ok(SourceRef::Sparse {
-                indices,
-                values,
-                dim,
-            }),
-            other => Err(DataError::Runtime(format!(
-                "{:?} rows cannot be source records",
-                other.column_type()
-            ))),
-        }
-    }
-
     /// Copies the source into the (pooled) slot-0 buffer without
     /// reallocating when capacities suffice.
     pub fn load_into(&self, slot: &mut Vector) -> Result<()> {
@@ -1469,7 +1446,7 @@ mod tests {
     }
 
     fn run_plan(plan: &ModelPlan, text: &str) -> f32 {
-        let pool = Arc::new(VectorPool::new());
+        let pool = Arc::new(VectorPool::arena());
         let mut ctx = ExecCtx::new(Arc::clone(&pool));
         let mut slots: Vec<Vector> = plan
             .slot_types()
@@ -1564,7 +1541,7 @@ mod tests {
             &store,
         )
         .unwrap();
-        let pool = Arc::new(VectorPool::new());
+        let pool = Arc::new(VectorPool::arena());
         let cache = Arc::new(MaterializationCache::new(1 << 20));
         let mut ctx = ExecCtx::new(Arc::clone(&pool)).with_cache(Arc::clone(&cache));
         let mut slots: Vec<Vector> = plan
@@ -1597,7 +1574,7 @@ mod tests {
             &store,
         )
         .unwrap();
-        let pool = Arc::new(VectorPool::new());
+        let pool = Arc::new(VectorPool::arena());
         let mut ctx = ExecCtx::new(Arc::clone(&pool));
         let mut slots: Vec<Vector> = plan
             .slot_types()
@@ -1637,7 +1614,7 @@ mod tests {
             ];
             let sources: Vec<SourceRef<'_>> = lines.iter().map(|l| SourceRef::Text(l)).collect();
 
-            let pool = Arc::new(VectorPool::new());
+            let pool = Arc::new(VectorPool::arena());
             let mut ctx = ExecCtx::new(Arc::clone(&pool));
             let mut batch_slots: Vec<ColumnBatch> = plan
                 .batch_slot_types()
@@ -1686,7 +1663,7 @@ mod tests {
             "utter garbage",
         ];
         let sources: Vec<SourceRef<'_>> = lines.iter().map(|l| SourceRef::Text(l)).collect();
-        let pool = Arc::new(VectorPool::new());
+        let pool = Arc::new(VectorPool::arena());
 
         // Reference: the per-record cached path, cold then warm.
         let ref_cache = Arc::new(MaterializationCache::new(1 << 20));
@@ -1754,7 +1731,7 @@ mod tests {
         // Unfused SA has 3 cacheable steps: Tokenizer, CharNgram, WordNgram.
         let lines = ["alpha beta", "gamma", "delta epsilon zeta"];
         let sources: Vec<SourceRef<'_>> = lines.iter().map(|l| SourceRef::Text(l)).collect();
-        let pool = Arc::new(VectorPool::new());
+        let pool = Arc::new(VectorPool::arena());
         let cache = Arc::new(MaterializationCache::new(1 << 20));
         let mut ctx = ExecCtx::new(Arc::clone(&pool)).with_cache(Arc::clone(&cache));
         let mut slots: Vec<ColumnBatch> = plan
@@ -1795,7 +1772,7 @@ mod tests {
             &store,
         )
         .unwrap();
-        let pool = Arc::new(VectorPool::new());
+        let pool = Arc::new(VectorPool::arena());
         let cache = Arc::new(MaterializationCache::new(1 << 20));
         let mut ctx = ExecCtx::new(Arc::clone(&pool)).with_cache(Arc::clone(&cache));
         let mut slots: Vec<ColumnBatch> = plan
@@ -1854,7 +1831,7 @@ mod tests {
             &store,
         )
         .unwrap();
-        let pool = Arc::new(VectorPool::new());
+        let pool = Arc::new(VectorPool::arena());
         let cache = Arc::new(MaterializationCache::new(1));
         let mut ctx = ExecCtx::new(Arc::clone(&pool)).with_cache(cache);
         let mut slots: Vec<ColumnBatch> = plan
@@ -1893,7 +1870,7 @@ mod tests {
             &store,
         )
         .unwrap();
-        let pool = Arc::new(VectorPool::new());
+        let pool = Arc::new(VectorPool::arena());
         let mut ctx = ExecCtx::new(Arc::clone(&pool));
         let mut slots: Vec<ColumnBatch> = plan
             .batch_slot_types()
@@ -1918,7 +1895,7 @@ mod tests {
         let (logical, _) = sa_logical(16, 16);
         let store = ObjectStore::new();
         let plan = ModelPlan::compile(logical, &CompileOptions::default(), &store).unwrap();
-        let pool = Arc::new(VectorPool::new());
+        let pool = Arc::new(VectorPool::arena());
         let mut ctx = ExecCtx::new(pool);
         let mut slots: Vec<ColumnBatch> = plan
             .batch_slot_types()
@@ -1943,7 +1920,7 @@ mod tests {
         let (logical, _) = sa_logical(16, 16);
         let store = ObjectStore::new();
         let plan = ModelPlan::compile(logical, &CompileOptions::default(), &store).unwrap();
-        let pool = Arc::new(VectorPool::new());
+        let pool = Arc::new(VectorPool::arena());
         let mut ctx = ExecCtx::new(pool);
         let mut slots: Vec<Vector> = plan
             .slot_types()
@@ -1959,7 +1936,7 @@ mod tests {
         let (logical, _) = sa_logical(16, 16);
         let store = ObjectStore::new();
         let plan = ModelPlan::compile(logical, &CompileOptions::default(), &store).unwrap();
-        let pool = Arc::new(VectorPool::new());
+        let pool = Arc::new(VectorPool::arena());
         let mut ctx = ExecCtx::new(pool);
         let mut slots = vec![Vector::Text(String::new())];
         assert!(plan

@@ -63,23 +63,13 @@ pub struct RuntimeConfig {
     pub materialization_budget: usize,
     /// Records per batch-engine chunk event.
     pub chunk_size: usize,
-    /// Execute batch-engine chunks over columnar working sets (one
-    /// [`pretzel_data::ColumnBatch`] per plan slot per chunk) instead of
-    /// per-record vector leases. On by default; off runs the per-record
-    /// chunk loop, which is slower on both batch workloads of the
-    /// benchmark and, now that pools are provisioned per size class, holds
-    /// no less memory on either.
-    /// Composes with sub-plan materialization: cacheable steps probe the
-    /// (per-record-keyed) cache at chunk granularity and batch-evaluate
-    /// only the missing rows.
-    pub columnar: bool,
     /// Reject non-finite floats (NaN / ±Inf) in dense and CSR wire
     /// payloads at ingest decode with a clean protocol error, before they
     /// can reach kernels (on by default). Off admits them — the kernels
-    /// propagate them IEEE-style, and because both the columnar and
-    /// per-record planes run the same scalar math, bitwise-equality
-    /// ablations still hold on non-finite inputs; the knob exists for
-    /// callers that want that propagation behaviour.
+    /// propagate them IEEE-style, and because the batch kernels run the
+    /// same per-row scalar math as the request-response engine, batch and
+    /// single-row scores stay bitwise-equal on non-finite inputs too; the
+    /// knob exists for callers that want that propagation behaviour.
     pub reject_non_finite: bool,
     /// Execution faults (contained operator panics) within
     /// [`Self::fault_window`] that quarantine a plan: its gate closes
@@ -91,16 +81,6 @@ pub struct RuntimeConfig {
     /// Sliding window over which [`Self::fault_quarantine_threshold`]
     /// counts execution faults.
     pub fault_window: std::time::Duration,
-    /// Shard the execution plane per core (on by default): each batch
-    /// executor owns a run queue (dry workers steal, two-choice policy)
-    /// and a lock-free pool arena fronting one shared fallback arena; the
-    /// request-response and ingest pools become lock-free arenas too. Off
-    /// selects the shared-everything plane (one queue, mutex-backed
-    /// pools, which have no per-class slot arrays — a difference inside
-    /// `rss_mb`'s bound since batch classes keep 32 slots, not 256).
-    /// Scores and cache hit/miss counts are bitwise-identical either way —
-    /// sharding moves work and buffers around, never the math.
-    pub sharded: bool,
     /// Runtime telemetry (on by default): sharded per-core recorders for
     /// per-plan queue-wait / stage-execution latency histograms, decode and
     /// cache-probe timing, and the `STATS` wire surface. Off is the
@@ -128,11 +108,9 @@ impl Default for RuntimeConfig {
             aot: true,
             materialization_budget: 0,
             chunk_size: 64,
-            columnar: true,
             reject_non_finite: true,
             fault_quarantine_threshold: 3,
             fault_window: std::time::Duration::from_secs(10),
-            sharded: true,
             telemetry: true,
             tombstone_cap: 1024,
         }
@@ -348,9 +326,7 @@ impl Runtime {
             n_executors: config.n_executors,
             pooling: config.pooling,
             chunk_size: config.chunk_size,
-            columnar: config.columnar,
             cache: cache.clone(),
-            sharded: config.sharded,
             telemetry: metrics.clone(),
         });
         let plans: Arc<RwLock<HashMap<PlanId, Arc<RegisteredPlan>>>> =
@@ -368,15 +344,13 @@ impl Runtime {
             scheduler.set_fault_hook(Arc::new(move |plan_id| policy.on_fault(plan_id)));
         }
         // The request-response and ingest pools serve many FrontEnd worker
-        // threads at once; on the sharded plane they use the lock-free
-        // arena backend so steady-state lease/return is a CAS, not a mutex.
+        // threads at once; as lock-free arenas, steady-state lease/return
+        // is a CAS, not a mutex.
         let serving_pool = || {
-            if !config.pooling {
-                VectorPool::disabled()
-            } else if config.sharded {
+            if config.pooling {
                 VectorPool::arena()
             } else {
-                VectorPool::new()
+                VectorPool::disabled()
             }
         };
         let rr_pool = Arc::new(serving_pool());

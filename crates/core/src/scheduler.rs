@@ -7,34 +7,30 @@
 //! therefore return memory quickly" (paper §4.2.2).
 //!
 //! The unit of scheduling is a *chunk event*: `(plan, records[a..b],
-//! stage k)`. Executing it runs stage `k` for every record in the chunk and
-//! re-enqueues `(…, stage k+1)` at high priority; the final stage writes
-//! results and releases the chunk's working sets back to their pool.
-//! Working sets are leased lazily when a chunk's first stage runs, per the
-//! paper ("vectors are requested per pipeline and lazily fulfilled when a
-//! pipeline's first stage is being evaluated").
+//! stage k)`. Executing it runs stage `k` over the whole chunk with the
+//! batch kernels and re-enqueues `(…, stage k+1)` at high priority; the
+//! final stage writes results and releases the chunk's working set — one
+//! [`ColumnBatch`] per plan slot — back to its pool. Working sets are
+//! leased lazily when a chunk's first stage runs, per the paper ("vectors
+//! are requested per pipeline and lazily fulfilled when a pipeline's first
+//! stage is being evaluated").
+//!
+//! **The execution plane.** Each executor owns its own [`DualQueue`] and
+//! vector-pool arena; submissions round-robin chunks across the worker
+//! queues, and a worker that runs dry *steals* — randomized two-choice
+//! victim selection, preferring the victim's low queue (stage-0 chunks
+//! whose working sets the thief leases from its **own** arena) over its
+//! high queue (started chunks whose buffers live in the victim's arena and
+//! go home via lock-free cross-core return). Stolen chunks re-enter the
+//! *thief's* queue for later stages, so a chunk migrates at most once per
+//! dry spell. A worker that finds nothing anywhere sleeps until a
+//! submission wakes it ([`Sleepers`]): an idle executor costs no CPU.
 //!
 //! **Reservation-based scheduling**: a plan may reserve its own executor
-//! (and vector pool); its events bypass the shared queues entirely,
+//! (and vector pool) — a one-worker plane of its own, outside every other
+//! worker's steal set — so its events bypass the shared queues entirely,
 //! emulating container-style isolation while still sharing parameters
 //! (paper §4.2.2).
-//!
-//! **Sharded execution plane** (`SchedulerConfig::sharded`, the default):
-//! instead of one shared queue pair that every executor contends on, each
-//! executor owns its own [`DualQueue`] and vector-pool arena; submissions
-//! round-robin chunks across the worker queues, and a worker that runs dry
-//! *steals* — randomized two-choice victim selection, preferring the
-//! victim's low queue (stage-0 chunks whose working sets the thief leases
-//! from its **own** arena) over its high queue (started chunks whose
-//! buffers live in the victim's arena and go home via lock-free cross-core
-//! return). Stolen chunks re-enter the *thief's* queue for later stages,
-//! so a chunk migrates at most once per dry spell. A worker that finds
-//! nothing anywhere sleeps until a submission wakes it ([`Sleepers`]): an
-//! idle executor costs no CPU. Reserved executors stay outside the steal
-//! set. `sharded = false` selects the paper's
-//! shared-everything plane — one queue pair every executor blocks on,
-//! mutex-backed pools; scores and cache hit/miss counts are
-//! bitwise-identical either way.
 
 use crate::lifecycle::GatePass;
 use crate::object_store::MaterializationCache;
@@ -42,7 +38,7 @@ use crate::physical::{ExecCtx, ModelPlan, SourceRef};
 use crate::telemetry::{MetricsRegistry, PlanRecorder, PoolCounters};
 use parking_lot::{Condvar, Mutex};
 use pretzel_data::pool::VectorPool;
-use pretzel_data::{ColumnBatch, DataError, Result, Vector};
+use pretzel_data::{ColumnBatch, DataError, Result};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -215,27 +211,6 @@ impl BatchInput {
             BatchInput::Moved(m) => m.len,
         }
     }
-
-    /// Borrows row `i` as a source record.
-    fn source_at(&self, i: usize) -> Result<SourceRef<'_>> {
-        match self {
-            BatchInput::Assembled(a) => SourceRef::from_row(a.rows.row(i)),
-            BatchInput::Moved(_) => Err(DataError::Runtime(
-                "moved batch rows live in the chunk working set".into(),
-            )),
-        }
-    }
-
-    /// Content hash of row `i` (assembled inputs carry theirs from ingest
-    /// when recorded; unhashed assemblies hash on demand).
-    fn hash_at(&self, i: usize) -> u64 {
-        match self {
-            BatchInput::Assembled(a) => a.hash_of(i),
-            // Moves only happen with ingest-time hashes present whenever a
-            // cache could consume them (see `prepare_assembled`).
-            BatchInput::Moved(m) => m.hashes.get(i).copied().unwrap_or(0),
-        }
-    }
 }
 
 /// Continuation invoked when a batch's last chunk completes (the reactor
@@ -332,22 +307,6 @@ impl BatchHandle {
     }
 }
 
-/// The working set a chunk carries between its stage events.
-///
-/// `Columnar` is the default data plane: one [`ColumnBatch`] per plan slot
-/// for the whole chunk (with sub-plan materialization on, cacheable steps
-/// probe the cache at chunk granularity). `Records` is the per-record
-/// plane — one vector working set per record — used when columnar
-/// execution is disabled.
-enum ChunkWorkingSet {
-    /// Not leased yet (before the chunk's first stage runs).
-    Unleased,
-    /// Per-record vector working sets.
-    Records(Vec<Vec<Vector>>),
-    /// One columnar batch per plan slot.
-    Columnar(Vec<ColumnBatch>),
-}
-
 /// Telemetry riding on a chunk event: the plan's recorder (resolved once
 /// per submission) plus the enqueue instant and priority class of the
 /// *current* wait, re-stamped on every re-enqueue. Absent entirely when
@@ -371,8 +330,9 @@ struct ChunkTask {
     input: BatchInput,
     range: (usize, usize),
     stage: usize,
-    /// Working set, leased lazily at the chunk's first stage.
-    working: ChunkWorkingSet,
+    /// Working set — one [`ColumnBatch`] per plan slot for the whole chunk
+    /// — leased lazily at the chunk's first stage.
+    working: Option<Vec<ColumnBatch>>,
     /// Pool the working set came from (returned there on completion).
     lease_pool: Option<Arc<VectorPool>>,
     /// A moved assembled batch riding along to stage 0 (zero-copy
@@ -384,15 +344,12 @@ struct ChunkTask {
     state: Arc<BatchState>,
 }
 
-/// The shared pair of priority queues.
+/// One executor's pair of priority queues.
 #[derive(Debug, Default)]
 struct QueueInner {
     high: VecDeque<ChunkTask>,
     low: VecDeque<ChunkTask>,
     closed: bool,
-    /// Threads blocked in [`DualQueue::pop`]; a push signals the condition
-    /// variable only when there is one (a signal is a syscall either way).
-    waiting: usize,
 }
 
 impl std::fmt::Debug for ChunkTask {
@@ -404,70 +361,31 @@ impl std::fmt::Debug for ChunkTask {
     }
 }
 
+/// Aligned to a cache line: a plane's queues sit side by side, and each
+/// worker locks its own on every push and pop.
 #[derive(Debug, Default)]
+#[repr(align(64))]
 struct DualQueue {
     inner: Mutex<QueueInner>,
-    cv: Condvar,
 }
 
 impl DualQueue {
-    /// Enqueues under the lock, then wakes a blocked [`Self::pop`] if any.
-    fn push_with(&self, enqueue: impl FnOnce(&mut QueueInner)) {
-        let wake = {
-            let mut g = self.inner.lock();
-            enqueue(&mut g);
-            g.waiting > 0
-        };
-        if wake {
-            self.cv.notify_one();
-        }
-    }
-
     fn push_high(&self, t: ChunkTask) {
-        self.push_with(|g| g.high.push_back(t));
-    }
-
-    fn push_low(&self, t: ChunkTask) {
-        self.push_with(|g| g.low.push_back(t));
+        self.inner.lock().high.push_back(t);
     }
 
     /// Enqueues at low priority unless the queue was closed, in which case
-    /// the task is handed back so the submitter can fall over to the shared
-    /// queue (a reserved queue closes when its plan is unreserved; its
-    /// executor may already have exited).
+    /// the task is handed back.
     fn try_push_low(&self, t: ChunkTask) -> Option<ChunkTask> {
-        let mut rejected = None;
-        self.push_with(|g| {
-            if g.closed {
-                rejected = Some(t);
-            } else {
-                g.low.push_back(t);
-            }
-        });
-        rejected
-    }
-
-    /// Pops the next event, preferring the high-priority queue; returns
-    /// `None` once closed and drained.
-    fn pop(&self) -> Option<ChunkTask> {
         let mut g = self.inner.lock();
-        loop {
-            if let Some(t) = g.high.pop_front() {
-                return Some(t);
-            }
-            if let Some(t) = g.low.pop_front() {
-                return Some(t);
-            }
-            if g.closed {
-                return None;
-            }
-            g.waiting += 1;
-            self.cv.wait(&mut g);
-            g.waiting -= 1;
+        if g.closed {
+            return Some(t);
         }
+        g.low.push_back(t);
+        None
     }
 
-    /// Non-blocking owner pop, same priority order as [`Self::pop`].
+    /// Owner pop: the high-priority queue (started pipelines) first.
     fn try_pop(&self) -> Option<ChunkTask> {
         let mut g = self.inner.lock();
         if let Some(t) = g.high.pop_front() {
@@ -505,11 +423,10 @@ impl DualQueue {
 
     fn close(&self) {
         self.inner.lock().closed = true;
-        self.cv.notify_all();
     }
 }
 
-/// Upper bound on one sleep of an idle sharded worker. Nothing depends on
+/// Upper bound on one sleep of an idle worker. Nothing depends on
 /// it for progress — a submission wakes a sleeper — it is the "every wait
 /// is bounded" net under a wake-up lost to a bug. Unit tests stretch it so
 /// that they cannot pass by falling into the net.
@@ -519,8 +436,7 @@ const SAFETY_PARK: std::time::Duration = if cfg!(test) {
     std::time::Duration::from_millis(20)
 };
 
-/// Where the sharded plane's dry workers sleep, and how submitters wake
-/// them.
+/// Where a plane's dry workers sleep, and how submitters wake them.
 ///
 /// A worker that found nothing announces itself ([`Self::announce`]),
 /// scans **every** queue once more, and only then sleeps; a submitter
@@ -530,8 +446,10 @@ const SAFETY_PARK: std::time::Duration = if cfg!(test) {
 /// pushes and scans go through the queue's mutex). A wake that lands
 /// between a worker's scan and its sleep is not lost either: it moves
 /// `epoch`, and the worker sleeps only while `epoch` is what it read when
-/// it announced.
+/// it announced. Aligned to a cache line, apart from the submitters'
+/// round-robin counter beside it in [`Plane`].
 #[derive(Debug, Default)]
+#[repr(align(64))]
 struct Sleepers {
     /// Workers between [`Self::announce`] and the end of their sleep.
     announced: AtomicUsize,
@@ -592,18 +510,18 @@ pub struct SchedStats {
     pub stage_events: AtomicU64,
     /// Records fully scored.
     pub records_done: AtomicU64,
-    /// Chunk events taken from another worker's queue (sharded plane).
+    /// Chunk events taken from another worker's queue.
     pub steals: AtomicU64,
 }
 
-/// One plan's reserved executor: its private queue, pool and thread
-/// handle, so [`Scheduler::unreserve`] can close the queue and join the
+/// One plan's reserved executor: its one-worker plane, pool and thread
+/// handle, so [`Scheduler::unreserve`] can close the plane and join the
 /// thread, and deploy-time warming can reach the pool.
 #[derive(Debug)]
 struct ReservedExec {
-    queue: Arc<DualQueue>,
+    plane: Arc<Plane>,
     pool: Arc<VectorPool>,
-    handle: Option<JoinHandle<()>>,
+    handle: JoinHandle<()>,
 }
 
 /// How many working sets deploy-time warming keeps parked per executor
@@ -639,13 +557,8 @@ pub struct SchedulerConfig {
     pub pooling: bool,
     /// Records per chunk event.
     pub chunk_size: usize,
-    /// Columnar (vs per-record) working sets.
-    pub columnar: bool,
     /// Sub-plan materialization cache, if enabled.
     pub cache: Option<Arc<MaterializationCache>>,
-    /// Per-executor run queues + work stealing + lock-free pool arenas
-    /// (vs the shared-everything plane).
-    pub sharded: bool,
     /// Telemetry plane: per-plan queue-wait and stage-execution recording
     /// plus cache-probe timing on each executor's `ExecCtx`. `None` (the
     /// overhead ablation control) records nothing and reads no clocks.
@@ -670,192 +583,124 @@ impl std::fmt::Debug for FaultHookCell {
     }
 }
 
-/// The submission plane: where unreserved chunks go and executors pull.
+/// What every executor thread shares with the scheduler handle.
+#[derive(Debug, Clone)]
+struct ExecEnv {
+    stats: Arc<SchedStats>,
+    cache: Option<Arc<MaterializationCache>>,
+    /// Telemetry registry shared with the runtime (None = telemetry off).
+    telemetry: Option<Arc<MetricsRegistry>>,
+    /// Fault-policy callback cell.
+    fault_hook: FaultHookCell,
+}
+
+/// A set of executors that share work: one queue pair per executor,
+/// chunks round-robin across them and dry workers steal from each other.
+/// The scheduler runs one plane for unreserved plans and a one-worker plane
+/// per reservation.
 #[derive(Debug)]
-enum Plane {
-    /// One queue pair every executor blocks on.
-    Shared(Arc<DualQueue>),
-    /// One queue pair per executor; chunks round-robin across workers and
-    /// dry workers steal from each other.
-    Sharded {
-        workers: Vec<Arc<DualQueue>>,
-        next: AtomicUsize,
-        sleepers: Arc<Sleepers>,
-    },
+struct Plane {
+    workers: Vec<DualQueue>,
+    next: AtomicUsize,
+    sleepers: Sleepers,
 }
 
 impl Plane {
-    /// Enqueues a new chunk at low priority.
-    fn push_low(&self, t: ChunkTask) {
-        match self {
-            Plane::Shared(q) => q.push_low(t),
-            Plane::Sharded {
-                workers,
-                next,
-                sleepers,
-            } => {
-                let i = next.fetch_add(1, Ordering::Relaxed) % workers.len();
-                workers[i].push_low(t);
-                // Whoever owns queue `i` may be busy: any sleeper can
-                // steal the chunk.
-                sleepers.wake_one();
-            }
+    /// Starts one worker thread per pool, the `i`-th named `name(i)`.
+    fn spawn(
+        pools: &[Arc<VectorPool>],
+        name: impl Fn(usize) -> String,
+        env: &ExecEnv,
+    ) -> (Arc<Plane>, Vec<JoinHandle<()>>) {
+        let plane = Arc::new(Plane {
+            workers: pools.iter().map(|_| DualQueue::default()).collect(),
+            next: AtomicUsize::new(0),
+            sleepers: Sleepers::default(),
+        });
+        let handles = pools
+            .iter()
+            .enumerate()
+            .map(|(i, pool)| {
+                let (plane, pool, env) = (Arc::clone(&plane), Arc::clone(pool), env.clone());
+                std::thread::Builder::new()
+                    .name(name(i))
+                    .spawn(move || worker_loop(i, &plane, pool, env))
+                    .expect("spawn executor")
+            })
+            .collect();
+        (plane, handles)
+    }
+
+    /// Enqueues a new chunk at low priority, or hands it back if the plane
+    /// was closed (a reservation's plane closes when its plan is
+    /// unreserved; its executor may already have exited).
+    fn try_push_low(&self, t: ChunkTask) -> Option<ChunkTask> {
+        let i = self.next.fetch_add(1, Ordering::Relaxed) % self.workers.len();
+        let rejected = self.workers[i].try_push_low(t);
+        if rejected.is_none() {
+            // Whoever owns queue `i` may be busy: any sleeper can steal
+            // the chunk.
+            self.sleepers.wake_one();
         }
+        rejected
     }
 
     fn close(&self) {
-        match self {
-            Plane::Shared(q) => q.close(),
-            Plane::Sharded {
-                workers, sleepers, ..
-            } => {
-                for q in workers {
-                    q.close();
-                }
-                sleepers.wake_all();
-            }
+        for q in &self.workers {
+            q.close();
         }
+        self.sleepers.wake_all();
     }
 }
 
 /// The stage scheduler: executors, run queues, reservations.
 #[derive(Debug)]
 pub struct Scheduler {
-    plane: Plane,
+    plane: Arc<Plane>,
     executors: Vec<JoinHandle<()>>,
     /// The per-executor pools, kept visible so deploy-time plan warming
     /// can pre-lease working sets ("allocated per Executor to improve
     /// locality", paper §4.2.1 — warming fills each executor's own pool).
     exec_pools: Vec<Arc<VectorPool>>,
-    /// The shared arena behind every per-core arena in sharded mode:
-    /// arena-dry acquires refill from it, arena-full releases spill to it.
+    /// The shared arena behind every per-core arena (`None` with pooling
+    /// off): arena-dry acquires refill from it, arena-full releases spill
+    /// to it.
     fallback_pool: Option<Arc<VectorPool>>,
     reserved: Mutex<std::collections::HashMap<u32, ReservedExec>>,
-    stats: Arc<SchedStats>,
-    pooling: bool,
     chunk_size: usize,
-    columnar: bool,
-    cache: Option<Arc<MaterializationCache>>,
-    /// Telemetry registry shared with the runtime (None = telemetry off).
-    telemetry: Option<Arc<MetricsRegistry>>,
-    /// Fault-policy callback cell, shared with every executor thread.
-    fault_hook: FaultHookCell,
+    env: ExecEnv,
 }
 
 impl Scheduler {
-    /// Starts `n_executors` executor threads, each with its own vector
-    /// pool, on the sharded plane. See [`Self::with_config`].
-    pub fn new(
-        n_executors: usize,
-        pooling: bool,
-        chunk_size: usize,
-        columnar: bool,
-        cache: Option<Arc<MaterializationCache>>,
-    ) -> Self {
-        Self::with_config(SchedulerConfig {
-            n_executors,
-            pooling,
-            chunk_size,
-            columnar,
-            cache,
-            sharded: true,
-            telemetry: None,
-        })
-    }
-
-    /// Starts the executor threads described by `cfg`.
-    ///
-    /// With `columnar` set (the default data plane), each chunk leases one
-    /// columnar working set and stages execute whole-chunk batch kernels;
-    /// otherwise chunks carry per-record working sets and stages loop over
-    /// records. Sub-plan
-    /// materialization composes with columnar execution: cacheable steps
-    /// run the chunk-level cache probe (per-row hash probe, miss sub-batch)
-    /// inside [`PhysicalStage::execute_batch`].
-    ///
-    /// With `sharded` set (the default plane), each executor owns a run
-    /// queue and a lock-free pool arena fronting one shared fallback
-    /// arena; see the module docs for the steal policy.
+    /// Starts the executor threads described by `cfg`: each owns a run
+    /// queue and a lock-free pool arena fronting one shared fallback arena
+    /// (see the module docs for the steal policy). Stages execute
+    /// whole-chunk batch kernels over the chunk's columnar working set;
+    /// with sub-plan materialization on, cacheable steps run the
+    /// chunk-level cache probe (per-row hash probe, miss sub-batch) inside
+    /// [`PhysicalStage::execute_batch`].
     ///
     /// [`PhysicalStage::execute_batch`]: crate::physical::PhysicalStage::execute_batch
     pub fn with_config(cfg: SchedulerConfig) -> Self {
-        let n = cfg.n_executors.max(1);
-        let stats = Arc::new(SchedStats::default());
-        let fault_hook = FaultHookCell::default();
-        let fallback_pool = (cfg.sharded && cfg.pooling).then(|| Arc::new(VectorPool::arena()));
-        let exec_pools: Vec<Arc<VectorPool>> = (0..n)
-            .map(|_| Arc::new(build_pool(cfg.pooling, fallback_pool.as_ref())))
+        let fallback_pool = cfg.pooling.then(|| Arc::new(VectorPool::arena()));
+        let exec_pools: Vec<Arc<VectorPool>> = (0..cfg.n_executors.max(1))
+            .map(|_| Arc::new(build_pool(fallback_pool.as_ref())))
             .collect();
-        let (plane, executors) = if cfg.sharded {
-            let workers: Vec<Arc<DualQueue>> =
-                (0..n).map(|_| Arc::new(DualQueue::default())).collect();
-            let sleepers = Arc::new(Sleepers::default());
-            let executors = exec_pools
-                .iter()
-                .enumerate()
-                .map(|(i, pool)| {
-                    let queues = workers.clone();
-                    let sleepers = Arc::clone(&sleepers);
-                    let stats = Arc::clone(&stats);
-                    let cache = cfg.cache.clone();
-                    let pool = Arc::clone(pool);
-                    let columnar = cfg.columnar;
-                    let telemetry = cfg.telemetry.clone();
-                    let hook = fault_hook.clone();
-                    std::thread::Builder::new()
-                        .name(format!("pretzel-exec-{i}"))
-                        .spawn(move || {
-                            sharded_worker_loop(
-                                i, queues, sleepers, stats, pool, columnar, cache, telemetry, hook,
-                            )
-                        })
-                        .expect("spawn executor")
-                })
-                .collect();
-            (
-                Plane::Sharded {
-                    workers,
-                    next: AtomicUsize::new(0),
-                    sleepers,
-                },
-                executors,
-            )
-        } else {
-            let shared = Arc::new(DualQueue::default());
-            let executors = exec_pools
-                .iter()
-                .enumerate()
-                .map(|(i, pool)| {
-                    let queue = Arc::clone(&shared);
-                    let stats = Arc::clone(&stats);
-                    let cache = cfg.cache.clone();
-                    let pool = Arc::clone(pool);
-                    let columnar = cfg.columnar;
-                    let telemetry = cfg.telemetry.clone();
-                    let hook = fault_hook.clone();
-                    std::thread::Builder::new()
-                        .name(format!("pretzel-exec-{i}"))
-                        .spawn(move || {
-                            executor_loop(queue, stats, pool, columnar, cache, telemetry, hook)
-                        })
-                        .expect("spawn executor")
-                })
-                .collect();
-            (Plane::Shared(shared), executors)
+        let env = ExecEnv {
+            stats: Arc::default(),
+            cache: cfg.cache,
+            telemetry: cfg.telemetry,
+            fault_hook: FaultHookCell::default(),
         };
+        let (plane, executors) = Plane::spawn(&exec_pools, |i| format!("pretzel-exec-{i}"), &env);
         Scheduler {
             plane,
             executors,
             exec_pools,
             fallback_pool,
-            reserved: Mutex::new(std::collections::HashMap::new()),
-            stats,
-            pooling: cfg.pooling,
+            reserved: Mutex::default(),
             chunk_size: cfg.chunk_size.max(1),
-            columnar: cfg.columnar,
-            cache: cfg.cache,
-            telemetry: cfg.telemetry,
-            fault_hook,
+            env,
         }
     }
 
@@ -864,48 +709,31 @@ impl Scheduler {
     /// faulting plan's id. Replaces any previous hook; executors pick the
     /// new hook up on their next contained fault.
     pub fn set_fault_hook(&self, hook: FaultHook) {
-        *self.fault_hook.0.lock() = Some(hook);
+        *self.env.fault_hook.0.lock() = Some(hook);
     }
 
     /// Scheduler counters.
     pub fn stats(&self) -> &SchedStats {
-        &self.stats
-    }
-
-    /// True if chunks execute over columnar working sets (regardless of
-    /// whether sub-plan materialization is enabled — the two compose).
-    pub fn columnar(&self) -> bool {
-        self.columnar
+        &self.env.stats
     }
 
     /// Reserves a dedicated executor (with its own pool and queue) for
     /// `plan_id`. Parameters and physical stages remain shared.
     pub fn reserve(&self, plan_id: u32) {
-        let mut reserved = self.reserved.lock();
-        if reserved.contains_key(&plan_id) {
-            return;
-        }
-        let queue = Arc::new(DualQueue::default());
-        let stats = Arc::clone(&self.stats);
-        let columnar = self.columnar;
-        let cache = self.cache.clone();
-        let telemetry = self.telemetry.clone();
-        let hook = self.fault_hook.clone();
-        let pool = Arc::new(build_pool(self.pooling, self.fallback_pool.as_ref()));
-        let q = Arc::clone(&queue);
-        let p = Arc::clone(&pool);
-        let handle = std::thread::Builder::new()
-            .name(format!("pretzel-reserved-{plan_id}"))
-            .spawn(move || executor_loop(q, stats, p, columnar, cache, telemetry, hook))
-            .expect("spawn reserved executor");
-        reserved.insert(
-            plan_id,
+        self.reserved.lock().entry(plan_id).or_insert_with(|| {
+            let pool = Arc::new(build_pool(self.fallback_pool.as_ref()));
+            let (plane, mut handles) = Plane::spawn(
+                std::slice::from_ref(&pool),
+                |_| format!("pretzel-reserved-{plan_id}"),
+                &self.env,
+            );
+            let handle = handles.pop().expect("one worker per pool");
             ReservedExec {
-                queue,
+                plane,
                 pool,
-                handle: Some(handle),
-            },
-        );
+                handle,
+            }
+        });
     }
 
     /// Deploy-time plan warming for the batch engine: tops the pools that
@@ -928,12 +756,8 @@ impl Scheduler {
     /// benchmark have 99 sparse classes; at 64 rows × 256 entries that is
     /// 38 MiB never touched). It grows in place inside the first chunks
     /// that fill the batch and is kept from then on — capacity growth in a
-    /// leased buffer, not a pool miss. The per-record plane leases vectors,
-    /// whose unit the statistics do describe, and sizes them from it.
+    /// leased buffer, not a pool miss.
     pub fn warm_plan(&self, plan_id: u32, plan: &ModelPlan) {
-        if !self.pooling {
-            return;
-        }
         let reserved = self.reserved.lock();
         let pools = match reserved.get(&plan_id) {
             Some(own) => std::slice::from_ref(&own.pool),
@@ -942,12 +766,7 @@ impl Scheduler {
         let working_set = plan.working_set();
         for pool in pools {
             for need in &working_set {
-                let sets = need.count * WARM_WORKING_SETS;
-                if self.columnar {
-                    pool.warm_batches(need.ty, self.chunk_size, 0, sets);
-                } else {
-                    pool.warm_sized(need.ty, need.max_stored, sets * self.chunk_size);
-                }
+                pool.warm_batches(need.ty, self.chunk_size, 0, need.count * WARM_WORKING_SETS);
             }
         }
     }
@@ -988,22 +807,20 @@ impl Scheduler {
             .sum()
     }
 
-    /// Tears down a plan's reservation: removes the queue from the routing
-    /// map (new submissions fall back to the shared queue), signals
-    /// shutdown, lets the dedicated executor drain its remaining events,
-    /// and joins the thread — the reverse of [`Self::reserve`], so churned
-    /// reserved plans no longer leak a thread and pool forever.
+    /// Tears down a plan's reservation: removes its plane from the routing
+    /// map (new submissions fall back to the general plane), closes it,
+    /// lets the dedicated executor drain its remaining events, and joins
+    /// the thread — the reverse of [`Self::reserve`], so churned reserved
+    /// plans leak neither a thread nor a pool.
     ///
     /// Returns `true` if a reservation existed.
     pub fn unreserve(&self, plan_id: u32) -> bool {
         let slot = self.reserved.lock().remove(&plan_id);
-        let Some(mut res) = slot else {
+        let Some(res) = slot else {
             return false;
         };
-        res.queue.close();
-        if let Some(handle) = res.handle.take() {
-            join_unless_current(handle);
-        }
+        res.plane.close();
+        join_unless_current(res.handle);
         true
     }
 
@@ -1015,8 +832,7 @@ impl Scheduler {
     /// Submits an assembled request batch: the rows the FrontEnd built
     /// straight from the wire become the rows chunks load from. Chunks
     /// enter the low-priority queue (new pipelines) and climb to high
-    /// priority as they progress. A request that fits one columnar chunk
-    /// skips even the bulk load: its batch is *moved* into the chunk's
+    /// priority as they progress. A request that fits one chunk skips even the bulk load: its batch is *moved* into the chunk's
     /// slot 0.
     pub fn submit_assembled(
         &self,
@@ -1041,16 +857,15 @@ impl Scheduler {
     }
 
     /// Zero-copy decision for an assembled submission: a non-empty request
-    /// that fits one columnar chunk moves its batch into slot 0 outright.
+    /// that fits one chunk moves its batch into slot 0 outright.
     /// The move is skipped when a materialization cache is configured but
     /// the assembly carries no ingest-time hashes — hashing on demand
     /// needs the rows addressable from the input, which a move gives up.
     fn prepare_assembled(&self, input: AssembledBatch) -> (BatchInput, Option<MovedSource>) {
         let n = input.len();
-        let movable = self.columnar
-            && n > 0
+        let movable = n > 0
             && n <= self.chunk_size
-            && (self.cache.is_none() || !input.hashes().is_empty());
+            && (self.env.cache.is_none() || !input.hashes().is_empty());
         if movable {
             let (rows, hashes, home) = input.into_parts();
             (
@@ -1087,14 +902,18 @@ impl Scheduler {
         if n == 0 {
             return BatchHandle { state };
         }
-        let reserved_queue = {
+        let reserved_plane = {
             let reserved = self.reserved.lock();
-            reserved.get(&plan_id).map(|r| Arc::clone(&r.queue))
+            reserved.get(&plan_id).map(|r| Arc::clone(&r.plane))
         };
         // One recorder resolution per submission (not per chunk): the map
         // read amortizes over the whole batch, and each chunk's hot-path
         // recording is then shard-local atomics only.
-        let recorder = self.telemetry.as_ref().map(|t| t.plan_recorder(plan_id));
+        let recorder = self
+            .env
+            .telemetry
+            .as_ref()
+            .map(|t| t.plan_recorder(plan_id));
         if let Some(rec) = &recorder {
             rec.note_batch_request();
         }
@@ -1112,7 +931,7 @@ impl Scheduler {
                 input: input.clone(),
                 range: (start, end),
                 stage: 0,
-                working: ChunkWorkingSet::Unleased,
+                working: None,
                 lease_pool: None,
                 // A movable submission is single-chunk by construction, so
                 // the take hands the rows to the only task there is.
@@ -1120,17 +939,17 @@ impl Scheduler {
                 slot_zero: SlotZero::Leased,
                 state: Arc::clone(&state),
             };
-            match &reserved_queue {
-                // A reserved queue that closed between routing and push
-                // (the plan was unreserved concurrently) hands the task
-                // back; it then runs on the general plane instead of
-                // being lost.
-                Some(q) => {
-                    if let Some(task) = q.try_push_low(task) {
-                        self.plane.push_low(task);
-                    }
-                }
-                None => self.plane.push_low(task),
+            // A reserved plane that closed between routing and push (the
+            // plan was unreserved concurrently) hands the task back; it then
+            // runs on the general plane instead of being lost.
+            let task = match &reserved_plane {
+                Some(own) => own.try_push_low(task),
+                None => Some(task),
+            };
+            if let Some(task) = task.and_then(|t| self.plane.try_push_low(t)) {
+                // The general plane closes only in teardown, which owns the
+                // scheduler exclusively; fail rather than strand the chunk.
+                finish_chunk_error(task, DataError::Runtime("scheduler shut down".into()));
             }
             start = end;
         }
@@ -1144,18 +963,13 @@ impl Scheduler {
 
     fn teardown(&mut self) {
         self.plane.close();
-        let mut reserved: Vec<ReservedExec> =
-            self.reserved.lock().drain().map(|(_, r)| r).collect();
+        let reserved: Vec<ReservedExec> = self.reserved.lock().drain().map(|(_, r)| r).collect();
         for r in &reserved {
-            r.queue.close();
+            r.plane.close();
         }
-        for h in self.executors.drain(..) {
+        let handles = self.executors.drain(..);
+        for h in handles.chain(reserved.into_iter().map(|r| r.handle)) {
             join_unless_current(h);
-        }
-        for r in &mut reserved {
-            if let Some(h) = r.handle.take() {
-                join_unless_current(h);
-            }
         }
     }
 }
@@ -1178,31 +992,29 @@ impl Drop for Scheduler {
 }
 
 /// Builds one executor's pool ("vector pools are allocated per Executor to
-/// improve locality", paper §4.2.1); the scheduler keeps a handle so
-/// deploy-time warming and stats can reach it. On the sharded plane each
-/// executor fronts the scheduler-wide fallback arena with a lock-free
-/// arena of its own; on the shared plane each executor gets the
-/// mutex-backed pool.
-fn build_pool(pooling: bool, fallback: Option<&Arc<VectorPool>>) -> VectorPool {
-    if !pooling {
-        return VectorPool::disabled();
-    }
+/// improve locality", paper §4.2.1): a lock-free arena of its own fronting
+/// the scheduler-wide fallback arena, or a pass-through pool with pooling
+/// off. The scheduler keeps a handle so deploy-time warming and stats can
+/// reach it.
+fn build_pool(fallback: Option<&Arc<VectorPool>>) -> VectorPool {
     match fallback {
         Some(global) => VectorPool::arena().with_fallback(Arc::clone(global)),
-        None => VectorPool::new(),
+        None => VectorPool::disabled(),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn executor_loop(
-    queue: Arc<DualQueue>,
-    stats: Arc<SchedStats>,
-    pool: Arc<VectorPool>,
-    columnar: bool,
-    cache: Option<Arc<MaterializationCache>>,
-    telemetry: Option<Arc<MetricsRegistry>>,
-    fault_hook: FaultHookCell,
-) {
+/// One executor: drain the own queue, then try stealing, then sleep until
+/// a submission wakes it. Chunks always re-enter the queue of the worker
+/// that ran their last stage — including stolen ones, which re-enter the
+/// THIEF's queue — so once submissions stop, a queue that is closed and
+/// empty can never refill and the worker exits.
+fn worker_loop(idx: usize, plane: &Plane, pool: Arc<VectorPool>, env: ExecEnv) {
+    let ExecEnv {
+        stats,
+        cache,
+        telemetry,
+        fault_hook,
+    } = env;
     let mut ctx = ExecCtx::new(Arc::clone(&pool));
     if let Some(c) = cache {
         ctx = ctx.with_cache(c);
@@ -1210,36 +1022,8 @@ fn executor_loop(
     if let Some(t) = telemetry {
         ctx = ctx.with_telemetry(t);
     }
-    while let Some(task) = queue.pop() {
-        run_chunk_stage(task, &queue, &pool, &mut ctx, &stats, columnar, &fault_hook);
-    }
-}
-
-/// One sharded-plane worker: drain the own queue, then try stealing, then
-/// sleep until a submission wakes it. Chunks always re-enter the queue of
-/// the worker that ran their last stage — including stolen ones, which
-/// re-enter the THIEF's queue — so once submissions stop, a queue that is
-/// closed and empty can never refill and the worker exits.
-#[allow(clippy::too_many_arguments)]
-fn sharded_worker_loop(
-    idx: usize,
-    queues: Vec<Arc<DualQueue>>,
-    sleepers: Arc<Sleepers>,
-    stats: Arc<SchedStats>,
-    pool: Arc<VectorPool>,
-    columnar: bool,
-    cache: Option<Arc<MaterializationCache>>,
-    telemetry: Option<Arc<MetricsRegistry>>,
-    fault_hook: FaultHookCell,
-) {
-    let mut ctx = ExecCtx::new(Arc::clone(&pool));
-    if let Some(c) = cache {
-        ctx = ctx.with_cache(c);
-    }
-    if let Some(t) = telemetry {
-        ctx = ctx.with_telemetry(t);
-    }
-    let own = Arc::clone(&queues[idx]);
+    let (queues, sleepers) = (&plane.workers[..], &plane.sleepers);
+    let own = &queues[idx];
     // Per-worker xorshift state, seeded from the worker index so workers
     // probe victims in different orders.
     let mut rng: u64 = 0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(idx as u64 + 1) | 1;
@@ -1248,9 +1032,9 @@ fn sharded_worker_loop(
     let find = |rng: &mut u64, thorough: bool| {
         own.try_pop().map(|task| (task, false)).or_else(|| {
             let stolen = if thorough {
-                steal_any(&queues, idx)
+                steal_any(queues, idx)
             } else {
-                steal_from(&queues, idx, rng)
+                steal_from(queues, idx, rng)
             };
             stolen.map(|task| (task, true))
         })
@@ -1275,14 +1059,14 @@ fn sharded_worker_loop(
         if stolen {
             stats.steals.fetch_add(1, Ordering::Relaxed);
         }
-        run_chunk_stage(task, &own, &pool, &mut ctx, &stats, columnar, &fault_hook);
+        run_chunk_stage(task, own, &pool, &mut ctx, &stats, &fault_hook);
     }
 }
 
 /// Steals from the first other queue that has anything, every queue
 /// tried: the scan a worker makes before it sleeps must not miss work the
 /// way [`steal_from`]'s two probes may.
-fn steal_any(queues: &[Arc<DualQueue>], idx: usize) -> Option<ChunkTask> {
+fn steal_any(queues: &[DualQueue], idx: usize) -> Option<ChunkTask> {
     (1..queues.len()).find_map(|step| queues[(idx + step) % queues.len()].steal())
 }
 
@@ -1292,7 +1076,7 @@ fn steal_any(queues: &[Arc<DualQueue>], idx: usize) -> Option<ChunkTask> {
 /// thief's own arena and stays local, while started (HIGH) chunks carry
 /// leases whose buffers would travel home over the cross-core return
 /// path. The own queue at `idx` is never probed.
-fn steal_from(queues: &[Arc<DualQueue>], idx: usize, rng: &mut u64) -> Option<ChunkTask> {
+fn steal_from(queues: &[DualQueue], idx: usize, rng: &mut u64) -> Option<ChunkTask> {
     let n = queues.len();
     if n <= 1 {
         return None;
@@ -1323,14 +1107,12 @@ fn steal_from(queues: &[Arc<DualQueue>], idx: usize, rng: &mut u64) -> Option<Ch
     queues[first].steal().or_else(|| queues[second].steal())
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_chunk_stage(
     mut task: ChunkTask,
-    queue: &Arc<DualQueue>,
+    queue: &DualQueue,
     pool: &Arc<VectorPool>,
     ctx: &mut ExecCtx,
-    stats: &Arc<SchedStats>,
-    columnar: bool,
+    stats: &SchedStats,
     fault_hook: &FaultHookCell,
 ) {
     let (start, end) = task.range;
@@ -1345,65 +1127,43 @@ fn run_chunk_stage(
             .record_queue_wait(m.high, now.duration_since(m.enqueued_at).as_nanos() as u64);
         now
     });
-    // Lazy lease: acquired from THIS executor's pool at the first stage.
-    // Columnar chunks lease ONE batch per plan slot; per-record chunks
-    // lease one vector per slot per record.
+    // Lazy lease: ONE batch per plan slot, acquired from THIS executor's
+    // pool at the first stage.
     if task.stage == 0 {
         let types = task.plan.slot_types();
         task.lease_pool = Some(Arc::clone(pool));
-        if columnar {
-            if let Some(m) = task.moved.take() {
-                // Zero-copy single-chunk ingest: the wire-assembled batch
-                // *is* slot 0 — nothing leased for it, nothing copied.
-                if m.rows.column_type() != types[0] {
-                    let err = DataError::Runtime(format!(
-                        "plan takes {} sources, request assembled {} rows",
-                        types[0],
-                        m.rows.column_type()
-                    ));
-                    if let Some(home) = m.home {
-                        home.release_batch(m.rows);
-                    }
-                    finish_chunk_error(task, err);
-                    return;
+        if let Some(m) = task.moved.take() {
+            // Zero-copy single-chunk ingest: the wire-assembled batch *is*
+            // slot 0 — nothing leased for it, nothing copied.
+            if m.rows.column_type() != types[0] {
+                let err = DataError::Runtime(format!(
+                    "plan takes {} sources, request assembled {} rows",
+                    types[0],
+                    m.rows.column_type()
+                ));
+                if let Some(home) = m.home {
+                    home.release_batch(m.rows);
                 }
-                let mut slots: Vec<ColumnBatch> = Vec::with_capacity(types.len());
-                slots.push(m.rows);
-                for &t in &types[1..] {
-                    slots.push(pool.acquire_batch(t, n));
-                }
-                task.slot_zero = SlotZero::Moved { home: m.home };
-                task.working = ChunkWorkingSet::Columnar(slots);
-            } else {
-                let mut slots: Vec<ColumnBatch> =
-                    types.iter().map(|&t| pool.acquire_batch(t, n)).collect();
-                // Bulk-copy the chunk's row range into slot 0 (one extend
-                // per backing buffer).
-                let loaded = match &task.input {
-                    BatchInput::Assembled(a) => slots[0].extend_from_range(a.rows(), start, end),
-                    BatchInput::Moved(_) => unreachable!("moved source taken above"),
-                };
-                task.working = ChunkWorkingSet::Columnar(slots);
-                if let Err(e) = loaded {
-                    finish_chunk_error(task, e);
-                    return;
-                }
+                finish_chunk_error(task, err);
+                return;
             }
+            let mut slots: Vec<ColumnBatch> = Vec::with_capacity(types.len());
+            slots.push(m.rows);
+            for &t in &types[1..] {
+                slots.push(pool.acquire_batch(t, n));
+            }
+            task.slot_zero = SlotZero::Moved { home: m.home };
+            task.working = Some(slots);
         } else {
-            let mut leases: Vec<Vec<Vector>> = (0..n)
-                .map(|_| types.iter().map(|&t| pool.acquire(t)).collect())
-                .collect();
-            let mut loaded = Ok(());
-            for (i, lease) in leases.iter_mut().enumerate() {
-                loaded = task
-                    .input
-                    .source_at(start + i)
-                    .and_then(|src| src.load_into(&mut lease[0]));
-                if loaded.is_err() {
-                    break;
-                }
-            }
-            task.working = ChunkWorkingSet::Records(leases);
+            let mut slots: Vec<ColumnBatch> =
+                types.iter().map(|&t| pool.acquire_batch(t, n)).collect();
+            // Bulk-copy the chunk's row range into slot 0 (one extend per
+            // backing buffer).
+            let loaded = match &task.input {
+                BatchInput::Assembled(a) => slots[0].extend_from_range(a.rows(), start, end),
+                BatchInput::Moved(_) => unreachable!("moved source taken above"),
+            };
+            task.working = Some(slots);
             if let Err(e) = loaded {
                 finish_chunk_error(task, e);
                 return;
@@ -1411,6 +1171,32 @@ fn run_chunk_stage(
         }
     }
     let stage = &task.plan.stages[task.stage];
+    let slots = task
+        .working
+        .as_mut()
+        .expect("working set leased at stage 0");
+    // Chunk-level cache probe inputs: one source hash per row.
+    if ctx.cache.is_some() && stage.has_cacheable_steps() {
+        ctx.source_hashes.clear();
+        match &task.input {
+            // Assembled inputs carry their hashes from ingest (computed over
+            // the same bytes with the same shared helpers, so cache keys are
+            // identical); an unhashed assembly — built while no cache was
+            // configured — hashes its rows here instead.
+            BatchInput::Assembled(a) => {
+                if a.hashes().is_empty() {
+                    ctx.source_hashes.extend((start..end).map(|i| a.hash_of(i)));
+                } else {
+                    ctx.source_hashes.extend_from_slice(&a.hashes()[start..end]);
+                }
+            }
+            // A moved batch always carries ingest-time hashes when a cache
+            // is configured (`prepare_assembled` refuses the move otherwise).
+            BatchInput::Moved(m) => {
+                ctx.source_hashes.extend_from_slice(&m.hashes[start..end]);
+            }
+        }
+    }
     // The fault containment boundary: operator code below this point runs
     // under `catch_unwind`, so a panicking kernel fails its own chunk with
     // a clean `ExecutionFault` instead of killing the executor thread and
@@ -1420,65 +1206,12 @@ fn run_chunk_stage(
     // (`recover_scratch`), the chunk's leased working set returns through
     // `finish_chunk_error` → `release_leases`, and the gate pass drops in
     // `complete_chunk` — nothing else outlives the chunk.
-    let outcome = match &mut task.working {
-        ChunkWorkingSet::Columnar(slots) => {
-            // Chunk-level cache probe inputs: one source hash per row
-            // (mirrors the per-record branch below, which hashes each
-            // record before its stage runs).
-            if ctx.cache.is_some() && stage.has_cacheable_steps() {
-                ctx.source_hashes.clear();
-                match &task.input {
-                    // Assembled inputs carry their hashes from ingest
-                    // (computed over the same bytes with the same shared
-                    // helpers, so cache keys are identical); an unhashed
-                    // assembly — built while no cache was configured —
-                    // hashes its rows here instead.
-                    BatchInput::Assembled(a) => {
-                        if a.hashes().is_empty() {
-                            ctx.source_hashes.extend((start..end).map(|i| a.hash_of(i)));
-                        } else {
-                            ctx.source_hashes.extend_from_slice(&a.hashes()[start..end]);
-                        }
-                    }
-                    // A moved batch always carries ingest-time hashes when
-                    // a cache is configured (`prepare_assembled` refuses
-                    // the move otherwise).
-                    BatchInput::Moved(m) => {
-                        ctx.source_hashes.extend_from_slice(&m.hashes[start..end]);
-                    }
-                }
-            }
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                stage.execute_batch(slots, n, ctx)
-            })) {
-                Ok(Ok(())) => None,
-                Ok(Err(e)) => Some(e),
-                Err(payload) => Some(contain_panic(ctx, payload)),
-            }
-        }
-        ChunkWorkingSet::Records(leases) => {
-            let mut failed = None;
-            for (i, lease) in leases.iter_mut().enumerate() {
-                if ctx.cache.is_some() {
-                    ctx.source_hash = task.input.hash_at(start + i);
-                }
-                match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    stage.execute(lease, ctx)
-                })) {
-                    Ok(Ok(())) => {}
-                    Ok(Err(e)) => {
-                        failed = Some(e);
-                        break;
-                    }
-                    Err(payload) => {
-                        failed = Some(contain_panic(ctx, payload));
-                        break;
-                    }
-                }
-            }
-            failed
-        }
-        ChunkWorkingSet::Unleased => unreachable!("working set leased at stage 0"),
+    let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        stage.execute_batch(slots, n, ctx)
+    })) {
+        Ok(Ok(())) => None,
+        Ok(Err(e)) => Some(e),
+        Err(payload) => Some(contain_panic(ctx, payload)),
     };
     if let Some(err) = outcome {
         if matches!(err, DataError::ExecutionFault(_)) {
@@ -1508,39 +1241,20 @@ fn run_chunk_stage(
         // return their working sets quickly.
         queue.push_high(task);
     } else {
-        // Final stage: harvest results, release working sets.
-        let out = task.plan.output_slot as usize;
-        // A columnar output batch that is not scalar or is missing rows is
-        // an engine bug; fail the batch loudly instead of serving NaNs
-        // (the per-record path structurally guarantees one score per
-        // record, so this check has no analogue there).
-        if let ChunkWorkingSet::Columnar(slots) = &task.working {
-            let well_formed = slots[out].as_scalars().is_some_and(|s| s.len() == n);
-            if !well_formed {
-                let err = DataError::Runtime(format!(
-                    "plan produced a malformed columnar output batch: want {n} scalars, got {:?} x {}",
-                    slots[out].column_type(),
-                    slots[out].rows(),
-                ));
-                finish_chunk_error(task, err);
-                return;
-            }
-        }
-        {
-            let mut results = task.state.results.lock();
-            match &task.working {
-                ChunkWorkingSet::Columnar(slots) => {
-                    let scores = slots[out].as_scalars().expect("checked well-formed above");
-                    results[start..end].copy_from_slice(scores);
-                }
-                ChunkWorkingSet::Records(leases) => {
-                    for (i, lease) in leases.iter().enumerate() {
-                        results[start + i] = lease[out].as_scalar().unwrap_or(f32::NAN);
-                    }
-                }
-                ChunkWorkingSet::Unleased => unreachable!("working set leased at stage 0"),
-            }
-        }
+        // Final stage: harvest results, release the working set.
+        let out = &task.working.as_ref().expect("leased above")[task.plan.output_slot as usize];
+        // An output batch that is not scalar or is missing rows is an
+        // engine bug; fail the batch loudly instead of serving NaNs.
+        let Some(scores) = out.as_scalars().filter(|s| s.len() == n) else {
+            let err = DataError::Runtime(format!(
+                "plan produced a malformed output batch: want {n} scalars, got {:?} x {}",
+                out.column_type(),
+                out.rows(),
+            ));
+            finish_chunk_error(task, err);
+            return;
+        };
+        task.state.results.lock()[start..end].copy_from_slice(scores);
         stats.records_done.fetch_add(n as u64, Ordering::Relaxed);
         if let Some(m) = &task.meter {
             m.rec.add_records(n as u64);
@@ -1551,37 +1265,25 @@ fn run_chunk_stage(
 }
 
 fn release_leases(task: &mut ChunkTask) {
-    if let Some(pool) = task.lease_pool.take() {
-        match std::mem::replace(&mut task.working, ChunkWorkingSet::Unleased) {
-            ChunkWorkingSet::Records(leases) => {
-                for lease in leases {
-                    for v in lease {
-                        pool.release(v);
-                    }
-                }
-            }
-            ChunkWorkingSet::Columnar(mut slots) => {
-                // Span outputs (e.g. CSV field selection) borrow the text
-                // source in slot 0, so slots release in REVERSE order: the
-                // borrowers detach first and the source parks last with its
-                // buffer unshared — releasing the source first would make
-                // it detect the live borrow and drop its buffer instead of
-                // keeping it for the next lease.
-                while slots.len() > 1 {
-                    let b = slots.pop().expect("len checked above");
-                    pool.release_batch(b);
-                }
-                if let Some(rows) = slots.pop() {
-                    // A moved slot 0 returns to its home ingest pool, not
-                    // the executor pool it was never leased from.
-                    match std::mem::replace(&mut task.slot_zero, SlotZero::Leased) {
-                        SlotZero::Moved { home: Some(h) } => h.release_batch(rows),
-                        SlotZero::Moved { home: None } => drop(rows),
-                        SlotZero::Leased => pool.release_batch(rows),
-                    }
-                }
-            }
-            ChunkWorkingSet::Unleased => {}
+    let (Some(pool), Some(mut slots)) = (task.lease_pool.take(), task.working.take()) else {
+        return;
+    };
+    // Span outputs (e.g. CSV field selection) borrow the text source in
+    // slot 0, so slots release in REVERSE order: the borrowers detach first
+    // and the source parks last with its buffer unshared — releasing the
+    // source first would make it detect the live borrow and drop its buffer
+    // instead of keeping it for the next lease.
+    while slots.len() > 1 {
+        let b = slots.pop().expect("len checked above");
+        pool.release_batch(b);
+    }
+    if let Some(rows) = slots.pop() {
+        // A moved slot 0 returns to its home ingest pool, not the executor
+        // pool it was never leased from.
+        match std::mem::replace(&mut task.slot_zero, SlotZero::Leased) {
+            SlotZero::Moved { home: Some(h) } => h.release_batch(rows),
+            SlotZero::Moved { home: None } => drop(rows),
+            SlotZero::Leased => pool.release_batch(rows),
         }
     }
 }
@@ -1689,38 +1391,69 @@ mod tests {
         sched.submit_assembled(id, Arc::clone(plan), assembled(recs))
     }
 
-    #[test]
-    fn batch_results_match_inline_execution() {
-        let plan = sa_plan(3);
-        let sched = Scheduler::new(2, true, 4, true, None);
-        let recs = records(17);
-        let handle = submit(&sched, 0, &plan, &recs);
-        let scores = handle.wait().unwrap();
-        assert_eq!(scores.len(), 17);
+    fn config(n_executors: usize, chunk_size: usize) -> SchedulerConfig {
+        SchedulerConfig {
+            n_executors,
+            pooling: true,
+            chunk_size,
+            cache: None,
+            telemetry: None,
+        }
+    }
 
-        // Inline reference.
-        let pool = Arc::new(VectorPool::new());
-        let mut ctx = ExecCtx::new(pool);
+    fn scheduler(n_executors: usize, chunk_size: usize) -> Scheduler {
+        Scheduler::with_config(config(n_executors, chunk_size))
+    }
+
+    /// The request-response engine's row path over `recs`: the reference
+    /// every batch score must equal bitwise.
+    fn inline_scores(plan: &ModelPlan, recs: &[Record]) -> Vec<f32> {
+        let mut ctx = ExecCtx::new(Arc::new(VectorPool::arena()));
         let mut slots: Vec<Vector> = plan
             .slot_types()
             .iter()
             .map(|&t| Vector::with_type(t))
             .collect();
-        for (i, r) in recs.iter().enumerate() {
-            let expect = plan.execute(r.as_source(), &mut slots, &mut ctx).unwrap();
-            assert!(
-                (scores[i] - expect).abs() < 1e-6,
-                "record {i}: {} vs {expect}",
-                scores[i]
-            );
+        recs.iter()
+            .map(|r| plan.execute(r.as_source(), &mut slots, &mut ctx).unwrap())
+            .collect()
+    }
+
+    fn assert_bitwise(got: &[f32], want: &[f32], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}");
+        for (i, (x, y)) in got.iter().zip(want).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what} record {i}: {x} vs {y}");
         }
-        sched.shutdown();
+    }
+
+    #[test]
+    fn batch_results_match_inline_execution() {
+        // Bitwise against the row path, without and with the
+        // materialization cache (whose chunk-level probe must not change a
+        // bit), each cold and then warm.
+        let plan = sa_plan(3);
+        let recs = records(17);
+        let expect = inline_scores(&plan, &recs);
+        let cache = Arc::new(MaterializationCache::new(1 << 20));
+        for cache in [None, Some(Arc::clone(&cache))] {
+            let cached = cache.is_some();
+            let sched = Scheduler::with_config(SchedulerConfig {
+                cache,
+                ..config(2, 4)
+            });
+            for pass in ["cold", "warm"] {
+                let scores = submit(&sched, 0, &plan, &recs).wait().unwrap();
+                assert_bitwise(&scores, &expect, &format!("cache {cached} {pass}"));
+            }
+            sched.shutdown();
+        }
+        assert!(cache.stats().hits > 0, "warm pass should hit the cache");
     }
 
     #[test]
     fn empty_batch_completes_immediately() {
         let plan = sa_plan(1);
-        let sched = Scheduler::new(1, true, 8, true, None);
+        let sched = scheduler(1, 8);
         let scores = submit(&sched, 0, &plan, &[]).wait().unwrap();
         assert!(scores.is_empty());
         sched.shutdown();
@@ -1729,7 +1462,7 @@ mod tests {
     #[test]
     fn concurrent_batches_across_plans() {
         let plans: Vec<_> = (0..4).map(sa_plan).collect();
-        let sched = Scheduler::new(4, true, 8, true, None);
+        let sched = scheduler(4, 8);
         let handles: Vec<_> = plans
             .iter()
             .enumerate()
@@ -1751,7 +1484,7 @@ mod tests {
     #[test]
     fn errors_propagate_to_handle() {
         let plan = sa_plan(5);
-        let sched = Scheduler::new(2, true, 4, true, None);
+        let sched = scheduler(2, 4);
         // Dense record into a text pipeline: source load fails.
         let handle = submit(&sched, 0, &plan, &[Record::Dense(vec![1.0, 2.0])]);
         assert!(handle.wait().is_err());
@@ -1761,56 +1494,20 @@ mod tests {
     #[test]
     fn reserved_plan_executes_on_dedicated_queue() {
         let plan = sa_plan(9);
-        let sched = Scheduler::new(1, true, 4, true, None);
+        let sched = scheduler(1, 4);
         sched.reserve(7);
         let h = submit(&sched, 7, &plan, &records(5));
         assert_eq!(h.wait().unwrap().len(), 5);
-        // Unreserved traffic still flows through the shared queue.
+        // Unreserved traffic still flows through the general plane.
         let h2 = submit(&sched, 1, &plan, &records(5));
         assert_eq!(h2.wait().unwrap().len(), 5);
         sched.shutdown();
     }
 
     #[test]
-    fn columnar_and_per_record_chunks_agree_bitwise() {
-        let plan = sa_plan(21);
-        let recs = records(37);
-        let columnar = Scheduler::new(2, true, 8, true, None);
-        let per_record = Scheduler::new(2, true, 8, false, None);
-        let a = submit(&columnar, 0, &plan, &recs).wait().unwrap();
-        let b = submit(&per_record, 0, &plan, &recs).wait().unwrap();
-        assert_eq!(a.len(), b.len());
-        for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-            assert_eq!(x.to_bits(), y.to_bits(), "record {i}: {x} vs {y}");
-        }
-        columnar.shutdown();
-        per_record.shutdown();
-    }
-
-    #[test]
-    fn per_record_fallback_still_correct() {
-        let plan = sa_plan(23);
-        let sched = Scheduler::new(2, true, 4, false, None);
-        let recs = records(9);
-        let scores = submit(&sched, 0, &plan, &recs).wait().unwrap();
-        let pool = Arc::new(VectorPool::new());
-        let mut ctx = ExecCtx::new(pool);
-        let mut slots: Vec<Vector> = plan
-            .slot_types()
-            .iter()
-            .map(|&t| Vector::with_type(t))
-            .collect();
-        for (i, r) in recs.iter().enumerate() {
-            let expect = plan.execute(r.as_source(), &mut slots, &mut ctx).unwrap();
-            assert_eq!(scores[i].to_bits(), expect.to_bits(), "record {i}");
-        }
-        sched.shutdown();
-    }
-
-    #[test]
     fn columnar_errors_propagate_and_release_leases() {
         let plan = sa_plan(25);
-        let sched = Scheduler::new(1, true, 4, true, None);
+        let sched = scheduler(1, 4);
         // Dense record into a text pipeline: batch source load fails.
         let handle = submit(&sched, 0, &plan, &[Record::Dense(vec![1.0])]);
         assert!(handle.wait().is_err());
@@ -1818,47 +1515,12 @@ mod tests {
     }
 
     #[test]
-    fn columnar_stays_on_with_materialization_cache() {
-        // Before the chunk-level cache probe, enabling the cache silently
-        // forced the per-record chunk loop; the two now compose.
-        let cache_a = Arc::new(MaterializationCache::new(1 << 20));
-        let cache_b = Arc::new(MaterializationCache::new(1 << 20));
-        let columnar = Scheduler::new(1, true, 4, true, Some(Arc::clone(&cache_a)));
-        let per_record = Scheduler::new(1, true, 4, false, Some(Arc::clone(&cache_b)));
-        assert!(columnar.columnar());
-        assert!(!per_record.columnar());
-        let plan = sa_plan(31);
-        let recs = records(11);
-        // Two passes each: cold cache, then warm cache.
-        for pass in 0..2 {
-            let a = submit(&columnar, 0, &plan, &recs).wait().unwrap();
-            let b = submit(&per_record, 0, &plan, &recs).wait().unwrap();
-            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "pass {pass} record {i}: columnar+cache {x} vs per-record+cache {y}"
-                );
-            }
-            let sa = cache_a.stats();
-            let sb = cache_b.stats();
-            let ((ha, ma), (hb, mb)) = ((sa.hits, sa.misses), (sb.hits, sb.misses));
-            assert_eq!(
-                (ha, ma),
-                (hb, mb),
-                "pass {pass}: cache hit/miss counts diverge between data planes"
-            );
-        }
-        let hits = cache_a.stats().hits;
-        assert!(hits > 0, "warm pass should hit the cache");
-        columnar.shutdown();
-        per_record.shutdown();
-    }
-
-    #[test]
     fn pooling_disabled_still_correct() {
         let plan = sa_plan(11);
-        let sched = Scheduler::new(2, false, 4, true, None);
+        let sched = Scheduler::with_config(SchedulerConfig {
+            pooling: false,
+            ..config(2, 4)
+        });
         let scores = submit(&sched, 0, &plan, &records(9)).wait().unwrap();
         assert_eq!(scores.len(), 9);
         sched.shutdown();
@@ -1867,7 +1529,7 @@ mod tests {
     #[test]
     fn unreserve_drains_and_joins_the_dedicated_executor() {
         let plan = sa_plan(41);
-        let sched = Scheduler::new(1, true, 4, true, None);
+        let sched = scheduler(1, 4);
         sched.reserve(3);
         assert_eq!(sched.reserved_count(), 1);
         let h = submit(&sched, 3, &plan, &records(13));
@@ -1875,8 +1537,8 @@ mod tests {
         assert!(sched.unreserve(3), "reservation existed");
         assert_eq!(sched.reserved_count(), 0);
         assert!(!sched.unreserve(3), "second unreserve is a no-op");
-        // Post-unreserve traffic for the plan flows through the shared
-        // queue: nothing is lost.
+        // Post-unreserve traffic for the plan flows through the general
+        // plane: nothing is lost.
         let h2 = submit(&sched, 3, &plan, &records(5));
         assert_eq!(h2.wait().unwrap().len(), 5);
         sched.shutdown();
@@ -1885,7 +1547,7 @@ mod tests {
     #[test]
     fn reserve_unreserve_churn_does_not_leak_threads() {
         let plan = sa_plan(43);
-        let sched = Scheduler::new(1, true, 4, true, None);
+        let sched = scheduler(1, 4);
         for round in 0..20u32 {
             sched.reserve(round);
             let h = submit(&sched, round, &plan, &records(3));
@@ -1899,48 +1561,10 @@ mod tests {
     #[test]
     fn drop_without_shutdown_joins_cleanly() {
         let plan = sa_plan(13);
-        let sched = Scheduler::new(2, true, 4, true, None);
+        let sched = scheduler(2, 4);
         let h = submit(&sched, 0, &plan, &records(3));
         let _ = h.wait().unwrap();
         drop(sched);
-    }
-
-    fn plane(sharded: bool, n_executors: usize, chunk: usize) -> Scheduler {
-        Scheduler::with_config(SchedulerConfig {
-            n_executors,
-            pooling: true,
-            chunk_size: chunk,
-            columnar: true,
-            cache: None,
-            sharded,
-            telemetry: None,
-        })
-    }
-
-    #[test]
-    fn sharded_and_shared_planes_agree_bitwise() {
-        // The ablation contract: `sharded` moves work and buffers around,
-        // it never touches math. Single-executor schedulers make the pool
-        // traffic deterministic too, so hits/misses must match exactly.
-        let plan = sa_plan(51);
-        let recs = records(37);
-        let sharded = plane(true, 1, 8);
-        let shared = plane(false, 1, 8);
-        for pass in 0..2 {
-            let a = submit(&sharded, 0, &plan, &recs).wait().unwrap();
-            let b = submit(&shared, 0, &plan, &recs).wait().unwrap();
-            assert_eq!(a.len(), b.len());
-            for (i, (x, y)) in a.iter().zip(&b).enumerate() {
-                assert_eq!(x.to_bits(), y.to_bits(), "pass {pass} record {i}");
-            }
-            assert_eq!(
-                sharded.pool_stats(),
-                shared.pool_stats(),
-                "pass {pass}: pool hit/miss counts diverge between planes"
-            );
-        }
-        sharded.shutdown();
-        shared.shutdown();
     }
 
     #[test]
@@ -1957,7 +1581,7 @@ mod tests {
             .collect();
         let mut stole = false;
         for _round in 0..20 {
-            let sched = plane(true, 2, 4096);
+            let sched = scheduler(2, 4096);
             let ha = submit(&sched, 0, &plan, &heavy);
             let hd = submit(&sched, 0, &plan, &records(2));
             let hc = submit(&sched, 0, &plan, &records(3));
@@ -1967,17 +1591,7 @@ mod tests {
             assert_eq!(scores.len(), 3);
             // Stolen or not, the chunk's math is the worker-independent
             // reference result.
-            let pool = Arc::new(VectorPool::new());
-            let mut ctx = ExecCtx::new(pool);
-            let mut slots: Vec<Vector> = plan
-                .slot_types()
-                .iter()
-                .map(|&t| Vector::with_type(t))
-                .collect();
-            for (i, r) in records(3).iter().enumerate() {
-                let expect = plan.execute(r.as_source(), &mut slots, &mut ctx).unwrap();
-                assert_eq!(scores[i].to_bits(), expect.to_bits(), "record {i}");
-            }
+            assert_bitwise(&scores, &inline_scores(&plan, &records(3)), "stolen chunk");
             let steals = sched.stats().steals.load(Ordering::Relaxed);
             sched.shutdown();
             if steals > 0 {
@@ -2016,7 +1630,7 @@ mod tests {
         // is free or the safety park expires — which unit tests stretch to
         // 10 s, so that a stranded chunk is unmistakable.
         let plan = sa_plan(59);
-        let sched = Arc::new(plane(true, 3, 4096));
+        let sched = Arc::new(scheduler(3, 4096));
         let producing = Arc::new(std::sync::atomic::AtomicBool::new(true));
         let busy = {
             let (sched, plan, producing) = (
@@ -2065,15 +1679,15 @@ mod tests {
 
     #[test]
     fn unreserve_vs_steal_stress_loses_nothing() {
-        // Satellite: reservation churn racing submissions on the sharded
-        // plane. Chunks routed to a reserved queue that closes mid-flight
+        // Reservation churn racing submissions. Chunks routed to a
+        // reserved plane that closes mid-flight
         // fall back to the general plane; every record must score exactly
         // once — `records_done` catches both loss (short) and
         // double-execution (long).
         const BATCHES: usize = 120;
         const PER_BATCH: usize = 7;
         let plan = sa_plan(59);
-        let sched = Arc::new(plane(true, 4, 4));
+        let sched = Arc::new(scheduler(4, 4));
         let (tx, rx) = std::sync::mpsc::channel::<Result<Vec<f32>>>();
         let churn = {
             let sched = Arc::clone(&sched);

@@ -3,9 +3,10 @@
 //! PRETZEL pays memory- and thread-allocation cost "upfront at initialization
 //! time" (paper §4): when the runtime starts, each executor gets a
 //! [`VectorPool`], and every deploy tops the pool's size classes up to the
-//! working set one execution of the plan leases — per-record vectors sized
-//! from training statistics (max vector size per stage, §4.1.1), chunk
-//! batches with their row structures. On the prediction path, stages
+//! working set one execution of the plan leases — the request-response
+//! engine's vectors sized from training statistics (max vector size per
+//! stage, §4.1.1), the batch engine's chunk batches with their row
+//! structures. On the prediction path, stages
 //! *acquire* buffers from the pool and *release* them when the pipeline
 //! completes — no global-allocator traffic. Disabling pooling reproduces
 //! the paper's ablation (hot latency +47.1%, §5.2.1).
@@ -22,42 +23,30 @@
 //! what was ever parked in it: its warmed count plus one buffer per lease
 //! that missed, capped by the class capacity.
 //!
-//! Vectors are requested **per pipeline**, not per stage (§4.2.2): a
-//! [`Lease`] bundles a pipeline's whole working set and returns it to the
-//! pool on drop, which is what makes the scheduler's two-priority-queue
-//! design (finish started pipelines first, to return memory quickly) work.
-//!
-//! Two backends implement the free lists:
-//!
-//! * **Locked** ([`VectorPool::new`]) — mutex-guarded `Vec` free lists per
-//!   size class: the shared-everything plane's backend
-//!   (`RuntimeConfig::sharded = false`), which allocates nothing per size
-//!   class up front.
-//! * **Arena** ([`VectorPool::arena`]) — per-class lock-free
-//!   [`SlotStack`]s behind a CAS-published class directory: the sharded
-//!   execution plane's per-core arenas. The hot lease/return path is a
-//!   pointer-width CAS (Blelloch & Wei, arXiv:2008.04296) with zero lock
-//!   acquisitions, and because the stacks are MPMC, a *cross-core return*
-//!   (a stolen chunk's buffers going home) is just a remote CAS push into
-//!   the owning arena — the per-arena return stack is unified with the
-//!   free stack. An arena may front a shared **global fallback** pool
-//!   ([`VectorPool::with_fallback`], Theseus's `multiple_heaps` pattern):
-//!   arena-dry acquires refill from the global pool before allocating, and
-//!   arena-full releases spill to it before dropping.
+//! The free lists are per-class lock-free [`SlotStack`]s behind a
+//! CAS-published class directory. The hot lease/return path is a
+//! pointer-width CAS (Blelloch & Wei, arXiv:2008.04296) with zero lock
+//! acquisitions, and because the stacks are MPMC, a *cross-core return* (a
+//! stolen chunk's buffers going home) is just a remote CAS push into the
+//! owning arena — the per-arena return stack is unified with the free
+//! stack. An arena may front a shared **global fallback** pool
+//! ([`VectorPool::with_fallback`], Theseus's `multiple_heaps` pattern):
+//! arena-dry acquires refill from the global pool before allocating, and
+//! arena-full releases spill to it before dropping.
 
 use crate::batch::ColumnBatch;
 use crate::schema::ColumnType;
 use crate::slot_alloc::SlotStack;
 use crate::vector::{Span, Vector};
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// Default cap of retained free buffers per size class. Per-record vector
-/// classes need it: one chunk leases `chunk_size` vectors per slot, and an
-/// executor has up to two chunks' worth parked (`chunk_size × 2 = 128` at
-/// the default chunk size, per slot of the class).
+/// Default cap of retained free vectors per size class. Vectors are the
+/// request-response engine's working sets: each serving session holds one
+/// vector per plan slot and hands them back when it moves to a plan of
+/// another layout, so a class parks at most the sessions times the slots
+/// of that class in one plan. An arena class preallocates its slot array,
+/// so this is also the resident cost of a vector class: 256 slots.
 const DEFAULT_MAX_PER_CLASS: usize = 256;
 
 /// Cap of retained free *batches* per size class, whatever the pool's
@@ -109,40 +98,6 @@ impl PoolStats {
     /// quiescence unless a buffer leaked.
     pub fn outstanding(&self) -> i64 {
         (self.hits() + self.misses()) as i64 - self.released() as i64
-    }
-}
-
-/// Free-list of sparse buffers per dimensionality class.
-type SparseFreeLists = HashMap<u32, Vec<(Vec<u32>, Vec<f32>)>>;
-
-/// Size class of a pooled [`ColumnBatch`].
-///
-/// Batches are classed by column type only (not by row count): every
-/// backing buffer grows monotonically and is kept across reuse, so a batch
-/// that once served a large chunk serves all smaller chunks allocation-free.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum BatchClass {
-    /// Packed text rows.
-    Text,
-    /// Packed token rows.
-    Tokens,
-    /// Row-major dense rows of one width.
-    Dense(usize),
-    /// CSR sparse rows of one logical dimension.
-    Sparse(u32),
-    /// One scalar per row.
-    Scalar,
-}
-
-impl BatchClass {
-    fn of(ty: ColumnType) -> Self {
-        match ty {
-            ColumnType::Text => BatchClass::Text,
-            ColumnType::TokenList => BatchClass::Tokens,
-            ColumnType::F32Dense { len } => BatchClass::Dense(len),
-            ColumnType::F32Sparse { len } => BatchClass::Sparse(len as u32),
-            ColumnType::F32Scalar => BatchClass::Scalar,
-        }
     }
 }
 
@@ -280,32 +235,6 @@ impl<T> std::fmt::Debug for ClassDir<T> {
     }
 }
 
-/// The mutex-guarded free lists (shared-plane ablation control).
-#[derive(Debug, Default)]
-struct LockedLists {
-    text: Mutex<Vec<String>>,
-    tokens: Mutex<Vec<Vec<Span>>>,
-    dense: Mutex<HashMap<usize, Vec<Vec<f32>>>>,
-    sparse: Mutex<SparseFreeLists>,
-    batches: Mutex<HashMap<BatchClass, Vec<ColumnBatch>>>,
-}
-
-/// The lock-free per-class stacks (sharded arenas).
-#[derive(Debug)]
-struct ArenaLists {
-    vectors: ClassDir<Vector>,
-    batches: ClassDir<ColumnBatch>,
-    /// Heap bytes parked in the stacks (maintained at push/pop, since a
-    /// concurrent lock-free stack cannot be traversed).
-    retained: AtomicUsize,
-}
-
-#[derive(Debug)]
-enum Backend {
-    Locked(LockedLists),
-    Arena(ArenaLists),
-}
-
 /// Heap bytes owned by a pooled vector (for arena retained accounting).
 fn vector_heap_bytes(v: &Vector) -> usize {
     match v {
@@ -328,7 +257,11 @@ fn vector_heap_bytes(v: &Vector) -> usize {
 pub struct VectorPool {
     enabled: bool,
     max_per_class: usize,
-    backend: Backend,
+    vectors: ClassDir<Vector>,
+    batches: ClassDir<ColumnBatch>,
+    /// Heap bytes parked in the stacks (maintained at push/pop, since a
+    /// concurrent lock-free stack cannot be traversed).
+    retained: AtomicUsize,
     /// Shared overflow/underflow pool behind a per-core arena: acquires
     /// refill from it before allocating, releases spill to it before
     /// dropping. Its own counters stay untouched on this traffic — the
@@ -337,38 +270,17 @@ pub struct VectorPool {
     stats: PoolStats,
 }
 
-impl Default for VectorPool {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl VectorPool {
-    /// Creates an enabled, empty pool with mutex free lists (the
-    /// shared-plane ablation control and the historical default).
-    pub fn new() -> Self {
-        VectorPool {
-            enabled: true,
-            max_per_class: DEFAULT_MAX_PER_CLASS,
-            backend: Backend::Locked(LockedLists::default()),
-            fallback: None,
-            stats: PoolStats::default(),
-        }
-    }
-
     /// Creates an enabled, empty pool whose free lists are lock-free
-    /// [`SlotStack`]s — a sharded execution plane arena. Lease and return
-    /// are pointer-width CAS operations; no path through this pool takes a
-    /// lock.
+    /// [`SlotStack`]s. Lease and return are pointer-width CAS operations;
+    /// no path through this pool takes a lock.
     pub fn arena() -> Self {
         VectorPool {
             enabled: true,
             max_per_class: DEFAULT_MAX_PER_CLASS,
-            backend: Backend::Arena(ArenaLists {
-                vectors: ClassDir::new(),
-                batches: ClassDir::new(),
-                retained: AtomicUsize::new(0),
-            }),
+            vectors: ClassDir::new(),
+            batches: ClassDir::new(),
+            retained: AtomicUsize::new(0),
             fallback: None,
             stats: PoolStats::default(),
         }
@@ -378,7 +290,7 @@ impl VectorPool {
     pub fn disabled() -> Self {
         VectorPool {
             enabled: false,
-            ..VectorPool::new()
+            ..VectorPool::arena()
         }
     }
 
@@ -401,20 +313,9 @@ impl VectorPool {
         self.enabled
     }
 
-    /// True if the free lists are lock-free arenas.
-    pub fn is_arena(&self) -> bool {
-        matches!(self.backend, Backend::Arena(_))
-    }
-
     /// Pool effectiveness counters.
     pub fn stats(&self) -> &PoolStats {
         &self.stats
-    }
-
-    /// Ensures the pool holds `count` free buffers of type `ty`; see
-    /// [`Self::warm_sized`].
-    pub fn warm(&self, ty: ColumnType, count: usize) {
-        self.warm_sized(ty, 0, count);
     }
 
     /// Ensures `count` free buffers of type `ty` are parked, building only
@@ -475,195 +376,67 @@ impl VectorPool {
 
     /// Free vectors parked in the class of `ty` (exact at quiescence).
     fn free_len(&self, ty: ColumnType) -> usize {
-        match &self.backend {
-            Backend::Locked(l) => match ty {
-                ColumnType::Text => l.text.lock().len(),
-                ColumnType::TokenList => l.tokens.lock().len(),
-                ColumnType::F32Dense { len } => l.dense.lock().get(&len).map_or(0, Vec::len),
-                ColumnType::F32Sparse { len } => {
-                    l.sparse.lock().get(&(len as u32)).map_or(0, Vec::len)
-                }
-                ColumnType::F32Scalar => 0,
-            },
-            Backend::Arena(a) => a.vectors.find(class_key(ty)).map_or(0, SlotStack::len),
-        }
+        self.vectors.find(class_key(ty)).map_or(0, SlotStack::len)
     }
 
     /// Free batches parked in the class of `ty` (exact at quiescence).
     fn free_batch_len(&self, ty: ColumnType) -> usize {
-        match &self.backend {
-            Backend::Locked(l) => l
-                .batches
-                .lock()
-                .get(&BatchClass::of(ty))
-                .map_or(0, Vec::len),
-            Backend::Arena(a) => a.batches.find(class_key(ty)).map_or(0, SlotStack::len),
-        }
+        self.batches.find(class_key(ty)).map_or(0, SlotStack::len)
     }
 
     /// Pops a free vector of type `ty` without touching the counters.
     /// Scalars are plain values: always "available", nothing pooled.
     fn take_free(&self, ty: ColumnType) -> Option<Vector> {
-        match &self.backend {
-            Backend::Locked(l) => match ty {
-                ColumnType::Text => l.text.lock().pop().map(Vector::Text),
-                ColumnType::TokenList => l.tokens.lock().pop().map(Vector::Tokens),
-                ColumnType::F32Dense { len } => l
-                    .dense
-                    .lock()
-                    .get_mut(&len)
-                    .and_then(Vec::pop)
-                    .map(Vector::Dense),
-                ColumnType::F32Sparse { len } => l
-                    .sparse
-                    .lock()
-                    .get_mut(&(len as u32))
-                    .and_then(Vec::pop)
-                    .map(|(indices, values)| Vector::Sparse {
-                        indices,
-                        values,
-                        dim: len as u32,
-                    }),
-                ColumnType::F32Scalar => Some(Vector::Scalar(0.0)),
-            },
-            Backend::Arena(a) => {
-                if ty == ColumnType::F32Scalar {
-                    return Some(Vector::Scalar(0.0));
-                }
-                let v = a.vectors.find(class_key(ty))?.pop()?;
-                a.retained
-                    .fetch_sub(vector_heap_bytes(&v), Ordering::Relaxed);
-                Some(v)
-            }
+        if ty == ColumnType::F32Scalar {
+            return Some(Vector::Scalar(0.0));
         }
+        let v = self.vectors.find(class_key(ty))?.pop()?;
+        self.retained
+            .fetch_sub(vector_heap_bytes(&v), Ordering::Relaxed);
+        Some(v)
     }
 
     /// Parks a free vector without touching the counters; hands it back
     /// when its size class is at capacity. Scalars always succeed (they
     /// are values, never pooled).
     fn store_free(&self, v: Vector) -> Result<(), Vector> {
-        let cap = self.max_per_class;
-        match &self.backend {
-            Backend::Locked(l) => match v {
-                Vector::Text(s) => {
-                    let mut g = l.text.lock();
-                    if g.len() < cap {
-                        g.push(s);
-                        Ok(())
-                    } else {
-                        Err(Vector::Text(s))
-                    }
-                }
-                Vector::Tokens(t) => {
-                    let mut g = l.tokens.lock();
-                    if g.len() < cap {
-                        g.push(t);
-                        Ok(())
-                    } else {
-                        Err(Vector::Tokens(t))
-                    }
-                }
-                Vector::Dense(d) => {
-                    let mut g = l.dense.lock();
-                    let class = g.entry(d.len()).or_default();
-                    if class.len() < cap {
-                        class.push(d);
-                        Ok(())
-                    } else {
-                        Err(Vector::Dense(d))
-                    }
-                }
-                Vector::Sparse {
-                    indices,
-                    values,
-                    dim,
-                } => {
-                    let mut g = l.sparse.lock();
-                    let class = g.entry(dim).or_default();
-                    if class.len() < cap {
-                        class.push((indices, values));
-                        Ok(())
-                    } else {
-                        Err(Vector::Sparse {
-                            indices,
-                            values,
-                            dim,
-                        })
-                    }
-                }
-                Vector::Scalar(_) => Ok(()),
-            },
-            Backend::Arena(a) => {
-                let key = match &v {
-                    Vector::Text(_) => class_key(ColumnType::Text),
-                    Vector::Tokens(_) => class_key(ColumnType::TokenList),
-                    Vector::Dense(d) => class_key(ColumnType::F32Dense { len: d.len() }),
-                    Vector::Sparse { dim, .. } => {
-                        class_key(ColumnType::F32Sparse { len: *dim as usize })
-                    }
-                    Vector::Scalar(_) => return Ok(()),
-                };
-                let Some(stack) = a.vectors.find_or_insert(key, cap) else {
-                    return Err(v);
-                };
-                let bytes = vector_heap_bytes(&v);
-                match stack.push(v) {
-                    Ok(()) => {
-                        a.retained.fetch_add(bytes, Ordering::Relaxed);
-                        Ok(())
-                    }
-                    Err(v) => Err(v),
-                }
-            }
-        }
+        let key = match &v {
+            Vector::Text(_) => class_key(ColumnType::Text),
+            Vector::Tokens(_) => class_key(ColumnType::TokenList),
+            Vector::Dense(d) => class_key(ColumnType::F32Dense { len: d.len() }),
+            Vector::Sparse { dim, .. } => class_key(ColumnType::F32Sparse { len: *dim as usize }),
+            Vector::Scalar(_) => return Ok(()),
+        };
+        let Some(stack) = self.vectors.find_or_insert(key, self.max_per_class) else {
+            return Err(v);
+        };
+        let bytes = vector_heap_bytes(&v);
+        stack.push(v)?;
+        self.retained.fetch_add(bytes, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Pops a free batch of class `ty` without touching the counters.
     fn take_free_batch(&self, ty: ColumnType) -> Option<ColumnBatch> {
-        match &self.backend {
-            Backend::Locked(l) => l
-                .batches
-                .lock()
-                .get_mut(&BatchClass::of(ty))
-                .and_then(Vec::pop),
-            Backend::Arena(a) => {
-                let b = a.batches.find(class_key(ty))?.pop()?;
-                a.retained.fetch_sub(b.heap_bytes(), Ordering::Relaxed);
-                Some(b)
-            }
-        }
+        let b = self.batches.find(class_key(ty))?.pop()?;
+        self.retained.fetch_sub(b.heap_bytes(), Ordering::Relaxed);
+        Some(b)
     }
 
     /// Parks a free batch without touching the counters; hands it back
     /// when its class is at capacity.
     fn store_free_batch(&self, b: ColumnBatch) -> Result<(), ColumnBatch> {
-        let cap = self.max_batches_per_class();
-        match &self.backend {
-            Backend::Locked(l) => {
-                let mut g = l.batches.lock();
-                let class = g.entry(BatchClass::of(b.column_type())).or_default();
-                if class.len() < cap {
-                    class.push(b);
-                    Ok(())
-                } else {
-                    Err(b)
-                }
-            }
-            Backend::Arena(a) => {
-                let key = class_key(b.column_type());
-                let Some(stack) = a.batches.find_or_insert(key, cap) else {
-                    return Err(b);
-                };
-                let bytes = b.heap_bytes();
-                match stack.push(b) {
-                    Ok(()) => {
-                        a.retained.fetch_add(bytes, Ordering::Relaxed);
-                        Ok(())
-                    }
-                    Err(b) => Err(b),
-                }
-            }
-        }
+        let key = class_key(b.column_type());
+        let Some(stack) = self
+            .batches
+            .find_or_insert(key, self.max_batches_per_class())
+        else {
+            return Err(b);
+        };
+        let bytes = b.heap_bytes();
+        stack.push(b)?;
+        self.retained.fetch_add(bytes, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Acquires a cleared buffer of type `ty`.
@@ -702,8 +475,8 @@ impl VectorPool {
     /// for `rows` rows (the batch engine leases one batch per plan slot per
     /// chunk, instead of one vector per slot per *record*).
     ///
-    /// Free lists are per column-type class; on the arena backend,
-    /// push/pop are single pointer-width CASes into the class's
+    /// Free lists are per column-type class; push/pop are single
+    /// pointer-width CASes into the class's
     /// [`SlotStack`] (the fixed-size-allocation recipe of Blelloch & Wei,
     /// arXiv:2008.04296), and reused batches keep their grown capacity so a
     /// warm pool serves chunks allocation-free with **zero lock
@@ -744,118 +517,17 @@ impl VectorPool {
         }
     }
 
-    /// Acquires one buffer per entry of `types` as a RAII [`Lease`].
-    pub fn lease(self: &Arc<Self>, types: &[ColumnType]) -> Lease {
-        let vectors = types.iter().map(|&t| self.acquire(t)).collect();
-        Lease {
-            pool: Arc::clone(self),
-            vectors,
-        }
-    }
-
     /// Total heap bytes currently parked in free lists (excluding any
     /// fallback pool, which reports its own).
     pub fn retained_bytes(&self) -> usize {
-        match &self.backend {
-            Backend::Locked(l) => {
-                let mut total = 0usize;
-                total += l.text.lock().iter().map(String::capacity).sum::<usize>();
-                total += l
-                    .tokens
-                    .lock()
-                    .iter()
-                    .map(|t| t.capacity() * std::mem::size_of::<Span>())
-                    .sum::<usize>();
-                total += l
-                    .dense
-                    .lock()
-                    .values()
-                    .flatten()
-                    .map(|d| d.capacity() * 4)
-                    .sum::<usize>();
-                total += l
-                    .sparse
-                    .lock()
-                    .values()
-                    .flatten()
-                    .map(|(i, v)| i.capacity() * 4 + v.capacity() * 4)
-                    .sum::<usize>();
-                total += l
-                    .batches
-                    .lock()
-                    .values()
-                    .flatten()
-                    .map(ColumnBatch::heap_bytes)
-                    .sum::<usize>();
-                total
-            }
-            Backend::Arena(a) => a.retained.load(Ordering::Relaxed),
-        }
+        self.retained.load(Ordering::Relaxed)
     }
 
     /// Buffers (vectors and batches) currently parked in free lists —
     /// with [`Self::retained_bytes`], the "which pool is holding memory"
     /// pair. Excludes any fallback pool, which reports its own.
     pub fn parked_buffers(&self) -> usize {
-        match &self.backend {
-            Backend::Locked(l) => {
-                l.text.lock().len()
-                    + l.tokens.lock().len()
-                    + l.dense.lock().values().map(Vec::len).sum::<usize>()
-                    + l.sparse.lock().values().map(Vec::len).sum::<usize>()
-                    + l.batches.lock().values().map(Vec::len).sum::<usize>()
-            }
-            Backend::Arena(a) => a.vectors.parked() + a.batches.parked(),
-        }
-    }
-}
-
-/// A pipeline's working set of pooled buffers, returned to the pool on drop.
-#[derive(Debug)]
-pub struct Lease {
-    pool: Arc<VectorPool>,
-    vectors: Vec<Vector>,
-}
-
-impl Lease {
-    /// Number of leased buffers.
-    pub fn len(&self) -> usize {
-        self.vectors.len()
-    }
-
-    /// True if the lease holds no buffers.
-    pub fn is_empty(&self) -> bool {
-        self.vectors.is_empty()
-    }
-
-    /// Mutable access to the whole working set (stage slot indexing).
-    pub fn slots(&mut self) -> &mut [Vector] {
-        &mut self.vectors
-    }
-
-    /// Immutable access to the working set.
-    pub fn slots_ref(&self) -> &[Vector] {
-        &self.vectors
-    }
-
-    /// Splits the working set into the slot at `idx` and the rest, so a
-    /// stage can read earlier slots while writing its output slot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of bounds.
-    pub fn split_output(&mut self, idx: usize) -> (&mut Vector, &[Vector]) {
-        let (before, rest) = self.vectors.split_at_mut(idx);
-        let (out, _after) = rest.split_first_mut().expect("slot index out of bounds");
-        (out, before)
-    }
-}
-
-impl Drop for Lease {
-    fn drop(&mut self) {
-        for v in self.vectors.drain(..) {
-            self.pool.release(v);
-        }
+        self.vectors.parked() + self.batches.parked()
     }
 }
 
@@ -866,7 +538,7 @@ mod tests {
 
     #[test]
     fn acquire_release_reuses_buffers() {
-        let pool = VectorPool::new();
+        let pool = VectorPool::arena();
         let ty = ColumnType::F32Dense { len: 8 };
         let v = pool.acquire(ty);
         assert_eq!(pool.stats().misses(), 1);
@@ -878,7 +550,7 @@ mod tests {
 
     #[test]
     fn acquired_buffers_are_reset() {
-        let pool = VectorPool::new();
+        let pool = VectorPool::arena();
         let ty = ColumnType::F32Dense { len: 3 };
         let mut v = pool.acquire(ty);
         if let Vector::Dense(d) = &mut v {
@@ -891,7 +563,7 @@ mod tests {
 
     #[test]
     fn size_classes_are_separate() {
-        let pool = VectorPool::new();
+        let pool = VectorPool::arena();
         pool.release(Vector::Dense(vec![0.0; 4]));
         // Asking for a different dense length must not return the len-4 buffer.
         let v = pool.acquire(ColumnType::F32Dense { len: 8 });
@@ -913,7 +585,7 @@ mod tests {
 
     #[test]
     fn class_cap_drops_excess() {
-        let pool = VectorPool::new().with_max_per_class(2);
+        let pool = VectorPool::arena().with_max_per_class(2);
         for _ in 0..3 {
             pool.release(Vector::Text(String::with_capacity(16)));
         }
@@ -925,16 +597,14 @@ mod tests {
         // A buffer dropped on a full class is still a returned lease:
         // `dropped` is a subset of `released`, never an extra return.
         let ty = ColumnType::F32Dense { len: 4 };
-        for pool in [VectorPool::new(), VectorPool::arena()] {
-            let pool = pool.with_max_per_class(1);
-            let leased: Vec<_> = (0..3).map(|_| pool.acquire_batch(ty, 2)).collect();
-            let vectors: Vec<_> = (0..3).map(|_| pool.acquire(ty)).collect();
-            assert_eq!(pool.stats().outstanding(), 6);
-            leased.into_iter().for_each(|b| pool.release_batch(b));
-            vectors.into_iter().for_each(|v| pool.release(v));
-            assert_eq!(pool.stats().dropped(), 4, "two of each overflow the class");
-            assert_eq!(pool.stats().outstanding(), 0);
-        }
+        let pool = VectorPool::arena().with_max_per_class(1);
+        let leased: Vec<_> = (0..3).map(|_| pool.acquire_batch(ty, 2)).collect();
+        let vectors: Vec<_> = (0..3).map(|_| pool.acquire(ty)).collect();
+        assert_eq!(pool.stats().outstanding(), 6);
+        leased.into_iter().for_each(|b| pool.release_batch(b));
+        vectors.into_iter().for_each(|v| pool.release(v));
+        assert_eq!(pool.stats().dropped(), 4, "two of each overflow the class");
+        assert_eq!(pool.stats().outstanding(), 0);
         // The pooling-off ablation drops everything and balances too.
         let off = VectorPool::disabled();
         off.release(off.acquire(ty));
@@ -944,8 +614,8 @@ mod tests {
 
     #[test]
     fn warm_prepopulates_without_counting_misses() {
-        let pool = VectorPool::new();
-        pool.warm(ColumnType::F32Sparse { len: 100 }, 4);
+        let pool = VectorPool::arena();
+        pool.warm_sized(ColumnType::F32Sparse { len: 100 }, 0, 4);
         for _ in 0..4 {
             let v = pool.acquire(ColumnType::F32Sparse { len: 100 });
             assert!(matches!(v, Vector::Sparse { dim: 100, .. }));
@@ -954,73 +624,66 @@ mod tests {
         assert_eq!(pool.stats().misses(), 0);
     }
 
-    /// Both free-list backends, for the contracts that must not differ.
-    fn both_backends() -> [VectorPool; 2] {
-        [VectorPool::new(), VectorPool::arena()]
-    }
-
     #[test]
     fn warming_ensures_a_count_and_builds_only_the_shortfall() {
         let dense = ColumnType::F32Dense { len: 8 };
-        for pool in both_backends() {
-            // Idempotent: the second call finds the class provisioned.
-            pool.warm_batches(dense, 16, 0, 3);
-            pool.warm_sized(ColumnType::Text, 32, 3);
-            let (bytes, parked) = (pool.retained_bytes(), pool.parked_buffers());
-            assert_eq!(parked, 6);
-            pool.warm_batches(dense, 16, 0, 3);
-            pool.warm_sized(ColumnType::Text, 32, 3);
-            assert_eq!(pool.parked_buffers(), parked);
-            assert_eq!(pool.retained_bytes(), bytes);
-            // A smaller request takes nothing away.
-            pool.warm_batches(dense, 16, 0, 1);
-            assert_eq!(pool.parked_buffers(), parked);
+        let pool = VectorPool::arena();
+        // Idempotent: the second call finds the class provisioned.
+        pool.warm_batches(dense, 16, 0, 3);
+        pool.warm_sized(ColumnType::Text, 32, 3);
+        let (bytes, parked) = (pool.retained_bytes(), pool.parked_buffers());
+        assert_eq!(parked, 6);
+        pool.warm_batches(dense, 16, 0, 3);
+        pool.warm_sized(ColumnType::Text, 32, 3);
+        assert_eq!(pool.parked_buffers(), parked);
+        assert_eq!(pool.retained_bytes(), bytes);
+        // A smaller request takes nothing away.
+        pool.warm_batches(dense, 16, 0, 1);
+        assert_eq!(pool.parked_buffers(), parked);
 
-            // With leases out, a top-up builds exactly what is missing...
-            let out_b: Vec<_> = (0..2).map(|_| pool.acquire_batch(dense, 16)).collect();
-            let out_v = pool.acquire(ColumnType::Text);
-            assert_eq!(pool.parked_buffers(), 3);
-            pool.warm_batches(dense, 16, 0, 3);
-            pool.warm_sized(ColumnType::Text, 32, 3);
-            assert_eq!(pool.parked_buffers(), 6);
-            // ...and the returning leases park beside it.
-            out_b.into_iter().for_each(|b| pool.release_batch(b));
-            pool.release(out_v);
-            assert_eq!(pool.parked_buffers(), 9);
+        // With leases out, a top-up builds exactly what is missing...
+        let out_b: Vec<_> = (0..2).map(|_| pool.acquire_batch(dense, 16)).collect();
+        let out_v = pool.acquire(ColumnType::Text);
+        assert_eq!(pool.parked_buffers(), 3);
+        pool.warm_batches(dense, 16, 0, 3);
+        pool.warm_sized(ColumnType::Text, 32, 3);
+        assert_eq!(pool.parked_buffers(), 6);
+        // ...and the returning leases park beside it.
+        out_b.into_iter().for_each(|b| pool.release_batch(b));
+        pool.release(out_v);
+        assert_eq!(pool.parked_buffers(), 9);
 
-            // Warming is not traffic: only the three leases were counted.
-            let s = pool.stats();
-            assert_eq!((s.hits(), s.misses(), s.released()), (3, 0, 3));
-            assert_eq!(s.dropped(), 0);
-        }
+        // Warming is not traffic: only the three leases were counted.
+        let s = pool.stats();
+        assert_eq!((s.hits(), s.misses(), s.released()), (3, 0, 3));
+        assert_eq!(s.dropped(), 0);
     }
 
     #[test]
     fn warming_never_exceeds_the_class_capacity() {
         let dense = ColumnType::F32Dense { len: 4 };
-        for pool in both_backends() {
-            // Batches stop at their own cap, vectors at the pool's.
-            pool.warm_batches(dense, 2, 0, MAX_BATCHES_PER_CLASS + 50);
-            assert_eq!(pool.parked_buffers(), MAX_BATCHES_PER_CLASS);
-            pool.release_batch(ColumnBatch::with_type(dense));
-            assert_eq!(pool.stats().dropped(), 1, "a full class drops, visibly");
-            pool.warm_sized(dense, 0, DEFAULT_MAX_PER_CLASS + 50);
-            assert_eq!(
-                pool.parked_buffers(),
-                MAX_BATCHES_PER_CLASS + DEFAULT_MAX_PER_CLASS
-            );
-        }
-        for pool in both_backends() {
-            let pool = pool.with_max_per_class(2);
-            pool.warm_batches(dense, 2, 0, 5);
-            pool.warm_sized(dense, 0, 5);
-            assert_eq!(pool.parked_buffers(), 4);
-        }
-        // Scalars are values: nothing to park on either vector path.
-        for pool in both_backends() {
-            pool.warm_sized(ColumnType::F32Scalar, 0, 4);
-            assert_eq!(pool.parked_buffers(), 0);
-        }
+        let pool = VectorPool::arena();
+        // Batches stop at their own cap, vectors at the pool's.
+        pool.warm_batches(dense, 2, 0, MAX_BATCHES_PER_CLASS + 50);
+        assert_eq!(pool.parked_buffers(), MAX_BATCHES_PER_CLASS);
+        pool.release_batch(ColumnBatch::with_type(dense));
+        assert_eq!(pool.stats().dropped(), 1, "a full class drops, visibly");
+        pool.warm_sized(dense, 0, DEFAULT_MAX_PER_CLASS + 50);
+        assert_eq!(
+            pool.parked_buffers(),
+            MAX_BATCHES_PER_CLASS + DEFAULT_MAX_PER_CLASS
+        );
+
+        let pool = VectorPool::arena().with_max_per_class(2);
+        pool.warm_batches(dense, 2, 0, 5);
+        pool.warm_sized(dense, 0, 5);
+        assert_eq!(pool.parked_buffers(), 4);
+
+        // Scalars are values: nothing to park.
+        let pool = VectorPool::arena();
+        pool.warm_sized(ColumnType::F32Scalar, 0, 4);
+        assert_eq!(pool.parked_buffers(), 0);
+
         let off = VectorPool::disabled();
         off.warm_batches(dense, 2, 0, 5);
         off.warm_sized(dense, 0, 5);
@@ -1028,30 +691,8 @@ mod tests {
     }
 
     #[test]
-    fn lease_returns_buffers_on_drop() {
-        let pool = Arc::new(VectorPool::new());
-        let types = [
-            ColumnType::Text,
-            ColumnType::TokenList,
-            ColumnType::F32Dense { len: 4 },
-        ];
-        {
-            let mut lease = pool.lease(&types);
-            assert_eq!(lease.len(), 3);
-            let (out, before) = lease.split_output(2);
-            assert_eq!(before.len(), 2);
-            if let Vector::Dense(d) = out {
-                d[0] = 1.0;
-            }
-        }
-        // All three buffers are back: acquiring again yields hits only.
-        let _lease2 = pool.lease(&types);
-        assert_eq!(pool.stats().hits(), 3);
-    }
-
-    #[test]
     fn retained_bytes_tracks_freelists() {
-        let pool = VectorPool::new();
+        let pool = VectorPool::arena();
         pool.release(Vector::Dense(Vec::with_capacity(10)));
         assert_eq!(pool.retained_bytes(), 40);
         let _ = pool.acquire(ColumnType::F32Dense { len: 0 });
@@ -1061,7 +702,7 @@ mod tests {
 
     #[test]
     fn batch_acquire_release_reuses_buffers() {
-        let pool = VectorPool::new();
+        let pool = VectorPool::arena();
         let ty = ColumnType::F32Dense { len: 4 };
         let mut b = pool.acquire_batch(ty, 8);
         assert_eq!(pool.stats().misses(), 1);
@@ -1076,7 +717,7 @@ mod tests {
 
     #[test]
     fn batch_classes_are_per_type() {
-        let pool = VectorPool::new();
+        let pool = VectorPool::arena();
         pool.release_batch(ColumnBatch::with_type(ColumnType::F32Dense { len: 4 }));
         let b = pool.acquire_batch(ColumnType::F32Dense { len: 8 }, 1);
         assert_eq!(b.column_type(), ColumnType::F32Dense { len: 8 });
@@ -1096,7 +737,7 @@ mod tests {
 
     #[test]
     fn batch_retained_bytes_counted() {
-        let pool = VectorPool::new();
+        let pool = VectorPool::arena();
         pool.release_batch(ColumnBatch::with_capacity_hint(
             ColumnType::F32Dense { len: 4 },
             8,
@@ -1109,17 +750,11 @@ mod tests {
     fn pool_is_send_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<VectorPool>();
-        assert_send_sync::<Lease>();
     }
-
-    // ------------------------------------------------------------------
-    // Arena (lock-free) backend
-    // ------------------------------------------------------------------
 
     #[test]
     fn arena_pool_reuses_vectors_and_batches() {
         let pool = VectorPool::arena();
-        assert!(pool.is_arena());
         let ty = ColumnType::F32Dense { len: 8 };
         let v = pool.acquire(ty);
         assert_eq!(pool.stats().misses(), 1);

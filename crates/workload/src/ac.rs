@@ -287,7 +287,7 @@ mod tests {
                 &store,
             )
             .unwrap();
-            let pool = std::sync::Arc::new(pretzel_data::pool::VectorPool::new());
+            let pool = std::sync::Arc::new(pretzel_data::pool::VectorPool::arena());
             let mut ctx = pretzel_core::physical::ExecCtx::new(pool);
             let mut slots: Vec<pretzel_data::Vector> = compiled
                 .slot_types()

@@ -1,5 +1,5 @@
-//! LRU eviction-order equivalence between the per-record cached path and
-//! the chunk-level cache probe.
+//! LRU eviction-order equivalence between the request-response engine's
+//! per-record cached path and the batch engine's chunk-level cache probe.
 //!
 //! The materialization cache is one shared LRU; which entry an insert
 //! evicts depends on the *order* of every preceding get/insert. The chunk
@@ -8,6 +8,14 @@
 //! mid-chunk eviction pressure the columnar path transitions the LRU
 //! through exactly the per-record states: same hit/miss counters, same
 //! eviction victims, same surviving entries.
+//!
+//! The reference is a second runtime with the same budget, fed the same
+//! records one at a time through `Runtime::predict_source`. It is exact
+//! because the plan has one cacheable step: each record issues one probe
+//! (plus one insert on a miss) whichever engine runs it, so the row path's
+//! operation sequence is precisely the one the chunk probe must replay.
+//! With several cacheable steps in different stages the engines would
+//! interleave those steps' operations differently by design.
 //!
 //! The scenario below is engineered to catch the pre-fix drift (all probes
 //! before all inserts): a chunk interleaving hits and misses at a budget
@@ -45,26 +53,56 @@ fn record(tag: f32) -> Record {
     Record::Dense((0..DIM).map(|j| tag + j as f32 * 0.125).collect())
 }
 
-/// Runs the same pass sequence through a runtime and returns the cache
-/// counter snapshots (hits/misses/evictions) after each pass, plus every
-/// score produced.
-fn run_passes(columnar: bool, passes: &[Vec<Record>]) -> (Vec<MatCacheStats>, Vec<f32>) {
+/// Runs the same pass sequence through a fresh runtime with a cache of
+/// `budget` bytes — through the batch engine (`batch`, every pass one
+/// chunk) or one record at a time through the request-response engine —
+/// and returns the cache counter snapshots (hits/misses/evictions) after
+/// each pass, plus every score produced.
+fn run_passes(
+    batch: bool,
+    budget: usize,
+    passes: &[Vec<Record>],
+) -> (Vec<MatCacheStats>, Vec<f32>) {
     let rt = Runtime::new(RuntimeConfig {
         n_executors: 1,
-        chunk_size: 16, // every pass is one chunk
-        columnar,
-        // Room for exactly 3 entries: the 4th insert must evict mid-chunk.
-        materialization_budget: 3 * ENTRY_COST,
+        chunk_size: 16,
+        materialization_budget: budget,
         ..RuntimeConfig::default()
     });
     let id = rt.register(kmeans_plan()).unwrap();
     let mut stats = Vec::new();
     let mut scores = Vec::new();
     for pass in passes {
-        scores.extend(rt.predict_batch_wait(id, pass.clone()).unwrap());
+        if batch {
+            scores.extend(rt.predict_batch_wait(id, pass.clone()).unwrap());
+        } else {
+            for r in pass {
+                scores.push(rt.predict_source(id, r.as_source()).unwrap());
+            }
+        }
         stats.push(rt.materialization_cache().unwrap().stats());
     }
     (stats, scores)
+}
+
+/// Both engines over `passes`: counters equal after every pass, scores
+/// bitwise-equal throughout.
+fn assert_engines_agree(budget: usize, passes: &[Vec<Record>]) {
+    let (per_record_stats, per_record_scores) = run_passes(false, budget, passes);
+    let (columnar_stats, columnar_scores) = run_passes(true, budget, passes);
+    for (i, (pr, col)) in per_record_stats.iter().zip(&columnar_stats).enumerate() {
+        assert_eq!(
+            pr, col,
+            "pass {i}: (hits, misses, evictions) diverge — columnar LRU \
+             bookkeeping no longer matches per-record order"
+        );
+    }
+    // Scores are bitwise-identical throughout (they were even pre-fix;
+    // recency drift costs recomputation, never correctness).
+    assert_eq!(per_record_scores.len(), columnar_scores.len());
+    for (i, (pr, col)) in per_record_scores.iter().zip(&columnar_scores).enumerate() {
+        assert_eq!(pr.to_bits(), col.to_bits(), "score {i}");
+    }
 }
 
 #[test]
@@ -93,20 +131,8 @@ fn chunk_probe_matches_per_record_eviction_sequence() {
         // Sweep everything to pin down the full surviving set.
         vec![a, c, d, e, b],
     ];
-    let (per_record_stats, per_record_scores) = run_passes(false, &passes);
-    let (columnar_stats, columnar_scores) = run_passes(true, &passes);
-    for (i, (pr, col)) in per_record_stats.iter().zip(&columnar_stats).enumerate() {
-        assert_eq!(
-            pr, col,
-            "pass {i}: (hits, misses, evictions) diverge — columnar LRU \
-             bookkeeping no longer matches per-record order"
-        );
-    }
-    // Scores are bitwise-identical throughout (they were even pre-fix;
-    // recency drift costs recomputation, never correctness).
-    for (i, (pr, col)) in per_record_scores.iter().zip(&columnar_scores).enumerate() {
-        assert_eq!(pr.to_bits(), col.to_bits(), "score {i}");
-    }
+    // Room for exactly 3 entries: the 4th insert must evict mid-chunk.
+    assert_engines_agree(3 * ENTRY_COST, &passes);
 }
 
 #[test]
@@ -119,30 +145,5 @@ fn chunk_probe_matches_per_record_counters_at_degenerate_budget() {
         vec![a.clone(), b.clone(), a.clone()],
         vec![b.clone(), b.clone()],
     ];
-    let run = |columnar: bool| {
-        let rt = Runtime::new(RuntimeConfig {
-            n_executors: 1,
-            chunk_size: 16,
-            columnar,
-            materialization_budget: 1,
-            ..RuntimeConfig::default()
-        });
-        let id = rt.register(kmeans_plan()).unwrap();
-        let mut out = Vec::new();
-        for pass in &passes {
-            out.push((
-                rt.predict_batch_wait(id, pass.clone()).unwrap(),
-                rt.materialization_cache().unwrap().stats(),
-            ));
-        }
-        out
-    };
-    let pr = run(false);
-    let col = run(true);
-    for (i, ((pr_scores, pr_stats), (col_scores, col_stats))) in pr.iter().zip(&col).enumerate() {
-        assert_eq!(pr_stats, col_stats, "pass {i} counters");
-        for (a, b) in pr_scores.iter().zip(col_scores) {
-            assert_eq!(a.to_bits(), b.to_bits(), "pass {i} scores");
-        }
-    }
+    assert_engines_agree(1, &passes);
 }

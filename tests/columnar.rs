@@ -3,7 +3,7 @@
 //! The batch engine's columnar data plane must produce scores
 //! **bitwise-identical** to the request-response engine's per-record path —
 //! across every operator family, every chunk size, with pooling on and off
-//! (the ablation), and with columnar execution itself toggled. The batch
+//! (the ablation), and with the materialization cache on. The batch
 //! kernels intentionally run the same per-row arithmetic in the same order
 //! as the single-record kernels, so comparisons here use `f32::to_bits`,
 //! not tolerances.
@@ -183,12 +183,11 @@ fn cases() -> Vec<Case> {
     cases
 }
 
-fn run_case(case: &Case, chunk_size: usize, pooling: bool, columnar: bool) {
+fn run_case(case: &Case, chunk_size: usize, pooling: bool) {
     let rt = Runtime::new(RuntimeConfig {
         n_executors: 2,
         pooling,
         chunk_size,
-        columnar,
         ..RuntimeConfig::default()
     });
     let id = rt.register(case.plan.clone()).expect("registers");
@@ -202,8 +201,7 @@ fn run_case(case: &Case, chunk_size: usize, pooling: bool, columnar: bool) {
         assert_eq!(
             batch[i].to_bits(),
             inline.to_bits(),
-            "{} chunk={chunk_size} pooling={pooling} columnar={columnar} \
-             record {i}: batch {} vs inline {inline}",
+            "{} chunk={chunk_size} pooling={pooling} record {i}: batch {} vs inline {inline}",
             case.name,
             batch[i]
         );
@@ -216,7 +214,7 @@ fn run_case(case: &Case, chunk_size: usize, pooling: bool, columnar: bool) {
 fn columnar_matches_single_across_families_and_chunk_sizes() {
     for case in cases() {
         for chunk in CHUNK_SIZES {
-            run_case(&case, chunk, true, true);
+            run_case(&case, chunk, true);
         }
     }
 }
@@ -225,74 +223,38 @@ fn columnar_matches_single_across_families_and_chunk_sizes() {
 #[test]
 fn columnar_matches_single_with_pooling_disabled() {
     for case in cases() {
-        run_case(&case, 7, false, true);
-        run_case(&case, 64, false, true);
+        run_case(&case, 7, false);
+        run_case(&case, 64, false);
     }
 }
 
-/// The per-record chunk loop (columnar off) stays available and agrees
-/// bitwise with the columnar plane — the control for the ablation bench.
-#[test]
-fn per_record_fallback_matches_columnar() {
-    for case in cases() {
-        let columnar = Runtime::new(RuntimeConfig {
-            n_executors: 2,
-            chunk_size: 16,
-            columnar: true,
-            ..RuntimeConfig::default()
-        });
-        let per_record = Runtime::new(RuntimeConfig {
-            n_executors: 2,
-            chunk_size: 16,
-            columnar: false,
-            ..RuntimeConfig::default()
-        });
-        let a = columnar.register(case.plan.clone()).unwrap();
-        let b = per_record.register(case.plan.clone()).unwrap();
-        let xs = columnar
-            .predict_batch_wait(a, case.records.clone())
-            .unwrap();
-        let ys = per_record
-            .predict_batch_wait(b, case.records.clone())
-            .unwrap();
-        for (i, (x, y)) in xs.iter().zip(&ys).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{} record {i}: columnar {x} vs per-record {y}",
-                case.name
-            );
-        }
-    }
-}
-
-/// One cache-enabled equivalence pass: the same records through a
-/// columnar+cache runtime and a per-record+cache runtime, cold then warm.
+/// One cache-enabled equivalence pass: the same records through the batch
+/// engine of one runtime and, one at a time, through the request-response
+/// engine of a second runtime with the same cache budget — cold, then warm.
 /// Scores must be bitwise-identical and the two materialization caches
 /// must report identical hit/miss counts after every pass (single
-/// executor, so the probe order is deterministic in both planes).
+/// executor, so the chunk probe order is deterministic).
 fn run_cached_case(case: &Case, records: &[Record], chunk_size: usize) {
-    let mk = |columnar: bool| {
+    let mk = || {
         Runtime::new(RuntimeConfig {
             n_executors: 1,
             chunk_size,
-            columnar,
             materialization_budget: 64 << 20,
             ..RuntimeConfig::default()
         })
     };
-    let col = mk(true);
-    let pr = mk(false);
+    let col = mk();
+    let rr = mk();
     let a = col.register(case.plan.clone()).expect("registers");
-    let b = pr.register(case.plan.clone()).expect("registers");
+    let b = rr.register(case.plan.clone()).expect("registers");
     for pass in ["cold", "warm"] {
         let xs = col
             .predict_batch_wait(a, records.to_vec())
             .expect("columnar+cache scores");
-        let ys = pr
-            .predict_batch_wait(b, records.to_vec())
-            .expect("per-record+cache scores");
-        for (i, (x, y)) in xs.iter().zip(&ys).enumerate() {
+        for (i, (x, r)) in xs.iter().zip(records).enumerate() {
+            let y = rr
+                .predict_source(b, r.as_source())
+                .expect("per-record+cache scores");
             assert_eq!(
                 x.to_bits(),
                 y.to_bits(),
@@ -302,7 +264,7 @@ fn run_cached_case(case: &Case, records: &[Record], chunk_size: usize) {
             );
         }
         let cs = col.materialization_cache().unwrap().stats();
-        let ps = pr.materialization_cache().unwrap().stats();
+        let ps = rr.materialization_cache().unwrap().stats();
         let ((ch, cm), (ph, pm)) = ((cs.hits, cs.misses), (ps.hits, ps.misses));
         assert_eq!(
             (ch, cm),
@@ -347,86 +309,6 @@ fn cache_on_columnar_matches_per_record_across_families_and_chunk_sizes() {
         records.extend(dup);
         for chunk in CHUNK_SIZES {
             run_cached_case(&case, &records, chunk);
-        }
-    }
-}
-
-/// The sharded execution plane (per-core run queues, work stealing,
-/// lock-free pool arenas — the default) and the shared-everything control
-/// (`sharded: false`) must agree bitwise on every operator family:
-/// sharding moves work and buffers around, never the math. (The rest of
-/// this suite runs on the sharded default, so this is the one test that
-/// exercises the control plane side by side.)
-#[test]
-fn sharded_matches_shared_across_families() {
-    for case in cases() {
-        let mk = |sharded: bool| {
-            Runtime::new(RuntimeConfig {
-                n_executors: 2,
-                chunk_size: 16,
-                sharded,
-                ..RuntimeConfig::default()
-            })
-        };
-        let on = mk(true);
-        let off = mk(false);
-        let a = on.register(case.plan.clone()).unwrap();
-        let b = off.register(case.plan.clone()).unwrap();
-        let xs = on.predict_batch_wait(a, case.records.clone()).unwrap();
-        let ys = off.predict_batch_wait(b, case.records.clone()).unwrap();
-        for (i, (x, y)) in xs.iter().zip(&ys).enumerate() {
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{} record {i}: sharded {x} vs shared {y}",
-                case.name
-            );
-        }
-    }
-}
-
-/// Sharded-vs-shared with the materialization cache on: bitwise-equal
-/// scores AND exactly equal cache hit/miss counts, cold and warm (single
-/// executor, so the probe order is deterministic on both planes).
-#[test]
-fn sharded_cache_counts_match_shared() {
-    for case in cases() {
-        let mut records: Vec<Record> = case.records[..case.records.len().min(90)].to_vec();
-        let dup: Vec<Record> = records[..records.len() / 3].to_vec();
-        records.extend(dup);
-        let mk = |sharded: bool| {
-            Runtime::new(RuntimeConfig {
-                n_executors: 1,
-                chunk_size: 7,
-                materialization_budget: 64 << 20,
-                sharded,
-                ..RuntimeConfig::default()
-            })
-        };
-        let on = mk(true);
-        let off = mk(false);
-        let a = on.register(case.plan.clone()).unwrap();
-        let b = off.register(case.plan.clone()).unwrap();
-        for pass in ["cold", "warm"] {
-            let xs = on.predict_batch_wait(a, records.clone()).unwrap();
-            let ys = off.predict_batch_wait(b, records.clone()).unwrap();
-            for (i, (x, y)) in xs.iter().zip(&ys).enumerate() {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "{} {pass} record {i}: sharded+cache {x} vs shared+cache {y}",
-                    case.name
-                );
-            }
-            let ss = on.materialization_cache().unwrap().stats();
-            let hs = off.materialization_cache().unwrap().stats();
-            let ((sh, sm), (hh, hm)) = ((ss.hits, ss.misses), (hs.hits, hs.misses));
-            assert_eq!(
-                (sh, sm),
-                (hh, hm),
-                "{} {pass}: cache hit/miss counts diverge between planes",
-                case.name
-            );
         }
     }
 }

@@ -554,7 +554,7 @@ fn fused_plan_scores_equal_reference_order_accumulation_in_every_engine() {
         .collect();
     assert!(expect.iter().any(|&e| e != lin.bias.to_bits()));
 
-    let mut ctx = ExecCtx::new(Arc::new(VectorPool::new()));
+    let mut ctx = ExecCtx::new(Arc::new(VectorPool::arena()));
     let mut slots: Vec<Vector> = plan
         .slot_types()
         .iter()

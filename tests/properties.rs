@@ -70,7 +70,7 @@ fn arb_line(rng: &mut StdRng) -> String {
 }
 
 fn run_plan(plan: &ModelPlan, line: &str) -> f32 {
-    let pool = Arc::new(VectorPool::new());
+    let pool = Arc::new(VectorPool::arena());
     let mut ctx = ExecCtx::new(pool);
     let mut slots: Vec<Vector> = plan
         .slot_types()
@@ -174,7 +174,7 @@ fn pool_buffers_come_back_clean() {
         let len = rng.gen_range(1usize..16);
         let fills: Vec<f32> = (0..len).map(|_| rng.gen_range(-5.0f32..5.0)).collect();
         let rounds = rng.gen_range(1usize..5);
-        let pool = VectorPool::new();
+        let pool = VectorPool::arena();
         let ty = ColumnType::F32Dense { len };
         for _ in 0..rounds {
             let mut v = pool.acquire(ty);
