@@ -34,7 +34,7 @@ use pretzel_core::flour::FlourContext;
 use pretzel_core::frontend::{Client, FrontEnd, FrontEndConfig, PredictRequest};
 use pretzel_core::graph::TransformGraph;
 use pretzel_core::runtime::{Runtime, RuntimeConfig};
-use pretzel_core::stats::NodeStats;
+use pretzel_core::train_stats::NodeStats;
 use pretzel_data::DataError;
 use pretzel_ops::fault::FaultParams;
 use pretzel_ops::linear::LinearKind;

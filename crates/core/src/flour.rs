@@ -29,7 +29,7 @@
 use crate::graph::{Input, TNode, TransformGraph};
 use crate::oven;
 use crate::plan::StagePlan;
-use crate::stats::NodeStats;
+use crate::train_stats::NodeStats;
 use pretzel_data::{ColumnType, DataError, Result};
 use pretzel_ops::bayes::NaiveBayesParams;
 use pretzel_ops::feat::binner::BinnerParams;

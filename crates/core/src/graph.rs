@@ -7,7 +7,7 @@
 //! [`TransformGraph::validate_structure`] re-checks on every graph that
 //! reaches the optimizer.
 
-use crate::stats::NodeStats;
+use crate::train_stats::NodeStats;
 use pretzel_data::{ColumnType, DataError, Result};
 use pretzel_ops::Op;
 
@@ -192,8 +192,9 @@ impl TransformGraph {
     }
 
     /// Deserializes a pipeline, *sharing* parameters through an Object
-    /// Store: sections whose checksum is already resident are not decoded
-    /// at all — the canonical instance is cloned instead (paper §4.1.3 and
+    /// Store: sections whose checksum is already resident are verified
+    /// against their payload like any other, but not decoded — the
+    /// canonical instance is cloned instead (paper §4.1.3 and
     /// the §5.1 fast-load behaviour). New parameters are decoded once and
     /// interned.
     pub fn from_model_image_shared(

@@ -68,8 +68,8 @@ pub mod physical;
 pub mod plan;
 pub mod runtime;
 pub mod scheduler;
-pub mod stats;
 pub mod telemetry;
+pub mod train_stats;
 
 pub use flour::FlourContext;
 pub use lifecycle::{DeployOptions, PlanInfo, UndeployReport};

@@ -554,7 +554,7 @@ mod tests {
                     vectorizable: false,
                 }],
                 output_slot: 2,
-                stats: crate::stats::NodeStats::default(),
+                stats: crate::train_stats::NodeStats::default(),
             }
         };
         let store = ObjectStore::new();

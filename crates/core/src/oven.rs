@@ -29,7 +29,7 @@
 
 use crate::graph::{Input, TransformGraph};
 use crate::plan::{BufDef, Loc, LogicalStage, StageOp, StagePlan, Step};
-use crate::stats::NodeStats;
+use crate::train_stats::NodeStats;
 use pretzel_data::{ColumnType, DataError, Result};
 use pretzel_ops::annotations::{Arity, Bound};
 use pretzel_ops::Op;

@@ -1350,7 +1350,7 @@ fn intern_step(step: &mut Step, store: &ObjectStore) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::NodeStats;
+    use crate::train_stats::NodeStats;
     use pretzel_ops::linear::LinearKind;
     use pretzel_ops::synth;
     use pretzel_ops::text::tokenizer::TokenizerParams;

@@ -17,7 +17,7 @@
 //! weight segment, and [`StageOp::Combine`] sums the partials and applies
 //! bias + link — after which the Concat operator (and its buffer) is gone.
 
-use crate::stats::NodeStats;
+use crate::train_stats::NodeStats;
 use pretzel_data::batch::ColRef;
 use pretzel_data::hash::Fnv1a;
 use pretzel_data::{ColumnBatch, ColumnType, DataError, Result, Vector};

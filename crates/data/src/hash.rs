@@ -1,13 +1,24 @@
 //! Small non-cryptographic hash utilities.
 //!
-//! Three uses in the reproduction, mirroring the paper:
+//! Three uses in the reproduction, mirroring the paper, served by two
+//! hashes:
 //!
-//! 1. **Feature hashing** in n-gram featurizers (dictionary-miss fallback and
-//!    the `HashingVectorizer` operator).
+//! 1. **Feature hashing** of n-gram windows (the `HashingVectorizer`
+//!    operator, [`feature_bucket`]): [`Fnv1a`]. It stays FNV-1a because a
+//!    window's bucket — and so which trained weight it reads — is defined
+//!    by it, and because windows are a few bytes long, too short for a
+//!    lane-parallel hash to gain anything. (The dictionary n-gram
+//!    featurizers hash their windows with their own word-packed hash in
+//!    `pretzel_ops::text::ngram`.)
 //! 2. **Parameter checksums**: the Object Store dedups operator parameters by
-//!    "the checksum of the serialized version of the objects" (§4.1.3).
+//!    "the checksum of the serialized version of the objects" (§4.1.3):
+//!    [`Xxh64`], via `serde_bin::section_checksum`. Every section of every
+//!    model image is verified on every load, so this hash runs over whole
+//!    images; four independent lanes keep it near memory speed where
+//!    FNV-1a's byte-serial multiply chain does not.
 //! 3. **Input hashing** for sub-plan materialization: "hashing of the input
-//!    is used to decide whether a result is already available" (§4.3).
+//!    is used to decide whether a result is already available" (§4.3):
+//!    [`Fnv1a`] (`content_hash_*`), over short records.
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -76,6 +87,148 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
     h.finish()
 }
 
+const XXH_P1: u64 = 0x9e37_79b1_85eb_ca87;
+const XXH_P2: u64 = 0xc2b2_ae3d_27d4_eb4f;
+const XXH_P3: u64 = 0x1656_67b1_9e37_79f9;
+const XXH_P4: u64 = 0x85eb_ca77_c2b2_ae63;
+const XXH_P5: u64 = 0x27d4_eb2f_1656_67c5;
+/// Bytes consumed per round: one `u64` for each of the four lanes.
+const XXH_STRIPE: usize = 32;
+
+/// Streaming XXH64 (seed 0), bit-compatible with the reference xxHash.
+///
+/// Deterministic across runs and platforms, which matters because section
+/// checksums are persisted inside model files and compared after reload.
+/// Input is consumed in 32-byte stripes by four independent
+/// multiply-rotate lanes, so the multiplies overlap instead of each
+/// waiting on the previous one.
+#[derive(Debug, Clone)]
+pub struct Xxh64 {
+    lanes: [u64; 4],
+    total_len: u64,
+    /// Bytes of an incomplete stripe, carried to the next `write`.
+    buf: [u8; XXH_STRIPE],
+    buf_len: usize,
+}
+
+impl Default for Xxh64 {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+#[inline(always)]
+fn xxh_round(acc: u64, input: u64) -> u64 {
+    acc.wrapping_add(input.wrapping_mul(XXH_P2))
+        .rotate_left(31)
+        .wrapping_mul(XXH_P1)
+}
+
+#[inline(always)]
+fn xxh_merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ xxh_round(0, lane))
+        .wrapping_mul(XXH_P1)
+        .wrapping_add(XXH_P4)
+}
+
+#[inline(always)]
+fn le_u64(b: &[u8]) -> u64 {
+    u64::from_le_bytes(b[..8].try_into().expect("8 bytes"))
+}
+
+impl Xxh64 {
+    /// Creates a hasher with seed 0.
+    pub fn new() -> Self {
+        Xxh64 {
+            lanes: [
+                XXH_P1.wrapping_add(XXH_P2),
+                XXH_P2,
+                0,
+                XXH_P1.wrapping_neg(),
+            ],
+            total_len: 0,
+            buf: [0; XXH_STRIPE],
+            buf_len: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn stripe(lanes: &mut [u64; 4], stripe: &[u8]) {
+        for (lane, word) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = xxh_round(*lane, le_u64(word));
+        }
+    }
+
+    /// Feeds `bytes` into the hash state.
+    pub fn write(&mut self, mut bytes: &[u8]) {
+        self.total_len += bytes.len() as u64;
+        if self.buf_len > 0 {
+            let fill = (XXH_STRIPE - self.buf_len).min(bytes.len());
+            self.buf[self.buf_len..self.buf_len + fill].copy_from_slice(&bytes[..fill]);
+            self.buf_len += fill;
+            bytes = &bytes[fill..];
+            if self.buf_len < XXH_STRIPE {
+                return;
+            }
+            Self::stripe(&mut self.lanes, &self.buf);
+            self.buf_len = 0;
+        }
+        let mut stripes = bytes.chunks_exact(XXH_STRIPE);
+        let mut lanes = self.lanes;
+        for stripe in &mut stripes {
+            Self::stripe(&mut lanes, stripe);
+        }
+        self.lanes = lanes;
+        let tail = stripes.remainder();
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
+    }
+
+    /// Returns the 64-bit digest of everything written so far.
+    pub fn finish(&self) -> u64 {
+        let [v1, v2, v3, v4] = self.lanes;
+        let mut h = if self.total_len >= XXH_STRIPE as u64 {
+            let h = v1
+                .rotate_left(1)
+                .wrapping_add(v2.rotate_left(7))
+                .wrapping_add(v3.rotate_left(12))
+                .wrapping_add(v4.rotate_left(18));
+            self.lanes.iter().fold(h, |h, &lane| xxh_merge(h, lane))
+        } else {
+            XXH_P5
+        };
+        h = h.wrapping_add(self.total_len);
+        let mut tail = &self.buf[..self.buf_len];
+        while tail.len() >= 8 {
+            h ^= xxh_round(0, le_u64(tail));
+            h = h.rotate_left(27).wrapping_mul(XXH_P1).wrapping_add(XXH_P4);
+            tail = &tail[8..];
+        }
+        if tail.len() >= 4 {
+            let word = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+            h ^= u64::from(word).wrapping_mul(XXH_P1);
+            h = h.rotate_left(23).wrapping_mul(XXH_P2).wrapping_add(XXH_P3);
+            tail = &tail[4..];
+        }
+        for &b in tail {
+            h ^= u64::from(b).wrapping_mul(XXH_P5);
+            h = h.rotate_left(11).wrapping_mul(XXH_P1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(XXH_P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(XXH_P3);
+        h ^ (h >> 32)
+    }
+}
+
+/// Hashes a byte slice with XXH64 (seed 0) in one call.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let mut h = Xxh64::new();
+    h.write(bytes);
+    h.finish()
+}
+
 /// Content hash of a text source record.
 ///
 /// The canonical per-record identity used by the sub-plan materialization
@@ -125,7 +278,7 @@ pub fn splitmix64(seed: u64) -> u64 {
 /// table-index range).
 ///
 /// Hot probe tables keyed by values that are *already* good 64-bit hashes
-/// (FNV-1a n-gram window hashes, parameter checksums) waste most of their
+/// (FNV-1a n-gram window hashes, XXH64 parameter checksums) waste most of their
 /// probe time re-hashing the key with SipHash under std's default hasher.
 /// `HashMap<u64, _, PrehashedBuild>` skips that: one multiply-shift chain
 /// instead of a full SipHash pass per lookup.
@@ -209,6 +362,36 @@ mod tests {
         let mut b = Fnv1a::new();
         b.write(&[8, 7, 6, 5, 4, 3, 2, 1]);
         assert_eq!(a.finish(), b.finish());
+    }
+
+    #[test]
+    fn xxh64_matches_reference_vectors() {
+        // Published XXH64 digests, seed 0.
+        assert_eq!(xxh64(b""), 0xef46_db37_51d8_e999);
+        assert_eq!(xxh64(b"a"), 0xd24e_c4f1_a98c_6e5b);
+        assert_eq!(xxh64(b"abc"), 0x44bc_2cf5_ad77_0999);
+    }
+
+    #[test]
+    fn xxh64_streaming_equals_oneshot_at_every_split() {
+        // 100 bytes: three full stripes plus a 4-byte tail, so the splits
+        // cross the 32-byte stripe boundary from both sides.
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        let whole = xxh64(&data);
+        // The stripe path and every tail step, as computed by an
+        // independent one-shot implementation of the specification.
+        assert_eq!(whole, 0x4826_e367_566e_a023);
+        for split in 0..=data.len() {
+            let mut h = Xxh64::new();
+            h.write(&data[..split]);
+            h.write(&data[split..]);
+            assert_eq!(h.finish(), whole, "split at {split}");
+        }
+        let mut bytewise = Xxh64::new();
+        for b in &data {
+            bytewise.write(std::slice::from_ref(b));
+        }
+        assert_eq!(bytewise.finish(), whole);
     }
 
     #[test]

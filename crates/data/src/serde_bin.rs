@@ -5,7 +5,7 @@
 //! operator parameters in either binary or plain text files" (paper §2).
 //! We reproduce the same layout: a [`ModelFileWriter`] emits a flat byte
 //! image made of named *sections* (one per operator) each holding named
-//! *entries* (parameter blobs). Per-section FNV-1a checksums are stored in
+//! *entries* (parameter blobs). Per-section XXH64 checksums are stored in
 //! the header — they are exactly the "checksum of the serialized version of
 //! the objects" the Object Store uses for parameter dedup (paper §4.1.3).
 //!
@@ -14,10 +14,14 @@
 //! blob, per container) is transparent, real work.
 
 use crate::error::{DataError, Result};
-use crate::hash::Fnv1a;
+use crate::hash::Xxh64;
 
 /// Magic bytes identifying a model file.
-pub const MAGIC: &[u8; 8] = b"PRTZL1\0\0";
+pub const MAGIC: &[u8; 8] = b"PRTZL2\0\0";
+
+/// Magic of the retired format whose section checksums were FNV-1a; such
+/// an image is rejected by name rather than as "not a model file".
+const MAGIC_V1: &[u8; 8] = b"PRTZL1\0\0";
 
 /// Primitive little-endian emitters shared by the codec and the operators.
 pub mod wire {
@@ -139,24 +143,28 @@ impl<'a> Cursor<'a> {
 
     /// Reads a length-prefixed `f32` vector.
     pub fn f32s(&mut self) -> Result<Vec<f32>> {
-        let len = self.u32()? as usize;
-        self.check_claim(len, 4)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.f32()?);
-        }
-        Ok(out)
+        Ok(self
+            .words()?
+            .chunks_exact(4)
+            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
     }
 
     /// Reads a length-prefixed `u32` vector.
     pub fn u32s(&mut self) -> Result<Vec<u32>> {
+        Ok(self
+            .words()?
+            .chunks_exact(4)
+            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+            .collect())
+    }
+
+    // The bytes of a length-prefixed array of 4-byte words, taken with one
+    // bounds check; the claim is checked before anything is allocated.
+    fn words(&mut self) -> Result<&'a [u8]> {
         let len = self.u32()? as usize;
         self.check_claim(len, 4)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(self.u32()?);
-        }
-        Ok(out)
+        self.take(len * 4)
     }
 
     /// Reads a length-prefixed raw byte blob.
@@ -183,7 +191,8 @@ impl<'a> Cursor<'a> {
 pub struct Section {
     /// Operator-directory name, e.g. `"op3.WordNgram"`.
     pub name: String,
-    /// FNV-1a checksum of the entries ([`section_checksum`]).
+    /// The entries' dedup checksum ([`section_checksum`]); in a section
+    /// returned by [`read_model_file`], verified against the payload.
     pub checksum: u64,
     /// Named parameter blobs.
     pub entries: Vec<(String, Vec<u8>)>,
@@ -205,17 +214,25 @@ impl Section {
     }
 }
 
-/// Computes the dedup checksum of a serialized parameter payload: FNV-1a
-/// over every entry's length-prefixed name followed by its payload, fed to
-/// the hasher in place rather than concatenated into one buffer first.
+/// Computes the dedup checksum of a serialized parameter payload: XXH64
+/// over the concatenation of every entry's `u32` name length, name and
+/// payload, fed to the hasher in place rather than concatenated into one
+/// buffer first. The section name and the payload length prefixes are not
+/// covered.
 pub fn section_checksum(entries: &[(String, Vec<u8>)]) -> u64 {
-    let mut h = Fnv1a::new();
+    let mut h = Xxh64::new();
     for (name, bytes) in entries {
-        h.write(&(name.len() as u32).to_le_bytes());
-        h.write(name.as_bytes());
-        h.write(bytes);
+        hash_entry(&mut h, name.as_bytes(), bytes);
     }
     h.finish()
+}
+
+// One entry's share of `section_checksum`, shared with `read_model_file`,
+// which hashes the raw name bytes before decoding them.
+fn hash_entry(h: &mut Xxh64, name: &[u8], payload: &[u8]) {
+    h.write(&(name.len() as u32).to_le_bytes());
+    h.write(name);
+    h.write(payload);
 }
 
 /// Builder that serializes sections into a model-file byte image.
@@ -273,30 +290,52 @@ impl ModelFileWriter {
 ///
 /// Verifies the magic and every section checksum; a corrupted file is
 /// reported as [`DataError::Codec`] rather than yielding garbage parameters.
+/// A section's entries are hashed straight from the image and copied out
+/// only once the checksum matches, so any damage to an entry name or
+/// payload reads as a checksum mismatch.
 pub fn read_model_file(image: &[u8]) -> Result<Vec<Section>> {
     let mut cur = Cursor::new(image);
     let magic = cur.take(MAGIC.len())?;
+    if magic == MAGIC_V1 {
+        return Err(DataError::Codec(
+            "model file format PRTZL1 (FNV-1a section checksums) is no longer read; \
+             re-export the model as PRTZL2"
+                .into(),
+        ));
+    }
     if magic != MAGIC {
         return Err(DataError::Codec("bad magic; not a model file".into()));
     }
     let n_sections = cur.u32()? as usize;
     let mut sections = Vec::with_capacity(n_sections.min(1024));
+    let mut raw = Vec::new();
     for _ in 0..n_sections {
         let name = cur.str()?;
         let checksum = cur.u64()?;
         let n_entries = cur.u32()? as usize;
-        let mut entries = Vec::with_capacity(n_entries.min(1024));
+        raw.clear();
+        let mut h = Xxh64::new();
         for _ in 0..n_entries {
-            let ename = cur.str()?;
-            let payload = cur.bytes()?.to_vec();
-            entries.push((ename, payload));
+            let name_len = cur.u32()? as usize;
+            let ename = cur.take(name_len)?;
+            let payload = cur.bytes()?;
+            hash_entry(&mut h, ename, payload);
+            raw.push((ename, payload));
         }
-        let expect = section_checksum(&entries);
+        let expect = h.finish();
         if expect != checksum {
             return Err(DataError::Codec(format!(
                 "checksum mismatch in section `{name}`: stored {checksum:#x}, computed {expect:#x}"
             )));
         }
+        let entries = raw
+            .iter()
+            .map(|&(ename, payload)| {
+                let ename = std::str::from_utf8(ename)
+                    .map_err(|e| DataError::Codec(format!("invalid UTF-8 in entry name: {e}")))?;
+                Ok((ename.to_owned(), payload.to_vec()))
+            })
+            .collect::<Result<Vec<_>>>()?;
         sections.push(Section {
             name,
             checksum,
@@ -354,6 +393,16 @@ mod tests {
     }
 
     #[test]
+    fn retired_format_rejected_by_name() {
+        let mut image = sample_image();
+        image[..MAGIC.len()].copy_from_slice(MAGIC_V1);
+        assert!(matches!(
+            read_model_file(&image),
+            Err(DataError::Codec(m)) if m.contains("PRTZL1")
+        ));
+    }
+
+    #[test]
     fn truncated_input_rejected() {
         let image = sample_image();
         for cut in [0, 4, 9, image.len() / 2, image.len() - 1] {
@@ -376,7 +425,7 @@ mod tests {
 
     #[test]
     fn streamed_checksum_matches_concatenated_definition() {
-        // The image format's definition: FNV-1a over the concatenation of
+        // The image format's definition: XXH64 over the concatenation of
         // every entry's `put_str(name)` and payload.
         fn concatenated(entries: &[(String, Vec<u8>)]) -> u64 {
             let mut all = Vec::new();
@@ -384,7 +433,7 @@ mod tests {
                 wire::put_str(&mut all, name);
                 all.extend_from_slice(bytes);
             }
-            crate::hash::fnv1a(&all)
+            crate::hash::xxh64(&all)
         }
         let mut weights = Vec::new();
         wire::put_f32s(&mut weights, &[0.5, -1.25, 3.0, f32::MIN_POSITIVE]);
@@ -421,8 +470,29 @@ mod tests {
         let mut blob = Vec::new();
         wire::put_u32(&mut blob, 1_000_000);
         blob.extend_from_slice(&[0u8; 8]);
+        assert!(Cursor::new(&blob).f32s().is_err());
+        assert!(Cursor::new(&blob).u32s().is_err());
+    }
+
+    #[test]
+    fn word_arrays_round_trip() {
+        let mut blob = Vec::new();
+        wire::put_u32s(&mut blob, &[0, 1, u32::MAX, 0x0102_0304]);
+        wire::put_f32s(&mut blob, &[f32::NAN, -0.0, f32::MIN_POSITIVE]);
+        wire::put_u32s(&mut blob, &[]);
         let mut cur = Cursor::new(&blob);
-        assert!(cur.f32s().is_err());
+        assert_eq!(cur.u32s().unwrap(), vec![0, 1, u32::MAX, 0x0102_0304]);
+        let bits: Vec<u32> = cur.f32s().unwrap().iter().map(|x| x.to_bits()).collect();
+        assert_eq!(
+            bits,
+            vec![
+                f32::NAN.to_bits(),
+                (-0.0f32).to_bits(),
+                f32::MIN_POSITIVE.to_bits()
+            ]
+        );
+        assert_eq!(cur.u32s().unwrap(), Vec::<u32>::new());
+        assert_eq!(cur.remaining(), 0);
     }
 
     #[test]

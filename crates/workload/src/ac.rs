@@ -13,7 +13,7 @@
 
 use pretzel_core::flour::{Flour, FlourContext};
 use pretzel_core::graph::TransformGraph;
-use pretzel_core::stats::NodeStats;
+use pretzel_core::train_stats::NodeStats;
 use pretzel_ops::synth;
 use pretzel_ops::tree::EnsembleMode;
 use rand::rngs::StdRng;

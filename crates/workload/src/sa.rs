@@ -10,7 +10,7 @@
 
 use pretzel_core::flour::FlourContext;
 use pretzel_core::graph::TransformGraph;
-use pretzel_core::stats::NodeStats;
+use pretzel_core::train_stats::NodeStats;
 use pretzel_ops::linear::LinearKind;
 use pretzel_ops::synth;
 use pretzel_ops::text::ngram::NgramParams;

@@ -477,6 +477,61 @@ fn churn_script_replays_cleanly_and_returns_to_baseline() {
     assert_eq!(rt.pool_outstanding(), 0, "churn leaves no lease behind");
 }
 
+/// A section whose checksum is already resident is still verified against
+/// its payload: the store's fast path never trusts the stored value.
+#[test]
+fn a_corrupt_copy_of_a_resident_section_fails_deploy() {
+    let workload = churn::build(&ChurnConfig {
+        n_slots: 1,
+        ..ChurnConfig::tiny()
+    });
+    let rt = Runtime::new(RuntimeConfig {
+        n_executors: 1,
+        ..RuntimeConfig::default()
+    });
+    let live = rt
+        .deploy(workload.image(0, 0), DeployOptions::default())
+        .unwrap();
+    let score_all = || -> Vec<u32> {
+        workload
+            .lines
+            .iter()
+            .map(|line| rt.predict(live, line).unwrap().to_bits())
+            .collect()
+    };
+    let scores = score_all();
+    let (entries, unique) = (rt.object_store().len(), rt.object_store().unique_bytes());
+
+    // Version 1 shares version 0's CharNgram dictionary, which is now
+    // resident; flip one byte in the middle of that dictionary's payload.
+    let mut image = workload.image(0, 1).to_vec();
+    let sections = pretzel_data::serde_bin::read_model_file(&image).unwrap();
+    let dictionary = sections
+        .iter()
+        .find(|s| s.name.ends_with(".CharNgram"))
+        .expect("an SA image has a CharNgram section")
+        .entry("dictionary")
+        .unwrap()
+        .to_vec();
+    let at = image
+        .windows(dictionary.len())
+        .position(|w| w == dictionary.as_slice())
+        .expect("the payload is stored verbatim")
+        + dictionary.len() / 2;
+    image[at] ^= 0x01;
+
+    let err = rt.deploy(&image, DeployOptions::default()).unwrap_err();
+    assert!(
+        matches!(&err, DataError::Codec(m) if m.contains("checksum")),
+        "{err}"
+    );
+    assert_eq!(rt.object_store().len(), entries);
+    assert_eq!(rt.object_store().unique_bytes(), unique);
+    assert_eq!(rt.plan_count(), 1);
+    assert_eq!(rt.pool_outstanding(), 0);
+    assert_eq!(score_all(), scores, "the live plan scores as before");
+}
+
 /// Dropping the last `Arc<Runtime>` inside a completion callback tears the
 /// scheduler down *on* an executor thread; teardown must not join the
 /// thread it runs on.

@@ -7,6 +7,8 @@
 use pretzel_core::frontend::{Client, FrontEnd, FrontEndConfig, PredictRequest};
 use pretzel_core::graph::TransformGraph;
 use pretzel_core::runtime::{Runtime, RuntimeConfig};
+use pretzel_data::serde_bin::Cursor;
+use pretzel_data::DataError;
 use pretzel_ops::linear::LinearKind;
 use pretzel_ops::synth;
 use std::io::{Read, Write};
@@ -74,9 +76,40 @@ fn frontend_survives_garbage_frames() {
     fe.stop();
 }
 
+/// The bytes of a model image a single-bit flip must turn into a checksum
+/// error: entry names, payloads and the stored section checksums, walked
+/// with the format's own cursor.
+fn checksummed_bytes(image: &[u8]) -> Vec<bool> {
+    let mut guarded = vec![false; image.len()];
+    let mut cur = Cursor::new(image);
+    let at = |cur: &Cursor| image.len() - cur.remaining();
+    cur.u64().unwrap(); // magic
+    for _ in 0..cur.u32().unwrap() {
+        cur.str().unwrap();
+        let start = at(&cur);
+        cur.u64().unwrap();
+        guarded[start..at(&cur)].fill(true);
+        for _ in 0..cur.u32().unwrap() {
+            // The name past its u32 length, then the payload past its u64
+            // length: a flipped length misparses rather than mismatches.
+            let start = at(&cur) + 4;
+            cur.str().unwrap();
+            guarded[start..at(&cur)].fill(true);
+            let start = at(&cur) + 8;
+            cur.bytes().unwrap();
+            guarded[start..at(&cur)].fill(true);
+        }
+    }
+    assert_eq!(cur.remaining(), 0);
+    guarded
+}
+
+fn is_checksum_error(result: Result<impl Sized, DataError>) -> bool {
+    matches!(result, Err(DataError::Codec(m)) if m.contains("checksum"))
+}
+
 #[test]
 fn hostile_model_files_are_rejected_cleanly() {
-    // Truncations at every prefix of a valid image.
     let ctx = pretzel_core::flour::FlourContext::new();
     let image = ctx
         .text_source()
@@ -85,37 +118,65 @@ fn hostile_model_files_are_rejected_cleanly() {
         .classifier_linear(Arc::new(synth::linear(4, 32, LinearKind::Logistic)))
         .graph()
         .to_model_image();
-    for cut in [
-        0,
-        1,
-        7,
-        8,
-        9,
-        image.len() / 3,
-        image.len() / 2,
-        image.len() - 1,
-    ] {
+    for cut in 0..image.len() {
         assert!(
             TransformGraph::from_model_image(&image[..cut]).is_err(),
             "truncation at {cut} must fail"
         );
     }
-    // Bit flips across the image either fail cleanly or round-trip to a
-    // structurally valid graph (checksums catch payload corruption; the
-    // small header region can only produce parse errors).
-    for pos in (0..image.len()).step_by(37) {
-        let mut bad = image.clone();
-        bad[pos] ^= 0x40;
-        if let Ok(g) = TransformGraph::from_model_image(&bad) {
-            let _ = g.validate_structure();
+
+    // Every single-bit flip. Inside an entry name or payload, or in a
+    // stored checksum, it is a checksum error; in the remaining header
+    // bytes (magic, counts, length prefixes, section names) it fails
+    // cleanly or decodes to a graph that is then validated.
+    let guarded = checksummed_bytes(&image);
+    let mut bad = image.clone();
+    for pos in 0..image.len() {
+        for bit in 0..8 {
+            bad[pos] ^= 1 << bit;
+            let result = TransformGraph::from_model_image(&bad);
+            if guarded[pos] {
+                assert!(is_checksum_error(result), "flip of bit {bit} at {pos}");
+            } else if let Ok(g) = result {
+                let _ = g.validate_structure();
+            }
+            bad[pos] ^= 1 << bit;
         }
     }
+
+    // The same flips on a stride through `Runtime::deploy`, next to a
+    // resident copy whose checksums the store already holds: each is
+    // still rejected, and leaves nothing behind.
+    let rt = Runtime::new(RuntimeConfig {
+        n_executors: 1,
+        ..RuntimeConfig::default()
+    });
+    let resident = rt
+        .deploy(&image, pretzel_core::DeployOptions::default())
+        .unwrap();
+    let score = rt.predict(resident, "a hostile review").unwrap();
+    let store = rt.object_store();
+    let (entries, unique) = (store.len(), store.unique_bytes());
+    let positions: Vec<usize> = (0..image.len()).filter(|&p| guarded[p]).collect();
+    for &pos in positions.iter().step_by(7) {
+        bad[pos] ^= 1 << (pos % 8);
+        let result = rt.deploy(&bad, pretzel_core::DeployOptions::default());
+        assert!(is_checksum_error(result), "deploy with a flip at {pos}");
+        bad[pos] ^= 1 << (pos % 8);
+    }
+    assert_eq!((store.len(), store.unique_bytes()), (entries, unique));
+    assert_eq!(rt.plan_count(), 1);
+    assert_eq!(rt.pool_outstanding(), 0);
+    assert_eq!(
+        rt.predict(resident, "a hostile review").unwrap().to_bits(),
+        score.to_bits()
+    );
 }
 
 #[test]
 fn runtime_rejects_invalid_plans_at_registration() {
     use pretzel_core::plan::{BufDef, LogicalStage, StagePlan, Step};
-    use pretzel_core::stats::NodeStats;
+    use pretzel_core::train_stats::NodeStats;
     use pretzel_data::ColumnType;
     let rt = Runtime::new(RuntimeConfig {
         n_executors: 1,
