@@ -95,7 +95,7 @@ use crate::physical::SourceRef;
 use crate::runtime::{PlanId, RrSession, Runtime};
 use parking_lot::Mutex;
 use pretzel_data::ingest::{check_finite, validate_sparse_indices};
-use pretzel_data::serde_bin::Cursor;
+use pretzel_data::serde_bin::{le_f32s, le_u32s, Cursor};
 use pretzel_data::{BatchAssembler, ColumnType, DataError, Result};
 use std::collections::HashMap;
 use std::io::Write;
@@ -216,9 +216,13 @@ enum Dispatch {
     Pending,
 }
 
+/// A lane times the decode of one in this many single-row requests (the
+/// first included): two clock reads cost about what the decode itself does.
+const DECODE_SAMPLE: u32 = 64;
+
 /// What one serving thread (a reactor, or a blocking connection thread)
 /// keeps for the single-row fast lane: its own request-response session,
-/// so an inline request takes none from the runtime's shared pool, and the
+/// so an inline request shares nothing with other threads, and the
 /// scratch a dense or sparse wire row is copied into once (the frame's
 /// bytes are unaligned; a text row is borrowed from the frame as it is).
 struct Lane {
@@ -226,6 +230,8 @@ struct Lane {
     dense: Vec<f32>,
     indices: Vec<u32>,
     values: Vec<f32>,
+    /// Single-row requests decoded so far ([`DECODE_SAMPLE`]).
+    decodes: u32,
 }
 
 impl Lane {
@@ -235,6 +241,7 @@ impl Lane {
             dense: Vec::new(),
             indices: Vec::new(),
             values: Vec::new(),
+            decodes: 0,
         }
     }
 }
@@ -880,16 +887,20 @@ fn serve_single(
         dense,
         indices,
         values,
+        decodes,
     } = lane;
-    let decode_start = runtime.metrics_registry().map(|_| Instant::now());
+    let sampled = *decodes % DECODE_SAMPLE == 0;
+    *decodes = decodes.wrapping_add(1);
+    let decode_start = runtime
+        .metrics_registry()
+        .filter(|_| sampled)
+        .map(|_| Instant::now());
     let source = match head.kind {
         KIND_TEXT => SourceRef::Text(cur.str_ref()?),
         KIND_DENSE => {
             let len = dense_len(&mut cur)?;
             dense.clear();
-            for _ in 0..len {
-                dense.push(cur.f32()?);
-            }
+            dense.extend(le_f32s(cur.words(len)?));
             if reject_non_finite {
                 check_finite(dense)?;
             }
@@ -905,14 +916,10 @@ fn serve_single(
                 )));
             }
             indices.clear();
-            for _ in 0..nnz {
-                indices.push(cur.u32()?);
-            }
+            indices.extend(le_u32s(cur.words(nnz)?));
             validate_sparse_indices(indices, dim)?;
             values.clear();
-            for _ in 0..nnz {
-                values.push(cur.f32()?);
-            }
+            values.extend(le_f32s(cur.words(nnz)?));
             if reject_non_finite {
                 check_finite(values)?;
             }

@@ -311,16 +311,19 @@ impl Client {
         }
     }
 
-    /// [`Self::roundtrip_with`] for a request body built beforehand.
-    fn roundtrip_body(&mut self, request: &[u8]) -> Result<&[u8]> {
-        self.roundtrip_with(|out| {
-            out.extend_from_slice(request);
+    /// One admin verb: the request header, then whatever `encode` appends
+    /// (written straight into the frame buffer); returns the verb's payload.
+    fn roundtrip_admin(
+        &mut self,
+        plan: PlanId,
+        kind: u8,
+        encode: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<Vec<u8>> {
+        let body = self.roundtrip_with(|out| {
+            wire::put_request_header(out, plan, kind, 0, 0);
+            encode(out);
             Ok(())
-        })
-    }
-
-    fn roundtrip_admin(&mut self, request: &[u8]) -> Result<Vec<u8>> {
-        let body = self.roundtrip_body(request)?;
+        })?;
         match body.split_first() {
             Some((&wire::STATUS_ADMIN, payload)) => Ok(payload.to_vec()),
             Some((1, _)) => Err(wire::decode_response(body).unwrap_err()),
@@ -335,20 +338,19 @@ impl Client {
     /// alias and reserves a dedicated executor. Returns the new plan id.
     pub fn deploy(&mut self, image: &[u8], alias: Option<&str>, reserved: bool) -> Result<PlanId> {
         use pretzel_data::serde_bin::wire as w;
-        let mut req = wire::request_header(0, wire::ADMIN_DEPLOY, 0, 0);
-        w::put_str(&mut req, alias.unwrap_or(""));
-        w::put_u32(&mut req, u32::from(reserved));
-        w::put_u64(&mut req, image.len() as u64);
-        req.extend_from_slice(image);
-        let payload = self.roundtrip_admin(&req)?;
+        let payload = self.roundtrip_admin(0, wire::ADMIN_DEPLOY, |out| {
+            w::put_str(out, alias.unwrap_or(""));
+            w::put_u32(out, u32::from(reserved));
+            w::put_u64(out, image.len() as u64);
+            out.extend_from_slice(image);
+        })?;
         Cursor::new(&payload).u32()
     }
 
     /// Undeploys a plan on the server (retire, drain, reclaim); returns
     /// what was freed.
     pub fn undeploy(&mut self, plan: PlanId) -> Result<UndeployReport> {
-        let req = wire::request_header(plan, wire::ADMIN_UNDEPLOY, 0, 0);
-        let payload = self.roundtrip_admin(&req)?;
+        let payload = self.roundtrip_admin(plan, wire::ADMIN_UNDEPLOY, |_| {})?;
         let mut cur = Cursor::new(&payload);
         Ok(UndeployReport {
             freed_param_bytes: cur.u64()? as usize,
@@ -362,9 +364,7 @@ impl Client {
     /// previously bound plan, if any.
     pub fn swap(&mut self, alias: &str, plan: PlanId) -> Result<Option<PlanId>> {
         use pretzel_data::serde_bin::wire as w;
-        let mut req = wire::request_header(plan, wire::ADMIN_SWAP, 0, 0);
-        w::put_str(&mut req, alias);
-        let payload = self.roundtrip_admin(&req)?;
+        let payload = self.roundtrip_admin(plan, wire::ADMIN_SWAP, |out| w::put_str(out, alias))?;
         let previous = Cursor::new(&payload).u32()?;
         Ok((previous != u32::MAX).then_some(previous))
     }
@@ -374,9 +374,8 @@ impl Client {
     /// to roll back to (the binding is left unchanged).
     pub fn rollback(&mut self, alias: &str) -> Result<Option<PlanId>> {
         use pretzel_data::serde_bin::wire as w;
-        let mut req = wire::request_header(0, wire::ADMIN_ROLLBACK, 0, 0);
-        w::put_str(&mut req, alias);
-        let payload = self.roundtrip_admin(&req)?;
+        let payload =
+            self.roundtrip_admin(0, wire::ADMIN_ROLLBACK, |out| w::put_str(out, alias))?;
         let bound = Cursor::new(&payload).u32()?;
         Ok((bound != u32::MAX).then_some(bound))
     }
@@ -384,8 +383,7 @@ impl Client {
     /// Lists every plan the server knows (tombstones included) with
     /// lifecycle state and bound aliases.
     pub fn list(&mut self) -> Result<Vec<PlanInfo>> {
-        let req = wire::request_header(0, wire::ADMIN_LIST, 0, 0);
-        let payload = self.roundtrip_admin(&req)?;
+        let payload = self.roundtrip_admin(0, wire::ADMIN_LIST, |_| {})?;
         let mut cur = Cursor::new(&payload);
         let n = cur.u32()? as usize;
         let mut out = Vec::with_capacity(n.min(1 << 16));
@@ -415,8 +413,7 @@ impl Client {
     /// the FrontEnd's connection-plane section. Render it with
     /// [`MetricsSnapshot::to_json`] or [`MetricsSnapshot::render_text`].
     pub fn stats(&mut self) -> Result<MetricsSnapshot> {
-        let req = wire::request_header(0, wire::ADMIN_STATS, 0, 0);
-        let payload = self.roundtrip_admin(&req)?;
+        let payload = self.roundtrip_admin(0, wire::ADMIN_STATS, |_| {})?;
         MetricsSnapshot::decode(&mut Cursor::new(&payload))
     }
 }

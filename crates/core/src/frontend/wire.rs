@@ -323,13 +323,6 @@ pub(crate) fn put_request_header(out: &mut Vec<u8>, plan: u32, kind: u8, flags: 
     out.extend_from_slice(&kind_flags.to_le_bytes());
 }
 
-/// A request header as a fresh body (admin verbs build theirs this way).
-pub(crate) fn request_header(plan: u32, kind: u8, flags: u8, n: usize) -> Vec<u8> {
-    let mut req = Vec::new();
-    put_request_header(&mut req, plan, kind, flags, n);
-    req
-}
-
 /// Appends a success response body (status 0 + scores).
 pub(crate) fn put_ok(out: &mut Vec<u8>, scores: &[f32]) {
     out.push(0u8);

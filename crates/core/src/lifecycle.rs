@@ -8,10 +8,10 @@
 //! `deploy`/`undeploy`/`swap`/`list`:
 //!
 //! * [`PlanGate`] — a per-plan admission gate plus in-flight counter. Every
-//!   submission (request-response call or batch) holds a [`GatePass`] for
-//!   its lifetime; `undeploy` *retires* the gate (new submissions fail fast
-//!   with [`DataError::PlanRetired`]) and then waits for the count to drain
-//!   to zero, so outstanding `BatchHandle`s complete on the old plan. The
+//!   batch submission holds a [`GatePass`] for its lifetime; `undeploy`
+//!   *retires* the gate (new submissions fail fast with
+//!   [`DataError::PlanRetired`]) and then waits for the count to drain to
+//!   zero, so outstanding `BatchHandle`s complete on the old plan. The
 //!   retire/drain discipline follows the epoch-style reclamation of
 //!   Blelloch & Wei (arXiv:2008.04296): writers announce an epoch flip
 //!   (retire), readers finish inside their epoch (passes drain), and only
@@ -51,10 +51,12 @@ const ONE_PASS: usize = 0b100;
 /// work completes; `retire` + [`PlanGate::wait_drained`] gives the caller a
 /// point in time after which no execution can touch the plan.
 ///
-/// Flags and count share one atomic word, so admitting a request and
-/// letting it go are one read-modify-write each — the inline engine pays
-/// both on every request. The mutex and condition variable serve only the
-/// drain wait.
+/// Flags and count share one atomic word, so admitting a submission and
+/// letting it go are one read-modify-write each. The mutex and condition
+/// variable serve only the drain wait. An inline (request-response) call
+/// takes no pass: it checks the flags ([`PlanGate::admits`]) under the
+/// runtime's registry read lock and holds that lock until it has its
+/// score, and reclamation needs the lock for writing.
 #[derive(Debug)]
 pub struct PlanGate {
     /// `in_flight << 2 | QUARANTINED | RETIRED`.
@@ -103,6 +105,19 @@ impl PlanGate {
                 }
                 Err(now) => state = now,
             }
+        }
+    }
+
+    /// [`Self::enter`]'s verdict without a pass: `Ok` while the gate is
+    /// open, else the error `enter` would return.
+    pub fn admits(&self, id: PlanId) -> Result<()> {
+        let state = self.state.load(Ordering::SeqCst);
+        if state & RETIRED != 0 {
+            Err(DataError::PlanRetired(id))
+        } else if state & QUARANTINED != 0 {
+            Err(DataError::PlanQuarantined(id))
+        } else {
+            Ok(())
         }
     }
 

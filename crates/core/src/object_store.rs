@@ -75,7 +75,7 @@ fn shard_of(checksum: u64) -> usize {
     (checksum.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize & (STORE_SHARDS - 1)
 }
 
-/// One plan's access-recency record: a pair of relaxed atomics bumped per
+/// One plan's access-recency record: a pair of relaxed atomics written per
 /// admitted request, read only at snapshot time. The runtime resolves it
 /// once per plan ([`ObjectStore::plan_access`]) and keeps it beside the
 /// compiled plan, so noting an access takes no map read.
@@ -94,8 +94,12 @@ pub struct ObjectStore {
     bytes_saved: AtomicU64,
     released: AtomicU64,
     released_bytes: AtomicU64,
-    /// Global logical access clock: bumped once per plan access, so
-    /// `last_epoch` values order plans by recency without wall-clock reads.
+    /// Global logical access clock, starting at 1. It ticks when recency
+    /// is read ([`Self::plan_access_snapshot`]), never per access: an
+    /// access stamps its plan with the current value, so `last_epoch`
+    /// orders plans by the snapshot interval of their latest request
+    /// (plans served within one interval tie) without a wall-clock read or
+    /// a shared read-modify-write per request.
     access_epoch: AtomicU64,
     /// Per-plan hotness (access count + recency epoch) — the signal the
     /// million-model tiering policy demotes cold parameters on. Written
@@ -113,7 +117,7 @@ impl Default for ObjectStore {
             bytes_saved: AtomicU64::new(0),
             released: AtomicU64::new(0),
             released_bytes: AtomicU64::new(0),
-            access_epoch: AtomicU64::new(0),
+            access_epoch: AtomicU64::new(1),
             plan_access: RwLock::new(HashMap::new()),
         }
     }
@@ -371,12 +375,15 @@ impl ObjectStore {
         Arc::clone(self.plan_access.write().entry(plan).or_default())
     }
 
-    /// Notes one serving access: bumps the global access clock and the
-    /// plan's count/recency pair — three relaxed atomics, no lock.
+    /// Notes one serving access: bumps the plan's count and stamps it with
+    /// the access clock — relaxed atomics on the plan's own record, the
+    /// stamp written only when the clock moved since its last access.
     pub fn note_access(&self, access: &PlanAccess) {
-        let epoch = self.access_epoch.fetch_add(1, Ordering::Relaxed) + 1;
         access.count.fetch_add(1, Ordering::Relaxed);
-        access.last_epoch.store(epoch, Ordering::Relaxed);
+        let epoch = self.access_epoch.load(Ordering::Relaxed);
+        if access.last_epoch.load(Ordering::Relaxed) != epoch {
+            access.last_epoch.store(epoch, Ordering::Relaxed);
+        }
     }
 
     /// Forgets a plan's access record (undeploy) so snapshots only rank
@@ -387,8 +394,11 @@ impl ObjectStore {
 
     /// Per-plan access recency of every plan served at least once, sorted
     /// by plan id — the hotness input to tiering decisions and the
-    /// `plan_access` section of the metrics snapshot.
+    /// `plan_access` section of the metrics snapshot. Ticks the access
+    /// clock, so requests after this snapshot rank hotter than those
+    /// before it.
     pub fn plan_access_snapshot(&self) -> Vec<crate::telemetry::PlanAccessSnapshot> {
+        self.access_epoch.fetch_add(1, Ordering::Relaxed);
         let g = self.plan_access.read();
         let mut out: Vec<_> = g
             .iter()

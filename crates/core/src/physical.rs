@@ -18,6 +18,12 @@
 //! Physical stages are identified by a structural [`PhysicalStage::signature`]
 //! so the runtime catalog can load each distinct stage once and share it
 //! between plans (paper §4.2.1).
+//!
+//! A [`ModelPlan`] also links its stages into one program over one
+//! *frame* — the plan's slots, then every stage's scratch — so a row
+//! execution runs all steps in one loop, with every operand's place fixed
+//! at compile time, over buffers the [`ExecCtx`] keeps between executions.
+//! The batch engine still runs stage by stage over chunk batches.
 
 use crate::object_store::{MatKey, MaterializationCache, ObjectStore};
 use crate::plan::{BufDef, Loc, LogicalStage, StageOp, StagePlan, Step};
@@ -70,11 +76,13 @@ pub struct PhysicalStage {
     mat_steps: Vec<Option<u64>>,
 }
 
-/// Per-executor execution context: the vector pool, a reusable scratch
-/// container, and the optional materialization cache.
+/// Per-executor execution context: the vector pool, the frame a whole-plan
+/// execution runs in, reusable scratch containers for stage-at-a-time
+/// execution, and the optional materialization cache.
 #[derive(Debug)]
 pub struct ExecCtx {
-    /// Pool backing scratch (and, at the runtime layer, slot leases).
+    /// Pool backing the frame and stage scratch (and, at the runtime
+    /// layer, slot leases).
     pub pool: Arc<VectorPool>,
     /// Sub-plan materialization cache, if enabled.
     pub cache: Option<Arc<MaterializationCache>>,
@@ -88,6 +96,15 @@ pub struct ExecCtx {
     /// Telemetry registry for cache-probe latency recording; `None` (the
     /// telemetry-off ablation leg) executes with zero clock reads.
     pub telemetry: Option<Arc<crate::telemetry::MetricsRegistry>>,
+    /// The buffers of the last whole-plan execution, kept between
+    /// executions: the scratch of every stage, preceded by the plan's
+    /// slots when the context owns them (a request-response session). It
+    /// is leased from `pool` when the layout changes, cleared when it does
+    /// not, and returned when the context drops.
+    frame: Vec<Vector>,
+    /// Index of the program step the last whole-plan execution reached —
+    /// after a contained panic, the step that faulted.
+    reached: usize,
     scratch: Vec<Vector>,
     batch_scratch: Vec<ColumnBatch>,
 }
@@ -101,9 +118,64 @@ impl ExecCtx {
             source_hash: 0,
             source_hashes: Vec::new(),
             telemetry: None,
+            frame: Vec::new(),
+            reached: 0,
             scratch: Vec::new(),
             batch_scratch: Vec::new(),
         }
+    }
+
+    /// Makes the frame a cleared set of buffers of `layout`: the same
+    /// buffers when the layout is the one they were leased for, else the
+    /// old ones go back to the pool and a new set is leased.
+    fn fit_frame(&mut self, layout: &[BufDef]) {
+        let fits = self.frame.len() == layout.len()
+            && self
+                .frame
+                .iter()
+                .zip(layout)
+                .all(|(v, def)| v.column_type() == def.ty);
+        if fits {
+            self.frame.iter_mut().for_each(Vector::reset);
+            return;
+        }
+        self.release_frame();
+        let pool = &self.pool;
+        self.frame
+            .extend(layout.iter().map(|def| pool.acquire(def.ty)));
+    }
+
+    /// Returns the frame's buffers to the pool.
+    pub(crate) fn release_frame(&mut self) {
+        for v in self.frame.drain(..) {
+            self.pool.release(v);
+        }
+    }
+
+    /// Buffers the frame holds (leases outstanding from the pool).
+    pub(crate) fn frame_len(&self) -> usize {
+        self.frame.len()
+    }
+
+    /// Fits the frame to `layout` and lends it out, together with what the
+    /// step loop reads, for one execution scoring `source`.
+    fn frame_for(
+        &mut self,
+        layout: &[BufDef],
+        source: SourceRef<'_>,
+    ) -> (&mut [Vector], StepEnv<'_>, &mut usize) {
+        self.source_hash = if self.cache.is_some() {
+            source.content_hash()
+        } else {
+            0
+        };
+        self.fit_frame(layout);
+        let env = StepEnv {
+            cache: self.cache.as_deref(),
+            telemetry: self.telemetry.as_ref(),
+            source_hash: self.source_hash,
+        };
+        (&mut self.frame, env, &mut self.reached)
     }
 
     /// Enables sub-plan materialization.
@@ -118,16 +190,17 @@ impl ExecCtx {
         self
     }
 
-    /// Returns any scratch buffers stranded in the context to the pool.
+    /// Returns any stage scratch stranded in the context to the pool.
     ///
-    /// On the normal path `execute_with_source`/`execute_batch` drain their
-    /// scratch back to the pool before returning, so this is a no-op. When
-    /// an operator *panics* mid-stage the drain is skipped — the unwind
-    /// tears straight through the stage body — and because contexts are
-    /// reused across requests (per executor thread, per RR session) the
-    /// stranded buffers would poison the next execution's
-    /// `debug_assert!(ctx.scratch.is_empty())` and leak pool capacity.
-    /// Fault containment calls this from every `catch_unwind` recovery arm.
+    /// On the normal path `PhysicalStage::execute`/`execute_batch` drain
+    /// their scratch back to the pool before returning, so this is a no-op.
+    /// When an operator *panics* mid-stage the drain is skipped — the
+    /// unwind tears straight through the stage body — and because contexts
+    /// are reused across chunks (per executor thread) the stranded buffers
+    /// would poison the next execution's `debug_assert!(ctx.scratch
+    /// .is_empty())` and leak pool capacity. Fault containment calls this
+    /// from every `catch_unwind` recovery arm. The frame needs no recovery:
+    /// a step borrows its buffers in place, so they stay in the frame.
     pub fn recover_scratch(&mut self) {
         for v in self.scratch.drain(..) {
             self.pool.release(v);
@@ -135,6 +208,12 @@ impl ExecCtx {
         for b in self.batch_scratch.drain(..) {
             self.pool.release_batch(b);
         }
+    }
+}
+
+impl Drop for ExecCtx {
+    fn drop(&mut self) {
+        self.release_frame();
     }
 }
 
@@ -157,29 +236,206 @@ fn timed_cache_get(
     }
 }
 
-#[inline]
-fn buf<'a>(slots: &'a [Vector], scratch: &'a [Vector], loc: Loc) -> &'a Vector {
-    match loc {
-        Loc::Slot(i) => &slots[i as usize],
-        Loc::Scratch(i) => &scratch[i as usize],
+/// What the step loop reads besides its buffers: the materialization
+/// cache, the source hash that keys it, and where cache probes are timed.
+struct StepEnv<'a> {
+    cache: Option<&'a MaterializationCache>,
+    telemetry: Option<&'a Arc<crate::telemetry::MetricsRegistry>>,
+    source_hash: u64,
+}
+
+/// One buffer array with at most one buffer borrowed out of it: `lo` holds
+/// the buffers below that one, `hi` the buffers above it.
+#[derive(Clone, Copy)]
+struct Around<'a> {
+    lo: &'a [Vector],
+    hi: &'a [Vector],
+}
+
+impl<'a> Around<'a> {
+    fn whole(bufs: &'a [Vector]) -> Self {
+        Around { lo: bufs, hi: &[] }
+    }
+
+    /// Splits `bufs` around buffer `i`, which is borrowed out mutably.
+    fn split(bufs: &'a mut [Vector], i: u32) -> (&'a mut Vector, Self) {
+        let (lo, rest) = bufs.split_at_mut(i as usize);
+        let (out, hi) = rest
+            .split_first_mut()
+            .expect("validated plans write buffers in range");
+        (out, Around { lo, hi })
+    }
+
+    #[inline]
+    fn get(self, i: u32) -> &'a Vector {
+        let i = i as usize;
+        match i.checked_sub(self.lo.len()) {
+            None => &self.lo[i],
+            // `k == 0` is the borrowed-out buffer: validated plans never
+            // read a step's output as its input.
+            Some(k) => &self.hi[k.wrapping_sub(1)],
+        }
     }
 }
 
+/// A step's operands: its output borrowed mutably in place, every other
+/// slot and scratch buffer readable.
+struct Operands<'a> {
+    out: &'a mut Vector,
+    slots: Around<'a>,
+    scratch: Around<'a>,
+}
+
+impl<'a> Operands<'a> {
+    fn of(slots: &'a mut [Vector], scratch: &'a mut [Vector], output: Loc) -> Self {
+        match output {
+            Loc::Slot(i) => {
+                let (out, slots) = Around::split(slots, i);
+                Operands {
+                    out,
+                    slots,
+                    scratch: Around::whole(scratch),
+                }
+            }
+            Loc::Scratch(i) => {
+                let (out, scratch) = Around::split(scratch, i);
+                Operands {
+                    out,
+                    slots: Around::whole(slots),
+                    scratch,
+                }
+            }
+        }
+    }
+}
+
+/// Reads an input operand next to a borrowed-out output.
 #[inline]
-fn take_buf(slots: &mut [Vector], scratch: &mut [Vector], loc: Loc) -> Vector {
-    let place = match loc {
-        Loc::Slot(i) => &mut slots[i as usize],
-        Loc::Scratch(i) => &mut scratch[i as usize],
+fn read<'a>(slots: Around<'a>, scratch: Around<'a>, loc: Loc) -> &'a Vector {
+    match loc {
+        Loc::Slot(i) => slots.get(i),
+        Loc::Scratch(i) => scratch.get(i),
+    }
+}
+
+/// Runs one step's row kernel over its inputs into `out`.
+#[inline]
+fn apply_step(step: &Step, slots: Around<'_>, scratch: Around<'_>, out: &mut Vector) -> Result<()> {
+    let r = |loc: &Loc| read(slots, scratch, *loc);
+    match step.inputs.as_slice() {
+        [] => Err(DataError::Runtime(format!(
+            "step {} has no inputs",
+            step.op.name()
+        ))),
+        [a] => step.op.apply(&[r(a)], out),
+        [a, b] => step.op.apply(&[r(a), r(b)], out),
+        [a, b, c] => step.op.apply(&[r(a), r(b), r(c)], out),
+        [a, b, c, d] => step.op.apply(&[r(a), r(b), r(c), r(d)], out),
+        many => {
+            // Rare (wide Concat/Combine): one small allocation.
+            let refs: Vec<&Vector> = many.iter().map(r).collect();
+            step.op.apply(&refs, out)
+        }
+    }
+}
+
+/// Runs `step` off the borrowed source row when the source is its first
+/// input (and no other) and the operator has a row kernel for the source's
+/// shape; `Ok(false)` when it has not, and the source must be materialized.
+fn apply_row_borrowed(
+    step: &Step,
+    src: SourceRef<'_>,
+    slots: &mut [Vector],
+    scratch: &mut [Vector],
+) -> Result<bool> {
+    let [Loc::Slot(0), rest @ ..] = step.inputs.as_slice() else {
+        return Ok(false);
     };
-    std::mem::replace(place, Vector::Scalar(0.0))
+    if rest.contains(&Loc::Slot(0)) {
+        return Ok(false);
+    }
+    let Operands {
+        out,
+        slots,
+        scratch,
+    } = Operands::of(slots, scratch, step.output);
+    let r = |loc: &Loc| read(slots, scratch, *loc);
+    let row = src.as_row();
+    match rest {
+        [] => step.op.apply_row(row, &[], out),
+        [a] => step.op.apply_row(row, &[r(a)], out),
+        many => {
+            let refs: Vec<&Vector> = many.iter().map(r).collect();
+            step.op.apply_row(row, &refs, out)
+        }
+    }
 }
 
-#[inline]
-fn put_buf(slots: &mut [Vector], scratch: &mut [Vector], loc: Loc, v: Vector) {
-    match loc {
-        Loc::Slot(i) => slots[i as usize] = v,
-        Loc::Scratch(i) => scratch[i as usize] = v,
+/// The one step loop of row execution: runs `steps` in order over `slots`
+/// and `scratch`. A whole plan runs its program through it over a frame; a
+/// single stage runs its own steps over leased scratch
+/// ([`PhysicalStage::execute`]).
+///
+/// With a borrowed `source`, a step whose first input is the (not yet
+/// materialized) source runs its row kernel off the borrowed row — no
+/// slot-0 copy. A step without a borrowed kernel materializes the source
+/// into slot 0 once and runs like every other step. `reached` is set to
+/// each step's index before it runs.
+fn run_steps(
+    steps: &[Step],
+    mat_steps: &[Option<u64>],
+    mut source: Option<&mut BorrowedSource<'_>>,
+    slots: &mut [Vector],
+    scratch: &mut [Vector],
+    env: &StepEnv<'_>,
+    reached: &mut usize,
+) -> Result<()> {
+    for (i, (step, &mat)) in steps.iter().zip(mat_steps).enumerate() {
+        *reached = i;
+        // Sub-plan materialization (paper §4.3): shared featurizer steps
+        // keyed by (precomputed step checksum, source hash).
+        let cached = match (env.cache, mat) {
+            (Some(cache), Some(step_sum)) => Some((
+                cache,
+                MatKey {
+                    step: step_sum,
+                    input: env.source_hash,
+                },
+            )),
+            _ => None,
+        };
+        if let Some((cache, key)) = cached {
+            if let Some(hit) = timed_cache_get(env.telemetry, cache, key) {
+                Operands::of(slots, scratch, step.output)
+                    .out
+                    .clone_from(&hit);
+                continue;
+            }
+        }
+        let mut applied = false;
+        let unloaded = source
+            .as_deref_mut()
+            .filter(|bs| !bs.loaded && step.inputs.contains(&Loc::Slot(0)));
+        if let Some(bs) = unloaded {
+            applied = apply_row_borrowed(step, bs.src, slots, scratch)?;
+            if !applied {
+                bs.src.load_into(&mut slots[0])?;
+                bs.loaded = true;
+            }
+        }
+        let Operands {
+            out,
+            slots: s,
+            scratch: t,
+        } = Operands::of(slots, scratch, step.output);
+        if !applied {
+            apply_step(step, s, t, out)?;
+        }
+        if let Some((cache, key)) = cached {
+            cache.put(key, Arc::new(out.clone()));
+        }
     }
+    Ok(())
 }
 
 #[inline]
@@ -273,35 +529,39 @@ impl PhysicalStage {
         }
     }
 
-    /// Executes the stage over the plan working set `slots`.
+    /// Executes the stage alone over the plan working set `slots` (whole
+    /// plans run every stage in one loop instead: [`ModelPlan::execute`]).
     ///
     /// Scratch buffers come from `ctx.pool` and return to it before the
     /// call ends; the reusable container in `ctx` keeps this allocation-free
     /// after warm-up.
     pub fn execute(&self, slots: &mut [Vector], ctx: &mut ExecCtx) -> Result<()> {
-        self.execute_with_source(None, slots, ctx)
-    }
-
-    /// Like [`Self::execute`], optionally serving slot-0 reads straight off
-    /// a borrowed source row (the request-response engine's borrowed-source
-    /// execute). Steps without a borrowed kernel trigger a one-time
-    /// materialization into slot 0 and proceed on the classic path.
-    pub(crate) fn execute_with_source(
-        &self,
-        source: Option<&mut BorrowedSource<'_>>,
-        slots: &mut [Vector],
-        ctx: &mut ExecCtx,
-    ) -> Result<()> {
-        // Acquire scratch into the reusable container.
-        debug_assert!(ctx.scratch.is_empty());
-        for def in &self.scratch {
-            let v = ctx.pool.acquire(def.ty);
-            ctx.scratch.push(v);
-        }
-        let result = self.run_steps(source, slots, ctx);
+        let ExecCtx {
+            pool,
+            cache,
+            source_hash,
+            telemetry,
+            scratch,
+            ..
+        } = ctx;
+        debug_assert!(scratch.is_empty());
+        scratch.extend(self.scratch.iter().map(|def| pool.acquire(def.ty)));
+        let env = StepEnv {
+            cache: cache.as_deref(),
+            telemetry: telemetry.as_ref(),
+            source_hash: *source_hash,
+        };
+        let result = run_steps(
+            &self.steps,
+            &self.mat_steps,
+            None,
+            slots,
+            scratch,
+            &env,
+            &mut 0,
+        );
         // Always return scratch, also on error paths.
-        let pool = Arc::clone(&ctx.pool);
-        for v in ctx.scratch.drain(..) {
+        for v in scratch.drain(..) {
             pool.release(v);
         }
         result
@@ -369,127 +629,6 @@ impl PhysicalStage {
         }
         Ok(())
     }
-
-    fn run_steps(
-        &self,
-        mut source: Option<&mut BorrowedSource<'_>>,
-        slots: &mut [Vector],
-        ctx: &mut ExecCtx,
-    ) -> Result<()> {
-        for (step_idx, step) in self.steps.iter().enumerate() {
-            // Sub-plan materialization (paper §4.3): shared featurizer steps
-            // keyed by (precomputed step checksum, source hash).
-            let mat_key = match (&ctx.cache, self.mat_steps[step_idx]) {
-                (Some(_), Some(step_sum)) => Some(MatKey {
-                    step: step_sum,
-                    input: ctx.source_hash,
-                }),
-                _ => None,
-            };
-            if let (Some(key), Some(cache)) = (mat_key, ctx.cache.as_ref()) {
-                if let Some(hit) = timed_cache_get(ctx.telemetry.as_ref(), cache, key) {
-                    let mut out = take_buf(slots, &mut ctx.scratch, step.output);
-                    out.clone_from(&hit);
-                    put_buf(slots, &mut ctx.scratch, step.output, out);
-                    continue;
-                }
-            }
-
-            // Borrowed-source fast path: a step whose first input is the
-            // (not yet materialized) source runs its row-level kernel off
-            // the borrowed row — no slot-0 copy. Steps without a borrowed
-            // kernel materialize the source once and fall through.
-            if let Some(bs) = source.as_deref_mut() {
-                if !bs.loaded && step.inputs.contains(&Loc::Slot(0)) {
-                    let mut handled = false;
-                    if step.inputs.first() == Some(&Loc::Slot(0))
-                        && !step.inputs[1..].contains(&Loc::Slot(0))
-                    {
-                        let mut out = take_buf(slots, &mut ctx.scratch, step.output);
-                        let res = match step.inputs[1..] {
-                            [] => step.op.apply_row(bs.src.as_row(), &[], &mut out),
-                            [a] => step.op.apply_row(
-                                bs.src.as_row(),
-                                &[buf(slots, &ctx.scratch, a)],
-                                &mut out,
-                            ),
-                            ref many => {
-                                let refs: Vec<&Vector> =
-                                    many.iter().map(|&l| buf(slots, &ctx.scratch, l)).collect();
-                                step.op.apply_row(bs.src.as_row(), &refs, &mut out)
-                            }
-                        };
-                        match res {
-                            Err(e) => {
-                                put_buf(slots, &mut ctx.scratch, step.output, out);
-                                return Err(e);
-                            }
-                            Ok(applied) => {
-                                if applied {
-                                    if let (Some(key), Some(cache)) = (mat_key, ctx.cache.as_ref())
-                                    {
-                                        cache.put(key, Arc::new(out.clone()));
-                                    }
-                                }
-                                handled = applied;
-                                put_buf(slots, &mut ctx.scratch, step.output, out);
-                            }
-                        }
-                    }
-                    if handled {
-                        continue;
-                    }
-                    bs.src.load_into(&mut slots[0])?;
-                    bs.loaded = true;
-                }
-            }
-
-            let mut out = take_buf(slots, &mut ctx.scratch, step.output);
-            let scratch = &ctx.scratch;
-            let res = match step.inputs.as_slice() {
-                [] => Err(DataError::Runtime(format!(
-                    "step {} has no inputs",
-                    step.op.name()
-                ))),
-                [a] => step.op.apply(&[buf(slots, scratch, *a)], &mut out),
-                [a, b] => step.op.apply(
-                    &[buf(slots, scratch, *a), buf(slots, scratch, *b)],
-                    &mut out,
-                ),
-                [a, b, c] => step.op.apply(
-                    &[
-                        buf(slots, scratch, *a),
-                        buf(slots, scratch, *b),
-                        buf(slots, scratch, *c),
-                    ],
-                    &mut out,
-                ),
-                [a, b, c, d] => step.op.apply(
-                    &[
-                        buf(slots, scratch, *a),
-                        buf(slots, scratch, *b),
-                        buf(slots, scratch, *c),
-                        buf(slots, scratch, *d),
-                    ],
-                    &mut out,
-                ),
-                many => {
-                    // Rare (wide Concat/Combine): one small allocation.
-                    let refs: Vec<&Vector> = many.iter().map(|&l| buf(slots, scratch, l)).collect();
-                    step.op.apply(&refs, &mut out)
-                }
-            };
-            if let Err(e) = res {
-                put_buf(slots, &mut ctx.scratch, step.output, out);
-                return Err(e);
-            }
-            if let (Some(key), Some(cache)) = (mat_key, ctx.cache.as_ref()) {
-                cache.put(key, Arc::new(out.clone()));
-            }
-            put_buf(slots, &mut ctx.scratch, step.output, out);
-        }
-        Ok(())
-    }
 }
 
 /// Runs one step's batch kernel over the chunk, reading inputs from
@@ -520,8 +659,8 @@ fn apply_step_batch(
 
 /// One cacheable step's chunk-level materialization-cache probe.
 ///
-/// The columnar analogue of the per-record cache branch in
-/// `PhysicalStage::run_steps`: partition the chunk into a hit set and a
+/// The columnar analogue of the per-record cache branch in the row step
+/// loop (`run_steps`): partition the chunk into a hit set and a
 /// miss sub-batch ([`ColumnBatch::gather`]/[`ColumnBatch::push_row`]
 /// selection kernels), run the step's batch kernel only on the misses, and
 /// scatter hits + computed rows back into one output batch in original row
@@ -1055,6 +1194,44 @@ pub struct ModelPlan {
     pub output_slot: u32,
     /// The logical plan this was compiled from (introspection/debugging).
     pub logical: StagePlan,
+    /// Every stage's steps in execution order, each stage's scratch
+    /// operands renumbered to where that scratch sits in the frame: what a
+    /// whole-plan execution runs, in one loop.
+    program: Vec<Step>,
+    /// Materialization key of each program step.
+    program_mat: Vec<Option<u64>>,
+    /// Frame layout: the slots, then every stage's scratch.
+    frame: Vec<BufDef>,
+}
+
+/// Links `stages` into one program over one frame (see [`ModelPlan`]'s
+/// `program` and `frame`).
+fn link(
+    slots: &[BufDef],
+    stages: &[Arc<PhysicalStage>],
+) -> (Vec<Step>, Vec<Option<u64>>, Vec<BufDef>) {
+    let mut program = Vec::new();
+    let mut program_mat = Vec::new();
+    let mut frame = slots.to_vec();
+    for stage in stages {
+        let base = (frame.len() - slots.len()) as u32;
+        for step in &stage.steps {
+            let mut step = step.clone();
+            for loc in step
+                .inputs
+                .iter_mut()
+                .chain(std::iter::once(&mut step.output))
+            {
+                if let Loc::Scratch(s) = loc {
+                    *s += base;
+                }
+            }
+            program.push(step);
+        }
+        program_mat.extend_from_slice(&stage.mat_steps);
+        frame.extend_from_slice(&stage.scratch);
+    }
+    (program, program_mat, frame)
 }
 
 impl ModelPlan {
@@ -1084,7 +1261,7 @@ impl ModelPlan {
                 intern_step(step, store);
             }
         }
-        let stages = logical
+        let stages: Vec<Arc<PhysicalStage>> = logical
             .stages
             .iter()
             .map(|ls| {
@@ -1093,12 +1270,16 @@ impl ModelPlan {
                     .unwrap_or_else(|| Arc::new(PhysicalStage::finish(prepared)))
             })
             .collect();
+        let (program, program_mat, frame) = link(&logical.slots, &stages);
         Ok(ModelPlan {
             source_type: logical.source_type,
             slots: logical.slots.clone(),
             stages,
             output_slot: logical.output_slot,
             logical,
+            program,
+            program_mat,
+            frame,
         })
     }
 
@@ -1107,35 +1288,61 @@ impl ModelPlan {
         self.slots.iter().map(|d| d.ty).collect()
     }
 
-    /// Executes the full plan inline over a leased working set.
+    fn check_lease(&self, slots: &[Vector]) -> Result<()> {
+        if slots.len() == self.slots.len() {
+            return Ok(());
+        }
+        Err(DataError::Runtime(format!(
+            "lease has {} slots, plan wants {}",
+            slots.len(),
+            self.slots.len()
+        )))
+    }
+
+    /// Runs the program over `slots` and `scratch`, serving slot-0 reads
+    /// straight off `source` when `borrow`, and returns the score.
+    fn run(
+        &self,
+        source: SourceRef<'_>,
+        borrow: bool,
+        slots: &mut [Vector],
+        scratch: &mut [Vector],
+        env: &StepEnv<'_>,
+        reached: &mut usize,
+    ) -> Result<f32> {
+        let mut borrowed = BorrowedSource {
+            src: source,
+            loaded: false,
+        };
+        run_steps(
+            &self.program,
+            &self.program_mat,
+            borrow.then_some(&mut borrowed),
+            slots,
+            scratch,
+            env,
+            reached,
+        )?;
+        slots[self.output_slot as usize]
+            .as_scalar()
+            .ok_or_else(|| DataError::Runtime("plan output is not scalar".into()))
+    }
+
+    /// Executes the full plan inline over a leased working set, every
+    /// stage's scratch in `ctx`'s frame.
     ///
-    /// `slots` must match [`Self::slot_types`]; used by the request-response
-    /// engine and by the batch engine's per-record inner loop.
+    /// `slots` must match [`Self::slot_types`]; the source is copied into
+    /// slot 0 first (the copy [`Self::execute_borrowed`] avoids).
     pub fn execute(
         &self,
         source: SourceRef<'_>,
         slots: &mut [Vector],
         ctx: &mut ExecCtx,
     ) -> Result<f32> {
-        if slots.len() != self.slots.len() {
-            return Err(DataError::Runtime(format!(
-                "lease has {} slots, plan wants {}",
-                slots.len(),
-                self.slots.len()
-            )));
-        }
+        self.check_lease(slots)?;
         source.load_into(&mut slots[0])?;
-        ctx.source_hash = if ctx.cache.is_some() {
-            source.content_hash()
-        } else {
-            0
-        };
-        for stage in &self.stages {
-            stage.execute(slots, ctx)?;
-        }
-        slots[self.output_slot as usize]
-            .as_scalar()
-            .ok_or_else(|| DataError::Runtime("plan output is not scalar".into()))
+        let (scratch, env, reached) = ctx.frame_for(&self.frame[self.slots.len()..], source);
+        self.run(source, false, slots, scratch, &env, reached)
     }
 
     /// Executes the full plan inline, scoring **straight off the borrowed
@@ -1153,28 +1360,56 @@ impl ModelPlan {
         slots: &mut [Vector],
         ctx: &mut ExecCtx,
     ) -> Result<f32> {
-        if slots.len() != self.slots.len() {
-            return Err(DataError::Runtime(format!(
-                "lease has {} slots, plan wants {}",
-                slots.len(),
-                self.slots.len()
-            )));
-        }
-        ctx.source_hash = if ctx.cache.is_some() {
-            source.content_hash()
-        } else {
-            0
+        self.check_lease(slots)?;
+        let (scratch, env, reached) = ctx.frame_for(&self.frame[self.slots.len()..], source);
+        self.run(source, true, slots, scratch, &env, reached)
+    }
+
+    /// [`Self::execute_borrowed`] with the slots in `ctx`'s frame too: the
+    /// request-response session's execute, which leases nothing while
+    /// consecutive plans share a frame layout.
+    pub(crate) fn execute_in_frame(&self, source: SourceRef<'_>, ctx: &mut ExecCtx) -> Result<f32> {
+        let (frame, env, reached) = ctx.frame_for(&self.frame, source);
+        let (slots, scratch) = frame.split_at_mut(self.slots.len());
+        self.run(source, true, slots, scratch, &env, reached)
+    }
+
+    /// How long the last [`Self::execute_in_frame`] in `ctx` ran before the
+    /// step that panicked: the steps before it are replayed once, cache
+    /// detached, under a clock. The request-response engine reads no clock
+    /// while a request succeeds; this is how a contained fault still
+    /// records its duration. An operator's panic is a function of its row,
+    /// so the replayed steps are the ones that completed.
+    pub(crate) fn replay_to_fault(
+        &self,
+        source: SourceRef<'_>,
+        ctx: &mut ExecCtx,
+    ) -> std::time::Duration {
+        let done = ctx.reached.min(self.program.len());
+        let (frame, _, _) = ctx.frame_for(&self.frame, source);
+        let (slots, scratch) = frame.split_at_mut(self.slots.len());
+        let env = StepEnv {
+            cache: None,
+            telemetry: None,
+            source_hash: 0,
         };
         let mut borrowed = BorrowedSource {
             src: source,
             loaded: false,
         };
-        for stage in &self.stages {
-            stage.execute_with_source(Some(&mut borrowed), slots, ctx)?;
-        }
-        slots[self.output_slot as usize]
-            .as_scalar()
-            .ok_or_else(|| DataError::Runtime("plan output is not scalar".into()))
+        let t0 = std::time::Instant::now();
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_steps(
+                &self.program[..done],
+                &self.program_mat[..done],
+                Some(&mut borrowed),
+                slots,
+                scratch,
+                &env,
+                &mut 0,
+            )
+        }));
+        t0.elapsed()
     }
 
     /// Column types of the plan working set as batch buffers.
@@ -1244,20 +1479,14 @@ impl ModelPlan {
     /// The plan's working set by pool size class: for each [`ColumnType`]
     /// among the slots and scratch buffers, how many buffers of that class
     /// one execution leases and the largest training-statistics size hint
-    /// among them. Slots are leased together when the plan starts and held
-    /// until it retires; a stage's scratch is out only while that stage
-    /// runs, so counting every stage's scratch is an upper bound on what
-    /// one execution has out at once (exact for plans whose same-class
-    /// scratch sits in one stage, as in every stock pipeline). The one
-    /// description both deploy-time warmers consume ([`Self::warm_pool`],
+    /// among them — exactly the frame a whole-plan execution holds. (The
+    /// batch engine leases a stage's scratch only while that stage runs,
+    /// so for it this is an upper bound.) The one description both
+    /// deploy-time warmers consume ([`Self::warm_pool`],
     /// `Scheduler::warm_plan`).
     pub fn working_set(&self) -> Vec<ClassNeed> {
         let mut need: Vec<ClassNeed> = Vec::new();
-        let defs = self
-            .slots
-            .iter()
-            .chain(self.stages.iter().flat_map(|s| s.scratch.iter()));
-        for def in defs {
+        for def in &self.frame {
             match need.iter_mut().find(|n| n.ty == def.ty) {
                 Some(n) => {
                     n.count += 1;
@@ -1276,9 +1505,9 @@ impl ModelPlan {
     /// Tops `pool` up to one working set of this plan, sized from training
     /// statistics, so the first predictions hit pre-reserved buffers (paper
     /// §4.2.1: pool allocations are paid at initialization). The
-    /// request-response engine's warmer: a caller leases one working set
-    /// and keeps it between requests, so plans with the same shapes share
-    /// the same parked buffers and registering the second one allocates
+    /// request-response engine's warmer: a session leases one frame and
+    /// keeps it between requests, so plans with the same shapes share the
+    /// same parked buffers and registering the second one allocates
     /// nothing.
     pub fn warm_pool(&self, pool: &pretzel_data::pool::VectorPool) {
         for need in self.working_set() {
@@ -1585,12 +1814,21 @@ mod tests {
             plan.execute(SourceRef::Text("some text here"), &mut slots, &mut ctx)
                 .unwrap();
         }
-        // 3 scratch buffers per run (sparse32, sparse32, scalar). The two
-        // sparse buffers share a size class and stage 0 releases before
-        // stage 1 acquires, so only ONE allocation ever happens; scalars
-        // are pure values and never miss. Everything else is a pool hit.
-        assert_eq!(pool.stats().misses(), 1);
-        assert_eq!(pool.stats().hits(), 5 * 3 - 1);
+        // The frame holds 3 scratch buffers (sparse32, sparse32, scalar),
+        // leased once by the first run: two sparse misses on the empty
+        // pool, and scalars are pure values that never miss. Later runs
+        // reuse the frame and lease nothing.
+        assert_eq!(pool.stats().misses(), 2);
+        assert_eq!(pool.stats().hits(), 1);
+        assert_eq!(pool.stats().outstanding(), 3);
+        // Stage-at-a-time execution leases a stage's scratch per call and
+        // returns it before the call ends.
+        for stage in &plan.stages {
+            stage.execute(&mut slots, &mut ctx).unwrap();
+        }
+        assert_eq!(pool.stats().outstanding(), 3);
+        drop(ctx);
+        assert_eq!(pool.stats().outstanding(), 0, "the frame returns on drop");
     }
 
     #[test]

@@ -31,13 +31,13 @@ use crate::telemetry::{
     LifecycleSnapshot, MetricsRegistry, MetricsSnapshot, PlanRecorder, PoolCounters,
     SchedulerSnapshot, StoreSnapshot,
 };
-use crossbeam::queue::SegQueue;
 use parking_lot::{Mutex, RwLock};
 use pretzel_data::pool::VectorPool;
-use pretzel_data::{DataError, Result, Vector};
+use pretzel_data::{DataError, Result};
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicI64, AtomicU32, AtomicU64, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Identifier of a registered plan.
 pub type PlanId = u32;
@@ -124,15 +124,32 @@ pub struct RegisterOptions {
     pub reserved: bool,
 }
 
+/// The plan registry: every deployed plan and tombstone by id.
+type Registry = HashMap<PlanId, Arc<RegisteredPlan>>;
+
 #[derive(Debug)]
 struct RegisteredPlan {
     /// The interned logical plan; taken (and its Object Store references
-    /// released) when the plan is undeployed.
+    /// released) when the plan is undeployed. Held while a deferred
+    /// (AOT-off) compile runs, so concurrent first requests compile once.
     logical: Mutex<Option<StagePlan>>,
-    compiled: RwLock<Option<Arc<Serving>>>,
+    /// Set once, when the plan compiles. `undeploy` reclaims it by
+    /// replacing the whole registry entry with a tombstone.
+    compiled: OnceLock<Serving>,
     /// Admission gate + in-flight counter: `undeploy` retires it, then
     /// drains it before reclaiming anything.
     gate: Arc<PlanGate>,
+}
+
+impl RegisteredPlan {
+    /// What an undeployed plan leaves in the registry: its (retired) gate.
+    fn tombstone(gate: &Arc<PlanGate>) -> Self {
+        RegisteredPlan {
+            logical: Mutex::new(None),
+            compiled: OnceLock::new(),
+            gate: Arc::clone(gate),
+        }
+    }
 }
 
 /// Everything a request needs from its plan, resolved once when the plan
@@ -148,61 +165,52 @@ struct Serving {
 }
 
 /// A request-response session: an execution context over the runtime's
-/// request-response pool plus the working set of the last plan it served.
-/// [`Runtime::predict_source`] borrows one from a shared pool per call; a
-/// thread that serves many requests (a FrontEnd reactor) owns one
-/// ([`Runtime::rr_session`]) and passes it to
-/// [`Runtime::predict_source_in`], skipping the pool round trip.
+/// request-response pool, holding the frame of the last plan it served.
+/// [`Runtime::predict_source`] uses one per calling thread; a thread that
+/// serves many requests for one runtime (a FrontEnd reactor) can own one
+/// ([`Runtime::rr_session`]) and pass it to [`Runtime::predict_source_in`].
 ///
-/// The working set stays leased between requests: a request whose plan has
-/// the same slot layout — every plan of one pipeline family does — clears
-/// and reuses it, where a lease per slot per request cost more than the
-/// rest of admission together. A different layout hands the set back to
-/// the pool and leases its own. [`Runtime::pool_outstanding`] discounts
-/// what sessions hold, and dropping the session returns it.
+/// The frame — the plan's slots and every stage's scratch — stays leased
+/// between requests: a request whose plan has the same frame layout —
+/// every plan of one pipeline family does — clears and reuses it, and
+/// touches the pool not at all. A different layout hands the frame back
+/// and leases its own. [`Runtime::pool_outstanding`] discounts what
+/// sessions hold, and dropping the session returns it.
 #[derive(Debug)]
 pub struct RrSession {
     ctx: ExecCtx,
-    slots: Vec<Vector>,
-    /// The runtime's count of slots held by sessions.
+    /// Frame buffers this session has added to `held`.
+    counted: i64,
+    /// The runtime's count of buffers held by sessions.
     held: Arc<AtomicI64>,
 }
 
 impl RrSession {
-    /// Makes `slots` a cleared working set for `plan`.
-    fn fit(&mut self, plan: &ModelPlan) {
-        let fits = self.slots.len() == plan.slots.len()
-            && self
-                .slots
-                .iter()
-                .zip(&plan.slots)
-                .all(|(v, def)| v.column_type() == def.ty);
-        if fits {
-            self.slots.iter_mut().for_each(Vector::reset);
-            return;
-        }
-        self.give_back();
-        let pool = &self.ctx.pool;
-        self.slots
-            .extend(plan.slots.iter().map(|def| pool.acquire(def.ty)));
-        self.held
-            .fetch_add(self.slots.len() as i64, Ordering::Relaxed);
-    }
-
-    /// Returns the working set to the pool.
-    fn give_back(&mut self) {
-        self.held
-            .fetch_sub(self.slots.len() as i64, Ordering::Relaxed);
-        for v in self.slots.drain(..) {
-            self.ctx.pool.release(v);
+    /// Brings the runtime's count of session-held buffers up to date with
+    /// the frame, after the frame was leased anew or handed back.
+    fn settle(&mut self) {
+        let held = self.ctx.frame_len() as i64;
+        if held != self.counted {
+            self.held.fetch_add(held - self.counted, Ordering::Relaxed);
+            self.counted = held;
         }
     }
 }
 
 impl Drop for RrSession {
     fn drop(&mut self) {
-        self.give_back();
+        self.ctx.release_frame();
+        self.settle();
     }
+}
+
+/// Unique runtime identity, for [`RR_SESSION`].
+static NEXT_RUNTIME: AtomicU64 = AtomicU64::new(0);
+
+thread_local! {
+    /// This thread's request-response session, tagged with the runtime it
+    /// belongs to: [`Runtime::predict_source`] takes no lock to find it.
+    static RR_SESSION: RefCell<Option<(u64, RrSession)>> = const { RefCell::new(None) };
 }
 
 /// The runtime's fault-recovery policy, shared with the scheduler's
@@ -219,7 +227,7 @@ struct FaultPolicy {
     window: std::time::Duration,
     /// Per-plan fault timestamps inside the current window.
     windows: Mutex<HashMap<PlanId, std::collections::VecDeque<std::time::Instant>>>,
-    plans: Arc<RwLock<HashMap<PlanId, Arc<RegisteredPlan>>>>,
+    plans: Arc<RwLock<Registry>>,
     aliases: Arc<AliasMap>,
 }
 
@@ -283,13 +291,15 @@ impl FaultPolicy {
 /// The serving runtime.
 #[derive(Debug)]
 pub struct Runtime {
+    /// Unique among the process's runtimes (keys [`RR_SESSION`]).
+    id: u64,
     config: RuntimeConfig,
     store: Arc<ObjectStore>,
     cache: Option<Arc<MaterializationCache>>,
     catalog: Mutex<HashMap<u64, Arc<PhysicalStage>>>,
     /// Shared with [`FaultPolicy`] (the fault hook runs on executor
     /// threads and needs the gates).
-    plans: Arc<RwLock<HashMap<PlanId, Arc<RegisteredPlan>>>>,
+    plans: Arc<RwLock<Registry>>,
     next_plan_id: AtomicU32,
     /// Id-recycling epoch: every plan id **below** this watermark that is
     /// absent from `plans` was a tombstone compacted away — lookups report
@@ -302,7 +312,6 @@ pub struct Runtime {
     lifecycle_stats: LifecycleStats,
     scheduler: Scheduler,
     rr_pool: Arc<VectorPool>,
-    rr_sessions: SegQueue<RrSession>,
     /// Request-response pool leases parked in [`RrSession`]s between
     /// requests (see there); not outstanding in the leak-check sense.
     rr_held: Arc<AtomicI64>,
@@ -329,8 +338,7 @@ impl Runtime {
             cache: cache.clone(),
             telemetry: metrics.clone(),
         });
-        let plans: Arc<RwLock<HashMap<PlanId, Arc<RegisteredPlan>>>> =
-            Arc::new(RwLock::new(HashMap::new()));
+        let plans: Arc<RwLock<Registry>> = Arc::default();
         let aliases = Arc::new(AliasMap::new());
         let fault_policy = Arc::new(FaultPolicy {
             threshold: config.fault_quarantine_threshold,
@@ -356,6 +364,7 @@ impl Runtime {
         let rr_pool = Arc::new(serving_pool());
         let ingest_pool = Arc::new(serving_pool());
         Runtime {
+            id: NEXT_RUNTIME.fetch_add(1, Ordering::Relaxed),
             config,
             store: Arc::new(ObjectStore::new()),
             cache,
@@ -367,7 +376,6 @@ impl Runtime {
             lifecycle_stats: LifecycleStats::default(),
             scheduler,
             rr_pool,
-            rr_sessions: SegQueue::new(),
             rr_held: Arc::new(AtomicI64::new(0)),
             ingest_pool,
             metrics,
@@ -500,7 +508,7 @@ impl Runtime {
         self.store.retain_plan(&logical);
         let registered = Arc::new(RegisteredPlan {
             logical: Mutex::new(Some(logical)),
-            compiled: RwLock::new(None),
+            compiled: OnceLock::new(),
             gate: PlanGate::new(),
         });
         let id = self.next_plan_id.fetch_add(1, Ordering::Relaxed);
@@ -517,7 +525,7 @@ impl Runtime {
                     // request-response pool up to this plan's working set,
                     // sized from training statistics (paper §4.2.1).
                     plan.warm_pool(&self.rr_pool);
-                    *registered.compiled.write() = Some(self.serving(id, Arc::clone(&plan)));
+                    let _ = registered.compiled.set(self.serving(id, Arc::clone(&plan)));
                     aot_plan = Some(plan);
                 }
                 Err(e) => {
@@ -596,8 +604,9 @@ impl Runtime {
         self.catalog.lock().len()
     }
 
-    fn entry(&self, id: PlanId) -> Result<Arc<RegisteredPlan>> {
-        self.plans.read().get(&id).cloned().ok_or_else(|| {
+    /// The registry entry of `id` in `plans` (a read of the registry).
+    fn lookup<'p>(&self, plans: &'p Registry, id: PlanId) -> Result<&'p Arc<RegisteredPlan>> {
+        plans.get(&id).ok_or_else(|| {
             // Below the compaction watermark, an absent id was a retired
             // tombstone: report it exactly as if the tombstone survived.
             if id < self.retired_epoch.load(Ordering::Acquire) {
@@ -608,33 +617,32 @@ impl Runtime {
         })
     }
 
+    fn entry(&self, id: PlanId) -> Result<Arc<RegisteredPlan>> {
+        self.lookup(&self.plans.read(), id).map(Arc::clone)
+    }
+
     /// Resolves what requests to a freshly compiled plan will need.
-    fn serving(&self, id: PlanId, plan: Arc<ModelPlan>) -> Arc<Serving> {
-        Arc::new(Serving {
+    fn serving(&self, id: PlanId, plan: Arc<ModelPlan>) -> Serving {
+        Serving {
             plan,
             recorder: self.metrics.as_ref().map(|m| m.plan_recorder(id)),
             access: self.store.plan_access(id),
-        })
+        }
     }
 
-    fn serving_of(&self, id: PlanId, registered: &RegisteredPlan) -> Result<Arc<Serving>> {
-        if let Some(serving) = registered.compiled.read().as_ref() {
-            return Ok(Arc::clone(serving));
+    fn serving_of<'r>(&self, id: PlanId, registered: &'r RegisteredPlan) -> Result<&'r Serving> {
+        if let Some(serving) = registered.compiled.get() {
+            return Ok(serving);
         }
-        // Cold path (AOT off): compile now; double-checked under the write
-        // lock so concurrent first predictions compile once.
-        let mut slot = registered.compiled.write();
-        if let Some(serving) = slot.as_ref() {
-            return Ok(Arc::clone(serving));
+        // Cold path (AOT off): compile now; double-checked under the
+        // logical-plan lock so concurrent first predictions compile once.
+        let logical = registered.logical.lock();
+        if let Some(serving) = registered.compiled.get() {
+            return Ok(serving);
         }
-        let logical = registered
-            .logical
-            .lock()
-            .clone()
-            .ok_or(DataError::PlanRetired(id))?;
-        let serving = self.serving(id, self.compile(&logical)?);
-        *slot = Some(Arc::clone(&serving));
-        Ok(serving)
+        let logical = logical.as_ref().ok_or(DataError::PlanRetired(id))?;
+        let serving = self.serving(id, self.compile(logical)?);
+        Ok(registered.compiled.get_or_init(|| serving))
     }
 
     /// Fetches (compiling on first use when AOT is off) the executable plan.
@@ -643,17 +651,17 @@ impl Runtime {
         Ok(Arc::clone(&self.serving_of(id, &registered)?.plan))
     }
 
-    /// Admission for one submission: enter the plan's lifecycle gate, then
-    /// fetch what serving it needs. Holding the pass guarantees `undeploy`
+    /// Admission for one batch submission: enter the plan's lifecycle
+    /// gate, then take the plan. Holding the pass guarantees `undeploy`
     /// cannot reclaim the plan until the pass drops — so the pass comes
     /// first in the pair: bound in this order it is dropped last, after
     /// the caller's hold on the plan.
-    fn admit(&self, id: PlanId) -> Result<(GatePass, Arc<Serving>)> {
+    fn admit(&self, id: PlanId) -> Result<(GatePass, Arc<ModelPlan>)> {
         let registered = self.entry(id)?;
         let pass = registered.gate.enter(id)?;
         let serving = self.serving_of(id, &registered)?;
         self.store.note_access(&serving.access);
-        Ok((pass, serving))
+        Ok((pass, Arc::clone(&serving.plan)))
     }
 
     /// The pool wire-to-columnar ingest leases request batches from (the
@@ -691,16 +699,27 @@ impl Runtime {
         )
     }
 
-    /// Request-response engine over an explicit [`SourceRef`].
+    /// Request-response engine over an explicit [`SourceRef`], on the
+    /// calling thread's session ([`RrSession`]).
     ///
-    /// Scores **straight off the borrowed source** — slot 0 is leased but
-    /// the request bytes are not copied into it unless some step lacks a
-    /// borrowed kernel ([`ModelPlan::execute_borrowed`]).
+    /// Scores **straight off the borrowed source** — the request bytes are
+    /// not copied into slot 0 unless some step lacks a borrowed kernel
+    /// ([`ModelPlan::execute_borrowed`]).
     pub fn predict_source(&self, id: PlanId, source: SourceRef<'_>) -> Result<f32> {
-        let mut sess = self.rr_sessions.pop().unwrap_or_else(|| self.rr_session());
-        let result = self.predict_source_in(&mut sess, id, source);
-        self.rr_sessions.push(sess);
-        result
+        RR_SESSION
+            .try_with(|cell| {
+                let Ok(mut mine) = cell.try_borrow_mut() else {
+                    // Re-entered on this thread: serve on a session of its own.
+                    return self.predict_source_in(&mut self.rr_session(), id, source);
+                };
+                if mine.as_ref().is_none_or(|(rt, _)| *rt != self.id) {
+                    *mine = Some((self.id, self.rr_session()));
+                }
+                let (_, sess) = mine.as_mut().expect("installed above");
+                self.predict_source_in(sess, id, source)
+            })
+            // The thread is exiting and its session is gone.
+            .unwrap_or_else(|_| self.predict_source_in(&mut self.rr_session(), id, source))
     }
 
     /// A fresh request-response session for a thread that will serve many
@@ -712,51 +731,66 @@ impl Runtime {
                 Some(c) => ctx.with_cache(Arc::clone(c)),
                 None => ctx,
             },
-            slots: Vec::new(),
+            counted: 0,
             held: Arc::clone(&self.rr_held),
         }
     }
 
     /// [`Self::predict_source`] on a session the caller owns. The session
     /// must come from this runtime's [`Self::rr_session`].
+    ///
+    /// Admission is one read of the plan registry, held until the score
+    /// exists: `undeploy` reclaims a plan under the registry's write lock,
+    /// so the read keeps the plan alive without a gate pass or a reference
+    /// count of its own. A request that succeeds reads no clock.
     pub fn predict_source_in(
         &self,
         sess: &mut RrSession,
         id: PlanId,
         source: SourceRef<'_>,
     ) -> Result<f32> {
-        let (_pass, serving) = self.admit(id)?;
-        if let Some(rec) = &serving.recorder {
-            rec.note_rr_request();
-        }
-        let plan = &*serving.plan;
-        sess.fit(plan);
-        // Containment boundary for the inline engine: a panicking operator
-        // must not unwind through the caller. Scratch held by the session
-        // context is recovered (the normal drain at the end of
-        // `execute_with_source` never ran); the working set stays with the
-        // session and is cleared before its next use either way.
-        let t0 = std::time::Instant::now();
-        let result = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            plan.execute_borrowed(source, &mut sess.slots, &mut sess.ctx)
-        })) {
-            Ok(r) => r,
-            Err(payload) => {
-                sess.ctx.recover_scratch();
-                if let Some(rec) = &serving.recorder {
-                    rec.record_fault(t0.elapsed().as_nanos() as u64);
-                }
-                self.fault_policy.on_fault(id);
-                Err(DataError::ExecutionFault(crate::scheduler::panic_message(
-                    payload.as_ref(),
-                )))
+        let outcome = loop {
+            let plans = self.plans.read();
+            let registered = self.lookup(&plans, id)?;
+            registered.gate.admits(id)?;
+            let Some(serving) = registered.compiled.get() else {
+                drop(plans);
+                // AOT off: compile outside the registry lock, then admit
+                // again.
+                self.plan(id)?;
+                continue;
+            };
+            self.store.note_access(&serving.access);
+            if let Some(rec) = &serving.recorder {
+                rec.note_rr_request();
             }
+            let plan = &*serving.plan;
+            // Containment boundary for the inline engine: a panicking
+            // operator must not unwind through the caller. The frame stays
+            // with the session and is cleared before its next use.
+            break std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                plan.execute_in_frame(source, &mut sess.ctx)
+            }))
+            .inspect_err(|_| {
+                if let Some(rec) = &serving.recorder {
+                    let burned = plan.replay_to_fault(source, &mut sess.ctx);
+                    rec.record_fault(burned.as_nanos() as u64);
+                }
+            });
         };
         if !self.config.pooling {
             // The "no vector pooling" ablation allocates per request.
-            sess.give_back();
+            sess.ctx.release_frame();
         }
-        result
+        sess.settle();
+        outcome.unwrap_or_else(|payload| {
+            // Outside the registry read: quarantine may write aliases and
+            // read the registry again.
+            self.fault_policy.on_fault(id);
+            Err(DataError::ExecutionFault(crate::scheduler::panic_message(
+                payload.as_ref(),
+            )))
+        })
     }
 
     /// Batch engine over owned records: packs them into a batch leased
@@ -795,7 +829,7 @@ impl Runtime {
         hashes: Vec<u64>,
     ) -> Result<BatchHandle> {
         let (plan, pass) = match self.admit(id) {
-            Ok((pass, serving)) => (Arc::clone(&serving.plan), pass),
+            Ok((pass, plan)) => (plan, pass),
             Err(e) => {
                 // Return the lease before reporting: admission failures are
                 // a request error, not a reason to leak a pooled buffer.
@@ -888,9 +922,16 @@ impl Runtime {
             return Err(DataError::PlanRetired(id));
         }
         registered.gate.wait_drained();
-        // No execution can reach the plan from here on: reclaim.
-        *registered.compiled.write() = None;
+        // Reclaim: the entry becomes a tombstone under the registry's
+        // write lock, which waits out every inline request still reading
+        // the plan. No execution can reach the plan after that.
+        if let Some(entry) = self.plans.write().get_mut(&id) {
+            *entry = Arc::new(RegisteredPlan::tombstone(&registered.gate));
+        }
         let logical = registered.logical.lock().take();
+        // The last hold on the compiled plan, before the catalog sweep
+        // counts who still shares its stages.
+        drop(registered);
         let (freed_params, freed_param_bytes) = logical
             .map(|l| self.store.release_plan(&l))
             .unwrap_or((0, 0));

@@ -499,6 +499,8 @@ impl MetricsRegistry {
 pub struct PoolCounters {
     pub hits: u64,
     pub misses: u64,
+    /// Buffers handed back (parked or dropped).
+    pub released: u64,
     /// Heap bytes of the buffers parked in the family's free lists.
     pub retained_bytes: u64,
     /// Buffers (vectors and batches) parked in the family's free lists.
@@ -511,6 +513,7 @@ impl PoolCounters {
         PoolCounters {
             hits: pool.stats().hits(),
             misses: pool.stats().misses(),
+            released: pool.stats().released(),
             retained_bytes: pool.retained_bytes() as u64,
             parked: pool.parked_buffers() as u64,
         }
@@ -521,6 +524,7 @@ impl std::ops::AddAssign for PoolCounters {
     fn add_assign(&mut self, other: Self) {
         self.hits += other.hits;
         self.misses += other.misses;
+        self.released += other.released;
         self.retained_bytes += other.retained_bytes;
         self.parked += other.parked;
     }
@@ -570,7 +574,9 @@ pub struct PlanAccessSnapshot {
     /// Requests admitted for this plan since deploy.
     pub accesses: u64,
     /// Value of the store's global access clock at this plan's most recent
-    /// request; compare across plans for recency (larger = hotter).
+    /// request; compare across plans for recency (larger = hotter). The
+    /// clock ticks once per snapshot, so plans last served between the
+    /// same two snapshots tie.
     pub last_access_epoch: u64,
 }
 
@@ -736,6 +742,9 @@ impl MetricsSnapshot {
             put_u64(out, p.retained_bytes);
             put_u64(out, p.parked);
         }
+        for p in self.pools.families() {
+            put_u64(out, p.released);
+        }
     }
 
     fn decode_bool(cur: &mut Cursor<'_>) -> Result<bool> {
@@ -838,6 +847,15 @@ impl MetricsSnapshot {
                 p.parked = cur.u64()?;
             }
         }
+        if cur.remaining() > 0 {
+            for p in [
+                &mut pools.executor,
+                &mut pools.request_response,
+                &mut pools.ingest,
+            ] {
+                p.released = cur.u64()?;
+            }
+        }
         Ok(MetricsSnapshot {
             telemetry,
             scheduler,
@@ -867,8 +885,8 @@ impl MetricsSnapshot {
         ));
         let pool = |p: &PoolCounters| {
             format!(
-                "{{\"hits\":{},\"misses\":{},\"retained_bytes\":{},\"parked\":{}}}",
-                p.hits, p.misses, p.retained_bytes, p.parked
+                "{{\"hits\":{},\"misses\":{},\"released\":{},\"retained_bytes\":{},\"parked\":{}}}",
+                p.hits, p.misses, p.released, p.retained_bytes, p.parked
             )
         };
         s.push_str(&format!(
@@ -970,8 +988,8 @@ impl MetricsSnapshot {
         ));
         let pool = |p: &PoolCounters| {
             format!(
-                "{}h/{}m {}B/{}buf",
-                p.hits, p.misses, p.retained_bytes, p.parked
+                "{}h/{}m/{}r {}B/{}buf",
+                p.hits, p.misses, p.released, p.retained_bytes, p.parked
             )
         };
         s.push_str(&format!(
@@ -1092,14 +1110,20 @@ mod tests {
         });
         snap.pools.ingest.retained_bytes = 4096;
         snap.pools.ingest.parked = 3;
+        snap.pools.ingest.released = 5;
         let mut buf = Vec::new();
         snap.encode(&mut buf);
         let back = MetricsSnapshot::decode(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(back.pools.ingest, snap.pools.ingest);
-        // A payload from before pool holdings were reported ends where
+        // A payload from before release counts were reported ends where
         // they now start: it decodes, and they read 0.
-        let older = &buf[..buf.len() - 3 * 16];
+        let older = &buf[..buf.len() - 3 * 8];
         let old_back = MetricsSnapshot::decode(&mut Cursor::new(older)).unwrap();
+        assert_eq!(old_back.pools.ingest.released, 0);
+        assert_eq!(old_back.pools.ingest.parked, 3);
+        // Likewise from before pool holdings were reported.
+        let oldest = &older[..older.len() - 3 * 16];
+        let old_back = MetricsSnapshot::decode(&mut Cursor::new(oldest)).unwrap();
         assert_eq!(old_back.pools.ingest, PoolCounters::default());
         assert_eq!(old_back.plans.len(), 1);
         assert!(back.telemetry);

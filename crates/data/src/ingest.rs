@@ -26,9 +26,9 @@
 //! producing the identical hashes from the packed rows.
 
 use crate::batch::{ColRef, ColumnBatch};
-use crate::hash::{content_hash_dense, content_hash_sparse, content_hash_text, Fnv1a};
+use crate::hash::{content_hash_dense, content_hash_sparse, content_hash_text};
 use crate::schema::ColumnType;
-use crate::serde_bin::Cursor;
+use crate::serde_bin::{le_f32s, le_u32s, Cursor};
 use crate::{DataError, Result};
 
 /// Assembles one request's worth of source rows into a [`ColumnBatch`],
@@ -224,7 +224,7 @@ impl BatchAssembler {
     }
 
     /// Decodes one wire dense record (`u32 n · f32*n`) straight into the
-    /// row-major matrix, hashing as it copies.
+    /// row-major matrix, from one bounds-checked slice of the frame.
     pub fn decode_dense_row(&mut self, cur: &mut Cursor<'_>) -> Result<()> {
         let dim = match self.rows.column_type() {
             ColumnType::F32Dense { len } => len,
@@ -241,35 +241,22 @@ impl BatchAssembler {
                 "dense record has {n} features, batch rows have {dim}"
             )));
         }
-        let row = self.rows.push_dense_row()?;
-        let mut finite = true;
-        if self.hashing {
-            let mut h = Fnv1a::new();
-            for slot in row.iter_mut() {
-                let v = cur.f32()?;
-                *slot = v;
-                finite &= v.is_finite();
-                h.write_f32(v);
-            }
-            self.hashes.push(h.finish());
-        } else {
-            for slot in row.iter_mut() {
-                let v = cur.f32()?;
-                *slot = v;
-                finite &= v.is_finite();
-            }
-        }
-        if self.reject_non_finite && !finite {
-            // Roll the freshly written row (and its hash) back so the
-            // assembler stays consistent for the error reply path.
-            if let ColumnBatch::Dense { data, dim, rows } = &mut self.rows {
-                *rows -= 1;
-                data.truncate(*rows * *dim);
-            }
-            if self.hashing {
-                self.hashes.pop();
-            }
+        let words = cur.words(n)?;
+        let ColumnBatch::Dense { data, rows, .. } = &mut self.rows else {
+            unreachable!("column type checked above");
+        };
+        let start = data.len();
+        data.extend(le_f32s(words));
+        let row = &data[start..];
+        if self.reject_non_finite && !all_finite(row) {
+            // Roll the row back so the assembler stays consistent for the
+            // error reply path.
+            data.truncate(start);
             return Err(non_finite_err());
+        }
+        *rows += 1;
+        if self.hashing {
+            self.hashes.push(content_hash_dense(row));
         }
         Ok(())
     }
@@ -307,13 +294,9 @@ impl BatchAssembler {
         let hashing = self.hashing;
         let reject = self.reject_non_finite;
         let mut decode = || -> Result<u64> {
-            for _ in 0..nnz {
-                indices.push(cur.u32()?);
-            }
+            indices.extend(le_u32s(cur.words(nnz)?));
             validate_sparse_indices(&indices[tail..], dim)?;
-            for _ in 0..nnz {
-                values.push(cur.f32()?);
-            }
+            values.extend(le_f32s(cur.words(nnz)?));
             if reject {
                 check_finite(&values[tail..])?;
             }
@@ -366,11 +349,17 @@ fn non_finite_err() -> DataError {
 /// Checks that every feature value is finite — the opt-in ingest-boundary
 /// guard behind [`BatchAssembler::reject_non_finite`].
 pub fn check_finite(values: &[f32]) -> Result<()> {
-    if values.iter().all(|v| v.is_finite()) {
+    if all_finite(values) {
         Ok(())
     } else {
         Err(non_finite_err())
     }
+}
+
+/// True if no value is NaN or ±Inf. No early exit, so it vectorizes: a
+/// valid row is read to the end either way.
+fn all_finite(values: &[f32]) -> bool {
+    values.iter().fold(true, |ok, v| ok & v.is_finite())
 }
 
 /// Checks that a wire sparse row's indices are strictly increasing and

@@ -143,28 +143,23 @@ impl<'a> Cursor<'a> {
 
     /// Reads a length-prefixed `f32` vector.
     pub fn f32s(&mut self) -> Result<Vec<f32>> {
-        Ok(self
-            .words()?
-            .chunks_exact(4)
-            .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect())
+        let len = self.u32()? as usize;
+        Ok(le_f32s(self.words(len)?).collect())
     }
 
     /// Reads a length-prefixed `u32` vector.
     pub fn u32s(&mut self) -> Result<Vec<u32>> {
-        Ok(self
-            .words()?
-            .chunks_exact(4)
-            .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-            .collect())
+        let len = self.u32()? as usize;
+        Ok(le_u32s(self.words(len)?).collect())
     }
 
-    // The bytes of a length-prefixed array of 4-byte words, taken with one
-    // bounds check; the claim is checked before anything is allocated.
-    fn words(&mut self) -> Result<&'a [u8]> {
-        let len = self.u32()? as usize;
-        self.check_claim(len, 4)?;
-        self.take(len * 4)
+    /// The bytes of `n` little-endian 4-byte words, taken with one bounds
+    /// check — the bulk form of `n` calls to [`Self::f32`] or [`Self::u32`],
+    /// decoded by [`le_f32s`] / [`le_u32s`]. The claim is checked before
+    /// anything is taken.
+    pub fn words(&mut self, n: usize) -> Result<&'a [u8]> {
+        self.check_claim(n, 4)?;
+        self.take(n * 4)
     }
 
     /// Reads a length-prefixed raw byte blob.
@@ -184,6 +179,16 @@ impl<'a> Cursor<'a> {
         }
         Ok(())
     }
+}
+
+/// The `f32`s of little-endian words ([`Cursor::words`]).
+pub fn le_f32s(words: &[u8]) -> impl Iterator<Item = f32> + '_ {
+    words.as_chunks().0.iter().map(|&w| f32::from_le_bytes(w))
+}
+
+/// The `u32`s of little-endian words ([`Cursor::words`]).
+pub fn le_u32s(words: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    words.as_chunks().0.iter().map(|&w| u32::from_le_bytes(w))
 }
 
 /// One operator "directory" inside a model file.

@@ -6,8 +6,11 @@
 use pretzel_baseline::{volcano, BlackBoxModel};
 use pretzel_core::flour::{Flour, FlourContext};
 use pretzel_core::graph::TransformGraph;
-use pretzel_core::physical::SourceRef;
+use pretzel_core::physical::{ExecCtx, SourceRef};
 use pretzel_core::runtime::{Runtime, RuntimeConfig};
+use pretzel_core::scheduler::Record;
+use pretzel_data::pool::VectorPool;
+use pretzel_data::Vector;
 use pretzel_ops::feat::normalizer::{NormKind, NormalizerParams};
 use pretzel_ops::feat::onehot::OneHotParams;
 use pretzel_ops::linear::LinearKind;
@@ -161,6 +164,55 @@ fn dense_kitchen_sink_agrees_across_engines() {
         let wb = runtime.predict_dense(id, &record).unwrap();
         assert!((bb - reference).abs() < TOL, "blackbox {bb} vs {reference}");
         assert!((wb - reference).abs() < TOL, "pretzel {wb} vs {reference}");
+    }
+}
+
+/// Every row path of the runtime scores the kitchen sinks bitwise alike:
+/// the classic `execute` (source copied into slot 0), `execute_borrowed`
+/// on a reused context, the request-response session's frame, and the
+/// row's place in a batch.
+#[test]
+fn kitchen_sinks_score_bitwise_alike_on_every_row_path() {
+    let mut gen = pretzel_workload::text::ReviewGen::new(6, 128, 1.2);
+    let lines = (0..6).map(|_| Record::Text(format!("2,{}", gen.review(5, 25))));
+    let mut gen = pretzel_workload::text::StructuredGen::new(7, 10);
+    let rows = (0..6).map(|_| Record::Dense(gen.record()));
+    for (graph, records) in [
+        (text_kitchen_sink(LinearKind::Logistic, 60), lines.collect()),
+        (dense_kitchen_sink(61), rows.collect::<Vec<_>>()),
+    ] {
+        let runtime = Runtime::new(RuntimeConfig {
+            n_executors: 1,
+            ..RuntimeConfig::default()
+        });
+        let id = runtime
+            .register(pretzel_core::oven::optimize(&graph).unwrap().plan)
+            .unwrap();
+        let plan = runtime.plan(id).unwrap();
+        let slots = || -> Vec<Vector> {
+            let types = plan.slot_types().into_iter();
+            types.map(Vector::with_type).collect()
+        };
+        let mut ctx = ExecCtx::new(Arc::new(VectorPool::arena()));
+        let mut reused = slots();
+        let batch = runtime.predict_batch_wait(id, records.clone()).unwrap();
+        for (r, record) in records.iter().enumerate() {
+            let source = record.as_source();
+            let mut fresh = ExecCtx::new(Arc::new(VectorPool::arena()));
+            let classic = plan.execute(source, &mut slots(), &mut fresh).unwrap();
+            let borrowed = plan
+                .execute_borrowed(source, &mut reused, &mut ctx)
+                .unwrap();
+            let session = runtime.predict_source(id, source).unwrap();
+            for (path, score) in [
+                ("borrowed", borrowed),
+                ("session", session),
+                ("batch", batch[r]),
+            ] {
+                assert_eq!(score.to_bits(), classic.to_bits(), "{path}, row {r}");
+            }
+        }
+        assert_eq!(runtime.pool_outstanding(), 0);
     }
 }
 

@@ -1,4 +1,4 @@
-//! Allocation budget of the serving path, process-wide.
+//! Allocation and lease budget of the serving path, process-wide.
 //!
 //! This binary installs the counting allocator, so every allocation made
 //! by the client, the reactor and the executors between two readings is
@@ -6,9 +6,9 @@
 //! parallel threads and would count each other's allocations.
 
 use pretzel_core::frontend::{FrontEnd, FrontEndConfig, PredictRequest, Session};
-use pretzel_core::runtime::{Runtime, RuntimeConfig};
+use pretzel_core::runtime::{PlanId, Runtime, RuntimeConfig};
 use pretzel_data::alloc_meter::{self, CountingAlloc};
-use pretzel_workload::sa::SaConfig;
+use pretzel_workload::sa::{SaConfig, SaWorkload};
 use pretzel_workload::text::ReviewGen;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -42,21 +42,14 @@ fn allocs_per_request(
     (alloc_meter::alloc_count() - before) as f64 / total as f64
 }
 
-#[test]
-fn steady_state_requests_stay_inside_their_allocation_budget() {
-    let workload = pretzel_workload::sa::build(&SaConfig {
-        n_pipelines: 4,
-        char_entries: 256,
-        word_entries_small: 32,
-        word_entries_large: 128,
-        vocab_size: 256,
-        seed: 0xB0D6,
-    });
+/// A front end with one reactor over the `workload`'s plans.
+fn serve(workload: &SaWorkload, pooling: bool) -> (Arc<Runtime>, FrontEnd, Vec<PlanId>) {
     let runtime = Arc::new(Runtime::new(RuntimeConfig {
         n_executors: 2,
+        pooling,
         ..RuntimeConfig::default()
     }));
-    let ids: Vec<u32> = workload
+    let ids = workload
         .graphs
         .iter()
         .map(|g| {
@@ -72,6 +65,29 @@ fn steady_state_requests_stay_inside_their_allocation_budget() {
         },
     )
     .unwrap();
+    (runtime, fe, ids)
+}
+
+/// One single-row text request per line, round-robin over `ids`.
+fn single_rows(lines: &[String], ids: &[PlanId]) -> Vec<PredictRequest> {
+    lines
+        .iter()
+        .enumerate()
+        .map(|(i, l)| PredictRequest::text(l.as_str()).plan(ids[i % ids.len()]))
+        .collect()
+}
+
+#[test]
+fn steady_state_requests_stay_inside_their_allocation_budget() {
+    let workload = pretzel_workload::sa::build(&SaConfig {
+        n_pipelines: 4,
+        char_entries: 256,
+        word_entries_small: 32,
+        word_entries_large: 128,
+        vocab_size: 256,
+        seed: 0xB0D6,
+    });
+    let (runtime, fe, ids) = serve(&workload, true);
     let mut gen = ReviewGen::new(11, 256, 1.2);
     let lines: Vec<String> = (0..256)
         .map(|_| format!("4,{}", gen.review(8, 40)))
@@ -80,17 +96,21 @@ fn steady_state_requests_stay_inside_their_allocation_budget() {
 
     // Single-row text requests: what is left per request is the score
     // vector `wait` hands to the caller (7.0 per request before the
-    // single-request fast lane).
-    let singles: Vec<PredictRequest> = lines
-        .iter()
-        .enumerate()
-        .map(|(i, l)| PredictRequest::text(l.as_str()).plan(ids[i % ids.len()]))
-        .collect();
+    // single-request fast lane). The reactor's session keeps one frame for
+    // every plan of the family, so steady state leases nothing from the
+    // request-response pool at all.
+    let singles = single_rows(&lines, &ids);
     allocs_per_request(&session, &singles, WINDOW, 4_000); // warm-up
+    let leases = runtime.metrics().pools.request_response;
     let per_single = allocs_per_request(&session, &singles, WINDOW, 20_000);
     assert!(
         per_single <= 1.5,
         "{per_single:.2} allocations per single-row request (budget 1.5)"
+    );
+    assert_eq!(
+        runtime.metrics().pools.request_response,
+        leases,
+        "steady-state single-row requests moved the request-response pool"
     );
 
     // 256-row batch requests, 4 chunks each: no more than the 31.6 per
@@ -109,6 +129,23 @@ fn steady_state_requests_stay_inside_their_allocation_budget() {
         "{per_batch:.2} allocations per 256-row batch request (31.6 before the fast lane)"
     );
 
+    drop(session);
+    fe.stop();
+
+    // The pooling ablation keeps its meaning: without pooling the session
+    // hands its frame back after every request, so each one allocates its
+    // buffers anew.
+    let (runtime, fe, ids) = serve(&workload, false);
+    let session = Session::connect(fe.addr()).unwrap();
+    let singles = single_rows(&lines, &ids);
+    allocs_per_request(&session, &singles, WINDOW, 4_000); // warm-up
+    let per_unpooled = allocs_per_request(&session, &singles, WINDOW, 20_000);
+    assert!(
+        per_unpooled >= per_single + 1.0,
+        "{per_unpooled:.2} allocations per single-row request without pooling, \
+         {per_single:.2} with"
+    );
+    assert_eq!(runtime.pool_outstanding(), 0);
     drop(session);
     fe.stop();
 }
