@@ -23,7 +23,7 @@
 //!     .concat(&w_ngram)
 //!     .classifier_linear(Arc::new(synth::linear(3, 512, LinearKind::Logistic)));
 //! let plan = program.plan().expect("valid SA pipeline");
-//! assert!(plan.stages.len() <= 2);
+//! assert_eq!(plan.stages.len(), 1);
 //! ```
 
 use crate::graph::{Input, TNode, TransformGraph};
@@ -497,7 +497,10 @@ mod tests {
         let g = program.graph();
         assert_eq!(g.nodes.len(), 6); // csv, tok, cngram, wngram, concat, linear
         let plan = program.plan().unwrap();
-        assert_eq!(plan.stages.len(), 2);
+        // One stage (every featurizer reads the CSV field); slots are the
+        // source and the score.
+        assert_eq!(plan.stages.len(), 1);
+        assert_eq!(plan.slots.len(), 2);
     }
 
     #[test]

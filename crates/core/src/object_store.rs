@@ -42,7 +42,7 @@
 //! unchanged — each entry's refcount still moves under its shard lock.
 
 use crate::lru::LruCache;
-use crate::plan::{StageOp, StagePlan, Step};
+use crate::plan::StagePlan;
 use parking_lot::{Mutex, RwLock};
 use pretzel_data::Vector;
 use pretzel_ops::Op;
@@ -123,34 +123,16 @@ impl Default for ObjectStore {
     }
 }
 
-/// Calls `f` with every parameter-carrying [`Op`] a step references
-/// (fused steps carry two). The enumeration mirrors the interning walk in
-/// [`crate::physical::intern_plan`], so retain/release touch exactly the
-/// checksums registration interned.
-fn step_param_ops(step: &Step, mut f: impl FnMut(Op)) {
-    match &step.op {
-        StageOp::Op(op) => f(op.clone()),
-        StageOp::PartialDot { linear, .. } | StageOp::Combine { linear } => {
-            f(Op::Linear(Arc::clone(linear)))
-        }
-        StageOp::FusedCharNgramDot { ngram, linear, .. } => {
-            f(Op::CharNgram(Arc::clone(ngram)));
-            f(Op::Linear(Arc::clone(linear)));
-        }
-        StageOp::FusedWordNgramDot { ngram, linear, .. } => {
-            f(Op::WordNgram(Arc::clone(ngram)));
-            f(Op::Linear(Arc::clone(linear)));
-        }
-    }
-}
-
-/// The unique `(checksum, op)` parameter set of a plan.
+/// The unique `(checksum, op)` parameter set of a plan, through
+/// [`crate::plan::StageOp::for_each_param`] — the walk that visits what
+/// [`crate::physical::intern_plan`] interned, so retain/release touch
+/// exactly the checksums registration interned.
 fn plan_param_set(plan: &StagePlan) -> Vec<(u64, Op)> {
     let mut seen = HashSet::new();
     let mut out = Vec::new();
     for stage in &plan.stages {
         for step in &stage.steps {
-            step_param_ops(step, |op| {
+            step.op.for_each_param(|op| {
                 let sum = op.checksum();
                 if seen.insert(sum) {
                     out.push((sum, op));
@@ -530,7 +512,7 @@ mod tests {
 
     #[test]
     fn retain_release_frees_at_zero_refs() {
-        use crate::plan::{BufDef, Loc, LogicalStage};
+        use crate::plan::{BufDef, Loc, LogicalStage, StageOp, Step};
         use pretzel_data::ColumnType;
         use pretzel_ops::linear::LinearKind;
 

@@ -8,12 +8,22 @@
 //! serves a logical stage (the paper's 1-logical-to-n-physical mapping):
 //!
 //! * the generic **stepwise** program, executing each step with enum
-//!   dispatch over pooled buffers; or
+//!   dispatch over pooled buffers;
 //! * **fused n-gram·dot kernels**: when a stage contains `CharNgram →
 //!   PartialDot` (or the word variant) with a scratch-only intermediate,
 //!   the two steps collapse into one kernel that accumulates
 //!   `weights[offset + idx]` per dictionary hit and never materializes the
-//!   sparse feature vector.
+//!   sparse feature vector; or
+//! * the **fused text step**: when a stage's `Combine` reads only such
+//!   fused n-gram·dots over one text, which a `CsvParse(TextField)` selects
+//!   and one `Tokenizer` splits, all of it — field selection to score —
+//!   becomes one [`StageOp::FusedText`] that reads the row once
+//!   ([`pretzel_ops::text::fused`]). A Sentiment Analysis plan is that one
+//!   step.
+//!
+//! Both fusions run only with [`CompileOptions::fuse_ngram_dot`]; with the
+//! materialization cache on, featurizer outputs stay steps of their own so
+//! they can be cached.
 //!
 //! Physical stages are identified by a structural [`PhysicalStage::signature`]
 //! so the runtime catalog can load each distinct stage once and share it
@@ -31,16 +41,18 @@ use pretzel_data::batch::ColRef;
 use pretzel_data::hash::Fnv1a;
 use pretzel_data::pool::VectorPool;
 use pretzel_data::{ColumnBatch, ColumnType, DataError, Result, Vector};
+use pretzel_ops::text::fused::{FusedText, NgramLevel, TextBranch};
 use pretzel_ops::Op;
 use std::sync::Arc;
 
 /// Compilation options chosen by the runtime configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct CompileOptions {
-    /// Fuse `ngram → PartialDot` pairs into single kernels. Disabled when
-    /// sub-plan materialization is on, so that shared featurizer outputs
-    /// stay cacheable (fused outputs embed per-pipeline weights and would
-    /// never hit).
+    /// Fuse `ngram → PartialDot` pairs into single kernels, and whole text
+    /// plans into one fused text step. Disabled when sub-plan
+    /// materialization is on, so that shared featurizer outputs stay
+    /// cacheable (fused outputs embed per-pipeline weights and would never
+    /// hit).
     pub fuse_ngram_dot: bool,
 }
 
@@ -496,6 +508,7 @@ impl PhysicalStage {
         let mut scratch = logical.scratch.clone();
         if opts.fuse_ngram_dot {
             fuse_ngram_dot(&mut steps, &mut scratch);
+            fuse_text(&mut steps, &mut scratch);
         }
         let signature = signature_of(&steps, &scratch, logical.dense, logical.vectorizable);
         PreparedStage {
@@ -972,6 +985,108 @@ fn fuse_ngram_dot(steps: &mut Vec<Step>, scratch: &mut Vec<BufDef>) {
         }
     }
     compact_scratch(steps, scratch);
+}
+
+/// Rewrites `CsvParse(TextField) → Tokenizer → {Char,Word}NgramDot →
+/// Combine` into one [`StageOp::FusedText`] step in the Combine's place,
+/// then compacts scratch. Runs after [`fuse_ngram_dot`], whose fused dots
+/// are the branches.
+fn fuse_text(steps: &mut Vec<Step>, scratch: &mut Vec<BufDef>) {
+    while let Some((j, fused, mut absorbed)) =
+        (0..steps.len()).find_map(|j| text_fusion_at(steps, j).map(|(s, a)| (j, s, a)))
+    {
+        steps[j] = fused;
+        absorbed.sort_unstable();
+        for &i in absorbed.iter().rev() {
+            steps.remove(i);
+        }
+    }
+    compact_scratch(steps, scratch);
+}
+
+/// The fused text step that can replace the `Combine` at `steps[j]`, and
+/// the steps it absorbs: the fused n-gram·dots that alone produce its
+/// partials, the tokenizer whose tokens only they read, and the CSV field
+/// parser whose text only those read. `None` when the Combine reads
+/// anything else or the parts do not fit one pass ([`FusedText::new`]).
+fn text_fusion_at(steps: &[Step], j: usize) -> Option<(Step, Vec<usize>)> {
+    let StageOp::Combine { linear } = &steps[j].op else {
+        return None;
+    };
+    let writer = |loc: Loc| steps.iter().position(|s| s.output == loc);
+    let read_only_by = |loc: Loc, allowed: &[usize]| {
+        matches!(loc, Loc::Scratch(_))
+            && steps
+                .iter()
+                .enumerate()
+                .all(|(i, s)| allowed.contains(&i) || !s.inputs.contains(&loc))
+    };
+    let (mut text, mut tokens) = (None, None);
+    let mut branches = Vec::new();
+    let mut absorbed = Vec::new();
+    for &partial in &steps[j].inputs {
+        let p = writer(partial)?;
+        let (level, ngram, offset) = match &steps[p].op {
+            StageOp::FusedCharNgramDot {
+                ngram,
+                linear: l,
+                offset,
+            } if Arc::ptr_eq(l, linear) => (NgramLevel::Char, ngram, *offset),
+            StageOp::FusedWordNgramDot {
+                ngram,
+                linear: l,
+                offset,
+            } if Arc::ptr_eq(l, linear) => (NgramLevel::Word, ngram, *offset),
+            _ => return None,
+        };
+        if absorbed.contains(&p) || !read_only_by(partial, &[j]) {
+            return None;
+        }
+        let inputs = &steps[p].inputs;
+        if *text.get_or_insert(inputs[0]) != inputs[0] {
+            return None;
+        }
+        if level == NgramLevel::Word && *tokens.get_or_insert(inputs[1]) != inputs[1] {
+            return None;
+        }
+        branches.push(TextBranch {
+            level,
+            ngram: Arc::clone(ngram),
+            offset,
+        });
+        absorbed.push(p);
+    }
+    let text = text?;
+    let tokenizer = match tokens {
+        None => None,
+        Some(k) => {
+            let w = writer(k)?;
+            let StageOp::Op(Op::Tokenizer(tok)) = &steps[w].op else {
+                return None;
+            };
+            if steps[w].inputs != [text] || !read_only_by(k, &absorbed) {
+                return None;
+            }
+            absorbed.push(w);
+            Some(Arc::clone(tok))
+        }
+    };
+    let mut input = text;
+    let mut field = None;
+    if let Some(w) = writer(text).filter(|_| read_only_by(text, &absorbed)) {
+        if let StageOp::Op(Op::CsvParse(csv)) = &steps[w].op {
+            input = steps[w].inputs[0];
+            field = Some(Arc::clone(csv));
+            absorbed.push(w);
+        }
+    }
+    let fused = FusedText::new(field, tokenizer, branches, Arc::clone(linear))?;
+    let step = Step {
+        op: StageOp::FusedText(Arc::new(fused)),
+        inputs: vec![input],
+        output: steps[j].output,
+    };
+    Some((step, absorbed))
 }
 
 /// Drops scratch definitions no step references and renumbers `Loc::Scratch`.
@@ -1516,18 +1631,16 @@ impl ModelPlan {
     }
 
     /// Unique parameter bytes reachable from this plan (post-interning;
-    /// shared objects counted once per plan).
+    /// shared objects counted once per plan), fused steps included.
     pub fn param_bytes(&self) -> usize {
         let mut seen = std::collections::HashSet::new();
         let mut total = 0usize;
-        for stage in &self.stages {
-            for step in &stage.steps {
-                if let StageOp::Op(op) = &step.op {
-                    if seen.insert(op.params_addr()) {
-                        total += op.heap_bytes();
-                    }
+        for step in self.stages.iter().flat_map(|s| &s.steps) {
+            step.op.for_each_param(|op| {
+                if seen.insert(op.params_addr()) {
+                    total += op.heap_bytes();
                 }
-            }
+            });
         }
         total
     }
@@ -1557,22 +1670,11 @@ fn intern_step(step: &mut Step, store: &ObjectStore) {
                 *linear = p;
             }
         }
-        StageOp::FusedCharNgramDot { ngram, linear, .. } => {
-            if let Op::CharNgram(p) = store.intern(Op::CharNgram(Arc::clone(ngram))) {
-                *ngram = p;
-            }
-            if let Op::Linear(p) = store.intern(Op::Linear(Arc::clone(linear))) {
-                *linear = p;
-            }
-        }
-        StageOp::FusedWordNgramDot { ngram, linear, .. } => {
-            if let Op::WordNgram(p) = store.intern(Op::WordNgram(Arc::clone(ngram))) {
-                *ngram = p;
-            }
-            if let Op::Linear(p) = store.intern(Op::Linear(Arc::clone(linear))) {
-                *linear = p;
-            }
-        }
+        // Fused steps are the compiler's output, built from steps interned
+        // here; a logical plan holds none.
+        StageOp::FusedCharNgramDot { .. }
+        | StageOp::FusedWordNgramDot { .. }
+        | StageOp::FusedText(_) => {}
     }
 }
 
@@ -2224,5 +2326,86 @@ mod tests {
         )
         .unwrap();
         assert!(plan.param_bytes() > 0);
+    }
+
+    /// The SA pipeline through Oven: CsvParse → Tokenizer → {CharNgram,
+    /// WordNgram} → Concat → Linear, one stage after optimization.
+    fn sa_optimized() -> StagePlan {
+        let vocab = synth::vocabulary(1, 64);
+        let tokens = crate::flour::FlourContext::new()
+            .csv(',')
+            .select_text(1)
+            .tokenize();
+        let c = tokens.char_ngram(Arc::new(synth::char_ngram(2, 3, 64)));
+        let w = tokens.word_ngram(Arc::new(synth::word_ngram(3, 2, 64, &vocab)));
+        c.concat(&w)
+            .classifier_linear(Arc::new(synth::linear(4, 128, LinearKind::Logistic)))
+            .plan()
+            .unwrap()
+    }
+
+    fn compile_sa(fuse_ngram_dot: bool) -> ModelPlan {
+        let opts = CompileOptions { fuse_ngram_dot };
+        ModelPlan::compile(sa_optimized(), &opts, &ObjectStore::new()).unwrap()
+    }
+
+    #[test]
+    fn sa_plan_compiles_to_one_fused_text_step() {
+        let plan = compile_sa(true);
+        assert_eq!(plan.stages.len(), 1);
+        let stage = &plan.stages[0];
+        assert!(
+            matches!(stage.steps.as_slice(), [Step { op: StageOp::FusedText(_), inputs, output }]
+                if inputs == &[Loc::Slot(0)] && *output == Loc::Slot(1)),
+            "{stage:#?}"
+        );
+        assert!(stage.scratch.is_empty());
+        assert_eq!(plan.slot_types(), [ColumnType::Text, ColumnType::F32Scalar]);
+        // Without fusion the stage keeps every operator: CSV, tokenizer,
+        // two n-grams, two partial dots and the Combine.
+        assert_eq!(compile_sa(false).stages[0].steps.len(), 7);
+    }
+
+    #[test]
+    fn param_bytes_of_a_fused_plan_equal_the_unfused_plans() {
+        let (fused, unfused) = (compile_sa(true), compile_sa(false));
+        assert_eq!(fused.param_bytes(), unfused.param_bytes());
+        // The dictionaries and weights are in it, not just the CSV and
+        // tokenizer parameters.
+        let mut dictionaries = 0;
+        fused.stages[0].steps[0].op.for_each_param(|op| {
+            if matches!(op, Op::CharNgram(_) | Op::WordNgram(_) | Op::Linear(_)) {
+                dictionaries += op.heap_bytes();
+            }
+        });
+        assert!(dictionaries > 0 && fused.param_bytes() > dictionaries);
+    }
+
+    #[test]
+    fn text_fusion_leaves_a_combine_with_another_branch_alone() {
+        // A hashing branch beside the n-grams: the Combine reads a partial
+        // no fused n-gram·dot produced, so the text steps stay apart.
+        let vocab = synth::vocabulary(1, 64);
+        let tokens = crate::flour::FlourContext::new()
+            .csv(',')
+            .select_text(1)
+            .tokenize();
+        let c = tokens.char_ngram(Arc::new(synth::char_ngram(2, 3, 64)));
+        let w = tokens.word_ngram(Arc::new(synth::word_ngram(3, 2, 64, &vocab)));
+        let h = tokens.hashing(Arc::new(pretzel_ops::text::hashing::HashingParams::new(
+            3, 32, true,
+        )));
+        let logical = c
+            .concat_many(&[&w, &h])
+            .classifier_linear(Arc::new(synth::linear(4, 160, LinearKind::Logistic)))
+            .plan()
+            .unwrap();
+        let plan =
+            ModelPlan::compile(logical, &CompileOptions::default(), &ObjectStore::new()).unwrap();
+        let names: Vec<&str> = plan.stages[0].steps.iter().map(|s| s.op.name()).collect();
+        assert!(names.contains(&"FusedCharNgramDot"), "{names:?}");
+        assert!(!names.contains(&"FusedText"), "{names:?}");
+        let score = run_plan(&plan, "5,a fine line,US");
+        assert!((0.0..=1.0).contains(&score));
     }
 }

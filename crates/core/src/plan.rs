@@ -16,12 +16,15 @@
 //! [`StageOp::PartialDot`] scores one Concat branch against the matching
 //! weight segment, and [`StageOp::Combine`] sums the partials and applies
 //! bias + link — after which the Concat operator (and its buffer) is gone.
+//! The Model Plan Compiler's fused kernels are steps too (the `Fused*`
+//! variants); a logical plan from Oven never holds one.
 
 use crate::train_stats::NodeStats;
 use pretzel_data::batch::ColRef;
 use pretzel_data::hash::Fnv1a;
 use pretzel_data::{ColumnBatch, ColumnType, DataError, Result, Vector};
 use pretzel_ops::linear::LinearParams;
+use pretzel_ops::text::fused::FusedText;
 use pretzel_ops::Op;
 use std::sync::Arc;
 
@@ -65,6 +68,10 @@ pub enum StageOp {
         /// Start of this branch's weight segment.
         offset: u32,
     },
+    /// A whole text plan in one step (chosen by the Model Plan Compiler):
+    /// CSV field selection, tokenization, every n-gram·dot branch and the
+    /// Combine, line → score in one pass over the row.
+    FusedText(Arc<FusedText>),
 }
 
 impl StageOp {
@@ -76,6 +83,7 @@ impl StageOp {
             StageOp::Combine { .. } => "Combine",
             StageOp::FusedCharNgramDot { .. } => "FusedCharNgramDot",
             StageOp::FusedWordNgramDot { .. } => "FusedWordNgramDot",
+            StageOp::FusedText(_) => "FusedText",
         }
     }
 
@@ -88,6 +96,29 @@ impl StageOp {
             StageOp::Combine { .. } => None,
             StageOp::FusedCharNgramDot { .. } => Some(1),
             StageOp::FusedWordNgramDot { .. } => Some(2),
+            StageOp::FusedText(_) => Some(1),
+        }
+    }
+
+    /// Calls `f` with every parameter object the step references, as an
+    /// [`Op`] sharing its allocation (fused steps reference several): the
+    /// one read-only walk behind Object Store retention, parameter byte
+    /// counts and sharing checks.
+    pub fn for_each_param(&self, mut f: impl FnMut(Op)) {
+        match self {
+            StageOp::Op(op) => f(op.clone()),
+            StageOp::PartialDot { linear, .. } | StageOp::Combine { linear } => {
+                f(Op::Linear(Arc::clone(linear)))
+            }
+            StageOp::FusedCharNgramDot { ngram, linear, .. } => {
+                f(Op::CharNgram(Arc::clone(ngram)));
+                f(Op::Linear(Arc::clone(linear)));
+            }
+            StageOp::FusedWordNgramDot { ngram, linear, .. } => {
+                f(Op::WordNgram(Arc::clone(ngram)));
+                f(Op::Linear(Arc::clone(linear)));
+            }
+            StageOp::FusedText(t) => t.for_each_op(f),
         }
     }
 
@@ -116,6 +147,7 @@ impl StageOp {
                 h.write_u64(params_checksum(linear));
                 h.write_u64(u64::from(*offset));
             }
+            StageOp::FusedText(t) => h.write_u64(t.checksum()),
         }
         h.finish()
     }
@@ -199,6 +231,13 @@ impl StageOp {
                 ngram.for_each_word_match(text, spans, |idx| acc += weights[off + idx as usize]);
                 write_scalar(out, acc)
             }
+            StageOp::FusedText(t) => {
+                let line = inputs
+                    .first()
+                    .and_then(|v| v.as_text())
+                    .ok_or_else(|| DataError::Runtime("fused text step expects text".into()))?;
+                write_scalar(out, t.score(line)?)
+            }
         }
     }
 }
@@ -257,7 +296,10 @@ impl StageOp {
                 ngram.for_each_word_match(text, spans, |idx| acc += weights[off + idx as usize]);
                 write_scalar(out, acc).map(|()| true)
             }
-            // Combine never reads the source; fused dots over a non-text
+            (StageOp::FusedText(t), ColRef::Text(line)) => {
+                write_scalar(out, t.score(line)?).map(|()| true)
+            }
+            // Combine never reads the source; fused steps over a non-text
             // row fall back to the materialized path's error reporting.
             _ => Ok(false),
         }
@@ -369,6 +411,12 @@ impl StageOp {
                     *slot = acc;
                 }
                 Ok(())
+            }
+            StageOp::FusedText(t) => {
+                let text = inputs.first().copied().ok_or_else(|| {
+                    DataError::Runtime("fused text step expects a text batch".into())
+                })?;
+                t.score_batch(text, out)
             }
         }
     }

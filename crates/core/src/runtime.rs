@@ -1161,12 +1161,32 @@ mod tests {
     #[test]
     fn distinct_weights_share_featurizer_params_not_stages() {
         let rt = Runtime::new(RuntimeConfig::default());
-        rt.register(sa_logical(1)).unwrap();
-        rt.register(sa_logical(2)).unwrap();
+        let a = rt.register(sa_logical(1)).unwrap();
+        let b = rt.register(sa_logical(2)).unwrap();
         // Featurizer params interned once; 2 linear models are distinct.
         assert!(rt.object_store().reuse_count() > 0);
-        // Stage signatures differ (weights differ) so catalog holds both.
-        assert!(rt.catalog_size() > 2);
+        let params = |id| {
+            let mut addrs = Vec::new();
+            for step in rt.plan(id).unwrap().stages.iter().flat_map(|s| &s.steps) {
+                step.op
+                    .for_each_param(|op| addrs.push((op.kind(), op.params_addr())));
+            }
+            addrs
+        };
+        let (pa, pb) = (params(a), params(b));
+        assert_eq!(pa.len(), pb.len());
+        for (x, y) in pa.iter().zip(&pb) {
+            assert_eq!(x.0, y.0);
+            assert_eq!(
+                x.1 == y.1,
+                x.0 != pretzel_ops::OpKind::Linear,
+                "{x:?} {y:?}"
+            );
+        }
+        // An SA plan is one stage; the signatures differ (weights differ),
+        // so the catalog holds one per plan.
+        assert_eq!(rt.plan(a).unwrap().stages.len(), 1);
+        assert_eq!(rt.catalog_size(), 2);
     }
 
     #[test]

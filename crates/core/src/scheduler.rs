@@ -1353,6 +1353,10 @@ mod tests {
     use pretzel_ops::synth;
 
     fn sa_plan(seed: u64) -> Arc<ModelPlan> {
+        sa_plan_with(seed, &CompileOptions::default())
+    }
+
+    fn sa_plan_with(seed: u64, opts: &CompileOptions) -> Arc<ModelPlan> {
         let vocab = synth::vocabulary(0, 64);
         let ctx = FlourContext::new();
         let tokens = ctx.csv(',').select_text(1).tokenize();
@@ -1364,7 +1368,7 @@ mod tests {
             .plan()
             .unwrap();
         let store = ObjectStore::new();
-        Arc::new(ModelPlan::compile(logical, &CompileOptions::default(), &store).unwrap())
+        Arc::new(ModelPlan::compile(logical, opts, &store).unwrap())
     }
 
     fn records(n: usize) -> Vec<Record> {
@@ -1430,13 +1434,20 @@ mod tests {
     fn batch_results_match_inline_execution() {
         // Bitwise against the row path, without and with the
         // materialization cache (whose chunk-level probe must not change a
-        // bit), each cold and then warm.
-        let plan = sa_plan(3);
+        // bit), each cold and then warm. As in the runtime, a plan served
+        // with the cache is compiled without fusion, so its featurizer
+        // steps stay cacheable.
         let recs = records(17);
-        let expect = inline_scores(&plan, &recs);
         let cache = Arc::new(MaterializationCache::new(1 << 20));
         for cache in [None, Some(Arc::clone(&cache))] {
             let cached = cache.is_some();
+            let plan = sa_plan_with(
+                3,
+                &CompileOptions {
+                    fuse_ngram_dot: !cached,
+                },
+            );
+            let expect = inline_scores(&plan, &recs);
             let sched = Scheduler::with_config(SchedulerConfig {
                 cache,
                 ..config(2, 4)
@@ -1472,11 +1483,13 @@ mod tests {
             assert_eq!(h.wait().unwrap().len(), 23);
         }
         assert_eq!(sched.stats().records_done.load(Ordering::Relaxed), 4 * 23);
-        // SA plans have 2 stages: 1 event per chunk per stage.
+        // 1 event per chunk per stage (an SA plan is one stage).
         let chunks = 23usize.div_ceil(8);
+        let stages: usize = plans.iter().map(|p| p.stages.len()).sum();
+        assert_eq!(stages, plans.len());
         assert_eq!(
             sched.stats().stage_events.load(Ordering::Relaxed),
-            (4 * chunks * 2) as u64
+            (chunks * stages) as u64
         );
         sched.shutdown();
     }

@@ -1,6 +1,8 @@
-//! Text featurizers: CSV parsing, tokenization, n-grams, feature hashing.
+//! Text featurizers: CSV parsing, tokenization, n-grams, feature hashing,
+//! and the fused text step that runs a whole text plan in one pass.
 
 pub mod csv;
+pub mod fused;
 pub mod hashing;
 pub mod ngram;
 pub mod tokenizer;

@@ -69,16 +69,27 @@ impl CsvParams {
         Annotations::featurizer()
     }
 
+    /// The text field this parser selects from `line`, borrowed from it
+    /// (an error in dense mode, or when the line has no such field).
+    pub fn select_field<'a>(&self, line: &'a str) -> Result<&'a str> {
+        let CsvOutput::TextField { index } = self.output else {
+            return Err(DataError::Runtime(
+                "a dense csv parser selects no text field".into(),
+            ));
+        };
+        line.split(self.separator as char)
+            .nth(index as usize)
+            .ok_or_else(|| DataError::Runtime(format!("csv line has no field {index}: `{line}`")))
+    }
+
     /// Parses `line` into `out`.
     ///
     /// `out` must already be of the output variant (pooled buffers are typed
     /// by the stage schema); contents are overwritten.
     pub fn apply(&self, line: &str, out: &mut Vector) -> Result<()> {
         match (self.output, out) {
-            (CsvOutput::TextField { index }, Vector::Text(dst)) => {
-                let field = split_field(line, self.separator, index).ok_or_else(|| {
-                    DataError::Runtime(format!("csv line has no field {index}: `{line}`"))
-                })?;
+            (CsvOutput::TextField { .. }, Vector::Text(dst)) => {
+                let field = self.select_field(line)?;
                 dst.clear();
                 dst.push_str(field);
                 Ok(())
@@ -128,7 +139,7 @@ impl CsvParams {
                 out.column_type()
             )));
         }
-        if let CsvOutput::TextField { index } = self.output {
+        if let CsvOutput::TextField { .. } = self.output {
             if let Some(source) = input.shared_text() {
                 let source = std::sync::Arc::clone(source);
                 let base = source.as_ptr() as usize;
@@ -137,9 +148,7 @@ impl CsvParams {
                     let ColRef::Text(line) = input.row(r) else {
                         unreachable!("text batch rows are text");
                     };
-                    let field = split_field(line, self.separator, index).ok_or_else(|| {
-                        DataError::Runtime(format!("csv line has no field {index}: `{line}`"))
-                    })?;
+                    let field = self.select_field(line)?;
                     // `field` is a subslice of the shared buffer, so its
                     // offset from the buffer base is the borrowed span.
                     let start = field.as_ptr() as usize - base;
@@ -157,12 +166,7 @@ impl CsvParams {
                 )));
             };
             match self.output {
-                CsvOutput::TextField { index } => {
-                    let field = split_field(line, self.separator, index).ok_or_else(|| {
-                        DataError::Runtime(format!("csv line has no field {index}: `{line}`"))
-                    })?;
-                    out.push_text(field)?;
-                }
+                CsvOutput::TextField { .. } => out.push_text(self.select_field(line)?)?,
                 CsvOutput::DenseFields { len } => {
                     let dst = out.push_dense_row()?;
                     let mut count = 0usize;
@@ -185,10 +189,6 @@ impl CsvParams {
         }
         Ok(())
     }
-}
-
-fn split_field(line: &str, sep: u8, index: u32) -> Option<&str> {
-    line.split(sep as char).nth(index as usize)
 }
 
 impl ParamBlob for CsvParams {

@@ -23,8 +23,11 @@
 //!    load that starts inside the row is in bounds;
 //! 2. **keys**: a segment of `k ≤ 8` bytes hashes as one unaligned load,
 //!    one mask and one multiply ([`seg`]) — every character window and
-//!    every token is independent of its neighbours, no multiply chain. A
-//!    word k-gram joins its (k−1)-gram with the next token's hash
+//!    every token is independent of its neighbours, no multiply chain.
+//!    Character windows of one length are keyed by a loop compiled for
+//!    that length ([`packed_keys`], one per `k ≤ 8`), so the mask and the
+//!    salt are constants and the loop carries no per-window length test.
+//!    A word k-gram joins its (k−1)-gram with the next token's hash
 //!    ([`join`]), so each token is hashed once however many n-grams
 //!    contain it;
 //! 3. **filter, then confirm**: each block of keys goes through
@@ -48,7 +51,7 @@ use pretzel_data::{ColRef, ColumnBatch, DataError, Result, Vector};
 
 /// Zero bytes kept behind the folded row, so an 8-byte load at any row
 /// offset stays inside the buffer.
-const SLACK: usize = 8;
+pub(crate) const SLACK: usize = 8;
 
 /// Character windows hashed per [`FlatProbeTable::probe_each`] call.
 const KEY_BLOCK: usize = 256;
@@ -73,7 +76,7 @@ const LOW_BYTES: [u64; 9] = [
 ];
 
 #[inline]
-fn fold(b: u8, fold_case: bool) -> u8 {
+pub(crate) fn fold(b: u8, fold_case: bool) -> u8 {
     b | (u8::from(fold_case & b.is_ascii_uppercase()) << 5)
 }
 
@@ -116,35 +119,92 @@ fn load_word(buf: &[u8], at: usize) -> u64 {
     u64::from_le_bytes(buf[at..at + 8].try_into().expect("8-byte slice"))
 }
 
+/// Hash of the segment `buf[start..end]` of a row buffer with [`SLACK`]
+/// bytes behind the row: a token's hash.
+#[inline]
+pub(crate) fn segment_hash(buf: &[u8], start: usize, end: usize) -> u64 {
+    seg(end - start, |off| load_word(buf, start + off))
+}
+
+/// Keys of the `keys.len()` windows of `K ≤ 8` bytes starting at
+/// `row[0..]`: [`seg`] with the length a constant — one load, one mask
+/// and one [`mix`] per window. `row` must hold 7 bytes past the last
+/// window's start.
+#[inline(always)]
+fn packed_keys<const K: usize>(row: &[u8], keys: &mut [u64]) {
+    let salt = (K as u64).wrapping_mul(LEN_SALT);
+    let row = &row[..keys.len() + 7];
+    for (key, word) in keys.iter_mut().zip(row.windows(8)) {
+        let word = u64::from_le_bytes(word.try_into().expect("8-byte window"));
+        *key = mix(salt ^ (word & LOW_BYTES[K]));
+    }
+}
+
+/// Keys of the `keys.len()` windows of `k` bytes starting at `buf[base..]`
+/// (a row with [`SLACK`] bytes behind it): one [`packed_keys`] loop per
+/// length up to 8, the general [`seg`] beyond.
+#[inline]
+fn window_keys(k: usize, buf: &[u8], base: usize, keys: &mut [u64]) {
+    let row = &buf[base..];
+    match k {
+        1 => packed_keys::<1>(row, keys),
+        2 => packed_keys::<2>(row, keys),
+        3 => packed_keys::<3>(row, keys),
+        4 => packed_keys::<4>(row, keys),
+        5 => packed_keys::<5>(row, keys),
+        6 => packed_keys::<6>(row, keys),
+        7 => packed_keys::<7>(row, keys),
+        8 => packed_keys::<8>(row, keys),
+        _ => {
+            for (i, key) in keys.iter_mut().enumerate() {
+                *key = seg(k, |off| load_word(row, i + off));
+            }
+        }
+    }
+}
+
 /// Per-thread matching scratch, reused across rows so the kernels are
 /// allocation-free after warm-up.
 #[derive(Debug, Default)]
-struct MatchScratch {
-    /// The row's bytes, case-folded once, then [`SLACK`] zero bytes.
-    folded: Vec<u8>,
-    /// Word kernel: the row's token hashes, then its current k-gram
-    /// hashes. Grow-only: every active slot is written before it is read,
-    /// so stale tails are never re-zeroed.
-    hashes: Vec<u64>,
+pub(crate) struct MatchScratch {
+    /// The row's bytes, case-folded once, then [`SLACK`] bytes.
+    pub(crate) folded: Vec<u8>,
+    /// The fused text step's second row buffer, for a character
+    /// dictionary whose `fold_case` differs from the first buffer's.
+    pub(crate) other: Vec<u8>,
+    /// The row's token hashes.
+    pub(crate) tokens: Vec<u64>,
+    /// Word kernel: the current k-gram hashes. Grow-only: every active
+    /// slot is written before it is read, so stale tails are never
+    /// re-zeroed.
+    pub(crate) grams: Vec<u64>,
 }
 
-/// Retention bound on the thread-local hash scratch, in entries (8 MiB).
+/// Retention bound on each thread-local hash scratch, in entries (8 MiB).
 /// Typical rows need a few dozen slots; one pathological row (a frame
 /// body can be up to 64 MiB of text) must not pin its high-water mark on
 /// the executor thread forever.
 const SCRATCH_RETAIN_HASHES: usize = 1 << 20;
 
-/// Retention bound on the thread-local folded-row buffer, in bytes.
+/// Retention bound on each thread-local row buffer, in bytes.
 const SCRATCH_RETAIN_FOLDED: usize = 1 << 20;
 
 /// Folds `text` into `folded` and returns the buffer: the row's bytes
 /// followed by [`SLACK`] zeros.
 #[inline]
-fn fold_row<'a>(folded: &'a mut Vec<u8>, text: &str, fold_case: bool) -> &'a [u8] {
+pub(crate) fn fold_row<'a>(folded: &'a mut Vec<u8>, text: &[u8], fold_case: bool) -> &'a [u8] {
     folded.clear();
-    folded.extend(text.bytes().map(|b| fold(b, fold_case)));
+    folded.extend(text.iter().map(|&b| fold(b, fold_case)));
     folded.extend_from_slice(&[0; SLACK]);
     folded
+}
+
+/// Caps `v`'s capacity at `retain` entries.
+fn trim_vec<T>(v: &mut Vec<T>, retain: usize) {
+    if v.capacity() > retain {
+        v.truncate(retain);
+        v.shrink_to(retain);
+    }
 }
 
 impl MatchScratch {
@@ -152,14 +212,10 @@ impl MatchScratch {
     /// so per-thread scratch stays sized for the steady-state row mix.
     #[inline]
     fn trim(&mut self) {
-        if self.hashes.capacity() > SCRATCH_RETAIN_HASHES {
-            self.hashes.truncate(SCRATCH_RETAIN_HASHES);
-            self.hashes.shrink_to(SCRATCH_RETAIN_HASHES);
-        }
-        if self.folded.capacity() > SCRATCH_RETAIN_FOLDED {
-            self.folded.truncate(SCRATCH_RETAIN_FOLDED);
-            self.folded.shrink_to(SCRATCH_RETAIN_FOLDED);
-        }
+        trim_vec(&mut self.folded, SCRATCH_RETAIN_FOLDED);
+        trim_vec(&mut self.other, SCRATCH_RETAIN_FOLDED);
+        trim_vec(&mut self.tokens, SCRATCH_RETAIN_HASHES);
+        trim_vec(&mut self.grams, SCRATCH_RETAIN_HASHES);
     }
 }
 
@@ -174,7 +230,7 @@ std::thread_local! {
 /// way a take/put-back would. A hypothetical re-entrant kernel panics
 /// loudly here instead of corrupting state.
 #[inline]
-fn with_scratch<R>(f: impl FnOnce(&mut MatchScratch) -> R) -> R {
+pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut MatchScratch) -> R) -> R {
     MATCH_SCRATCH.with(|cell| {
         let mut scratch = cell.borrow_mut();
         let out = f(&mut scratch);
@@ -334,24 +390,30 @@ impl NgramParams {
     /// ascending, so every consumer (sparse accumulation, fused f32 dot)
     /// sees the match sequence of a per-window sweep.
     ///
-    /// The kernel: fold once, then per length hash a block of windows —
+    /// The kernel: fold once, then per length key a block of windows —
     /// independent loads off the folded row — and bulk-probe it.
     #[inline]
     pub fn for_each_char_match(&self, text: &str, mut f: impl FnMut(u32)) {
         with_scratch(|s| {
-            let buf = fold_row(&mut s.folded, text, self.fold_case);
-            let m = buf.len() - SLACK;
-            let mut keys = [0u64; KEY_BLOCK];
-            for k in self.lengths().take_while(|&k| k <= m) {
-                for base in (0..=m - k).step_by(KEY_BLOCK) {
-                    let cnt = KEY_BLOCK.min(m - k + 1 - base);
-                    for (i, key) in keys[..cnt].iter_mut().enumerate() {
-                        *key = seg(k, |off| load_word(buf, base + i + off));
-                    }
-                    self.dict.flat.probe_each(&keys[..cnt], &mut f);
-                }
-            }
+            let buf = fold_row(&mut s.folded, text.as_bytes(), self.fold_case);
+            self.char_hits(buf, &mut f);
         });
+    }
+
+    /// The character kernel over a row already folded into `buf` (the
+    /// row's bytes, then [`SLACK`] bytes): per length, blocks of window
+    /// keys, each bulk-probed.
+    #[inline]
+    pub(crate) fn char_hits(&self, buf: &[u8], f: &mut impl FnMut(u32)) {
+        let m = buf.len() - SLACK;
+        let mut keys = [0u64; KEY_BLOCK];
+        for k in self.lengths().take_while(|&k| k <= m) {
+            for base in (0..=m - k).step_by(KEY_BLOCK) {
+                let cnt = KEY_BLOCK.min(m - k + 1 - base);
+                window_keys(k, buf, base, &mut keys[..cnt]);
+                self.dict.flat.probe_each(&keys[..cnt], &mut *f);
+            }
+        }
     }
 
     /// Streams every dictionary hit at word level (`spans` over `text`).
@@ -362,33 +424,47 @@ impl NgramParams {
     #[inline]
     pub fn for_each_word_match(&self, text: &str, spans: &[Span], mut f: impl FnMut(u32)) {
         with_scratch(|s| {
-            let MatchScratch { folded, hashes } = s;
-            let buf = fold_row(folded, text, self.fold_case);
+            let MatchScratch {
+                folded,
+                tokens,
+                grams,
+                ..
+            } = s;
+            let buf = fold_row(folded, text.as_bytes(), self.fold_case);
             let m = buf.len() - SLACK;
-            let t = spans.len();
-            if hashes.len() < 2 * t {
-                hashes.resize(2 * t, 0);
-            }
-            let (tokens, grams) = hashes[..2 * t].split_at_mut(t);
-            for (h, sp) in tokens.iter_mut().zip(spans) {
+            tokens.clear();
+            tokens.extend(spans.iter().map(|sp| {
                 let (start, end) = (sp.start as usize, sp.end as usize);
                 assert!(start <= end && end <= m, "token span outside its text");
-                *h = seg(end - start, |off| load_word(buf, start + off));
-            }
-            grams.copy_from_slice(tokens);
-            let lengths = self.lengths();
-            for k in 1..=(*lengths.end()).min(t) {
-                let cnt = t - k + 1;
-                if k > 1 {
-                    for (g, &last) in grams[..cnt].iter_mut().zip(&tokens[k - 1..]) {
-                        *g = join(*g, last);
-                    }
-                }
-                if lengths.contains(&k) {
-                    self.dict.flat.probe_each(&grams[..cnt], &mut f);
-                }
-            }
+                segment_hash(buf, start, end)
+            }));
+            self.word_hits(tokens, grams, &mut f);
         });
+    }
+
+    /// The word kernel over the row's token hashes: per length, every
+    /// start token's (k−1)-gram extended by one join, then bulk-probed.
+    /// `grams` is grow-only scratch.
+    #[inline]
+    pub(crate) fn word_hits(&self, tokens: &[u64], grams: &mut Vec<u64>, f: &mut impl FnMut(u32)) {
+        let t = tokens.len();
+        if grams.len() < t {
+            grams.resize(t, 0);
+        }
+        let grams = &mut grams[..t];
+        grams.copy_from_slice(tokens);
+        let lengths = self.lengths();
+        for k in 1..=(*lengths.end()).min(t) {
+            let cnt = t - k + 1;
+            if k > 1 {
+                for (g, &last) in grams[..cnt].iter_mut().zip(&tokens[k - 1..]) {
+                    *g = join(*g, last);
+                }
+            }
+            if lengths.contains(&k) {
+                self.dict.flat.probe_each(&grams[..cnt], &mut *f);
+            }
+        }
     }
 
     /// Character-level extraction: hash every byte window of each length.
@@ -653,7 +729,7 @@ mod tests {
         let (mut windows, mut hits, mut survivors) = (0usize, 0usize, 0usize);
         let mut folded = Vec::new();
         for row in vocab.chunks(24) {
-            let buf = fold_row(&mut folded, &row.join(" "), true);
+            let buf = fold_row(&mut folded, row.join(" ").as_bytes(), true);
             for at in 0..buf.len() - SLACK - 2 {
                 let key = seg(3, |off| load_word(buf, at + off));
                 windows += 1;

@@ -12,6 +12,12 @@ use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::vector::Span;
 use pretzel_data::{ColRef, ColumnBatch, DataError, Result, Vector};
 
+/// Multiplier that moves bit 0 of byte `k` of a word onto bit `56 + k`:
+/// byte `k` times the term `2^(7(7−k)+7)` lands there, and every other
+/// pair of terms lands on a bit of its own below bit 56 or past bit 63,
+/// so no carry reaches the top byte.
+const GATHER: u64 = 0x0102_0408_1020_4080;
+
 /// Tokenizer parameters: the delimiter byte set.
 #[derive(Debug, Clone)]
 pub struct TokenizerParams {
@@ -87,15 +93,26 @@ impl TokenizerParams {
     /// The delimiter bitmask of up to 64 bytes: bit `i` is set iff
     /// `chunk[i]` is a delimiter. Bits past a short chunk's end are set,
     /// so the end of the text closes an open token like a delimiter.
+    ///
+    /// Eight bytes at a time: their table entries, 0 or 1, make the bytes
+    /// of one word, and one multiply by [`GATHER`] collects the eight
+    /// flags into its top byte — no per-byte variable shift.
     #[inline]
-    fn delim_mask(&self, chunk: &[u8]) -> u64 {
+    pub(crate) fn delim_mask(&self, chunk: &[u8]) -> u64 {
         let mut mask = if chunk.len() < 64 {
             u64::MAX << chunk.len()
         } else {
             0
         };
-        for (i, &b) in chunk.iter().enumerate() {
-            mask |= u64::from(self.table[b as usize]) << i;
+        let mut words = chunk.chunks_exact(8);
+        for (j, word) in (&mut words).enumerate() {
+            let flags =
+                u64::from_le_bytes(std::array::from_fn(|k| u8::from(self.is_delim(word[k]))));
+            mask |= (flags.wrapping_mul(GATHER) >> 56) << (8 * j);
+        }
+        let tail = chunk.len() & !7;
+        for (i, &b) in words.remainder().iter().enumerate() {
+            mask |= u64::from(self.is_delim(b)) << (tail + i);
         }
         mask
     }
@@ -103,33 +120,16 @@ impl TokenizerParams {
     /// The core span scan, appending to `spans` — shared by the per-record
     /// and the columnar batch kernel so both emit identical spans.
     ///
-    /// Bytes are classified 64 at a time into a delimiter bitmask; the
-    /// mask's transitions (`m ^ (m << 1)`) are alternately a token's first
-    /// byte and the delimiter that ends it, so the walk branches once per
-    /// token edge, not once per byte.
+    /// Bytes are classified 64 at a time into a delimiter bitmask, whose
+    /// edges [`SpanWalk`] turns into spans.
     fn tokenize_append(&self, text: &str, spans: &mut Vec<Span>) {
         let bytes = text.as_bytes();
-        let mut start = None;
-        // Delimiter state of the byte before the chunk; the text starts
-        // as if behind a delimiter.
-        let mut prev = 1u64;
+        let mut walk = SpanWalk::new();
+        let mut push = |s, e| spans.push(Span::new(s, e));
         for (word, chunk) in bytes.chunks(64).enumerate() {
-            let mask = self.delim_mask(chunk);
-            let mut edges = mask ^ ((mask << 1) | prev);
-            prev = mask >> 63;
-            while edges != 0 {
-                let at = (word * 64) as u32 + edges.trailing_zeros();
-                edges &= edges - 1;
-                match start.take() {
-                    Some(s) => spans.push(Span::new(s, at)),
-                    None => start = Some(at),
-                }
-            }
+            walk.chunk(word * 64, self.delim_mask(chunk), &mut push);
         }
-        // Only a text that ends on a 64-byte boundary inside a token.
-        if let Some(s) = start {
-            spans.push(Span::new(s, bytes.len() as u32));
-        }
+        walk.finish(bytes.len(), push);
     }
 
     /// Batch kernel: tokenizes every text row into one packed token batch.
@@ -153,6 +153,52 @@ impl TokenizerParams {
             out.push_tokens_with(|spans| self.tokenize_append(text, spans))?;
         }
         Ok(())
+    }
+}
+
+/// Turns the delimiter bitmasks of a text's consecutive 64-byte chunks
+/// into token spans. A mask's transitions (`m ^ (m << 1)`) are
+/// alternately a token's first byte and the delimiter that ends it, so
+/// the walk branches once per token edge, not once per byte.
+pub(crate) struct SpanWalk {
+    /// First byte of the open token.
+    start: Option<u32>,
+    /// Delimiter state of the byte before the next chunk; the text starts
+    /// as if behind a delimiter.
+    prev: u64,
+}
+
+impl SpanWalk {
+    pub(crate) fn new() -> Self {
+        SpanWalk {
+            start: None,
+            prev: 1,
+        }
+    }
+
+    /// Emits `token(start, end)` for every token the chunk at byte `base`
+    /// with delimiter mask `mask` closes.
+    #[inline(always)]
+    pub(crate) fn chunk(&mut self, base: usize, mask: u64, mut token: impl FnMut(u32, u32)) {
+        let mut edges = mask ^ ((mask << 1) | self.prev);
+        self.prev = mask >> 63;
+        while edges != 0 {
+            let at = base as u32 + edges.trailing_zeros();
+            edges &= edges - 1;
+            match self.start.take() {
+                Some(s) => token(s, at),
+                None => self.start = Some(at),
+            }
+        }
+    }
+
+    /// Closes the token still open at the end of a `len`-byte text — only
+    /// a text that ends on a 64-byte boundary inside a token has one.
+    #[inline(always)]
+    pub(crate) fn finish(self, len: usize, mut token: impl FnMut(u32, u32)) {
+        if let Some(s) = self.start {
+            token(s, len as u32);
+        }
     }
 }
 

@@ -285,7 +285,8 @@ mod tests {
         for g in &w.graphs {
             g.validate_structure().unwrap();
             let plan = pretzel_core::oven::optimize(g).unwrap().plan;
-            assert_eq!(plan.stages.len(), 2, "SA plans optimize to 2 stages");
+            assert_eq!(plan.stages.len(), 1, "SA plans optimize to 1 stage");
+            assert_eq!(plan.slots.len(), 2, "source and score");
         }
     }
 

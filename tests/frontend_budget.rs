@@ -133,17 +133,32 @@ fn steady_state_requests_stay_inside_their_allocation_budget() {
     fe.stop();
 
     // The pooling ablation keeps its meaning: without pooling the session
-    // hands its frame back after every request, so each one allocates its
-    // buffers anew.
+    // hands its frame back after every request, so each one leases its
+    // buffers anew. An SA plan's frame is the source, which a single-row
+    // request borrows instead, and the score, a value; so it allocates
+    // nothing there, pooled or not. A batch chunk's buffers are written,
+    // so without pooling every chunk allocates them.
     let (runtime, fe, ids) = serve(&workload, false);
     let session = Session::connect(fe.addr()).unwrap();
     let singles = single_rows(&lines, &ids);
     allocs_per_request(&session, &singles, WINDOW, 4_000); // warm-up
+    let leases = runtime.metrics().pools.request_response.misses;
     let per_unpooled = allocs_per_request(&session, &singles, WINDOW, 20_000);
+    let fresh = runtime.metrics().pools.request_response.misses - leases;
     assert!(
-        per_unpooled >= per_single + 1.0,
-        "{per_unpooled:.2} allocations per single-row request without pooling, \
-         {per_single:.2} with"
+        fresh >= 20_000,
+        "{fresh} fresh request-response buffers for 20 000 unpooled requests"
+    );
+    assert!(
+        per_unpooled <= 1.5,
+        "{per_unpooled:.2} allocations per single-row request without pooling (budget 1.5)"
+    );
+    allocs_per_request(&session, &batches, 8, 200); // warm-up
+    let per_unpooled_batch = allocs_per_request(&session, &batches, 8, 1_000);
+    assert!(
+        per_unpooled_batch >= per_batch + 4.0,
+        "{per_unpooled_batch:.2} allocations per 4-chunk batch request without pooling, \
+         {per_batch:.2} with"
     );
     assert_eq!(runtime.pool_outstanding(), 0);
     drop(session);

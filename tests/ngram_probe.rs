@@ -15,9 +15,12 @@
 //! written), so a *character* window containing a space never matches —
 //! see `NgramDict::hash_key`.
 
+use pretzel_core::flour::{Flour, FlourContext};
+use pretzel_core::graph::TransformGraph;
+use pretzel_core::object_store::ObjectStore;
 use pretzel_core::physical::{CompileOptions, ExecCtx, ModelPlan, SourceRef};
-use pretzel_core::plan::StageOp;
-use pretzel_core::{flour::FlourContext, object_store::ObjectStore};
+use pretzel_core::plan::{StageOp, Step};
+use pretzel_core::runtime::{Runtime, RuntimeConfig};
 use pretzel_data::hash::splitmix64;
 use pretzel_data::pool::VectorPool;
 use pretzel_data::vector::Span;
@@ -498,38 +501,17 @@ fn fused_dot_scores_match_reference_emission_order() {
 
 #[test]
 fn fused_plan_scores_equal_reference_order_accumulation_in_every_engine() {
-    // A whole SA plan with both n-gram·dot steps fused, scored through the
-    // three engines. The expected score accumulates the reference hit
-    // sequences in f32 exactly as the fused steps and `Combine` do.
+    // A whole SA plan, compiled into one fused text step, scored through
+    // every engine. The expected score accumulates the reference hit
+    // sequences in f32 exactly as the fused n-gram·dot steps and `Combine`
+    // do: each branch from zero in hit order, then the partials onto the
+    // bias in the Concat's order — here both orders, over the raw line and
+    // over a CSV field.
     let mut rng = Rng(0xe9e9);
     let vocab = synth::vocabulary(3, 48);
     let cgram = Arc::new(synth::char_ngram(11, 3, 800));
     let wgram = Arc::new(synth::word_ngram(12, 2, 200, &vocab));
-    let weights: Vec<f32> = (0..cgram.dim() + wgram.dim())
-        .map(|_| (rng.below(2001) as f32 - 1000.0) / 977.0)
-        .collect();
-    let lin = Arc::new(LinearParams::new(
-        LinearKind::Regression,
-        weights.clone(),
-        0.125,
-    ));
-    let tokens = FlourContext::new().text_source().tokenize();
-    let graph = tokens
-        .char_ngram(Arc::clone(&cgram))
-        .concat(&tokens.word_ngram(Arc::clone(&wgram)))
-        .classifier_linear(Arc::clone(&lin))
-        .graph();
-    let logical = pretzel_core::oven::optimize(&graph).unwrap().plan;
-    let plan = ModelPlan::compile(
-        logical,
-        &CompileOptions {
-            fuse_ngram_dot: true,
-        },
-        &ObjectStore::new(),
-    )
-    .unwrap();
-
-    let lines: Vec<String> = [0usize, 1, 2, 9, 30, 120]
+    let sentences: Vec<String> = [0usize, 1, 2, 9, 30, 120, 3, 4, 5, 6, 7, 8, 10, 11, 12, 15]
         .iter()
         .map(|&words| {
             let sentence: Vec<&str> = (0..words)
@@ -538,44 +520,367 @@ fn fused_plan_scores_equal_reference_order_accumulation_in_every_engine() {
             sentence.join(" ")
         })
         .collect();
-    let expect: Vec<u32> = lines
+    let tok = Arc::new(TokenizerParams::whitespace_punct());
+    for word_first in [false, true] {
+        for field in [None, Some(1)] {
+            let (first, second) = match word_first {
+                false => (cgram.dim(), wgram.dim()),
+                true => (wgram.dim(), cgram.dim()),
+            };
+            let weights: Vec<f32> = (0..first + second)
+                .map(|_| (rng.below(2001) as f32 - 1000.0) / 977.0)
+                .collect();
+            let lin = Arc::new(LinearParams::new(
+                LinearKind::Regression,
+                weights.clone(),
+                0.1,
+            ));
+            let branches = match word_first {
+                false => [(false, Arc::clone(&cgram)), (true, Arc::clone(&wgram))],
+                true => [(true, Arc::clone(&wgram)), (false, Arc::clone(&cgram))],
+            };
+            let graph = text_graph(field, &tok, &branches, &lin);
+            let logical = pretzel_core::oven::optimize(&graph).unwrap().plan;
+            let plan = ModelPlan::compile(
+                logical,
+                &CompileOptions {
+                    fuse_ngram_dot: true,
+                },
+                &ObjectStore::new(),
+            )
+            .unwrap();
+            assert!(is_one_fused_text_step(&plan), "{plan:#?}");
+
+            let mut order_shows = false;
+            let expect: Vec<Result<u32, String>> = sentences
+                .iter()
+                .map(|line| {
+                    let mut c = 0.0f32;
+                    let c_off = if word_first { wgram.dim() } else { 0 };
+                    for idx in reference_char_matches(&cgram, line) {
+                        c += weights[c_off + idx as usize];
+                    }
+                    let mut w = 0.0f32;
+                    let w_off = if word_first { 0 } else { cgram.dim() };
+                    for idx in reference_word_matches(&wgram, line, &tokenize(line)) {
+                        w += weights[w_off + idx as usize];
+                    }
+                    let z = match word_first {
+                        false => lin.bias + c + w,
+                        true => lin.bias + w + c,
+                    };
+                    let swapped = match word_first {
+                        false => lin.bias + w + c,
+                        true => lin.bias + c + w,
+                    };
+                    order_shows |= z != swapped;
+                    Ok(z.to_bits())
+                })
+                .collect();
+            assert!(order_shows, "no line tells the partials' order apart");
+            let lines: Vec<String> = match field {
+                None => sentences.clone(),
+                Some(_) => sentences.iter().map(|s| format!("5,{s},US")).collect(),
+            };
+            for (engine, got) in every_engine(&plan, &lines).iter().enumerate() {
+                assert_eq!(
+                    got, &expect,
+                    "word_first={word_first} field={field:?} engine {engine}"
+                );
+            }
+        }
+    }
+}
+
+fn is_one_fused_text_step(plan: &ModelPlan) -> bool {
+    matches!(
+        plan.stages.as_slice(),
+        [stage] if matches!(stage.steps.as_slice(), [Step { op: StageOp::FusedText(_), .. }])
+    )
+}
+
+/// Non-zero weights whose sums are exact in any order: multiples of
+/// 2^-10 of at most 2^-7, so a sum stays exact while it is below 2^14 in
+/// magnitude — far more hits than any row here has. With them a plan
+/// scored as one fused text step and the same plan compiled without
+/// fusion (sparse counts, then a SIMD sparse dot) must agree bitwise.
+fn exact_weights(rng: &mut Rng, n: usize) -> Vec<f32> {
+    (0..n)
+        .map(|_| (1 + rng.below(8)) as f32 * [-1.0, 1.0][rng.below(2)] / 1024.0)
+        .collect()
+}
+
+/// A text pipeline: the CSV `field` of a line (or the line itself), split
+/// by `tok`, into `branches` (word level when `true`) concatenated in
+/// order under one linear model.
+fn text_graph(
+    field: Option<u32>,
+    tok: &Arc<TokenizerParams>,
+    branches: &[(bool, Arc<NgramParams>)],
+    lin: &Arc<LinearParams>,
+) -> TransformGraph {
+    let ctx = FlourContext::new();
+    let text = match field {
+        Some(i) => ctx.csv(',').select_text(i),
+        None => ctx.text_source(),
+    };
+    let tokens = text.tokenize_with(Arc::clone(tok));
+    let feats: Vec<Flour> = branches
         .iter()
-        .map(|line| {
-            let mut c = 0.0f32;
-            for idx in reference_char_matches(&cgram, line) {
-                c += weights[idx as usize];
-            }
-            let mut w = 0.0f32;
-            for idx in reference_word_matches(&wgram, line, &tokenize(line)) {
-                w += weights[cgram.dim() + idx as usize];
-            }
-            (lin.bias + c + w).to_bits()
+        .map(|(word, p)| match word {
+            true => tokens.word_ngram(Arc::clone(p)),
+            false => tokens.char_ngram(Arc::clone(p)),
         })
         .collect();
-    assert!(expect.iter().any(|&e| e != lin.bias.to_bits()));
+    let rest: Vec<&Flour> = feats[1..].iter().collect();
+    feats[0]
+        .concat_many(&rest)
+        .classifier_linear(Arc::clone(lin))
+        .graph()
+}
 
+/// What one plan answers for `lines` through every engine: score bits or
+/// the error, per line — `execute`, `execute_borrowed`, the stages one at
+/// a time over rows and over one-row chunks, and `execute_batch` over
+/// one-row chunks, then over all the lines as one chunk.
+fn every_engine(plan: &ModelPlan, lines: &[String]) -> Vec<Vec<Result<u32, String>>> {
+    let bits = |r: pretzel_data::Result<f32>| r.map(f32::to_bits).map_err(|e| format!("{e:?}"));
     let mut ctx = ExecCtx::new(Arc::new(VectorPool::arena()));
     let mut slots: Vec<Vector> = plan
         .slot_types()
         .iter()
         .map(|&t| Vector::with_type(t))
         .collect();
-    for (line, &e) in lines.iter().zip(&expect) {
-        let src = SourceRef::Text(line);
-        let single = plan.execute(src, &mut slots, &mut ctx).unwrap();
-        assert_eq!(single.to_bits(), e, "execute on {line:?}");
-        let borrowed = plan.execute_borrowed(src, &mut slots, &mut ctx).unwrap();
-        assert_eq!(borrowed.to_bits(), e, "execute_borrowed on {line:?}");
-    }
-    let sources: Vec<SourceRef<'_>> = lines.iter().map(|l| SourceRef::Text(l)).collect();
     let mut batch_slots: Vec<ColumnBatch> = plan
         .batch_slot_types()
         .iter()
         .map(|&t| ColumnBatch::with_type(t))
         .collect();
-    let mut scores = vec![0.0f32; lines.len()];
-    plan.execute_batch(&sources, &mut batch_slots, &mut ctx, &mut scores)
-        .unwrap();
-    let got: Vec<u32> = scores.iter().map(|s| s.to_bits()).collect();
-    assert_eq!(got, expect, "execute_batch");
+    let out = plan.output_slot as usize;
+    let mut engines = vec![Vec::new(); 5];
+    for line in lines {
+        let src = SourceRef::Text(line);
+        engines[0].push(bits(plan.execute(src, &mut slots, &mut ctx)));
+        engines[1].push(bits(plan.execute_borrowed(src, &mut slots, &mut ctx)));
+        let staged = src.load_into(&mut slots[0]).and_then(|()| {
+            for stage in &plan.stages {
+                stage.execute(&mut slots, &mut ctx)?;
+            }
+            Ok(slots[out].as_scalar().expect("scalar score"))
+        });
+        engines[2].push(bits(staged));
+        let staged_batch = (|| {
+            batch_slots.iter_mut().for_each(ColumnBatch::reset);
+            src.load_into_batch(&mut batch_slots[0])?;
+            for stage in &plan.stages {
+                stage.execute_batch(&mut batch_slots, 1, &mut ctx)?;
+            }
+            Ok(batch_slots[out].as_scalars().expect("scalar scores")[0])
+        })();
+        engines[3].push(bits(staged_batch));
+        let mut score = [0f32];
+        let batched = plan.execute_batch(&[src], &mut batch_slots, &mut ctx, &mut score);
+        engines[4].push(bits(batched.map(|()| score[0])));
+    }
+    let sources: Vec<SourceRef<'_>> = lines.iter().map(|l| SourceRef::Text(l)).collect();
+    let mut scores = vec![0f32; lines.len()];
+    let whole = plan.execute_batch(&sources, &mut batch_slots, &mut ctx, &mut scores);
+    engines.push(match whole {
+        Ok(()) => scores.iter().map(|s| Ok(s.to_bits())).collect(),
+        Err(e) => vec![Err(format!("{e:?}"))],
+    });
+    engines
+}
+
+/// `Runtime::predict_source` per line, bits or the error.
+fn served(
+    rt: &Runtime,
+    logical: pretzel_core::plan::StagePlan,
+    lines: &[String],
+) -> Vec<Result<u32, String>> {
+    let id = rt.register(logical).unwrap();
+    lines
+        .iter()
+        .map(|l| {
+            rt.predict_source(id, SourceRef::Text(l))
+                .map(f32::to_bits)
+                .map_err(|e| format!("{e:?}"))
+        })
+        .collect()
+}
+
+/// CSV lines whose fields are random texts without commas, each field
+/// count in `fields`, then the lines any field index must cope with.
+fn csv_lines(rng: &mut Rng, fields: usize, chars: &[usize]) -> Vec<String> {
+    let mut lines: Vec<String> = chars
+        .iter()
+        .map(|&n| {
+            (0..fields)
+                .map(|_| random_text(rng, n).replace(',', ";"))
+                .collect::<Vec<_>>()
+                .join(",")
+        })
+        .collect();
+    // An empty middle field, multi-byte characters, a missing field for
+    // every index but 0, and an empty line.
+    lines.push("Ab cD,,é Ü 日x".into());
+    lines.push("日本 é,AbE abe ABE,x".into());
+    lines.push("no other field".into());
+    lines.push(String::new());
+    lines
+}
+
+#[test]
+fn fused_text_step_scores_bitwise_like_the_unfused_plan_in_every_engine() {
+    let mut rng = Rng(0x7e47);
+    let vocab: Vec<String> = (0..30)
+        .map(|_| {
+            let chars = 1 + rng.below(6);
+            random_letters(&mut rng, chars)
+        })
+        .collect();
+    let rt = Runtime::new(RuntimeConfig {
+        n_executors: 1,
+        ..RuntimeConfig::default()
+    });
+    let whitespace = Arc::new(TokenizerParams::whitespace_punct());
+    // Delimiters that include ASCII letters of both cases: bytes are
+    // classified as they are, not as folded.
+    let lettered = Arc::new(TokenizerParams::new(*b" .;aE"));
+    let mut cases = 0;
+    for n in 1..=10u32 {
+        for all_lengths in [true, false] {
+            for (char_fold, word_fold) in
+                [(true, true), (false, false), (true, false), (false, true)]
+            {
+                let case = cases;
+                cases += 1;
+                // Keys of every extracted length: ASCII keys of exactly n
+                // bytes beside the random ones, word keys of n tokens when
+                // only that length is extracted.
+                let mut char_keys = random_keys(&mut rng, 300, n as usize);
+                char_keys.extend((0..40).map(|_| {
+                    (0..n)
+                        .map(|_| LETTERS[rng.below(11)])
+                        .collect::<String>()
+                        .into_boxed_str()
+                }));
+                let cgram = Arc::new(NgramParams::new(n, all_lengths, char_fold, char_keys));
+                let word_keys: Vec<Box<str>> = (0..120)
+                    .map(|_| {
+                        let k = if all_lengths {
+                            1 + rng.below(n as usize)
+                        } else {
+                            n as usize
+                        };
+                        let gram: Vec<&str> = (0..k)
+                            .map(|_| vocab[rng.below(vocab.len())].as_str())
+                            .collect();
+                        gram.join(" ").into_boxed_str()
+                    })
+                    .collect();
+                let wgram = Arc::new(NgramParams::new(n, all_lengths, word_fold, word_keys));
+                let dim = cgram.dim() + wgram.dim();
+                let kind = [LinearKind::Regression, LinearKind::Logistic][case % 2];
+                let lin = Arc::new(LinearParams::new(kind, exact_weights(&mut rng, dim), 0.25));
+                // Rotate the wiring: CSV field 0, 1, 2 or the raw line;
+                // char-then-word or word-then-char (Combine's input
+                // order); the plain or the lettered tokenizer.
+                let field = [Some(0), Some(1), Some(2), None][case % 4];
+                let tok = [&whitespace, &lettered][(case / 4) % 2];
+                let branches = if (case / 8) % 2 == 0 {
+                    vec![(false, Arc::clone(&cgram)), (true, Arc::clone(&wgram))]
+                } else {
+                    vec![(true, Arc::clone(&wgram)), (false, Arc::clone(&cgram))]
+                };
+                let logical =
+                    pretzel_core::oven::optimize(&text_graph(field, tok, &branches, &lin))
+                        .unwrap()
+                        .plan;
+                let compile = |fuse_ngram_dot| {
+                    ModelPlan::compile(
+                        logical.clone(),
+                        &CompileOptions { fuse_ngram_dot },
+                        &ObjectStore::new(),
+                    )
+                    .unwrap()
+                };
+                let (fused, unfused) = (compile(true), compile(false));
+                assert!(is_one_fused_text_step(&fused), "case {case}: {fused:#?}");
+                assert_eq!(fused.param_bytes(), unfused.param_bytes(), "case {case}");
+
+                let mut lines = csv_lines(&mut rng, 3, &[0, 1, 7, 40, 200]);
+                // Vocabulary sentences and dictionary keys, so n-grams of
+                // every length hit.
+                for words in [3usize, 12] {
+                    let sentence: Vec<&str> = (0..words)
+                        .map(|_| vocab[rng.below(vocab.len())].as_str())
+                        .collect();
+                    lines.push(format!("{0},{0},{0}", sentence.join(" ")));
+                }
+                for _ in 0..2 {
+                    let keys: Vec<&str> = (0..8)
+                        .map(|i| match i % 2 {
+                            0 => &*cgram.dict.keys()[300 + rng.below(40)],
+                            _ => &*wgram.dict.keys()[rng.below(wgram.dim())],
+                        })
+                        .collect();
+                    lines.push(format!("{0},{0},{0}", keys.join(" ")));
+                }
+                let tag = format!("case {case}: n={n} all={all_lengths} fold=({char_fold}, {word_fold}) field={field:?}");
+                let want = every_engine(&unfused, &lines);
+                assert_eq!(every_engine(&fused, &lines), want, "{tag}");
+                let scores: std::collections::HashSet<&u32> =
+                    want[0].iter().filter_map(|r| r.as_ref().ok()).collect();
+                assert!(scores.len() > 1, "{tag}: no line hit anything");
+                if field.is_some_and(|i| i > 0) {
+                    assert!(
+                        want[0].iter().any(Result::is_err),
+                        "{tag}: no missing field"
+                    );
+                }
+                assert_eq!(
+                    served(&rt, logical, &lines),
+                    want[1],
+                    "{tag}: predict_source"
+                );
+            }
+        }
+    }
+    // One 70 KiB field.
+    let cgram = Arc::new(NgramParams::new(
+        3,
+        true,
+        true,
+        random_keys(&mut rng, 400, 3),
+    ));
+    let wgram = Arc::new(synth::word_ngram(5, 2, 200, &vocab));
+    let lin = Arc::new(LinearParams::new(
+        LinearKind::Regression,
+        exact_weights(&mut rng, cgram.dim() + wgram.dim()),
+        0.0,
+    ));
+    let graph = text_graph(Some(1), &whitespace, &[(false, cgram), (true, wgram)], &lin);
+    let logical = pretzel_core::oven::optimize(&graph).unwrap().plan;
+    let mut long = String::from("5,");
+    while long.len() < 70 << 10 {
+        long.push_str(&random_text(&mut rng, 512).replace(',', " "));
+    }
+    long.push_str(",US");
+    let lines = [long, "1,ab cd,x".to_string()];
+    let plans: Vec<ModelPlan> = [true, false]
+        .into_iter()
+        .map(|fuse_ngram_dot| {
+            ModelPlan::compile(
+                logical.clone(),
+                &CompileOptions { fuse_ngram_dot },
+                &ObjectStore::new(),
+            )
+            .unwrap()
+        })
+        .collect();
+    assert_eq!(
+        every_engine(&plans[0], &lines),
+        every_engine(&plans[1], &lines)
+    );
 }

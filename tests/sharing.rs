@@ -130,22 +130,18 @@ fn shared_params_are_pointer_identical_across_plans() {
     }
     let plan_a = runtime.plan(plan_ids[0]).unwrap();
     let plan_b = runtime.plan(plan_ids[1]).unwrap();
+    // Whatever form the compiler fused the char n-gram into, the parameter
+    // walk finds its dictionary.
     let addrs = |p: &pretzel_core::ModelPlan| -> Vec<usize> {
-        p.stages
-            .iter()
-            .flat_map(|s| s.steps.iter())
-            .filter_map(|st| match &st.op {
-                pretzel_core::plan::StageOp::FusedCharNgramDot { ngram, .. } => {
-                    Some(Arc::as_ptr(ngram) as usize)
+        let mut addrs = Vec::new();
+        for step in p.stages.iter().flat_map(|s| &s.steps) {
+            step.op.for_each_param(|op| {
+                if op.kind() == pretzel_ops::OpKind::CharNgram {
+                    addrs.push(op.params_addr());
                 }
-                pretzel_core::plan::StageOp::Op(op)
-                    if op.kind() == pretzel_ops::OpKind::CharNgram =>
-                {
-                    Some(op.params_addr())
-                }
-                _ => None,
-            })
-            .collect()
+            });
+        }
+        addrs
     };
     let a_addrs = addrs(&plan_a);
     let b_addrs = addrs(&plan_b);
