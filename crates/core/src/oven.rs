@@ -16,8 +16,12 @@
 //!    breakers (Concat, aggregates) and compute-bound operators start new
 //!    stages.
 //! 3. [`StageGraphOptimizerStep`] — common-subexpression elimination,
-//!    stage merging/inlining, **linear-model pushdown through Concat** and
-//!    dead-stage removal.
+//!    stage merging/inlining, **linear-model pushdown through Concat**,
+//!    **tree pushdown through Concat** and dead-stage removal. Both
+//!    pushdowns delete the Concat, the paper's archetypal pipeline breaker:
+//!    a linear model splits into per-branch partial dots, and a final tree
+//!    ensemble, which reads its features by index, reads the branches
+//!    directly ([`StageOp::TreeOverConcat`]).
 //! 4. [`OutputGraphValidatorStep`] — synthesizes per-stage schemas (slot
 //!    layout), applies training statistics (dense / vectorizable labels,
 //!    buffer sizing) and re-validates the final plan.
@@ -133,9 +137,10 @@ pub fn optimize(graph: &TransformGraph) -> Result<Optimized> {
 
     // ---- Step 3: StageGraphOptimizerStep (fix-point) --------------------
     type Rule = (&'static str, fn(&mut Ir) -> Result<u32>);
-    let rules: [Rule; 5] = [
+    let rules: [Rule; 6] = [
         ("CommonSubexpressionElimination", cse),
         ("LinearModelPushdown", linear_pushdown),
+        ("TreeConcatPushdown", tree_concat_pushdown),
         ("DeadNodeElimination", dead_node_elimination),
         ("InlineSingleOpStages", inline_single_op_stages),
         ("DeadStageElimination", dead_stage_elimination),
@@ -443,6 +448,42 @@ fn linear_pushdown(ir: &mut Ir) -> Result<u32> {
         ir.ops[l] = StageOp::Combine { linear };
         ir.inputs[l] = partials;
         ir.stage_of[l] = combine_stage;
+        ir.alive[c] = false;
+        fired += 1;
+    }
+    Ok(fired)
+}
+
+/// Compiles away the Concat in front of a tree ensemble:
+/// `TreeEnsemble(Concat(b1..bn))`, the ensemble being the Concat's only
+/// consumer, becomes one [`StageOp::TreeOverConcat`] node in the
+/// ensemble's stage that reads b1..bn directly. Trees read features by
+/// index, so nothing is split per branch; what goes is the CSR row the
+/// Concat built. The Concat, its stage and its slot then die.
+fn tree_concat_pushdown(ir: &mut Ir) -> Result<u32> {
+    let mut fired = 0u32;
+    for t in 0..ir.ops.len() {
+        if !ir.alive[t] {
+            continue;
+        }
+        let StageOp::Op(Op::TreeEnsemble(ensemble)) = &ir.ops[t] else {
+            continue;
+        };
+        let &[Input::Node(c)] = ir.inputs[t].as_slice() else {
+            continue;
+        };
+        let c = c as usize;
+        let StageOp::Op(Op::Concat(concat)) = &ir.ops[c] else {
+            continue;
+        };
+        if ir.consumers()[c].len() != 1 {
+            continue;
+        }
+        ir.ops[t] = StageOp::TreeOverConcat {
+            ensemble: Arc::clone(ensemble),
+            concat: Arc::clone(concat),
+        };
+        ir.inputs[t] = ir.inputs[c].clone();
         ir.alive[c] = false;
         fired += 1;
     }
@@ -902,15 +943,21 @@ mod tests {
             output: 6,
         };
         let out = optimize(&g).unwrap();
-        // The shared Concat survives.
-        let concats: usize = out
+        // The shared Concat survives: neither the linear nor the tree
+        // pushdown fires through it.
+        let names: Vec<&str> = out
             .plan
             .stages
             .iter()
             .flat_map(|s| &s.steps)
-            .filter(|st| matches!(&st.op, StageOp::Op(op) if op.kind() == OpKind::Concat))
-            .count();
-        assert_eq!(concats, 1, "shared Concat must be kept");
+            .map(|st| st.op.name())
+            .collect();
+        let count = |name: &str| names.iter().filter(|&&n| n == name).count();
+        assert_eq!(count("Concat"), 1, "shared Concat must be kept: {names:?}");
+        assert_eq!(count("TreeEnsemble"), 1, "{names:?}");
+        assert_eq!(count("TreeOverConcat"), 0, "{names:?}");
+        let rules: Vec<_> = out.trace.iter().map(|t| t.rule).collect();
+        assert!(!rules.contains(&"TreeConcatPushdown"), "{rules:?}");
     }
 
     #[test]
@@ -967,15 +1014,8 @@ mod tests {
         };
         let out = optimize(&g).unwrap();
         out.plan.validate().unwrap();
-        // Tree predictor is not associative: no pushdown, Concat survives.
-        let concats: usize = out
-            .plan
-            .stages
-            .iter()
-            .flat_map(|s| &s.steps)
-            .filter(|st| matches!(&st.op, StageOp::Op(op) if op.kind() == OpKind::Concat))
-            .count();
-        assert_eq!(concats, 1);
+        // The final forest reads the Concat's branches by index: the tree
+        // pushdown folds the Concat into it, and the Concat's stage dies.
         // Compute-bound operators never open a stage, so each sits in its
         // own: featurizer siblings sharing a stage leaves this plan alone.
         let stages: Vec<Vec<&str>> = out
@@ -991,10 +1031,18 @@ mod tests {
                 vec!["Pca"],
                 vec!["KMeans"],
                 vec!["TreeFeaturizer"],
-                vec!["Concat"],
-                vec!["TreeEnsemble"],
+                vec!["TreeOverConcat"],
             ]
         );
+        // The step reads the three branches, in the Concat's order.
+        let last = &out.plan.stages[4].steps[0];
+        let branch_slots: Vec<Loc> = out.plan.stages[1..4]
+            .iter()
+            .map(|s| s.steps[0].output)
+            .collect();
+        assert_eq!(last.inputs, branch_slots);
+        let rules: Vec<_> = out.trace.iter().map(|t| t.rule).collect();
+        assert!(rules.contains(&"TreeConcatPushdown"), "{rules:?}");
     }
 
     #[test]

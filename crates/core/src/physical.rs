@@ -1670,6 +1670,14 @@ fn intern_step(step: &mut Step, store: &ObjectStore) {
                 *linear = p;
             }
         }
+        StageOp::TreeOverConcat { ensemble, concat } => {
+            if let Op::Concat(p) = store.intern(Op::Concat(Arc::clone(concat))) {
+                *concat = p;
+            }
+            if let Op::TreeEnsemble(p) = store.intern(Op::TreeEnsemble(Arc::clone(ensemble))) {
+                *ensemble = p;
+            }
+        }
         // Fused steps are the compiler's output, built from steps interned
         // here; a logical plan holds none.
         StageOp::FusedCharNgramDot { .. }

@@ -16,15 +16,21 @@
 //! [`StageOp::PartialDot`] scores one Concat branch against the matching
 //! weight segment, and [`StageOp::Combine`] sums the partials and applies
 //! bias + link — after which the Concat operator (and its buffer) is gone.
-//! The Model Plan Compiler's fused kernels are steps too (the `Fused*`
-//! variants); a logical plan from Oven never holds one.
+//! The optimizer's *tree pushdown* has one synthetic step of its own:
+//! [`StageOp::TreeOverConcat`] walks a final forest over the branches of
+//! the Concat it alone consumed, so that Concat and its buffer are gone
+//! too. The Model Plan Compiler's fused kernels are steps as well (the
+//! `Fused*` variants); a logical plan from Oven never holds one.
 
 use crate::train_stats::NodeStats;
 use pretzel_data::batch::ColRef;
 use pretzel_data::hash::Fnv1a;
 use pretzel_data::{ColumnBatch, ColumnType, DataError, Result, Vector};
+use pretzel_ops::feat::concat::ConcatParams;
 use pretzel_ops::linear::LinearParams;
+use pretzel_ops::params::ParamBlob;
 use pretzel_ops::text::fused::FusedText;
+use pretzel_ops::tree::EnsembleParams;
 use pretzel_ops::Op;
 use std::sync::Arc;
 
@@ -72,6 +78,16 @@ pub enum StageOp {
     /// CSV field selection, tokenization, every n-gram·dot branch and the
     /// Combine, line → score in one pass over the row.
     FusedText(Arc<FusedText>),
+    /// A tree ensemble over the branches of a Concat it was the only
+    /// consumer of (Oven's tree pushdown): one numeric input per Concat
+    /// branch → scalar score, read into a dense row at the branch offsets
+    /// with no concatenated vector built.
+    TreeOverConcat {
+        /// The final forest.
+        ensemble: Arc<EnsembleParams>,
+        /// The Concat whose branches the step reads.
+        concat: Arc<ConcatParams>,
+    },
 }
 
 impl StageOp {
@@ -84,11 +100,12 @@ impl StageOp {
             StageOp::FusedCharNgramDot { .. } => "FusedCharNgramDot",
             StageOp::FusedWordNgramDot { .. } => "FusedWordNgramDot",
             StageOp::FusedText(_) => "FusedText",
+            StageOp::TreeOverConcat { .. } => "TreeOverConcat",
         }
     }
 
     /// Number of inputs the step consumes (Combine is variadic; callers pass
-    /// the actual wiring count).
+    /// the actual wiring count; a tree over a Concat reads one per branch).
     pub fn n_inputs(&self) -> Option<usize> {
         match self {
             StageOp::Op(op) => Some(op.n_inputs()),
@@ -97,6 +114,7 @@ impl StageOp {
             StageOp::FusedCharNgramDot { .. } => Some(1),
             StageOp::FusedWordNgramDot { .. } => Some(2),
             StageOp::FusedText(_) => Some(1),
+            StageOp::TreeOverConcat { concat, .. } => Some(concat.input_dims.len()),
         }
     }
 
@@ -119,6 +137,10 @@ impl StageOp {
                 f(Op::Linear(Arc::clone(linear)));
             }
             StageOp::FusedText(t) => t.for_each_op(f),
+            StageOp::TreeOverConcat { ensemble, concat } => {
+                f(Op::Concat(Arc::clone(concat)));
+                f(Op::TreeEnsemble(Arc::clone(ensemble)));
+            }
         }
     }
 
@@ -129,10 +151,10 @@ impl StageOp {
         match self {
             StageOp::Op(op) => h.write_u64(op.checksum()),
             StageOp::PartialDot { linear, offset } => {
-                h.write_u64(params_checksum(linear));
+                h.write_u64(linear.checksum());
                 h.write_u64(u64::from(*offset));
             }
-            StageOp::Combine { linear } => h.write_u64(params_checksum(linear)),
+            StageOp::Combine { linear } => h.write_u64(linear.checksum()),
             StageOp::FusedCharNgramDot {
                 ngram,
                 linear,
@@ -143,11 +165,15 @@ impl StageOp {
                 linear,
                 offset,
             } => {
-                h.write_u64(ngram_checksum(ngram));
-                h.write_u64(params_checksum(linear));
+                h.write_u64(ngram.checksum());
+                h.write_u64(linear.checksum());
                 h.write_u64(u64::from(*offset));
             }
             StageOp::FusedText(t) => h.write_u64(t.checksum()),
+            StageOp::TreeOverConcat { ensemble, concat } => {
+                h.write_u64(concat.checksum());
+                h.write_u64(ensemble.checksum());
+            }
         }
         h.finish()
     }
@@ -238,6 +264,11 @@ impl StageOp {
                     .ok_or_else(|| DataError::Runtime("fused text step expects text".into()))?;
                 write_scalar(out, t.score(line)?)
             }
+            StageOp::TreeOverConcat { ensemble, concat } => {
+                let y = ensemble
+                    .score_concat(concat, inputs.len(), |k| ColRef::from_vector(inputs[k]))?;
+                write_scalar(out, y)
+            }
         }
     }
 }
@@ -298,6 +329,13 @@ impl StageOp {
             }
             (StageOp::FusedText(t), ColRef::Text(line)) => {
                 write_scalar(out, t.score(line)?).map(|()| true)
+            }
+            (StageOp::TreeOverConcat { ensemble, concat }, row) => {
+                let y = ensemble.score_concat(concat, rest.len() + 1, |k| match k {
+                    0 => row,
+                    k => ColRef::from_vector(rest[k - 1]),
+                })?;
+                write_scalar(out, y).map(|()| true)
             }
             // Combine never reads the source; fused steps over a non-text
             // row fall back to the materialized path's error reporting.
@@ -418,18 +456,22 @@ impl StageOp {
                 })?;
                 t.score_batch(text, out)
             }
+            StageOp::TreeOverConcat { ensemble, concat } => {
+                if out.column_type() != ColumnType::F32Scalar {
+                    return Err(DataError::Runtime(format!(
+                        "tree over concat output must be scalar batch, got {:?}",
+                        out.column_type()
+                    )));
+                }
+                let rows = inputs.first().map_or(0, |b| b.rows());
+                let y = out.fill_scalar(rows)?;
+                for (r, slot) in y.iter_mut().enumerate() {
+                    *slot = ensemble.score_concat(concat, inputs.len(), |k| inputs[k].row(r))?;
+                }
+                Ok(())
+            }
         }
     }
-}
-
-fn params_checksum(linear: &LinearParams) -> u64 {
-    use pretzel_ops::params::ParamBlob;
-    linear.checksum()
-}
-
-fn ngram_checksum(ngram: &pretzel_ops::text::ngram::NgramParams) -> u64 {
-    use pretzel_ops::params::ParamBlob;
-    ngram.checksum()
 }
 
 fn write_scalar(out: &mut Vector, v: f32) -> Result<()> {

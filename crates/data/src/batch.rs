@@ -87,9 +87,7 @@ impl<'a> ColRef<'a> {
         }
     }
 
-    /// Reads feature `idx` with sparse-absent-is-zero semantics (the
-    /// contract tree traversal relies on; mirrors
-    /// `pretzel_ops::tree::feature_value`).
+    /// Reads feature `idx` with sparse-absent-is-zero semantics.
     pub fn feature(&self, idx: usize) -> f32 {
         match self {
             ColRef::Dense(d) => d.get(idx).copied().unwrap_or(0.0),

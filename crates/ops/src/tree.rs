@@ -5,8 +5,22 @@
 //! ensemble: ... a TreeFeaturizer, and multi-class tree-based classifier,
 //! all fed into a final tree (or forest) rendering the prediction"
 //! (paper §5, Table 1). All tree operators share one flat node encoding.
+//!
+//! Every walk reads a dense feature slice. A dense input row is read in
+//! place; a sparse row is scattered once into a thread-local dense row of
+//! the input's dimension and cleared by the same indices after the row
+//! ([`with_dense_row`]), so a node visit is one index, not a binary search
+//! over the row's nonzeros. A final forest whose only input is a Concat
+//! reads the Concat's branches the same way, assembled straight into that
+//! row with no concatenated vector built ([`EnsembleParams::score_concat`],
+//! the kernel of Oven's tree pushdown).
+//!
+//! Node tests are `x <= threshold`, so reading a branch's `-0.0` where the
+//! Concat would have dropped it (and a sparse read returned `+0.0`) takes
+//! the same branch: `-0.0 <= t` and `0.0 <= t` agree for every `t`.
 
 use crate::annotations::Annotations;
+use crate::feat::concat::ConcatParams;
 use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::batch::ColRef;
 use pretzel_data::serde_bin::{wire, Cursor, Section};
@@ -153,13 +167,99 @@ impl Tree {
     }
 }
 
-/// Reads feature `idx` from a numeric input vector.
-///
-/// Dense inputs index directly; sparse inputs binary-search; out-of-range
-/// reads return 0 (trees validated against the input dim never do this, but
-/// sparse semantics make absent == 0 the right default).
-pub fn feature_value(input: &Vector, idx: usize) -> f32 {
-    ColRef::from_vector(input).feature(idx)
+/// Retention bound on the thread-local dense row, in floats (4 MiB). A
+/// row that wide must not pin its buffer on the executor thread forever.
+const DENSE_ROW_RETAIN: usize = 1 << 20;
+
+/// The thread-local dense row sparse inputs are scattered into.
+#[derive(Debug, Default)]
+struct DenseRow {
+    /// All `+0.0` between rows.
+    x: Vec<f32>,
+    /// Set while a row is scattered in. A row that errors or unwinds half
+    /// way leaves it set, and the next row zeroes the whole buffer first.
+    dirty: bool,
+}
+
+impl DenseRow {
+    /// The first `dim` floats of the zeroed buffer, marked dirty.
+    fn open(&mut self, dim: usize) -> &mut [f32] {
+        if self.dirty {
+            self.x.fill(0.0);
+        }
+        if self.x.len() < dim {
+            self.x.resize(dim, 0.0);
+        }
+        self.dirty = true;
+        &mut self.x[..dim]
+    }
+
+    /// Marks the buffer zero again (the caller cleared what it wrote) and
+    /// applies the retention bound.
+    fn close(&mut self) {
+        self.dirty = false;
+        if self.x.capacity() > DENSE_ROW_RETAIN {
+            self.x.truncate(DENSE_ROW_RETAIN);
+            self.x.shrink_to(DENSE_ROW_RETAIN);
+        }
+    }
+}
+
+std::thread_local! {
+    static DENSE_ROW: std::cell::RefCell<DenseRow> = std::cell::RefCell::new(DenseRow::default());
+}
+
+/// Runs `f` with the thread's dense row, like `ngram::with_scratch`: a
+/// plain `borrow_mut`, since the walks never re-enter.
+fn with_row_scratch<R>(f: impl FnOnce(&mut DenseRow) -> R) -> R {
+    DENSE_ROW.with(|cell| f(&mut cell.borrow_mut()))
+}
+
+/// Writes a sparse row's values into `x` (indices past `x` are skipped: a
+/// tree never reads them).
+fn scatter(x: &mut [f32], indices: &[u32], values: &[f32]) {
+    for (&i, &v) in indices.iter().zip(values) {
+        if let Some(slot) = x.get_mut(i as usize) {
+            *slot = v;
+        }
+    }
+}
+
+/// Zeroes what [`scatter`] wrote.
+fn unscatter(x: &mut [f32], indices: &[u32]) {
+    for &i in indices {
+        if let Some(slot) = x.get_mut(i as usize) {
+            *slot = 0.0;
+        }
+    }
+}
+
+/// Runs `f` over `row` as a dense feature slice of the row's dimension: a
+/// dense row in place, a scalar as a one-element slice, and a sparse row
+/// scattered into the thread's dense row, which is cleared by the same
+/// indices afterwards. Sparse rows are sorted and unique, so the scatter
+/// holds exactly what a binary search over the row would find.
+pub fn with_dense_row<R>(row: ColRef<'_>, f: impl FnOnce(&[f32]) -> R) -> Result<R> {
+    match row {
+        ColRef::Dense(x) => Ok(f(x)),
+        ColRef::Scalar(x) => Ok(f(std::slice::from_ref(&x))),
+        ColRef::Sparse {
+            indices,
+            values,
+            dim,
+        } => Ok(with_row_scratch(|s| {
+            let x = s.open(dim as usize);
+            scatter(x, indices, values);
+            let out = f(x);
+            unscatter(x, indices);
+            s.close();
+            out
+        })),
+        other => Err(DataError::Runtime(format!(
+            "tree input must be numeric, got {:?}",
+            other.column_type()
+        ))),
+    }
 }
 
 /// How an ensemble combines member scores.
@@ -222,14 +322,14 @@ impl EnsembleParams {
         self.trees.iter().map(Tree::leaves).sum()
     }
 
-    /// Weighted ensemble score of one row, read through the feature
-    /// accessor `x`. Shared by the per-record and batch kernels (and by
-    /// [`MulticlassTreeParams`]), so their bitwise agreement rests on one
-    /// implementation.
-    pub fn score_row(&self, x: impl Fn(usize) -> f32) -> f32 {
+    /// Weighted ensemble score of one dense row of `input_dim` features.
+    /// The one row routine behind the per-record, batch and Concat-reading
+    /// kernels (and [`MulticlassTreeParams`]), so their bitwise agreement
+    /// rests on one implementation.
+    pub fn score(&self, x: &[f32]) -> f32 {
         let mut acc = 0.0f32;
         for (t, &w) in self.trees.iter().zip(&self.weights) {
-            acc += w * t.eval(&x).1;
+            acc += w * t.eval(|i| x[i]).1;
         }
         if self.mode == EnsembleMode::Average {
             acc /= self.trees.len() as f32;
@@ -237,10 +337,69 @@ impl EnsembleParams {
         acc
     }
 
+    /// Scores the row a Concat of `branches` branches would build, without
+    /// building it: branch `k` (read through `branch(k)`) lands at
+    /// `concat.offset(k)` of the thread's dense row — a dense branch
+    /// copied, a sparse one scattered, a scalar set — the trees walk it as
+    /// in [`Self::score`], and every range written is zeroed again. Scores
+    /// are bitwise those of [`Self::score`] over the Concat's output.
+    pub fn score_concat<'a>(
+        &self,
+        concat: &ConcatParams,
+        branches: usize,
+        branch: impl Fn(usize) -> ColRef<'a>,
+    ) -> Result<f32> {
+        let dim = concat.dim();
+        if branches != concat.input_dims.len() || dim != self.input_dim as usize {
+            return Err(DataError::Runtime(format!(
+                "tree over concat wants {} branches of total dim {}, got {branches} \
+                 branches of dim {dim}",
+                concat.input_dims.len(),
+                self.input_dim
+            )));
+        }
+        with_row_scratch(|s| {
+            let x = s.open(dim);
+            let mut offset = 0;
+            for (k, &want) in concat.input_dims.iter().enumerate() {
+                let seg = &mut x[offset..offset + want as usize];
+                match branch(k) {
+                    ColRef::Dense(v) if v.len() == seg.len() => seg.copy_from_slice(v),
+                    ColRef::Sparse {
+                        indices,
+                        values,
+                        dim,
+                    } if dim == want => scatter(seg, indices, values),
+                    ColRef::Scalar(v) if want == 1 => seg[0] = v,
+                    // The buffer stays dirty: the next row zeroes it whole.
+                    other => {
+                        return Err(DataError::Runtime(format!(
+                            "tree over concat: branch {k} is {:?}, expected numeric[{want}]",
+                            other.column_type()
+                        )))
+                    }
+                }
+                offset += want as usize;
+            }
+            let y = self.score(x);
+            let mut offset = 0;
+            for (k, &want) in concat.input_dims.iter().enumerate() {
+                let seg = &mut x[offset..offset + want as usize];
+                match branch(k) {
+                    ColRef::Sparse { indices, .. } => unscatter(seg, indices),
+                    _ => seg.fill(0.0),
+                }
+                offset += want as usize;
+            }
+            s.close();
+            Ok(y)
+        })
+    }
+
     /// Scores `input` into a scalar `out`.
     pub fn apply(&self, input: &Vector, out: &mut Vector) -> Result<()> {
         self.check_input(input)?;
-        let acc = self.score_row(|i| feature_value(input, i));
+        let acc = with_dense_row(ColRef::from_vector(input), |x| self.score(x))?;
         match out {
             Vector::Scalar(s) => {
                 *s = acc;
@@ -271,18 +430,25 @@ impl EnsembleParams {
             }
         }
         out.reset();
+        with_dense_row(ColRef::from_vector(input), |x| {
+            self.featurize(x, |idx| out.sparse_accumulate(idx, 1.0))
+        })
+    }
+
+    /// TreeFeaturizer row routine: emits each member's leaf one-hot index
+    /// (offset by the leaves of the members before it) for one dense row.
+    fn featurize(&self, x: &[f32], mut emit: impl FnMut(u32)) {
         let mut offset = 0u32;
         for t in &self.trees {
-            let (leaf, _) = t.eval(|i| feature_value(input, i));
-            out.sparse_accumulate(offset + leaf as u32, 1.0);
+            let (leaf, _) = t.eval(|i| x[i]);
+            emit(offset + leaf as u32);
             offset += t.leaves() as u32;
         }
-        Ok(())
     }
 
     /// Batch kernel: scores every row of the chunk into a scalar batch
-    /// through the same [`Self::score_row`] as the per-record kernel; the
-    /// flat tree arrays stay cache-hot across rows.
+    /// through the same [`Self::score`] as the per-record kernel; the flat
+    /// tree arrays stay cache-hot across rows.
     pub fn eval_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
         self.check_batch_input(input)?;
         let rows = input.rows();
@@ -294,8 +460,7 @@ impl EnsembleParams {
         }
         let y = out.fill_scalar(rows)?;
         for (r, slot) in y.iter_mut().enumerate() {
-            let row = input.row(r);
-            *slot = self.score_row(|i| row.feature(i));
+            *slot = with_dense_row(input.row(r), |x| self.score(x))?;
         }
         Ok(())
     }
@@ -316,14 +481,10 @@ impl EnsembleParams {
         }
         out.reset();
         for r in 0..input.rows() {
-            let row = input.row(r);
             let mut srow = out.begin_sparse_row()?;
-            let mut offset = 0u32;
-            for t in &self.trees {
-                let (leaf, _) = t.eval(|i| row.feature(i));
-                srow.accumulate(offset + leaf as u32, 1.0);
-                offset += t.leaves() as u32;
-            }
+            with_dense_row(input.row(r), |x| {
+                self.featurize(x, |idx| srow.accumulate(idx, 1.0))
+            })?;
             srow.finish();
         }
         Ok(())
@@ -444,12 +605,12 @@ impl MulticlassTreeParams {
         Annotations::compute()
     }
 
-    /// Per-class ensemble scores of one row, read through the feature
-    /// accessor `x`. Shared by the per-record and batch kernels, so their
-    /// bitwise agreement rests on one implementation.
-    fn score_row(&self, x: impl Fn(usize) -> f32, y: &mut [f32]) {
+    /// Per-class ensemble scores of one dense row. Shared by the
+    /// per-record and batch kernels, so their bitwise agreement rests on
+    /// one implementation.
+    fn score(&self, x: &[f32], y: &mut [f32]) {
         for (ens, slot) in self.per_class.iter().zip(y.iter_mut()) {
-            *slot = ens.score_row(&x);
+            *slot = ens.score(x);
         }
     }
 
@@ -466,8 +627,7 @@ impl MulticlassTreeParams {
         }
         match out {
             Vector::Dense(y) if y.len() == self.classes() => {
-                self.score_row(|i| feature_value(input, i), y);
-                Ok(())
+                with_dense_row(ColRef::from_vector(input), |x| self.score(x, y))
             }
             other => Err(DataError::Runtime(format!(
                 "multiclass output wants dense[{}], got {:?}",
@@ -478,7 +638,7 @@ impl MulticlassTreeParams {
     }
 
     /// Batch kernel: per-class ensemble scores for every row through the
-    /// same [`Self::score_row`] as the per-record kernel.
+    /// same [`Self::score`] as the per-record kernel.
     pub fn eval_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
         let classes = self.classes();
         if out.column_type() != (pretzel_data::ColumnType::F32Dense { len: classes }) {
@@ -499,8 +659,7 @@ impl MulticlassTreeParams {
         let rows = input.rows();
         let y = out.fill_dense(rows)?;
         for (r, yr) in y.chunks_exact_mut(classes).enumerate().take(rows) {
-            let row = input.row(r);
-            self.score_row(|i| row.feature(i), yr);
+            with_dense_row(input.row(r), |x| self.score(x, yr))?;
         }
         Ok(())
     }
@@ -639,7 +798,8 @@ mod tests {
         let mut sp = Vector::with_type(ColumnType::F32Sparse { len: 2 });
         sp.sparse_accumulate(0, 5.0);
         // x[1] missing -> 0.0 -> right path at root, leaf 2.
-        assert_eq!(t.eval(|i| feature_value(&sp, i)), (2, 30.0));
+        let leaf = with_dense_row(ColRef::from_vector(&sp), |x| t.eval(|i| x[i])).unwrap();
+        assert_eq!(leaf, (2, 30.0));
     }
 
     #[test]

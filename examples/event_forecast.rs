@@ -49,8 +49,8 @@ fn main() {
     let optimized = program.plan_traced().expect("valid AC pipeline");
     println!(
         "AC pipeline: {} operators -> {} stages (tree models are \
-         compute-bound, so each gets its own stage; the Concat survives — \
-         trees are not associative reducers)",
+         compute-bound, so each gets its own stage; the Concat folds into \
+         the final forest, which reads its branches by index)",
         program.graph().nodes.len(),
         optimized.plan.stages.len()
     );
