@@ -399,7 +399,8 @@ impl ObjectStore {
 /// Key of a materialized sub-plan result.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct MatKey {
-    /// Checksum of the producing step (operator kind + parameters).
+    /// The plan's key for the producing step: its parameters and, through
+    /// the keys of its inputs' producers, every step upstream of it.
     pub step: u64,
     /// Hash of the source record the pipeline is evaluating.
     pub input: u64,

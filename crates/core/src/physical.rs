@@ -29,20 +29,29 @@
 //! so the runtime catalog can load each distinct stage once and share it
 //! between plans (paper §4.2.1).
 //!
-//! A [`ModelPlan`] also links its stages into one program over one
-//! *frame* — the plan's slots, then every stage's scratch — so a row
-//! execution runs all steps in one loop, with every operand's place fixed
-//! at compile time, over buffers the [`ExecCtx`] keeps between executions.
-//! The batch engine still runs stage by stage over chunk batches.
+//! A [`ModelPlan`] links its stages into one *program* over one *frame* —
+//! the plan's slots, then every stage's scratch — with every operand's
+//! place fixed at compile time, and both engines run that program through
+//! one step loop, generic over the frame's buffers: row [`Vector`]s in the
+//! request-response engine, chunk [`ColumnBatch`]es in the batch engine,
+//! which runs a chunk through one stage's steps at a time. A cacheable step
+//! runs inside its buffer kind's materialization-cache wrapper (paper
+//! §4.3) under a key the plan computed at compile time: the step's
+//! parameters and, through the keys of its inputs' producers, every step
+//! upstream of it. Keys belong to the plan, not to the shared stage: one
+//! stage can sit in plans whose upstream steps differ.
 
 use crate::object_store::{MatKey, MaterializationCache, ObjectStore};
 use crate::plan::{BufDef, Loc, LogicalStage, StageOp, StagePlan, Step};
+use crate::telemetry::MetricsRegistry;
 use pretzel_data::batch::ColRef;
 use pretzel_data::hash::Fnv1a;
 use pretzel_data::pool::VectorPool;
 use pretzel_data::{ColumnBatch, ColumnType, DataError, Result, Vector};
 use pretzel_ops::text::fused::{FusedText, NgramLevel, TextBranch};
 use pretzel_ops::Op;
+use std::ops::Range;
+use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
 /// Compilation options chosen by the runtime configuration.
@@ -64,7 +73,10 @@ impl Default for CompileOptions {
     }
 }
 
-/// An executable, shareable physical stage.
+/// An executable physical stage: what the runtime catalog shares between
+/// plans. What a stage's place in one plan decides — where its scratch sits
+/// in the frame, the materialization keys of its steps — lives on
+/// [`ModelPlan`].
 #[derive(Debug)]
 pub struct PhysicalStage {
     /// Steps after physical selection (possibly fused).
@@ -81,44 +93,69 @@ pub struct PhysicalStage {
     pub dense: bool,
     /// Stage labelled vectorizable.
     pub vectorizable: bool,
-    /// Per-step materialization keys, precomputed at compile time
-    /// (`Some(step checksum)` for cacheable featurizer steps). Checksums
-    /// serialize parameters, so they must never be computed on the
-    /// prediction path.
-    mat_steps: Vec<Option<u64>>,
 }
 
-/// Per-executor execution context: the vector pool, the frame a whole-plan
-/// execution runs in, reusable scratch containers for stage-at-a-time
-/// execution, and the optional materialization cache.
+/// Per-executor execution context: the vector pool, the frames executions
+/// run in, the source hashes that key the materialization cache, and the
+/// optional cache itself.
 #[derive(Debug)]
 pub struct ExecCtx {
-    /// Pool backing the frame and stage scratch (and, at the runtime
-    /// layer, slot leases).
+    /// Pool backing the frames (and, at the runtime layer, slot leases).
     pub pool: Arc<VectorPool>,
     /// Sub-plan materialization cache, if enabled.
     pub cache: Option<Arc<MaterializationCache>>,
-    /// Hash of the current source record (materialization key component,
-    /// per-record path).
-    pub source_hash: u64,
-    /// Per-row source hashes of the current chunk (materialization key
-    /// components, columnar path). Must hold one hash per chunk row before
-    /// a stage with cacheable steps executes in batch mode.
+    /// Source hash of each row of the current execution — one for a row,
+    /// one per chunk row — the input half of every materialization key.
+    /// Must hold one hash per row before a cached step executes.
     pub source_hashes: Vec<u64>,
     /// Telemetry registry for cache-probe latency recording; `None` (the
     /// telemetry-off ablation leg) executes with zero clock reads.
-    pub telemetry: Option<Arc<crate::telemetry::MetricsRegistry>>,
-    /// The buffers of the last whole-plan execution, kept between
-    /// executions: the scratch of every stage, preceded by the plan's
-    /// slots when the context owns them (a request-response session). It
-    /// is leased from `pool` when the layout changes, cleared when it does
-    /// not, and returned when the context drops.
-    frame: Vec<Vector>,
-    /// Index of the program step the last whole-plan execution reached —
-    /// after a contained panic, the step that faulted.
+    pub telemetry: Option<Arc<MetricsRegistry>>,
+    /// The buffers kept between executions: one frame per buffer kind.
+    frames: Frames,
+    /// Count of the buffers the frames hold ([`Self::with_held`]).
+    held: Arc<AtomicI64>,
+    /// Index of the program step the last execution reached — after a
+    /// contained panic, the step that faulted.
     reached: usize,
-    scratch: Vec<Vector>,
-    batch_scratch: Vec<ColumnBatch>,
+}
+
+type Frames = (Frame<Vector>, Frame<ColumnBatch>);
+
+/// Buffers leased by layout and kept between executions. A frame is
+/// fitted to a layout — a buffer whose type the layout keeps is cleared
+/// and reused, every other one goes back to the pool and a buffer of the
+/// new type is leased in its place — and returned when its context drops.
+/// An execution's buffers stay in the frame, also when a kernel unwinds,
+/// so a contained panic strands nothing.
+#[derive(Debug)]
+struct Frame<B>(Vec<B>);
+
+impl<B: Buf> Frame<B> {
+    /// Fits the frame to `layout`, a buffer leased anew sized for `rows`
+    /// rows. A disabled pool (the pooling-off ablation) leases anew always.
+    fn fit(&mut self, layout: &[BufDef], rows: usize, pool: &VectorPool, held: &AtomicI64) {
+        let before = self.0.len();
+        self.0
+            .drain(layout.len().min(before)..)
+            .for_each(|b| b.give_back(pool));
+        for (i, def) in layout.iter().enumerate() {
+            match self.0.get_mut(i) {
+                Some(b) if pool.is_enabled() && b.column_type() == def.ty => b.clear(),
+                Some(b) => std::mem::replace(b, B::lease(pool, def.ty, rows)).give_back(pool),
+                None => self.0.push(B::lease(pool, def.ty, rows)),
+            }
+        }
+        if self.0.len() != before {
+            held.fetch_add(self.0.len() as i64 - before as i64, Ordering::Relaxed);
+        }
+    }
+
+    /// Returns the frame's buffers to the pool.
+    fn release(&mut self, pool: &VectorPool, held: &AtomicI64) {
+        held.fetch_sub(self.0.len() as i64, Ordering::Relaxed);
+        self.0.drain(..).for_each(|b| b.give_back(pool));
+    }
 }
 
 impl ExecCtx {
@@ -127,67 +164,12 @@ impl ExecCtx {
         ExecCtx {
             pool,
             cache: None,
-            source_hash: 0,
             source_hashes: Vec::new(),
             telemetry: None,
-            frame: Vec::new(),
+            frames: (Frame(Vec::new()), Frame(Vec::new())),
+            held: Arc::default(),
             reached: 0,
-            scratch: Vec::new(),
-            batch_scratch: Vec::new(),
         }
-    }
-
-    /// Makes the frame a cleared set of buffers of `layout`: the same
-    /// buffers when the layout is the one they were leased for, else the
-    /// old ones go back to the pool and a new set is leased.
-    fn fit_frame(&mut self, layout: &[BufDef]) {
-        let fits = self.frame.len() == layout.len()
-            && self
-                .frame
-                .iter()
-                .zip(layout)
-                .all(|(v, def)| v.column_type() == def.ty);
-        if fits {
-            self.frame.iter_mut().for_each(Vector::reset);
-            return;
-        }
-        self.release_frame();
-        let pool = &self.pool;
-        self.frame
-            .extend(layout.iter().map(|def| pool.acquire(def.ty)));
-    }
-
-    /// Returns the frame's buffers to the pool.
-    pub(crate) fn release_frame(&mut self) {
-        for v in self.frame.drain(..) {
-            self.pool.release(v);
-        }
-    }
-
-    /// Buffers the frame holds (leases outstanding from the pool).
-    pub(crate) fn frame_len(&self) -> usize {
-        self.frame.len()
-    }
-
-    /// Fits the frame to `layout` and lends it out, together with what the
-    /// step loop reads, for one execution scoring `source`.
-    fn frame_for(
-        &mut self,
-        layout: &[BufDef],
-        source: SourceRef<'_>,
-    ) -> (&mut [Vector], StepEnv<'_>, &mut usize) {
-        self.source_hash = if self.cache.is_some() {
-            source.content_hash()
-        } else {
-            0
-        };
-        self.fit_frame(layout);
-        let env = StepEnv {
-            cache: self.cache.as_deref(),
-            telemetry: self.telemetry.as_ref(),
-            source_hash: self.source_hash,
-        };
-        (&mut self.frame, env, &mut self.reached)
     }
 
     /// Enables sub-plan materialization.
@@ -197,80 +179,271 @@ impl ExecCtx {
     }
 
     /// Enables cache-probe latency recording into `telemetry`.
-    pub fn with_telemetry(mut self, telemetry: Arc<crate::telemetry::MetricsRegistry>) -> Self {
+    pub fn with_telemetry(mut self, telemetry: Arc<MetricsRegistry>) -> Self {
         self.telemetry = Some(telemetry);
         self
     }
 
-    /// Returns any stage scratch stranded in the context to the pool.
-    ///
-    /// On the normal path `PhysicalStage::execute`/`execute_batch` drain
-    /// their scratch back to the pool before returning, so this is a no-op.
-    /// When an operator *panics* mid-stage the drain is skipped — the
-    /// unwind tears straight through the stage body — and because contexts
-    /// are reused across chunks (per executor thread) the stranded buffers
-    /// would poison the next execution's `debug_assert!(ctx.scratch
-    /// .is_empty())` and leak pool capacity. Fault containment calls this
-    /// from every `catch_unwind` recovery arm. The frame needs no recovery:
-    /// a step borrows its buffers in place, so they stay in the frame.
-    pub fn recover_scratch(&mut self) {
-        for v in self.scratch.drain(..) {
-            self.pool.release(v);
+    /// Counts the buffers this context's frames hold into `held`, so an
+    /// owner that checks its pool for leaks at quiescence can discount the
+    /// frames its contexts keep between executions (request-response
+    /// sessions, executors).
+    pub(crate) fn with_held(mut self, held: Arc<AtomicI64>) -> Self {
+        self.held = held;
+        self
+    }
+
+    /// Fits the frame of buffer kind `B` to `layout` and lends it out with
+    /// what the step loop reads.
+    fn loan<B: Buf>(&mut self, layout: &[BufDef], rows: usize) -> Loan<'_, B> {
+        let ExecCtx {
+            pool,
+            cache,
+            source_hashes,
+            telemetry,
+            frames,
+            held,
+            reached,
+        } = self;
+        let frame = B::frame(frames);
+        frame.fit(layout, rows, pool, held);
+        Loan {
+            frame: &mut frame.0,
+            mat: cache.as_deref().map(|cache| Mat {
+                cache,
+                hashes: source_hashes,
+                pool,
+                telemetry: telemetry.as_ref(),
+            }),
+            reached,
         }
-        for b in self.batch_scratch.drain(..) {
-            self.pool.release_batch(b);
+    }
+
+    /// [`Self::loan`] of the row frame for one execution scoring `source`,
+    /// whose hash is the key input when the context caches.
+    fn row_loan(&mut self, layout: &[BufDef], source: SourceRef<'_>) -> Loan<'_, Vector> {
+        if self.cache.is_some() {
+            self.source_hashes.clear();
+            self.source_hashes.push(source.content_hash());
         }
+        self.loan(layout, 1)
     }
 }
 
 impl Drop for ExecCtx {
     fn drop(&mut self) {
-        self.release_frame();
+        self.frames.0.release(&self.pool, &self.held);
+        self.frames.1.release(&self.pool, &self.held);
     }
 }
 
-/// A materialization-cache lookup, timed into the telemetry registry when
-/// one is installed (split by hit/miss outcome) and a plain `get` otherwise.
-#[inline]
-fn timed_cache_get(
-    telemetry: Option<&Arc<crate::telemetry::MetricsRegistry>>,
-    cache: &MaterializationCache,
-    key: MatKey,
-) -> Option<Arc<Vector>> {
-    match telemetry {
-        Some(t) => {
-            let t0 = std::time::Instant::now();
-            let hit = cache.get(key);
-            t.record_cache_probe(hit.is_some(), t0.elapsed().as_nanos() as u64);
-            hit
+/// One execution's loan from an [`ExecCtx`]: the fitted frame, the cache
+/// view when the context caches, and the step counter.
+struct Loan<'a, B> {
+    frame: &'a mut [B],
+    mat: Option<Mat<'a>>,
+    reached: &'a mut usize,
+}
+
+/// A cached execution's view of the materialization cache.
+struct Mat<'a> {
+    cache: &'a MaterializationCache,
+    /// Each row's key input ([`ExecCtx::source_hashes`]).
+    hashes: &'a [u64],
+    /// Where a chunk's miss sub-batches are leased.
+    pool: &'a VectorPool,
+    /// Where probes are timed.
+    telemetry: Option<&'a Arc<MetricsRegistry>>,
+}
+
+impl Mat<'_> {
+    /// A lookup, timed into the telemetry registry when one is installed
+    /// (split by hit/miss outcome) and a plain `get` otherwise.
+    fn get(&self, key: MatKey) -> Option<Arc<Vector>> {
+        match self.telemetry {
+            Some(t) => {
+                let t0 = std::time::Instant::now();
+                let hit = self.cache.get(key);
+                t.record_cache_probe(hit.is_some(), t0.elapsed().as_nanos() as u64);
+                hit
+            }
+            None => self.cache.get(key),
         }
-        None => cache.get(key),
     }
 }
 
-/// What the step loop reads besides its buffers: the materialization
-/// cache, the source hash that keys it, and where cache probes are timed.
-struct StepEnv<'a> {
-    cache: Option<&'a MaterializationCache>,
-    telemetry: Option<&'a Arc<crate::telemetry::MetricsRegistry>>,
-    source_hash: u64,
+/// A buffer the step loop runs over: a row [`Vector`] (request-response
+/// engine) or a chunk [`ColumnBatch`] (batch engine). It supplies what
+/// differs between the two: leasing, the kernel call, and the
+/// materialization-cache wrapper around a cacheable step.
+trait Buf: Sized {
+    /// This kind's frame among a context's frames.
+    fn frame(frames: &mut Frames) -> &mut Frame<Self>;
+    /// Leases a cleared buffer of `ty` for `rows` rows from `pool`.
+    fn lease(pool: &VectorPool, ty: ColumnType, rows: usize) -> Self;
+    /// Returns the buffer to `pool`.
+    fn give_back(self, pool: &VectorPool);
+    fn column_type(&self) -> ColumnType;
+    /// Clears the buffer, keeping its capacity.
+    fn clear(&mut self);
+    /// The step kernel: the engine's one call of [`StageOp::apply`] or
+    /// [`StageOp::apply_batch`].
+    fn kernel(op: &StageOp, inputs: &[&Self], out: &mut Self) -> Result<()>;
+
+    /// Runs `step` uncached.
+    fn step(
+        step: &Step,
+        _source: Option<&mut BorrowedSource<'_>>,
+        slots: &mut [Self],
+        scratch: &mut [Self],
+    ) -> Result<()> {
+        apply_step(step, &mut Operands::of(slots, scratch, step.output))
+    }
+
+    /// Runs the cacheable `step` through the materialization cache, keyed
+    /// by the plan's `key` for the step and each row's source hash.
+    fn materialize(
+        step: &Step,
+        key: u64,
+        mat: &Mat<'_>,
+        source: Option<&mut BorrowedSource<'_>>,
+        slots: &mut [Self],
+        scratch: &mut [Self],
+    ) -> Result<()>;
+}
+
+impl Buf for Vector {
+    fn frame(frames: &mut Frames) -> &mut Frame<Self> {
+        &mut frames.0
+    }
+
+    fn lease(pool: &VectorPool, ty: ColumnType, _rows: usize) -> Self {
+        pool.acquire(ty)
+    }
+
+    fn give_back(self, pool: &VectorPool) {
+        pool.release(self)
+    }
+
+    fn column_type(&self) -> ColumnType {
+        Vector::column_type(self)
+    }
+
+    fn clear(&mut self) {
+        self.reset()
+    }
+
+    fn kernel(op: &StageOp, inputs: &[&Self], out: &mut Self) -> Result<()> {
+        op.apply(inputs, out)
+    }
+
+    /// With a borrowed `source` not yet materialized, a step reading it runs
+    /// its row kernel off the borrowed row — no slot-0 copy. A step without
+    /// a borrowed kernel materializes the source into slot 0 once and runs
+    /// like every other step.
+    #[inline]
+    fn step(
+        step: &Step,
+        source: Option<&mut BorrowedSource<'_>>,
+        slots: &mut [Self],
+        scratch: &mut [Self],
+    ) -> Result<()> {
+        let unloaded = source.filter(|bs| !bs.loaded && step.inputs.contains(&Loc::Slot(0)));
+        if let Some(bs) = unloaded {
+            if apply_row_borrowed(step, bs.src, slots, scratch)? {
+                return Ok(());
+            }
+            bs.src.load_into(&mut slots[0])?;
+            bs.loaded = true;
+        }
+        apply_step(step, &mut Operands::of(slots, scratch, step.output))
+    }
+
+    /// One `get`; on a miss the step runs and one `put` stores its output.
+    fn materialize(
+        step: &Step,
+        key: u64,
+        mat: &Mat<'_>,
+        source: Option<&mut BorrowedSource<'_>>,
+        slots: &mut [Self],
+        scratch: &mut [Self],
+    ) -> Result<()> {
+        let key = MatKey {
+            step: key,
+            input: mat.hashes[0],
+        };
+        if let Some(hit) = mat.get(key) {
+            Operands::of(slots, scratch, step.output)
+                .out
+                .clone_from(&hit);
+            return Ok(());
+        }
+        Self::step(step, source, slots, scratch)?;
+        let out = Operands::of(slots, scratch, step.output).out;
+        mat.cache.put(key, Arc::new(out.clone()));
+        Ok(())
+    }
+}
+
+impl Buf for ColumnBatch {
+    fn frame(frames: &mut Frames) -> &mut Frame<Self> {
+        &mut frames.1
+    }
+
+    fn lease(pool: &VectorPool, ty: ColumnType, rows: usize) -> Self {
+        pool.acquire_batch(ty, rows)
+    }
+
+    fn give_back(self, pool: &VectorPool) {
+        pool.release_batch(self)
+    }
+
+    fn column_type(&self) -> ColumnType {
+        ColumnBatch::column_type(self)
+    }
+
+    fn clear(&mut self) {
+        self.reset()
+    }
+
+    fn kernel(op: &StageOp, inputs: &[&Self], out: &mut Self) -> Result<()> {
+        op.apply_batch(inputs, out)
+    }
+
+    fn materialize(
+        step: &Step,
+        key: u64,
+        mat: &Mat<'_>,
+        _source: Option<&mut BorrowedSource<'_>>,
+        slots: &mut [Self],
+        scratch: &mut [Self],
+    ) -> Result<()> {
+        ChunkProbe { step, key, mat }.run(Operands::of(slots, scratch, step.output))
+    }
 }
 
 /// One buffer array with at most one buffer borrowed out of it: `lo` holds
 /// the buffers below that one, `hi` the buffers above it.
-#[derive(Clone, Copy)]
-struct Around<'a> {
-    lo: &'a [Vector],
-    hi: &'a [Vector],
+struct Around<'a, B> {
+    lo: &'a [B],
+    hi: &'a [B],
 }
 
-impl<'a> Around<'a> {
-    fn whole(bufs: &'a [Vector]) -> Self {
+impl<B> Clone for Around<'_, B> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<B> Copy for Around<'_, B> {}
+
+impl<'a, B> Around<'a, B> {
+    fn whole(bufs: &'a [B]) -> Self {
         Around { lo: bufs, hi: &[] }
     }
 
     /// Splits `bufs` around buffer `i`, which is borrowed out mutably.
-    fn split(bufs: &'a mut [Vector], i: u32) -> (&'a mut Vector, Self) {
+    fn split(bufs: &'a mut [B], i: u32) -> (&'a mut B, Self) {
         let (lo, rest) = bufs.split_at_mut(i as usize);
         let (out, hi) = rest
             .split_first_mut()
@@ -279,7 +452,7 @@ impl<'a> Around<'a> {
     }
 
     #[inline]
-    fn get(self, i: u32) -> &'a Vector {
+    fn get(self, i: u32) -> &'a B {
         let i = i as usize;
         match i.checked_sub(self.lo.len()) {
             None => &self.lo[i],
@@ -292,61 +465,59 @@ impl<'a> Around<'a> {
 
 /// A step's operands: its output borrowed mutably in place, every other
 /// slot and scratch buffer readable.
-struct Operands<'a> {
-    out: &'a mut Vector,
-    slots: Around<'a>,
-    scratch: Around<'a>,
+struct Operands<'a, B> {
+    out: &'a mut B,
+    slots: Around<'a, B>,
+    scratch: Around<'a, B>,
 }
 
-impl<'a> Operands<'a> {
-    fn of(slots: &'a mut [Vector], scratch: &'a mut [Vector], output: Loc) -> Self {
-        match output {
+impl<'a, B> Operands<'a, B> {
+    fn of(slots: &'a mut [B], scratch: &'a mut [B], output: Loc) -> Self {
+        let (out, slots, scratch) = match output {
             Loc::Slot(i) => {
                 let (out, slots) = Around::split(slots, i);
-                Operands {
-                    out,
-                    slots,
-                    scratch: Around::whole(scratch),
-                }
+                (out, slots, Around::whole(scratch))
             }
             Loc::Scratch(i) => {
                 let (out, scratch) = Around::split(scratch, i);
-                Operands {
-                    out,
-                    slots: Around::whole(slots),
-                    scratch,
-                }
+                (out, Around::whole(slots), scratch)
             }
+        };
+        Operands {
+            out,
+            slots,
+            scratch,
         }
     }
 }
 
 /// Reads an input operand next to a borrowed-out output.
 #[inline]
-fn read<'a>(slots: Around<'a>, scratch: Around<'a>, loc: Loc) -> &'a Vector {
+fn read<'a, B>(slots: Around<'a, B>, scratch: Around<'a, B>, loc: Loc) -> &'a B {
     match loc {
         Loc::Slot(i) => slots.get(i),
         Loc::Scratch(i) => scratch.get(i),
     }
 }
 
-/// Runs one step's row kernel over its inputs into `out`.
+/// Runs `step`'s kernel over its inputs into its output.
 #[inline]
-fn apply_step(step: &Step, slots: Around<'_>, scratch: Around<'_>, out: &mut Vector) -> Result<()> {
-    let r = |loc: &Loc| read(slots, scratch, *loc);
+fn apply_step<B: Buf>(step: &Step, ops: &mut Operands<'_, B>) -> Result<()> {
+    let r = |loc: &Loc| read(ops.slots, ops.scratch, *loc);
+    let out = &mut *ops.out;
     match step.inputs.as_slice() {
         [] => Err(DataError::Runtime(format!(
             "step {} has no inputs",
             step.op.name()
         ))),
-        [a] => step.op.apply(&[r(a)], out),
-        [a, b] => step.op.apply(&[r(a), r(b)], out),
-        [a, b, c] => step.op.apply(&[r(a), r(b), r(c)], out),
-        [a, b, c, d] => step.op.apply(&[r(a), r(b), r(c), r(d)], out),
+        [a] => B::kernel(&step.op, &[r(a)], out),
+        [a, b] => B::kernel(&step.op, &[r(a), r(b)], out),
+        [a, b, c] => B::kernel(&step.op, &[r(a), r(b), r(c)], out),
+        [a, b, c, d] => B::kernel(&step.op, &[r(a), r(b), r(c), r(d)], out),
         many => {
             // Rare (wide Concat/Combine): one small allocation.
-            let refs: Vec<&Vector> = many.iter().map(r).collect();
-            step.op.apply(&refs, out)
+            let refs: Vec<&B> = many.iter().map(r).collect();
+            B::kernel(&step.op, &refs, out)
         }
     }
 }
@@ -366,144 +537,249 @@ fn apply_row_borrowed(
     if rest.contains(&Loc::Slot(0)) {
         return Ok(false);
     }
-    let Operands {
-        out,
-        slots,
-        scratch,
-    } = Operands::of(slots, scratch, step.output);
-    let r = |loc: &Loc| read(slots, scratch, *loc);
+    let ops = Operands::of(slots, scratch, step.output);
+    let r = |loc: &Loc| read(ops.slots, ops.scratch, *loc);
     let row = src.as_row();
     match rest {
-        [] => step.op.apply_row(row, &[], out),
-        [a] => step.op.apply_row(row, &[r(a)], out),
+        [] => step.op.apply_row(row, &[], ops.out),
+        [a] => step.op.apply_row(row, &[r(a)], ops.out),
         many => {
             let refs: Vec<&Vector> = many.iter().map(r).collect();
-            step.op.apply_row(row, &refs, out)
+            step.op.apply_row(row, &refs, ops.out)
         }
     }
 }
 
-/// The one step loop of row execution: runs `steps` in order over `slots`
-/// and `scratch`. A whole plan runs its program through it over a frame; a
-/// single stage runs its own steps over leased scratch
-/// ([`PhysicalStage::execute`]).
-///
-/// With a borrowed `source`, a step whose first input is the (not yet
-/// materialized) source runs its row kernel off the borrowed row — no
-/// slot-0 copy. A step without a borrowed kernel materializes the source
-/// into slot 0 once and runs like every other step. `reached` is set to
-/// each step's index before it runs.
-fn run_steps(
+/// The one step loop of both engines: runs `steps` in order over `slots`
+/// and `scratch`, row vectors or chunk batches. With a cache view, a step
+/// the plan keyed (`keys[i]`) runs inside its buffer kind's
+/// materialization wrapper ([`Buf::materialize`]); every other step calls
+/// its kernel. A borrowed `source` (rows only) serves slot-0 reads until
+/// some step needs it materialized. `reached` is set to each step's index
+/// before it runs.
+fn run_steps<B: Buf>(
     steps: &[Step],
-    mat_steps: &[Option<u64>],
+    keys: &[Option<u64>],
+    mat: Option<&Mat<'_>>,
     mut source: Option<&mut BorrowedSource<'_>>,
-    slots: &mut [Vector],
-    scratch: &mut [Vector],
-    env: &StepEnv<'_>,
+    slots: &mut [B],
+    scratch: &mut [B],
     reached: &mut usize,
 ) -> Result<()> {
-    for (i, (step, &mat)) in steps.iter().zip(mat_steps).enumerate() {
+    for (i, step) in steps.iter().enumerate() {
         *reached = i;
-        // Sub-plan materialization (paper §4.3): shared featurizer steps
-        // keyed by (precomputed step checksum, source hash).
-        let cached = match (env.cache, mat) {
-            (Some(cache), Some(step_sum)) => Some((
-                cache,
-                MatKey {
-                    step: step_sum,
-                    input: env.source_hash,
-                },
-            )),
-            _ => None,
-        };
-        if let Some((cache, key)) = cached {
-            if let Some(hit) = timed_cache_get(env.telemetry, cache, key) {
-                Operands::of(slots, scratch, step.output)
-                    .out
-                    .clone_from(&hit);
-                continue;
-            }
-        }
-        let mut applied = false;
-        let unloaded = source
-            .as_deref_mut()
-            .filter(|bs| !bs.loaded && step.inputs.contains(&Loc::Slot(0)));
-        if let Some(bs) = unloaded {
-            applied = apply_row_borrowed(step, bs.src, slots, scratch)?;
-            if !applied {
-                bs.src.load_into(&mut slots[0])?;
-                bs.loaded = true;
-            }
-        }
-        let Operands {
-            out,
-            slots: s,
-            scratch: t,
-        } = Operands::of(slots, scratch, step.output);
-        if !applied {
-            apply_step(step, s, t, out)?;
-        }
-        if let Some((cache, key)) = cached {
-            cache.put(key, Arc::new(out.clone()));
+        let source = source.as_deref_mut();
+        match mat.and_then(|m| Some((m, keys.get(i).copied().flatten()?))) {
+            Some((mat, key)) => B::materialize(step, key, mat, source, slots, scratch)?,
+            None => B::step(step, source, slots, scratch)?,
         }
     }
     Ok(())
 }
 
-#[inline]
-fn batch_buf<'a>(
-    slots: &'a [ColumnBatch],
-    scratch: &'a [ColumnBatch],
-    loc: Loc,
-) -> &'a ColumnBatch {
-    match loc {
-        Loc::Slot(i) => &slots[i as usize],
-        Loc::Scratch(i) => &scratch[i as usize],
-    }
-}
-
-#[inline]
-fn take_batch(slots: &mut [ColumnBatch], scratch: &mut [ColumnBatch], loc: Loc) -> ColumnBatch {
-    let place = match loc {
-        Loc::Slot(i) => &mut slots[i as usize],
-        Loc::Scratch(i) => &mut scratch[i as usize],
+/// Runs `steps` over a chunk of `rows` rows in `slots`, their scratch in
+/// `ctx`'s chunk frame fitted to `scratch`; with a cache in `ctx`, a step
+/// keyed in `keys` runs through the chunk probe.
+fn run_chunk(
+    steps: &[Step],
+    keys: &[Option<u64>],
+    scratch: &[BufDef],
+    slots: &mut [ColumnBatch],
+    rows: usize,
+    ctx: &mut ExecCtx,
+) -> Result<()> {
+    let loan = ctx.loan::<ColumnBatch>(scratch, rows);
+    let mat = loan
+        .mat
+        .as_ref()
+        .filter(|_| keys.iter().any(Option::is_some));
+    let result = match mat {
+        Some(m) if m.hashes.len() != rows => Err(DataError::Runtime(format!(
+            "cache-aware batch execution wants {rows} source hashes, has {}",
+            m.hashes.len()
+        ))),
+        mat => run_steps(
+            steps,
+            keys,
+            mat,
+            None,
+            slots,
+            &mut *loan.frame,
+            &mut *loan.reached,
+        ),
     };
-    std::mem::replace(place, ColumnBatch::Scalar(Vec::new()))
+    // A span output in scratch borrows slot 0's text: let go of it, or the
+    // slot drops its buffer when the caller reuses or returns it.
+    loan.frame.iter_mut().for_each(ColumnBatch::detach_shared);
+    result
 }
 
-#[inline]
-fn put_batch(slots: &mut [ColumnBatch], scratch: &mut [ColumnBatch], loc: Loc, b: ColumnBatch) {
-    match loc {
-        Loc::Slot(i) => slots[i as usize] = b,
-        Loc::Scratch(i) => scratch[i as usize] = b,
+/// The batch engine's materialization wrapper around one cacheable step.
+/// It issues exactly the cache operations the row wrapper would, row by
+/// row — so hit/miss counters, LRU recency and eviction victims match it
+/// even under mid-chunk eviction pressure — while the step's kernel runs
+/// once over the misses: peek to partition the chunk (no side effects),
+/// batch-evaluate the misses over gathered sub-batches
+/// ([`ColumnBatch::gather`]), replay the real `get`s and `put`s in row
+/// order, and scatter the rows into the output ([`ColumnBatch::push_row`]).
+struct ChunkProbe<'a> {
+    step: &'a Step,
+    key: u64,
+    mat: &'a Mat<'a>,
+}
+
+impl ChunkProbe<'_> {
+    fn key(&self, row: usize) -> MatKey {
+        MatKey {
+            step: self.key,
+            input: self.mat.hashes[row],
+        }
     }
-}
 
-/// The cheap first half of stage compilation: fused steps plus the stage
-/// signature, computed **before** the full physical stage is built. The
-/// runtime catalog probes the signature and, on a hit, serves the stage a
-/// live plan already deployed and throws this away.
-#[derive(Debug)]
-pub struct PreparedStage {
-    steps: Vec<Step>,
-    scratch: Vec<BufDef>,
-    reads: Vec<u32>,
-    writes: Vec<u32>,
-    /// The catalog-interning signature the finished stage will carry.
-    pub signature: u64,
-    dense: bool,
-    vectorizable: bool,
+    fn run(&self, mut ops: Operands<'_, ColumnBatch>) -> Result<()> {
+        let rows = self.mat.hashes.len();
+        // Phase 1: speculative partition via non-mutating peeks.
+        // `plan[r]` is `Some(j)` when row `r` is the first in-chunk
+        // occurrence of an uncached key and will be batch-computed at miss
+        // sub-batch row `j`; `None` when the row is expected to hit at
+        // replay time (peeked hit, or duplicate of an earlier in-chunk
+        // miss whose insert will have landed by then).
+        let mut plan: Vec<Option<usize>> = Vec::with_capacity(rows);
+        let mut miss_rows: Vec<usize> = Vec::new();
+        let mut pending: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        for (r, &input) in self.mat.hashes.iter().enumerate() {
+            if pending.contains(&input) {
+                plan.push(None);
+                continue;
+            }
+            match self.mat.cache.peek(self.key(r)) {
+                Some(_) => plan.push(None),
+                None => {
+                    pending.insert(input);
+                    plan.push(Some(miss_rows.len()));
+                    miss_rows.push(r);
+                }
+            }
+        }
+        // All-miss fast path (cold caches, unique request streams): no
+        // sub-batch needed — run the kernel in place exactly like the
+        // uncached path, then replay the get/put pairs. Duplicates plan as
+        // `None`, so all-miss implies all keys unique: every replayed get
+        // misses, and is issued anyway to keep the counter and recency
+        // traffic identical to the row wrapper's.
+        if miss_rows.len() == rows {
+            apply_step(self.step, &mut ops)?;
+            self.check_rows(ops.out, rows)?;
+            for r in 0..rows {
+                let _ = self.mat.get(self.key(r));
+                self.mat
+                    .cache
+                    .put(self.key(r), Arc::new(ops.out.row(r).to_vector()));
+            }
+            return Ok(());
+        }
+        // Phase 2: batch-evaluate the speculated misses over gathered
+        // sub-batches. No cache writes yet — those belong to the replay.
+        let out_ty = ops.out.column_type();
+        let miss_out = (!miss_rows.is_empty())
+            .then(|| self.eval(&miss_rows, out_ty, &ops))
+            .transpose()?;
+        // Phase 3: replay the cache operations in original row order. From
+        // here on the cache sees exactly what the row wrapper would have
+        // issued, so hit/miss counters, recency order, and eviction victims
+        // match it even under mid-chunk eviction pressure.
+        let replayed: Result<Vec<Arc<Vector>>> = (|| {
+            let mut values = Vec::with_capacity(rows);
+            for (r, row_plan) in plan.iter().enumerate() {
+                if let Some(hit) = self.mat.get(self.key(r)) {
+                    values.push(hit);
+                    continue;
+                }
+                let value = match (row_plan, &miss_out) {
+                    (Some(j), Some(miss_out)) => Arc::new(miss_out.row(*j).to_vector()),
+                    // Speculated hit whose entry an earlier replay insert
+                    // evicted, or a duplicate whose insert was already
+                    // evicted (degenerate budget): recompute the row
+                    // alone, as the row wrapper would on this miss.
+                    _ => {
+                        let one = self.eval(&[r], out_ty, &ops)?;
+                        let v = Arc::new(one.row(0).to_vector());
+                        self.mat.pool.release_batch(one);
+                        v
+                    }
+                };
+                self.mat.cache.put(self.key(r), Arc::clone(&value));
+                values.push(value);
+            }
+            Ok(values)
+        })();
+        if let Some(b) = miss_out {
+            self.mat.pool.release_batch(b);
+        }
+        // Phase 4: scatter the per-row values into the output in original
+        // row order.
+        ops.out.reset();
+        for v in &replayed? {
+            ops.out.push_row(ColRef::from_vector(v))?;
+        }
+        Ok(())
+    }
+
+    /// Gathers `rows` of the step's inputs into pooled sub-batches and runs
+    /// the step's kernel over them; returns the computed batch (pooled —
+    /// the caller releases it). Cache insertion is NOT done here: the
+    /// replay pass owns all cache writes so they land in original row
+    /// order.
+    fn eval(
+        &self,
+        rows: &[usize],
+        out_ty: ColumnType,
+        ops: &Operands<'_, ColumnBatch>,
+    ) -> Result<ColumnBatch> {
+        let pool = self.mat.pool;
+        let mut gathered: Vec<ColumnBatch> = Vec::with_capacity(self.step.inputs.len());
+        let mut miss_out = pool.acquire_batch(out_ty, rows.len());
+        let res = self
+            .step
+            .inputs
+            .iter()
+            .try_for_each(|&loc| {
+                let src = read(ops.slots, ops.scratch, loc);
+                gathered.push(pool.acquire_batch(src.column_type(), rows.len()));
+                src.gather(rows, gathered.last_mut().expect("pushed above"))
+            })
+            .and_then(|()| {
+                let refs: Vec<&ColumnBatch> = gathered.iter().collect();
+                ColumnBatch::kernel(&self.step.op, &refs, &mut miss_out)
+            })
+            .and_then(|()| self.check_rows(&miss_out, rows.len()));
+        gathered.into_iter().for_each(|g| pool.release_batch(g));
+        match res {
+            Ok(()) => Ok(miss_out),
+            Err(e) => {
+                pool.release_batch(miss_out);
+                Err(e)
+            }
+        }
+    }
+
+    fn check_rows(&self, out: &ColumnBatch, rows: usize) -> Result<()> {
+        if out.rows() == rows {
+            return Ok(());
+        }
+        Err(DataError::Runtime(format!(
+            "step {} produced {} rows for {rows} rows",
+            self.step.op.name(),
+            out.rows()
+        )))
+    }
 }
 
 impl PhysicalStage {
-    /// Compiles a logical stage into its physical implementation.
+    /// Compiles a logical stage into its physical implementation: operator
+    /// fusion and the stage signature, cheap enough to run just to probe
+    /// the runtime catalog.
     pub fn compile(logical: &LogicalStage, opts: &CompileOptions) -> Self {
-        Self::finish(Self::prepare(logical, opts))
-    }
-
-    /// First half of [`Self::compile`]: operator fusion and the stage
-    /// signature, cheap enough to run just to probe the catalog.
-    pub fn prepare(logical: &LogicalStage, opts: &CompileOptions) -> PreparedStage {
         let mut steps = logical.steps.clone();
         let mut scratch = logical.scratch.clone();
         if opts.fuse_ngram_dot {
@@ -511,7 +787,7 @@ impl PhysicalStage {
             fuse_text(&mut steps, &mut scratch);
         }
         let signature = signature_of(&steps, &scratch, logical.dense, logical.vectorizable);
-        PreparedStage {
+        PhysicalStage {
             steps,
             scratch,
             reads: logical.reads.clone(),
@@ -522,469 +798,92 @@ impl PhysicalStage {
         }
     }
 
-    /// Second half of [`Self::compile`]: builds the executable stage from
-    /// the prepared parts (catalog misses only).
-    pub fn finish(prepared: PreparedStage) -> Self {
-        let mat_steps = prepared
-            .steps
-            .iter()
-            .map(|s| s.op.cacheable().then(|| s.op.checksum()))
-            .collect();
-        PhysicalStage {
-            steps: prepared.steps,
-            scratch: prepared.scratch,
-            reads: prepared.reads,
-            writes: prepared.writes,
-            signature: prepared.signature,
-            dense: prepared.dense,
-            vectorizable: prepared.vectorizable,
-            mat_steps,
-        }
-    }
-
-    /// Executes the stage alone over the plan working set `slots` (whole
-    /// plans run every stage in one loop instead: [`ModelPlan::execute`]).
-    ///
-    /// Scratch buffers come from `ctx.pool` and return to it before the
-    /// call ends; the reusable container in `ctx` keeps this allocation-free
-    /// after warm-up.
+    /// Executes the stage alone over the plan working set `slots`, its
+    /// scratch in `ctx`'s row frame: a view over the step loop whole plans
+    /// run ([`ModelPlan::execute`]). It runs **uncached** — materialization
+    /// keys belong to the plans a stage sits in, not to the stage.
     pub fn execute(&self, slots: &mut [Vector], ctx: &mut ExecCtx) -> Result<()> {
-        let ExecCtx {
-            pool,
-            cache,
-            source_hash,
-            telemetry,
-            scratch,
-            ..
-        } = ctx;
-        debug_assert!(scratch.is_empty());
-        scratch.extend(self.scratch.iter().map(|def| pool.acquire(def.ty)));
-        let env = StepEnv {
-            cache: cache.as_deref(),
-            telemetry: telemetry.as_ref(),
-            source_hash: *source_hash,
-        };
-        let result = run_steps(
+        let loan = ctx.loan::<Vector>(&self.scratch, 1);
+        run_steps(
             &self.steps,
-            &self.mat_steps,
+            &[],
+            None,
             None,
             slots,
-            scratch,
-            &env,
-            &mut 0,
-        );
-        // Always return scratch, also on error paths.
-        for v in scratch.drain(..) {
-            pool.release(v);
-        }
-        result
+            loan.frame,
+            loan.reached,
+        )
     }
 
-    /// True if any step of this stage is a sub-plan materialization
-    /// candidate. The scheduler uses this to decide whether a columnar
-    /// chunk needs per-row source hashes before the stage runs.
-    pub fn has_cacheable_steps(&self) -> bool {
-        self.mat_steps.iter().any(Option::is_some)
-    }
-
-    /// Executes the stage over a columnar working set: one kernel call per
-    /// step for the whole chunk, instead of one per step *per record*.
-    ///
-    /// Stage-local scratch is leased as batches (one per scratch def per
-    /// chunk) and returned before the call ends. With sub-plan
-    /// materialization enabled, cacheable steps run the chunk-level cache
-    /// probe (hit/miss partition + miss sub-batch) instead of the plain
-    /// whole-chunk kernel; `ctx.source_hashes` must then hold one hash per
-    /// chunk row.
+    /// [`Self::execute`] over a chunk of `rows` rows in the columnar
+    /// working set `slots` — one kernel call per step for the whole chunk,
+    /// scratch in `ctx`'s chunk frame — and, like it, **uncached**. The
+    /// batch engine runs a plan's stages through
+    /// [`ModelPlan::execute_stage_batch`], which caches.
     pub fn execute_batch(
         &self,
         slots: &mut [ColumnBatch],
         rows: usize,
         ctx: &mut ExecCtx,
     ) -> Result<()> {
-        debug_assert!(ctx.batch_scratch.is_empty());
-        for def in &self.scratch {
-            let b = ctx.pool.acquire_batch(def.ty, rows);
-            ctx.batch_scratch.push(b);
-        }
-        let result = self.run_steps_batch(slots, rows, ctx);
-        let pool = Arc::clone(&ctx.pool);
-        for b in ctx.batch_scratch.drain(..) {
-            pool.release_batch(b);
-        }
-        result
-    }
-
-    fn run_steps_batch(
-        &self,
-        slots: &mut [ColumnBatch],
-        rows: usize,
-        ctx: &mut ExecCtx,
-    ) -> Result<()> {
-        for (step_idx, step) in self.steps.iter().enumerate() {
-            // Sub-plan materialization (paper §4.3) at chunk granularity:
-            // probe per row, batch-evaluate only the misses.
-            if let Some(step_sum) = self.mat_steps[step_idx] {
-                if let Some(cache) = ctx.cache.as_ref().map(Arc::clone) {
-                    let probe = ChunkCacheProbe {
-                        cache,
-                        pool: Arc::clone(&ctx.pool),
-                        step_sum,
-                    };
-                    probe.run_step(step, slots, rows, ctx)?;
-                    continue;
-                }
-            }
-            let mut out = take_batch(slots, &mut ctx.batch_scratch, step.output);
-            let res = apply_step_batch(step, slots, &ctx.batch_scratch, &mut out);
-            put_batch(slots, &mut ctx.batch_scratch, step.output, out);
-            res?;
-        }
-        Ok(())
-    }
-}
-
-/// Runs one step's batch kernel over the chunk, reading inputs from
-/// `slots`/`scratch` into the (taken) output batch `out`.
-fn apply_step_batch(
-    step: &Step,
-    slots: &[ColumnBatch],
-    scratch: &[ColumnBatch],
-    out: &mut ColumnBatch,
-) -> Result<()> {
-    match step.inputs.as_slice() {
-        [] => Err(DataError::Runtime(format!(
-            "step {} has no inputs",
-            step.op.name()
-        ))),
-        [a] => step.op.apply_batch(&[batch_buf(slots, scratch, *a)], out),
-        [a, b] => step.op.apply_batch(
-            &[batch_buf(slots, scratch, *a), batch_buf(slots, scratch, *b)],
-            out,
-        ),
-        many => {
-            let refs: Vec<&ColumnBatch> =
-                many.iter().map(|&l| batch_buf(slots, scratch, l)).collect();
-            step.op.apply_batch(&refs, out)
-        }
-    }
-}
-
-/// One cacheable step's chunk-level materialization-cache probe.
-///
-/// The columnar analogue of the per-record cache branch in the row step
-/// loop (`run_steps`): partition the chunk into a hit set and a
-/// miss sub-batch ([`ColumnBatch::gather`]/[`ColumnBatch::push_row`]
-/// selection kernels), run the step's batch kernel only on the misses, and
-/// scatter hits + computed rows back into one output batch in original row
-/// order.
-///
-/// Per-record cache semantics are preserved **exactly**, including LRU
-/// recency order and eviction victims under mid-chunk eviction pressure:
-///
-/// 1. a *speculative* partition pass peeks every row's key without
-///    touching recency or counters ([`MaterializationCache::peek`]);
-/// 2. the speculated misses batch-evaluate over gathered sub-batches,
-///    with no cache writes;
-/// 3. a *replay* pass then issues the real cache operations in original
-///    row order — one `get` per row, one `put` per `get` that missed —
-///    which is the identical operation sequence the per-record path
-///    produces, so the LRU list transitions through the same states. A
-///    replayed `get` that disagrees with the speculation (its entry was
-///    evicted by an earlier in-chunk insert, or an in-chunk duplicate's
-///    insert already landed) is handled the way the per-record path would:
-///    use the cached value on an unexpected hit, recompute the single row
-///    on an unexpected miss.
-struct ChunkCacheProbe {
-    cache: Arc<MaterializationCache>,
-    pool: Arc<VectorPool>,
-    step_sum: u64,
-}
-
-impl ChunkCacheProbe {
-    fn run_step(
-        &self,
-        step: &Step,
-        slots: &mut [ColumnBatch],
-        rows: usize,
-        ctx: &mut ExecCtx,
-    ) -> Result<()> {
-        if ctx.source_hashes.len() != rows {
-            return Err(DataError::Runtime(format!(
-                "cache-aware batch execution wants {rows} source hashes, has {}",
-                ctx.source_hashes.len()
-            )));
-        }
-        // Phase 1: speculative partition via non-mutating peeks.
-        // `plan[r]` is `Some(j)` when row `r` is the first in-chunk
-        // occurrence of an uncached key and will be batch-computed at miss
-        // sub-batch row `j`; `None` when the row is expected to hit at
-        // replay time (peeked hit, or duplicate of an earlier in-chunk
-        // miss whose insert will have landed by then).
-        let mut plan: Vec<Option<usize>> = Vec::with_capacity(rows);
-        let mut miss_rows: Vec<usize> = Vec::new();
-        let mut pending: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        for (r, &input) in ctx.source_hashes.iter().enumerate() {
-            if pending.contains(&input) {
-                plan.push(None);
-                continue;
-            }
-            let key = MatKey {
-                step: self.step_sum,
-                input,
-            };
-            match self.cache.peek(key) {
-                Some(_) => plan.push(None),
-                None => {
-                    pending.insert(input);
-                    plan.push(Some(miss_rows.len()));
-                    miss_rows.push(r);
-                }
-            }
-        }
-        // All-miss fast path (cold caches, unique request streams): no
-        // sub-batch needed — run the kernel over the original slot batches
-        // exactly like the uncached path, then replay the get/put pairs.
-        // Duplicates plan as `None`, so all-miss implies all keys unique.
-        if miss_rows.len() == rows {
-            return self.run_all_miss(step, slots, rows, ctx);
-        }
-        // Phase 2: batch-evaluate the speculated misses over gathered
-        // sub-batches. No cache writes yet — those belong to the replay.
-        let out_ty = batch_buf(slots, &ctx.batch_scratch, step.output).column_type();
-        let miss_out = if miss_rows.is_empty() {
-            None
-        } else {
-            Some(self.eval_miss_rows(step, &miss_rows, out_ty, slots, &ctx.batch_scratch)?)
-        };
-        // Phase 3: replay the cache operations in original row order. From
-        // here on the cache sees exactly what the per-record path would
-        // have issued, so hit/miss counters, recency order, and eviction
-        // victims match it even under mid-chunk eviction pressure.
-        let replayed: Result<Vec<Arc<Vector>>> = (|| {
-            let mut srcs = Vec::with_capacity(rows);
-            for (r, row_plan) in plan.iter().enumerate() {
-                let key = MatKey {
-                    step: self.step_sum,
-                    input: ctx.source_hashes[r],
-                };
-                match timed_cache_get(ctx.telemetry.as_ref(), &self.cache, key) {
-                    Some(hit) => srcs.push(hit),
-                    None => {
-                        let value = match row_plan {
-                            Some(j) => Arc::new(
-                                miss_out
-                                    .as_ref()
-                                    .expect("miss rows imply a miss batch")
-                                    .row(*j)
-                                    .to_vector(),
-                            ),
-                            // Speculated hit whose entry an earlier replay
-                            // insert evicted, or a duplicate whose insert
-                            // was already evicted (degenerate budget):
-                            // recompute the row alone, as the per-record
-                            // path would on this miss.
-                            None => {
-                                let one = self.eval_miss_rows(
-                                    step,
-                                    &[r],
-                                    out_ty,
-                                    slots,
-                                    &ctx.batch_scratch,
-                                )?;
-                                let v = Arc::new(one.row(0).to_vector());
-                                self.pool.release_batch(one);
-                                v
-                            }
-                        };
-                        self.cache.put(key, Arc::clone(&value));
-                        srcs.push(value);
-                    }
-                }
-            }
-            Ok(srcs)
-        })();
-        if let Some(b) = miss_out {
-            self.pool.release_batch(b);
-        }
-        let srcs = replayed?;
-        // Phase 4: scatter the per-row values into the output batch in
-        // original row order.
-        let mut out = take_batch(slots, &mut ctx.batch_scratch, step.output);
-        out.reset();
-        let mut res = Ok(());
-        for v in &srcs {
-            if let Err(e) = out.push_row(ColRef::from_vector(v)) {
-                res = Err(e);
-                break;
-            }
-        }
-        put_batch(slots, &mut ctx.batch_scratch, step.output, out);
-        res
-    }
-
-    /// Whole-chunk miss: runs the step's batch kernel in place (no
-    /// gather/scatter copies), then replays the per-row `get` (miss) +
-    /// `put` pairs in row order — the same operation sequence the
-    /// per-record path issues on a cold chunk.
-    fn run_all_miss(
-        &self,
-        step: &Step,
-        slots: &mut [ColumnBatch],
-        rows: usize,
-        ctx: &mut ExecCtx,
-    ) -> Result<()> {
-        let mut out = take_batch(slots, &mut ctx.batch_scratch, step.output);
-        let mut res = apply_step_batch(step, slots, &ctx.batch_scratch, &mut out);
-        if res.is_ok() && out.rows() != rows {
-            res = Err(DataError::Runtime(format!(
-                "step {} produced {} rows for a {rows}-row chunk",
-                step.op.name(),
-                out.rows(),
-            )));
-        }
-        if res.is_ok() {
-            for (r, &input) in ctx.source_hashes.iter().enumerate() {
-                let key = MatKey {
-                    step: self.step_sum,
-                    input,
-                };
-                // All keys are unique and were absent at peek time, and
-                // replay only inserts keys from this same set, so the get
-                // always misses; it is issued anyway to keep the counter
-                // and recency traffic identical to per-record execution.
-                let _ = timed_cache_get(ctx.telemetry.as_ref(), &self.cache, key);
-                self.cache.put(key, Arc::new(out.row(r).to_vector()));
-            }
-        }
-        put_batch(slots, &mut ctx.batch_scratch, step.output, out);
-        res
-    }
-
-    /// Gathers `miss_rows` of the step's inputs into pooled sub-batches and
-    /// runs the step's batch kernel over them; returns the computed miss
-    /// batch (pooled — the caller releases it). Cache insertion is NOT done
-    /// here: the replay pass owns all cache writes so they land in original
-    /// row order.
-    fn eval_miss_rows(
-        &self,
-        step: &Step,
-        miss_rows: &[usize],
-        out_ty: ColumnType,
-        slots: &[ColumnBatch],
-        scratch: &[ColumnBatch],
-    ) -> Result<ColumnBatch> {
-        let mut gathered: Vec<ColumnBatch> = Vec::with_capacity(step.inputs.len());
-        let mut res = Ok(());
-        for &loc in &step.inputs {
-            let src = batch_buf(slots, scratch, loc);
-            let mut g = self.pool.acquire_batch(src.column_type(), miss_rows.len());
-            res = src.gather(miss_rows, &mut g);
-            gathered.push(g);
-            if res.is_err() {
-                break;
-            }
-        }
-        let mut miss_out = self.pool.acquire_batch(out_ty, miss_rows.len());
-        if res.is_ok() {
-            if step.inputs.is_empty() {
-                res = Err(DataError::Runtime(format!(
-                    "step {} has no inputs",
-                    step.op.name()
-                )));
-            } else {
-                let refs: Vec<&ColumnBatch> = gathered.iter().collect();
-                res = step.op.apply_batch(&refs, &mut miss_out);
-            }
-        }
-        if res.is_ok() && miss_out.rows() != miss_rows.len() {
-            res = Err(DataError::Runtime(format!(
-                "step {} produced {} rows for a {}-row miss sub-batch",
-                step.op.name(),
-                miss_out.rows(),
-                miss_rows.len()
-            )));
-        }
-        for g in gathered {
-            self.pool.release_batch(g);
-        }
-        if let Err(e) = res {
-            self.pool.release_batch(miss_out);
-            return Err(e);
-        }
-        Ok(miss_out)
+        run_chunk(&self.steps, &[], &self.scratch, slots, rows, ctx)
     }
 }
 
 /// Rewrites `CharNgram/WordNgram → PartialDot` pairs over a private scratch
 /// intermediate into single fused kernels, then compacts scratch defs.
 fn fuse_ngram_dot(steps: &mut Vec<Step>, scratch: &mut Vec<BufDef>) {
-    loop {
-        let mut fused_any = false;
-        'search: for i in 0..steps.len() {
-            let scratch_out = match steps[i].output {
-                Loc::Scratch(s) => s,
-                Loc::Slot(_) => continue,
-            };
-            let ngram = match &steps[i].op {
-                StageOp::Op(Op::CharNgram(p)) => (Arc::clone(p), false),
-                StageOp::Op(Op::WordNgram(p)) => (Arc::clone(p), true),
-                _ => continue,
-            };
-            // The intermediate must be consumed by exactly one PartialDot
-            // and nothing else.
-            let mut consumer = None;
-            for (j, step) in steps.iter().enumerate() {
-                if j == i {
-                    continue;
-                }
-                let uses = step.inputs.contains(&Loc::Scratch(scratch_out))
-                    || step.output == Loc::Scratch(scratch_out);
-                if uses {
-                    if consumer.is_some() {
-                        continue 'search;
-                    }
-                    match &step.op {
-                        StageOp::PartialDot { .. } if step.inputs.len() == 1 && j > i => {
-                            consumer = Some(j);
-                        }
-                        _ => continue 'search,
-                    }
-                }
-            }
-            let Some(j) = consumer else { continue };
-            let (linear, offset) = match &steps[j].op {
-                StageOp::PartialDot { linear, offset } => (Arc::clone(linear), *offset),
-                _ => unreachable!("consumer checked above"),
-            };
-            let (ngram, is_word) = ngram;
-            let fused = Step {
-                op: if is_word {
-                    StageOp::FusedWordNgramDot {
-                        ngram,
-                        linear,
-                        offset,
-                    }
-                } else {
-                    StageOp::FusedCharNgramDot {
-                        ngram,
-                        linear,
-                        offset,
-                    }
-                },
-                inputs: steps[i].inputs.clone(),
-                output: steps[j].output,
-            };
-            steps[i] = fused;
-            steps.remove(j);
-            fused_any = true;
-            break;
-        }
-        if !fused_any {
-            break;
-        }
+    while let Some((i, j)) = (0..steps.len()).find_map(|i| Some((i, ngram_dot_at(steps, i)?))) {
+        let (
+            StageOp::Op(Op::CharNgram(ngram) | Op::WordNgram(ngram)),
+            StageOp::PartialDot { linear, offset },
+        ) = (&steps[i].op, &steps[j].op)
+        else {
+            unreachable!("matched by ngram_dot_at");
+        };
+        let (ngram, linear, offset) = (Arc::clone(ngram), Arc::clone(linear), *offset);
+        let op = match steps[i].op {
+            StageOp::Op(Op::WordNgram(_)) => StageOp::FusedWordNgramDot {
+                ngram,
+                linear,
+                offset,
+            },
+            _ => StageOp::FusedCharNgramDot {
+                ngram,
+                linear,
+                offset,
+            },
+        };
+        steps[i] = Step {
+            op,
+            inputs: std::mem::take(&mut steps[i].inputs),
+            output: steps[j].output,
+        };
+        steps.remove(j);
     }
     compact_scratch(steps, scratch);
+}
+
+/// The step that fuses with `steps[i]`: when `steps[i]` is an n-gram whose
+/// scratch output exactly one later single-input `PartialDot` uses, and
+/// nothing else, that `PartialDot`.
+fn ngram_dot_at(steps: &[Step], i: usize) -> Option<usize> {
+    let out @ Loc::Scratch(_) = steps[i].output else {
+        return None;
+    };
+    if !matches!(
+        steps[i].op,
+        StageOp::Op(Op::CharNgram(_) | Op::WordNgram(_))
+    ) {
+        return None;
+    }
+    let mut users = steps
+        .iter()
+        .enumerate()
+        .filter(|&(j, s)| j != i && (s.inputs.contains(&out) || s.output == out));
+    let (j, user) = users.next()?;
+    let dot = j > i && user.inputs.len() == 1 && matches!(user.op, StageOp::PartialDot { .. });
+    (dot && users.next().is_none()).then_some(j)
 }
 
 /// Rewrites `CsvParse(TextField) → Tokenizer → {Char,Word}NgramDot →
@@ -1099,21 +998,15 @@ fn compact_scratch(steps: &mut [Step], scratch: &mut Vec<BufDef>) {
             }
         }
     }
-    let mut remap = vec![u32::MAX; scratch.len()];
-    let mut next = 0u32;
-    for (i, &u) in used.iter().enumerate() {
-        if u {
-            remap[i] = next;
-            next += 1;
-        }
-    }
-    let mut kept = Vec::with_capacity(next as usize);
-    for (i, def) in scratch.iter().enumerate() {
-        if used[i] {
-            kept.push(*def);
-        }
-    }
-    *scratch = kept;
+    // A kept buffer's new index is the number of kept buffers before it.
+    let remap: Vec<u32> = used
+        .iter()
+        .scan(0, |kept, &u| {
+            Some(std::mem::replace(kept, *kept + u32::from(u)))
+        })
+        .collect();
+    let mut keep = used.iter();
+    scratch.retain(|_| *keep.next().expect("one flag per buffer"));
     for step in steps.iter_mut() {
         for loc in step
             .inputs
@@ -1220,32 +1113,7 @@ impl<'a> SourceRef<'a> {
 
     /// Appends the source as one row of the (pooled) slot-0 batch.
     pub fn load_into_batch(&self, slot: &mut ColumnBatch) -> Result<()> {
-        match (self, &mut *slot) {
-            (SourceRef::Text(s), ColumnBatch::Text { .. } | ColumnBatch::TextSpans { .. }) => {
-                slot.push_text(s)
-            }
-            (SourceRef::Dense(x), ColumnBatch::Dense { dim, .. }) if *dim == x.len() => {
-                let row = slot.push_dense_row()?;
-                row.copy_from_slice(x);
-                Ok(())
-            }
-            (
-                SourceRef::Sparse {
-                    indices,
-                    values,
-                    dim,
-                },
-                ColumnBatch::Sparse { dim: dd, .. },
-            ) if dd == dim => slot.push_row(ColRef::Sparse {
-                indices,
-                values,
-                dim: *dim,
-            }),
-            (src, slot) => Err(DataError::Runtime(format!(
-                "source {src:?} does not fit batch slot {:?}",
-                slot.column_type()
-            ))),
-        }
+        slot.push_row(self.as_row())
     }
 
     /// Borrows the source as a batch-row reference (the shape the row-level
@@ -1310,26 +1178,30 @@ pub struct ModelPlan {
     /// The logical plan this was compiled from (introspection/debugging).
     pub logical: StagePlan,
     /// Every stage's steps in execution order, each stage's scratch
-    /// operands renumbered to where that scratch sits in the frame: what a
-    /// whole-plan execution runs, in one loop.
+    /// operands renumbered to where that scratch sits in the frame: what
+    /// both engines run.
     program: Vec<Step>,
-    /// Materialization key of each program step.
-    program_mat: Vec<Option<u64>>,
+    /// The program steps of each stage.
+    stage_steps: Vec<Range<usize>>,
+    /// Materialization key of each program step, `Some` for a cacheable
+    /// one ([`step_keys`]).
+    keys: Vec<Option<u64>>,
     /// Frame layout: the slots, then every stage's scratch.
     frame: Vec<BufDef>,
 }
 
 /// Links `stages` into one program over one frame (see [`ModelPlan`]'s
-/// `program` and `frame`).
+/// `program`, `stage_steps` and `frame`).
 fn link(
     slots: &[BufDef],
     stages: &[Arc<PhysicalStage>],
-) -> (Vec<Step>, Vec<Option<u64>>, Vec<BufDef>) {
+) -> (Vec<Step>, Vec<Range<usize>>, Vec<BufDef>) {
     let mut program = Vec::new();
-    let mut program_mat = Vec::new();
+    let mut stage_steps = Vec::with_capacity(stages.len());
     let mut frame = slots.to_vec();
     for stage in stages {
         let base = (frame.len() - slots.len()) as u32;
+        let start = program.len();
         for step in &stage.steps {
             let mut step = step.clone();
             for loc in step
@@ -1343,10 +1215,39 @@ fn link(
             }
             program.push(step);
         }
-        program_mat.extend_from_slice(&stage.mat_steps);
+        stage_steps.push(start..program.len());
         frame.extend_from_slice(&stage.scratch);
     }
-    (program, program_mat, frame)
+    (program, stage_steps, frame)
+}
+
+/// The materialization key of each step of a linked `program` whose frame
+/// holds `slots` slots and `frame_len` buffers, `Some` for a cacheable step:
+/// a hash of the step's parameter checksum and, in input order, the key of
+/// each input's producer (the source's is a fixed tag). A key therefore
+/// names the step's whole upstream sub-plan: two plans share a cache entry
+/// exactly when the sub-plans up to it are equal, whatever their slot
+/// layouts or their downstream steps.
+fn step_keys(program: &[Step], slots: usize, frame_len: usize) -> Vec<Option<u64>> {
+    const SOURCE: u64 = 0x736f_7572_6365_2e30;
+    let at = |loc: Loc| match loc {
+        Loc::Slot(i) => i as usize,
+        Loc::Scratch(i) => slots + i as usize,
+    };
+    let mut produced = vec![SOURCE; frame_len];
+    program
+        .iter()
+        .map(|step| {
+            let mut h = Fnv1a::new();
+            h.write_u64(step.op.checksum());
+            for &loc in &step.inputs {
+                h.write_u64(produced[at(loc)]);
+            }
+            let key = h.finish();
+            produced[at(step.output)] = key;
+            step.op.cacheable().then_some(key)
+        })
+        .collect()
 }
 
 impl ModelPlan {
@@ -1356,12 +1257,11 @@ impl ModelPlan {
         Self::compile_with_catalog(logical, opts, store, |_| None)
     }
 
-    /// [`Self::compile`] with a stage-residency probe: each stage's
-    /// signature is prepared first and offered to `lookup`; a hit serves
-    /// the resident [`PhysicalStage`] (identity and all — warm catalog
-    /// entries are shared intact) and skips construction. The runtime
-    /// threads its catalog through here, so a plan whose stages another
-    /// live plan already deployed builds none of them.
+    /// [`Self::compile`] with a stage-residency probe: each compiled
+    /// stage's signature is offered to `lookup`, and a hit serves the
+    /// resident [`PhysicalStage`] instead (identity and all — warm catalog
+    /// entries are shared intact). The runtime threads its catalog through
+    /// here, so plans share every stage another live plan deployed.
     pub fn compile_with_catalog(
         mut logical: StagePlan,
         opts: &CompileOptions,
@@ -1369,23 +1269,17 @@ impl ModelPlan {
         mut lookup: impl FnMut(u64) -> Option<Arc<PhysicalStage>>,
     ) -> Result<Self> {
         logical.validate()?;
-        // Parameter interning: rewrite every step to reference the
-        // canonical shared parameter objects (paper §4.1.3).
-        for stage in &mut logical.stages {
-            for step in &mut stage.steps {
-                intern_step(step, store);
-            }
-        }
+        intern_plan(&mut logical, store);
         let stages: Vec<Arc<PhysicalStage>> = logical
             .stages
             .iter()
             .map(|ls| {
-                let prepared = PhysicalStage::prepare(ls, opts);
-                lookup(prepared.signature)
-                    .unwrap_or_else(|| Arc::new(PhysicalStage::finish(prepared)))
+                let stage = PhysicalStage::compile(ls, opts);
+                lookup(stage.signature).unwrap_or_else(|| Arc::new(stage))
             })
             .collect();
-        let (program, program_mat, frame) = link(&logical.slots, &stages);
+        let (program, stage_steps, frame) = link(&logical.slots, &stages);
+        let keys = step_keys(&program, logical.slots.len(), frame.len());
         Ok(ModelPlan {
             source_type: logical.source_type,
             slots: logical.slots.clone(),
@@ -1393,7 +1287,8 @@ impl ModelPlan {
             output_slot: logical.output_slot,
             logical,
             program,
-            program_mat,
+            stage_steps,
+            keys,
             frame,
         })
     }
@@ -1403,40 +1298,55 @@ impl ModelPlan {
         self.slots.iter().map(|d| d.ty).collect()
     }
 
-    fn check_lease(&self, slots: &[Vector]) -> Result<()> {
-        if slots.len() == self.slots.len() {
+    /// Every stage's scratch, where it sits in the frame after the slots.
+    fn scratch(&self) -> &[BufDef] {
+        &self.frame[self.slots.len()..]
+    }
+
+    fn check_lease(&self, slots: usize) -> Result<()> {
+        if slots == self.slots.len() {
             return Ok(());
         }
+        let want = self.slots.len();
         Err(DataError::Runtime(format!(
-            "lease has {} slots, plan wants {}",
-            slots.len(),
-            self.slots.len()
+            "lease has {slots} slots, plan wants {want}"
         )))
     }
 
-    /// Runs the program over `slots` and `scratch`, serving slot-0 reads
-    /// straight off `source` when `borrow`, and returns the score.
-    fn run(
+    /// Runs the program over one row — over `slots` and `ctx`'s frame of
+    /// scratch, or with `None` over `ctx`'s frame of slots and scratch —
+    /// serving slot-0 reads straight off `source` when `borrow`, cached
+    /// under the plan's keys when `ctx` caches, and returns the score.
+    fn run_row(
         &self,
         source: SourceRef<'_>,
         borrow: bool,
-        slots: &mut [Vector],
-        scratch: &mut [Vector],
-        env: &StepEnv<'_>,
-        reached: &mut usize,
+        slots: Option<&mut [Vector]>,
+        ctx: &mut ExecCtx,
     ) -> Result<f32> {
+        let layout = if slots.is_some() {
+            self.scratch()
+        } else {
+            &self.frame
+        };
+        let loan = ctx.row_loan(layout, source);
+        let (slots, scratch) = match slots {
+            Some(slots) => (slots, loan.frame),
+            None => loan.frame.split_at_mut(self.slots.len()),
+        };
         let mut borrowed = BorrowedSource {
             src: source,
             loaded: false,
         };
+        let src = borrow.then_some(&mut borrowed);
         run_steps(
             &self.program,
-            &self.program_mat,
-            borrow.then_some(&mut borrowed),
+            &self.keys,
+            loan.mat.as_ref(),
+            src,
             slots,
             scratch,
-            env,
-            reached,
+            loan.reached,
         )?;
         slots[self.output_slot as usize]
             .as_scalar()
@@ -1454,10 +1364,9 @@ impl ModelPlan {
         slots: &mut [Vector],
         ctx: &mut ExecCtx,
     ) -> Result<f32> {
-        self.check_lease(slots)?;
+        self.check_lease(slots.len())?;
         source.load_into(&mut slots[0])?;
-        let (scratch, env, reached) = ctx.frame_for(&self.frame[self.slots.len()..], source);
-        self.run(source, false, slots, scratch, &env, reached)
+        self.run_row(source, false, Some(slots), ctx)
     }
 
     /// Executes the full plan inline, scoring **straight off the borrowed
@@ -1475,18 +1384,15 @@ impl ModelPlan {
         slots: &mut [Vector],
         ctx: &mut ExecCtx,
     ) -> Result<f32> {
-        self.check_lease(slots)?;
-        let (scratch, env, reached) = ctx.frame_for(&self.frame[self.slots.len()..], source);
-        self.run(source, true, slots, scratch, &env, reached)
+        self.check_lease(slots.len())?;
+        self.run_row(source, true, Some(slots), ctx)
     }
 
     /// [`Self::execute_borrowed`] with the slots in `ctx`'s frame too: the
     /// request-response session's execute, which leases nothing while
     /// consecutive plans share a frame layout.
     pub(crate) fn execute_in_frame(&self, source: SourceRef<'_>, ctx: &mut ExecCtx) -> Result<f32> {
-        let (frame, env, reached) = ctx.frame_for(&self.frame, source);
-        let (slots, scratch) = frame.split_at_mut(self.slots.len());
-        self.run(source, true, slots, scratch, &env, reached)
+        self.run_row(source, true, None, ctx)
     }
 
     /// How long the last [`Self::execute_in_frame`] in `ctx` ran before the
@@ -1501,13 +1407,8 @@ impl ModelPlan {
         ctx: &mut ExecCtx,
     ) -> std::time::Duration {
         let done = ctx.reached.min(self.program.len());
-        let (frame, _, _) = ctx.frame_for(&self.frame, source);
-        let (slots, scratch) = frame.split_at_mut(self.slots.len());
-        let env = StepEnv {
-            cache: None,
-            telemetry: None,
-            source_hash: 0,
-        };
+        let loan = ctx.loan::<Vector>(&self.frame, 1);
+        let (slots, scratch) = loan.frame.split_at_mut(self.slots.len());
         let mut borrowed = BorrowedSource {
             src: source,
             loaded: false,
@@ -1516,11 +1417,11 @@ impl ModelPlan {
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_steps(
                 &self.program[..done],
-                &self.program_mat[..done],
+                &[],
+                None,
                 Some(&mut borrowed),
                 slots,
                 scratch,
-                &env,
                 &mut 0,
             )
         }));
@@ -1539,9 +1440,9 @@ impl ModelPlan {
     /// working set `slots` (one [`ColumnBatch`] per plan slot, matching
     /// [`Self::slot_types`]), writing one score per source into `out`.
     ///
-    /// This is the batch engine's inner loop: stage kernels run once per
-    /// chunk over contiguous columns, while scores stay bitwise-identical
-    /// to [`Self::execute`] on each record.
+    /// The program runs in one pass over the chunk — one kernel call per
+    /// step, scratch in `ctx`'s chunk frame — while scores stay
+    /// bitwise-identical to [`Self::execute`] on each record.
     pub fn execute_batch(
         &self,
         sources: &[SourceRef<'_>],
@@ -1549,13 +1450,7 @@ impl ModelPlan {
         ctx: &mut ExecCtx,
         out: &mut [f32],
     ) -> Result<()> {
-        if slots.len() != self.slots.len() {
-            return Err(DataError::Runtime(format!(
-                "batch lease has {} slots, plan wants {}",
-                slots.len(),
-                self.slots.len()
-            )));
-        }
+        self.check_lease(slots.len())?;
         if out.len() != sources.len() {
             return Err(DataError::Runtime(format!(
                 "output buffer has {} rows, chunk has {}",
@@ -1575,9 +1470,7 @@ impl ModelPlan {
                 .extend(sources.iter().map(SourceRef::content_hash));
         }
         let rows = sources.len();
-        for stage in &self.stages {
-            stage.execute_batch(slots, rows, ctx)?;
-        }
+        run_chunk(&self.program, &self.keys, self.scratch(), slots, rows, ctx)?;
         let scores = slots[self.output_slot as usize]
             .as_scalars()
             .ok_or_else(|| DataError::Runtime("plan output is not a scalar batch".into()))?;
@@ -1591,14 +1484,42 @@ impl ModelPlan {
         Ok(())
     }
 
+    /// Runs stage `stage`'s steps of the program over a chunk of `rows`
+    /// rows in the columnar working set `slots`: the batch engine's chunk
+    /// event (paper §4.2.2). With a cache in `ctx` and a cached stage
+    /// ([`Self::stage_is_cached`]), `ctx.source_hashes` must hold one hash
+    /// per row.
+    pub fn execute_stage_batch(
+        &self,
+        stage: usize,
+        slots: &mut [ColumnBatch],
+        rows: usize,
+        ctx: &mut ExecCtx,
+    ) -> Result<()> {
+        let steps = self.stage_steps[stage].clone();
+        run_chunk(
+            &self.program[steps.clone()],
+            &self.keys[steps],
+            self.scratch(),
+            slots,
+            rows,
+            ctx,
+        )
+    }
+
+    /// True if stage `stage` has a step the materialization cache keys.
+    pub fn stage_is_cached(&self, stage: usize) -> bool {
+        self.keys[self.stage_steps[stage].clone()]
+            .iter()
+            .any(Option::is_some)
+    }
+
     /// The plan's working set by pool size class: for each [`ColumnType`]
     /// among the slots and scratch buffers, how many buffers of that class
     /// one execution leases and the largest training-statistics size hint
-    /// among them — exactly the frame a whole-plan execution holds. (The
-    /// batch engine leases a stage's scratch only while that stage runs,
-    /// so for it this is an upper bound.) The one description both
-    /// deploy-time warmers consume ([`Self::warm_pool`],
-    /// `Scheduler::warm_plan`).
+    /// among them — exactly a frame: a session's, or an executor's chunk
+    /// frame plus one chunk's slots. The one description both deploy-time
+    /// warmers consume ([`Self::warm_pool`], `Scheduler::warm_plan`).
     pub fn working_set(&self) -> Vec<ClassNeed> {
         let mut need: Vec<ClassNeed> = Vec::new();
         for def in &self.frame {
@@ -1823,7 +1744,7 @@ mod tests {
         for text in ["a nice product", "utter garbage do not buy", ""] {
             let a = run_plan(&fused, text);
             let b = run_plan(&unfused, text);
-            assert!((a - b).abs() < 1e-5, "{text}: fused {a} vs unfused {b}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{text}: fused {a} vs unfused {b}");
         }
     }
 
@@ -1931,12 +1852,12 @@ mod tests {
         assert_eq!(pool.stats().misses(), 2);
         assert_eq!(pool.stats().hits(), 1);
         assert_eq!(pool.stats().outstanding(), 3);
-        // Stage-at-a-time execution leases a stage's scratch per call and
-        // returns it before the call ends.
+        // Stage-at-a-time execution fits the same frame to each stage's
+        // scratch in turn, so it ends holding stage 1's two buffers.
         for stage in &plan.stages {
             stage.execute(&mut slots, &mut ctx).unwrap();
         }
-        assert_eq!(pool.stats().outstanding(), 3);
+        assert_eq!(pool.stats().outstanding(), 2);
         drop(ctx);
         assert_eq!(pool.stats().outstanding(), 0, "the frame returns on drop");
     }
@@ -1962,27 +1883,36 @@ mod tests {
             ];
             let sources: Vec<SourceRef<'_>> = lines.iter().map(|l| SourceRef::Text(l)).collect();
 
-            let pool = Arc::new(VectorPool::arena());
-            let mut ctx = ExecCtx::new(Arc::clone(&pool));
-            let mut batch_slots: Vec<ColumnBatch> = plan
-                .batch_slot_types()
-                .iter()
-                .map(|&t| ColumnBatch::with_type(t))
-                .collect();
-            let mut scores = vec![0.0f32; lines.len()];
-            plan.execute_batch(&sources, &mut batch_slots, &mut ctx, &mut scores)
-                .unwrap();
-
-            for (i, line) in lines.iter().enumerate() {
-                let expect = run_plan(&plan, line);
-                // Bitwise equality, not tolerance: the batch kernels run
-                // the same per-row arithmetic as the per-record kernels.
-                assert_eq!(
-                    scores[i].to_bits(),
-                    expect.to_bits(),
-                    "fuse={fuse} line {i}: batch {} vs single {expect}",
-                    scores[i]
-                );
+            // Uncached, then cached (cold and warm): both engines key the
+            // cache alike and wrap a cacheable step at one site.
+            for cached in [false, true] {
+                let pool = Arc::new(VectorPool::arena());
+                let mut ctx = ExecCtx::new(Arc::clone(&pool));
+                if cached {
+                    ctx = ctx.with_cache(Arc::new(MaterializationCache::new(1 << 20)));
+                }
+                let mut batch_slots: Vec<ColumnBatch> = plan
+                    .batch_slot_types()
+                    .iter()
+                    .map(|&t| ColumnBatch::with_type(t))
+                    .collect();
+                let mut scores = vec![0.0f32; lines.len()];
+                for pass in 0..2 {
+                    plan.execute_batch(&sources, &mut batch_slots, &mut ctx, &mut scores)
+                        .unwrap();
+                    for (i, line) in lines.iter().enumerate() {
+                        let expect = run_plan(&plan, line);
+                        // Bitwise equality, not tolerance: the batch kernels
+                        // run the same per-row arithmetic as the row kernels.
+                        assert_eq!(
+                            scores[i].to_bits(),
+                            expect.to_bits(),
+                            "fuse={fuse} cached={cached} pass {pass} line {i}: \
+                             batch {} vs single {expect}",
+                            scores[i]
+                        );
+                    }
+                }
             }
         }
     }
@@ -2231,11 +2161,12 @@ mod tests {
             plan.execute_batch(&sources, &mut slots, &mut ctx, &mut out)
                 .unwrap();
         }
-        // 3 scratch batches per run; the two sparse defs share a size
-        // class and stage 0 releases before stage 1 acquires, so only one
-        // sparse and one scalar batch are ever allocated.
-        assert_eq!(pool.stats().misses(), 2);
-        assert_eq!(pool.stats().hits(), 5 * 3 - 2);
+        // The chunk frame holds the plan's 3 scratch batches (two sparse,
+        // one scalar) between runs: the first run leases them from the
+        // empty pool (3 misses), the later runs reuse them and lease
+        // nothing.
+        assert_eq!(pool.stats().misses(), 3);
+        assert_eq!(pool.stats().hits(), 0);
     }
 
     #[test]

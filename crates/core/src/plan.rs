@@ -21,6 +21,12 @@
 //! the Concat it alone consumed, so that Concat and its buffer are gone
 //! too. The Model Plan Compiler's fused kernels are steps as well (the
 //! `Fused*` variants); a logical plan from Oven never holds one.
+//!
+//! Every synthetic step outputs one scalar per row, computed by one row
+//! routine over its inputs as row references: [`StageOp::apply`] (a row),
+//! [`StageOp::apply_row`] (a row off the borrowed source) and
+//! [`StageOp::apply_batch`] (a chunk, row by row) adapt it, and pass a
+//! library operator to its own kernels.
 
 use crate::train_stats::NodeStats;
 use pretzel_data::batch::ColRef;
@@ -30,6 +36,7 @@ use pretzel_ops::feat::concat::ConcatParams;
 use pretzel_ops::linear::LinearParams;
 use pretzel_ops::params::ParamBlob;
 use pretzel_ops::text::fused::FusedText;
+use pretzel_ops::text::ngram::NgramParams;
 use pretzel_ops::tree::EnsembleParams;
 use pretzel_ops::Op;
 use std::sync::Arc;
@@ -197,83 +204,17 @@ impl StageOp {
         }
     }
 
-    /// Executes the step.
+    /// Executes the step on one row.
     pub fn apply(&self, inputs: &[&Vector], out: &mut Vector) -> Result<()> {
         match self {
             StageOp::Op(op) => op.apply(inputs, out),
-            StageOp::PartialDot { linear, offset } => {
-                let input = inputs
-                    .first()
-                    .ok_or_else(|| DataError::Runtime("partial dot expects one input".into()))?;
-                let z = linear.partial_dot(input, *offset as usize)?;
-                write_scalar(out, z)
-            }
-            StageOp::Combine { linear } => {
-                let mut z = linear.bias;
-                for v in inputs {
-                    z += v.as_scalar().ok_or_else(|| {
-                        DataError::Runtime("combine expects scalar partials".into())
-                    })?;
-                }
-                write_scalar(out, linear.link(z))
-            }
-            StageOp::FusedCharNgramDot {
-                ngram,
-                linear,
-                offset,
-            } => {
-                let text = inputs
-                    .first()
-                    .and_then(|v| v.as_text())
-                    .ok_or_else(|| DataError::Runtime("fused char dot expects text".into()))?;
-                let weights = &linear.weights;
-                let off = *offset as usize;
-                if off + ngram.dim() > weights.len() {
-                    return Err(DataError::Runtime("fused dot weight segment OOB".into()));
-                }
-                let mut acc = 0.0f32;
-                ngram.for_each_char_match(text, |idx| acc += weights[off + idx as usize]);
-                write_scalar(out, acc)
-            }
-            StageOp::FusedWordNgramDot {
-                ngram,
-                linear,
-                offset,
-            } => {
-                let text = inputs
-                    .first()
-                    .and_then(|v| v.as_text())
-                    .ok_or_else(|| DataError::Runtime("fused word dot expects text".into()))?;
-                let spans = inputs
-                    .get(1)
-                    .and_then(|v| v.as_tokens())
-                    .ok_or_else(|| DataError::Runtime("fused word dot expects tokens".into()))?;
-                let weights = &linear.weights;
-                let off = *offset as usize;
-                if off + ngram.dim() > weights.len() {
-                    return Err(DataError::Runtime("fused dot weight segment OOB".into()));
-                }
-                let mut acc = 0.0f32;
-                ngram.for_each_word_match(text, spans, |idx| acc += weights[off + idx as usize]);
-                write_scalar(out, acc)
-            }
-            StageOp::FusedText(t) => {
-                let line = inputs
-                    .first()
-                    .and_then(|v| v.as_text())
-                    .ok_or_else(|| DataError::Runtime("fused text step expects text".into()))?;
-                write_scalar(out, t.score(line)?)
-            }
-            StageOp::TreeOverConcat { ensemble, concat } => {
-                let y = ensemble
-                    .score_concat(concat, inputs.len(), |k| ColRef::from_vector(inputs[k]))?;
-                write_scalar(out, y)
-            }
+            synthetic => write_scalar(
+                out,
+                synthetic.score_row(inputs.len(), |k| ColRef::from_vector(inputs[k]))?,
+            ),
         }
     }
-}
 
-impl StageOp {
     /// Executes the step with input 0 supplied as a borrowed source row
     /// (`rest` holds inputs 1..) — the step-level dispatch behind the
     /// request-response engine's borrowed-source execute.
@@ -283,63 +224,15 @@ impl StageOp {
     /// shape needs a materialized slot-0 vector (the caller copies the
     /// source once and retries through [`StageOp::apply`]).
     pub fn apply_row(&self, row: ColRef<'_>, rest: &[&Vector], out: &mut Vector) -> Result<bool> {
-        match (self, row) {
-            (StageOp::Op(op), row) => op.apply_row(row, rest, out),
-            (StageOp::PartialDot { linear, offset }, row) => {
-                let z = linear.partial_dot_row(row, *offset as usize)?;
-                write_scalar(out, z).map(|()| true)
-            }
-            (
-                StageOp::FusedCharNgramDot {
-                    ngram,
-                    linear,
-                    offset,
-                },
-                ColRef::Text(text),
-            ) => {
-                let weights = &linear.weights;
-                let off = *offset as usize;
-                if off + ngram.dim() > weights.len() {
-                    return Err(DataError::Runtime("fused dot weight segment OOB".into()));
-                }
-                let mut acc = 0.0f32;
-                ngram.for_each_char_match(text, |idx| acc += weights[off + idx as usize]);
-                write_scalar(out, acc).map(|()| true)
-            }
-            (
-                StageOp::FusedWordNgramDot {
-                    ngram,
-                    linear,
-                    offset,
-                },
-                ColRef::Text(text),
-            ) => {
-                let spans = rest
-                    .first()
-                    .and_then(|v| v.as_tokens())
-                    .ok_or_else(|| DataError::Runtime("fused word dot expects tokens".into()))?;
-                let weights = &linear.weights;
-                let off = *offset as usize;
-                if off + ngram.dim() > weights.len() {
-                    return Err(DataError::Runtime("fused dot weight segment OOB".into()));
-                }
-                let mut acc = 0.0f32;
-                ngram.for_each_word_match(text, spans, |idx| acc += weights[off + idx as usize]);
-                write_scalar(out, acc).map(|()| true)
-            }
-            (StageOp::FusedText(t), ColRef::Text(line)) => {
-                write_scalar(out, t.score(line)?).map(|()| true)
-            }
-            (StageOp::TreeOverConcat { ensemble, concat }, row) => {
-                let y = ensemble.score_concat(concat, rest.len() + 1, |k| match k {
+        match self {
+            StageOp::Op(op) => op.apply_row(row, rest, out),
+            synthetic => {
+                let y = synthetic.score_row(rest.len() + 1, |k| match k {
                     0 => row,
                     k => ColRef::from_vector(rest[k - 1]),
                 })?;
                 write_scalar(out, y).map(|()| true)
             }
-            // Combine never reads the source; fused steps over a non-text
-            // row fall back to the materialized path's error reporting.
-            _ => Ok(false),
         }
     }
 
@@ -350,141 +243,97 @@ impl StageOp {
     pub fn apply_batch(&self, inputs: &[&ColumnBatch], out: &mut ColumnBatch) -> Result<()> {
         match self {
             StageOp::Op(op) => op.apply_batch(inputs, out),
-            StageOp::PartialDot { linear, offset } => {
-                let input = inputs.first().ok_or_else(|| {
-                    DataError::Runtime("partial dot expects one input batch".into())
-                })?;
-                linear.partial_dot_batch(input, *offset as usize, out)
-            }
-            StageOp::Combine { linear } => {
+            synthetic => {
                 let rows = inputs.first().map_or(0, |b| b.rows());
-                if out.column_type() != ColumnType::F32Scalar {
-                    return Err(DataError::Runtime(format!(
-                        "combine output must be scalar batch, got {:?}",
-                        out.column_type()
-                    )));
-                }
-                let partials: Vec<&[f32]> = inputs
-                    .iter()
-                    .map(|b| {
-                        b.as_scalars().ok_or_else(|| {
-                            DataError::Runtime("combine expects scalar partial batches".into())
-                        })
-                    })
-                    .collect::<Result<_>>()?;
-                let y = out.fill_scalar(rows)?;
-                for (r, slot) in y.iter_mut().enumerate() {
-                    let mut z = linear.bias;
-                    for p in &partials {
-                        z += p[r];
-                    }
-                    *slot = linear.link(z);
+                for (r, y) in out.fill_scalar(rows)?.iter_mut().enumerate() {
+                    *y = synthetic.score_row(inputs.len(), |k| inputs[k].row(r))?;
                 }
                 Ok(())
+            }
+        }
+    }
+
+    /// One row of a synthetic step — every variant but [`StageOp::Op`]
+    /// outputs one scalar per row: the row's `n` inputs (`input(k)`) → that
+    /// scalar. The one body behind the synthetic arms of [`Self::apply`],
+    /// [`Self::apply_row`] and [`Self::apply_batch`].
+    fn score_row<'a>(&self, n: usize, input: impl Fn(usize) -> ColRef<'a>) -> Result<f32> {
+        let text = |k: usize| match (k < n).then(|| input(k)) {
+            Some(ColRef::Text(t)) => Ok(t),
+            _ => Err(DataError::Runtime(format!("{} expects text", self.name()))),
+        };
+        match self {
+            StageOp::Op(op) => Err(DataError::Runtime(format!(
+                "{} is not a synthetic step",
+                op.kind().name()
+            ))),
+            StageOp::PartialDot { linear, offset } => match n {
+                0 => Err(DataError::Runtime("partial dot expects one input".into())),
+                _ => linear.partial_dot_row(input(0), *offset as usize),
+            },
+            StageOp::Combine { linear } => {
+                let mut z = linear.bias;
+                for k in 0..n {
+                    let ColRef::Scalar(partial) = input(k) else {
+                        return Err(DataError::Runtime("combine expects scalar partials".into()));
+                    };
+                    z += partial;
+                }
+                Ok(linear.link(z))
             }
             StageOp::FusedCharNgramDot {
                 ngram,
                 linear,
                 offset,
             } => {
-                let text = inputs.first().copied().ok_or_else(|| {
-                    DataError::Runtime("fused char dot expects text batch".into())
-                })?;
-                let weights = &linear.weights;
-                let off = *offset as usize;
-                if off + ngram.dim() > weights.len() {
-                    return Err(DataError::Runtime("fused dot weight segment OOB".into()));
-                }
-                if out.column_type() != ColumnType::F32Scalar {
-                    return Err(DataError::Runtime(format!(
-                        "fused char dot output must be scalar batch, got {:?}",
-                        out.column_type()
-                    )));
-                }
-                let rows = text.rows();
-                let y = out.fill_scalar(rows)?;
-                for (r, slot) in y.iter_mut().enumerate() {
-                    let ColRef::Text(t) = text.row(r) else {
-                        return Err(DataError::Runtime("fused char dot expects text".into()));
-                    };
-                    let mut acc = 0.0f32;
-                    ngram.for_each_char_match(t, |idx| acc += weights[off + idx as usize]);
-                    *slot = acc;
-                }
-                Ok(())
+                let weights = ngram_segment(ngram, linear, *offset)?;
+                let mut acc = 0.0f32;
+                ngram.for_each_char_match(text(0)?, |idx| acc += weights[idx as usize]);
+                Ok(acc)
             }
             StageOp::FusedWordNgramDot {
                 ngram,
                 linear,
                 offset,
             } => {
-                let text = inputs.first().copied().ok_or_else(|| {
-                    DataError::Runtime("fused word dot expects text batch".into())
-                })?;
-                let tokens = inputs.get(1).copied().ok_or_else(|| {
-                    DataError::Runtime("fused word dot expects token batch".into())
-                })?;
-                let weights = &linear.weights;
-                let off = *offset as usize;
-                if off + ngram.dim() > weights.len() {
-                    return Err(DataError::Runtime("fused dot weight segment OOB".into()));
-                }
-                if out.column_type() != ColumnType::F32Scalar {
-                    return Err(DataError::Runtime(format!(
-                        "fused word dot output must be scalar batch, got {:?}",
-                        out.column_type()
-                    )));
-                }
-                let rows = text.rows();
-                let y = out.fill_scalar(rows)?;
-                for (r, slot) in y.iter_mut().enumerate() {
-                    let (ColRef::Text(t), ColRef::Tokens(spans)) = (text.row(r), tokens.row(r))
-                    else {
-                        return Err(DataError::Runtime(
-                            "fused word dot expects text + tokens".into(),
-                        ));
-                    };
-                    let mut acc = 0.0f32;
-                    ngram.for_each_word_match(t, spans, |idx| acc += weights[off + idx as usize]);
-                    *slot = acc;
-                }
-                Ok(())
+                let weights = ngram_segment(ngram, linear, *offset)?;
+                let text = text(0)?;
+                let Some(ColRef::Tokens(spans)) = (n > 1).then(|| input(1)) else {
+                    return Err(DataError::Runtime("fused word dot expects tokens".into()));
+                };
+                let mut acc = 0.0f32;
+                ngram.for_each_word_match(text, spans, |idx| acc += weights[idx as usize]);
+                Ok(acc)
             }
-            StageOp::FusedText(t) => {
-                let text = inputs.first().copied().ok_or_else(|| {
-                    DataError::Runtime("fused text step expects a text batch".into())
-                })?;
-                t.score_batch(text, out)
-            }
-            StageOp::TreeOverConcat { ensemble, concat } => {
-                if out.column_type() != ColumnType::F32Scalar {
-                    return Err(DataError::Runtime(format!(
-                        "tree over concat output must be scalar batch, got {:?}",
-                        out.column_type()
-                    )));
-                }
-                let rows = inputs.first().map_or(0, |b| b.rows());
-                let y = out.fill_scalar(rows)?;
-                for (r, slot) in y.iter_mut().enumerate() {
-                    *slot = ensemble.score_concat(concat, inputs.len(), |k| inputs[k].row(r))?;
-                }
-                Ok(())
-            }
+            StageOp::FusedText(t) => t.score(text(0)?),
+            StageOp::TreeOverConcat { ensemble, concat } => ensemble.score_concat(concat, n, input),
         }
     }
 }
 
+/// A fused n-gram·dot's weight segment: `linear`'s weights from `offset`,
+/// one per dictionary entry.
+fn ngram_segment<'w>(
+    ngram: &NgramParams,
+    linear: &'w LinearParams,
+    offset: u32,
+) -> Result<&'w [f32]> {
+    let start = offset as usize;
+    linear
+        .weights
+        .get(start..start + ngram.dim())
+        .ok_or_else(|| DataError::Runtime("fused dot weight segment OOB".into()))
+}
+
 fn write_scalar(out: &mut Vector, v: f32) -> Result<()> {
-    match out {
-        Vector::Scalar(s) => {
-            *s = v;
-            Ok(())
-        }
-        other => Err(DataError::Runtime(format!(
-            "step output must be scalar, got {:?}",
-            other.column_type()
-        ))),
-    }
+    let Vector::Scalar(s) = out else {
+        let ty = out.column_type();
+        return Err(DataError::Runtime(format!(
+            "step output must be scalar, got {ty:?}"
+        )));
+    };
+    *s = v;
+    Ok(())
 }
 
 /// Address of a step operand: plan slot or stage-local scratch.
@@ -633,16 +482,6 @@ impl StagePlan {
             ));
         }
         Ok(())
-    }
-
-    /// Column types of all slots (pool lease layout).
-    pub fn slot_types(&self) -> Vec<ColumnType> {
-        self.slots.iter().map(|d| d.ty).collect()
-    }
-
-    /// Total steps across stages.
-    pub fn n_steps(&self) -> usize {
-        self.stages.iter().map(|s| s.steps.len()).sum()
     }
 }
 
@@ -799,7 +638,6 @@ mod tests {
     #[test]
     fn valid_plan_passes_validation() {
         tiny_plan().validate().unwrap();
-        assert_eq!(tiny_plan().n_steps(), 1);
     }
 
     #[test]

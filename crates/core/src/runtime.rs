@@ -179,29 +179,6 @@ struct Serving {
 #[derive(Debug)]
 pub struct RrSession {
     ctx: ExecCtx,
-    /// Frame buffers this session has added to `held`.
-    counted: i64,
-    /// The runtime's count of buffers held by sessions.
-    held: Arc<AtomicI64>,
-}
-
-impl RrSession {
-    /// Brings the runtime's count of session-held buffers up to date with
-    /// the frame, after the frame was leased anew or handed back.
-    fn settle(&mut self) {
-        let held = self.ctx.frame_len() as i64;
-        if held != self.counted {
-            self.held.fetch_add(held - self.counted, Ordering::Relaxed);
-            self.counted = held;
-        }
-    }
-}
-
-impl Drop for RrSession {
-    fn drop(&mut self) {
-        self.ctx.release_frame();
-        self.settle();
-    }
 }
 
 /// Unique runtime identity, for [`RR_SESSION`].
@@ -725,14 +702,12 @@ impl Runtime {
     /// A fresh request-response session for a thread that will serve many
     /// requests through [`Self::predict_source_in`].
     pub fn rr_session(&self) -> RrSession {
-        let ctx = ExecCtx::new(Arc::clone(&self.rr_pool));
+        let ctx = ExecCtx::new(Arc::clone(&self.rr_pool)).with_held(Arc::clone(&self.rr_held));
         RrSession {
             ctx: match &self.cache {
                 Some(c) => ctx.with_cache(Arc::clone(c)),
                 None => ctx,
             },
-            counted: 0,
-            held: Arc::clone(&self.rr_held),
         }
     }
 
@@ -778,11 +753,6 @@ impl Runtime {
                 }
             });
         };
-        if !self.config.pooling {
-            // The "no vector pooling" ablation allocates per request.
-            sess.ctx.release_frame();
-        }
-        sess.settle();
         outcome.unwrap_or_else(|payload| {
             // Outside the registry read: quarantine may write aliases and
             // read the registry again.

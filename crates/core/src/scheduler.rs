@@ -40,7 +40,7 @@ use parking_lot::{Condvar, Mutex};
 use pretzel_data::pool::VectorPool;
 use pretzel_data::{ColumnBatch, DataError, Result};
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -592,6 +592,9 @@ struct ExecEnv {
     telemetry: Option<Arc<MetricsRegistry>>,
     /// Fault-policy callback cell.
     fault_hook: FaultHookCell,
+    /// Buffers executors keep leased in their chunk frames between tasks
+    /// (see [`Scheduler::pool_outstanding`]).
+    held: Arc<AtomicI64>,
 }
 
 /// A set of executors that share work: one queue pair per executor,
@@ -674,13 +677,11 @@ pub struct Scheduler {
 impl Scheduler {
     /// Starts the executor threads described by `cfg`: each owns a run
     /// queue and a lock-free pool arena fronting one shared fallback arena
-    /// (see the module docs for the steal policy). Stages execute
-    /// whole-chunk batch kernels over the chunk's columnar working set;
-    /// with sub-plan materialization on, cacheable steps run the
-    /// chunk-level cache probe (per-row hash probe, miss sub-batch) inside
-    /// [`PhysicalStage::execute_batch`].
-    ///
-    /// [`PhysicalStage::execute_batch`]: crate::physical::PhysicalStage::execute_batch
+    /// (see the module docs for the steal policy). A chunk event runs one
+    /// stage of its plan's program over the chunk's columnar working set
+    /// ([`ModelPlan::execute_stage_batch`]): whole-chunk batch kernels,
+    /// and with sub-plan materialization on, the chunk-level cache probe
+    /// (per-row hash probe, miss sub-batch) around each cacheable step.
     pub fn with_config(cfg: SchedulerConfig) -> Self {
         let fallback_pool = cfg.pooling.then(|| Arc::new(VectorPool::arena()));
         let exec_pools: Vec<Arc<VectorPool>> = (0..cfg.n_executors.max(1))
@@ -691,6 +692,7 @@ impl Scheduler {
             cache: cfg.cache,
             telemetry: cfg.telemetry,
             fault_hook: FaultHookCell::default(),
+            held: Arc::default(),
         };
         let (plane, executors) = Plane::spawn(&exec_pools, |i| format!("pretzel-exec-{i}"), &env);
         Scheduler {
@@ -795,16 +797,20 @@ impl Scheduler {
     /// At quiescence this is exactly the number of leased buffers that
     /// never came home — the unwind-safety observable: a contained fault
     /// that leaked its chunk's working set shows up here even though
-    /// hit/miss ratios look healthy.
+    /// hit/miss ratios look healthy. The scratch executors keep in their
+    /// chunk frames between tasks is not outstanding in that sense and is
+    /// discounted.
     ///
     /// [`PoolStats::outstanding`]: pretzel_data::pool::PoolStats::outstanding
     pub fn pool_outstanding(&self) -> i64 {
         let reserved = self.reserved.lock();
-        self.exec_pools
+        let leased: i64 = self
+            .exec_pools
             .iter()
             .chain(reserved.values().map(|r| &r.pool))
             .map(|pool| pool.stats().outstanding())
-            .sum()
+            .sum();
+        leased - self.env.held.load(Ordering::Relaxed)
     }
 
     /// Tears down a plan's reservation: removes its plane from the routing
@@ -1014,8 +1020,9 @@ fn worker_loop(idx: usize, plane: &Plane, pool: Arc<VectorPool>, env: ExecEnv) {
         cache,
         telemetry,
         fault_hook,
+        held,
     } = env;
-    let mut ctx = ExecCtx::new(Arc::clone(&pool));
+    let mut ctx = ExecCtx::new(Arc::clone(&pool)).with_held(held);
     if let Some(c) = cache {
         ctx = ctx.with_cache(c);
     }
@@ -1170,13 +1177,13 @@ fn run_chunk_stage(
             }
         }
     }
-    let stage = &task.plan.stages[task.stage];
+    let plan = &task.plan;
     let slots = task
         .working
         .as_mut()
         .expect("working set leased at stage 0");
     // Chunk-level cache probe inputs: one source hash per row.
-    if ctx.cache.is_some() && stage.has_cacheable_steps() {
+    if ctx.cache.is_some() && plan.stage_is_cached(task.stage) {
         ctx.source_hashes.clear();
         match &task.input {
             // Assembled inputs carry their hashes from ingest (computed over
@@ -1202,16 +1209,16 @@ fn run_chunk_stage(
     // a clean `ExecutionFault` instead of killing the executor thread and
     // every queue behind it. `AssertUnwindSafe` is justified because every
     // piece of state the closure can leave inconsistent is recovered on
-    // the panic path: stranded scratch drains back to the pool
-    // (`recover_scratch`), the chunk's leased working set returns through
-    // `finish_chunk_error` → `release_leases`, and the gate pass drops in
-    // `complete_chunk` — nothing else outlives the chunk.
+    // the panic path: the stage's scratch stays in the context's chunk
+    // frame (cleared before its next use), the chunk's leased working set
+    // returns through `finish_chunk_error` → `release_leases`, and the gate
+    // pass drops in `complete_chunk` — nothing else outlives the chunk.
     let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        stage.execute_batch(slots, n, ctx)
+        plan.execute_stage_batch(task.stage, slots, n, ctx)
     })) {
         Ok(Ok(())) => None,
         Ok(Err(e)) => Some(e),
-        Err(payload) => Some(contain_panic(ctx, payload)),
+        Err(payload) => Some(DataError::ExecutionFault(panic_message(payload.as_ref()))),
     };
     if let Some(err) = outcome {
         if matches!(err, DataError::ExecutionFault(_)) {
@@ -1286,14 +1293,6 @@ fn release_leases(task: &mut ChunkTask) {
             SlotZero::Leased => pool.release_batch(rows),
         }
     }
-}
-
-/// Panic-path recovery for an executor context: returns any scratch the
-/// unwind stranded in `ctx` to its pool and converts the panic payload
-/// into the clean [`DataError::ExecutionFault`] the chunk fails with.
-fn contain_panic(ctx: &mut ExecCtx, payload: Box<dyn std::any::Any + Send>) -> DataError {
-    ctx.recover_scratch();
-    DataError::ExecutionFault(panic_message(payload.as_ref()))
 }
 
 /// Best-effort extraction of a human-readable message from a panic

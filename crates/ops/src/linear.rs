@@ -122,28 +122,6 @@ impl LinearParams {
         Ok(())
     }
 
-    /// Batch kernel for the pushed-down partial dot: every row of `input`
-    /// against the weight segment at `offset`, no bias, no link.
-    pub fn partial_dot_batch(
-        &self,
-        input: &ColumnBatch,
-        offset: usize,
-        out: &mut ColumnBatch,
-    ) -> Result<()> {
-        let rows = input.rows();
-        if out.column_type() != pretzel_data::ColumnType::F32Scalar {
-            return Err(DataError::Runtime(format!(
-                "partial dot output must be scalar, got {:?}",
-                out.column_type()
-            )));
-        }
-        let y = out.fill_scalar(rows)?;
-        for (r, slot) in y.iter_mut().enumerate() {
-            *slot = self.partial_dot_row(input.row(r), offset)?;
-        }
-        Ok(())
-    }
-
     fn segment(&self, offset: usize, len: usize) -> Result<&[f32]> {
         self.weights.get(offset..offset + len).ok_or_else(|| {
             DataError::Runtime(format!(

@@ -30,7 +30,7 @@ use crate::text::ngram::{self, MatchScratch, NgramParams, SLACK};
 use crate::text::tokenizer::{SpanWalk, TokenizerParams};
 use crate::Op;
 use pretzel_data::hash::Fnv1a;
-use pretzel_data::{ColRef, ColumnBatch, ColumnType, DataError, Result};
+use pretzel_data::Result;
 use std::sync::Arc;
 
 /// The n-gram kernel a branch runs.
@@ -156,27 +156,6 @@ impl FusedText {
             None => line,
         };
         Ok(ngram::with_scratch(|s| self.score_text(text.as_bytes(), s)))
-    }
-
-    /// Scores every text row of `input` into the scalar batch `out`.
-    pub fn score_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
-        if out.column_type() != ColumnType::F32Scalar {
-            return Err(DataError::Runtime(format!(
-                "fused text output must be a scalar batch, got {:?}",
-                out.column_type()
-            )));
-        }
-        let y = out.fill_scalar(input.rows())?;
-        for (r, slot) in y.iter_mut().enumerate() {
-            let ColRef::Text(line) = input.row(r) else {
-                return Err(DataError::Runtime(format!(
-                    "fused text step wants a text batch, got {:?}",
-                    input.column_type()
-                )));
-            };
-            *slot = self.score(line)?;
-        }
-        Ok(())
     }
 
     fn score_text(&self, text: &[u8], s: &mut MatchScratch) -> f32 {

@@ -21,6 +21,8 @@
 //! before all inserts): a chunk interleaving hits and misses at a budget
 //! that evicts mid-chunk leaves a *different* entry resident, which a later
 //! probe chunk exposes as diverging hit/miss counters.
+//!
+//! The last tests pin what a key names, in all three engines.
 
 use pretzel_core::flour::FlourContext;
 use pretzel_core::object_store::MatCacheStats;
@@ -146,4 +148,162 @@ fn chunk_probe_matches_per_record_counters_at_degenerate_budget() {
         vec![b.clone(), b.clone()],
     ];
     assert_engines_agree(1, &passes);
+}
+
+// A materialization key names a step's inputs, not just the step: the
+// plan computes it from the step's parameters and the keys of its inputs'
+// producers, so plans whose sub-plans differ upstream of a cacheable step
+// never share its entries, and plans whose sub-plans up to it are equal
+// always do (paper §4.3's cross-plan sharing).
+
+/// How a record is scored: `Runtime::predict_source`,
+/// `Runtime::predict_source_in` on a session of its own, or one
+/// `Runtime::predict_batch_wait` per plan.
+#[derive(Debug, Clone, Copy)]
+enum Engine {
+    Source,
+    SourceIn,
+    BatchWait,
+}
+
+const ENGINES: [Engine; 3] = [Engine::Source, Engine::SourceIn, Engine::BatchWait];
+
+/// Registers `plans` on a fresh one-executor runtime with `budget` bytes
+/// of materialization cache (0: none) and scores every record through
+/// `engine`, plan after plan; returns the score bits in that order and the
+/// runtime.
+fn score_plans(
+    engine: Engine,
+    budget: usize,
+    plans: &[StagePlan],
+    records: &[Record],
+) -> (Vec<u32>, Runtime) {
+    let rt = Runtime::new(RuntimeConfig {
+        n_executors: 1,
+        materialization_budget: budget,
+        ..RuntimeConfig::default()
+    });
+    let ids: Vec<_> = plans
+        .iter()
+        .map(|p| rt.register(p.clone()).unwrap())
+        .collect();
+    let mut session = rt.rr_session();
+    let mut bits = Vec::new();
+    for &id in &ids {
+        match engine {
+            Engine::Source => bits.extend(
+                records
+                    .iter()
+                    .map(|r| rt.predict_source(id, r.as_source()).unwrap().to_bits()),
+            ),
+            Engine::SourceIn => bits.extend(records.iter().map(|r| {
+                rt.predict_source_in(&mut session, id, r.as_source())
+                    .unwrap()
+                    .to_bits()
+            })),
+            Engine::BatchWait => bits.extend(
+                rt.predict_batch_wait(id, records.to_vec())
+                    .unwrap()
+                    .iter()
+                    .map(|s| s.to_bits()),
+            ),
+        }
+    }
+    drop(session);
+    (bits, rt)
+}
+
+/// Every engine, cache on, scores each plan exactly as a cache-off runtime
+/// does; the records are unique, so each plan's entries are its own and
+/// the cache never hits.
+fn assert_plans_kept_apart(plans: &[StagePlan], records: &[Record]) {
+    for engine in ENGINES {
+        let (want, _) = score_plans(engine, 0, plans, records);
+        let n = records.len();
+        assert_ne!(want[..n], want[n..2 * n], "the plans must score apart");
+        let (got, rt) = score_plans(engine, 1 << 20, plans, records);
+        assert_eq!(
+            got, want,
+            "{engine:?}: cache-on scores differ from cache-off"
+        );
+        let stats = rt.materialization_cache().unwrap().stats();
+        assert_eq!(stats.hits, 0, "{engine:?}: a plan hit another's entry");
+    }
+}
+
+/// A text plan over CSV field `field`: tokens, char and word n-grams, and
+/// a linear model with weights from `weights_seed`.
+fn text_plan(field: u32, weights_seed: u64) -> StagePlan {
+    let vocab = synth::vocabulary(21, 64);
+    let tokens = FlourContext::new().csv(',').select_text(field).tokenize();
+    let c = tokens.char_ngram(Arc::new(synth::char_ngram(22, 3, 64)));
+    let w = tokens.word_ngram(Arc::new(synth::word_ngram(23, 2, 64, &vocab)));
+    c.concat(&w)
+        .classifier_linear(Arc::new(synth::linear(
+            weights_seed,
+            128,
+            LinearKind::Logistic,
+        )))
+        .plan()
+        .unwrap()
+}
+
+/// Six unique two-field lines of vocabulary words, the fields different.
+fn text_records() -> Vec<Record> {
+    let vocab = synth::vocabulary(21, 64);
+    (0..6)
+        .map(|i| {
+            Record::Text(format!(
+                "{} {} {},{} {}",
+                vocab[i],
+                vocab[i + 1],
+                vocab[i + 2],
+                vocab[i + 9],
+                vocab[i + 3]
+            ))
+        })
+        .collect()
+}
+
+#[test]
+fn plans_reading_different_fields_do_not_share_featurizer_entries() {
+    // One tokenizer, dictionary set and weight vector; only the CSV field
+    // the plans read differs, upstream of every cacheable step.
+    let plans = [text_plan(0, 24), text_plan(1, 24)];
+    assert_plans_kept_apart(&plans, &text_records());
+}
+
+#[test]
+fn plans_differing_only_upstream_of_a_shared_stage_do_not_share_entries() {
+    // `scale(s_i).kmeans(k).linear(l)`: the KMeans and linear stages have
+    // equal signatures, so the catalog shares them; the scalers differ.
+    let plan = |scaler_seed| {
+        FlourContext::new()
+            .dense_source(DIM)
+            .scale(Arc::new(synth::scaler(scaler_seed, DIM)))
+            .kmeans(Arc::new(synth::kmeans(11, K, DIM)))
+            .classifier_linear(Arc::new(synth::linear(12, K, LinearKind::Regression)))
+            .plan()
+            .unwrap()
+    };
+    let records: Vec<Record> = (0..6).map(|i| record(i as f32)).collect();
+    assert_plans_kept_apart(&[plan(31), plan(32)], &records);
+}
+
+#[test]
+fn plans_with_one_featurizer_prefix_share_its_entries() {
+    // Same field, tokenizer and dictionaries, different weights: the
+    // second plan hits every featurizer entry the first one stored.
+    let plans = [text_plan(1, 40), text_plan(1, 41)];
+    let records = text_records();
+    let n = records.len() as u64;
+    for engine in ENGINES {
+        let (want, _) = score_plans(engine, 0, &plans, &records);
+        let (got, rt) = score_plans(engine, 1 << 20, &plans, &records);
+        assert_eq!(got, want, "{engine:?}");
+        // Three cacheable steps (tokenizer and both n-grams): the first
+        // plan misses each for every record, the second hits each.
+        let stats = rt.materialization_cache().unwrap().stats();
+        assert_eq!((stats.hits, stats.misses), (3 * n, 3 * n), "{engine:?}");
+    }
 }
