@@ -219,9 +219,13 @@ fn one_batch<'a>(inputs: &[&'a ColumnBatch]) -> Result<&'a ColumnBatch> {
 /// Decodes one section's parameters, seeding their checksum memo with the
 /// section's checksum (see [`Op::from_section`]).
 fn decode<P: ParamBlob>(section: &Section) -> Result<Arc<P>> {
-    let params = P::from_entries(section)?;
+    Ok(seeded(P::from_entries(section)?, section))
+}
+
+/// `params`, decoded from `section`, with their checksum memo seeded.
+fn seeded<P: ParamBlob>(params: P, section: &Section) -> Arc<P> {
     params.checksum_memo().seed(section.checksum);
-    Ok(Arc::new(params))
+    Arc::new(params)
 }
 
 fn batch_at<'a>(inputs: &[&'a ColumnBatch], i: usize) -> Result<&'a ColumnBatch> {
@@ -684,7 +688,7 @@ impl Op {
             "CsvParse" => Op::CsvParse(decode(section)?),
             "Tokenizer" => Op::Tokenizer(decode(section)?),
             "CharNgram" => Op::CharNgram(decode(section)?),
-            "WordNgram" => Op::WordNgram(decode(section)?),
+            "WordNgram" => Op::WordNgram(seeded(NgramParams::word_from_entries(section)?, section)),
             "HashingVectorizer" => Op::HashingVectorizer(decode(section)?),
             "Concat" => Op::Concat(decode(section)?),
             "Normalizer" => Op::Normalizer(decode(section)?),
@@ -800,6 +804,23 @@ mod tests {
         let c = Op::CharNgram(Arc::clone(&p));
         let w = Op::WordNgram(p);
         assert_ne!(c.checksum(), w.checksum());
+    }
+
+    #[test]
+    fn only_a_char_ngram_section_decodes_with_a_window_table() {
+        let p = Arc::new(NgramParams::new(2, true, true, keys(&["ab", "b", "ba"])));
+        assert!(p.is_window_indexed());
+        for (op, indexed) in [
+            (Op::CharNgram(Arc::clone(&p)), true),
+            (Op::WordNgram(p), false),
+        ] {
+            let decoded = Op::from_section(&op.to_section(0)).unwrap();
+            let (Op::CharNgram(q) | Op::WordNgram(q)) = &decoded else {
+                unreachable!()
+            };
+            assert_eq!(q.is_window_indexed(), indexed, "{:?}", op.kind());
+            assert_eq!(decoded.checksum(), op.checksum());
+        }
     }
 
     #[test]

@@ -94,7 +94,7 @@ pub fn word_ngram(seed: u64, n: u32, entries: usize, vocab: &[String]) -> NgramP
             keys.push(key.into_boxed_str());
         }
     }
-    NgramParams::new(n, true, true, keys)
+    NgramParams::word(n, true, true, keys)
 }
 
 /// Linear model with weights in `[-1, 1] / sqrt(dim)`.

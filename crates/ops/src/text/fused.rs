@@ -14,11 +14,12 @@
 //!    *original* bytes as delimiters or not, so a delimiter set holding an
 //!    ASCII letter splits as the tokenizer does;
 //! 3. hashes each token as its closing edge is found — no span vector —
-//!    and then the character windows and word n-grams, all off that one
-//!    buffer;
-//! 4. probes each dictionary and adds its weights in hit order, then adds
-//!    the partials to the bias in `Combine`'s input order and applies the
-//!    link.
+//!    and then the word n-grams (and the character windows of a
+//!    dictionary without a window table), all off that one buffer;
+//! 4. matches each dictionary — a window-indexed character dictionary
+//!    reads its windows through its table, any other probes — and adds
+//!    its weights in hit order, then adds the partials to the bias in
+//!    `Combine`'s input order and applies the link.
 //!
 //! The score is bitwise the one of the steps it replaces: every branch
 //! accumulates from zero in the hit order of the n-gram kernels, exactly as

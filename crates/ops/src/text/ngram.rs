@@ -6,17 +6,42 @@
 //! (paper Table 1) — which is why sharing their parameters across pipelines
 //! (Figure 3) dominates the memory experiments.
 //!
-//! The kernel is allocation-free after warm-up: candidate n-grams are
-//! hashed over case-folded bytes and probed against a `hash → dictionary
-//! index` table; matches accumulate counts into a sparse output vector.
-//! Distinct n-grams colliding on the 64-bit hash would share a count slot;
+//! The kernels are allocation-free after warm-up: short character windows
+//! index an exact window table, and other candidate n-grams are hashed
+//! over case-folded bytes and probed against a `hash → dictionary index`
+//! table; matches accumulate counts into a sparse output vector. Distinct
+//! n-grams colliding on the 64-bit hash would share a count slot;
 //! segments of up to 8 bytes hash exactly (no collisions within a length),
 //! and beyond that the collision probability at dictionary sizes up to
 //! 2^20 is below 2^-24.
 //!
-//! **Matching path** (the SA bottleneck, paper Figure 1/Table 1). Both
-//! levels have one shape — *keys for the whole row → branch-free filter →
-//! confirm only the survivors, in window order*:
+//! **Matching path** (the SA bottleneck, paper Figure 1/Table 1). A
+//! character dictionary whose extracted lengths are all at most 4 bytes
+//! reads its windows through a [`WindowTable`]; every other dictionary,
+//! and every word dictionary, hashes and probes.
+//!
+//! *Window table.* The dictionary's trained keys are known when the plan
+//! is compiled, so the byte alphabet they use is too. With `A` distinct
+//! (folded) key bytes, each byte maps to a class — `0` for a byte no key
+//! holds, `1..=A` for the others — and a window of `k ≤ 4` bytes *is* its
+//! cell index, the `k` classes read as a number in base `A + 1`. Per
+//! extracted length the table holds `(A + 1)^k` cells, each the first
+//! dictionary index of the key with those bytes or a sentinel; a window
+//! with a byte of class 0 lands on a cell no key can own. Per block of
+//! windows the kernel computes each index, loads one cell and compacts
+//! the hits without a branch. Nothing is hashed, filtered or confirmed,
+//! and the match is exact, not hash-equal. Cells are `u16` below 65 535
+//! entries, `u32` above. The table is built when the dictionary is, and
+//! only when its cells take no more bytes than the [`FlatProbeTable`]: an
+//! SA-shaped dictionary (5 000 lowercase trigrams, `A` = 26) needs
+//! 27^3 = 19 683 two-byte cells, 38.4 KiB against ≈ 290 KiB of flat table;
+//! a million-key trigram dictionary over ≈ 70 bytes needs ≈ 1.4 MiB
+//! against ≈ 34 MiB. Keys that cannot match a character window stay out:
+//! a key holding `' '` (see [`NgramDict::hash_key`]) and a key whose byte
+//! length is not an extracted length.
+//!
+//! *Hash path.* One shape at both levels — *keys for the whole row →
+//! branch-free filter → confirm only the survivors, in window order*:
 //!
 //! 1. **fold once**: the row's bytes are case-folded into a thread-local
 //!    scratch buffer with [`SLACK`] zero bytes behind them, so any 8-byte
@@ -33,14 +58,13 @@
 //! 3. **filter, then confirm**: each block of keys goes through
 //!    [`FlatProbeTable::probe_each`], which tests a one-hash bit filter
 //!    for every key without branching and walks slots only for the keys
-//!    that pass — the hits and a few percent of the misses. The cost of
-//!    this path was never the hash arithmetic; it was two unpredictable
-//!    branches per window in the probe.
+//!    that pass — the hits and a few percent of the misses.
 //!
 //! The contract: first-index-wins duplicate keys, and hits stream lengths
 //! ascending, then window starts ascending (locked in by the `ngram_probe`
-//! integration tests against a string-keyed in-test reference). Hash
-//! *values* are not part of it; nothing persists them.
+//! integration tests against a string-keyed in-test reference, for
+//! window-indexed and hashed dictionaries alike). Hash values and cell
+//! layouts are not part of it; nothing persists them.
 
 use crate::annotations::Annotations;
 use crate::params::{ChecksumMemo, ParamBlob};
@@ -53,7 +77,8 @@ use pretzel_data::{ColRef, ColumnBatch, DataError, Result, Vector};
 /// offset stays inside the buffer.
 pub(crate) const SLACK: usize = 8;
 
-/// Character windows hashed per [`FlatProbeTable::probe_each`] call.
+/// Character windows per block: hashed per [`FlatProbeTable::probe_each`]
+/// call, or looked up per window-table block.
 const KEY_BLOCK: usize = 256;
 
 /// Multiplier of [`mix`] (odd, so the multiply is a bijection).
@@ -239,6 +264,210 @@ pub(crate) fn with_scratch<R>(f: impl FnOnce(&mut MatchScratch) -> R) -> R {
     })
 }
 
+/// Longest character window a [`WindowTable`] indexes, in bytes.
+const MAX_TABLE_WINDOW: usize = 4;
+
+/// A [`WindowTable`] cell: a dictionary index, or [`Cell::NONE`].
+trait Cell: Copy + PartialEq {
+    /// The cell of a window no key owns.
+    const NONE: Self;
+    /// Stores dictionary index `idx` (below the sentinel).
+    fn from_index(idx: usize) -> Self;
+    /// The dictionary index the cell holds.
+    fn index(self) -> u32;
+}
+
+impl Cell for u16 {
+    const NONE: u16 = u16::MAX;
+    fn from_index(idx: usize) -> Self {
+        u16::try_from(idx).expect("narrow cells hold indices below u16::MAX")
+    }
+    #[inline(always)]
+    fn index(self) -> u32 {
+        u32::from(self)
+    }
+}
+
+impl Cell for u32 {
+    const NONE: u32 = u32::MAX;
+    fn from_index(idx: usize) -> Self {
+        u32::try_from(idx).expect("dictionary indices are u32")
+    }
+    #[inline(always)]
+    fn index(self) -> u32 {
+        self
+    }
+}
+
+/// The cells of every indexed length, `u16` when every index and the
+/// sentinel fit.
+#[derive(Debug, Clone)]
+enum Cells {
+    Narrow(Vec<u16>),
+    Wide(Vec<u32>),
+}
+
+/// Exact character-window index of a dictionary whose extracted lengths
+/// are all at most [`MAX_TABLE_WINDOW`] bytes (module docs, "Window
+/// table").
+#[derive(Debug, Clone)]
+struct WindowTable {
+    /// The lengths and the case mode it was built for: parameters edited
+    /// through their `pub` fields after construction no longer match, and
+    /// hash instead.
+    lengths: std::ops::RangeInclusive<usize>,
+    fold_case: bool,
+    /// Class of each input byte: its folded byte's rank in the keys'
+    /// alphabet, from 1, or 0 when no indexed key holds it. Input is
+    /// classified as folded, so the kernel reads raw or folded rows alike.
+    class: [u16; 256],
+    /// Alphabet size + 1: the base a window's classes are read in.
+    radix: usize,
+    /// `start[k]`: the first cell of length `k`.
+    start: [usize; MAX_TABLE_WINDOW + 1],
+    cells: Cells,
+}
+
+/// The cell of `window` in its length's array: its bytes' classes read as
+/// a number in base `radix`, first byte most significant.
+#[inline(always)]
+fn cell(class: &[u16; 256], radix: usize, window: &[u8]) -> usize {
+    window
+        .iter()
+        .fold(0, |at, &b| at * radix + usize::from(class[usize::from(b)]))
+}
+
+/// `total` cells holding, at each `(index, cell)` of `owners`, the first
+/// index that names the cell.
+fn fill<C: Cell>(total: usize, owners: impl Iterator<Item = (usize, usize)>) -> Vec<C> {
+    let mut cells = vec![C::NONE; total];
+    for (idx, at) in owners {
+        if cells[at] == C::NONE {
+            cells[at] = C::from_index(idx);
+        }
+    }
+    cells
+}
+
+impl WindowTable {
+    /// The table of `keys` read as character windows of `lengths`, or
+    /// `None` when a length exceeds [`MAX_TABLE_WINDOW`], no key can match
+    /// a window, or the cells would take more than `budget` bytes.
+    fn build(
+        lengths: std::ops::RangeInclusive<usize>,
+        fold_case: bool,
+        keys: &[Box<str>],
+        budget: usize,
+    ) -> Option<Self> {
+        if *lengths.end() > MAX_TABLE_WINDOW {
+            return None;
+        }
+        // A key with a space never matches a window (`NgramDict::hash_key`).
+        let indexed = || {
+            keys.iter()
+                .map(|k| k.as_bytes())
+                .enumerate()
+                .filter(|(_, k)| lengths.contains(&k.len()) && !k.contains(&b' '))
+        };
+        let mut rank = [0u16; 256];
+        for (_, key) in indexed() {
+            for &b in key {
+                rank[usize::from(fold(b, fold_case))] = 1;
+            }
+        }
+        let mut radix = 1;
+        for r in rank.iter_mut().filter(|r| **r != 0) {
+            *r = radix;
+            radix += 1;
+        }
+        if radix == 1 {
+            return None;
+        }
+        let radix = usize::from(radix);
+        let mut start = [0; MAX_TABLE_WINDOW + 1];
+        let mut total = 0usize;
+        for k in lengths.clone() {
+            start[k] = total;
+            total = total.checked_add(radix.checked_pow(k as u32)?)?;
+        }
+        let narrow = keys.len() < usize::from(u16::MAX);
+        let width = if narrow { 2 } else { 4 };
+        if total.checked_mul(width)? > budget {
+            return None;
+        }
+        let class = std::array::from_fn(|b| rank[usize::from(fold(b as u8, fold_case))]);
+        let owners = indexed().map(|(idx, key)| (idx, start[key.len()] + cell(&class, radix, key)));
+        let cells = if narrow {
+            Cells::Narrow(fill(total, owners))
+        } else {
+            Cells::Wide(fill(total, owners))
+        };
+        Some(WindowTable {
+            lengths,
+            fold_case,
+            class,
+            radix,
+            start,
+            cells,
+        })
+    }
+
+    /// Heap bytes of the cells.
+    fn heap_bytes(&self) -> usize {
+        match &self.cells {
+            Cells::Narrow(c) => c.capacity() * 2,
+            Cells::Wide(c) => c.capacity() * 4,
+        }
+    }
+
+    /// Streams the dictionary index of every window of `text` that is a
+    /// key: lengths ascending, then window starts ascending.
+    #[inline]
+    fn hits(&self, text: &[u8], f: &mut impl FnMut(u32)) {
+        match &self.cells {
+            Cells::Narrow(c) => self.hits_in(c, text, f),
+            Cells::Wide(c) => self.hits_in(c, text, f),
+        }
+    }
+
+    #[inline(always)]
+    fn hits_in<C: Cell>(&self, cells: &[C], text: &[u8], f: &mut impl FnMut(u32)) {
+        for k in self.lengths.clone().take_while(|&k| k <= text.len()) {
+            let cells = &cells[self.start[k]..];
+            match k {
+                1 => self.window_hits::<1, C>(cells, text, f),
+                2 => self.window_hits::<2, C>(cells, text, f),
+                3 => self.window_hits::<3, C>(cells, text, f),
+                _ => self.window_hits::<4, C>(cells, text, f),
+            }
+        }
+    }
+
+    /// The windows of `K ≤ text.len()` bytes, a block at a time: per window
+    /// one cell index and one load, the hits compacted without a branch.
+    #[inline(always)]
+    fn window_hits<const K: usize, C: Cell>(
+        &self,
+        cells: &[C],
+        text: &[u8],
+        f: &mut impl FnMut(u32),
+    ) {
+        let mut hits = [0u32; KEY_BLOCK];
+        let windows = text.len() + 1 - K;
+        for base in (0..windows).step_by(KEY_BLOCK) {
+            let cnt = KEY_BLOCK.min(windows - base);
+            let mut n = 0;
+            for window in text[base..base + cnt + K - 1].windows(K) {
+                let window: &[u8; K] = window.try_into().expect("K-byte window");
+                let owner = cells[cell(&self.class, self.radix, window)];
+                hits[n] = owner.index();
+                n += usize::from(owner != C::NONE);
+            }
+            hits[..n].iter().for_each(|&idx| f(idx));
+        }
+    }
+}
+
 /// A trained n-gram dictionary: the keys (owned, for size realism and
 /// serialization) plus the derived hash → index [`FlatProbeTable`] the
 /// matching kernels bulk-probe. First insert per key wins, so dictionary
@@ -335,7 +564,7 @@ impl NgramDict {
 }
 
 /// Parameters shared by CharNgram and WordNgram.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct NgramParams {
     /// Maximum n-gram length.
     pub n: u32,
@@ -345,19 +574,62 @@ pub struct NgramParams {
     pub fold_case: bool,
     /// The trained dictionary.
     pub dict: NgramDict,
+    /// The character kernel's exact window index, when the dictionary
+    /// qualifies (module docs); derived from the fields above.
+    windows: Option<WindowTable>,
     memo: ChecksumMemo,
 }
 
+impl PartialEq for NgramParams {
+    fn eq(&self, other: &Self) -> bool {
+        self.n == other.n
+            && self.all_lengths == other.all_lengths
+            && self.fold_case == other.fold_case
+            && self.dict == other.dict
+    }
+}
+
 impl NgramParams {
-    /// Creates n-gram parameters over a dictionary.
+    /// Creates n-gram parameters over a dictionary, with a window table
+    /// for the character kernel when the dictionary qualifies (module
+    /// docs, "Window table").
     pub fn new(n: u32, all_lengths: bool, fold_case: bool, keys: Vec<Box<str>>) -> Self {
+        let mut p = Self::word(n, all_lengths, fold_case, keys);
+        p.windows = WindowTable::build(
+            p.lengths(),
+            fold_case,
+            p.dict.keys(),
+            p.dict.flat.heap_bytes(),
+        );
+        p
+    }
+
+    /// Creates the parameters of a word dictionary: as [`Self::new`],
+    /// without the window table only character windows read.
+    pub fn word(n: u32, all_lengths: bool, fold_case: bool, keys: Vec<Box<str>>) -> Self {
         NgramParams {
             n,
             all_lengths,
             fold_case,
             dict: NgramDict::new(keys, fold_case),
+            windows: None,
             memo: ChecksumMemo::default(),
         }
+    }
+
+    /// True when the character kernel reads this dictionary through its
+    /// window table rather than hashing and probing.
+    pub fn is_window_indexed(&self) -> bool {
+        self.window_table().is_some()
+    }
+
+    /// The window table, if it was built for the current lengths and case
+    /// mode.
+    #[inline]
+    fn window_table(&self) -> Option<&WindowTable> {
+        self.windows
+            .as_ref()
+            .filter(|t| t.lengths == self.lengths() && t.fold_case == self.fold_case)
     }
 
     /// Output dimensionality (dictionary size).
@@ -390,10 +662,15 @@ impl NgramParams {
     /// ascending, so every consumer (sparse accumulation, fused f32 dot)
     /// sees the match sequence of a per-window sweep.
     ///
-    /// The kernel: fold once, then per length key a block of windows —
-    /// independent loads off the folded row — and bulk-probe it.
+    /// The kernel: a window-indexed dictionary reads the row's windows
+    /// straight through its table. Otherwise fold once, then per length key
+    /// a block of windows — independent loads off the folded row — and
+    /// bulk-probe it.
     #[inline]
     pub fn for_each_char_match(&self, text: &str, mut f: impl FnMut(u32)) {
+        if let Some(table) = self.window_table() {
+            return table.hits(text.as_bytes(), &mut f);
+        }
         with_scratch(|s| {
             let buf = fold_row(&mut s.folded, text.as_bytes(), self.fold_case);
             self.char_hits(buf, &mut f);
@@ -401,11 +678,14 @@ impl NgramParams {
     }
 
     /// The character kernel over a row already folded into `buf` (the
-    /// row's bytes, then [`SLACK`] bytes): per length, blocks of window
-    /// keys, each bulk-probed.
+    /// row's bytes, then [`SLACK`] bytes): the window table's, or per
+    /// length blocks of window keys, each bulk-probed.
     #[inline]
     pub(crate) fn char_hits(&self, buf: &[u8], f: &mut impl FnMut(u32)) {
         let m = buf.len() - SLACK;
+        if let Some(table) = self.window_table() {
+            return table.hits(&buf[..m], f);
+        }
         let mut keys = [0u64; KEY_BLOCK];
         for k in self.lengths().take_while(|&k| k <= m) {
             for base in (0..=m - k).step_by(KEY_BLOCK) {
@@ -532,6 +812,29 @@ impl NgramParams {
         Ok(())
     }
 
+    /// Decodes a word dictionary's section: [`ParamBlob::from_entries`]
+    /// through [`Self::word`].
+    pub fn word_from_entries(section: &Section) -> Result<Self> {
+        Self::decode(section, NgramParams::word)
+    }
+
+    fn decode(
+        section: &Section,
+        build: fn(u32, bool, bool, Vec<Box<str>>) -> Self,
+    ) -> Result<Self> {
+        let mut cfg = Cursor::new(section.entry("config")?);
+        let n = cfg.u32()?;
+        let all_lengths = cfg.u32()? != 0;
+        let fold_case = cfg.u32()? != 0;
+        let mut cur = Cursor::new(section.entry("dictionary")?);
+        let count = cur.u32()? as usize;
+        let mut keys = Vec::with_capacity(count.min(1 << 22));
+        for _ in 0..count {
+            keys.push(Box::from(cur.str_ref()?));
+        }
+        Ok(build(n, all_lengths, fold_case, keys))
+    }
+
     fn check_batch_out(&self, out: &ColumnBatch) -> Result<()> {
         match out {
             ColumnBatch::Sparse { dim, .. } if *dim as usize == self.dim() => Ok(()),
@@ -572,21 +875,11 @@ impl ParamBlob for NgramParams {
     }
 
     fn from_entries(section: &Section) -> Result<Self> {
-        let mut cfg = Cursor::new(section.entry("config")?);
-        let n = cfg.u32()?;
-        let all_lengths = cfg.u32()? != 0;
-        let fold_case = cfg.u32()? != 0;
-        let mut cur = Cursor::new(section.entry("dictionary")?);
-        let count = cur.u32()? as usize;
-        let mut keys = Vec::with_capacity(count.min(1 << 22));
-        for _ in 0..count {
-            keys.push(Box::from(cur.str_ref()?));
-        }
-        Ok(NgramParams::new(n, all_lengths, fold_case, keys))
+        Self::decode(section, NgramParams::new)
     }
 
     fn heap_bytes(&self) -> usize {
-        self.dict.heap_bytes()
+        self.dict.heap_bytes() + self.windows.as_ref().map_or(0, WindowTable::heap_bytes)
     }
 
     fn checksum_memo(&self) -> &ChecksumMemo {
@@ -745,6 +1038,45 @@ mod tests {
             windows - hits
         );
         assert!(survivors * 4 <= windows, "{survivors} of {windows} survive");
+    }
+
+    #[test]
+    fn sa_and_churn_shaped_dictionaries_count_their_window_tables() {
+        // 5 000 (SA) and all 17 576 (churn) lowercase trigrams: A = 26, so
+        // 27^3 narrow cells, and heap_bytes counts exactly their bytes.
+        for entries in [5_000, 20_000] {
+            let p = crate::synth::char_ngram(0xc4, 3, entries);
+            assert!(p.is_window_indexed());
+            let Some(WindowTable {
+                cells: Cells::Narrow(cells),
+                ..
+            }) = &p.windows
+            else {
+                panic!("{entries} keys: no narrow window table");
+            };
+            assert_eq!(cells.len(), 19_683);
+            assert_eq!(p.heap_bytes(), p.dict.heap_bytes() + 19_683 * 2);
+            assert!(p.heap_bytes() <= 2 * p.dict.heap_bytes());
+        }
+        // Word dictionaries are read by token windows only.
+        let vocab = crate::synth::vocabulary(0xfeed, 2_000);
+        for entries in [50, 1_250] {
+            let w = crate::synth::word_ngram(0xd0, 2, entries, &vocab);
+            assert!(!w.is_window_indexed());
+            assert_eq!(w.heap_bytes(), w.dict.heap_bytes());
+        }
+    }
+
+    #[test]
+    fn an_edited_clone_hashes_instead_of_reading_a_stale_table() {
+        let p = NgramParams::new(2, false, true, keys(&["ab", "bc", "abc"]));
+        assert!(p.is_window_indexed());
+        let mut longer = p.clone();
+        longer.n = 3;
+        assert!(!longer.is_window_indexed());
+        let mut out = Vector::with_type(ColumnType::F32Sparse { len: 3 });
+        longer.apply_char("xabc", &mut out).unwrap();
+        assert_eq!(sparse_pairs(&out), vec![(2, 1.0)]);
     }
 
     #[test]

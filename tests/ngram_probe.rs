@@ -27,6 +27,7 @@ use pretzel_data::vector::Span;
 use pretzel_data::{ColumnBatch, ColumnType, Vector};
 use pretzel_ops::linear::{LinearKind, LinearParams};
 use pretzel_ops::synth;
+use pretzel_ops::text::fused::{FusedText, NgramLevel, TextBranch};
 use pretzel_ops::text::ngram::{NgramDict, NgramParams};
 use pretzel_ops::text::tokenizer::TokenizerParams;
 use std::collections::HashMap;
@@ -883,4 +884,231 @@ fn fused_text_step_scores_bitwise_like_the_unfused_plan_in_every_engine() {
         every_engine(&plans[0], &lines),
         every_engine(&plans[1], &lines)
     );
+}
+
+/// Whether the character kernel should read `p` through a window table:
+/// the rule, restated from the module docs of `ngram.rs` — every
+/// extracted length at most 4 bytes, some key that can match a window,
+/// and cells of `(A + 1)^k` per length, two bytes each below 65 535
+/// entries and four above, no larger than the flat probe table.
+fn qualifies_for_window_table(p: &NgramParams) -> bool {
+    let lengths = lengths(p);
+    if *lengths.start() == 0 || *lengths.end() > 4 {
+        return false;
+    }
+    let alphabet: std::collections::HashSet<u8> = p
+        .dict
+        .keys()
+        .iter()
+        .map(|k| k.as_bytes())
+        .filter(|k| lengths.contains(&k.len()) && !k.contains(&b' '))
+        .flat_map(|k| fold(k, p.fold_case))
+        .collect();
+    if alphabet.is_empty() {
+        return false;
+    }
+    let cells: usize = lengths.map(|k| (alphabet.len() + 1).pow(k as u32)).sum();
+    let width = if p.dim() < 65_535 { 2 } else { 4 };
+    cells * width <= p.dict.flat_table().heap_bytes()
+}
+
+/// `p`'s character matches on `text` equal the reference sweep's and
+/// those of a hashed twin: the same keys as a word dictionary, which has
+/// no window table.
+fn assert_char_matches(p: &NgramParams, text: &str, tag: &str) {
+    let hashed = NgramParams::word(p.n, p.all_lengths, p.fold_case, p.dict.keys().to_vec());
+    assert!(!hashed.is_window_indexed(), "{tag}");
+    let want = reference_char_matches(p, text);
+    assert_eq!(
+        collect_char_matches(p, text),
+        want,
+        "window {tag} text={text:?}"
+    );
+    assert_eq!(
+        collect_char_matches(&hashed, text),
+        want,
+        "hashed {tag} text={text:?}"
+    );
+}
+
+#[test]
+fn window_indexed_and_hashed_dictionaries_match_the_reference() {
+    let mut rng = Rng(0x3a1d);
+    let (mut indexed, mut hashed) = (0, 0);
+    for n in 1..=5u32 {
+        for all_lengths in [true, false] {
+            for fold_case in [true, false] {
+                for entries in [1usize, 20, 60, 400] {
+                    // Keys of up to n + 1 characters over mixed-case and
+                    // multi-byte letters: lengths that are not extracted,
+                    // duplicates after folding, and some keys with a space.
+                    let mut keys = random_keys(&mut rng, entries, n as usize + 1);
+                    keys.extend((0..entries / 10).map(|_| {
+                        let (a, b) = (random_letters(&mut rng, 1), random_letters(&mut rng, 1));
+                        format!("{a} {b}").into_boxed_str()
+                    }));
+                    let p = NgramParams::new(n, all_lengths, fold_case, keys);
+                    let want = qualifies_for_window_table(&p);
+                    assert_eq!(p.is_window_indexed(), want, "n={n} entries={entries}");
+                    *[&mut hashed, &mut indexed][usize::from(want)] += 1;
+                    let tag = format!("n={n} all={all_lengths} fold={fold_case} entries={entries}");
+                    // Rows shorter than every length, random rows, rows of
+                    // dictionary keys, and bytes no key holds.
+                    let mut texts: Vec<String> = [0usize, 1, 2, 3, 9, 120]
+                        .iter()
+                        .map(|&chars| random_text(&mut rng, chars))
+                        .collect();
+                    let some_keys: Vec<&str> = (0..12)
+                        .map(|_| &*p.dict.keys()[rng.below(p.dim())])
+                        .collect();
+                    texts.push(some_keys.concat());
+                    texts.push(some_keys.join(" "));
+                    texts.push("zz Zq\u{0}~ \u{ff}\u{1F600}".into());
+                    for text in &texts {
+                        assert_char_matches(&p, text, &tag);
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        indexed > 10 && hashed > 10,
+        "{indexed} indexed, {hashed} hashed"
+    );
+}
+
+#[test]
+fn one_alphabet_class_past_the_size_rule_hashes_and_matches_alike() {
+    // Trigram keys over exactly `a` symbols fit the size rule; replacing
+    // one key by one with a new symbol (same entry count, so the same
+    // flat table) takes the alphabet one class past it.
+    let symbols: Vec<char> = ('!'..='~').filter(|c| *c != ' ').collect();
+    let entries = 700;
+    let flat = NgramParams::new(3, false, false, vec![Box::from("xyz"); entries])
+        .dict
+        .flat_table()
+        .heap_bytes();
+    let a = (1..symbols.len())
+        .take_while(|a| 2 * (a + 1).pow(3) <= flat)
+        .last()
+        .unwrap();
+    let mut rng = Rng(0xa1fa);
+    let mut keys: Vec<Box<str>> = (0..entries)
+        .map(|i| {
+            // The first `a` keys name every symbol.
+            let first = if i < a {
+                symbols[i]
+            } else {
+                symbols[rng.below(a)]
+            };
+            [first, symbols[rng.below(a)], symbols[rng.below(a)]]
+                .iter()
+                .collect::<String>()
+                .into_boxed_str()
+        })
+        .collect();
+    let fits = NgramParams::new(3, false, false, keys.clone());
+    assert!(fits.is_window_indexed(), "{a} symbols, {flat} flat bytes");
+    keys[entries - 1] = [symbols[a], symbols[0], symbols[1]]
+        .iter()
+        .collect::<String>()
+        .into_boxed_str();
+    let past = NgramParams::new(3, false, false, keys);
+    assert!(!past.is_window_indexed(), "{} symbols", a + 1);
+    let text: String = (0..400).map(|_| symbols[rng.below(a + 1)]).collect();
+    for p in [&fits, &past] {
+        assert!(!collect_char_matches(p, &text).is_empty());
+        assert_char_matches(p, &text, "size rule");
+    }
+}
+
+#[test]
+fn a_dictionary_of_65_535_keys_or_more_indexes_wide_cells() {
+    // Narrow cells hold indices below the u16 sentinel; from 65 535
+    // entries on, the table's cells are u32 and indices above 65 535 fire.
+    let symbols: Vec<char> = ('a'..='z')
+        .chain('0'..='9')
+        .chain("!#$%&()*+".chars())
+        .collect();
+    let keys: Vec<Box<str>> = (0..70_000usize)
+        .map(|i| {
+            let s = symbols.len();
+            [symbols[i % s], symbols[i / s % s], symbols[i / s / s % s]]
+                .iter()
+                .collect::<String>()
+                .into_boxed_str()
+        })
+        .collect();
+    let p = NgramParams::new(3, false, true, keys);
+    assert!(p.is_window_indexed());
+    let mut rng = Rng(0x65535);
+    let text: String = (0..2_000)
+        .map(|_| symbols[rng.below(symbols.len())])
+        .collect();
+    let hits = collect_char_matches(&p, &text);
+    assert!(hits.iter().any(|&idx| idx > 65_535), "no wide index fired");
+    assert_char_matches(&p, &text, "wide");
+}
+
+#[test]
+fn the_fused_steps_refold_branch_reads_a_window_indexed_dictionary_like_the_reference() {
+    // A case-sensitive character dictionary beside case-folding word
+    // branches: the fused text step folds the row for the words and
+    // hands the character branch a second, unfolded copy.
+    let mut rng = Rng(0xf01d);
+    let vocab: Vec<String> = (0..30)
+        .map(|_| {
+            let chars = 1 + rng.below(5);
+            random_letters(&mut rng, chars)
+        })
+        .collect();
+    let tok = Arc::new(TokenizerParams::whitespace_punct());
+    for (char_fold, word_fold) in [(false, true), (true, false), (true, true)] {
+        let cgram = Arc::new(NgramParams::new(
+            3,
+            true,
+            char_fold,
+            random_keys(&mut rng, 500, 3),
+        ));
+        assert!(cgram.is_window_indexed());
+        let word_keys: Vec<Box<str>> = (0..60)
+            .map(|_| vocab[rng.below(vocab.len())].clone().into_boxed_str())
+            .collect();
+        let wgram = Arc::new(NgramParams::word(1, true, word_fold, word_keys));
+        let weights = exact_weights(&mut rng, cgram.dim() + wgram.dim());
+        let lin = Arc::new(LinearParams::new(
+            LinearKind::Regression,
+            weights.clone(),
+            0.5,
+        ));
+        let branches = vec![
+            TextBranch {
+                level: NgramLevel::Char,
+                ngram: Arc::clone(&cgram),
+                offset: 0,
+            },
+            TextBranch {
+                level: NgramLevel::Word,
+                ngram: Arc::clone(&wgram),
+                offset: cgram.dim() as u32,
+            },
+        ];
+        let step = FusedText::new(None, Some(Arc::clone(&tok)), branches, lin).unwrap();
+        for chars in [0usize, 2, 30, 200] {
+            let text = random_text(&mut rng, chars);
+            let mut c = 0.0f32;
+            for idx in reference_char_matches(&cgram, &text) {
+                c += weights[idx as usize];
+            }
+            let mut w = 0.0f32;
+            for idx in reference_word_matches(&wgram, &text, &tokenize(&text)) {
+                w += weights[cgram.dim() + idx as usize];
+            }
+            assert_eq!(
+                step.score(&text).unwrap().to_bits(),
+                (0.5 + c + w).to_bits(),
+                "fold=({char_fold}, {word_fold}) text={text:?}"
+            );
+        }
+    }
 }
