@@ -11,6 +11,21 @@ use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::{ColRef, ColumnBatch, ColumnType, DataError, Result, Vector};
 
+/// The most bytes of an input line or field an error message quotes.
+const EXCERPT_BYTES: usize = 64;
+
+/// `text` as an error message quotes it: its first [`EXCERPT_BYTES`]
+/// bytes, cut on a char boundary, and its length. A line comes off the
+/// wire and may be 64 MiB long; its error must not be.
+fn excerpt(text: &str) -> String {
+    let mut end = text.len().min(EXCERPT_BYTES);
+    while !text.is_char_boundary(end) {
+        end -= 1;
+    }
+    let cut = if end < text.len() { "..." } else { "" };
+    format!("`{}{cut}` ({} bytes)", &text[..end], text.len())
+}
+
 /// What the parser extracts from each line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CsvOutput {
@@ -79,7 +94,9 @@ impl CsvParams {
         };
         line.split(self.separator as char)
             .nth(index as usize)
-            .ok_or_else(|| DataError::Runtime(format!("csv line has no field {index}: `{line}`")))
+            .ok_or_else(|| {
+                DataError::Runtime(format!("csv line has no field {index}: {}", excerpt(line)))
+            })
     }
 
     /// Parses `line` into `out`.
@@ -107,7 +124,7 @@ impl CsvParams {
                         break;
                     }
                     dst[i] = field.trim().parse::<f32>().map_err(|e| {
-                        DataError::Runtime(format!("bad numeric field {i} `{field}`: {e}"))
+                        DataError::Runtime(format!("bad numeric field {i} {}: {e}", excerpt(field)))
                     })?;
                     count += 1;
                 }
@@ -175,7 +192,10 @@ impl CsvParams {
                             break;
                         }
                         dst[i] = field.trim().parse::<f32>().map_err(|e| {
-                            DataError::Runtime(format!("bad numeric field {i} `{field}`: {e}"))
+                            DataError::Runtime(format!(
+                                "bad numeric field {i} {}: {e}",
+                                excerpt(field)
+                            ))
                         })?;
                         count += 1;
                     }
@@ -249,6 +269,23 @@ mod tests {
         let p = CsvParams::select_text(3);
         let mut out = Vector::with_type(ColumnType::Text);
         assert!(p.apply("a,b", &mut out).is_err());
+    }
+
+    #[test]
+    fn field_errors_quote_a_capped_excerpt() {
+        let p = CsvParams::select_text(1);
+        let short = p.select_field("no separator").unwrap_err().to_string();
+        assert!(short.contains("`no separator` (12 bytes)"), "{short}");
+        // A multi-byte char straddling the cut is left out whole.
+        let long = format!("{}é{}", "a".repeat(63), "b".repeat(1 << 20));
+        let err = p.select_field(&long).unwrap_err().to_string();
+        let want = format!("`{}...` ({} bytes)", "a".repeat(63), long.len());
+        assert!(err.contains(&want), "{err}");
+        assert!(err.len() < 2 * EXCERPT_BYTES, "{}", err.len());
+        let p = CsvParams::dense(1);
+        let mut out = Vector::with_type(ColumnType::F32Dense { len: 1 });
+        let err = p.apply(&long, &mut out).unwrap_err().to_string();
+        assert!(err.contains(&want), "{err}");
     }
 
     #[test]

@@ -4,20 +4,33 @@
 //! The Attendee Count pipelines "comprise several ML models forming an
 //! ensemble: ... a TreeFeaturizer, and multi-class tree-based classifier,
 //! all fed into a final tree (or forest) rendering the prediction"
-//! (paper §5, Table 1). All tree operators share one flat node encoding.
+//! (paper §5, Table 1). All tree operators share one flat node encoding
+//! and one walk, [`Tree::eval`].
 //!
-//! Every walk reads a dense feature slice. A dense input row is read in
-//! place; a sparse row is scattered once into a thread-local dense row of
-//! the input's dimension and cleared by the same indices after the row
-//! ([`with_dense_row`]), so a node visit is one index, not a binary search
-//! over the row's nonzeros. A final forest whose only input is a Concat
+//! The walk is branch-free: a step indexes the node's two children with
+//! the test's outcome, `[right[i], left[i]][usize::from(x <= t)]`, instead
+//! of branching on it. On real-valued features that branch goes either
+//! way about half the time, so a predictor misses it at every other
+//! level; the select turns a walk into a chain of dependent loads that the
+//! core overlaps across an ensemble's independent trees. The select keeps
+//! the branch's semantics exactly: NaN fails every `<=` and goes right, as
+//! before, and `-0.0 <= t` agrees with `0.0 <= t` for every `t`, so a
+//! signed zero takes the same child whichever way a kernel stored it. Only
+//! the loop exit (`child < 0`) still branches, once per tree.
+//!
+//! Every walk reads its features through `with_row`. A dense input row
+//! is read in place; a sparse row is scattered once into a thread-local
+//! dense row of the input's dimension and cleared by the same indices after
+//! the row, so a node visit is one index, not a binary search over the
+//! row's nonzeros. A sparse row wider than the thread-local row keeps
+//! (`DENSE_ROW_RETAIN` floats) is read by binary search over its sorted
+//! indices instead, so it costs O(nnz) rather than a buffer of its width
+//! grown and zeroed per row. A final forest whose only input is a Concat
 //! reads the Concat's branches the same way, assembled straight into that
 //! row with no concatenated vector built ([`EnsembleParams::score_concat`],
-//! the kernel of Oven's tree pushdown).
-//!
-//! Node tests are `x <= threshold`, so reading a branch's `-0.0` where the
-//! Concat would have dropped it (and a sparse read returned `+0.0`) takes
-//! the same branch: `-0.0 <= t` and `0.0 <= t` agree for every `t`.
+//! the kernel of Oven's tree pushdown). Reading a branch's `-0.0` where
+//! the Concat would have dropped it (and a sparse read returned `+0.0`)
+//! takes the same child, by the signed-zero argument above.
 
 use crate::annotations::Annotations;
 use crate::feat::concat::ConcatParams;
@@ -109,18 +122,21 @@ impl Tree {
         Ok(())
     }
 
-    /// Evaluates the tree, returning `(leaf_index, leaf_value)`.
+    /// Evaluates the tree, returning `(leaf_index, leaf_value)`. Each step
+    /// selects the child by the test's outcome rather than branching on it
+    /// (see the module docs).
     pub fn eval(&self, x: impl Fn(usize) -> f32) -> (usize, f32) {
-        if self.features.is_empty() {
+        let n = self.features.len();
+        if n == 0 {
             return (0, self.leaf_values[0]);
         }
+        // One length for the four arrays: a node index is checked once.
+        let (features, thresholds) = (&self.features[..n], &self.thresholds[..n]);
+        let (left, right) = (&self.left[..n], &self.right[..n]);
         let mut node = 0usize;
         loop {
-            let next = if x(self.features[node] as usize) <= self.thresholds[node] {
-                self.left[node]
-            } else {
-                self.right[node]
-            };
+            let goes_left = x(features[node] as usize) <= thresholds[node];
+            let next = [right[node], left[node]][usize::from(goes_left)];
             if next < 0 {
                 let leaf = !next as usize;
                 return (leaf, self.leaf_values[leaf]);
@@ -168,7 +184,8 @@ impl Tree {
 }
 
 /// Retention bound on the thread-local dense row, in floats (4 MiB). A
-/// row that wide must not pin its buffer on the executor thread forever.
+/// row that wide must not pin its buffer on the executor thread forever,
+/// and a sparse row wider than this is not scattered at all.
 const DENSE_ROW_RETAIN: usize = 1 << 20;
 
 /// The thread-local dense row sparse inputs are scattered into.
@@ -234,15 +251,50 @@ fn unscatter(x: &mut [f32], indices: &[u32]) {
     }
 }
 
-/// Runs `f` over `row` as a dense feature slice of the row's dimension: a
-/// dense row in place, a scalar as a one-element slice, and a sparse row
-/// scattered into the thread's dense row, which is cleared by the same
-/// indices afterwards. Sparse rows are sorted and unique, so the scatter
-/// holds exactly what a binary search over the row would find.
-pub fn with_dense_row<R>(row: ColRef<'_>, f: impl FnOnce(&[f32]) -> R) -> Result<R> {
+/// A row as a tree walk reads it.
+#[derive(Debug, Clone, Copy)]
+pub enum Features<'a> {
+    /// One float per feature, read by index.
+    Dense(&'a [f32]),
+    /// A sparse row too wide to scatter, read by binary search; a feature
+    /// it does not hold reads `+0.0`.
+    Sparse {
+        /// Sorted, unique feature indices.
+        indices: &'a [u32],
+        /// The value at each index.
+        values: &'a [f32],
+    },
+}
+
+impl Features<'_> {
+    /// Walks `tree` over this row (the reader is chosen once per tree).
+    fn eval(self, tree: &Tree) -> (usize, f32) {
+        match self {
+            Features::Dense(x) => tree.eval(|i| x[i]),
+            Features::Sparse { indices, values } => tree.eval(|i| {
+                indices
+                    .binary_search(&(i as u32))
+                    .map_or(0.0, |k| values[k])
+            }),
+        }
+    }
+}
+
+/// Runs `f` over `row` as the trees read it: a dense row in place, a
+/// scalar as a one-element slice, a sparse row no wider than
+/// [`DENSE_ROW_RETAIN`] scattered into the thread's dense row (cleared by
+/// the same indices afterwards), and a wider one by binary search. Sparse
+/// rows are sorted and unique, so the scatter holds exactly what the
+/// search finds.
+fn with_row<R>(row: ColRef<'_>, f: impl FnOnce(Features<'_>) -> R) -> Result<R> {
     match row {
-        ColRef::Dense(x) => Ok(f(x)),
-        ColRef::Scalar(x) => Ok(f(std::slice::from_ref(&x))),
+        ColRef::Dense(x) => Ok(f(Features::Dense(x))),
+        ColRef::Scalar(x) => Ok(f(Features::Dense(std::slice::from_ref(&x)))),
+        ColRef::Sparse {
+            indices,
+            values,
+            dim,
+        } if dim as usize > DENSE_ROW_RETAIN => Ok(f(Features::Sparse { indices, values })),
         ColRef::Sparse {
             indices,
             values,
@@ -250,7 +302,7 @@ pub fn with_dense_row<R>(row: ColRef<'_>, f: impl FnOnce(&[f32]) -> R) -> Result
         } => Ok(with_row_scratch(|s| {
             let x = s.open(dim as usize);
             scatter(x, indices, values);
-            let out = f(x);
+            let out = f(Features::Dense(x));
             unscatter(x, indices);
             s.close();
             out
@@ -322,14 +374,14 @@ impl EnsembleParams {
         self.trees.iter().map(Tree::leaves).sum()
     }
 
-    /// Weighted ensemble score of one dense row of `input_dim` features.
-    /// The one row routine behind the per-record, batch and Concat-reading
+    /// Weighted ensemble score of one row of `input_dim` features. The
+    /// one row routine behind the per-record, batch and Concat-reading
     /// kernels (and [`MulticlassTreeParams`]), so their bitwise agreement
     /// rests on one implementation.
-    pub fn score(&self, x: &[f32]) -> f32 {
+    pub fn score(&self, x: Features<'_>) -> f32 {
         let mut acc = 0.0f32;
         for (t, &w) in self.trees.iter().zip(&self.weights) {
-            acc += w * t.eval(|i| x[i]).1;
+            acc += w * x.eval(t).1;
         }
         if self.mode == EnsembleMode::Average {
             acc /= self.trees.len() as f32;
@@ -381,7 +433,7 @@ impl EnsembleParams {
                 }
                 offset += want as usize;
             }
-            let y = self.score(x);
+            let y = self.score(Features::Dense(x));
             let mut offset = 0;
             for (k, &want) in concat.input_dims.iter().enumerate() {
                 let seg = &mut x[offset..offset + want as usize];
@@ -399,7 +451,7 @@ impl EnsembleParams {
     /// Scores `input` into a scalar `out`.
     pub fn apply(&self, input: &Vector, out: &mut Vector) -> Result<()> {
         self.check_input(input)?;
-        let acc = with_dense_row(ColRef::from_vector(input), |x| self.score(x))?;
+        let acc = with_row(ColRef::from_vector(input), |x| self.score(x))?;
         match out {
             Vector::Scalar(s) => {
                 *s = acc;
@@ -430,17 +482,17 @@ impl EnsembleParams {
             }
         }
         out.reset();
-        with_dense_row(ColRef::from_vector(input), |x| {
+        with_row(ColRef::from_vector(input), |x| {
             self.featurize(x, |idx| out.sparse_accumulate(idx, 1.0))
         })
     }
 
     /// TreeFeaturizer row routine: emits each member's leaf one-hot index
-    /// (offset by the leaves of the members before it) for one dense row.
-    fn featurize(&self, x: &[f32], mut emit: impl FnMut(u32)) {
+    /// (offset by the leaves of the members before it) for one row.
+    fn featurize(&self, x: Features<'_>, mut emit: impl FnMut(u32)) {
         let mut offset = 0u32;
         for t in &self.trees {
-            let (leaf, _) = t.eval(|i| x[i]);
+            let (leaf, _) = x.eval(t);
             emit(offset + leaf as u32);
             offset += t.leaves() as u32;
         }
@@ -460,7 +512,7 @@ impl EnsembleParams {
         }
         let y = out.fill_scalar(rows)?;
         for (r, slot) in y.iter_mut().enumerate() {
-            *slot = with_dense_row(input.row(r), |x| self.score(x))?;
+            *slot = with_row(input.row(r), |x| self.score(x))?;
         }
         Ok(())
     }
@@ -482,7 +534,7 @@ impl EnsembleParams {
         out.reset();
         for r in 0..input.rows() {
             let mut srow = out.begin_sparse_row()?;
-            with_dense_row(input.row(r), |x| {
+            with_row(input.row(r), |x| {
                 self.featurize(x, |idx| srow.accumulate(idx, 1.0))
             })?;
             srow.finish();
@@ -605,10 +657,10 @@ impl MulticlassTreeParams {
         Annotations::compute()
     }
 
-    /// Per-class ensemble scores of one dense row. Shared by the
-    /// per-record and batch kernels, so their bitwise agreement rests on
-    /// one implementation.
-    fn score(&self, x: &[f32], y: &mut [f32]) {
+    /// Per-class ensemble scores of one row. Shared by the per-record and
+    /// batch kernels, so their bitwise agreement rests on one
+    /// implementation.
+    fn score(&self, x: Features<'_>, y: &mut [f32]) {
         for (ens, slot) in self.per_class.iter().zip(y.iter_mut()) {
             *slot = ens.score(x);
         }
@@ -627,7 +679,7 @@ impl MulticlassTreeParams {
         }
         match out {
             Vector::Dense(y) if y.len() == self.classes() => {
-                with_dense_row(ColRef::from_vector(input), |x| self.score(x, y))
+                with_row(ColRef::from_vector(input), |x| self.score(x, y))
             }
             other => Err(DataError::Runtime(format!(
                 "multiclass output wants dense[{}], got {:?}",
@@ -659,7 +711,7 @@ impl MulticlassTreeParams {
         let rows = input.rows();
         let y = out.fill_dense(rows)?;
         for (r, yr) in y.chunks_exact_mut(classes).enumerate().take(rows) {
-            with_dense_row(input.row(r), |x| self.score(x, yr))?;
+            with_row(input.row(r), |x| self.score(x, yr))?;
         }
         Ok(())
     }
@@ -798,8 +850,65 @@ mod tests {
         let mut sp = Vector::with_type(ColumnType::F32Sparse { len: 2 });
         sp.sparse_accumulate(0, 5.0);
         // x[1] missing -> 0.0 -> right path at root, leaf 2.
-        let leaf = with_dense_row(ColRef::from_vector(&sp), |x| t.eval(|i| x[i])).unwrap();
+        let leaf = with_row(ColRef::from_vector(&sp), |x| x.eval(&t)).unwrap();
         assert_eq!(leaf, (2, 30.0));
+    }
+
+    /// Floats the thread's dense row holds on to.
+    fn retained_row_floats() -> usize {
+        with_row_scratch(|s| s.x.capacity())
+    }
+
+    #[test]
+    fn wide_sparse_row_is_searched_not_scattered() {
+        let dim = 1usize << 21;
+        let ens = crate::synth::ensemble(41, dim, 9, 6, EnsembleMode::Sum);
+        // Hold every other feature the trees test (the rest read +0.0),
+        // with values equal to a threshold, signed zeros, NaN and infinities.
+        let mut tested: Vec<u32> = ens.trees.iter().flat_map(|t| t.features.clone()).collect();
+        tested.sort_unstable();
+        tested.dedup();
+        let indices: Vec<u32> = tested.iter().copied().step_by(2).collect();
+        let palette = [-0.0, 0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY, 0.5];
+        let values: Vec<f32> = (0..indices.len())
+            .map(|k| match k % 8 {
+                k @ 0..=5 => palette[k],
+                _ => ens.trees[0].thresholds[k % ens.trees[0].thresholds.len()],
+            })
+            .collect();
+        assert!(indices.iter().any(|&i| i as usize >= DENSE_ROW_RETAIN));
+        let row = Vector::Sparse {
+            indices: indices.clone(),
+            values: values.clone(),
+            dim: dim as u32,
+        };
+
+        assert_eq!(retained_row_floats(), 0);
+        let mut searched = Vector::Scalar(0.0);
+        ens.apply(&row, &mut searched).unwrap();
+        let mut leaves = Vector::with_type(ColumnType::F32Sparse {
+            len: ens.total_leaves(),
+        });
+        ens.apply_featurize(&row, &mut leaves).unwrap();
+        assert_eq!(retained_row_floats(), 0, "a wide row grew the dense row");
+
+        // The scatter path, run by hand on the same row.
+        let (scattered, scattered_leaves) = with_row_scratch(|s| {
+            let x = s.open(dim);
+            scatter(x, &indices, &values);
+            let y = ens.score(Features::Dense(x));
+            let mut hot = Vec::new();
+            ens.featurize(Features::Dense(x), |i| hot.push(i));
+            unscatter(x, &indices);
+            s.close();
+            (y, hot)
+        });
+        assert!(retained_row_floats() <= DENSE_ROW_RETAIN);
+        assert_eq!(searched.as_scalar().unwrap().to_bits(), scattered.to_bits());
+        let Vector::Sparse { indices: hot, .. } = &leaves else {
+            unreachable!("featurizer output is sparse")
+        };
+        assert_eq!(hot, &scattered_leaves);
     }
 
     #[test]

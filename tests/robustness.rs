@@ -269,3 +269,65 @@ fn pool_warming_prevents_first_request_allocation_growth() {
     let b = rt.predict(id, "4,warm start please").unwrap();
     assert_eq!(a, b);
 }
+
+/// A line without the selected field is answered with a short error,
+/// however long the line: the message quotes a capped excerpt and the
+/// line's length, and the fused text step and the unfused operators
+/// return the same typed error, in process and over the front end.
+#[test]
+fn missing_field_error_quotes_a_capped_excerpt() {
+    use pretzel_core::physical::SourceRef;
+    // No separator, so no field 1; a two-byte char straddles the cut.
+    let line = format!("{}é{}", "x".repeat(63), "y".repeat(8 << 20));
+    let excerpt = format!("`{}...` ({} bytes)", "x".repeat(63), line.len());
+    let ctx = pretzel_core::flour::FlourContext::new();
+    let tokens = ctx.csv(',').select_text(1).tokenize();
+    let chars = tokens.char_ngram(Arc::new(synth::char_ngram(1, 3, 64)));
+    let pairs = tokens.char_ngram(Arc::new(synth::char_ngram(3, 2, 32)));
+    let graph = chars
+        .concat(&pairs)
+        .classifier_linear(Arc::new(synth::linear(2, 96, LinearKind::Logistic)))
+        .graph();
+    let logical = pretzel_core::oven::optimize(&graph).unwrap().plan;
+    let mut messages = Vec::new();
+    // Cache off fuses the plan into one text step; cache on does not.
+    for (budget, fused) in [(0, true), (1 << 20, false)] {
+        let rt = Arc::new(Runtime::new(RuntimeConfig {
+            n_executors: 1,
+            materialization_budget: budget,
+            ..RuntimeConfig::default()
+        }));
+        let id = rt.register(logical.clone()).unwrap();
+        let plan = rt.plan(id).unwrap();
+        let steps: Vec<&str> = plan
+            .stages
+            .iter()
+            .flat_map(|s| &s.steps)
+            .map(|s| s.op.name())
+            .collect();
+        assert_eq!(steps.contains(&"FusedText"), fused, "{steps:?}");
+        let local = match rt.predict_source(id, SourceRef::Text(&line)) {
+            Err(DataError::Runtime(msg)) => msg,
+            other => panic!("expected a runtime error, got {other:?}"),
+        };
+        assert!(local.contains(&excerpt), "{local}");
+        assert!(local.len() < 160, "{} bytes: {local}", local.len());
+
+        let fe = FrontEnd::serve(Arc::clone(&rt), FrontEndConfig::default()).unwrap();
+        let mut client = Client::connect(fe.addr()).unwrap();
+        let remote = match client.predict(&PredictRequest::text(&line).plan(id)) {
+            Err(DataError::Runtime(msg)) => msg,
+            other => panic!("expected a runtime error, got {other:?}"),
+        };
+        assert!(remote.contains(&local), "{remote}");
+        assert!(remote.len() < 200, "{} bytes: {remote}", remote.len());
+        // The connection still serves.
+        let score = client
+            .predict(&PredictRequest::text("3,still alive").plan(id))
+            .unwrap();
+        assert!(score.is_finite());
+        fe.stop();
+        messages.push(local);
+    }
+    assert_eq!(messages[0], messages[1]);
+}
