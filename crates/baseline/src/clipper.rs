@@ -4,14 +4,17 @@
 //! a front end" and applies "external model-agnostic techniques" — result
 //! caching and batching — "to achieve better latency, throughput, and
 //! accuracy" (paper §7). [`ClipperFrontEnd`] reproduces the serving path of
-//! the paper's *ML.Net + Clipper* configuration: it speaks the same wire
-//! protocol as PRETZEL's FrontEnd (so benchmarks drive both systems with
-//! one [`pretzel_core::frontend::Client`]), routes each request to the
-//! target model's [`Container`](crate::container::Container) over a second TCP hop, and optionally
-//! caches prediction results.
+//! the paper's *ML.Net + Clipper* configuration: it answers the same wire
+//! frames as PRETZEL's FrontEnd, one request at a time (so benchmarks drive
+//! both systems with one [`pretzel_core::frontend::Client`]), routes each
+//! request to the target model's [`Container`](crate::container::Container)
+//! over a second, length-prefixed TCP hop, and optionally caches
+//! prediction results.
 
 use crate::container;
 use parking_lot::Mutex;
+use pretzel_core::frontend::wire::{V2_HEADER_BYTES, WIRE_MAGIC, WIRE_V2};
+use pretzel_core::frontend::MAX_FRAME_BYTES;
 use pretzel_core::lru::LruCache;
 use pretzel_data::hash::fnv1a;
 use std::collections::HashMap;
@@ -111,15 +114,41 @@ fn serve_connection(
     stream.set_nodelay(true)?;
     // Connections to containers opened lazily and kept for this client.
     let mut backends: HashMap<u32, TcpStream> = HashMap::new();
-    loop {
-        let body = match container::read_v1_frame(&mut stream)? {
-            Some(b) => b,
-            None => return Ok(()),
-        };
+    while let Some((request_id, body)) = read_request(&mut stream)? {
         let reply = route_request(&body, &routes, &mut backends, &cache)
             .unwrap_or_else(|e| container::encode_err(&e));
-        container::write_frame(&mut stream, &reply)?;
+        let mut frame = Vec::with_capacity(V2_HEADER_BYTES + reply.len());
+        frame.extend_from_slice(&WIRE_MAGIC);
+        frame.extend_from_slice(&[WIRE_V2, 0, 0, 0]); // version, flags, reserved
+        frame.extend_from_slice(&request_id.to_le_bytes());
+        frame.extend_from_slice(&(reply.len() as u32).to_le_bytes());
+        frame.extend_from_slice(&reply);
+        stream.write_all(&frame)?;
     }
+    Ok(())
+}
+
+/// Reads one client request frame as `(request_id, body)`; `None` on a
+/// clean end of stream. A frame that is not wire v2 or announces a body
+/// over [`MAX_FRAME_BYTES`] is an error, before anything is allocated.
+fn read_request(stream: &mut TcpStream) -> std::io::Result<Option<(u32, Vec<u8>)>> {
+    let mut head = [0u8; V2_HEADER_BYTES];
+    match stream.read_exact(&mut head) {
+        Ok(()) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => return Ok(None),
+        Err(e) => return Err(e),
+    }
+    let word = |at: usize| u32::from_le_bytes([head[at], head[at + 1], head[at + 2], head[at + 3]]);
+    let len = word(12) as usize;
+    if head[..4] != WIRE_MAGIC || head[4] != WIRE_V2 || len > MAX_FRAME_BYTES {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "bad request frame",
+        ));
+    }
+    let mut body = vec![0u8; len];
+    stream.read_exact(&mut body)?;
+    Ok(Some((word(8), body)))
 }
 
 fn route_request(
@@ -182,20 +211,8 @@ fn send_with_retry(
 }
 
 fn rpc_once(stream: &mut TcpStream, body: &[u8]) -> std::io::Result<Vec<u8>> {
-    stream.write_all(&(body.len() as u32).to_le_bytes())?;
-    stream.write_all(body)?;
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    if len > 64 << 20 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "reply too large",
-        ));
-    }
-    let mut reply = vec![0u8; len];
-    stream.read_exact(&mut reply)?;
-    Ok(reply)
+    container::write_frame(stream, body)?;
+    container::read_frame(stream)?.ok_or_else(|| std::io::ErrorKind::UnexpectedEof.into())
 }
 
 #[cfg(test)]
@@ -249,7 +266,7 @@ mod tests {
     #[test]
     fn client_routes_through_clipper_to_the_right_container() {
         let (containers, fe, images) = deploy(3);
-        let mut client = Client::connect(fe.addr()).unwrap();
+        let mut client = Client::connect_v2(fe.addr()).unwrap();
         for (i, image) in images.iter().enumerate() {
             let mut reference = BlackBoxModel::from_image(Arc::clone(image));
             let expect = reference.predict(SourceRef::Text("5,nice thing")).unwrap();
@@ -267,7 +284,7 @@ mod tests {
     #[test]
     fn unknown_plan_is_an_error() {
         let (containers, fe, _) = deploy(1);
-        let mut client = Client::connect(fe.addr()).unwrap();
+        let mut client = Client::connect_v2(fe.addr()).unwrap();
         assert!(client
             .predict(&PredictRequest::text("1,x").plan(9))
             .is_err());
@@ -296,7 +313,7 @@ mod tests {
             },
         )
         .unwrap();
-        let mut client = Client::connect(fe.addr()).unwrap();
+        let mut client = Client::connect_v2(fe.addr()).unwrap();
         let a = client
             .predict(&PredictRequest::text("5,same line").plan(0).cached())
             .unwrap();
@@ -312,7 +329,7 @@ mod tests {
     #[test]
     fn batch_request_via_clipper() {
         let (containers, fe, _) = deploy(1);
-        let mut client = Client::connect(fe.addr()).unwrap();
+        let mut client = Client::connect_v2(fe.addr()).unwrap();
         let scores = client
             .predict_many(&PredictRequest::text_batch(["1,a", "5,great stuff", "2,so so"]).plan(0))
             .unwrap();

@@ -141,7 +141,7 @@ impl Drop for Container {
 }
 
 /// Reads one length-prefixed frame; `None` on clean EOF.
-pub(crate) fn read_v1_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
+pub(crate) fn read_frame(stream: &mut TcpStream) -> std::io::Result<Option<Vec<u8>>> {
     let mut len = [0u8; 4];
     match stream.read_exact(&mut len) {
         Ok(()) => {}
@@ -190,7 +190,7 @@ fn serve_connection(
 ) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     loop {
-        let body = match read_v1_frame(&mut stream)? {
+        let body = match read_frame(&mut stream)? {
             Some(b) => b,
             None => return Ok(()),
         };
@@ -251,7 +251,7 @@ mod tests {
     fn rpc(addr: SocketAddr, body: &[u8]) -> Vec<u8> {
         let mut stream = TcpStream::connect(addr).unwrap();
         write_frame(&mut stream, body).unwrap();
-        read_v1_frame(&mut stream).unwrap().unwrap()
+        read_frame(&mut stream).unwrap().unwrap()
     }
 
     fn text_request(lines: &[&str]) -> Vec<u8> {
@@ -315,7 +315,7 @@ mod tests {
         let mut stream = TcpStream::connect(container.addr()).unwrap();
         for line in ["1,a", "2,bb", "3,ccc"] {
             write_frame(&mut stream, &text_request(&[line])).unwrap();
-            let reply = read_v1_frame(&mut stream).unwrap().unwrap();
+            let reply = read_frame(&mut stream).unwrap().unwrap();
             assert_eq!(reply[0], 0);
         }
         container.stop();

@@ -28,7 +28,7 @@ fn measure_pretzel(images: &[Arc<Vec<u8>>], lines: &[String]) -> E2eResult {
     }));
     let ids = pretzel_bench::register_all(&runtime, images).unwrap();
     let fe = FrontEnd::serve(Arc::clone(&runtime), FrontEndConfig::default()).unwrap();
-    let mut client = Client::connect(fe.addr()).unwrap();
+    let mut client = Client::connect_v2(fe.addr()).unwrap();
 
     let mut prediction = LatencyRecorder::new();
     let mut client_server = LatencyRecorder::new();
@@ -75,7 +75,7 @@ fn measure_clipper(images: &[Arc<Vec<u8>>], lines: &[String]) -> LatencyRecorder
         .map(|(i, c)| (i as u32, c.addr()))
         .collect();
     let fe = ClipperFrontEnd::serve(routes, ClipperConfig::default()).unwrap();
-    let mut client = Client::connect(fe.addr()).unwrap();
+    let mut client = Client::connect_v2(fe.addr()).unwrap();
 
     let mut rec = LatencyRecorder::new();
     for k in 0..containers.len() {

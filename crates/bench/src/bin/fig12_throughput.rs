@@ -53,7 +53,7 @@ fn wire_qps(images: &[Arc<Vec<u8>>], records: &[Record], cores: usize) -> f64 {
     let fe = FrontEnd::serve(Arc::clone(&runtime), FrontEndConfig::default()).unwrap();
     let addr = fe.addr();
     {
-        let mut c = Client::connect(addr).unwrap();
+        let mut c = Client::connect_v2(addr).unwrap();
         for &id in &ids {
             let _ = wire_predict_batch(&mut c, id, &records[..8.min(records.len())]).unwrap();
         }
@@ -65,7 +65,7 @@ fn wire_qps(images: &[Arc<Vec<u8>>], records: &[Record], cores: usize) -> f64 {
         std::thread::scope(|scope| {
             for shard in &shards {
                 scope.spawn(move || {
-                    let mut c = Client::connect(addr).unwrap();
+                    let mut c = Client::connect_v2(addr).unwrap();
                     for &id in *shard {
                         wire_predict_batch(&mut c, id, records).unwrap();
                     }

@@ -39,7 +39,7 @@ fn drive(
         let mut handles = Vec::new();
         for w in 0..workers {
             handles.push(scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect");
+                let mut client = Client::connect_v2(addr).expect("connect");
                 let mut zipf = Zipf::new(n_models, 2.0, (offered + w) as u64);
                 // AC pipelines ingest CSV text (paper Table 1).
                 let mut gen = StructuredGen::new(w as u64, dim);

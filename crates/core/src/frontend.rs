@@ -8,46 +8,42 @@
 //! results caching (LRU) and delayed batching — which are "orthogonal to
 //! PRETZEL's techniques, so both are applicable in a complementary manner".
 //!
-//! **Connection scaling** — serving runs in one of two modes:
+//! **Serving paths** — one per platform, chosen by the target, not by a
+//! knob:
 //!
-//! * **Reactor pool** (the default on linux/x86-64,
-//!   [`FrontEndConfig::reactor_threads`] `> 0`): a fixed pool of event-loop
-//!   threads drives every connection over non-blocking sockets via epoll.
-//!   Per-connection state lives in a lock-free fixed-size slab
-//!   ([`ConnSlab`](slab) — pointer-width-CAS free list, per-slot generation
-//!   counters), frames assemble incrementally from readiness events, and
-//!   batch/delayed completions are *pushed* back to the owning reactor
-//!   through a completion queue + eventfd wake instead of parking a thread
-//!   per request. Thousands of idle or pipelined connections cost a few
-//!   slab slots, not a thread stack each.
-//! * **Thread-per-connection** (`reactor_threads = 0`, and the fallback on
-//!   targets without the raw-syscall reactor): the classic blocking loop —
-//!   one spawned thread per accepted socket.
+//! * **Reactor pool** (linux/x86-64): a fixed pool of event-loop threads
+//!   ([`FrontEndConfig::reactor_threads`]) drives every connection over
+//!   non-blocking sockets via epoll. Per-connection state lives in a
+//!   lock-free fixed-size slab (free slot indices in a
+//!   [`SlotStack`](pretzel_data::slot_alloc::SlotStack), per-slot
+//!   generation counters), frames assemble incrementally from readiness
+//!   events, and batch/delayed completions are *pushed* back to the owning
+//!   reactor through a completion queue + eventfd wake instead of parking
+//!   a thread per request. Thousands of idle or pipelined connections cost
+//!   a few slab slots, not a thread stack each.
+//! * **Thread-per-connection** (every other target): the blocking loop —
+//!   one spawned thread per accepted socket, one request at a time.
 //!
-//! Both modes speak both protocol versions and produce bitwise-identical
-//! scores.
+//! Both speak the same frames and produce bitwise-identical scores.
 //!
-//! **Wire protocol v2 (multiplexed)** — frames are self-describing per
-//! connection; see [`wire`] for the codecs:
+//! **Wire protocol** — see [`wire`] for the codec:
 //!
 //! ```text
-//! v1 frame := u32 body_len · body                    (one request in flight)
-//! v2 frame := magic "PZW\xB2" · u8 version · u8 flags · u16 reserved ·
-//!             u32 request_id · u32 body_len · body   (pipelined, out of order)
+//! frame := magic "PZW\xB2" · u8 version · u8 flags · u16 reserved ·
+//!          u32 request_id · u32 body_len · body
 //! ```
 //!
-//! A v2 connection may pipeline many requests; responses carry the
-//! request's `request_id` and may return **out of order** (a delayed-batch
-//! request does not block a fast inline request behind it). The v2 magic,
-//! read as a little-endian u32, exceeds [`MAX_FRAME_BYTES`], so no valid
-//! v1 length prefix can alias it and both versions share one port with no
-//! negotiation. Request *bodies* are identical across versions:
+//! A connection may pipeline many requests; responses carry the request's
+//! `request_id` and may return **out of order** (a delayed-batch request
+//! does not block a fast inline request behind it). A head that is not the
+//! magic, an unknown version or a body longer than [`MAX_FRAME_BYTES`] is
+//! answered with one error frame and the connection closes. Bodies:
 //!
 //! ```text
 //! body     := u32 plan_id · u8 kind · u8 flags · u16 n_records ·
 //!             (alias?) · record*                     (kinds 0-2)
 //!           | u32 plan_id · u8 kind · u8 flags · u16 0 · admin_body
-//!                                                    (kinds 0x10-0x13)
+//!                                                    (kinds 0x10-0x15)
 //! alias    := u32 len · bytes              (present iff flags & 0b100)
 //! record   := u32 len · bytes            (kind 0: UTF-8 text)
 //!           | u32 n   · f32*             (kind 1: dense)
@@ -62,10 +58,9 @@
 //!
 //! **Client surface** — [`PredictRequest`] is the typed request builder
 //! ([`Payload`] + [`Target`] + cache/delay toggles); [`Client::predict`] /
-//! [`Client::predict_many`] serve it sequentially over v1 or v2, and
-//! [`Session::submit`] pipelines it over v2, resolving each
-//! [`PendingPredict`] independently of submission order. The old
-//! `predict_*` method family survives as thin deprecated wrappers.
+//! [`Client::predict_many`] serve it sequentially, and [`Session::submit`]
+//! pipelines it, resolving each [`PendingPredict`] independently of
+//! submission order.
 //!
 //! **Model lifecycle over the wire**: the admin verbs `DEPLOY` /
 //! `UNDEPLOY` / `SWAP` / `ROLLBACK` / `LIST` ride the same frame format (distinct
@@ -116,15 +111,14 @@ pub struct FrontEndConfig {
     pub result_cache_bytes: usize,
     /// Flush interval of the delayed batcher; `None` disables it.
     pub batch_delay: Option<Duration>,
-    /// Event-loop reactor threads serving every connection. `0` selects
-    /// the thread-per-connection fallback (also used on targets without
-    /// the raw-syscall reactor regardless of this knob). The default is
-    /// the machine's available parallelism, clamped to `1..=4` — reactors
-    /// are I/O-bound; the scheduler's executors own the compute.
+    /// Event-loop reactor threads serving every connection; 0 is treated
+    /// as 1. The default is the machine's available parallelism, clamped
+    /// to `1..=4` — reactors are I/O-bound; the scheduler's executors own
+    /// the compute. Unused on targets without the raw-syscall reactor.
     pub reactor_threads: usize,
-    /// Connection-slab capacity in reactor mode: the most sockets held
+    /// Connection-slab capacity of the reactor pool: the most sockets held
     /// open at once. Accepts beyond it are refused (closed immediately)
-    /// rather than queued. Ignored in thread-per-connection mode.
+    /// rather than queued. Unused on targets without the reactor.
     pub max_connections: usize,
 }
 
@@ -140,9 +134,6 @@ impl Default for FrontEndConfig {
 }
 
 fn default_reactor_threads() -> usize {
-    if !sys::SUPPORTED {
-        return 0;
-    }
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
@@ -159,7 +150,7 @@ pub struct FrontEndStats {
 }
 
 impl FrontEndStats {
-    /// Sockets currently held open (reactor mode: occupied slab slots).
+    /// Sockets currently held open (under the reactor: occupied slab slots).
     pub fn open_connections(&self) -> usize {
         self.open.load(Ordering::Acquire)
     }
@@ -182,7 +173,7 @@ impl FrontEndStats {
 
 type ResultCache = Arc<Mutex<LruCache<(PlanId, u64), f32>>>;
 
-/// Everything one request dispatch needs, shared by both serving modes.
+/// Everything one request dispatch needs, shared by both serving paths.
 struct ServerShared {
     runtime: Arc<Runtime>,
     cache: Option<ResultCache>,
@@ -193,14 +184,14 @@ struct ServerShared {
 
 /// Where a request's eventual result goes.
 ///
-/// The blocking path computes in place and returns [`Dispatch::Ready`];
+/// The fallback loop computes in place and returns [`Dispatch::Ready`];
 /// the reactor path hands asynchronous work a [`reactor::CompletionHandle`]
 /// — built from the frame's [`reactor::Route`] only then, so a request
 /// answered inline never pays for one — and returns [`Dispatch::Pending`]:
 /// the completion re-enters the owning reactor through its queue instead
 /// of parking this thread.
 enum Responder<'a> {
-    /// Thread-per-connection: block until the result exists.
+    /// The thread-per-connection loop: block until the result exists.
     Blocking,
     /// Reactor: push the encoded response to the connection's reactor.
     Reactor(reactor::Route<'a>),
@@ -212,7 +203,7 @@ enum Dispatch {
     /// The response body was appended to the caller's output buffer.
     Ready,
     /// The response will arrive later through the [`Responder`]'s
-    /// completion handle (reactor mode only); nothing was appended.
+    /// completion handle (reactor only); nothing was appended.
     Pending,
 }
 
@@ -309,8 +300,19 @@ impl std::fmt::Debug for FrontEnd {
 }
 
 impl FrontEnd {
-    /// Binds a loopback listener and starts serving `runtime`.
+    /// Binds a loopback listener and starts serving `runtime`, on the
+    /// reactor pool where the target has one and thread-per-connection
+    /// elsewhere.
     pub fn serve(runtime: Arc<Runtime>, config: FrontEndConfig) -> std::io::Result<FrontEnd> {
+        Self::start(runtime, config, sys::SUPPORTED)
+    }
+
+    /// [`Self::serve`] on the path `reactor` names.
+    fn start(
+        runtime: Arc<Runtime>,
+        config: FrontEndConfig,
+        reactor: bool,
+    ) -> std::io::Result<FrontEnd> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -351,34 +353,18 @@ impl FrontEnd {
             _ => None,
         };
 
-        let (accept_thread, reactor) = if config.reactor_threads > 0 && sys::SUPPORTED {
+        let (accept_thread, reactor) = if reactor {
             let pool = reactor::ReactorPool::start(
                 listener,
-                Arc::clone(&shared),
+                shared,
                 Arc::clone(&stats),
                 config.reactor_threads,
                 config.max_connections,
             )?;
             (None, Some(pool))
         } else {
-            let accept_stop = Arc::clone(&stop);
-            let accept_stats = Arc::clone(&stats);
-            let handle = std::thread::spawn(move || {
-                for conn in listener.incoming() {
-                    if accept_stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let Ok(stream) = conn else { continue };
-                    accept_stats.accepted.fetch_add(1, Ordering::AcqRel);
-                    accept_stats.open.fetch_add(1, Ordering::AcqRel);
-                    let shared = Arc::clone(&shared);
-                    let stats = Arc::clone(&accept_stats);
-                    std::thread::spawn(move || {
-                        let _ = serve_connection(stream, &shared, &stats);
-                        stats.open.fetch_sub(1, Ordering::AcqRel);
-                    });
-                }
-            });
+            let stop = Arc::clone(&stop);
+            let handle = std::thread::spawn(move || accept_loop(&listener, &shared, &stop));
             (Some(handle), None)
         };
 
@@ -475,30 +461,37 @@ fn flush_pending(batcher: &Batcher, runtime: &Runtime) {
     }
 }
 
-/// The blocking (thread-per-connection) serving loop; speaks v1 and v2.
-fn serve_connection(
-    mut stream: TcpStream,
-    shared: &ServerShared,
-    stats: &FrontEndStats,
-) -> std::io::Result<()> {
+/// The thread-per-connection path: accepts until `stop` is raised, one
+/// thread serving each accepted socket.
+fn accept_loop(listener: &TcpListener, shared: &Arc<ServerShared>, stop: &AtomicBool) {
+    for conn in listener.incoming() {
+        if stop.load(Ordering::Relaxed) {
+            break;
+        }
+        let Ok(stream) = conn else { continue };
+        shared.stats.accepted.fetch_add(1, Ordering::AcqRel);
+        shared.stats.open.fetch_add(1, Ordering::AcqRel);
+        let shared = Arc::clone(shared);
+        std::thread::spawn(move || {
+            let _ = serve_connection(stream, &shared);
+            shared.stats.open.fetch_sub(1, Ordering::AcqRel);
+        });
+    }
+}
+
+/// One connection of the thread-per-connection path: a request at a time,
+/// each answered before the next is read.
+fn serve_connection(mut stream: TcpStream, shared: &ServerShared) -> std::io::Result<()> {
     stream.set_nodelay(true)?;
     let mut frames = wire::FrameReader::default();
     let mut lane = Lane::new(&shared.runtime);
     let mut out = Vec::new();
     loop {
-        out.clear();
+        wire::clear_buffer(&mut out);
         match frames.read_next(&mut stream)? {
             None => return Ok(()),
-            Some(wire::Frame::Complete {
-                version,
-                request_id,
-                body,
-            }) => {
-                let body_start = if version == 1 {
-                    wire::begin_v1(&mut out)
-                } else {
-                    wire::begin_v2(&mut out, request_id)
-                };
+            Some(wire::Frame::Complete { request_id, body }) => {
+                let body_start = wire::begin_v2(&mut out, request_id);
                 let dispatch = serve_frame(shared, &mut lane, body, &mut out, &Responder::Blocking);
                 debug_assert_eq!(
                     dispatch,
@@ -512,8 +505,8 @@ fn serve_connection(
                 // Refuse with a protocol error instead of allocating. The
                 // stream cannot be resynchronized past an unread body, so
                 // reply and close.
-                stats.note_protocol_error();
-                wire::encode_v1_into(&mut out, &wire::encode_err(&msg));
+                shared.stats.note_protocol_error();
+                wire::encode_connection_error(&mut out, &msg);
                 let _ = stream.write_all(&out);
                 return Ok(());
             }
@@ -966,6 +959,11 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     fn serve_sa(config: FrontEndConfig) -> (Arc<Runtime>, FrontEnd, PlanId) {
+        serve_sa_on(config, sys::SUPPORTED)
+    }
+
+    /// [`serve_sa`] on the serving path `reactor` names.
+    fn serve_sa_on(config: FrontEndConfig, reactor: bool) -> (Arc<Runtime>, FrontEnd, PlanId) {
         let vocab = synth::vocabulary(0, 64);
         let ctx = FlourContext::new();
         let tokens = ctx.csv(',').select_text(1).tokenize();
@@ -981,14 +979,14 @@ mod tests {
             ..RuntimeConfig::default()
         }));
         let id = rt.register(logical).unwrap();
-        let fe = FrontEnd::serve(Arc::clone(&rt), config).unwrap();
+        let fe = FrontEnd::start(Arc::clone(&rt), config, reactor).unwrap();
         (rt, fe, id)
     }
 
     #[test]
     fn client_server_round_trip_matches_local() {
         let (rt, fe, id) = serve_sa(FrontEndConfig::default());
-        let mut client = Client::connect(fe.addr()).unwrap();
+        let mut client = Client::connect_v2(fe.addr()).unwrap();
         let remote = client
             .predict(&PredictRequest::text("5,a nice product").plan(id))
             .unwrap();
@@ -997,25 +995,118 @@ mod tests {
         fe.stop();
     }
 
+    /// Opening bytes no front end may allocate for or hang on: heads that
+    /// are not the magic, and headers announcing a body over the limit.
+    fn hostile_heads() -> Vec<Vec<u8>> {
+        let mut heads: Vec<Vec<u8>> = [u32::MAX, 8, 0]
+            .iter()
+            .map(|head| head.to_le_bytes().to_vec())
+            .collect();
+        for len in [u32::MAX, (64 << 20) + 1, 0x8000_0000] {
+            let mut head = wire::WIRE_MAGIC.to_vec();
+            head.extend_from_slice(&[wire::WIRE_V2, 0, 0, 0]);
+            head.extend_from_slice(&7u32.to_le_bytes());
+            head.extend_from_slice(&len.to_le_bytes());
+            heads.push(head);
+        }
+        heads
+    }
+
+    /// Reads the one connection-level error frame a framing violation
+    /// earns and the close after it; returns the server's message.
+    fn read_connection_error(stream: &mut TcpStream) -> String {
+        let mut header = [0u8; wire::V2_HEADER_BYTES];
+        stream.read_exact(&mut header).unwrap();
+        assert_eq!(header[..4], wire::WIRE_MAGIC);
+        let id = u32::from_le_bytes(header[8..12].try_into().unwrap());
+        assert_eq!(id, wire::CONNECTION_ERROR_ID);
+        let len = u32::from_le_bytes(header[12..16].try_into().unwrap()) as usize;
+        assert!(len < 1 << 10, "error reply should be small, got {len}");
+        let mut body = vec![0u8; len];
+        stream.read_exact(&mut body).unwrap();
+        let mut probe = [0u8; 1];
+        assert_eq!(
+            stream.read(&mut probe).unwrap(),
+            0,
+            "closed after the error"
+        );
+        wire::decode_response(&body).unwrap_err().to_string()
+    }
+
+    /// Both serving paths — on linux the fallback loop is driven directly —
+    /// answer every request shape alike and survive the same hostile set.
     #[test]
-    fn thread_per_connection_ablation_still_serves() {
-        let (rt, fe, id) = serve_sa(FrontEndConfig {
-            reactor_threads: 0,
-            ..FrontEndConfig::default()
-        });
-        let mut client = Client::connect(fe.addr()).unwrap();
-        let remote = client
-            .predict(&PredictRequest::text("5,a nice product").plan(id))
-            .unwrap();
-        let local = rt.predict(id, "5,a nice product").unwrap();
-        assert_eq!(remote.to_bits(), local.to_bits());
-        fe.stop();
+    fn both_serving_paths_serve_and_survive_hostile_framing() {
+        let paths: &[bool] = if sys::SUPPORTED {
+            &[true, false]
+        } else {
+            &[false]
+        };
+        for &reactor in paths {
+            let (rt, fe, id) = serve_sa_on(
+                FrontEndConfig {
+                    batch_delay: Some(Duration::from_millis(2)),
+                    ..FrontEndConfig::default()
+                },
+                reactor,
+            );
+            let line = "5,a nice product";
+            let local = rt.predict(id, line).unwrap();
+            let mut client = Client::connect_v2(fe.addr()).unwrap();
+            let single = client
+                .predict(&PredictRequest::text(line).plan(id))
+                .unwrap();
+            let delayed = client
+                .predict(&PredictRequest::text(line).plan(id).delayed())
+                .unwrap();
+            let batch = client
+                .predict_many(&PredictRequest::text_batch([line, line]).plan(id))
+                .unwrap();
+            for score in [single, delayed, batch[0], batch[1]] {
+                assert_eq!(score.to_bits(), local.to_bits(), "reactor {reactor}");
+            }
+
+            let heads = hostile_heads();
+            for head in &heads {
+                let mut stream = TcpStream::connect(fe.addr()).unwrap();
+                stream.write_all(head).unwrap();
+                let msg = read_connection_error(&mut stream);
+                let want = if head[..4] == wire::WIRE_MAGIC {
+                    "exceeds"
+                } else {
+                    "magic"
+                };
+                assert!(msg.contains(want), "reactor {reactor}: {msg}");
+            }
+            // A session hears the server's reason, not just a closed socket.
+            let session = Session::connect(fe.addr()).unwrap();
+            let ok = session
+                .submit(&PredictRequest::text(line).plan(id))
+                .unwrap();
+            assert_eq!(ok.wait_one().unwrap().to_bits(), local.to_bits());
+            let mut raw = Vec::new();
+            wire::encode_v2_into(&mut raw, 0, b"");
+            raw[4] = 9; // an unknown version
+            session.queue_raw(&raw);
+            let behind = session
+                .submit(&PredictRequest::text(line).plan(id))
+                .unwrap();
+            let err = behind.wait().unwrap_err().to_string();
+            assert!(err.contains("version 9"), "reactor {reactor}: {err}");
+
+            assert_eq!(fe.stats().protocol_errors(), heads.len() as u64 + 1);
+            let again = client
+                .predict(&PredictRequest::text(line).plan(id))
+                .unwrap();
+            assert_eq!(again.to_bits(), local.to_bits(), "still serving");
+            fe.stop();
+        }
     }
 
     #[test]
     fn batch_request_over_the_wire() {
         let (rt, fe, id) = serve_sa(FrontEndConfig::default());
-        let mut client = Client::connect(fe.addr()).unwrap();
+        let mut client = Client::connect_v2(fe.addr()).unwrap();
         let lines = ["1,bad product", "5,wonderful thing", "3,meh"];
         let scores = client
             .predict_many(&PredictRequest::text_batch(lines).plan(id))
@@ -1030,7 +1121,7 @@ mod tests {
     #[test]
     fn server_reports_errors_for_unknown_plan() {
         let (_rt, fe, _id) = serve_sa(FrontEndConfig::default());
-        let mut client = Client::connect(fe.addr()).unwrap();
+        let mut client = Client::connect_v2(fe.addr()).unwrap();
         let err = client
             .predict(&PredictRequest::text("1,x").plan(99))
             .unwrap_err();
@@ -1044,7 +1135,7 @@ mod tests {
             result_cache_bytes: 1 << 16,
             ..FrontEndConfig::default()
         });
-        let mut client = Client::connect(fe.addr()).unwrap();
+        let mut client = Client::connect_v2(fe.addr()).unwrap();
         let a = client
             .predict(&PredictRequest::text("5,same line").plan(id).cached())
             .unwrap();
@@ -1067,7 +1158,7 @@ mod tests {
         let handles: Vec<_> = (0..4)
             .map(|_| {
                 std::thread::spawn(move || {
-                    let mut c = Client::connect(addr).unwrap();
+                    let mut c = Client::connect_v2(addr).unwrap();
                     c.predict(&PredictRequest::text("4,pretty good").plan(id).delayed())
                         .unwrap()
                 })
@@ -1098,7 +1189,7 @@ mod tests {
         let rt = Arc::new(Runtime::new(RuntimeConfig::default()));
         let id = rt.register(logical).unwrap();
         let fe = FrontEnd::serve(Arc::clone(&rt), FrontEndConfig::default()).unwrap();
-        let mut client = Client::connect(fe.addr()).unwrap();
+        let mut client = Client::connect_v2(fe.addr()).unwrap();
         let x = vec![0.25f32; dim];
         let remote = client
             .predict(&PredictRequest::dense(x.clone()).plan(id))
@@ -1123,7 +1214,7 @@ mod tests {
         let rt = Arc::new(Runtime::new(RuntimeConfig::default()));
         let id = rt.register(logical).unwrap();
         let fe = FrontEnd::serve(Arc::clone(&rt), FrontEndConfig::default()).unwrap();
-        let mut client = Client::connect(fe.addr()).unwrap();
+        let mut client = Client::connect_v2(fe.addr()).unwrap();
         let (indices, values) = (vec![1u32, 7, 12], vec![0.5f32, -2.0, 1.25]);
         let remote = client
             .predict(&PredictRequest::sparse(indices.clone(), values.clone(), dim).plan(id))
@@ -1167,7 +1258,7 @@ mod tests {
         let rt = Arc::new(Runtime::new(RuntimeConfig::default()));
         let id = rt.register(logical).unwrap();
         let fe = FrontEnd::serve(Arc::clone(&rt), FrontEndConfig::default()).unwrap();
-        let mut client = Client::connect(fe.addr()).unwrap();
+        let mut client = Client::connect_v2(fe.addr()).unwrap();
         // Out-of-dim index: rejected, connection stays usable.
         let err = client
             .predict(&PredictRequest::sparse(vec![99], vec![1.0], dim).plan(id))
@@ -1181,7 +1272,7 @@ mod tests {
     #[test]
     fn lifecycle_admin_verbs_over_the_wire() {
         let (rt, fe, seed_id) = serve_sa(FrontEndConfig::default());
-        let mut client = Client::connect(fe.addr()).unwrap();
+        let mut client = Client::connect_v2(fe.addr()).unwrap();
 
         // DEPLOY: push two versions of a model file.
         let image_of = |seed: u64| {
@@ -1250,7 +1341,7 @@ mod tests {
                 let stop = Arc::clone(&stop);
                 let scored = Arc::clone(&scored);
                 std::thread::spawn(move || {
-                    let mut c = Client::connect(addr).unwrap();
+                    let mut c = Client::connect_v2(addr).unwrap();
                     let mut scores = Vec::new();
                     while !stop.load(Ordering::Relaxed) {
                         scores.push(
@@ -1268,7 +1359,7 @@ mod tests {
         // the deployed versions bitwise.
         let mut references = vec![rt.predict(v1, line).unwrap()];
         let mut current = v1;
-        let mut admin = Client::connect(addr).unwrap();
+        let mut admin = Client::connect_v2(addr).unwrap();
         for seed in 0..6u64 {
             // Gate each round on scorer progress so churn overlaps traffic.
             let floor = scored.load(Ordering::Relaxed) + 3;
@@ -1438,19 +1529,15 @@ mod tests {
     fn oversized_frame_rejected_without_allocation() {
         let (_rt, fe, _id) = serve_sa(FrontEndConfig::default());
         let mut stream = TcpStream::connect(fe.addr()).unwrap();
-        // A hostile length prefix: ~4 GiB. The server must answer with a
+        // A hostile body length: ~4 GiB. The server must answer with a
         // protocol error (not attempt the allocation) and close cleanly.
-        stream.write_all(&u32::MAX.to_le_bytes()).unwrap();
-        let mut len = [0u8; 4];
-        stream.read_exact(&mut len).unwrap();
-        let len = u32::from_le_bytes(len) as usize;
-        let mut body = vec![0u8; len];
-        stream.read_exact(&mut body).unwrap();
-        let err = wire::decode_response(&body).unwrap_err();
-        assert!(err.to_string().contains("exceeds"), "{err}");
-        // Connection is closed afterwards.
-        let mut probe = [0u8; 1];
-        assert_eq!(stream.read(&mut probe).unwrap(), 0);
+        let mut head = wire::WIRE_MAGIC.to_vec();
+        head.extend_from_slice(&[wire::WIRE_V2, 0, 0, 0]);
+        head.extend_from_slice(&1u32.to_le_bytes());
+        head.extend_from_slice(&u32::MAX.to_le_bytes());
+        stream.write_all(&head).unwrap();
+        let msg = read_connection_error(&mut stream);
+        assert!(msg.contains("exceeds"), "{msg}");
         assert_eq!(fe.stats().protocol_errors(), 1);
         fe.stop();
     }

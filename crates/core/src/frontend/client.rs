@@ -2,9 +2,8 @@
 //!
 //! [`PredictRequest`] is the typed request builder: a payload (or batch of
 //! payloads), a [`Target`] (plan id or alias), and the external-optimization
-//! toggles as methods. [`Client`] serves it sequentially — over v1
-//! ([`Client::connect`], the baseline-compatible default) or v2
-//! ([`Client::connect_v2`]) — and [`Session`] pipelines it over v2:
+//! toggles as methods. [`Client`] serves it sequentially, one request in
+//! flight, and [`Session`] pipelines it:
 //! [`Session::submit`] returns immediately with a [`PendingPredict`], and
 //! responses resolve **out of submission order** as the server completes
 //! them, matched by request id.
@@ -225,11 +224,11 @@ impl PredictRequest {
     }
 }
 
-/// A blocking, sequential client for the FrontEnd protocol.
+/// A blocking, sequential client for the FrontEnd protocol (and for the
+/// Clipper-style baseline front end, which speaks the same frames).
 #[derive(Debug)]
 pub struct Client {
     stream: TcpStream,
-    proto: u8,
     next_id: u32,
     /// The request frame being built or sent.
     out: Vec<u8>,
@@ -237,25 +236,13 @@ pub struct Client {
 }
 
 impl Client {
-    /// Connects speaking wire **v1** — the maximally compatible framing
-    /// (also understood by the Clipper-style baseline front end).
-    pub fn connect(addr: SocketAddr) -> std::io::Result<Client> {
-        Self::connect_proto(addr, 1)
-    }
-
-    /// Connects speaking wire **v2**: every request carries a request id
-    /// and the response echoes it. Still sequential — use [`Session`] for
-    /// pipelining.
+    /// Connects. Every request carries a request id and the response
+    /// echoes it; still sequential — use [`Session`] for pipelining.
     pub fn connect_v2(addr: SocketAddr) -> std::io::Result<Client> {
-        Self::connect_proto(addr, wire::WIRE_V2)
-    }
-
-    fn connect_proto(addr: SocketAddr, proto: u8) -> std::io::Result<Client> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
         Ok(Client {
             stream,
-            proto,
             next_id: 0,
             out: Vec::new(),
             frames: FrameReader::default(),
@@ -280,23 +267,17 @@ impl Client {
     /// the client's write buffer, sends it with a single `write`, and
     /// returns the response body, borrowed from the read buffer.
     fn roundtrip_with(&mut self, encode: impl FnOnce(&mut Vec<u8>) -> Result<()>) -> Result<&[u8]> {
-        self.out.clear();
+        wire::clear_buffer(&mut self.out);
         let id = self.next_id;
-        let body_start = if self.proto == 1 {
-            wire::begin_v1(&mut self.out)
-        } else {
-            self.next_id = self.next_id.wrapping_add(1);
-            wire::begin_v2(&mut self.out, id)
-        };
+        self.next_id = self.next_id.wrapping_add(1);
+        let body_start = wire::begin_v2(&mut self.out, id);
         encode(&mut self.out)?;
         wire::end_frame(&mut self.out, body_start);
         self.stream.write_all(&self.out).map_err(io_err)?;
         match self.frames.read_next(&mut self.stream).map_err(io_err)? {
-            Some(Frame::Complete {
-                version: wire::WIRE_V2,
-                request_id,
-                ..
-            }) if request_id != id && request_id != u32::MAX => {
+            Some(Frame::Complete { request_id, .. })
+                if request_id != id && request_id != wire::CONNECTION_ERROR_ID =>
+            {
                 // Sequential client: exactly one request in flight, so the
                 // echoed id must be the one just assigned.
                 Err(DataError::Runtime(format!(
@@ -443,7 +424,7 @@ impl WriteHalf {
         let sent = self.stream.write_all(&self.buf);
         // Sent or lost, the bytes are spent: a failed write kills the
         // session, it is never retried.
-        self.buf.clear();
+        wire::clear_buffer(&mut self.buf);
         self.queued = 0;
         sent
     }
@@ -505,12 +486,17 @@ impl SessionInner {
         let dead = loop {
             match rd.frames.next_frame() {
                 Some(Frame::Complete {
-                    version: wire::WIRE_V2,
-                    request_id,
+                    request_id: wire::CONNECTION_ERROR_ID,
                     body,
-                }) => rd.turn.push((request_id, wire::decode_response(body))),
-                Some(Frame::Complete { .. }) => {
-                    break Some("frontend answered a pipelined request with a v1 frame".into());
+                }) => {
+                    // A framing violation: the server closes after this.
+                    break Some(match wire::decode_response(body) {
+                        Err(e) => e.to_string(),
+                        Ok(_) => "frontend closed the connection".into(),
+                    });
+                }
+                Some(Frame::Complete { request_id, body }) => {
+                    rd.turn.push((request_id, wire::decode_response(body)));
                 }
                 Some(Frame::Reject(msg)) => {
                     break Some(format!("frontend sent a bad frame: {msg}"));
@@ -559,7 +545,7 @@ impl Drop for SessionInner {
     }
 }
 
-/// A pipelined v2 connection: submit many requests without waiting,
+/// A pipelined connection: submit many requests without waiting,
 /// resolve each [`PendingPredict`] in any order.
 ///
 /// Waiting is cooperative: whichever waiter needs a response next takes
@@ -601,7 +587,7 @@ impl std::fmt::Debug for Session {
 }
 
 impl Session {
-    /// Connects a pipelined v2 session.
+    /// Connects a pipelined session.
     pub fn connect(addr: SocketAddr) -> std::io::Result<Session> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -641,7 +627,11 @@ impl Session {
             return Err(e);
         }
         wire::end_frame(&mut w.buf, body_start);
-        w.next_id = id.wrapping_add(1);
+        // Ids skip the one that marks connection-level errors.
+        w.next_id = match id.wrapping_add(1) {
+            wire::CONNECTION_ERROR_ID => 0,
+            next => next,
+        };
         w.queued += 1;
         let group_full = w.queued >= FLUSH_REQUESTS || w.buf.len() >= FLUSH_BYTES;
         drop(w);
@@ -664,6 +654,12 @@ impl Session {
     #[cfg(test)]
     pub(super) fn filed(&self) -> usize {
         self.inner.state.lock().filed.len()
+    }
+
+    /// Queues bytes as they are, frame or not, behind what is queued.
+    #[cfg(test)]
+    pub(super) fn queue_raw(&self, bytes: &[u8]) {
+        self.inner.writer.lock().buf.extend_from_slice(bytes);
     }
 
     /// Whether some waiter currently holds the read side.

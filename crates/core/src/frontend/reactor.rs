@@ -1,15 +1,15 @@
-//! Event-loop reactor pool: the connection-scalable serving mode.
+//! Event-loop reactor pool: how the FrontEnd serves on linux/x86-64.
 //!
 //! A fixed set of reactor threads shares one non-blocking listener and a
 //! lock-free [`ConnSlab`] of per-connection state. Each reactor owns an
-//! epoll instance; readiness events drive a per-connection state machine —
-//! read into the connection's [`FrameReader`], parse frames in place,
-//! dispatch through the same request logic the blocking path uses, and
-//! drain a write-back queue under `EPOLLOUT`. Requests whose results
-//! materialize later (batch engine, delayed batcher) get a
-//! [`CompletionHandle`]; the completing thread pushes the encoded response
-//! onto the owning reactor's queue and pokes its eventfd, so no thread
-//! ever parks per request.
+//! epoll instance; readiness events drive each connection — read into its
+//! [`FrameReader`], parse frames in place, dispatch through the same
+//! request logic the fallback loop uses, and drain a write-back queue under
+//! `EPOLLOUT`. Requests whose results materialize later (batch engine,
+//! delayed batcher) get a [`CompletionHandle`]; the completing thread
+//! pushes the encoded response onto the owning reactor's queue and pokes
+//! its eventfd, so no thread ever parks per request. Every reply echoes
+//! its request's id, so completions emit in whatever order they arrive.
 //!
 //! **Per wake** a connection costs one `read` (a second only when the
 //! first filled the buffer) and one `write` for every reply the wake
@@ -20,7 +20,7 @@
 //!
 //! Completion routing is independent of the scheduler's execution plane:
 //! the handle is keyed by connection token, not by executor, so a chunk
-//! whose final stage ran on a *stealing* worker (sharded plane) completes
+//! whose final stage ran on a *stealing* worker completes
 //! through exactly the same path as one that never migrated. Ingest
 //! buffers leased here return to the runtime's ingest arena from whichever
 //! executor finished the request — the pool's cross-thread return path.
@@ -37,7 +37,7 @@ use super::wire::{self, Frame, FrameReader};
 use super::{encode_error, serve_frame, Dispatch, FrontEndStats, Lane, Responder, ServerShared};
 use parking_lot::Mutex;
 use pretzel_data::Result;
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -50,8 +50,8 @@ const TOKEN_LISTENER: u64 = u64::MAX;
 /// Epoll user-data word for a reactor's wake eventfd.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
 
-/// Cap on unanswered pipelined requests per v2 connection; beyond it the
-/// peer is violating flow control and the connection closes.
+/// Cap on unanswered pipelined requests per connection; beyond it the peer
+/// is violating flow control and the connection closes.
 const MAX_IN_FLIGHT: usize = 4096;
 
 /// Compact the write queue once this many bytes are already flushed.
@@ -72,20 +72,11 @@ fn raw_fd(_stream: &TcpStream) -> i32 {
     -1 // unreachable: `sys::SUPPORTED` gates pool construction
 }
 
-/// How a queued response is framed back to the client.
-#[derive(Clone, Copy, Debug)]
-enum ResponseTag {
-    /// v1 carries no request id; `seq` restores submission order.
-    V1 { seq: u64 },
-    /// v2 echoes the request id; responses emit as they complete.
-    V2 { request_id: u32 },
-}
-
 /// A finished request's encoded response, en route to its reactor.
 struct Completion {
     slot: u32,
     generation: u32,
-    tag: ResponseTag,
+    request_id: u32,
     body: Vec<u8>,
     /// When the completing thread queued this (telemetry on only): the
     /// drain records queue-to-flush latency against it.
@@ -117,7 +108,7 @@ pub(super) struct Route<'a> {
     shared: &'a Arc<ReactorShared>,
     reactor: usize,
     token: u64,
-    tag: ResponseTag,
+    request_id: u32,
 }
 
 impl Route<'_> {
@@ -127,7 +118,7 @@ impl Route<'_> {
             reactor: self.reactor,
             slot: (self.token & 0xffff_ffff) as u32,
             generation: (self.token >> 32) as u32,
-            tag: self.tag,
+            request_id: self.request_id,
         }
     }
 }
@@ -140,7 +131,7 @@ pub(super) struct CompletionHandle {
     reactor: usize,
     slot: u32,
     generation: u32,
-    tag: ResponseTag,
+    request_id: u32,
 }
 
 impl CompletionHandle {
@@ -162,7 +153,7 @@ impl CompletionHandle {
             queue.push(Completion {
                 slot: self.slot,
                 generation: self.generation,
-                tag: self.tag,
+                request_id: self.request_id,
                 body,
                 enqueued,
             });
@@ -194,28 +185,9 @@ impl std::fmt::Debug for CompletionHandle {
             .field("reactor", &self.reactor)
             .field("slot", &self.slot)
             .field("generation", &self.generation)
-            .field("tag", &self.tag)
+            .field("request_id", &self.request_id)
             .finish()
     }
-}
-
-/// Protocol state a connection locks into at its first frame.
-enum Proto {
-    /// No frame seen yet; either version may arrive.
-    Unknown,
-    /// v1: strictly ordered responses. Out-of-order completions park in
-    /// `ready` until every earlier response has emitted.
-    V1 {
-        next_seq: u64,
-        next_emit: u64,
-        ready: BTreeMap<u64, Vec<u8>>,
-    },
-    /// v2: responses emit as they complete, tagged by request id.
-    /// `in_flight` holds the ids of requests whose dispatch went
-    /// [`Dispatch::Pending`] and has not completed. An inline request has
-    /// answered before the next frame is parsed, so it can never be in
-    /// flight beside a later frame and is never entered.
-    V2 { in_flight: HashSet<u32> },
 }
 
 /// Per-connection state machine, owned by exactly one reactor thread.
@@ -228,7 +200,11 @@ struct Conn {
     write_pos: usize,
     /// Whether `EPOLLOUT` is currently in the epoll interest set.
     want_write: bool,
-    proto: Proto,
+    /// Ids of requests whose dispatch went [`Dispatch::Pending`] and has
+    /// not completed; responses emit as they complete, tagged by id. An
+    /// inline request has answered before the next frame is parsed, so it
+    /// can never be in flight beside a later frame and is never entered.
+    in_flight: HashSet<u32>,
     /// Set on a fatal protocol error: flush queued bytes, then close.
     close_after_flush: bool,
     /// A completion drain queued output here and has yet to flush it.
@@ -398,7 +374,7 @@ fn accept_ready(shared: &Arc<ReactorShared>, ep: &Epoll, owned: &mut HashSet<u32
             write_buf: Vec::new(),
             write_pos: 0,
             want_write: false,
-            proto: Proto::Unknown,
+            in_flight: HashSet::new(),
             close_after_flush: false,
             flush_due: false,
         };
@@ -484,175 +460,54 @@ fn dispatch_frames(shared: &Arc<ReactorShared>, me: usize, conn: &mut Conn, lane
     let Conn {
         frames,
         write_buf,
-        proto,
+        in_flight,
         close_after_flush,
         token,
         ..
     } = conn;
     while !*close_after_flush {
-        let (version, request_id, body) = match frames.next_frame() {
+        let violation = match frames.next_frame() {
             None => return,
-            Some(Frame::Reject(msg)) => {
-                shared.stats.note_protocol_error();
-                queue_protocol_error(proto, write_buf, close_after_flush, &msg);
-                break;
+            Some(Frame::Reject(msg)) => msg,
+            Some(Frame::Complete { .. }) if in_flight.len() >= MAX_IN_FLIGHT => {
+                format!("more than {MAX_IN_FLIGHT} pipelined requests in flight")
             }
-            Some(Frame::Complete {
-                version,
-                request_id,
-                body,
-            }) => (version, request_id, body),
-        };
-        let tag = match frame_tag(proto, version, request_id) {
-            Ok(tag) => tag,
-            Err(violation) => {
-                shared.stats.note_protocol_error();
-                queue_protocol_error(proto, write_buf, close_after_flush, &violation);
-                break;
+            Some(Frame::Complete { request_id, .. }) if in_flight.contains(&request_id) => {
+                format!("duplicate in-flight request id {request_id}")
             }
-        };
-        let frame_start = write_buf.len();
-        let body_start = match tag {
-            ResponseTag::V1 { .. } => wire::begin_v1(write_buf),
-            ResponseTag::V2 { request_id } => wire::begin_v2(write_buf, request_id),
-        };
-        let route = Route {
-            shared,
-            reactor: me,
-            token: *token,
-            tag,
-        };
-        let dispatch = serve_frame(
-            &shared.server,
-            lane,
-            body,
-            write_buf,
-            &Responder::Reactor(route),
-        );
-        match (dispatch, &mut *proto, tag) {
-            (Dispatch::Pending, Proto::V2 { in_flight }, ResponseTag::V2 { request_id }) => {
-                write_buf.truncate(frame_start);
-                in_flight.insert(request_id);
-            }
-            (Dispatch::Pending, ..) => write_buf.truncate(frame_start),
-            (
-                Dispatch::Ready,
-                Proto::V1 {
-                    next_emit, ready, ..
-                },
-                ResponseTag::V1 { seq },
-            ) if seq != *next_emit => {
-                // An earlier v1 request is still pending and v1 clients
-                // read responses in request order: park this one.
-                let reply = write_buf.split_off(body_start);
-                write_buf.truncate(frame_start);
-                ready.insert(seq, reply);
-            }
-            (Dispatch::Ready, proto, _) => {
-                wire::end_frame(write_buf, body_start);
-                if let Proto::V1 { next_emit, .. } = proto {
-                    *next_emit += 1;
+            Some(Frame::Complete { request_id, body }) => {
+                let frame_start = write_buf.len();
+                let body_start = wire::begin_v2(write_buf, request_id);
+                let route = Route {
+                    shared,
+                    reactor: me,
+                    token: *token,
+                    request_id,
+                };
+                let dispatch = serve_frame(
+                    &shared.server,
+                    lane,
+                    body,
+                    write_buf,
+                    &Responder::Reactor(route),
+                );
+                match dispatch {
+                    Dispatch::Pending => {
+                        write_buf.truncate(frame_start);
+                        in_flight.insert(request_id);
+                    }
+                    Dispatch::Ready => wire::end_frame(write_buf, body_start),
                 }
-            }
-        }
-    }
-    // A fatal violation: the stream is unrecoverable past it.
-    frames.discard();
-}
-
-/// Locks in (or validates) the connection's protocol version for one
-/// frame and assigns its response tag. `Err` is a fatal violation to
-/// report before closing.
-fn frame_tag(
-    proto: &mut Proto,
-    version: u8,
-    request_id: u32,
-) -> std::result::Result<ResponseTag, String> {
-    if matches!(proto, Proto::Unknown) {
-        *proto = if version == 1 {
-            Proto::V1 {
-                next_seq: 0,
-                next_emit: 0,
-                ready: BTreeMap::new(),
-            }
-        } else {
-            Proto::V2 {
-                in_flight: HashSet::new(),
+                continue;
             }
         };
+        // The stream is unrecoverable past a violation: answer it on behalf
+        // of the connection, close once that is sent.
+        shared.stats.note_protocol_error();
+        wire::encode_connection_error(write_buf, &violation);
+        *close_after_flush = true;
     }
-    match proto {
-        Proto::V1 {
-            next_seq: seq_counter,
-            ..
-        } if version == 1 => {
-            let seq = *seq_counter;
-            *seq_counter += 1;
-            Ok(ResponseTag::V1 { seq })
-        }
-        Proto::V2 { in_flight } if version != 1 => {
-            if in_flight.len() >= MAX_IN_FLIGHT {
-                return Err(format!(
-                    "more than {MAX_IN_FLIGHT} pipelined requests in flight"
-                ));
-            }
-            if in_flight.contains(&request_id) {
-                return Err(format!("duplicate in-flight request id {request_id}"));
-            }
-            Ok(ResponseTag::V2 { request_id })
-        }
-        // A connection that switches framing mid-stream is confused;
-        // trusting its future prefixes would mis-frame everything.
-        _ => Err("wire version changed mid-connection".into()),
-    }
-}
-
-/// Queues one completed response under the connection's ordering
-/// discipline.
-fn queue_response(conn: &mut Conn, tag: ResponseTag, body: Vec<u8>) {
-    match (&mut conn.proto, tag) {
-        (
-            Proto::V1 {
-                next_emit, ready, ..
-            },
-            ResponseTag::V1 { seq },
-        ) => {
-            // v1 clients read responses in request order; park completions
-            // until every earlier one has emitted.
-            ready.insert(seq, body);
-            while let Some(b) = ready.remove(next_emit) {
-                wire::encode_v1_into(&mut conn.write_buf, &b);
-                *next_emit += 1;
-            }
-        }
-        (Proto::V2 { in_flight }, ResponseTag::V2 { request_id }) => {
-            in_flight.remove(&request_id);
-            wire::encode_v2_into(&mut conn.write_buf, request_id, &body);
-        }
-        // A completion can race a protocol error that reset expectations;
-        // frame it to match its request so the client can still decode it.
-        (_, ResponseTag::V1 { .. }) => wire::encode_v1_into(&mut conn.write_buf, &body),
-        (_, ResponseTag::V2 { request_id }) => {
-            wire::encode_v2_into(&mut conn.write_buf, request_id, &body)
-        }
-    }
-}
-
-/// Queues a fatal protocol-error reply (framed per the connection's
-/// locked-in version) and marks the connection to close once flushed.
-fn queue_protocol_error(
-    proto: &Proto,
-    write_buf: &mut Vec<u8>,
-    close_after_flush: &mut bool,
-    msg: &str,
-) {
-    let body = wire::encode_err(msg);
-    match proto {
-        // No request id to echo: `u32::MAX` marks a connection-level error.
-        Proto::V2 { .. } => wire::encode_v2_into(write_buf, u32::MAX, &body),
-        _ => wire::encode_v1_into(write_buf, &body),
-    }
-    *close_after_flush = true;
+    frames.discard();
 }
 
 /// Writes as much queued output as the socket accepts, arming or
@@ -668,7 +523,7 @@ fn flush(ep: &Epoll, conn: &mut Conn) -> Action {
         }
     }
     if conn.write_pos >= conn.write_buf.len() {
-        conn.write_buf.clear();
+        wire::clear_buffer(&mut conn.write_buf);
         conn.write_pos = 0;
         if conn.close_after_flush {
             return Action::Close;
@@ -724,7 +579,8 @@ fn drain_completions(
         // Safety: this thread owns the slot (checked above).
         unsafe {
             shared.slab.with(c.slot, |conn| {
-                queue_response(conn, c.tag, c.body);
+                conn.in_flight.remove(&c.request_id);
+                wire::encode_v2_into(&mut conn.write_buf, c.request_id, &c.body);
                 if !std::mem::replace(&mut conn.flush_due, true) {
                     touched.push(c.slot);
                 }

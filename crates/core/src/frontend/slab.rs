@@ -1,12 +1,10 @@
 //! Lock-free fixed-size slab for per-connection reactor state.
 //!
 //! Accept and close are the FrontEnd's hot control-plane path; under a
-//! reactor pool they race across threads, so the free list is a Treiber
-//! stack of slot indices whose head packs `(aba_tag << 32) | (index + 1)`
-//! into one `AtomicU64` — the pointer-width-CAS recipe of Blelloch & Wei's
-//! constant-time fixed-size allocation: a tag bump on every successful
-//! push/pop makes the classic ABA reuse race unobservable, and both
-//! `insert` and `remove` are O(1) with no global lock.
+//! reactor pool they race across threads. Free slot indices live in a
+//! [`SlotStack`] — the workspace's one tagged Treiber stack (Blelloch &
+//! Wei's constant-time fixed-size allocation) — so both `insert` and
+//! `remove` are O(1) with no global lock.
 //!
 //! Each slot additionally carries a **generation** counter, bumped on
 //! every `remove`: completion tokens `(slot, generation)` handed to the
@@ -14,15 +12,11 @@
 //! the slot is recycled — a stale completion simply fails the generation
 //! check and is dropped instead of writing into someone else's connection.
 
+use pretzel_data::slot_alloc::SlotStack;
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
-
-/// Sentinel for "no next slot" in the free list (indices store `i + 1`).
-const NIL: u32 = 0;
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 struct Slot<T> {
-    /// Free-list link: `next_index + 1`, or [`NIL`].
-    next: AtomicU32,
     /// Bumped on every `remove`; tokens carry the value they observed.
     generation: AtomicU32,
     value: UnsafeCell<Option<T>>,
@@ -32,8 +26,8 @@ struct Slot<T> {
 /// value access is single-owner (the reactor thread that owns the slot).
 pub(crate) struct ConnSlab<T> {
     slots: Box<[Slot<T>]>,
-    /// Packed Treiber head: `(tag << 32) | (index + 1)`.
-    head: AtomicU64,
+    /// Indices of the slots holding no value.
+    free: SlotStack<u32>,
     occupied: AtomicUsize,
 }
 
@@ -46,18 +40,21 @@ unsafe impl<T: Send> Send for ConnSlab<T> {}
 impl<T> ConnSlab<T> {
     /// Builds a slab of `capacity` slots, all free.
     pub(crate) fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1).min(u32::MAX as usize - 1);
+        let capacity = capacity.clamp(1, u32::MAX as usize - 1);
         let slots: Box<[Slot<T>]> = (0..capacity)
-            .map(|i| Slot {
-                // Thread the initial free list 0 -> 1 -> ... -> NIL.
-                next: AtomicU32::new(if i + 1 < capacity { i as u32 + 2 } else { NIL }),
+            .map(|_| Slot {
                 generation: AtomicU32::new(0),
                 value: UnsafeCell::new(None),
             })
             .collect();
+        let free = SlotStack::new(capacity);
+        // Pushed in reverse, so slot 0 is handed out first.
+        for index in (0..capacity as u32).rev() {
+            let _ = free.push(index);
+        }
         ConnSlab {
             slots,
-            head: AtomicU64::new(1), // index 0, tag 0
+            free,
             occupied: AtomicUsize::new(0),
         }
     }
@@ -73,36 +70,14 @@ impl<T> ConnSlab<T> {
     }
 
     /// Claims a free slot for `value`; returns its `(slot, generation)`
-    /// token, or `None` (with `value` given back) when the slab is full.
+    /// token, or `None` when the slab is full.
     pub(crate) fn insert(&self, value: T) -> Option<(u32, u32)> {
-        let mut head = self.head.load(Ordering::Acquire);
-        loop {
-            let link = (head & 0xffff_ffff) as u32;
-            if link == NIL {
-                return None; // slab full
-            }
-            let index = link - 1;
-            let next = self.slots[index as usize].next.load(Ordering::Acquire);
-            let tag = head >> 32;
-            let new_head = ((tag + 1) << 32) | u64::from(next);
-            match self.head.compare_exchange_weak(
-                head,
-                new_head,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => {
-                    // The slot is exclusively ours until pushed back.
-                    unsafe { *self.slots[index as usize].value.get() = Some(value) };
-                    self.occupied.fetch_add(1, Ordering::AcqRel);
-                    let generation = self.slots[index as usize]
-                        .generation
-                        .load(Ordering::Acquire);
-                    return Some((index, generation));
-                }
-                Err(current) => head = current,
-            }
-        }
+        let index = self.free.pop()?;
+        let slot = &self.slots[index as usize];
+        // The slot is exclusively ours until its index is pushed back.
+        unsafe { *slot.value.get() = Some(value) };
+        self.occupied.fetch_add(1, Ordering::AcqRel);
+        Some((index, slot.generation.load(Ordering::Acquire)))
     }
 
     /// The slot's current generation (for validating completion tokens).
@@ -136,24 +111,9 @@ impl<T> ConnSlab<T> {
             .generation
             .fetch_add(1, Ordering::AcqRel);
         self.occupied.fetch_sub(1, Ordering::AcqRel);
-        let mut head = self.head.load(Ordering::Acquire);
-        loop {
-            let link = (head & 0xffff_ffff) as u32;
-            self.slots[slot as usize]
-                .next
-                .store(link, Ordering::Release);
-            let tag = head >> 32;
-            let new_head = ((tag + 1) << 32) | u64::from(slot + 1);
-            match self.head.compare_exchange_weak(
-                head,
-                new_head,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => return value,
-                Err(current) => head = current,
-            }
-        }
+        // Every index fits: the stack holds as many as there are slots.
+        let _ = self.free.push(slot);
+        value
     }
 }
 

@@ -1,20 +1,17 @@
-//! Frame codecs for the FrontEnd protocol: v1 (length-prefixed, one
-//! request in flight) and v2 (versioned header carrying a per-request
-//! `request_id`, so one connection can pipeline many predicts and receive
-//! responses out of order).
+//! Frame codec for the FrontEnd protocol: wire v2, a fixed header that
+//! carries a per-request `request_id`, so one connection can pipeline many
+//! predicts and receive responses out of order.
 //!
 //! ```text
-//! v1 frame := u32 body_len · body
-//! v2 frame := magic[4] · u8 version · u8 flags · u16 reserved ·
-//!             u32 request_id · u32 body_len · body
+//! frame := magic[4] · u8 version · u8 flags · u16 reserved ·
+//!          u32 request_id · u32 body_len · body
 //! ```
 //!
-//! The two are self-describing on one socket: the v2 magic
-//! `50 5A 57 B2` ("PZW·"), read as a little-endian u32, is `0xB2575A50` —
-//! far above [`MAX_FRAME_BYTES`] — so no valid v1 length prefix can ever
-//! alias it, and the parser needs no out-of-band negotiation. Responses
-//! use the frame format of the request they answer; v2 responses echo the
-//! request's `request_id`.
+//! Every frame opens with [`WIRE_MAGIC`] (`50 5A 57 B2`, "PZW·"): a stream
+//! whose first four bytes are anything else is rejected as soon as they are
+//! buffered. A response echoes the `request_id` of the request it answers;
+//! an error that concerns the connection rather than one request (a
+//! framing violation) carries [`CONNECTION_ERROR_ID`].
 
 use pretzel_data::{DataError, Result};
 use std::io::Read;
@@ -52,19 +49,24 @@ pub const FLAG_PLAN_ALIAS: u8 = 0b100;
 /// or hostile prefix must never turn into a multi-gigabyte `vec![0; len]`.
 pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
-/// v2 frame magic. Its little-endian u32 value (`0xB2575A50`) exceeds
-/// [`MAX_FRAME_BYTES`], so a v1 parser sees it as an oversized prefix and
-/// a version-aware parser can branch on the first four bytes alone.
+/// The four bytes every frame opens with.
 pub const WIRE_MAGIC: [u8; 4] = [0x50, 0x5A, 0x57, 0xB2];
-/// Current protocol version carried in byte 4 of a v2 header.
+/// Protocol version carried in byte 4 of the header.
 pub const WIRE_V2: u8 = 2;
-/// Fixed v2 header size: magic(4) + version(1) + flags(1) + reserved(2) +
+/// Fixed header size: magic(4) + version(1) + flags(1) + reserved(2) +
 /// request_id(4) + body_len(4).
 pub const V2_HEADER_BYTES: usize = 16;
+/// The `request_id` of a reply that answers no one request: a framing
+/// violation, after which the server closes the connection.
+pub const CONNECTION_ERROR_ID: u32 = u32::MAX;
 
-/// How far a read buffer grows by doubling while reads keep filling it;
-/// only a single frame longer than this grows one further.
+/// How far a buffer grows by doubling while reads keep filling it; only a
+/// single frame longer than this grows one further.
 const IO_CHUNK: usize = 64 * 1024;
+
+/// A drained buffer holding more than this shrinks back to [`IO_CHUNK`]:
+/// one large frame does not pin its size for the life of the connection.
+const RETAIN_BYTES: usize = 1 << 20;
 
 /// Read-buffer size a connection starts with (an idle connection that never
 /// sent a byte holds none at all).
@@ -74,13 +76,8 @@ const MIN_READ: usize = 4 * 1024;
 #[derive(Debug)]
 pub(crate) enum Frame<'a> {
     /// One complete frame, consumed from the buffer; `body` stays valid
-    /// until the reader is next touched. v1 frames carry no id
-    /// (`request_id` 0).
-    Complete {
-        version: u8,
-        request_id: u32,
-        body: &'a [u8],
-    },
+    /// until the reader is next touched.
+    Complete { request_id: u32, body: &'a [u8] },
     /// Unrecoverable framing violation (see [`Parse::Reject`]).
     Reject(String),
 }
@@ -117,11 +114,11 @@ impl FrameReader {
     /// Parses the next complete frame already buffered and consumes it;
     /// `None` when a whole frame is not buffered yet.
     pub(crate) fn next_frame(&mut self) -> Option<Frame<'_>> {
+        self.rewind_if_drained();
         Some(match parse_frame(&self.buf[self.pos..self.end]) {
             Parse::NeedMore => return None,
             Parse::Reject(msg) => Frame::Reject(msg),
             Parse::Frame {
-                version,
                 request_id,
                 body,
                 consumed,
@@ -129,12 +126,30 @@ impl FrameReader {
                 let at = self.pos;
                 self.pos += consumed;
                 Frame::Complete {
-                    version,
                     request_id,
                     body: &self.buf[at + body.start..at + body.end],
                 }
             }
         })
+    }
+
+    /// With nothing left unparsed, starts the buffer over at its front and
+    /// gives back what a large frame grew it to past [`RETAIN_BYTES`].
+    fn rewind_if_drained(&mut self) {
+        if self.pos == self.end {
+            self.pos = 0;
+            self.end = 0;
+            if self.buf.len() > RETAIN_BYTES {
+                self.buf.truncate(IO_CHUNK);
+                self.buf.shrink_to_fit();
+            }
+        }
+    }
+
+    /// Bytes the buffer holds on to, used or not.
+    #[cfg(test)]
+    fn retained(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// Issues one `read` into the buffer's free space, first making room:
@@ -143,10 +158,7 @@ impl FrameReader {
     /// to fit — never past what [`parse_frame`] accepts. Call it only when
     /// [`Self::next_frame`] has nothing complete left to hand out.
     pub(crate) fn fill(&mut self, stream: &mut impl Read) -> std::io::Result<Filled> {
-        if self.pos == self.end {
-            self.pos = 0;
-            self.end = 0;
-        }
+        self.rewind_if_drained();
         let want = announced_len(&self.buf[self.pos..self.end])
             .map_or(MIN_READ, |total| {
                 total.min(MAX_FRAME_BYTES + V2_HEADER_BYTES)
@@ -195,21 +207,23 @@ impl FrameReader {
 }
 
 /// Total size (header + body) the frame at the head of `buf` announces, once
-/// its length prefix is buffered. Sizing only — [`parse_frame`] validates.
+/// its header is buffered. Sizing only — [`parse_frame`] validates.
 fn announced_len(buf: &[u8]) -> Option<usize> {
-    if buf.len() < 4 {
-        return None;
-    }
-    if buf[..4] == WIRE_MAGIC {
-        let len = buf.get(12..V2_HEADER_BYTES)?;
-        let len = u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize;
-        return Some(V2_HEADER_BYTES + len);
-    }
-    Some(4 + u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize)
+    let len = buf.get(12..V2_HEADER_BYTES)?;
+    Some(V2_HEADER_BYTES + u32::from_le_bytes([len[0], len[1], len[2], len[3]]) as usize)
 }
 
-/// Opens a v2 frame at the end of `out` with the body length left blank;
-/// the body is then encoded in place behind it and [`end_frame`] closes it.
+/// Clears an outbound buffer, giving back what a large frame grew it to
+/// past [`RETAIN_BYTES`].
+pub(crate) fn clear_buffer(out: &mut Vec<u8>) {
+    out.clear();
+    if out.capacity() > RETAIN_BYTES {
+        out.shrink_to(IO_CHUNK);
+    }
+}
+
+/// Opens a frame at the end of `out` with the body length left blank; the
+/// body is then encoded in place behind it and [`end_frame`] closes it.
 /// Returns the offset the body starts at.
 pub(crate) fn begin_v2(out: &mut Vec<u8>, request_id: u32) -> usize {
     out.extend_from_slice(&WIRE_MAGIC);
@@ -219,31 +233,24 @@ pub(crate) fn begin_v2(out: &mut Vec<u8>, request_id: u32) -> usize {
     out.len()
 }
 
-/// Opens a v1 frame at the end of `out`; see [`begin_v2`].
-pub(crate) fn begin_v1(out: &mut Vec<u8>) -> usize {
-    out.extend_from_slice(&[0; 4]);
-    out.len()
-}
-
-/// Closes the frame whose body started at `body_start`: both versions keep
-/// the body length in the last four header bytes.
+/// Closes the frame whose body started at `body_start`: the body length is
+/// the header's last four bytes.
 pub(crate) fn end_frame(out: &mut [u8], body_start: usize) {
     let len = (out.len() - body_start) as u32;
     out[body_start - 4..body_start].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Appends one encoded v2 frame to `out` (the reactor's write queue).
+/// Appends one encoded frame to `out` (the reactor's write queue).
 pub(crate) fn encode_v2_into(out: &mut Vec<u8>, request_id: u32, body: &[u8]) {
     let body_start = begin_v2(out, request_id);
     out.extend_from_slice(body);
     end_frame(out, body_start);
 }
 
-/// Appends one encoded v1 frame to `out`.
-pub(crate) fn encode_v1_into(out: &mut Vec<u8>, body: &[u8]) {
-    let body_start = begin_v1(out);
-    out.extend_from_slice(body);
-    end_frame(out, body_start);
+/// Appends the error reply to a framing violation, tagged
+/// [`CONNECTION_ERROR_ID`]; the connection closes once it is sent.
+pub(crate) fn encode_connection_error(out: &mut Vec<u8>, msg: &str) {
+    encode_v2_into(out, CONNECTION_ERROR_ID, &encode_err(msg));
 }
 
 /// Outcome of scanning a connection's read buffer for the next frame.
@@ -251,17 +258,16 @@ pub(crate) fn encode_v1_into(out: &mut Vec<u8>, body: &[u8]) {
 pub(crate) enum Parse {
     /// Not enough buffered bytes yet.
     NeedMore,
-    /// One complete frame: protocol version (1 or 2), the request id
-    /// (0 for v1 frames, which carry none), the body's byte range within
+    /// One complete frame: its request id, the body's byte range within
     /// the scanned slice, and how many bytes the frame consumed.
     Frame {
-        version: u8,
         request_id: u32,
         body: std::ops::Range<usize>,
         consumed: usize,
     },
-    /// Unrecoverable framing violation (oversized prefix, unknown
-    /// version): the stream cannot be resynchronized — reply and close.
+    /// Unrecoverable framing violation (bad magic, unknown version,
+    /// oversized body): the stream cannot be resynchronized — reply and
+    /// close.
     Reject(String),
 }
 
@@ -272,45 +278,30 @@ pub(crate) fn parse_frame(buf: &[u8]) -> Parse {
     if buf.len() < 4 {
         return Parse::NeedMore;
     }
-    if buf[..4] == WIRE_MAGIC {
-        if buf.len() < V2_HEADER_BYTES {
-            return Parse::NeedMore;
-        }
-        let version = buf[4];
-        if version != WIRE_V2 {
-            return Parse::Reject(format!("unsupported wire version {version}"));
-        }
-        let request_id = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
-        let len = u32::from_le_bytes([buf[12], buf[13], buf[14], buf[15]]) as usize;
-        if len > MAX_FRAME_BYTES {
-            return Parse::Reject(format!(
-                "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte limit"
-            ));
-        }
-        if buf.len() < V2_HEADER_BYTES + len {
-            return Parse::NeedMore;
-        }
-        return Parse::Frame {
-            version: WIRE_V2,
-            request_id,
-            body: V2_HEADER_BYTES..V2_HEADER_BYTES + len,
-            consumed: V2_HEADER_BYTES + len,
-        };
+    if buf[..4] != WIRE_MAGIC {
+        return Parse::Reject(format!("bad frame magic {:02x?}", &buf[..4]));
     }
-    let len = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
+    if buf.len() < V2_HEADER_BYTES {
+        return Parse::NeedMore;
+    }
+    let version = buf[4];
+    if version != WIRE_V2 {
+        return Parse::Reject(format!("unsupported wire version {version}"));
+    }
+    let request_id = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
+    let len = u32::from_le_bytes([buf[12], buf[13], buf[14], buf[15]]) as usize;
     if len > MAX_FRAME_BYTES {
         return Parse::Reject(format!(
             "frame length {len} exceeds the {MAX_FRAME_BYTES}-byte limit"
         ));
     }
-    if buf.len() < 4 + len {
+    if buf.len() < V2_HEADER_BYTES + len {
         return Parse::NeedMore;
     }
     Parse::Frame {
-        version: 1,
-        request_id: 0,
-        body: 4..4 + len,
-        consumed: 4 + len,
+        request_id,
+        body: V2_HEADER_BYTES..V2_HEADER_BYTES + len,
+        consumed: V2_HEADER_BYTES + len,
     }
 }
 
@@ -403,15 +394,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn magic_cannot_alias_a_valid_v1_prefix() {
-        let as_len = u32::from_le_bytes(WIRE_MAGIC) as usize;
-        assert!(
-            as_len > MAX_FRAME_BYTES,
-            "magic {as_len:#x} must exceed MAX_FRAME_BYTES so v1/v2 detection is unambiguous"
-        );
-    }
-
-    #[test]
     fn incremental_parse_v2_roundtrip() {
         let mut buf = Vec::new();
         encode_v2_into(&mut buf, 42, b"hello");
@@ -421,7 +403,6 @@ mod tests {
             assert_eq!(parse_frame(&buf[..cut]), Parse::NeedMore, "cut {cut}");
         }
         let Parse::Frame {
-            version,
             request_id,
             body,
             consumed,
@@ -429,7 +410,7 @@ mod tests {
         else {
             panic!("expected a frame");
         };
-        assert_eq!((version, request_id), (WIRE_V2, 42));
+        assert_eq!(request_id, 42);
         assert_eq!(&buf[body], b"hello");
         let Parse::Frame {
             request_id, body, ..
@@ -442,33 +423,28 @@ mod tests {
     }
 
     #[test]
-    fn incremental_parse_v1_roundtrip() {
-        let mut buf = Vec::new();
-        encode_v1_into(&mut buf, b"abc");
-        let Parse::Frame {
-            version,
-            request_id,
-            body,
-            consumed,
-        } = parse_frame(&buf)
-        else {
-            panic!("expected a frame");
-        };
-        assert_eq!((version, request_id, consumed), (1, 0, 7));
-        assert_eq!(&buf[body], b"abc");
-    }
-
-    #[test]
     fn hostile_prefixes_reject_without_allocation() {
-        // v1 oversized prefix.
-        let huge = (u32::MAX).to_le_bytes();
-        assert!(matches!(parse_frame(&huge), Parse::Reject(_)));
-        // v2 oversized body length.
-        let mut v2 = WIRE_MAGIC.to_vec();
-        v2.extend_from_slice(&[WIRE_V2, 0, 0, 0]);
-        v2.extend_from_slice(&7u32.to_le_bytes());
-        v2.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(parse_frame(&v2), Parse::Reject(_)));
+        // A head that is not the magic: rejected once four bytes are in,
+        // whatever they would have announced as a length.
+        for head in [u32::MAX, 8, 0] {
+            let head = head.to_le_bytes();
+            assert_eq!(parse_frame(&head[..3]), Parse::NeedMore);
+            match parse_frame(&head) {
+                Parse::Reject(msg) => assert!(msg.contains("magic"), "{msg}"),
+                other => panic!("expected reject, got {other:?}"),
+            }
+        }
+        // Oversized body lengths.
+        for len in [u32::MAX, (64 << 20) + 1, 0x8000_0000] {
+            let mut v2 = WIRE_MAGIC.to_vec();
+            v2.extend_from_slice(&[WIRE_V2, 0, 0, 0]);
+            v2.extend_from_slice(&7u32.to_le_bytes());
+            v2.extend_from_slice(&len.to_le_bytes());
+            match parse_frame(&v2) {
+                Parse::Reject(msg) => assert!(msg.contains("exceeds"), "{msg}"),
+                other => panic!("expected reject, got {other:?}"),
+            }
+        }
         // Unknown version byte.
         let mut bad = WIRE_MAGIC.to_vec();
         bad.extend_from_slice(&[9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]);
@@ -481,34 +457,20 @@ mod tests {
     #[test]
     fn frame_reader_matches_incremental_parser() {
         let mut wire = Vec::new();
-        encode_v1_into(&mut wire, b"one");
+        encode_v2_into(&mut wire, 6, b"one");
         encode_v2_into(&mut wire, 7, b"two");
         // A body longer than the reader's first buffer forces the grow path.
         let big = vec![0xABu8; 3 * MIN_READ + 17];
         encode_v2_into(&mut wire, 8, &big);
         let mut cursor = std::io::Cursor::new(wire);
         let mut frames = FrameReader::default();
-        match frames.read_next(&mut cursor).unwrap() {
-            Some(Frame::Complete {
-                version: 1, body, ..
-            }) => assert_eq!(body, b"one"),
-            other => panic!("{other:?}"),
-        }
-        match frames.read_next(&mut cursor).unwrap() {
-            Some(Frame::Complete {
-                version: WIRE_V2,
-                request_id: 7,
-                body,
-            }) => assert_eq!(body, b"two"),
-            other => panic!("{other:?}"),
-        }
-        match frames.read_next(&mut cursor).unwrap() {
-            Some(Frame::Complete {
-                request_id: 8,
-                body,
-                ..
-            }) => assert_eq!(body, &big[..]),
-            other => panic!("{other:?}"),
+        for (id, want) in [(6, &b"one"[..]), (7, b"two"), (8, &big)] {
+            match frames.read_next(&mut cursor).unwrap() {
+                Some(Frame::Complete { request_id, body }) => {
+                    assert_eq!((request_id, body), (id, want));
+                }
+                other => panic!("{other:?}"),
+            }
         }
         assert!(frames.read_next(&mut cursor).unwrap().is_none());
     }
@@ -543,9 +505,7 @@ mod tests {
             let mut frames = FrameReader::default();
             for (i, want) in bodies.iter().enumerate() {
                 match frames.read_next(&mut stream).unwrap() {
-                    Some(Frame::Complete {
-                        request_id, body, ..
-                    }) => {
+                    Some(Frame::Complete { request_id, body }) => {
                         assert_eq!(request_id, i as u32, "step {step}");
                         assert_eq!(body, &want[..], "step {step} frame {i}");
                     }
@@ -554,6 +514,43 @@ mod tests {
             }
             assert!(frames.read_next(&mut stream).unwrap().is_none());
         }
+    }
+
+    #[test]
+    fn a_large_frame_is_not_retained_once_read() {
+        let mut wire = Vec::new();
+        let big = vec![0x5Au8; 8 << 20];
+        encode_v2_into(&mut wire, 1, &big);
+        encode_v2_into(&mut wire, 2, b"small");
+        let mut cursor = std::io::Cursor::new(wire);
+        let mut frames = FrameReader::default();
+        match frames.read_next(&mut cursor).unwrap() {
+            Some(Frame::Complete {
+                request_id: 1,
+                body,
+            }) => assert_eq!(body.len(), big.len()),
+            other => panic!("{other:?}"),
+        }
+        assert!(
+            frames.retained() > RETAIN_BYTES,
+            "the big frame was buffered whole"
+        );
+        match frames.read_next(&mut cursor).unwrap() {
+            Some(Frame::Complete {
+                request_id: 2,
+                body,
+            }) => assert_eq!(body, b"small"),
+            other => panic!("{other:?}"),
+        }
+        assert!(
+            frames.retained() <= RETAIN_BYTES,
+            "still holding {} bytes",
+            frames.retained()
+        );
+
+        let mut out = Vec::with_capacity(8 << 20);
+        clear_buffer(&mut out);
+        assert!(out.capacity() <= RETAIN_BYTES);
     }
 
     #[test]

@@ -34,7 +34,7 @@
 //! object.
 //!
 //! **Sharded read path:** the parameter map is split across
-//! [`STORE_SHARDS`] reader-writer shards keyed by checksum, so the
+//! `STORE_SHARDS` reader-writer shards keyed by checksum, so the
 //! read-mostly lookups ([`ObjectStore::get`], the intern fast path) run
 //! under shared read locks and never contend with each other; only the
 //! deploy/undeploy write paths take a shard's write lock, and only for

@@ -15,7 +15,7 @@
 //! are requested per pipeline and lazily fulfilled when a pipeline's first
 //! stage is being evaluated").
 //!
-//! **The execution plane.** Each executor owns its own [`DualQueue`] and
+//! **The execution plane.** Each executor owns its own `DualQueue` and
 //! vector-pool arena; submissions round-robin chunks across the worker
 //! queues, and a worker that runs dry *steals* — randomized two-choice
 //! victim selection, preferring the victim's low queue (stage-0 chunks
@@ -24,7 +24,7 @@
 //! go home via lock-free cross-core return). Stolen chunks re-enter the
 //! *thief's* queue for later stages, so a chunk migrates at most once per
 //! dry spell. A worker that finds nothing anywhere sleeps until a
-//! submission wakes it ([`Sleepers`]): an idle executor costs no CPU.
+//! submission wakes it (`Sleepers`): an idle executor costs no CPU.
 //!
 //! **Reservation-based scheduling**: a plan may reserve its own executor
 //! (and vector pool) — a one-worker plane of its own, outside every other
@@ -741,7 +741,7 @@ impl Scheduler {
     /// Deploy-time plan warming for the batch engine: tops the pools that
     /// will actually serve `plan_id` — its dedicated pool when the plan is
     /// reserved, the shared executor pools otherwise — up to
-    /// [`WARM_WORKING_SETS`] working sets of the plan per size class
+    /// `WARM_WORKING_SETS` working sets of the plan per size class
     /// ([`ModelPlan::working_set`]), so the first post-deploy (or
     /// post-swap) chunk pays no pool misses. Provisioning is per class,
     /// not per plan: a class that already holds enough — because a plan

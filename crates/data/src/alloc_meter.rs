@@ -208,8 +208,18 @@ pub fn fmt_bytes(bytes: usize) -> String {
 mod tests {
     use super::*;
 
+    /// Held by every test that asserts exact deltas of the process-wide
+    /// counters: run side by side, one test's allocation lands inside
+    /// another's measured window.
+    static COUNTERS: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn counters() -> std::sync::MutexGuard<'static, ()> {
+        COUNTERS.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn counters_track_manual_alloc() {
+        let _counters = counters();
         let a = CountingAlloc::new();
         let layout = Layout::from_size_align(1024, 8).unwrap();
         let before = live_bytes();
@@ -226,6 +236,7 @@ mod tests {
 
     #[test]
     fn realloc_adjusts_delta() {
+        let _counters = counters();
         let a = CountingAlloc::new();
         let layout = Layout::from_size_align(256, 8).unwrap();
         let before = live_bytes();
@@ -244,6 +255,7 @@ mod tests {
 
     #[test]
     fn memory_scope_reports_deltas() {
+        let _counters = counters();
         let a = CountingAlloc::new();
         let layout = Layout::from_size_align(2048, 8).unwrap();
         let scope = MemoryScope::begin();

@@ -276,7 +276,7 @@ impl FlatProbeTable {
     }
 
     /// Probes every key of `hashes` and streams the values of the hits in
-    /// order. Per block of [`BLOCK`] keys: the filter bit of every key is
+    /// order. Per block of `BLOCK` keys: the filter bit of every key is
     /// tested with no branch, compacting the positions of the keys that
     /// pass; only those — the hits and ≤ 1/16 of the misses — take the
     /// slot walk and its data-dependent branches, their slots prefetched

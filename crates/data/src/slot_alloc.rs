@@ -2,8 +2,9 @@
 //!
 //! [`SlotStack`] is a bounded concurrent LIFO of owned values built on the
 //! constant-time fixed-size allocation recipe of Blelloch & Wei
-//! (arXiv:2008.04296), generalizing the Treiber discipline already proven
-//! on connection state in `frontend/slab.rs`: every slot carries an atomic
+//! (arXiv:2008.04296), and the workspace's one tagged Treiber stack: the
+//! `VectorPool` arenas and the FrontEnd's connection slab (which keeps its free
+//! slot indices in one) both use it. Every slot carries an atomic
 //! free-list link, and the two list heads (free slots, occupied slots) each
 //! pack `(aba_tag << 32) | (index + 1)` into a single `AtomicU64`, so both
 //! `push` and `pop` are one pointer-width CAS loop each. The tag bump on

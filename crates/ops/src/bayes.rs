@@ -103,7 +103,7 @@ impl NaiveBayesParams {
     }
 
     /// Batch kernel: per-class log scores for every row of the chunk
-    /// through the same [`Self::score_row`] as the per-record kernel.
+    /// through the same `Self::score_row` as the per-record kernel.
     pub fn eval_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
         let classes = self.classes();
         if out.column_type() != (pretzel_data::ColumnType::F32Dense { len: classes }) {

@@ -86,7 +86,7 @@ impl OneHotParams {
     }
 
     /// Batch kernel: expands every row of the chunk through the same
-    /// [`Self::encode_row`] as the per-record kernel.
+    /// `Self::encode_row` as the per-record kernel.
     pub fn eval_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
         let in_dim = self.input_dim as usize;
         let out_dim = self.output_dim();

@@ -84,7 +84,7 @@ impl KMeansParams {
     }
 
     /// Batch kernel: distances to every centroid for every row through the
-    /// same [`Self::distances_row`] as the per-record kernel; the centroid
+    /// same `Self::distances_row` as the per-record kernel; the centroid
     /// matrix stays cache-hot across the chunk.
     pub fn eval_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
         let d = self.dim as usize;

@@ -87,7 +87,7 @@ impl PcaParams {
     }
 
     /// Batch kernel: projects every row of the chunk through the same
-    /// [`Self::project_row`] as the per-record kernel; the component
+    /// `Self::project_row` as the per-record kernel; the component
     /// matrix stays cache-hot across rows.
     pub fn eval_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
         let d = self.dim as usize;

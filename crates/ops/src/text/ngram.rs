@@ -17,7 +17,7 @@
 //!
 //! **Matching path** (the SA bottleneck, paper Figure 1/Table 1). A
 //! character dictionary whose extracted lengths are all at most 4 bytes
-//! reads its windows through a [`WindowTable`]; every other dictionary,
+//! reads its windows through a `WindowTable`; every other dictionary,
 //! and every word dictionary, hashes and probes.
 //!
 //! *Window table.* The dictionary's trained keys are known when the plan
@@ -44,16 +44,16 @@
 //! branch-free filter → confirm only the survivors, in window order*:
 //!
 //! 1. **fold once**: the row's bytes are case-folded into a thread-local
-//!    scratch buffer with [`SLACK`] zero bytes behind them, so any 8-byte
+//!    scratch buffer with `SLACK` zero bytes behind them, so any 8-byte
 //!    load that starts inside the row is in bounds;
 //! 2. **keys**: a segment of `k ≤ 8` bytes hashes as one unaligned load,
-//!    one mask and one multiply ([`seg`]) — every character window and
+//!    one mask and one multiply (`seg`) — every character window and
 //!    every token is independent of its neighbours, no multiply chain.
 //!    Character windows of one length are keyed by a loop compiled for
-//!    that length ([`packed_keys`], one per `k ≤ 8`), so the mask and the
+//!    that length (`packed_keys`, one per `k ≤ 8`), so the mask and the
 //!    salt are constants and the loop carries no per-window length test.
 //!    A word k-gram joins its (k−1)-gram with the next token's hash
-//!    ([`join`]), so each token is hashed once however many n-grams
+//!    (`join`), so each token is hashed once however many n-grams
 //!    contain it;
 //! 3. **filter, then confirm**: each block of keys goes through
 //!    [`FlatProbeTable::probe_each`], which tests a one-hash bit filter

@@ -690,7 +690,7 @@ impl MulticlassTreeParams {
     }
 
     /// Batch kernel: per-class ensemble scores for every row through the
-    /// same [`Self::score`] as the per-record kernel.
+    /// same `Self::score` as the per-record kernel.
     pub fn eval_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
         let classes = self.classes();
         if out.column_type() != (pretzel_data::ColumnType::F32Dense { len: classes }) {

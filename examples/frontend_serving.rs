@@ -51,7 +51,7 @@ fn main() {
             let ids = ids.clone();
             std::thread::spawn(move || {
                 let mut reviews = ReviewGen::new(c as u64, 1000, 1.2);
-                let mut client = Client::connect(addr).unwrap();
+                let mut client = Client::connect_v2(addr).unwrap();
                 // A small hot set of request lines so the cache can work.
                 let lines: Vec<String> = (0..10)
                     .map(|_| format!("4,{}", reviews.review(10, 25)))

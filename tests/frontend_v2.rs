@@ -1,14 +1,14 @@
 //! Wire protocol v2 + reactor FrontEnd integration.
 //!
-//! The reactor FrontEnd serves two protocol generations on one port:
-//! length-prefixed v1 frames (strict request-response, answered in
-//! submission order) and v2 frames (magic + version + request_id header,
+//! The FrontEnd speaks one framing: a magic + version + request_id header,
 //! many requests in flight per connection, responses completing out of
-//! order). The contract here is threefold: scores are bitwise identical
-//! across every client generation and request style, hostile framing
-//! fails cleanly without wedging a reactor or leaking slab slots, and a
-//! pipelined load survives rolling model swaps with zero lost requests.
+//! order. The contract here is threefold: scores are bitwise identical
+//! across the sequential and pipelined clients and every request style,
+//! hostile framing fails cleanly without wedging a reactor or leaking slab
+//! slots, and a pipelined load survives rolling model swaps with zero lost
+//! requests.
 
+use pretzel_core::frontend::wire::CONNECTION_ERROR_ID;
 use pretzel_core::frontend::{
     Client, FrontEnd, FrontEndConfig, PredictRequest, Session, MAX_FRAME_BYTES, WIRE_MAGIC, WIRE_V2,
 };
@@ -74,7 +74,7 @@ fn await_open_connections(fe: &FrontEnd, want: usize) {
 
 // ---- raw-frame helpers (hostile clients speak bytes, not the Client) ----
 
-/// Encodes a v1 single-text request body (plan · kind|flags|n · record).
+/// Encodes a single-text request body (plan · kind|flags|n · record).
 fn text_request_body(plan: u32, flags: u8, line: &str) -> Vec<u8> {
     let mut body = Vec::new();
     body.extend_from_slice(&plan.to_le_bytes());
@@ -83,13 +83,6 @@ fn text_request_body(plan: u32, flags: u8, line: &str) -> Vec<u8> {
     body.extend_from_slice(&(line.len() as u32).to_le_bytes());
     body.extend_from_slice(line.as_bytes());
     body
-}
-
-fn v1_frame(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
-    out.extend_from_slice(body);
-    out
 }
 
 fn v2_frame(request_id: u32, body: &[u8]) -> Vec<u8> {
@@ -114,18 +107,6 @@ fn read_exact_or_eof(stream: &mut TcpStream, buf: &mut [u8]) -> bool {
         }
     }
     true
-}
-
-/// Reads one v1 response frame; `None` on clean EOF.
-fn read_v1_response(stream: &mut TcpStream) -> Option<Vec<u8>> {
-    let mut len = [0u8; 4];
-    if !read_exact_or_eof(stream, &mut len) {
-        return None;
-    }
-    let len = u32::from_le_bytes(len) as usize;
-    let mut body = vec![0u8; len];
-    assert!(read_exact_or_eof(stream, &mut body), "truncated v1 body");
-    Some(body)
 }
 
 /// Reads one v2 response frame as `(request_id, body)`; `None` on EOF.
@@ -157,7 +138,7 @@ fn scores_of(body: &[u8]) -> Vec<f32> {
         .collect()
 }
 
-// ---- bitwise equivalence across client generations ----------------------
+// ---- bitwise equivalence across clients ---------------------------------
 
 /// Drives one client mode through the {single, batch, delayed} styles
 /// against one plan, returning scores in line order per style.
@@ -172,12 +153,8 @@ fn run_matrix(addr: SocketAddr, mode: &str, id: u32, lines: &[String]) -> Vec<Ve
         .collect();
     let batch_req = PredictRequest::text_batch(lines.iter().map(String::as_str)).plan(id);
     match mode {
-        "v1" | "v2-sequential" => {
-            let mut client = if mode == "v1" {
-                Client::connect(addr).unwrap()
-            } else {
-                Client::connect_v2(addr).unwrap()
-            };
+        "sequential" => {
+            let mut client = Client::connect_v2(addr).unwrap();
             let singles = single_reqs
                 .iter()
                 .map(|r| client.predict(r).unwrap())
@@ -189,7 +166,7 @@ fn run_matrix(addr: SocketAddr, mode: &str, id: u32, lines: &[String]) -> Vec<Ve
                 .collect();
             vec![singles, batch, delayed]
         }
-        "v2-pipelined" => {
+        "pipelined" => {
             let session = Session::connect(addr).unwrap();
             let pending: Vec<_> = single_reqs
                 .iter()
@@ -229,7 +206,7 @@ fn scores_bitwise_identical_across_client_generations() {
         .map(|l| runtime.predict(id, l).unwrap())
         .collect();
 
-    for mode in ["v1", "v2-sequential", "v2-pipelined"] {
+    for mode in ["sequential", "pipelined"] {
         let styles = run_matrix(fe.addr(), mode, id, &lines);
         for (style, got) in ["single", "batch", "delayed"].iter().zip(&styles) {
             assert_eq!(got.len(), reference.len(), "{mode}/{style} cardinality");
@@ -287,35 +264,6 @@ fn pipelined_responses_resolve_out_of_submission_order() {
     fe.stop();
 }
 
-#[test]
-fn v1_pipelined_responses_stay_in_submission_order() {
-    // A v1 client may pipeline writes, but v1 has no request ids — the
-    // reactor must answer strictly in submission order even when a later
-    // request's plan finishes first.
-    let (images, lines) = small_workload(3);
-    let (runtime, ids) = serve_runtime(&images);
-    let fe = FrontEnd::serve(Arc::clone(&runtime), FrontEndConfig::default()).unwrap();
-    let expected: Vec<f32> = ids
-        .iter()
-        .map(|&id| runtime.predict(id, &lines[0]).unwrap())
-        .collect();
-
-    let mut stream = TcpStream::connect(fe.addr()).unwrap();
-    let mut burst = Vec::new();
-    for &id in &ids {
-        burst.extend_from_slice(&v1_frame(&text_request_body(id, 0, &lines[0])));
-    }
-    stream.write_all(&burst).unwrap();
-    for want in &expected {
-        let body = read_v1_response(&mut stream).expect("server closed mid-pipeline");
-        let got = scores_of(&body);
-        assert_eq!(got.len(), 1);
-        assert_eq!(got[0].to_bits(), want.to_bits());
-    }
-    drop(stream);
-    fe.stop();
-}
-
 // ---- hostile framing -----------------------------------------------------
 
 #[test]
@@ -356,16 +304,26 @@ fn unknown_version_byte_is_rejected_with_an_error() {
     let mut frame = v2_frame(1, &[0u8; 8]);
     frame[4] = 9; // future protocol version
     stream.write_all(&frame).unwrap();
-    // The connection had not locked a protocol generation, so the reject
-    // comes back v1-framed, then the server closes.
-    let body = read_v1_response(&mut stream).expect("no error response");
+    // One connection-level error frame, then the server closes.
+    let (request_id, body) = read_v2_response(&mut stream).expect("no error response");
+    assert_eq!(request_id, CONNECTION_ERROR_ID);
     assert_eq!(body[0], 1, "expected an error status");
     assert!(
-        read_v1_response(&mut stream).is_none(),
+        read_v2_response(&mut stream).is_none(),
         "expected close after reject"
     );
+
+    // A head that is not the magic is refused as soon as its four bytes
+    // are in: the server does not wait for the rest of a header.
+    let mut stream = TcpStream::connect(fe.addr()).unwrap();
+    stream.write_all(&8u32.to_le_bytes()).unwrap();
+    let (request_id, body) = read_v2_response(&mut stream).expect("no error response");
+    assert_eq!(request_id, CONNECTION_ERROR_ID);
+    assert_eq!(body[0], 1, "expected an error status");
+    assert!(read_v2_response(&mut stream).is_none());
+
     await_open_connections(&fe, 0);
-    assert_eq!(fe.stats().protocol_errors(), 1);
+    assert_eq!(fe.stats().protocol_errors(), 2);
     fe.stop();
 }
 
@@ -394,8 +352,7 @@ fn duplicate_in_flight_request_id_is_a_protocol_error() {
     stream.write_all(&v2_frame(7, &body)).unwrap();
     let (request_id, body) = read_v2_response(&mut stream).expect("no protocol error");
     assert_eq!(
-        request_id,
-        u32::MAX,
+        request_id, CONNECTION_ERROR_ID,
         "connection-level errors use the sentinel id"
     );
     assert_eq!(body[0], 1, "expected an error status");
@@ -590,21 +547,6 @@ fn responses_do_not_depend_on_how_the_byte_stream_is_cut() {
     }
     drop(stream);
 
-    // v1 has no ids: a batch that completes later still answers before
-    // the inline requests pipelined behind it.
-    let mut stream = TcpStream::connect(fe.addr()).unwrap();
-    let mut burst = v1_frame(&text_batch_body(ids[0], 0, &batch_lines));
-    burst.extend_from_slice(&v1_frame(&text_request_body(ids[0], 0, &lines[0])));
-    burst.extend_from_slice(&v1_frame(&text_request_body(ids[1], 0, &lines[1])));
-    stream.write_all(&burst).unwrap();
-    let first = read_v1_response(&mut stream).expect("closed mid-pipeline");
-    assert_eq!(first, reference[&5], "the batch answers first");
-    let second = read_v1_response(&mut stream).expect("closed mid-pipeline");
-    assert_eq!(second, reference[&1]);
-    let third = read_v1_response(&mut stream).expect("closed mid-pipeline");
-    assert_eq!(third, reference[&2]);
-    drop(stream);
-
     assert_eq!(fe.stats().protocol_errors(), 0);
     fe.stop();
 }
@@ -621,7 +563,7 @@ fn rolling_swap_and_undeploy_lose_zero_pipelined_requests() {
     let fe = FrontEnd::serve(Arc::clone(&runtime), FrontEndConfig::default()).unwrap();
     let addr = fe.addr();
 
-    let mut admin = Client::connect(addr).unwrap();
+    let mut admin = Client::connect_v2(addr).unwrap();
     let mut live = admin.deploy(&images[0], Some("live"), false).unwrap();
 
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));

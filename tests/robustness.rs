@@ -4,7 +4,10 @@
 //! failures; a serving system that dies on one bad request is not a
 //! serving system).
 
-use pretzel_core::frontend::{Client, FrontEnd, FrontEndConfig, PredictRequest};
+use pretzel_core::frontend::wire::{CONNECTION_ERROR_ID, V2_HEADER_BYTES};
+use pretzel_core::frontend::{
+    Client, FrontEnd, FrontEndConfig, PredictRequest, WIRE_MAGIC, WIRE_V2,
+};
 use pretzel_core::graph::TransformGraph;
 use pretzel_core::runtime::{Runtime, RuntimeConfig};
 use pretzel_data::serde_bin::Cursor;
@@ -33,42 +36,60 @@ fn serve_one() -> (Arc<Runtime>, FrontEnd, u32) {
     (rt, fe, id)
 }
 
+/// A frame header announcing `body_len` body bytes.
+fn header(request_id: u32, body_len: u32) -> Vec<u8> {
+    let mut head = WIRE_MAGIC.to_vec();
+    head.extend_from_slice(&[WIRE_V2, 0, 0, 0]);
+    head.extend_from_slice(&request_id.to_le_bytes());
+    head.extend_from_slice(&body_len.to_le_bytes());
+    head
+}
+
+/// Reads the connection-level error frame a framing violation earns.
+fn read_connection_error(s: &mut TcpStream) {
+    s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut head = [0u8; V2_HEADER_BYTES];
+    s.read_exact(&mut head).unwrap();
+    assert_eq!(head[..4], WIRE_MAGIC);
+    let id = u32::from_le_bytes(head[8..12].try_into().unwrap());
+    assert_eq!(id, CONNECTION_ERROR_ID);
+    let len = u32::from_le_bytes(head[12..16].try_into().unwrap()) as usize;
+    assert!(len < 1 << 10, "error reply should be small, got {len}");
+    let mut body = vec![0u8; len];
+    s.read_exact(&mut body).unwrap();
+    assert_eq!(body[0], 1, "status byte should mark an error");
+}
+
 #[test]
 fn frontend_survives_garbage_frames() {
     let (_rt, fe, id) = serve_one();
     let addr = fe.addr();
 
-    // 1. Random bytes with a plausible length prefix.
+    // 1. Random bytes where a header belongs: refused after four bytes.
     {
         let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(&8u32.to_le_bytes()).unwrap();
-        s.write_all(&[0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0x04])
+        s.write_all(&[8, 0, 0, 0, 0xde, 0xad, 0xbe, 0xef, 0x01, 0x02, 0x03, 0x04])
             .unwrap();
-        // Server replies with an error frame or closes; it must not hang.
-        s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-        let mut buf = [0u8; 4];
-        let _ = s.read(&mut buf);
+        read_connection_error(&mut s);
     }
 
-    // 2. An absurd length prefix is rejected without allocating 4 GiB.
+    // 2. An absurd body length is rejected without allocating 4 GiB.
     {
         let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(&u32::MAX.to_le_bytes()).unwrap();
-        s.set_read_timeout(Some(Duration::from_secs(2))).unwrap();
-        let mut buf = [0u8; 4];
-        let _ = s.read(&mut buf); // connection closed by server
+        s.write_all(&header(1, u32::MAX)).unwrap();
+        read_connection_error(&mut s);
     }
 
     // 3. A truncated frame followed by disconnect.
     {
         let mut s = TcpStream::connect(addr).unwrap();
-        s.write_all(&100u32.to_le_bytes()).unwrap();
+        s.write_all(&header(2, 100)).unwrap();
         s.write_all(&[1, 2, 3]).unwrap();
         drop(s);
     }
 
     // The front end still serves well-formed requests afterwards.
-    let mut client = Client::connect(addr).unwrap();
+    let mut client = Client::connect_v2(addr).unwrap();
     let score = client
         .predict(&PredictRequest::text("3,still alive").plan(id))
         .unwrap();
@@ -229,7 +250,7 @@ fn runtime_rejects_invalid_plans_at_registration() {
 #[test]
 fn oversized_and_empty_requests_handled() {
     let (_rt, fe, id) = serve_one();
-    let mut client = Client::connect(fe.addr()).unwrap();
+    let mut client = Client::connect_v2(fe.addr()).unwrap();
     // Zero-record batch.
     let scores = client
         .predict_many(&PredictRequest::batch(Vec::new()).plan(id))
@@ -314,7 +335,7 @@ fn missing_field_error_quotes_a_capped_excerpt() {
         assert!(local.len() < 160, "{} bytes: {local}", local.len());
 
         let fe = FrontEnd::serve(Arc::clone(&rt), FrontEndConfig::default()).unwrap();
-        let mut client = Client::connect(fe.addr()).unwrap();
+        let mut client = Client::connect_v2(fe.addr()).unwrap();
         let remote = match client.predict(&PredictRequest::text(&line).plan(id)) {
             Err(DataError::Runtime(msg)) => msg,
             other => panic!("expected a runtime error, got {other:?}"),

@@ -69,7 +69,7 @@ fn concurrent_clients_over_tcp_get_consistent_answers() {
             let ids = ids.clone();
             let expected = expected.clone();
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
+                let mut client = Client::connect_v2(addr).unwrap();
                 for round in 0..20 {
                     let k = (t + round) % ids.len();
                     let got = client
@@ -173,7 +173,7 @@ fn delayed_batching_coalesces_and_answers_correctly() {
             let line = lines[1].clone();
             let id = ids[0];
             std::thread::spawn(move || {
-                let mut client = Client::connect(addr).unwrap();
+                let mut client = Client::connect_v2(addr).unwrap();
                 client
                     .predict(&PredictRequest::text(line).plan(id).delayed())
                     .unwrap()
@@ -218,8 +218,8 @@ fn clipper_and_pretzel_agree_end_to_end() {
         .collect();
     let cfe = ClipperFrontEnd::serve(routes, ClipperConfig::default()).unwrap();
 
-    let mut pclient = Client::connect(fe.addr()).unwrap();
-    let mut cclient = Client::connect(cfe.addr()).unwrap();
+    let mut pclient = Client::connect_v2(fe.addr()).unwrap();
+    let mut cclient = Client::connect_v2(cfe.addr()).unwrap();
     for (k, &id) in ids.iter().enumerate() {
         for line in &lines {
             let p = pclient

@@ -9,7 +9,7 @@
 use pretzel_core::flour::FlourContext;
 use pretzel_core::frontend::{
     Client, FrontEnd, FrontEndConfig, Payload, PredictRequest, FLAG_DELAYED_BATCH,
-    FLAG_RESULT_CACHE,
+    FLAG_RESULT_CACHE, WIRE_MAGIC, WIRE_V2,
 };
 use pretzel_core::physical::SourceRef;
 use pretzel_core::plan::StagePlan;
@@ -220,7 +220,7 @@ fn wire_scores_bitwise_match_in_process_everywhere() {
                 },
             )
             .unwrap();
-            let mut client = Client::connect(fe.addr()).unwrap();
+            let mut client = Client::connect_v2(fe.addr()).unwrap();
 
             assert_bits(
                 &format!("{label} single"),
@@ -299,7 +299,7 @@ fn wire_ingest_composes_with_materialization_cache() {
     let id = rt.register(plan.clone()).unwrap();
     let ref_id = reference.register(plan).unwrap();
     let fe = FrontEnd::serve(Arc::clone(&rt), FrontEndConfig::default()).unwrap();
-    let mut client = Client::connect(fe.addr()).unwrap();
+    let mut client = Client::connect_v2(fe.addr()).unwrap();
     let req = PredictRequest::text_batch(lines.iter().map(String::as_str)).plan(id);
     for pass in ["cold", "warm"] {
         let got = client.predict_many(&req).unwrap();
@@ -321,6 +321,16 @@ fn wire_ingest_composes_with_materialization_cache() {
     let hits = rt.materialization_cache().unwrap().stats().hits;
     assert!(hits > 0, "warm pass should hit the cache");
     fe.stop();
+}
+
+/// One request frame, for clients that speak bytes rather than `Client`.
+fn frame(request_id: u32, body: &[u8]) -> Vec<u8> {
+    let mut out = WIRE_MAGIC.to_vec();
+    out.extend_from_slice(&[WIRE_V2, 0, 0, 0]); // version, flags, reserved
+    out.extend_from_slice(&request_id.to_le_bytes());
+    out.extend_from_slice(&(body.len() as u32).to_le_bytes());
+    out.extend_from_slice(body);
+    out
 }
 
 #[test]
@@ -363,8 +373,7 @@ fn delayed_flush_survives_client_disconnect() {
         for v in &rows[0] {
             req.extend_from_slice(&v.to_le_bytes());
         }
-        doomed.write_all(&(req.len() as u32).to_le_bytes()).unwrap();
-        doomed.write_all(&req).unwrap();
+        doomed.write_all(&frame(1, &req)).unwrap();
         // Dropped here, before the flush fires.
     }
     // Healthy riders of the same (and later) flushes.
@@ -372,7 +381,7 @@ fn delayed_flush_survives_client_disconnect() {
         .map(|i| {
             let row = rows[i + 1].clone();
             std::thread::spawn(move || {
-                let mut c = Client::connect(addr).unwrap();
+                let mut c = Client::connect_v2(addr).unwrap();
                 c.predict(&PredictRequest::dense(row).plan(id).delayed())
                     .unwrap()
             })
@@ -402,16 +411,21 @@ fn hostile_dense_dim_prefix_rejected_before_allocation() {
         let kind_flags = 1u32 | (n_records << 16); // kind 1 = dense
         req.extend_from_slice(&kind_flags.to_le_bytes());
         req.extend_from_slice(&u32::MAX.to_le_bytes()); // hostile dim
-        stream.write_all(&(req.len() as u32).to_le_bytes()).unwrap();
-        stream.write_all(&req).unwrap();
-        let mut len = [0u8; 4];
-        stream.read_exact(&mut len).unwrap();
-        let mut body = vec![0u8; u32::from_le_bytes(len) as usize];
+        stream.write_all(&frame(n_records, &req)).unwrap();
+        let mut header = [0u8; 16];
+        stream.read_exact(&mut header).unwrap();
+        assert_eq!(
+            header[8..12],
+            n_records.to_le_bytes(),
+            "reply echoes the id"
+        );
+        let len = u32::from_le_bytes(header[12..16].try_into().unwrap());
+        let mut body = vec![0u8; len as usize];
         stream.read_exact(&mut body).unwrap();
         assert_eq!(body[0], 1, "status byte should mark an error");
     }
     // Still serving afterwards.
-    let mut client = Client::connect(fe.addr()).unwrap();
+    let mut client = Client::connect_v2(fe.addr()).unwrap();
     assert!(client
         .predict(&PredictRequest::dense(vec![0.0; 6]).plan(id))
         .is_ok());
@@ -424,7 +438,7 @@ fn empty_requests_still_validate_the_plan() {
     let rt = Arc::new(Runtime::new(RuntimeConfig::default()));
     let id = rt.register(plan).unwrap();
     let fe = FrontEnd::serve(Arc::clone(&rt), FrontEndConfig::default()).unwrap();
-    let mut client = Client::connect(fe.addr()).unwrap();
+    let mut client = Client::connect_v2(fe.addr()).unwrap();
     // Empty batch for a registered plan: clean empty response.
     assert_eq!(
         client
@@ -442,26 +456,40 @@ fn empty_requests_still_validate_the_plan() {
 
 #[test]
 fn garbage_length_prefix_never_allocates() {
+    use pretzel_core::frontend::wire::{CONNECTION_ERROR_ID, V2_HEADER_BYTES};
     use std::io::{Read, Write};
     let (plan, _) = dense_case();
     let rt = Arc::new(Runtime::new(RuntimeConfig::default()));
     let _id = rt.register(plan).unwrap();
     let fe = FrontEnd::serve(Arc::clone(&rt), FrontEndConfig::default()).unwrap();
-    for prefix in [u32::MAX, (64 << 20) + 1, 0x8000_0000] {
+    let mut heads: Vec<Vec<u8>> = [u32::MAX, (64 << 20) + 1, 0x8000_0000]
+        .iter()
+        .map(|&body_len| {
+            let mut head = frame(3, &[]);
+            head[12..16].copy_from_slice(&body_len.to_le_bytes());
+            head
+        })
+        .collect();
+    // A bare length prefix is not a frame: refused after its four bytes.
+    heads.push(64u32.to_le_bytes().to_vec());
+    for head in &heads {
         let mut stream = std::net::TcpStream::connect(fe.addr()).unwrap();
-        stream.write_all(&prefix.to_le_bytes()).unwrap();
+        stream.write_all(head).unwrap();
         // The server must reply with a protocol error frame, not attempt
         // the allocation or kill the process.
-        let mut len = [0u8; 4];
-        stream.read_exact(&mut len).unwrap();
-        let len = u32::from_le_bytes(len) as usize;
+        let mut header = [0u8; V2_HEADER_BYTES];
+        stream.read_exact(&mut header).unwrap();
+        assert_eq!(header[..4], WIRE_MAGIC);
+        let id = u32::from_le_bytes(header[8..12].try_into().unwrap());
+        assert_eq!(id, CONNECTION_ERROR_ID);
+        let len = u32::from_le_bytes(header[12..16].try_into().unwrap()) as usize;
         assert!(len < 1 << 16, "error reply should be small, got {len}");
         let mut body = vec![0u8; len];
         stream.read_exact(&mut body).unwrap();
         assert_eq!(body[0], 1, "status byte should mark an error");
     }
     // The front end is still healthy afterwards.
-    let mut client = Client::connect(fe.addr()).unwrap();
+    let mut client = Client::connect_v2(fe.addr()).unwrap();
     let scores = client.predict(&PredictRequest::dense(vec![0.0; 6]).plan(0));
     assert!(scores.is_ok());
     fe.stop();
