@@ -450,9 +450,9 @@ fn flush_pending(batcher: &Batcher, runtime: &Runtime) {
             }
         }
         if dropped > 0 {
-            if let Some(reg) = runtime.metrics_registry() {
-                reg.note_delayed_drops(dropped as u64);
-            }
+            runtime
+                .metrics_registry()
+                .note_delayed_drops(dropped as u64);
             crate::log_warn!(
                 "dropped {dropped} delayed-batch result(s) for plan {plan}: \
                  client(s) disconnected mid-flush"
@@ -763,9 +763,9 @@ fn serve_records(
     } else {
         BatchAssembler::new_unhashed(lease)
     }
-    .reject_non_finite(runtime.config().reject_non_finite);
+    .reject_non_finite(true);
     let release = |asm: BatchAssembler| pool.release_batch(asm.finish().0);
-    let decode_start = runtime.metrics_registry().map(|_| Instant::now());
+    let decode_start = Instant::now();
     for _ in 0..n {
         let decoded = match kind {
             KIND_TEXT => asm.decode_text_row(&mut cur),
@@ -777,9 +777,9 @@ fn serve_records(
             return Err(e);
         }
     }
-    if let (Some(reg), Some(t0)) = (runtime.metrics_registry(), decode_start) {
-        reg.record_decode(t0.elapsed().as_nanos() as u64);
-    }
+    runtime
+        .metrics_registry()
+        .record_decode(decode_start.elapsed().as_nanos() as u64);
 
     if delayed {
         // Prediction-result cache: `use_cache` implies `want_hashes`
@@ -874,7 +874,6 @@ fn serve_single(
     out: &mut Vec<u8>,
 ) -> Result<Dispatch> {
     let runtime = &*shared.runtime;
-    let reject_non_finite = runtime.config().reject_non_finite;
     let Lane {
         session,
         dense,
@@ -884,19 +883,14 @@ fn serve_single(
     } = lane;
     let sampled = *decodes % DECODE_SAMPLE == 0;
     *decodes = decodes.wrapping_add(1);
-    let decode_start = runtime
-        .metrics_registry()
-        .filter(|_| sampled)
-        .map(|_| Instant::now());
+    let decode_start = sampled.then(Instant::now);
     let source = match head.kind {
         KIND_TEXT => SourceRef::Text(cur.str_ref()?),
         KIND_DENSE => {
             let len = dense_len(&mut cur)?;
             dense.clear();
             dense.extend(le_f32s(cur.words(len)?));
-            if reject_non_finite {
-                check_finite(dense)?;
-            }
+            check_finite(dense)?;
             SourceRef::Dense(dense)
         }
         KIND_SPARSE => {
@@ -913,9 +907,7 @@ fn serve_single(
             validate_sparse_indices(indices, dim)?;
             values.clear();
             values.extend(le_f32s(cur.words(nnz)?));
-            if reject_non_finite {
-                check_finite(values)?;
-            }
+            check_finite(values)?;
             SourceRef::Sparse {
                 indices,
                 values,
@@ -924,8 +916,10 @@ fn serve_single(
         }
         k => return Err(DataError::Runtime(format!("bad record kind {k}"))),
     };
-    if let (Some(reg), Some(t0)) = (runtime.metrics_registry(), decode_start) {
-        reg.record_decode(t0.elapsed().as_nanos() as u64);
+    if let Some(t0) = decode_start {
+        runtime
+            .metrics_registry()
+            .record_decode(t0.elapsed().as_nanos() as u64);
     }
     // Prediction-result cache, when the request asks and one is configured.
     let cached = match &shared.cache {

@@ -78,9 +78,9 @@ struct Completion {
     generation: u32,
     request_id: u32,
     body: Vec<u8>,
-    /// When the completing thread queued this (telemetry on only): the
-    /// drain records queue-to-flush latency against it.
-    enqueued: Option<Instant>,
+    /// When the completing thread queued this: the drain records
+    /// queue-to-flush latency against it.
+    enqueued: Instant,
 }
 
 /// One reactor's inbound completion lane.
@@ -141,12 +141,7 @@ impl CompletionHandle {
     /// that has drained finds the queue empty again.
     fn complete(&self, body: Vec<u8>) {
         let io = &self.shared.ios[self.reactor];
-        let enqueued = self
-            .shared
-            .server
-            .runtime
-            .metrics_registry()
-            .map(|_| Instant::now());
+        let enqueued = Instant::now();
         let was_empty = {
             let mut queue = io.completions.lock();
             let was_empty = queue.is_empty();
@@ -570,9 +565,11 @@ fn drain_completions(
     let CompletionDrain { batch, touched } = drain;
     std::mem::swap(&mut *shared.ios[me].completions.lock(), batch);
     for c in batch.drain(..) {
-        if let (Some(reg), Some(t0)) = (shared.server.runtime.metrics_registry(), c.enqueued) {
-            reg.record_completion_flush(t0.elapsed().as_nanos() as u64);
-        }
+        shared
+            .server
+            .runtime
+            .metrics_registry()
+            .record_completion_flush(c.enqueued.elapsed().as_nanos() as u64);
         if !owned.contains(&c.slot) || shared.slab.generation(c.slot) != c.generation {
             continue; // connection closed while the request ran
         }

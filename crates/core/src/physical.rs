@@ -108,8 +108,8 @@ pub struct ExecCtx {
     /// one per chunk row — the input half of every materialization key.
     /// Must hold one hash per row before a cached step executes.
     pub source_hashes: Vec<u64>,
-    /// Telemetry registry for cache-probe latency recording; `None` (the
-    /// telemetry-off ablation leg) executes with zero clock reads.
+    /// Telemetry registry for cache-probe latency recording (installed on
+    /// executors' contexts); `None` probes the cache untimed.
     pub telemetry: Option<Arc<MetricsRegistry>>,
     /// The buffers kept between executions: one frame per buffer kind.
     frames: Frames,

@@ -49,6 +49,20 @@ pub type PlanId = u32;
 /// faster than requests execute.
 const ALIAS_RETRIES: usize = 8;
 
+/// Sliding window over which [`RuntimeConfig::fault_quarantine_threshold`]
+/// counts execution faults.
+pub const FAULT_WINDOW: std::time::Duration = std::time::Duration::from_secs(10);
+
+/// Upper bound on retired-plan tombstones kept in the registry.
+/// Tombstones make lookups of undeployed ids fail with a clean
+/// `PlanRetired` instead of "unknown plan"; beyond the cap the oldest
+/// (lowest-id) tombstones are compacted away — but a **retired-epoch
+/// watermark** remembers how far compaction advanced, so even compacted
+/// ids keep reporting [`DataError::PlanRetired`] exactly (ids are
+/// allocated monotonically and never recycled, so any missing id below
+/// the watermark was necessarily retired).
+pub const TOMBSTONE_CAP: usize = 1024;
+
 /// Runtime configuration (ablation switches map to paper experiments).
 #[derive(Debug, Clone)]
 pub struct RuntimeConfig {
@@ -63,39 +77,13 @@ pub struct RuntimeConfig {
     pub materialization_budget: usize,
     /// Records per batch-engine chunk event.
     pub chunk_size: usize,
-    /// Reject non-finite floats (NaN / ±Inf) in dense and CSR wire
-    /// payloads at ingest decode with a clean protocol error, before they
-    /// can reach kernels (on by default). Off admits them — the kernels
-    /// propagate them IEEE-style, and because the batch kernels run the
-    /// same per-row scalar math as the request-response engine, batch and
-    /// single-row scores stay bitwise-equal on non-finite inputs too; the
-    /// knob exists for callers that want that propagation behaviour.
-    pub reject_non_finite: bool,
     /// Execution faults (contained operator panics) within
-    /// [`Self::fault_window`] that quarantine a plan: its gate closes
+    /// [`FAULT_WINDOW`] that quarantine a plan: its gate closes
     /// (new submissions fail with [`DataError::PlanQuarantined`]) and any
     /// alias currently serving the plan auto-rolls back to its most
     /// recent live previous version. `0` disables quarantine — faults are
     /// still contained and counted, but the plan keeps serving.
     pub fault_quarantine_threshold: usize,
-    /// Sliding window over which [`Self::fault_quarantine_threshold`]
-    /// counts execution faults.
-    pub fault_window: std::time::Duration,
-    /// Runtime telemetry (on by default): sharded per-core recorders for
-    /// per-plan queue-wait / stage-execution latency histograms, decode and
-    /// cache-probe timing, and the `STATS` wire surface. Off is the
-    /// overhead ablation control (`ablation_telemetry`): no registry is
-    /// built and the serving path performs zero clock reads.
-    pub telemetry: bool,
-    /// Upper bound on retired-plan tombstones kept in the registry.
-    /// Tombstones make lookups of undeployed ids fail with a clean
-    /// `PlanRetired` instead of "unknown plan"; beyond the cap the oldest
-    /// (lowest-id) tombstones are compacted away — but a **retired-epoch
-    /// watermark** remembers how far compaction advanced, so even
-    /// compacted ids keep reporting [`DataError::PlanRetired`] exactly
-    /// (ids are allocated monotonically and never recycled, so any
-    /// missing id below the watermark was necessarily retired).
-    pub tombstone_cap: usize,
 }
 
 impl Default for RuntimeConfig {
@@ -108,11 +96,7 @@ impl Default for RuntimeConfig {
             aot: true,
             materialization_budget: 0,
             chunk_size: 64,
-            reject_non_finite: true,
             fault_quarantine_threshold: 3,
-            fault_window: std::time::Duration::from_secs(10),
-            telemetry: true,
-            tombstone_cap: 1024,
         }
     }
 }
@@ -159,8 +143,7 @@ impl RegisteredPlan {
 #[derive(Debug)]
 struct Serving {
     plan: Arc<ModelPlan>,
-    /// `None` with [`RuntimeConfig::telemetry`] off.
-    recorder: Option<Arc<PlanRecorder>>,
+    recorder: Arc<PlanRecorder>,
     access: Arc<PlanAccess>,
 }
 
@@ -293,8 +276,8 @@ pub struct Runtime {
     /// requests (see there); not outstanding in the leak-check sense.
     rr_held: Arc<AtomicI64>,
     ingest_pool: Arc<VectorPool>,
-    /// Telemetry registry (None = `RuntimeConfig::telemetry` off).
-    metrics: Option<Arc<MetricsRegistry>>,
+    /// Telemetry registry, shared with the scheduler and the FrontEnd.
+    metrics: Arc<MetricsRegistry>,
     /// Fault counting + quarantine + auto-rollback policy (also installed
     /// as the scheduler's fault hook).
     fault_policy: Arc<FaultPolicy>,
@@ -307,19 +290,19 @@ impl Runtime {
     pub fn new(config: RuntimeConfig) -> Self {
         let cache = (config.materialization_budget > 0)
             .then(|| Arc::new(MaterializationCache::new(config.materialization_budget)));
-        let metrics = config.telemetry.then(|| Arc::new(MetricsRegistry::new()));
+        let metrics = Arc::new(MetricsRegistry::new());
         let scheduler = Scheduler::with_config(crate::scheduler::SchedulerConfig {
             n_executors: config.n_executors,
             pooling: config.pooling,
             chunk_size: config.chunk_size,
             cache: cache.clone(),
-            telemetry: metrics.clone(),
+            telemetry: Arc::clone(&metrics),
         });
         let plans: Arc<RwLock<Registry>> = Arc::default();
         let aliases = Arc::new(AliasMap::new());
         let fault_policy = Arc::new(FaultPolicy {
             threshold: config.fault_quarantine_threshold,
-            window: config.fault_window,
+            window: FAULT_WINDOW,
             windows: Mutex::new(HashMap::new()),
             plans: Arc::clone(&plans),
             aliases: Arc::clone(&aliases),
@@ -411,23 +394,20 @@ impl Runtime {
             + self.ingest_pool.retained_bytes() as u64
     }
 
-    /// The telemetry registry, when [`RuntimeConfig::telemetry`] is on.
-    /// The FrontEnd records decode and flush latencies through this.
-    pub fn metrics_registry(&self) -> Option<&Arc<MetricsRegistry>> {
-        self.metrics.as_ref()
+    /// The telemetry registry. The FrontEnd records decode and flush
+    /// latencies through this.
+    pub fn metrics_registry(&self) -> &MetricsRegistry {
+        &self.metrics
     }
 
     /// One unified snapshot of everything the runtime knows about itself:
-    /// the telemetry plane's histograms and per-plan sections (empty with
-    /// telemetry off) merged with the always-on stat structs — scheduler
-    /// counters, pool lease stats, lifecycle counters, Object Store usage
-    /// plus per-plan access recency, and materialization-cache counters.
+    /// the telemetry plane's histograms and per-plan sections merged with
+    /// the stat structs — scheduler counters, pool lease stats, lifecycle
+    /// counters, Object Store usage plus per-plan access recency, and
+    /// materialization-cache counters.
     /// This is what the `STATS` wire verb serializes.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut snap = match &self.metrics {
-            Some(reg) => reg.snapshot(),
-            None => MetricsSnapshot::default(),
-        };
+        let mut snap = self.metrics.snapshot();
         let sched = self.scheduler.stats();
         snap.scheduler = SchedulerSnapshot {
             stage_events: sched.stage_events.load(Ordering::Relaxed),
@@ -602,7 +582,7 @@ impl Runtime {
     fn serving(&self, id: PlanId, plan: Arc<ModelPlan>) -> Serving {
         Serving {
             plan,
-            recorder: self.metrics.as_ref().map(|m| m.plan_recorder(id)),
+            recorder: self.metrics.plan_recorder(id),
             access: self.store.plan_access(id),
         }
     }
@@ -736,9 +716,7 @@ impl Runtime {
                 continue;
             };
             self.store.note_access(&serving.access);
-            if let Some(rec) = &serving.recorder {
-                rec.note_rr_request();
-            }
+            serving.recorder.note_rr_request();
             let plan = &*serving.plan;
             // Containment boundary for the inline engine: a panicking
             // operator must not unwind through the caller. The frame stays
@@ -747,10 +725,8 @@ impl Runtime {
                 plan.execute_in_frame(source, &mut sess.ctx)
             }))
             .inspect_err(|_| {
-                if let Some(rec) = &serving.recorder {
-                    let burned = plan.replay_to_fault(source, &mut sess.ctx);
-                    rec.record_fault(burned.as_nanos() as u64);
-                }
+                let burned = plan.replay_to_fault(source, &mut sess.ctx);
+                serving.recorder.record_fault(burned.as_nanos() as u64);
             });
         };
         outcome.unwrap_or_else(|payload| {
@@ -911,9 +887,7 @@ impl Runtime {
         self.compact_tombstones();
         self.store.forget_plan_access(id);
         self.fault_policy.forget(id);
-        if let Some(m) = &self.metrics {
-            m.forget_plan(id);
-        }
+        self.metrics.forget_plan(id);
         self.lifecycle_stats.note_undeploy();
         Ok(UndeployReport {
             freed_param_bytes,
@@ -924,7 +898,7 @@ impl Runtime {
     }
 
     /// Bounds the registry's control-plane state under continuous churn:
-    /// once more than [`RuntimeConfig::tombstone_cap`] retired entries
+    /// once more than [`TOMBSTONE_CAP`] retired entries
     /// accumulate, the oldest are removed outright — and the retired-epoch
     /// watermark advances past them, so their ids still resolve to
     /// [`DataError::PlanRetired`] afterwards.
@@ -935,11 +909,11 @@ impl Runtime {
             .filter(|(_, e)| e.gate.is_retired())
             .map(|(&id, _)| id)
             .collect();
-        if retired.len() <= self.config.tombstone_cap {
+        if retired.len() <= TOMBSTONE_CAP {
             return;
         }
         retired.sort_unstable();
-        let drop_n = retired.len() - self.config.tombstone_cap;
+        let drop_n = retired.len() - TOMBSTONE_CAP;
         for id in &retired[..drop_n] {
             plans.remove(id);
         }

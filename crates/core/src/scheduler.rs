@@ -309,9 +309,7 @@ impl BatchHandle {
 
 /// Telemetry riding on a chunk event: the plan's recorder (resolved once
 /// per submission) plus the enqueue instant and priority class of the
-/// *current* wait, re-stamped on every re-enqueue. Absent entirely when
-/// `RuntimeConfig::telemetry` is off, so the off leg performs zero clock
-/// reads.
+/// *current* wait, re-stamped on every re-enqueue.
 struct TaskMeter {
     rec: Arc<PlanRecorder>,
     enqueued_at: Instant,
@@ -321,8 +319,8 @@ struct TaskMeter {
 
 /// A chunk event: one contiguous range of a batch at one stage.
 struct ChunkTask {
-    /// Per-plan telemetry recorder + queue-wait stamp, when enabled.
-    meter: Option<TaskMeter>,
+    /// Per-plan telemetry recorder + queue-wait stamp.
+    meter: TaskMeter,
     /// The plan's runtime id, carried so a contained fault can be
     /// attributed to the plan (fault hook + quarantine policy).
     plan_id: u32,
@@ -560,9 +558,8 @@ pub struct SchedulerConfig {
     /// Sub-plan materialization cache, if enabled.
     pub cache: Option<Arc<MaterializationCache>>,
     /// Telemetry plane: per-plan queue-wait and stage-execution recording
-    /// plus cache-probe timing on each executor's `ExecCtx`. `None` (the
-    /// overhead ablation control) records nothing and reads no clocks.
-    pub telemetry: Option<Arc<MetricsRegistry>>,
+    /// plus cache-probe timing on each executor's `ExecCtx`.
+    pub telemetry: Arc<MetricsRegistry>,
 }
 
 /// Callback invoked on the faulting executor's thread after a panic was
@@ -588,8 +585,8 @@ impl std::fmt::Debug for FaultHookCell {
 struct ExecEnv {
     stats: Arc<SchedStats>,
     cache: Option<Arc<MaterializationCache>>,
-    /// Telemetry registry shared with the runtime (None = telemetry off).
-    telemetry: Option<Arc<MetricsRegistry>>,
+    /// Telemetry registry shared with the runtime.
+    telemetry: Arc<MetricsRegistry>,
     /// Fault-policy callback cell.
     fault_hook: FaultHookCell,
     /// Buffers executors keep leased in their chunk frames between tasks
@@ -915,23 +912,17 @@ impl Scheduler {
         // One recorder resolution per submission (not per chunk): the map
         // read amortizes over the whole batch, and each chunk's hot-path
         // recording is then shard-local atomics only.
-        let recorder = self
-            .env
-            .telemetry
-            .as_ref()
-            .map(|t| t.plan_recorder(plan_id));
-        if let Some(rec) = &recorder {
-            rec.note_batch_request();
-        }
+        let recorder = self.env.telemetry.plan_recorder(plan_id);
+        recorder.note_batch_request();
         let mut start = 0usize;
         while start < n {
             let end = (start + self.chunk_size).min(n);
             let task = ChunkTask {
-                meter: recorder.as_ref().map(|rec| TaskMeter {
-                    rec: Arc::clone(rec),
+                meter: TaskMeter {
+                    rec: Arc::clone(&recorder),
                     enqueued_at: Instant::now(),
                     high: false,
-                }),
+                },
                 plan_id,
                 plan: Arc::clone(&plan),
                 input: input.clone(),
@@ -1022,12 +1013,11 @@ fn worker_loop(idx: usize, plane: &Plane, pool: Arc<VectorPool>, env: ExecEnv) {
         fault_hook,
         held,
     } = env;
-    let mut ctx = ExecCtx::new(Arc::clone(&pool)).with_held(held);
+    let mut ctx = ExecCtx::new(Arc::clone(&pool))
+        .with_held(held)
+        .with_telemetry(telemetry);
     if let Some(c) = cache {
         ctx = ctx.with_cache(c);
-    }
-    if let Some(t) = telemetry {
-        ctx = ctx.with_telemetry(t);
     }
     let (queues, sleepers) = (&plane.workers[..], &plane.sleepers);
     let own = &queues[idx];
@@ -1128,12 +1118,12 @@ fn run_chunk_stage(
     // to the priority class it waited in. The same stamp then re-opens as
     // the stage-execution clock (stage 0 charges its lazy lease + load to
     // the stage, which is where that work happens).
-    let stage_start = task.meter.as_ref().map(|m| {
-        let now = Instant::now();
-        m.rec
-            .record_queue_wait(m.high, now.duration_since(m.enqueued_at).as_nanos() as u64);
-        now
-    });
+    let stage_start = Instant::now();
+    let m = &task.meter;
+    m.rec.record_queue_wait(
+        m.high,
+        stage_start.duration_since(m.enqueued_at).as_nanos() as u64,
+    );
     // Lazy lease: ONE batch per plan slot, acquired from THIS executor's
     // pool at the first stage.
     if task.stage == 0 {
@@ -1222,9 +1212,9 @@ fn run_chunk_stage(
     };
     if let Some(err) = outcome {
         if matches!(err, DataError::ExecutionFault(_)) {
-            if let (Some(m), Some(t0)) = (&task.meter, stage_start) {
-                m.rec.record_fault(t0.elapsed().as_nanos() as u64);
-            }
+            task.meter
+                .rec
+                .record_fault(stage_start.elapsed().as_nanos() as u64);
             let hook = fault_hook.0.lock().clone();
             if let Some(hook) = hook {
                 hook(task.plan_id);
@@ -1234,16 +1224,14 @@ fn run_chunk_stage(
         return;
     }
     stats.stage_events.fetch_add(1, Ordering::Relaxed);
-    if let (Some(m), Some(t0)) = (&task.meter, stage_start) {
-        m.rec.record_stage(t0.elapsed().as_nanos() as u64, n as u64);
-    }
+    task.meter
+        .rec
+        .record_stage(stage_start.elapsed().as_nanos() as u64, n as u64);
 
     if task.stage + 1 < task.plan.stages.len() {
         task.stage += 1;
-        if let Some(m) = &mut task.meter {
-            m.enqueued_at = Instant::now();
-            m.high = true;
-        }
+        task.meter.enqueued_at = Instant::now();
+        task.meter.high = true;
         // Started pipelines re-enter at high priority so they finish and
         // return their working sets quickly.
         queue.push_high(task);
@@ -1263,9 +1251,7 @@ fn run_chunk_stage(
         };
         task.state.results.lock()[start..end].copy_from_slice(scores);
         stats.records_done.fetch_add(n as u64, Ordering::Relaxed);
-        if let Some(m) = &task.meter {
-            m.rec.add_records(n as u64);
-        }
+        task.meter.rec.add_records(n as u64);
         release_leases(&mut task);
         complete_chunk(task);
     }
@@ -1400,7 +1386,7 @@ mod tests {
             pooling: true,
             chunk_size,
             cache: None,
-            telemetry: None,
+            telemetry: Arc::new(MetricsRegistry::new()),
         }
     }
 

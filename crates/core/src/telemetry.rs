@@ -16,10 +16,6 @@
 //! bucket `b` holds `[2^(b-1), 2^b)`, so power-of-two boundaries are exact
 //! and merge is loss-free. Counters are wrapping-add (`AtomicU64::fetch_add`
 //! wraps by definition), so overflow can never panic a recorder.
-//!
-//! Everything here is behind `RuntimeConfig::telemetry` (default on). The
-//! off leg is the overhead ablation control: no recorder exists, so the
-//! serving path performs zero clock reads and zero extra atomics.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -468,10 +464,7 @@ impl MetricsRegistry {
     /// runtime then folds in the stat structs it owns (scheduler, pools,
     /// lifecycle, store, cache) and the FrontEnd overlays its own.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot {
-            telemetry: true,
-            ..Default::default()
-        };
+        let mut snap = MetricsSnapshot::default();
         for s in self.shards.iter() {
             let s = &s.0;
             s.decode_ns.merge_into(&mut snap.decode_ns);
@@ -641,12 +634,9 @@ impl PlanMetricsSnapshot {
 }
 
 /// Everything the runtime knows about itself, in one merge: telemetry
-/// histograms (when enabled) plus the always-on stat structs.
+/// histograms plus the runtime's stat structs.
 #[derive(Debug, Default, Clone)]
 pub struct MetricsSnapshot {
-    /// False when `RuntimeConfig::telemetry` is off: counters below are
-    /// still live, histograms and per-plan sections are empty.
-    pub telemetry: bool,
     pub scheduler: SchedulerSnapshot,
     pub pools: PoolsSnapshot,
     pub lifecycle: LifecycleSnapshot,
@@ -675,7 +665,6 @@ impl MetricsSnapshot {
 
     /// Binary wire encoding (the STATS admin payload).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        out.push(self.telemetry as u8);
         put_u64(out, self.scheduler.stage_events);
         put_u64(out, self.scheduler.records_done);
         put_u64(out, self.scheduler.steals);
@@ -753,7 +742,6 @@ impl MetricsSnapshot {
 
     /// Decodes a STATS payload (the client side of [`Self::encode`]).
     pub fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
-        let telemetry = Self::decode_bool(cur)?;
         let scheduler = SchedulerSnapshot {
             stage_events: cur.u64()?,
             records_done: cur.u64()?,
@@ -857,7 +845,6 @@ impl MetricsSnapshot {
             }
         }
         Ok(MetricsSnapshot {
-            telemetry,
             scheduler,
             pools,
             lifecycle,
@@ -877,11 +864,8 @@ impl MetricsSnapshot {
     pub fn to_json(&self) -> String {
         let mut s = String::with_capacity(1024);
         s.push_str(&format!(
-            "{{\"telemetry\":{},\"scheduler\":{{\"stage_events\":{},\"records_done\":{},\"steals\":{}}}",
-            self.telemetry,
-            self.scheduler.stage_events,
-            self.scheduler.records_done,
-            self.scheduler.steals
+            "{{\"scheduler\":{{\"stage_events\":{},\"records_done\":{},\"steals\":{}}}",
+            self.scheduler.stage_events, self.scheduler.records_done, self.scheduler.steals
         ));
         let pool = |p: &PoolCounters| {
             format!(
@@ -978,10 +962,6 @@ impl MetricsSnapshot {
             )
         }
         let mut s = String::with_capacity(512);
-        s.push_str(&format!(
-            "telemetry: {}\n",
-            if self.telemetry { "on" } else { "off" }
-        ));
         s.push_str(&format!(
             "scheduler: stage_events={} records_done={} steals={}\n",
             self.scheduler.stage_events, self.scheduler.records_done, self.scheduler.steals
@@ -1126,7 +1106,6 @@ mod tests {
         let old_back = MetricsSnapshot::decode(&mut Cursor::new(oldest)).unwrap();
         assert_eq!(old_back.pools.ingest, PoolCounters::default());
         assert_eq!(old_back.plans.len(), 1);
-        assert!(back.telemetry);
         assert_eq!(back.delayed_drops, 2);
         assert_eq!(back.decode_ns, snap.decode_ns);
         assert_eq!(back.plans.len(), 1);

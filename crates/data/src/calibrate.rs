@@ -11,23 +11,12 @@
 //! Tables at or above that size get probe prefetching; smaller ones are
 //! assumed cache-resident and skip it.
 //!
-//! The measurement is cached in a `OnceLock`. For reproducible benches
-//! and tests the threshold can be pinned before first use:
-//!
-//! * `PRETZEL_PREFETCH_BYTES=<n>` in the environment, or
-//! * [`set_prefetch_threshold`] programmatically.
-//!
-//! The override is consulted on every call, so it also wins over an
-//! already-cached measurement — but note tables snapshot the decision at
-//! construction time, so overrides only affect tables built afterwards.
+//! The measurement is cached in a `OnceLock`; tables snapshot the
+//! decision at construction time.
 
 use crate::hash::splitmix64;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
-
-/// 0 = no override; otherwise the pinned threshold in bytes.
-static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 static MEASURED: OnceLock<usize> = OnceLock::new();
 
@@ -52,29 +41,10 @@ const JUMP: f64 = 1.8;
 /// few milliseconds, large enough to dominate `Instant` overhead.
 const HOPS: usize = 1 << 15;
 
-/// Pins the prefetch threshold (bytes). Takes precedence over both the
-/// environment and any cached measurement; only affects probe tables
-/// built after the call.
-pub fn set_prefetch_threshold(bytes: usize) {
-    OVERRIDE.store(bytes.max(1), Ordering::Relaxed);
-}
-
 /// The table-size threshold (bytes) at or above which probe prefetching
-/// is considered worthwhile. Override > environment > one-shot measured
-/// value.
+/// is considered worthwhile: measured once per process.
 pub fn prefetch_threshold() -> usize {
-    let pinned = OVERRIDE.load(Ordering::Relaxed);
-    if pinned != 0 {
-        return pinned;
-    }
-    *MEASURED.get_or_init(|| {
-        if let Ok(v) = std::env::var("PRETZEL_PREFETCH_BYTES") {
-            if let Ok(n) = v.trim().parse::<usize>() {
-                return n.max(1);
-            }
-        }
-        calibrate()
-    })
+    *MEASURED.get_or_init(calibrate)
 }
 
 /// Times one traversal of a `len`-slot random cycle, in ns per hop.
@@ -150,10 +120,7 @@ mod tests {
     }
 
     #[test]
-    fn override_wins_and_threshold_is_sane() {
-        set_prefetch_threshold(123_456);
-        assert_eq!(prefetch_threshold(), 123_456);
-        OVERRIDE.store(0, Ordering::Relaxed);
+    fn measured_threshold_is_sane_and_cached() {
         let t = prefetch_threshold();
         assert!(
             (SIZES[0]..=SIZES[SIZES.len() - 1] * 2 + 1).contains(&t),

@@ -38,7 +38,7 @@ pub struct BatchAssembler {
     rows: ColumnBatch,
     hashes: Vec<u64>,
     hashing: bool,
-    reject_non_finite: bool,
+    finite_only: bool,
 }
 
 impl BatchAssembler {
@@ -63,7 +63,7 @@ impl BatchAssembler {
             rows,
             hashes: Vec::new(),
             hashing,
-            reject_non_finite: false,
+            finite_only: false,
         }
     }
 
@@ -75,7 +75,7 @@ impl BatchAssembler {
     /// boundary is the one place it can be refused as a clean
     /// [`DataError::Codec`] instead of a kernel-level surprise.
     pub fn reject_non_finite(mut self, on: bool) -> Self {
-        self.reject_non_finite = on;
+        self.finite_only = on;
         self
     }
 
@@ -149,7 +149,7 @@ impl BatchAssembler {
 
     /// Appends a dense row; its length must match the batch width.
     pub fn push_dense(&mut self, xs: &[f32]) -> Result<()> {
-        if self.reject_non_finite {
+        if self.finite_only {
             check_finite(xs)?;
         }
         self.rows.push_row(ColRef::Dense(xs))?;
@@ -179,7 +179,7 @@ impl BatchAssembler {
             )));
         }
         validate_sparse_indices(indices, dim)?;
-        if self.reject_non_finite {
+        if self.finite_only {
             check_finite(values)?;
         }
         self.rows.push_row(ColRef::Sparse {
@@ -248,7 +248,7 @@ impl BatchAssembler {
         let start = data.len();
         data.extend(le_f32s(words));
         let row = &data[start..];
-        if self.reject_non_finite && !all_finite(row) {
+        if self.finite_only && !all_finite(row) {
             // Roll the row back so the assembler stays consistent for the
             // error reply path.
             data.truncate(start);
@@ -292,7 +292,7 @@ impl BatchAssembler {
         };
         let tail = indices.len();
         let hashing = self.hashing;
-        let reject = self.reject_non_finite;
+        let reject = self.finite_only;
         let mut decode = || -> Result<u64> {
             indices.extend(le_u32s(cur.words(nnz)?));
             validate_sparse_indices(&indices[tail..], dim)?;

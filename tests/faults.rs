@@ -6,7 +6,7 @@
 //!   as a typed [`DataError::ExecutionFault`], with the runtime still
 //!   serving afterwards;
 //! * a plan faulting past `fault_quarantine_threshold` inside
-//!   `fault_window` is quarantined (gate closed) and each alias bound to
+//!   `FAULT_WINDOW` is quarantined (gate closed) and each alias bound to
 //!   it rolls back to its most recent live predecessor;
 //! * the unwind path is pool-safe: a multi-threaded fault storm over the
 //!   execution plane leaks no leased buffer

@@ -773,55 +773,105 @@ fn admin_rollback_verb_round_trips() {
     fe.stop();
 }
 
+/// Asserts `got` failed with the wire boundary's non-finite rejection.
+fn assert_non_finite<T: std::fmt::Debug>(got: pretzel_data::Result<T>, what: &str) {
+    let err = got.expect_err(what);
+    assert!(
+        err.to_string().contains("non-finite"),
+        "{what}: expected a non-finite rejection, got: {err}"
+    );
+}
+
 #[test]
 fn non_finite_payloads_are_rejected_at_the_wire_boundary() {
+    use pretzel_core::flour::FlourContext;
+    use pretzel_core::frontend::Payload;
     use pretzel_workload::adversarial::{hostile_sparse_rows, non_finite_dense_rows};
     let dim = 8usize;
-    let ctx = pretzel_core::flour::FlourContext::new();
-    let image = ctx
-        .dense_source(dim)
-        .classifier_linear(Arc::new(pretzel_ops::synth::linear(
+    let linear = || {
+        Arc::new(pretzel_ops::synth::linear(
             11,
             dim,
             pretzel_ops::linear::LinearKind::Regression,
-        )))
+        ))
+    };
+    let dense_image = FlourContext::new()
+        .dense_source(dim)
+        .classifier_linear(linear())
+        .graph()
+        .to_model_image();
+    let sparse_image = FlourContext::new()
+        .sparse_source(dim)
+        .classifier_linear(linear())
         .graph()
         .to_model_image();
     let runtime = Arc::new(Runtime::new(RuntimeConfig {
         n_executors: 1,
-        ..RuntimeConfig::default() // reject_non_finite: true
+        ..RuntimeConfig::default()
     }));
-    let fe = FrontEnd::serve(Arc::clone(&runtime), FrontEndConfig::default()).unwrap();
+    // The delayed batcher is on, so every ingest path is reachable.
+    let fe = FrontEnd::serve(
+        Arc::clone(&runtime),
+        FrontEndConfig {
+            batch_delay: Some(Duration::from_millis(2)),
+            ..FrontEndConfig::default()
+        },
+    )
+    .unwrap();
     let mut client = Client::connect_v2(fe.addr()).unwrap();
-    let id = client.deploy(&image, None, false).unwrap();
+    let dense = client.deploy(&dense_image, None, false).unwrap();
+    let sparse = client.deploy(&sparse_image, None, false).unwrap();
 
-    // Every non-finite dense payload is refused with a clean codec error.
+    // Every non-finite dense payload is refused with a clean codec error,
+    // on the single-row lane and through the delayed batcher.
     for row in non_finite_dense_rows(dim) {
-        let err = client
-            .predict(&PredictRequest::dense(row).plan(id))
-            .unwrap_err();
-        assert!(
-            err.to_string().contains("non-finite"),
-            "expected a non-finite rejection, got: {err}"
-        );
+        let single = PredictRequest::dense(row).plan(dense);
+        assert_non_finite(client.predict(&single), "dense single");
+        assert_non_finite(client.predict(&single.delayed()), "dense delayed");
     }
     // A batch with one poisoned row is refused as a unit.
     let mut rows = vec![vec![0.25f32; dim]; 3];
     rows[1][dim / 2] = f32::NAN;
-    assert!(client
-        .predict_many(&PredictRequest::dense_batch(rows).plan(id))
-        .is_err());
+    assert_non_finite(
+        client.predict_many(&PredictRequest::dense_batch(rows).plan(dense)),
+        "dense batch",
+    );
+    // A well-formed sparse row carrying +Inf is refused by the finite
+    // check, not by CSR validation: single and inside a batch.
+    let sparse_row = |values: Vec<f32>| Payload::Sparse {
+        indices: vec![1, 4],
+        values,
+        dim: dim as u32,
+    };
+    let inf = || sparse_row(vec![0.5, f32::INFINITY]);
+    let clean = || sparse_row(vec![0.5, -1.5]);
+    assert_non_finite(
+        client.predict(&PredictRequest::batch(vec![inf()]).plan(sparse)),
+        "sparse single",
+    );
+    assert_non_finite(
+        client.predict_many(&PredictRequest::batch(vec![clean(), inf(), clean()]).plan(sparse)),
+        "sparse batch",
+    );
     // Hostile sparse rows (out-of-dim, unsorted, duplicated, NaN) are all
     // rejected too — by CSR validation or the finite check.
     for (indices, values) in hostile_sparse_rows(dim as u32) {
         assert!(client
-            .predict(&PredictRequest::sparse(indices, values, dim as u32).plan(id))
+            .predict(&PredictRequest::sparse(indices, values, dim as u32).plan(sparse))
             .is_err());
     }
-    // The connection and plan both survive: clean rows still score.
-    let score = client
-        .predict(&PredictRequest::dense(vec![0.5; dim]).plan(id))
+    // The connection and both plans survive: clean rows still score on
+    // every path.
+    let clean_dense = PredictRequest::dense(vec![0.5; dim]).plan(dense);
+    assert!(client.predict(&clean_dense).unwrap().is_finite());
+    assert!(client.predict(&clean_dense.delayed()).unwrap().is_finite());
+    let single = client
+        .predict(&PredictRequest::batch(vec![clean()]).plan(sparse))
         .unwrap();
-    assert!(score.is_finite());
+    let batch = client
+        .predict_many(&PredictRequest::batch(vec![clean(), clean()]).plan(sparse))
+        .unwrap();
+    assert!(single.is_finite());
+    assert_eq!(batch, vec![single; 2]);
     fe.stop();
 }

@@ -10,7 +10,7 @@
 use pretzel_core::flour::FlourContext;
 use pretzel_core::lifecycle::DeployOptions;
 use pretzel_core::physical::SourceRef;
-use pretzel_core::runtime::{PlanId, Runtime, RuntimeConfig};
+use pretzel_core::runtime::{PlanId, Runtime, RuntimeConfig, TOMBSTONE_CAP};
 use pretzel_core::scheduler::Record;
 use pretzel_data::DataError;
 use pretzel_ops::linear::LinearKind;
@@ -761,14 +761,14 @@ fn tombstones_are_bounded_under_continuous_churn() {
             .plan()
             .unwrap()
     };
-    let cycles = 1100usize; // > TOMBSTONE_CAP (1024)
+    let cycles = TOMBSTONE_CAP + 76;
     for _ in 0..cycles {
         let id = rt.register(tiny_plan()).unwrap();
         rt.undeploy(id).unwrap();
     }
     let listed = rt.list_plans();
     assert!(
-        listed.len() <= 1024,
+        listed.len() <= TOMBSTONE_CAP,
         "tombstones unbounded: {} entries",
         listed.len()
     );
