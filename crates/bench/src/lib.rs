@@ -14,7 +14,7 @@
 //!   instead of the paper's ~1M, preserving all sharing ratios).
 //! * `PRETZEL_CORES` — executor counts for scaling experiments.
 
-use pretzel_core::frontend::{Client, Payload, PredictRequest};
+use pretzel_core::frontend::{Client, PredictRequest};
 use pretzel_core::graph::TransformGraph;
 use pretzel_core::runtime::{PlanId, Runtime};
 use pretzel_core::scheduler::Record;
@@ -125,23 +125,7 @@ pub fn register_all(runtime: &Runtime, images: &[Arc<Vec<u8>>]) -> Result<Vec<Pl
 /// Errors on mixed record kinds — bench batches are homogeneous by
 /// construction.
 pub fn wire_predict_batch(client: &mut Client, id: PlanId, records: &[Record]) -> Result<Vec<f32>> {
-    let payloads: Vec<Payload> = records
-        .iter()
-        .map(|r| match r {
-            Record::Text(s) => Payload::Text(s.clone()),
-            Record::Dense(x) => Payload::Dense(x.clone()),
-            Record::Sparse {
-                indices,
-                values,
-                dim,
-            } => Payload::Sparse {
-                indices: indices.clone(),
-                values: values.clone(),
-                dim: *dim,
-            },
-        })
-        .collect();
-    client.predict_many(&PredictRequest::batch(payloads).plan(id))
+    client.predict_many(&PredictRequest::batch(records.to_vec()).plan(id))
 }
 
 /// Prints a fixed-width table with a title, like the paper's tables.

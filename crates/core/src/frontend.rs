@@ -57,10 +57,10 @@
 //! ```
 //!
 //! **Client surface** — [`PredictRequest`] is the typed request builder
-//! ([`Payload`] + [`Target`] + cache/delay toggles); [`Client::predict`] /
-//! [`Client::predict_many`] serve it sequentially, and [`Session::submit`]
-//! pipelines it, resolving each [`PendingPredict`] independently of
-//! submission order.
+//! ([`Record`](crate::scheduler::Record)s + [`Target`] + cache/delay
+//! toggles); [`Client::predict`] / [`Client::predict_many`] serve it
+//! sequentially, and [`Session::submit`] pipelines it, resolving each
+//! [`PendingPredict`] independently of submission order.
 //!
 //! **Model lifecycle over the wire**: the admin verbs `DEPLOY` /
 //! `UNDEPLOY` / `SWAP` / `ROLLBACK` / `LIST` ride the same frame format (distinct
@@ -80,7 +80,7 @@ mod reactor;
 mod slab;
 mod sys;
 
-pub use client::{Client, Payload, PendingPredict, PredictRequest, Session, Target};
+pub use client::{Client, PendingPredict, PredictRequest, Session, Target};
 pub use wire::{
     FLAG_DELAYED_BATCH, FLAG_PLAN_ALIAS, FLAG_RESULT_CACHE, MAX_FRAME_BYTES, WIRE_MAGIC, WIRE_V2,
 };
@@ -947,6 +947,7 @@ mod tests {
     use super::*;
     use crate::flour::FlourContext;
     use crate::runtime::RuntimeConfig;
+    use crate::scheduler::Record;
     use pretzel_ops::linear::LinearKind;
     use pretzel_ops::synth;
     use std::io::{Read, Write};
@@ -1217,12 +1218,12 @@ mod tests {
         assert_eq!(remote.to_bits(), local.to_bits());
         // Batch sparse too.
         let rows = vec![
-            Payload::Sparse {
+            Record::Sparse {
                 indices,
                 values,
                 dim,
             },
-            Payload::Sparse {
+            Record::Sparse {
                 indices: vec![0, 3],
                 values: vec![1.0, 2.0],
                 dim,

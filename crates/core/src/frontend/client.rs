@@ -1,7 +1,7 @@
 //! Client surface for the FrontEnd protocol.
 //!
-//! [`PredictRequest`] is the typed request builder: a payload (or batch of
-//! payloads), a [`Target`] (plan id or alias), and the external-optimization
+//! [`PredictRequest`] is the typed request builder: a [`Record`] (or batch
+//! of records), a [`Target`] (plan id or alias), and the external-optimization
 //! toggles as methods. [`Client`] serves it sequentially, one request in
 //! flight, and [`Session`] pipelines it:
 //! [`Session::submit`] returns immediately with a [`PendingPredict`], and
@@ -12,6 +12,7 @@ use super::wire::{self, Frame, FrameReader};
 use super::{FLAG_DELAYED_BATCH, FLAG_PLAN_ALIAS, FLAG_RESULT_CACHE};
 use crate::lifecycle::{PlanInfo, UndeployReport};
 use crate::runtime::PlanId;
+use crate::scheduler::Record;
 use crate::telemetry::MetricsSnapshot;
 use parking_lot::{Condvar, Mutex};
 use pretzel_data::serde_bin::Cursor;
@@ -26,44 +27,29 @@ fn io_err(e: std::io::Error) -> DataError {
     DataError::Runtime(format!("frontend io: {e}"))
 }
 
-/// One prediction record.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Payload {
-    /// A UTF-8 text record (kind 0).
-    Text(String),
-    /// A dense feature vector (kind 1).
-    Dense(Vec<f32>),
-    /// A sparse CSR row (kind 2): sorted unique `indices` parallel to
-    /// `values`, logical dimensionality `dim`.
-    Sparse {
-        indices: Vec<u32>,
-        values: Vec<f32>,
-        dim: u32,
-    },
-}
-
-impl Payload {
+/// The wire encoding of a record: its kind byte and its body.
+impl Record {
     fn kind(&self) -> u8 {
         match self {
-            Payload::Text(_) => wire::KIND_TEXT,
-            Payload::Dense(_) => wire::KIND_DENSE,
-            Payload::Sparse { .. } => wire::KIND_SPARSE,
+            Record::Text(_) => wire::KIND_TEXT,
+            Record::Dense(_) => wire::KIND_DENSE,
+            Record::Sparse { .. } => wire::KIND_SPARSE,
         }
     }
 
     fn encode_into(&self, req: &mut Vec<u8>) {
         match self {
-            Payload::Text(line) => {
+            Record::Text(line) => {
                 req.extend_from_slice(&(line.len() as u32).to_le_bytes());
                 req.extend_from_slice(line.as_bytes());
             }
-            Payload::Dense(x) => {
+            Record::Dense(x) => {
                 req.extend_from_slice(&(x.len() as u32).to_le_bytes());
                 for v in x {
                     req.extend_from_slice(&v.to_le_bytes());
                 }
             }
-            Payload::Sparse {
+            Record::Sparse {
                 indices,
                 values,
                 dim,
@@ -91,7 +77,7 @@ pub enum Target {
     Alias(String),
 }
 
-/// A typed prediction request: payload(s), target, and the external
+/// A typed prediction request: record(s), target, and the external
 /// optimizations as toggles.
 ///
 /// ```no_run
@@ -108,17 +94,17 @@ pub enum Target {
 #[derive(Debug, Clone, PartialEq)]
 pub struct PredictRequest {
     target: Option<Target>,
-    payloads: Vec<Payload>,
+    records: Vec<Record>,
     cached: bool,
     delayed: bool,
 }
 
 impl PredictRequest {
-    /// A request over explicit payloads (may mix batch sizes, not kinds).
-    pub fn batch(payloads: Vec<Payload>) -> PredictRequest {
+    /// A request over explicit records (may mix batch sizes, not kinds).
+    pub fn batch(records: Vec<Record>) -> PredictRequest {
         PredictRequest {
             target: None,
-            payloads,
+            records,
             cached: false,
             delayed: false,
         }
@@ -126,27 +112,27 @@ impl PredictRequest {
 
     /// A single text record.
     pub fn text(line: impl Into<String>) -> PredictRequest {
-        Self::batch(vec![Payload::Text(line.into())])
+        Self::batch(vec![Record::Text(line.into())])
     }
 
     /// A batch of text records.
     pub fn text_batch<S: Into<String>>(lines: impl IntoIterator<Item = S>) -> PredictRequest {
-        Self::batch(lines.into_iter().map(|l| Payload::Text(l.into())).collect())
+        Self::batch(lines.into_iter().map(|l| Record::Text(l.into())).collect())
     }
 
     /// A single dense record.
     pub fn dense(x: Vec<f32>) -> PredictRequest {
-        Self::batch(vec![Payload::Dense(x)])
+        Self::batch(vec![Record::Dense(x)])
     }
 
     /// A batch of dense records.
     pub fn dense_batch(rows: impl IntoIterator<Item = Vec<f32>>) -> PredictRequest {
-        Self::batch(rows.into_iter().map(Payload::Dense).collect())
+        Self::batch(rows.into_iter().map(Record::Dense).collect())
     }
 
     /// A single sparse record.
     pub fn sparse(indices: Vec<u32>, values: Vec<f32>, dim: u32) -> PredictRequest {
-        Self::batch(vec![Payload::Sparse {
+        Self::batch(vec![Record::Sparse {
             indices,
             values,
             dim,
@@ -185,12 +171,12 @@ impl PredictRequest {
         let target = self.target.as_ref().ok_or_else(|| {
             DataError::Runtime("predict request needs a target: .plan(id) or .alias(name)".into())
         })?;
-        let kind = match self.payloads.first() {
+        let kind = match self.records.first() {
             Some(first) => {
                 let kind = first.kind();
-                if self.payloads.iter().any(|p| p.kind() != kind) {
+                if self.records.iter().any(|p| p.kind() != kind) {
                     return Err(DataError::Runtime(
-                        "predict request mixes payload kinds; batches are homogeneous".into(),
+                        "predict request mixes record kinds; batches are homogeneous".into(),
                     ));
                 }
                 kind
@@ -213,11 +199,11 @@ impl PredictRequest {
                 (0, Some(a.as_str()))
             }
         };
-        wire::put_request_header(out, plan, kind, flags, self.payloads.len());
+        wire::put_request_header(out, plan, kind, flags, self.records.len());
         if let Some(alias) = alias {
             pretzel_data::serde_bin::wire::put_str(out, alias);
         }
-        for p in &self.payloads {
+        for p in &self.records {
             p.encode_into(out);
         }
         Ok(())

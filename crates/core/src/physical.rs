@@ -8,20 +8,17 @@
 //! serves a logical stage (the paper's 1-logical-to-n-physical mapping):
 //!
 //! * the generic **stepwise** program, executing each step with enum
-//!   dispatch over pooled buffers;
-//! * **fused n-gram·dot kernels**: when a stage contains `CharNgram →
-//!   PartialDot` (or the word variant) with a scratch-only intermediate,
-//!   the two steps collapse into one kernel that accumulates
-//!   `weights[offset + idx]` per dictionary hit and never materializes the
-//!   sparse feature vector; or
-//! * the **fused text step**: when a stage's `Combine` reads only such
-//!   fused n-gram·dots over one text, which a `CsvParse(TextField)` selects
-//!   and one `Tokenizer` splits, all of it — field selection to score —
-//!   becomes one [`StageOp::FusedText`] that reads the row once
+//!   dispatch over pooled buffers; or
+//! * the **fused text step**: when a stage's `Combine` reads only
+//!   `PartialDot`s, each over the private scratch output of a `CharNgram`
+//!   or `WordNgram`, and the n-grams read one text, which a
+//!   `CsvParse(TextField)` selects and one `Tokenizer` splits, all of it —
+//!   field selection to score — becomes one [`StageOp::FusedText`] that
+//!   reads the row once and materializes no sparse feature vector
 //!   ([`pretzel_ops::text::fused`]). A Sentiment Analysis plan is that one
-//!   step.
+//!   step. A text stage the fused step cannot absorb runs stepwise.
 //!
-//! Both fusions run only with [`CompileOptions::fuse_ngram_dot`]; with the
+//! The fusion runs only with [`CompileOptions::fuse_text`]; with the
 //! materialization cache on, featurizer outputs stay steps of their own so
 //! they can be cached.
 //!
@@ -57,19 +54,17 @@ use std::sync::Arc;
 /// Compilation options chosen by the runtime configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct CompileOptions {
-    /// Fuse `ngram → PartialDot` pairs into single kernels, and whole text
-    /// plans into one fused text step. Disabled when sub-plan
-    /// materialization is on, so that shared featurizer outputs stay
-    /// cacheable (fused outputs embed per-pipeline weights and would never
-    /// hit).
-    pub fuse_ngram_dot: bool,
+    /// Fuse whole text stages — CSV field, tokenizer, n-grams, their
+    /// partial dots and the Combine — into one [`StageOp::FusedText`] step.
+    /// Disabled when sub-plan materialization is on, so that shared
+    /// featurizer outputs stay cacheable (a fused step embeds per-pipeline
+    /// weights and would never hit).
+    pub fuse_text: bool,
 }
 
 impl Default for CompileOptions {
     fn default() -> Self {
-        CompileOptions {
-            fuse_ngram_dot: true,
-        }
+        CompileOptions { fuse_text: true }
     }
 }
 
@@ -337,10 +332,10 @@ impl Buf for Vector {
         op.apply(inputs, out)
     }
 
-    /// With a borrowed `source` not yet materialized, a step reading it runs
-    /// its row kernel off the borrowed row — no slot-0 copy. A step without
-    /// a borrowed kernel materializes the source into slot 0 once and runs
-    /// like every other step.
+    /// With a borrowed `source` not yet materialized, a synthetic step
+    /// reading it runs off the borrowed row — no slot-0 copy. The first
+    /// library operator reading it materializes the source into slot 0
+    /// once and runs like every other step.
     #[inline]
     fn step(
         step: &Step,
@@ -523,8 +518,9 @@ fn apply_step<B: Buf>(step: &Step, ops: &mut Operands<'_, B>) -> Result<()> {
 }
 
 /// Runs `step` off the borrowed source row when the source is its first
-/// input (and no other) and the operator has a row kernel for the source's
-/// shape; `Ok(false)` when it has not, and the source must be materialized.
+/// input (and no other) and the step is synthetic
+/// ([`StageOp::apply_row`]); `Ok(false)` otherwise, and the source must be
+/// materialized.
 fn apply_row_borrowed(
     step: &Step,
     src: SourceRef<'_>,
@@ -782,8 +778,7 @@ impl PhysicalStage {
     pub fn compile(logical: &LogicalStage, opts: &CompileOptions) -> Self {
         let mut steps = logical.steps.clone();
         let mut scratch = logical.scratch.clone();
-        if opts.fuse_ngram_dot {
-            fuse_ngram_dot(&mut steps, &mut scratch);
+        if opts.fuse_text {
             fuse_text(&mut steps, &mut scratch);
         }
         let signature = signature_of(&steps, &scratch, logical.dense, logical.vectorizable);
@@ -830,66 +825,9 @@ impl PhysicalStage {
     }
 }
 
-/// Rewrites `CharNgram/WordNgram → PartialDot` pairs over a private scratch
-/// intermediate into single fused kernels, then compacts scratch defs.
-fn fuse_ngram_dot(steps: &mut Vec<Step>, scratch: &mut Vec<BufDef>) {
-    while let Some((i, j)) = (0..steps.len()).find_map(|i| Some((i, ngram_dot_at(steps, i)?))) {
-        let (
-            StageOp::Op(Op::CharNgram(ngram) | Op::WordNgram(ngram)),
-            StageOp::PartialDot { linear, offset },
-        ) = (&steps[i].op, &steps[j].op)
-        else {
-            unreachable!("matched by ngram_dot_at");
-        };
-        let (ngram, linear, offset) = (Arc::clone(ngram), Arc::clone(linear), *offset);
-        let op = match steps[i].op {
-            StageOp::Op(Op::WordNgram(_)) => StageOp::FusedWordNgramDot {
-                ngram,
-                linear,
-                offset,
-            },
-            _ => StageOp::FusedCharNgramDot {
-                ngram,
-                linear,
-                offset,
-            },
-        };
-        steps[i] = Step {
-            op,
-            inputs: std::mem::take(&mut steps[i].inputs),
-            output: steps[j].output,
-        };
-        steps.remove(j);
-    }
-    compact_scratch(steps, scratch);
-}
-
-/// The step that fuses with `steps[i]`: when `steps[i]` is an n-gram whose
-/// scratch output exactly one later single-input `PartialDot` uses, and
-/// nothing else, that `PartialDot`.
-fn ngram_dot_at(steps: &[Step], i: usize) -> Option<usize> {
-    let out @ Loc::Scratch(_) = steps[i].output else {
-        return None;
-    };
-    if !matches!(
-        steps[i].op,
-        StageOp::Op(Op::CharNgram(_) | Op::WordNgram(_))
-    ) {
-        return None;
-    }
-    let mut users = steps
-        .iter()
-        .enumerate()
-        .filter(|&(j, s)| j != i && (s.inputs.contains(&out) || s.output == out));
-    let (j, user) = users.next()?;
-    let dot = j > i && user.inputs.len() == 1 && matches!(user.op, StageOp::PartialDot { .. });
-    (dot && users.next().is_none()).then_some(j)
-}
-
-/// Rewrites `CsvParse(TextField) → Tokenizer → {Char,Word}NgramDot →
-/// Combine` into one [`StageOp::FusedText`] step in the Combine's place,
-/// then compacts scratch. Runs after [`fuse_ngram_dot`], whose fused dots
-/// are the branches.
+/// Rewrites `CsvParse(TextField) → Tokenizer → {Char,Word}Ngram →
+/// PartialDot → Combine` into one [`StageOp::FusedText`] step in the
+/// Combine's place, then compacts scratch.
 fn fuse_text(steps: &mut Vec<Step>, scratch: &mut Vec<BufDef>) {
     while let Some((j, fused, mut absorbed)) =
         (0..steps.len()).find_map(|j| text_fusion_at(steps, j).map(|(s, a)| (j, s, a)))
@@ -904,44 +842,50 @@ fn fuse_text(steps: &mut Vec<Step>, scratch: &mut Vec<BufDef>) {
 }
 
 /// The fused text step that can replace the `Combine` at `steps[j]`, and
-/// the steps it absorbs: the fused n-gram·dots that alone produce its
-/// partials, the tokenizer whose tokens only they read, and the CSV field
-/// parser whose text only those read. `None` when the Combine reads
-/// anything else or the parts do not fit one pass ([`FusedText::new`]).
+/// the steps it absorbs: for each partial, the `PartialDot` of the
+/// Combine's model that alone produces it and the n-gram whose scratch
+/// output only that dot reads; the tokenizer whose tokens only the n-grams
+/// read; and the CSV field parser whose text only those read. `None` when
+/// the Combine reads anything else or the parts do not fit one pass
+/// ([`FusedText::new`]).
 fn text_fusion_at(steps: &[Step], j: usize) -> Option<(Step, Vec<usize>)> {
     let StageOp::Combine { linear } = &steps[j].op else {
         return None;
     };
     let writer = |loc: Loc| steps.iter().position(|s| s.output == loc);
-    let read_only_by = |loc: Loc, allowed: &[usize]| {
+    // A scratch buffer one step writes and only `readers` read.
+    let private_to = |loc: Loc, readers: &[usize]| {
         matches!(loc, Loc::Scratch(_))
+            && steps.iter().filter(|s| s.output == loc).count() == 1
             && steps
                 .iter()
                 .enumerate()
-                .all(|(i, s)| allowed.contains(&i) || !s.inputs.contains(&loc))
+                .all(|(i, s)| readers.contains(&i) || !s.inputs.contains(&loc))
     };
     let (mut text, mut tokens) = (None, None);
     let mut branches = Vec::new();
     let mut absorbed = Vec::new();
     for &partial in &steps[j].inputs {
         let p = writer(partial)?;
-        let (level, ngram, offset) = match &steps[p].op {
-            StageOp::FusedCharNgramDot {
-                ngram,
-                linear: l,
-                offset,
-            } if Arc::ptr_eq(l, linear) => (NgramLevel::Char, ngram, *offset),
-            StageOp::FusedWordNgramDot {
-                ngram,
-                linear: l,
-                offset,
-            } if Arc::ptr_eq(l, linear) => (NgramLevel::Word, ngram, *offset),
-            _ => return None,
+        let StageOp::PartialDot { linear: l, offset } = &steps[p].op else {
+            return None;
         };
-        if absorbed.contains(&p) || !read_only_by(partial, &[j]) {
+        if !Arc::ptr_eq(l, linear) || absorbed.contains(&p) || !private_to(partial, &[j]) {
             return None;
         }
-        let inputs = &steps[p].inputs;
+        let [features] = steps[p].inputs[..] else {
+            return None;
+        };
+        let g = writer(features)?;
+        let (level, ngram) = match &steps[g].op {
+            StageOp::Op(Op::CharNgram(ngram)) => (NgramLevel::Char, ngram),
+            StageOp::Op(Op::WordNgram(ngram)) => (NgramLevel::Word, ngram),
+            _ => return None,
+        };
+        if !private_to(features, &[p]) {
+            return None;
+        }
+        let inputs = &steps[g].inputs;
         if *text.get_or_insert(inputs[0]) != inputs[0] {
             return None;
         }
@@ -951,9 +895,9 @@ fn text_fusion_at(steps: &[Step], j: usize) -> Option<(Step, Vec<usize>)> {
         branches.push(TextBranch {
             level,
             ngram: Arc::clone(ngram),
-            offset,
+            offset: *offset,
         });
-        absorbed.push(p);
+        absorbed.extend([p, g]);
     }
     let text = text?;
     let tokenizer = match tokens {
@@ -963,7 +907,7 @@ fn text_fusion_at(steps: &[Step], j: usize) -> Option<(Step, Vec<usize>)> {
             let StageOp::Op(Op::Tokenizer(tok)) = &steps[w].op else {
                 return None;
             };
-            if steps[w].inputs != [text] || !read_only_by(k, &absorbed) {
+            if steps[w].inputs != [text] || !private_to(k, &absorbed) {
                 return None;
             }
             absorbed.push(w);
@@ -972,7 +916,7 @@ fn text_fusion_at(steps: &[Step], j: usize) -> Option<(Step, Vec<usize>)> {
     };
     let mut input = text;
     let mut field = None;
-    if let Some(w) = writer(text).filter(|_| read_only_by(text, &absorbed)) {
+    if let Some(w) = writer(text).filter(|_| private_to(text, &absorbed)) {
         if let StageOp::Op(Op::CsvParse(csv)) = &steps[w].op {
             input = steps[w].inputs[0];
             field = Some(Arc::clone(csv));
@@ -1045,9 +989,9 @@ fn loc_code(loc: Loc) -> u64 {
 }
 
 /// The borrowed source of a borrowed-source execution: the request row is
-/// served to slot-0 readers directly and materialized into the pooled
-/// slot-0 vector only if some step lacks a borrowed kernel — at most once
-/// per request, and never on the SA/text and sparse-linear hot paths.
+/// served to synthetic steps directly and materialized into the pooled
+/// slot-0 vector when a library operator reads it — at most once per
+/// request, and never for a plan whose one step is [`StageOp::FusedText`].
 pub(crate) struct BorrowedSource<'a> {
     src: SourceRef<'a>,
     loaded: bool,
@@ -1373,10 +1317,10 @@ impl ModelPlan {
     /// source** instead of copying it into the pooled slot-0 vector first
     /// (the request-response engine's borrowed-source execute).
     ///
-    /// Steps reading the source dispatch through row-level kernels
-    /// ([`crate::plan::StageOp::apply_row`]); a step without a borrowed
-    /// kernel for this source shape materializes slot 0 once and the plan
-    /// continues on the classic path. Scores are bitwise-identical to
+    /// Synthetic steps read the borrowed row
+    /// ([`crate::plan::StageOp::apply_row`]); the first library operator
+    /// reading the source materializes slot 0 once and the plan continues
+    /// on the classic path. Scores are bitwise-identical to
     /// [`Self::execute`] either way.
     pub fn execute_borrowed(
         &self,
@@ -1599,11 +1543,9 @@ fn intern_step(step: &mut Step, store: &ObjectStore) {
                 *ensemble = p;
             }
         }
-        // Fused steps are the compiler's output, built from steps interned
+        // The fused step is the compiler's output, built from steps interned
         // here; a logical plan holds none.
-        StageOp::FusedCharNgramDot { .. }
-        | StageOp::FusedWordNgramDot { .. }
-        | StageOp::FusedText(_) => {}
+        StageOp::FusedText(_) => {}
     }
 }
 
@@ -1719,33 +1661,40 @@ mod tests {
 
     #[test]
     fn fused_and_unfused_plans_agree() {
-        let (logical, _) = sa_logical(64, 64);
-        let store = ObjectStore::new();
-        let fused = ModelPlan::compile(
-            logical.clone(),
-            &CompileOptions {
-                fuse_ngram_dot: true,
-            },
-            &store,
-        )
-        .unwrap();
-        let unfused = ModelPlan::compile(
-            logical,
-            &CompileOptions {
-                fuse_ngram_dot: false,
-            },
-            &store,
-        )
-        .unwrap();
-        // Fusion removed the two ngram scratch intermediates.
-        assert_eq!(fused.stages[0].steps.len(), 2);
+        let (fused, unfused) = (compile_sa(true), compile_sa(false));
+        assert_eq!(fused.stages[0].steps.len(), 1);
         assert_eq!(fused.stages[0].scratch.len(), 0);
-        assert_eq!(unfused.stages[0].steps.len(), 3);
-        for text in ["a nice product", "utter garbage do not buy", ""] {
+        for text in [
+            "5,a nice product,US",
+            "7,utter garbage do not buy,DE",
+            "1,,",
+        ] {
             let a = run_plan(&fused, text);
             let b = run_plan(&unfused, text);
             assert_eq!(a.to_bits(), b.to_bits(), "{text}: fused {a} vs unfused {b}");
         }
+    }
+
+    #[test]
+    fn text_fusion_needs_the_combine_in_the_stage() {
+        // The char branch's partial leaves stage 0 in a slot, so stage 1's
+        // Combine reads a partial no step of its stage produced: both
+        // stages stay stepwise whatever the option.
+        let (logical, _) = sa_logical(64, 64);
+        let store = ObjectStore::new();
+        let plan = ModelPlan::compile(logical, &CompileOptions::default(), &store).unwrap();
+        let names: Vec<Vec<&str>> = plan
+            .stages
+            .iter()
+            .map(|st| st.steps.iter().map(|s| s.op.name()).collect())
+            .collect();
+        assert_eq!(
+            names,
+            [
+                vec!["Tokenizer", "CharNgram", "PartialDot"],
+                vec!["WordNgram", "PartialDot", "Combine"]
+            ]
+        );
     }
 
     #[test]
@@ -1793,14 +1742,8 @@ mod tests {
         let (logical, _) = sa_logical(64, 64);
         let store = ObjectStore::new();
         // Fusion off so featurizer outputs stay cacheable.
-        let plan = ModelPlan::compile(
-            logical,
-            &CompileOptions {
-                fuse_ngram_dot: false,
-            },
-            &store,
-        )
-        .unwrap();
+        let plan =
+            ModelPlan::compile(logical, &CompileOptions { fuse_text: false }, &store).unwrap();
         let pool = Arc::new(VectorPool::arena());
         let cache = Arc::new(MaterializationCache::new(1 << 20));
         let mut ctx = ExecCtx::new(Arc::clone(&pool)).with_cache(Arc::clone(&cache));
@@ -1826,14 +1769,8 @@ mod tests {
     fn scratch_buffers_return_to_pool() {
         let (logical, _) = sa_logical(32, 32);
         let store = ObjectStore::new();
-        let plan = ModelPlan::compile(
-            logical,
-            &CompileOptions {
-                fuse_ngram_dot: false,
-            },
-            &store,
-        )
-        .unwrap();
+        let plan =
+            ModelPlan::compile(logical, &CompileOptions { fuse_text: false }, &store).unwrap();
         let pool = Arc::new(VectorPool::arena());
         let mut ctx = ExecCtx::new(Arc::clone(&pool));
         let mut slots: Vec<Vector> = plan
@@ -1867,14 +1804,9 @@ mod tests {
         let (logical, _) = sa_logical(64, 64);
         let store = ObjectStore::new();
         for fuse in [true, false] {
-            let plan = ModelPlan::compile(
-                logical.clone(),
-                &CompileOptions {
-                    fuse_ngram_dot: fuse,
-                },
-                &store,
-            )
-            .unwrap();
+            let plan =
+                ModelPlan::compile(logical.clone(), &CompileOptions { fuse_text: fuse }, &store)
+                    .unwrap();
             let lines = [
                 "a nice product",
                 "utter garbage do not buy",
@@ -1922,14 +1854,8 @@ mod tests {
         let (logical, _) = sa_logical(64, 64);
         let store = ObjectStore::new();
         // Fusion off so featurizer outputs stay cacheable.
-        let plan = ModelPlan::compile(
-            logical,
-            &CompileOptions {
-                fuse_ngram_dot: false,
-            },
-            &store,
-        )
-        .unwrap();
+        let plan =
+            ModelPlan::compile(logical, &CompileOptions { fuse_text: false }, &store).unwrap();
         // Rows 0/2 and 1/5 duplicate on purpose: intra-chunk duplicates of
         // a miss must still count as hits, like per-record processing.
         let lines = [
@@ -1998,14 +1924,8 @@ mod tests {
     fn chunk_cache_probe_all_miss_then_all_hit() {
         let (logical, _) = sa_logical(32, 32);
         let store = ObjectStore::new();
-        let plan = ModelPlan::compile(
-            logical,
-            &CompileOptions {
-                fuse_ngram_dot: false,
-            },
-            &store,
-        )
-        .unwrap();
+        let plan =
+            ModelPlan::compile(logical, &CompileOptions { fuse_text: false }, &store).unwrap();
         // Unfused SA has 3 cacheable steps: Tokenizer, CharNgram, WordNgram.
         let lines = ["alpha beta", "gamma", "delta epsilon zeta"];
         let sources: Vec<SourceRef<'_>> = lines.iter().map(|l| SourceRef::Text(l)).collect();
@@ -2042,14 +1962,8 @@ mod tests {
     fn chunk_cache_probe_mixed_hit_miss_chunk() {
         let (logical, _) = sa_logical(32, 32);
         let store = ObjectStore::new();
-        let plan = ModelPlan::compile(
-            logical,
-            &CompileOptions {
-                fuse_ngram_dot: false,
-            },
-            &store,
-        )
-        .unwrap();
+        let plan =
+            ModelPlan::compile(logical, &CompileOptions { fuse_text: false }, &store).unwrap();
         let pool = Arc::new(VectorPool::arena());
         let cache = Arc::new(MaterializationCache::new(1 << 20));
         let mut ctx = ExecCtx::new(Arc::clone(&pool)).with_cache(Arc::clone(&cache));
@@ -2101,14 +2015,8 @@ mod tests {
         // be exact.
         let (logical, _) = sa_logical(32, 32);
         let store = ObjectStore::new();
-        let plan = ModelPlan::compile(
-            logical,
-            &CompileOptions {
-                fuse_ngram_dot: false,
-            },
-            &store,
-        )
-        .unwrap();
+        let plan =
+            ModelPlan::compile(logical, &CompileOptions { fuse_text: false }, &store).unwrap();
         let pool = Arc::new(VectorPool::arena());
         let cache = Arc::new(MaterializationCache::new(1));
         let mut ctx = ExecCtx::new(Arc::clone(&pool)).with_cache(cache);
@@ -2140,14 +2048,8 @@ mod tests {
     fn execute_batch_reuses_pooled_batches() {
         let (logical, _) = sa_logical(32, 32);
         let store = ObjectStore::new();
-        let plan = ModelPlan::compile(
-            logical,
-            &CompileOptions {
-                fuse_ngram_dot: false,
-            },
-            &store,
-        )
-        .unwrap();
+        let plan =
+            ModelPlan::compile(logical, &CompileOptions { fuse_text: false }, &store).unwrap();
         let pool = Arc::new(VectorPool::arena());
         let mut ctx = ExecCtx::new(Arc::clone(&pool));
         let mut slots: Vec<ColumnBatch> = plan
@@ -2256,14 +2158,8 @@ mod tests {
     fn param_bytes_counts_unique_objects_once() {
         let (logical, _) = sa_logical(32, 32);
         let store = ObjectStore::new();
-        let plan = ModelPlan::compile(
-            logical,
-            &CompileOptions {
-                fuse_ngram_dot: false,
-            },
-            &store,
-        )
-        .unwrap();
+        let plan =
+            ModelPlan::compile(logical, &CompileOptions { fuse_text: false }, &store).unwrap();
         assert!(plan.param_bytes() > 0);
     }
 
@@ -2283,8 +2179,8 @@ mod tests {
             .unwrap()
     }
 
-    fn compile_sa(fuse_ngram_dot: bool) -> ModelPlan {
-        let opts = CompileOptions { fuse_ngram_dot };
+    fn compile_sa(fuse_text: bool) -> ModelPlan {
+        let opts = CompileOptions { fuse_text };
         ModelPlan::compile(sa_optimized(), &opts, &ObjectStore::new()).unwrap()
     }
 
@@ -2321,9 +2217,50 @@ mod tests {
     }
 
     #[test]
+    fn an_out_of_range_text_plan_runs_unfused_to_a_typed_error() {
+        // The model is shorter than the two branches' weight segments:
+        // `FusedText::new` refuses, the stage stays stepwise, and every
+        // engine reports the short segment instead of panicking.
+        let mut logical = sa_optimized();
+        let short = Arc::new(synth::linear(4, 96, LinearKind::Logistic));
+        for step in &mut logical.stages[0].steps {
+            if let StageOp::PartialDot { linear, .. } | StageOp::Combine { linear } = &mut step.op {
+                *linear = Arc::clone(&short);
+            }
+        }
+        let plan =
+            ModelPlan::compile(logical, &CompileOptions::default(), &ObjectStore::new()).unwrap();
+        let names: Vec<&str> = plan.stages[0].steps.iter().map(|s| s.op.name()).collect();
+        assert!(!names.contains(&"FusedText"), "{names:?}");
+        assert!(names.contains(&"WordNgram"), "{names:?}");
+        let line = "5,a fine line,US";
+        let mut ctx = ExecCtx::new(Arc::new(VectorPool::arena()));
+        let mut slots: Vec<Vector> = plan
+            .slot_types()
+            .into_iter()
+            .map(Vector::with_type)
+            .collect();
+        for borrowed in [false, true] {
+            let src = SourceRef::Text(line);
+            let got = match borrowed {
+                false => plan.execute(src, &mut slots, &mut ctx),
+                true => plan.execute_borrowed(src, &mut slots, &mut ctx),
+            };
+            assert!(matches!(got, Err(DataError::Runtime(_))), "{got:?}");
+        }
+        let mut batch: Vec<ColumnBatch> = plan
+            .batch_slot_types()
+            .into_iter()
+            .map(ColumnBatch::with_type)
+            .collect();
+        let got = plan.execute_batch(&[SourceRef::Text(line)], &mut batch, &mut ctx, &mut [0.0]);
+        assert!(matches!(got, Err(DataError::Runtime(_))), "{got:?}");
+    }
+
+    #[test]
     fn text_fusion_leaves_a_combine_with_another_branch_alone() {
         // A hashing branch beside the n-grams: the Combine reads a partial
-        // no fused n-gram·dot produced, so the text steps stay apart.
+        // no n-gram·dot produced, so the text steps stay apart.
         let vocab = synth::vocabulary(1, 64);
         let tokens = crate::flour::FlourContext::new()
             .csv(',')
@@ -2342,7 +2279,8 @@ mod tests {
         let plan =
             ModelPlan::compile(logical, &CompileOptions::default(), &ObjectStore::new()).unwrap();
         let names: Vec<&str> = plan.stages[0].steps.iter().map(|s| s.op.name()).collect();
-        assert!(names.contains(&"FusedCharNgramDot"), "{names:?}");
+        assert!(names.contains(&"CharNgram"), "{names:?}");
+        assert!(names.contains(&"PartialDot"), "{names:?}");
         assert!(!names.contains(&"FusedText"), "{names:?}");
         let score = run_plan(&plan, "5,a fine line,US");
         assert!((0.0..=1.0).contains(&score));

@@ -19,14 +19,15 @@
 //! The optimizer's *tree pushdown* has one synthetic step of its own:
 //! [`StageOp::TreeOverConcat`] walks a final forest over the branches of
 //! the Concat it alone consumed, so that Concat and its buffer are gone
-//! too. The Model Plan Compiler's fused kernels are steps as well (the
-//! `Fused*` variants); a logical plan from Oven never holds one.
+//! too. The Model Plan Compiler's one fused kernel is a step as well
+//! ([`StageOp::FusedText`]); a logical plan from Oven never holds one.
 //!
 //! Every synthetic step outputs one scalar per row, computed by one row
 //! routine over its inputs as row references: [`StageOp::apply`] (a row),
 //! [`StageOp::apply_row`] (a row off the borrowed source) and
-//! [`StageOp::apply_batch`] (a chunk, row by row) adapt it, and pass a
-//! library operator to its own kernels.
+//! [`StageOp::apply_batch`] (a chunk, row by row) adapt it. A library
+//! operator runs its own kernels, and only a synthetic step reads the
+//! borrowed source.
 
 use crate::train_stats::NodeStats;
 use pretzel_data::batch::ColRef;
@@ -36,7 +37,6 @@ use pretzel_ops::feat::concat::ConcatParams;
 use pretzel_ops::linear::LinearParams;
 use pretzel_ops::params::ParamBlob;
 use pretzel_ops::text::fused::FusedText;
-use pretzel_ops::text::ngram::NgramParams;
 use pretzel_ops::tree::EnsembleParams;
 use pretzel_ops::Op;
 use std::sync::Arc;
@@ -59,27 +59,6 @@ pub enum StageOp {
     Combine {
         /// The pushed linear model.
         linear: Arc<LinearParams>,
-    },
-    /// Physically fused character n-gram + partial dot (chosen by the Model
-    /// Plan Compiler): text input → scalar partial, with no sparse feature
-    /// vector materialized anywhere.
-    FusedCharNgramDot {
-        /// The n-gram featurizer.
-        ngram: Arc<pretzel_ops::text::ngram::NgramParams>,
-        /// The pushed linear model.
-        linear: Arc<LinearParams>,
-        /// Start of this branch's weight segment.
-        offset: u32,
-    },
-    /// Physically fused word n-gram + partial dot: `[text, tokens]` inputs
-    /// → scalar partial.
-    FusedWordNgramDot {
-        /// The n-gram featurizer.
-        ngram: Arc<pretzel_ops::text::ngram::NgramParams>,
-        /// The pushed linear model.
-        linear: Arc<LinearParams>,
-        /// Start of this branch's weight segment.
-        offset: u32,
     },
     /// A whole text plan in one step (chosen by the Model Plan Compiler):
     /// CSV field selection, tokenization, every n-gram·dot branch and the
@@ -104,8 +83,6 @@ impl StageOp {
             StageOp::Op(op) => op.kind().name(),
             StageOp::PartialDot { .. } => "PartialDot",
             StageOp::Combine { .. } => "Combine",
-            StageOp::FusedCharNgramDot { .. } => "FusedCharNgramDot",
-            StageOp::FusedWordNgramDot { .. } => "FusedWordNgramDot",
             StageOp::FusedText(_) => "FusedText",
             StageOp::TreeOverConcat { .. } => "TreeOverConcat",
         }
@@ -118,8 +95,6 @@ impl StageOp {
             StageOp::Op(op) => Some(op.n_inputs()),
             StageOp::PartialDot { .. } => Some(1),
             StageOp::Combine { .. } => None,
-            StageOp::FusedCharNgramDot { .. } => Some(1),
-            StageOp::FusedWordNgramDot { .. } => Some(2),
             StageOp::FusedText(_) => Some(1),
             StageOp::TreeOverConcat { concat, .. } => Some(concat.input_dims.len()),
         }
@@ -134,14 +109,6 @@ impl StageOp {
             StageOp::Op(op) => f(op.clone()),
             StageOp::PartialDot { linear, .. } | StageOp::Combine { linear } => {
                 f(Op::Linear(Arc::clone(linear)))
-            }
-            StageOp::FusedCharNgramDot { ngram, linear, .. } => {
-                f(Op::CharNgram(Arc::clone(ngram)));
-                f(Op::Linear(Arc::clone(linear)));
-            }
-            StageOp::FusedWordNgramDot { ngram, linear, .. } => {
-                f(Op::WordNgram(Arc::clone(ngram)));
-                f(Op::Linear(Arc::clone(linear)));
             }
             StageOp::FusedText(t) => t.for_each_op(f),
             StageOp::TreeOverConcat { ensemble, concat } => {
@@ -162,20 +129,6 @@ impl StageOp {
                 h.write_u64(u64::from(*offset));
             }
             StageOp::Combine { linear } => h.write_u64(linear.checksum()),
-            StageOp::FusedCharNgramDot {
-                ngram,
-                linear,
-                offset,
-            }
-            | StageOp::FusedWordNgramDot {
-                ngram,
-                linear,
-                offset,
-            } => {
-                h.write_u64(ngram.checksum());
-                h.write_u64(linear.checksum());
-                h.write_u64(u64::from(*offset));
-            }
             StageOp::FusedText(t) => h.write_u64(t.checksum()),
             StageOp::TreeOverConcat { ensemble, concat } => {
                 h.write_u64(concat.checksum());
@@ -219,13 +172,13 @@ impl StageOp {
     /// (`rest` holds inputs 1..) — the step-level dispatch behind the
     /// request-response engine's borrowed-source execute.
     ///
-    /// Returns `Ok(true)` if the step ran off the borrowed row (same
-    /// arithmetic as [`StageOp::apply`], bitwise), `Ok(false)` if this step
-    /// shape needs a materialized slot-0 vector (the caller copies the
-    /// source once and retries through [`StageOp::apply`]).
+    /// Returns `Ok(true)` if a synthetic step ran off the borrowed row (same
+    /// arithmetic as [`StageOp::apply`], bitwise), `Ok(false)` for a library
+    /// operator, which reads a materialized slot-0 vector (the caller copies
+    /// the source once and retries through [`StageOp::apply`]).
     pub fn apply_row(&self, row: ColRef<'_>, rest: &[&Vector], out: &mut Vector) -> Result<bool> {
         match self {
-            StageOp::Op(op) => op.apply_row(row, rest, out),
+            StageOp::Op(_) => Ok(false),
             synthetic => {
                 let y = synthetic.score_row(rest.len() + 1, |k| match k {
                     0 => row,
@@ -237,7 +190,7 @@ impl StageOp {
     }
 
     /// Executes the step's columnar batch kernel: whole chunk in, whole
-    /// chunk out. Per-row arithmetic (including the fused n-gram·dot
+    /// chunk out. Per-row arithmetic (including the fused text step's
     /// accumulation order) is identical to [`StageOp::apply`], so batch
     /// execution is bitwise-equal to the per-record path.
     pub fn apply_batch(&self, inputs: &[&ColumnBatch], out: &mut ColumnBatch) -> Result<()> {
@@ -258,10 +211,6 @@ impl StageOp {
     /// scalar. The one body behind the synthetic arms of [`Self::apply`],
     /// [`Self::apply_row`] and [`Self::apply_batch`].
     fn score_row<'a>(&self, n: usize, input: impl Fn(usize) -> ColRef<'a>) -> Result<f32> {
-        let text = |k: usize| match (k < n).then(|| input(k)) {
-            Some(ColRef::Text(t)) => Ok(t),
-            _ => Err(DataError::Runtime(format!("{} expects text", self.name()))),
-        };
         match self {
             StageOp::Op(op) => Err(DataError::Runtime(format!(
                 "{} is not a synthetic step",
@@ -281,48 +230,13 @@ impl StageOp {
                 }
                 Ok(linear.link(z))
             }
-            StageOp::FusedCharNgramDot {
-                ngram,
-                linear,
-                offset,
-            } => {
-                let weights = ngram_segment(ngram, linear, *offset)?;
-                let mut acc = 0.0f32;
-                ngram.for_each_char_match(text(0)?, |idx| acc += weights[idx as usize]);
-                Ok(acc)
-            }
-            StageOp::FusedWordNgramDot {
-                ngram,
-                linear,
-                offset,
-            } => {
-                let weights = ngram_segment(ngram, linear, *offset)?;
-                let text = text(0)?;
-                let Some(ColRef::Tokens(spans)) = (n > 1).then(|| input(1)) else {
-                    return Err(DataError::Runtime("fused word dot expects tokens".into()));
-                };
-                let mut acc = 0.0f32;
-                ngram.for_each_word_match(text, spans, |idx| acc += weights[idx as usize]);
-                Ok(acc)
-            }
-            StageOp::FusedText(t) => t.score(text(0)?),
+            StageOp::FusedText(t) => match (n > 0).then(|| input(0)) {
+                Some(ColRef::Text(line)) => t.score(line),
+                _ => Err(DataError::Runtime("FusedText expects text".into())),
+            },
             StageOp::TreeOverConcat { ensemble, concat } => ensemble.score_concat(concat, n, input),
         }
     }
-}
-
-/// A fused n-gram·dot's weight segment: `linear`'s weights from `offset`,
-/// one per dictionary entry.
-fn ngram_segment<'w>(
-    ngram: &NgramParams,
-    linear: &'w LinearParams,
-    offset: u32,
-) -> Result<&'w [f32]> {
-    let start = offset as usize;
-    linear
-        .weights
-        .get(start..start + ngram.dim())
-        .ok_or_else(|| DataError::Runtime("fused dot weight segment OOB".into()))
 }
 
 fn write_scalar(out: &mut Vector, v: f32) -> Result<()> {
@@ -490,6 +404,7 @@ mod tests {
     use super::*;
     use pretzel_ops::linear::{LinearKind, LinearParams};
     use pretzel_ops::synth;
+    use pretzel_ops::text::fused::{NgramLevel, TextBranch};
 
     fn linear4() -> Arc<LinearParams> {
         Arc::new(LinearParams::new(
@@ -532,6 +447,23 @@ mod tests {
         assert_eq!(combined, reference);
     }
 
+    /// A one-branch fused text step over `ngram` and `lin`.
+    fn fused(
+        level: NgramLevel,
+        ngram: &Arc<pretzel_ops::text::ngram::NgramParams>,
+        lin: &Arc<LinearParams>,
+    ) -> StageOp {
+        let tokenizer = (level == NgramLevel::Word)
+            .then(|| Arc::new(pretzel_ops::text::tokenizer::TokenizerParams::whitespace_punct()));
+        let branch = TextBranch {
+            level,
+            ngram: Arc::clone(ngram),
+            offset: 0,
+        };
+        let step = FusedText::new(None, tokenizer, vec![branch], Arc::clone(lin)).unwrap();
+        StageOp::FusedText(Arc::new(step))
+    }
+
     #[test]
     fn fused_char_dot_equals_ngram_then_dot() {
         let ngram = Arc::new(synth::char_ngram(5, 3, 32));
@@ -543,16 +475,12 @@ mod tests {
         ngram
             .apply_char(text.as_text().unwrap(), &mut sparse)
             .unwrap();
-        let expected = lin.partial_dot(&sparse, 0).unwrap();
+        let expected = lin.link(lin.bias + lin.partial_dot(&sparse, 0).unwrap());
 
         let mut out = Vector::Scalar(0.0);
-        StageOp::FusedCharNgramDot {
-            ngram,
-            linear: lin,
-            offset: 0,
-        }
-        .apply(&[&text], &mut out)
-        .unwrap();
+        fused(NgramLevel::Char, &ngram, &lin)
+            .apply(&[&text], &mut out)
+            .unwrap();
         assert!((out.as_scalar().unwrap() - expected).abs() < 1e-5);
     }
 
@@ -572,16 +500,12 @@ mod tests {
         ngram
             .apply_word(&sentence, tokens.as_tokens().unwrap(), &mut sparse)
             .unwrap();
-        let expected = lin.partial_dot(&sparse, 0).unwrap();
+        let expected = lin.link(lin.bias + lin.partial_dot(&sparse, 0).unwrap());
 
         let mut out = Vector::Scalar(0.0);
-        StageOp::FusedWordNgramDot {
-            ngram,
-            linear: lin,
-            offset: 0,
-        }
-        .apply(&[&text, &tokens], &mut out)
-        .unwrap();
+        fused(NgramLevel::Word, &ngram, &lin)
+            .apply(&[&text], &mut out)
+            .unwrap();
         assert!((out.as_scalar().unwrap() - expected).abs() < 1e-5);
     }
 
@@ -593,21 +517,6 @@ mod tests {
         assert!(StageOp::Combine { linear: lin }
             .apply(&[&bad], &mut out)
             .is_err());
-    }
-
-    #[test]
-    fn fused_dot_out_of_bounds_segment_is_error() {
-        let ngram = Arc::new(synth::char_ngram(5, 3, 32));
-        let lin = Arc::new(synth::linear(6, 16, LinearKind::Regression));
-        let text = Vector::Text("abcdef".into());
-        let mut out = Vector::Scalar(0.0);
-        let err = StageOp::FusedCharNgramDot {
-            ngram,
-            linear: lin,
-            offset: 0,
-        }
-        .apply(&[&text], &mut out);
-        assert!(err.is_err());
     }
 
     fn tiny_plan() -> StagePlan {

@@ -516,7 +516,7 @@ impl Runtime {
             // Fused stages embed per-pipeline weights, so their featurizer
             // outputs never exist to be cached: fuse only with the
             // sub-plan materialization cache off.
-            fuse_ngram_dot: self.cache.is_none(),
+            fuse_text: self.cache.is_none(),
         };
         // Stage residency probe: signatures are prepared before stages are
         // built, so a stage another live plan already deployed is served
@@ -660,7 +660,7 @@ impl Runtime {
     /// calling thread's session ([`RrSession`]).
     ///
     /// Scores **straight off the borrowed source** — the request bytes are
-    /// not copied into slot 0 unless some step lacks a borrowed kernel
+    /// not copied into slot 0 unless a library operator reads them
     /// ([`ModelPlan::execute_borrowed`]).
     pub fn predict_source(&self, id: PlanId, source: SourceRef<'_>) -> Result<f32> {
         RR_SESSION

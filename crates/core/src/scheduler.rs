@@ -45,8 +45,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// One prediction request record.
-#[derive(Debug, Clone)]
+/// One prediction request record: what the scheduler runs and what a
+/// [`crate::frontend::PredictRequest`] sends.
+#[derive(Debug, Clone, PartialEq)]
 pub enum Record {
     /// A text line (CSV payload).
     Text(String),
@@ -1426,12 +1427,7 @@ mod tests {
         let cache = Arc::new(MaterializationCache::new(1 << 20));
         for cache in [None, Some(Arc::clone(&cache))] {
             let cached = cache.is_some();
-            let plan = sa_plan_with(
-                3,
-                &CompileOptions {
-                    fuse_ngram_dot: !cached,
-                },
-            );
+            let plan = sa_plan_with(3, &CompileOptions { fuse_text: !cached });
             let expect = inline_scores(&plan, &recs);
             let sched = Scheduler::with_config(SchedulerConfig {
                 cache,

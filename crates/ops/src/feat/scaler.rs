@@ -46,9 +46,9 @@ impl ScalerParams {
         Annotations::compute()
     }
 
-    /// Applies the affine map to one dense row. Shared by the per-record,
-    /// batch, and borrowed-row kernels, so their bitwise agreement rests on
-    /// one implementation; the single pass over three slices runs the
+    /// Applies the affine map to one dense row. Shared by the per-record
+    /// and batch kernels, so their bitwise agreement rests on one
+    /// implementation; the single pass over three slices runs the
     /// explicit 8-wide affine kernel (AVX2 or its identical scalar twin —
     /// the map is elementwise, so the paths are trivially bitwise-equal).
     #[inline]

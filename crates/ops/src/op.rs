@@ -27,7 +27,6 @@ use crate::text::hashing::HashingParams;
 use crate::text::ngram::NgramParams;
 use crate::text::tokenizer::TokenizerParams;
 use crate::tree::{EnsembleParams, MulticlassTreeParams};
-use pretzel_data::batch::ColRef;
 use pretzel_data::serde_bin::Section;
 use pretzel_data::vector::Span;
 use pretzel_data::{ColumnBatch, ColumnType, DataError, Result, Schema, Vector};
@@ -436,70 +435,6 @@ impl Op {
             Op::Pca(p) => p.apply(one_input(inputs)?, out),
             #[cfg(feature = "fault-op")]
             Op::FaultInjector(p) => p.apply(text_input(inputs, 0)?, out),
-        }
-    }
-
-    /// Executes the operator with input 0 supplied as a **borrowed row**
-    /// (`rest` holds inputs 1..): the borrowed-source execute of the
-    /// request-response engine, which scores straight off the wire-assembled
-    /// row instead of copying it into the pooled slot-0 vector first.
-    ///
-    /// Returns `Ok(true)` when the operator ran off the borrowed row
-    /// (bitwise-identical arithmetic to [`Op::apply`] — the same row-level
-    /// kernels the batch path uses), `Ok(false)` when this operator has no
-    /// borrowed kernel for the row shape and the caller must materialize
-    /// the source once and retry through [`Op::apply`].
-    pub fn apply_row(&self, row: ColRef<'_>, rest: &[&Vector], out: &mut Vector) -> Result<bool> {
-        match (self, row) {
-            (Op::CsvParse(p), ColRef::Text(s)) => p.apply(s, out).map(|()| true),
-            (Op::Tokenizer(p), ColRef::Text(s)) => p.apply(s, out).map(|()| true),
-            (Op::CharNgram(p), ColRef::Text(s)) => p.apply_char(s, out).map(|()| true),
-            (Op::WordNgram(p), ColRef::Text(s)) => {
-                let toks = tokens_input(rest, 0)?;
-                p.apply_word(s, toks, out).map(|()| true)
-            }
-            (Op::HashingVectorizer(p), ColRef::Text(s)) => p.apply(s, out).map(|()| true),
-            (
-                Op::Linear(p),
-                row @ (ColRef::Dense(_) | ColRef::Sparse { .. } | ColRef::Scalar(_)),
-            ) => {
-                // Same kernel chain as `LinearParams::apply`: dot + bias +
-                // link over the one shared row-level dot product.
-                let z = p.partial_dot_row(row, 0)? + p.bias;
-                match out {
-                    Vector::Scalar(s) => {
-                        *s = p.link(z);
-                        Ok(true)
-                    }
-                    other => Err(DataError::Runtime(format!(
-                        "linear model output must be scalar, got {:?}",
-                        other.column_type()
-                    ))),
-                }
-            }
-            // Dense featurizer chain: scaler and PCA score straight off the
-            // borrowed dense row through the same row helpers their apply
-            // and eval_batch kernels share, so dense pipelines no longer
-            // pay the one-time slot-0 materialization copy. Shape
-            // mismatches fall back (`Ok(false)`) so the classic path
-            // reports its usual errors.
-            (Op::Scaler(p), ColRef::Dense(x)) if x.len() == p.dim() => match out {
-                Vector::Dense(y) if y.len() == p.dim() => {
-                    p.scale_row(x, y);
-                    Ok(true)
-                }
-                _ => Ok(false),
-            },
-            (Op::Pca(p), ColRef::Dense(x)) if x.len() == p.dim as usize => match out {
-                Vector::Dense(y) if y.len() == p.m as usize => {
-                    p.project_row(x, y);
-                    Ok(true)
-                }
-                _ => Ok(false),
-            },
-            // No borrowed kernel for this (operator, row shape): the caller
-            // falls back to a one-time slot-0 materialization.
-            _ => Ok(false),
         }
     }
 

@@ -49,8 +49,8 @@ impl PcaParams {
     }
 
     /// Projects one dense row onto the components. Shared by the
-    /// per-record, batch, and borrowed-row kernels, so their bitwise
-    /// agreement rests on one implementation; each centered dot runs the
+    /// per-record and batch kernels, so their bitwise agreement rests on
+    /// one implementation; each centered dot runs the
     /// explicit 8-lane kernel (AVX2 or its lane-identical scalar twin).
     #[inline]
     pub(crate) fn project_row(&self, x: &[f32], y: &mut [f32]) {

@@ -21,9 +21,9 @@
 //!    its weights in hit order, then adds the partials to the bias in
 //!    `Combine`'s input order and applies the link.
 //!
-//! The score is bitwise the one of the steps it replaces: every branch
-//! accumulates from zero in the hit order of the n-gram kernels, exactly as
-//! the fused n-gram·dot steps do.
+//! Every branch accumulates from zero in the hit order of the n-gram
+//! kernels, so the score is a function of that order and of `Combine`'s,
+//! in every engine alike.
 
 use crate::linear::LinearParams;
 use crate::text::csv::{CsvOutput, CsvParams};
@@ -215,5 +215,85 @@ impl FusedText {
             z += acc;
         }
         self.linear.link(z)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::linear::LinearKind;
+    use crate::synth;
+
+    fn char_branch(ngram: NgramParams, offset: u32) -> TextBranch {
+        TextBranch {
+            level: NgramLevel::Char,
+            ngram: Arc::new(ngram),
+            offset,
+        }
+    }
+
+    fn word_branch(fold_case: bool, offset: u32) -> TextBranch {
+        let keys = synth::vocabulary(3, 16)
+            .into_iter()
+            .map(String::into_boxed_str)
+            .collect();
+        TextBranch {
+            level: NgramLevel::Word,
+            ngram: Arc::new(NgramParams::word(1, true, fold_case, keys)),
+            offset,
+        }
+    }
+
+    fn linear(dim: usize) -> Arc<LinearParams> {
+        Arc::new(synth::linear(6, dim, LinearKind::Regression))
+    }
+
+    fn tokenizer() -> Option<Arc<TokenizerParams>> {
+        Some(Arc::new(TokenizerParams::whitespace_punct()))
+    }
+
+    #[test]
+    fn fits_when_every_part_fits() {
+        let field = Some(Arc::new(CsvParams::select_text(1)));
+        let branches = vec![
+            char_branch(synth::char_ngram(5, 3, 32), 0),
+            word_branch(true, 32),
+        ];
+        let step = FusedText::new(field, tokenizer(), branches, linear(48)).unwrap();
+        let score = step.score("5,the quick brown fox,US").unwrap();
+        assert!(score.is_finite());
+    }
+
+    #[test]
+    fn refuses_a_weight_segment_out_of_range() {
+        // The range check is the only guard before `score_text` indexes
+        // the weights.
+        let branch = |offset| vec![char_branch(synth::char_ngram(5, 3, 32), offset)];
+        assert!(FusedText::new(None, None, branch(0), linear(32)).is_some());
+        assert!(FusedText::new(None, None, branch(0), linear(16)).is_none());
+        assert!(FusedText::new(None, None, branch(1), linear(32)).is_none());
+    }
+
+    #[test]
+    fn refuses_a_dense_csv_parser() {
+        let field = Some(Arc::new(CsvParams::dense(4)));
+        let branches = vec![char_branch(synth::char_ngram(5, 3, 32), 0)];
+        assert!(FusedText::new(field, None, branches, linear(32)).is_none());
+    }
+
+    #[test]
+    fn refuses_a_tokenizer_without_a_word_branch_and_the_other_way_round() {
+        let chars = || vec![char_branch(synth::char_ngram(5, 3, 32), 0)];
+        assert!(FusedText::new(None, tokenizer(), chars(), linear(32)).is_none());
+        let words = vec![word_branch(true, 0)];
+        assert!(FusedText::new(None, None, words, linear(16)).is_none());
+        assert!(FusedText::new(None, None, Vec::new(), linear(16)).is_none());
+    }
+
+    #[test]
+    fn refuses_word_branches_that_disagree_on_fold_case() {
+        let branches = |second| vec![word_branch(true, 0), word_branch(second, 16)];
+        assert!(FusedText::new(None, tokenizer(), branches(true), linear(32)).is_some());
+        assert!(FusedText::new(None, tokenizer(), branches(false), linear(32)).is_none());
     }
 }

@@ -518,14 +518,8 @@ impl NgramDict {
         &self.keys
     }
 
-    /// Probes a precomputed hash through the flat table (the matching
-    /// path). First-index-wins for duplicate keys.
-    #[inline]
-    pub fn probe(&self, hash: u64) -> Option<u32> {
-        self.flat.probe(hash)
-    }
-
-    /// The flat probe table (matching-kernel internals and tests).
+    /// The flat probe table (matching-kernel internals and tests):
+    /// first index wins for duplicate keys.
     pub fn flat_table(&self) -> &FlatProbeTable {
         &self.flat
     }
@@ -987,7 +981,10 @@ mod tests {
     #[test]
     fn duplicate_keys_keep_first_index() {
         let d = NgramDict::new(keys(&["AB", "ab"]), true);
-        assert_eq!(d.probe(NgramDict::hash_key("ab", true)), Some(0));
+        assert_eq!(
+            d.flat_table().probe(NgramDict::hash_key("ab", true)),
+            Some(0)
+        );
     }
 
     #[test]
@@ -1092,6 +1089,7 @@ mod tests {
         assert_eq!(p.checksum(), q.checksum());
         assert!(q
             .dict
+            .flat_table()
             .probe(NgramDict::hash_key("not good", true))
             .is_some());
     }

@@ -58,7 +58,7 @@ fn cases() -> Vec<Case> {
 
     // CsvParse, Tokenizer, CharNgram, WordNgram, Concat, Linear — the SA
     // shape, which the optimizer rewrites into PartialDot/Combine (and the
-    // compiler may fuse into ngram·dot kernels).
+    // compiler may fuse into one FusedText step).
     {
         let vocab = synth::vocabulary(11, 256);
         let ctx = FlourContext::new();

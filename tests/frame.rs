@@ -15,8 +15,9 @@ use pretzel_core::scheduler::Record;
 use pretzel_data::pool::VectorPool;
 use pretzel_data::{DataError, Vector};
 use pretzel_ops::fault::FaultParams;
+use pretzel_ops::feat::normalizer::{NormKind, NormalizerParams};
 use pretzel_ops::linear::LinearKind;
-use pretzel_ops::{synth, Op, OpKind};
+use pretzel_ops::{synth, Op};
 use pretzel_workload::adversarial::FAULT_MARKER;
 use pretzel_workload::text::{ReviewGen, StructuredGen};
 use std::sync::{Arc, Once};
@@ -41,18 +42,27 @@ fn text_plan(seed: u64) -> Flour {
         .classifier_linear(Arc::new(synth::linear(seed ^ 3, 128, LinearKind::Logistic)))
 }
 
-/// A dense pipeline whose first step (the scaler) scores off the borrowed
-/// row and whose k-means step, with no borrowed kernel, materializes the
-/// source into slot 0 in the middle of the plan.
+/// A dense pipeline whose first steps to read the source are synthetic —
+/// a linear model over `x ⧺ x`, pushed down through the Concat into two
+/// partial dots over the raw row — and score off the borrowed row, and
+/// whose second Concat, a library operator over the source and that
+/// model's score, materializes the source into slot 0 in the middle of the
+/// plan.
 fn dense_plan(seed: u64) -> Flour {
     let x = FlourContext::new().dense_source(DIM);
-    let scaled = x.scale(Arc::new(synth::scaler(seed ^ 1, DIM)));
-    let clusters = x.kmeans(Arc::new(synth::kmeans(seed ^ 2, 3, DIM)));
-    scaled
-        .concat(&clusters)
+    let first = x.concat(&x).classifier_linear(Arc::new(synth::linear(
+        seed ^ 1,
+        2 * DIM,
+        LinearKind::Regression,
+    )));
+    x.concat(&first)
+        .normalize(Arc::new(NormalizerParams::new(
+            NormKind::L2,
+            DIM as u32 + 1,
+        )))
         .classifier_linear(Arc::new(synth::linear(
             seed ^ 3,
-            DIM + 3,
+            DIM + 1,
             LinearKind::Regression,
         )))
 }
@@ -113,20 +123,22 @@ fn text_rows_score_bitwise_alike_on_every_path() {
 fn source_materialized_mid_plan_scores_bitwise_alike() {
     let rt = runtime(RuntimeConfig::default());
     let id = rt.register(dense_plan(2).plan().unwrap()).unwrap();
-    // The shape under test: the first step to read the source has a
-    // borrowed kernel, a later one does not.
+    // The shape under test: the first step to read the source is
+    // synthetic and reads the borrowed row, a later one is a library
+    // operator and reads slot 0.
     let plan = rt.plan(id).unwrap();
-    let readers: Vec<OpKind> = plan
+    let readers: Vec<&str> = plan
         .stages
         .iter()
         .flat_map(|s| &s.steps)
         .filter(|step| step.inputs.contains(&Loc::Slot(0)))
-        .filter_map(|step| match &step.op {
-            StageOp::Op(op) => Some(op.kind()),
-            _ => None,
-        })
+        .map(|step| step.op.name())
         .collect();
-    assert_eq!(readers, [OpKind::Scaler, OpKind::KMeans], "{plan:#?}");
+    assert_eq!(readers, ["PartialDot", "PartialDot", "Concat"], "{plan:#?}");
+    assert!(matches!(
+        plan.stages[0].steps[0].op,
+        StageOp::PartialDot { .. }
+    ));
     let records: Vec<Record> = dense_rows(12).into_iter().map(Record::Dense).collect();
     assert_paths_agree(&rt, id, &records);
     assert_eq!(rt.pool_outstanding(), 0);

@@ -785,7 +785,7 @@ fn assert_non_finite<T: std::fmt::Debug>(got: pretzel_data::Result<T>, what: &st
 #[test]
 fn non_finite_payloads_are_rejected_at_the_wire_boundary() {
     use pretzel_core::flour::FlourContext;
-    use pretzel_core::frontend::Payload;
+    use pretzel_core::scheduler::Record;
     use pretzel_workload::adversarial::{hostile_sparse_rows, non_finite_dense_rows};
     let dim = 8usize;
     let linear = || {
@@ -838,7 +838,7 @@ fn non_finite_payloads_are_rejected_at_the_wire_boundary() {
     );
     // A well-formed sparse row carrying +Inf is refused by the finite
     // check, not by CSR validation: single and inside a batch.
-    let sparse_row = |values: Vec<f32>| Payload::Sparse {
+    let sparse_row = |values: Vec<f32>| Record::Sparse {
         indices: vec![1, 4],
         values,
         dim: dim as u32,

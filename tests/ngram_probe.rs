@@ -190,7 +190,7 @@ fn dict_probe_agrees_with_reference_map_on_keys_and_misses() {
         for fold_case in [true, false] {
             let p = NgramParams::new(4, true, fold_case, random_keys(&mut rng, entries, 4));
             let reference = reference_map(&p);
-            let probe = |s: &str| p.dict.probe(NgramDict::hash_key(s, fold_case));
+            let probe = |s: &str| p.dict.flat_table().probe(NgramDict::hash_key(s, fold_case));
             // Every key resolves to its first index (duplicates included).
             for key in p.dict.keys() {
                 assert_eq!(
@@ -225,8 +225,8 @@ fn duplicate_keys_resolve_first_index_wins() {
     let dict = NgramDict::new(keys, true);
     let h_ab = NgramDict::hash_key("ab", true);
     let h_cd = NgramDict::hash_key("cd", true);
-    assert_eq!(dict.probe(h_ab), Some(0));
-    assert_eq!(dict.probe(h_cd), Some(2));
+    assert_eq!(dict.flat_table().probe(h_ab), Some(0));
+    assert_eq!(dict.flat_table().probe(h_cd), Some(2));
 }
 
 #[test]
@@ -468,34 +468,32 @@ fn apply_and_eval_batch_outputs_match_reference_accumulation() {
 
 #[test]
 fn fused_dot_scores_match_reference_emission_order() {
-    // The fused n-gram·dot accumulates f32 in emission order, so this is
+    // A fused text branch accumulates f32 in emission order, so this is
     // the strictest consumer: any reordering in the kernel shows up in
     // the last bits of the sum.
     let ngram = Arc::new(synth::char_ngram(5, 3, 512));
     let lin = Arc::new(synth::linear(6, 512, LinearKind::Regression));
-    let weights = lin.weights.clone();
-    let mut rng = Rng(0x9988);
-    let step = StageOp::FusedCharNgramDot {
+    let branch = TextBranch {
+        level: NgramLevel::Char,
         ngram: Arc::clone(&ngram),
-        linear: lin,
         offset: 0,
     };
+    let step = FusedText::new(None, None, vec![branch], Arc::clone(&lin)).unwrap();
+    let mut rng = Rng(0x9988);
     for len in [0usize, 3, 10, 120, 800] {
-        let text_s: String = (0..len)
+        let text: String = (0..len)
             .map(|_| (b'a' + rng.below(26) as u8) as char)
             .collect();
-        let mut expect = 0.0f32;
-        for idx in reference_char_matches(&ngram, &text_s) {
-            expect += weights[idx as usize];
+        let mut acc = 0.0f32;
+        for idx in reference_char_matches(&ngram, &text) {
+            acc += lin.weights[idx as usize];
         }
-        let text = Vector::Text(text_s);
-        let mut out = Vector::Scalar(0.0);
-        step.apply(&[&text], &mut out).unwrap();
-        let got = out.as_scalar().unwrap();
+        let expect = lin.link(lin.bias + acc);
+        let got = step.score(&text).unwrap();
         assert_eq!(
             got.to_bits(),
             expect.to_bits(),
-            "fused dot len={len}: {got} vs {expect}"
+            "fused branch len={len}: {got} vs {expect}"
         );
     }
 }
@@ -504,10 +502,10 @@ fn fused_dot_scores_match_reference_emission_order() {
 fn fused_plan_scores_equal_reference_order_accumulation_in_every_engine() {
     // A whole SA plan, compiled into one fused text step, scored through
     // every engine. The expected score accumulates the reference hit
-    // sequences in f32 exactly as the fused n-gram·dot steps and `Combine`
-    // do: each branch from zero in hit order, then the partials onto the
-    // bias in the Concat's order — here both orders, over the raw line and
-    // over a CSV field.
+    // sequences in f32 exactly as the fused text step does: each branch
+    // from zero in hit order, then the partials onto the bias in the
+    // Concat's order — here both orders, over the raw line and over a CSV
+    // field.
     let mut rng = Rng(0xe9e9);
     let vocab = synth::vocabulary(3, 48);
     let cgram = Arc::new(synth::char_ngram(11, 3, 800));
@@ -544,9 +542,7 @@ fn fused_plan_scores_equal_reference_order_accumulation_in_every_engine() {
             let logical = pretzel_core::oven::optimize(&graph).unwrap().plan;
             let plan = ModelPlan::compile(
                 logical,
-                &CompileOptions {
-                    fuse_ngram_dot: true,
-                },
+                &CompileOptions { fuse_text: true },
                 &ObjectStore::new(),
             )
             .unwrap();
@@ -798,10 +794,10 @@ fn fused_text_step_scores_bitwise_like_the_unfused_plan_in_every_engine() {
                     pretzel_core::oven::optimize(&text_graph(field, tok, &branches, &lin))
                         .unwrap()
                         .plan;
-                let compile = |fuse_ngram_dot| {
+                let compile = |fuse_text| {
                     ModelPlan::compile(
                         logical.clone(),
-                        &CompileOptions { fuse_ngram_dot },
+                        &CompileOptions { fuse_text },
                         &ObjectStore::new(),
                     )
                     .unwrap()
@@ -871,10 +867,10 @@ fn fused_text_step_scores_bitwise_like_the_unfused_plan_in_every_engine() {
     let lines = [long, "1,ab cd,x".to_string()];
     let plans: Vec<ModelPlan> = [true, false]
         .into_iter()
-        .map(|fuse_ngram_dot| {
+        .map(|fuse_text| {
             ModelPlan::compile(
                 logical.clone(),
-                &CompileOptions { fuse_ngram_dot },
+                &CompileOptions { fuse_text },
                 &ObjectStore::new(),
             )
             .unwrap()

@@ -93,14 +93,9 @@ fn optimizer_preserves_semantics() {
         let logical = pretzel_core::oven::optimize(&graph).unwrap().plan;
         let store = ObjectStore::new();
         for fuse in [true, false] {
-            let plan = ModelPlan::compile(
-                logical.clone(),
-                &CompileOptions {
-                    fuse_ngram_dot: fuse,
-                },
-                &store,
-            )
-            .unwrap();
+            let plan =
+                ModelPlan::compile(logical.clone(), &CompileOptions { fuse_text: fuse }, &store)
+                    .unwrap();
             let got = run_plan(&plan, &line);
             assert!(
                 (got - expect).abs() < 1e-4,

@@ -8,12 +8,13 @@
 
 use pretzel_core::flour::FlourContext;
 use pretzel_core::frontend::{
-    Client, FrontEnd, FrontEndConfig, Payload, PredictRequest, FLAG_DELAYED_BATCH,
-    FLAG_RESULT_CACHE, WIRE_MAGIC, WIRE_V2,
+    Client, FrontEnd, FrontEndConfig, PredictRequest, FLAG_DELAYED_BATCH, FLAG_RESULT_CACHE,
+    WIRE_MAGIC, WIRE_V2,
 };
 use pretzel_core::physical::SourceRef;
 use pretzel_core::plan::StagePlan;
 use pretzel_core::runtime::{Runtime, RuntimeConfig};
+use pretzel_core::scheduler::Record;
 use pretzel_ops::linear::LinearKind;
 use pretzel_ops::synth;
 use std::sync::Arc;
@@ -167,12 +168,12 @@ fn singles(client: &mut Client, id: u32, kind: &Kind, flags: u8) -> Vec<f32> {
 }
 
 fn batch(client: &mut Client, id: u32, kind: &Kind) -> Vec<f32> {
-    let payloads = match kind {
-        Kind::Text(lines) => lines.iter().map(|l| Payload::Text(l.clone())).collect(),
-        Kind::Dense(rows) => rows.iter().map(|x| Payload::Dense(x.clone())).collect(),
+    let records = match kind {
+        Kind::Text(lines) => lines.iter().map(|l| Record::Text(l.clone())).collect(),
+        Kind::Dense(rows) => rows.iter().map(|x| Record::Dense(x.clone())).collect(),
         Kind::Sparse { rows, dim } => rows
             .iter()
-            .map(|(i, v)| Payload::Sparse {
+            .map(|(i, v)| Record::Sparse {
                 indices: i.clone(),
                 values: v.clone(),
                 dim: *dim,
@@ -180,7 +181,7 @@ fn batch(client: &mut Client, id: u32, kind: &Kind) -> Vec<f32> {
             .collect(),
     };
     client
-        .predict_many(&PredictRequest::batch(payloads).plan(id))
+        .predict_many(&PredictRequest::batch(records).plan(id))
         .unwrap()
 }
 
