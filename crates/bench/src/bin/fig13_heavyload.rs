@@ -36,8 +36,7 @@ fn run_load(
     let interval = Duration::from_secs_f64(1.0 / offered_rps as f64);
     let start = Instant::now();
     let mut next = start;
-    let mut inflight: Vec<(Instant, bool, usize, pretzel_core::scheduler::BatchHandle)> =
-        Vec::new();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
     let mut submitted_records = 0usize;
     let mut line_idx = 0usize;
 
@@ -65,13 +64,17 @@ fn run_load(
         let t0 = Instant::now();
         let handle = runtime.predict_batch(ids[model], records).unwrap();
         submitted_records += n;
-        inflight.push((t0, sensitive, n, handle));
+        // Stamped on the executor that completes the request, not when
+        // this loop harvests it.
+        let done_tx = done_tx.clone();
+        handle.on_complete(move |scores| {
+            let _ = done_tx.send((t0, sensitive, Instant::now(), scores));
+        });
     }
+    drop(done_tx);
     let mut sensitive_lat = LatencyRecorder::new();
-    for (t0, sensitive, _n, handle) in inflight {
-        // `wait_timed` reports when the scheduler finished the request,
-        // independent of when this harvesting loop gets to it.
-        let (_, done_at) = handle.wait_timed().unwrap();
+    for (t0, sensitive, done_at, scores) in done_rx {
+        scores.unwrap();
         if sensitive {
             sensitive_lat.record(done_at.duration_since(t0));
         }

@@ -98,7 +98,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 use wire::{
     ADMIN_DEPLOY, ADMIN_LIST, ADMIN_ROLLBACK, ADMIN_STATS, ADMIN_SWAP, ADMIN_UNDEPLOY, KIND_DENSE,
     KIND_SPARSE, KIND_TEXT,
@@ -336,16 +336,19 @@ impl FrontEnd {
         });
 
         // Delayed-batching flusher: every tick, drain pending requests per
-        // plan and submit them as one batch (paper §4.3).
+        // plan and submit them as one batch (paper §4.3). `stop` cuts the
+        // wait short. The first tick is stamped before `start` returns.
         let flush_thread = match (&batcher, config.batch_delay) {
             (Some(batcher), Some(delay)) => {
                 let batcher = Arc::clone(batcher);
                 let runtime = Arc::clone(&runtime);
                 let stop = Arc::clone(&stop);
+                let mut tick = runtime.clock().now() + delay;
                 Some(std::thread::spawn(move || {
-                    while !stop.load(Ordering::Relaxed) {
-                        std::thread::sleep(delay);
+                    let clock = runtime.clock();
+                    while clock.wait_until(tick, &stop) {
                         flush_pending(&batcher, &runtime);
+                        tick = clock.now() + delay;
                     }
                     flush_pending(&batcher, &runtime);
                 }))
@@ -406,6 +409,7 @@ impl FrontEnd {
             let _ = h.join();
         }
         if let Some(h) = self.flush_thread.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -765,7 +769,8 @@ fn serve_records(
     }
     .reject_non_finite(true);
     let release = |asm: BatchAssembler| pool.release_batch(asm.finish().0);
-    let decode_start = Instant::now();
+    let clock = runtime.clock();
+    let decode_start = clock.now();
     for _ in 0..n {
         let decoded = match kind {
             KIND_TEXT => asm.decode_text_row(&mut cur),
@@ -779,7 +784,7 @@ fn serve_records(
     }
     runtime
         .metrics_registry()
-        .record_decode(decode_start.elapsed().as_nanos() as u64);
+        .record_decode(clock.since(decode_start).as_nanos() as u64);
 
     if delayed {
         // Prediction-result cache: `use_cache` implies `want_hashes`
@@ -883,7 +888,7 @@ fn serve_single(
     } = lane;
     let sampled = *decodes % DECODE_SAMPLE == 0;
     *decodes = decodes.wrapping_add(1);
-    let decode_start = sampled.then(Instant::now);
+    let decode_start = sampled.then(|| runtime.clock().now());
     let source = match head.kind {
         KIND_TEXT => SourceRef::Text(cur.str_ref()?),
         KIND_DENSE => {
@@ -919,7 +924,7 @@ fn serve_single(
     if let Some(t0) = decode_start {
         runtime
             .metrics_registry()
-            .record_decode(t0.elapsed().as_nanos() as u64);
+            .record_decode(runtime.clock().since(t0).as_nanos() as u64);
     }
     // Prediction-result cache, when the request asks and one is configured.
     let cached = match &shared.cache {
@@ -945,6 +950,7 @@ fn serve_single(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::Clock;
     use crate::flour::FlourContext;
     use crate::runtime::RuntimeConfig;
     use crate::scheduler::Record;
@@ -954,11 +960,15 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     fn serve_sa(config: FrontEndConfig) -> (Arc<Runtime>, FrontEnd, PlanId) {
-        serve_sa_on(config, sys::SUPPORTED)
+        serve_sa_on(config, sys::SUPPORTED, Clock::real())
     }
 
-    /// [`serve_sa`] on the serving path `reactor` names.
-    fn serve_sa_on(config: FrontEndConfig, reactor: bool) -> (Arc<Runtime>, FrontEnd, PlanId) {
+    /// [`serve_sa`] on the serving path `reactor` names, reading `clock`.
+    fn serve_sa_on(
+        config: FrontEndConfig,
+        reactor: bool,
+        clock: Clock,
+    ) -> (Arc<Runtime>, FrontEnd, PlanId) {
         let vocab = synth::vocabulary(0, 64);
         let ctx = FlourContext::new();
         let tokens = ctx.csv(',').select_text(1).tokenize();
@@ -969,10 +979,13 @@ mod tests {
             .classifier_linear(Arc::new(synth::linear(3, 128, LinearKind::Logistic)))
             .plan()
             .unwrap();
-        let rt = Arc::new(Runtime::new(RuntimeConfig {
-            n_executors: 2,
-            ..RuntimeConfig::default()
-        }));
+        let rt = Arc::new(Runtime::with_clock(
+            RuntimeConfig {
+                n_executors: 2,
+                ..RuntimeConfig::default()
+            },
+            clock,
+        ));
         let id = rt.register(logical).unwrap();
         let fe = FrontEnd::start(Arc::clone(&rt), config, reactor).unwrap();
         (rt, fe, id)
@@ -1044,6 +1057,7 @@ mod tests {
                     ..FrontEndConfig::default()
                 },
                 reactor,
+                Clock::real(),
             );
             let line = "5,a nice product";
             let local = rt.predict(id, line).unwrap();
@@ -1416,16 +1430,17 @@ mod tests {
     }
 
     /// Single-row requests the runtime has served for `id` (the `STATS`
-    /// counter), polled up to `want`.
+    /// counter), polled up to `want` for at most five seconds of real time.
+    #[allow(clippy::disallowed_methods)] // bounds a poll of another thread
     fn await_rr_requests(rt: &Runtime, id: PlanId, want: u64) {
-        let deadline = Instant::now() + Duration::from_secs(5);
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
         loop {
             let seen = rt.metrics().plan(id).map_or(0, |p| p.rr_requests);
             if seen == want {
                 return;
             }
             assert!(
-                seen < want && Instant::now() < deadline,
+                seen < want && std::time::Instant::now() < deadline,
                 "server saw {seen} requests, expected {want}"
             );
             std::thread::yield_now();
@@ -1454,20 +1469,33 @@ mod tests {
         fe.stop();
     }
 
+    /// Delayed-batch submissions `id` has flushed (the `STATS` counter).
+    fn batch_requests(rt: &Runtime, id: PlanId) -> u64 {
+        rt.metrics().plan(id).map_or(0, |p| p.batch_requests)
+    }
+
+    /// A front end whose delayed batcher ticks every `delay` of a manual
+    /// clock, which the test alone moves.
+    fn serve_sa_manual(delay: Duration) -> (Arc<Runtime>, FrontEnd, PlanId, Clock) {
+        let clock = Clock::manual();
+        let config = FrontEndConfig {
+            batch_delay: Some(delay),
+            ..FrontEndConfig::default()
+        };
+        let (rt, fe, id) = serve_sa_on(config, sys::SUPPORTED, clock.clone());
+        (rt, fe, id, clock)
+    }
+
     #[test]
     fn a_waiter_flushes_before_it_parks_behind_the_reader() {
         let delay = Duration::from_millis(800);
-        let (rt, fe, id) = serve_sa(FrontEndConfig {
-            batch_delay: Some(delay),
-            ..FrontEndConfig::default()
-        });
+        let (rt, fe, id, clock) = serve_sa_manual(delay);
         let line = "4,pretty good";
         let local = rt.predict(id, line).unwrap();
         let session = Session::connect(fe.addr()).unwrap();
         let slow = session
             .submit(&PredictRequest::text(line).plan(id).delayed())
             .unwrap();
-        let started = Instant::now();
         std::thread::scope(|scope| {
             // This thread takes the read turn and blocks in `read` until
             // the delayed batch flushes.
@@ -1483,21 +1511,37 @@ mod tests {
                 .unwrap();
             let score = fast.wait_one().unwrap();
             assert_eq!(score.to_bits(), local.to_bits());
-            assert!(
-                started.elapsed() < delay / 2,
-                "the inline request waited for the reader's own response"
-            );
+            // The clock stood still, so the reader's own response cannot
+            // exist yet: the inline reply did not wait for it.
+            assert_eq!(batch_requests(&rt, id), 0, "flushed before the tick");
+            assert!(!reader.is_finished());
+            clock.advance(delay);
             assert_eq!(reader.join().unwrap().to_bits(), local.to_bits());
         });
         fe.stop();
     }
 
     #[test]
+    fn stop_interrupts_the_batch_tick_and_still_flushes() {
+        // An hour-long tick on a clock that never moves: `stop` returns only
+        // because it interrupts the flusher's wait.
+        let (rt, fe, id, _clock) = serve_sa_manual(Duration::from_secs(3600));
+        let session = Session::connect(fe.addr()).unwrap();
+        let request = PredictRequest::text("2,parked until stop").plan(id);
+        let parked = session.submit(&request.clone().delayed()).unwrap();
+        // A connection's frames are served in order: once the inline reply
+        // is in, the delayed request is parked in the batcher.
+        session.submit(&request).unwrap().wait_one().unwrap();
+        fe.stop();
+        // The final flush still ran the parked request; its connection was
+        // closed first, so the requester sees the close.
+        assert_eq!(batch_requests(&rt, id), 1);
+        assert!(parked.wait().is_err());
+    }
+
+    #[test]
     fn a_dead_socket_fails_every_current_and_future_wait() {
-        let (_rt, fe, id) = serve_sa(FrontEndConfig {
-            batch_delay: Some(Duration::from_millis(500)),
-            ..FrontEndConfig::default()
-        });
+        let (_rt, fe, id, _clock) = serve_sa_manual(Duration::from_millis(500));
         let session = Session::connect(fe.addr()).unwrap();
         let request = PredictRequest::text("2,never answered").plan(id);
         let parked: Vec<_> = (0..2)

@@ -141,7 +141,7 @@ impl CompletionHandle {
     /// that has drained finds the queue empty again.
     fn complete(&self, body: Vec<u8>) {
         let io = &self.shared.ios[self.reactor];
-        let enqueued = Instant::now();
+        let enqueued = self.shared.server.runtime.clock().now();
         let was_empty = {
             let mut queue = io.completions.lock();
             let was_empty = queue.is_empty();
@@ -564,12 +564,11 @@ fn drain_completions(
 ) {
     let CompletionDrain { batch, touched } = drain;
     std::mem::swap(&mut *shared.ios[me].completions.lock(), batch);
+    let runtime = &shared.server.runtime;
     for c in batch.drain(..) {
-        shared
-            .server
-            .runtime
+        runtime
             .metrics_registry()
-            .record_completion_flush(c.enqueued.elapsed().as_nanos() as u64);
+            .record_completion_flush(runtime.clock().since(c.enqueued).as_nanos() as u64);
         if !owned.contains(&c.slot) || shared.slab.generation(c.slot) != c.generation {
             continue; // connection closed while the request ran
         }

@@ -26,6 +26,7 @@
 //!   priority queues; reservation-based scheduling.
 //! * [`frontend`] — TCP front end with prediction caching and delayed
 //!   batching (the "external optimizations" of §4.3).
+//! * [`clock`] — the runtime's one source of time, real or manual.
 //!
 //! # Quickstart
 //!
@@ -56,6 +57,7 @@
 //! assert!((0.0..=1.0).contains(&score));
 //! ```
 
+pub mod clock;
 pub mod flour;
 pub mod frontend;
 pub mod graph;

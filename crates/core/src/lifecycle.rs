@@ -403,6 +403,8 @@ mod tests {
     }
 
     #[test]
+    // Real time, so that the waiter is parked when the pass drops.
+    #[allow(clippy::disallowed_methods)]
     fn wait_drained_blocks_until_passes_drop() {
         let gate = PlanGate::new();
         let pass = gate.enter(1).unwrap();

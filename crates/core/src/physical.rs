@@ -38,6 +38,7 @@
 //! upstream of it. Keys belong to the plan, not to the shared stage: one
 //! stage can sit in plans whose upstream steps differ.
 
+use crate::clock::Clock;
 use crate::object_store::{MatKey, MaterializationCache, ObjectStore};
 use crate::plan::{BufDef, Loc, LogicalStage, StageOp, StagePlan, Step};
 use crate::telemetry::MetricsRegistry;
@@ -106,6 +107,8 @@ pub struct ExecCtx {
     /// Telemetry registry for cache-probe latency recording (installed on
     /// executors' contexts); `None` probes the cache untimed.
     pub telemetry: Option<Arc<MetricsRegistry>>,
+    /// Times cache probes and fault replays: the real clock, or its owner's.
+    pub(crate) clock: Clock,
     /// The buffers kept between executions: one frame per buffer kind.
     frames: Frames,
     /// Count of the buffers the frames hold ([`Self::with_held`]).
@@ -161,6 +164,7 @@ impl ExecCtx {
             cache: None,
             source_hashes: Vec::new(),
             telemetry: None,
+            clock: Clock::real(),
             frames: (Frame(Vec::new()), Frame(Vec::new())),
             held: Arc::default(),
             reached: 0,
@@ -196,6 +200,7 @@ impl ExecCtx {
             cache,
             source_hashes,
             telemetry,
+            clock,
             frames,
             held,
             reached,
@@ -208,7 +213,7 @@ impl ExecCtx {
                 cache,
                 hashes: source_hashes,
                 pool,
-                telemetry: telemetry.as_ref(),
+                telemetry: telemetry.as_deref().map(|t| (t, &*clock)),
             }),
             reached,
         }
@@ -247,8 +252,8 @@ struct Mat<'a> {
     hashes: &'a [u64],
     /// Where a chunk's miss sub-batches are leased.
     pool: &'a VectorPool,
-    /// Where probes are timed.
-    telemetry: Option<&'a Arc<MetricsRegistry>>,
+    /// Where probes are recorded, and the clock that times them.
+    telemetry: Option<(&'a MetricsRegistry, &'a Clock)>,
 }
 
 impl Mat<'_> {
@@ -256,10 +261,10 @@ impl Mat<'_> {
     /// (split by hit/miss outcome) and a plain `get` otherwise.
     fn get(&self, key: MatKey) -> Option<Arc<Vector>> {
         match self.telemetry {
-            Some(t) => {
-                let t0 = std::time::Instant::now();
+            Some((t, clock)) => {
+                let t0 = clock.now();
                 let hit = self.cache.get(key);
-                t.record_cache_probe(hit.is_some(), t0.elapsed().as_nanos() as u64);
+                t.record_cache_probe(hit.is_some(), clock.since(t0).as_nanos() as u64);
                 hit
             }
             None => self.cache.get(key),
@@ -1351,13 +1356,13 @@ impl ModelPlan {
         ctx: &mut ExecCtx,
     ) -> std::time::Duration {
         let done = ctx.reached.min(self.program.len());
+        let t0 = ctx.clock.now();
         let loan = ctx.loan::<Vector>(&self.frame, 1);
         let (slots, scratch) = loan.frame.split_at_mut(self.slots.len());
         let mut borrowed = BorrowedSource {
             src: source,
             loaded: false,
         };
-        let t0 = std::time::Instant::now();
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_steps(
                 &self.program[..done],
@@ -1369,7 +1374,7 @@ impl ModelPlan {
                 &mut 0,
             )
         }));
-        t0.elapsed()
+        ctx.clock.since(t0)
     }
 
     /// Column types of the plan working set as batch buffers.

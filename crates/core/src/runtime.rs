@@ -19,6 +19,7 @@
 //! physical selection) is deferred to the first prediction, reproducing the
 //! cold-start penalty that CrossGen removes for the real system.
 
+use crate::clock::Clock;
 use crate::graph::TransformGraph;
 use crate::lifecycle::{
     AliasMap, DeployOptions, GatePass, LifecycleStats, PlanGate, PlanInfo, UndeployReport,
@@ -182,9 +183,9 @@ thread_local! {
 /// replacement, at version-pointer cost).
 #[derive(Debug)]
 struct FaultPolicy {
-    /// Faults within `window` that trip quarantine; 0 = never.
+    /// Faults within [`FAULT_WINDOW`] that trip quarantine; 0 = never.
     threshold: usize,
-    window: std::time::Duration,
+    clock: Clock,
     /// Per-plan fault timestamps inside the current window.
     windows: Mutex<HashMap<PlanId, std::collections::VecDeque<std::time::Instant>>>,
     plans: Arc<RwLock<Registry>>,
@@ -201,12 +202,12 @@ impl FaultPolicy {
             return;
         }
         let tripped = {
-            let now = std::time::Instant::now();
+            let now = self.clock.now();
             let mut windows = self.windows.lock();
             let q = windows.entry(id).or_default();
             while q
                 .front()
-                .is_some_and(|&t| now.duration_since(t) > self.window)
+                .is_some_and(|&t| now.duration_since(t) > FAULT_WINDOW)
             {
                 q.pop_front();
             }
@@ -281,6 +282,8 @@ pub struct Runtime {
     /// Fault counting + quarantine + auto-rollback policy (also installed
     /// as the scheduler's fault hook).
     fault_policy: Arc<FaultPolicy>,
+    /// Read by the runtime, its scheduler and its front ends.
+    clock: Clock,
 }
 
 impl Runtime {
@@ -288,6 +291,12 @@ impl Runtime {
     /// "overheads for instantiating memory and threads are paid upfront at
     /// initialization time" (paper §4).
     pub fn new(config: RuntimeConfig) -> Self {
+        Self::with_clock(config, Clock::real())
+    }
+
+    /// [`Self::new`] on `clock` — the test seam: on a [`Clock::manual`]
+    /// clock, fault windows and batch delays pass only when a test says.
+    pub fn with_clock(config: RuntimeConfig, clock: Clock) -> Self {
         let cache = (config.materialization_budget > 0)
             .then(|| Arc::new(MaterializationCache::new(config.materialization_budget)));
         let metrics = Arc::new(MetricsRegistry::new());
@@ -297,12 +306,13 @@ impl Runtime {
             chunk_size: config.chunk_size,
             cache: cache.clone(),
             telemetry: Arc::clone(&metrics),
+            clock: clock.clone(),
         });
         let plans: Arc<RwLock<Registry>> = Arc::default();
         let aliases = Arc::new(AliasMap::new());
         let fault_policy = Arc::new(FaultPolicy {
             threshold: config.fault_quarantine_threshold,
-            window: FAULT_WINDOW,
+            clock: clock.clone(),
             windows: Mutex::new(HashMap::new()),
             plans: Arc::clone(&plans),
             aliases: Arc::clone(&aliases),
@@ -340,7 +350,13 @@ impl Runtime {
             ingest_pool,
             metrics,
             fault_policy,
+            clock,
         }
+    }
+
+    /// The runtime's clock.
+    pub(crate) fn clock(&self) -> &Clock {
+        &self.clock
     }
 
     /// The shared Object Store (memory experiments read its counters).
@@ -682,7 +698,8 @@ impl Runtime {
     /// A fresh request-response session for a thread that will serve many
     /// requests through [`Self::predict_source_in`].
     pub fn rr_session(&self) -> RrSession {
-        let ctx = ExecCtx::new(Arc::clone(&self.rr_pool)).with_held(Arc::clone(&self.rr_held));
+        let mut ctx = ExecCtx::new(Arc::clone(&self.rr_pool)).with_held(Arc::clone(&self.rr_held));
+        ctx.clock = self.clock.clone();
         RrSession {
             ctx: match &self.cache {
                 Some(c) => ctx.with_cache(Arc::clone(c)),

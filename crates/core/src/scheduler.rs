@@ -32,6 +32,7 @@
 //! emulating container-style isolation while still sharing parameters
 //! (paper §4.2.2).
 
+use crate::clock::Clock;
 use crate::lifecycle::GatePass;
 use crate::object_store::MaterializationCache;
 use crate::physical::{ExecCtx, ModelPlan, SourceRef};
@@ -225,7 +226,6 @@ struct BatchState {
     remaining_chunks: AtomicUsize,
     done: Condvar,
     done_lock: Mutex<bool>,
-    completed_at: Mutex<Option<std::time::Instant>>,
     /// The submission's hold on its plan's lifecycle gate, released when
     /// the last chunk completes — `undeploy` drains against exactly this.
     gate: Mutex<Option<GatePass>>,
@@ -266,24 +266,12 @@ pub struct BatchHandle {
 impl BatchHandle {
     /// Blocks until every chunk completed; returns the per-record scores.
     pub fn wait(self) -> Result<Vec<f32>> {
-        self.wait_timed().map(|(scores, _)| scores)
-    }
-
-    /// Like [`Self::wait`], also returning *when* the last chunk finished —
-    /// load generators use this to measure request latency without
-    /// inflating it by their own harvesting delay.
-    pub fn wait_timed(self) -> Result<(Vec<f32>, std::time::Instant)> {
         let mut done = self.state.done_lock.lock();
         while !*done {
             self.state.done.wait(&mut done);
         }
         drop(done);
-        let at = self
-            .state
-            .completed_at
-            .lock()
-            .unwrap_or_else(std::time::Instant::now);
-        self.state.harvest().map(|scores| (scores, at))
+        self.state.harvest()
     }
 
     /// Registers a continuation invoked (once, from the executor thread
@@ -561,6 +549,8 @@ pub struct SchedulerConfig {
     /// Telemetry plane: per-plan queue-wait and stage-execution recording
     /// plus cache-probe timing on each executor's `ExecCtx`.
     pub telemetry: Arc<MetricsRegistry>,
+    /// The clock those recordings read.
+    pub clock: Clock,
 }
 
 /// Callback invoked on the faulting executor's thread after a panic was
@@ -588,6 +578,8 @@ struct ExecEnv {
     cache: Option<Arc<MaterializationCache>>,
     /// Telemetry registry shared with the runtime.
     telemetry: Arc<MetricsRegistry>,
+    /// The runtime's clock: queue-wait and stage stamps.
+    clock: Clock,
     /// Fault-policy callback cell.
     fault_hook: FaultHookCell,
     /// Buffers executors keep leased in their chunk frames between tasks
@@ -689,6 +681,7 @@ impl Scheduler {
             stats: Arc::default(),
             cache: cfg.cache,
             telemetry: cfg.telemetry,
+            clock: cfg.clock,
             fault_hook: FaultHookCell::default(),
             held: Arc::default(),
         };
@@ -897,7 +890,6 @@ impl Scheduler {
             remaining_chunks: AtomicUsize::new(n_chunks),
             done: Condvar::new(),
             done_lock: Mutex::new(n == 0),
-            completed_at: Mutex::new((n == 0).then(std::time::Instant::now)),
             // Empty batches complete synchronously: the pass (if any) drops
             // here rather than waiting for a chunk that will never run.
             gate: Mutex::new(if n == 0 { None } else { gate }),
@@ -915,13 +907,14 @@ impl Scheduler {
         // recording is then shard-local atomics only.
         let recorder = self.env.telemetry.plan_recorder(plan_id);
         recorder.note_batch_request();
+        let enqueued_at = self.env.clock.now();
         let mut start = 0usize;
         while start < n {
             let end = (start + self.chunk_size).min(n);
             let task = ChunkTask {
                 meter: TaskMeter {
                     rec: Arc::clone(&recorder),
-                    enqueued_at: Instant::now(),
+                    enqueued_at,
                     high: false,
                 },
                 plan_id,
@@ -1011,12 +1004,14 @@ fn worker_loop(idx: usize, plane: &Plane, pool: Arc<VectorPool>, env: ExecEnv) {
         stats,
         cache,
         telemetry,
+        clock,
         fault_hook,
         held,
     } = env;
     let mut ctx = ExecCtx::new(Arc::clone(&pool))
         .with_held(held)
         .with_telemetry(telemetry);
+    ctx.clock = clock;
     if let Some(c) = cache {
         ctx = ctx.with_cache(c);
     }
@@ -1119,7 +1114,7 @@ fn run_chunk_stage(
     // to the priority class it waited in. The same stamp then re-opens as
     // the stage-execution clock (stage 0 charges its lazy lease + load to
     // the stage, which is where that work happens).
-    let stage_start = Instant::now();
+    let stage_start = ctx.clock.now();
     let m = &task.meter;
     m.rec.record_queue_wait(
         m.high,
@@ -1215,7 +1210,7 @@ fn run_chunk_stage(
         if matches!(err, DataError::ExecutionFault(_)) {
             task.meter
                 .rec
-                .record_fault(stage_start.elapsed().as_nanos() as u64);
+                .record_fault(ctx.clock.since(stage_start).as_nanos() as u64);
             let hook = fault_hook.0.lock().clone();
             if let Some(hook) = hook {
                 hook(task.plan_id);
@@ -1225,13 +1220,17 @@ fn run_chunk_stage(
         return;
     }
     stats.stage_events.fetch_add(1, Ordering::Relaxed);
-    task.meter
-        .rec
-        .record_stage(stage_start.elapsed().as_nanos() as u64, n as u64);
+    // One read ends this stage and, for a started pipeline, opens its next
+    // queue wait.
+    let stage_end = ctx.clock.now();
+    task.meter.rec.record_stage(
+        stage_end.duration_since(stage_start).as_nanos() as u64,
+        n as u64,
+    );
 
     if task.stage + 1 < task.plan.stages.len() {
         task.stage += 1;
-        task.meter.enqueued_at = Instant::now();
+        task.meter.enqueued_at = stage_end;
         task.meter.high = true;
         // Started pipelines re-enter at high priority so they finish and
         // return their working sets quickly.
@@ -1312,7 +1311,6 @@ fn complete_chunk(task: ChunkTask) {
         // the waiter — once the handle observes completion, `undeploy`'s
         // drain has nothing left to wait on for this batch.
         drop(state.gate.lock().take());
-        *state.completed_at.lock() = Some(std::time::Instant::now());
         let watcher = {
             let mut done = state.done_lock.lock();
             *done = true;
@@ -1329,6 +1327,9 @@ fn complete_chunk(task: ChunkTask) {
 }
 
 #[cfg(test)]
+// The parking tests time real condition-variable waits against
+// `SAFETY_PARK`, which no clock of the runtime's governs.
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::flour::FlourContext;
@@ -1388,6 +1389,7 @@ mod tests {
             chunk_size,
             cache: None,
             telemetry: Arc::new(MetricsRegistry::new()),
+            clock: Clock::real(),
         }
     }
 

@@ -147,11 +147,6 @@ pub fn allocated_bytes() -> usize {
     ALLOCATED.load(Ordering::Relaxed)
 }
 
-/// Resets the peak to the current live value.
-pub fn reset_peak() {
-    PEAK.store(LIVE.load(Ordering::Relaxed), Ordering::Relaxed);
-}
-
 /// Brackets a phase and reports the live-bytes delta across it.
 ///
 /// Only meaningful in binaries that installed [`CountingAlloc`]; elsewhere

@@ -25,11 +25,6 @@ const MAGIC_V1: &[u8; 8] = b"PRTZL1\0\0";
 
 /// Primitive little-endian emitters shared by the codec and the operators.
 pub mod wire {
-    /// Appends a single byte.
-    pub fn put_u8(buf: &mut Vec<u8>, v: u8) {
-        buf.push(v);
-    }
-
     /// Appends a `u32` in little-endian order.
     pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
         buf.extend_from_slice(&v.to_le_bytes());

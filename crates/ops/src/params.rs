@@ -96,13 +96,3 @@ pub trait ParamBlob: Sized {
         sum
     }
 }
-
-/// Estimated heap bytes of a `HashMap<u64, u32>` with `len` entries.
-///
-/// `std::collections::HashMap` does not expose its allocation size; this
-/// approximates it as capacity × (key + value + control byte), which is the
-/// hashbrown layout to within a constant.
-pub fn hashmap_bytes(len: usize, capacity: usize) -> usize {
-    let slots = capacity.max(len);
-    slots * (8 + 4 + 1)
-}

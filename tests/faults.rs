@@ -17,8 +17,9 @@
 //! marker substring; the custom panic hook below keeps the expected
 //! panics out of test output without hiding real assertion failures.
 
+use pretzel_core::clock::Clock;
 use pretzel_core::flour::{Flour, FlourContext};
-use pretzel_core::runtime::{Runtime, RuntimeConfig};
+use pretzel_core::runtime::{PlanId, Runtime, RuntimeConfig, FAULT_WINDOW};
 use pretzel_core::scheduler::Record;
 use pretzel_data::DataError;
 use pretzel_ops::fault::FaultParams;
@@ -173,6 +174,62 @@ fn quarantine_closes_gate_and_rolls_alias_back() {
     let snap = rt.metrics();
     let pm = snap.plan(faulty).expect("faulting plan has telemetry");
     assert!(pm.faults >= 3 && pm.quarantined);
+}
+
+/// A runtime on a manual clock, quarantining at `threshold` faults, with
+/// one registered plan that faults on [`MARKED`].
+fn faulting_on_manual_clock(threshold: usize) -> (Runtime, Clock, PlanId) {
+    let clock = Clock::manual();
+    let rt = Runtime::with_clock(
+        RuntimeConfig {
+            n_executors: 1,
+            fault_quarantine_threshold: threshold,
+            ..RuntimeConfig::default()
+        },
+        clock.clone(),
+    );
+    let id = rt.register(build(8, true).plan().unwrap()).unwrap();
+    (rt, clock, id)
+}
+
+fn assert_faults(rt: &Runtime, id: PlanId) {
+    assert!(matches!(
+        rt.predict(id, MARKED),
+        Err(DataError::ExecutionFault(_))
+    ));
+}
+
+#[test]
+fn faults_older_than_the_window_expire() {
+    quiet_fault_panics();
+    let threshold = 3;
+    let (rt, clock, id) = faulting_on_manual_clock(threshold);
+    for _ in 1..threshold {
+        assert_faults(&rt, id);
+    }
+    clock.advance(FAULT_WINDOW + Duration::from_millis(1));
+    // The earlier faults left the window: this one is the only one in it.
+    assert_faults(&rt, id);
+    assert!(rt.predict(id, CLEAN).unwrap().is_finite());
+    assert!(!rt.list_plans().iter().any(|p| p.quarantined));
+}
+
+#[test]
+fn threshold_faults_inside_the_window_quarantine() {
+    quiet_fault_panics();
+    let threshold = 3;
+    let (rt, clock, id) = faulting_on_manual_clock(threshold);
+    // Spread across the whole window: the first fault is exactly
+    // `FAULT_WINDOW` old when the last one lands, and still counts.
+    assert_faults(&rt, id);
+    for _ in 1..threshold {
+        clock.advance(FAULT_WINDOW / (threshold as u32 - 1));
+        assert_faults(&rt, id);
+    }
+    assert!(matches!(
+        rt.predict(id, CLEAN),
+        Err(DataError::PlanQuarantined(p)) if p == id
+    ));
 }
 
 #[test]

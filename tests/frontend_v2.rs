@@ -8,6 +8,7 @@
 //! slots, and a pipelined load survives rolling model swaps with zero lost
 //! requests.
 
+use pretzel_core::clock::Clock;
 use pretzel_core::frontend::wire::CONNECTION_ERROR_ID;
 use pretzel_core::frontend::{
     Client, FrontEnd, FrontEndConfig, PredictRequest, Session, MAX_FRAME_BYTES, WIRE_MAGIC, WIRE_V2,
@@ -42,10 +43,18 @@ fn small_workload(n: usize) -> (Vec<Arc<Vec<u8>>>, Vec<String>) {
 }
 
 fn serve_runtime(images: &[Arc<Vec<u8>>]) -> (Arc<Runtime>, Vec<u32>) {
-    let runtime = Arc::new(Runtime::new(RuntimeConfig {
-        n_executors: 1,
-        ..RuntimeConfig::default()
-    }));
+    serve_runtime_on(images, Clock::real())
+}
+
+/// [`serve_runtime`] reading `clock`.
+fn serve_runtime_on(images: &[Arc<Vec<u8>>], clock: Clock) -> (Arc<Runtime>, Vec<u32>) {
+    let runtime = Arc::new(Runtime::with_clock(
+        RuntimeConfig {
+            n_executors: 1,
+            ..RuntimeConfig::default()
+        },
+        clock,
+    ));
     let ids = images
         .iter()
         .map(|img| {
@@ -70,6 +79,28 @@ fn await_open_connections(fe: &FrontEnd, want: usize) {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
+}
+
+/// Delayed-batch flushes the runtime has run for `id` (the `STATS`
+/// counter).
+fn batch_requests(runtime: &Runtime, id: u32) -> u64 {
+    runtime.metrics().plan(id).map_or(0, |p| p.batch_requests)
+}
+
+/// A front end whose delayed batcher ticks every `delay` of a manual
+/// clock, which the test alone moves.
+fn serve_manual(
+    images: &[Arc<Vec<u8>>],
+    delay: Duration,
+) -> (Arc<Runtime>, Vec<u32>, FrontEnd, Clock) {
+    let clock = Clock::manual();
+    let (runtime, ids) = serve_runtime_on(images, clock.clone());
+    let config = FrontEndConfig {
+        batch_delay: Some(delay),
+        ..FrontEndConfig::default()
+    };
+    let fe = FrontEnd::serve(Arc::clone(&runtime), config).unwrap();
+    (runtime, ids, fe, clock)
 }
 
 // ---- raw-frame helpers (hostile clients speak bytes, not the Client) ----
@@ -225,42 +256,32 @@ fn scores_bitwise_identical_across_client_generations() {
 #[test]
 fn pipelined_responses_resolve_out_of_submission_order() {
     let (images, lines) = small_workload(1);
-    let (runtime, ids) = serve_runtime(&images);
-    let fe = FrontEnd::serve(
-        Arc::clone(&runtime),
-        FrontEndConfig {
-            batch_delay: Some(Duration::from_millis(400)),
-            ..FrontEndConfig::default()
-        },
-    )
-    .unwrap();
+    let delay = Duration::from_millis(400);
+    let (runtime, ids, fe, clock) = serve_manual(&images, delay);
     let id = ids[0];
     let want = runtime.predict(id, &lines[0]).unwrap();
 
     let session = Session::connect(fe.addr()).unwrap();
-    // First submission parks in the delayed Batcher for 400ms; the second
-    // is inline and must overtake it on the same connection.
+    // First submission parks in the delayed Batcher until the clock moves;
+    // the second is inline and must overtake it on the same connection.
     let slow = session
         .submit(&PredictRequest::text(lines[0].as_str()).plan(id).delayed())
         .unwrap();
     let fast = session
         .submit(&PredictRequest::text(lines[0].as_str()).plan(id))
         .unwrap();
-    let started = Instant::now();
     let fast_score = fast.wait_one().unwrap();
-    let fast_elapsed = started.elapsed();
-    let slow_score = slow.wait_one().unwrap();
-    let slow_elapsed = started.elapsed();
-    assert_eq!(fast_score.to_bits(), want.to_bits());
-    assert_eq!(slow_score.to_bits(), want.to_bits());
-    assert!(
-        fast_elapsed < Duration::from_millis(300),
-        "inline response waited behind the delayed flush: {fast_elapsed:?}"
-    );
-    assert!(
-        slow_elapsed >= Duration::from_millis(300),
+    // The inline reply arrived while the clock stood still.
+    assert_eq!(
+        batch_requests(&runtime, id),
+        0,
         "delayed response flushed early"
     );
+    clock.advance(delay);
+    let slow_score = slow.wait_one().unwrap();
+    assert_eq!(batch_requests(&runtime, id), 1);
+    assert_eq!(fast_score.to_bits(), want.to_bits());
+    assert_eq!(slow_score.to_bits(), want.to_bits());
     fe.stop();
 }
 
@@ -330,17 +351,9 @@ fn unknown_version_byte_is_rejected_with_an_error() {
 #[test]
 fn duplicate_in_flight_request_id_is_a_protocol_error() {
     let (images, lines) = small_workload(1);
-    let (runtime, ids) = serve_runtime(&images);
-    let fe = FrontEnd::serve(
-        Arc::clone(&runtime),
-        FrontEndConfig {
-            // Long delay keeps the first request in flight while its
-            // request_id is replayed.
-            batch_delay: Some(Duration::from_secs(2)),
-            ..FrontEndConfig::default()
-        },
-    )
-    .unwrap();
+    // The clock never moves, so the first request stays parked in the
+    // batcher while its request_id is replayed.
+    let (_runtime, ids, fe, _clock) = serve_manual(&images, Duration::from_millis(1));
 
     let mut stream = TcpStream::connect(fe.addr()).unwrap();
     let body = text_request_body(
@@ -368,20 +381,13 @@ fn duplicate_in_flight_request_id_is_a_protocol_error() {
 #[test]
 fn mid_pipeline_disconnects_leak_no_slab_slots() {
     let (images, lines) = small_workload(1);
-    let (runtime, ids) = serve_runtime(&images);
-    let fe = FrontEnd::serve(
-        Arc::clone(&runtime),
-        FrontEndConfig {
-            batch_delay: Some(Duration::from_millis(200)),
-            ..FrontEndConfig::default()
-        },
-    )
-    .unwrap();
+    let delay = Duration::from_millis(200);
+    let (runtime, ids, fe, clock) = serve_manual(&images, delay);
     let id = ids[0];
 
     // Repeatedly park pipelined requests in the Batcher and vanish before
-    // the flush: every completion then targets a dead generation, and the
-    // slot must return to the slab free list each time.
+    // the flush, which waits for the clock: every completion then targets
+    // a dead generation, and each slot must return to the slab free list.
     for round in 0..12 {
         let session = Session::connect(fe.addr()).unwrap();
         for _ in 0..4 {
@@ -408,6 +414,8 @@ fn mid_pipeline_disconnects_leak_no_slab_slots() {
     }
     await_open_connections(&fe, 0);
     assert_eq!(fe.stats().accepted(), 12);
+    assert_eq!(batch_requests(&runtime, id), 0, "flushed before the tick");
+    clock.advance(delay);
 
     // Slots freed: a fresh pipelined session still completes normally.
     let session = Session::connect(fe.addr()).unwrap();
