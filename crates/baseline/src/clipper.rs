@@ -13,10 +13,11 @@
 
 use crate::container;
 use parking_lot::Mutex;
-use pretzel_core::frontend::wire::{V2_HEADER_BYTES, WIRE_MAGIC, WIRE_V2};
+use pretzel_core::frontend::wire::{encode_response, V2_HEADER_BYTES, WIRE_MAGIC, WIRE_V2};
 use pretzel_core::frontend::MAX_FRAME_BYTES;
 use pretzel_core::lru::LruCache;
 use pretzel_data::hash::fnv1a;
+use pretzel_data::{DataError, Result};
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -116,7 +117,7 @@ fn serve_connection(
     let mut backends: HashMap<u32, TcpStream> = HashMap::new();
     while let Some((request_id, body)) = read_request(&mut stream)? {
         let reply = route_request(&body, &routes, &mut backends, &cache)
-            .unwrap_or_else(|e| container::encode_err(&e));
+            .unwrap_or_else(|e| encode_response(&Err(e)));
         let mut frame = Vec::with_capacity(V2_HEADER_BYTES + reply.len());
         frame.extend_from_slice(&WIRE_MAGIC);
         frame.extend_from_slice(&[WIRE_V2, 0, 0, 0]); // version, flags, reserved
@@ -156,10 +157,10 @@ fn route_request(
     routes: &HashMap<u32, SocketAddr>,
     backends: &mut HashMap<u32, TcpStream>,
     cache: &Option<ResultCache>,
-) -> Result<Vec<u8>, String> {
+) -> Result<Vec<u8>> {
     // FrontEnd protocol: u32 plan_id, then the container body verbatim.
     if body.len() < 8 {
-        return Err("short request".into());
+        return Err(DataError::Codec("short request".into()));
     }
     let plan = u32::from_le_bytes([body[0], body[1], body[2], body[3]]);
     let forward = &body[4..];
@@ -171,13 +172,12 @@ fn route_request(
             return Ok(hit);
         }
     }
-    let addr = routes
-        .get(&plan)
-        .ok_or_else(|| format!("unknown plan id {plan}"))?;
+    let addr = routes.get(&plan).ok_or(DataError::UnknownPlan(plan))?;
     let backend = match backends.entry(plan) {
         std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
         std::collections::hash_map::Entry::Vacant(e) => {
-            let s = TcpStream::connect(addr).map_err(|e| format!("container connect: {e}"))?;
+            let s = TcpStream::connect(addr)
+                .map_err(|e| DataError::Runtime(format!("container connect: {e}")))?;
             s.set_nodelay(true).ok();
             e.insert(s)
         }
@@ -191,7 +191,7 @@ fn route_request(
                 }
             }
         })
-        .map_err(|e| format!("container rpc: {e}"))
+        .map_err(|e| DataError::Runtime(format!("container rpc: {e}")))
 }
 
 fn send_with_retry(
@@ -285,9 +285,8 @@ mod tests {
     fn unknown_plan_is_an_error() {
         let (containers, fe, _) = deploy(1);
         let mut client = Client::connect_v2(fe.addr()).unwrap();
-        assert!(client
-            .predict(&PredictRequest::text("1,x").plan(9))
-            .is_err());
+        let err = client.predict(&PredictRequest::text("1,x").plan(9));
+        assert_eq!(err, Err(pretzel_data::DataError::UnknownPlan(9)));
         fe.stop();
         for c in containers {
             c.stop();

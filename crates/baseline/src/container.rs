@@ -19,6 +19,7 @@
 
 use crate::blackbox::BlackBoxModel;
 use parking_lot::Mutex;
+use pretzel_core::frontend::wire::encode_response;
 use pretzel_core::physical::SourceRef;
 use pretzel_data::{DataError, Result};
 use std::io::{Read, Write};
@@ -166,24 +167,6 @@ pub(crate) fn write_frame(stream: &mut TcpStream, body: &[u8]) -> std::io::Resul
     stream.write_all(body)
 }
 
-pub(crate) fn encode_ok(scores: &[f32]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(5 + scores.len() * 4);
-    body.push(0u8);
-    body.extend_from_slice(&(scores.len() as u32).to_le_bytes());
-    for &s in scores {
-        body.extend_from_slice(&s.to_le_bytes());
-    }
-    body
-}
-
-pub(crate) fn encode_err(msg: &str) -> Vec<u8> {
-    let mut body = Vec::with_capacity(5 + msg.len());
-    body.push(1u8);
-    body.extend_from_slice(&(msg.len() as u32).to_le_bytes());
-    body.extend_from_slice(msg.as_bytes());
-    body
-}
-
 fn serve_connection(
     mut stream: TcpStream,
     model: Arc<Mutex<BlackBoxModel>>,
@@ -194,10 +177,7 @@ fn serve_connection(
             Some(b) => b,
             None => return Ok(()),
         };
-        let reply = match handle_request(&body, &model) {
-            Ok(scores) => encode_ok(&scores),
-            Err(e) => encode_err(&e.to_string()),
-        };
+        let reply = encode_response(&handle_request(&body, &model));
         write_frame(&mut stream, &reply)?;
     }
 }
@@ -214,7 +194,7 @@ pub(crate) fn handle_request(body: &[u8], model: &Mutex<BlackBoxModel>) -> Resul
         match kind {
             0 => texts.push(cur.str()?),
             1 => denses.push(cur.f32s()?),
-            k => return Err(DataError::Runtime(format!("bad record kind {k}"))),
+            k => return Err(DataError::BadInput(format!("bad record kind {k}"))),
         }
     }
     let mut model = model.lock();
@@ -306,6 +286,8 @@ mod tests {
         body.extend_from_slice(&(7u32 | (1 << 16)).to_le_bytes());
         let reply = rpc(container.addr(), &body);
         assert_eq!(reply[0], 1, "status err");
+        let err = DataError::decode(&mut pretzel_data::serde_bin::Cursor::new(&reply[1..]));
+        assert_eq!(err, Ok(DataError::BadInput("bad record kind 7".into())));
         container.stop();
     }
 

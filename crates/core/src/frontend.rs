@@ -50,11 +50,14 @@
 //!           | u32 dim · u32 nnz ·
 //!             u32*nnz · f32*nnz          (kind 2: sparse CSR triple)
 //! response := u8 status ·
-//!             (status 0: u32 n · f32*) | (status 1: u32 len · bytes) |
-//!             (status 2: admin payload) |
-//!             (status 3: u32 len · bytes, execution fault) |
-//!             (status 4: u32 plan_id, plan quarantined)
+//!             (status 0: u32 n · f32*) | (status 1: error) |
+//!             (status 2: admin payload)
+//! error    := u8 code · fields                  (DataError::encode)
 //! ```
+//!
+//! Every failure travels as status 1 and arrives as the [`DataError`]
+//! variant the server raised: a client matches `PlanRetired`,
+//! `ExecutionFault` or `BadInput` over a socket exactly as in process.
 //!
 //! **Client surface** — [`PredictRequest`] is the typed request builder
 //! ([`Record`](crate::scheduler::Record)s + [`Target`] + cache/delay
@@ -398,6 +401,12 @@ impl FrontEnd {
 
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::Relaxed);
+        // The flusher's last pass answers every parked delayed request: it
+        // runs while the serving threads can still deliver those answers.
+        if let Some(h) = self.flush_thread.take() {
+            h.thread().unpark();
+            let _ = h.join();
+        }
         if let Some(pool) = self.reactor.take() {
             pool.stop();
         }
@@ -406,10 +415,6 @@ impl FrontEnd {
             let _ = TcpStream::connect(self.addr);
         }
         if let Some(h) = self.accept_thread.take() {
-            let _ = h.join();
-        }
-        if let Some(h) = self.flush_thread.take() {
-            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -534,20 +539,9 @@ fn serve_frame(
         Ok(dispatch) => dispatch,
         Err(e) => {
             out.truncate(mark);
-            out.extend_from_slice(&encode_error(&e));
+            wire::put_err(out, &e);
             Dispatch::Ready
         }
-    }
-}
-
-/// Maps a request error onto its wire status: contained operator panics
-/// and quarantined plans get their own statuses so clients can react in
-/// kind; everything else is the generic status-1 error string.
-pub(super) fn encode_error(e: &DataError) -> Vec<u8> {
-    match e {
-        DataError::ExecutionFault(msg) => wire::encode_fault(msg),
-        DataError::PlanQuarantined(id) => wire::encode_quarantined(*id),
-        other => wire::encode_err(&other.to_string()),
     }
 }
 
@@ -669,7 +663,7 @@ fn handle_admin(
                 }
             }
         }
-        k => return Err(DataError::Runtime(format!("bad admin kind {k:#x}"))),
+        k => return Err(DataError::BadInput(format!("bad admin kind {k:#x}"))),
     }
     Ok(())
 }
@@ -694,7 +688,7 @@ fn wire_batch_type(kind: u8, cur: &Cursor<'_>) -> Result<ColumnType> {
                 len: peek.u32()? as usize,
             })
         }
-        k => Err(DataError::Runtime(format!("bad record kind {k}"))),
+        k => Err(DataError::BadInput(format!("bad record kind {k}"))),
     }
 }
 
@@ -799,7 +793,7 @@ fn serve_records(
         }
         let Some(batcher) = &shared.batcher else {
             release(asm);
-            return Err(DataError::Runtime(
+            return Err(DataError::BadInput(
                 "delayed batching not enabled on this front end".into(),
             ));
         };
@@ -919,7 +913,7 @@ fn serve_single(
                 dim,
             }
         }
-        k => return Err(DataError::Runtime(format!("bad record kind {k}"))),
+        k => return Err(DataError::BadInput(format!("bad record kind {k}"))),
     };
     if let Some(t0) = decode_start {
         runtime
@@ -969,16 +963,6 @@ mod tests {
         reactor: bool,
         clock: Clock,
     ) -> (Arc<Runtime>, FrontEnd, PlanId) {
-        let vocab = synth::vocabulary(0, 64);
-        let ctx = FlourContext::new();
-        let tokens = ctx.csv(',').select_text(1).tokenize();
-        let c = tokens.char_ngram(Arc::new(synth::char_ngram(1, 3, 64)));
-        let w = tokens.word_ngram(Arc::new(synth::word_ngram(2, 2, 64, &vocab)));
-        let logical = c
-            .concat(&w)
-            .classifier_linear(Arc::new(synth::linear(3, 128, LinearKind::Logistic)))
-            .plan()
-            .unwrap();
         let rt = Arc::new(Runtime::with_clock(
             RuntimeConfig {
                 n_executors: 2,
@@ -986,9 +970,107 @@ mod tests {
             },
             clock,
         ));
-        let id = rt.register(logical).unwrap();
+        let id = rt.register(sa_flour(false).plan().unwrap()).unwrap();
         let fe = FrontEnd::start(Arc::clone(&rt), config, reactor).unwrap();
         (rt, fe, id)
+    }
+
+    /// A small SA pipeline; `faulting` puts the panic injector (marker
+    /// `boom`) on every record's path.
+    fn sa_flour(faulting: bool) -> crate::flour::Flour {
+        let vocab = synth::vocabulary(0, 64);
+        let ctx = FlourContext::new();
+        let mut text = ctx.csv(',').select_text(1);
+        if faulting {
+            let fault = pretzel_ops::fault::FaultParams::new("boom");
+            text = text.apply(pretzel_ops::Op::FaultInjector(Arc::new(fault)));
+        }
+        let tokens = text.tokenize();
+        let c = tokens.char_ngram(Arc::new(synth::char_ngram(1, 3, 64)));
+        let w = tokens.word_ngram(Arc::new(synth::word_ngram(2, 2, 64, &vocab)));
+        c.concat(&w)
+            .classifier_linear(Arc::new(synth::linear(3, 128, LinearKind::Logistic)))
+    }
+
+    /// Silences the fault op's expected panics without hiding any other.
+    fn quiet_fault_panics() {
+        static HOOK: std::sync::Once = std::sync::Once::new();
+        HOOK.call_once(|| {
+            let default_hook = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                let payload = info.payload().downcast_ref::<String>();
+                if !payload.is_some_and(|m| m.contains("fault-op:")) {
+                    default_hook(info);
+                }
+            }));
+        });
+    }
+
+    #[test]
+    fn every_error_class_reaches_a_socket_client_as_itself() {
+        quiet_fault_panics();
+        for reactor in [true, false] {
+            // A manual clock: the fault window never slides past a fault.
+            let rt = Arc::new(Runtime::with_clock(
+                RuntimeConfig {
+                    n_executors: 1,
+                    ..RuntimeConfig::default() // quarantine after 3 faults
+                },
+                Clock::manual(),
+            ));
+            let sa = rt.register(sa_flour(false).plan().unwrap()).unwrap();
+            let retired = rt.register(sa_flour(false).plan().unwrap()).unwrap();
+            rt.undeploy(retired).unwrap();
+            let faulty = rt.register(sa_flour(true).plan().unwrap()).unwrap();
+            let fe = FrontEnd::start(Arc::clone(&rt), FrontEndConfig::default(), reactor).unwrap();
+            let mut client = Client::connect_v2(fe.addr()).unwrap();
+            let session = Session::connect(fe.addr()).unwrap();
+            // The in-process error, then the same request through the
+            // client and through the session.
+            let mut check = |request: PredictRequest, local: DataError| {
+                let via_client = client.predict_many(&request);
+                let via_session = session.submit(&request).unwrap().wait();
+                assert_eq!(via_client, Err(local.clone()), "reactor {reactor}");
+                assert_eq!(via_session, Err(local), "reactor {reactor}");
+            };
+            let text = |line: &str, plan| PredictRequest::text(line).plan(plan);
+            let local = |plan, line: &str| rt.predict_source(plan, SourceRef::Text(line));
+
+            let err = local(999, "1,x").unwrap_err();
+            assert_eq!(err, DataError::UnknownPlan(999));
+            check(text("1,x", 999), err);
+            let err = local(retired, "1,x").unwrap_err();
+            assert_eq!(err, DataError::PlanRetired(retired));
+            check(text("1,x", retired), err);
+            let err = local(sa, "no separator").unwrap_err();
+            assert!(matches!(err, DataError::BadInput(_)), "{err}");
+            check(text("no separator", sa), err);
+            let batch = ["4,fine", "no separator"].map(|l| Record::Text(l.into()));
+            let err = rt.predict_batch_wait(sa, batch.to_vec()).unwrap_err();
+            assert!(matches!(err, DataError::BadInput(_)), "{err}");
+            check(PredictRequest::batch(batch.to_vec()).plan(sa), err);
+            let err = rt
+                .predict_source(sa, SourceRef::Dense(&[1.0, 2.0]))
+                .unwrap_err();
+            assert!(matches!(err, DataError::SchemaMismatch { .. }), "{err}");
+            check(PredictRequest::dense(vec![1.0, 2.0]).plan(sa), err);
+            // Three faults — one in process, two remote — close the gate.
+            let err = local(faulty, "1,boom").unwrap_err();
+            assert!(matches!(err, DataError::ExecutionFault(_)), "{err}");
+            check(text("1,boom", faulty), err);
+            let err = local(faulty, "1,boom").unwrap_err();
+            assert_eq!(err, DataError::PlanQuarantined(faulty));
+            check(text("1,boom", faulty), err);
+
+            // A corrupted model image, deployed in process and remotely.
+            let mut image = sa_flour(false).graph().to_model_image();
+            let mid = image.len() / 2;
+            image[mid] ^= 0xff;
+            let err = rt.deploy(&image, Default::default()).unwrap_err();
+            assert!(matches!(err, DataError::Codec(_)), "{err}");
+            assert_eq!(client.deploy(&image, None, false), Err(err));
+            fe.stop();
+        }
     }
 
     #[test]
@@ -1134,7 +1216,7 @@ mod tests {
         let err = client
             .predict(&PredictRequest::text("1,x").plan(99))
             .unwrap_err();
-        assert!(err.to_string().contains("unknown plan"));
+        assert_eq!(err, DataError::UnknownPlan(99));
         fe.stop();
     }
 
@@ -1272,7 +1354,10 @@ mod tests {
         let err = client
             .predict(&PredictRequest::sparse(vec![99], vec![1.0], dim).plan(id))
             .unwrap_err();
-        assert!(err.to_string().contains("out of dim"));
+        assert!(
+            matches!(&err, DataError::BadInput(m) if m.contains("out of dim")),
+            "{err}"
+        );
         let ok = client.predict(&PredictRequest::sparse(vec![2], vec![1.0], dim).plan(id));
         assert!(ok.is_ok());
         fe.stop();
@@ -1320,7 +1405,7 @@ mod tests {
         let err = client
             .predict(&PredictRequest::text(line).plan(v1))
             .unwrap_err();
-        assert!(err.to_string().contains("retired"), "{err}");
+        assert_eq!(err, DataError::PlanRetired(v1));
         // The alias still serves v2 without a gap.
         let again = client
             .predict(&PredictRequest::text(line).alias("sa"))
@@ -1531,12 +1616,12 @@ mod tests {
         let parked = session.submit(&request.clone().delayed()).unwrap();
         // A connection's frames are served in order: once the inline reply
         // is in, the delayed request is parked in the batcher.
-        session.submit(&request).unwrap().wait_one().unwrap();
+        let inline = session.submit(&request).unwrap().wait_one().unwrap();
         fe.stop();
-        // The final flush still ran the parked request; its connection was
-        // closed first, so the requester sees the close.
+        // The final flush ran the parked request before the reactors
+        // stopped, and its answer left before the connection closed.
         assert_eq!(batch_requests(&rt, id), 1);
-        assert!(parked.wait().is_err());
+        assert_eq!(parked.wait_one().unwrap().to_bits(), inline.to_bits());
     }
 
     #[test]
@@ -1547,15 +1632,17 @@ mod tests {
         let parked: Vec<_> = (0..2)
             .map(|_| session.submit(&request.clone().delayed()).unwrap())
             .collect();
-        let unflushed = session.submit(&request).unwrap();
-        // Stopping the front end closes the connection under all three.
         session.flush().unwrap();
+        // Queued after the flush: its bytes leave only after the close.
+        let unflushed = session.submit(&request).unwrap();
         fe.stop();
+        // A parked request is answered by the batcher's last flush if the
+        // server read it before the stop, and failed by the close if not:
+        // either way its wait returns.
         for pending in parked {
-            assert!(pending.wait().is_err());
+            let _ = pending.wait();
         }
-        // Answered before the close or not, nothing can be pending now.
-        let _ = unflushed.wait();
+        assert!(unflushed.wait().is_err());
         // Later submits may or may not get their bytes out; none resolves.
         for _ in 0..20 {
             if let Ok(pending) = session.submit(&request) {

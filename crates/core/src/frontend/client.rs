@@ -27,6 +27,20 @@ fn io_err(e: std::io::Error) -> DataError {
     DataError::Runtime(format!("frontend io: {e}"))
 }
 
+/// The server answers one score per record: none means the request held
+/// no record.
+fn no_record() -> DataError {
+    DataError::BadInput("a single-record wait on a request with no records".into())
+}
+
+fn closed() -> DataError {
+    DataError::Runtime("frontend closed connection".into())
+}
+
+fn bad_frame(msg: &str) -> DataError {
+    DataError::Codec(format!("frontend sent a bad frame: {msg}"))
+}
+
 /// The wire encoding of a record: its kind byte and its body.
 impl Record {
     fn kind(&self) -> u8 {
@@ -169,13 +183,13 @@ impl PredictRequest {
     /// Nothing is written when the request is malformed.
     pub(super) fn encode_into(&self, out: &mut Vec<u8>) -> Result<()> {
         let target = self.target.as_ref().ok_or_else(|| {
-            DataError::Runtime("predict request needs a target: .plan(id) or .alias(name)".into())
+            DataError::BadInput("predict request needs a target: .plan(id) or .alias(name)".into())
         })?;
         let kind = match self.records.first() {
             Some(first) => {
                 let kind = first.kind();
                 if self.records.iter().any(|p| p.kind() != kind) {
-                    return Err(DataError::Runtime(
+                    return Err(DataError::BadInput(
                         "predict request mixes record kinds; batches are homogeneous".into(),
                     ));
                 }
@@ -238,10 +252,7 @@ impl Client {
     /// Scores a single-record request.
     pub fn predict(&mut self, request: &PredictRequest) -> Result<f32> {
         let scores = self.predict_many(request)?;
-        scores
-            .first()
-            .copied()
-            .ok_or_else(|| DataError::Runtime("empty response".into()))
+        scores.first().copied().ok_or_else(no_record)
     }
 
     /// Scores a request with any number of records.
@@ -271,10 +282,8 @@ impl Client {
                 )))
             }
             Some(Frame::Complete { body, .. }) => Ok(body),
-            Some(Frame::Reject(msg)) => Err(DataError::Runtime(format!(
-                "frontend sent a bad frame: {msg}"
-            ))),
-            None => Err(DataError::Runtime("frontend closed connection".into())),
+            Some(Frame::Reject(msg)) => Err(bad_frame(&msg)),
+            None => Err(closed()),
         }
     }
 
@@ -291,14 +300,13 @@ impl Client {
             encode(out);
             Ok(())
         })?;
-        match body.split_first() {
-            Some((&wire::STATUS_ADMIN, payload)) => Ok(payload.to_vec()),
-            Some((1, _)) => Err(wire::decode_response(body).unwrap_err()),
-            other => Err(DataError::Runtime(format!(
-                "bad admin response status {:?}",
-                other.map(|(s, _)| s)
-            ))),
+        if let Some((&wire::STATUS_ADMIN, payload)) = body.split_first() {
+            return Ok(payload.to_vec());
         }
+        wire::decode_response(body)?;
+        Err(DataError::Codec(
+            "an admin verb was answered with scores".into(),
+        ))
     }
 
     /// Deploys a serialized model file on the server; optionally binds an
@@ -436,8 +444,9 @@ struct SessionState {
     filed: HashMap<u32, Filed>,
     /// Whether some waiter currently holds the read side.
     reading: bool,
-    /// Set once the socket dies; every current and future wait fails.
-    dead: Option<String>,
+    /// Set once the socket dies; every current and future wait fails
+    /// with this error.
+    dead: Option<DataError>,
 }
 
 struct SessionInner {
@@ -449,7 +458,7 @@ struct SessionInner {
 
 impl SessionInner {
     /// Marks the session dead (first cause wins) and wakes every waiter.
-    fn kill(&self, why: String) {
+    fn kill(&self, why: DataError) {
         self.state.lock().dead.get_or_insert(why);
         self.cv.notify_all();
     }
@@ -458,8 +467,9 @@ impl SessionInner {
     fn flush(&self) -> Result<()> {
         let flushed = self.writer.lock().flush();
         flushed.map_err(|e| {
-            self.kill(format!("frontend io: {e}"));
-            io_err(e)
+            let e = io_err(e);
+            self.kill(e.clone());
+            e
         })
     }
 
@@ -477,27 +487,23 @@ impl SessionInner {
                 }) => {
                     // A framing violation: the server closes after this.
                     break Some(match wire::decode_response(body) {
-                        Err(e) => e.to_string(),
-                        Ok(_) => "frontend closed the connection".into(),
+                        Err(e) => e,
+                        Ok(_) => DataError::Runtime("frontend closed the connection".into()),
                     });
                 }
                 Some(Frame::Complete { request_id, body }) => {
                     rd.turn.push((request_id, wire::decode_response(body)));
                 }
-                Some(Frame::Reject(msg)) => {
-                    break Some(format!("frontend sent a bad frame: {msg}"));
-                }
+                Some(Frame::Reject(msg)) => break Some(bad_frame(&msg)),
                 None if !rd.turn.is_empty() => break None,
                 None => {
                     if let Err(e) = self.flush() {
-                        break Some(e.to_string());
+                        break Some(e);
                     }
                     match rd.frames.fill(&mut rd.stream) {
-                        Ok(filled) if filled.bytes == 0 => {
-                            break Some("frontend closed connection".into());
-                        }
+                        Ok(filled) if filled.bytes == 0 => break Some(closed()),
                         Ok(_) => {}
-                        Err(e) => break Some(format!("frontend io: {e}")),
+                        Err(e) => break Some(io_err(e)),
                     }
                 }
             }
@@ -688,8 +694,8 @@ impl PendingPredict {
             if let Some(Filed::Response(result)) = st.filed.remove(&self.id) {
                 return result;
             }
-            if let Some(msg) = &st.dead {
-                return Err(DataError::Runtime(msg.clone()));
+            if let Some(e) = &st.dead {
+                return Err(e.clone());
             }
             if st.reading {
                 // About to park behind the reader: this request may still
@@ -712,10 +718,7 @@ impl PendingPredict {
     /// Like [`Self::wait`], for single-record requests.
     pub fn wait_one(self) -> Result<f32> {
         let scores = self.wait()?;
-        scores
-            .first()
-            .copied()
-            .ok_or_else(|| DataError::Runtime("empty response".into()))
+        scores.first().copied().ok_or_else(no_record)
     }
 }
 

@@ -34,7 +34,7 @@
 use super::slab::ConnSlab;
 use super::sys::{self, Epoll, EpollEvent, EventFd};
 use super::wire::{self, Frame, FrameReader};
-use super::{encode_error, serve_frame, Dispatch, FrontEndStats, Lane, Responder, ServerShared};
+use super::{serve_frame, Dispatch, FrontEndStats, Lane, Responder, ServerShared};
 use parking_lot::Mutex;
 use pretzel_data::Result;
 use std::collections::HashSet;
@@ -161,11 +161,7 @@ impl CompletionHandle {
 
     /// Completes with a whole-batch outcome.
     pub(super) fn complete_result(&self, result: Result<Vec<f32>>) {
-        let body = match result {
-            Ok(scores) => wire::encode_ok(&scores),
-            Err(e) => encode_error(&e),
-        };
-        self.complete(body);
+        self.complete(wire::encode_response(&result));
     }
 
     /// Completes with a single-record outcome (delayed batcher).
@@ -340,7 +336,9 @@ fn run_reactor(shared: Arc<ReactorShared>, ep: Epoll, me: usize) {
         }
         drain_completions(&shared, &ep, me, &mut owned, &mut drain);
     }
-    // Shutdown: close everything this reactor owns.
+    // Shutdown: deliver what completed before the stop (the delayed
+    // batcher's last flush), then close everything this reactor owns.
+    drain_completions(&shared, &ep, me, &mut owned, &mut drain);
     for slot in owned.drain() {
         // Safety: owner teardown; no other accessor exists.
         let conn = unsafe { shared.slab.remove(slot) };

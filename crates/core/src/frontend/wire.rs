@@ -250,7 +250,9 @@ pub(crate) fn encode_v2_into(out: &mut Vec<u8>, request_id: u32, body: &[u8]) {
 /// Appends the error reply to a framing violation, tagged
 /// [`CONNECTION_ERROR_ID`]; the connection closes once it is sent.
 pub(crate) fn encode_connection_error(out: &mut Vec<u8>, msg: &str) {
-    encode_v2_into(out, CONNECTION_ERROR_ID, &encode_err(msg));
+    let body_start = begin_v2(out, CONNECTION_ERROR_ID);
+    put_err(out, &DataError::Codec(msg.into()));
+    end_frame(out, body_start);
 }
 
 /// Outcome of scanning a connection's read buffer for the next frame.
@@ -314,78 +316,52 @@ pub(crate) fn put_request_header(out: &mut Vec<u8>, plan: u32, kind: u8, flags: 
     out.extend_from_slice(&kind_flags.to_le_bytes());
 }
 
+/// Status byte of a success response: the scores follow.
+const STATUS_OK: u8 = 0;
+/// Status byte of an error response: the [`DataError`] follows, in its own
+/// encoding ([`DataError::encode`]), whatever its variant.
+const STATUS_ERR: u8 = 1;
+/// Status byte that opens an admin response body; the verb-specific
+/// payload follows it.
+pub(crate) const STATUS_ADMIN: u8 = 2;
+
 /// Appends a success response body (status 0 + scores).
 pub(crate) fn put_ok(out: &mut Vec<u8>, scores: &[f32]) {
-    out.push(0u8);
+    out.push(STATUS_OK);
     out.extend_from_slice(&(scores.len() as u32).to_le_bytes());
     for &s in scores {
         out.extend_from_slice(&s.to_le_bytes());
     }
 }
 
-/// A success response as an owned body (completions cross threads).
-pub(crate) fn encode_ok(scores: &[f32]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(5 + scores.len() * 4);
-    put_ok(&mut body, scores);
+/// Appends an error response body (status 1 + the error).
+pub(crate) fn put_err(out: &mut Vec<u8>, e: &DataError) {
+    out.push(STATUS_ERR);
+    e.encode(out);
+}
+
+/// A response body as an owned buffer: completions cross threads, and a
+/// model container answers over a hop of its own.
+pub fn encode_response(result: &Result<Vec<f32>>) -> Vec<u8> {
+    let mut body = Vec::new();
+    match result {
+        Ok(scores) => {
+            body.reserve_exact(5 + scores.len() * 4);
+            put_ok(&mut body, scores);
+        }
+        Err(e) => put_err(&mut body, e),
+    }
     body
 }
 
-/// Encodes an error response body (status 1 + message).
-pub(crate) fn encode_err(msg: &str) -> Vec<u8> {
-    let mut body = Vec::with_capacity(5 + msg.len());
-    body.push(1u8);
-    body.extend_from_slice(&(msg.len() as u32).to_le_bytes());
-    body.extend_from_slice(msg.as_bytes());
-    body
-}
-
-/// Status byte that opens an admin response body; the verb-specific
-/// payload follows it.
-pub(crate) const STATUS_ADMIN: u8 = 2;
-
-/// Encodes an execution-fault response body (status 3 + panic message).
-/// Distinct from status 1 so clients can tell "the operator crashed on
-/// this request" (retryable elsewhere, counts against the plan's fault
-/// budget) from ordinary request errors.
-pub(crate) fn encode_fault(msg: &str) -> Vec<u8> {
-    let mut body = Vec::with_capacity(5 + msg.len());
-    body.push(3u8);
-    body.extend_from_slice(&(msg.len() as u32).to_le_bytes());
-    body.extend_from_slice(msg.as_bytes());
-    body
-}
-
-/// Encodes a plan-quarantined response body (status 4 + plan id): the
-/// plan's fault budget is exhausted and its gate is closed.
-pub(crate) fn encode_quarantined(plan: u32) -> Vec<u8> {
-    let mut body = Vec::with_capacity(5);
-    body.push(4u8);
-    body.extend_from_slice(&plan.to_le_bytes());
-    body
-}
-
-/// Decodes a response body into scores (or the server's error, mapped
-/// back onto the typed [`DataError`] variants the statuses carry).
+/// Decodes a response body into its scores, or into the error the server
+/// sent, as the variant it was.
 pub(crate) fn decode_response(body: &[u8]) -> Result<Vec<f32>> {
-    use pretzel_data::serde_bin::Cursor;
-    let (&status, rest) = body
-        .split_first()
-        .ok_or_else(|| DataError::Runtime("empty frame".into()))?;
-    let mut cur = Cursor::new(rest);
-    match status {
-        0 => cur.f32s(),
-        1 => {
-            let len = cur.u32()? as usize;
-            let msg = String::from_utf8_lossy(&rest[4..(4 + len).min(rest.len())]).into_owned();
-            Err(DataError::Runtime(format!("server error: {msg}")))
-        }
-        3 => {
-            let len = cur.u32()? as usize;
-            let msg = String::from_utf8_lossy(&rest[4..(4 + len).min(rest.len())]).into_owned();
-            Err(DataError::ExecutionFault(msg))
-        }
-        4 => Err(DataError::PlanQuarantined(cur.u32()?)),
-        s => Err(DataError::Runtime(format!("bad response status {s}"))),
+    let mut cur = pretzel_data::serde_bin::Cursor::new(body);
+    match cur.u8()? {
+        STATUS_OK => cur.f32s(),
+        STATUS_ERR => Err(DataError::decode(&mut cur)?),
+        s => Err(DataError::Codec(format!("bad response status {s}"))),
     }
 }
 

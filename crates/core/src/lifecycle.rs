@@ -327,7 +327,7 @@ pub struct PlanInfo {
     /// The plan id.
     pub id: PlanId,
     /// True once the plan was undeployed (tombstone: lookups keep failing
-    /// with a clean [`DataError::PlanRetired`] instead of "unknown plan").
+    /// with a clean [`DataError::PlanRetired`] instead of [`DataError::UnknownPlan`]).
     pub retired: bool,
     /// True once the fault policy closed the plan's gate (too many
     /// execution faults inside the sliding window).

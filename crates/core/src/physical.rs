@@ -1053,10 +1053,11 @@ impl<'a> SourceRef<'a> {
                 dv.extend_from_slice(values);
                 Ok(())
             }
-            (src, slot) => Err(DataError::Runtime(format!(
-                "source {src:?} does not fit slot {:?}",
-                slot.column_type()
-            ))),
+            (src, slot) => Err(DataError::mismatch(
+                "plan source",
+                slot.column_type(),
+                src.as_row().column_type(),
+            )),
         }
     }
 
@@ -2251,7 +2252,10 @@ mod tests {
                 false => plan.execute(src, &mut slots, &mut ctx),
                 true => plan.execute_borrowed(src, &mut slots, &mut ctx),
             };
-            assert!(matches!(got, Err(DataError::Runtime(_))), "{got:?}");
+            assert!(
+                matches!(got, Err(DataError::SchemaMismatch { .. })),
+                "{got:?}"
+            );
         }
         let mut batch: Vec<ColumnBatch> = plan
             .batch_slot_types()
@@ -2259,7 +2263,10 @@ mod tests {
             .map(ColumnBatch::with_type)
             .collect();
         let got = plan.execute_batch(&[SourceRef::Text(line)], &mut batch, &mut ctx, &mut [0.0]);
-        assert!(matches!(got, Err(DataError::Runtime(_))), "{got:?}");
+        assert!(
+            matches!(got, Err(DataError::SchemaMismatch { .. })),
+            "{got:?}"
+        );
     }
 
     #[test]

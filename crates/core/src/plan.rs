@@ -224,7 +224,8 @@ impl StageOp {
                 let mut z = linear.bias;
                 for k in 0..n {
                     let ColRef::Scalar(partial) = input(k) else {
-                        return Err(DataError::Runtime("combine expects scalar partials".into()));
+                        let found = input(k).column_type();
+                        return Err(DataError::mismatch("combine", "F32Scalar partials", found));
                     };
                     z += partial;
                 }
@@ -232,7 +233,10 @@ impl StageOp {
             }
             StageOp::FusedText(t) => match (n > 0).then(|| input(0)) {
                 Some(ColRef::Text(line)) => t.score(line),
-                _ => Err(DataError::Runtime("FusedText expects text".into())),
+                other => {
+                    let found = other.map_or("no input".into(), |r| r.column_type().to_string());
+                    Err(DataError::mismatch("FusedText", "Text", found))
+                }
             },
             StageOp::TreeOverConcat { ensemble, concat } => ensemble.score_concat(concat, n, input),
         }
@@ -242,9 +246,7 @@ impl StageOp {
 fn write_scalar(out: &mut Vector, v: f32) -> Result<()> {
     let Vector::Scalar(s) = out else {
         let ty = out.column_type();
-        return Err(DataError::Runtime(format!(
-            "step output must be scalar, got {ty:?}"
-        )));
+        return Err(DataError::mismatch("step", "F32Scalar output", ty));
     };
     *s = v;
     Ok(())

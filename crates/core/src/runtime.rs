@@ -50,13 +50,18 @@ pub type PlanId = u32;
 /// faster than requests execute.
 const ALIAS_RETRIES: usize = 8;
 
+/// An alias that names no plan: the client's to fix.
+fn unknown_alias(alias: &str) -> DataError {
+    DataError::BadInput(format!("unknown alias `{alias}`"))
+}
+
 /// Sliding window over which [`RuntimeConfig::fault_quarantine_threshold`]
 /// counts execution faults.
 pub const FAULT_WINDOW: std::time::Duration = std::time::Duration::from_secs(10);
 
 /// Upper bound on retired-plan tombstones kept in the registry.
 /// Tombstones make lookups of undeployed ids fail with a clean
-/// `PlanRetired` instead of "unknown plan"; beyond the cap the oldest
+/// `PlanRetired` instead of `UnknownPlan`; beyond the cap the oldest
 /// (lowest-id) tombstones are compacted away — but a **retired-epoch
 /// watermark** remembers how far compaction advanced, so even compacted
 /// ids keep reporting [`DataError::PlanRetired`] exactly (ids are
@@ -264,7 +269,7 @@ pub struct Runtime {
     next_plan_id: AtomicU32,
     /// Id-recycling epoch: every plan id **below** this watermark that is
     /// absent from `plans` was a tombstone compacted away — lookups report
-    /// `PlanRetired`, not "unknown plan", no matter how long ago the
+    /// `PlanRetired`, not `UnknownPlan`, no matter how long ago the
     /// undeploy happened.
     retired_epoch: AtomicU32,
     /// Shared with [`FaultPolicy`] (auto-rollback repoints aliases from
@@ -585,7 +590,7 @@ impl Runtime {
             if id < self.retired_epoch.load(Ordering::Acquire) {
                 DataError::PlanRetired(id)
             } else {
-                DataError::Runtime(format!("unknown plan id {id}"))
+                DataError::UnknownPlan(id)
             }
         })
     }
@@ -803,10 +808,7 @@ impl Runtime {
         if rows.column_type() != plan.source_type {
             let ty = rows.column_type();
             self.ingest_pool.release_batch(rows);
-            return Err(DataError::Runtime(format!(
-                "plan {id} takes {} sources, request assembled {ty} rows",
-                plan.source_type
-            )));
+            return Err(DataError::mismatch("plan source", plan.source_type, ty));
         }
         let input = AssembledBatch::new(rows, hashes, Some(Arc::clone(&self.ingest_pool)))?;
         Ok(self.scheduler.submit_assembled_gated(id, plan, input, pass))
@@ -878,7 +880,7 @@ impl Runtime {
     /// plan's Object Store references (parameters whose refcount hits zero
     /// are freed), GC the stage catalog, unbind aliases, and join any
     /// reserved executor. The id remains a tombstone so later lookups stay
-    /// a clean `PlanRetired` rather than "unknown plan".
+    /// a clean `PlanRetired` rather than `UnknownPlan`.
     pub fn undeploy(&self, id: PlanId) -> Result<UndeployReport> {
         let registered = self.entry(id)?;
         if !registered.gate.retire() {
@@ -974,7 +976,7 @@ impl Runtime {
     /// Errors only when the alias itself is unknown.
     pub fn rollback(&self, alias: &str) -> Result<Option<PlanId>> {
         if self.aliases.resolve(alias).is_none() {
-            return Err(DataError::Runtime(format!("unknown alias `{alias}`")));
+            return Err(unknown_alias(alias));
         }
         Ok(self.aliases.rollback(alias))
     }
@@ -986,9 +988,7 @@ impl Runtime {
     pub fn with_alias<T>(&self, alias: &str, mut f: impl FnMut(PlanId) -> Result<T>) -> Result<T> {
         let mut attempt = 0;
         loop {
-            let id = self
-                .resolve(alias)
-                .ok_or_else(|| DataError::Runtime(format!("unknown alias `{alias}`")))?;
+            let id = self.resolve(alias).ok_or_else(|| unknown_alias(alias))?;
             match f(id) {
                 Err(DataError::PlanRetired(_) | DataError::PlanQuarantined(_))
                     if attempt < ALIAS_RETRIES =>

@@ -1129,11 +1129,7 @@ fn run_chunk_stage(
             // Zero-copy single-chunk ingest: the wire-assembled batch *is*
             // slot 0 — nothing leased for it, nothing copied.
             if m.rows.column_type() != types[0] {
-                let err = DataError::Runtime(format!(
-                    "plan takes {} sources, request assembled {} rows",
-                    types[0],
-                    m.rows.column_type()
-                ));
+                let err = DataError::mismatch("plan source", types[0], m.rows.column_type());
                 if let Some(home) = m.home {
                     home.release_batch(m.rows);
                 }

@@ -166,7 +166,7 @@ impl Histogram {
     fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
         let used = cur.u32()? as usize;
         if used > HIST_BUCKETS {
-            return Err(DataError::Runtime(format!(
+            return Err(DataError::Codec(format!(
                 "histogram bucket count {used} exceeds {HIST_BUCKETS}"
             )));
         }

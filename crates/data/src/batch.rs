@@ -577,11 +577,11 @@ impl ColumnBatch {
                 Ok(())
             }
             (b @ ColumnBatch::Scalar(_), ColRef::Scalar(x)) => b.push_scalar(x),
-            (b, row) => Err(DataError::Runtime(format!(
-                "cannot push {:?} row into {:?} batch",
+            (b, row) => Err(DataError::mismatch(
+                "push_row",
+                b.column_type(),
                 row.column_type(),
-                b.column_type()
-            ))),
+            )),
         }
     }
 
@@ -592,17 +592,21 @@ impl ColumnBatch {
     /// scattered back via [`Self::push_row`].
     pub fn gather(&self, rows: &[usize], out: &mut Self) -> Result<()> {
         if out.column_type() != self.column_type() {
-            return Err(DataError::Runtime(format!(
-                "gather into {:?} batch from {:?} batch",
+            return Err(DataError::mismatch(
+                "gather",
+                self.column_type(),
                 out.column_type(),
-                self.column_type()
-            )));
+            ));
         }
         out.reset();
         let have = self.rows();
         for &r in rows {
             if r >= have {
-                return Err(DataError::Runtime(format!("gather row {r} out of {have}")));
+                return Err(DataError::mismatch(
+                    "gather",
+                    format!("a row below {have}"),
+                    r,
+                ));
             }
             out.push_row(self.row(r))?;
         }
@@ -618,10 +622,12 @@ impl ColumnBatch {
     /// `Record` path pays becomes a handful of flat extends.
     pub fn extend_from_range(&mut self, src: &Self, start: usize, end: usize) -> Result<()> {
         if start > end || end > src.rows() {
-            return Err(DataError::Runtime(format!(
-                "row range {start}..{end} out of {} rows",
-                src.rows()
-            )));
+            let rows = format!("rows within 0..{}", src.rows());
+            return Err(DataError::mismatch(
+                "extend_from_range",
+                rows,
+                format!("{start}..{end}"),
+            ));
         }
         // A spans destination can't splice foreign bytes; fold it into a
         // packed buffer first (cold: bulk fills target freshly-reset slots).
@@ -717,11 +723,11 @@ impl ColumnBatch {
                 v.extend_from_slice(&sv[start..end]);
                 Ok(())
             }
-            (dst, src) => Err(DataError::Runtime(format!(
-                "cannot extend {:?} batch from {:?} batch",
+            (dst, src) => Err(DataError::mismatch(
+                "extend_from_range",
                 dst.column_type(),
-                src.column_type()
-            ))),
+                src.column_type(),
+            )),
         }
     }
 
@@ -754,10 +760,7 @@ fn bounds_with_capacity(rows: usize) -> Vec<u32> {
 }
 
 fn variant_err(want: &str, got: &ColumnBatch) -> DataError {
-    DataError::Runtime(format!(
-        "column batch variant mismatch: want {want}, got {:?}",
-        got.column_type()
-    ))
+    DataError::mismatch("column batch", want, got.column_type())
 }
 
 /// An open sparse row at the tail of a CSR batch.

@@ -73,7 +73,7 @@ impl BatchAssembler {
     /// NaN payloads with different bit patterns would even hash to distinct
     /// cache keys while comparing unequal to themselves — so the ingest
     /// boundary is the one place it can be refused as a clean
-    /// [`DataError::Codec`] instead of a kernel-level surprise.
+    /// [`DataError::BadInput`] instead of a kernel-level surprise.
     pub fn reject_non_finite(mut self, on: bool) -> Self {
         self.finite_only = on;
         self
@@ -165,14 +165,10 @@ impl BatchAssembler {
     pub fn push_sparse(&mut self, indices: &[u32], values: &[f32]) -> Result<()> {
         let dim = match self.rows.column_type() {
             ColumnType::F32Sparse { len } => len as u32,
-            other => {
-                return Err(DataError::Runtime(format!(
-                    "cannot push a sparse row into a {other} batch"
-                )))
-            }
+            other => return Err(DataError::mismatch("push_sparse", "F32Sparse", other)),
         };
         if indices.len() != values.len() {
-            return Err(DataError::Codec(format!(
+            return Err(DataError::BadInput(format!(
                 "sparse row has {} indices but {} values",
                 indices.len(),
                 values.len()
@@ -228,16 +224,12 @@ impl BatchAssembler {
     pub fn decode_dense_row(&mut self, cur: &mut Cursor<'_>) -> Result<()> {
         let dim = match self.rows.column_type() {
             ColumnType::F32Dense { len } => len,
-            other => {
-                return Err(DataError::Runtime(format!(
-                    "cannot decode a dense row into a {other} batch"
-                )))
-            }
+            other => return Err(DataError::mismatch("decode_dense_row", "F32Dense", other)),
         };
         let n = cur.u32()? as usize;
         cur.check_claim(n, 4)?;
         if n != dim {
-            return Err(DataError::Codec(format!(
+            return Err(DataError::BadInput(format!(
                 "dense record has {n} features, batch rows have {dim}"
             )));
         }
@@ -267,15 +259,11 @@ impl BatchAssembler {
     pub fn decode_sparse_row(&mut self, cur: &mut Cursor<'_>) -> Result<()> {
         let dim = match self.rows.column_type() {
             ColumnType::F32Sparse { len } => len as u32,
-            other => {
-                return Err(DataError::Runtime(format!(
-                    "cannot decode a sparse row into a {other} batch"
-                )))
-            }
+            other => return Err(DataError::mismatch("decode_sparse_row", "F32Sparse", other)),
         };
         let rdim = cur.u32()?;
         if rdim != dim {
-            return Err(DataError::Codec(format!(
+            return Err(DataError::BadInput(format!(
                 "sparse record has dim {rdim}, batch rows have {dim}"
             )));
         }
@@ -343,7 +331,7 @@ pub fn hash_row(row: ColRef<'_>) -> u64 {
 }
 
 fn non_finite_err() -> DataError {
-    DataError::Codec("non-finite feature value (NaN/Inf) rejected at ingest".into())
+    DataError::BadInput("non-finite feature value (NaN/Inf) rejected at ingest".into())
 }
 
 /// Checks that every feature value is finite — the opt-in ingest-boundary
@@ -368,12 +356,12 @@ fn all_finite(values: &[f32]) -> bool {
 pub fn validate_sparse_indices(indices: &[u32], dim: u32) -> Result<()> {
     for (i, &idx) in indices.iter().enumerate() {
         if idx >= dim {
-            return Err(DataError::Codec(format!(
+            return Err(DataError::BadInput(format!(
                 "sparse index {idx} out of dim {dim}"
             )));
         }
         if i > 0 && indices[i - 1] >= idx {
-            return Err(DataError::Codec(format!(
+            return Err(DataError::BadInput(format!(
                 "sparse indices must be strictly increasing, got {} then {idx}",
                 indices[i - 1]
             )));

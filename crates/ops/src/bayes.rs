@@ -80,10 +80,11 @@ impl NaiveBayesParams {
                 }
                 Ok(())
             }
-            other => Err(DataError::Runtime(format!(
-                "naive bayes wants numeric[{d}], got {:?}",
-                other.column_type()
-            ))),
+            other => Err(DataError::mismatch(
+                "naive bayes",
+                format!("numeric[{d}]"),
+                other.column_type(),
+            )),
         }
     }
 
@@ -92,11 +93,12 @@ impl NaiveBayesParams {
         let y = match out {
             Vector::Dense(y) if y.len() == self.classes() => y,
             other => {
-                return Err(DataError::Runtime(format!(
-                    "naive bayes output wants dense[{}], got {:?}",
-                    self.classes(),
-                    other.column_type()
-                )))
+                let want = format!("F32Dense[{}] output", self.classes());
+                return Err(DataError::mismatch(
+                    "naive bayes",
+                    want,
+                    other.column_type(),
+                ));
             }
         };
         self.score_row(ColRef::from_vector(input), y)
@@ -107,10 +109,8 @@ impl NaiveBayesParams {
     pub fn eval_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
         let classes = self.classes();
         if out.column_type() != (pretzel_data::ColumnType::F32Dense { len: classes }) {
-            return Err(DataError::Runtime(format!(
-                "naive bayes output wants dense[{classes}] batch, got {:?}",
-                out.column_type()
-            )));
+            let want = format!("F32Dense[{classes}] output");
+            return Err(DataError::mismatch("naive bayes", want, out.column_type()));
         }
         let rows = input.rows();
         let y = out.fill_dense(rows)?;

@@ -56,10 +56,11 @@ impl FaultParams {
                 s.push_str(text);
                 Ok(())
             }
-            other => Err(DataError::Runtime(format!(
-                "fault op output buffer variant mismatch: {:?}",
-                other.column_type()
-            ))),
+            other => Err(DataError::mismatch(
+                "fault op",
+                "Text output",
+                other.column_type(),
+            )),
         }
     }
 
@@ -71,10 +72,7 @@ impl FaultParams {
             input,
             ColumnBatch::Text { .. } | ColumnBatch::TextSpans { .. }
         ) {
-            return Err(DataError::Runtime(format!(
-                "fault op wants text batch, got {:?}",
-                input.column_type()
-            )));
+            return Err(DataError::mismatch("fault op", "Text", input.column_type()));
         }
         out.reset();
         for r in 0..input.rows() {

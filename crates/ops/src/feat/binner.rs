@@ -7,7 +7,7 @@
 use crate::annotations::Annotations;
 use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::serde_bin::{wire, Cursor, Section};
-use pretzel_data::{ColumnBatch, DataError, Result, Vector};
+use pretzel_data::{ColumnBatch, ColumnType, DataError, Result, Vector};
 
 /// Binner parameters: per-dimension ascending bin upper bounds.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,11 +52,7 @@ impl BinnerParams {
                 }
                 Ok(())
             }
-            (input, _) => Err(DataError::Runtime(format!(
-                "binner wants dense[{}], got {:?}",
-                self.dim(),
-                input.column_type()
-            ))),
+            (input, _) => Err(self.mismatch(input.column_type())),
         }
     }
 
@@ -65,9 +61,11 @@ impl BinnerParams {
     /// identical to [`Self::apply`]).
     pub fn eval_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
         let dim = self.dim();
-        let (x, in_dim, rows) = input.as_dense().ok_or_else(|| self.batch_err(input))?;
+        let (x, in_dim, rows) = input
+            .as_dense()
+            .ok_or_else(|| self.mismatch(input.column_type()))?;
         if in_dim != dim || out.column_type() != (pretzel_data::ColumnType::F32Dense { len: dim }) {
-            return Err(self.batch_err(input));
+            return Err(self.mismatch(input.column_type()));
         }
         let y = out.fill_dense(rows)?;
         for (d, bs) in self.bounds.iter().enumerate() {
@@ -79,12 +77,8 @@ impl BinnerParams {
         Ok(())
     }
 
-    fn batch_err(&self, input: &ColumnBatch) -> DataError {
-        DataError::Runtime(format!(
-            "binner wants dense[{}] batch, got {:?}",
-            self.dim(),
-            input.column_type()
-        ))
+    fn mismatch(&self, found: ColumnType) -> DataError {
+        DataError::mismatch("binner", format!("F32Dense[{}]", self.dim()), found)
     }
 }
 

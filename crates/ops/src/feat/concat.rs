@@ -12,7 +12,7 @@ use crate::annotations::Annotations;
 use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::batch::{ColRef, SparseRowMut};
 use pretzel_data::serde_bin::{wire, Cursor, Section};
-use pretzel_data::{ColumnBatch, DataError, Result, Vector};
+use pretzel_data::{ColumnBatch, ColumnType, DataError, Result, Vector};
 
 /// Concat parameters: the dimensionalities of the inputs, in order.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,22 +49,10 @@ impl ConcatParams {
     /// Concatenates `inputs` into a sparse output of dimension
     /// [`Self::dim`]. Dense, sparse and scalar inputs are accepted.
     pub fn apply(&self, inputs: &[&Vector], out: &mut Vector) -> Result<()> {
-        if inputs.len() != self.input_dims.len() {
-            return Err(DataError::Runtime(format!(
-                "concat expects {} inputs, got {}",
-                self.input_dims.len(),
-                inputs.len()
-            )));
-        }
+        self.check_arity(inputs.len())?;
         match out {
             Vector::Sparse { dim, .. } if *dim as usize == self.dim() => {}
-            other => {
-                return Err(DataError::Runtime(format!(
-                    "concat output buffer mismatch: want sparse[{}], got {:?}",
-                    self.dim(),
-                    other.column_type()
-                )))
-            }
+            other => return Err(self.output_mismatch(other.column_type())),
         }
         out.reset();
         let mut offset = 0u32;
@@ -73,7 +61,7 @@ impl ConcatParams {
             match input {
                 Vector::Dense(v) => {
                     if v.len() != want as usize {
-                        return Err(self.dim_err(i, want, v.len()));
+                        return Err(self.dim_err(i, want, ColumnType::F32Dense { len: v.len() }));
                     }
                     for (j, &x) in v.iter().enumerate() {
                         if x != 0.0 {
@@ -87,7 +75,11 @@ impl ConcatParams {
                     dim,
                 } => {
                     if *dim != want {
-                        return Err(self.dim_err(i, want, *dim as usize));
+                        return Err(self.dim_err(
+                            i,
+                            want,
+                            ColumnType::F32Sparse { len: *dim as usize },
+                        ));
                     }
                     for (&idx, &x) in indices.iter().zip(values) {
                         out.sparse_accumulate(offset + idx, x);
@@ -95,18 +87,13 @@ impl ConcatParams {
                 }
                 Vector::Scalar(x) => {
                     if want != 1 {
-                        return Err(self.dim_err(i, want, 1));
+                        return Err(self.dim_err(i, want, ColumnType::F32Scalar));
                     }
                     if *x != 0.0 {
                         out.sparse_accumulate(offset, *x);
                     }
                 }
-                other => {
-                    return Err(DataError::Runtime(format!(
-                        "concat input {i} is not numeric: {:?}",
-                        other.column_type()
-                    )))
-                }
+                other => return Err(self.dim_err(i, want, other.column_type())),
             }
             offset += want;
         }
@@ -116,22 +103,10 @@ impl ConcatParams {
     /// Batch kernel: concatenates every row of the input batches into rows
     /// of one CSR output (accumulation order identical to [`Self::apply`]).
     pub fn eval_batch(&self, inputs: &[&ColumnBatch], out: &mut ColumnBatch) -> Result<()> {
-        if inputs.len() != self.input_dims.len() {
-            return Err(DataError::Runtime(format!(
-                "concat expects {} inputs, got {}",
-                self.input_dims.len(),
-                inputs.len()
-            )));
-        }
+        self.check_arity(inputs.len())?;
         match out {
             ColumnBatch::Sparse { dim, .. } if *dim as usize == self.dim() => {}
-            other => {
-                return Err(DataError::Runtime(format!(
-                    "concat output batch mismatch: want sparse[{}], got {:?}",
-                    self.dim(),
-                    other.column_type()
-                )))
-            }
+            other => return Err(self.output_mismatch(other.column_type())),
         }
         out.reset();
         let rows = inputs.first().map_or(0, |b| b.rows());
@@ -159,7 +134,7 @@ impl ConcatParams {
         match input {
             ColRef::Dense(v) => {
                 if v.len() != want as usize {
-                    return Err(self.dim_err(i, want, v.len()));
+                    return Err(self.dim_err(i, want, ColumnType::F32Dense { len: v.len() }));
                 }
                 for (j, &x) in v.iter().enumerate() {
                     if x != 0.0 {
@@ -173,7 +148,7 @@ impl ConcatParams {
                 dim,
             } => {
                 if dim != want {
-                    return Err(self.dim_err(i, want, dim as usize));
+                    return Err(self.dim_err(i, want, ColumnType::F32Sparse { len: dim as usize }));
                 }
                 for (&idx, &x) in indices.iter().zip(values) {
                     row.accumulate(offset + idx, x);
@@ -181,24 +156,38 @@ impl ConcatParams {
             }
             ColRef::Scalar(x) => {
                 if want != 1 {
-                    return Err(self.dim_err(i, want, 1));
+                    return Err(self.dim_err(i, want, ColumnType::F32Scalar));
                 }
                 if x != 0.0 {
                     row.accumulate(offset, x);
                 }
             }
-            other => {
-                return Err(DataError::Runtime(format!(
-                    "concat input {i} is not numeric: {:?}",
-                    other.column_type()
-                )))
-            }
+            other => return Err(self.dim_err(i, want, other.column_type())),
         }
         Ok(())
     }
 
-    fn dim_err(&self, i: usize, want: u32, got: usize) -> DataError {
-        DataError::Runtime(format!("concat input {i} has dim {got}, expected {want}"))
+    fn check_arity(&self, n: usize) -> Result<()> {
+        match self.input_dims.len() {
+            want if want == n => Ok(()),
+            want => Err(DataError::mismatch(
+                "concat",
+                format!("{want} inputs"),
+                format!("{n} inputs"),
+            )),
+        }
+    }
+
+    fn output_mismatch(&self, found: ColumnType) -> DataError {
+        DataError::mismatch("concat", format!("F32Sparse[{}] output", self.dim()), found)
+    }
+
+    fn dim_err(&self, i: usize, want: u32, found: ColumnType) -> DataError {
+        DataError::mismatch(
+            "concat",
+            format_args!("numeric[{want}] at input {i}"),
+            found,
+        )
     }
 }
 

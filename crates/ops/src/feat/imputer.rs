@@ -8,7 +8,7 @@
 use crate::annotations::Annotations;
 use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::serde_bin::{wire, Cursor, Section};
-use pretzel_data::{ColumnBatch, DataError, Result, Vector};
+use pretzel_data::{ColumnBatch, ColumnType, DataError, Result, Vector};
 
 /// Imputer parameters: the per-dimension fill values.
 #[derive(Debug, Clone, PartialEq)]
@@ -48,20 +48,18 @@ impl ImputerParams {
                 }
                 Ok(())
             }
-            (input, _) => Err(DataError::Runtime(format!(
-                "imputer wants dense[{}], got {:?}",
-                self.dim(),
-                input.column_type()
-            ))),
+            (input, _) => Err(self.mismatch(input.column_type())),
         }
     }
 
     /// Batch kernel: NaN replacement over the chunk's row-major matrix.
     pub fn eval_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
         let dim = self.dim();
-        let (x, in_dim, rows) = input.as_dense().ok_or_else(|| self.batch_err(input))?;
+        let (x, in_dim, rows) = input
+            .as_dense()
+            .ok_or_else(|| self.mismatch(input.column_type()))?;
         if in_dim != dim || out.column_type() != (pretzel_data::ColumnType::F32Dense { len: dim }) {
-            return Err(self.batch_err(input));
+            return Err(self.mismatch(input.column_type()));
         }
         let y = out.fill_dense(rows)?;
         for (xr, yr) in x.chunks_exact(dim).zip(y.chunks_exact_mut(dim)) {
@@ -72,12 +70,8 @@ impl ImputerParams {
         Ok(())
     }
 
-    fn batch_err(&self, input: &ColumnBatch) -> DataError {
-        DataError::Runtime(format!(
-            "imputer wants dense[{}] batch, got {:?}",
-            self.dim(),
-            input.column_type()
-        ))
+    fn mismatch(&self, found: ColumnType) -> DataError {
+        DataError::mismatch("imputer", format!("F32Dense[{}]", self.dim()), found)
     }
 }
 

@@ -8,7 +8,7 @@ use crate::annotations::Annotations;
 use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::batch::ColRef;
 use pretzel_data::serde_bin::{wire, Cursor, Section};
-use pretzel_data::{ColumnBatch, DataError, Result, Vector};
+use pretzel_data::{ColumnBatch, ColumnType, DataError, Result, Vector};
 
 /// Norm used for scaling.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -52,7 +52,7 @@ impl NormalizerParams {
         match (input, out) {
             (Vector::Dense(x), Vector::Dense(y)) => {
                 if x.len() != self.dim as usize || y.len() != self.dim as usize {
-                    return Err(self.err(input));
+                    return Err(self.mismatch(input.column_type()));
                 }
                 let norm = self.norm_dense(x);
                 let inv = if norm > 0.0 { 1.0 / norm } else { 1.0 };
@@ -74,7 +74,7 @@ impl NormalizerParams {
                 },
             ) => {
                 if *dim != self.dim || *od != self.dim {
-                    return Err(self.err(input));
+                    return Err(self.mismatch(input.column_type()));
                 }
                 let norm = self.norm_values(values);
                 let inv = if norm > 0.0 { 1.0 / norm } else { 1.0 };
@@ -84,7 +84,7 @@ impl NormalizerParams {
                 ov.extend(values.iter().map(|&v| v * inv));
                 Ok(())
             }
-            _ => Err(self.err(input)),
+            _ => Err(self.mismatch(input.column_type())),
         }
     }
 
@@ -96,7 +96,7 @@ impl NormalizerParams {
         match input {
             ColumnBatch::Dense { dim: in_dim, .. } => {
                 if *in_dim != dim || out.column_type() != input.column_type() {
-                    return Err(self.batch_err(input));
+                    return Err(self.mismatch(input.column_type()));
                 }
                 let (x, _, rows) = input.as_dense().expect("checked dense");
                 let y = out.fill_dense(rows)?;
@@ -111,7 +111,7 @@ impl NormalizerParams {
             }
             ColumnBatch::Sparse { dim: in_dim, .. } => {
                 if *in_dim != self.dim || out.column_type() != input.column_type() {
-                    return Err(self.batch_err(input));
+                    return Err(self.mismatch(input.column_type()));
                 }
                 out.reset();
                 for r in 0..input.rows() {
@@ -134,16 +134,8 @@ impl NormalizerParams {
                 }
                 Ok(())
             }
-            _ => Err(self.batch_err(input)),
+            _ => Err(self.mismatch(input.column_type())),
         }
-    }
-
-    fn batch_err(&self, input: &ColumnBatch) -> DataError {
-        DataError::Runtime(format!(
-            "normalizer wants matching dense/sparse[{}] batch, got {:?}",
-            self.dim,
-            input.column_type()
-        ))
     }
 
     fn norm_dense(&self, x: &[f32]) -> f32 {
@@ -158,12 +150,9 @@ impl NormalizerParams {
         }
     }
 
-    fn err(&self, input: &Vector) -> DataError {
-        DataError::Runtime(format!(
-            "normalizer wants matching dense/sparse[{}], got {:?}",
-            self.dim,
-            input.column_type()
-        ))
+    fn mismatch(&self, found: ColumnType) -> DataError {
+        let want = format!("matching F32Dense/F32Sparse[{}]", self.dim);
+        DataError::mismatch("normalizer", want, found)
     }
 }
 

@@ -7,7 +7,7 @@
 use crate::annotations::Annotations;
 use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::serde_bin::{wire, Cursor, Section};
-use pretzel_data::{ColumnBatch, DataError, Result, Vector};
+use pretzel_data::{ColumnBatch, ColumnType, DataError, Result, Vector};
 
 /// One-hot parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -76,12 +76,7 @@ impl OneHotParams {
                 self.encode_row(x, y);
                 Ok(())
             }
-            (input, _) => Err(DataError::Runtime(format!(
-                "onehot wants dense[{}] -> dense[{}], got {:?}",
-                self.input_dim,
-                self.output_dim(),
-                input.column_type()
-            ))),
+            (input, _) => Err(self.mismatch(input.column_type())),
         }
     }
 
@@ -90,11 +85,13 @@ impl OneHotParams {
     pub fn eval_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
         let in_dim = self.input_dim as usize;
         let out_dim = self.output_dim();
-        let (x, got_dim, rows) = input.as_dense().ok_or_else(|| self.batch_err(input))?;
+        let (x, got_dim, rows) = input
+            .as_dense()
+            .ok_or_else(|| self.mismatch(input.column_type()))?;
         if got_dim != in_dim
             || out.column_type() != (pretzel_data::ColumnType::F32Dense { len: out_dim })
         {
-            return Err(self.batch_err(input));
+            return Err(self.mismatch(input.column_type()));
         }
         let y = out.fill_dense(rows)?;
         for (xr, yr) in x.chunks_exact(in_dim).zip(y.chunks_exact_mut(out_dim)) {
@@ -103,13 +100,13 @@ impl OneHotParams {
         Ok(())
     }
 
-    fn batch_err(&self, input: &ColumnBatch) -> DataError {
-        DataError::Runtime(format!(
-            "onehot wants dense[{}] -> dense[{}] batch, got {:?}",
+    fn mismatch(&self, found: ColumnType) -> DataError {
+        let want = format!(
+            "F32Dense[{}] -> F32Dense[{}]",
             self.input_dim,
-            self.output_dim(),
-            input.column_type()
-        ))
+            self.output_dim()
+        );
+        DataError::mismatch("onehot", want, found)
     }
 }
 

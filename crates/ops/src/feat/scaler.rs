@@ -8,7 +8,7 @@
 use crate::annotations::Annotations;
 use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::serde_bin::{wire, Cursor, Section};
-use pretzel_data::{ColumnBatch, DataError, Result, Vector};
+use pretzel_data::{ColumnBatch, ColumnType, DataError, Result, Vector};
 
 /// Scaler parameters: per-dimension offset and scale.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,11 +65,7 @@ impl ScalerParams {
                 self.scale_row(x, y);
                 Ok(())
             }
-            (input, _) => Err(DataError::Runtime(format!(
-                "scaler wants dense[{}], got {:?}",
-                self.dim(),
-                input.column_type()
-            ))),
+            (input, _) => Err(self.mismatch(input.column_type())),
         }
     }
 
@@ -78,9 +74,11 @@ impl ScalerParams {
     /// so scores stay bitwise-equal).
     pub fn eval_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
         let dim = self.dim();
-        let (x, in_dim, rows) = input.as_dense().ok_or_else(|| self.batch_err(input))?;
+        let (x, in_dim, rows) = input
+            .as_dense()
+            .ok_or_else(|| self.mismatch(input.column_type()))?;
         if in_dim != dim || out.column_type() != (pretzel_data::ColumnType::F32Dense { len: dim }) {
-            return Err(self.batch_err(input));
+            return Err(self.mismatch(input.column_type()));
         }
         let y = out.fill_dense(rows)?;
         for (xr, yr) in x.chunks_exact(dim).zip(y.chunks_exact_mut(dim)) {
@@ -89,12 +87,8 @@ impl ScalerParams {
         Ok(())
     }
 
-    fn batch_err(&self, input: &ColumnBatch) -> DataError {
-        DataError::Runtime(format!(
-            "scaler wants dense[{}] batch, got {:?}",
-            self.dim(),
-            input.column_type()
-        ))
+    fn mismatch(&self, found: ColumnType) -> DataError {
+        DataError::mismatch("scaler", format!("F32Dense[{}]", self.dim()), found)
     }
 }
 

@@ -63,11 +63,8 @@ impl KMeansParams {
         let x = match input {
             Vector::Dense(x) if x.len() == self.dim as usize => x,
             other => {
-                return Err(DataError::Runtime(format!(
-                    "kmeans wants dense[{}], got {:?}",
-                    self.dim,
-                    other.column_type()
-                )))
+                let want = format!("F32Dense[{}]", self.dim);
+                return Err(DataError::mismatch("kmeans", want, other.column_type()));
             }
         };
         match out {
@@ -75,11 +72,10 @@ impl KMeansParams {
                 self.distances_row(x, y);
                 Ok(())
             }
-            other => Err(DataError::Runtime(format!(
-                "kmeans output wants dense[{}], got {:?}",
-                self.k,
-                other.column_type()
-            ))),
+            other => {
+                let want = format!("F32Dense[{}] output", self.k);
+                Err(DataError::mismatch("kmeans", want, other.column_type()))
+            }
         }
     }
 
@@ -90,18 +86,19 @@ impl KMeansParams {
         let d = self.dim as usize;
         let k = self.k as usize;
         let (x, in_dim, rows) = input.as_dense().ok_or_else(|| {
-            DataError::Runtime(format!(
-                "kmeans wants dense[{}] batch, got {:?}",
-                self.dim,
-                input.column_type()
-            ))
+            DataError::mismatch(
+                "kmeans",
+                format!("F32Dense[{}]", self.dim),
+                input.column_type(),
+            )
         })?;
         if in_dim != d || out.column_type() != (pretzel_data::ColumnType::F32Dense { len: k }) {
-            return Err(DataError::Runtime(format!(
-                "kmeans wants dense[{d}] -> dense[{k}] batch, got {:?} -> {:?}",
-                input.column_type(),
-                out.column_type()
-            )));
+            let found = format!("{} -> {}", input.column_type(), out.column_type());
+            return Err(DataError::mismatch(
+                "kmeans",
+                format!("F32Dense[{d}] -> F32Dense[{k}]"),
+                found,
+            ));
         }
         let y = out.fill_dense(rows)?;
         for (xr, yr) in x.chunks_exact(d).zip(y.chunks_exact_mut(k)) {

@@ -95,10 +95,11 @@ impl LinearParams {
                 let seg = self.segment(offset, 1)?;
                 Ok(x * seg[0])
             }
-            other => Err(DataError::Runtime(format!(
-                "linear model wants numeric input, got {:?}",
-                other.column_type()
-            ))),
+            other => Err(DataError::mismatch(
+                "linear",
+                "a numeric input",
+                other.column_type(),
+            )),
         }
     }
 
@@ -109,10 +110,11 @@ impl LinearParams {
     pub fn eval_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
         let rows = input.rows();
         if out.column_type() != pretzel_data::ColumnType::F32Scalar {
-            return Err(DataError::Runtime(format!(
-                "linear model output must be scalar, got {:?}",
-                out.column_type()
-            )));
+            return Err(DataError::mismatch(
+                "linear",
+                "F32Scalar output",
+                out.column_type(),
+            ));
         }
         let y = out.fill_scalar(rows)?;
         for (r, slot) in y.iter_mut().enumerate() {
@@ -124,11 +126,8 @@ impl LinearParams {
 
     fn segment(&self, offset: usize, len: usize) -> Result<&[f32]> {
         self.weights.get(offset..offset + len).ok_or_else(|| {
-            DataError::Runtime(format!(
-                "weight segment [{offset}, {}) out of {} weights",
-                offset + len,
-                self.weights.len()
-            ))
+            let want = format!("a segment within {} weights", self.weights.len());
+            DataError::mismatch("linear", want, format!("[{offset}, {})", offset + len))
         })
     }
 
@@ -150,10 +149,11 @@ impl LinearParams {
                 *s = self.link(z);
                 Ok(())
             }
-            other => Err(DataError::Runtime(format!(
-                "linear model output must be scalar, got {:?}",
-                other.column_type()
-            ))),
+            other => Err(DataError::mismatch(
+                "linear",
+                "F32Scalar output",
+                other.column_type(),
+            )),
         }
     }
 }

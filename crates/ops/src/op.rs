@@ -182,36 +182,42 @@ pub enum Op {
 }
 
 fn text_input<'a>(inputs: &[&'a Vector], i: usize) -> Result<&'a str> {
-    inputs
-        .get(i)
-        .and_then(|v| v.as_text())
-        .ok_or_else(|| DataError::Runtime(format!("expected text at input {i}")))
+    let v = inputs.get(i);
+    v.and_then(|v| v.as_text())
+        .ok_or_else(|| input_mismatch(i, "Text", v.map(|v| v.column_type())))
 }
 
 fn tokens_input<'a>(inputs: &[&'a Vector], i: usize) -> Result<&'a [Span]> {
-    inputs
-        .get(i)
-        .and_then(|v| v.as_tokens())
-        .ok_or_else(|| DataError::Runtime(format!("expected tokens at input {i}")))
+    let v = inputs.get(i);
+    v.and_then(|v| v.as_tokens())
+        .ok_or_else(|| input_mismatch(i, "TokenList", v.map(|v| v.column_type())))
+}
+
+/// An operator's input `i` is missing or not of the type `want`.
+fn input_mismatch(i: usize, want: &str, found: Option<ColumnType>) -> DataError {
+    let found = found.map_or("no input".to_string(), |t| t.to_string());
+    DataError::mismatch("operator", format_args!("{want} at input {i}"), found)
 }
 
 fn one_input<'a>(inputs: &[&'a Vector]) -> Result<&'a Vector> {
     match inputs {
         [v] => Ok(v),
-        _ => Err(DataError::Runtime(format!(
-            "expected exactly one input, got {}",
-            inputs.len()
-        ))),
+        _ => Err(DataError::mismatch(
+            "operator",
+            "1 input",
+            format!("{} inputs", inputs.len()),
+        )),
     }
 }
 
 fn one_batch<'a>(inputs: &[&'a ColumnBatch]) -> Result<&'a ColumnBatch> {
     match inputs {
         [b] => Ok(b),
-        _ => Err(DataError::Runtime(format!(
-            "expected exactly one input batch, got {}",
-            inputs.len()
-        ))),
+        _ => Err(DataError::mismatch(
+            "operator",
+            "1 input",
+            format!("{} inputs", inputs.len()),
+        )),
     }
 }
 
@@ -231,7 +237,7 @@ fn batch_at<'a>(inputs: &[&'a ColumnBatch], i: usize) -> Result<&'a ColumnBatch>
     inputs
         .get(i)
         .copied()
-        .ok_or_else(|| DataError::Runtime(format!("expected input batch at {i}")))
+        .ok_or_else(|| input_mismatch(i, "a batch", None))
 }
 
 impl Op {
@@ -302,20 +308,13 @@ impl Op {
         let name = self.kind().name();
         let want_n = self.n_inputs();
         if inputs.len() != want_n {
-            return Err(DataError::SchemaMismatch {
-                operator: name.into(),
-                expected: format!("{want_n} inputs"),
-                found: format!("{} inputs", inputs.len()),
-            });
+            let found = format!("{} inputs", inputs.len());
+            return Err(DataError::mismatch(name, format!("{want_n} inputs"), found));
         }
         let numeric = |i: usize, dim: usize| -> Result<()> {
             match inputs[i] {
                 t if t.is_numeric() && t.dimension() == Some(dim) => Ok(()),
-                t => Err(DataError::SchemaMismatch {
-                    operator: name.into(),
-                    expected: format!("numeric[{dim}]"),
-                    found: t.to_string(),
-                }),
+                t => Err(DataError::mismatch(name, format!("numeric[{dim}]"), t)),
             }
         };
         let text =

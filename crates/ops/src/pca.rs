@@ -66,11 +66,8 @@ impl PcaParams {
         let x = match input {
             Vector::Dense(x) if x.len() == self.dim as usize => x,
             other => {
-                return Err(DataError::Runtime(format!(
-                    "pca wants dense[{}], got {:?}",
-                    self.dim,
-                    other.column_type()
-                )))
+                let want = format!("F32Dense[{}]", self.dim);
+                return Err(DataError::mismatch("pca", want, other.column_type()));
             }
         };
         match out {
@@ -78,11 +75,10 @@ impl PcaParams {
                 self.project_row(x, y);
                 Ok(())
             }
-            other => Err(DataError::Runtime(format!(
-                "pca output wants dense[{}], got {:?}",
-                self.m,
-                other.column_type()
-            ))),
+            other => {
+                let want = format!("F32Dense[{}] output", self.m);
+                Err(DataError::mismatch("pca", want, other.column_type()))
+            }
         }
     }
 
@@ -93,18 +89,19 @@ impl PcaParams {
         let d = self.dim as usize;
         let m = self.m as usize;
         let (x, in_dim, rows) = input.as_dense().ok_or_else(|| {
-            DataError::Runtime(format!(
-                "pca wants dense[{}] batch, got {:?}",
-                self.dim,
-                input.column_type()
-            ))
+            DataError::mismatch(
+                "pca",
+                format!("F32Dense[{}]", self.dim),
+                input.column_type(),
+            )
         })?;
         if in_dim != d || out.column_type() != (pretzel_data::ColumnType::F32Dense { len: m }) {
-            return Err(DataError::Runtime(format!(
-                "pca wants dense[{d}] -> dense[{m}] batch, got {:?} -> {:?}",
-                input.column_type(),
-                out.column_type()
-            )));
+            let found = format!("{} -> {}", input.column_type(), out.column_type());
+            return Err(DataError::mismatch(
+                "pca",
+                format!("F32Dense[{d}] -> F32Dense[{m}]"),
+                found,
+            ));
         }
         let y = out.fill_dense(rows)?;
         for (xr, yr) in x.chunks_exact(d).zip(y.chunks_exact_mut(m)) {

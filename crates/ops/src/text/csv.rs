@@ -26,6 +26,11 @@ fn excerpt(text: &str) -> String {
     format!("`{}{cut}` ({} bytes)", &text[..end], text.len())
 }
 
+/// Field `i` of a dense line does not parse as a number.
+fn bad_number(i: usize, field: &str, e: std::num::ParseFloatError) -> DataError {
+    DataError::BadInput(format!("bad numeric field {i} {}: {e}", excerpt(field)))
+}
+
 /// What the parser extracts from each line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CsvOutput {
@@ -79,6 +84,11 @@ impl CsvParams {
         }
     }
 
+    /// A buffer of another type than [`Self::output_type`].
+    fn mismatch(&self, found: ColumnType) -> DataError {
+        DataError::mismatch("csv", format!("{} output", self.output_type()), found)
+    }
+
     /// Operator annotations: memory-bound featurizer, fusible.
     pub fn annotations(&self) -> Annotations {
         Annotations::featurizer()
@@ -88,14 +98,16 @@ impl CsvParams {
     /// (an error in dense mode, or when the line has no such field).
     pub fn select_field<'a>(&self, line: &'a str) -> Result<&'a str> {
         let CsvOutput::TextField { index } = self.output else {
-            return Err(DataError::Runtime(
-                "a dense csv parser selects no text field".into(),
+            return Err(DataError::mismatch(
+                "csv",
+                "a text field",
+                self.output_type(),
             ));
         };
         line.split(self.separator as char)
             .nth(index as usize)
             .ok_or_else(|| {
-                DataError::Runtime(format!("csv line has no field {index}: {}", excerpt(line)))
+                DataError::BadInput(format!("csv line has no field {index}: {}", excerpt(line)))
             })
     }
 
@@ -113,32 +125,24 @@ impl CsvParams {
             }
             (CsvOutput::DenseFields { len }, Vector::Dense(dst)) => {
                 if dst.len() != len as usize {
-                    return Err(DataError::Runtime(format!(
-                        "dense csv output buffer has len {}, expected {len}",
-                        dst.len()
-                    )));
+                    return Err(self.mismatch(ColumnType::F32Dense { len: dst.len() }));
                 }
                 let mut count = 0usize;
                 for (i, field) in line.split(self.separator as char).enumerate() {
                     if i >= len as usize {
                         break;
                     }
-                    dst[i] = field.trim().parse::<f32>().map_err(|e| {
-                        DataError::Runtime(format!("bad numeric field {i} {}: {e}", excerpt(field)))
-                    })?;
+                    dst[i] = field.trim().parse().map_err(|e| bad_number(i, field, e))?;
                     count += 1;
                 }
                 if count < len as usize {
-                    return Err(DataError::Runtime(format!(
+                    return Err(DataError::BadInput(format!(
                         "csv line has {count} fields, expected {len}"
                     )));
                 }
                 Ok(())
             }
-            (_, out) => Err(DataError::Runtime(format!(
-                "csv output buffer variant mismatch: {:?}",
-                out.column_type()
-            ))),
+            (_, out) => Err(self.mismatch(out.column_type())),
         }
     }
 
@@ -151,10 +155,7 @@ impl CsvParams {
     /// arithmetic over bytes the ingest path already packed.
     pub fn eval_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
         if out.column_type() != self.output_type() {
-            return Err(DataError::Runtime(format!(
-                "csv output batch variant mismatch: {:?}",
-                out.column_type()
-            )));
+            return Err(self.mismatch(out.column_type()));
         }
         if let CsvOutput::TextField { .. } = self.output {
             if let Some(source) = input.shared_text() {
@@ -177,10 +178,7 @@ impl CsvParams {
         out.reset();
         for r in 0..input.rows() {
             let ColRef::Text(line) = input.row(r) else {
-                return Err(DataError::Runtime(format!(
-                    "csv parser wants text batch, got {:?}",
-                    input.column_type()
-                )));
+                return Err(DataError::mismatch("csv", "Text", input.column_type()));
             };
             match self.output {
                 CsvOutput::TextField { .. } => out.push_text(self.select_field(line)?)?,
@@ -191,16 +189,11 @@ impl CsvParams {
                         if i >= len as usize {
                             break;
                         }
-                        dst[i] = field.trim().parse::<f32>().map_err(|e| {
-                            DataError::Runtime(format!(
-                                "bad numeric field {i} {}: {e}",
-                                excerpt(field)
-                            ))
-                        })?;
+                        dst[i] = field.trim().parse().map_err(|e| bad_number(i, field, e))?;
                         count += 1;
                     }
                     if count < len as usize {
-                        return Err(DataError::Runtime(format!(
+                        return Err(DataError::BadInput(format!(
                             "csv line has {count} fields, expected {len}"
                         )));
                     }

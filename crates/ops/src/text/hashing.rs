@@ -10,7 +10,7 @@ use crate::annotations::Annotations;
 use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::hash::Fnv1a;
 use pretzel_data::serde_bin::{wire, Cursor, Section};
-use pretzel_data::{ColRef, ColumnBatch, DataError, Result, Vector};
+use pretzel_data::{ColRef, ColumnBatch, ColumnType, DataError, Result, Vector};
 
 /// Parameters of the hashing vectorizer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,13 +72,7 @@ impl HashingParams {
     pub fn apply(&self, text: &str, out: &mut Vector) -> Result<()> {
         match out {
             Vector::Sparse { dim, .. } if *dim == self.buckets => {}
-            other => {
-                return Err(DataError::Runtime(format!(
-                    "hashing output buffer mismatch: want sparse[{}], got {:?}",
-                    self.buckets,
-                    other.column_type()
-                )))
-            }
+            other => return Err(self.output_mismatch(other.column_type())),
         }
         out.reset();
         self.for_each_bucket(text, |idx| out.sparse_accumulate(idx, 1.0));
@@ -90,27 +84,26 @@ impl HashingParams {
     pub fn eval_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
         match out {
             ColumnBatch::Sparse { dim, .. } if *dim == self.buckets => {}
-            other => {
-                return Err(DataError::Runtime(format!(
-                    "hashing output batch mismatch: want sparse[{}], got {:?}",
-                    self.buckets,
-                    other.column_type()
-                )))
-            }
+            other => return Err(self.output_mismatch(other.column_type())),
         }
         out.reset();
         for r in 0..input.rows() {
             let ColRef::Text(text) = input.row(r) else {
-                return Err(DataError::Runtime(format!(
-                    "hashing vectorizer wants text batch, got {:?}",
-                    input.column_type()
-                )));
+                return Err(DataError::mismatch("hashing", "Text", input.column_type()));
             };
             let mut row = out.begin_sparse_row()?;
             self.for_each_bucket(text, |idx| row.accumulate(idx, 1.0));
             row.finish();
         }
         Ok(())
+    }
+
+    fn output_mismatch(&self, found: ColumnType) -> DataError {
+        DataError::mismatch(
+            "hashing",
+            format!("F32Sparse[{}] output", self.buckets),
+            found,
+        )
     }
 }
 

@@ -71,7 +71,7 @@ use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::probe::FlatProbeTable;
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::vector::Span;
-use pretzel_data::{ColRef, ColumnBatch, DataError, Result, Vector};
+use pretzel_data::{ColRef, ColumnBatch, ColumnType, DataError, Result, Vector};
 
 /// Zero bytes kept behind the folded row, so an 8-byte load at any row
 /// offset stays inside the buffer.
@@ -770,10 +770,11 @@ impl NgramParams {
         out.reset();
         for r in 0..input.rows() {
             let ColRef::Text(text) = input.row(r) else {
-                return Err(DataError::Runtime(format!(
-                    "char ngram wants text batch, got {:?}",
-                    input.column_type()
-                )));
+                return Err(DataError::mismatch(
+                    "char ngram",
+                    "Text",
+                    input.column_type(),
+                ));
             };
             let mut row = out.begin_sparse_row()?;
             self.for_each_char_match(text, |idx| row.accumulate(idx, 1.0));
@@ -793,11 +794,8 @@ impl NgramParams {
         out.reset();
         for r in 0..text.rows() {
             let (ColRef::Text(t), ColRef::Tokens(spans)) = (text.row(r), tokens.row(r)) else {
-                return Err(DataError::Runtime(format!(
-                    "word ngram wants text+token batches, got {:?}+{:?}",
-                    text.column_type(),
-                    tokens.column_type()
-                )));
+                let found = format!("{} + {}", text.column_type(), tokens.column_type());
+                return Err(DataError::mismatch("word ngram", "Text + TokenList", found));
             };
             let mut row = out.begin_sparse_row()?;
             self.for_each_word_match(t, spans, |idx| row.accumulate(idx, 1.0));
@@ -832,23 +830,19 @@ impl NgramParams {
     fn check_batch_out(&self, out: &ColumnBatch) -> Result<()> {
         match out {
             ColumnBatch::Sparse { dim, .. } if *dim as usize == self.dim() => Ok(()),
-            other => Err(DataError::Runtime(format!(
-                "ngram output batch mismatch: want sparse[{}], got {:?}",
-                self.dim(),
-                other.column_type()
-            ))),
+            other => Err(self.output_mismatch(other.column_type())),
         }
     }
 
     fn check_out(&self, out: &Vector) -> Result<()> {
         match out {
             Vector::Sparse { dim, .. } if *dim as usize == self.dim() => Ok(()),
-            other => Err(DataError::Runtime(format!(
-                "ngram output buffer mismatch: want sparse[{}], got {:?}",
-                self.dim(),
-                other.column_type()
-            ))),
+            other => Err(self.output_mismatch(other.column_type())),
         }
+    }
+
+    fn output_mismatch(&self, found: ColumnType) -> DataError {
+        DataError::mismatch("ngram", format!("F32Sparse[{}] output", self.dim()), found)
     }
 }
 

@@ -79,10 +79,11 @@ impl TokenizerParams {
         let spans = match out {
             Vector::Tokens(t) => t,
             other => {
-                return Err(DataError::Runtime(format!(
-                    "tokenizer output buffer variant mismatch: {:?}",
-                    other.column_type()
-                )))
+                return Err(DataError::mismatch(
+                    "tokenizer",
+                    "TokenList output",
+                    other.column_type(),
+                ))
             }
         };
         spans.clear();
@@ -140,10 +141,11 @@ impl TokenizerParams {
             input,
             ColumnBatch::Text { .. } | ColumnBatch::TextSpans { .. }
         ) {
-            return Err(DataError::Runtime(format!(
-                "tokenizer wants text batch, got {:?}",
-                input.column_type()
-            )));
+            return Err(DataError::mismatch(
+                "tokenizer",
+                "Text",
+                input.column_type(),
+            ));
         }
         out.reset();
         for r in 0..input.rows() {

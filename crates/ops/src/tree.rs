@@ -37,7 +37,7 @@ use crate::feat::concat::ConcatParams;
 use crate::params::{ChecksumMemo, ParamBlob};
 use pretzel_data::batch::ColRef;
 use pretzel_data::serde_bin::{wire, Cursor, Section};
-use pretzel_data::{ColumnBatch, DataError, Result, Vector};
+use pretzel_data::{ColumnBatch, ColumnType, DataError, Result, Vector};
 
 /// A single decision tree in flat-array form.
 ///
@@ -280,6 +280,18 @@ impl Features<'_> {
     }
 }
 
+/// Checks that a tree operator's input is numeric of width `dim`.
+fn check_numeric(operator: &str, dim: u32, found: ColumnType) -> Result<()> {
+    match found.dimension() {
+        Some(d) if d == dim as usize => Ok(()),
+        _ => Err(DataError::mismatch(
+            operator,
+            format!("numeric[{dim}]"),
+            found,
+        )),
+    }
+}
+
 /// Runs `f` over `row` as the trees read it: a dense row in place, a
 /// scalar as a one-element slice, a sparse row no wider than
 /// [`DENSE_ROW_RETAIN`] scattered into the thread's dense row (cleared by
@@ -307,10 +319,11 @@ fn with_row<R>(row: ColRef<'_>, f: impl FnOnce(Features<'_>) -> R) -> Result<R> 
             s.close();
             out
         })),
-        other => Err(DataError::Runtime(format!(
-            "tree input must be numeric, got {:?}",
-            other.column_type()
-        ))),
+        other => Err(DataError::mismatch(
+            "tree",
+            "a numeric input",
+            other.column_type(),
+        )),
     }
 }
 
@@ -403,12 +416,13 @@ impl EnsembleParams {
     ) -> Result<f32> {
         let dim = concat.dim();
         if branches != concat.input_dims.len() || dim != self.input_dim as usize {
-            return Err(DataError::Runtime(format!(
-                "tree over concat wants {} branches of total dim {}, got {branches} \
-                 branches of dim {dim}",
+            let want = format!(
+                "{} branches of dim {}",
                 concat.input_dims.len(),
                 self.input_dim
-            )));
+            );
+            let found = format!("{branches} branches of dim {dim}");
+            return Err(DataError::mismatch("tree over concat", want, found));
         }
         with_row_scratch(|s| {
             let x = s.open(dim);
@@ -425,10 +439,12 @@ impl EnsembleParams {
                     ColRef::Scalar(v) if want == 1 => seg[0] = v,
                     // The buffer stays dirty: the next row zeroes it whole.
                     other => {
-                        return Err(DataError::Runtime(format!(
-                            "tree over concat: branch {k} is {:?}, expected numeric[{want}]",
-                            other.column_type()
-                        )))
+                        let want = format!("numeric[{want}] at branch {k}");
+                        return Err(DataError::mismatch(
+                            "tree over concat",
+                            want,
+                            other.column_type(),
+                        ));
                     }
                 }
                 offset += want as usize;
@@ -457,10 +473,11 @@ impl EnsembleParams {
                 *s = acc;
                 Ok(())
             }
-            other => Err(DataError::Runtime(format!(
-                "ensemble output must be scalar, got {:?}",
-                other.column_type()
-            ))),
+            other => Err(DataError::mismatch(
+                "ensemble",
+                "F32Scalar output",
+                other.column_type(),
+            )),
         }
     }
 
@@ -473,13 +490,7 @@ impl EnsembleParams {
         self.check_input(input)?;
         match out {
             Vector::Sparse { dim, .. } if *dim as usize == self.total_leaves() => {}
-            other => {
-                return Err(DataError::Runtime(format!(
-                    "tree featurizer wants sparse[{}], got {:?}",
-                    self.total_leaves(),
-                    other.column_type()
-                )))
-            }
+            other => return Err(self.leaves_mismatch(other.column_type())),
         }
         out.reset();
         with_row(ColRef::from_vector(input), |x| {
@@ -505,10 +516,11 @@ impl EnsembleParams {
         self.check_batch_input(input)?;
         let rows = input.rows();
         if out.column_type() != pretzel_data::ColumnType::F32Scalar {
-            return Err(DataError::Runtime(format!(
-                "ensemble output must be scalar, got {:?}",
-                out.column_type()
-            )));
+            return Err(DataError::mismatch(
+                "ensemble",
+                "F32Scalar output",
+                out.column_type(),
+            ));
         }
         let y = out.fill_scalar(rows)?;
         for (r, slot) in y.iter_mut().enumerate() {
@@ -523,13 +535,7 @@ impl EnsembleParams {
         self.check_batch_input(input)?;
         match out {
             ColumnBatch::Sparse { dim, .. } if *dim as usize == self.total_leaves() => {}
-            other => {
-                return Err(DataError::Runtime(format!(
-                    "tree featurizer wants sparse[{}] batch, got {:?}",
-                    self.total_leaves(),
-                    other.column_type()
-                )))
-            }
+            other => return Err(self.leaves_mismatch(other.column_type())),
         }
         out.reset();
         for r in 0..input.rows() {
@@ -543,23 +549,16 @@ impl EnsembleParams {
     }
 
     fn check_input(&self, input: &Vector) -> Result<()> {
-        match input.column_type().dimension() {
-            Some(d) if d == self.input_dim as usize => Ok(()),
-            other => Err(DataError::Runtime(format!(
-                "ensemble wants numeric[{}], got {other:?}",
-                self.input_dim
-            ))),
-        }
+        check_numeric("ensemble", self.input_dim, input.column_type())
     }
 
     fn check_batch_input(&self, input: &ColumnBatch) -> Result<()> {
-        match input.column_type().dimension() {
-            Some(d) if d == self.input_dim as usize => Ok(()),
-            other => Err(DataError::Runtime(format!(
-                "ensemble wants numeric[{}] batch, got {other:?}",
-                self.input_dim
-            ))),
-        }
+        check_numeric("ensemble", self.input_dim, input.column_type())
+    }
+
+    fn leaves_mismatch(&self, found: ColumnType) -> DataError {
+        let want = format!("F32Sparse[{}] output", self.total_leaves());
+        DataError::mismatch("tree featurizer", want, found)
     }
 }
 
@@ -668,24 +667,12 @@ impl MulticlassTreeParams {
 
     /// Scores `input` into a dense per-class score vector.
     pub fn apply(&self, input: &Vector, out: &mut Vector) -> Result<()> {
-        match input.column_type().dimension() {
-            Some(d) if d == self.input_dim() as usize => {}
-            other => {
-                return Err(DataError::Runtime(format!(
-                    "multiclass wants numeric[{}], got {other:?}",
-                    self.input_dim()
-                )))
-            }
-        }
+        check_numeric("multiclass", self.input_dim(), input.column_type())?;
         match out {
             Vector::Dense(y) if y.len() == self.classes() => {
                 with_row(ColRef::from_vector(input), |x| self.score(x, y))
             }
-            other => Err(DataError::Runtime(format!(
-                "multiclass output wants dense[{}], got {:?}",
-                self.classes(),
-                other.column_type()
-            ))),
+            other => Err(self.output_mismatch(other.column_type())),
         }
     }
 
@@ -694,26 +681,23 @@ impl MulticlassTreeParams {
     pub fn eval_batch(&self, input: &ColumnBatch, out: &mut ColumnBatch) -> Result<()> {
         let classes = self.classes();
         if out.column_type() != (pretzel_data::ColumnType::F32Dense { len: classes }) {
-            return Err(DataError::Runtime(format!(
-                "multiclass output wants dense[{classes}] batch, got {:?}",
-                out.column_type()
-            )));
+            return Err(self.output_mismatch(out.column_type()));
         }
-        match input.column_type().dimension() {
-            Some(d) if d == self.input_dim() as usize => {}
-            other => {
-                return Err(DataError::Runtime(format!(
-                    "multiclass wants numeric[{}] batch, got {other:?}",
-                    self.input_dim()
-                )))
-            }
-        }
+        check_numeric("multiclass", self.input_dim(), input.column_type())?;
         let rows = input.rows();
         let y = out.fill_dense(rows)?;
         for (r, yr) in y.chunks_exact_mut(classes).enumerate().take(rows) {
             with_row(input.row(r), |x| self.score(x, yr))?;
         }
         Ok(())
+    }
+
+    fn output_mismatch(&self, found: ColumnType) -> DataError {
+        DataError::mismatch(
+            "multiclass",
+            format!("F32Dense[{}] output", self.classes()),
+            found,
+        )
     }
 }
 

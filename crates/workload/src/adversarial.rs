@@ -5,12 +5,13 @@
 //!
 //! * **malformed payloads** — non-finite floats, out-of-dim or
 //!   non-increasing sparse indices, hostile length claims. These must be
-//!   *rejected* at the ingest boundary as clean codec errors; none of them
-//!   may reach a kernel.
+//!   *rejected* at the ingest boundary as typed errors (`BadInput` for a
+//!   value the request may not carry, `Codec` for a length claim the bytes
+//!   do not hold); none of them may reach a kernel.
 //! * **fault-salted text** — well-formed records that a deliberately
 //!   faulting operator (the `fault-op` synthetic, see `pretzel_ops::fault`)
 //!   panics on. These exercise the *containment* boundary: the request
-//!   fails with an execution-fault status, the executor thread survives,
+//!   fails with an `ExecutionFault`, the executor thread survives,
 //!   and a plan faulting persistently is quarantined and rolled back.
 //!
 //! Everything is seeded and deterministic, like the rest of this crate.

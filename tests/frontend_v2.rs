@@ -726,17 +726,17 @@ fn fault_and_quarantine_statuses_are_typed_over_the_wire() {
     assert_eq!(client.swap("canary", faulty).unwrap(), Some(predecessor));
 
     let marked = "3,these words then __FAULT__";
-    // Status 3 carries the panic payload to the client as a typed error,
-    // once per contained fault until the threshold trips.
+    // The panic payload reaches the client as a typed error, once per
+    // contained fault until the threshold trips.
     for _ in 0..3 {
         match client.predict(&PredictRequest::text(marked).plan(faulty)) {
             Err(pretzel_data::DataError::ExecutionFault(msg)) => {
                 assert!(msg.contains("fault-op"), "payload lost: {msg}");
             }
-            other => panic!("expected wire status 3 → ExecutionFault, got {other:?}"),
+            other => panic!("expected ExecutionFault, got {other:?}"),
         }
     }
-    // Status 4: the gate is closed, the plan id rides in the response.
+    // The gate is closed; the plan id rides in the error.
     assert!(matches!(
         client.predict(&PredictRequest::text(marked).plan(faulty)),
         Err(pretzel_data::DataError::PlanQuarantined(id)) if id == faulty
@@ -785,7 +785,7 @@ fn admin_rollback_verb_round_trips() {
 fn assert_non_finite<T: std::fmt::Debug>(got: pretzel_data::Result<T>, what: &str) {
     let err = got.expect_err(what);
     assert!(
-        err.to_string().contains("non-finite"),
+        matches!(&err, pretzel_data::DataError::BadInput(m) if m.contains("non-finite")),
         "{what}: expected a non-finite rejection, got: {err}"
     );
 }
@@ -830,7 +830,7 @@ fn non_finite_payloads_are_rejected_at_the_wire_boundary() {
     let dense = client.deploy(&dense_image, None, false).unwrap();
     let sparse = client.deploy(&sparse_image, None, false).unwrap();
 
-    // Every non-finite dense payload is refused with a clean codec error,
+    // Every non-finite dense payload is refused with a typed input error,
     // on the single-row lane and through the delayed batcher.
     for row in non_finite_dense_rows(dim) {
         let single = PredictRequest::dense(row).plan(dense);

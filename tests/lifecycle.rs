@@ -74,16 +74,15 @@ fn deploy_undeploy_returns_store_and_catalog_to_baseline() {
             "{batch_err}"
         );
     }
-    // Double undeploy is PlanRetired, unknown id stays "unknown".
+    // Double undeploy is PlanRetired, unknown id stays unknown.
     assert!(matches!(
         rt.undeploy(ids[0]).unwrap_err(),
         DataError::PlanRetired(_)
     ));
-    assert!(rt
-        .undeploy(10_000)
-        .unwrap_err()
-        .to_string()
-        .contains("unknown"));
+    assert_eq!(
+        rt.undeploy(10_000).unwrap_err(),
+        DataError::UnknownPlan(10_000)
+    );
 }
 
 #[test]
@@ -784,11 +783,11 @@ fn tombstones_are_bounded_under_continuous_churn() {
         DataError::PlanRetired(0)
     ));
     // A genuinely never-registered id is still distinguishable.
-    assert!(rt
-        .predict(cycles as PlanId + 7, "x")
-        .unwrap_err()
-        .to_string()
-        .contains("unknown"));
+    let never = cycles as PlanId + 7;
+    assert_eq!(
+        rt.predict(never, "x").unwrap_err(),
+        DataError::UnknownPlan(never)
+    );
     assert_eq!(rt.object_store().unique_bytes(), 0);
 }
 

@@ -15,6 +15,7 @@ use pretzel_core::physical::SourceRef;
 use pretzel_core::plan::StagePlan;
 use pretzel_core::runtime::{Runtime, RuntimeConfig};
 use pretzel_core::scheduler::Record;
+use pretzel_data::DataError;
 use pretzel_ops::linear::LinearKind;
 use pretzel_ops::synth;
 use std::sync::Arc;
@@ -451,7 +452,7 @@ fn empty_requests_still_validate_the_plan() {
     let err = client
         .predict_many(&PredictRequest::batch(Vec::new()).plan(99))
         .unwrap_err();
-    assert!(err.to_string().contains("unknown plan"), "{err}");
+    assert_eq!(err, DataError::UnknownPlan(99));
     fe.stop();
 }
 
