@@ -23,8 +23,14 @@
 //!   predecessor; the manual `ROLLBACK` verb round-trips on a second
 //!   alias.
 //! * **performance** — healthy-plan p99 under faults stays within 1.1x of
-//!   a no-fault control run of the identical topology (CI gates the
-//!   ratio from `BENCH_faults.json`).
+//!   a no-fault control run of the identical topology. The binary runs
+//!   [`PAIRS`] control/fault leg pairs, alternating which leg goes first,
+//!   and writes each pair's p99 ratio (control/faulted) and their median
+//!   to `BENCH_faults.json`; CI gates the median.
+//!
+//! Every leg builds its own runtime and front end and drops both before
+//! the next leg starts; the correctness gates above hold in every fault
+//! leg.
 //!
 //! Knobs: `PRETZEL_FAULT_REQS` (requests per plan per leg, default 400),
 //! `PRETZEL_FAULT_RATE` (default 0.10), `PRETZEL_CORES`.
@@ -123,6 +129,19 @@ enum PredictTarget {
     Alias(String),
 }
 
+/// Control/fault leg pairs per run. One pair's ratio of two p99s (each a
+/// single slow request out of a few hundred) is decided by one
+/// descheduling; the median over pairs is the gated figure.
+const PAIRS: usize = 5;
+
+/// The model images every leg deploys.
+struct Images {
+    healthy: Vec<Vec<u8>>,
+    predecessor: Vec<u8>,
+    canary_faulty: Vec<u8>,
+    canary_healthy: Vec<u8>,
+}
+
 struct LegOutcome {
     healthy_p99: Duration,
     healthy_lost: usize,
@@ -130,16 +149,18 @@ struct LegOutcome {
 }
 
 /// One full serving leg: fresh runtime, four plans (three by id, the
-/// canary alias whose current version may fault), `reqs` requests each.
-#[allow(clippy::too_many_arguments)]
+/// canary alias whose current version faults on `rate` of its records
+/// in a fault leg), `reqs` requests each. Appends every gate the leg
+/// fails to `failures`; the leg's runtime and front end are gone when it
+/// returns.
 fn leg(
-    healthy_images: &[Vec<u8>],
-    predecessor_image: &[u8],
-    canary_image: &[u8],
+    images: &Images,
+    fault: bool,
     reqs: usize,
     rate: f64,
     cores: usize,
-) -> (LegOutcome, Arc<Runtime>, FrontEnd, u32, u32) {
+    failures: &mut Vec<String>,
+) -> LegOutcome {
     let runtime = Arc::new(Runtime::new(RuntimeConfig {
         n_executors: cores,
         ..RuntimeConfig::default()
@@ -147,15 +168,21 @@ fn leg(
     let fe = FrontEnd::serve(Arc::clone(&runtime), FrontEndConfig::default()).unwrap();
     let mut admin = Client::connect_v2(fe.addr()).unwrap();
 
-    let healthy_ids: Vec<u32> = healthy_images
+    let healthy_ids: Vec<u32> = images
+        .healthy
         .iter()
         .map(|img| admin.deploy(img, None, false).unwrap())
         .collect();
     // Version stack for the canary alias: healthy predecessor, then the
-    // (possibly faulting) current version.
+    // (in a fault leg, faulting) current version.
     let predecessor = admin
-        .deploy(predecessor_image, Some("canary"), false)
+        .deploy(&images.predecessor, Some("canary"), false)
         .unwrap();
+    let canary_image = if fault {
+        &images.canary_faulty
+    } else {
+        &images.canary_healthy
+    };
     let canary = admin.deploy(canary_image, None, false).unwrap();
     admin.swap("canary", canary).unwrap();
 
@@ -176,8 +203,15 @@ fn leg(
             })
         })
         .collect();
+    let alias_rate = if fault { rate } else { 0.0 };
     let alias_handle = std::thread::spawn(move || {
-        drive(addr, PredictTarget::Alias("canary".into()), reqs, rate, 7)
+        drive(
+            addr,
+            PredictTarget::Alias("canary".into()),
+            reqs,
+            alias_rate,
+            7,
+        )
     });
 
     let mut healthy_lost = 0;
@@ -199,58 +233,40 @@ fn leg(
         healthy_lost,
         alias,
     };
-    (outcome, runtime, fe, canary, predecessor)
-}
-
-fn main() {
-    let reqs = env_usize("PRETZEL_FAULT_REQS", 400);
-    let rate = env_f64("PRETZEL_FAULT_RATE", 0.10);
-    let cores = env_usize("PRETZEL_CORES", 2);
-
-    // Contained panics would otherwise spew a backtrace per fault; the
-    // whole point is that they are expected and recoverable.
-    std::panic::set_hook(Box::new(|_| {}));
-
-    let vocab = synth::vocabulary(5, VOCAB);
-    let healthy_images: Vec<Vec<u8>> = (0..3)
-        .map(|k| pipeline(10 + k, &vocab, false).to_model_image())
-        .collect();
-    let predecessor_image = pipeline(40, &vocab, false).to_model_image();
-    let canary_faulty = pipeline(41, &vocab, true).to_model_image();
-    let canary_healthy = pipeline(41, &vocab, false).to_model_image();
-
-    // Control: identical topology (canary current version healthy),
-    // zero salt rate.
-    let (control, _rt_c, fe_c, _, _) = leg(
-        &healthy_images,
-        &predecessor_image,
-        &canary_healthy,
-        reqs,
-        0.0,
-        cores,
-    );
-    fe_c.stop();
-
-    // Fault leg: the canary's current version panics on ~rate of records.
-    let (faulted, _rt_f, fe_f, canary_id, predecessor_id) = leg(
-        &healthy_images,
-        &predecessor_image,
-        &canary_faulty,
-        reqs,
-        rate,
-        cores,
-    );
-
-    // ---- correctness gates -------------------------------------------
-    let mut failures: Vec<String> = Vec::new();
-    let threshold = RuntimeConfig::default().fault_quarantine_threshold;
-
-    if control.healthy_lost != 0 || !control.alias.other_errors.is_empty() {
+    if fault {
+        fault_gates(
+            &mut admin,
+            &outcome,
+            images,
+            reqs,
+            canary,
+            predecessor,
+            failures,
+        );
+    } else if outcome.healthy_lost != 0 || !outcome.alias.other_errors.is_empty() {
         failures.push(format!(
             "control leg lost requests: {} healthy, alias errors {:?}",
-            control.healthy_lost, control.alias.other_errors
+            outcome.healthy_lost, outcome.alias.other_errors
         ));
     }
+    drop(admin);
+    fe.stop();
+    drop(runtime);
+    outcome
+}
+
+/// Containment, quarantine and rollback, checked over the wire while the
+/// fault leg's front end still serves.
+fn fault_gates(
+    admin: &mut Client,
+    faulted: &LegOutcome,
+    images: &Images,
+    reqs: usize,
+    canary_id: u32,
+    predecessor_id: u32,
+    failures: &mut Vec<String>,
+) {
+    let threshold = RuntimeConfig::default().fault_quarantine_threshold;
     if faulted.healthy_lost != 0 {
         failures.push(format!(
             "{} healthy requests lost during the fault cycle",
@@ -277,7 +293,6 @@ fn main() {
     }
 
     // Quarantine + rollback, as served over the wire.
-    let mut admin = Client::connect_v2(fe_f.addr()).unwrap();
     let plans = admin.list().unwrap();
     let canary_info = plans.iter().find(|p| p.id == canary_id).unwrap();
     if !canary_info.quarantined {
@@ -301,9 +316,9 @@ fn main() {
 
     // Manual ROLLBACK verb: a second alias with two healthy versions.
     let v1 = admin
-        .deploy(&healthy_images[0], Some("manual"), false)
+        .deploy(&images.healthy[0], Some("manual"), false)
         .unwrap();
-    let v2 = admin.deploy(&healthy_images[1], None, false).unwrap();
+    let v2 = admin.deploy(&images.healthy[1], None, false).unwrap();
     admin.swap("manual", v2).unwrap();
     match admin.rollback("manual") {
         Ok(Some(bound)) if bound == v1 => {}
@@ -312,58 +327,100 @@ fn main() {
     if !matches!(admin.rollback("manual"), Ok(None)) {
         failures.push("rollback without a predecessor must be a no-op None".into());
     }
-    fe_f.stop();
+}
+
+fn main() {
+    let reqs = env_usize("PRETZEL_FAULT_REQS", 400);
+    let rate = env_f64("PRETZEL_FAULT_RATE", 0.10);
+    let cores = env_usize("PRETZEL_CORES", 2);
+
+    // Contained panics would otherwise spew a backtrace per fault; the
+    // whole point is that they are expected and recoverable.
+    std::panic::set_hook(Box::new(|_| {}));
+
+    let vocab = synth::vocabulary(5, VOCAB);
+    let images = Images {
+        healthy: (0..3)
+            .map(|k| pipeline(10 + k, &vocab, false).to_model_image())
+            .collect(),
+        predecessor: pipeline(40, &vocab, false).to_model_image(),
+        canary_faulty: pipeline(41, &vocab, true).to_model_image(),
+        canary_healthy: pipeline(41, &vocab, false).to_model_image(),
+    };
+
+    // Control legs share the fault legs' topology (the canary's current
+    // version healthy) at a zero salt rate.
+    let mut failures: Vec<String> = Vec::new();
+    let mut pairs: Vec<(LegOutcome, LegOutcome)> = Vec::with_capacity(PAIRS);
+    for p in 0..PAIRS {
+        let mut run = |fault: bool| {
+            let mut leg_failures = Vec::new();
+            let outcome = leg(&images, fault, reqs, rate, cores, &mut leg_failures);
+            let name = if fault { "fault" } else { "control" };
+            failures.extend(
+                leg_failures
+                    .iter()
+                    .map(|f| format!("pair {p} {name} leg: {f}")),
+            );
+            outcome
+        };
+        // Even pairs run the control leg first, odd pairs the fault leg.
+        let (first, second) = (run(p % 2 == 1), run(p % 2 == 0));
+        pairs.push(if p % 2 == 0 {
+            (first, second)
+        } else {
+            (second, first)
+        });
+    }
 
     // ---- report -------------------------------------------------------
-    let ratio = control.healthy_p99.as_secs_f64() / faulted.healthy_p99.as_secs_f64();
+    let threshold = RuntimeConfig::default().fault_quarantine_threshold;
+    let (mut rows, mut entries, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for (p, (control, faulted)) in pairs.iter().enumerate() {
+        let (c_us, f_us) = (
+            control.healthy_p99.as_secs_f64() * 1e6,
+            faulted.healthy_p99.as_secs_f64() * 1e6,
+        );
+        let lost = control.healthy_lost + faulted.healthy_lost;
+        rows.push(vec![
+            p.to_string(),
+            format!("{c_us:.1}"),
+            format!("{f_us:.1}"),
+            format!("{:.3}", c_us / f_us),
+            lost.to_string(),
+        ]);
+        entries.push(format!(
+            "    {{\"pair\": {p}, \"control_first\": {}, \"control_p99_us\": {c_us:.1}, \
+             \"faulted_p99_us\": {f_us:.1}, \"healthy_p99_ratio\": {:.3}, \"lost\": {lost}, \
+             \"exec_faults\": {}}}",
+            p % 2 == 0,
+            c_us / f_us,
+            faulted.alias.exec_faults,
+        ));
+        ratios.push(c_us / f_us);
+    }
+    ratios.sort_by(f64::total_cmp);
+    let ratio = ratios[PAIRS / 2]; // the median: PAIRS is odd
     print_table(
         &format!(
             "Ablation: serving through failure ({reqs} reqs/plan, {:.0}% fault rate, \
-             {cores} cores)",
+             {cores} cores; even pairs run the control leg first)",
             rate * 100.0
         ),
-        &["leg", "healthy p99", "alias ok/fault/quar", "lost"],
-        &[
-            vec![
-                "control".into(),
-                format!("{:.2?}", control.healthy_p99),
-                format!("{}/0/0", control.alias.ok),
-                control.healthy_lost.to_string(),
-            ],
-            vec![
-                "faulted".into(),
-                format!("{:.2?}", faulted.healthy_p99),
-                format!(
-                    "{}/{}/{}",
-                    faulted.alias.ok, faulted.alias.exec_faults, faulted.alias.quarantined
-                ),
-                faulted.healthy_lost.to_string(),
-            ],
-        ],
+        &["pair", "control p99 µs", "faulted p99 µs", "ratio", "lost"],
+        &rows,
     );
     println!(
-        "  healthy p99 ratio (control/faulted) = {ratio:.3}; quarantine after \
-         {threshold} faults, alias auto-rolled back to plan {predecessor_id}"
+        "  median healthy p99 ratio (control/faulted) = {ratio:.3}; quarantine after \
+         {threshold} faults, alias auto-rolled back in every fault leg"
     );
 
     let containment_ok = failures.is_empty();
     let json = format!(
-        "{{\n  \"bench\": \"faults\",\n  \"entries\": [\n    \
-         {{\"category\": \"healthy\", \"mode\": \"control\", \"p99_us\": {:.1}, \
-         \"lost\": {}}},\n    \
-         {{\"category\": \"healthy\", \"mode\": \"faulted\", \"p99_us\": {:.1}, \
-         \"lost\": {}}},\n    \
-         {{\"category\": \"alias\", \"mode\": \"faulted\", \"ok\": {}, \
-         \"exec_faults\": {}, \"quarantined\": {}}}\n  ],\n  \
-         \"speedup\": {{\"healthy_p99_ratio\": {ratio:.3}}},\n  \
+        "{{\n  \"bench\": \"faults\",\n  \"pairs\": [\n{}\n  ],\n  \
+         \"speedup\": {{\"healthy_p99_ratio_median\": {ratio:.3}}},\n  \
          \"containment_ok\": {containment_ok}\n}}\n",
-        control.healthy_p99.as_secs_f64() * 1e6,
-        control.healthy_lost,
-        faulted.healthy_p99.as_secs_f64() * 1e6,
-        faulted.healthy_lost,
-        faulted.alias.ok,
-        faulted.alias.exec_faults,
-        faulted.alias.quarantined,
+        entries.join(",\n")
     );
     std::fs::write("BENCH_faults.json", json).expect("write BENCH_faults.json");
     println!("\nwrote BENCH_faults.json");

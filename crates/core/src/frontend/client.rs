@@ -386,7 +386,7 @@ impl Client {
     /// `STATS`: one merged telemetry snapshot of the serving runtime —
     /// per-plan latency histograms, pool/lifecycle/store counters, and
     /// the FrontEnd's connection-plane section. Render it with
-    /// [`MetricsSnapshot::to_json`] or [`MetricsSnapshot::render_text`].
+    /// [`MetricsSnapshot::to_json`].
     pub fn stats(&mut self) -> Result<MetricsSnapshot> {
         let payload = self.roundtrip_admin(0, wire::ADMIN_STATS, |_| {})?;
         MetricsSnapshot::decode(&mut Cursor::new(&payload))

@@ -75,52 +75,15 @@ fn shard_of(checksum: u64) -> usize {
     (checksum.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize & (STORE_SHARDS - 1)
 }
 
-/// One plan's access-recency record: a pair of relaxed atomics written per
-/// admitted request, read only at snapshot time. The runtime resolves it
-/// once per plan ([`ObjectStore::plan_access`]) and keeps it beside the
-/// compiled plan, so noting an access takes no map read.
-#[derive(Debug, Default)]
-pub struct PlanAccess {
-    count: AtomicU64,
-    last_epoch: AtomicU64,
-}
-
 /// Checksum-keyed store of shared operator parameters.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ObjectStore {
-    shards: Vec<RwLock<HashMap<u64, StoreEntry>>>,
+    shards: [RwLock<HashMap<u64, StoreEntry>>; STORE_SHARDS],
     interned: AtomicU64,
     reused: AtomicU64,
     bytes_saved: AtomicU64,
     released: AtomicU64,
     released_bytes: AtomicU64,
-    /// Global logical access clock, starting at 1. It ticks when recency
-    /// is read ([`Self::plan_access_snapshot`]), never per access: an
-    /// access stamps its plan with the current value, so `last_epoch`
-    /// orders plans by the snapshot interval of their latest request
-    /// (plans served within one interval tie) without a wall-clock read or
-    /// a shared read-modify-write per request.
-    access_epoch: AtomicU64,
-    /// Per-plan hotness (access count + recency epoch) — the signal the
-    /// million-model tiering policy demotes cold parameters on. Written
-    /// when a plan's record is resolved or forgotten and read at snapshot
-    /// time; accesses go through the resolved record, not through the map.
-    plan_access: RwLock<HashMap<u32, Arc<PlanAccess>>>,
-}
-
-impl Default for ObjectStore {
-    fn default() -> Self {
-        ObjectStore {
-            shards: (0..STORE_SHARDS).map(|_| RwLock::default()).collect(),
-            interned: AtomicU64::new(0),
-            reused: AtomicU64::new(0),
-            bytes_saved: AtomicU64::new(0),
-            released: AtomicU64::new(0),
-            released_bytes: AtomicU64::new(0),
-            access_epoch: AtomicU64::new(1),
-            plan_access: RwLock::new(HashMap::new()),
-        }
-    }
 }
 
 /// The unique `(checksum, op)` parameter set of a plan, through
@@ -349,50 +312,6 @@ impl ObjectStore {
     /// Count of intern calls that found an existing object.
     pub fn reuse_count(&self) -> u64 {
         self.reused.load(Ordering::Relaxed)
-    }
-
-    /// The access record of `plan` (created on first use), for the caller
-    /// to keep and pass to [`Self::note_access`].
-    pub fn plan_access(&self, plan: u32) -> Arc<PlanAccess> {
-        Arc::clone(self.plan_access.write().entry(plan).or_default())
-    }
-
-    /// Notes one serving access: bumps the plan's count and stamps it with
-    /// the access clock — relaxed atomics on the plan's own record, the
-    /// stamp written only when the clock moved since its last access.
-    pub fn note_access(&self, access: &PlanAccess) {
-        access.count.fetch_add(1, Ordering::Relaxed);
-        let epoch = self.access_epoch.load(Ordering::Relaxed);
-        if access.last_epoch.load(Ordering::Relaxed) != epoch {
-            access.last_epoch.store(epoch, Ordering::Relaxed);
-        }
-    }
-
-    /// Forgets a plan's access record (undeploy) so snapshots only rank
-    /// live plans.
-    pub fn forget_plan_access(&self, plan: u32) {
-        self.plan_access.write().remove(&plan);
-    }
-
-    /// Per-plan access recency of every plan served at least once, sorted
-    /// by plan id — the hotness input to tiering decisions and the
-    /// `plan_access` section of the metrics snapshot. Ticks the access
-    /// clock, so requests after this snapshot rank hotter than those
-    /// before it.
-    pub fn plan_access_snapshot(&self) -> Vec<crate::telemetry::PlanAccessSnapshot> {
-        self.access_epoch.fetch_add(1, Ordering::Relaxed);
-        let g = self.plan_access.read();
-        let mut out: Vec<_> = g
-            .iter()
-            .filter(|(_, a)| a.count.load(Ordering::Relaxed) > 0)
-            .map(|(&plan, a)| crate::telemetry::PlanAccessSnapshot {
-                plan,
-                accesses: a.count.load(Ordering::Relaxed),
-                last_access_epoch: a.last_epoch.load(Ordering::Relaxed),
-            })
-            .collect();
-        out.sort_by_key(|a| a.plan);
-        out
     }
 }
 

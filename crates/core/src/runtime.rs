@@ -24,7 +24,7 @@ use crate::graph::TransformGraph;
 use crate::lifecycle::{
     AliasMap, DeployOptions, GatePass, LifecycleStats, PlanGate, PlanInfo, UndeployReport,
 };
-use crate::object_store::{MaterializationCache, ObjectStore, PlanAccess};
+use crate::object_store::{MaterializationCache, ObjectStore};
 use crate::physical::{CompileOptions, ExecCtx, ModelPlan, PhysicalStage, SourceRef};
 use crate::plan::StagePlan;
 use crate::scheduler::{AssembledBatch, BatchHandle, Record, Scheduler};
@@ -144,13 +144,12 @@ impl RegisteredPlan {
 
 /// Everything a request needs from its plan, resolved once when the plan
 /// compiles so that admission reads one map (the plan registry) and
-/// nothing else: the executable plan, its telemetry recorder and its
-/// access-recency record. Dropped as a unit by `undeploy`.
+/// nothing else: the executable plan and its telemetry recorder. Dropped
+/// as a unit by `undeploy`.
 #[derive(Debug)]
 struct Serving {
     plan: Arc<ModelPlan>,
     recorder: Arc<PlanRecorder>,
-    access: Arc<PlanAccess>,
 }
 
 /// A request-response session: an execution context over the runtime's
@@ -424,9 +423,9 @@ impl Runtime {
     /// One unified snapshot of everything the runtime knows about itself:
     /// the telemetry plane's histograms and per-plan sections merged with
     /// the stat structs — scheduler counters, pool lease stats, lifecycle
-    /// counters, Object Store usage plus per-plan access recency, and
-    /// materialization-cache counters.
-    /// This is what the `STATS` wire verb serializes.
+    /// counters, Object Store usage and materialization-cache counters. A
+    /// plan's request count is its section's `rr_requests +
+    /// batch_requests`. This is what the `STATS` wire verb serializes.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
         let sched = self.scheduler.stats();
@@ -452,7 +451,6 @@ impl Runtime {
             bytes_saved: self.store.bytes_saved(),
             released: self.store.release_count(),
             released_bytes: self.store.released_bytes(),
-            plan_access: self.store.plan_access_snapshot(),
         };
         snap.mat_cache = self.cache.as_ref().map(|c| c.stats());
         // Quarantine is gate state, not a recorder counter: stamp it at
@@ -604,7 +602,6 @@ impl Runtime {
         Serving {
             plan,
             recorder: self.metrics.plan_recorder(id),
-            access: self.store.plan_access(id),
         }
     }
 
@@ -638,7 +635,6 @@ impl Runtime {
         let registered = self.entry(id)?;
         let pass = registered.gate.enter(id)?;
         let serving = self.serving_of(id, &registered)?;
-        self.store.note_access(&serving.access);
         Ok((pass, Arc::clone(&serving.plan)))
     }
 
@@ -737,7 +733,6 @@ impl Runtime {
                 self.plan(id)?;
                 continue;
             };
-            self.store.note_access(&serving.access);
             serving.recorder.note_rr_request();
             let plan = &*serving.plan;
             // Containment boundary for the inline engine: a panicking
@@ -904,7 +899,6 @@ impl Runtime {
         let dropped_aliases = self.aliases.drop_plan(id);
         self.scheduler.unreserve(id);
         self.compact_tombstones();
-        self.store.forget_plan_access(id);
         self.fault_policy.forget(id);
         self.metrics.forget_plan(id);
         self.lifecycle_stats.note_undeploy();

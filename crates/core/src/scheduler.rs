@@ -42,7 +42,7 @@ use pretzel_data::pool::VectorPool;
 use pretzel_data::{ColumnBatch, DataError, Result};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -561,9 +561,10 @@ pub type FaultHook = Arc<dyn Fn(u32) + Send + Sync>;
 
 /// The hook cell shared between the scheduler handle and its executor
 /// threads. A cell (rather than a constructor argument) because the
-/// runtime builds the scheduler before the policy state the hook captures.
+/// runtime builds the scheduler before the policy state the hook captures;
+/// set once, it is read without a lock.
 #[derive(Clone, Default)]
-struct FaultHookCell(Arc<Mutex<Option<FaultHook>>>);
+struct FaultHookCell(Arc<OnceLock<FaultHook>>);
 
 impl std::fmt::Debug for FaultHookCell {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -699,10 +700,10 @@ impl Scheduler {
 
     /// Installs the fault-policy callback invoked (on the faulting
     /// executor's thread) each time a panic is contained, with the
-    /// faulting plan's id. Replaces any previous hook; executors pick the
-    /// new hook up on their next contained fault.
+    /// faulting plan's id. The first hook installed stays: a later call
+    /// is ignored.
     pub fn set_fault_hook(&self, hook: FaultHook) {
-        *self.env.fault_hook.0.lock() = Some(hook);
+        let _ = self.env.fault_hook.0.set(hook);
     }
 
     /// Scheduler counters.
@@ -1207,8 +1208,7 @@ fn run_chunk_stage(
             task.meter
                 .rec
                 .record_fault(ctx.clock.since(stage_start).as_nanos() as u64);
-            let hook = fault_hook.0.lock().clone();
-            if let Some(hook) = hook {
+            if let Some(hook) = fault_hook.0.get() {
                 hook(task.plan_id);
             }
         }

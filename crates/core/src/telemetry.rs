@@ -18,6 +18,7 @@
 //! wraps by definition), so overflow can never panic a recorder.
 
 use std::collections::HashMap;
+use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -108,6 +109,14 @@ impl Histogram {
         self.sum = self.sum.wrapping_add(other.sum);
     }
 
+    /// Folds one recorder shard in (exact: bucket-wise sums).
+    fn add_shard(&mut self, shard: &AtomicHistogram) {
+        for (dst, src) in self.buckets.iter_mut().zip(shard.buckets.iter()) {
+            *dst = dst.wrapping_add(src.load(Ordering::Relaxed));
+        }
+        self.sum = self.sum.wrapping_add(shard.sum.load(Ordering::Relaxed));
+    }
+
     /// Upper bound of the bucket holding the `q`-quantile sample
     /// (`0.0 < q <= 1.0`); 0 when empty. Log2 buckets bound the estimate to
     /// within 2x of the true sample, which is what latency percentiles need.
@@ -148,47 +157,6 @@ impl Histogram {
     pub fn mean(&self) -> u64 {
         self.sum.checked_div(self.count()).unwrap_or(0)
     }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        let used = self
-            .buckets
-            .iter()
-            .rposition(|&c| c != 0)
-            .map(|b| b + 1)
-            .unwrap_or(0);
-        put_u32(out, used as u32);
-        for &c in &self.buckets[..used] {
-            put_u64(out, c);
-        }
-        put_u64(out, self.sum);
-    }
-
-    fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
-        let used = cur.u32()? as usize;
-        if used > HIST_BUCKETS {
-            return Err(DataError::Codec(format!(
-                "histogram bucket count {used} exceeds {HIST_BUCKETS}"
-            )));
-        }
-        let mut h = Histogram::new();
-        for b in h.buckets.iter_mut().take(used) {
-            *b = cur.u64()?;
-        }
-        h.sum = cur.u64()?;
-        Ok(h)
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
-            self.count(),
-            self.sum,
-            self.mean(),
-            self.p50(),
-            self.p99(),
-            self.max_observed()
-        )
-    }
 }
 
 /// The concurrent histogram one shard owns. Recording is three relaxed
@@ -215,17 +183,9 @@ impl AtomicHistogram {
         self.sum.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Folds this shard into `into` (exact: bucket-wise sums).
-    fn merge_into(&self, into: &mut Histogram) {
-        for (dst, src) in into.buckets.iter_mut().zip(self.buckets.iter()) {
-            *dst = dst.wrapping_add(src.load(Ordering::Relaxed));
-        }
-        into.sum = into.sum.wrapping_add(self.sum.load(Ordering::Relaxed));
-    }
-
     pub fn snapshot(&self) -> Histogram {
         let mut h = Histogram::new();
-        self.merge_into(&mut h);
+        h.add_shard(self);
         h
     }
 }
@@ -264,6 +224,11 @@ fn default_shards() -> usize {
         .unwrap_or(8)
         .next_power_of_two()
         .clamp(1, 16)
+}
+
+/// Adds one shard's counter into a snapshot's (wrapping, as the counter).
+fn add(total: &mut u64, shard: &AtomicU64) {
+    *total = total.wrapping_add(shard.load(Ordering::Relaxed));
 }
 
 /// One shard of a per-plan recorder.
@@ -350,24 +315,16 @@ impl PlanRecorder {
             plan,
             ..Default::default()
         };
-        for s in self.shards.iter() {
-            let s = &s.0;
-            snap.batch_requests = snap
-                .batch_requests
-                .wrapping_add(s.batch_requests.load(Ordering::Relaxed));
-            snap.rr_requests = snap
-                .rr_requests
-                .wrapping_add(s.rr_requests.load(Ordering::Relaxed));
-            snap.records = snap.records.wrapping_add(s.records.load(Ordering::Relaxed));
-            snap.stage_rows = snap
-                .stage_rows
-                .wrapping_add(s.stage_rows.load(Ordering::Relaxed));
-            snap.faults = snap.faults.wrapping_add(s.faults.load(Ordering::Relaxed));
-            s.queue_wait_low_ns.merge_into(&mut snap.queue_wait_low_ns);
-            s.queue_wait_high_ns
-                .merge_into(&mut snap.queue_wait_high_ns);
-            s.stage_exec_ns.merge_into(&mut snap.stage_exec_ns);
-            s.fault_ns.merge_into(&mut snap.fault_ns);
+        for s in self.shards.iter().map(|s| &s.0) {
+            add(&mut snap.batch_requests, &s.batch_requests);
+            add(&mut snap.rr_requests, &s.rr_requests);
+            add(&mut snap.records, &s.records);
+            add(&mut snap.stage_rows, &s.stage_rows);
+            add(&mut snap.faults, &s.faults);
+            snap.queue_wait_low_ns.add_shard(&s.queue_wait_low_ns);
+            snap.queue_wait_high_ns.add_shard(&s.queue_wait_high_ns);
+            snap.stage_exec_ns.add_shard(&s.stage_exec_ns);
+            snap.fault_ns.add_shard(&s.fault_ns);
         }
         snap
     }
@@ -465,24 +422,68 @@ impl MetricsRegistry {
     /// lifecycle, store, cache) and the FrontEnd overlays its own.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
-        for s in self.shards.iter() {
-            let s = &s.0;
-            s.decode_ns.merge_into(&mut snap.decode_ns);
-            s.completion_flush_ns
-                .merge_into(&mut snap.completion_flush_ns);
-            s.cache_probe_hit_ns
-                .merge_into(&mut snap.cache_probe_hit_ns);
-            s.cache_probe_miss_ns
-                .merge_into(&mut snap.cache_probe_miss_ns);
-            snap.delayed_drops = snap
-                .delayed_drops
-                .wrapping_add(s.delayed_drops.load(Ordering::Relaxed));
+        for s in self.shards.iter().map(|s| &s.0) {
+            snap.decode_ns.add_shard(&s.decode_ns);
+            snap.completion_flush_ns.add_shard(&s.completion_flush_ns);
+            snap.cache_probe_hit_ns.add_shard(&s.cache_probe_hit_ns);
+            snap.cache_probe_miss_ns.add_shard(&s.cache_probe_miss_ns);
+            add(&mut snap.delayed_drops, &s.delayed_drops);
         }
         let plans = self.plans.read();
         snap.plans = plans.iter().map(|(&id, rec)| rec.snapshot(id)).collect();
         snap.plans.sort_by_key(|p| p.plan);
         snap
     }
+}
+
+/// A snapshot struct's field walk (the STATS schema, below): every field
+/// once, in wire and JSON order. [`Encoder`] and [`JsonWriter`] visit it
+/// through `put`, [`Decoder`] through `take`.
+trait Walk: Sized {
+    fn put(&self, sink: &mut impl Sink);
+    fn take(source: &mut impl Source) -> Result<Self>;
+}
+
+/// A visitor that reads a snapshot, one method per kind of field.
+trait Sink: Sized {
+    fn u64(&mut self, name: &'static str, v: &u64);
+    fn u32(&mut self, name: &'static str, v: &u32);
+    fn bool(&mut self, name: &'static str, v: &bool);
+    fn hist(&mut self, name: &'static str, h: &Histogram);
+    fn section(&mut self, _name: &'static str, s: &impl Walk) {
+        s.put(self);
+    }
+    fn option(&mut self, name: &'static str, s: &Option<impl Walk>);
+    fn list(&mut self, name: &'static str, items: &[impl Walk]);
+}
+
+/// A visitor that builds a snapshot, one method per kind of field.
+trait Source: Sized {
+    fn u64(&mut self, name: &'static str) -> Result<u64>;
+    fn u32(&mut self, name: &'static str) -> Result<u32>;
+    fn bool(&mut self, name: &'static str) -> Result<bool>;
+    fn hist(&mut self, name: &'static str) -> Result<Histogram>;
+    fn section<T: Walk>(&mut self, _name: &'static str) -> Result<T> {
+        T::take(self)
+    }
+    fn option<T: Walk>(&mut self, name: &'static str) -> Result<Option<T>>;
+    fn list<T: Walk>(&mut self, name: &'static str) -> Result<Vec<T>>;
+}
+
+/// Declares structs' [`Walk`]s: one `field: kind` per field, `kind`
+/// naming the visitor method that codes it. `take` builds the struct as a
+/// literal, so a field left out of its walk does not compile.
+macro_rules! walk {
+    ($($ty:ident { $($field:ident: $kind:ident),+ $(,)? })+) => {$(
+        impl Walk for $ty {
+            fn put(&self, sink: &mut impl Sink) {
+                $(sink.$kind(stringify!($field), &self.$field);)+
+            }
+            fn take(source: &mut impl Source) -> Result<Self> {
+                Ok(Self { $($field: source.$kind(stringify!($field))?,)+ })
+            }
+        }
+    )+};
 }
 
 /// One pool family's lease counters and what it holds idle: the answer to
@@ -524,7 +525,7 @@ impl std::ops::AddAssign for PoolCounters {
 }
 
 /// Scheduler counters (mirrors `SchedStats`).
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerSnapshot {
     pub stage_events: u64,
     pub records_done: u64,
@@ -532,7 +533,7 @@ pub struct SchedulerSnapshot {
 }
 
 /// Lease/miss counters and idle holdings for each pool family.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PoolsSnapshot {
     /// Aggregated executor pools (shared + reserved); the holdings include
     /// the fallback arena behind them.
@@ -543,15 +544,8 @@ pub struct PoolsSnapshot {
     pub ingest: PoolCounters,
 }
 
-impl PoolsSnapshot {
-    /// The three families in wire order.
-    fn families(&self) -> [PoolCounters; 3] {
-        [self.executor, self.request_response, self.ingest]
-    }
-}
-
 /// Lifecycle counters (mirrors `LifecycleStats`).
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LifecycleSnapshot {
     pub deploys: u64,
     pub undeploys: u64,
@@ -559,22 +553,8 @@ pub struct LifecycleSnapshot {
     pub stages_reused: u64,
 }
 
-/// One plan's Object Store access-recency entry — the hotness signal the
-/// million-model tiering policy consumes.
+/// Object Store counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct PlanAccessSnapshot {
-    pub plan: u32,
-    /// Requests admitted for this plan since deploy.
-    pub accesses: u64,
-    /// Value of the store's global access clock at this plan's most recent
-    /// request; compare across plans for recency (larger = hotter). The
-    /// clock ticks once per snapshot, so plans last served between the
-    /// same two snapshots tie.
-    pub last_access_epoch: u64,
-}
-
-/// Object Store counters plus per-plan access recency.
-#[derive(Debug, Default, Clone)]
 pub struct StoreSnapshot {
     pub unique_objects: u64,
     pub unique_bytes: u64,
@@ -582,12 +562,11 @@ pub struct StoreSnapshot {
     pub bytes_saved: u64,
     pub released: u64,
     pub released_bytes: u64,
-    pub plan_access: Vec<PlanAccessSnapshot>,
 }
 
 /// FrontEnd connection counters (present only in STATS served over a
 /// FrontEnd; a bare `Runtime::metrics` has no FrontEnd to read).
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct FrontEndSnapshot {
     pub open_connections: u64,
     pub accepted: u64,
@@ -595,7 +574,7 @@ pub struct FrontEndSnapshot {
 }
 
 /// One plan's merged request-lifecycle metrics.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct PlanMetricsSnapshot {
     pub plan: u32,
     /// Batch-engine submissions.
@@ -635,7 +614,7 @@ impl PlanMetricsSnapshot {
 
 /// Everything the runtime knows about itself, in one merge: telemetry
 /// histograms plus the runtime's stat structs.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     pub scheduler: SchedulerSnapshot,
     pub pools: PoolsSnapshot,
@@ -652,386 +631,227 @@ pub struct MetricsSnapshot {
     pub plans: Vec<PlanMetricsSnapshot>,
 }
 
+// The STATS schema: every snapshot struct's walk, in wire and JSON order.
+walk! {
+    MetricsSnapshot {
+        scheduler: section, pools: section, lifecycle: section, store: section,
+        mat_cache: option, frontend: option, delayed_drops: u64, decode_ns: hist,
+        completion_flush_ns: hist, cache_probe_hit_ns: hist, cache_probe_miss_ns: hist,
+        plans: list,
+    }
+    SchedulerSnapshot { stage_events: u64, records_done: u64, steals: u64 }
+    PoolsSnapshot { executor: section, request_response: section, ingest: section }
+    PoolCounters { hits: u64, misses: u64, released: u64, retained_bytes: u64, parked: u64 }
+    LifecycleSnapshot { deploys: u64, undeploys: u64, swaps: u64, stages_reused: u64 }
+    StoreSnapshot {
+        unique_objects: u64, unique_bytes: u64, reused: u64, bytes_saved: u64, released: u64,
+        released_bytes: u64,
+    }
+    MatCacheStats { hits: u64, misses: u64, evictions: u64 }
+    FrontEndSnapshot { open_connections: u64, accepted: u64, protocol_errors: u64 }
+    PlanMetricsSnapshot {
+        plan: u32, batch_requests: u64, rr_requests: u64, records: u64, stage_rows: u64,
+        faults: u64, quarantined: bool, queue_wait_low_ns: hist, queue_wait_high_ns: hist,
+        stage_exec_ns: hist, fault_ns: hist,
+    }
+}
+
 impl MetricsSnapshot {
     /// The per-plan section for `plan`, if any requests were recorded.
     pub fn plan(&self, plan: u32) -> Option<&PlanMetricsSnapshot> {
         self.plans.iter().find(|p| p.plan == plan)
     }
 
-    /// The store's access-recency entry for `plan`.
-    pub fn plan_access(&self, plan: u32) -> Option<&PlanAccessSnapshot> {
-        self.store.plan_access.iter().find(|p| p.plan == plan)
-    }
-
     /// Binary wire encoding (the STATS admin payload).
     pub fn encode(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.scheduler.stage_events);
-        put_u64(out, self.scheduler.records_done);
-        put_u64(out, self.scheduler.steals);
-        for p in self.pools.families() {
-            put_u64(out, p.hits);
-            put_u64(out, p.misses);
-        }
-        put_u64(out, self.lifecycle.deploys);
-        put_u64(out, self.lifecycle.undeploys);
-        put_u64(out, self.lifecycle.swaps);
-        put_u64(out, self.lifecycle.stages_reused);
-        put_u64(out, self.store.unique_objects);
-        put_u64(out, self.store.unique_bytes);
-        put_u64(out, self.store.reused);
-        put_u64(out, self.store.bytes_saved);
-        put_u64(out, self.store.released);
-        put_u64(out, self.store.released_bytes);
-        put_u32(out, self.store.plan_access.len() as u32);
-        for a in &self.store.plan_access {
-            put_u32(out, a.plan);
-            put_u64(out, a.accesses);
-            put_u64(out, a.last_access_epoch);
-        }
-        match &self.mat_cache {
-            Some(c) => {
-                out.push(1);
-                put_u64(out, c.hits);
-                put_u64(out, c.misses);
-                put_u64(out, c.evictions);
-            }
-            None => out.push(0),
-        }
-        match &self.frontend {
-            Some(f) => {
-                out.push(1);
-                put_u64(out, f.open_connections);
-                put_u64(out, f.accepted);
-                put_u64(out, f.protocol_errors);
-            }
-            None => out.push(0),
-        }
-        put_u64(out, self.delayed_drops);
-        self.decode_ns.encode(out);
-        self.completion_flush_ns.encode(out);
-        self.cache_probe_hit_ns.encode(out);
-        self.cache_probe_miss_ns.encode(out);
-        put_u32(out, self.plans.len() as u32);
-        for p in &self.plans {
-            put_u32(out, p.plan);
-            put_u64(out, p.batch_requests);
-            put_u64(out, p.rr_requests);
-            put_u64(out, p.records);
-            put_u64(out, p.stage_rows);
-            put_u64(out, p.faults);
-            out.push(p.quarantined as u8);
-            p.queue_wait_low_ns.encode(out);
-            p.queue_wait_high_ns.encode(out);
-            p.stage_exec_ns.encode(out);
-            p.fault_ns.encode(out);
-        }
-        // Appended after everything an older reader expects, so a payload
-        // without it still decodes (as zeros).
-        for p in self.pools.families() {
-            put_u64(out, p.retained_bytes);
-            put_u64(out, p.parked);
-        }
-        for p in self.pools.families() {
-            put_u64(out, p.released);
-        }
+        self.put(&mut Encoder(out));
     }
 
-    fn decode_bool(cur: &mut Cursor<'_>) -> Result<bool> {
-        Ok(cur.u8()? != 0)
-    }
-
-    /// Decodes a STATS payload (the client side of [`Self::encode`]).
+    /// Decodes a STATS payload (the client side of [`Self::encode`]); the
+    /// payload must fill the rest of `cur`.
     pub fn decode(cur: &mut Cursor<'_>) -> Result<Self> {
-        let scheduler = SchedulerSnapshot {
-            stage_events: cur.u64()?,
-            records_done: cur.u64()?,
-            steals: cur.u64()?,
-        };
-        let mut pool = || -> Result<PoolCounters> {
-            Ok(PoolCounters {
-                hits: cur.u64()?,
-                misses: cur.u64()?,
-                ..PoolCounters::default()
-            })
-        };
-        let mut pools = PoolsSnapshot {
-            executor: pool()?,
-            request_response: pool()?,
-            ingest: pool()?,
-        };
-        let lifecycle = LifecycleSnapshot {
-            deploys: cur.u64()?,
-            undeploys: cur.u64()?,
-            swaps: cur.u64()?,
-            stages_reused: cur.u64()?,
-        };
-        let mut store = StoreSnapshot {
-            unique_objects: cur.u64()?,
-            unique_bytes: cur.u64()?,
-            reused: cur.u64()?,
-            bytes_saved: cur.u64()?,
-            released: cur.u64()?,
-            released_bytes: cur.u64()?,
-            plan_access: Vec::new(),
-        };
-        let n_access = cur.u32()? as usize;
-        store.plan_access.reserve(n_access.min(4096));
-        for _ in 0..n_access {
-            store.plan_access.push(PlanAccessSnapshot {
-                plan: cur.u32()?,
-                accesses: cur.u64()?,
-                last_access_epoch: cur.u64()?,
-            });
+        let snap = Self::take(&mut Decoder(cur))?;
+        match cur.remaining() {
+            0 => Ok(snap),
+            n => Err(DataError::Codec(format!("{n} bytes after the snapshot"))),
         }
-        let mat_cache = if Self::decode_bool(cur)? {
-            Some(MatCacheStats {
-                hits: cur.u64()?,
-                misses: cur.u64()?,
-                evictions: cur.u64()?,
-            })
-        } else {
-            None
-        };
-        let frontend = if Self::decode_bool(cur)? {
-            Some(FrontEndSnapshot {
-                open_connections: cur.u64()?,
-                accepted: cur.u64()?,
-                protocol_errors: cur.u64()?,
-            })
-        } else {
-            None
-        };
-        let delayed_drops = cur.u64()?;
-        let decode_ns = Histogram::decode(cur)?;
-        let completion_flush_ns = Histogram::decode(cur)?;
-        let cache_probe_hit_ns = Histogram::decode(cur)?;
-        let cache_probe_miss_ns = Histogram::decode(cur)?;
-        let n_plans = cur.u32()? as usize;
-        let mut plans = Vec::with_capacity(n_plans.min(4096));
-        for _ in 0..n_plans {
-            plans.push(PlanMetricsSnapshot {
-                plan: cur.u32()?,
-                batch_requests: cur.u64()?,
-                rr_requests: cur.u64()?,
-                records: cur.u64()?,
-                stage_rows: cur.u64()?,
-                faults: cur.u64()?,
-                quarantined: Self::decode_bool(cur)?,
-                queue_wait_low_ns: Histogram::decode(cur)?,
-                queue_wait_high_ns: Histogram::decode(cur)?,
-                stage_exec_ns: Histogram::decode(cur)?,
-                fault_ns: Histogram::decode(cur)?,
-            });
-        }
-        // Pool holdings trail the payload; one from a server that predates
-        // them ends here and they read 0.
-        if cur.remaining() > 0 {
-            for p in [
-                &mut pools.executor,
-                &mut pools.request_response,
-                &mut pools.ingest,
-            ] {
-                p.retained_bytes = cur.u64()?;
-                p.parked = cur.u64()?;
-            }
-        }
-        if cur.remaining() > 0 {
-            for p in [
-                &mut pools.executor,
-                &mut pools.request_response,
-                &mut pools.ingest,
-            ] {
-                p.released = cur.u64()?;
-            }
-        }
-        Ok(MetricsSnapshot {
-            scheduler,
-            pools,
-            lifecycle,
-            store,
-            mat_cache,
-            frontend,
-            delayed_drops,
-            decode_ns,
-            completion_flush_ns,
-            cache_probe_hit_ns,
-            cache_probe_miss_ns,
-            plans,
-        })
     }
 
-    /// JSON rendering (hand-rolled; the repo carries no serde).
+    /// JSON rendering: every section an object, an absent one `null`, a
+    /// histogram its count, sum, mean, p50, p99 and max.
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        s.push_str(&format!(
-            "{{\"scheduler\":{{\"stage_events\":{},\"records_done\":{},\"steals\":{}}}",
-            self.scheduler.stage_events, self.scheduler.records_done, self.scheduler.steals
-        ));
-        let pool = |p: &PoolCounters| {
-            format!(
-                "{{\"hits\":{},\"misses\":{},\"released\":{},\"retained_bytes\":{},\"parked\":{}}}",
-                p.hits, p.misses, p.released, p.retained_bytes, p.parked
-            )
-        };
-        s.push_str(&format!(
-            ",\"pools\":{{\"executor\":{},\"request_response\":{},\"ingest\":{}}}",
-            pool(&self.pools.executor),
-            pool(&self.pools.request_response),
-            pool(&self.pools.ingest)
-        ));
-        s.push_str(&format!(
-            ",\"lifecycle\":{{\"deploys\":{},\"undeploys\":{},\"swaps\":{},\"stages_reused\":{}}}",
-            self.lifecycle.deploys,
-            self.lifecycle.undeploys,
-            self.lifecycle.swaps,
-            self.lifecycle.stages_reused
-        ));
-        s.push_str(&format!(
-            ",\"store\":{{\"unique_objects\":{},\"unique_bytes\":{},\"reused\":{},\"bytes_saved\":{},\"released\":{},\"released_bytes\":{},\"plan_access\":[",
-            self.store.unique_objects,
-            self.store.unique_bytes,
-            self.store.reused,
-            self.store.bytes_saved,
-            self.store.released,
-            self.store.released_bytes
-        ));
-        for (i, a) in self.store.plan_access.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"plan\":{},\"accesses\":{},\"last_access_epoch\":{}}}",
-                a.plan, a.accesses, a.last_access_epoch
-            ));
-        }
-        s.push_str("]}");
-        match &self.mat_cache {
-            Some(c) => s.push_str(&format!(
-                ",\"mat_cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{}}}",
-                c.hits, c.misses, c.evictions
-            )),
-            None => s.push_str(",\"mat_cache\":null"),
-        }
-        match &self.frontend {
-            Some(f) => s.push_str(&format!(
-                ",\"frontend\":{{\"open_connections\":{},\"accepted\":{},\"protocol_errors\":{}}}",
-                f.open_connections, f.accepted, f.protocol_errors
-            )),
-            None => s.push_str(",\"frontend\":null"),
-        }
-        s.push_str(&format!(
-            ",\"delayed_drops\":{},\"decode_ns\":{},\"completion_flush_ns\":{},\"cache_probe_hit_ns\":{},\"cache_probe_miss_ns\":{},\"plans\":[",
-            self.delayed_drops,
-            self.decode_ns.to_json(),
-            self.completion_flush_ns.to_json(),
-            self.cache_probe_hit_ns.to_json(),
-            self.cache_probe_miss_ns.to_json()
-        ));
-        for (i, p) in self.plans.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
-            }
-            s.push_str(&format!(
-                "{{\"plan\":{},\"batch_requests\":{},\"rr_requests\":{},\"records\":{},\"stage_rows\":{},\"faults\":{},\"quarantined\":{},\"queue_wait_low_ns\":{},\"queue_wait_high_ns\":{},\"stage_exec_ns\":{},\"fault_ns\":{}}}",
-                p.plan,
-                p.batch_requests,
-                p.rr_requests,
-                p.records,
-                p.stage_rows,
-                p.faults,
-                p.quarantined,
-                p.queue_wait_low_ns.to_json(),
-                p.queue_wait_high_ns.to_json(),
-                p.stage_exec_ns.to_json(),
-                p.fault_ns.to_json()
-            ));
-        }
-        s.push_str("]}");
-        s
+        let mut w = JsonWriter(String::with_capacity(1024));
+        w.object(self);
+        w.0
+    }
+}
+
+/// The STATS encoder: little-endian fixed-width fields, a presence byte
+/// before an optional section, a `u32` count before a list, and a
+/// histogram as its buckets up to the last non-empty one (count first)
+/// followed by its sum.
+struct Encoder<'a>(&'a mut Vec<u8>);
+
+impl Sink for Encoder<'_> {
+    fn u64(&mut self, _: &'static str, v: &u64) {
+        put_u64(self.0, *v);
     }
 
-    /// Compact fixed-width text rendering (`pretzel-cli stats`-style).
-    pub fn render_text(&self) -> String {
-        fn hist_line(name: &str, h: &Histogram) -> String {
-            format!(
-                "  {name:<22} n={:<9} p50={:<9} p99={:<9} max={}\n",
-                h.count(),
-                h.p50(),
-                h.p99(),
-                h.max_observed()
-            )
+    fn u32(&mut self, _: &'static str, v: &u32) {
+        put_u32(self.0, *v);
+    }
+
+    fn bool(&mut self, _: &'static str, v: &bool) {
+        self.0.push(*v as u8);
+    }
+
+    fn hist(&mut self, _: &'static str, h: &Histogram) {
+        let used = h.buckets.iter().rposition(|&c| c != 0).map_or(0, |b| b + 1);
+        put_u32(self.0, used as u32);
+        for &c in &h.buckets[..used] {
+            put_u64(self.0, c);
         }
-        let mut s = String::with_capacity(512);
-        s.push_str(&format!(
-            "scheduler: stage_events={} records_done={} steals={}\n",
-            self.scheduler.stage_events, self.scheduler.records_done, self.scheduler.steals
-        ));
-        let pool = |p: &PoolCounters| {
-            format!(
-                "{}h/{}m/{}r {}B/{}buf",
-                p.hits, p.misses, p.released, p.retained_bytes, p.parked
-            )
-        };
-        s.push_str(&format!(
-            "pools: exec {}  rr {}  ingest {}\n",
-            pool(&self.pools.executor),
-            pool(&self.pools.request_response),
-            pool(&self.pools.ingest)
-        ));
-        s.push_str(&format!(
-            "lifecycle: deploys={} undeploys={} swaps={} stages_reused={}\n",
-            self.lifecycle.deploys,
-            self.lifecycle.undeploys,
-            self.lifecycle.swaps,
-            self.lifecycle.stages_reused
-        ));
-        s.push_str(&format!(
-            "store: objects={} bytes={} reused={} saved={} released={}/{}B\n",
-            self.store.unique_objects,
-            self.store.unique_bytes,
-            self.store.reused,
-            self.store.bytes_saved,
-            self.store.released,
-            self.store.released_bytes
-        ));
-        if let Some(c) = &self.mat_cache {
-            s.push_str(&format!(
-                "mat_cache: hits={} misses={} evictions={}\n",
-                c.hits, c.misses, c.evictions
-            ));
+        put_u64(self.0, h.sum);
+    }
+
+    fn option(&mut self, _: &'static str, s: &Option<impl Walk>) {
+        self.0.push(s.is_some() as u8);
+        if let Some(s) = s {
+            s.put(self);
         }
-        if let Some(f) = &self.frontend {
-            s.push_str(&format!(
-                "frontend: open={} accepted={} protocol_errors={} delayed_drops={}\n",
-                f.open_connections, f.accepted, f.protocol_errors, self.delayed_drops
-            ));
+    }
+
+    fn list(&mut self, _: &'static str, items: &[impl Walk]) {
+        put_u32(self.0, items.len() as u32);
+        for item in items {
+            item.put(self);
         }
-        s.push_str(&hist_line("decode_ns", &self.decode_ns));
-        s.push_str(&hist_line("completion_flush_ns", &self.completion_flush_ns));
-        s.push_str(&hist_line("cache_probe_hit_ns", &self.cache_probe_hit_ns));
-        s.push_str(&hist_line("cache_probe_miss_ns", &self.cache_probe_miss_ns));
-        for p in &self.plans {
-            let access = self.plan_access(p.plan);
-            s.push_str(&format!(
-                "plan {}: batch_req={} rr_req={} records={} stage_rows={} faults={}{} accesses={} last_epoch={}\n",
-                p.plan,
-                p.batch_requests,
-                p.rr_requests,
-                p.records,
-                p.stage_rows,
-                p.faults,
-                if p.quarantined { " QUARANTINED" } else { "" },
-                access.map_or(0, |a| a.accesses),
-                access.map_or(0, |a| a.last_access_epoch)
-            ));
-            s.push_str(&hist_line("queue_wait_low_ns", &p.queue_wait_low_ns));
-            s.push_str(&hist_line("queue_wait_high_ns", &p.queue_wait_high_ns));
-            s.push_str(&hist_line("stage_exec_ns", &p.stage_exec_ns));
-            if p.faults > 0 {
-                s.push_str(&hist_line("fault_ns", &p.fault_ns));
-            }
+    }
+}
+
+/// The STATS decoder, the encoder's inverse. Short bytes, a flag other
+/// than 0 or 1 and more histogram buckets than exist are
+/// [`DataError::Codec`] errors; a list grows only by the items it decodes,
+/// so a corrupt count allocates nothing.
+struct Decoder<'c, 'a>(&'c mut Cursor<'a>);
+
+impl Source for Decoder<'_, '_> {
+    fn u64(&mut self, _: &'static str) -> Result<u64> {
+        self.0.u64()
+    }
+
+    fn u32(&mut self, _: &'static str) -> Result<u32> {
+        self.0.u32()
+    }
+
+    fn bool(&mut self, name: &'static str) -> Result<bool> {
+        match self.0.u8()? {
+            0 => Ok(false),
+            1 => Ok(true),
+            b => Err(DataError::Codec(format!("`{name}` flag byte is {b}"))),
         }
-        s
+    }
+
+    fn hist(&mut self, name: &'static str) -> Result<Histogram> {
+        let used = self.0.u32()? as usize;
+        if used > HIST_BUCKETS {
+            return Err(DataError::Codec(format!(
+                "`{name}` bucket count {used} exceeds {HIST_BUCKETS}"
+            )));
+        }
+        let mut h = Histogram::new();
+        for b in &mut h.buckets[..used] {
+            *b = self.0.u64()?;
+        }
+        h.sum = self.0.u64()?;
+        Ok(h)
+    }
+
+    fn option<T: Walk>(&mut self, name: &'static str) -> Result<Option<T>> {
+        self.bool(name)?.then(|| T::take(self)).transpose()
+    }
+
+    fn list<T: Walk>(&mut self, _: &'static str) -> Result<Vec<T>> {
+        // A count the bytes do not hold fails at its first missing item.
+        (0..self.0.u32()?).map(|_| T::take(self)).collect()
+    }
+}
+
+/// The JSON writer (hand-rolled; the repo carries no serde).
+struct JsonWriter(String);
+
+impl JsonWriter {
+    /// A comma, unless a member or item is the first of its object or list.
+    fn sep(&mut self) {
+        if !self.0.ends_with(['{', '[']) {
+            self.0.push(',');
+        }
+    }
+
+    fn key(&mut self, name: &str) {
+        self.sep();
+        let _ = write!(self.0, "\"{name}\":");
+    }
+
+    fn scalar(&mut self, name: &str, v: impl std::fmt::Display) {
+        self.key(name);
+        let _ = write!(self.0, "{v}");
+    }
+
+    fn object(&mut self, s: &impl Walk) {
+        self.0.push('{');
+        s.put(self);
+        self.0.push('}');
+    }
+}
+
+impl Sink for JsonWriter {
+    fn u64(&mut self, name: &'static str, v: &u64) {
+        self.scalar(name, v);
+    }
+
+    fn u32(&mut self, name: &'static str, v: &u32) {
+        self.scalar(name, v);
+    }
+
+    fn bool(&mut self, name: &'static str, v: &bool) {
+        self.scalar(name, v);
+    }
+
+    fn hist(&mut self, name: &'static str, h: &Histogram) {
+        self.key(name);
+        let _ = write!(
+            self.0,
+            "{{\"count\":{},\"sum\":{},\"mean\":{},\"p50\":{},\"p99\":{},\"max\":{}}}",
+            h.count(),
+            h.sum,
+            h.mean(),
+            h.p50(),
+            h.p99(),
+            h.max_observed()
+        );
+    }
+
+    fn section(&mut self, name: &'static str, s: &impl Walk) {
+        self.key(name);
+        self.object(s);
+    }
+
+    fn option(&mut self, name: &'static str, s: &Option<impl Walk>) {
+        match s {
+            Some(s) => self.section(name, s),
+            None => self.scalar(name, "null"),
+        }
+    }
+
+    fn list(&mut self, name: &'static str, items: &[impl Walk]) {
+        self.key(name);
+        self.0.push('[');
+        for item in items {
+            self.sep();
+            self.object(item);
+        }
+        self.0.push(']');
     }
 }
 
@@ -1065,60 +885,177 @@ mod tests {
         assert!(h.max_observed() >= 100_000);
     }
 
-    #[test]
-    fn snapshot_roundtrips_through_wire_encoding() {
-        let reg = MetricsRegistry::new();
-        reg.record_decode(420);
-        reg.record_cache_probe(true, 64);
-        reg.note_delayed_drops(2);
-        let rec = reg.plan_recorder(7);
-        rec.note_batch_request();
-        rec.record_queue_wait(false, 1_000);
-        rec.record_stage(8_000, 16);
-        rec.record_fault(2_500);
-        let mut snap = reg.snapshot();
-        snap.plans[0].quarantined = true;
-        snap.mat_cache = Some(MatCacheStats {
-            hits: 1,
-            misses: 2,
-            evictions: 3,
-        });
-        snap.store.plan_access.push(PlanAccessSnapshot {
-            plan: 7,
-            accesses: 1,
-            last_access_epoch: 1,
-        });
-        snap.pools.ingest.retained_bytes = 4096;
-        snap.pools.ingest.parked = 3;
-        snap.pools.ingest.released = 5;
+    /// Gives every field of a walk a distinct value (a flag alternates):
+    /// every optional section is present and every list holds two items.
+    struct Filler(u64);
+
+    impl Source for Filler {
+        fn u64(&mut self, _: &'static str) -> Result<u64> {
+            self.0 += 1;
+            Ok(self.0)
+        }
+
+        fn u32(&mut self, name: &'static str) -> Result<u32> {
+            Ok(self.u64(name)? as u32)
+        }
+
+        fn bool(&mut self, name: &'static str) -> Result<bool> {
+            Ok(self.u64(name)? % 2 == 1)
+        }
+
+        fn hist(&mut self, name: &'static str) -> Result<Histogram> {
+            let mut h = Histogram::new();
+            h.record(self.u64(name)?);
+            h.record(self.u64(name)? << 40);
+            Ok(h)
+        }
+
+        fn option<T: Walk>(&mut self, _: &'static str) -> Result<Option<T>> {
+            T::take(self).map(Some)
+        }
+
+        fn list<T: Walk>(&mut self, _: &'static str) -> Result<Vec<T>> {
+            (0..2).map(|_| T::take(self)).collect()
+        }
+    }
+
+    fn filled() -> (MetricsSnapshot, Vec<u8>) {
+        let snap = MetricsSnapshot::take(&mut Filler(0)).unwrap();
         let mut buf = Vec::new();
         snap.encode(&mut buf);
+        (snap, buf)
+    }
+
+    #[test]
+    fn every_field_survives_the_wire() {
+        let (snap, buf) = filled();
+        assert_eq!(snap.plans.len(), 2);
+        assert!(snap.mat_cache.is_some() && snap.frontend.is_some());
+        assert_ne!(snap.plans[0].quarantined, snap.plans[1].quarantined);
         let back = MetricsSnapshot::decode(&mut Cursor::new(&buf)).unwrap();
-        assert_eq!(back.pools.ingest, snap.pools.ingest);
-        // A payload from before release counts were reported ends where
-        // they now start: it decodes, and they read 0.
-        let older = &buf[..buf.len() - 3 * 8];
-        let old_back = MetricsSnapshot::decode(&mut Cursor::new(older)).unwrap();
-        assert_eq!(old_back.pools.ingest.released, 0);
-        assert_eq!(old_back.pools.ingest.parked, 3);
-        // Likewise from before pool holdings were reported.
-        let oldest = &older[..older.len() - 3 * 16];
-        let old_back = MetricsSnapshot::decode(&mut Cursor::new(oldest)).unwrap();
-        assert_eq!(old_back.pools.ingest, PoolCounters::default());
-        assert_eq!(old_back.plans.len(), 1);
-        assert_eq!(back.delayed_drops, 2);
-        assert_eq!(back.decode_ns, snap.decode_ns);
-        assert_eq!(back.plans.len(), 1);
-        assert_eq!(back.plans[0].batch_requests, 1);
-        assert_eq!(back.plans[0].stage_rows, 16);
-        assert_eq!(back.plans[0].stage_exec_ns, snap.plans[0].stage_exec_ns);
-        assert_eq!(back.plans[0].faults, 1);
-        assert!(back.plans[0].quarantined);
-        assert_eq!(back.plans[0].fault_ns, snap.plans[0].fault_ns);
-        assert_eq!(back.plan_access(7).unwrap().accesses, 1);
-        assert!(back.to_json().contains("\"plan\":7"));
-        assert!(back.to_json().contains("\"faults\":1"));
-        assert!(back.render_text().contains("plan 7:"));
-        assert!(back.render_text().contains("QUARANTINED"));
+        assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn cut_or_padded_payloads_are_codec_errors() {
+        let (_, mut buf) = filled();
+        for cut in 0..buf.len() {
+            let err = MetricsSnapshot::decode(&mut Cursor::new(&buf[..cut])).unwrap_err();
+            assert!(matches!(err, DataError::Codec(_)), "cut at {cut}: {err:?}");
+        }
+        buf.push(0);
+        let err = MetricsSnapshot::decode(&mut Cursor::new(&buf)).unwrap_err();
+        assert!(matches!(err, DataError::Codec(_)), "{err:?}");
+    }
+
+    /// A fixed snapshot: two plans, a cache section and no FrontEnd.
+    fn golden_snapshot() -> MetricsSnapshot {
+        let hist = |samples: &[u64]| {
+            let mut h = Histogram::new();
+            for &v in samples {
+                h.record(v);
+            }
+            h
+        };
+        MetricsSnapshot {
+            scheduler: SchedulerSnapshot {
+                stage_events: 11,
+                records_done: 12,
+                steals: 13,
+            },
+            pools: PoolsSnapshot {
+                executor: PoolCounters {
+                    hits: 21,
+                    misses: 22,
+                    released: 23,
+                    retained_bytes: 24,
+                    parked: 25,
+                },
+                ingest: PoolCounters {
+                    misses: 31,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            lifecycle: LifecycleSnapshot {
+                deploys: 41,
+                undeploys: 42,
+                swaps: 43,
+                stages_reused: 44,
+            },
+            store: StoreSnapshot {
+                unique_objects: 51,
+                unique_bytes: 52,
+                reused: 53,
+                bytes_saved: 54,
+                released: 55,
+                released_bytes: 56,
+            },
+            mat_cache: Some(MatCacheStats {
+                hits: 61,
+                misses: 62,
+                evictions: 63,
+            }),
+            frontend: None,
+            delayed_drops: 71,
+            decode_ns: hist(&[0, 1, 900, 4096]),
+            cache_probe_miss_ns: hist(&[1 << 40]),
+            plans: vec![
+                PlanMetricsSnapshot {
+                    plan: 3,
+                    rr_requests: 103,
+                    stage_exec_ns: hist(&[250, 260, 70_000]),
+                    ..Default::default()
+                },
+                PlanMetricsSnapshot {
+                    plan: 9,
+                    batch_requests: 109,
+                    records: 2048,
+                    stage_rows: 4096,
+                    queue_wait_low_ns: hist(&[5_000]),
+                    queue_wait_high_ns: hist(&[7, 8]),
+                    faults: 2,
+                    fault_ns: hist(&[123_456, 3]),
+                    quarantined: true,
+                    ..Default::default()
+                },
+            ],
+            ..Default::default()
+        }
+    }
+
+    /// The JSON readers parse: key names, key order, `null` for an absent
+    /// section and each histogram's summary.
+    #[test]
+    fn json_rendering_is_pinned() {
+        let golden = concat!(
+            r#"{"scheduler":{"stage_events":11,"records_done":12,"steals":13},"#,
+            r#""pools":{"executor":{"hits":21,"misses":22,"released":23,"retained_bytes":24,"#,
+            r#""parked":25},"request_response":{"hits":0,"misses":0,"released":0,"#,
+            r#""retained_bytes":0,"parked":0},"ingest":{"hits":0,"misses":31,"released":0,"#,
+            r#""retained_bytes":0,"parked":0}},"lifecycle":{"deploys":41,"undeploys":42,"#,
+            r#""swaps":43,"stages_reused":44},"store":{"unique_objects":51,"unique_bytes":52,"#,
+            r#""reused":53,"bytes_saved":54,"released":55,"released_bytes":56},"#,
+            r#""mat_cache":{"hits":61,"misses":62,"evictions":63},"frontend":null,"#,
+            r#""delayed_drops":71,"decode_ns":{"count":4,"sum":4997,"mean":1249,"p50":1,"#,
+            r#""p99":8191,"max":8191},"completion_flush_ns":{"count":0,"sum":0,"mean":0,"#,
+            r#""p50":0,"p99":0,"max":0},"cache_probe_hit_ns":{"count":0,"sum":0,"mean":0,"#,
+            r#""p50":0,"p99":0,"max":0},"cache_probe_miss_ns":{"count":1,"sum":1099511627776,"#,
+            r#""mean":1099511627776,"p50":2199023255551,"p99":2199023255551,"#,
+            r#""max":2199023255551},"plans":[{"plan":3,"batch_requests":0,"rr_requests":103,"#,
+            r#""records":0,"stage_rows":0,"faults":0,"quarantined":false,"#,
+            r#""queue_wait_low_ns":{"count":0,"sum":0,"mean":0,"p50":0,"p99":0,"max":0},"#,
+            r#""queue_wait_high_ns":{"count":0,"sum":0,"mean":0,"p50":0,"p99":0,"max":0},"#,
+            r#""stage_exec_ns":{"count":3,"sum":70510,"mean":23503,"p50":511,"p99":131071,"#,
+            r#""max":131071},"fault_ns":{"count":0,"sum":0,"mean":0,"p50":0,"p99":0,"#,
+            r#""max":0}},{"plan":9,"batch_requests":109,"rr_requests":0,"records":2048,"#,
+            r#""stage_rows":4096,"faults":2,"quarantined":true,"queue_wait_low_ns":{"count":1,"#,
+            r#""sum":5000,"mean":5000,"p50":8191,"p99":8191,"max":8191},"#,
+            r#""queue_wait_high_ns":{"count":2,"sum":15,"mean":7,"p50":7,"p99":15,"max":15},"#,
+            r#""stage_exec_ns":{"count":0,"sum":0,"mean":0,"p50":0,"p99":0,"max":0},"#,
+            r#""fault_ns":{"count":2,"sum":123459,"mean":61729,"p50":3,"p99":131071,"#,
+            r#""max":131071}}]}"#,
+        );
+        assert_eq!(golden_snapshot().to_json(), golden);
     }
 }

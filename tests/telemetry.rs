@@ -255,18 +255,17 @@ fn stats_over_wire_v2_histograms_sum_to_request_counts() {
     assert_eq!(snap.scheduler.records_done, BATCHES * ROWS as u64);
     assert_eq!(snap.lifecycle.deploys, 0, "register is not a deploy");
 
-    // Hotness signal: per-plan access counter and recency epoch, a store
-    // feature rather than a recorder's.
-    let access = snap.plan_access(id).expect("served plan has access stats");
-    assert_eq!(access.accesses, BATCHES + 1, "one admission per request");
-    assert!(access.last_access_epoch > 0);
+    // The plan's request count: one admission per request, either engine.
+    assert_eq!(
+        pm.rr_requests + pm.batch_requests,
+        BATCHES + 1,
+        "one admission per request"
+    );
 
-    // Renderings exist and carry the plan section.
+    // The JSON rendering carries the plan section.
     let json = snap.to_json();
     assert!(json.contains("\"plans\""), "{json}");
     assert!(json.contains("\"batch_requests\":4"), "{json}");
-    let text = snap.render_text();
-    assert!(text.contains("plan"), "{text}");
 
     fe.stop();
 }
@@ -314,6 +313,5 @@ fn stats_over_wire_reports_what_each_pool_holds() {
         )),
         "{json}"
     );
-    assert!(snap.render_text().contains("buf"), "{}", snap.render_text());
     fe.stop();
 }
