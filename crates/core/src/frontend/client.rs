@@ -288,20 +288,22 @@ impl Client {
     }
 
     /// One admin verb: the request header, then whatever `encode` appends
-    /// (written straight into the frame buffer); returns the verb's payload.
-    fn roundtrip_admin(
+    /// (written straight into the frame buffer); `decode` reads the verb's
+    /// payload where the response frame landed, without a copy.
+    fn roundtrip_admin<T>(
         &mut self,
         plan: PlanId,
         kind: u8,
         encode: impl FnOnce(&mut Vec<u8>),
-    ) -> Result<Vec<u8>> {
+        decode: impl FnOnce(&mut Cursor<'_>) -> Result<T>,
+    ) -> Result<T> {
         let body = self.roundtrip_with(|out| {
             wire::put_request_header(out, plan, kind, 0, 0);
             encode(out);
             Ok(())
         })?;
         if let Some((&wire::STATUS_ADMIN, payload)) = body.split_first() {
-            return Ok(payload.to_vec());
+            return decode(&mut Cursor::new(payload));
         }
         wire::decode_response(body)?;
         Err(DataError::Codec(
@@ -313,34 +315,47 @@ impl Client {
     /// alias and reserves a dedicated executor. Returns the new plan id.
     pub fn deploy(&mut self, image: &[u8], alias: Option<&str>, reserved: bool) -> Result<PlanId> {
         use pretzel_data::serde_bin::wire as w;
-        let payload = self.roundtrip_admin(0, wire::ADMIN_DEPLOY, |out| {
-            w::put_str(out, alias.unwrap_or(""));
-            w::put_u32(out, u32::from(reserved));
-            w::put_u64(out, image.len() as u64);
-            out.extend_from_slice(image);
-        })?;
-        Cursor::new(&payload).u32()
+        self.roundtrip_admin(
+            0,
+            wire::ADMIN_DEPLOY,
+            |out| {
+                w::put_str(out, alias.unwrap_or(""));
+                w::put_u32(out, u32::from(reserved));
+                w::put_u64(out, image.len() as u64);
+                out.extend_from_slice(image);
+            },
+            |cur| cur.u32(),
+        )
     }
 
     /// Undeploys a plan on the server (retire, drain, reclaim); returns
     /// what was freed.
     pub fn undeploy(&mut self, plan: PlanId) -> Result<UndeployReport> {
-        let payload = self.roundtrip_admin(plan, wire::ADMIN_UNDEPLOY, |_| {})?;
-        let mut cur = Cursor::new(&payload);
-        Ok(UndeployReport {
-            freed_param_bytes: cur.u64()? as usize,
-            freed_params: cur.u32()? as usize,
-            dropped_stages: cur.u32()? as usize,
-            dropped_aliases: cur.u32()? as usize,
-        })
+        self.roundtrip_admin(
+            plan,
+            wire::ADMIN_UNDEPLOY,
+            |_| {},
+            |cur| {
+                Ok(UndeployReport {
+                    freed_param_bytes: cur.u64()? as usize,
+                    freed_params: cur.u32()? as usize,
+                    dropped_stages: cur.u32()? as usize,
+                    dropped_aliases: cur.u32()? as usize,
+                })
+            },
+        )
     }
 
     /// Atomically repoints `alias` to `plan` on the server; returns the
     /// previously bound plan, if any.
     pub fn swap(&mut self, alias: &str, plan: PlanId) -> Result<Option<PlanId>> {
         use pretzel_data::serde_bin::wire as w;
-        let payload = self.roundtrip_admin(plan, wire::ADMIN_SWAP, |out| w::put_str(out, alias))?;
-        let previous = Cursor::new(&payload).u32()?;
+        let previous = self.roundtrip_admin(
+            plan,
+            wire::ADMIN_SWAP,
+            |out| w::put_str(out, alias),
+            |cur| cur.u32(),
+        )?;
         Ok((previous != u32::MAX).then_some(previous))
     }
 
@@ -349,38 +364,19 @@ impl Client {
     /// to roll back to (the binding is left unchanged).
     pub fn rollback(&mut self, alias: &str) -> Result<Option<PlanId>> {
         use pretzel_data::serde_bin::wire as w;
-        let payload =
-            self.roundtrip_admin(0, wire::ADMIN_ROLLBACK, |out| w::put_str(out, alias))?;
-        let bound = Cursor::new(&payload).u32()?;
+        let bound = self.roundtrip_admin(
+            0,
+            wire::ADMIN_ROLLBACK,
+            |out| w::put_str(out, alias),
+            |cur| cur.u32(),
+        )?;
         Ok((bound != u32::MAX).then_some(bound))
     }
 
     /// Lists every plan the server knows (tombstones included) with
     /// lifecycle state and bound aliases.
     pub fn list(&mut self) -> Result<Vec<PlanInfo>> {
-        let payload = self.roundtrip_admin(0, wire::ADMIN_LIST, |_| {})?;
-        let mut cur = Cursor::new(&payload);
-        let n = cur.u32()? as usize;
-        let mut out = Vec::with_capacity(n.min(1 << 16));
-        for _ in 0..n {
-            let id = cur.u32()?;
-            let retired = cur.u32()? != 0;
-            let quarantined = cur.u32()? != 0;
-            let in_flight = cur.u32()? as usize;
-            let n_aliases = cur.u32()? as usize;
-            let mut aliases = Vec::with_capacity(n_aliases.min(64));
-            for _ in 0..n_aliases {
-                aliases.push(cur.str()?);
-            }
-            out.push(PlanInfo {
-                id,
-                retired,
-                quarantined,
-                in_flight,
-                aliases,
-            });
-        }
-        Ok(out)
+        self.roundtrip_admin(0, wire::ADMIN_LIST, |_| {}, decode_plan_list)
     }
 
     /// `STATS`: one merged telemetry snapshot of the serving runtime —
@@ -388,9 +384,33 @@ impl Client {
     /// the FrontEnd's connection-plane section. Render it with
     /// [`MetricsSnapshot::to_json`].
     pub fn stats(&mut self) -> Result<MetricsSnapshot> {
-        let payload = self.roundtrip_admin(0, wire::ADMIN_STATS, |_| {})?;
-        MetricsSnapshot::decode(&mut Cursor::new(&payload))
+        self.roundtrip_admin(0, wire::ADMIN_STATS, |_| {}, MetricsSnapshot::decode)
     }
+}
+
+/// The `LIST` payload: every plan's id, lifecycle state and aliases.
+fn decode_plan_list(cur: &mut Cursor<'_>) -> Result<Vec<PlanInfo>> {
+    let n = cur.u32()? as usize;
+    let mut out = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        let id = cur.u32()?;
+        let retired = cur.u32()? != 0;
+        let quarantined = cur.u32()? != 0;
+        let in_flight = cur.u32()? as usize;
+        let n_aliases = cur.u32()? as usize;
+        let mut aliases = Vec::with_capacity(n_aliases.min(64));
+        for _ in 0..n_aliases {
+            aliases.push(cur.str()?);
+        }
+        out.push(PlanInfo {
+            id,
+            retired,
+            quarantined,
+            in_flight,
+            aliases,
+        });
+    }
+    Ok(out)
 }
 
 /// Requests queued on a [`Session`] leave in one `write` once this many are

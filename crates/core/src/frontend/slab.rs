@@ -1,16 +1,23 @@
 //! Lock-free fixed-size slab for per-connection reactor state.
 //!
 //! Accept and close are the FrontEnd's hot control-plane path; under a
-//! reactor pool they race across threads. Free slot indices live in a
-//! [`SlotStack`] — the workspace's one tagged Treiber stack (Blelloch &
-//! Wei's constant-time fixed-size allocation) — so both `insert` and
-//! `remove` are O(1) with no global lock.
+//! reactor pool they race across threads. The indices of slots a `remove`
+//! emptied live in a [`SlotStack`] — the workspace's one tagged Treiber
+//! stack (Blelloch & Wei's constant-time fixed-size allocation) — and
+//! slots never used are claimed in index order from a counter, so both
+//! `insert` and `remove` are O(1) with no global lock, and the free list
+//! grows only to the connections that were ever open at once.
 //!
 //! Each slot additionally carries a **generation** counter, bumped on
 //! every `remove`: completion tokens `(slot, generation)` handed to the
 //! scheduler stay valid identifiers even after the connection closes and
 //! the slot is recycled — a stale completion simply fails the generation
 //! check and is dropped instead of writing into someone else's connection.
+//!
+//! A slot boxes its value, so an empty slot is 16 bytes however large the
+//! per-connection state grows: `max_connections` slots are written when
+//! the front end starts, and a server that holds two connections should
+//! not pay for thousands of idle ones.
 
 use pretzel_data::slot_alloc::SlotStack;
 use std::cell::UnsafeCell;
@@ -19,15 +26,17 @@ use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 struct Slot<T> {
     /// Bumped on every `remove`; tokens carry the value they observed.
     generation: AtomicU32,
-    value: UnsafeCell<Option<T>>,
+    value: UnsafeCell<Option<Box<T>>>,
 }
 
 /// A fixed-capacity concurrent slab. `insert`/`remove` are lock-free;
 /// value access is single-owner (the reactor thread that owns the slot).
 pub(crate) struct ConnSlab<T> {
     slots: Box<[Slot<T>]>,
-    /// Indices of the slots holding no value.
+    /// Indices of the slots a `remove` emptied.
     free: SlotStack<u32>,
+    /// Slots from here on were never used (claimed in index order).
+    fresh: AtomicU32,
     occupied: AtomicUsize,
 }
 
@@ -47,14 +56,10 @@ impl<T> ConnSlab<T> {
                 value: UnsafeCell::new(None),
             })
             .collect();
-        let free = SlotStack::new(capacity);
-        // Pushed in reverse, so slot 0 is handed out first.
-        for index in (0..capacity as u32).rev() {
-            let _ = free.push(index);
-        }
         ConnSlab {
             slots,
-            free,
+            free: SlotStack::new(capacity),
+            fresh: AtomicU32::new(0),
             occupied: AtomicUsize::new(0),
         }
     }
@@ -72,10 +77,20 @@ impl<T> ConnSlab<T> {
     /// Claims a free slot for `value`; returns its `(slot, generation)`
     /// token, or `None` when the slab is full.
     pub(crate) fn insert(&self, value: T) -> Option<(u32, u32)> {
-        let index = self.free.pop()?;
+        let capacity = self.slots.len() as u32;
+        let index = match self.free.pop() {
+            Some(index) => index,
+            None => self
+                .fresh
+                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |i| {
+                    (i < capacity).then_some(i + 1)
+                })
+                .ok()?,
+        };
         let slot = &self.slots[index as usize];
-        // The slot is exclusively ours until its index is pushed back.
-        unsafe { *slot.value.get() = Some(value) };
+        // SAFETY: the index came off the free list or the fresh counter,
+        // so the slot is exclusively ours until `remove` pushes it back.
+        unsafe { *slot.value.get() = Some(Box::new(value)) };
         self.occupied.fetch_add(1, Ordering::AcqRel);
         Some((index, slot.generation.load(Ordering::Acquire)))
     }
@@ -113,7 +128,7 @@ impl<T> ConnSlab<T> {
         self.occupied.fetch_sub(1, Ordering::AcqRel);
         // Every index fits: the stack holds as many as there are slots.
         let _ = self.free.push(slot);
-        value
+        *value
     }
 }
 
@@ -149,6 +164,11 @@ mod tests {
             slab.remove(c);
         }
         assert_eq!(slab.occupied(), 0);
+    }
+
+    #[test]
+    fn an_empty_slot_costs_two_words_whatever_the_value() {
+        assert_eq!(std::mem::size_of::<Slot<[u8; 152]>>(), 16);
     }
 
     #[test]

@@ -106,6 +106,12 @@ fn plan_param_set(plan: &StagePlan) -> Vec<(u64, Op)> {
     out
 }
 
+/// The parameter references one plan holds: the checksum of every unique
+/// parameter object [`ObjectStore::retain_plan`] counted for it.
+#[derive(Debug, Default)]
+#[must_use = "retained references are freed only through `ObjectStore::release_plan`"]
+pub struct PlanRefs(Box<[u64]>);
+
 impl ObjectStore {
     /// Creates an empty store.
     pub fn new() -> Self {
@@ -164,27 +170,32 @@ impl ObjectStore {
     }
 
     /// Records one deployed plan's reference on every unique parameter
-    /// object it shares (call once per registration, after interning).
+    /// object it shares (call once per registration, after interning) and
+    /// returns what [`Self::release_plan`] needs to take them back, so the
+    /// caller need not keep the logical plan.
     ///
     /// An entry missing from the store (swept between intern and retain by
     /// a concurrent failed deploy) is re-inserted from the plan's own
     /// canonical instance, so retention never loses parameters.
-    pub fn retain_plan(&self, plan: &StagePlan) {
-        for (sum, op) in plan_param_set(plan) {
+    pub fn retain_plan(&self, plan: &StagePlan) -> PlanRefs {
+        let params = plan_param_set(plan);
+        let sums = params.iter().map(|&(sum, _)| sum).collect();
+        for (sum, op) in params {
             let mut ops = self.shards[shard_of(sum)].write();
             ops.entry(sum)
                 .or_insert(StoreEntry { op, plan_refs: 0 })
                 .plan_refs += 1;
         }
+        PlanRefs(sums)
     }
 
     /// Releases one plan's references; parameters whose count hits zero are
     /// freed immediately. Returns `(objects freed, heap bytes freed)` — the
     /// reclamation half of `undeploy`.
-    pub fn release_plan(&self, plan: &StagePlan) -> (usize, usize) {
+    pub fn release_plan(&self, refs: &PlanRefs) -> (usize, usize) {
         let mut freed = 0usize;
         let mut freed_bytes = 0usize;
-        for (sum, _) in plan_param_set(plan) {
+        for &sum in refs.0.iter() {
             let mut ops = self.shards[shard_of(sum)].write();
             let Some(entry) = ops.get_mut(&sum) else {
                 continue;
@@ -473,18 +484,18 @@ mod tests {
         let mut a = plan_with_linear(1);
         let mut b = plan_with_linear(2);
         crate::physical::intern_plan(&mut a, &store);
-        store.retain_plan(&a);
+        let refs_a = store.retain_plan(&a);
         crate::physical::intern_plan(&mut b, &store);
-        store.retain_plan(&b);
+        let refs_b = store.retain_plan(&b);
         let shared_sum = Op::CharNgram(Arc::clone(&shared)).checksum();
         assert_eq!(store.plan_refs(shared_sum), 2, "featurizer shared by both");
         assert_eq!(store.len(), 3, "1 shared ngram + 2 unique linears");
 
-        let (freed_a, bytes_a) = store.release_plan(&a);
+        let (freed_a, bytes_a) = store.release_plan(&refs_a);
         assert_eq!(freed_a, 1, "only plan A's linear dies");
         assert!(bytes_a > 0);
         assert_eq!(store.plan_refs(shared_sum), 1);
-        let (freed_b, _) = store.release_plan(&b);
+        let (freed_b, _) = store.release_plan(&refs_b);
         assert_eq!(freed_b, 2, "B's linear AND the now-unshared ngram die");
         assert!(store.is_empty(), "full churn returns the store to empty");
         assert_eq!(store.unique_bytes(), 0);

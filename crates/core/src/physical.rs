@@ -1125,8 +1125,6 @@ pub struct ModelPlan {
     pub stages: Vec<Arc<PhysicalStage>>,
     /// Slot holding the final prediction.
     pub output_slot: u32,
-    /// The logical plan this was compiled from (introspection/debugging).
-    pub logical: StagePlan,
     /// Every stage's steps in execution order, each stage's scratch
     /// operands renumbered to where that scratch sits in the frame: what
     /// both engines run.
@@ -1232,10 +1230,9 @@ impl ModelPlan {
         let keys = step_keys(&program, logical.slots.len(), frame.len());
         Ok(ModelPlan {
             source_type: logical.source_type,
-            slots: logical.slots.clone(),
+            slots: logical.slots,
             stages,
             output_slot: logical.output_slot,
-            logical,
             program,
             stage_steps,
             keys,

@@ -24,7 +24,7 @@ use crate::graph::TransformGraph;
 use crate::lifecycle::{
     AliasMap, DeployOptions, GatePass, LifecycleStats, PlanGate, PlanInfo, UndeployReport,
 };
-use crate::object_store::{MaterializationCache, ObjectStore};
+use crate::object_store::{MaterializationCache, ObjectStore, PlanRefs};
 use crate::physical::{CompileOptions, ExecCtx, ModelPlan, PhysicalStage, SourceRef};
 use crate::plan::StagePlan;
 use crate::scheduler::{AssembledBatch, BatchHandle, Record, Scheduler};
@@ -119,9 +119,12 @@ type Registry = HashMap<PlanId, Arc<RegisteredPlan>>;
 
 #[derive(Debug)]
 struct RegisteredPlan {
-    /// The interned logical plan; taken (and its Object Store references
-    /// released) when the plan is undeployed. Held while a deferred
-    /// (AOT-off) compile runs, so concurrent first requests compile once.
+    /// The plan's Object Store references, released by `undeploy`: all a
+    /// compiled plan keeps of its logical form.
+    refs: PlanRefs,
+    /// The interned logical plan of a deferred (AOT-off) compile, until
+    /// the plan is undeployed; held while that compile runs, so concurrent
+    /// first requests compile once. `None` once an AOT compile consumed it.
     logical: Mutex<Option<StagePlan>>,
     /// Set once, when the plan compiles. `undeploy` reclaims it by
     /// replacing the whole registry entry with a tombstone.
@@ -135,6 +138,7 @@ impl RegisteredPlan {
     /// What an undeployed plan leaves in the registry: its (retired) gate.
     fn tombstone(gate: &Arc<PlanGate>) -> Self {
         RegisteredPlan {
+            refs: PlanRefs::default(),
             logical: Mutex::new(None),
             compiled: OnceLock::new(),
             gate: Arc::clone(gate),
@@ -481,21 +485,19 @@ impl Runtime {
         // plan a counted owner of every parameter it shares, which is what
         // `undeploy` releases.
         crate::physical::intern_plan(&mut logical, &self.store);
-        self.store.retain_plan(&logical);
-        let registered = Arc::new(RegisteredPlan {
-            logical: Mutex::new(Some(logical)),
+        let refs = self.store.retain_plan(&logical);
+        let id = self.next_plan_id.fetch_add(1, Ordering::Relaxed);
+        let registered = RegisteredPlan {
+            refs,
+            logical: Mutex::new(None),
             compiled: OnceLock::new(),
             gate: PlanGate::new(),
-        });
-        let id = self.next_plan_id.fetch_add(1, Ordering::Relaxed);
-        self.plans.write().insert(id, Arc::clone(&registered));
+        };
         let mut aot_plan = None;
         if self.config.aot {
-            let compiled = {
-                let logical = registered.logical.lock();
-                self.compile(logical.as_ref().expect("just registered"))
-            };
-            match compiled {
+            // The compiled plan is all that serves: the logical plan goes
+            // into the compile and does not outlive it.
+            match self.compile(logical) {
                 Ok(plan) => {
                     // Pay the memory-allocation cost upfront: top the
                     // request-response pool up to this plan's working set,
@@ -505,16 +507,15 @@ impl Runtime {
                     aot_plan = Some(plan);
                 }
                 Err(e) => {
-                    // Roll the registration back so a failed compile does
-                    // not pin parameters or leave a dead catalog entry.
-                    self.plans.write().remove(&id);
-                    if let Some(logical) = registered.logical.lock().take() {
-                        self.store.release_plan(&logical);
-                    }
+                    // A failed compile must not pin parameters.
+                    self.store.release_plan(&registered.refs);
                     return Err(e);
                 }
             }
+        } else {
+            *registered.logical.lock() = Some(logical);
         }
+        self.plans.write().insert(id, Arc::new(registered));
         if opts.reserved {
             self.scheduler.reserve(id);
         }
@@ -530,7 +531,7 @@ impl Runtime {
         Ok(id)
     }
 
-    fn compile(&self, logical: &StagePlan) -> Result<Arc<ModelPlan>> {
+    fn compile(&self, logical: StagePlan) -> Result<Arc<ModelPlan>> {
         let opts = CompileOptions {
             // Fused stages embed per-pipeline weights, so their featurizer
             // outputs never exist to be cached: fuse only with the
@@ -541,14 +542,13 @@ impl Runtime {
         // built, so a stage another live plan already deployed is served
         // as-is and never rebuilt.
         let mut reused = 0u64;
-        let mut plan =
-            ModelPlan::compile_with_catalog(logical.clone(), &opts, &self.store, |sig| {
-                let hit = self.catalog.lock().get(&sig).cloned();
-                if hit.is_some() {
-                    reused += 1;
-                }
-                hit
-            })?;
+        let mut plan = ModelPlan::compile_with_catalog(logical, &opts, &self.store, |sig| {
+            let hit = self.catalog.lock().get(&sig).cloned();
+            if hit.is_some() {
+                reused += 1;
+            }
+            hit
+        })?;
         self.lifecycle_stats.note_stages_reused(reused);
         // Catalog interning: identical physical stages load once and are
         // shared across plans (paper §4.2.1). Freshly built stages publish
@@ -616,7 +616,8 @@ impl Runtime {
             return Ok(serving);
         }
         let logical = logical.as_ref().ok_or(DataError::PlanRetired(id))?;
-        let serving = self.serving(id, self.compile(logical)?);
+        // A clone: a compile that fails leaves the plan to retry.
+        let serving = self.serving(id, self.compile(logical.clone())?);
         Ok(registered.compiled.get_or_init(|| serving))
     }
 
@@ -888,13 +889,10 @@ impl Runtime {
         if let Some(entry) = self.plans.write().get_mut(&id) {
             *entry = Arc::new(RegisteredPlan::tombstone(&registered.gate));
         }
-        let logical = registered.logical.lock().take();
+        let (freed_params, freed_param_bytes) = self.store.release_plan(&registered.refs);
         // The last hold on the compiled plan, before the catalog sweep
         // counts who still shares its stages.
         drop(registered);
-        let (freed_params, freed_param_bytes) = logical
-            .map(|l| self.store.release_plan(&l))
-            .unwrap_or((0, 0));
         let dropped_stages = self.sweep_catalog();
         let dropped_aliases = self.aliases.drop_plan(id);
         self.scheduler.unreserve(id);

@@ -1,12 +1,17 @@
-//! Sharded, lock-free runtime telemetry.
+//! Lock-free runtime telemetry.
 //!
-//! The observability counterpart of the PR 8 execution plane: every hot-path
-//! recorder is split into cache-line-padded shards, each writer thread picks
-//! one shard on first use and keeps it, and a recording is a couple of
-//! uncontended relaxed atomics — no locks, no allocation, no false sharing.
-//! Snapshots merge across shards (histogram merge is exact: buckets are
-//! plain sums), so one [`MetricsRegistry::snapshot`] folds the whole request
-//! lifecycle — FrontEnd decode, per-plan queue wait (low/high), per-stage
+//! The observability counterpart of the execution plane. The registry-wide
+//! recorders (decode, flush, cache probes) are split into cache-line-padded
+//! shards: each writer thread picks one shard on first use and keeps it, so
+//! a recording is a couple of uncontended relaxed atomics — no locks, no
+//! allocation, no false sharing. A plan's recorder is one unsharded set of
+//! counters, sized by the plan rather than by the host's core count: its
+//! writers record once per chunk-stage event, not once per row, and each
+//! of its histograms is allocated on the first sample, so a histogram the
+//! plan's engine never writes costs nothing. Snapshots merge exactly
+//! (histogram buckets are plain sums), so one
+//! [`MetricsRegistry::snapshot`] folds the whole request lifecycle —
+//! FrontEnd decode, per-plan queue wait (low/high), per-stage
 //! execution time and rows, cache probe hit/miss latency, pool lease/miss,
 //! steals, completion-to-flush — into a single [`MetricsSnapshot`] that also
 //! unifies the pre-existing stat structs (`SchedStats`, `LifecycleStats`,
@@ -20,7 +25,7 @@
 use std::collections::HashMap;
 use std::fmt::Write;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
 use pretzel_data::serde_bin::wire::{put_u32, put_u64};
@@ -64,22 +69,15 @@ pub fn bucket_upper(b: usize) -> u64 {
 }
 
 /// A plain (single-writer) log2 latency histogram; the merge target for
-/// [`AtomicHistogram`] shards and the value type inside snapshots.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// [`AtomicHistogram`]s and the value type inside snapshots. It keeps the
+/// buckets up to its highest non-empty one — what the `STATS` wire sends —
+/// so an empty histogram allocates nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
-    /// Per-bucket sample counts.
-    pub buckets: [u64; HIST_BUCKETS],
+    /// Per-bucket sample counts, up to the highest non-empty bucket.
+    buckets: Vec<u64>,
     /// Sum of all recorded values (wrapping).
     pub sum: u64,
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram {
-            buckets: [0; HIST_BUCKETS],
-            sum: 0,
-        }
-    }
 }
 
 impl Histogram {
@@ -88,8 +86,17 @@ impl Histogram {
     }
 
     pub fn record(&mut self, v: u64) {
-        self.buckets[bucket_of(v)] = self.buckets[bucket_of(v)].wrapping_add(1);
+        let b = bucket_of(v);
+        if b >= self.buckets.len() {
+            self.buckets.resize(b + 1, 0);
+        }
+        self.buckets[b] = self.buckets[b].wrapping_add(1);
         self.sum = self.sum.wrapping_add(v);
+    }
+
+    /// Per-bucket sample counts, up to the highest non-empty bucket.
+    pub fn buckets(&self) -> &[u64] {
+        &self.buckets
     }
 
     /// Total recorded samples.
@@ -103,18 +110,27 @@ impl Histogram {
     /// indistinguishable from having recorded every sample into one
     /// histogram sequentially.
     pub fn merge(&mut self, other: &Histogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a = a.wrapping_add(*b);
-        }
-        self.sum = self.sum.wrapping_add(other.sum);
+        self.add_counts(&other.buckets, other.sum);
     }
 
-    /// Folds one recorder shard in (exact: bucket-wise sums).
-    fn add_shard(&mut self, shard: &AtomicHistogram) {
-        for (dst, src) in self.buckets.iter_mut().zip(shard.buckets.iter()) {
-            *dst = dst.wrapping_add(src.load(Ordering::Relaxed));
+    /// Folds one recorder in (exact: bucket-wise sums).
+    fn add_atomic(&mut self, h: &AtomicHistogram) {
+        let counts: [u64; HIST_BUCKETS] =
+            std::array::from_fn(|b| h.buckets[b].load(Ordering::Relaxed));
+        self.add_counts(&counts, h.sum.load(Ordering::Relaxed));
+    }
+
+    /// Adds `counts` bucket-wise, growing only to their highest non-empty
+    /// bucket.
+    fn add_counts(&mut self, counts: &[u64], sum: u64) {
+        let used = counts.iter().rposition(|&c| c != 0).map_or(0, |b| b + 1);
+        if used > self.buckets.len() {
+            self.buckets.resize(used, 0);
         }
-        self.sum = self.sum.wrapping_add(shard.sum.load(Ordering::Relaxed));
+        for (dst, &src) in self.buckets.iter_mut().zip(&counts[..used]) {
+            *dst = dst.wrapping_add(src);
+        }
+        self.sum = self.sum.wrapping_add(sum);
     }
 
     /// Upper bound of the bucket holding the `q`-quantile sample
@@ -185,8 +201,24 @@ impl AtomicHistogram {
 
     pub fn snapshot(&self) -> Histogram {
         let mut h = Histogram::new();
-        h.add_shard(self);
+        h.add_atomic(self);
         h
+    }
+}
+
+/// An [`AtomicHistogram`] allocated on its first sample: a histogram its
+/// plan's engine never writes costs one pointer.
+#[derive(Debug, Default)]
+struct LazyHistogram(OnceLock<Box<AtomicHistogram>>);
+
+impl LazyHistogram {
+    #[inline]
+    fn record(&self, v: u64) {
+        self.0.get_or_init(Box::default).record(v);
+    }
+
+    fn snapshot(&self) -> Histogram {
+        self.0.get().map_or_else(Histogram::new, |h| h.snapshot())
     }
 }
 
@@ -215,9 +247,8 @@ fn shard_index(n_shards: usize) -> usize {
     })
 }
 
-/// How many shards each recorder splits into: enough for one per hardware
-/// thread (power of two for mask indexing), capped so per-plan recorders
-/// stay small.
+/// How many shards the registry-wide recorders split into: enough for one
+/// per hardware thread (power of two for mask indexing), capped at 16.
 fn default_shards() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
@@ -231,73 +262,55 @@ fn add(total: &mut u64, shard: &AtomicU64) {
     *total = total.wrapping_add(shard.load(Ordering::Relaxed));
 }
 
-/// One shard of a per-plan recorder.
+/// Per-plan metric set, resolved once per submission (the scheduler clones
+/// the `Arc` into each chunk task). One set per plan, not one per core: it
+/// is written once per chunk-stage event or request, so its relaxed atomics
+/// see little contention, and its size does not grow with the host.
 #[derive(Debug, Default)]
-struct PlanShard {
+pub struct PlanRecorder {
     batch_requests: AtomicU64,
     rr_requests: AtomicU64,
     records: AtomicU64,
     stage_rows: AtomicU64,
-    queue_wait_low_ns: AtomicHistogram,
-    queue_wait_high_ns: AtomicHistogram,
-    stage_exec_ns: AtomicHistogram,
     faults: AtomicU64,
-    fault_ns: AtomicHistogram,
-}
-
-/// Per-plan metric set: sharded per writer thread, resolved once per
-/// submission (the scheduler clones the `Arc` into each chunk task), so the
-/// steady-state cost per event is the shard-local atomics and nothing else.
-#[derive(Debug)]
-pub struct PlanRecorder {
-    shards: Box<[CacheAligned<PlanShard>]>,
+    queue_wait_low_ns: LazyHistogram,
+    queue_wait_high_ns: LazyHistogram,
+    stage_exec_ns: LazyHistogram,
+    fault_ns: LazyHistogram,
 }
 
 impl PlanRecorder {
-    fn new(n_shards: usize) -> Self {
-        PlanRecorder {
-            shards: (0..n_shards).map(|_| CacheAligned::default()).collect(),
-        }
-    }
-
-    #[inline]
-    fn shard(&self) -> &PlanShard {
-        &self.shards[shard_index(self.shards.len())].0
-    }
-
     #[inline]
     pub fn note_batch_request(&self) {
-        self.shard().batch_requests.fetch_add(1, Ordering::Relaxed);
+        self.batch_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
     pub fn note_rr_request(&self) {
-        self.shard().rr_requests.fetch_add(1, Ordering::Relaxed);
+        self.rr_requests.fetch_add(1, Ordering::Relaxed);
     }
 
     #[inline]
     pub fn add_records(&self, n: u64) {
-        self.shard().records.fetch_add(n, Ordering::Relaxed);
+        self.records.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Queue-wait sample for one chunk-stage event, split by the priority
     /// class it waited in (`high` = a started pipeline re-entering).
     #[inline]
     pub fn record_queue_wait(&self, high: bool, ns: u64) {
-        let s = self.shard();
         if high {
-            s.queue_wait_high_ns.record(ns);
+            self.queue_wait_high_ns.record(ns);
         } else {
-            s.queue_wait_low_ns.record(ns);
+            self.queue_wait_low_ns.record(ns);
         }
     }
 
     /// Execution-time + row-count sample for one chunk-stage event.
     #[inline]
     pub fn record_stage(&self, ns: u64, rows: u64) {
-        let s = self.shard();
-        s.stage_exec_ns.record(ns);
-        s.stage_rows.fetch_add(rows, Ordering::Relaxed);
+        self.stage_exec_ns.record(ns);
+        self.stage_rows.fetch_add(rows, Ordering::Relaxed);
     }
 
     /// One contained execution fault: `ns` is the time the faulting
@@ -305,28 +318,25 @@ impl PlanRecorder {
     /// that pairs with the fault rate).
     #[inline]
     pub fn record_fault(&self, ns: u64) {
-        let s = self.shard();
-        s.faults.fetch_add(1, Ordering::Relaxed);
-        s.fault_ns.record(ns);
+        self.faults.fetch_add(1, Ordering::Relaxed);
+        self.fault_ns.record(ns);
     }
 
     fn snapshot(&self, plan: u32) -> PlanMetricsSnapshot {
-        let mut snap = PlanMetricsSnapshot {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        PlanMetricsSnapshot {
             plan,
-            ..Default::default()
-        };
-        for s in self.shards.iter().map(|s| &s.0) {
-            add(&mut snap.batch_requests, &s.batch_requests);
-            add(&mut snap.rr_requests, &s.rr_requests);
-            add(&mut snap.records, &s.records);
-            add(&mut snap.stage_rows, &s.stage_rows);
-            add(&mut snap.faults, &s.faults);
-            snap.queue_wait_low_ns.add_shard(&s.queue_wait_low_ns);
-            snap.queue_wait_high_ns.add_shard(&s.queue_wait_high_ns);
-            snap.stage_exec_ns.add_shard(&s.stage_exec_ns);
-            snap.fault_ns.add_shard(&s.fault_ns);
+            batch_requests: load(&self.batch_requests),
+            rr_requests: load(&self.rr_requests),
+            records: load(&self.records),
+            stage_rows: load(&self.stage_rows),
+            queue_wait_low_ns: self.queue_wait_low_ns.snapshot(),
+            queue_wait_high_ns: self.queue_wait_high_ns.snapshot(),
+            stage_exec_ns: self.stage_exec_ns.snapshot(),
+            faults: load(&self.faults),
+            fault_ns: self.fault_ns.snapshot(),
+            quarantined: false,
         }
-        snap
     }
 }
 
@@ -346,7 +356,6 @@ struct GlobalShard {
 pub struct MetricsRegistry {
     shards: Box<[CacheAligned<GlobalShard>]>,
     plans: RwLock<HashMap<u32, Arc<PlanRecorder>>>,
-    n_shards: usize,
 }
 
 impl Default for MetricsRegistry {
@@ -357,11 +366,11 @@ impl Default for MetricsRegistry {
 
 impl MetricsRegistry {
     pub fn new() -> Self {
-        let n_shards = default_shards();
         MetricsRegistry {
-            shards: (0..n_shards).map(|_| CacheAligned::default()).collect(),
+            shards: (0..default_shards())
+                .map(|_| CacheAligned::default())
+                .collect(),
             plans: RwLock::new(HashMap::new()),
-            n_shards,
         }
     }
 
@@ -377,10 +386,7 @@ impl MetricsRegistry {
             return Arc::clone(rec);
         }
         let mut w = self.plans.write();
-        Arc::clone(
-            w.entry(plan)
-                .or_insert_with(|| Arc::new(PlanRecorder::new(self.n_shards))),
-        )
+        Arc::clone(w.entry(plan).or_default())
     }
 
     /// Drops a plan's recorder (undeploy without redeploy).
@@ -423,10 +429,10 @@ impl MetricsRegistry {
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot::default();
         for s in self.shards.iter().map(|s| &s.0) {
-            snap.decode_ns.add_shard(&s.decode_ns);
-            snap.completion_flush_ns.add_shard(&s.completion_flush_ns);
-            snap.cache_probe_hit_ns.add_shard(&s.cache_probe_hit_ns);
-            snap.cache_probe_miss_ns.add_shard(&s.cache_probe_miss_ns);
+            snap.decode_ns.add_atomic(&s.decode_ns);
+            snap.completion_flush_ns.add_atomic(&s.completion_flush_ns);
+            snap.cache_probe_hit_ns.add_atomic(&s.cache_probe_hit_ns);
+            snap.cache_probe_miss_ns.add_atomic(&s.cache_probe_miss_ns);
             add(&mut snap.delayed_drops, &s.delayed_drops);
         }
         let plans = self.plans.read();
@@ -439,7 +445,7 @@ impl MetricsRegistry {
 /// A snapshot struct's field walk (the STATS schema, below): every field
 /// once, in wire and JSON order. [`Encoder`] and [`JsonWriter`] visit it
 /// through `put`, [`Decoder`] through `take`.
-trait Walk: Sized {
+trait Walk: Sized + Default {
     fn put(&self, sink: &mut impl Sink);
     fn take(source: &mut impl Source) -> Result<Self>;
 }
@@ -488,7 +494,7 @@ macro_rules! walk {
 
 /// One pool family's lease counters and what it holds idle: the answer to
 /// "is warming covering the traffic" (`misses`) and to "which pool is
-/// holding memory" (`retained_bytes`, `parked`).
+/// holding memory" (`retained_bytes`, `parked`, `class_bytes`).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct PoolCounters {
     pub hits: u64,
@@ -499,6 +505,9 @@ pub struct PoolCounters {
     pub retained_bytes: u64,
     /// Buffers (vectors and batches) parked in the family's free lists.
     pub parked: u64,
+    /// Heap bytes of the family's size classes' slot arrays: what the free
+    /// lists cost beside the buffers parked in them.
+    pub class_bytes: u64,
 }
 
 impl PoolCounters {
@@ -510,6 +519,7 @@ impl PoolCounters {
             released: pool.stats().released(),
             retained_bytes: pool.retained_bytes() as u64,
             parked: pool.parked_buffers() as u64,
+            class_bytes: pool.class_bytes() as u64,
         }
     }
 }
@@ -521,6 +531,7 @@ impl std::ops::AddAssign for PoolCounters {
         self.released += other.released;
         self.retained_bytes += other.retained_bytes;
         self.parked += other.parked;
+        self.class_bytes += other.class_bytes;
     }
 }
 
@@ -641,7 +652,9 @@ walk! {
     }
     SchedulerSnapshot { stage_events: u64, records_done: u64, steals: u64 }
     PoolsSnapshot { executor: section, request_response: section, ingest: section }
-    PoolCounters { hits: u64, misses: u64, released: u64, retained_bytes: u64, parked: u64 }
+    PoolCounters {
+        hits: u64, misses: u64, released: u64, retained_bytes: u64, parked: u64, class_bytes: u64,
+    }
     LifecycleSnapshot { deploys: u64, undeploys: u64, swaps: u64, stages_reused: u64 }
     StoreSnapshot {
         unique_objects: u64, unique_bytes: u64, reused: u64, bytes_saved: u64, released: u64,
@@ -706,9 +719,8 @@ impl Sink for Encoder<'_> {
     }
 
     fn hist(&mut self, _: &'static str, h: &Histogram) {
-        let used = h.buckets.iter().rposition(|&c| c != 0).map_or(0, |b| b + 1);
-        put_u32(self.0, used as u32);
-        for &c in &h.buckets[..used] {
+        put_u32(self.0, h.buckets.len() as u32);
+        for &c in &h.buckets {
             put_u64(self.0, c);
         }
         put_u64(self.0, h.sum);
@@ -731,9 +743,32 @@ impl Sink for Encoder<'_> {
 
 /// The STATS decoder, the encoder's inverse. Short bytes, a flag other
 /// than 0 or 1 and more histogram buckets than exist are
-/// [`DataError::Codec`] errors; a list grows only by the items it decodes,
-/// so a corrupt count allocates nothing.
+/// [`DataError::Codec`] errors. A count is checked against the bytes left
+/// before anything is reserved for it — a list's items take at least the
+/// encoding of a default item each — so a list is allocated once at its
+/// size, and a count the bytes cannot hold allocates nothing.
 struct Decoder<'c, 'a>(&'c mut Cursor<'a>);
+
+impl Decoder<'_, '_> {
+    /// Fails unless the bytes left can hold `n` items of `min_bytes` each.
+    fn check_room(&self, name: &str, n: usize, min_bytes: usize) -> Result<()> {
+        let left = self.0.remaining();
+        if n.saturating_mul(min_bytes) > left {
+            return Err(DataError::Codec(format!(
+                "`{name}` announces {n} items of {min_bytes}+ bytes, {left} bytes left"
+            )));
+        }
+        Ok(())
+    }
+}
+
+/// Bytes of the smallest encoding of a `T`: its default's (every number
+/// fixed-width, every histogram and list empty, every option absent).
+fn min_encoded<T: Walk>() -> usize {
+    let mut buf = Vec::new();
+    T::default().put(&mut Encoder(&mut buf));
+    buf.len()
+}
 
 impl Source for Decoder<'_, '_> {
     fn u64(&mut self, _: &'static str) -> Result<u64> {
@@ -759,21 +794,34 @@ impl Source for Decoder<'_, '_> {
                 "`{name}` bucket count {used} exceeds {HIST_BUCKETS}"
             )));
         }
-        let mut h = Histogram::new();
-        for b in &mut h.buckets[..used] {
-            *b = self.0.u64()?;
+        self.check_room(name, used + 1, 8)?;
+        let mut buckets = Vec::with_capacity(used);
+        for _ in 0..used {
+            buckets.push(self.0.u64()?);
         }
-        h.sum = self.0.u64()?;
-        Ok(h)
+        // The encoder sends none, but a trailing empty bucket must not make
+        // two equal histograms compare unequal.
+        while buckets.last() == Some(&0) {
+            buckets.pop();
+        }
+        Ok(Histogram {
+            buckets,
+            sum: self.0.u64()?,
+        })
     }
 
     fn option<T: Walk>(&mut self, name: &'static str) -> Result<Option<T>> {
         self.bool(name)?.then(|| T::take(self)).transpose()
     }
 
-    fn list<T: Walk>(&mut self, _: &'static str) -> Result<Vec<T>> {
-        // A count the bytes do not hold fails at its first missing item.
-        (0..self.0.u32()?).map(|_| T::take(self)).collect()
+    fn list<T: Walk>(&mut self, name: &'static str) -> Result<Vec<T>> {
+        let n = self.0.u32()? as usize;
+        self.check_room(name, n, min_encoded::<T>())?;
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(T::take(self)?);
+        }
+        Ok(items)
     }
 }
 
@@ -885,6 +933,50 @@ mod tests {
         assert!(h.max_observed() >= 100_000);
     }
 
+    #[test]
+    fn histograms_hold_buckets_up_to_their_highest_sample() {
+        let empty = Histogram::new();
+        assert_eq!(
+            empty.buckets.capacity(),
+            0,
+            "an empty histogram allocates nothing"
+        );
+        let mut h = Histogram::new();
+        h.record(1000); // bucket 10
+        h.record(3);
+        assert_eq!(h.buckets().len(), 11);
+        let mut merged = Histogram::new();
+        merged.merge(&h);
+        merged.merge(&Histogram::new());
+        assert_eq!(merged, h);
+        // An atomic recorder's snapshot is trimmed the same way.
+        let atomic = AtomicHistogram::default();
+        assert_eq!(atomic.snapshot(), Histogram::new());
+        atomic.record(1000);
+        atomic.record(3);
+        assert_eq!(atomic.snapshot(), h);
+    }
+
+    #[test]
+    fn a_count_the_bytes_cannot_hold_is_refused_up_front() {
+        let (_, buf) = filled();
+        // The plan list's count is the last u32 before its first plan;
+        // find it by re-encoding the snapshot without plans.
+        let (mut snap, _) = filled();
+        snap.plans.clear();
+        let mut head = Vec::new();
+        snap.encode(&mut head);
+        let at = head.len() - 4;
+        assert_eq!(buf[at..at + 4], 2u32.to_le_bytes());
+        let mut bad = buf.clone();
+        bad[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = MetricsSnapshot::decode(&mut Cursor::new(&bad)).unwrap_err();
+        assert!(
+            matches!(&err, DataError::Codec(m) if m.contains("`plans` announces")),
+            "{err:?}"
+        );
+    }
+
     /// Gives every field of a walk a distinct value (a flag alternates):
     /// every optional section is present and every list holds two items.
     struct Filler(u64);
@@ -970,6 +1062,7 @@ mod tests {
                     released: 23,
                     retained_bytes: 24,
                     parked: 25,
+                    class_bytes: 26,
                 },
                 ingest: PoolCounters {
                     misses: 31,
@@ -1031,9 +1124,10 @@ mod tests {
         let golden = concat!(
             r#"{"scheduler":{"stage_events":11,"records_done":12,"steals":13},"#,
             r#""pools":{"executor":{"hits":21,"misses":22,"released":23,"retained_bytes":24,"#,
-            r#""parked":25},"request_response":{"hits":0,"misses":0,"released":0,"#,
-            r#""retained_bytes":0,"parked":0},"ingest":{"hits":0,"misses":31,"released":0,"#,
-            r#""retained_bytes":0,"parked":0}},"lifecycle":{"deploys":41,"undeploys":42,"#,
+            r#""parked":25,"class_bytes":26},"request_response":{"hits":0,"misses":0,"#,
+            r#""released":0,"retained_bytes":0,"parked":0,"class_bytes":0},"ingest":{"hits":0,"#,
+            r#""misses":31,"released":0,"retained_bytes":0,"parked":0,"class_bytes":0}},"#,
+            r#""lifecycle":{"deploys":41,"undeploys":42,"#,
             r#""swaps":43,"stages_reused":44},"store":{"unique_objects":51,"unique_bytes":52,"#,
             r#""reused":53,"bytes_saved":54,"released":55,"released_bytes":56},"#,
             r#""mat_cache":{"hits":61,"misses":62,"evictions":63},"frontend":null,"#,

@@ -135,6 +135,12 @@ pub fn peak_bytes() -> usize {
     PEAK.load(Ordering::Relaxed)
 }
 
+/// Restarts the high-water mark at the current live bytes, so a later
+/// [`peak_bytes`] bounds the phase that follows.
+pub fn reset_peak() {
+    PEAK.store(live_bytes(), Ordering::Relaxed);
+}
+
 /// Total number of allocation calls observed.
 pub fn alloc_count() -> usize {
     ALLOCS.load(Ordering::Relaxed)

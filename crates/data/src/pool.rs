@@ -45,8 +45,9 @@ use std::sync::Arc;
 /// request-response engine's working sets: each serving session holds one
 /// vector per plan slot and hands them back when it moves to a plan of
 /// another layout, so a class parks at most the sessions times the slots
-/// of that class in one plan. An arena class preallocates its slot array,
-/// so this is also the resident cost of a vector class: 256 slots.
+/// of that class in one frame. The cap bounds a class, it is not what a
+/// class costs: a class's [`SlotStack`] allocates slots in doubling chunks
+/// as buffers park, so a class that parks three vectors owns three slots.
 const DEFAULT_MAX_PER_CLASS: usize = 256;
 
 /// Cap of retained free *batches* per size class, whatever the pool's
@@ -54,12 +55,12 @@ const DEFAULT_MAX_PER_CLASS: usize = 256;
 /// so a class parks at most as many batches as were ever out of it at once:
 /// chunks started and not yet retired — one per executor thread, the
 /// scheduler's invariant — times the slots and scratch buffers of the class
-/// in one plan. Eight executors (the default configuration's ceiling) times
-/// four same-class buffers (the widest stock plan has three) is 32. An
-/// arena class preallocates its slot array, so this is also what bounds the
-/// resident cost of a class nothing is parked in: 32 slots, not 256. Past
-/// the cap a release spills to the fallback arena and then drops, counted
-/// in [`PoolStats::dropped`].
+/// in one plan, and deploy-time warming parks two working sets of it. Eight
+/// executors (the default configuration's ceiling) times four same-class
+/// buffers (the widest stock plan has three) is 32. Like the vector cap it
+/// bounds a class and costs nothing itself: a class owns slots for the
+/// most batches it ever parked at once. Past the cap a release spills to
+/// the fallback arena and then drops, counted in [`PoolStats::dropped`].
 const MAX_BATCHES_PER_CLASS: usize = 32;
 
 /// Counters describing pool effectiveness; read by benchmarks and tests.
@@ -200,16 +201,25 @@ impl<T> ClassDir<T> {
         None
     }
 
-    /// Values parked across every class (exact at quiescence).
-    fn parked(&self) -> usize {
+    /// Every published class stack.
+    fn classes(&self) -> impl Iterator<Item = &SlotStack<T>> {
         self.stacks
             .iter()
             .map(|p| p.load(Ordering::Acquire))
             .filter(|p| !p.is_null())
             // SAFETY: a published stack pointer stays valid until `Drop`,
             // which has exclusive access.
-            .map(|p| unsafe { &*p }.len())
-            .sum()
+            .map(|p| unsafe { &*p })
+    }
+
+    /// Values parked across every class (exact at quiescence).
+    fn parked(&self) -> usize {
+        self.classes().map(SlotStack::len).sum()
+    }
+
+    /// Heap bytes of every class's slots (exact at quiescence).
+    fn class_bytes(&self) -> usize {
+        self.classes().map(SlotStack::slot_bytes).sum()
     }
 }
 
@@ -529,6 +539,13 @@ impl VectorPool {
     pub fn parked_buffers(&self) -> usize {
         self.vectors.parked() + self.batches.parked()
     }
+
+    /// Heap bytes of the size classes' slot arrays, the free lists' own
+    /// cost beside the buffers parked in them ([`Self::retained_bytes`]).
+    /// Excludes any fallback pool, which reports its own.
+    pub fn class_bytes(&self) -> usize {
+        self.vectors.class_bytes() + self.batches.class_bytes()
+    }
 }
 
 #[cfg(test)]
@@ -688,6 +705,32 @@ mod tests {
         off.warm_batches(dense, 2, 0, 5);
         off.warm_sized(dense, 0, 5);
         assert_eq!(off.parked_buffers(), 0);
+    }
+
+    #[test]
+    fn a_class_owns_slots_for_what_it_parked_not_for_its_cap() {
+        let dense = ColumnType::F32Dense { len: 4 };
+        let pool = VectorPool::arena();
+        assert_eq!(pool.class_bytes(), 0);
+        pool.warm_sized(dense, 0, 3);
+        pool.warm_batches(dense, 2, 0, 2);
+        let warmed = pool.class_bytes();
+        assert!(warmed > 0);
+        // Three vector slots and two batch slots, far below either cap.
+        let cap_bytes = DEFAULT_MAX_PER_CLASS * std::mem::size_of::<Option<Vector>>();
+        assert!(warmed * 16 < cap_bytes, "{warmed} B for 5 parked buffers");
+        // Leasing and returning what is parked grows nothing.
+        for _ in 0..10 {
+            let v = pool.acquire(dense);
+            let b = pool.acquire_batch(dense, 2);
+            pool.release(v);
+            pool.release_batch(b);
+        }
+        assert_eq!(pool.class_bytes(), warmed);
+        // Parking more grows the class, up to its cap.
+        pool.warm_sized(dense, 0, DEFAULT_MAX_PER_CLASS + 1);
+        assert_eq!(pool.parked_buffers(), DEFAULT_MAX_PER_CLASS + 2);
+        assert!(pool.class_bytes() > warmed);
     }
 
     #[test]

@@ -7,10 +7,51 @@
 //! slot indices in one) both use it. Every slot carries an atomic
 //! free-list link, and the two list heads (free slots, occupied slots) each
 //! pack `(aba_tag << 32) | (index + 1)` into a single `AtomicU64`, so both
-//! `push` and `pop` are one pointer-width CAS loop each. The tag bump on
-//! every successful head exchange makes the classic ABA reuse race
-//! unobservable: a thread holding a stale head value always fails its CAS,
-//! even if the same slot index cycled back to the top in between.
+//! `push` and `pop` are one pointer-width CAS loop each.
+//!
+//! # Slots grow with use
+//!
+//! A stack's capacity is a bound, not an allocation. Slots live in chunks
+//! of doubling size — chunk `k` holds indices `2^k - 1 .. 2^(k+1) - 1`,
+//! the last one cut at the capacity — and a chunk is allocated by the
+//! `push` that finds every existing slot occupied. A stack that never holds
+//! more than three values owns three slots, whatever its capacity: the
+//! space bound of the fixed-size allocator, "sized by how many can be in
+//! use at once". Chunks are published once and freed only when the stack
+//! drops, so a slot index read from a head always names live memory, and
+//! no reclamation scheme is needed. The one cost of growing on demand: a
+//! push that races the push growing the *last* chunk may find no free slot
+//! and report the stack full while that chunk is being threaded in.
+//!
+//! # The ABA tag
+//!
+//! A `pop` reads the head `(t, i)`, then slot `i`'s link `n`, then swaps
+//! the head to `(t + 1, n)`. If between the read and the swap slot `i` was
+//! popped and pushed back (so the head shows `i` again, now over another
+//! link), a plain index CAS would succeed and install the stale `n`: the
+//! ABA race. Every successful exchange of a head bumps its 32-bit tag
+//! (wrapping), so a CAS with a stale head succeeds only if the head shows
+//! the same index *and* the same tag again — exactly a multiple of `2^32`
+//! exchanges of that head later — while the thread holding the stale value
+//! was descheduled between two instructions of one loop iteration.
+//!
+//! This is the bounded-tag approximation of LL/SC. Blelloch & Wei
+//! (arXiv:1911.09671) build true LL/SC from pointer-width CAS in constant
+//! time and space, with no tag that can wrap, by announcing the value a
+//! thread is about to compare; the packed tag gets the same effect from a
+//! single CAS as long as `2^32` exchanges cannot happen inside one
+//! operation's window. The index half of the check gives no protection on
+//! a small stack — with capacity 2 (which on-demand growth makes common:
+//! a pool class parking one or two buffers) slot `i` is back on top every
+//! other exchange — so there the bound rests on the tag alone: `2^32`
+//! exchanges of one head, at the ~10 ns an uncontended exchange takes, is
+//! at least 43 s of back-to-back leases and returns on one size class
+//! while one thread is stalled mid-`pop` and is then resumed on exactly
+//! the count. A preempted thread can be stalled that long only on a host
+//! that is not serving. The wraparound itself is harmless: the tag only
+//! has to *change* on every exchange, and wrapping addition keeps the
+//! packed word well-formed (`aba_tag_exhaustion_wraps_cleanly` drives both
+//! heads across it at capacities 4 and 2).
 //!
 //! This is the hot lease/return path of the sharded `VectorPool` arenas:
 //! the owning executor pushes and pops its own arena with no lock, and a
@@ -21,6 +62,7 @@
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 /// Sentinel for "no next slot" in a list link (links store `index + 1`).
 const NIL: u32 = 0;
@@ -31,14 +73,28 @@ struct Slot<T> {
     value: UnsafeCell<Option<T>>,
 }
 
-/// A fixed-capacity lock-free stack of owned values.
+/// A run of slots, published once and freed with its stack.
+type Chunk<T> = OnceLock<Box<[Slot<T>]>>;
+
+/// The chunk holding slot `index` and the slot's offset in it.
+#[inline]
+fn chunk_of(index: u32) -> (usize, usize) {
+    let k = (index + 1).ilog2();
+    (k as usize, (index + 1 - (1 << k)) as usize)
+}
+
+/// A bounded lock-free stack of owned values.
 ///
 /// `push` moves a value in (failing with the value back when full); `pop`
 /// moves one out. Any thread may do either — ownership of a slot's value
 /// cell transfers through the head CAS that unlinks the slot, so the cell
 /// is only ever touched by the thread that currently owns the slot.
 pub struct SlotStack<T> {
-    slots: Box<[Slot<T>]>,
+    /// Slot chunks of doubling size, each allocated on first need.
+    chunks: Box<[Chunk<T>]>,
+    capacity: u32,
+    /// Chunks claimed by a growing `push` (published or about to be).
+    grown: AtomicUsize,
     /// Packed head of the free-slot list: `(tag << 32) | (index + 1)`.
     free: AtomicU64,
     /// Packed head of the occupied-slot list (the stored values, LIFO).
@@ -48,14 +104,19 @@ pub struct SlotStack<T> {
     len: AtomicUsize,
 }
 
-// Safety: a value enters a slot only between a free-list pop and a
+// SAFETY: a value enters a slot only between a free-list pop and a
 // used-list push (and symmetrically on the way out), and head CASes
-// transfer exclusive slot ownership between threads with AcqRel ordering.
+// transfer exclusive slot ownership between threads with AcqRel ordering;
+// `T: Send` because the thread that pops a value may not be the one that
+// pushed it. The chunk table is `OnceLock`s (set once by the push that
+// claimed the chunk, read-only after) and the heads and counters are
+// atomics.
 unsafe impl<T: Send> Sync for SlotStack<T> {}
 unsafe impl<T: Send> Send for SlotStack<T> {}
 
 impl<T> SlotStack<T> {
-    /// Builds a stack with room for `capacity` values, all slots free.
+    /// Builds an empty stack with room for up to `capacity` values; no
+    /// slot is allocated until a value needs one.
     pub fn new(capacity: usize) -> Self {
         Self::with_initial_tag(capacity, 0)
     }
@@ -64,25 +125,21 @@ impl<T> SlotStack<T> {
     /// tests park the ABA tag just below `u32::MAX` and drive it across
     /// the wraparound.
     pub fn with_initial_tag(capacity: usize, tag: u32) -> Self {
-        let capacity = capacity.clamp(1, u32::MAX as usize - 1);
-        let slots: Box<[Slot<T>]> = (0..capacity)
-            .map(|i| Slot {
-                // Thread the initial free list 0 -> 1 -> ... -> NIL.
-                next: AtomicU32::new(if i + 1 < capacity { i as u32 + 2 } else { NIL }),
-                value: UnsafeCell::new(None),
-            })
-            .collect();
+        let capacity = capacity.clamp(1, u32::MAX as usize - 1) as u32;
+        let n_chunks = chunk_of(capacity - 1).0 + 1;
         SlotStack {
-            slots,
-            free: AtomicU64::new((u64::from(tag) << 32) | 1), // index 0
-            used: AtomicU64::new(u64::from(tag) << 32),       // empty
+            chunks: (0..n_chunks).map(|_| OnceLock::new()).collect(),
+            capacity,
+            grown: AtomicUsize::new(0),
+            free: AtomicU64::new(u64::from(tag) << 32), // empty
+            used: AtomicU64::new(u64::from(tag) << 32), // empty
             len: AtomicUsize::new(0),
         }
     }
 
-    /// Total slot count.
+    /// Most values the stack can hold.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.capacity as usize
     }
 
     /// Stored value count (exact at quiescence).
@@ -95,6 +152,27 @@ impl<T> SlotStack<T> {
         self.len() == 0
     }
 
+    /// Heap bytes of the slots allocated so far (exact at quiescence).
+    pub fn slot_bytes(&self) -> usize {
+        let slots: usize = self
+            .chunks
+            .iter()
+            .filter_map(OnceLock::get)
+            .map(|c| c.len())
+            .sum();
+        slots * std::mem::size_of::<Slot<T>>()
+    }
+
+    /// Slot `index`, which a list link or a growing push handed out, so
+    /// its chunk is published.
+    #[inline]
+    fn slot(&self, index: u32) -> &Slot<T> {
+        let (k, offset) = chunk_of(index);
+        &self.chunks[k]
+            .get()
+            .expect("a linked slot's chunk is published")[offset]
+    }
+
     /// Unlinks and returns the top slot index of the list at `head`, or
     /// `None` when the list is empty. The caller owns the slot afterwards.
     fn pop_slot(&self, head: &AtomicU64) -> Option<u32> {
@@ -105,10 +183,8 @@ impl<T> SlotStack<T> {
                 return None;
             }
             let index = link - 1;
-            let next = self.slots[index as usize].next.load(Ordering::Acquire);
-            // The tag wraps at u32::MAX by design (wrapping add keeps the
-            // packed word well-formed); correctness only needs the tag to
-            // *change* on every successful exchange.
+            let next = self.slot(index).next.load(Ordering::Acquire);
+            // The tag wraps at u32::MAX by design (see the module docs).
             let tag = (current >> 32) as u32;
             let new_head = (u64::from(tag.wrapping_add(1)) << 32) | u64::from(next);
             match head.compare_exchange_weak(current, new_head, Ordering::AcqRel, Ordering::Acquire)
@@ -119,16 +195,15 @@ impl<T> SlotStack<T> {
         }
     }
 
-    /// Links the (caller-owned) slot `index` onto the list at `head`.
-    fn push_slot(&self, head: &AtomicU64, index: u32) {
+    /// Links the (caller-owned) chain of slots `first ..= last`, already
+    /// linked to each other, onto the list at `head`.
+    fn push_chain(&self, head: &AtomicU64, first: u32, last: u32) {
         let mut current = head.load(Ordering::Acquire);
         loop {
             let link = (current & 0xffff_ffff) as u32;
-            self.slots[index as usize]
-                .next
-                .store(link, Ordering::Release);
+            self.slot(last).next.store(link, Ordering::Release);
             let tag = (current >> 32) as u32;
-            let new_head = (u64::from(tag.wrapping_add(1)) << 32) | u64::from(index + 1);
+            let new_head = (u64::from(tag.wrapping_add(1)) << 32) | u64::from(first + 1);
             match head.compare_exchange_weak(current, new_head, Ordering::AcqRel, Ordering::Acquire)
             {
                 Ok(_) => return,
@@ -137,14 +212,56 @@ impl<T> SlotStack<T> {
         }
     }
 
+    /// A free slot for a push: one off the free list, or the first of a
+    /// chunk this call allocates; `None` when every chunk is claimed.
+    fn claim_slot(&self) -> Option<u32> {
+        loop {
+            if let Some(index) = self.pop_slot(&self.free) {
+                return Some(index);
+            }
+            let k = self.grown.load(Ordering::Acquire);
+            if k == self.chunks.len() {
+                return None;
+            }
+            if self
+                .grown
+                .compare_exchange(k, k + 1, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+            {
+                return Some(self.add_chunk(k));
+            }
+        }
+    }
+
+    /// Allocates and publishes chunk `k` (claimed by the caller), keeps
+    /// its first slot for the caller and frees the rest.
+    fn add_chunk(&self, k: usize) -> u32 {
+        let start = (1u32 << k) - 1;
+        let len = (1u32 << k).min(self.capacity - start);
+        let chunk: Box<[Slot<T>]> = (0..len)
+            .map(|j| Slot {
+                // Thread the chunk's free slots start+1 -> ... -> last.
+                next: AtomicU32::new(if j + 1 < len { start + j + 2 } else { NIL }),
+                value: UnsafeCell::new(None),
+            })
+            .collect();
+        assert!(self.chunks[k].set(chunk).is_ok(), "chunk {k} claimed twice");
+        if len > 1 {
+            self.push_chain(&self.free, start + 1, start + len - 1);
+        }
+        start
+    }
+
     /// Stores `value`, or hands it back when every slot is occupied.
     pub fn push(&self, value: T) -> Result<(), T> {
-        let Some(index) = self.pop_slot(&self.free) else {
+        let Some(index) = self.claim_slot() else {
             return Err(value);
         };
-        // Exclusively ours between the two head CASes.
-        unsafe { *self.slots[index as usize].value.get() = Some(value) };
-        self.push_slot(&self.used, index);
+        // SAFETY: `claim_slot` unlinked `index` from the free list (or
+        // allocated it), so no other thread can reach the slot's cell until
+        // the used-list push below publishes it.
+        unsafe { *self.slot(index).value.get() = Some(value) };
+        self.push_chain(&self.used, index, index);
         self.len.fetch_add(1, Ordering::AcqRel);
         Ok(())
     }
@@ -152,12 +269,14 @@ impl<T> SlotStack<T> {
     /// Takes the most recently stored value, if any.
     pub fn pop(&self) -> Option<T> {
         let index = self.pop_slot(&self.used)?;
+        // SAFETY: the used-list CAS unlinked `index`, so this thread owns
+        // the slot's cell until the free-list push below.
         let value = unsafe {
-            (*self.slots[index as usize].value.get())
+            (*self.slot(index).value.get())
                 .take()
                 .expect("used-list slot holds a value")
         };
-        self.push_slot(&self.free, index);
+        self.push_chain(&self.free, index, index);
         self.len.fetch_sub(1, Ordering::AcqRel);
         Some(value)
     }
@@ -243,38 +362,81 @@ mod tests {
         assert_eq!(stack.len(), 0);
     }
 
-    /// Drives both packed heads across the 32-bit ABA-tag wraparound: the
+    /// Drives both packed heads across the 32-bit ABA-tag wraparound: each
     /// stack starts with its tags parked at `u32::MAX - 8`, then performs
     /// far more successful CAS exchanges than tags remain, under
     /// contention. Wrapping tag arithmetic must keep the packed word
-    /// well-formed and the exchange discipline intact.
+    /// well-formed and the exchange discipline intact — also at capacity
+    /// 2, where the index half of the head check protects nothing (a slot
+    /// is back on top every other exchange) and chunks are claimed while
+    /// the tags wrap.
     #[test]
     fn aba_tag_exhaustion_wraps_cleanly() {
-        let stack = Arc::new(SlotStack::with_initial_tag(4, u32::MAX - 8));
-        let handles: Vec<_> = (0..3)
-            .map(|t| {
-                let stack = Arc::clone(&stack);
-                std::thread::spawn(move || {
-                    for i in 0..3000u64 {
-                        let v = t * 100_000 + i + 1;
-                        if stack.push(v).is_ok() {
-                            // Pop-anything keeps churn high while the tag
-                            // wraps; values are validated by range.
-                            if let Some(got) = stack.pop() {
-                                assert!((1..400_000).contains(&got));
+        for capacity in [4, 2] {
+            let stack = Arc::new(SlotStack::with_initial_tag(capacity, u32::MAX - 8));
+            let handles: Vec<_> = (0..3)
+                .map(|t| {
+                    let stack = Arc::clone(&stack);
+                    std::thread::spawn(move || {
+                        let mut popped = 0usize;
+                        for i in 0..3000u64 {
+                            let v = t * 100_000 + i + 1;
+                            if stack.push(v).is_ok() {
+                                // Pop-anything keeps churn high while the
+                                // tag wraps; values are validated by range.
+                                if let Some(got) = stack.pop() {
+                                    assert!((1..400_000).contains(&got));
+                                    popped += 1;
+                                }
                             }
                         }
-                    }
+                        popped
+                    })
                 })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
+                .collect();
+            let served: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
+            assert!(served > 0, "capacity {capacity}: the stack served");
+            while stack.pop().is_some() {}
+            assert!(stack.is_empty());
+            assert!(stack.slot_bytes() <= capacity * std::mem::size_of::<Slot<u64>>());
+            // Both heads long since wrapped past zero.
+            for head in [&stack.free, &stack.used] {
+                let tag = head.load(Ordering::Relaxed) >> 32;
+                assert!(tag < u64::from(u32::MAX - 8), "capacity {capacity}");
+            }
         }
-        while stack.pop().is_some() {}
-        assert!(stack.is_empty());
-        // Both heads long since wrapped past zero.
-        assert!(stack.free.load(Ordering::Relaxed) >> 32 < u64::from(u32::MAX - 8));
+    }
+
+    #[test]
+    fn slots_are_allocated_as_values_need_them() {
+        let s = SlotStack::new(256);
+        let slot = std::mem::size_of::<Slot<u64>>();
+        assert_eq!(s.slot_bytes(), 0, "an empty stack owns no slot");
+        for v in 0..3u64 {
+            s.push(v).unwrap();
+        }
+        assert_eq!(s.slot_bytes(), 3 * slot, "chunks of 1 and 2 slots");
+        // Cycling within what is held allocates nothing more.
+        for _ in 0..100 {
+            let v = s.pop().unwrap();
+            s.push(v).unwrap();
+        }
+        assert_eq!(s.slot_bytes(), 3 * slot);
+        for v in 3..256u64 {
+            s.push(v).unwrap();
+        }
+        assert_eq!(s.push(256), Err(256), "the capacity still bounds it");
+        assert_eq!(s.slot_bytes(), 256 * slot);
+        // The last chunk is cut at the capacity.
+        let odd = SlotStack::new(5);
+        for v in 0..5u64 {
+            odd.push(v).unwrap();
+        }
+        assert_eq!(odd.push(5), Err(5));
+        assert_eq!(odd.slot_bytes(), 5 * slot);
+        let mut drained: Vec<u64> = std::iter::from_fn(|| odd.pop()).collect();
+        drained.sort_unstable();
+        assert_eq!(drained, [0, 1, 2, 3, 4]);
     }
 
     /// Barrier-scheduled steal-vs-return interleaving: an "owner" thread

@@ -613,7 +613,7 @@ fn object_store_retain_release_property() {
     let store = ObjectStore::new();
     // Reference model: per-checksum refcount + byte size.
     let mut refcounts: HashMap<u64, (u64, usize)> = HashMap::new();
-    let mut retained: Vec<pretzel_core::plan::StagePlan> = Vec::new();
+    let mut retained = Vec::new();
 
     let unique_params = |plan: &pretzel_core::plan::StagePlan| {
         let mut set: HashMap<u64, usize> = HashMap::new();
@@ -632,15 +632,15 @@ fn object_store_retain_release_property() {
         if retain {
             let mut plan = logical_plans[(next() % 8) as usize].clone();
             intern_plan(&mut plan, &store);
-            store.retain_plan(&plan);
+            let refs = store.retain_plan(&plan);
             for (sum, bytes) in unique_params(&plan) {
                 let slot = refcounts.entry(sum).or_insert((0, bytes));
                 slot.0 += 1;
             }
-            retained.push(plan);
+            retained.push((plan, refs));
         } else {
-            let plan = retained.swap_remove((next() % retained.len() as u64) as usize);
-            store.release_plan(&plan);
+            let (plan, refs) = retained.swap_remove((next() % retained.len() as u64) as usize);
+            store.release_plan(&refs);
             for (sum, _) in unique_params(&plan) {
                 let slot = refcounts.get_mut(&sum).unwrap();
                 slot.0 -= 1;
@@ -665,8 +665,8 @@ fn object_store_retain_release_property() {
             );
         }
     }
-    for plan in retained.drain(..) {
-        store.release_plan(&plan);
+    for (_, refs) in retained.drain(..) {
+        store.release_plan(&refs);
     }
     assert!(store.is_empty(), "full release must empty the store");
     assert_eq!(store.unique_bytes(), 0);
