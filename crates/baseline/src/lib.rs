@@ -19,6 +19,8 @@
 //!
 //! [`pretzel-ops`]: ../pretzel_ops/index.html
 
+#![forbid(unsafe_code)]
+
 pub mod blackbox;
 pub mod clipper;
 pub mod container;

@@ -13,14 +13,16 @@
 //!
 //! * **Reactor pool** (linux/x86-64): a fixed pool of event-loop threads
 //!   ([`FrontEndConfig::reactor_threads`]) drives every connection over
-//!   non-blocking sockets via epoll. Per-connection state lives in a
-//!   lock-free fixed-size slab (free slot indices in a
-//!   [`SlotStack`](pretzel_data::slot_alloc::SlotStack), per-slot
-//!   generation counters), frames assemble incrementally from readiness
-//!   events, and batch/delayed completions are *pushed* back to the owning
-//!   reactor through a completion queue + eventfd wake instead of parking
-//!   a thread per request. Thousands of idle or pipelined connections cost
-//!   a few slab slots, not a thread stack each.
+//!   non-blocking sockets via epoll. A connection belongs to the reactor
+//!   that accepted it, for good: its state sits in that reactor's own
+//!   table (a slot per connection, a generation per slot), touched by no
+//!   other thread. Frames assemble incrementally from readiness events,
+//!   and batch/delayed completions are *pushed* back to the owning reactor
+//!   through a completion queue + eventfd wake instead of parking a thread
+//!   per request. Thousands of idle or pipelined connections cost a table
+//!   slot each, not a thread stack. The only count the reactors share is
+//!   the open-connection gauge, which doubles as the
+//!   [`FrontEndConfig::max_connections`] cap.
 //! * **Thread-per-connection** (every other target): the blocking loop —
 //!   one spawned thread per accepted socket, one request at a time.
 //!
@@ -80,7 +82,7 @@ pub mod wire;
 
 mod client;
 mod reactor;
-mod slab;
+#[allow(unsafe_code)] // raw epoll/eventfd system calls
 mod sys;
 
 pub use client::{Client, PendingPredict, PredictRequest, Session, Target};
@@ -119,9 +121,10 @@ pub struct FrontEndConfig {
     /// to `1..=4` — reactors are I/O-bound; the scheduler's executors own
     /// the compute. Unused on targets without the raw-syscall reactor.
     pub reactor_threads: usize,
-    /// Connection-slab capacity of the reactor pool: the most sockets held
-    /// open at once. Accepts beyond it are refused (closed immediately)
-    /// rather than queued. Unused on targets without the reactor.
+    /// The most sockets held open at once, across every reactor. An accept
+    /// beyond it is refused (the socket closes at once) rather than
+    /// queued, and a closed connection frees its seat for the next one.
+    /// Unused on targets without the reactor.
     pub max_connections: usize,
 }
 
@@ -153,7 +156,9 @@ pub struct FrontEndStats {
 }
 
 impl FrontEndStats {
-    /// Sockets currently held open (under the reactor: occupied slab slots).
+    /// Sockets currently held open. Under the reactor this is also the
+    /// count [`FrontEndConfig::max_connections`] caps: an accept takes a
+    /// seat here, or is refused, and every close gives its seat back.
     pub fn open_connections(&self) -> usize {
         self.open.load(Ordering::Acquire)
     }
@@ -171,6 +176,20 @@ impl FrontEndStats {
 
     fn note_protocol_error(&self) {
         self.protocol_errors.fetch_add(1, Ordering::AcqRel);
+    }
+
+    /// Counts one more open connection unless `max` are open already.
+    fn take_seat(&self, max: usize) -> bool {
+        self.open
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |open| {
+                (open < max).then_some(open + 1)
+            })
+            .is_ok()
+    }
+
+    /// Counts one connection closed.
+    fn leave_seat(&self) {
+        self.open.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
@@ -1649,6 +1668,151 @@ mod tests {
                 assert!(pending.wait().is_err());
             }
         }
+    }
+
+    /// Polls the open-connection gauge to `want` for at most five seconds
+    /// of real time: a close reaches the reactor as its next wake.
+    #[allow(clippy::disallowed_methods)] // bounds a poll of another thread
+    fn await_open_connections(fe: &FrontEnd, want: usize) {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while fe.stats().open_connections() != want {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "open connections stuck at {} (want {want})",
+                fe.stats().open_connections()
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    /// `request` as one frame tagged `request_id`.
+    fn frame(request_id: u32, request: &PredictRequest) -> Vec<u8> {
+        let mut body = Vec::new();
+        request.encode_into(&mut body).unwrap();
+        let mut frame = Vec::new();
+        wire::encode_v2_into(&mut frame, request_id, &body);
+        frame
+    }
+
+    /// Reads the next frame, a one-score reply: its request id and score.
+    fn receive(frames: &mut wire::FrameReader, stream: &mut TcpStream) -> (u32, f32) {
+        match frames.read_next(stream).unwrap() {
+            Some(wire::Frame::Complete { request_id, body }) => {
+                let scores = wire::decode_response(body).unwrap();
+                assert_eq!(scores.len(), 1);
+                (request_id, scores[0])
+            }
+            other => panic!("expected a reply, got {other:?}"),
+        }
+    }
+
+    /// `max_connections` caps the sockets open at once: the server closes
+    /// one past the cap, and a close frees its seat for the next.
+    #[test]
+    fn connections_past_the_cap_are_closed_until_a_seat_frees() {
+        if !sys::SUPPORTED {
+            return; // the cap is the reactor pool's
+        }
+        let (rt, fe, id) = serve_sa(FrontEndConfig {
+            reactor_threads: 1,
+            max_connections: 2,
+            ..FrontEndConfig::default()
+        });
+        let line = "4,pretty good";
+        let local = rt.predict(id, line).unwrap();
+        let request = PredictRequest::text(line).plan(id);
+        let mut a = Client::connect_v2(fe.addr()).unwrap();
+        let mut b = Client::connect_v2(fe.addr()).unwrap();
+        for client in [&mut a, &mut b] {
+            assert_eq!(client.predict(&request).unwrap().to_bits(), local.to_bits());
+        }
+        // A third asks too: a served one would hear its answer, a refused
+        // one reads the close (a reset when the request was never read).
+        let mut refused = TcpStream::connect(fe.addr()).unwrap();
+        refused
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let _ = refused.write_all(&frame(1, &request));
+        let mut probe = [0u8; 1];
+        let read = refused.read(&mut probe);
+        assert!(
+            matches!(&read, Ok(0))
+                || matches!(&read, Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset),
+            "the third connection was not closed: {read:?}"
+        );
+        assert_eq!(fe.stats().accepted(), 3);
+        assert_eq!(fe.stats().open_connections(), 2);
+        drop(a);
+        await_open_connections(&fe, 1);
+        let mut c = Client::connect_v2(fe.addr()).unwrap();
+        assert_eq!(c.predict(&request).unwrap().to_bits(), local.to_bits());
+        assert_eq!(fe.stats().open_connections(), 2);
+        let stats = Arc::clone(&fe.stats);
+        fe.stop();
+        assert_eq!(stats.open_connections(), 0, "stop closes every connection");
+        drop((b, c));
+    }
+
+    /// A completion for a closed connection dies at the generation check,
+    /// also when the next connection holds the same slot and reuses the
+    /// same request id.
+    #[test]
+    fn a_stale_completion_never_reaches_the_slot_s_next_connection() {
+        let delay = Duration::from_millis(500);
+        let clock = Clock::manual();
+        let config = FrontEndConfig {
+            batch_delay: Some(delay),
+            reactor_threads: 1,
+            max_connections: 1,
+            ..FrontEndConfig::default()
+        };
+        let (rt, fe, id) = serve_sa_on(config, sys::SUPPORTED, clock.clone());
+        // B's row is words of the plan's vocabulary, so its dictionary
+        // hits give it another score than A's.
+        let line_a = "4,pretty good";
+        let line_b = &format!("5,{}", synth::vocabulary(0, 64)[..8].join(" "));
+        let score_a = rt.predict(id, line_a).unwrap();
+        let score_b = rt.predict(id, line_b).unwrap();
+        assert_ne!(score_a.to_bits(), score_b.to_bits());
+        const DELAYED: u32 = 7;
+
+        let (ask_a, ask_b) = (
+            PredictRequest::text(line_a).plan(id),
+            PredictRequest::text(line_b).plan(id),
+        );
+
+        // A parks a delayed request and hangs up. A connection's frames
+        // are served in order, so the inline reply behind it means parked.
+        let mut a = TcpStream::connect(fe.addr()).unwrap();
+        let mut frames = wire::FrameReader::default();
+        a.write_all(&frame(DELAYED, &ask_a.clone().delayed()))
+            .unwrap();
+        a.write_all(&frame(8, &ask_a)).unwrap();
+        assert_eq!(receive(&mut frames, &mut a), (8, score_a));
+        drop(a);
+        await_open_connections(&fe, 0);
+
+        // B takes the one slot and parks the same request id on its row.
+        let mut b = TcpStream::connect(fe.addr()).unwrap();
+        let mut frames = wire::FrameReader::default();
+        b.write_all(&frame(DELAYED, &ask_b.clone().delayed()))
+            .unwrap();
+        b.write_all(&frame(9, &ask_b)).unwrap();
+        assert_eq!(receive(&mut frames, &mut b), (9, score_b));
+        assert_eq!(batch_requests(&rt, id), 0, "flushed before the tick");
+
+        // One flush answers both: A's answer must vanish, B's arrive once.
+        clock.advance(delay);
+        let (request_id, score) = receive(&mut frames, &mut b);
+        assert_eq!(request_id, DELAYED);
+        assert_eq!(score.to_bits(), score_b.to_bits());
+        b.write_all(&frame(10, &ask_b)).unwrap();
+        assert_eq!(
+            receive(&mut frames, &mut b),
+            (10, score_b),
+            "a stray reply reached the slot's next owner"
+        );
+        fe.stop();
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! Event-loop reactor pool: how the FrontEnd serves on linux/x86-64.
 //!
-//! A fixed set of reactor threads shares one non-blocking listener and a
-//! lock-free [`ConnSlab`] of per-connection state. Each reactor owns an
-//! epoll instance; readiness events drive each connection — read into its
+//! A fixed set of reactor threads shares one non-blocking listener. Each
+//! reactor owns an epoll instance and a [`ConnTable`] of the connections it
+//! accepted: a connection is accepted, read, written and closed by that one
+//! thread, so its state needs no lock and no atomic. The front end's
+//! connection cap is the one count the reactors share (a seat taken on
+//! accept in [`FrontEndStats`], given back on close). Readiness events
+//! drive each connection — read into its
 //! [`FrameReader`], parse frames in place, dispatch through the same
 //! request logic the fallback loop uses, and drain a write-back queue under
 //! `EPOLLOUT`. Requests whose results materialize later (batch engine,
@@ -25,13 +29,13 @@
 //! buffers leased here return to the runtime's ingest arena from whichever
 //! executor finished the request — the pool's cross-thread return path.
 //!
-//! Connection identity is the slab token `(slot, generation)` packed into
-//! the epoll user-data word. The generation check makes every stale
+//! Connection identity is the table token `(slot, generation)` packed into
+//! the epoll user-data word; a completion also names its reactor, so the
+//! slot indexes that reactor's table. The generation check makes every stale
 //! reference — a late completion for a closed connection, a readiness
 //! event harvested in the same batch as the close — drop harmlessly
 //! instead of touching a recycled slot.
 
-use super::slab::ConnSlab;
 use super::sys::{self, Epoll, EpollEvent, EventFd};
 use super::wire::{self, Frame, FrameReader};
 use super::{serve_frame, Dispatch, FrontEndStats, Lane, Responder, ServerShared};
@@ -59,6 +63,10 @@ const WRITE_COMPACT_BYTES: usize = 64 * 1024;
 
 fn pack_token(slot: u32, generation: u32) -> u64 {
     (u64::from(generation) << 32) | u64::from(slot)
+}
+
+fn unpack_token(token: u64) -> (u32, u32) {
+    (token as u32, (token >> 32) as u32)
 }
 
 #[cfg(unix)]
@@ -93,8 +101,9 @@ struct ReactorIo {
 
 /// State shared by every reactor thread and every completion handle.
 struct ReactorShared {
-    slab: ConnSlab<Conn>,
     ios: Vec<ReactorIo>,
+    /// The most connections open at once across every reactor.
+    max_connections: usize,
     stop: AtomicBool,
     stats: Arc<FrontEndStats>,
     server: Arc<ServerShared>,
@@ -113,11 +122,12 @@ pub(super) struct Route<'a> {
 
 impl Route<'_> {
     pub(super) fn handle(&self) -> CompletionHandle {
+        let (slot, generation) = unpack_token(self.token);
         CompletionHandle {
             shared: Arc::clone(self.shared),
             reactor: self.reactor,
-            slot: (self.token & 0xffff_ffff) as u32,
-            generation: (self.token >> 32) as u32,
+            slot,
+            generation,
             request_id: self.request_id,
         }
     }
@@ -125,7 +135,7 @@ impl Route<'_> {
 
 /// Routes one request's eventual response back to the reactor that owns
 /// its connection. Valid across connection close: a stale handle fails
-/// the slab generation check and the completion is dropped.
+/// the reactor's generation check and the completion is dropped.
 pub(super) struct CompletionHandle {
     shared: Arc<ReactorShared>,
     reactor: usize,
@@ -219,7 +229,7 @@ impl std::fmt::Debug for ReactorPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ReactorPool")
             .field("threads", &self.threads.len())
-            .field("slab", &self.shared.slab)
+            .field("max_connections", &self.shared.max_connections)
             .finish()
     }
 }
@@ -263,8 +273,8 @@ impl ReactorPool {
             });
         }
         let shared = Arc::new(ReactorShared {
-            slab: ConnSlab::new(max_connections.max(1)),
             ios,
+            max_connections: max_connections.max(1),
             stop: AtomicBool::new(false),
             stats,
             server,
@@ -298,9 +308,7 @@ impl ReactorPool {
 
 fn run_reactor(shared: Arc<ReactorShared>, ep: Epoll, me: usize) {
     let mut events = [EpollEvent::zeroed(); 256];
-    // Slots this thread accepted; connections never migrate between
-    // reactors, which is what makes `slab.with` access exclusive.
-    let mut owned: HashSet<u32> = HashSet::new();
+    let mut conns = ConnTable::default();
     let mut lane = Lane::new(&shared.server.runtime);
     let mut drain = CompletionDrain::default();
     while !shared.stop.load(Ordering::Acquire) {
@@ -314,40 +322,30 @@ fn run_reactor(shared: Arc<ReactorShared>, ep: Epoll, me: usize) {
             let readiness = event.events;
             match data {
                 TOKEN_WAKE => shared.ios[me].wake.drain(),
-                TOKEN_LISTENER => accept_ready(&shared, &ep, &mut owned),
+                TOKEN_LISTENER => accept_ready(&shared, &ep, &mut conns),
                 token => {
-                    let slot = (token & 0xffff_ffff) as u32;
-                    let generation = (token >> 32) as u32;
-                    if !owned.contains(&slot) || shared.slab.generation(slot) != generation {
+                    let (slot, generation) = unpack_token(token);
+                    let Some(conn) = conns.get_mut(slot, generation) else {
                         continue; // stale event for a recycled slot
-                    }
-                    // Safety: this thread accepted the slot and is its only
-                    // accessor until `teardown`.
-                    let action = unsafe {
-                        shared.slab.with(slot, |conn| {
-                            conn_event(&shared, &ep, me, readiness, conn, &mut lane)
-                        })
                     };
-                    if action == Action::Close {
-                        teardown(&shared, &ep, &mut owned, slot);
+                    if conn_event(&shared, &ep, me, readiness, conn, &mut lane) == Action::Close {
+                        teardown(&shared, &ep, &mut conns, slot);
                     }
                 }
             }
         }
-        drain_completions(&shared, &ep, me, &mut owned, &mut drain);
+        drain_completions(&shared, &ep, me, &mut conns, &mut drain);
     }
     // Shutdown: deliver what completed before the stop (the delayed
     // batcher's last flush), then close everything this reactor owns.
-    drain_completions(&shared, &ep, me, &mut owned, &mut drain);
-    for slot in owned.drain() {
-        // Safety: owner teardown; no other accessor exists.
-        let conn = unsafe { shared.slab.remove(slot) };
+    drain_completions(&shared, &ep, me, &mut conns, &mut drain);
+    for conn in conns.drain() {
         let _ = ep.delete(conn.fd);
-        shared.stats.open.fetch_sub(1, Ordering::AcqRel);
+        shared.stats.leave_seat();
     }
 }
 
-fn accept_ready(shared: &Arc<ReactorShared>, ep: &Epoll, owned: &mut HashSet<u32>) {
+fn accept_ready(shared: &Arc<ReactorShared>, ep: &Epoll, conns: &mut ConnTable<Conn>) {
     loop {
         let stream = match shared.listener.accept() {
             Ok((stream, _)) => stream,
@@ -358,8 +356,12 @@ fn accept_ready(shared: &Arc<ReactorShared>, ep: &Epoll, owned: &mut HashSet<u32
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
             continue;
         }
+        if !shared.stats.take_seat(shared.max_connections) {
+            // At the cap: refuse by dropping (closing) the socket.
+            continue;
+        }
         let fd = raw_fd(&stream);
-        let conn = Conn {
+        let (slot, generation) = conns.insert(Conn {
             stream,
             fd,
             token: 0,
@@ -370,31 +372,25 @@ fn accept_ready(shared: &Arc<ReactorShared>, ep: &Epoll, owned: &mut HashSet<u32
             in_flight: HashSet::new(),
             close_after_flush: false,
             flush_due: false,
-        };
-        let Some((slot, generation)) = shared.slab.insert(conn) else {
-            // Slab full: refuse by dropping (closing) the socket.
-            continue;
-        };
+        });
         let token = pack_token(slot, generation);
-        // Safety: we just claimed the slot; nobody else references it.
-        unsafe { shared.slab.with(slot, |c| c.token = token) };
-        if ep.add(fd, sys::EPOLLIN | sys::EPOLLRDHUP, token).is_err() {
-            unsafe { shared.slab.remove(slot) };
-            continue;
+        if let Some(conn) = conns.get_mut(slot, generation) {
+            conn.token = token;
         }
-        owned.insert(slot);
-        shared.stats.open.fetch_add(1, Ordering::AcqRel);
+        if ep.add(fd, sys::EPOLLIN | sys::EPOLLRDHUP, token).is_err() {
+            conns.remove(slot);
+            shared.stats.leave_seat();
+        }
     }
 }
 
-fn teardown(shared: &Arc<ReactorShared>, ep: &Epoll, owned: &mut HashSet<u32>, slot: u32) {
-    owned.remove(&slot);
-    // Safety: owner teardown, outside any `with` on this slot.
-    let conn = unsafe { shared.slab.remove(slot) };
-    let _ = ep.delete(conn.fd);
-    shared.stats.open.fetch_sub(1, Ordering::AcqRel);
-    // Dropping `conn` closes the socket. In-flight completions for it
-    // fail the generation check and vanish — same outcome as a blocking
+fn teardown(shared: &Arc<ReactorShared>, ep: &Epoll, conns: &mut ConnTable<Conn>, slot: u32) {
+    if let Some(conn) = conns.remove(slot) {
+        let _ = ep.delete(conn.fd);
+        shared.stats.leave_seat();
+    }
+    // Dropping the connection closes the socket. In-flight completions for
+    // it fail the generation check and vanish — same outcome as a blocking
     // connection thread exiting with results undelivered.
 }
 
@@ -546,8 +542,9 @@ fn flush(ep: &Epoll, conn: &mut Conn) -> Action {
 #[derive(Default)]
 struct CompletionDrain {
     batch: Vec<Completion>,
-    /// Slots with output queued by the drain in progress.
-    touched: Vec<u32>,
+    /// Tokens of the connections with output queued by the drain in
+    /// progress.
+    touched: Vec<(u32, u32)>,
 }
 
 /// Applies queued completions to their connections' write queues, then
@@ -557,7 +554,7 @@ fn drain_completions(
     shared: &Arc<ReactorShared>,
     ep: &Epoll,
     me: usize,
-    owned: &mut HashSet<u32>,
+    conns: &mut ConnTable<Conn>,
     drain: &mut CompletionDrain,
 ) {
     let CompletionDrain { batch, touched } = drain;
@@ -567,31 +564,151 @@ fn drain_completions(
         runtime
             .metrics_registry()
             .record_completion_flush(runtime.clock().since(c.enqueued).as_nanos() as u64);
-        if !owned.contains(&c.slot) || shared.slab.generation(c.slot) != c.generation {
+        let Some(conn) = conns.get_mut(c.slot, c.generation) else {
             continue; // connection closed while the request ran
-        }
-        // Safety: this thread owns the slot (checked above).
-        unsafe {
-            shared.slab.with(c.slot, |conn| {
-                conn.in_flight.remove(&c.request_id);
-                wire::encode_v2_into(&mut conn.write_buf, c.request_id, &c.body);
-                if !std::mem::replace(&mut conn.flush_due, true) {
-                    touched.push(c.slot);
-                }
-            })
         };
+        conn.in_flight.remove(&c.request_id);
+        wire::encode_v2_into(&mut conn.write_buf, c.request_id, &c.body);
+        if !std::mem::replace(&mut conn.flush_due, true) {
+            touched.push((c.slot, c.generation));
+        }
     }
-    for slot in touched.drain(..) {
-        // Safety: still this thread's slot — only the owner tears a slot
-        // down, and nothing above did.
-        let action = unsafe {
-            shared.slab.with(slot, |conn| {
-                conn.flush_due = false;
-                flush(ep, conn)
-            })
+    for (slot, generation) in touched.drain(..) {
+        // Nothing above closes a connection, so every touched one is open.
+        let Some(conn) = conns.get_mut(slot, generation) else {
+            continue;
         };
-        if action == Action::Close {
-            teardown(shared, ep, owned, slot);
+        conn.flush_due = false;
+        if flush(ep, conn) == Action::Close {
+            teardown(shared, ep, conns, slot);
         }
+    }
+}
+
+/// The connections one reactor owns, indexed by slot. Only the owning
+/// thread touches it. A slot's generation is bumped every time its
+/// connection is removed, so a token `(slot, generation)` names one
+/// connection for good: a late completion or readiness event for a closed
+/// connection fails the check instead of reaching the slot's next owner.
+struct ConnTable<T> {
+    slots: Vec<Slot<T>>,
+    /// Slots a `remove` emptied, reused before the table grows.
+    free: Vec<u32>,
+}
+
+/// A table slot boxes its connection, so an empty slot is two words however
+/// large a connection's state grows.
+struct Slot<T> {
+    generation: u32,
+    conn: Option<Box<T>>,
+}
+
+impl<T> Default for ConnTable<T> {
+    fn default() -> Self {
+        ConnTable {
+            slots: Vec::new(),
+            free: Vec::new(),
+        }
+    }
+}
+
+impl<T> ConnTable<T> {
+    /// Files `conn` in a free slot; returns its `(slot, generation)` token.
+    fn insert(&mut self, conn: T) -> (u32, u32) {
+        let conn = Some(Box::new(conn));
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize].conn = conn;
+                slot
+            }
+            None => {
+                self.slots.push(Slot {
+                    generation: 0,
+                    conn,
+                });
+                (self.slots.len() - 1) as u32
+            }
+        };
+        (slot, self.slots[slot as usize].generation)
+    }
+
+    /// The connection the token names, if it is still open.
+    fn get_mut(&mut self, slot: u32, generation: u32) -> Option<&mut T> {
+        let s = self.slots.get_mut(slot as usize)?;
+        if s.generation != generation {
+            return None;
+        }
+        s.conn.as_deref_mut()
+    }
+
+    /// Takes the slot's connection out and retires its tokens.
+    fn remove(&mut self, slot: u32) -> Option<T> {
+        let s = self.slots.get_mut(slot as usize)?;
+        let conn = s.conn.take()?;
+        s.generation = s.generation.wrapping_add(1);
+        self.free.push(slot);
+        Some(*conn)
+    }
+
+    /// Takes every open connection out.
+    fn drain(&mut self) -> impl Iterator<Item = T> + '_ {
+        self.free.clear();
+        self.slots.drain(..).filter_map(|s| s.conn.map(|c| *c))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn insert_remove_roundtrip_reuses_slots() {
+        let mut table = ConnTable::default();
+        let (a, ga) = table.insert(10u32);
+        let (b, gb) = table.insert(20u32);
+        assert_ne!(a, b);
+        assert_eq!(table.get_mut(a, ga).copied(), Some(10));
+        assert_eq!(table.remove(b), Some(20));
+        assert_eq!(table.remove(b), None, "a slot empties once");
+        let (c, gc) = table.insert(40);
+        assert_eq!(c, b, "an emptied slot is reused before the table grows");
+        assert_eq!(table.get_mut(c, gc).copied(), Some(40));
+        assert_eq!(table.get_mut(b, gb), None, "the old token is retired");
+        let mut left: Vec<u32> = table.drain().collect();
+        left.sort_unstable();
+        assert_eq!(left, [10, 40]);
+    }
+
+    #[test]
+    fn generation_invalidates_stale_tokens() {
+        let mut table = ConnTable::default();
+        let (slot, gen0) = table.insert(1u8);
+        table.remove(slot);
+        let (slot2, gen1) = table.insert(2u8);
+        assert_eq!(slot, slot2, "single slot recycles");
+        assert_ne!(gen0, gen1, "recycled slot has a fresh generation");
+        assert_eq!(table.get_mut(slot, gen0), None);
+        assert_eq!(table.get_mut(slot2, gen1).copied(), Some(2));
+        assert_eq!(table.remove(slot2), Some(2));
+        assert_eq!(table.get_mut(slot2, gen1), None);
+    }
+
+    #[test]
+    fn seats_cap_open_connections_across_tables() {
+        let stats = FrontEndStats::default();
+        assert!(stats.take_seat(2));
+        assert!(stats.take_seat(2));
+        assert!(!stats.take_seat(2), "a full front end refuses");
+        assert_eq!(stats.open_connections(), 2, "a refusal takes no seat");
+        stats.leave_seat();
+        assert!(stats.take_seat(2), "a close frees a seat");
+        stats.leave_seat();
+        stats.leave_seat();
+        assert_eq!(stats.open_connections(), 0);
+    }
+
+    #[test]
+    fn an_empty_slot_costs_two_words_whatever_the_value() {
+        assert_eq!(std::mem::size_of::<Slot<[u8; 152]>>(), 16);
     }
 }

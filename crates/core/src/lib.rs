@@ -57,6 +57,8 @@
 //! assert!((0.0..=1.0).contains(&score));
 //! ```
 
+#![deny(unsafe_code)]
+
 pub mod clock;
 pub mod flour;
 pub mod frontend;

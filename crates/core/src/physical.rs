@@ -1201,23 +1201,28 @@ fn step_keys(program: &[Step], slots: usize, frame_len: usize) -> Vec<Option<u64
 impl ModelPlan {
     /// Compiles a validated logical plan, interning operator parameters in
     /// the Object Store.
-    pub fn compile(logical: StagePlan, opts: &CompileOptions, store: &ObjectStore) -> Result<Self> {
-        Self::compile_with_catalog(logical, opts, store, |_| None)
-    }
-
-    /// [`Self::compile`] with a stage-residency probe: each compiled
-    /// stage's signature is offered to `lookup`, and a hit serves the
-    /// resident [`PhysicalStage`] instead (identity and all — warm catalog
-    /// entries are shared intact). The runtime threads its catalog through
-    /// here, so plans share every stage another live plan deployed.
-    pub fn compile_with_catalog(
+    pub fn compile(
         mut logical: StagePlan,
         opts: &CompileOptions,
         store: &ObjectStore,
-        mut lookup: impl FnMut(u64) -> Option<Arc<PhysicalStage>>,
     ) -> Result<Self> {
         logical.validate()?;
         intern_plan(&mut logical, store);
+        Self::compile_with_catalog(logical, opts, |_| None)
+    }
+
+    /// Compiles a logical plan whose parameters are already interned (the
+    /// runtime interns at registration), with a stage-residency probe: each
+    /// compiled stage's signature is offered to `lookup`, and a hit serves
+    /// the resident [`PhysicalStage`] instead (identity and all — warm
+    /// catalog entries are shared intact). The runtime threads its catalog
+    /// through here, so plans share every stage another live plan deployed.
+    pub fn compile_with_catalog(
+        logical: StagePlan,
+        opts: &CompileOptions,
+        mut lookup: impl FnMut(u64) -> Option<Arc<PhysicalStage>>,
+    ) -> Result<Self> {
+        logical.validate()?;
         let stages: Vec<Arc<PhysicalStage>> = logical
             .stages
             .iter()

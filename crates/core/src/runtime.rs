@@ -542,7 +542,7 @@ impl Runtime {
         // built, so a stage another live plan already deployed is served
         // as-is and never rebuilt.
         let mut reused = 0u64;
-        let mut plan = ModelPlan::compile_with_catalog(logical, &opts, &self.store, |sig| {
+        let mut plan = ModelPlan::compile_with_catalog(logical, &opts, |sig| {
             let hit = self.catalog.lock().get(&sig).cloned();
             if hit.is_some() {
                 reused += 1;

@@ -42,6 +42,9 @@
 //! [`pretzel-core`]: ../pretzel_core/index.html
 //! [`pretzel-baseline`]: ../pretzel_baseline/index.html
 
+#![deny(unsafe_code)]
+
+#[allow(unsafe_code)] // a counting global allocator
 pub mod alloc_meter;
 pub mod batch;
 pub mod calibrate;
@@ -49,10 +52,13 @@ pub mod error;
 pub mod hash;
 pub mod ingest;
 pub mod pool;
+#[allow(unsafe_code)] // SSE2 probe chains and prefetch hints
 pub mod probe;
 pub mod schema;
 pub mod serde_bin;
+#[allow(unsafe_code)] // x86-64 SIMD intrinsics
 pub mod simd;
+#[allow(unsafe_code)] // the lock-free slot stack
 pub mod slot_alloc;
 pub mod vector;
 

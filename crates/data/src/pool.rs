@@ -23,8 +23,8 @@
 //! what was ever parked in it: its warmed count plus one buffer per lease
 //! that missed, capped by the class capacity.
 //!
-//! The free lists are per-class lock-free [`SlotStack`]s behind a
-//! CAS-published class directory. The hot lease/return path is a
+//! The free lists are per-class lock-free [`SlotStack`]s behind a class
+//! directory whose slots are published once (`OnceLock`). The hot lease/return path is a
 //! pointer-width CAS (Blelloch & Wei, arXiv:2008.04296) with zero lock
 //! acquisitions, and because the stacks are MPMC, a *cross-core return* (a
 //! stolen chunk's buffers going home) is just a remote CAS push into the
@@ -38,8 +38,8 @@ use crate::batch::ColumnBatch;
 use crate::schema::ColumnType;
 use crate::slot_alloc::SlotStack;
 use crate::vector::{Span, Vector};
-use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 
 /// Default cap of retained free vectors per size class. Vectors are the
 /// request-response engine's working sets: each serving session holds one
@@ -121,56 +121,42 @@ fn class_key(ty: ColumnType) -> u64 {
 /// and releases drop, which is safe and visible in the miss/drop counters.
 const DIR_SLOTS: usize = 128;
 
-/// A lock-free open-addressed map from class key to its [`SlotStack`].
+/// An open-addressed map from class key to its [`SlotStack`].
 ///
-/// Insertion claims a slot by CAS on the key, then publishes the stack
-/// pointer; classes are never removed, so readers are two atomic loads on
-/// the steady path and never block.
+/// A directory slot is published once, through its `OnceLock`, with the key
+/// and the stack together; classes are never removed, so the steady path is
+/// one load per probe and never blocks. Only the first use of a class can
+/// wait, for the `get_or_init` of a thread publishing the same slot.
 struct ClassDir<T> {
-    keys: Box<[AtomicU64]>,
-    stacks: Box<[AtomicPtr<SlotStack<T>>]>,
+    slots: Box<[OnceLock<Box<Class<T>>>]>,
 }
 
-// Safety: stack pointers are published once (CAS-claimed slot, Release
-// store) and only freed in `Drop`, which has exclusive access.
-unsafe impl<T: Send> Send for ClassDir<T> {}
-unsafe impl<T: Send> Sync for ClassDir<T> {}
+/// One size class: its key and its free list.
+struct Class<T> {
+    key: u64,
+    stack: SlotStack<T>,
+}
 
 impl<T> ClassDir<T> {
     fn new() -> Self {
         ClassDir {
-            keys: (0..DIR_SLOTS).map(|_| AtomicU64::new(0)).collect(),
-            stacks: (0..DIR_SLOTS)
-                .map(|_| AtomicPtr::new(std::ptr::null_mut()))
-                .collect(),
+            slots: (0..DIR_SLOTS).map(|_| OnceLock::new()).collect(),
         }
     }
 
-    fn slot_of(key: u64) -> usize {
+    /// The directory slots `key` probes, from its home slot on.
+    fn probe(key: u64) -> impl Iterator<Item = usize> {
         // Fibonacci mixing spreads the small structured keys.
-        ((key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57) as usize) & (DIR_SLOTS - 1)
-    }
-
-    /// Waits out the instant between a winner's key claim and its stack
-    /// publication (once per class ever, never on the steady path).
-    fn stack_at(&self, i: usize) -> &SlotStack<T> {
-        loop {
-            let p = self.stacks[i].load(Ordering::Acquire);
-            if !p.is_null() {
-                return unsafe { &*p };
-            }
-            std::hint::spin_loop();
-        }
+        let home = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57) as usize;
+        (0..DIR_SLOTS).map(move |step| (home + step) & (DIR_SLOTS - 1))
     }
 
     /// The stack for `key`, if the class was ever populated.
     fn find(&self, key: u64) -> Option<&SlotStack<T>> {
-        let mut i = Self::slot_of(key);
-        for _ in 0..DIR_SLOTS {
-            match self.keys[i].load(Ordering::Acquire) {
-                0 => return None,
-                k if k == key => return Some(self.stack_at(i)),
-                _ => i = (i + 1) & (DIR_SLOTS - 1),
+        for i in Self::probe(key) {
+            let class = self.slots[i].get()?;
+            if class.key == key {
+                return Some(&class.stack);
             }
         }
         None
@@ -179,37 +165,23 @@ impl<T> ClassDir<T> {
     /// The stack for `key`, creating it (with `capacity` slots) on first
     /// use; `None` only when the directory is full.
     fn find_or_insert(&self, key: u64, capacity: usize) -> Option<&SlotStack<T>> {
-        let mut i = Self::slot_of(key);
-        for _ in 0..DIR_SLOTS {
-            let k = self.keys[i].load(Ordering::Acquire);
-            if k == key {
-                return Some(self.stack_at(i));
+        for i in Self::probe(key) {
+            let class = self.slots[i].get_or_init(|| {
+                Box::new(Class {
+                    key,
+                    stack: SlotStack::new(capacity),
+                })
+            });
+            if class.key == key {
+                return Some(&class.stack);
             }
-            if k == 0 {
-                match self.keys[i].compare_exchange(0, key, Ordering::AcqRel, Ordering::Acquire) {
-                    Ok(_) => {
-                        let stack = Box::into_raw(Box::new(SlotStack::new(capacity)));
-                        self.stacks[i].store(stack, Ordering::Release);
-                        return Some(unsafe { &*stack });
-                    }
-                    Err(now) if now == key => return Some(self.stack_at(i)),
-                    Err(_) => {} // lost the slot to another class; keep probing
-                }
-            }
-            i = (i + 1) & (DIR_SLOTS - 1);
         }
         None
     }
 
     /// Every published class stack.
     fn classes(&self) -> impl Iterator<Item = &SlotStack<T>> {
-        self.stacks
-            .iter()
-            .map(|p| p.load(Ordering::Acquire))
-            .filter(|p| !p.is_null())
-            // SAFETY: a published stack pointer stays valid until `Drop`,
-            // which has exclusive access.
-            .map(|p| unsafe { &*p })
+        self.slots.iter().filter_map(|s| s.get()).map(|c| &c.stack)
     }
 
     /// Values parked across every class (exact at quiescence).
@@ -223,24 +195,10 @@ impl<T> ClassDir<T> {
     }
 }
 
-impl<T> Drop for ClassDir<T> {
-    fn drop(&mut self) {
-        for p in self.stacks.iter() {
-            let p = p.load(Ordering::Acquire);
-            if !p.is_null() {
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
-    }
-}
-
 impl<T> std::fmt::Debug for ClassDir<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let classes = (0..DIR_SLOTS)
-            .filter(|&i| self.keys[i].load(Ordering::Relaxed) != 0)
-            .count();
         f.debug_struct("ClassDir")
-            .field("classes", &classes)
+            .field("classes", &self.classes().count())
             .finish()
     }
 }
@@ -932,5 +890,79 @@ mod tests {
         // parked, spilled nowhere (no fallback), or dropped at cap.
         assert_eq!(s.hits() + s.misses(), (ROUNDS * PER_ROUND / 2) as u64);
         assert!(s.released() >= (ROUNDS * PER_ROUND) as u64);
+    }
+
+    #[test]
+    fn a_directory_slot_is_two_words() {
+        assert_eq!(std::mem::size_of::<OnceLock<Box<Class<Vector>>>>(), 16);
+        assert_eq!(std::mem::size_of::<OnceLock<Box<Class<ColumnBatch>>>>(), 16);
+    }
+
+    /// More distinct classes than the directory has slots: the classes
+    /// past the bound are never published, so their acquires miss and
+    /// their releases drop, and the lease accounting still balances.
+    #[test]
+    fn a_full_directory_allocates_and_drops_past_the_bound() {
+        const EXTRA: usize = 8;
+        let ty = |len| ColumnType::F32Dense { len };
+        let one = VectorPool::arena();
+        one.release(one.acquire(ty(1)));
+        let pool = VectorPool::arena();
+        let widths = 1..=DIR_SLOTS + EXTRA;
+        for len in widths.clone() {
+            pool.release(pool.acquire(ty(len)));
+        }
+        let s = pool.stats();
+        assert_eq!(s.misses(), (DIR_SLOTS + EXTRA) as u64, "a cold pool misses");
+        assert_eq!(s.dropped(), EXTRA as u64, "no class past the bound");
+        assert_eq!(pool.parked_buffers(), DIR_SLOTS);
+        assert_eq!(pool.vectors.classes().count(), DIR_SLOTS);
+        let leased: Vec<Vector> = widths.map(|len| pool.acquire(ty(len))).collect();
+        assert_eq!(s.hits(), DIR_SLOTS as u64, "every published class serves");
+        assert_eq!(s.misses(), (DIR_SLOTS + 2 * EXTRA) as u64);
+        for v in leased {
+            pool.release(v);
+        }
+        assert_eq!(s.dropped(), 2 * EXTRA as u64);
+        assert_eq!(s.outstanding(), 0);
+        // One slot per published class, none for the classes past the bound.
+        assert_eq!(pool.class_bytes(), DIR_SLOTS * one.class_bytes());
+    }
+
+    /// Threads releasing into one fresh class at once all find the one
+    /// stack the first of them published.
+    #[test]
+    fn first_use_of_a_class_publishes_one_stack() {
+        const THREADS: usize = 4;
+        const PER_THREAD: usize = 100;
+        let pool = Arc::new(VectorPool::arena());
+        let ty = ColumnType::F32Dense { len: 7 };
+        let barrier = Arc::new(Barrier::new(THREADS));
+        let threads: Vec<_> = (0..THREADS)
+            .map(|_| {
+                let pool = Arc::clone(&pool);
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    let fresh: Vec<Vector> =
+                        (0..PER_THREAD).map(|_| Vector::with_type(ty)).collect();
+                    barrier.wait();
+                    for v in fresh {
+                        pool.release(v);
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        assert_eq!(pool.vectors.classes().count(), 1);
+        let s = pool.stats();
+        assert_eq!(s.released(), (THREADS * PER_THREAD) as u64);
+        assert_eq!(
+            pool.parked_buffers() as u64 + s.dropped(),
+            s.released(),
+            "every release parked or dropped"
+        );
+        assert!(pool.parked_buffers() <= DEFAULT_MAX_PER_CLASS);
     }
 }

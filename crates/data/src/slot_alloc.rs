@@ -2,12 +2,12 @@
 //!
 //! [`SlotStack`] is a bounded concurrent LIFO of owned values built on the
 //! constant-time fixed-size allocation recipe of Blelloch & Wei
-//! (arXiv:2008.04296), and the workspace's one tagged Treiber stack: the
-//! `VectorPool` arenas and the FrontEnd's connection slab (which keeps its free
-//! slot indices in one) both use it. Every slot carries an atomic
-//! free-list link, and the two list heads (free slots, occupied slots) each
-//! pack `(aba_tag << 32) | (index + 1)` into a single `AtomicU64`, so both
-//! `push` and `pop` are one pointer-width CAS loop each.
+//! (arXiv:2008.04296), and the workspace's one lock-free container: the
+//! `VectorPool` arenas, one stack per size class, are its only user. Every
+//! slot carries an atomic free-list link, and the two list heads (free
+//! slots, occupied slots) each pack `(aba_tag << 32) | (index + 1)` into a
+//! single `AtomicU64`, so both `push` and `pop` are one pointer-width CAS
+//! loop each.
 //!
 //! # Slots grow with use
 //!

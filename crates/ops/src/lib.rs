@@ -27,6 +27,8 @@
 //!
 //! [`Vector`]: pretzel_data::Vector
 
+#![forbid(unsafe_code)]
+
 pub mod annotations;
 pub mod bayes;
 #[cfg(feature = "fault-op")]

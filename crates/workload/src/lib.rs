@@ -22,6 +22,8 @@
 //! * [`churn`] — Zipf-driven deploy/score/undeploy model-churn cycles over
 //!   stable aliases (the model-lifecycle workload).
 
+#![forbid(unsafe_code)]
+
 //! * [`adversarial`] — hostile payloads (non-finite floats, malformed CSR
 //!   rows) and fault-salted text streams driving the fault-containment
 //!   ablation.

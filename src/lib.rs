@@ -5,6 +5,8 @@
 //! single package to hang off. Library code lives in `crates/*`; this crate
 //! adds nothing of its own.
 
+#![forbid(unsafe_code)]
+
 pub use pretzel_baseline as baseline;
 pub use pretzel_core as core;
 pub use pretzel_data as data;

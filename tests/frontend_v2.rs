@@ -4,8 +4,8 @@
 //! many requests in flight per connection, responses completing out of
 //! order. The contract here is threefold: scores are bitwise identical
 //! across the sequential and pipelined clients and every request style,
-//! hostile framing fails cleanly without wedging a reactor or leaking slab
-//! slots, and a pipelined load survives rolling model swaps with zero lost
+//! hostile framing fails cleanly without wedging a reactor or leaking a
+//! connection slot, and a pipelined load survives rolling model swaps with zero lost
 //! requests.
 
 use pretzel_core::clock::Clock;
@@ -387,7 +387,7 @@ fn mid_pipeline_disconnects_leak_no_slab_slots() {
 
     // Repeatedly park pipelined requests in the Batcher and vanish before
     // the flush, which waits for the clock: every completion then targets
-    // a dead generation, and each slot must return to the slab free list.
+    // a dead generation, and each slot must return to its reactor's table.
     for round in 0..12 {
         let session = Session::connect(fe.addr()).unwrap();
         for _ in 0..4 {
