@@ -122,8 +122,9 @@ pub struct FrontEndConfig {
     /// the compute. Unused on targets without the raw-syscall reactor.
     pub reactor_threads: usize,
     /// The most sockets held open at once, across every reactor. An accept
-    /// beyond it is refused (the socket closes at once) rather than
-    /// queued, and a closed connection frees its seat for the next one.
+    /// beyond it is refused (the socket closes at once, counted in
+    /// [`FrontEndStats::refused`]) rather than queued, and a closed
+    /// connection frees its seat for the next one.
     /// Unused on targets without the reactor.
     pub max_connections: usize,
 }
@@ -152,6 +153,7 @@ fn default_reactor_threads() -> usize {
 pub struct FrontEndStats {
     open: AtomicUsize,
     accepted: AtomicU64,
+    refused: AtomicU64,
     protocol_errors: AtomicU64,
 }
 
@@ -168,6 +170,12 @@ impl FrontEndStats {
         self.accepted.load(Ordering::Acquire)
     }
 
+    /// Accepted connections closed at once because
+    /// [`FrontEndConfig::max_connections`] were open: the cap biting.
+    pub fn refused(&self) -> u64 {
+        self.refused.load(Ordering::Acquire)
+    }
+
     /// Framing violations that closed a connection (oversized prefix,
     /// unknown version, duplicate in-flight request id, ...).
     pub fn protocol_errors(&self) -> u64 {
@@ -178,13 +186,19 @@ impl FrontEndStats {
         self.protocol_errors.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Counts one more open connection unless `max` are open already.
+    /// Counts one more open connection unless `max` are open already, in
+    /// which case it counts a refusal.
     fn take_seat(&self, max: usize) -> bool {
-        self.open
+        let seated = self
+            .open
             .fetch_update(Ordering::AcqRel, Ordering::Acquire, |open| {
                 (open < max).then_some(open + 1)
             })
-            .is_ok()
+            .is_ok();
+        if !seated {
+            self.refused.fetch_add(1, Ordering::AcqRel);
+        }
+        seated
     }
 
     /// Counts one connection closed.
@@ -596,6 +610,7 @@ fn handle_request(
         snap.frontend = Some(crate::telemetry::FrontEndSnapshot {
             open_connections: shared.stats.open_connections() as u64,
             accepted: shared.stats.accepted(),
+            refused: shared.stats.refused(),
             protocol_errors: shared.stats.protocol_errors(),
         });
         out.push(wire::STATUS_ADMIN);
@@ -1742,6 +1757,10 @@ mod tests {
         );
         assert_eq!(fe.stats().accepted(), 3);
         assert_eq!(fe.stats().open_connections(), 2);
+        assert_eq!(fe.stats().refused(), 1);
+        // STATS tells the refusal apart from the connections it serves.
+        let remote = a.stats().unwrap().frontend.unwrap();
+        assert_eq!((remote.refused, remote.open_connections), (1, 2));
         drop(a);
         await_open_connections(&fe, 1);
         let mut c = Client::connect_v2(fe.addr()).unwrap();

@@ -700,11 +700,13 @@ mod tests {
         assert!(stats.take_seat(2));
         assert!(!stats.take_seat(2), "a full front end refuses");
         assert_eq!(stats.open_connections(), 2, "a refusal takes no seat");
+        assert_eq!(stats.refused(), 1, "a refusal is counted");
         stats.leave_seat();
         assert!(stats.take_seat(2), "a close frees a seat");
         stats.leave_seat();
         stats.leave_seat();
         assert_eq!(stats.open_connections(), 0);
+        assert_eq!(stats.refused(), 1, "only the refusal counts");
     }
 
     #[test]

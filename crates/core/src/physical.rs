@@ -1199,8 +1199,8 @@ fn step_keys(program: &[Step], slots: usize, frame_len: usize) -> Vec<Option<u64
 }
 
 impl ModelPlan {
-    /// Compiles a validated logical plan, interning operator parameters in
-    /// the Object Store.
+    /// Validates a logical plan and compiles it, interning operator
+    /// parameters in the Object Store.
     pub fn compile(
         mut logical: StagePlan,
         opts: &CompileOptions,
@@ -1211,18 +1211,18 @@ impl ModelPlan {
         Self::compile_with_catalog(logical, opts, |_| None)
     }
 
-    /// Compiles a logical plan whose parameters are already interned (the
-    /// runtime interns at registration), with a stage-residency probe: each
+    /// Compiles a logical plan that is already validated and whose
+    /// parameters are already interned (the runtime does both at
+    /// registration), with a stage-residency probe: each
     /// compiled stage's signature is offered to `lookup`, and a hit serves
     /// the resident [`PhysicalStage`] instead (identity and all — warm
     /// catalog entries are shared intact). The runtime threads its catalog
     /// through here, so plans share every stage another live plan deployed.
-    pub fn compile_with_catalog(
+    pub(crate) fn compile_with_catalog(
         logical: StagePlan,
         opts: &CompileOptions,
         mut lookup: impl FnMut(u64) -> Option<Arc<PhysicalStage>>,
     ) -> Result<Self> {
-        logical.validate()?;
         let stages: Vec<Arc<PhysicalStage>> = logical
             .stages
             .iter()

@@ -330,8 +330,8 @@ impl Runtime {
             scheduler.set_fault_hook(Arc::new(move |plan_id| policy.on_fault(plan_id)));
         }
         // The request-response and ingest pools serve many FrontEnd worker
-        // threads at once; as lock-free arenas, steady-state lease/return
-        // is a CAS, not a mutex.
+        // threads at once; a lease or return holds a pool's lock for one
+        // free-list push or pop.
         let serving_pool = || {
             if config.pooling {
                 VectorPool::arena()

@@ -21,7 +21,7 @@
 //! victim selection, preferring the victim's low queue (stage-0 chunks
 //! whose working sets the thief leases from its **own** arena) over its
 //! high queue (started chunks whose buffers live in the victim's arena and
-//! go home via lock-free cross-core return). Stolen chunks re-enter the
+//! go home to it when the thief retires them). Stolen chunks re-enter the
 //! *thief's* queue for later stages, so a chunk migrates at most once per
 //! dry spell. A worker that finds nothing anywhere sleeps until a
 //! submission wakes it (`Sleepers`): an idle executor costs no CPU.
@@ -385,7 +385,7 @@ impl DualQueue {
     /// relative to the owner: the low queue first — a stage-0 chunk has no
     /// working set yet, so the thief leases from its own arena and keeps
     /// locality — falling back to a started chunk, whose buffers return to
-    /// the victim's arena through the lock-free cross-core return path.
+    /// the victim's arena (a cross-core return is a plain release there).
     fn steal(&self) -> Option<ChunkTask> {
         let mut g = self.inner.lock();
         if let Some(t) = g.low.pop_front() {
@@ -667,7 +667,7 @@ pub struct Scheduler {
 
 impl Scheduler {
     /// Starts the executor threads described by `cfg`: each owns a run
-    /// queue and a lock-free pool arena fronting one shared fallback arena
+    /// queue and a pool arena fronting one shared fallback arena
     /// (see the module docs for the steal policy). A chunk event runs one
     /// stage of its plan's program over the chunk's columnar working set
     /// ([`ModelPlan::execute_stage_batch`]): whole-chunk batch kernels,
@@ -984,7 +984,7 @@ impl Drop for Scheduler {
 }
 
 /// Builds one executor's pool ("vector pools are allocated per Executor to
-/// improve locality", paper §4.2.1): a lock-free arena of its own fronting
+/// improve locality", paper §4.2.1): an arena of its own fronting
 /// the scheduler-wide fallback arena, or a pass-through pool with pooling
 /// off. The scheduler keeps a handle so deploy-time warming and stats can
 /// reach it.

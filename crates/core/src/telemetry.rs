@@ -505,8 +505,9 @@ pub struct PoolCounters {
     pub retained_bytes: u64,
     /// Buffers (vectors and batches) parked in the family's free lists.
     pub parked: u64,
-    /// Heap bytes of the family's size classes' slot arrays: what the free
-    /// lists cost beside the buffers parked in them.
+    /// Heap bytes of the family's free lists themselves (each size class's
+    /// list capacity): what the free lists cost beside the buffers parked
+    /// in them.
     pub class_bytes: u64,
 }
 
@@ -581,6 +582,7 @@ pub struct StoreSnapshot {
 pub struct FrontEndSnapshot {
     pub open_connections: u64,
     pub accepted: u64,
+    pub refused: u64,
     pub protocol_errors: u64,
 }
 
@@ -661,7 +663,7 @@ walk! {
         released_bytes: u64,
     }
     MatCacheStats { hits: u64, misses: u64, evictions: u64 }
-    FrontEndSnapshot { open_connections: u64, accepted: u64, protocol_errors: u64 }
+    FrontEndSnapshot { open_connections: u64, accepted: u64, refused: u64, protocol_errors: u64 }
     PlanMetricsSnapshot {
         plan: u32, batch_requests: u64, rr_requests: u64, records: u64, stage_rows: u64,
         faults: u64, quarantined: bool, queue_wait_low_ns: hist, queue_wait_high_ns: hist,

@@ -15,10 +15,8 @@
 //!   request decoding grows packed text, dense rows, or CSR triples
 //!   straight into a pool-leased batch, with per-row content hashes.
 //! * [`pool`] — pre-allocated, size-classed vector *and batch* pools used
-//!   by PRETZEL to avoid allocation on the prediction path (paper §4.2.1).
-//! * [`slot_alloc`] — [`slot_alloc::SlotStack`], the lock-free fixed-size
-//!   slot allocator (pointer-width CAS + ABA tags, Blelloch & Wei) the
-//!   sharded pool arenas build their hot lease/return path on.
+//!   by PRETZEL to avoid allocation on the prediction path (paper §4.2.1):
+//!   per-class LIFO free lists behind one mutex per pool.
 //! * [`serde_bin`] — the hand-rolled, length-prefixed binary model-file
 //!   format both engines load models from (the ML.Net "zip of directories"
 //!   analogue), plus checksumming used by the Object Store for parameter
@@ -58,8 +56,6 @@ pub mod schema;
 pub mod serde_bin;
 #[allow(unsafe_code)] // x86-64 SIMD intrinsics
 pub mod simd;
-#[allow(unsafe_code)] // the lock-free slot stack
-pub mod slot_alloc;
 pub mod vector;
 
 pub use batch::{ColRef, ColumnBatch};

@@ -23,31 +23,33 @@
 //! what was ever parked in it: its warmed count plus one buffer per lease
 //! that missed, capped by the class capacity.
 //!
-//! The free lists are per-class lock-free [`SlotStack`]s behind a class
-//! directory whose slots are published once (`OnceLock`). The hot lease/return path is a
-//! pointer-width CAS (Blelloch & Wei, arXiv:2008.04296) with zero lock
-//! acquisitions, and because the stacks are MPMC, a *cross-core return* (a
-//! stolen chunk's buffers going home) is just a remote CAS push into the
-//! owning arena — the per-arena return stack is unified with the free
-//! stack. An arena may front a shared **global fallback** pool
-//! ([`VectorPool::with_fallback`], Theseus's `multiple_heaps` pattern):
-//! arena-dry acquires refill from the global pool before allocating, and
-//! arena-full releases spill to it before dropping.
+//! Each pool keeps its free lists — one LIFO `Vec` per size class, for
+//! vectors and for batches — and the bytes parked in them behind one
+//! mutex. A lease or a return holds it for a class lookup and one push or
+//! pop: buffers are built, reset, detached and dropped outside it, and a
+//! free list that must grow is grown outside it too. Any thread may
+//! return a buffer to any pool, so a *cross-core return* (a stolen chunk's
+//! buffers going home) is a plain push into the owning arena. An arena may
+//! front a shared **global fallback** pool ([`VectorPool::with_fallback`],
+//! Theseus's `multiple_heaps` pattern): arena-dry acquires refill from the
+//! global pool before allocating, and arena-full releases spill to it
+//! before dropping.
 
 use crate::batch::ColumnBatch;
 use crate::schema::ColumnType;
-use crate::slot_alloc::SlotStack;
-use crate::vector::{Span, Vector};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use crate::vector::Vector;
+use parking_lot::Mutex;
+use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Default cap of retained free vectors per size class. Vectors are the
 /// request-response engine's working sets: each serving session holds one
 /// vector per plan slot and hands them back when it moves to a plan of
 /// another layout, so a class parks at most the sessions times the slots
 /// of that class in one frame. The cap bounds a class, it is not what a
-/// class costs: a class's [`SlotStack`] allocates slots in doubling chunks
-/// as buffers park, so a class that parks three vectors owns three slots.
+/// class costs: a class's free list doubles as buffers park, so a class
+/// that parks three vectors owns room for four.
 const DEFAULT_MAX_PER_CLASS: usize = 256;
 
 /// Cap of retained free *batches* per size class, whatever the pool's
@@ -58,9 +60,10 @@ const DEFAULT_MAX_PER_CLASS: usize = 256;
 /// in one plan, and deploy-time warming parks two working sets of it. Eight
 /// executors (the default configuration's ceiling) times four same-class
 /// buffers (the widest stock plan has three) is 32. Like the vector cap it
-/// bounds a class and costs nothing itself: a class owns slots for the
-/// most batches it ever parked at once. Past the cap a release spills to
-/// the fallback arena and then drops, counted in [`PoolStats::dropped`].
+/// bounds a class and costs nothing itself: a class's free list has room
+/// for at most twice the most batches it ever parked at once. Past the cap
+/// a release spills to the fallback arena and then drops, counted in
+/// [`PoolStats::dropped`].
 const MAX_BATCHES_PER_CLASS: usize = 32;
 
 /// Counters describing pool effectiveness; read by benchmarks and tests.
@@ -102,117 +105,55 @@ impl PoolStats {
     }
 }
 
-/// Packs a size class into the nonzero `u64` key the arena class directory
-/// indexes by: a kind tag in the top byte, the length/dimension below it.
-fn class_key(ty: ColumnType) -> u64 {
-    const LEN_MASK: u64 = (1 << 56) - 1;
-    match ty {
-        ColumnType::Text => 1 << 56,
-        ColumnType::TokenList => 2 << 56,
-        ColumnType::F32Scalar => 3 << 56,
-        ColumnType::F32Dense { len } => (4 << 56) | (len as u64 & LEN_MASK),
-        ColumnType::F32Sparse { len } => (5 << 56) | (len as u64 & LEN_MASK),
-    }
-}
-
-/// Directory slots; bounds the number of *distinct* size classes one arena
-/// can track lock-free (a plan set uses a handful — text/tokens/scalar plus
-/// a few dense widths and sparse dims). Past the bound, acquires allocate
-/// and releases drop, which is safe and visible in the miss/drop counters.
+/// Size classes one pool tracks per family (vectors, batches); a plan set
+/// uses a handful — text/tokens/scalar plus a few dense widths and sparse
+/// dims. Past the bound, acquires allocate and releases drop, which is
+/// safe and visible in the miss/drop counters.
 const DIR_SLOTS: usize = 128;
 
-/// An open-addressed map from class key to its [`SlotStack`].
-///
-/// A directory slot is published once, through its `OnceLock`, with the key
-/// and the stack together; classes are never removed, so the steady path is
-/// one load per probe and never blocks. Only the first use of a class can
-/// wait, for the `get_or_init` of a thread publishing the same slot.
-struct ClassDir<T> {
-    slots: Box<[OnceLock<Box<Class<T>>>]>,
+/// One family's free lists, by size class.
+type Classes<T> = HashMap<ColumnType, Vec<T>>;
+
+/// Everything a pool's lock guards.
+#[derive(Default)]
+struct FreeLists {
+    vectors: Classes<Vector>,
+    batches: Classes<ColumnBatch>,
+    /// Heap bytes of the buffers parked in `vectors` and `batches`.
+    retained: usize,
 }
 
-/// One size class: its key and its free list.
-struct Class<T> {
-    key: u64,
-    stack: SlotStack<T>,
-}
-
-impl<T> ClassDir<T> {
-    fn new() -> Self {
-        ClassDir {
-            slots: (0..DIR_SLOTS).map(|_| OnceLock::new()).collect(),
-        }
-    }
-
-    /// The directory slots `key` probes, from its home slot on.
-    fn probe(key: u64) -> impl Iterator<Item = usize> {
-        // Fibonacci mixing spreads the small structured keys.
-        let home = (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 57) as usize;
-        (0..DIR_SLOTS).map(move |step| (home + step) & (DIR_SLOTS - 1))
-    }
-
-    /// The stack for `key`, if the class was ever populated.
-    fn find(&self, key: u64) -> Option<&SlotStack<T>> {
-        for i in Self::probe(key) {
-            let class = self.slots[i].get()?;
-            if class.key == key {
-                return Some(&class.stack);
-            }
-        }
-        None
-    }
-
-    /// The stack for `key`, creating it (with `capacity` slots) on first
-    /// use; `None` only when the directory is full.
-    fn find_or_insert(&self, key: u64, capacity: usize) -> Option<&SlotStack<T>> {
-        for i in Self::probe(key) {
-            let class = self.slots[i].get_or_init(|| {
-                Box::new(Class {
-                    key,
-                    stack: SlotStack::new(capacity),
-                })
-            });
-            if class.key == key {
-                return Some(&class.stack);
-            }
-        }
-        None
-    }
-
-    /// Every published class stack.
-    fn classes(&self) -> impl Iterator<Item = &SlotStack<T>> {
-        self.slots.iter().filter_map(|s| s.get()).map(|c| &c.stack)
-    }
-
-    /// Values parked across every class (exact at quiescence).
-    fn parked(&self) -> usize {
-        self.classes().map(SlotStack::len).sum()
-    }
-
-    /// Heap bytes of every class's slots (exact at quiescence).
-    fn class_bytes(&self) -> usize {
-        self.classes().map(SlotStack::slot_bytes).sum()
-    }
-}
-
-impl<T> std::fmt::Debug for ClassDir<T> {
+impl std::fmt::Debug for FreeLists {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ClassDir")
-            .field("classes", &self.classes().count())
+        f.debug_struct("FreeLists")
+            .field("vector_classes", &self.vectors.len())
+            .field("batch_classes", &self.batches.len())
+            .field("retained", &self.retained)
             .finish()
     }
 }
 
-/// Heap bytes owned by a pooled vector (for arena retained accounting).
-fn vector_heap_bytes(v: &Vector) -> usize {
-    match v {
-        Vector::Text(s) => s.capacity(),
-        Vector::Tokens(t) => t.capacity() * std::mem::size_of::<Span>(),
-        Vector::Dense(d) => d.capacity() * 4,
-        Vector::Sparse {
-            indices, values, ..
-        } => indices.capacity() * 4 + values.capacity() * 4,
-        Vector::Scalar(_) => 0,
+/// A value a pool parks: which family it belongs to and what it holds.
+trait Pooled: Sized {
+    fn classes(lists: &mut FreeLists) -> &mut Classes<Self>;
+    fn heap_bytes(&self) -> usize;
+}
+
+impl Pooled for Vector {
+    fn classes(lists: &mut FreeLists) -> &mut Classes<Self> {
+        &mut lists.vectors
+    }
+    fn heap_bytes(&self) -> usize {
+        Vector::heap_bytes(self)
+    }
+}
+
+impl Pooled for ColumnBatch {
+    fn classes(lists: &mut FreeLists) -> &mut Classes<Self> {
+        &mut lists.batches
+    }
+    fn heap_bytes(&self) -> usize {
+        ColumnBatch::heap_bytes(self)
     }
 }
 
@@ -225,11 +166,7 @@ fn vector_heap_bytes(v: &Vector) -> usize {
 pub struct VectorPool {
     enabled: bool,
     max_per_class: usize,
-    vectors: ClassDir<Vector>,
-    batches: ClassDir<ColumnBatch>,
-    /// Heap bytes parked in the stacks (maintained at push/pop, since a
-    /// concurrent lock-free stack cannot be traversed).
-    retained: AtomicUsize,
+    lists: Mutex<FreeLists>,
     /// Shared overflow/underflow pool behind a per-core arena: acquires
     /// refill from it before allocating, releases spill to it before
     /// dropping. Its own counters stay untouched on this traffic — the
@@ -239,16 +176,14 @@ pub struct VectorPool {
 }
 
 impl VectorPool {
-    /// Creates an enabled, empty pool whose free lists are lock-free
-    /// [`SlotStack`]s. Lease and return are pointer-width CAS operations;
-    /// no path through this pool takes a lock.
+    /// Creates an enabled, empty pool. Any thread may lease from it and
+    /// return to it; each lease or return holds the pool's lock for one
+    /// push or pop.
     pub fn arena() -> Self {
         VectorPool {
             enabled: true,
             max_per_class: DEFAULT_MAX_PER_CLASS,
-            vectors: ClassDir::new(),
-            batches: ClassDir::new(),
-            retained: AtomicUsize::new(0),
+            lists: Mutex::default(),
             fallback: None,
             stats: PoolStats::default(),
         }
@@ -303,7 +238,7 @@ impl VectorPool {
         }
         let shortfall = count
             .min(self.max_per_class)
-            .saturating_sub(self.free_len(ty));
+            .saturating_sub(self.free_len::<Vector>(ty));
         for _ in 0..shortfall {
             let fresh = Vector::with_capacity_hint(ty, max_stored);
             // Only a concurrent release can have filled the class since.
@@ -327,7 +262,7 @@ impl VectorPool {
         }
         let shortfall = count
             .min(self.max_batches_per_class())
-            .saturating_sub(self.free_batch_len(ty));
+            .saturating_sub(self.free_len::<ColumnBatch>(ty));
         for _ in 0..shortfall {
             let fresh = ColumnBatch::with_capacity_hint(ty, rows, stored_hint);
             if self.store_free_batch(fresh).is_err() {
@@ -342,14 +277,66 @@ impl VectorPool {
         self.max_per_class.min(MAX_BATCHES_PER_CLASS)
     }
 
-    /// Free vectors parked in the class of `ty` (exact at quiescence).
-    fn free_len(&self, ty: ColumnType) -> usize {
-        self.vectors.find(class_key(ty)).map_or(0, SlotStack::len)
+    /// Free `T`s parked in the class of `ty`.
+    fn free_len<T: Pooled>(&self, ty: ColumnType) -> usize {
+        T::classes(&mut self.lists.lock())
+            .get(&ty)
+            .map_or(0, Vec::len)
     }
 
-    /// Free batches parked in the class of `ty` (exact at quiescence).
-    fn free_batch_len(&self, ty: ColumnType) -> usize {
-        self.batches.find(class_key(ty)).map_or(0, SlotStack::len)
+    /// Pops the most recently parked `T` of class `ty`, without touching
+    /// the counters.
+    fn take<T: Pooled>(&self, ty: ColumnType) -> Option<T> {
+        let mut lists = self.lists.lock();
+        let value = T::classes(&mut lists).get_mut(&ty)?.pop()?;
+        lists.retained -= value.heap_bytes();
+        Some(value)
+    }
+
+    /// Parks `value` in class `ty` without touching the counters; hands it
+    /// back when the class holds `cap` or a new class would pass
+    /// [`DIR_SLOTS`]. A class map or free list with no room left is
+    /// replaced by a larger one built outside the lock and swapped in on
+    /// the next turn, so the lock never covers an allocation, and what it
+    /// replaces is freed after the unlock.
+    fn park<T: Pooled>(&self, ty: ColumnType, cap: usize, value: T) -> Result<(), T> {
+        let bytes = value.heap_bytes();
+        let mut wider: Classes<T> = HashMap::new();
+        let mut larger: Vec<T> = Vec::new();
+        loop {
+            let mut lists = self.lists.lock();
+            let classes = T::classes(&mut lists);
+            if classes.len() >= DIR_SLOTS.min(classes.capacity()) && !classes.contains_key(&ty) {
+                if classes.len() >= DIR_SLOTS {
+                    return Err(value);
+                }
+                if wider.capacity() <= classes.len() {
+                    let room = (2 * classes.len()).clamp(4, DIR_SLOTS);
+                    drop(lists);
+                    wider = HashMap::with_capacity(room);
+                    continue;
+                }
+                wider.extend(classes.drain());
+                std::mem::swap(classes, &mut wider);
+            }
+            let list = classes.entry(ty).or_default();
+            if list.len() >= cap {
+                return Err(value);
+            }
+            if list.len() == list.capacity() {
+                if larger.capacity() <= list.len() {
+                    let room = (2 * list.len()).clamp(1, cap);
+                    drop(lists);
+                    larger = Vec::with_capacity(room);
+                    continue;
+                }
+                larger.append(list);
+                std::mem::swap(list, &mut larger);
+            }
+            list.push(value);
+            lists.retained += bytes;
+            return Ok(());
+        }
     }
 
     /// Pops a free vector of type `ty` without touching the counters.
@@ -358,53 +345,23 @@ impl VectorPool {
         if ty == ColumnType::F32Scalar {
             return Some(Vector::Scalar(0.0));
         }
-        let v = self.vectors.find(class_key(ty))?.pop()?;
-        self.retained
-            .fetch_sub(vector_heap_bytes(&v), Ordering::Relaxed);
-        Some(v)
+        self.take(ty)
     }
 
     /// Parks a free vector without touching the counters; hands it back
     /// when its size class is at capacity. Scalars always succeed (they
     /// are values, never pooled).
     fn store_free(&self, v: Vector) -> Result<(), Vector> {
-        let key = match &v {
-            Vector::Text(_) => class_key(ColumnType::Text),
-            Vector::Tokens(_) => class_key(ColumnType::TokenList),
-            Vector::Dense(d) => class_key(ColumnType::F32Dense { len: d.len() }),
-            Vector::Sparse { dim, .. } => class_key(ColumnType::F32Sparse { len: *dim as usize }),
-            Vector::Scalar(_) => return Ok(()),
-        };
-        let Some(stack) = self.vectors.find_or_insert(key, self.max_per_class) else {
-            return Err(v);
-        };
-        let bytes = vector_heap_bytes(&v);
-        stack.push(v)?;
-        self.retained.fetch_add(bytes, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Pops a free batch of class `ty` without touching the counters.
-    fn take_free_batch(&self, ty: ColumnType) -> Option<ColumnBatch> {
-        let b = self.batches.find(class_key(ty))?.pop()?;
-        self.retained.fetch_sub(b.heap_bytes(), Ordering::Relaxed);
-        Some(b)
+        match v {
+            Vector::Scalar(_) => Ok(()),
+            v => self.park(v.column_type(), self.max_per_class, v),
+        }
     }
 
     /// Parks a free batch without touching the counters; hands it back
     /// when its class is at capacity.
     fn store_free_batch(&self, b: ColumnBatch) -> Result<(), ColumnBatch> {
-        let key = class_key(b.column_type());
-        let Some(stack) = self
-            .batches
-            .find_or_insert(key, self.max_batches_per_class())
-        else {
-            return Err(b);
-        };
-        let bytes = b.heap_bytes();
-        stack.push(b)?;
-        self.retained.fetch_add(bytes, Ordering::Relaxed);
-        Ok(())
+        self.park(b.column_type(), self.max_batches_per_class(), b)
     }
 
     /// Acquires a cleared buffer of type `ty`.
@@ -443,17 +400,15 @@ impl VectorPool {
     /// for `rows` rows (the batch engine leases one batch per plan slot per
     /// chunk, instead of one vector per slot per *record*).
     ///
-    /// Free lists are per column-type class; push/pop are single
-    /// pointer-width CASes into the class's
-    /// [`SlotStack`] (the fixed-size-allocation recipe of Blelloch & Wei,
-    /// arXiv:2008.04296), and reused batches keep their grown capacity so a
-    /// warm pool serves chunks allocation-free with **zero lock
-    /// acquisitions** on the lease/return path.
+    /// Free lists are per column-type class and LIFO, so the most recently
+    /// returned (cache-warm) batch goes out first. Reused batches keep their
+    /// grown capacity, so a warm pool serves chunks allocation-free: the
+    /// lease is one pop under the pool's lock, and the reset runs after it.
     pub fn acquire_batch(&self, ty: ColumnType, rows: usize) -> ColumnBatch {
         if self.enabled {
             let found = self
-                .take_free_batch(ty)
-                .or_else(|| self.fallback.as_ref().and_then(|f| f.take_free_batch(ty)));
+                .take::<ColumnBatch>(ty)
+                .or_else(|| self.fallback.as_ref().and_then(|f| f.take(ty)));
             if let Some(mut b) = found {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
                 b.reset();
@@ -488,22 +443,30 @@ impl VectorPool {
     /// Total heap bytes currently parked in free lists (excluding any
     /// fallback pool, which reports its own).
     pub fn retained_bytes(&self) -> usize {
-        self.retained.load(Ordering::Relaxed)
+        self.lists.lock().retained
     }
 
     /// Buffers (vectors and batches) currently parked in free lists —
     /// with [`Self::retained_bytes`], the "which pool is holding memory"
     /// pair. Excludes any fallback pool, which reports its own.
     pub fn parked_buffers(&self) -> usize {
-        self.vectors.parked() + self.batches.parked()
+        let lists = self.lists.lock();
+        total(&lists.vectors, Vec::len) + total(&lists.batches, Vec::len)
     }
 
-    /// Heap bytes of the size classes' slot arrays, the free lists' own
-    /// cost beside the buffers parked in them ([`Self::retained_bytes`]).
-    /// Excludes any fallback pool, which reports its own.
+    /// Heap bytes of the size classes' free lists, their own cost beside
+    /// the buffers parked in them ([`Self::retained_bytes`]). Excludes any
+    /// fallback pool, which reports its own.
     pub fn class_bytes(&self) -> usize {
-        self.vectors.class_bytes() + self.batches.class_bytes()
+        let lists = self.lists.lock();
+        total(&lists.vectors, Vec::capacity) * std::mem::size_of::<Vector>()
+            + total(&lists.batches, Vec::capacity) * std::mem::size_of::<ColumnBatch>()
     }
+}
+
+/// `measure` summed over a family's free lists.
+fn total<T>(classes: &Classes<T>, measure: fn(&Vec<T>) -> usize) -> usize {
+    classes.values().map(measure).sum()
 }
 
 #[cfg(test)]
@@ -561,10 +524,15 @@ mod tests {
     #[test]
     fn class_cap_drops_excess() {
         let pool = VectorPool::arena().with_max_per_class(2);
-        for _ in 0..3 {
-            pool.release(Vector::Text(String::with_capacity(16)));
+        for capacity in [16, 32, 64] {
+            pool.release(Vector::Text(String::with_capacity(capacity)));
         }
         assert_eq!(pool.stats().dropped(), 1);
+        assert_eq!(pool.parked_buffers(), 2);
+        // LIFO: the last buffer parked goes out first.
+        for capacity in [32, 16] {
+            assert_eq!(pool.acquire(ColumnType::Text).heap_bytes(), capacity);
+        }
     }
 
     #[test]
@@ -674,8 +642,8 @@ mod tests {
         pool.warm_batches(dense, 2, 0, 2);
         let warmed = pool.class_bytes();
         assert!(warmed > 0);
-        // Three vector slots and two batch slots, far below either cap.
-        let cap_bytes = DEFAULT_MAX_PER_CLASS * std::mem::size_of::<Option<Vector>>();
+        // Room for four vectors and two batches, far below either cap.
+        let cap_bytes = DEFAULT_MAX_PER_CLASS * std::mem::size_of::<Vector>();
         assert!(warmed * 16 < cap_bytes, "{warmed} B for 5 parked buffers");
         // Leasing and returning what is parked grows nothing.
         for _ in 0..10 {
@@ -851,7 +819,8 @@ mod tests {
 
     /// Barrier-scheduled steal-vs-return on pool buffers: an owner returns
     /// working sets while a thief concurrently leases from the same arena,
-    /// in lockstep rounds; conservation and distinctness hold throughout.
+    /// in lockstep rounds; every buffer is leased, parked or dropped, never
+    /// lost or counted twice.
     #[test]
     fn arena_barrier_interleaved_steal_vs_return() {
         const ROUNDS: usize = 100;
@@ -890,17 +859,15 @@ mod tests {
         // parked, spilled nowhere (no fallback), or dropped at cap.
         assert_eq!(s.hits() + s.misses(), (ROUNDS * PER_ROUND / 2) as u64);
         assert!(s.released() >= (ROUNDS * PER_ROUND) as u64);
+        // The owner's fresh batches and the thief's misses all came home.
+        let made = (ROUNDS * PER_ROUND) as u64 + s.misses();
+        assert_eq!(pool.parked_buffers() as u64 + s.dropped(), made);
+        assert!(pool.parked_buffers() <= MAX_BATCHES_PER_CLASS);
     }
 
-    #[test]
-    fn a_directory_slot_is_two_words() {
-        assert_eq!(std::mem::size_of::<OnceLock<Box<Class<Vector>>>>(), 16);
-        assert_eq!(std::mem::size_of::<OnceLock<Box<Class<ColumnBatch>>>>(), 16);
-    }
-
-    /// More distinct classes than the directory has slots: the classes
-    /// past the bound are never published, so their acquires miss and
-    /// their releases drop, and the lease accounting still balances.
+    /// More distinct classes than a pool tracks: the classes past the
+    /// bound get no free list, so their acquires miss and their releases
+    /// drop, and the lease accounting still balances.
     #[test]
     fn a_full_directory_allocates_and_drops_past_the_bound() {
         const EXTRA: usize = 8;
@@ -916,7 +883,7 @@ mod tests {
         assert_eq!(s.misses(), (DIR_SLOTS + EXTRA) as u64, "a cold pool misses");
         assert_eq!(s.dropped(), EXTRA as u64, "no class past the bound");
         assert_eq!(pool.parked_buffers(), DIR_SLOTS);
-        assert_eq!(pool.vectors.classes().count(), DIR_SLOTS);
+        assert_eq!(pool.lists.lock().vectors.len(), DIR_SLOTS);
         let leased: Vec<Vector> = widths.map(|len| pool.acquire(ty(len))).collect();
         assert_eq!(s.hits(), DIR_SLOTS as u64, "every published class serves");
         assert_eq!(s.misses(), (DIR_SLOTS + 2 * EXTRA) as u64);
@@ -925,26 +892,33 @@ mod tests {
         }
         assert_eq!(s.dropped(), 2 * EXTRA as u64);
         assert_eq!(s.outstanding(), 0);
-        // One slot per published class, none for the classes past the bound.
+        // One list entry per tracked class, none for the classes past the bound.
         assert_eq!(pool.class_bytes(), DIR_SLOTS * one.class_bytes());
     }
 
     /// Threads releasing into one fresh class at once all find the one
-    /// stack the first of them published.
+    /// free list the first of them made, also while other fresh classes
+    /// widen the class map under them.
     #[test]
     fn first_use_of_a_class_publishes_one_stack() {
         const THREADS: usize = 4;
         const PER_THREAD: usize = 100;
+        const OTHER_CLASSES: usize = 30;
         let pool = Arc::new(VectorPool::arena());
-        let ty = ColumnType::F32Dense { len: 7 };
+        let dense = |len| ColumnType::F32Dense { len };
         let barrier = Arc::new(Barrier::new(THREADS));
         let threads: Vec<_> = (0..THREADS)
             .map(|_| {
                 let pool = Arc::clone(&pool);
                 let barrier = Arc::clone(&barrier);
                 std::thread::spawn(move || {
-                    let fresh: Vec<Vector> =
-                        (0..PER_THREAD).map(|_| Vector::with_type(ty)).collect();
+                    let fresh: Vec<Vector> = (0..PER_THREAD)
+                        .flat_map(|i| {
+                            [7].into_iter()
+                                .chain((i < OTHER_CLASSES).then_some(100 + i))
+                        })
+                        .map(|len| Vector::with_type(dense(len)))
+                        .collect();
                     barrier.wait();
                     for v in fresh {
                         pool.release(v);
@@ -955,14 +929,96 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
-        assert_eq!(pool.vectors.classes().count(), 1);
+        assert_eq!(pool.lists.lock().vectors.len(), 1 + OTHER_CLASSES);
         let s = pool.stats();
-        assert_eq!(s.released(), (THREADS * PER_THREAD) as u64);
+        assert_eq!(
+            s.released(),
+            (THREADS * (PER_THREAD + OTHER_CLASSES)) as u64
+        );
         assert_eq!(
             pool.parked_buffers() as u64 + s.dropped(),
             s.released(),
             "every release parked or dropped"
         );
-        assert!(pool.parked_buffers() <= DEFAULT_MAX_PER_CLASS);
+        assert!(pool.free_len::<Vector>(dense(7)) <= DEFAULT_MAX_PER_CLASS);
+        assert_eq!(
+            pool.parked_buffers(),
+            pool.free_len::<Vector>(dense(7)) + THREADS * OTHER_CLASSES
+        );
+    }
+
+    /// Four threads lease and return vectors and batches across two arenas
+    /// that share one fallback, with caps small enough that releases spill
+    /// and drop. Every buffer is made by a miss and ends parked somewhere
+    /// or dropped, and each pool's retained bytes are exactly the bytes of
+    /// what it parks.
+    #[test]
+    fn concurrent_storm_across_arenas_conserves_buffers() {
+        const THREADS: usize = 4;
+        const OPS: usize = 2000;
+        let text = ColumnType::Text;
+        let dense = ColumnType::F32Dense { len: 4 };
+        let global = Arc::new(VectorPool::arena().with_max_per_class(3));
+        let arenas: Vec<Arc<VectorPool>> = (0..2)
+            .map(|_| {
+                Arc::new(
+                    VectorPool::arena()
+                        .with_max_per_class(2)
+                        .with_fallback(Arc::clone(&global)),
+                )
+            })
+            .collect();
+        let barrier = Arc::new(Barrier::new(THREADS));
+        let threads: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let arenas = arenas.clone();
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    for i in 0..OPS {
+                        let pool = &arenas[(t + i) % 2];
+                        let mut v = pool.acquire(text);
+                        if let Vector::Text(s) = &mut v {
+                            // Parked text keeps its capacity, so retained
+                            // bytes vary from buffer to buffer.
+                            s.push_str(&"x".repeat(i % 97));
+                        }
+                        let held: Vec<ColumnBatch> = (0..1 + i % 4)
+                            .map(|_| pool.acquire_batch(dense, 2))
+                            .collect();
+                        pool.release(v);
+                        held.into_iter().for_each(|b| pool.release_batch(b));
+                    }
+                })
+            })
+            .collect();
+        for t in threads {
+            t.join().unwrap();
+        }
+        let (mut made, mut dropped) = (0, 0);
+        for arena in &arenas {
+            let s = arena.stats();
+            assert_eq!(s.outstanding(), 0);
+            made += s.misses();
+            dropped += s.dropped();
+        }
+        assert_eq!(global.stats().hits() + global.stats().misses(), 0);
+        let mut parked = 0;
+        for pool in arenas.iter().chain([&global]) {
+            let retained = pool.retained_bytes();
+            let mut bytes = 0;
+            while let Some(v) = pool.take::<Vector>(text) {
+                bytes += v.heap_bytes();
+                parked += 1;
+            }
+            while let Some(b) = pool.take::<ColumnBatch>(dense) {
+                bytes += b.heap_bytes();
+                parked += 1;
+            }
+            assert_eq!(retained, bytes, "retained bytes are what is parked");
+            assert_eq!((pool.retained_bytes(), pool.parked_buffers()), (0, 0));
+        }
+        assert!(dropped > 0, "the caps were small enough to drop");
+        assert_eq!(parked + dropped, made, "every buffer parked or dropped");
     }
 }

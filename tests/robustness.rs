@@ -199,10 +199,6 @@ fn runtime_rejects_invalid_plans_at_registration() {
     use pretzel_core::plan::{BufDef, LogicalStage, StagePlan, Step};
     use pretzel_core::train_stats::NodeStats;
     use pretzel_data::ColumnType;
-    let rt = Runtime::new(RuntimeConfig {
-        n_executors: 1,
-        ..RuntimeConfig::default()
-    });
     // Empty plan.
     let empty = StagePlan {
         source_type: ColumnType::Text,
@@ -211,7 +207,6 @@ fn runtime_rejects_invalid_plans_at_registration() {
         output_slot: 0,
         stats: NodeStats::default(),
     };
-    assert!(rt.register(empty).is_err());
     // Plan reading a never-written slot.
     let lin = Arc::new(synth::linear(1, 4, LinearKind::Regression));
     let bad = StagePlan {
@@ -236,15 +231,27 @@ fn runtime_rejects_invalid_plans_at_registration() {
         output_slot: 1,
         stats: NodeStats::default(),
     };
-    assert!(rt.register(bad).is_err());
-    // The runtime still registers valid plans afterwards.
-    let ctx = pretzel_core::flour::FlourContext::new();
-    let good = ctx
-        .dense_source(4)
-        .classifier_linear(Arc::new(synth::linear(9, 4, LinearKind::Regression)))
-        .plan()
-        .unwrap();
-    assert!(rt.register(good).is_ok());
+    // Registration validates with and without AOT compilation: a deferred
+    // compile never sees a plan that was not checked.
+    for aot in [true, false] {
+        let rt = Runtime::new(RuntimeConfig {
+            n_executors: 1,
+            aot,
+            ..RuntimeConfig::default()
+        });
+        assert!(rt.register(empty.clone()).is_err(), "aot {aot}");
+        assert!(rt.register(bad.clone()).is_err(), "aot {aot}");
+        assert!(rt.object_store().is_empty(), "aot {aot}: nothing pinned");
+        // The runtime still registers and serves valid plans afterwards.
+        let ctx = pretzel_core::flour::FlourContext::new();
+        let good = ctx
+            .dense_source(4)
+            .classifier_linear(Arc::new(synth::linear(9, 4, LinearKind::Regression)))
+            .plan()
+            .unwrap();
+        let id = rt.register(good).unwrap();
+        assert!(rt.predict_dense(id, &[1.0; 4]).is_ok());
+    }
 }
 
 #[test]
