@@ -56,6 +56,9 @@ pub mod schema;
 pub mod serde_bin;
 #[allow(unsafe_code)] // x86-64 SIMD intrinsics
 pub mod simd;
+#[cfg(test)]
+#[path = "pool_slots.rs"]
+mod slot_alloc;
 pub mod vector;
 
 pub use batch::{ColRef, ColumnBatch};
