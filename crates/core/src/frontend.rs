@@ -981,6 +981,7 @@ mod tests {
     use crate::clock::Clock;
     use crate::flour::FlourContext;
     use crate::runtime::RuntimeConfig;
+    use crate::scheduler::tests::quiet_fault_panics;
     use crate::scheduler::Record;
     use pretzel_ops::linear::LinearKind;
     use pretzel_ops::synth;
@@ -1024,20 +1025,6 @@ mod tests {
         let w = tokens.word_ngram(Arc::new(synth::word_ngram(2, 2, 64, &vocab)));
         c.concat(&w)
             .classifier_linear(Arc::new(synth::linear(3, 128, LinearKind::Logistic)))
-    }
-
-    /// Silences the fault op's expected panics without hiding any other.
-    fn quiet_fault_panics() {
-        static HOOK: std::sync::Once = std::sync::Once::new();
-        HOOK.call_once(|| {
-            let default_hook = std::panic::take_hook();
-            std::panic::set_hook(Box::new(move |info| {
-                let payload = info.payload().downcast_ref::<String>();
-                if !payload.is_some_and(|m| m.contains("fault-op:")) {
-                    default_hook(info);
-                }
-            }));
-        });
     }
 
     #[test]

@@ -33,19 +33,17 @@
 //! single locked counter update, independent of how many plans share the
 //! object.
 //!
-//! **Sharded read path:** the parameter map is split across
-//! `STORE_SHARDS` reader-writer shards keyed by checksum, so the
-//! read-mostly lookups ([`ObjectStore::get`], the intern fast path) run
-//! under shared read locks and never contend with each other; only the
-//! deploy/undeploy write paths take a shard's write lock, and only for
-//! the checksums that hash there. Ref-count lifecycle semantics are
-//! unchanged — each entry's refcount still moves under its shard lock.
+//! **One lock:** only the control plane touches the store — deploy,
+//! undeploy, image decode and `STATS` — never a request, so the parameter
+//! map sits behind one mutex, and an intern is one lookup-or-insert under
+//! it.
 
 use crate::lru::LruCache;
 use crate::plan::StagePlan;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use pretzel_data::Vector;
 use pretzel_ops::Op;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -62,23 +60,10 @@ struct StoreEntry {
     plan_refs: u64,
 }
 
-/// Shard count of the parameter map. Lookups are read-mostly (every load
-/// and every compile probes; only deploy/undeploy writes), so the map is
-/// split into reader-writer shards keyed by checksum: concurrent readers
-/// share a shard lock, and writers serialize only within one shard.
-const STORE_SHARDS: usize = 16;
-
-/// Maps a parameter checksum to its shard. Checksums are already
-/// well-mixed digests, but a Fibonacci multiply keeps the shard choice
-/// robust if a parameter kind ever produces structured low bits.
-fn shard_of(checksum: u64) -> usize {
-    (checksum.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60) as usize & (STORE_SHARDS - 1)
-}
-
 /// Checksum-keyed store of shared operator parameters.
 #[derive(Debug, Default)]
 pub struct ObjectStore {
-    shards: [RwLock<HashMap<u64, StoreEntry>>; STORE_SHARDS],
+    ops: Mutex<HashMap<u64, StoreEntry>>,
     interned: AtomicU64,
     reused: AtomicU64,
     bytes_saved: AtomicU64,
@@ -126,44 +111,23 @@ impl ObjectStore {
     /// the canonical instance.
     pub fn intern(&self, op: Op) -> Op {
         let key = op.checksum();
-        let shard = &self.shards[shard_of(key)];
-        // Fast path under the read lock: most interns during steady-state
-        // deploys find the canonical instance already resident.
-        {
-            let ops = shard.read();
-            match ops.get(&key) {
-                // Re-interning the canonical instance itself is a no-op
-                // (and must not inflate the dedup counters).
-                Some(existing) if existing.op.params_addr() == op.params_addr() => return op,
-                Some(existing) => {
-                    self.reused.fetch_add(1, Ordering::Relaxed);
-                    self.bytes_saved
-                        .fetch_add(op.heap_bytes() as u64, Ordering::Relaxed);
-                    return existing.op.clone();
-                }
-                None => {}
-            }
-        }
-        let mut ops = shard.write();
-        // Re-check under the write lock: a racing intern of the same
-        // checksum may have published between the two acquisitions.
-        match ops.get(&key) {
-            Some(existing) if existing.op.params_addr() == op.params_addr() => op,
-            Some(existing) => {
+        let mut ops = self.ops.lock();
+        match ops.entry(key) {
+            // Re-interning the canonical instance itself is a no-op (and
+            // must not inflate the dedup counters).
+            Entry::Occupied(e) if e.get().op.params_addr() == op.params_addr() => op,
+            Entry::Occupied(e) => {
                 self.reused.fetch_add(1, Ordering::Relaxed);
                 self.bytes_saved
                     .fetch_add(op.heap_bytes() as u64, Ordering::Relaxed);
-                existing.op.clone()
+                e.get().op.clone()
             }
-            None => {
+            Entry::Vacant(v) => {
                 self.interned.fetch_add(1, Ordering::Relaxed);
-                ops.insert(
-                    key,
-                    StoreEntry {
-                        op: op.clone(),
-                        plan_refs: 0,
-                    },
-                );
+                v.insert(StoreEntry {
+                    op: op.clone(),
+                    plan_refs: 0,
+                });
                 op
             }
         }
@@ -180,8 +144,8 @@ impl ObjectStore {
     pub fn retain_plan(&self, plan: &StagePlan) -> PlanRefs {
         let params = plan_param_set(plan);
         let sums = params.iter().map(|&(sum, _)| sum).collect();
+        let mut ops = self.ops.lock();
         for (sum, op) in params {
-            let mut ops = self.shards[shard_of(sum)].write();
             ops.entry(sum)
                 .or_insert(StoreEntry { op, plan_refs: 0 })
                 .plan_refs += 1;
@@ -195,8 +159,8 @@ impl ObjectStore {
     pub fn release_plan(&self, refs: &PlanRefs) -> (usize, usize) {
         let mut freed = 0usize;
         let mut freed_bytes = 0usize;
+        let mut ops = self.ops.lock();
         for &sum in refs.0.iter() {
-            let mut ops = self.shards[shard_of(sum)].write();
             let Some(entry) = ops.get_mut(&sum) else {
                 continue;
             };
@@ -220,8 +184,8 @@ impl ObjectStore {
     pub fn release_unreferenced(&self, checksums: impl IntoIterator<Item = u64>) -> usize {
         let mut freed_bytes = 0usize;
         let mut freed = 0u64;
+        let mut ops = self.ops.lock();
         for sum in checksums {
-            let mut ops = self.shards[shard_of(sum)].write();
             if let Some(entry) = ops.get(&sum) {
                 if entry.plan_refs == 0 {
                     freed_bytes += entry.op.heap_bytes();
@@ -242,18 +206,15 @@ impl ObjectStore {
     pub fn sweep_unreferenced(&self) -> usize {
         let mut freed_bytes = 0usize;
         let mut freed = 0u64;
-        for shard in &self.shards {
-            let mut ops = shard.write();
-            ops.retain(|_, entry| {
-                if entry.plan_refs == 0 {
-                    freed_bytes += entry.op.heap_bytes();
-                    freed += 1;
-                    false
-                } else {
-                    true
-                }
-            });
-        }
+        self.ops.lock().retain(|_, entry| {
+            if entry.plan_refs == 0 {
+                freed_bytes += entry.op.heap_bytes();
+                freed += 1;
+                false
+            } else {
+                true
+            }
+        });
         self.released.fetch_add(freed, Ordering::Relaxed);
         self.released_bytes
             .fetch_add(freed_bytes as u64, Ordering::Relaxed);
@@ -262,8 +223,8 @@ impl ObjectStore {
 
     /// Plan refcount of a checksum (0 when absent or never retained).
     pub fn plan_refs(&self, checksum: u64) -> u64 {
-        self.shards[shard_of(checksum)]
-            .read()
+        self.ops
+            .lock()
             .get(&checksum)
             .map_or(0, |entry| entry.plan_refs)
     }
@@ -283,10 +244,7 @@ impl ObjectStore {
     /// Loaders use this to skip deserializing model-file sections whose
     /// parameters are already resident (the fast-load path of §5.1).
     pub fn get(&self, checksum: u64) -> Option<Op> {
-        let hit = self.shards[shard_of(checksum)]
-            .read()
-            .get(&checksum)
-            .map(|e| e.op.clone());
+        let hit = self.ops.lock().get(&checksum).map(|e| e.op.clone());
         if let Some(op) = &hit {
             self.reused.fetch_add(1, Ordering::Relaxed);
             // The caller was about to deserialize a private copy of these
@@ -299,20 +257,17 @@ impl ObjectStore {
 
     /// Number of unique parameter objects stored.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
+        self.ops.lock().len()
     }
 
     /// True if nothing was interned yet.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.read().is_empty())
+        self.ops.lock().is_empty()
     }
 
     /// Total heap bytes of the unique parameter objects.
     pub fn unique_bytes(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().values().map(|e| e.op.heap_bytes()).sum::<usize>())
-            .sum()
+        self.ops.lock().values().map(|e| e.op.heap_bytes()).sum()
     }
 
     /// Heap bytes avoided by returning shared instances.

@@ -807,7 +807,7 @@ impl Runtime {
             return Err(DataError::mismatch("plan source", plan.source_type, ty));
         }
         let input = AssembledBatch::new(rows, hashes, Some(Arc::clone(&self.ingest_pool)))?;
-        Ok(self.scheduler.submit_assembled_gated(id, plan, input, pass))
+        Ok(self.scheduler.submit_assembled(id, plan, input, Some(pass)))
     }
 
     /// Convenience: assembled-batch predict and wait.

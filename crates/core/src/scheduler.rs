@@ -17,14 +17,21 @@
 //!
 //! **The execution plane.** Each executor owns its own `DualQueue` and
 //! vector-pool arena; submissions round-robin chunks across the worker
-//! queues, and a worker that runs dry *steals* — randomized two-choice
-//! victim selection, preferring the victim's low queue (stage-0 chunks
-//! whose working sets the thief leases from its **own** arena) over its
-//! high queue (started chunks whose buffers live in the victim's arena and
-//! go home to it when the thief retires them). Stolen chunks re-enter the
-//! *thief's* queue for later stages, so a chunk migrates at most once per
-//! dry spell. A worker that finds nothing anywhere sleeps until a
-//! submission wakes it (`Sleepers`): an idle executor costs no CPU.
+//! queues, and a worker whose own queue is empty *steals*: one scan of the
+//! other queues, starting one victim further on each time, taking from
+//! each victim its low queue (stage-0 chunks whose working sets the thief
+//! leases from its **own** arena) before its high queue (started chunks
+//! whose buffers live in the victim's arena and go home to it when the
+//! thief retires them). Stolen chunks re-enter the *thief's* queue for
+//! later stages, so a chunk migrates at most once per dry spell. A worker
+//! that finds nothing anywhere sleeps until a submission wakes it
+//! (`Sleepers`): an idle executor costs no CPU.
+//!
+//! **Batch completion** is one lock and one condvar per batch
+//! (`BatchState`): a retiring chunk writes its scores (or the batch's
+//! first error) and counts itself down under the lock, and the last one
+//! marks the batch done there; waiters sleep on the condvar, and a
+//! registered completion callback runs exactly once.
 //!
 //! **Reservation-based scheduling**: a plan may reserve its own executor
 //! (and vector pool) — a one-worker plane of its own, outside every other
@@ -146,18 +153,6 @@ impl AssembledBatch {
     pub fn hashes(&self) -> &[u64] {
         &self.hashes
     }
-
-    /// Disassembles the batch into `(rows, hashes, home pool)` without
-    /// running the drop-return — the zero-copy single-chunk path *moves*
-    /// the rows into the chunk's slot 0 and returns them to `home` itself
-    /// when the chunk releases its working set.
-    pub(crate) fn into_parts(self) -> (ColumnBatch, Vec<u64>, Option<Arc<VectorPool>>) {
-        let mut this = std::mem::ManuallyDrop::new(self);
-        let rows = std::mem::replace(&mut this.rows, ColumnBatch::Scalar(Vec::new()));
-        let hashes = std::mem::take(&mut this.hashes);
-        let home = this.home.take();
-        (rows, hashes, home)
-    }
 }
 
 impl Drop for AssembledBatch {
@@ -171,89 +166,52 @@ impl Drop for AssembledBatch {
     }
 }
 
-/// The source rows a submitted batch executes over.
-#[derive(Debug, Clone)]
-enum BatchInput {
-    /// All rows packed in one column batch, shared by the batch's chunks.
-    Assembled(Arc<AssembledBatch>),
-    /// The rows themselves were *moved* into the chunk's slot 0 (zero-copy
-    /// single-chunk ingest); only their count and ingest-time hashes
-    /// remain addressable here.
-    Moved(Arc<MovedMeta>),
-}
-
-/// What survives of a moved assembled batch: its shape and hashes. The
-/// rows live in the (single) chunk's slot 0.
-#[derive(Debug)]
-struct MovedMeta {
-    len: usize,
-    hashes: Vec<u64>,
-}
-
-/// A moved batch riding its chunk task to stage 0, where it becomes
-/// slot 0 outright instead of being bulk-copied into a leased batch.
-struct MovedSource {
-    rows: ColumnBatch,
-    home: Option<Arc<VectorPool>>,
-}
-
-/// Where a chunk's slot 0 goes when the working set releases.
-enum SlotZero {
-    /// Leased from the executor pool like every other slot (the default).
-    Leased,
-    /// The moved request batch: returns to its home ingest pool (or is
-    /// dropped when it had none) instead of the executor pool.
-    Moved { home: Option<Arc<VectorPool>> },
-}
-
-impl BatchInput {
-    fn len(&self) -> usize {
-        match self {
-            BatchInput::Assembled(a) => a.len(),
-            BatchInput::Moved(m) => m.len,
-        }
-    }
-}
-
 /// Continuation invoked when a batch's last chunk completes (the reactor
 /// FrontEnd's completion routing — no thread blocks on the handle).
 type CompletionFn = Box<dyn FnOnce(Result<Vec<f32>>) + Send + 'static>;
 
-/// Shared state of one in-flight batch request.
+/// Shared state of one in-flight batch request: one lock over everything
+/// its chunks write and its handle reads, and one condvar its waiter sleeps
+/// on. [`complete_chunk`] documents the protocol.
 struct BatchState {
-    results: Mutex<Vec<f32>>,
-    error: Mutex<Option<DataError>>,
-    remaining_chunks: AtomicUsize,
+    inner: Mutex<BatchInner>,
     done: Condvar,
-    done_lock: Mutex<bool>,
+}
+
+/// What [`BatchState`]'s lock guards.
+struct BatchInner {
+    results: Vec<f32>,
+    /// The first error any chunk reported; it wins over the scores.
+    error: Option<DataError>,
+    /// Chunks not yet retired.
+    remaining: usize,
     /// The submission's hold on its plan's lifecycle gate, released when
-    /// the last chunk completes — `undeploy` drains against exactly this.
-    gate: Mutex<Option<GatePass>>,
-    /// Registered by [`BatchHandle::on_complete`]; taken (under
-    /// `done_lock`) by the completing chunk and invoked with the harvest.
-    watcher: Mutex<Option<CompletionFn>>,
+    /// the last chunk retires — `undeploy` drains against exactly this.
+    gate: Option<GatePass>,
+    /// Registered by [`BatchHandle::on_complete`] while the batch is not
+    /// done; taken and run by the chunk that completes it.
+    watcher: Option<CompletionFn>,
+    done: bool,
 }
 
 impl std::fmt::Debug for BatchState {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let inner = self.inner.lock();
         f.debug_struct("BatchState")
-            .field(
-                "remaining_chunks",
-                &self.remaining_chunks.load(Ordering::Relaxed),
-            )
-            .field("done", &*self.done_lock.lock())
+            .field("remaining", &inner.remaining)
+            .field("done", &inner.done)
             .finish()
     }
 }
 
-impl BatchState {
+impl BatchInner {
     /// Takes the final outcome: the first error if any chunk failed, the
-    /// scores otherwise. Call only after `done` is observed.
-    fn harvest(&self) -> Result<Vec<f32>> {
-        if let Some(err) = self.error.lock().take() {
-            return Err(err);
+    /// scores otherwise. Call only once `done` is set.
+    fn harvest(&mut self) -> Result<Vec<f32>> {
+        match self.error.take() {
+            Some(err) => Err(err),
+            None => Ok(std::mem::take(&mut self.results)),
         }
-        Ok(std::mem::take(&mut *self.results.lock()))
     }
 }
 
@@ -266,12 +224,11 @@ pub struct BatchHandle {
 impl BatchHandle {
     /// Blocks until every chunk completed; returns the per-record scores.
     pub fn wait(self) -> Result<Vec<f32>> {
-        let mut done = self.state.done_lock.lock();
-        while !*done {
-            self.state.done.wait(&mut done);
+        let mut inner = self.state.inner.lock();
+        while !inner.done {
+            self.state.done.wait(&mut inner);
         }
-        drop(done);
-        self.state.harvest()
+        inner.harvest()
     }
 
     /// Registers a continuation invoked (once, from the executor thread
@@ -281,18 +238,14 @@ impl BatchHandle {
     /// in-flight request. If the batch already completed, `f` runs
     /// immediately on the caller.
     pub fn on_complete(self, f: impl FnOnce(Result<Vec<f32>>) + Send + 'static) {
-        let mut f = Some(f);
-        {
-            let done = self.state.done_lock.lock();
-            if !*done {
-                // The completing chunk takes the watcher under `done_lock`
-                // after setting `done`, so exactly one side runs it.
-                *self.state.watcher.lock() = Some(Box::new(f.take().expect("unconsumed")));
-            }
+        let mut inner = self.state.inner.lock();
+        if !inner.done {
+            inner.watcher = Some(Box::new(f));
+            return;
         }
-        if let Some(f) = f {
-            f(self.state.harvest());
-        }
+        let outcome = inner.harvest();
+        drop(inner);
+        f(outcome);
     }
 }
 
@@ -314,7 +267,7 @@ struct ChunkTask {
     /// attributed to the plan (fault hook + quarantine policy).
     plan_id: u32,
     plan: Arc<ModelPlan>,
-    input: BatchInput,
+    input: Arc<AssembledBatch>,
     range: (usize, usize),
     stage: usize,
     /// Working set — one [`ColumnBatch`] per plan slot for the whole chunk
@@ -322,12 +275,6 @@ struct ChunkTask {
     working: Option<Vec<ColumnBatch>>,
     /// Pool the working set came from (returned there on completion).
     lease_pool: Option<Arc<VectorPool>>,
-    /// A moved assembled batch riding along to stage 0 (zero-copy
-    /// single-chunk ingest); taken there to become slot 0.
-    moved: Option<MovedSource>,
-    /// Where slot 0 returns on release (diverges from `lease_pool` only
-    /// after a move).
-    slot_zero: SlotZero,
     state: Arc<BatchState>,
 }
 
@@ -392,12 +339,6 @@ impl DualQueue {
             return Some(t);
         }
         g.high.pop_front()
-    }
-
-    /// Queued event count (a snapshot; used for two-choice victim ranking).
-    fn approx_len(&self) -> usize {
-        let g = self.inner.lock();
-        g.high.len() + g.low.len()
     }
 
     /// True when the queue is closed *and* drained — the owner's signal to
@@ -830,82 +771,42 @@ impl Scheduler {
     /// Submits an assembled request batch: the rows the FrontEnd built
     /// straight from the wire become the rows chunks load from. Chunks
     /// enter the low-priority queue (new pipelines) and climb to high
-    /// priority as they progress. A request that fits one chunk skips even the bulk load: its batch is *moved* into the chunk's
-    /// slot 0.
+    /// priority as they progress; each copies its row range into a leased
+    /// slot 0 at its first stage, and the batch returns to its home pool
+    /// when the last chunk lets go of it. `gate`, the plan's lifecycle
+    /// pass, is held until the last chunk retires.
     pub fn submit_assembled(
         &self,
         plan_id: u32,
         plan: Arc<ModelPlan>,
         input: AssembledBatch,
-    ) -> BatchHandle {
-        let (input, moved) = self.prepare_assembled(input);
-        self.submit_input(plan_id, plan, input, None, moved)
-    }
-
-    /// [`Self::submit_assembled`] carrying a lifecycle gate pass.
-    pub fn submit_assembled_gated(
-        &self,
-        plan_id: u32,
-        plan: Arc<ModelPlan>,
-        input: AssembledBatch,
-        gate: GatePass,
-    ) -> BatchHandle {
-        let (input, moved) = self.prepare_assembled(input);
-        self.submit_input(plan_id, plan, input, Some(gate), moved)
-    }
-
-    /// Zero-copy decision for an assembled submission: a non-empty request
-    /// that fits one chunk moves its batch into slot 0 outright.
-    /// The move is skipped when a materialization cache is configured but
-    /// the assembly carries no ingest-time hashes — hashing on demand
-    /// needs the rows addressable from the input, which a move gives up.
-    fn prepare_assembled(&self, input: AssembledBatch) -> (BatchInput, Option<MovedSource>) {
-        let n = input.len();
-        let movable = n > 0
-            && n <= self.chunk_size
-            && (self.env.cache.is_none() || !input.hashes().is_empty());
-        if movable {
-            let (rows, hashes, home) = input.into_parts();
-            (
-                BatchInput::Moved(Arc::new(MovedMeta { len: n, hashes })),
-                Some(MovedSource { rows, home }),
-            )
-        } else {
-            (BatchInput::Assembled(Arc::new(input)), None)
-        }
-    }
-
-    fn submit_input(
-        &self,
-        plan_id: u32,
-        plan: Arc<ModelPlan>,
-        input: BatchInput,
         gate: Option<GatePass>,
-        mut moved: Option<MovedSource>,
     ) -> BatchHandle {
         let n = input.len();
-        let n_chunks = n.div_ceil(self.chunk_size).max(1);
+        let n_chunks = n.div_ceil(self.chunk_size);
         let state = Arc::new(BatchState {
-            results: Mutex::new(vec![0.0; n]),
-            error: Mutex::new(None),
-            remaining_chunks: AtomicUsize::new(n_chunks),
+            inner: Mutex::new(BatchInner {
+                results: vec![0.0; n],
+                error: None,
+                remaining: n_chunks,
+                // An empty batch completes here: the pass (if any) drops now
+                // rather than waiting for a chunk that will never run.
+                gate: if n == 0 { None } else { gate },
+                watcher: None,
+                done: n == 0,
+            }),
             done: Condvar::new(),
-            done_lock: Mutex::new(n == 0),
-            // Empty batches complete synchronously: the pass (if any) drops
-            // here rather than waiting for a chunk that will never run.
-            gate: Mutex::new(if n == 0 { None } else { gate }),
-            watcher: Mutex::new(None),
         });
         if n == 0 {
             return BatchHandle { state };
         }
+        let input = Arc::new(input);
         let reserved_plane = {
             let reserved = self.reserved.lock();
             reserved.get(&plan_id).map(|r| Arc::clone(&r.plane))
         };
         // One recorder resolution per submission (not per chunk): the map
-        // read amortizes over the whole batch, and each chunk's hot-path
-        // recording is then shard-local atomics only.
+        // read amortizes over the whole batch.
         let recorder = self.env.telemetry.plan_recorder(plan_id);
         recorder.note_batch_request();
         let enqueued_at = self.env.clock.now();
@@ -920,15 +821,11 @@ impl Scheduler {
                 },
                 plan_id,
                 plan: Arc::clone(&plan),
-                input: input.clone(),
+                input: Arc::clone(&input),
                 range: (start, end),
                 stage: 0,
                 working: None,
                 lease_pool: None,
-                // A movable submission is single-chunk by construction, so
-                // the take hands the rows to the only task there is.
-                moved: moved.take(),
-                slot_zero: SlotZero::Leased,
                 state: Arc::clone(&state),
             };
             // A reserved plane that closed between routing and push (the
@@ -941,7 +838,8 @@ impl Scheduler {
             if let Some(task) = task.and_then(|t| self.plane.try_push_low(t)) {
                 // The general plane closes only in teardown, which owns the
                 // scheduler exclusively; fail rather than strand the chunk.
-                finish_chunk_error(task, DataError::Runtime("scheduler shut down".into()));
+                let err = DataError::Runtime("scheduler shut down".into());
+                complete_chunk(task, Some(err), &self.env.stats);
             }
             start = end;
         }
@@ -1018,29 +916,25 @@ fn worker_loop(idx: usize, plane: &Plane, pool: Arc<VectorPool>, env: ExecEnv) {
     }
     let (queues, sleepers) = (&plane.workers[..], &plane.sleepers);
     let own = &queues[idx];
-    // Per-worker xorshift state, seeded from the worker index so workers
-    // probe victims in different orders.
-    let mut rng: u64 = 0x9E37_79B9_7F4A_7C15_u64.wrapping_mul(idx as u64 + 1) | 1;
-    // Own queue first, then other workers': two probes on the busy path,
-    // every queue when `thorough`. The flag tells a steal from a pop.
-    let find = |rng: &mut u64, thorough: bool| {
+    // Where the next scan of the other queues starts, one victim further
+    // on each scan; seeded with the worker index so that thieves do not
+    // all start at the same victim. The flag tells a steal from a pop.
+    let mut offset = idx;
+    let mut find = || {
         own.try_pop().map(|task| (task, false)).or_else(|| {
-            let stolen = if thorough {
-                steal_any(queues, idx)
-            } else {
-                steal_from(queues, idx, rng)
-            };
+            let stolen = steal_any(queues, idx, offset);
+            offset = offset.wrapping_add(1);
             stolen.map(|task| (task, true))
         })
     };
     loop {
-        let mut found = find(&mut rng, false);
+        let mut found = find();
         if found.is_none() {
             // Announce the sleep, then look at every queue once more: a
             // chunk pushed before the announcement was visible shows up in
             // this scan, a later one wakes a sleeper.
             let announced_at = sleepers.announce();
-            found = find(&mut rng, true);
+            found = find();
             if found.is_none() && !own.is_finished() {
                 sleepers.sleep(announced_at);
                 continue;
@@ -1057,48 +951,12 @@ fn worker_loop(idx: usize, plane: &Plane, pool: Arc<VectorPool>, env: ExecEnv) {
     }
 }
 
-/// Steals from the first other queue that has anything, every queue
-/// tried: the scan a worker makes before it sleeps must not miss work the
-/// way [`steal_from`]'s two probes may.
-fn steal_any(queues: &[DualQueue], idx: usize) -> Option<ChunkTask> {
-    (1..queues.len()).find_map(|step| queues[(idx + step) % queues.len()].steal())
-}
-
-/// Two-choice steal: probe two distinct victims, try the longer queue
-/// first, then the other. Steals prefer the victim's LOW queue — stage-0
-/// chunks have not leased buffers yet, so stolen new work leases from the
-/// thief's own arena and stays local, while started (HIGH) chunks carry
-/// leases whose buffers would travel home over the cross-core return
-/// path. The own queue at `idx` is never probed.
-fn steal_from(queues: &[DualQueue], idx: usize, rng: &mut u64) -> Option<ChunkTask> {
+/// One scan of every queue but the worker's own (`idx`), starting
+/// `offset` victims on, that steals the first chunk it finds
+/// ([`DualQueue::steal`]: a victim's low queue before its high one).
+fn steal_any(queues: &[DualQueue], idx: usize, offset: usize) -> Option<ChunkTask> {
     let n = queues.len();
-    if n <= 1 {
-        return None;
-    }
-    let mut pick = || {
-        *rng ^= *rng << 13;
-        *rng ^= *rng >> 7;
-        *rng ^= *rng << 17;
-        let r = (*rng as usize) % (n - 1);
-        if r >= idx {
-            r + 1
-        } else {
-            r
-        }
-    };
-    let a = pick();
-    let mut b = pick();
-    if n > 2 {
-        while b == a {
-            b = pick();
-        }
-    }
-    let (first, second) = if queues[a].approx_len() >= queues[b].approx_len() {
-        (a, b)
-    } else {
-        (b, a)
-    };
-    queues[first].steal().or_else(|| queues[second].steal())
+    (0..n - 1).find_map(|k| queues[(idx + 1 + (offset + k) % (n - 1)) % n].steal())
 }
 
 fn run_chunk_stage(
@@ -1122,42 +980,21 @@ fn run_chunk_stage(
         stage_start.duration_since(m.enqueued_at).as_nanos() as u64,
     );
     // Lazy lease: ONE batch per plan slot, acquired from THIS executor's
-    // pool at the first stage.
+    // pool at the first stage, and the chunk's row range bulk-copied into
+    // slot 0 (one extend per backing buffer).
     if task.stage == 0 {
-        let types = task.plan.slot_types();
+        let mut slots: Vec<ColumnBatch> = task
+            .plan
+            .slot_types()
+            .iter()
+            .map(|&t| pool.acquire_batch(t, n))
+            .collect();
+        let loaded = slots[0].extend_from_range(task.input.rows(), start, end);
         task.lease_pool = Some(Arc::clone(pool));
-        if let Some(m) = task.moved.take() {
-            // Zero-copy single-chunk ingest: the wire-assembled batch *is*
-            // slot 0 — nothing leased for it, nothing copied.
-            if m.rows.column_type() != types[0] {
-                let err = DataError::mismatch("plan source", types[0], m.rows.column_type());
-                if let Some(home) = m.home {
-                    home.release_batch(m.rows);
-                }
-                finish_chunk_error(task, err);
-                return;
-            }
-            let mut slots: Vec<ColumnBatch> = Vec::with_capacity(types.len());
-            slots.push(m.rows);
-            for &t in &types[1..] {
-                slots.push(pool.acquire_batch(t, n));
-            }
-            task.slot_zero = SlotZero::Moved { home: m.home };
-            task.working = Some(slots);
-        } else {
-            let mut slots: Vec<ColumnBatch> =
-                types.iter().map(|&t| pool.acquire_batch(t, n)).collect();
-            // Bulk-copy the chunk's row range into slot 0 (one extend per
-            // backing buffer).
-            let loaded = match &task.input {
-                BatchInput::Assembled(a) => slots[0].extend_from_range(a.rows(), start, end),
-                BatchInput::Moved(_) => unreachable!("moved source taken above"),
-            };
-            task.working = Some(slots);
-            if let Err(e) = loaded {
-                finish_chunk_error(task, e);
-                return;
-            }
+        task.working = Some(slots);
+        if let Err(e) = loaded {
+            complete_chunk(task, Some(e), stats);
+            return;
         }
     }
     let plan = &task.plan;
@@ -1165,27 +1002,13 @@ fn run_chunk_stage(
         .working
         .as_mut()
         .expect("working set leased at stage 0");
-    // Chunk-level cache probe inputs: one source hash per row.
+    // Chunk-level cache probe inputs: one source hash per row, recorded at
+    // ingest or computed from the rows.
     if ctx.cache.is_some() && plan.stage_is_cached(task.stage) {
         ctx.source_hashes.clear();
-        match &task.input {
-            // Assembled inputs carry their hashes from ingest (computed over
-            // the same bytes with the same shared helpers, so cache keys are
-            // identical); an unhashed assembly — built while no cache was
-            // configured — hashes its rows here instead.
-            BatchInput::Assembled(a) => {
-                if a.hashes().is_empty() {
-                    ctx.source_hashes.extend((start..end).map(|i| a.hash_of(i)));
-                } else {
-                    ctx.source_hashes.extend_from_slice(&a.hashes()[start..end]);
-                }
-            }
-            // A moved batch always carries ingest-time hashes when a cache
-            // is configured (`prepare_assembled` refuses the move otherwise).
-            BatchInput::Moved(m) => {
-                ctx.source_hashes.extend_from_slice(&m.hashes[start..end]);
-            }
-        }
+        let input = &task.input;
+        ctx.source_hashes
+            .extend((start..end).map(|i| input.hash_of(i)));
     }
     // The fault containment boundary: operator code below this point runs
     // under `catch_unwind`, so a panicking kernel fails its own chunk with
@@ -1194,8 +1017,8 @@ fn run_chunk_stage(
     // piece of state the closure can leave inconsistent is recovered on
     // the panic path: the stage's scratch stays in the context's chunk
     // frame (cleared before its next use), the chunk's leased working set
-    // returns through `finish_chunk_error` → `release_leases`, and the gate
-    // pass drops in `complete_chunk` — nothing else outlives the chunk.
+    // returns through `complete_chunk` → `release_leases`, and the gate
+    // pass drops there too — nothing else outlives the chunk.
     let outcome = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         plan.execute_stage_batch(task.stage, slots, n, ctx)
     })) {
@@ -1212,7 +1035,7 @@ fn run_chunk_stage(
                 hook(task.plan_id);
             }
         }
-        finish_chunk_error(task, err);
+        complete_chunk(task, Some(err), stats);
         return;
     }
     stats.stage_events.fetch_add(1, Ordering::Relaxed);
@@ -1232,24 +1055,7 @@ fn run_chunk_stage(
         // return their working sets quickly.
         queue.push_high(task);
     } else {
-        // Final stage: harvest results, release the working set.
-        let out = &task.working.as_ref().expect("leased above")[task.plan.output_slot as usize];
-        // An output batch that is not scalar or is missing rows is an
-        // engine bug; fail the batch loudly instead of serving NaNs.
-        let Some(scores) = out.as_scalars().filter(|s| s.len() == n) else {
-            let err = DataError::Runtime(format!(
-                "plan produced a malformed output batch: want {n} scalars, got {:?} x {}",
-                out.column_type(),
-                out.rows(),
-            ));
-            finish_chunk_error(task, err);
-            return;
-        };
-        task.state.results.lock()[start..end].copy_from_slice(scores);
-        stats.records_done.fetch_add(n as u64, Ordering::Relaxed);
-        task.meter.rec.add_records(n as u64);
-        release_leases(&mut task);
-        complete_chunk(task);
+        complete_chunk(task, None, stats);
     }
 }
 
@@ -1262,18 +1068,8 @@ fn release_leases(task: &mut ChunkTask) {
     // and the source parks last with its buffer unshared — releasing the
     // source first would make it detect the live borrow and drop its buffer
     // instead of keeping it for the next lease.
-    while slots.len() > 1 {
-        let b = slots.pop().expect("len checked above");
+    while let Some(b) = slots.pop() {
         pool.release_batch(b);
-    }
-    if let Some(rows) = slots.pop() {
-        // A moved slot 0 returns to its home ingest pool, not the executor
-        // pool it was never leased from.
-        match std::mem::replace(&mut task.slot_zero, SlotZero::Leased) {
-            SlotZero::Moved { home: Some(h) } => h.release_batch(rows),
-            SlotZero::Moved { home: None } => drop(rows),
-            SlotZero::Leased => pool.release_batch(rows),
-        }
     }
 }
 
@@ -1290,35 +1086,69 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-fn finish_chunk_error(mut task: ChunkTask, err: DataError) {
-    release_leases(&mut task);
-    task.state.error.lock().get_or_insert(err);
-    complete_chunk(task);
+/// The chunk's scores: its rows of the plan's output slot. An output that
+/// is not scalar or is missing rows is an engine bug; it fails the batch
+/// loudly instead of serving NaNs.
+fn chunk_scores(task: &ChunkTask) -> Result<&[f32]> {
+    let n = task.range.1 - task.range.0;
+    let out = &task.working.as_ref().expect("leased at stage 0")[task.plan.output_slot as usize];
+    out.as_scalars().filter(|s| s.len() == n).ok_or_else(|| {
+        DataError::Runtime(format!(
+            "plan produced a malformed output batch: want {n} scalars, got {:?} x {}",
+            out.column_type(),
+            out.rows(),
+        ))
+    })
 }
 
-fn complete_chunk(task: ChunkTask) {
-    // Let go of the plan (and through it the catalog's stages) before the
-    // batch can be seen complete: an `undeploy` that follows the waiter's
-    // wake-up sweeps the catalog for stages nothing else references.
+/// Retires a chunk — after its final stage, or with the error that ended
+/// it (`failed`) — in one critical section of its batch's lock: writes its
+/// scores (or keeps the batch's first error), releases its working set,
+/// lets go of the task and counts it down. The last chunk also releases
+/// the gate pass, marks the batch done and takes the watcher; once
+/// unlocked it wakes the waiter and runs the watcher on the harvest.
+///
+/// Everything a completed batch's observer may rely on happens before
+/// `done` is set, under the lock that observer reads it with:
+/// - the plan `Arc` (and through it the catalog's stages) is gone, so an
+///   `undeploy` that follows the wake-up finds no reference of this batch
+///   when it sweeps the catalog;
+/// - the gate pass is released, so `undeploy`'s drain has nothing left to
+///   wait on for this batch.
+///
+/// The watcher runs exactly once: [`BatchHandle::on_complete`] either
+/// registers it before `done` is set, and this chunk takes it, or finds
+/// `done` set and runs it on the registering thread.
+fn complete_chunk(mut task: ChunkTask, failed: Option<DataError>, stats: &SchedStats) {
     let state = Arc::clone(&task.state);
-    drop(task);
-    if state.remaining_chunks.fetch_sub(1, Ordering::AcqRel) == 1 {
-        // Last chunk: release the plan's lifecycle gate pass before waking
-        // the waiter — once the handle observes completion, `undeploy`'s
-        // drain has nothing left to wait on for this batch.
-        drop(state.gate.lock().take());
-        let watcher = {
-            let mut done = state.done_lock.lock();
-            *done = true;
-            state.done.notify_all();
-            // Taken under `done_lock` so a concurrent `on_complete`
-            // either registered before this (we run it) or observes
-            // `done` and runs itself — never both, never neither.
-            state.watcher.lock().take()
-        };
-        if let Some(watcher) = watcher {
-            watcher(state.harvest());
+    let (start, end) = task.range;
+    let mut batch = state.inner.lock();
+    match failed.map_or_else(|| chunk_scores(&task), Err) {
+        Ok(scores) => {
+            batch.results[start..end].copy_from_slice(scores);
+            stats
+                .records_done
+                .fetch_add((end - start) as u64, Ordering::Relaxed);
+            task.meter.rec.add_records((end - start) as u64);
         }
+        Err(err) => {
+            batch.error.get_or_insert(err);
+        }
+    }
+    release_leases(&mut task);
+    drop(task);
+    batch.remaining -= 1;
+    if batch.remaining > 0 {
+        return;
+    }
+    drop(batch.gate.take());
+    batch.done = true;
+    let watcher = batch.watcher.take();
+    let outcome = watcher.as_ref().map(|_| batch.harvest());
+    drop(batch);
+    state.done.notify_all();
+    if let (Some(watcher), Some(outcome)) = (watcher, outcome) {
+        watcher(outcome);
     }
 }
 
@@ -1326,23 +1156,55 @@ fn complete_chunk(task: ChunkTask) {
 // The parking tests time real condition-variable waits against
 // `SAFETY_PARK`, which no clock of the runtime's governs.
 #[allow(clippy::disallowed_methods)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::flour::FlourContext;
     use crate::object_store::ObjectStore;
     use crate::physical::CompileOptions;
     use pretzel_data::{ColumnType, Vector};
     use pretzel_ops::linear::LinearKind;
-    use pretzel_ops::synth;
+    use pretzel_ops::{synth, Op};
+    use std::sync::mpsc::{self, TryRecvError};
+    use std::time::Duration;
+
+    /// Silences the fault op's expected panics without hiding any other.
+    pub(crate) fn quiet_fault_panics() {
+        static HOOK: std::sync::Once = std::sync::Once::new();
+        HOOK.call_once(|| {
+            let default_hook = std::panic::take_hook();
+            std::panic::set_hook(Box::new(move |info| {
+                let payload = info.payload().downcast_ref::<String>();
+                if !payload.is_some_and(|m| m.contains("fault-op:")) {
+                    default_hook(info);
+                }
+            }));
+        });
+    }
 
     fn sa_plan(seed: u64) -> Arc<ModelPlan> {
         sa_plan_with(seed, &CompileOptions::default())
     }
 
     fn sa_plan_with(seed: u64, opts: &CompileOptions) -> Arc<ModelPlan> {
+        sa_plan_over(seed, opts, None)
+    }
+
+    /// An SA plan whose records pass the panic injector (marker `boom`)
+    /// first.
+    fn faulting_plan() -> Arc<ModelPlan> {
+        let fault = pretzel_ops::fault::FaultParams::new("boom");
+        let fault = pretzel_ops::Op::FaultInjector(Arc::new(fault));
+        sa_plan_over(3, &CompileOptions::default(), Some(fault))
+    }
+
+    fn sa_plan_over(seed: u64, opts: &CompileOptions, first: Option<Op>) -> Arc<ModelPlan> {
         let vocab = synth::vocabulary(0, 64);
         let ctx = FlourContext::new();
-        let tokens = ctx.csv(',').select_text(1).tokenize();
+        let mut text = ctx.csv(',').select_text(1);
+        if let Some(op) = first {
+            text = text.apply(op);
+        }
+        let tokens = text.tokenize();
         let c = tokens.char_ngram(Arc::new(synth::char_ngram(1, 3, 128)));
         let w = tokens.word_ngram(Arc::new(synth::word_ngram(2, 2, 128, &vocab)));
         let logical = c
@@ -1375,7 +1237,7 @@ mod tests {
     }
 
     fn submit(sched: &Scheduler, id: u32, plan: &Arc<ModelPlan>, recs: &[Record]) -> BatchHandle {
-        sched.submit_assembled(id, Arc::clone(plan), assembled(recs))
+        sched.submit_assembled(id, Arc::clone(plan), assembled(recs), None)
     }
 
     fn config(n_executors: usize, chunk_size: usize) -> SchedulerConfig {
@@ -1405,6 +1267,22 @@ mod tests {
         recs.iter()
             .map(|r| plan.execute(r.as_source(), &mut slots, &mut ctx).unwrap())
             .collect()
+    }
+
+    /// [`ModelPlan::execute_batch`] over `recs` as one chunk: the reference
+    /// a completion's scores must equal bitwise.
+    fn execute_batch_scores(plan: &ModelPlan, recs: &[Record]) -> Vec<f32> {
+        let mut ctx = ExecCtx::new(Arc::new(VectorPool::arena()));
+        let mut slots: Vec<ColumnBatch> = plan
+            .slot_types()
+            .iter()
+            .map(|&t| ColumnBatch::with_type(t))
+            .collect();
+        let sources: Vec<SourceRef<'_>> = recs.iter().map(Record::as_source).collect();
+        let mut out = vec![0.0; recs.len()];
+        plan.execute_batch(&sources, &mut slots, &mut ctx, &mut out)
+            .unwrap();
+        out
     }
 
     fn assert_bitwise(got: &[f32], want: &[f32], what: &str) {
@@ -1446,6 +1324,14 @@ mod tests {
         let sched = scheduler(1, 8);
         let scores = submit(&sched, 0, &plan, &[]).wait().unwrap();
         assert!(scores.is_empty());
+        // A callback runs here, before `on_complete` returns.
+        let seen = Arc::new(Mutex::new(None));
+        let sink = Arc::clone(&seen);
+        submit(&sched, 0, &plan, &[]).on_complete(move |outcome| {
+            *sink.lock() = Some((std::thread::current().id(), outcome.map(|s| s.len())));
+        });
+        let seen = seen.lock().take();
+        assert_eq!(seen, Some((std::thread::current().id(), Ok(0))));
         sched.shutdown();
     }
 
@@ -1561,11 +1447,18 @@ mod tests {
 
     #[test]
     fn dry_workers_steal_queued_chunks() {
-        // Force the steal path: one worker gets a heavy chunk with a tiny
-        // chunk queued behind it; the other worker runs dry in microseconds
-        // and must steal the tiny chunk to make progress. Round-robin
-        // routing makes the landing deterministic (submission order 0, 1,
-        // 2 lands on workers 0, 1, 0); only the steal timing is racy, so
+        for n_executors in [2, 3] {
+            dry_workers_steal_queued_chunks_on(n_executors);
+        }
+    }
+
+    fn dry_workers_steal_queued_chunks_on(n_executors: usize) {
+        // Force the steal path: worker 0 gets a heavy chunk with a tiny
+        // chunk queued behind it; every other worker runs dry in
+        // microseconds and must steal the tiny chunk to make progress.
+        // Round-robin routing makes the landing deterministic (the heavy
+        // chunk on worker 0, one filler on each other worker, then the
+        // tiny chunk on worker 0 again); only the steal timing is racy, so
         // retry a few rounds before declaring the path dead.
         let plan = sa_plan(53);
         let heavy: Vec<Record> = (0..3000)
@@ -1573,12 +1466,16 @@ mod tests {
             .collect();
         let mut stole = false;
         for _round in 0..20 {
-            let sched = scheduler(2, 4096);
+            let sched = scheduler(n_executors, 4096);
             let ha = submit(&sched, 0, &plan, &heavy);
-            let hd = submit(&sched, 0, &plan, &records(2));
+            let fillers: Vec<_> = (1..n_executors)
+                .map(|_| submit(&sched, 0, &plan, &records(2)))
+                .collect();
             let hc = submit(&sched, 0, &plan, &records(3));
             assert_eq!(ha.wait().unwrap().len(), 3000);
-            assert_eq!(hd.wait().unwrap().len(), 2);
+            for h in fillers {
+                assert_eq!(h.wait().unwrap().len(), 2);
+            }
             let scores = hc.wait().unwrap();
             assert_eq!(scores.len(), 3);
             // Stolen or not, the chunk's math is the worker-independent
@@ -1591,7 +1488,10 @@ mod tests {
                 break;
             }
         }
-        assert!(stole, "no round ever exercised the steal path");
+        assert!(
+            stole,
+            "{n_executors} executors: no round ever exercised the steal path"
+        );
     }
 
     #[test]
@@ -1612,6 +1512,12 @@ mod tests {
 
     #[test]
     fn chunks_pushed_while_workers_go_to_sleep_are_never_stranded() {
+        for n_executors in [2, 3] {
+            chunks_pushed_while_workers_go_to_sleep_are_never_stranded_on(n_executors);
+        }
+    }
+
+    fn chunks_pushed_while_workers_go_to_sleep_are_never_stranded_on(n_executors: usize) {
         // The parking protocol under the interleavings it exists for. One
         // thread keeps a long single-chunk batch in flight, so most of the
         // time one worker is busy and the chunks round-robin routing puts
@@ -1622,7 +1528,7 @@ mod tests {
         // is free or the safety park expires — which unit tests stretch to
         // 10 s, so that a stranded chunk is unmistakable.
         let plan = sa_plan(59);
-        let sched = Arc::new(scheduler(3, 4096));
+        let sched = Arc::new(scheduler(n_executors, 4096));
         let producing = Arc::new(std::sync::atomic::AtomicBool::new(true));
         let busy = {
             let (sched, plan, producing) = (
@@ -1664,7 +1570,8 @@ mod tests {
         busy.join().unwrap();
         assert!(
             slowest < SAFETY_PARK / 2,
-            "a chunk waited {slowest:?}: it was served by the safety park, not by a wake-up"
+            "{n_executors} executors: a chunk waited {slowest:?}: it was served by the safety \
+             park, not by a wake-up"
         );
         Arc::into_inner(sched).unwrap().shutdown();
     }
@@ -1718,5 +1625,94 @@ mod tests {
             (BATCHES * PER_BATCH) as u64,
             "records lost or double-executed under reservation churn"
         );
+    }
+
+    #[test]
+    fn completion_runs_exactly_once() {
+        // Even batches register their callback right after the submit, so
+        // the registration races the chunk that completes the batch:
+        // either side may run it. Odd batches register once every chunk
+        // has retired, so each finds its batch done and runs its callback
+        // on this thread. Every callback must run exactly once.
+        const BATCHES: usize = 1000;
+        let plan = sa_plan(61);
+        let sets: Vec<Vec<Record>> = (1..=8).map(records).collect();
+        let expect: Vec<Vec<f32>> = sets
+            .iter()
+            .map(|recs| execute_batch_scores(&plan, recs))
+            .collect();
+        let sched = scheduler(2, 64);
+        let (tx, rx) = mpsc::channel();
+        let callback = |i: usize| {
+            let tx = tx.clone();
+            move |outcome| tx.send((i, std::thread::current().id(), outcome)).unwrap()
+        };
+        let mut held = Vec::new();
+        let mut rows = 0;
+        for i in 0..BATCHES {
+            let recs = &sets[i % sets.len()];
+            rows += recs.len() as u64;
+            let handle = submit(&sched, 0, &plan, recs);
+            if i % 2 == 0 {
+                handle.on_complete(callback(i));
+            } else {
+                held.push((i, handle));
+            }
+        }
+        // A chunk counts its rows in the critical section that marks its
+        // (single-chunk) batch done, so once every row is counted, every
+        // batch is done for a registration that takes the lock after it.
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while sched.stats().records_done.load(Ordering::Relaxed) < rows {
+            assert!(Instant::now() < deadline, "batches never completed");
+            std::thread::yield_now();
+        }
+        for (i, handle) in held {
+            handle.on_complete(callback(i));
+        }
+        drop(tx);
+        let mut runs = vec![0usize; BATCHES];
+        for _ in 0..BATCHES {
+            let (i, thread, outcome) = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a callback never ran");
+            runs[i] += 1;
+            if i % 2 == 1 {
+                assert_eq!(thread, std::thread::current().id(), "batch {i}");
+            }
+            assert_bitwise(
+                &outcome.unwrap(),
+                &expect[i % sets.len()],
+                &format!("batch {i}"),
+            );
+        }
+        sched.shutdown();
+        // Every sender left belonged to a callback; all are gone now.
+        assert_eq!(rx.try_recv().err(), Some(TryRecvError::Disconnected));
+        assert!(runs.iter().all(|&r| r == 1), "a callback ran twice");
+    }
+
+    #[test]
+    fn a_faulting_chunk_reports_its_error_once() {
+        quiet_fault_panics();
+        let plan = faulting_plan();
+        let sched = scheduler(2, 4);
+        let mut recs = records(12);
+        recs[5] = Record::Text("5,boom goes the middle chunk".into());
+        let (tx, rx) = mpsc::channel();
+        submit(&sched, 0, &plan, &recs).on_complete(move |outcome| tx.send(outcome).unwrap());
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the callback never ran");
+        assert!(
+            matches!(outcome, Err(DataError::ExecutionFault(_))),
+            "{outcome:?}"
+        );
+        // The two healthy chunks scored their rows, and every lease of the
+        // three came home before the batch completed.
+        assert_eq!(sched.stats().records_done.load(Ordering::Relaxed), 8);
+        assert_eq!(sched.pool_outstanding(), 0);
+        sched.shutdown();
+        assert_eq!(rx.try_recv().err(), Some(TryRecvError::Disconnected));
     }
 }

@@ -1,12 +1,12 @@
 //! Lock-free runtime telemetry.
 //!
-//! The observability counterpart of the execution plane. The registry-wide
-//! recorders (decode, flush, cache probes) are split into cache-line-padded
-//! shards: each writer thread picks one shard on first use and keeps it, so
-//! a recording is a couple of uncontended relaxed atomics — no locks, no
-//! allocation, no false sharing. A plan's recorder is one unsharded set of
-//! counters, sized by the plan rather than by the host's core count: its
-//! writers record once per chunk-stage event, not once per row, and each
+//! The observability counterpart of the execution plane. Every recorder is
+//! a set of relaxed atomics — no locks, no allocation on the recording
+//! path — and none is split per core: each sees at most one write per
+//! request or chunk-stage event. The registry holds one set of the
+//! registry-wide recorders (a sample of decodes, completion flushes,
+//! cache probes, delayed-batch drops). A plan's recorder is one set of
+//! counters, sized by the plan rather than by the host's core count; each
 //! of its histograms is allocated on the first sample, so a histogram the
 //! plan's engine never writes costs nothing. Snapshots merge exactly
 //! (histogram buckets are plain sums), so one
@@ -24,7 +24,7 @@
 
 use std::collections::HashMap;
 use std::fmt::Write;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::RwLock;
@@ -175,8 +175,8 @@ impl Histogram {
     }
 }
 
-/// The concurrent histogram one shard owns. Recording is three relaxed
-/// wrapping `fetch_add`s; reads happen only at snapshot time.
+/// A concurrent histogram. Recording is two relaxed wrapping `fetch_add`s;
+/// reads happen only at snapshot time.
 #[derive(Debug)]
 pub struct AtomicHistogram {
     buckets: [AtomicU64; HIST_BUCKETS],
@@ -220,46 +220,6 @@ impl LazyHistogram {
     fn snapshot(&self) -> Histogram {
         self.0.get().map_or_else(Histogram::new, |h| h.snapshot())
     }
-}
-
-/// Pads a shard to its own cache line so two writer threads never share one.
-#[derive(Debug, Default)]
-#[repr(align(64))]
-struct CacheAligned<T>(T);
-
-/// Stable per-thread shard index: assigned round-robin on a thread's first
-/// recording and cached in a thread-local, so an executor writes the same
-/// shard for its whole life. With `threads <= shards` every writer owns its
-/// shard outright; beyond that, collisions stay correct (atomics).
-#[inline]
-fn shard_index(n_shards: usize) -> usize {
-    static NEXT: AtomicUsize = AtomicUsize::new(0);
-    thread_local! {
-        static IDX: std::cell::Cell<usize> = const { std::cell::Cell::new(usize::MAX) };
-    }
-    IDX.with(|c| {
-        let mut i = c.get();
-        if i == usize::MAX {
-            i = NEXT.fetch_add(1, Ordering::Relaxed);
-            c.set(i);
-        }
-        i & (n_shards - 1)
-    })
-}
-
-/// How many shards the registry-wide recorders split into: enough for one
-/// per hardware thread (power of two for mask indexing), capped at 16.
-fn default_shards() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(8)
-        .next_power_of_two()
-        .clamp(1, 16)
-}
-
-/// Adds one shard's counter into a snapshot's (wrapping, as the counter).
-fn add(total: &mut u64, shard: &AtomicU64) {
-    *total = total.wrapping_add(shard.load(Ordering::Relaxed));
 }
 
 /// Per-plan metric set, resolved once per submission (the scheduler clones
@@ -340,43 +300,22 @@ impl PlanRecorder {
     }
 }
 
-/// One shard of the registry-global (not per-plan) recorders.
+/// The runtime's metric plane: one set of registry-wide recorders plus a
+/// read-mostly map of per-plan recorders (write-locked only on a plan's
+/// first request).
 #[derive(Debug, Default)]
-struct GlobalShard {
+pub struct MetricsRegistry {
     decode_ns: AtomicHistogram,
     completion_flush_ns: AtomicHistogram,
     cache_probe_hit_ns: AtomicHistogram,
     cache_probe_miss_ns: AtomicHistogram,
     delayed_drops: AtomicU64,
-}
-
-/// The runtime's metric plane: global sharded recorders plus a read-mostly
-/// map of per-plan recorders (write-locked only on a plan's first request).
-#[derive(Debug)]
-pub struct MetricsRegistry {
-    shards: Box<[CacheAligned<GlobalShard>]>,
     plans: RwLock<HashMap<u32, Arc<PlanRecorder>>>,
-}
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
 }
 
 impl MetricsRegistry {
     pub fn new() -> Self {
-        MetricsRegistry {
-            shards: (0..default_shards())
-                .map(|_| CacheAligned::default())
-                .collect(),
-            plans: RwLock::new(HashMap::new()),
-        }
-    }
-
-    #[inline]
-    fn shard(&self) -> &GlobalShard {
-        &self.shards[shard_index(self.shards.len())].0
+        MetricsRegistry::default()
     }
 
     /// The recorder for `plan` (created on first use). Steady state is one
@@ -397,44 +336,43 @@ impl MetricsRegistry {
     /// FrontEnd frame-decode latency (wire bytes to engine-ready input).
     #[inline]
     pub fn record_decode(&self, ns: u64) {
-        self.shard().decode_ns.record(ns);
+        self.decode_ns.record(ns);
     }
 
     /// Batch-completion to response-flush latency (reactor plane).
     #[inline]
     pub fn record_completion_flush(&self, ns: u64) {
-        self.shard().completion_flush_ns.record(ns);
+        self.completion_flush_ns.record(ns);
     }
 
     /// Materialization-cache probe latency, split by outcome.
     #[inline]
     pub fn record_cache_probe(&self, hit: bool, ns: u64) {
-        let s = self.shard();
         if hit {
-            s.cache_probe_hit_ns.record(ns);
+            self.cache_probe_hit_ns.record(ns);
         } else {
-            s.cache_probe_miss_ns.record(ns);
+            self.cache_probe_miss_ns.record(ns);
         }
     }
 
     /// Delayed-batch results dropped because their client disconnected.
     #[inline]
     pub fn note_delayed_drops(&self, n: u64) {
-        self.shard().delayed_drops.fetch_add(n, Ordering::Relaxed);
+        self.delayed_drops.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Merges every shard into the telemetry-owned part of a snapshot; the
-    /// runtime then folds in the stat structs it owns (scheduler, pools,
-    /// lifecycle, store, cache) and the FrontEnd overlays its own.
+    /// The telemetry-owned part of a snapshot; the runtime then folds in
+    /// the stat structs it owns (scheduler, pools, lifecycle, store, cache)
+    /// and the FrontEnd overlays its own.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::default();
-        for s in self.shards.iter().map(|s| &s.0) {
-            snap.decode_ns.add_atomic(&s.decode_ns);
-            snap.completion_flush_ns.add_atomic(&s.completion_flush_ns);
-            snap.cache_probe_hit_ns.add_atomic(&s.cache_probe_hit_ns);
-            snap.cache_probe_miss_ns.add_atomic(&s.cache_probe_miss_ns);
-            add(&mut snap.delayed_drops, &s.delayed_drops);
-        }
+        let mut snap = MetricsSnapshot {
+            decode_ns: self.decode_ns.snapshot(),
+            completion_flush_ns: self.completion_flush_ns.snapshot(),
+            cache_probe_hit_ns: self.cache_probe_hit_ns.snapshot(),
+            cache_probe_miss_ns: self.cache_probe_miss_ns.snapshot(),
+            delayed_drops: self.delayed_drops.load(Ordering::Relaxed),
+            ..MetricsSnapshot::default()
+        };
         let plans = self.plans.read();
         snap.plans = plans.iter().map(|(&id, rec)| rec.snapshot(id)).collect();
         snap.plans.sort_by_key(|p| p.plan);

@@ -20,8 +20,8 @@ static ALLOC: CountingAlloc = CountingAlloc::new();
 
 const DEPLOYS: usize = 64;
 /// Slack for what legitimately differs between two deploys — a registry
-/// map doubling, an Object Store shard growing: a handful of calls and
-/// ~11 KiB at most over the 64 deploys, against the ~800 calls and ~89 KB
+/// map doubling, the Object Store's map growing: a handful of calls and
+/// ~20 KiB at most over the 64 deploys, against the ~800 calls and ~89 KB
 /// of a deploy. A working set built and dropped on a full class is ten
 /// calls or more.
 const SLACK_ALLOCS: usize = 8;

@@ -619,14 +619,14 @@ fn rolling_swap_and_undeploy_lose_zero_pipelined_requests() {
     fe.stop();
 }
 
-// ---- zero-copy single-chunk ingest ---------------------------------------
+// ---- single-chunk ingest -------------------------------------------------
 
 #[test]
 fn single_chunk_assembled_batch_moves_rows_and_matches_record_path() {
-    // A single-chunk assembled request *moves* its ColumnBatch into the
-    // chunk's slot 0 — no bulk copy — and the buffers return to the ingest
-    // pool when the chunk retires. Observables: bitwise-equal scores vs
-    // the inline path, and pool release accounting.
+    // A single-chunk assembled request: its chunk copies the rows into a
+    // leased slot 0, and the request batch returns to the ingest pool when
+    // the chunk retires. Observables: bitwise-equal scores vs the inline
+    // path, and pool release accounting.
     let (images, lines) = small_workload(1);
     let runtime = Arc::new(Runtime::new(RuntimeConfig {
         n_executors: 1,
@@ -659,7 +659,10 @@ fn single_chunk_assembled_batch_moves_rows_and_matches_record_path() {
     }
     let deadline = Instant::now() + Duration::from_secs(5);
     while pool.stats().released() <= released_before {
-        assert!(Instant::now() < deadline, "moved batch never returned home");
+        assert!(
+            Instant::now() < deadline,
+            "request batch never returned home"
+        );
         std::thread::sleep(Duration::from_millis(2));
     }
 }

@@ -1,10 +1,10 @@
-//! Telemetry plane: histogram properties, sharded-recorder concurrency,
-//! and the `STATS` wire verb end-to-end.
+//! Telemetry plane: histogram properties, concurrent recording, and the
+//! `STATS` wire verb end-to-end.
 //!
-//! The histogram contract is what makes sharded recording exact rather
+//! The histogram contract is what makes merged snapshots exact rather
 //! than approximate: log2 bucket boundaries land exactly on powers of
-//! two, and merging per-shard histograms is indistinguishable from
-//! having recorded every sample sequentially into one. The end-to-end
+//! two, and merging histograms is indistinguishable from having
+//! recorded every sample sequentially into one. The end-to-end
 //! test then drives real traffic over TCP and checks that the per-plan
 //! histograms served by `STATS` sum to the request counts — every
 //! executed chunk-stage event waited in a queue exactly once.
@@ -110,7 +110,7 @@ fn quantiles_bound_true_samples_within_their_bucket() {
     assert!(h.p99() >= 100_000, "p99 must reach the top recorded sample");
 }
 
-// ---- Concurrency: sharded recording never loses a sample ----
+// ---- Concurrency: concurrent recording never loses a sample ----
 
 #[test]
 fn concurrent_recording_loses_no_samples() {
