@@ -94,9 +94,10 @@ use crate::lru::LruCache;
 use crate::physical::SourceRef;
 use crate::runtime::{PlanId, RrSession, Runtime};
 use parking_lot::Mutex;
-use pretzel_data::ingest::{check_finite, validate_sparse_indices};
+use pretzel_data::batch::ColRef;
+use pretzel_data::ingest::{check_finite, hash_row, validate_sparse_indices};
 use pretzel_data::serde_bin::{le_f32s, le_u32s, Cursor};
-use pretzel_data::{BatchAssembler, ColumnType, DataError, Result};
+use pretzel_data::{BatchAssembler, ColumnType, DataError, Result, Vector};
 use std::collections::HashMap;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -207,12 +208,67 @@ impl FrontEndStats {
     }
 }
 
-type ResultCache = Arc<Mutex<LruCache<(PlanId, u64), f32>>>;
+/// The prediction-result cache: a score per `(plan, row)`. It is keyed by
+/// the row's content hash, and each entry keeps a copy of its row, so a
+/// hit is confirmed against the row's bytes: rows whose hashes collide
+/// never share a score.
+struct ResultCache(Mutex<LruCache<(PlanId, u64), (Vector, f32)>>);
+
+impl ResultCache {
+    /// The score cached for `row` under `plan`, if its entry holds `row`.
+    fn get(&self, plan: PlanId, row: ColRef<'_>) -> Option<f32> {
+        let mut lru = self.0.lock();
+        let (held, score) = lru.get(&(plan, key_hash(row)))?;
+        same_row(ColRef::from_vector(held), row).then_some(*score)
+    }
+
+    /// Caches `score` for the owned copy `row`, which costs its bytes.
+    fn insert(&self, plan: PlanId, row: Vector, score: f32) {
+        let key = (plan, key_hash(ColRef::from_vector(&row)));
+        let cost = row.heap_bytes() + 16;
+        self.0.lock().insert(key, (row, score), cost);
+    }
+}
+
+/// The result cache's key hash: the row's content hash, narrowed to 8 bits
+/// in unit tests so that distinct rows collide.
+fn key_hash(row: ColRef<'_>) -> u64 {
+    let hash = hash_row(row);
+    if cfg!(test) {
+        hash & 0xff
+    } else {
+        hash
+    }
+}
+
+/// True if `a` and `b` are the same row, bit for bit.
+fn same_row(a: ColRef<'_>, b: ColRef<'_>) -> bool {
+    let bits = |x: &[f32], y: &[f32]| {
+        x.len() == y.len() && x.iter().zip(y).all(|(p, q)| p.to_bits() == q.to_bits())
+    };
+    match (a, b) {
+        (ColRef::Text(x), ColRef::Text(y)) => x == y,
+        (ColRef::Dense(x), ColRef::Dense(y)) => bits(x, y),
+        (
+            ColRef::Sparse {
+                indices: i,
+                values: v,
+                dim: d,
+            },
+            ColRef::Sparse {
+                indices: j,
+                values: w,
+                dim: e,
+            },
+        ) => d == e && i == j && bits(v, w),
+        _ => false,
+    }
+}
 
 /// Everything one request dispatch needs, shared by both serving paths.
 struct ServerShared {
     runtime: Arc<Runtime>,
-    cache: Option<ResultCache>,
+    cache: Option<Arc<ResultCache>>,
     batcher: Option<Arc<Batcher>>,
     /// Connection counters; the `STATS` verb folds them into its snapshot.
     stats: Arc<FrontEndStats>,
@@ -284,8 +340,8 @@ struct PendingBatch {
 /// One delayed-batch requester awaiting the next flush.
 struct DelayedWaiter {
     sink: ResultSink,
-    /// `(plan, row_hash)` to populate the result cache with on success.
-    cache_key: Option<(PlanId, u64)>,
+    /// A copy of the row, when the requester asked to cache its score.
+    cache_row: Option<Vector>,
 }
 
 /// How a flushed delayed-batch score reaches its requester.
@@ -313,7 +369,7 @@ struct Batcher {
     pending: Mutex<HashMap<PlanId, PendingBatch>>,
     /// The front end's result cache: flush-time inserts for delayed
     /// requests that asked for caching.
-    cache: Option<ResultCache>,
+    cache: Option<Arc<ResultCache>>,
 }
 
 /// A running TCP front end.
@@ -354,9 +410,9 @@ impl FrontEnd {
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(FrontEndStats::default());
         let cache = (config.result_cache_bytes > 0).then(|| {
-            Arc::new(Mutex::new(LruCache::<(PlanId, u64), f32>::new(
+            Arc::new(ResultCache(Mutex::new(LruCache::new(
                 config.result_cache_bytes,
-            )))
+            ))))
         });
         let batcher = config.batch_delay.map(|_| {
             Arc::new(Batcher {
@@ -475,8 +531,8 @@ fn flush_pending(batcher: &Batcher, runtime: &Runtime) {
         match outcome {
             Ok(scores) => {
                 for (s, waiter) in scores.into_iter().zip(waiters) {
-                    if let (Some((plan, hash)), Some(cache)) = (waiter.cache_key, &batcher.cache) {
-                        cache.lock().insert((plan, hash), s, 16);
+                    if let (Some(row), Some(cache)) = (waiter.cache_row, &batcher.cache) {
+                        cache.insert(plan, row, s);
                     }
                     if !waiter.sink.deliver(Ok(s)) {
                         dropped += 1;
@@ -777,25 +833,11 @@ fn serve_records(
     if n == 1 && !delayed {
         return serve_single(head, cur, shared, lane, out);
     }
-    let cache = &shared.cache;
     let pool = Arc::clone(runtime.ingest_pool());
     let ty = wire_batch_type(kind, &cur)?;
     let rows_hint = assembler_rows_hint(&ty, n, cur.remaining());
-    // Per-row content hashing is only worth a pass over every record byte
-    // when something will consume the hashes: the sub-plan materialization
-    // cache, or a delayed request's result-cache lookup (single-record
-    // requests against a configured cache — the only shape the result
-    // cache serves). Otherwise decode without it — on matching-bound text
-    // workloads that pass is measurable overhead.
-    let use_cache = flags & FLAG_RESULT_CACHE != 0 && delayed && cache.is_some();
-    let want_hashes = runtime.materialization_cache().is_some() || use_cache;
     let lease = pool.acquire_batch(ty, rows_hint);
-    let mut asm = if want_hashes {
-        BatchAssembler::new(lease)
-    } else {
-        BatchAssembler::new_unhashed(lease)
-    }
-    .reject_non_finite(true);
+    let mut asm = BatchAssembler::new_unhashed(lease).reject_non_finite(true);
     let release = |asm: BatchAssembler| pool.release_batch(asm.finish().0);
     let clock = runtime.clock();
     let decode_start = clock.now();
@@ -815,16 +857,20 @@ fn serve_records(
         .record_decode(clock.since(decode_start).as_nanos() as u64);
 
     if delayed {
-        // Prediction-result cache: `use_cache` implies `want_hashes`
-        // above, so `asm.hash(0)` is populated.
-        let cache_key = use_cache.then(|| (plan, asm.hash(0)));
-        if let (Some(key), Some(cache)) = (&cache_key, cache) {
-            if let Some(&score) = cache.lock().get(key) {
+        // Prediction-result cache, when the request asks and one is
+        // configured: the one row is the key, as on the inline lane.
+        let cache = shared
+            .cache
+            .as_ref()
+            .filter(|_| flags & FLAG_RESULT_CACHE != 0);
+        if let Some(cache) = cache {
+            if let Some(score) = cache.get(plan, asm.batch().row(0)) {
                 release(asm);
                 wire::put_ok(out, &[score]);
                 return Ok(Dispatch::Ready);
             }
         }
+        let cache_row = cache.map(|_| asm.batch().row(0).to_vector());
         let Some(batcher) = &shared.batcher else {
             release(asm);
             return Err(DataError::BadInput(
@@ -838,21 +884,15 @@ fn serve_records(
             }
             Responder::Reactor(route) => (ResultSink::Reactor(route.handle()), None),
         };
-        let waiter = DelayedWaiter { sink, cache_key };
+        let waiter = DelayedWaiter { sink, cache_row };
         let appended = {
             let mut pending = batcher.pending.lock();
             let entry = pending.entry(plan).or_insert_with(|| {
                 // The per-plan accumulator leases its own batch; rows of
-                // the same plan pack together until the next flush. It
-                // starts unhashed unless the materialization cache needs
-                // hashes; a hashed request appending later upgrades it.
+                // the same plan pack together until the next flush.
                 let lease = pool.acquire_batch(asm.column_type(), 16);
                 PendingBatch {
-                    assembler: if runtime.materialization_cache().is_some() {
-                        BatchAssembler::new(lease)
-                    } else {
-                        BatchAssembler::new_unhashed(lease)
-                    },
+                    assembler: BatchAssembler::new_unhashed(lease),
                     waiters: Vec::new(),
                 }
             });
@@ -955,21 +995,17 @@ fn serve_single(
             .record_decode(runtime.clock().since(t0).as_nanos() as u64);
     }
     // Prediction-result cache, when the request asks and one is configured.
-    let cached = match &shared.cache {
-        Some(cache) if head.flags & FLAG_RESULT_CACHE != 0 => {
-            Some((cache, (head.plan, source.content_hash())))
-        }
-        _ => None,
-    };
-    if let Some((cache, key)) = &cached {
-        if let Some(&score) = cache.lock().get(key) {
-            wire::put_ok(out, &[score]);
-            return Ok(Dispatch::Ready);
-        }
+    let cache = shared
+        .cache
+        .as_ref()
+        .filter(|_| head.flags & FLAG_RESULT_CACHE != 0);
+    if let Some(score) = cache.and_then(|c| c.get(head.plan, source.as_row())) {
+        wire::put_ok(out, &[score]);
+        return Ok(Dispatch::Ready);
     }
     let score = runtime.predict_source_in(session, head.plan, source)?;
-    if let Some((cache, key)) = cached {
-        cache.lock().insert(key, score, 16);
+    if let Some(cache) = cache {
+        cache.insert(head.plan, source.as_row().to_vector(), score);
     }
     wire::put_ok(out, &[score]);
     Ok(Dispatch::Ready)
@@ -1238,6 +1274,67 @@ mod tests {
             .predict(&PredictRequest::text("1,x").plan(99))
             .unwrap_err();
         assert_eq!(err, DataError::UnknownPlan(99));
+        fe.stop();
+    }
+
+    #[test]
+    fn result_cache_hits_are_confirmed_against_the_row() {
+        // Unit tests narrow the cache key's hash to 8 bits, so 300 distinct
+        // rows collide by pigeonhole: every cached score must still be its
+        // own row's, bitwise the cache-off runtime's.
+        let (rt, fe, id) = serve_sa(FrontEndConfig {
+            result_cache_bytes: 1 << 20,
+            batch_delay: Some(Duration::from_millis(1)),
+            ..FrontEndConfig::default()
+        });
+        let vocab = synth::vocabulary(0, 64);
+        let word = |i: usize| vocab[i % vocab.len()].as_str();
+        let lines: Vec<String> = (0..300)
+            .map(|i| {
+                format!(
+                    "5,{} {} {} {}",
+                    word(i),
+                    word(i / 8),
+                    word(5 * i + 1),
+                    word(i / 64)
+                )
+            })
+            .collect();
+        let want: Vec<f32> = lines.iter().map(|l| rt.predict(id, l).unwrap()).collect();
+        let mut distinct: Vec<u32> = want.iter().map(|s| s.to_bits()).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert!(
+            distinct.len() > 100,
+            "rows must score apart: {}",
+            distinct.len()
+        );
+        // Rows the runtime scored, by either engine: a hit scores none.
+        let scored = || -> u64 {
+            let plans = rt.metrics().plans;
+            plans.iter().map(|p| p.rr_requests + p.records).sum()
+        };
+        let mut client = Client::connect_v2(fe.addr()).unwrap();
+        // The first pass fills the cache and the second reads it. A row
+        // takes the delayed path in one pass and the inline lane in the
+        // other, so every second-pass hit crosses paths.
+        for pass in 0..2 {
+            let before = scored();
+            for (i, line) in lines.iter().enumerate() {
+                let mut request = PredictRequest::text(line.as_str()).plan(id).cached();
+                if (i + pass) % 2 == 0 {
+                    request = request.delayed();
+                }
+                let got = client.predict(&request).unwrap();
+                assert_eq!(
+                    got.to_bits(),
+                    want[i].to_bits(),
+                    "pass {pass} row {i}: {line}"
+                );
+            }
+            let hits = lines.len() as u64 - (scored() - before);
+            assert!(pass == 0 || hits > 0, "the second pass hits the cache");
+        }
         fe.stop();
     }
 

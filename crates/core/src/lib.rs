@@ -11,8 +11,7 @@
 //!   (`FlourContext` → transformations → [`flour::Flour::plan`]).
 //! * [`oven`] — the optimizer/compiler: four rewriting steps run to
 //!   fix-point, turning a transformation DAG into a DAG of *stages*.
-//! * [`object_store`] — checksum-keyed parameter dedup plus the sub-plan
-//!   materialization cache.
+//! * [`object_store`] — checksum-keyed parameter dedup.
 //! * [`plan`] — logical and physical stage representations; the
 //!   [`physical::ModelPlan`] is what gets registered for serving.
 //!

@@ -1,9 +1,9 @@
 //! Byte-budgeted LRU map.
 //!
-//! Used by the sub-plan materialization cache ("we implemented a simple
-//! Least Recently Used strategy on top of the Object Store to evict results
-//! when a given memory threshold is met", paper §4.3) and by the FrontEnd's
-//! prediction-result cache.
+//! Used by the FrontEnd's prediction-result cache (the paper evicts cached
+//! results the same way: "a simple Least Recently Used strategy ... to
+//! evict results when a given memory threshold is met", §4.3) and by the
+//! Clipper baseline's prediction cache.
 //!
 //! Classic design: a slab of entries doubly linked in recency order plus a
 //! `HashMap` from key to slab index. All operations are O(1) expected.
@@ -128,16 +128,6 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         }
     }
 
-    /// Fetches `key` **without** touching recency order or the hit/miss
-    /// counters — a pure read.
-    ///
-    /// The chunk-level cache probe uses this for its speculative partition
-    /// pass: the real `get`/`insert` bookkeeping is replayed afterwards in
-    /// original row order, so peeking must leave no trace.
-    pub fn peek(&self, key: &K) -> Option<&V> {
-        self.map.get(key).map(|&idx| &self.slab[idx].value)
-    }
-
     /// Inserts `key → value` with the given cost, evicting LRU entries as
     /// needed. An entry costlier than the whole budget is not cached.
     /// Replaces any existing entry for the key.
@@ -245,20 +235,6 @@ mod tests {
         assert!(c.get(&3).is_some());
         assert!(c.get(&4).is_some());
         assert_eq!(c.evictions(), 1);
-    }
-
-    #[test]
-    fn peek_reads_without_recency_or_counter_side_effects() {
-        let mut c: LruCache<u32, u32> = LruCache::new(30);
-        c.insert(1, 1, 10);
-        c.insert(2, 2, 10);
-        c.insert(3, 3, 10);
-        // Peeking 1 must NOT protect it: it stays LRU.
-        assert_eq!(c.peek(&1), Some(&1));
-        assert_eq!(c.peek(&99), None);
-        assert_eq!((c.hits(), c.misses()), (0, 0));
-        c.insert(4, 4, 10);
-        assert_eq!(c.peek(&1), None, "1 was still LRU and must be evicted");
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The Object Store: parameter dedup and sub-plan materialization.
+//! The Object Store: parameter dedup.
 //!
 //! "Since many DAGs have similar structures, sharing operators' state
 //! (parameters) can considerably improve memory footprint... The Object
@@ -18,10 +18,6 @@
 //! is therefore a memo read, so a deploy or undeploy touching resident
 //! parameters costs nothing proportional to their size.
 //!
-//! The same component hosts the sub-plan materialization cache (§4.3):
-//! results of cacheable featurizer steps, keyed by `(step checksum, input
-//! hash)`, with LRU eviction under a byte budget.
-//!
 //! **Lifecycle GC:** the store is *ref-counted per plan*. Registration
 //! calls [`ObjectStore::retain_plan`] (one reference per unique parameter
 //! checksum a plan shares), undeploy calls [`ObjectStore::release_plan`],
@@ -38,15 +34,12 @@
 //! map sits behind one mutex, and an intern is one lookup-or-insert under
 //! it.
 
-use crate::lru::LruCache;
 use crate::plan::StagePlan;
 use parking_lot::Mutex;
-use pretzel_data::Vector;
 use pretzel_ops::Op;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// One resident parameter object plus its plan refcount.
 #[derive(Debug)]
@@ -281,84 +274,12 @@ impl ObjectStore {
     }
 }
 
-/// Key of a materialized sub-plan result.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct MatKey {
-    /// The plan's key for the producing step: its parameters and, through
-    /// the keys of its inputs' producers, every step upstream of it.
-    pub step: u64,
-    /// Hash of the source record the pipeline is evaluating.
-    pub input: u64,
-}
-
-/// Named [`MaterializationCache`] counters (replaces the old anonymous
-/// `(hits, misses, evictions)` tuple; folded into the metrics snapshot).
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct MatCacheStats {
-    pub hits: u64,
-    pub misses: u64,
-    pub evictions: u64,
-}
-
-/// LRU cache of materialized featurizer outputs (paper §4.3).
-#[derive(Debug)]
-pub struct MaterializationCache {
-    lru: Mutex<LruCache<MatKey, Arc<Vector>>>,
-}
-
-impl MaterializationCache {
-    /// Creates a cache with a byte budget.
-    pub fn new(budget_bytes: usize) -> Self {
-        MaterializationCache {
-            lru: Mutex::new(LruCache::new(budget_bytes)),
-        }
-    }
-
-    /// Looks up a materialized result.
-    pub fn get(&self, key: MatKey) -> Option<Arc<Vector>> {
-        self.lru.lock().get(&key).cloned()
-    }
-
-    /// Looks up a materialized result without touching recency order or
-    /// the hit/miss counters (the chunk probe's speculative partition
-    /// pass; see [`crate::lru::LruCache::peek`]).
-    pub fn peek(&self, key: MatKey) -> Option<Arc<Vector>> {
-        self.lru.lock().peek(&key).cloned()
-    }
-
-    /// Stores a materialized result (cost = value heap bytes + fixed
-    /// overhead).
-    pub fn put(&self, key: MatKey, value: Arc<Vector>) {
-        let cost = value.heap_bytes() + 64;
-        self.lru.lock().insert(key, value, cost);
-    }
-
-    /// Cache effectiveness counters.
-    pub fn stats(&self) -> MatCacheStats {
-        let g = self.lru.lock();
-        MatCacheStats {
-            hits: g.hits(),
-            misses: g.misses(),
-            evictions: g.evictions(),
-        }
-    }
-
-    /// Number of cached results.
-    pub fn len(&self) -> usize {
-        self.lru.lock().len()
-    }
-
-    /// True if nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.lru.lock().is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use pretzel_ops::synth;
     use pretzel_ops::text::tokenizer::TokenizerParams;
+    use std::sync::Arc;
 
     #[test]
     fn intern_shares_identical_params() {
@@ -511,30 +432,5 @@ mod tests {
         assert_eq!(store.len(), dicts.len(), "no duplicate entries published");
         // 4 threads x 200 rounds: one reuse per `get` + one per dup intern.
         assert_eq!(store.reuse_count(), 4 * 200 * 2);
-    }
-
-    #[test]
-    fn materialization_cache_round_trip() {
-        let cache = MaterializationCache::new(4096);
-        let key = MatKey { step: 1, input: 2 };
-        assert!(cache.get(key).is_none());
-        cache.put(key, Arc::new(Vector::Dense(vec![1.0, 2.0])));
-        let v = cache.get(key).unwrap();
-        assert_eq!(v.as_dense().unwrap(), &[1.0, 2.0]);
-        let stats = cache.stats();
-        assert_eq!((stats.hits, stats.misses), (1, 1));
-    }
-
-    #[test]
-    fn materialization_cache_evicts_under_pressure() {
-        let cache = MaterializationCache::new(512);
-        for i in 0..100 {
-            cache.put(
-                MatKey { step: i, input: 0 },
-                Arc::new(Vector::Dense(vec![0.0; 16])),
-            );
-        }
-        assert!(cache.len() < 100);
-        assert!(cache.stats().evictions > 0);
     }
 }

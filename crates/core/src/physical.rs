@@ -18,9 +18,8 @@
 //!   ([`pretzel_ops::text::fused`]). A Sentiment Analysis plan is that one
 //!   step. A text stage the fused step cannot absorb runs stepwise.
 //!
-//! The fusion runs only with [`CompileOptions::fuse_text`]; with the
-//! materialization cache on, featurizer outputs stay steps of their own so
-//! they can be cached.
+//! The runtime always fuses; [`CompileOptions::fuse_text`] off is the
+//! stepwise reference the fused step is tested against.
 //!
 //! Physical stages are identified by a structural [`PhysicalStage::signature`]
 //! so the runtime catalog can load each distinct stage once and share it
@@ -31,17 +30,11 @@
 //! place fixed at compile time, and both engines run that program through
 //! one step loop, generic over the frame's buffers: row [`Vector`]s in the
 //! request-response engine, chunk [`ColumnBatch`]es in the batch engine,
-//! which runs a chunk through one stage's steps at a time. A cacheable step
-//! runs inside its buffer kind's materialization-cache wrapper (paper
-//! §4.3) under a key the plan computed at compile time: the step's
-//! parameters and, through the keys of its inputs' producers, every step
-//! upstream of it. Keys belong to the plan, not to the shared stage: one
-//! stage can sit in plans whose upstream steps differ.
+//! which runs a chunk through one stage's steps at a time.
 
 use crate::clock::Clock;
-use crate::object_store::{MatKey, MaterializationCache, ObjectStore};
+use crate::object_store::ObjectStore;
 use crate::plan::{BufDef, Loc, LogicalStage, StageOp, StagePlan, Step};
-use crate::telemetry::MetricsRegistry;
 use pretzel_data::batch::ColRef;
 use pretzel_data::hash::Fnv1a;
 use pretzel_data::pool::VectorPool;
@@ -52,14 +45,13 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicI64, Ordering};
 use std::sync::Arc;
 
-/// Compilation options chosen by the runtime configuration.
+/// Compilation options of [`ModelPlan::compile`]. The runtime always
+/// compiles with the default (fused); `fuse_text: false` builds the
+/// stepwise reference that tests hold the fused step to, bitwise.
 #[derive(Debug, Clone, Copy)]
 pub struct CompileOptions {
     /// Fuse whole text stages — CSV field, tokenizer, n-grams, their
     /// partial dots and the Combine — into one [`StageOp::FusedText`] step.
-    /// Disabled when sub-plan materialization is on, so that shared
-    /// featurizer outputs stay cacheable (a fused step embeds per-pipeline
-    /// weights and would never hit).
     pub fuse_text: bool,
 }
 
@@ -71,8 +63,7 @@ impl Default for CompileOptions {
 
 /// An executable physical stage: what the runtime catalog shares between
 /// plans. What a stage's place in one plan decides — where its scratch sits
-/// in the frame, the materialization keys of its steps — lives on
-/// [`ModelPlan`].
+/// in the frame — lives on [`ModelPlan`].
 #[derive(Debug)]
 pub struct PhysicalStage {
     /// Steps after physical selection (possibly fused).
@@ -91,23 +82,13 @@ pub struct PhysicalStage {
     pub vectorizable: bool,
 }
 
-/// Per-executor execution context: the vector pool, the frames executions
-/// run in, the source hashes that key the materialization cache, and the
-/// optional cache itself.
+/// Per-executor execution context: the vector pool and the frames
+/// executions run in.
 #[derive(Debug)]
 pub struct ExecCtx {
     /// Pool backing the frames (and, at the runtime layer, slot leases).
     pub pool: Arc<VectorPool>,
-    /// Sub-plan materialization cache, if enabled.
-    pub cache: Option<Arc<MaterializationCache>>,
-    /// Source hash of each row of the current execution — one for a row,
-    /// one per chunk row — the input half of every materialization key.
-    /// Must hold one hash per row before a cached step executes.
-    pub source_hashes: Vec<u64>,
-    /// Telemetry registry for cache-probe latency recording (installed on
-    /// executors' contexts); `None` probes the cache untimed.
-    pub telemetry: Option<Arc<MetricsRegistry>>,
-    /// Times cache probes and fault replays: the real clock, or its owner's.
+    /// Times fault replays: the real clock, or its owner's.
     pub(crate) clock: Clock,
     /// The buffers kept between executions: one frame per buffer kind.
     frames: Frames,
@@ -161,26 +142,11 @@ impl ExecCtx {
     pub fn new(pool: Arc<VectorPool>) -> Self {
         ExecCtx {
             pool,
-            cache: None,
-            source_hashes: Vec::new(),
-            telemetry: None,
             clock: Clock::real(),
             frames: (Frame(Vec::new()), Frame(Vec::new())),
             held: Arc::default(),
             reached: 0,
         }
-    }
-
-    /// Enables sub-plan materialization.
-    pub fn with_cache(mut self, cache: Arc<MaterializationCache>) -> Self {
-        self.cache = Some(cache);
-        self
-    }
-
-    /// Enables cache-probe latency recording into `telemetry`.
-    pub fn with_telemetry(mut self, telemetry: Arc<MetricsRegistry>) -> Self {
-        self.telemetry = Some(telemetry);
-        self
     }
 
     /// Counts the buffers this context's frames hold into `held`, so an
@@ -195,38 +161,12 @@ impl ExecCtx {
     /// Fits the frame of buffer kind `B` to `layout` and lends it out with
     /// what the step loop reads.
     fn loan<B: Buf>(&mut self, layout: &[BufDef], rows: usize) -> Loan<'_, B> {
-        let ExecCtx {
-            pool,
-            cache,
-            source_hashes,
-            telemetry,
-            clock,
-            frames,
-            held,
-            reached,
-        } = self;
-        let frame = B::frame(frames);
-        frame.fit(layout, rows, pool, held);
+        let frame = B::frame(&mut self.frames);
+        frame.fit(layout, rows, &self.pool, &self.held);
         Loan {
             frame: &mut frame.0,
-            mat: cache.as_deref().map(|cache| Mat {
-                cache,
-                hashes: source_hashes,
-                pool,
-                telemetry: telemetry.as_deref().map(|t| (t, &*clock)),
-            }),
-            reached,
+            reached: &mut self.reached,
         }
-    }
-
-    /// [`Self::loan`] of the row frame for one execution scoring `source`,
-    /// whose hash is the key input when the context caches.
-    fn row_loan(&mut self, layout: &[BufDef], source: SourceRef<'_>) -> Loan<'_, Vector> {
-        if self.cache.is_some() {
-            self.source_hashes.clear();
-            self.source_hashes.push(source.content_hash());
-        }
-        self.loan(layout, 1)
     }
 }
 
@@ -237,45 +177,17 @@ impl Drop for ExecCtx {
     }
 }
 
-/// One execution's loan from an [`ExecCtx`]: the fitted frame, the cache
-/// view when the context caches, and the step counter.
+/// One execution's loan from an [`ExecCtx`]: the fitted frame and the step
+/// counter.
 struct Loan<'a, B> {
     frame: &'a mut [B],
-    mat: Option<Mat<'a>>,
     reached: &'a mut usize,
-}
-
-/// A cached execution's view of the materialization cache.
-struct Mat<'a> {
-    cache: &'a MaterializationCache,
-    /// Each row's key input ([`ExecCtx::source_hashes`]).
-    hashes: &'a [u64],
-    /// Where a chunk's miss sub-batches are leased.
-    pool: &'a VectorPool,
-    /// Where probes are recorded, and the clock that times them.
-    telemetry: Option<(&'a MetricsRegistry, &'a Clock)>,
-}
-
-impl Mat<'_> {
-    /// A lookup, timed into the telemetry registry when one is installed
-    /// (split by hit/miss outcome) and a plain `get` otherwise.
-    fn get(&self, key: MatKey) -> Option<Arc<Vector>> {
-        match self.telemetry {
-            Some((t, clock)) => {
-                let t0 = clock.now();
-                let hit = self.cache.get(key);
-                t.record_cache_probe(hit.is_some(), clock.since(t0).as_nanos() as u64);
-                hit
-            }
-            None => self.cache.get(key),
-        }
-    }
 }
 
 /// A buffer the step loop runs over: a row [`Vector`] (request-response
 /// engine) or a chunk [`ColumnBatch`] (batch engine). It supplies what
-/// differs between the two: leasing, the kernel call, and the
-/// materialization-cache wrapper around a cacheable step.
+/// differs between the two: leasing, the kernel call, and (rows only) the
+/// borrowed source.
 trait Buf: Sized {
     /// This kind's frame among a context's frames.
     fn frame(frames: &mut Frames) -> &mut Frame<Self>;
@@ -290,7 +202,7 @@ trait Buf: Sized {
     /// [`StageOp::apply_batch`].
     fn kernel(op: &StageOp, inputs: &[&Self], out: &mut Self) -> Result<()>;
 
-    /// Runs `step` uncached.
+    /// Runs `step`.
     fn step(
         step: &Step,
         _source: Option<&mut BorrowedSource<'_>>,
@@ -299,17 +211,6 @@ trait Buf: Sized {
     ) -> Result<()> {
         apply_step(step, &mut Operands::of(slots, scratch, step.output))
     }
-
-    /// Runs the cacheable `step` through the materialization cache, keyed
-    /// by the plan's `key` for the step and each row's source hash.
-    fn materialize(
-        step: &Step,
-        key: u64,
-        mat: &Mat<'_>,
-        source: Option<&mut BorrowedSource<'_>>,
-        slots: &mut [Self],
-        scratch: &mut [Self],
-    ) -> Result<()>;
 }
 
 impl Buf for Vector {
@@ -358,31 +259,6 @@ impl Buf for Vector {
         }
         apply_step(step, &mut Operands::of(slots, scratch, step.output))
     }
-
-    /// One `get`; on a miss the step runs and one `put` stores its output.
-    fn materialize(
-        step: &Step,
-        key: u64,
-        mat: &Mat<'_>,
-        source: Option<&mut BorrowedSource<'_>>,
-        slots: &mut [Self],
-        scratch: &mut [Self],
-    ) -> Result<()> {
-        let key = MatKey {
-            step: key,
-            input: mat.hashes[0],
-        };
-        if let Some(hit) = mat.get(key) {
-            Operands::of(slots, scratch, step.output)
-                .out
-                .clone_from(&hit);
-            return Ok(());
-        }
-        Self::step(step, source, slots, scratch)?;
-        let out = Operands::of(slots, scratch, step.output).out;
-        mat.cache.put(key, Arc::new(out.clone()));
-        Ok(())
-    }
 }
 
 impl Buf for ColumnBatch {
@@ -408,17 +284,6 @@ impl Buf for ColumnBatch {
 
     fn kernel(op: &StageOp, inputs: &[&Self], out: &mut Self) -> Result<()> {
         op.apply_batch(inputs, out)
-    }
-
-    fn materialize(
-        step: &Step,
-        key: u64,
-        mat: &Mat<'_>,
-        _source: Option<&mut BorrowedSource<'_>>,
-        slots: &mut [Self],
-        scratch: &mut [Self],
-    ) -> Result<()> {
-        ChunkProbe { step, key, mat }.run(Operands::of(slots, scratch, step.output))
     }
 }
 
@@ -552,16 +417,11 @@ fn apply_row_borrowed(
 }
 
 /// The one step loop of both engines: runs `steps` in order over `slots`
-/// and `scratch`, row vectors or chunk batches. With a cache view, a step
-/// the plan keyed (`keys[i]`) runs inside its buffer kind's
-/// materialization wrapper ([`Buf::materialize`]); every other step calls
-/// its kernel. A borrowed `source` (rows only) serves slot-0 reads until
-/// some step needs it materialized. `reached` is set to each step's index
-/// before it runs.
+/// and `scratch`, row vectors or chunk batches. A borrowed `source` (rows
+/// only) serves slot-0 reads until some step needs it materialized.
+/// `reached` is set to each step's index before it runs.
 fn run_steps<B: Buf>(
     steps: &[Step],
-    keys: &[Option<u64>],
-    mat: Option<&Mat<'_>>,
     mut source: Option<&mut BorrowedSource<'_>>,
     slots: &mut [B],
     scratch: &mut [B],
@@ -569,211 +429,26 @@ fn run_steps<B: Buf>(
 ) -> Result<()> {
     for (i, step) in steps.iter().enumerate() {
         *reached = i;
-        let source = source.as_deref_mut();
-        match mat.and_then(|m| Some((m, keys.get(i).copied().flatten()?))) {
-            Some((mat, key)) => B::materialize(step, key, mat, source, slots, scratch)?,
-            None => B::step(step, source, slots, scratch)?,
-        }
+        B::step(step, source.as_deref_mut(), slots, scratch)?;
     }
     Ok(())
 }
 
 /// Runs `steps` over a chunk of `rows` rows in `slots`, their scratch in
-/// `ctx`'s chunk frame fitted to `scratch`; with a cache in `ctx`, a step
-/// keyed in `keys` runs through the chunk probe.
+/// `ctx`'s chunk frame fitted to `scratch`.
 fn run_chunk(
     steps: &[Step],
-    keys: &[Option<u64>],
     scratch: &[BufDef],
     slots: &mut [ColumnBatch],
     rows: usize,
     ctx: &mut ExecCtx,
 ) -> Result<()> {
     let loan = ctx.loan::<ColumnBatch>(scratch, rows);
-    let mat = loan
-        .mat
-        .as_ref()
-        .filter(|_| keys.iter().any(Option::is_some));
-    let result = match mat {
-        Some(m) if m.hashes.len() != rows => Err(DataError::Runtime(format!(
-            "cache-aware batch execution wants {rows} source hashes, has {}",
-            m.hashes.len()
-        ))),
-        mat => run_steps(
-            steps,
-            keys,
-            mat,
-            None,
-            slots,
-            &mut *loan.frame,
-            &mut *loan.reached,
-        ),
-    };
+    let result = run_steps(steps, None, slots, &mut *loan.frame, loan.reached);
     // A span output in scratch borrows slot 0's text: let go of it, or the
     // slot drops its buffer when the caller reuses or returns it.
     loan.frame.iter_mut().for_each(ColumnBatch::detach_shared);
     result
-}
-
-/// The batch engine's materialization wrapper around one cacheable step.
-/// It issues exactly the cache operations the row wrapper would, row by
-/// row — so hit/miss counters, LRU recency and eviction victims match it
-/// even under mid-chunk eviction pressure — while the step's kernel runs
-/// once over the misses: peek to partition the chunk (no side effects),
-/// batch-evaluate the misses over gathered sub-batches
-/// ([`ColumnBatch::gather`]), replay the real `get`s and `put`s in row
-/// order, and scatter the rows into the output ([`ColumnBatch::push_row`]).
-struct ChunkProbe<'a> {
-    step: &'a Step,
-    key: u64,
-    mat: &'a Mat<'a>,
-}
-
-impl ChunkProbe<'_> {
-    fn key(&self, row: usize) -> MatKey {
-        MatKey {
-            step: self.key,
-            input: self.mat.hashes[row],
-        }
-    }
-
-    fn run(&self, mut ops: Operands<'_, ColumnBatch>) -> Result<()> {
-        let rows = self.mat.hashes.len();
-        // Phase 1: speculative partition via non-mutating peeks.
-        // `plan[r]` is `Some(j)` when row `r` is the first in-chunk
-        // occurrence of an uncached key and will be batch-computed at miss
-        // sub-batch row `j`; `None` when the row is expected to hit at
-        // replay time (peeked hit, or duplicate of an earlier in-chunk
-        // miss whose insert will have landed by then).
-        let mut plan: Vec<Option<usize>> = Vec::with_capacity(rows);
-        let mut miss_rows: Vec<usize> = Vec::new();
-        let mut pending: std::collections::HashSet<u64> = std::collections::HashSet::new();
-        for (r, &input) in self.mat.hashes.iter().enumerate() {
-            if pending.contains(&input) {
-                plan.push(None);
-                continue;
-            }
-            match self.mat.cache.peek(self.key(r)) {
-                Some(_) => plan.push(None),
-                None => {
-                    pending.insert(input);
-                    plan.push(Some(miss_rows.len()));
-                    miss_rows.push(r);
-                }
-            }
-        }
-        // All-miss fast path (cold caches, unique request streams): no
-        // sub-batch needed — run the kernel in place exactly like the
-        // uncached path, then replay the get/put pairs. Duplicates plan as
-        // `None`, so all-miss implies all keys unique: every replayed get
-        // misses, and is issued anyway to keep the counter and recency
-        // traffic identical to the row wrapper's.
-        if miss_rows.len() == rows {
-            apply_step(self.step, &mut ops)?;
-            self.check_rows(ops.out, rows)?;
-            for r in 0..rows {
-                let _ = self.mat.get(self.key(r));
-                self.mat
-                    .cache
-                    .put(self.key(r), Arc::new(ops.out.row(r).to_vector()));
-            }
-            return Ok(());
-        }
-        // Phase 2: batch-evaluate the speculated misses over gathered
-        // sub-batches. No cache writes yet — those belong to the replay.
-        let out_ty = ops.out.column_type();
-        let miss_out = (!miss_rows.is_empty())
-            .then(|| self.eval(&miss_rows, out_ty, &ops))
-            .transpose()?;
-        // Phase 3: replay the cache operations in original row order. From
-        // here on the cache sees exactly what the row wrapper would have
-        // issued, so hit/miss counters, recency order, and eviction victims
-        // match it even under mid-chunk eviction pressure.
-        let replayed: Result<Vec<Arc<Vector>>> = (|| {
-            let mut values = Vec::with_capacity(rows);
-            for (r, row_plan) in plan.iter().enumerate() {
-                if let Some(hit) = self.mat.get(self.key(r)) {
-                    values.push(hit);
-                    continue;
-                }
-                let value = match (row_plan, &miss_out) {
-                    (Some(j), Some(miss_out)) => Arc::new(miss_out.row(*j).to_vector()),
-                    // Speculated hit whose entry an earlier replay insert
-                    // evicted, or a duplicate whose insert was already
-                    // evicted (degenerate budget): recompute the row
-                    // alone, as the row wrapper would on this miss.
-                    _ => {
-                        let one = self.eval(&[r], out_ty, &ops)?;
-                        let v = Arc::new(one.row(0).to_vector());
-                        self.mat.pool.release_batch(one);
-                        v
-                    }
-                };
-                self.mat.cache.put(self.key(r), Arc::clone(&value));
-                values.push(value);
-            }
-            Ok(values)
-        })();
-        if let Some(b) = miss_out {
-            self.mat.pool.release_batch(b);
-        }
-        // Phase 4: scatter the per-row values into the output in original
-        // row order.
-        ops.out.reset();
-        for v in &replayed? {
-            ops.out.push_row(ColRef::from_vector(v))?;
-        }
-        Ok(())
-    }
-
-    /// Gathers `rows` of the step's inputs into pooled sub-batches and runs
-    /// the step's kernel over them; returns the computed batch (pooled —
-    /// the caller releases it). Cache insertion is NOT done here: the
-    /// replay pass owns all cache writes so they land in original row
-    /// order.
-    fn eval(
-        &self,
-        rows: &[usize],
-        out_ty: ColumnType,
-        ops: &Operands<'_, ColumnBatch>,
-    ) -> Result<ColumnBatch> {
-        let pool = self.mat.pool;
-        let mut gathered: Vec<ColumnBatch> = Vec::with_capacity(self.step.inputs.len());
-        let mut miss_out = pool.acquire_batch(out_ty, rows.len());
-        let res = self
-            .step
-            .inputs
-            .iter()
-            .try_for_each(|&loc| {
-                let src = read(ops.slots, ops.scratch, loc);
-                gathered.push(pool.acquire_batch(src.column_type(), rows.len()));
-                src.gather(rows, gathered.last_mut().expect("pushed above"))
-            })
-            .and_then(|()| {
-                let refs: Vec<&ColumnBatch> = gathered.iter().collect();
-                ColumnBatch::kernel(&self.step.op, &refs, &mut miss_out)
-            })
-            .and_then(|()| self.check_rows(&miss_out, rows.len()));
-        gathered.into_iter().for_each(|g| pool.release_batch(g));
-        match res {
-            Ok(()) => Ok(miss_out),
-            Err(e) => {
-                pool.release_batch(miss_out);
-                Err(e)
-            }
-        }
-    }
-
-    fn check_rows(&self, out: &ColumnBatch, rows: usize) -> Result<()> {
-        if out.rows() == rows {
-            return Ok(());
-        }
-        Err(DataError::Runtime(format!(
-            "step {} produced {} rows for {rows} rows",
-            self.step.op.name(),
-            out.rows()
-        )))
-    }
 }
 
 impl PhysicalStage {
@@ -800,33 +475,23 @@ impl PhysicalStage {
 
     /// Executes the stage alone over the plan working set `slots`, its
     /// scratch in `ctx`'s row frame: a view over the step loop whole plans
-    /// run ([`ModelPlan::execute`]). It runs **uncached** — materialization
-    /// keys belong to the plans a stage sits in, not to the stage.
+    /// run ([`ModelPlan::execute`]).
     pub fn execute(&self, slots: &mut [Vector], ctx: &mut ExecCtx) -> Result<()> {
         let loan = ctx.loan::<Vector>(&self.scratch, 1);
-        run_steps(
-            &self.steps,
-            &[],
-            None,
-            None,
-            slots,
-            loan.frame,
-            loan.reached,
-        )
+        run_steps(&self.steps, None, slots, loan.frame, loan.reached)
     }
 
     /// [`Self::execute`] over a chunk of `rows` rows in the columnar
     /// working set `slots` — one kernel call per step for the whole chunk,
-    /// scratch in `ctx`'s chunk frame — and, like it, **uncached**. The
-    /// batch engine runs a plan's stages through
-    /// [`ModelPlan::execute_stage_batch`], which caches.
+    /// scratch in `ctx`'s chunk frame. The batch engine runs a plan's stages
+    /// through [`ModelPlan::execute_stage_batch`].
     pub fn execute_batch(
         &self,
         slots: &mut [ColumnBatch],
         rows: usize,
         ctx: &mut ExecCtx,
     ) -> Result<()> {
-        run_chunk(&self.steps, &[], &self.scratch, slots, rows, ctx)
+        run_chunk(&self.steps, &self.scratch, slots, rows, ctx)
     }
 }
 
@@ -1083,22 +748,6 @@ impl<'a> SourceRef<'a> {
             },
         }
     }
-
-    /// Hash of the record content (materialization / result-cache key).
-    ///
-    /// Delegates to the shared helpers in [`pretzel_data::hash`] so wire
-    /// ingest, Record staging, and batch rows all key caches identically.
-    pub fn content_hash(&self) -> u64 {
-        match self {
-            SourceRef::Text(s) => pretzel_data::hash::content_hash_text(s),
-            SourceRef::Dense(x) => pretzel_data::hash::content_hash_dense(x),
-            SourceRef::Sparse {
-                indices,
-                values,
-                dim,
-            } => pretzel_data::hash::content_hash_sparse(indices, values, *dim),
-        }
-    }
 }
 
 /// One pool size class of a plan's working set
@@ -1131,9 +780,6 @@ pub struct ModelPlan {
     program: Vec<Step>,
     /// The program steps of each stage.
     stage_steps: Vec<Range<usize>>,
-    /// Materialization key of each program step, `Some` for a cacheable
-    /// one ([`step_keys`]).
-    keys: Vec<Option<u64>>,
     /// Frame layout: the slots, then every stage's scratch.
     frame: Vec<BufDef>,
 }
@@ -1169,35 +815,6 @@ fn link(
     (program, stage_steps, frame)
 }
 
-/// The materialization key of each step of a linked `program` whose frame
-/// holds `slots` slots and `frame_len` buffers, `Some` for a cacheable step:
-/// a hash of the step's parameter checksum and, in input order, the key of
-/// each input's producer (the source's is a fixed tag). A key therefore
-/// names the step's whole upstream sub-plan: two plans share a cache entry
-/// exactly when the sub-plans up to it are equal, whatever their slot
-/// layouts or their downstream steps.
-fn step_keys(program: &[Step], slots: usize, frame_len: usize) -> Vec<Option<u64>> {
-    const SOURCE: u64 = 0x736f_7572_6365_2e30;
-    let at = |loc: Loc| match loc {
-        Loc::Slot(i) => i as usize,
-        Loc::Scratch(i) => slots + i as usize,
-    };
-    let mut produced = vec![SOURCE; frame_len];
-    program
-        .iter()
-        .map(|step| {
-            let mut h = Fnv1a::new();
-            h.write_u64(step.op.checksum());
-            for &loc in &step.inputs {
-                h.write_u64(produced[at(loc)]);
-            }
-            let key = h.finish();
-            produced[at(step.output)] = key;
-            step.op.cacheable().then_some(key)
-        })
-        .collect()
-}
-
 impl ModelPlan {
     /// Validates a logical plan and compiles it, interning operator
     /// parameters in the Object Store.
@@ -1208,7 +825,7 @@ impl ModelPlan {
     ) -> Result<Self> {
         logical.validate()?;
         intern_plan(&mut logical, store);
-        Self::compile_with_catalog(logical, opts, |_| None)
+        Self::build(logical, opts, |_| None)
     }
 
     /// Compiles a logical plan that is already validated and whose
@@ -1219,6 +836,15 @@ impl ModelPlan {
     /// catalog entries are shared intact). The runtime threads its catalog
     /// through here, so plans share every stage another live plan deployed.
     pub(crate) fn compile_with_catalog(
+        logical: StagePlan,
+        lookup: impl FnMut(u64) -> Option<Arc<PhysicalStage>>,
+    ) -> Result<Self> {
+        Self::build(logical, &CompileOptions::default(), lookup)
+    }
+
+    /// Compiles each stage of `logical` with `opts`, takes the resident
+    /// stage `lookup` offers for its signature, and links the plan.
+    fn build(
         logical: StagePlan,
         opts: &CompileOptions,
         mut lookup: impl FnMut(u64) -> Option<Arc<PhysicalStage>>,
@@ -1232,7 +858,6 @@ impl ModelPlan {
             })
             .collect();
         let (program, stage_steps, frame) = link(&logical.slots, &stages);
-        let keys = step_keys(&program, logical.slots.len(), frame.len());
         Ok(ModelPlan {
             source_type: logical.source_type,
             slots: logical.slots,
@@ -1240,7 +865,6 @@ impl ModelPlan {
             output_slot: logical.output_slot,
             program,
             stage_steps,
-            keys,
             frame,
         })
     }
@@ -1267,8 +891,8 @@ impl ModelPlan {
 
     /// Runs the program over one row — over `slots` and `ctx`'s frame of
     /// scratch, or with `None` over `ctx`'s frame of slots and scratch —
-    /// serving slot-0 reads straight off `source` when `borrow`, cached
-    /// under the plan's keys when `ctx` caches, and returns the score.
+    /// serving slot-0 reads straight off `source` when `borrow`, and returns
+    /// the score.
     fn run_row(
         &self,
         source: SourceRef<'_>,
@@ -1281,7 +905,7 @@ impl ModelPlan {
         } else {
             &self.frame
         };
-        let loan = ctx.row_loan(layout, source);
+        let loan = ctx.loan::<Vector>(layout, 1);
         let (slots, scratch) = match slots {
             Some(slots) => (slots, loan.frame),
             None => loan.frame.split_at_mut(self.slots.len()),
@@ -1291,15 +915,7 @@ impl ModelPlan {
             loaded: false,
         };
         let src = borrow.then_some(&mut borrowed);
-        run_steps(
-            &self.program,
-            &self.keys,
-            loan.mat.as_ref(),
-            src,
-            slots,
-            scratch,
-            loan.reached,
-        )?;
+        run_steps(&self.program, src, slots, scratch, loan.reached)?;
         slots[self.output_slot as usize]
             .as_scalar()
             .ok_or_else(|| DataError::Runtime("plan output is not scalar".into()))
@@ -1348,8 +964,8 @@ impl ModelPlan {
     }
 
     /// How long the last [`Self::execute_in_frame`] in `ctx` ran before the
-    /// step that panicked: the steps before it are replayed once, cache
-    /// detached, under a clock. The request-response engine reads no clock
+    /// step that panicked: the steps before it are replayed once under a
+    /// clock. The request-response engine reads no clock
     /// while a request succeeds; this is how a contained fault still
     /// records its duration. An operator's panic is a function of its row,
     /// so the replayed steps are the ones that completed.
@@ -1369,8 +985,6 @@ impl ModelPlan {
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             run_steps(
                 &self.program[..done],
-                &[],
-                None,
                 Some(&mut borrowed),
                 slots,
                 scratch,
@@ -1416,13 +1030,8 @@ impl ModelPlan {
         for src in sources {
             src.load_into_batch(&mut slots[0])?;
         }
-        ctx.source_hashes.clear();
-        if ctx.cache.is_some() {
-            ctx.source_hashes
-                .extend(sources.iter().map(SourceRef::content_hash));
-        }
         let rows = sources.len();
-        run_chunk(&self.program, &self.keys, self.scratch(), slots, rows, ctx)?;
+        run_chunk(&self.program, self.scratch(), slots, rows, ctx)?;
         let scores = slots[self.output_slot as usize]
             .as_scalars()
             .ok_or_else(|| DataError::Runtime("plan output is not a scalar batch".into()))?;
@@ -1438,9 +1047,7 @@ impl ModelPlan {
 
     /// Runs stage `stage`'s steps of the program over a chunk of `rows`
     /// rows in the columnar working set `slots`: the batch engine's chunk
-    /// event (paper §4.2.2). With a cache in `ctx` and a cached stage
-    /// ([`Self::stage_is_cached`]), `ctx.source_hashes` must hold one hash
-    /// per row.
+    /// event (paper §4.2.2).
     pub fn execute_stage_batch(
         &self,
         stage: usize,
@@ -1448,22 +1055,8 @@ impl ModelPlan {
         rows: usize,
         ctx: &mut ExecCtx,
     ) -> Result<()> {
-        let steps = self.stage_steps[stage].clone();
-        run_chunk(
-            &self.program[steps.clone()],
-            &self.keys[steps],
-            self.scratch(),
-            slots,
-            rows,
-            ctx,
-        )
-    }
-
-    /// True if stage `stage` has a step the materialization cache keys.
-    pub fn stage_is_cached(&self, stage: usize) -> bool {
-        self.keys[self.stage_steps[stage].clone()]
-            .iter()
-            .any(Option::is_some)
+        let steps = &self.program[self.stage_steps[stage].clone()];
+        run_chunk(steps, self.scratch(), slots, rows, ctx)
     }
 
     /// The plan's working set by pool size class: for each [`ColumnType`]
@@ -1746,34 +1339,6 @@ mod tests {
     }
 
     #[test]
-    fn materialization_cache_hits_skip_recomputation() {
-        let (logical, _) = sa_logical(64, 64);
-        let store = ObjectStore::new();
-        // Fusion off so featurizer outputs stay cacheable.
-        let plan =
-            ModelPlan::compile(logical, &CompileOptions { fuse_text: false }, &store).unwrap();
-        let pool = Arc::new(VectorPool::arena());
-        let cache = Arc::new(MaterializationCache::new(1 << 20));
-        let mut ctx = ExecCtx::new(Arc::clone(&pool)).with_cache(Arc::clone(&cache));
-        let mut slots: Vec<Vector> = plan
-            .slot_types()
-            .iter()
-            .map(|&t| Vector::with_type(t))
-            .collect();
-        let a = plan
-            .execute(SourceRef::Text("a nice product"), &mut slots, &mut ctx)
-            .unwrap();
-        let h0 = cache.stats().hits;
-        assert_eq!(h0, 0);
-        let b = plan
-            .execute(SourceRef::Text("a nice product"), &mut slots, &mut ctx)
-            .unwrap();
-        let h1 = cache.stats().hits;
-        assert!(h1 >= 3, "tokenizer + both ngrams should hit, got {h1}");
-        assert_eq!(a, b);
-    }
-
-    #[test]
     fn scratch_buffers_return_to_pool() {
         let (logical, _) = sa_logical(32, 32);
         let store = ObjectStore::new();
@@ -1823,232 +1388,30 @@ mod tests {
             ];
             let sources: Vec<SourceRef<'_>> = lines.iter().map(|l| SourceRef::Text(l)).collect();
 
-            // Uncached, then cached (cold and warm): both engines key the
-            // cache alike and wrap a cacheable step at one site.
-            for cached in [false, true] {
-                let pool = Arc::new(VectorPool::arena());
-                let mut ctx = ExecCtx::new(Arc::clone(&pool));
-                if cached {
-                    ctx = ctx.with_cache(Arc::new(MaterializationCache::new(1 << 20)));
-                }
-                let mut batch_slots: Vec<ColumnBatch> = plan
-                    .batch_slot_types()
-                    .iter()
-                    .map(|&t| ColumnBatch::with_type(t))
-                    .collect();
-                let mut scores = vec![0.0f32; lines.len()];
-                for pass in 0..2 {
-                    plan.execute_batch(&sources, &mut batch_slots, &mut ctx, &mut scores)
-                        .unwrap();
-                    for (i, line) in lines.iter().enumerate() {
-                        let expect = run_plan(&plan, line);
-                        // Bitwise equality, not tolerance: the batch kernels
-                        // run the same per-row arithmetic as the row kernels.
-                        assert_eq!(
-                            scores[i].to_bits(),
-                            expect.to_bits(),
-                            "fuse={fuse} cached={cached} pass {pass} line {i}: \
-                             batch {} vs single {expect}",
-                            scores[i]
-                        );
-                    }
+            let pool = Arc::new(VectorPool::arena());
+            let mut ctx = ExecCtx::new(Arc::clone(&pool));
+            let mut batch_slots: Vec<ColumnBatch> = plan
+                .batch_slot_types()
+                .iter()
+                .map(|&t| ColumnBatch::with_type(t))
+                .collect();
+            let mut scores = vec![0.0f32; lines.len()];
+            // Twice: the second pass runs in the frame the first one left.
+            for pass in 0..2 {
+                plan.execute_batch(&sources, &mut batch_slots, &mut ctx, &mut scores)
+                    .unwrap();
+                for (i, line) in lines.iter().enumerate() {
+                    let expect = run_plan(&plan, line);
+                    // Bitwise equality, not tolerance: the batch kernels
+                    // run the same per-row arithmetic as the row kernels.
+                    assert_eq!(
+                        scores[i].to_bits(),
+                        expect.to_bits(),
+                        "fuse={fuse} pass {pass} line {i}: batch {} vs single {expect}",
+                        scores[i]
+                    );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn chunk_cache_probe_matches_per_record_cache_semantics() {
-        let (logical, _) = sa_logical(64, 64);
-        let store = ObjectStore::new();
-        // Fusion off so featurizer outputs stay cacheable.
-        let plan =
-            ModelPlan::compile(logical, &CompileOptions { fuse_text: false }, &store).unwrap();
-        // Rows 0/2 and 1/5 duplicate on purpose: intra-chunk duplicates of
-        // a miss must still count as hits, like per-record processing.
-        let lines = [
-            "a nice product",
-            "utter garbage",
-            "a nice product",
-            "",
-            "quite ok really",
-            "utter garbage",
-        ];
-        let sources: Vec<SourceRef<'_>> = lines.iter().map(|l| SourceRef::Text(l)).collect();
-        let pool = Arc::new(VectorPool::arena());
-
-        // Reference: the per-record cached path, cold then warm.
-        let ref_cache = Arc::new(MaterializationCache::new(1 << 20));
-        let mut ref_ctx = ExecCtx::new(Arc::clone(&pool)).with_cache(Arc::clone(&ref_cache));
-        let mut slots: Vec<Vector> = plan
-            .slot_types()
-            .iter()
-            .map(|&t| Vector::with_type(t))
-            .collect();
-        let mut expected = Vec::new();
-        let mut ref_stats = Vec::new();
-        for _ in 0..2 {
-            for line in &lines {
-                expected.push(
-                    plan.execute(SourceRef::Text(line), &mut slots, &mut ref_ctx)
-                        .unwrap(),
-                );
-            }
-            ref_stats.push(ref_cache.stats());
-        }
-
-        // Columnar chunk through the chunk-level probe, cold then warm.
-        let batch_cache = Arc::new(MaterializationCache::new(1 << 20));
-        let mut ctx = ExecCtx::new(Arc::clone(&pool)).with_cache(Arc::clone(&batch_cache));
-        let mut batch_slots: Vec<ColumnBatch> = plan
-            .batch_slot_types()
-            .iter()
-            .map(|&t| ColumnBatch::with_type(t))
-            .collect();
-        let mut scores = vec![0.0f32; lines.len()];
-        for pass in 0..2 {
-            plan.execute_batch(&sources, &mut batch_slots, &mut ctx, &mut scores)
-                .unwrap();
-            for (i, s) in scores.iter().enumerate() {
-                assert_eq!(
-                    s.to_bits(),
-                    expected[pass * lines.len() + i].to_bits(),
-                    "pass {pass} row {i}: batch {s} vs per-record {}",
-                    expected[pass * lines.len() + i]
-                );
-            }
-            let bs = batch_cache.stats();
-            let rs = ref_stats[pass];
-            let ((h, m), (rh, rm)) = ((bs.hits, bs.misses), (rs.hits, rs.misses));
-            assert_eq!(
-                (h, m),
-                (rh, rm),
-                "pass {pass}: chunk probe hit/miss counts diverge from per-record"
-            );
-        }
-    }
-
-    #[test]
-    fn chunk_cache_probe_all_miss_then_all_hit() {
-        let (logical, _) = sa_logical(32, 32);
-        let store = ObjectStore::new();
-        let plan =
-            ModelPlan::compile(logical, &CompileOptions { fuse_text: false }, &store).unwrap();
-        // Unfused SA has 3 cacheable steps: Tokenizer, CharNgram, WordNgram.
-        let lines = ["alpha beta", "gamma", "delta epsilon zeta"];
-        let sources: Vec<SourceRef<'_>> = lines.iter().map(|l| SourceRef::Text(l)).collect();
-        let pool = Arc::new(VectorPool::arena());
-        let cache = Arc::new(MaterializationCache::new(1 << 20));
-        let mut ctx = ExecCtx::new(Arc::clone(&pool)).with_cache(Arc::clone(&cache));
-        let mut slots: Vec<ColumnBatch> = plan
-            .batch_slot_types()
-            .iter()
-            .map(|&t| ColumnBatch::with_type(t))
-            .collect();
-        let mut scores = vec![0.0f32; lines.len()];
-        plan.execute_batch(&sources, &mut slots, &mut ctx, &mut scores)
-            .unwrap();
-        let s = cache.stats();
-        let (h, m) = (s.hits, s.misses);
-        assert_eq!((h, m), (0, 3 * lines.len() as u64), "cold chunk: all miss");
-        let cold = scores.clone();
-        plan.execute_batch(&sources, &mut slots, &mut ctx, &mut scores)
-            .unwrap();
-        let s = cache.stats();
-        let (h, m) = (s.hits, s.misses);
-        assert_eq!(
-            (h, m),
-            (3 * lines.len() as u64, 3 * lines.len() as u64),
-            "warm chunk: all hit, no new misses"
-        );
-        for (a, b) in cold.iter().zip(&scores) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn chunk_cache_probe_mixed_hit_miss_chunk() {
-        let (logical, _) = sa_logical(32, 32);
-        let store = ObjectStore::new();
-        let plan =
-            ModelPlan::compile(logical, &CompileOptions { fuse_text: false }, &store).unwrap();
-        let pool = Arc::new(VectorPool::arena());
-        let cache = Arc::new(MaterializationCache::new(1 << 20));
-        let mut ctx = ExecCtx::new(Arc::clone(&pool)).with_cache(Arc::clone(&cache));
-        let mut slots: Vec<ColumnBatch> = plan
-            .batch_slot_types()
-            .iter()
-            .map(|&t| ColumnBatch::with_type(t))
-            .collect();
-        // Warm the cache with "seen", then score a chunk mixing seen and
-        // unseen rows: the seen row hits, the unseen row batch-evaluates.
-        let mut out = vec![0.0f32; 1];
-        plan.execute_batch(
-            &[SourceRef::Text("seen before")],
-            &mut slots,
-            &mut ctx,
-            &mut out,
-        )
-        .unwrap();
-        let seen = out[0];
-        let sources = [
-            SourceRef::Text("brand new line"),
-            SourceRef::Text("seen before"),
-        ];
-        let mut scores = vec![0.0f32; 2];
-        plan.execute_batch(&sources, &mut slots, &mut ctx, &mut scores)
-            .unwrap();
-        assert_eq!(scores[1].to_bits(), seen.to_bits());
-        // Uncached reference for the new row.
-        let mut plain_ctx = ExecCtx::new(Arc::clone(&pool));
-        let mut vslots: Vec<Vector> = plan
-            .slot_types()
-            .iter()
-            .map(|&t| Vector::with_type(t))
-            .collect();
-        let fresh = plan
-            .execute(
-                SourceRef::Text("brand new line"),
-                &mut vslots,
-                &mut plain_ctx,
-            )
-            .unwrap();
-        assert_eq!(scores[0].to_bits(), fresh.to_bits());
-    }
-
-    #[test]
-    fn chunk_cache_probe_survives_degenerate_budget() {
-        // A budget too small to hold anything: every put evicts
-        // immediately, deferred duplicates recompute — scores must still
-        // be exact.
-        let (logical, _) = sa_logical(32, 32);
-        let store = ObjectStore::new();
-        let plan =
-            ModelPlan::compile(logical, &CompileOptions { fuse_text: false }, &store).unwrap();
-        let pool = Arc::new(VectorPool::arena());
-        let cache = Arc::new(MaterializationCache::new(1));
-        let mut ctx = ExecCtx::new(Arc::clone(&pool)).with_cache(cache);
-        let mut slots: Vec<ColumnBatch> = plan
-            .batch_slot_types()
-            .iter()
-            .map(|&t| ColumnBatch::with_type(t))
-            .collect();
-        let lines = ["dup line", "other", "dup line"];
-        let sources: Vec<SourceRef<'_>> = lines.iter().map(|l| SourceRef::Text(l)).collect();
-        let mut scores = vec![0.0f32; lines.len()];
-        plan.execute_batch(&sources, &mut slots, &mut ctx, &mut scores)
-            .unwrap();
-        let mut plain_ctx = ExecCtx::new(Arc::clone(&pool));
-        let mut vslots: Vec<Vector> = plan
-            .slot_types()
-            .iter()
-            .map(|&t| Vector::with_type(t))
-            .collect();
-        for (i, line) in lines.iter().enumerate() {
-            let expect = plan
-                .execute(SourceRef::Text(line), &mut vslots, &mut plain_ctx)
-                .unwrap();
-            assert_eq!(scores[i].to_bits(), expect.to_bits(), "row {i}");
         }
     }
 

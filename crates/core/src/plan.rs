@@ -138,25 +138,6 @@ impl StageOp {
         h.finish()
     }
 
-    /// True if the step's output is a pure function of (step params, source
-    /// record) *and* its parameters are featurizer parameters likely shared
-    /// across pipelines — the candidates for sub-plan materialization
-    /// (paper §4.3).
-    pub fn cacheable(&self) -> bool {
-        match self {
-            StageOp::Op(op) => matches!(
-                op.kind(),
-                pretzel_ops::OpKind::Tokenizer
-                    | pretzel_ops::OpKind::CharNgram
-                    | pretzel_ops::OpKind::WordNgram
-                    | pretzel_ops::OpKind::TreeFeaturizer
-                    | pretzel_ops::OpKind::Pca
-                    | pretzel_ops::OpKind::KMeans
-            ),
-            _ => false,
-        }
-    }
-
     /// Executes the step on one row.
     pub fn apply(&self, inputs: &[&Vector], out: &mut Vector) -> Result<()> {
         match self {
@@ -590,16 +571,6 @@ mod tests {
         let mut p = tiny_plan();
         p.stages[0].steps[0].inputs = vec![Loc::Slot(0), Loc::Slot(0)];
         assert!(p.validate().is_err());
-    }
-
-    #[test]
-    fn cacheable_flags() {
-        use pretzel_ops::text::tokenizer::TokenizerParams;
-        let tok = StageOp::Op(Op::Tokenizer(Arc::new(TokenizerParams::whitespace_punct())));
-        assert!(tok.cacheable());
-        let lin = StageOp::Op(Op::Linear(linear4()));
-        assert!(!lin.cacheable());
-        assert!(!StageOp::Combine { linear: linear4() }.cacheable());
     }
 
     #[test]

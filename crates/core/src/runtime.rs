@@ -24,8 +24,8 @@ use crate::graph::TransformGraph;
 use crate::lifecycle::{
     AliasMap, DeployOptions, GatePass, LifecycleStats, PlanGate, PlanInfo, UndeployReport,
 };
-use crate::object_store::{MaterializationCache, ObjectStore, PlanRefs};
-use crate::physical::{CompileOptions, ExecCtx, ModelPlan, PhysicalStage, SourceRef};
+use crate::object_store::{ObjectStore, PlanRefs};
+use crate::physical::{ExecCtx, ModelPlan, PhysicalStage, SourceRef};
 use crate::plan::StagePlan;
 use crate::scheduler::{AssembledBatch, BatchHandle, Record, Scheduler};
 use crate::telemetry::{
@@ -79,8 +79,6 @@ pub struct RuntimeConfig {
     /// Compile plans at registration (off = "no AOT" ablation: first
     /// prediction pays compilation).
     pub aot: bool,
-    /// Byte budget for sub-plan materialization; 0 disables it.
-    pub materialization_budget: usize,
     /// Records per batch-engine chunk event.
     pub chunk_size: usize,
     /// Execution faults (contained operator panics) within
@@ -100,7 +98,6 @@ impl Default for RuntimeConfig {
                 .unwrap_or(4),
             pooling: true,
             aot: true,
-            materialization_budget: 0,
             chunk_size: 64,
             fault_quarantine_threshold: 3,
         }
@@ -264,7 +261,6 @@ pub struct Runtime {
     id: u64,
     config: RuntimeConfig,
     store: Arc<ObjectStore>,
-    cache: Option<Arc<MaterializationCache>>,
     catalog: Mutex<HashMap<u64, Arc<PhysicalStage>>>,
     /// Shared with [`FaultPolicy`] (the fault hook runs on executor
     /// threads and needs the gates).
@@ -305,14 +301,11 @@ impl Runtime {
     /// [`Self::new`] on `clock` — the test seam: on a [`Clock::manual`]
     /// clock, fault windows and batch delays pass only when a test says.
     pub fn with_clock(config: RuntimeConfig, clock: Clock) -> Self {
-        let cache = (config.materialization_budget > 0)
-            .then(|| Arc::new(MaterializationCache::new(config.materialization_budget)));
         let metrics = Arc::new(MetricsRegistry::new());
         let scheduler = Scheduler::with_config(crate::scheduler::SchedulerConfig {
             n_executors: config.n_executors,
             pooling: config.pooling,
             chunk_size: config.chunk_size,
-            cache: cache.clone(),
             telemetry: Arc::clone(&metrics),
             clock: clock.clone(),
         });
@@ -345,7 +338,6 @@ impl Runtime {
             id: NEXT_RUNTIME.fetch_add(1, Ordering::Relaxed),
             config,
             store: Arc::new(ObjectStore::new()),
-            cache,
             catalog: Mutex::new(HashMap::new()),
             plans,
             next_plan_id: AtomicU32::new(0),
@@ -370,11 +362,6 @@ impl Runtime {
     /// The shared Object Store (memory experiments read its counters).
     pub fn object_store(&self) -> &Arc<ObjectStore> {
         &self.store
-    }
-
-    /// The materialization cache, if enabled.
-    pub fn materialization_cache(&self) -> Option<&Arc<MaterializationCache>> {
-        self.cache.as_ref()
     }
 
     /// The runtime configuration.
@@ -427,9 +414,9 @@ impl Runtime {
     /// One unified snapshot of everything the runtime knows about itself:
     /// the telemetry plane's histograms and per-plan sections merged with
     /// the stat structs — scheduler counters, pool lease stats, lifecycle
-    /// counters, Object Store usage and materialization-cache counters. A
-    /// plan's request count is its section's `rr_requests +
-    /// batch_requests`. This is what the `STATS` wire verb serializes.
+    /// counters and Object Store usage. A plan's request count is its
+    /// section's `rr_requests + batch_requests`. This is what the `STATS`
+    /// wire verb serializes.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut snap = self.metrics.snapshot();
         let sched = self.scheduler.stats();
@@ -456,7 +443,6 @@ impl Runtime {
             released: self.store.release_count(),
             released_bytes: self.store.released_bytes(),
         };
-        snap.mat_cache = self.cache.as_ref().map(|c| c.stats());
         // Quarantine is gate state, not a recorder counter: stamp it at
         // snapshot time so STATS readers see the current verdict even when
         // the tripping faults predate the last snapshot.
@@ -532,17 +518,11 @@ impl Runtime {
     }
 
     fn compile(&self, logical: StagePlan) -> Result<Arc<ModelPlan>> {
-        let opts = CompileOptions {
-            // Fused stages embed per-pipeline weights, so their featurizer
-            // outputs never exist to be cached: fuse only with the
-            // sub-plan materialization cache off.
-            fuse_text: self.cache.is_none(),
-        };
         // Stage residency probe: signatures are prepared before stages are
         // built, so a stage another live plan already deployed is served
         // as-is and never rebuilt.
         let mut reused = 0u64;
-        let mut plan = ModelPlan::compile_with_catalog(logical, &opts, |sig| {
+        let mut plan = ModelPlan::compile_with_catalog(logical, |sig| {
             let hit = self.catalog.lock().get(&sig).cloned();
             if hit.is_some() {
                 reused += 1;
@@ -702,12 +682,7 @@ impl Runtime {
     pub fn rr_session(&self) -> RrSession {
         let mut ctx = ExecCtx::new(Arc::clone(&self.rr_pool)).with_held(Arc::clone(&self.rr_held));
         ctx.clock = self.clock.clone();
-        RrSession {
-            ctx: match &self.cache {
-                Some(c) => ctx.with_cache(Arc::clone(c)),
-                None => ctx,
-            },
-        }
+        RrSession { ctx }
     }
 
     /// [`Self::predict_source`] on a session the caller owns. The session
@@ -772,8 +747,6 @@ impl Runtime {
             self.ingest_pool.release_batch(rows);
             return Err(e);
         }
-        // No ingest-time hashes: the scheduler hashes rows on demand when
-        // a materialization cache consumes them.
         self.predict_batch_assembled(id, rows, Vec::new())
     }
 
@@ -782,16 +755,21 @@ impl Runtime {
         self.predict_batch(id, records)?.wait()
     }
 
-    /// Batch engine over an assembled request: the rows (and per-row
-    /// content hashes, possibly none) a [`pretzel_data::BatchAssembler`]
-    /// built straight from the wire are submitted as-is. The batch buffer
-    /// returns to [`Self::ingest_pool`] when the request completes.
+    /// Batch engine over an assembled request: the rows a
+    /// [`pretzel_data::BatchAssembler`] built straight from the wire are
+    /// submitted as-is. The batch buffer returns to [`Self::ingest_pool`]
+    /// when the request completes.
+    ///
+    /// `hashes` is dropped at entry: no layer below the front end's result
+    /// cache reads per-row content hashes any more. The argument stays so
+    /// that callers written against the hashed signature keep compiling.
     pub fn predict_batch_assembled(
         &self,
         id: PlanId,
         rows: pretzel_data::ColumnBatch,
         hashes: Vec<u64>,
     ) -> Result<BatchHandle> {
+        drop(hashes);
         let (plan, pass) = match self.admit(id) {
             Ok((pass, plan)) => (plan, pass),
             Err(e) => {
@@ -806,7 +784,7 @@ impl Runtime {
             self.ingest_pool.release_batch(rows);
             return Err(DataError::mismatch("plan source", plan.source_type, ty));
         }
-        let input = AssembledBatch::new(rows, hashes, Some(Arc::clone(&self.ingest_pool)))?;
+        let input = AssembledBatch::new(rows, Some(Arc::clone(&self.ingest_pool)));
         Ok(self.scheduler.submit_assembled(id, plan, input, Some(pass)))
     }
 
@@ -1162,20 +1140,6 @@ mod tests {
     fn unknown_plan_id_is_error() {
         let rt = Runtime::new(RuntimeConfig::default());
         assert!(rt.predict(42, "x").is_err());
-    }
-
-    #[test]
-    fn materialization_cache_wired_through_runtime() {
-        let rt = Runtime::new(RuntimeConfig {
-            materialization_budget: 1 << 20,
-            ..RuntimeConfig::default()
-        });
-        let id = rt.register(sa_logical(4)).unwrap();
-        let a = rt.predict(id, "5,same input line").unwrap();
-        let b = rt.predict(id, "5,same input line").unwrap();
-        assert_eq!(a, b);
-        let hits = rt.materialization_cache().unwrap().stats().hits;
-        assert!(hits > 0, "second prediction should hit the cache");
     }
 
     #[test]

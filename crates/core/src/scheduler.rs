@@ -41,7 +41,6 @@
 
 use crate::clock::Clock;
 use crate::lifecycle::GatePass;
-use crate::object_store::MaterializationCache;
 use crate::physical::{ExecCtx, ModelPlan, SourceRef};
 use crate::telemetry::{MetricsRegistry, PlanRecorder, PoolCounters};
 use parking_lot::{Condvar, Mutex};
@@ -92,7 +91,7 @@ impl Record {
 }
 
 /// A whole request's source rows assembled into one [`ColumnBatch`]
-/// (wire-to-columnar ingest), plus one content hash per row.
+/// (wire-to-columnar ingest).
 ///
 /// The scheduler's chunks share this read-only; when the last chunk drops
 /// its reference, the batch buffer returns to its *home* pool (the
@@ -101,37 +100,14 @@ impl Record {
 #[derive(Debug)]
 pub struct AssembledBatch {
     rows: ColumnBatch,
-    hashes: Vec<u64>,
     home: Option<Arc<VectorPool>>,
 }
 
 impl AssembledBatch {
-    /// Wraps assembled rows and their parallel content hashes; `home` is
-    /// the pool the batch buffer returns to when the request completes.
-    ///
-    /// `hashes` may be **empty** (the ingest path skips hashing when no
-    /// cache will consume it); consumers then hash rows on demand through
-    /// [`Self::hash_of`].
-    pub fn new(rows: ColumnBatch, hashes: Vec<u64>, home: Option<Arc<VectorPool>>) -> Result<Self> {
-        if !hashes.is_empty() && hashes.len() != rows.rows() {
-            return Err(DataError::Runtime(format!(
-                "assembled batch has {} rows but {} hashes",
-                rows.rows(),
-                hashes.len()
-            )));
-        }
-        Ok(AssembledBatch { rows, hashes, home })
-    }
-
-    /// Content hash of row `i`: the ingest-time hash when recorded,
-    /// otherwise computed from the packed row (same bytes, same shared
-    /// helpers, same value).
-    pub fn hash_of(&self, i: usize) -> u64 {
-        if self.hashes.is_empty() {
-            pretzel_data::ingest::hash_row(self.rows.row(i))
-        } else {
-            self.hashes[i]
-        }
+    /// Wraps assembled rows; `home` is the pool the batch buffer returns to
+    /// when the request completes.
+    pub fn new(rows: ColumnBatch, home: Option<Arc<VectorPool>>) -> Self {
+        AssembledBatch { rows, home }
     }
 
     /// The assembled source rows.
@@ -147,11 +123,6 @@ impl AssembledBatch {
     /// True if the request holds no rows.
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
-    }
-
-    /// Per-row content hashes, parallel to the rows.
-    pub fn hashes(&self) -> &[u64] {
-        &self.hashes
     }
 }
 
@@ -485,10 +456,7 @@ pub struct SchedulerConfig {
     pub pooling: bool,
     /// Records per chunk event.
     pub chunk_size: usize,
-    /// Sub-plan materialization cache, if enabled.
-    pub cache: Option<Arc<MaterializationCache>>,
-    /// Telemetry plane: per-plan queue-wait and stage-execution recording
-    /// plus cache-probe timing on each executor's `ExecCtx`.
+    /// Telemetry plane: per-plan queue-wait and stage-execution recording.
     pub telemetry: Arc<MetricsRegistry>,
     /// The clock those recordings read.
     pub clock: Clock,
@@ -517,7 +485,6 @@ impl std::fmt::Debug for FaultHookCell {
 #[derive(Debug, Clone)]
 struct ExecEnv {
     stats: Arc<SchedStats>,
-    cache: Option<Arc<MaterializationCache>>,
     /// Telemetry registry shared with the runtime.
     telemetry: Arc<MetricsRegistry>,
     /// The runtime's clock: queue-wait and stage stamps.
@@ -611,9 +578,7 @@ impl Scheduler {
     /// queue and a pool arena fronting one shared fallback arena
     /// (see the module docs for the steal policy). A chunk event runs one
     /// stage of its plan's program over the chunk's columnar working set
-    /// ([`ModelPlan::execute_stage_batch`]): whole-chunk batch kernels,
-    /// and with sub-plan materialization on, the chunk-level cache probe
-    /// (per-row hash probe, miss sub-batch) around each cacheable step.
+    /// ([`ModelPlan::execute_stage_batch`]): whole-chunk batch kernels.
     pub fn with_config(cfg: SchedulerConfig) -> Self {
         let fallback_pool = cfg.pooling.then(|| Arc::new(VectorPool::arena()));
         let exec_pools: Vec<Arc<VectorPool>> = (0..cfg.n_executors.max(1))
@@ -621,7 +586,6 @@ impl Scheduler {
             .collect();
         let env = ExecEnv {
             stats: Arc::default(),
-            cache: cfg.cache,
             telemetry: cfg.telemetry,
             clock: cfg.clock,
             fault_hook: FaultHookCell::default(),
@@ -901,19 +865,13 @@ fn build_pool(fallback: Option<&Arc<VectorPool>>) -> VectorPool {
 fn worker_loop(idx: usize, plane: &Plane, pool: Arc<VectorPool>, env: ExecEnv) {
     let ExecEnv {
         stats,
-        cache,
-        telemetry,
         clock,
         fault_hook,
         held,
+        ..
     } = env;
-    let mut ctx = ExecCtx::new(Arc::clone(&pool))
-        .with_held(held)
-        .with_telemetry(telemetry);
+    let mut ctx = ExecCtx::new(Arc::clone(&pool)).with_held(held);
     ctx.clock = clock;
-    if let Some(c) = cache {
-        ctx = ctx.with_cache(c);
-    }
     let (queues, sleepers) = (&plane.workers[..], &plane.sleepers);
     let own = &queues[idx];
     // Where the next scan of the other queues starts, one victim further
@@ -1002,14 +960,6 @@ fn run_chunk_stage(
         .working
         .as_mut()
         .expect("working set leased at stage 0");
-    // Chunk-level cache probe inputs: one source hash per row, recorded at
-    // ingest or computed from the rows.
-    if ctx.cache.is_some() && plan.stage_is_cached(task.stage) {
-        ctx.source_hashes.clear();
-        let input = &task.input;
-        ctx.source_hashes
-            .extend((start..end).map(|i| input.hash_of(i)));
-    }
     // The fault containment boundary: operator code below this point runs
     // under `catch_unwind`, so a panicking kernel fails its own chunk with
     // a clean `ExecutionFault` instead of killing the executor thread and
@@ -1222,7 +1172,7 @@ pub(crate) mod tests {
             .collect()
     }
 
-    /// Packs records into an unhashed assembled batch with no home pool,
+    /// Packs records into an assembled batch with no home pool,
     /// typed by its first record.
     fn assembled(records: &[Record]) -> AssembledBatch {
         let ty = match records.first() {
@@ -1233,7 +1183,7 @@ pub(crate) mod tests {
         for r in records {
             r.as_source().load_into_batch(&mut rows).unwrap();
         }
-        AssembledBatch::new(rows, Vec::new(), None).unwrap()
+        AssembledBatch::new(rows, None)
     }
 
     fn submit(sched: &Scheduler, id: u32, plan: &Arc<ModelPlan>, recs: &[Record]) -> BatchHandle {
@@ -1245,7 +1195,6 @@ pub(crate) mod tests {
             n_executors,
             pooling: true,
             chunk_size,
-            cache: None,
             telemetry: Arc::new(MetricsRegistry::new()),
             clock: Clock::real(),
         }
@@ -1294,28 +1243,19 @@ pub(crate) mod tests {
 
     #[test]
     fn batch_results_match_inline_execution() {
-        // Bitwise against the row path, without and with the
-        // materialization cache (whose chunk-level probe must not change a
-        // bit), each cold and then warm. As in the runtime, a plan served
-        // with the cache is compiled without fusion, so its featurizer
-        // steps stay cacheable.
+        // Bitwise against the row path, for the fused plan the runtime
+        // serves and the stepwise reference, each cold and then warm.
         let recs = records(17);
-        let cache = Arc::new(MaterializationCache::new(1 << 20));
-        for cache in [None, Some(Arc::clone(&cache))] {
-            let cached = cache.is_some();
-            let plan = sa_plan_with(3, &CompileOptions { fuse_text: !cached });
+        for fuse_text in [true, false] {
+            let plan = sa_plan_with(3, &CompileOptions { fuse_text });
             let expect = inline_scores(&plan, &recs);
-            let sched = Scheduler::with_config(SchedulerConfig {
-                cache,
-                ..config(2, 4)
-            });
+            let sched = scheduler(2, 4);
             for pass in ["cold", "warm"] {
                 let scores = submit(&sched, 0, &plan, &recs).wait().unwrap();
-                assert_bitwise(&scores, &expect, &format!("cache {cached} {pass}"));
+                assert_bitwise(&scores, &expect, &format!("fuse {fuse_text} {pass}"));
             }
             sched.shutdown();
         }
-        assert!(cache.stats().hits > 0, "warm pass should hit the cache");
     }
 
     #[test]

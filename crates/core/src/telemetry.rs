@@ -5,15 +5,15 @@
 //! path — and none is split per core: each sees at most one write per
 //! request or chunk-stage event. The registry holds one set of the
 //! registry-wide recorders (a sample of decodes, completion flushes,
-//! cache probes, delayed-batch drops). A plan's recorder is one set of
+//! delayed-batch drops). A plan's recorder is one set of
 //! counters, sized by the plan rather than by the host's core count; each
 //! of its histograms is allocated on the first sample, so a histogram the
 //! plan's engine never writes costs nothing. Snapshots merge exactly
 //! (histogram buckets are plain sums), so one
 //! [`MetricsRegistry::snapshot`] folds the whole request lifecycle —
-//! FrontEnd decode, per-plan queue wait (low/high), per-stage
-//! execution time and rows, cache probe hit/miss latency, pool lease/miss,
-//! steals, completion-to-flush — into a single [`MetricsSnapshot`] that also
+//! FrontEnd decode, per-plan queue wait (low/high), per-stage execution
+//! time and rows, pool lease/miss, steals, completion-to-flush — into a
+//! single [`MetricsSnapshot`] that also
 //! unifies the pre-existing stat structs (`SchedStats`, `LifecycleStats`,
 //! pool and Object Store counters).
 //!
@@ -31,8 +31,6 @@ use parking_lot::RwLock;
 use pretzel_data::serde_bin::wire::{put_u32, put_u64};
 use pretzel_data::serde_bin::Cursor;
 use pretzel_data::{DataError, Result};
-
-use crate::object_store::MatCacheStats;
 
 /// Log2 histogram bucket count: bucket 0 is the value 0, bucket `b` covers
 /// `[2^(b-1), 2^b)`, and the top bucket absorbs everything from `2^62` up.
@@ -307,8 +305,6 @@ impl PlanRecorder {
 pub struct MetricsRegistry {
     decode_ns: AtomicHistogram,
     completion_flush_ns: AtomicHistogram,
-    cache_probe_hit_ns: AtomicHistogram,
-    cache_probe_miss_ns: AtomicHistogram,
     delayed_drops: AtomicU64,
     plans: RwLock<HashMap<u32, Arc<PlanRecorder>>>,
 }
@@ -345,16 +341,6 @@ impl MetricsRegistry {
         self.completion_flush_ns.record(ns);
     }
 
-    /// Materialization-cache probe latency, split by outcome.
-    #[inline]
-    pub fn record_cache_probe(&self, hit: bool, ns: u64) {
-        if hit {
-            self.cache_probe_hit_ns.record(ns);
-        } else {
-            self.cache_probe_miss_ns.record(ns);
-        }
-    }
-
     /// Delayed-batch results dropped because their client disconnected.
     #[inline]
     pub fn note_delayed_drops(&self, n: u64) {
@@ -362,14 +348,12 @@ impl MetricsRegistry {
     }
 
     /// The telemetry-owned part of a snapshot; the runtime then folds in
-    /// the stat structs it owns (scheduler, pools, lifecycle, store, cache)
+    /// the stat structs it owns (scheduler, pools, lifecycle, store)
     /// and the FrontEnd overlays its own.
     pub fn snapshot(&self) -> MetricsSnapshot {
         let mut snap = MetricsSnapshot {
             decode_ns: self.decode_ns.snapshot(),
             completion_flush_ns: self.completion_flush_ns.snapshot(),
-            cache_probe_hit_ns: self.cache_probe_hit_ns.snapshot(),
-            cache_probe_miss_ns: self.cache_probe_miss_ns.snapshot(),
             delayed_drops: self.delayed_drops.load(Ordering::Relaxed),
             ..MetricsSnapshot::default()
         };
@@ -571,14 +555,10 @@ pub struct MetricsSnapshot {
     pub pools: PoolsSnapshot,
     pub lifecycle: LifecycleSnapshot,
     pub store: StoreSnapshot,
-    /// Materialization-cache counters, when a cache is configured.
-    pub mat_cache: Option<MatCacheStats>,
     pub frontend: Option<FrontEndSnapshot>,
     pub delayed_drops: u64,
     pub decode_ns: Histogram,
     pub completion_flush_ns: Histogram,
-    pub cache_probe_hit_ns: Histogram,
-    pub cache_probe_miss_ns: Histogram,
     pub plans: Vec<PlanMetricsSnapshot>,
 }
 
@@ -586,8 +566,7 @@ pub struct MetricsSnapshot {
 walk! {
     MetricsSnapshot {
         scheduler: section, pools: section, lifecycle: section, store: section,
-        mat_cache: option, frontend: option, delayed_drops: u64, decode_ns: hist,
-        completion_flush_ns: hist, cache_probe_hit_ns: hist, cache_probe_miss_ns: hist,
+        frontend: option, delayed_drops: u64, decode_ns: hist, completion_flush_ns: hist,
         plans: list,
     }
     SchedulerSnapshot { stage_events: u64, records_done: u64, steals: u64 }
@@ -600,7 +579,6 @@ walk! {
         unique_objects: u64, unique_bytes: u64, reused: u64, bytes_saved: u64, released: u64,
         released_bytes: u64,
     }
-    MatCacheStats { hits: u64, misses: u64, evictions: u64 }
     FrontEndSnapshot { open_connections: u64, accepted: u64, refused: u64, protocol_errors: u64 }
     PlanMetricsSnapshot {
         plan: u32, batch_requests: u64, rr_requests: u64, records: u64, stage_rows: u64,
@@ -962,7 +940,7 @@ mod tests {
     fn every_field_survives_the_wire() {
         let (snap, buf) = filled();
         assert_eq!(snap.plans.len(), 2);
-        assert!(snap.mat_cache.is_some() && snap.frontend.is_some());
+        assert!(snap.frontend.is_some());
         assert_ne!(snap.plans[0].quarantined, snap.plans[1].quarantined);
         let back = MetricsSnapshot::decode(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(back, snap);
@@ -980,7 +958,7 @@ mod tests {
         assert!(matches!(err, DataError::Codec(_)), "{err:?}");
     }
 
-    /// A fixed snapshot: two plans, a cache section and no FrontEnd.
+    /// A fixed snapshot: two plans and no FrontEnd.
     fn golden_snapshot() -> MetricsSnapshot {
         let hist = |samples: &[u64]| {
             let mut h = Histogram::new();
@@ -1024,15 +1002,10 @@ mod tests {
                 released: 55,
                 released_bytes: 56,
             },
-            mat_cache: Some(MatCacheStats {
-                hits: 61,
-                misses: 62,
-                evictions: 63,
-            }),
             frontend: None,
             delayed_drops: 71,
             decode_ns: hist(&[0, 1, 900, 4096]),
-            cache_probe_miss_ns: hist(&[1 << 40]),
+            completion_flush_ns: hist(&[1 << 40]),
             plans: vec![
                 PlanMetricsSnapshot {
                     plan: 3,
@@ -1053,7 +1026,6 @@ mod tests {
                     ..Default::default()
                 },
             ],
-            ..Default::default()
         }
     }
 
@@ -1070,11 +1042,9 @@ mod tests {
             r#""lifecycle":{"deploys":41,"undeploys":42,"#,
             r#""swaps":43,"stages_reused":44},"store":{"unique_objects":51,"unique_bytes":52,"#,
             r#""reused":53,"bytes_saved":54,"released":55,"released_bytes":56},"#,
-            r#""mat_cache":{"hits":61,"misses":62,"evictions":63},"frontend":null,"#,
+            r#""frontend":null,"#,
             r#""delayed_drops":71,"decode_ns":{"count":4,"sum":4997,"mean":1249,"p50":1,"#,
-            r#""p99":8191,"max":8191},"completion_flush_ns":{"count":0,"sum":0,"mean":0,"#,
-            r#""p50":0,"p99":0,"max":0},"cache_probe_hit_ns":{"count":0,"sum":0,"mean":0,"#,
-            r#""p50":0,"p99":0,"max":0},"cache_probe_miss_ns":{"count":1,"sum":1099511627776,"#,
+            r#""p99":8191,"max":8191},"completion_flush_ns":{"count":1,"sum":1099511627776,"#,
             r#""mean":1099511627776,"p50":2199023255551,"p99":2199023255551,"#,
             r#""max":2199023255551},"plans":[{"plan":3,"batch_requests":0,"rr_requests":103,"#,
             r#""records":0,"stage_rows":0,"faults":0,"quarantined":false,"#,

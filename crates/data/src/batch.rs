@@ -112,8 +112,8 @@ impl<'a> ColRef<'a> {
         }
     }
 
-    /// Copies the row into an owned [`Vector`] (materialization-cache
-    /// insertion path: computed batch rows become cached per-record values).
+    /// Copies the row into an owned [`Vector`] (what the front end's result
+    /// cache keeps beside a score).
     pub fn to_vector(&self) -> Vector {
         match self {
             ColRef::Text(s) => Vector::Text((*s).to_string()),
@@ -542,9 +542,7 @@ impl ColumnBatch {
     }
 
     /// Appends one borrowed row (copying). The row's variant must match the
-    /// batch's column type. This is the scatter half of the chunk-level
-    /// cache probe: cached hit vectors and computed miss-batch rows are
-    /// recombined into one output batch in original row order.
+    /// batch's column type.
     pub fn push_row(&mut self, row: ColRef<'_>) -> Result<()> {
         match (self, row) {
             (b @ (ColumnBatch::Text { .. } | ColumnBatch::TextSpans { .. }), ColRef::Text(s)) => {
@@ -587,9 +585,7 @@ impl ColumnBatch {
 
     /// Gathers the selected `rows` (by index, in the given order) into
     /// `out`, which must share this batch's column type; `out` is cleared
-    /// first. This is the selection half of the chunk-level cache probe:
-    /// cache-miss rows are gathered into a sub-batch, batch-evaluated, and
-    /// scattered back via [`Self::push_row`].
+    /// first.
     pub fn gather(&self, rows: &[usize], out: &mut Self) -> Result<()> {
         if out.column_type() != self.column_type() {
             return Err(DataError::mismatch(

@@ -16,9 +16,10 @@
 //!    model image is verified on every load, so this hash runs over whole
 //!    images; four independent lanes keep it near memory speed where
 //!    FNV-1a's byte-serial multiply chain does not.
-//! 3. **Input hashing** for sub-plan materialization: "hashing of the input
-//!    is used to decide whether a result is already available" (§4.3):
-//!    [`Fnv1a`] (`content_hash_*`), over short records.
+//! 3. **Input hashing** for the front end's result cache: "hashing of the
+//!    input is used to decide whether a result is already available"
+//!    (§4.3): [`Fnv1a`] (`content_hash_*`), over short records. A hit is
+//!    confirmed against the row's bytes, so a collision costs a miss.
 
 /// FNV-1a 64-bit offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -231,10 +232,10 @@ pub fn xxh64(bytes: &[u8]) -> u64 {
 
 /// Content hash of a text source record.
 ///
-/// The canonical per-record identity used by the sub-plan materialization
-/// cache and the FrontEnd result cache. Every ingest path (Record staging,
-/// wire-to-columnar assembly, batch rows) must produce the same hash for
-/// the same record bytes, so these helpers are the single definition.
+/// The canonical per-record identity used by the FrontEnd result cache.
+/// Every ingest path (Record staging, wire-to-columnar assembly, batch
+/// rows) must produce the same hash for the same record bytes, so these
+/// helpers are the single definition.
 pub fn content_hash_text(s: &str) -> u64 {
     fnv1a(s.as_bytes())
 }

@@ -11,19 +11,14 @@
 //! is the thing the ingest path builds — the same discipline as
 //! constant-time pooled allocation on the hot path.
 //!
-//! The assembler also records one content hash per row as it decodes
-//! (see [`crate::hash::content_hash_text`] and friends). Those hashes are
-//! the canonical per-record identities used by the FrontEnd result cache
-//! and the sub-plan materialization cache, so every ingest path produces
-//! identical keys for identical record bytes.
-//!
-//! Hashing is **opt-out**: when no cache will consume the hashes (no
-//! materialization cache configured, no result-cache flag on the request)
-//! the decoder skips the extra pass over every record's bytes
-//! ([`BatchAssembler::new_unhashed`]) — on matching-bound text workloads
-//! that pass was a measurable share of the ingest path. An unhashed
-//! assembler upgrades itself on demand ([`BatchAssembler::ensure_hashes`]),
-//! producing the identical hashes from the packed rows.
+//! The assembler can also record one content hash per row as it decodes
+//! ([`BatchAssembler::new`]; see [`crate::hash::content_hash_text`] and
+//! friends), the same identity [`hash_row`] computes from a packed row.
+//! The serving path assembles without it ([`BatchAssembler::new_unhashed`]):
+//! on matching-bound text workloads that pass over every record's bytes is
+//! a measurable share of the ingest path. An unhashed assembler upgrades
+//! itself on demand ([`BatchAssembler::ensure_hashes`]), producing the
+//! identical hashes from the packed rows.
 
 use crate::batch::{ColRef, ColumnBatch};
 use crate::hash::{content_hash_dense, content_hash_sparse, content_hash_text};

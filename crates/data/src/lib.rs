@@ -24,7 +24,7 @@
 //! * [`alloc_meter`] — a counting global allocator so experiments can report
 //!   live heap bytes per configuration (paper §5.1).
 //! * [`hash`] — small non-cryptographic hash utilities (feature hashing,
-//!   parameter checksums, input hashing for sub-plan materialization).
+//!   parameter checksums, input hashing for the result cache).
 //! * [`probe`] — [`probe::FlatProbeTable`], the bit-filtered
 //!   one-line-per-probe open-addressing table behind the n-gram
 //!   dictionary's matching path, with a branch-free bulk probe and a

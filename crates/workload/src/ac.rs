@@ -3,13 +3,15 @@
 //! "250 different pipelines implementing Attendee Count: a regression task
 //! used internally to predict how many attendees will join an event.
 //! Pipelines within a category are similar... those in the AC category are
-//! more diverse and do not benefit from [sub-plan materialization]. These
+//! more diverse and do not benefit from \[sub-plan materialization\]. These
 //! latter pipelines comprise several ML models forming an ensemble: in the
 //! most complex version, we have a dimensionality reduction step executed
 //! concurrently with a KMeans clustering, a TreeFeaturizer, and
 //! multi-class tree-based classifier, all fed into a final tree (or
 //! forest) rendering the prediction" (paper §5, Table 1: structured text
-//! input, 40 dimensions, sizes 10KB–20MB).
+//! input, 40 dimensions, sizes 10KB–20MB). This runtime measured sub-plan
+//! materialization on the SA pipelines and left it out (README, "Oven and
+//! the Model Plan Compiler").
 
 use pretzel_core::flour::{Flour, FlourContext};
 use pretzel_core::graph::TransformGraph;

@@ -1,6 +1,6 @@
 //! A/B testing scenario: many similar sentiment-analysis pipelines served
 //! from one runtime, sharing featurizer parameters through the Object
-//! Store and reusing materialized featurizer outputs.
+//! Store.
 //!
 //! This is the paper's motivating deployment (§2): "A/B testing and
 //! customer personalization are often used in practice in large scale
@@ -28,10 +28,7 @@ fn main() {
         seed: 7,
     };
     let workload = pretzel_workload::sa::build(&config);
-    let runtime = Runtime::new(RuntimeConfig {
-        materialization_budget: 64 << 20,
-        ..RuntimeConfig::default()
-    });
+    let runtime = Runtime::new(RuntimeConfig::default());
 
     // Deploy every variant from its exported model file.
     let mut ids = Vec::new();
@@ -55,7 +52,6 @@ fn main() {
     );
 
     // Score the same user request against every arm (the A/B pattern).
-    // Shared featurizer outputs are materialized once and reused.
     let mut reviews = ReviewGen::new(1, config.vocab_size, 1.2);
     let request = format!("5,{}", reviews.review(20, 30));
     println!("\nrequest: {request}");
@@ -64,14 +60,13 @@ fn main() {
         let (cv, wv) = workload.assignment[arm];
         println!("  arm {arm:>2} (char v{cv}, word v{wv}) -> {score:.4}");
     }
-    if let Some(cache) = runtime.materialization_cache() {
-        let s = cache.stats();
-        println!(
-            "\nsub-plan materialization: {} hits / {} misses \
-             across {} arms (shared featurizers computed once per input)",
-            s.hits,
-            s.misses,
-            ids.len()
-        );
-    }
+    // Each arm compiles to one fused text stage. The stage embeds the arm's
+    // own weights, so the catalog holds one per arm, while the dictionaries
+    // those stages read are the Object Store's shared instances.
+    println!(
+        "\n{} arms run {} physical stages over {} shared parameter objects",
+        ids.len(),
+        runtime.catalog_size(),
+        store.len(),
+    );
 }

@@ -3,10 +3,9 @@
 //! The batch engine's columnar data plane must produce scores
 //! **bitwise-identical** to the request-response engine's per-record path —
 //! across every operator family, every chunk size, with pooling on and off
-//! (the ablation), and with the materialization cache on. The batch
-//! kernels intentionally run the same per-row arithmetic in the same order
-//! as the single-record kernels, so comparisons here use `f32::to_bits`,
-//! not tolerances.
+//! (the ablation). The batch kernels intentionally run the same per-row
+//! arithmetic in the same order as the single-record kernels, so
+//! comparisons here use `f32::to_bits`, not tolerances.
 
 use pretzel_core::flour::{Flour, FlourContext};
 use pretzel_core::plan::StagePlan;
@@ -225,91 +224,6 @@ fn columnar_matches_single_with_pooling_disabled() {
     for case in cases() {
         run_case(&case, 7, false);
         run_case(&case, 64, false);
-    }
-}
-
-/// One cache-enabled equivalence pass: the same records through the batch
-/// engine of one runtime and, one at a time, through the request-response
-/// engine of a second runtime with the same cache budget — cold, then warm.
-/// Scores must be bitwise-identical and the two materialization caches
-/// must report identical hit/miss counts after every pass (single
-/// executor, so the chunk probe order is deterministic).
-fn run_cached_case(case: &Case, records: &[Record], chunk_size: usize) {
-    let mk = || {
-        Runtime::new(RuntimeConfig {
-            n_executors: 1,
-            chunk_size,
-            materialization_budget: 64 << 20,
-            ..RuntimeConfig::default()
-        })
-    };
-    let col = mk();
-    let rr = mk();
-    let a = col.register(case.plan.clone()).expect("registers");
-    let b = rr.register(case.plan.clone()).expect("registers");
-    for pass in ["cold", "warm"] {
-        let xs = col
-            .predict_batch_wait(a, records.to_vec())
-            .expect("columnar+cache scores");
-        for (i, (x, r)) in xs.iter().zip(records).enumerate() {
-            let y = rr
-                .predict_source(b, r.as_source())
-                .expect("per-record+cache scores");
-            assert_eq!(
-                x.to_bits(),
-                y.to_bits(),
-                "{} chunk={chunk_size} {pass} record {i}: columnar+cache {x} \
-                 vs per-record+cache {y}",
-                case.name
-            );
-        }
-        let cs = col.materialization_cache().unwrap().stats();
-        let ps = rr.materialization_cache().unwrap().stats();
-        let ((ch, cm), (ph, pm)) = ((cs.hits, cs.misses), (ps.hits, ps.misses));
-        assert_eq!(
-            (ch, cm),
-            (ph, pm),
-            "{} chunk={chunk_size} {pass}: cache hit/miss counts diverge",
-            case.name
-        );
-    }
-    // Pipelines with cacheable featurizer steps must exercise both hits
-    // (warm pass + intra-batch duplicates) and misses (cold pass).
-    let cacheable = case
-        .plan
-        .stages
-        .iter()
-        .any(|s| s.steps.iter().any(|st| st.op.cacheable()));
-    let s = col.materialization_cache().unwrap().stats();
-    let (hits, misses) = (s.hits, s.misses);
-    if cacheable {
-        assert!(
-            hits > 0 && misses > 0,
-            "{} chunk={chunk_size}: sweep should exercise both hits and \
-             misses (hits {hits}, misses {misses})",
-            case.name
-        );
-    } else {
-        assert_eq!((hits, misses), (0, 0), "{}", case.name);
-    }
-}
-
-/// With the materialization cache enabled, columnar chunks run the
-/// chunk-level cache probe instead of falling back to per-record
-/// execution — bitwise-equal scores and exactly equal per-record cache
-/// hit/miss counts, for every operator family, at every chunk size, cold
-/// and warm.
-#[test]
-fn cache_on_columnar_matches_per_record_across_families_and_chunk_sizes() {
-    for case in cases() {
-        // Repeat a slice of the records so chunks mix cache hits, misses
-        // and intra-chunk duplicates.
-        let mut records: Vec<Record> = case.records[..case.records.len().min(120)].to_vec();
-        let dup: Vec<Record> = records[..records.len() / 3].to_vec();
-        records.extend(dup);
-        for chunk in CHUNK_SIZES {
-            run_cached_case(&case, &records, chunk);
-        }
     }
 }
 

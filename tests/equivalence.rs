@@ -114,21 +114,6 @@ fn ac_pretzel_equals_blackbox_default_config() {
 }
 
 #[test]
-fn sa_equivalence_with_materialization_cache() {
-    let (graphs, lines) = sa_setup();
-    check_runtime_matches_baselines(
-        &graphs,
-        &lines,
-        RuntimeConfig {
-            n_executors: 2,
-            materialization_budget: 8 << 20,
-            ..RuntimeConfig::default()
-        },
-        "sa/materialization",
-    );
-}
-
-#[test]
 fn sa_equivalence_without_pooling_or_aot() {
     let (graphs, lines) = sa_setup();
     check_runtime_matches_baselines(

@@ -2,10 +2,10 @@
 //! scratch of every stage of the last plan it served, and runs all of a
 //! plan's steps in one loop over them. These tests pin what that must not
 //! change — scores bitwise those of the classic path and of the batch
-//! engine, materialization-cache traffic, fault containment and pool
-//! accounting — on the shapes that stress it: a source materialized into
-//! slot 0 half-way through a plan, a session alternating between plans of
-//! different frame layouts, and an operator that panics.
+//! engine, fault containment and pool accounting — on the shapes that
+//! stress it: a source materialized into slot 0 half-way through a plan, a
+//! session alternating between plans of different frame layouts, and an
+//! operator that panics.
 
 use pretzel_core::flour::{Flour, FlourContext};
 use pretzel_core::physical::{ExecCtx, ModelPlan, SourceRef};
@@ -172,61 +172,6 @@ fn a_session_alternating_frame_layouts_scores_each_plan_exactly() {
     assert_eq!(rt.pool_outstanding(), 0);
     drop(session);
     assert_eq!(rt.pool_outstanding(), 0);
-}
-
-#[test]
-fn materialization_cache_sees_one_probe_per_cacheable_step() {
-    let lines = text_lines(6);
-    // Every line twice: the second pass hits wherever the first missed.
-    let requests: Vec<&String> = lines.iter().chain(&lines).collect();
-    let config = || RuntimeConfig {
-        materialization_budget: 1 << 20,
-        ..RuntimeConfig::default()
-    };
-    let rt = runtime(config());
-    let id = rt.register(text_plan(5).plan().unwrap()).unwrap();
-    let cacheable = rt
-        .plan(id)
-        .unwrap()
-        .stages
-        .iter()
-        .flat_map(|s| &s.steps)
-        .filter(|step| step.op.cacheable())
-        .count() as u64;
-    assert!(cacheable >= 3, "tokenizer and both n-grams are cacheable");
-    let mut session = rt.rr_session();
-    let scores: Vec<f32> = requests
-        .iter()
-        .map(|line| {
-            rt.predict_source_in(&mut session, id, SourceRef::Text(line))
-                .unwrap()
-        })
-        .collect();
-    let stats = rt.materialization_cache().unwrap().stats();
-    let unique = lines.len() as u64;
-    assert_eq!(stats.misses, unique * cacheable, "{stats:?}");
-    assert_eq!(stats.hits, unique * cacheable, "{stats:?}");
-
-    // The batch engine's chunk probe issues the same traffic for the same
-    // rows, and cached or not every score is the classic path's.
-    let batch_rt = runtime(config());
-    let batch_id = batch_rt.register(text_plan(5).plan().unwrap()).unwrap();
-    let records: Vec<Record> = requests
-        .iter()
-        .map(|l| Record::Text(l.to_string()))
-        .collect();
-    let batch = batch_rt.predict_batch_wait(batch_id, records).unwrap();
-    let batch_stats = batch_rt.materialization_cache().unwrap().stats();
-    assert_eq!(
-        (batch_stats.hits, batch_stats.misses),
-        (stats.hits, stats.misses)
-    );
-    let plan = rt.plan(id).unwrap();
-    for (r, line) in requests.iter().enumerate() {
-        let want = classic(&plan, SourceRef::Text(line)).to_bits();
-        assert_eq!(scores[r].to_bits(), want, "session, request {r}");
-        assert_eq!(batch[r].to_bits(), want, "batch, request {r}");
-    }
 }
 
 /// Keeps the fault op's expected panics out of the test output.

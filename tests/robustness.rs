@@ -305,6 +305,7 @@ fn pool_warming_prevents_first_request_allocation_growth() {
 #[test]
 fn missing_field_error_quotes_a_capped_excerpt() {
     use pretzel_core::physical::SourceRef;
+    use pretzel_ops::feat::normalizer::{NormKind, NormalizerParams};
     // No separator, so no field 1; a two-byte char straddles the cut.
     let line = format!("{}é{}", "x".repeat(63), "y".repeat(8 << 20));
     let excerpt = format!("`{}...` ({} bytes)", "x".repeat(63), line.len());
@@ -312,20 +313,22 @@ fn missing_field_error_quotes_a_capped_excerpt() {
     let tokens = ctx.csv(',').select_text(1).tokenize();
     let chars = tokens.char_ngram(Arc::new(synth::char_ngram(1, 3, 64)));
     let pairs = tokens.char_ngram(Arc::new(synth::char_ngram(3, 2, 32)));
-    let graph = chars
-        .concat(&pairs)
-        .classifier_linear(Arc::new(synth::linear(2, 96, LinearKind::Logistic)))
-        .graph();
-    let logical = pretzel_core::oven::optimize(&graph).unwrap().plan;
+    let features = chars.concat(&pairs);
+    let linear = Arc::new(synth::linear(2, 96, LinearKind::Logistic));
+    // The plain shape fuses into one text step. A normalizer between the
+    // n-grams and the model keeps the linear model from splitting into
+    // partial dots, which the fusion rule needs, so that plan runs the
+    // unfused operators.
+    let normalized = features.normalize(Arc::new(NormalizerParams::new(NormKind::L2, 96)));
     let mut messages = Vec::new();
-    // Cache off fuses the plan into one text step; cache on does not.
-    for (budget, fused) in [(0, true), (1 << 20, false)] {
+    for (flour, fused) in [(features, true), (normalized, false)] {
+        let graph = flour.classifier_linear(Arc::clone(&linear)).graph();
+        let logical = pretzel_core::oven::optimize(&graph).unwrap().plan;
         let rt = Arc::new(Runtime::new(RuntimeConfig {
             n_executors: 1,
-            materialization_budget: budget,
             ..RuntimeConfig::default()
         }));
-        let id = rt.register(logical.clone()).unwrap();
+        let id = rt.register(logical).unwrap();
         let plan = rt.plan(id).unwrap();
         let steps: Vec<&str> = plan
             .stages

@@ -277,54 +277,6 @@ fn wire_scores_bitwise_match_in_process_everywhere() {
     }
 }
 
-#[test]
-fn wire_ingest_composes_with_materialization_cache() {
-    // The wire path ships ingest-computed hashes to the scheduler; the
-    // in-process reference hashes each record as it scores it, one at a
-    // time, through the request-response engine. Both must key the
-    // sub-plan materialization cache identically: same scores AND same
-    // hit/miss counters, cold and warm.
-    let (plan, kind) = text_case();
-    let lines = match &kind {
-        Kind::Text(l) => l.clone(),
-        _ => unreachable!(),
-    };
-    let mk = || {
-        Arc::new(Runtime::new(RuntimeConfig {
-            n_executors: 1,
-            chunk_size: 4,
-            materialization_budget: 1 << 20,
-            ..RuntimeConfig::default()
-        }))
-    };
-    let (rt, reference) = (mk(), mk());
-    let id = rt.register(plan.clone()).unwrap();
-    let ref_id = reference.register(plan).unwrap();
-    let fe = FrontEnd::serve(Arc::clone(&rt), FrontEndConfig::default()).unwrap();
-    let mut client = Client::connect_v2(fe.addr()).unwrap();
-    let req = PredictRequest::text_batch(lines.iter().map(String::as_str)).plan(id);
-    for pass in ["cold", "warm"] {
-        let got = client.predict_many(&req).unwrap();
-        let want: Vec<f32> = lines
-            .iter()
-            .map(|l| reference.predict(ref_id, l).unwrap())
-            .collect();
-        assert_bits(pass, &got, &want);
-        let (s, r) = (
-            rt.materialization_cache().unwrap().stats(),
-            reference.materialization_cache().unwrap().stats(),
-        );
-        assert_eq!(
-            (s.hits, s.misses),
-            (r.hits, r.misses),
-            "{pass}: cache counters diverge between wire and in-process"
-        );
-    }
-    let hits = rt.materialization_cache().unwrap().stats().hits;
-    assert!(hits > 0, "warm pass should hit the cache");
-    fe.stop();
-}
-
 /// One request frame, for clients that speak bytes rather than `Client`.
 fn frame(request_id: u32, body: &[u8]) -> Vec<u8> {
     let mut out = WIRE_MAGIC.to_vec();
