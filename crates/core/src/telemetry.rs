@@ -593,8 +593,12 @@ impl MetricsSnapshot {
         self.plans.iter().find(|p| p.plan == plan)
     }
 
-    /// Binary wire encoding (the STATS admin payload).
+    /// Binary wire encoding (the STATS admin payload): the payload's
+    /// length is counted first, so `out` grows once, to fit.
     pub fn encode(&self, out: &mut Vec<u8>) {
+        let mut len = EncodedLen(0);
+        self.put(&mut len);
+        out.reserve_exact(len.0);
         self.put(&mut Encoder(out));
     }
 
@@ -653,6 +657,41 @@ impl Sink for Encoder<'_> {
 
     fn list(&mut self, _: &'static str, items: &[impl Walk]) {
         put_u32(self.0, items.len() as u32);
+        for item in items {
+            item.put(self);
+        }
+    }
+}
+
+/// Counts the bytes [`Encoder`] writes for the same walk.
+struct EncodedLen(usize);
+
+impl Sink for EncodedLen {
+    fn u64(&mut self, _: &'static str, _: &u64) {
+        self.0 += 8;
+    }
+
+    fn u32(&mut self, _: &'static str, _: &u32) {
+        self.0 += 4;
+    }
+
+    fn bool(&mut self, _: &'static str, _: &bool) {
+        self.0 += 1;
+    }
+
+    fn hist(&mut self, _: &'static str, h: &Histogram) {
+        self.0 += 4 + 8 * h.buckets.len() + 8;
+    }
+
+    fn option(&mut self, _: &'static str, s: &Option<impl Walk>) {
+        self.0 += 1;
+        if let Some(s) = s {
+            s.put(self);
+        }
+    }
+
+    fn list(&mut self, _: &'static str, items: &[impl Walk]) {
+        self.0 += 4;
         for item in items {
             item.put(self);
         }
@@ -944,6 +983,18 @@ mod tests {
         assert_ne!(snap.plans[0].quarantined, snap.plans[1].quarantined);
         let back = MetricsSnapshot::decode(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn the_payload_is_sized_before_it_is_written() {
+        for snap in [filled().0, MetricsSnapshot::default()] {
+            let mut len = EncodedLen(0);
+            snap.put(&mut len);
+            let mut buf = Vec::new();
+            snap.encode(&mut buf);
+            assert_eq!(len.0, buf.len());
+            assert_eq!(buf.capacity(), buf.len(), "grown once, to fit");
+        }
     }
 
     #[test]

@@ -583,32 +583,6 @@ impl ColumnBatch {
         }
     }
 
-    /// Gathers the selected `rows` (by index, in the given order) into
-    /// `out`, which must share this batch's column type; `out` is cleared
-    /// first.
-    pub fn gather(&self, rows: &[usize], out: &mut Self) -> Result<()> {
-        if out.column_type() != self.column_type() {
-            return Err(DataError::mismatch(
-                "gather",
-                self.column_type(),
-                out.column_type(),
-            ));
-        }
-        out.reset();
-        let have = self.rows();
-        for &r in rows {
-            if r >= have {
-                return Err(DataError::mismatch(
-                    "gather",
-                    format!("a row below {have}"),
-                    r,
-                ));
-            }
-            out.push_row(self.row(r))?;
-        }
-        Ok(())
-    }
-
     /// Appends rows `start..end` of `src` (which must share this batch's
     /// column type) as a bulk copy: one memcpy-style extend per backing
     /// buffer instead of one [`Self::push_row`] per row.
@@ -1085,72 +1059,6 @@ mod tests {
     }
 
     #[test]
-    fn gather_selects_rows_in_order_for_every_variant() {
-        // Build a 3-row batch per variant, gather rows [2, 0], and check
-        // the sub-batch holds exactly those rows in that order.
-        let mut text = ColumnBatch::with_type(ColumnType::Text);
-        for s in ["a", "bb", "ccc"] {
-            text.push_text(s).unwrap();
-        }
-        let mut tokens = ColumnBatch::with_type(ColumnType::TokenList);
-        for n in [1usize, 0, 2] {
-            tokens
-                .push_tokens_with(|s| s.extend((0..n).map(|i| Span::new(i as u32, i as u32 + 1))))
-                .unwrap();
-        }
-        let mut dense = ColumnBatch::with_type(ColumnType::F32Dense { len: 2 });
-        for r in 0..3 {
-            dense
-                .push_dense_row()
-                .unwrap()
-                .copy_from_slice(&[r as f32, -(r as f32)]);
-        }
-        let mut sparse = ColumnBatch::with_type(ColumnType::F32Sparse { len: 8 });
-        for r in 0..3u32 {
-            let mut row = sparse.begin_sparse_row().unwrap();
-            row.accumulate(r, r as f32 + 1.0);
-            row.finish();
-        }
-        let mut scalar = ColumnBatch::with_type(ColumnType::F32Scalar);
-        for r in 0..3 {
-            scalar.push_scalar(r as f32 * 10.0).unwrap();
-        }
-        for b in [&text, &tokens, &dense, &sparse, &scalar] {
-            let mut sub = ColumnBatch::with_type(b.column_type());
-            b.gather(&[2, 0], &mut sub).unwrap();
-            assert_eq!(sub.rows(), 2);
-            for (j, &r) in [2usize, 0].iter().enumerate() {
-                assert_eq!(
-                    format!("{:?}", sub.row(j)),
-                    format!("{:?}", b.row(r)),
-                    "{:?} gathered row {j}",
-                    b.column_type()
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn gather_clears_stale_rows_and_handles_empty_selection() {
-        let mut b = ColumnBatch::with_type(ColumnType::F32Scalar);
-        b.push_scalar(1.0).unwrap();
-        let mut sub = ColumnBatch::with_type(ColumnType::F32Scalar);
-        sub.push_scalar(9.0).unwrap();
-        b.gather(&[], &mut sub).unwrap();
-        assert_eq!(sub.rows(), 0);
-    }
-
-    #[test]
-    fn gather_rejects_type_mismatch_and_out_of_range() {
-        let mut b = ColumnBatch::with_type(ColumnType::F32Scalar);
-        b.push_scalar(1.0).unwrap();
-        let mut wrong = ColumnBatch::with_type(ColumnType::Text);
-        assert!(b.gather(&[0], &mut wrong).is_err());
-        let mut sub = ColumnBatch::with_type(ColumnType::F32Scalar);
-        assert!(b.gather(&[1], &mut sub).is_err());
-    }
-
-    #[test]
     fn push_row_round_trips_through_to_vector() {
         let mut b = ColumnBatch::with_type(ColumnType::F32Sparse { len: 4 });
         let mut row = b.begin_sparse_row().unwrap();
@@ -1390,7 +1298,7 @@ mod tests {
     }
 
     #[test]
-    fn gather_and_extend_cover_text_spans() {
+    fn extend_covers_text_spans() {
         let mut src = ColumnBatch::with_type(ColumnType::Text);
         for s in ["aa", "bb", "cc"] {
             src.push_text(s).unwrap();
@@ -1407,11 +1315,6 @@ mod tests {
         packed.extend_from_range(&view, 1, 3).unwrap();
         assert!(matches!(packed.row(0), ColRef::Text("bb")));
         assert!(matches!(packed.row(1), ColRef::Text("cc")));
-        // gather out of a spans batch works through the row interface.
-        let mut sub = ColumnBatch::with_type(ColumnType::Text);
-        view.gather(&[2, 0], &mut sub).unwrap();
-        assert!(matches!(sub.row(0), ColRef::Text("cc")));
-        assert!(matches!(sub.row(1), ColRef::Text("aa")));
     }
 
     #[test]

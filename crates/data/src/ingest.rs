@@ -11,14 +11,9 @@
 //! is the thing the ingest path builds — the same discipline as
 //! constant-time pooled allocation on the hot path.
 //!
-//! The assembler can also record one content hash per row as it decodes
-//! ([`BatchAssembler::new`]; see [`crate::hash::content_hash_text`] and
-//! friends), the same identity [`hash_row`] computes from a packed row.
-//! The serving path assembles without it ([`BatchAssembler::new_unhashed`]):
-//! on matching-bound text workloads that pass over every record's bytes is
-//! a measurable share of the ingest path. An unhashed assembler upgrades
-//! itself on demand ([`BatchAssembler::ensure_hashes`]), producing the
-//! identical hashes from the packed rows.
+//! The assembler records no per-row content hash: the one consumer of a
+//! row's identity, the front end's result cache, hashes the packed row
+//! itself ([`hash_row`]) and only for the rows it caches.
 
 use crate::batch::{ColRef, ColumnBatch};
 use crate::hash::{content_hash_dense, content_hash_sparse, content_hash_text};
@@ -26,38 +21,19 @@ use crate::schema::ColumnType;
 use crate::serde_bin::{le_f32s, le_u32s, Cursor};
 use crate::{DataError, Result};
 
-/// Assembles one request's worth of source rows into a [`ColumnBatch`],
-/// recording a content hash per row.
+/// Assembles one request's worth of source rows into a [`ColumnBatch`].
 #[derive(Debug)]
 pub struct BatchAssembler {
     rows: ColumnBatch,
-    hashes: Vec<u64>,
-    hashing: bool,
     finite_only: bool,
 }
 
 impl BatchAssembler {
     /// Wraps a (typically pool-leased) batch; any stale rows are cleared.
-    /// Rows are content-hashed as they decode.
-    pub fn new(rows: ColumnBatch) -> Self {
-        Self::with_hashing(rows, true)
-    }
-
-    /// Like [`Self::new`], but skips per-row content hashing — the fast
-    /// path when no cache will consume the hashes. [`Self::finish`] then
-    /// returns an empty hash vector (consumers compute on demand), and
-    /// [`Self::ensure_hashes`] upgrades in place if a hash-needing request
-    /// joins the batch later.
-    pub fn new_unhashed(rows: ColumnBatch) -> Self {
-        Self::with_hashing(rows, false)
-    }
-
-    fn with_hashing(mut rows: ColumnBatch, hashing: bool) -> Self {
+    pub fn new_unhashed(mut rows: ColumnBatch) -> Self {
         rows.reset();
         BatchAssembler {
             rows,
-            hashes: Vec::new(),
-            hashing,
             finite_only: false,
         }
     }
@@ -94,52 +70,16 @@ impl BatchAssembler {
         &self.rows
     }
 
-    /// Per-row content hashes, parallel to the rows (empty when assembled
-    /// without hashing).
-    pub fn hashes(&self) -> &[u64] {
-        &self.hashes
-    }
-
-    /// True if this assembler records content hashes as rows decode.
-    pub fn is_hashing(&self) -> bool {
-        self.hashing
-    }
-
-    /// Content hash of row `i`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the assembler was built unhashed and
-    /// [`Self::ensure_hashes`] has not run — callers that need hashes
-    /// decide so at construction time.
-    pub fn hash(&self, i: usize) -> u64 {
-        self.hashes[i]
-    }
-
-    /// Upgrades an unhashed assembler in place: computes the content hash
-    /// of every row not yet covered (from the packed row bytes, via the
-    /// same shared helpers, so the hashes are identical to decode-time
-    /// hashing) and turns hashing on for subsequent rows.
-    pub fn ensure_hashes(&mut self) {
-        for i in self.hashes.len()..self.rows.rows() {
-            self.hashes.push(hash_row(self.rows.row(i)));
-        }
-        self.hashing = true;
-    }
-
-    /// Takes the assembled batch and its per-row hashes (empty when
-    /// assembled without hashing).
+    /// Takes the assembled batch and the per-row hashes a batch
+    /// submission carries beside it: always empty, as the assembler hashes
+    /// nothing.
     pub fn finish(self) -> (ColumnBatch, Vec<u64>) {
-        (self.rows, self.hashes)
+        (self.rows, Vec::new())
     }
 
     /// Appends a text row.
     pub fn push_text(&mut self, s: &str) -> Result<()> {
-        self.rows.push_text(s)?;
-        if self.hashing {
-            self.hashes.push(content_hash_text(s));
-        }
-        Ok(())
+        self.rows.push_text(s)
     }
 
     /// Appends a dense row; its length must match the batch width.
@@ -147,11 +87,7 @@ impl BatchAssembler {
         if self.finite_only {
             check_finite(xs)?;
         }
-        self.rows.push_row(ColRef::Dense(xs))?;
-        if self.hashing {
-            self.hashes.push(content_hash_dense(xs));
-        }
-        Ok(())
+        self.rows.push_row(ColRef::Dense(xs))
     }
 
     /// Appends a sparse row; `indices` must be strictly increasing and
@@ -177,34 +113,14 @@ impl BatchAssembler {
             indices,
             values,
             dim,
-        })?;
-        if self.hashing {
-            self.hashes.push(content_hash_sparse(indices, values, dim));
-        }
-        Ok(())
+        })
     }
 
-    /// Appends all rows (and hashes) of `other`: the delayed batcher merges
+    /// Appends all rows of `other`: the delayed batcher merges
     /// single-request assemblers into its per-plan accumulator with one
     /// bulk copy.
-    ///
-    /// Hashing state follows the **accumulator**, not the appended
-    /// request: an unhashed accumulator exists precisely because none of
-    /// its downstream consumers read hashes, so a hashed request joining
-    /// it simply drops its hashes (any later on-demand consumer goes
-    /// through [`Self::ensure_hashes`]/`hash_of`); a hashed accumulator
-    /// fed an unhashed request gap-fills from the packed rows (identical
-    /// bytes, identical hashes).
     pub fn append_assembled(&mut self, other: &BatchAssembler) -> Result<()> {
-        self.rows.extend_from_range(&other.rows, 0, other.rows())?;
-        if self.hashing {
-            if other.hashing {
-                self.hashes.extend_from_slice(&other.hashes);
-            } else {
-                self.ensure_hashes();
-            }
-        }
-        Ok(())
+        self.rows.extend_from_range(&other.rows, 0, other.rows())
     }
 
     /// Decodes one wire text record (`u32 len · bytes`) straight into the
@@ -234,17 +150,13 @@ impl BatchAssembler {
         };
         let start = data.len();
         data.extend(le_f32s(words));
-        let row = &data[start..];
-        if self.finite_only && !all_finite(row) {
+        if self.finite_only && !all_finite(&data[start..]) {
             // Roll the row back so the assembler stays consistent for the
             // error reply path.
             data.truncate(start);
             return Err(non_finite_err());
         }
         *rows += 1;
-        if self.hashing {
-            self.hashes.push(content_hash_dense(row));
-        }
         Ok(())
     }
 
@@ -274,27 +186,19 @@ impl BatchAssembler {
             _ => unreachable!("column type checked above"),
         };
         let tail = indices.len();
-        let hashing = self.hashing;
         let reject = self.finite_only;
-        let mut decode = || -> Result<u64> {
+        let mut decode = || -> Result<()> {
             indices.extend(le_u32s(cur.words(nnz)?));
             validate_sparse_indices(&indices[tail..], dim)?;
             values.extend(le_f32s(cur.words(nnz)?));
             if reject {
                 check_finite(&values[tail..])?;
             }
-            Ok(if hashing {
-                content_hash_sparse(&indices[tail..], &values[tail..], dim)
-            } else {
-                0
-            })
+            Ok(())
         };
         match decode() {
-            Ok(hash) => {
+            Ok(()) => {
                 bounds.push(indices.len() as u32);
-                if hashing {
-                    self.hashes.push(hash);
-                }
                 Ok(())
             }
             Err(e) => {
@@ -308,9 +212,8 @@ impl BatchAssembler {
     }
 }
 
-/// Content hash of one packed source row — the same identity the
-/// decode-time hashing produces for the same bytes (shared helpers from
-/// [`crate::hash`]). Non-source rows (tokens, scalars) hash to 0; they
+/// Content hash of one packed source row, through the shared helpers of
+/// [`crate::hash`]. Non-source rows (tokens, scalars) hash to 0; they
 /// never key a cache.
 pub fn hash_row(row: ColRef<'_>) -> u64 {
     match row {
@@ -371,8 +274,8 @@ mod tests {
     use crate::serde_bin::wire;
 
     #[test]
-    fn text_rows_assemble_with_hashes() {
-        let mut a = BatchAssembler::new(ColumnBatch::with_type(ColumnType::Text));
+    fn text_rows_assemble_without_hashes() {
+        let mut a = BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::Text));
         a.push_text("hello").unwrap();
         a.push_text("").unwrap();
         let mut body = Vec::new();
@@ -380,16 +283,16 @@ mod tests {
         let mut cur = Cursor::new(&body);
         a.decode_text_row(&mut cur).unwrap();
         assert_eq!(a.rows(), 3);
-        assert_eq!(a.hash(0), content_hash_text("hello"));
-        assert_eq!(a.hash(2), content_hash_text("world"));
         let (rows, hashes) = a.finish();
+        assert!(matches!(rows.row(0), ColRef::Text("hello")));
         assert!(matches!(rows.row(2), ColRef::Text("world")));
-        assert_eq!(hashes.len(), 3);
+        assert!(hashes.is_empty());
     }
 
     #[test]
     fn dense_rows_decode_straight_into_matrix() {
-        let mut a = BatchAssembler::new(ColumnBatch::with_type(ColumnType::F32Dense { len: 3 }));
+        let mut a =
+            BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::F32Dense { len: 3 }));
         let mut body = Vec::new();
         wire::put_f32s(&mut body, &[1.0, -2.0, 0.5]);
         wire::put_f32s(&mut body, &[4.0, 5.0, 6.0]);
@@ -397,7 +300,6 @@ mod tests {
         a.decode_dense_row(&mut cur).unwrap();
         a.decode_dense_row(&mut cur).unwrap();
         assert_eq!(a.rows(), 2);
-        assert_eq!(a.hash(0), content_hash_dense(&[1.0, -2.0, 0.5]));
         let (rows, _) = a.finish();
         let (data, dim, n) = rows.as_dense().unwrap();
         assert_eq!((dim, n), (3, 2));
@@ -406,7 +308,8 @@ mod tests {
 
     #[test]
     fn dense_width_mismatch_is_clean_error() {
-        let mut a = BatchAssembler::new(ColumnBatch::with_type(ColumnType::F32Dense { len: 3 }));
+        let mut a =
+            BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::F32Dense { len: 3 }));
         let mut body = Vec::new();
         wire::put_f32s(&mut body, &[1.0, 2.0]);
         let mut cur = Cursor::new(&body);
@@ -416,7 +319,8 @@ mod tests {
 
     #[test]
     fn sparse_rows_decode_as_csr_triples() {
-        let mut a = BatchAssembler::new(ColumnBatch::with_type(ColumnType::F32Sparse { len: 8 }));
+        let mut a =
+            BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::F32Sparse { len: 8 }));
         let mut body = Vec::new();
         wire::put_u32(&mut body, 8); // dim
         wire::put_u32(&mut body, 2); // nnz
@@ -427,7 +331,6 @@ mod tests {
         let mut cur = Cursor::new(&body);
         a.decode_sparse_row(&mut cur).unwrap();
         assert_eq!(a.rows(), 1);
-        assert_eq!(a.hash(0), content_hash_sparse(&[1, 5], &[2.0, -1.0], 8));
         let (rows, _) = a.finish();
         match rows.row(0) {
             ColRef::Sparse {
@@ -442,7 +345,8 @@ mod tests {
 
     #[test]
     fn malformed_sparse_rows_roll_back() {
-        let mut a = BatchAssembler::new(ColumnBatch::with_type(ColumnType::F32Sparse { len: 4 }));
+        let mut a =
+            BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::F32Sparse { len: 4 }));
         // Out-of-dim index.
         let mut body = Vec::new();
         wire::put_u32(&mut body, 4);
@@ -471,11 +375,13 @@ mod tests {
 
     #[test]
     fn hostile_length_prefixes_rejected_before_allocation() {
-        let mut a = BatchAssembler::new(ColumnBatch::with_type(ColumnType::F32Dense { len: 3 }));
+        let mut a =
+            BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::F32Dense { len: 3 }));
         let mut body = Vec::new();
         wire::put_u32(&mut body, u32::MAX); // claims 4 billion floats
         assert!(a.decode_dense_row(&mut Cursor::new(&body)).is_err());
-        let mut s = BatchAssembler::new(ColumnBatch::with_type(ColumnType::F32Sparse { len: 4 }));
+        let mut s =
+            BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::F32Sparse { len: 4 }));
         let mut body = Vec::new();
         wire::put_u32(&mut body, 4);
         wire::put_u32(&mut body, u32::MAX); // claims 4 billion nnz
@@ -486,93 +392,69 @@ mod tests {
     fn new_clears_stale_pooled_rows() {
         let mut b = ColumnBatch::with_type(ColumnType::Text);
         b.push_text("stale").unwrap();
-        let a = BatchAssembler::new(b);
+        let a = BatchAssembler::new_unhashed(b);
         assert!(a.is_empty());
     }
 
     #[test]
-    fn unhashed_assembly_skips_hashes_and_upgrades_on_demand() {
-        let mut a = BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::Text));
-        assert!(!a.is_hashing());
-        a.push_text("hello").unwrap();
-        let mut body = Vec::new();
-        wire::put_str(&mut body, "world");
-        a.decode_text_row(&mut Cursor::new(&body)).unwrap();
-        assert_eq!(a.rows(), 2);
-        assert!(a.hashes().is_empty(), "no hashing pass on the fast path");
-        // Upgrading computes the identical hashes from the packed rows.
-        a.ensure_hashes();
-        assert!(a.is_hashing());
-        assert_eq!(a.hash(0), content_hash_text("hello"));
-        assert_eq!(a.hash(1), content_hash_text("world"));
-        // Rows pushed after the upgrade hash at decode time again.
-        a.push_text("later").unwrap();
-        assert_eq!(a.hash(2), content_hash_text("later"));
-    }
-
-    #[test]
     fn unhashed_dense_and_sparse_rows_decode_identically() {
-        let mut hashed =
-            BatchAssembler::new(ColumnBatch::with_type(ColumnType::F32Dense { len: 3 }));
-        let mut plain =
+        // A decoded wire record and the same row pushed by value assemble
+        // the same batch.
+        let mut decoded =
+            BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::F32Dense { len: 3 }));
+        let mut pushed =
             BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::F32Dense { len: 3 }));
         let mut body = Vec::new();
         wire::put_f32s(&mut body, &[1.0, -2.0, 0.5]);
-        hashed.decode_dense_row(&mut Cursor::new(&body)).unwrap();
-        plain.decode_dense_row(&mut Cursor::new(&body)).unwrap();
-        assert_eq!(hashed.batch(), plain.batch(), "same decoded rows");
-        assert!(plain.hashes().is_empty());
+        decoded.decode_dense_row(&mut Cursor::new(&body)).unwrap();
+        pushed.push_dense(&[1.0, -2.0, 0.5]).unwrap();
+        assert_eq!(decoded.batch(), pushed.batch(), "same dense rows");
 
-        let mut sp =
-            BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::F32Sparse { len: 8 }));
-        sp.push_sparse(&[1, 5], &[2.0, -1.0]).unwrap();
-        assert!(sp.hashes().is_empty());
-        sp.ensure_hashes();
-        assert_eq!(sp.hash(0), content_hash_sparse(&[1, 5], &[2.0, -1.0], 8));
+        let sparse = || ColumnBatch::with_type(ColumnType::F32Sparse { len: 8 });
+        let mut decoded = BatchAssembler::new_unhashed(sparse());
+        let mut pushed = BatchAssembler::new_unhashed(sparse());
+        let mut body = Vec::new();
+        for word in [8, 2, 1, 5] {
+            wire::put_u32(&mut body, word);
+        }
+        wire::put_f32(&mut body, 2.0);
+        wire::put_f32(&mut body, -1.0);
+        decoded.decode_sparse_row(&mut Cursor::new(&body)).unwrap();
+        pushed.push_sparse(&[1, 5], &[2.0, -1.0]).unwrap();
+        assert_eq!(decoded.batch(), pushed.batch(), "same sparse rows");
     }
 
     #[test]
-    fn append_assembled_follows_accumulator_hashing() {
-        // Unhashed accumulator: stays lazy no matter what joins it — its
-        // consumers do not read hashes (that is why it is unhashed).
+    fn append_assembled_copies_rows_in_order() {
         let mut acc = BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::Text));
-        let mut plain = BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::Text));
-        plain.push_text("quiet").unwrap();
-        acc.append_assembled(&plain).unwrap();
-        assert!(acc.hashes().is_empty(), "unhashed + unhashed stays lazy");
-        let mut hashed = BatchAssembler::new(ColumnBatch::with_type(ColumnType::Text));
-        hashed.push_text("loud").unwrap();
-        acc.append_assembled(&hashed).unwrap();
+        acc.push_text("first").unwrap();
+        let mut other = BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::Text));
+        other.push_text("second").unwrap();
+        other.push_text("third").unwrap();
+        acc.append_assembled(&other).unwrap();
+        let (rows, hashes) = acc.finish();
+        assert_eq!(rows.rows(), 3);
+        assert!(matches!(rows.row(0), ColRef::Text("first")));
+        assert!(matches!(rows.row(2), ColRef::Text("third")));
+        assert!(hashes.is_empty());
+        let mut dense =
+            BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::F32Dense { len: 3 }));
         assert!(
-            acc.hashes().is_empty(),
-            "a hashed request must not force hashing onto a consumer-less accumulator"
+            dense.append_assembled(&other).is_err(),
+            "column types differ"
         );
-        // On-demand upgrade still produces the full, correct hash set.
-        acc.ensure_hashes();
-        assert_eq!(acc.hash(0), content_hash_text("quiet"));
-        assert_eq!(acc.hash(1), content_hash_text("loud"));
-
-        // Hashed accumulator: gap-fills when an unhashed request joins.
-        let mut hacc = BatchAssembler::new(ColumnBatch::with_type(ColumnType::Text));
-        hacc.push_text("first").unwrap();
-        let mut lazy = BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::Text));
-        lazy.push_text("second").unwrap();
-        hacc.append_assembled(&lazy).unwrap();
-        assert_eq!(hacc.hashes().len(), 2);
-        assert_eq!(hacc.hash(0), content_hash_text("first"));
-        assert_eq!(hacc.hash(1), content_hash_text("second"));
     }
 
     #[test]
     fn non_finite_rows_rejected_when_opted_in() {
         // Dense decode: NaN mid-row rejects and rolls the row back.
-        let mut a = BatchAssembler::new(ColumnBatch::with_type(ColumnType::F32Dense { len: 3 }))
-            .reject_non_finite(true);
+        let mut a =
+            BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::F32Dense { len: 3 }))
+                .reject_non_finite(true);
         let mut body = Vec::new();
         wire::put_f32s(&mut body, &[1.0, f32::NAN, 0.5]);
         assert!(a.decode_dense_row(&mut Cursor::new(&body)).is_err());
         assert_eq!(a.rows(), 0);
-        assert!(a.hashes().is_empty(), "rolled-back row leaves no hash");
         // The assembler is still usable; finite rows still decode.
         let mut body = Vec::new();
         wire::put_f32s(&mut body, &[1.0, 2.0, 0.5]);
@@ -582,8 +464,9 @@ mod tests {
         assert_eq!(a.rows(), 1);
 
         // Sparse decode: Inf value rejects and rolls back.
-        let mut s = BatchAssembler::new(ColumnBatch::with_type(ColumnType::F32Sparse { len: 8 }))
-            .reject_non_finite(true);
+        let mut s =
+            BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::F32Sparse { len: 8 }))
+                .reject_non_finite(true);
         let mut body = Vec::new();
         wire::put_u32(&mut body, 8);
         wire::put_u32(&mut body, 2);
@@ -602,13 +485,15 @@ mod tests {
     fn non_finite_rows_pass_by_default() {
         // The guard is opt-in: the data layer stays permissive unless the
         // serving runtime turns it on.
-        let mut a = BatchAssembler::new(ColumnBatch::with_type(ColumnType::F32Dense { len: 2 }));
+        let mut a =
+            BatchAssembler::new_unhashed(ColumnBatch::with_type(ColumnType::F32Dense { len: 2 }));
         a.push_dense(&[f32::NAN, f32::INFINITY]).unwrap();
         assert_eq!(a.rows(), 1);
     }
 
     #[test]
     fn hash_row_matches_decode_time_hashing() {
+        // `hash_row` of a packed row is the content hash of its bytes.
         let mut b = ColumnBatch::with_type(ColumnType::Text);
         b.push_text("same bytes").unwrap();
         assert_eq!(hash_row(b.row(0)), content_hash_text("same bytes"));

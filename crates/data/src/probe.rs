@@ -105,16 +105,39 @@ impl FlatProbeTable {
     /// 0.625 variant (hashbrown-parity footprint) cost the matching path
     /// its entire end-to-end win.
     pub fn with_capacity(entries: usize) -> Self {
-        Self::with_slot_count(entries.saturating_mul(2).next_power_of_two().max(2))
+        Self::with_slot_count(Self::slots_for(entries))
+    }
+
+    /// Heap bytes of a table [`Self::with_capacity`]`(entries)` once its
+    /// keys are in, without building it: what a window-indexed n-gram
+    /// dictionary compares its cells against.
+    pub fn heap_bytes_for(entries: usize) -> usize {
+        Self::slot_bytes(Self::slots_for(entries))
+    }
+
+    /// Slot count for `entries` keys at load factor ≤ 0.5.
+    fn slots_for(entries: usize) -> usize {
+        entries.saturating_mul(2).next_power_of_two().max(2)
+    }
+
+    /// Filter words of a table of `capacity` slots.
+    fn filter_words(capacity: usize) -> usize {
+        (capacity << FILTER_SHIFT).div_ceil(64)
+    }
+
+    /// Heap bytes of a table of `capacity` slots: slots, tag lane, bitmap
+    /// and filter.
+    fn slot_bytes(capacity: usize) -> usize {
+        capacity * (std::mem::size_of::<Slot>() + 1)
+            + (capacity.div_ceil(64) + Self::filter_words(capacity)) * 8
     }
 
     /// Allocates a table with exactly `capacity` slots (power of two ≥ 2).
     fn with_slot_count(capacity: usize) -> Self {
         debug_assert!(capacity.is_power_of_two() && capacity >= 2);
-        let filter_words = (capacity << FILTER_SHIFT).div_ceil(64);
+        let filter_words = Self::filter_words(capacity);
         debug_assert!(filter_words.is_power_of_two());
-        let heap = capacity * (std::mem::size_of::<Slot>() + 1)
-            + (capacity.div_ceil(64) + filter_words) * 8;
+        let heap = Self::slot_bytes(capacity);
         FlatProbeTable {
             mask: capacity - 1,
             shift: 64 - capacity.trailing_zeros(),
@@ -694,6 +717,17 @@ mod tests {
         let small = FlatProbeTable::with_capacity(4);
         let big = FlatProbeTable::with_capacity(4096);
         assert!(big.heap_bytes() > small.heap_bytes() * 100);
+    }
+
+    #[test]
+    fn heap_bytes_for_matches_a_filled_table() {
+        for entries in [0usize, 1, 2, 3, 7, 8, 9, 1_000, 17_576] {
+            let mut t = FlatProbeTable::with_capacity(entries);
+            for i in 0..entries as u64 {
+                t.insert_first(splitmix64(i), i as u32);
+            }
+            assert_eq!(t.heap_bytes(), FlatProbeTable::heap_bytes_for(entries));
+        }
     }
 
     #[test]

@@ -32,13 +32,14 @@
 //! the hits without a branch. Nothing is hashed, filtered or confirmed,
 //! and the match is exact, not hash-equal. Cells are `u16` below 65 535
 //! entries, `u32` above. The table is built when the dictionary is, and
-//! only when its cells take no more bytes than the [`FlatProbeTable`]: an
-//! SA-shaped dictionary (5 000 lowercase trigrams, `A` = 26) needs
-//! 27^3 = 19 683 two-byte cells, 38.4 KiB against ≈ 290 KiB of flat table;
-//! a million-key trigram dictionary over ≈ 70 bytes needs ≈ 1.4 MiB
-//! against ≈ 34 MiB. Keys that cannot match a character window stay out:
-//! a key holding `' '` (see [`NgramDict::hash_key`]) and a key whose byte
-//! length is not an extracted length.
+//! only when its cells take no more bytes than the [`FlatProbeTable`]
+//! would ([`FlatProbeTable::heap_bytes_for`]): an SA-shaped dictionary
+//! (5 000 lowercase trigrams, `A` = 26) needs 27^3 = 19 683 two-byte
+//! cells, 38.4 KiB against ≈ 290 KiB of flat table; a million-key trigram
+//! dictionary over ≈ 70 bytes needs ≈ 1.4 MiB against ≈ 34 MiB. Keys that
+//! cannot match a character window stay out: a key holding `' '` (see
+//! [`NgramDict::hash_key`]) and a key whose byte length is not an
+//! extracted length.
 //!
 //! *Hash path.* One shape at both levels — *keys for the whole row →
 //! branch-free filter → confirm only the survivors, in window order*:
@@ -60,6 +61,25 @@
 //!    for every key without branching and walks slots only for the keys
 //!    that pass — the hits and a few percent of the misses.
 //!
+//! **What stays resident.** A dictionary keeps what its kernel reads and
+//! its keys, compact:
+//!
+//! * the keys in one [`KeyArena`] — their bytes back to back and a `u32`
+//!   end offset each, filled straight from the image section — so a key
+//!   costs its bytes plus 4 (a churn-scale dictionary of 17 576 trigrams:
+//!   52.7 KB of bytes and 70.3 KB of offsets);
+//! * a window-indexed character dictionary: its window table, and no
+//!   [`FlatProbeTable`] (1.13 MiB at churn scale), because no kernel
+//!   probes it;
+//! * every other dictionary — word dictionaries and character
+//!   dictionaries the size rule refuses — its [`FlatProbeTable`], built
+//!   with the dictionary. The table is otherwise built on first use:
+//!   when parameters edited through their `pub` fields no longer match
+//!   their window table, or when a caller asks for
+//!   [`NgramDict::flat_table`].
+//!
+//! `heap_bytes` counts exactly these (the table once built), in O(1).
+//!
 //! The contract: first-index-wins duplicate keys, and hits stream lengths
 //! ascending, then window starts ascending (locked in by the `ngram_probe`
 //! integration tests against a string-keyed in-test reference, for
@@ -72,6 +92,7 @@ use pretzel_data::probe::FlatProbeTable;
 use pretzel_data::serde_bin::{wire, Cursor, Section};
 use pretzel_data::vector::Span;
 use pretzel_data::{ColRef, ColumnBatch, ColumnType, DataError, Result, Vector};
+use std::sync::OnceLock;
 
 /// Zero bytes kept behind the folded row, so an 8-byte load at any row
 /// offset stays inside the buffer.
@@ -356,7 +377,7 @@ impl WindowTable {
     fn build(
         lengths: std::ops::RangeInclusive<usize>,
         fold_case: bool,
-        keys: &[Box<str>],
+        keys: &KeyArena,
         budget: usize,
     ) -> Option<Self> {
         if *lengths.end() > MAX_TABLE_WINDOW {
@@ -365,7 +386,7 @@ impl WindowTable {
         // A key with a space never matches a window (`NgramDict::hash_key`).
         let indexed = || {
             keys.iter()
-                .map(|k| k.as_bytes())
+                .map(str::as_bytes)
                 .enumerate()
                 .filter(|(_, k)| lengths.contains(&k.len()) && !k.contains(&b' '))
         };
@@ -468,14 +489,108 @@ impl WindowTable {
     }
 }
 
+/// A dictionary's keys in one arena: their bytes back to back and the end
+/// offset of each, so a key costs its bytes and four more, with no pointer
+/// or allocation of its own. Indexing yields a key as `&str`;
+/// [`Self::iter`] yields them in dictionary order.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyArena {
+    /// The keys' bytes, concatenated: valid UTF-8, split only at `ends`.
+    bytes: Box<str>,
+    /// `ends[i]`: the byte offset where key `i` ends.
+    ends: Box<[u32]>,
+}
+
+/// A key's end offset: the arena addresses at most 4 GiB of key bytes.
+fn arena_offset(len: usize) -> Result<u32> {
+    u32::try_from(len)
+        .map_err(|_| DataError::Codec(format!("dictionary keys exceed 4 GiB ({len} bytes)")))
+}
+
+impl KeyArena {
+    /// The arena of `keys`, in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the keys take more than 4 GiB.
+    fn from_keys(keys: &[Box<str>]) -> Self {
+        let total = keys.iter().map(|k| k.len()).sum();
+        let mut bytes = String::with_capacity(total);
+        let mut ends = Vec::with_capacity(keys.len());
+        for k in keys {
+            bytes.push_str(k);
+            ends.push(arena_offset(bytes.len()).expect("dictionary keys fit 4 GiB"));
+        }
+        KeyArena {
+            bytes: bytes.into_boxed_str(),
+            ends: ends.into_boxed_slice(),
+        }
+    }
+
+    /// Reads `count` length-prefixed keys (`wire::put_str` each) from `cur`
+    /// straight into the arena, with no allocation per key. Every key
+    /// takes at least its 4-byte prefix, so a count the bytes left cannot
+    /// hold is refused before anything is reserved, and the arena reserves
+    /// only what the bytes left hold beside the prefixes.
+    fn read(cur: &mut Cursor<'_>, count: usize) -> Result<Self> {
+        let left = cur.remaining();
+        let Some(key_bytes) = count.checked_mul(4).and_then(|p| left.checked_sub(p)) else {
+            return Err(DataError::Codec(format!(
+                "dictionary announces {count} keys, {left} bytes left"
+            )));
+        };
+        let mut bytes = String::with_capacity(key_bytes);
+        let mut ends = Vec::with_capacity(count);
+        for _ in 0..count {
+            bytes.push_str(cur.str_ref()?);
+            ends.push(arena_offset(bytes.len())?);
+        }
+        Ok(KeyArena {
+            bytes: bytes.into_boxed_str(),
+            ends: ends.into_boxed_slice(),
+        })
+    }
+
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    /// True if there are no keys.
+    pub fn is_empty(&self) -> bool {
+        self.ends.is_empty()
+    }
+
+    /// The keys, in dictionary order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        (0..self.len()).map(|i| &self[i])
+    }
+
+    /// Heap bytes: the key bytes and one `u32` per key, exactly.
+    fn heap_bytes(&self) -> usize {
+        self.bytes.len() + self.ends.len() * std::mem::size_of::<u32>()
+    }
+}
+
+impl std::ops::Index<usize> for KeyArena {
+    type Output = str;
+
+    fn index(&self, i: usize) -> &str {
+        let start = i.checked_sub(1).map_or(0, |prev| self.ends[prev] as usize);
+        &self.bytes[start..self.ends[i] as usize]
+    }
+}
+
 /// A trained n-gram dictionary: the keys (owned, for size realism and
-/// serialization) plus the derived hash → index [`FlatProbeTable`] the
-/// matching kernels bulk-probe. First insert per key wins, so dictionary
+/// serialization) in one [`KeyArena`], plus the hash → index
+/// [`FlatProbeTable`] the hashing kernels bulk-probe, built once, on first
+/// use — a window-indexed character dictionary never builds it (module
+/// docs, "What stays resident"). First insert per key wins, so dictionary
 /// indices are stable across rebuilds.
 #[derive(Debug, Clone)]
 pub struct NgramDict {
-    keys: Vec<Box<str>>,
-    flat: FlatProbeTable,
+    keys: KeyArena,
+    flat: OnceLock<FlatProbeTable>,
     fold_case: bool,
 }
 
@@ -492,13 +607,14 @@ impl NgramDict {
     /// Later duplicates (after case folding) are ignored, keeping the first
     /// index, so dictionary indices are stable.
     pub fn new(keys: Vec<Box<str>>, fold_case: bool) -> Self {
-        let mut flat = FlatProbeTable::with_capacity(keys.len());
-        for (i, k) in keys.iter().enumerate() {
-            flat.insert_first(Self::hash_key(k, fold_case), i as u32);
-        }
+        Self::from_arena(KeyArena::from_keys(&keys), fold_case)
+    }
+
+    /// A dictionary over `keys`; its probe table is built on first use.
+    fn from_arena(keys: KeyArena, fold_case: bool) -> Self {
         NgramDict {
             keys,
-            flat,
+            flat: OnceLock::new(),
             fold_case,
         }
     }
@@ -514,14 +630,21 @@ impl NgramDict {
     }
 
     /// The dictionary keys.
-    pub fn keys(&self) -> &[Box<str>] {
+    pub fn keys(&self) -> &KeyArena {
         &self.keys
     }
 
-    /// The flat probe table (matching-kernel internals and tests):
-    /// first index wins for duplicate keys.
+    /// The flat probe table (matching-kernel internals and tests), built
+    /// on the first call: first index wins for duplicate keys.
+    #[inline]
     pub fn flat_table(&self) -> &FlatProbeTable {
-        &self.flat
+        self.flat.get_or_init(|| {
+            let mut flat = FlatProbeTable::with_capacity(self.keys.len());
+            for (i, k) in self.keys.iter().enumerate() {
+                flat.insert_first(Self::hash_key(k, self.fold_case), i as u32);
+            }
+            flat
+        })
     }
 
     /// Hashes a dictionary key the same way the kernels hash input windows:
@@ -549,11 +672,10 @@ impl NgramDict {
         segments.fold(first, join)
     }
 
-    /// Heap bytes: key storage plus the flat probe table that serves
-    /// matching.
+    /// Heap bytes: the key arena, plus the flat probe table once it is
+    /// built.
     pub fn heap_bytes(&self) -> usize {
-        let keys: usize = self.keys.iter().map(|k| k.len()).sum();
-        keys + self.keys.capacity() * std::mem::size_of::<Box<str>>() + self.flat.heap_bytes()
+        self.keys.heap_bytes() + self.flat.get().map_or(0, FlatProbeTable::heap_bytes)
     }
 }
 
@@ -586,29 +708,47 @@ impl PartialEq for NgramParams {
 impl NgramParams {
     /// Creates n-gram parameters over a dictionary, with a window table
     /// for the character kernel when the dictionary qualifies (module
-    /// docs, "Window table").
+    /// docs, "Window table"); otherwise with the probe table built.
     pub fn new(n: u32, all_lengths: bool, fold_case: bool, keys: Vec<Box<str>>) -> Self {
-        let mut p = Self::word(n, all_lengths, fold_case, keys);
-        p.windows = WindowTable::build(
-            p.lengths(),
-            fold_case,
-            p.dict.keys(),
-            p.dict.flat.heap_bytes(),
-        );
-        p
+        Self::with_keys(n, all_lengths, fold_case, KeyArena::from_keys(&keys), true)
     }
 
     /// Creates the parameters of a word dictionary: as [`Self::new`],
     /// without the window table only character windows read.
     pub fn word(n: u32, all_lengths: bool, fold_case: bool, keys: Vec<Box<str>>) -> Self {
-        NgramParams {
+        Self::with_keys(n, all_lengths, fold_case, KeyArena::from_keys(&keys), false)
+    }
+
+    /// The parameters over `keys`: a window table when `windows` asks for
+    /// one and the dictionary qualifies, else the probe table the kernel
+    /// will hash against, built now rather than on the first row.
+    fn with_keys(
+        n: u32,
+        all_lengths: bool,
+        fold_case: bool,
+        keys: KeyArena,
+        windows: bool,
+    ) -> Self {
+        let mut p = NgramParams {
             n,
             all_lengths,
             fold_case,
-            dict: NgramDict::new(keys, fold_case),
+            dict: NgramDict::from_arena(keys, fold_case),
             windows: None,
             memo: ChecksumMemo::default(),
+        };
+        if windows {
+            p.windows = WindowTable::build(
+                p.lengths(),
+                fold_case,
+                p.dict.keys(),
+                FlatProbeTable::heap_bytes_for(p.dict.len()),
+            );
         }
+        if p.windows.is_none() {
+            p.dict.flat_table();
+        }
+        p
     }
 
     /// True when the character kernel reads this dictionary through its
@@ -680,12 +820,13 @@ impl NgramParams {
         if let Some(table) = self.window_table() {
             return table.hits(&buf[..m], f);
         }
+        let flat = self.dict.flat_table();
         let mut keys = [0u64; KEY_BLOCK];
         for k in self.lengths().take_while(|&k| k <= m) {
             for base in (0..=m - k).step_by(KEY_BLOCK) {
                 let cnt = KEY_BLOCK.min(m - k + 1 - base);
                 window_keys(k, buf, base, &mut keys[..cnt]);
-                self.dict.flat.probe_each(&keys[..cnt], &mut *f);
+                flat.probe_each(&keys[..cnt], &mut *f);
             }
         }
     }
@@ -727,6 +868,7 @@ impl NgramParams {
         }
         let grams = &mut grams[..t];
         grams.copy_from_slice(tokens);
+        let flat = self.dict.flat_table();
         let lengths = self.lengths();
         for k in 1..=(*lengths.end()).min(t) {
             let cnt = t - k + 1;
@@ -736,7 +878,7 @@ impl NgramParams {
                 }
             }
             if lengths.contains(&k) {
-                self.dict.flat.probe_each(&grams[..cnt], &mut *f);
+                flat.probe_each(&grams[..cnt], &mut *f);
             }
         }
     }
@@ -807,24 +949,20 @@ impl NgramParams {
     /// Decodes a word dictionary's section: [`ParamBlob::from_entries`]
     /// through [`Self::word`].
     pub fn word_from_entries(section: &Section) -> Result<Self> {
-        Self::decode(section, NgramParams::word)
+        Self::decode(section, false)
     }
 
-    fn decode(
-        section: &Section,
-        build: fn(u32, bool, bool, Vec<Box<str>>) -> Self,
-    ) -> Result<Self> {
+    /// Decodes a section through [`Self::with_keys`], the keys read
+    /// straight into their arena.
+    fn decode(section: &Section, windows: bool) -> Result<Self> {
         let mut cfg = Cursor::new(section.entry("config")?);
         let n = cfg.u32()?;
         let all_lengths = cfg.u32()? != 0;
         let fold_case = cfg.u32()? != 0;
         let mut cur = Cursor::new(section.entry("dictionary")?);
         let count = cur.u32()? as usize;
-        let mut keys = Vec::with_capacity(count.min(1 << 22));
-        for _ in 0..count {
-            keys.push(Box::from(cur.str_ref()?));
-        }
-        Ok(build(n, all_lengths, fold_case, keys))
+        let keys = KeyArena::read(&mut cur, count)?;
+        Ok(Self::with_keys(n, all_lengths, fold_case, keys, windows))
     }
 
     fn check_batch_out(&self, out: &ColumnBatch) -> Result<()> {
@@ -854,16 +992,17 @@ impl ParamBlob for NgramParams {
         wire::put_u32(&mut cfg, self.n);
         wire::put_u32(&mut cfg, u32::from(self.all_lengths));
         wire::put_u32(&mut cfg, u32::from(self.fold_case));
-        let mut keys = Vec::new();
+        let arena = self.dict.keys();
+        let mut keys = Vec::with_capacity(4 * (1 + arena.len()) + arena.bytes.len());
         wire::put_u32(&mut keys, self.dict.len() as u32);
-        for k in self.dict.keys() {
+        for k in arena.iter() {
             wire::put_str(&mut keys, k);
         }
         vec![("config".into(), cfg), ("dictionary".into(), keys)]
     }
 
     fn from_entries(section: &Section) -> Result<Self> {
-        Self::decode(section, NgramParams::new)
+        Self::decode(section, true)
     }
 
     fn heap_bytes(&self) -> usize {
@@ -1046,16 +1185,115 @@ mod tests {
                 panic!("{entries} keys: no narrow window table");
             };
             assert_eq!(cells.len(), 19_683);
-            assert_eq!(p.heap_bytes(), p.dict.heap_bytes() + 19_683 * 2);
-            assert!(p.heap_bytes() <= 2 * p.dict.heap_bytes());
+            // The keys (3 bytes and a 4-byte offset each) and the cells:
+            // no probe table.
+            let keys = p.dim() * (3 + 4);
+            assert_eq!(p.dict.heap_bytes(), keys);
+            assert_eq!(p.heap_bytes(), keys + 19_683 * 2);
         }
-        // Word dictionaries are read by token windows only.
+        // Word dictionaries are read by token windows only, through the
+        // probe table they are built with.
         let vocab = crate::synth::vocabulary(0xfeed, 2_000);
         for entries in [50, 1_250] {
             let w = crate::synth::word_ngram(0xd0, 2, entries, &vocab);
             assert!(!w.is_window_indexed());
-            assert_eq!(w.heap_bytes(), w.dict.heap_bytes());
+            let flat = w.dict.flat.get().expect("built with the dictionary");
+            assert_eq!(
+                w.heap_bytes(),
+                w.dict.keys().heap_bytes() + flat.heap_bytes()
+            );
         }
+    }
+
+    #[test]
+    fn window_indexed_scoring_never_builds_the_probe_table() {
+        let p = crate::synth::char_ngram(0xc4, 3, 20_000);
+        assert!(p.is_window_indexed());
+        let rows = ["the quick brown fox", "", "Jumps over THE lazy dog!"];
+        let mut out = Vector::with_type(ColumnType::F32Sparse { len: p.dim() });
+        let mut batch = ColumnBatch::with_type(ColumnType::Text);
+        for row in rows {
+            p.apply_char(row, &mut out).unwrap();
+            batch.push_text(row).unwrap();
+        }
+        let mut sparse = ColumnBatch::with_type(ColumnType::F32Sparse { len: p.dim() });
+        p.eval_batch_char(&batch, &mut sparse).unwrap();
+        let mut folded = Vec::new();
+        p.char_hits(fold_row(&mut folded, b"brown fox", true), &mut |_| {});
+        assert!(
+            p.dict.flat.get().is_none(),
+            "a window-indexed kernel probed"
+        );
+        let resident = p.heap_bytes();
+
+        // Asked for, the table is built once, counted from then on, and
+        // answers for every key as the window table does.
+        let flat = p.dict.flat_table();
+        assert_eq!(flat.heap_bytes(), FlatProbeTable::heap_bytes_for(p.dim()));
+        assert_eq!(p.heap_bytes(), resident + flat.heap_bytes());
+        for (i, key) in p.dict.keys().iter().enumerate() {
+            let hit = flat.probe(NgramDict::hash_key(key, true)).unwrap();
+            assert_eq!(hit as usize, i, "{key}");
+        }
+        assert!(std::ptr::eq(flat, p.dict.flat_table()));
+    }
+
+    #[test]
+    fn the_arena_encodes_as_the_boxed_keys_did() {
+        // The image form of a dictionary held as one `Box<str>` per key.
+        let boxed = keys(&["abc", "", "not good", "Äpfel", "abc", "z"]);
+        let mut dictionary = Vec::new();
+        wire::put_u32(&mut dictionary, boxed.len() as u32);
+        for k in &boxed {
+            wire::put_str(&mut dictionary, k);
+        }
+        let mut config = Vec::new();
+        for v in [2, 1, 1] {
+            wire::put_u32(&mut config, v);
+        }
+        let want = vec![
+            ("config".to_string(), config),
+            ("dictionary".to_string(), dictionary),
+        ];
+
+        let p = NgramParams::new(2, true, true, boxed.clone());
+        assert_eq!(p.to_entries(), want);
+        assert_eq!(
+            p.checksum(),
+            pretzel_data::serde_bin::section_checksum(&want)
+        );
+        let arena: Vec<&str> = p.dict.keys().iter().collect();
+        assert_eq!(arena, boxed.iter().map(|k| &**k).collect::<Vec<_>>());
+
+        // Decoded, the arena is exactly the key bytes and one offset each.
+        let section = Section {
+            name: "op.Ngram".into(),
+            checksum: 0,
+            entries: want,
+        };
+        let q = NgramParams::from_entries(&section).unwrap();
+        assert_eq!(q, p);
+        let key_bytes: usize = boxed.iter().map(|k| k.len()).sum();
+        assert_eq!(q.dict.keys().heap_bytes(), key_bytes + 4 * boxed.len());
+    }
+
+    #[test]
+    fn a_hostile_key_count_is_refused_before_anything_is_reserved() {
+        // The count prefix claims more keys than the bytes behind it can
+        // hold (each takes a 4-byte length at least): refused, not
+        // reserved for. A count the bytes can hold reserves what they hold.
+        let mut dictionary = Vec::new();
+        wire::put_u32(&mut dictionary, u32::MAX);
+        wire::put_str(&mut dictionary, "abc");
+        let mut cur = Cursor::new(&dictionary[4..]);
+        let err = KeyArena::read(&mut cur, u32::MAX as usize).unwrap_err();
+        assert!(matches!(err, DataError::Codec(_)), "{err}");
+        assert_eq!(cur.remaining(), 7, "nothing was read either");
+        let mut cur = Cursor::new(&dictionary[4..]);
+        assert!(KeyArena::read(&mut cur, 2).is_err());
+        let mut cur = Cursor::new(&dictionary[4..]);
+        let one = KeyArena::read(&mut cur, 1).unwrap();
+        assert_eq!((one.len(), &one[0]), (1, "abc"));
     }
 
     #[test]

@@ -644,7 +644,7 @@ fn single_chunk_assembled_batch_moves_rows_and_matches_record_path() {
 
     let pool = Arc::clone(runtime.ingest_pool());
     let released_before = pool.stats().released();
-    let mut asm = BatchAssembler::new(pool.acquire_batch(ColumnType::Text, lines.len()));
+    let mut asm = BatchAssembler::new_unhashed(pool.acquire_batch(ColumnType::Text, lines.len()));
     for line in &lines {
         asm.push_text(line).unwrap();
     }

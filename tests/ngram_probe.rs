@@ -192,7 +192,7 @@ fn dict_probe_agrees_with_reference_map_on_keys_and_misses() {
             let reference = reference_map(&p);
             let probe = |s: &str| p.dict.flat_table().probe(NgramDict::hash_key(s, fold_case));
             // Every key resolves to its first index (duplicates included).
-            for key in p.dict.keys() {
+            for key in p.dict.keys().iter() {
                 assert_eq!(
                     probe(key),
                     Some(reference[&fold(key.as_bytes(), fold_case)]),
@@ -818,8 +818,8 @@ fn fused_text_step_scores_bitwise_like_the_unfused_plan_in_every_engine() {
                 for _ in 0..2 {
                     let keys: Vec<&str> = (0..8)
                         .map(|i| match i % 2 {
-                            0 => &*cgram.dict.keys()[300 + rng.below(40)],
-                            _ => &*wgram.dict.keys()[rng.below(wgram.dim())],
+                            0 => &cgram.dict.keys()[300 + rng.below(40)],
+                            _ => &wgram.dict.keys()[rng.below(wgram.dim())],
                         })
                         .collect();
                     lines.push(format!("{0},{0},{0}", keys.join(" ")));
@@ -912,7 +912,12 @@ fn qualifies_for_window_table(p: &NgramParams) -> bool {
 /// those of a hashed twin: the same keys as a word dictionary, which has
 /// no window table.
 fn assert_char_matches(p: &NgramParams, text: &str, tag: &str) {
-    let hashed = NgramParams::word(p.n, p.all_lengths, p.fold_case, p.dict.keys().to_vec());
+    let hashed = NgramParams::word(
+        p.n,
+        p.all_lengths,
+        p.fold_case,
+        p.dict.keys().iter().map(Box::from).collect(),
+    );
     assert!(!hashed.is_window_indexed(), "{tag}");
     let want = reference_char_matches(p, text);
     assert_eq!(
@@ -955,7 +960,7 @@ fn window_indexed_and_hashed_dictionaries_match_the_reference() {
                         .map(|&chars| random_text(&mut rng, chars))
                         .collect();
                     let some_keys: Vec<&str> = (0..12)
-                        .map(|_| &*p.dict.keys()[rng.below(p.dim())])
+                        .map(|_| &p.dict.keys()[rng.below(p.dim())])
                         .collect();
                     texts.push(some_keys.concat());
                     texts.push(some_keys.join(" "));
